@@ -650,8 +650,9 @@ func memTable() {
 		}
 	}
 	plusTimes := spmat.Semiring[int64, int64, int64]{
-		Mul: func(a, b int64) (int64, bool) { return a * b, true },
-		Add: func(a, b int64) int64 { return a + b },
+		Mul:    func(c *int64, a, b int64) bool { *c = a * b; return true },
+		MulAdd: func(c *int64, a, b int64) { *c += a * b },
+		Add:    func(a, b int64) int64 { return a + b },
 	}
 	a := spmat.NewCOO(n, n, append([]spmat.Triple[int64](nil), ts...), plusTimes.Add).ToCSC()
 	shuffled := append([]spmat.Triple[int64](nil), ts...)

@@ -47,7 +47,7 @@ const noParent = int32(1<<31 - 1)
 // minNeighborSemiring implements the hooking SpMV: y_u = min over neighbors
 // v of f[v] (the select2nd/min semiring of LACC).
 var minNeighborSemiring = spmat.Semiring[bidir.Edge, int32, int32]{
-	Mul: func(_ bidir.Edge, fv int32) (int32, bool) { return fv, true },
+	MulAdd: func(c *int32, _ bidir.Edge, fv int32) { *c = min32(*c, fv) },
 }
 
 func min32(a, b int32) int32 {

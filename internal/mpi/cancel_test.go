@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/mpi/transport"
 )
 
 // waitGoroutinesBelow polls until the process goroutine count drops back to
@@ -122,5 +124,34 @@ func TestRunCtxNilContextCompletes(t *testing.T) {
 		if s != 6 {
 			t.Fatalf("rank %d: sum = %d, want 6", r, s)
 		}
+	}
+}
+
+// unseenDeathTransport is rank 0 of a two-rank job whose peer died without
+// this side's reader noticing: the first it hears of it is a failed write,
+// reported the way transport/tcp reports one.
+type unseenDeathTransport struct {
+	transport.Transport
+	aborts chan int // origin of every Abort
+}
+
+func (d *unseenDeathTransport) Size() int { return 2 }
+func (d *unseenDeathTransport) Send(dst int, _ transport.Message) error {
+	return &transport.RankFailure{Rank: dst, Err: errors.New("write: connection reset by peer")}
+}
+func (d *unseenDeathTransport) Abort(origin int, _ string) { d.aborts <- origin }
+
+// TestSendFailureAbortNamesDeadRank: when a send is how a rank learns of a
+// peer's death, the run error and the abort it relays to the other peers must
+// both name the dead rank, not the sender.
+func TestSendFailureAbortNamesDeadRank(t *testing.T) {
+	ep := &unseenDeathTransport{Transport: transport.NewInproc(1)[0], aborts: make(chan int, 2)}
+	err := NewWorldTransport(ep).Run(func(c *Comm) { Send(c, 1, 5, []int64{1}) })
+	var rf *transport.RankFailure
+	if !errors.As(err, &rf) || rf.Rank != 1 {
+		t.Fatalf("run error %v, want a RankFailure naming rank 1", err)
+	}
+	if origin := <-ep.aborts; origin != 1 {
+		t.Fatalf("relayed abort names rank %d, want 1", origin)
 	}
 }

@@ -33,10 +33,11 @@
 //     frames (an early close with unread data would RST the connection).
 //   - Abort broadcasts an ABORT frame carrying the reason and tears the
 //     endpoint down without draining. A peer's reader surfaces the abort —
-//     or a broken connection, which is how an outright-killed rank appears —
-//     through the failure handler as a *transport.RankFailure naming the
-//     dead rank; that is how one process's death or cancellation unwinds
-//     the whole job with a diagnosable error.
+//     or a broken connection, which is how an outright-killed rank appears,
+//     to the reader or to a Send whose write breaks first — through the
+//     failure handler as a *transport.RankFailure naming the dead rank; that
+//     is how one process's death or cancellation unwinds the whole job with
+//     a diagnosable error.
 //
 // NewLocal builds a full P-endpoint mesh over loopback inside one process —
 // the configuration the conformance and equivalence suites use to run the
@@ -80,6 +81,10 @@ const dialTimeout = 30 * time.Second
 // closeDrain bounds how long Close waits for a peer's BYE before closing
 // anyway (a peer that crashed will never say goodbye).
 const closeDrain = 10 * time.Second
+
+// failDrain bounds how long a Send whose write broke waits for the same
+// connection's reader to report what the peer said last.
+const failDrain = 2 * time.Second
 
 // Heartbeat defaults (JoinConfig.HeartbeatInterval/-Timeout override; a
 // negative value disables). A connection that is write-idle for the interval
@@ -155,7 +160,24 @@ func (e *Endpoint) Send(dst int, m transport.Message) error {
 		return fmt.Errorf("tcp: no connection to rank %d", dst)
 	}
 	if err := pc.writeFrame(frameMsg, m.Tag, m.Payload); err != nil {
-		return fmt.Errorf("tcp: send to rank %d: %w", dst, err)
+		// A broken write is how this side learns that dst is gone when it
+		// writes before its reader has looked. dst either died or tore down
+		// after relaying someone else's death, and in that case its ABORT
+		// frame, naming the rank that actually died, was written before it
+		// closed and is already queued on this connection. So let the reader
+		// finish first — a broken connection ends it promptly, the bound is
+		// a backstop — and then report the write as the reader reports a
+		// broken read: attributed to dst, first cause wins. Either way the
+		// abort this rank relays names the dead rank, never a messenger.
+		t := time.NewTimer(failDrain)
+		select {
+		case <-pc.done:
+		case <-t.C:
+		}
+		t.Stop()
+		rf := &transport.RankFailure{Rank: dst, Err: fmt.Errorf("send from rank %d broke: %w", e.self, err)}
+		e.fail(rf)
+		return rf
 	}
 	return nil
 }

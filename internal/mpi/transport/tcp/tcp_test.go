@@ -1,8 +1,12 @@
 package tcp
 
 import (
+	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -112,6 +116,75 @@ func TestAbortReachesPeerFailureHandlers(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("peer failure handler never fired after abort")
 		}
+	}
+}
+
+// goneConn is the connection to a peer that is gone: every write fails, and
+// reads find last — what the peer wrote before it closed — and then EOF, but
+// only once a write has failed. So the test, not the scheduler, decides that
+// the sender learns of the loss before the reader does.
+type goneConn struct {
+	net.Conn        // unused; the reader and writeFrame call only the methods below
+	last     []byte // queued on the connection when the peer closed
+	wrote    chan struct{}
+	once     sync.Once
+}
+
+func (c *goneConn) Write([]byte) (int, error) {
+	c.once.Do(func() { close(c.wrote) })
+	return 0, syscall.ECONNRESET
+}
+
+func (c *goneConn) Read(p []byte) (int, error) {
+	<-c.wrote
+	if len(c.last) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.last)
+	c.last = c.last[n:]
+	return n, nil
+}
+
+// TestSendToGonePeerIsRankAttributed forces the ordering behind the
+// TestDistributedRankFailure flake — a survivor writes to a peer that is gone
+// before its reader has seen anything — for both ways a peer goes. The broken
+// write must surface as a RankFailure, from Send and through the failure
+// handler exactly once, and the handler's cause must name the rank that died:
+// the peer itself when it just died, but the rank its queued ABORT frame
+// blames when the peer was a survivor that tore down after relaying.
+func TestSendToGonePeerIsRankAttributed(t *testing.T) {
+	relayed := append([]byte{frameAbort, 2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0}, "oops"...)
+	for _, tc := range []struct {
+		name   string
+		peer   int    // the rank written to
+		last   []byte // what it wrote before closing
+		blamed int    // the rank the failure handler must name
+	}{
+		{"peer died", 2, nil, 2},
+		{"peer relayed rank 2's death and closed", 0, relayed, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := &goneConn{last: tc.last, wrote: make(chan struct{})}
+			pc := &peerConn{nc: conn, done: make(chan struct{})}
+			e := &Endpoint{self: 1, size: 3, box: transport.NewMailbox(), peers: make([]*peerConn, 3)}
+			e.peers[tc.peer] = pc
+			fails := make(chan error, 2)
+			e.SetFailureHandler(func(err error) { fails <- err })
+			go e.reader(tc.peer, pc) // blocked in Read until the write below has failed
+
+			err := e.Send(tc.peer, transport.Message{Src: 1, Tag: 7, Payload: []byte("x")})
+			var rf *transport.RankFailure
+			if !errors.As(err, &rf) || rf.Rank != tc.peer || !errors.Is(err, syscall.ECONNRESET) {
+				t.Fatalf("Send returned %v, want a RankFailure naming rank %d wrapping the write error", err, tc.peer)
+			}
+			<-pc.done
+			if len(fails) != 1 {
+				t.Fatalf("failure handler fired %d times, want once", len(fails))
+			}
+			if got := <-fails; !errors.As(got, &rf) || rf.Rank != tc.blamed {
+				t.Fatalf("failure handler got %v, want a RankFailure naming rank %d", got, tc.blamed)
+			}
+		})
 	}
 }
 

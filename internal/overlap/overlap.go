@@ -30,61 +30,85 @@ type Seeds struct {
 	S [2]align.Seed
 }
 
-func seedLess(a, b align.Seed) bool {
-	if a.PU != b.PU {
-		return a.PU < b.PU
+// seedAcc is what the SpGEMM accumulates per candidate cell: the two smallest
+// distinct shared seeds as packed keys, acc[0] < acc[1], unused slots holding
+// noSeed. Seeds — the exported layout the aligner, the checkpoint format and
+// the artifact cache read — is rebuilt from it once per surviving candidate.
+type seedAcc [2]uint64
+
+// noSeed marks an unused accumulator slot. It is above every real key (bit 32
+// of a key is PV's sign bit, always clear), so an empty slot loses every
+// comparison without a count field.
+const noSeed = ^uint64(0)
+
+// packSeed maps a seed to a key whose integer order is the seed order (PU,
+// then PV, then forward before reverse-complement). Positions are
+// non-negative int32, so the three fields do not overlap.
+func packSeed(pu, pv int32, rc bool) uint64 {
+	k := uint64(pu)<<33 | uint64(pv)<<1
+	if rc {
+		k |= 1
 	}
-	if a.PV != b.PV {
-		return a.PV < b.PV
-	}
-	return !a.RC && b.RC
+	return k
 }
 
-// addSeed inserts s keeping the two smallest distinct seeds.
-func (c Seeds) addSeed(s align.Seed) Seeds {
-	for i := int32(0); i < c.N; i++ {
-		if c.S[i] == s {
-			return c
-		}
-	}
-	switch {
-	case c.N == 0:
-		c.S[0] = s
-		c.N = 1
-	case c.N == 1:
-		if seedLess(s, c.S[0]) {
-			c.S[0], c.S[1] = s, c.S[0]
-		} else {
-			c.S[1] = s
-		}
-		c.N = 2
-	default:
-		if seedLess(s, c.S[0]) {
-			c.S[1] = c.S[0]
-			c.S[0] = s
-		} else if seedLess(s, c.S[1]) {
-			c.S[1] = s
-		}
-	}
-	return c
+func unpackSeed(k uint64) align.Seed {
+	return align.Seed{PU: int32(k >> 33), PV: int32(k >> 1 & (1<<31 - 1)), RC: k&1 == 1}
 }
 
-// merge combines two seed sets (the semiring Add).
-func (c Seeds) merge(d Seeds) Seeds {
-	for i := int32(0); i < d.N; i++ {
-		c = c.addSeed(d.S[i])
+// add inserts key k, keeping the two smallest distinct keys. Adding noSeed or
+// a key already held is a no-op.
+func (c *seedAcc) add(k uint64) {
+	if k < c[0] {
+		c[0], c[1] = k, c[0]
+	} else if k != c[0] && k < c[1] {
+		c[1] = k
 	}
-	return c
+}
+
+// seeds rebuilds the exported layout.
+func (c seedAcc) seeds() Seeds {
+	var s Seeds
+	for _, k := range c {
+		if k != noSeed {
+			s.S[s.N] = unpackSeed(k)
+			s.N++
+		}
+	}
+	return s
 }
 
 // seedSemiring builds C = A·Aᵀ: multiplying occurrence A(i,k) with
-// Aᵀ(k,j) yields a shared-seed candidate for pair (i,j).
-var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, Seeds]{
-	Mul: func(a, b kmer.Occur) (Seeds, bool) {
-		var s Seeds
-		return s.addSeed(align.Seed{PU: a.Pos, PV: b.Pos, RC: a.RC != b.RC}), true
+// Aᵀ(k,j) yields a shared-seed candidate for pair (i,j), folded in place into
+// the cell's two-key accumulator. Keeping the two smallest distinct keys is
+// associative, commutative and idempotent, as SUMMA's stage-order-independent
+// accumulation requires.
+var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, seedAcc]{
+	Mul: func(c *seedAcc, a, b kmer.Occur) bool {
+		c[0], c[1] = packSeed(a.Pos, b.Pos, a.RC != b.RC), noSeed
+		return true
 	},
-	Add: func(a, b Seeds) Seeds { return a.merge(b) },
+	MulAdd: func(c *seedAcc, a, b kmer.Occur) {
+		c.add(packSeed(a.Pos, b.Pos, a.RC != b.RC))
+	},
+	Add: func(a, b seedAcc) seedAcc {
+		a.add(b[0])
+		a.add(b[1])
+		return a
+	},
+}
+
+// keepCandidate is the output mask of C = A·Aᵀ. C is symmetric and each pair
+// must be aligned exactly once; keeping only the upper triangle would idle the
+// lower-triangle ranks of the grid, so the surviving direction of each pair is
+// chosen checkerboard-style — (min,max) when i+j is even, (max,min) when odd —
+// which splits the alignment work evenly across both triangles. The diagonal
+// (a read against itself) is dropped.
+func keepCandidate(r, c int32) bool {
+	if (r+c)%2 == 0 {
+		return r < c
+	}
+	return r > c
 }
 
 // Config parameterizes overlap detection.
@@ -159,14 +183,11 @@ func CountKmers(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Time
 	return kres
 }
 
-// DetectCandidates is the DetectOverlap stage: A, Aᵀ, C = A·Aᵀ. C is
-// symmetric and each pair must be aligned exactly once; keeping only the
-// upper triangle would idle the lower-triangle ranks of the grid, so the
-// surviving direction of each pair is chosen checkerboard-style — (min,max)
-// when i+j is even, (max,min) when odd — which splits the alignment work
-// evenly across both triangles. The mirror entry is reconstructed after
-// alignment. The returned candidate matrix is not mutated by
-// AlignCandidates, so one candidate set can feed several alignment runs.
+// DetectCandidates is the DetectOverlap stage: A, Aᵀ, C = A·Aᵀ under the
+// keepCandidate mask, so the diagonal and the mirrored direction of every pair
+// are never multiplied or accumulated. The mirror entry is reconstructed after
+// alignment. The returned candidate matrix is not mutated by AlignCandidates,
+// so one candidate set can feed several alignment runs.
 func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, cfg Config, tm *trace.Timers, res *Result) *spmat.Dist[Seeds] {
 	var c *spmat.Dist[Seeds]
 	var products int64
@@ -177,20 +198,17 @@ func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, c
 		}
 		res.A = spmat.NewDist(g, int32(store.N), int32(kres.NumCols), ts, nil)
 		at := spmat.Transpose(res.A, nil)
+		var acc *spmat.Dist[seedAcc]
 		if cfg.Async {
-			c = spmat.SpGEMMAsync(res.A, at, seedSemiring, &products)
+			acc = spmat.SpGEMMAsync(res.A, at, seedSemiring, keepCandidate, &products)
 		} else {
-			c = spmat.SpGEMMCounted(res.A, at, seedSemiring, &products)
+			acc = spmat.SpGEMMCounted(res.A, at, seedSemiring, keepCandidate, &products)
 		}
-		c.Apply(func(r, cc int32, v Seeds) (Seeds, bool) {
-			if r == cc {
-				return v, false
-			}
-			if (r+cc)%2 == 0 {
-				return v, r < cc
-			}
-			return v, r > cc
-		})
+		cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
+		for i, t := range acc.Local.Ts {
+			cs[i] = spmat.Triple[Seeds]{Row: t.Row, Col: t.Col, Val: t.Val.seeds()}
+		}
+		c = spmat.FromLocalTriples(g, acc.NR, acc.NC, cs)
 		res.CandidatePairs = c.Nnz()
 	})
 	tm.AddWork("DetectOverlap", products)

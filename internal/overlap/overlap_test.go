@@ -3,12 +3,14 @@ package overlap
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/bidir"
 	"repro/internal/fasta"
 	"repro/internal/grid"
+	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/readsim"
 	"repro/internal/spmat"
@@ -41,27 +43,91 @@ func TestSeedsMergeKeepsTwoSmallestDistinct(t *testing.T) {
 	s1 := align.Seed{PU: 10, PV: 5}
 	s2 := align.Seed{PU: 3, PV: 7}
 	s3 := align.Seed{PU: 20, PV: 1}
-	var a Seeds
-	a = a.addSeed(s1)
-	a = a.addSeed(s1) // duplicate ignored
-	if a.N != 1 {
-		t.Fatalf("N=%d", a.N)
+	a, _ := accumulate([]align.Seed{s1, s1}) // duplicate ignored
+	if got := a.seeds(); got.N != 1 || got.S[0] != s1 {
+		t.Fatalf("got %+v", got)
 	}
-	a = a.addSeed(s3)
-	a = a.addSeed(s2)
-	if a.N != 2 || a.S[0] != s2 || a.S[1] != s1 {
-		t.Fatalf("got %+v", a)
+	a, _ = accumulate([]align.Seed{s1, s1, s3, s2})
+	if got := a.seeds(); got.N != 2 || got.S[0] != s2 || got.S[1] != s1 {
+		t.Fatalf("got %+v", got)
 	}
 	// Merge must be order-insensitive (semiring Add commutativity).
-	var b Seeds
-	b = b.addSeed(s2)
-	var c1 Seeds
-	c1 = c1.addSeed(s1)
-	c1 = c1.addSeed(s3)
-	m1 := c1.merge(b)
-	m2 := b.merge(c1)
-	if m1 != m2 {
-		t.Fatalf("merge not commutative: %+v vs %+v", m1, m2)
+	b, _ := accumulate([]align.Seed{s2})
+	c1, _ := accumulate([]align.Seed{s1, s3})
+	m1 := seedSemiring.Add(c1, b)
+	m2 := seedSemiring.Add(b, c1)
+	if m1 != m2 || m1 != a {
+		t.Fatalf("merge not commutative: %+v vs %+v (want %+v)", m1, m2, a)
+	}
+}
+
+// TestDetectCandidatesMatchesValueSemantics pins the fused detection — masked
+// multiply, packed in-place accumulation — to the algorithm it replaced: the
+// full symmetric C = A·Aᵀ accumulated with the value-semantics seed
+// arithmetic (refAddSeed), then the diagonal and one direction of every pair
+// pruned post hoc. Rows, columns and Seeds values must all match, for every
+// grid size and both schedules.
+func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
+	genome := readsim.Genome(readsim.GenomeConfig{Length: 12000, Seed: 41})
+	reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 10, MeanLen: 1500, ErrorRate: 0.01, Seed: 42}))
+	for _, p := range []int{1, 4, 9} {
+		for _, async := range []bool{false, true} {
+			cfg := testConfig(17, 20)
+			cfg.Async = async
+			var got []spmat.Triple[Seeds]
+			var a []spmat.Triple[kmer.Occur]
+			var pairs int64
+			err := mpi.Run(p, func(c *mpi.Comm) {
+				g := grid.New(c)
+				store := fasta.FromGlobal(c, reads)
+				res := &Result{NumReads: store.N}
+				tm := trace.New()
+				cand := DetectCandidates(g, store, CountKmers(g, store, cfg, tm, res), cfg, tm, res)
+				gc, ga := cand.GatherTriples(0), res.A.GatherTriples(0)
+				if c.Rank() == 0 {
+					got, a, pairs = gc, ga, res.CandidatePairs
+				}
+			})
+			if err != nil {
+				t.Fatalf("P=%d async=%v: %v", p, async, err)
+			}
+			// a is column-major: each run of equal Col is one k-mer's occurrences.
+			full := map[[2]int32]Seeds{}
+			for lo := 0; lo < len(a); {
+				hi := lo
+				for hi < len(a) && a[hi].Col == a[lo].Col {
+					hi++
+				}
+				for _, u := range a[lo:hi] {
+					for _, v := range a[lo:hi] {
+						key := [2]int32{u.Row, v.Row}
+						full[key] = refAddSeed(full[key], align.Seed{PU: u.Val.Pos, PV: v.Val.Pos, RC: u.Val.RC != v.Val.RC})
+					}
+				}
+				lo = hi
+			}
+			var want []spmat.Triple[Seeds]
+			for key, v := range full {
+				r, cc := key[0], key[1]
+				if r == cc || ((r+cc)%2 == 0) != (r < cc) {
+					continue
+				}
+				want = append(want, spmat.Triple[Seeds]{Row: r, Col: cc, Val: v})
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Col != want[j].Col {
+					return want[i].Col < want[j].Col
+				}
+				return want[i].Row < want[j].Row
+			})
+			if len(want) < 100 {
+				t.Fatalf("reference found only %d candidates; test input too small", len(want))
+			}
+			if pairs != int64(len(want)) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("P=%d async=%v: %d candidates (CandidatePairs %d) differ from the %d of the value-semantics reference",
+					p, async, len(got), pairs, len(want))
+			}
+		}
 	}
 }
 

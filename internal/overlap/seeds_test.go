@@ -1,24 +1,163 @@
 package overlap
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/align"
+	"repro/internal/kmer"
 )
 
-// randSeeds builds a random seed set through addSeed (so it is canonical).
-func randSeeds(rng *rand.Rand) Seeds {
-	var s Seeds
-	for k := rng.Intn(4); k > 0; k-- {
-		s = s.addSeed(align.Seed{
-			PU: int32(rng.Intn(50)),
-			PV: int32(rng.Intn(50)),
-			RC: rng.Intn(2) == 1,
-		})
+// The value-semantics seed arithmetic the packed accumulator replaced, kept
+// as the test reference: seedLess orders seeds, refAddSeed inserts one keeping
+// the two smallest distinct, refMerge was the semiring Add.
+
+func seedLess(a, b align.Seed) bool {
+	if a.PU != b.PU {
+		return a.PU < b.PU
 	}
-	return s
+	if a.PV != b.PV {
+		return a.PV < b.PV
+	}
+	return !a.RC && b.RC
+}
+
+func refAddSeed(c Seeds, s align.Seed) Seeds {
+	for i := int32(0); i < c.N; i++ {
+		if c.S[i] == s {
+			return c
+		}
+	}
+	switch {
+	case c.N == 0:
+		c.S[0] = s
+		c.N = 1
+	case c.N == 1:
+		if seedLess(s, c.S[0]) {
+			c.S[0], c.S[1] = s, c.S[0]
+		} else {
+			c.S[1] = s
+		}
+		c.N = 2
+	default:
+		if seedLess(s, c.S[0]) {
+			c.S[1] = c.S[0]
+			c.S[0] = s
+		} else if seedLess(s, c.S[1]) {
+			c.S[1] = s
+		}
+	}
+	return c
+}
+
+func refMerge(c, d Seeds) Seeds {
+	for i := int32(0); i < d.N; i++ {
+		c = refAddSeed(c, d.S[i])
+	}
+	return c
+}
+
+// boundary holds the position values where packing could go wrong: the field
+// edges of the 31-bit PU/PV lanes.
+var boundary = []int32{0, 1, 2, math.MaxInt32 - 1, math.MaxInt32}
+
+// randSeed draws a seed, half the time from the boundary values.
+func randSeed(rng *rand.Rand) align.Seed {
+	pos := func() int32 {
+		if rng.Intn(2) == 0 {
+			return boundary[rng.Intn(len(boundary))]
+		}
+		return int32(rng.Intn(50))
+	}
+	return align.Seed{PU: pos(), PV: pos(), RC: rng.Intn(2) == 1}
+}
+
+// accumulate folds seeds through the production semiring exactly as the SPA
+// does (Mul into the fresh slot, MulAdd into the live one) and, beside it,
+// through the value-semantics reference.
+func accumulate(seeds []align.Seed) (seedAcc, Seeds) {
+	var acc seedAcc
+	var ref Seeds
+	for i, s := range seeds {
+		// Occurrences whose product is s: positions carry over, RC is the XOR.
+		a, b := kmer.Occur{Pos: s.PU, RC: s.RC}, kmer.Occur{Pos: s.PV}
+		if i == 0 {
+			seedSemiring.Mul(&acc, a, b)
+		} else {
+			seedSemiring.MulAdd(&acc, a, b)
+		}
+		ref = refAddSeed(ref, s)
+	}
+	return acc, ref
+}
+
+// randAcc builds a random live accumulator (1–4 insertions).
+func randAcc(rng *rand.Rand) seedAcc {
+	seeds := make([]align.Seed, 1+rng.Intn(4))
+	for i := range seeds {
+		seeds[i] = randSeed(rng)
+	}
+	acc, _ := accumulate(seeds)
+	return acc
+}
+
+// TestPackedOrderMatchesSeedLess: integer order of the packed keys is exactly
+// seedLess, the sentinel is above every key, and unpack inverts pack — over
+// every combination of the boundary values and both strands.
+func TestPackedOrderMatchesSeedLess(t *testing.T) {
+	var all []align.Seed
+	for _, pu := range boundary {
+		for _, pv := range boundary {
+			for _, rc := range []bool{false, true} {
+				all = append(all, align.Seed{PU: pu, PV: pv, RC: rc})
+			}
+		}
+	}
+	for _, a := range all {
+		ka := packSeed(a.PU, a.PV, a.RC)
+		if ka >= noSeed {
+			t.Fatalf("key of %+v collides with the empty sentinel", a)
+		}
+		if got := unpackSeed(ka); got != a {
+			t.Fatalf("round trip %+v -> %#x -> %+v", a, ka, got)
+		}
+		for _, b := range all {
+			kb := packSeed(b.PU, b.PV, b.RC)
+			if (ka < kb) != seedLess(a, b) || (ka == kb) != (a == b) {
+				t.Fatalf("order of %+v (%#x) vs %+v (%#x) disagrees with seedLess", a, ka, b, kb)
+			}
+		}
+	}
+}
+
+// TestPackedAccumulateMatchesReference: the in-place packed fold and the
+// value-semantics addSeed produce the same exported Seeds for any insertion
+// sequence, and the packed Add equals the reference merge.
+func TestPackedAccumulateMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		xs := make([]align.Seed, 1+rng.Intn(8))
+		for i := range xs {
+			xs[i] = randSeed(rng)
+		}
+		acc, ref := accumulate(xs)
+		if acc.seeds() != ref {
+			return false
+		}
+		if len(xs) == 1 {
+			return true
+		}
+		cut := 1 + rng.Intn(len(xs)-1)
+		accL, refL := accumulate(xs[:cut])
+		accR, refR := accumulate(xs[cut:])
+		sum := seedSemiring.Add(accL, accR)
+		return sum == acc && sum.seeds() == refMerge(refL, refR)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSeedsMergeCommutative: SUMMA accumulates partial products in a stage
@@ -26,8 +165,8 @@ func randSeeds(rng *rand.Rand) Seeds {
 func TestSeedsMergeCommutative(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a, b := randSeeds(rng), randSeeds(rng)
-		return a.merge(b) == b.merge(a)
+		a, b := randAcc(rng), randAcc(rng)
+		return seedSemiring.Add(a, b) == seedSemiring.Add(b, a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -36,10 +175,11 @@ func TestSeedsMergeCommutative(t *testing.T) {
 
 // TestSeedsMergeAssociative: likewise for associativity.
 func TestSeedsMergeAssociative(t *testing.T) {
+	add := seedSemiring.Add
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a, b, c := randSeeds(rng), randSeeds(rng), randSeeds(rng)
-		return a.merge(b).merge(c) == a.merge(b.merge(c))
+		a, b, c := randAcc(rng), randAcc(rng), randAcc(rng)
+		return add(add(a, b), c) == add(a, add(b, c))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -50,27 +190,25 @@ func TestSeedsMergeAssociative(t *testing.T) {
 func TestSeedsMergeIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := randSeeds(rng)
-		return a.merge(a) == a
+		a := randAcc(rng)
+		return seedSemiring.Add(a, a) == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSeedsKeepSmallest: the canonical set holds the two lexicographically
+// TestSeedsKeepSmallest: the accumulator holds the two lexicographically
 // smallest distinct seeds ever inserted.
 func TestSeedsKeepSmallest(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(8) + 1
-		var all []align.Seed
-		var s Seeds
-		for k := 0; k < n; k++ {
-			sd := align.Seed{PU: int32(rng.Intn(30)), PV: int32(rng.Intn(30)), RC: rng.Intn(2) == 1}
-			all = append(all, sd)
-			s = s.addSeed(sd)
+		all := make([]align.Seed, rng.Intn(8)+1)
+		for k := range all {
+			all[k] = randSeed(rng)
 		}
+		acc, _ := accumulate(all)
+		s := acc.seeds()
 		// Reference: sort distinct seeds, take two smallest.
 		distinct := map[align.Seed]bool{}
 		for _, sd := range all {
@@ -87,10 +225,7 @@ func TestSeedsKeepSmallest(t *testing.T) {
 				}
 			}
 		}
-		want := int32(2)
-		if int32(len(best)) < want {
-			want = int32(len(best))
-		}
+		want := int32(min(2, len(best)))
 		if s.N != want {
 			return false
 		}

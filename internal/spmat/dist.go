@@ -128,6 +128,9 @@ func (a *Dist[T]) Apply(f func(r, c int32, v T) (T, bool)) {
 			out = append(out, t)
 		}
 	}
+	if len(out) == 0 {
+		out = nil // canonical form: empty is nil (see NewCOO)
+	}
 	a.Local.Ts = out
 }
 
@@ -228,13 +231,17 @@ func (a *Dist[T]) BuildIndex() map[int64]T {
 // ranks of grid row s broadcast their B blocks along their grid column, and
 // every rank accumulates the local product (collective).
 func SpGEMM[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C]) *Dist[C] {
-	return SpGEMMCounted(a, b, sr, nil)
+	return SpGEMMCounted(a, b, sr, nil, nil)
 }
 
-// SpGEMMCounted is SpGEMM with a semiring-product work counter for the
-// performance model (products may be nil).
-func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products *int64) *Dist[C] {
-	return spgemm(a, b, sr, products, false)
+// SpGEMMCounted is SpGEMM with an output mask and a semiring-product work
+// counter for the performance model (either may be nil). keep(row, col) is
+// asked before a product is formed: a false cell is never multiplied, never
+// accumulated and never counted, so the result equals the unmasked product
+// followed by Apply(keep) at the cost of the kept cells only. products is
+// advanced by the number of products evaluated (annihilated ones included).
+func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func(row, col int32) bool, products *int64) *Dist[C] {
+	return spgemm(a, b, sr, keep, products, false)
 }
 
 // SpGEMMAsync is SpGEMMCounted with nonblocking SUMMA broadcasts: round
@@ -242,18 +249,19 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], pr
 // panel transfer hides behind the local product. Accumulation order,
 // results, and byte/message counters are identical to the blocking form —
 // only the overlap attribution and wall time change.
-func SpGEMMAsync[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products *int64) *Dist[C] {
-	return spgemm(a, b, sr, products, true)
+func SpGEMMAsync[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func(row, col int32) bool, products *int64) *Dist[C] {
+	return spgemm(a, b, sr, keep, products, true)
 }
 
 // spgemm is the shared SUMMA body; async selects blocking broadcasts or the
 // IBcast prefetch pipeline. The local product of each round is a Gustavson
-// pass with the generation-tagged sparse accumulator of local.go over the
-// block's row span; per-round emissions are column-clustered, so the final
-// cross-round merge is the radix path of NewCOO with the semiring Add as the
-// combiner (Add is associative and commutative — the precondition SUMMA's
-// stage-order-independent accumulation already imposes).
-func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products *int64, async bool) *Dist[C] {
+// pass that folds every kept product in place into the generation-tagged
+// sparse accumulator of local.go over the block's row span; per-round
+// emissions are column-clustered, so the final cross-round merge is the radix
+// path of NewCOO with the semiring Add as the combiner (Add is associative
+// and commutative — the precondition SUMMA's stage-order-independent
+// accumulation already imposes).
+func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func(row, col int32) bool, products *int64, async bool) *Dist[C] {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
 	}
@@ -266,10 +274,7 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products 
 	var ts []Triple[C]
 	lane := g.Comm.Lane()
 	panelNnz := g.Comm.Metrics().Histogram("spmat.panel_nnz")
-	var prod0 int64
-	if products != nil {
-		prod0 = *products
-	}
+	var evaluated int64 // products formed; a local, published once, not *products++ per product
 
 	// post starts the round-s panel broadcasts (nonblocking path only). The
 	// post order (A then B) matches the blocking call order, so tag sequences
@@ -346,21 +351,15 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products 
 			acc.reset()
 			for _, bt := range bblk[lo:hi] {
 				kidx := int(bt.Row) - kLo
-				for q := starts[kidx]; q < starts[kidx+1]; q++ {
-					at := flat[q]
-					if products != nil {
-						*products++
+				for _, at := range flat[starts[kidx]:starts[kidx+1]] {
+					if keep != nil && !keep(at.Row, j) {
+						continue
 					}
-					if cv, ok := sr.Mul(at.Val, bt.Val); ok {
-						acc.accumulate(at.Row-out.RowLo, cv, sr.Add)
-					}
+					evaluated++
+					fold(acc, at.Row-out.RowLo, at.Val, bt.Val, &sr)
 				}
 			}
-			nBefore := len(ts)
-			ts = acc.emit(ts, j)
-			for i := nBefore; i < len(ts); i++ {
-				ts[i].Row += out.RowLo // SPA indices are span-relative
-			}
+			ts = acc.emit(ts, j, out.RowLo)
 			lo = hi
 		}
 		if lane != nil {
@@ -370,7 +369,8 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products 
 		}
 	}
 	if products != nil {
-		g.Comm.Metrics().Counter("spmat.spgemm_products").Add(*products - prod0)
+		*products += evaluated
+		g.Comm.Metrics().Counter("spmat.spgemm_products").Add(evaluated)
 	}
 	out.Local = NewCOO(a.NR, b.NC, ts, sr.Add)
 	return out

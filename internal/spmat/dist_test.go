@@ -196,6 +196,26 @@ func TestApplyPrune(t *testing.T) {
 	})
 }
 
+// TestPruneToEmptyIsCanonical: a block pruned to nothing must be the nil
+// canonical form NewCOO documents, so it equals a freshly built empty block.
+func TestPruneToEmptyIsCanonical(t *testing.T) {
+	all := globalTriples(rand.New(rand.NewSource(8)), 20, 20, 0.4)
+	runGrid(t, func(g *grid.Grid) {
+		empty := FromGlobalTriples[int64](g, 20, 20, nil, nil)
+		a := FromGlobalTriples(g, 20, 20, all, nil)
+		a.Apply(func(_, _ int32, v int64) (int64, bool) { return v, false })
+		b := FromGlobalTriples(g, 20, 20, all, nil)
+		ids := make([]int32, 20)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		b.MaskRowsCols(ids)
+		if !reflect.DeepEqual(a.Local, empty.Local) || !reflect.DeepEqual(b.Local, empty.Local) {
+			panic("block pruned to empty is not the canonical nil form")
+		}
+	})
+}
+
 func TestRowDegrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := int32(41)
@@ -347,4 +367,70 @@ func TestScatterMin(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMaskedSpGEMMMatchesMapThenApply pins the fused kernel — mask asked
+// before the product, product folded in place — to the map oracle followed by
+// a post-hoc Apply(keep), block by block (so empty blocks must be the same
+// canonical nil on both sides), on random rectangular shapes, every mask
+// shape, a plain and an annihilating semiring, both schedules. The product
+// counter must equal the unmasked products that land on kept cells,
+// annihilated ones included.
+func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
+	semirings := []Semiring[int64, int64, int64]{plusTimes, valueSemiring(oddProduct, plus)}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 24; trial++ {
+		nr, k, nc := int32(1+rng.Intn(30)), int32(1+rng.Intn(30)), int32(1+rng.Intn(30))
+		aT := globalTriples(rng, nr, k, rng.Float64()*0.4)
+		bT := globalTriples(rng, k, nc, rng.Float64()*0.4)
+		salt := rng.Int31()
+		masks := map[string]func(r, c int32) bool{
+			"nil":          nil,
+			"all":          func(_, _ int32) bool { return true },
+			"none":         func(_, _ int32) bool { return false },
+			"diagonal":     func(r, c int32) bool { return r == c },
+			"checkerboard": func(r, c int32) bool { return r != c && ((r+c)%2 == 0) == (r < c) },
+			"random":       func(r, c int32) bool { return (r*31+c*17+salt)%3 != 0 },
+		}
+		sr := semirings[trial%2]
+		ref := MultiplyMap(NewCOO(nr, k, append([]Triple[int64](nil), aT...), nil).ToCSC(),
+			NewCOO(k, nc, append([]Triple[int64](nil), bT...), nil).ToCSC(), sr)
+		for name, keep := range masks {
+			var wantProducts int64
+			for _, at := range aT {
+				for _, bt := range bT {
+					if at.Col == bt.Row && (keep == nil || keep(at.Row, bt.Col)) {
+						wantProducts++
+					}
+				}
+			}
+			for _, p := range []int{1, 4, 9} {
+				err := mpi.Run(p, func(c *mpi.Comm) {
+					g := grid.New(c)
+					a := FromGlobalTriples(g, nr, k, aT, nil)
+					b := FromGlobalTriples(g, k, nc, bT, nil)
+					want := FromGlobalTriples(g, nr, nc, ref.Ts, nil)
+					if keep != nil {
+						want.Apply(func(r, c int32, v int64) (int64, bool) { return v, keep(r, c) })
+					}
+					var prodSync, prodAsync int64
+					for _, got := range []*Dist[int64]{
+						SpGEMMCounted(a, b, sr, keep, &prodSync),
+						SpGEMMAsync(a, b, sr, keep, &prodAsync),
+					} {
+						if !reflect.DeepEqual(got.Local, want.Local) {
+							panic(fmt.Sprintf("masked SpGEMM block differs from MultiplyMap+Apply\n got %v\nwant %v", got.Local, want.Local))
+						}
+					}
+					sum := func(x, y int64) int64 { return x + y }
+					if s, as := mpi.Allreduce(c, prodSync, sum), mpi.Allreduce(c, prodAsync, sum); s != wantProducts || as != wantProducts {
+						panic(fmt.Sprintf("products sync=%d async=%d, want %d", s, as, wantProducts))
+					}
+				})
+				if err != nil {
+					t.Fatalf("trial %d (%dx%dx%d) mask=%s P=%d: %v", trial, nr, k, nc, name, p, err)
+				}
+			}
+		}
+	}
 }

@@ -242,11 +242,23 @@ func (d DCSC[T]) ToCSC() CSC[T] {
 // Nnz returns the number of stored nonzeros.
 func (d DCSC[T]) Nnz() int { return len(d.IR) }
 
-// Semiring overloads multiplication and addition for SpGEMM, CombBLAS-style.
-// Mul may annihilate a product by returning false (the implicit zero).
+// Semiring overloads multiplication and addition for SpGEMM, CombBLAS-style,
+// as an in-place accumulate contract: a product is folded straight into its
+// accumulator slot and never materialised as a value, so the hot loop pays one
+// indirect call per product and moves no C through it.
+//
+//   - Mul writes a⊗b into the fresh slot *c, whose previous content is
+//     unspecified, and reports whether the product is nonzero; false
+//     annihilates it (the implicit zero) and leaves the slot unclaimed.
+//   - MulAdd folds a⊗b into the live slot *c (c ← c ⊕ a⊗b); an annihilated
+//     product leaves *c as it is.
+//   - Add merges two accumulated values: the cross-round combiner of SUMMA's
+//     final NewCOO, so it must be associative and commutative and agree with
+//     MulAdd (MulAdd(c, a, b) ≡ *c = Add(*c, a⊗b)).
 type Semiring[A, B, C any] struct {
-	Mul func(A, B) (C, bool)
-	Add func(C, C) C
+	Mul    func(c *C, a A, b B) bool
+	MulAdd func(c *C, a A, b B)
+	Add    func(C, C) C
 }
 
 // spa is a generation-tagged sparse accumulator over a dense row span — the
@@ -274,25 +286,28 @@ func (s *spa[C]) reset() {
 	}
 }
 
-// accumulate folds v into row i under add, first touch stores v directly.
-func (s *spa[C]) accumulate(i int32, v C, add func(C, C) C) {
+// fold accumulates the product a⊗b into row i's slot in place: MulAdd into a
+// slot this generation already claimed, Mul into a fresh one, which is claimed
+// only if the product is nonzero.
+func fold[A, B, C any](s *spa[C], i int32, a A, b B, sr *Semiring[A, B, C]) {
 	if s.gen[i] == s.cur {
-		s.vals[i] = add(s.vals[i], v)
-		return
+		sr.MulAdd(&s.vals[i], a, b)
+	} else if sr.Mul(&s.vals[i], a, b) {
+		s.gen[i] = s.cur
+		s.rows = append(s.rows, i)
 	}
-	s.gen[i], s.vals[i] = s.cur, v
-	s.rows = append(s.rows, i)
 }
 
 // emit appends this generation's entries for column j to ts in ascending row
-// order and returns the extended slice.
-func (s *spa[C]) emit(ts []Triple[C], j int32) []Triple[C] {
+// order, rows shifted by rowLo (SPA indices are span-relative), and returns
+// the extended slice.
+func (s *spa[C]) emit(ts []Triple[C], j, rowLo int32) []Triple[C] {
 	if len(s.rows) == 0 {
 		return ts
 	}
 	slices.Sort(s.rows)
 	for _, i := range s.rows {
-		ts = append(ts, Triple[C]{Row: i, Col: j, Val: s.vals[i]})
+		ts = append(ts, Triple[C]{Row: i + rowLo, Col: j, Val: s.vals[i]})
 	}
 	return ts
 }
@@ -318,12 +333,10 @@ func Multiply[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 			k := b.IR[p]
 			bv := b.V[p]
 			for q := a.JC[k]; q < a.JC[k+1]; q++ {
-				if cv, ok := sr.Mul(a.V[q], bv); ok {
-					acc.accumulate(a.IR[q], cv, sr.Add)
-				}
+				fold(acc, a.IR[q], a.V[q], bv, &sr)
 			}
 		}
-		ts = acc.emit(ts, j)
+		ts = acc.emit(ts, j, 0)
 	}
 	if len(ts) == 0 {
 		ts = nil
@@ -332,28 +345,27 @@ func Multiply[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 }
 
 // MultiplyMap is the retained map-accumulator reference kernel Multiply
-// replaced: the randomized differential tests pin the SPA kernel to it, and
-// cmd/experiments -exp mem prints the before/after allocation table from the
-// pair. Not used on any hot path.
+// replaced: the randomized differential tests pin the SPA kernels (local and
+// distributed, masked and not) to it, and cmd/experiments -exp mem prints the
+// before/after allocation table from the pair. Not used on any hot path.
 func MultiplyMap[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: inner dims %d != %d", a.NC, b.NR))
 	}
 	var ts []Triple[C]
 	acc := make(map[int32]C)
+	var cv C // the one slot products are folded in: its address escapes, once
+	var live bool
 	for j := int32(0); j < b.NC; j++ {
 		clear(acc)
 		for p := b.JC[j]; p < b.JC[j+1]; p++ {
 			k := b.IR[p]
 			bv := b.V[p]
 			for q := a.JC[k]; q < a.JC[k+1]; q++ {
-				cv, ok := sr.Mul(a.V[q], bv)
-				if !ok {
-					continue
-				}
-				if old, exists := acc[a.IR[q]]; exists {
-					acc[a.IR[q]] = sr.Add(old, cv)
-				} else {
+				if cv, live = acc[a.IR[q]]; live {
+					sr.MulAdd(&cv, a.V[q], bv)
+					acc[a.IR[q]] = cv
+				} else if sr.Mul(&cv, a.V[q], bv) {
 					acc[a.IR[q]] = cv
 				}
 			}

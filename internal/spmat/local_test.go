@@ -7,11 +7,30 @@ import (
 	"testing/quick"
 )
 
-// plusTimes is the ordinary (+, ×) semiring on int64.
-var plusTimes = Semiring[int64, int64, int64]{
-	Mul: func(a, b int64) (int64, bool) { return a * b, true },
-	Add: func(a, b int64) int64 { return a + b },
+// valueSemiring lifts a value-returning product (false annihilates) and an
+// addition into the in-place contract, so test semirings stay one-liners.
+func valueSemiring(mul func(a, b int64) (int64, bool), add func(a, b int64) int64) Semiring[int64, int64, int64] {
+	return Semiring[int64, int64, int64]{
+		Mul: func(c *int64, a, b int64) bool {
+			v, ok := mul(a, b)
+			if ok {
+				*c = v
+			}
+			return ok
+		},
+		MulAdd: func(c *int64, a, b int64) {
+			if v, ok := mul(a, b); ok {
+				*c = add(*c, v)
+			}
+		},
+		Add: add,
+	}
 }
+
+func plus(a, b int64) int64 { return a + b }
+
+// plusTimes is the ordinary (+, ×) semiring on int64.
+var plusTimes = valueSemiring(func(a, b int64) (int64, bool) { return a * b, true }, plus)
 
 func randCOO(rng *rand.Rand, nr, nc int32, density float64) COO[int64] {
 	var ts []Triple[int64]
@@ -157,10 +176,7 @@ func TestMultiplyMatchesDense(t *testing.T) {
 func TestMultiplyAnnihilation(t *testing.T) {
 	// A semiring whose Mul rejects products with odd results must produce
 	// only entries built from surviving products.
-	sr := Semiring[int64, int64, int64]{
-		Mul: func(a, b int64) (int64, bool) { v := a * b; return v, v%2 == 0 },
-		Add: func(a, b int64) int64 { return a + b },
-	}
+	sr := valueSemiring(func(a, b int64) (int64, bool) { v := a * b; return v, v%2 == 0 }, plus)
 	a := NewCOO(2, 2, []Triple[int64]{{0, 0, 3}, {0, 1, 2}}, nil)
 	b := NewCOO(2, 1, []Triple[int64]{{0, 0, 5}, {1, 0, 7}}, nil)
 	got := Multiply(a.ToCSC(), b.ToCSC(), sr)

@@ -119,14 +119,14 @@ func TestMultiplyMatchesMapKernel(t *testing.T) {
 	}
 }
 
+// oddProduct annihilates even products.
+func oddProduct(a, b int64) (int64, bool) { p := a * b; return p, p%2 == 1 }
+
 // TestMultiplyMatchesMapKernelAnnihilation repeats the differential check
 // under a semiring whose Mul annihilates (the candidate-matrix pattern):
 // rows whose every product annihilates must not appear.
 func TestMultiplyMatchesMapKernelAnnihilation(t *testing.T) {
-	odd := Semiring[int64, int64, int64]{
-		Mul: func(a, b int64) (int64, bool) { p := a * b; return p, p%2 == 1 },
-		Add: func(a, b int64) int64 { return a + b },
-	}
+	odd := valueSemiring(oddProduct, plus)
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 60; trial++ {
 		nr := int32(1 + rng.Intn(25))
@@ -158,7 +158,7 @@ func TestSPAGenerationWraparound(t *testing.T) {
 	s := newSPA[int64](4)
 	s.cur = ^uint32(0) - 1 // two resets from wrapping
 	s.reset()
-	s.accumulate(2, 7, nil)
+	fold(s, 2, 7, 1, &plusTimes)
 	s.reset() // wraps: gen array must be hard-cleared
 	if s.cur != 1 {
 		t.Fatalf("cur = %d after wrap, want 1", s.cur)
@@ -166,9 +166,10 @@ func TestSPAGenerationWraparound(t *testing.T) {
 	if len(s.rows) != 0 {
 		t.Fatal("rows not reset")
 	}
-	s.accumulate(1, 5, func(a, b int64) int64 { return a + b })
-	ts := s.emit(nil, 0)
-	want := []Triple[int64]{{Row: 1, Col: 0, Val: 5}}
+	fold(s, 1, 5, 1, &plusTimes)
+	fold(s, 1, 3, 2, &plusTimes) // live slot: folded in place
+	ts := s.emit(nil, 0, 0)
+	want := []Triple[int64]{{Row: 1, Col: 0, Val: 11}}
 	if !reflect.DeepEqual(ts, want) {
 		t.Fatalf("post-wrap emit = %v, want %v (stale generation leaked)", ts, want)
 	}

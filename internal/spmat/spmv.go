@@ -18,10 +18,12 @@ import (
 //     reduction on the row communicator, and each rank keeps its vector
 //     block of the result.
 //
-// Mul may annihilate (return false); rows with no surviving product are
-// left at identity. identity must be neutral for combine (e.g. +∞ for min,
-// 0 for sum): the row reduction folds one identity-initialized partial per
-// grid-row rank.
+// Every partial starts live at identity, so the local pass is one in-place
+// sr.MulAdd per nonzero (sr.Mul is not called); an annihilated product leaves
+// the slot alone, so rows with no surviving product stay at identity.
+// identity must be neutral for MulAdd's addition and for combine, which must
+// be that same addition (e.g. +∞ for min, 0 for sum): the row reduction folds
+// one identity-initialized partial per grid-row rank.
 func SpMV[T, V, W any](a *Dist[T], x *DistVec[V], sr Semiring[T, V, W], identity W, combine func(W, W) W) *DistVec[W] {
 	if int32(x.N) != a.NC {
 		panic("spmat: SpMV dimension mismatch")
@@ -34,11 +36,7 @@ func SpMV[T, V, W any](a *Dist[T], x *DistVec[V], sr Semiring[T, V, W], identity
 		partial[i] = identity
 	}
 	for _, t := range a.Local.Ts {
-		w, ok := sr.Mul(t.Val, colX[t.Col-a.ColLo])
-		if !ok {
-			continue
-		}
-		partial[t.Row-a.RowLo] = combine(partial[t.Row-a.RowLo], w)
+		sr.MulAdd(&partial[t.Row-a.RowLo], t.Val, colX[t.Col-a.ColLo])
 	}
 	full := mpi.AllreduceSlice(g.RowComm, partial, combine)
 	// A rank's vector block always sits inside its matrix row range (the

@@ -23,10 +23,6 @@ func TestSpMVMatchesDense(t *testing.T) {
 	for _, tr := range all {
 		want[tr.Row] += tr.Val * xFull[tr.Col]
 	}
-	sr := Semiring[int64, int64, int64]{
-		Mul: func(a, x int64) (int64, bool) { return a * x, true },
-		Add: nil, // SpMV uses the explicit combine
-	}
 	for _, p := range gridSizes {
 		p := p
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
@@ -34,7 +30,7 @@ func TestSpMVMatchesDense(t *testing.T) {
 				g := grid.New(c)
 				a := FromGlobalTriples(g, n, n, all, nil)
 				x := VecFromGlobal(g, xFull)
-				y := SpMV(a, x, sr, 0, func(u, v int64) int64 { return u + v })
+				y := SpMV(a, x, plusTimes, 0, plus)
 				got := y.AllgatherFull()
 				if !reflect.DeepEqual(got, want) {
 					panic(fmt.Sprintf("SpMV mismatch\n got %v\nwant %v", got, want))
@@ -58,20 +54,14 @@ func TestSpMVMinSemiring(t *testing.T) {
 	}
 	xFull := []int64{10, 20, 30, 40, 50, 60, 70, 80}
 	const inf = int64(1 << 40)
-	sr := Semiring[int64, int64, int64]{
-		Mul: func(_ int64, x int64) (int64, bool) { return x, true },
-	}
+	minOf := func(u, v int64) int64 { return min(u, v) }
+	sr := valueSemiring(func(_, x int64) (int64, bool) { return x, true }, minOf)
 	want := []int64{20, 10, 20, 50, 40, inf, 80, 70}
 	err := mpi.Run(4, func(c *mpi.Comm) {
 		g := grid.New(c)
 		a := FromGlobalTriples(g, n, n, ts, nil)
 		x := VecFromGlobal(g, xFull)
-		y := SpMV(a, x, sr, inf, func(u, v int64) int64 {
-			if u < v {
-				return u
-			}
-			return v
-		})
+		y := SpMV(a, x, sr, inf, minOf)
 		got := y.AllgatherFull()
 		if !reflect.DeepEqual(got, want) {
 			panic(fmt.Sprintf("min-SpMV: got %v want %v", got, want))
@@ -86,14 +76,12 @@ func TestSpMVAnnihilation(t *testing.T) {
 	// Mul that drops every product leaves the identity everywhere.
 	n := int32(6)
 	ts := []Triple[int64]{{Row: 0, Col: 1, Val: 1}, {Row: 2, Col: 3, Val: 1}}
-	sr := Semiring[int64, int64, int64]{
-		Mul: func(_, _ int64) (int64, bool) { return 0, false },
-	}
+	sr := valueSemiring(func(_, _ int64) (int64, bool) { return 0, false }, plus)
 	err := mpi.Run(1, func(c *mpi.Comm) {
 		g := grid.New(c)
 		a := FromGlobalTriples(g, n, n, ts, nil)
 		x := VecFromGlobal(g, make([]int64, n))
-		y := SpMV(a, x, sr, -7, func(u, v int64) int64 { return u + v })
+		y := SpMV(a, x, sr, -7, plus)
 		for _, v := range y.AllgatherFull() {
 			if v != -7 {
 				panic("identity not preserved under annihilation")

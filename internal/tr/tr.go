@@ -24,26 +24,26 @@ type PathMin struct {
 	Min [4]int32
 }
 
-func newPathMin() PathMin {
-	return PathMin{Min: [4]int32{inf, inf, inf, inf}}
-}
-
-// pathSemiring composes edges u→v and v→w into candidate u→w walks.
+// pathSemiring composes edges u→v and v→w into candidate u→w walks; walks
+// whose directions do not compose are annihilated.
 var pathSemiring = spmat.Semiring[bidir.Edge, bidir.Edge, PathMin]{
-	Mul: func(e1, e2 bidir.Edge) (PathMin, bool) {
+	Mul: func(c *PathMin, e1, e2 bidir.Edge) bool {
 		d, ok := bidir.ComposeDirs(e1.Dir, e2.Dir)
 		if !ok {
-			return PathMin{}, false
+			return false
 		}
-		p := newPathMin()
-		p.Min[d] = e1.Suf + e2.Suf
-		return p, true
+		c.Min = [4]int32{inf, inf, inf, inf}
+		c.Min[d] = e1.Suf + e2.Suf
+		return true
+	},
+	MulAdd: func(c *PathMin, e1, e2 bidir.Edge) {
+		if d, ok := bidir.ComposeDirs(e1.Dir, e2.Dir); ok {
+			c.Min[d] = min(c.Min[d], e1.Suf+e2.Suf)
+		}
 	},
 	Add: func(a, b PathMin) PathMin {
 		for i := range a.Min {
-			if b.Min[i] < a.Min[i] {
-				a.Min[i] = b.Min[i]
-			}
+			a.Min[i] = min(a.Min[i], b.Min[i])
 		}
 		return a
 	},
@@ -70,9 +70,9 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		st.Iterations = iter + 1
 		var n *spmat.Dist[PathMin]
 		if async {
-			n = spmat.SpGEMMAsync(s, s, pathSemiring, &st.Products)
+			n = spmat.SpGEMMAsync(s, s, pathSemiring, nil, &st.Products)
 		} else {
-			n = spmat.SpGEMMCounted(s, s, pathSemiring, &st.Products)
+			n = spmat.SpGEMMCounted(s, s, pathSemiring, nil, &st.Products)
 		}
 		paths := n.BuildIndex()
 		// Mark local transitive edges.
