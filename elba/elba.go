@@ -40,7 +40,7 @@
 // execution.
 //
 // The Alignment stage dispatches through a pluggable backend: the default
-// x-drop DP, or gap-affine wavefront alignment (much faster on low-error
+// x-drop DP, or linear-gap wavefront alignment (much faster on low-error
 // reads) via elba.WithBackend(elba.BackendWFA). Execution is hybrid like
 // the paper's MPI + threads design: each simulated rank drives the
 // alignment and k-mer hot paths through an intra-rank worker pool of
@@ -112,7 +112,7 @@ type Options = pipeline.Options
 // Alignment backend names for Options.AlignBackend.
 const (
 	BackendXDrop = pipeline.BackendXDrop // banded antidiagonal x-drop DP
-	BackendWFA   = pipeline.BackendWFA   // gap-affine wavefront alignment
+	BackendWFA   = pipeline.BackendWFA   // linear-gap wavefront alignment
 )
 
 // AlignBackends lists the built-in alignment backends.

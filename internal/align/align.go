@@ -8,6 +8,8 @@
 package align
 
 import (
+	"slices"
+
 	"repro/internal/bidir"
 	"repro/internal/dna"
 )
@@ -33,144 +35,160 @@ func DefaultParams(xdrop int32) Params {
 	return Params{Match: 1, Mismatch: -2, Gap: -2, XDrop: xdrop}
 }
 
+// negInf marks a dead cell. The kernel adds one move score to it without
+// checking first, so scores and XDrop must stay far below 2^29 in magnitude —
+// any scoring that makes sense for reads does.
 const negInf = int32(-1 << 30)
+
+// Scratch holds the reusable buffers of one aligner instance (instances are
+// single-goroutine by contract), so neither the seed-extension wrapper nor
+// the x-drop DP allocates on the Alignment hot path.
+//
+// rc, ru and rv back the wrapper's copies: the reverse complement of v for RC
+// seeds and the two reversed prefixes of the left extension. (The audited
+// alternative — dna.RevCompInPlace on v itself — is off the table because u
+// and v alias the rank's shared row/column sequence stores.)
+//
+// rows are the three antidiagonals the x-drop DP keeps (current, d−1, d−2).
+// Cell i of an antidiagonal lives at index i+1, so i−1 at the first cell and
+// i+1 at the last read padding, not out of range. Invariant between calls:
+// every entry of every row is negInf. extend relies on it — whatever lies
+// outside an antidiagonal's live band reads as dead without a bounds, nil or
+// liveness test per cell — and restores it before returning by wiping the
+// bands it still holds; growRows establishes it for fresh rows.
+type Scratch struct {
+	rc, ru, rv []byte
+	rows       [3][]int32
+}
+
+// growRows makes every row hold cells −1..n+1.
+func (sc *Scratch) growRows(n int32) {
+	if int(n)+3 <= len(sc.rows[0]) {
+		return
+	}
+	for r := range sc.rows {
+		row := slices.Grow(sc.rows[r][:0], int(n)+3)
+		row = row[:cap(row)]
+		for i := range row {
+			row[i] = negInf
+		}
+		sc.rows[r] = row
+	}
+}
+
+// band is the live part [lo, hi] of one stored antidiagonal (cell indices,
+// empty when lo > hi) and the row that holds it.
+type band struct {
+	row    []int32
+	lo, hi int32
+}
+
+// wipe restores the row's all-negInf invariant over cells [lo, hi].
+func wipe(row []int32, lo, hi int32) {
+	for i := lo; i <= hi; i++ {
+		row[i+1] = negInf
+	}
+}
 
 // extend runs a gapped x-drop extension of s against t starting at (0,0) and
 // moving forward. Cell (i, j) scores the best alignment of s[0:i) with
 // t[0:j); it returns the best score and its half-open extents (si, ti).
-func extend(s, t []byte, p Params) (score, si, ti int32) {
+func extend(sc *Scratch, s, t []byte, p Params) (score, si, ti int32) {
 	ns, nt := int32(len(s)), int32(len(t))
 	if ns == 0 || nt == 0 {
 		return 0, 0, 0
 	}
-	// Antidiagonal DP: cell (i, j) lives on antidiagonal d = i + j; arrays
-	// are indexed by i-lo for the active band [lo, hi] of each antidiagonal.
-	// Only the band of live (un-pruned) cells is visited: the x-drop keeps
-	// it O(XDrop) wide, so a perfect overlap costs O(len · band), not
-	// O(len²).
+	// Antidiagonal DP: cell (i, j) lives on antidiagonal d = i + j. Only the
+	// band of live (un-pruned) cells is visited: the x-drop keeps it O(XDrop)
+	// wide, so a perfect overlap costs O(len · band), not O(len²).
+	sc.growRows(ns)
+	match, mismatch, gap, xdrop := p.Match, p.Mismatch, p.Gap, p.XDrop
 	best, bi, bj := int32(0), int32(0), int32(0)
 	var cells int64
-	defer func() {
-		if p.Cells != nil {
-			*p.Cells += cells
-		}
-	}()
-	prev1 := []int32{0} // antidiagonal 0: the single cell (0,0)
-	lo1, hi1 := int32(0), int32(0)
-	prev2 := []int32(nil)
-	lo2, hi2 := int32(0), int32(-1)
+	// prev1 and prev2 are antidiagonals d−1 and d−2; cur is the row being
+	// written, still holding the live band of d−3 until it is overwritten.
+	cur := band{sc.rows[0], 0, -1}
+	prev1 := band{sc.rows[1], 0, 0}
+	prev2 := band{sc.rows[2], 0, -1}
+	prev1.row[1] = 0 // antidiagonal 0: the single cell (0,0)
 	for d := int32(1); d <= ns+nt; d++ {
-		// Geometric bounds of the antidiagonal...
-		lo := d - nt
-		if lo < 0 {
-			lo = 0
-		}
-		hi := d
-		if hi > ns {
-			hi = ns
-		}
-		// ...intersected with cells reachable from the live bands of the
-		// two previous antidiagonals (moves: i-1 from d-2 and d-1, i from
-		// d-1).
-		reachLo := lo1
-		if lo2 < reachLo {
-			reachLo = lo2
-		}
-		reachHi := hi1 + 1
-		if hi2+1 > reachHi {
-			reachHi = hi2 + 1
-		}
-		if reachLo > lo {
-			lo = reachLo
-		}
-		if reachHi < hi {
-			hi = reachHi
-		}
+		// Geometric bounds of the antidiagonal intersected with the cells
+		// reachable from the live bands of the two previous antidiagonals
+		// (moves: i-1 from d-2 and d-1, i from d-1).
+		lo := max(d-nt, 0, min(prev1.lo, prev2.lo))
+		hi := min(d, ns, max(prev1.hi, prev2.hi)+1)
 		if lo > hi {
 			break
 		}
-		cur := make([]int32, hi-lo+1)
 		cells += int64(hi - lo + 1)
-		alive := false
+		// What the stale band holds outside [lo, hi] would read as live two
+		// antidiagonals from now.
+		wipe(cur.row, cur.lo, min(cur.hi, lo-1))
+		wipe(cur.row, max(cur.lo, hi+1), cur.hi)
 		liveLo, liveHi := hi+1, lo-1
-		for i := lo; i <= hi; i++ {
-			j := d - i
-			v := negInf
-			// Diagonal move (match/mismatch) from (i-1, j-1) on d-2.
-			if i > 0 && j > 0 && prev2 != nil {
-				pi := i - 1 - lo2
-				if pi >= 0 && pi < int32(len(prev2)) && prev2[pi] > negInf/2 {
-					sc := p.Mismatch
-					if s[i-1] == t[j-1] {
-						sc = p.Match
-					}
-					if w := prev2[pi] + sc; w > v {
-						v = w
-					}
-				}
+		// settle turns the best score v reaching cell i into what the row
+		// stores: x-drop prune, live extent, best cell. Antidiagonals only
+		// advance and i only grows within one, so the tie-break of equal
+		// scores (furthest i+j, then furthest i) is "the later cell wins".
+		// Called directly and never reassigned, so the compiler inlines it
+		// and its captured variables stay in registers.
+		settle := func(v, i int32) int32 {
+			if v < best-xdrop {
+				return negInf
 			}
-			// Gap moves from d-1: (i-1, j) and (i, j-1).
-			if i > 0 {
-				pi := i - 1 - lo1
-				if pi >= 0 && pi < int32(len(prev1)) && prev1[pi] > negInf/2 {
-					if w := prev1[pi] + p.Gap; w > v {
-						v = w
-					}
-				}
+			liveLo, liveHi = min(liveLo, i), i
+			if v >= best {
+				best, bi, bj = v, i, d-i
 			}
-			if j > 0 {
-				pi := i - lo1
-				if pi >= 0 && pi < int32(len(prev1)) && prev1[pi] > negInf/2 {
-					if w := prev1[pi] + p.Gap; w > v {
-						v = w
-					}
-				}
-			}
-			// X-drop prune.
-			if v < best-p.XDrop {
-				v = negInf
-			} else if v > negInf/2 {
-				alive = true
-				if i < liveLo {
-					liveLo = i
-				}
-				if i > liveHi {
-					liveHi = i
-				}
-				if v > best || (v == best && i+j > bi+bj) || (v == best && i+j == bi+bj && i > bi) {
-					best, bi, bj = v, i, j
-				}
-			}
-			cur[i-lo] = v
+			return v
 		}
-		if !alive {
+		// The cells i = 0 and j = 0 have one gap move each and no base to
+		// compare, so they stay out of the loop.
+		if lo == 0 {
+			cur.row[1] = settle(prev1.row[1]+gap, 0)
+		}
+		first, last := max(lo, 1), min(hi, d-1)
+		if first <= last {
+			n := int(last - first + 1)
+			c := cur.row[first+1:][:n]
+			p2 := prev2.row[first:][:n]   // (i-1, j-1) on d-2
+			p1 := prev1.row[first+1:][:n] // (i, j-1) on d-1
+			up := prev1.row[first]        // (i-1, j) on d-1: the previous cell's (i, j-1)
+			sb := s[first-1:][:n]         // s[i-1]
+			tb := t[d-last-1:][:n]        // t[j-1], walked backwards
+			for x := range c {
+				sub := mismatch
+				if sb[x] == tb[len(tb)-1-x] {
+					sub = match
+				}
+				left := p1[x]
+				c[x] = settle(max(p2[x]+sub, max(up, left)+gap), first+int32(x))
+				up = left
+			}
+		}
+		if hi == d {
+			cur.row[d+1] = settle(prev1.row[d]+gap, d)
+		}
+		// Store only the live cells' extent; pruned ones are negInf already.
+		cur.lo, cur.hi = liveLo, liveHi
+		if liveLo > liveHi {
 			break
 		}
-		// Shrink the stored band to the live cells.
-		prev2, lo2, hi2 = prev1, lo1, hi1
-		prev1, lo1, hi1 = cur[liveLo-lo:liveHi-lo+1], liveLo, liveHi
+		cur, prev1, prev2 = prev2, cur, prev1
+	}
+	wipe(cur.row, cur.lo, cur.hi)
+	wipe(prev1.row, prev1.lo, prev1.hi)
+	wipe(prev2.row, prev2.lo, prev2.hi)
+	if p.Cells != nil {
+		*p.Cells += cells
 	}
 	return best, bi, bj
 }
 
-// Scratch holds the reusable byte buffers of the seed-extension wrapper: the
-// reverse complement of v for RC seeds and the two reversed prefixes of the
-// left extension. Aligner backends embed one per instance (instances are
-// single-goroutine by contract), so the per-alignment RevComp/reverse copies
-// of SeedExtendWith stop allocating on the Alignment hot path. The audited
-// alternative — dna.RevCompInPlace on v itself — is off the table because u
-// and v alias the rank's shared row/column sequence stores.
-type Scratch struct {
-	rc, ru, rv []byte
-}
-
-// reverseInto writes the reverse of src into buf and returns the filled
-// slice.
+// reverseInto writes the reverse of src into buf (grown geometrically when
+// too small) and returns the filled slice.
 func reverseInto(buf, src []byte) []byte {
-	if cap(buf) < len(src) {
-		buf = make([]byte, len(src))
-	}
-	buf = buf[:len(src)]
+	buf = slices.Grow(buf[:0], len(src))[:len(src)]
 	for i, b := range src {
 		buf[len(src)-1-i] = b
 	}
@@ -192,28 +210,26 @@ type Seed struct {
 // aligner (package wfa) implement this contract.
 type ExtendFunc func(s, t []byte) (score, si, ti int32)
 
-// SeedExtend aligns u and v around the seed and returns the alignment in
-// forward coordinates of both reads (a bidir.Aln with U/V ids left zero for
-// the caller to fill).
+// SeedExtend aligns u and v around the seed with the x-drop DP and returns the
+// alignment in forward coordinates of both reads (a bidir.Aln with U/V ids
+// left zero for the caller to fill). It builds a throwaway Scratch per call;
+// hot loops hold an XDropAligner instead.
 func SeedExtend(u, v []byte, k int32, seed Seed, p Params) bidir.Aln {
-	return SeedExtendWith(u, v, k, seed, p.Match,
-		func(s, t []byte) (int32, int32, int32) { return extend(s, t, p) })
+	return seedExtend(new(Scratch), u, v, k, seed, p)
 }
 
-// SeedExtendWith runs the seed-anchored bidirectional extension with an
-// arbitrary extension primitive: right extension from the seed end, left
+func seedExtend(sc *Scratch, u, v []byte, k int32, seed Seed, p Params) bidir.Aln {
+	return SeedExtendWithScratch(sc, u, v, k, seed, p.Match,
+		func(s, t []byte) (int32, int32, int32) { return extend(sc, s, t, p) })
+}
+
+// SeedExtendWithScratch runs the seed-anchored bidirectional extension with
+// an arbitrary extension primitive: right extension from the seed end, left
 // extension on the reversed prefixes, reverse-complement handling for RC
 // seeds. Backends share this wrapper so their coordinate semantics (and the
-// agreement tests built on them) are identical by construction. It allocates
-// fresh working copies per call; backends hold a Scratch and call
-// SeedExtendWithScratch instead.
-func SeedExtendWith(u, v []byte, k int32, seed Seed, matchScore int32, ext ExtendFunc) bidir.Aln {
-	return SeedExtendWithScratch(new(Scratch), u, v, k, seed, matchScore, ext)
-}
-
-// SeedExtendWithScratch is SeedExtendWith with caller-owned buffers: the
-// reverse-complement and reversed-prefix copies land in sc and are reused
-// across calls.
+// agreement tests built on them) are identical by construction. The
+// reverse-complement and reversed-prefix copies land in the caller-owned sc
+// and are reused across calls.
 func SeedExtendWithScratch(sc *Scratch, u, v []byte, k int32, seed Seed, matchScore int32, ext ExtendFunc) bidir.Aln {
 	work := v
 	pv := seed.PV
@@ -249,18 +265,21 @@ func SeedExtendWithScratch(sc *Scratch, u, v []byte, k int32, seed Seed, matchSc
 }
 
 // Best runs SeedExtend for every seed with the given params — BestOf over
-// an aligner view that honors p verbatim (including any Cells pointer).
+// an aligner view that honors p verbatim (including any Cells pointer), with
+// one throwaway Scratch for the call.
 func Best(u, v []byte, k int32, seeds []Seed, p Params) bidir.Aln {
-	return BestOf(paramsAligner{p}, u, v, k, seeds)
+	return BestOf(paramsAligner{p, new(Scratch)}, u, v, k, seeds)
 }
 
 // paramsAligner adapts raw Params to the Aligner interface without taking
-// over the work counter the way NewXDrop does; safe to use from multiple
-// goroutines as long as p.Cells is nil.
-type paramsAligner struct{ p Params }
+// over the work counter the way NewXDrop does.
+type paramsAligner struct {
+	p  Params
+	sc *Scratch
+}
 
 func (a paramsAligner) Name() string { return "xdrop" }
 func (a paramsAligner) Work() int64  { return 0 }
 func (a paramsAligner) SeedExtend(u, v []byte, k int32, seed Seed) Result {
-	return SeedExtend(u, v, k, seed, a.p)
+	return seedExtend(a.sc, u, v, k, seed, a.p)
 }

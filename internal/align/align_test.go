@@ -11,7 +11,7 @@ import (
 func TestExtendExactMatch(t *testing.T) {
 	p := DefaultParams(10)
 	s := []byte("ACGTACGTAC")
-	score, si, ti := extend(s, s, p)
+	score, si, ti := extend(new(Scratch), s, s, p)
 	if score != int32(len(s)) || si != int32(len(s)) || ti != int32(len(s)) {
 		t.Fatalf("score=%d si=%d ti=%d", score, si, ti)
 	}
@@ -21,7 +21,7 @@ func TestExtendStopsAtDivergence(t *testing.T) {
 	p := DefaultParams(4)
 	s := []byte("AAAAAAAAAA" + "CCCCCCCCCCCCCCCC")
 	u := []byte("AAAAAAAAAA" + "GGGGGGGGGGGGGGGG")
-	score, si, ti := extend(s, u, p)
+	score, si, ti := extend(new(Scratch), s, u, p)
 	if score != 10 || si != 10 || ti != 10 {
 		t.Fatalf("divergence: score=%d si=%d ti=%d, want 10,10,10", score, si, ti)
 	}
@@ -32,7 +32,7 @@ func TestExtendCrossesSubstitution(t *testing.T) {
 	a := []byte("ACGTACGTAAACGTACGTAC")
 	b := append([]byte(nil), a...)
 	b[10] = 'T' // one substitution in the middle (A->T)
-	score, si, ti := extend(a, b, p)
+	score, si, ti := extend(new(Scratch), a, b, p)
 	if si != int32(len(a)) || ti != int32(len(b)) {
 		t.Fatalf("did not cross substitution: si=%d ti=%d", si, ti)
 	}
@@ -47,7 +47,7 @@ func TestExtendCrossesIndel(t *testing.T) {
 	a := []byte("ACGTACGTACGTACGTACGT")
 	// b = a with one base deleted at position 9.
 	b := append(append([]byte(nil), a[:9]...), a[10:]...)
-	score, si, ti := extend(a, b, p)
+	score, si, ti := extend(new(Scratch), a, b, p)
 	if si != int32(len(a)) || ti != int32(len(b)) {
 		t.Fatalf("did not cross deletion: si=%d ti=%d (lens %d %d)", si, ti, len(a), len(b))
 	}
@@ -59,10 +59,10 @@ func TestExtendCrossesIndel(t *testing.T) {
 
 func TestExtendEmptyInputs(t *testing.T) {
 	p := DefaultParams(5)
-	if s, i, j := extend(nil, []byte("ACGT"), p); s != 0 || i != 0 || j != 0 {
+	if s, i, j := extend(new(Scratch), nil, []byte("ACGT"), p); s != 0 || i != 0 || j != 0 {
 		t.Fatal("empty s must be zero extension")
 	}
-	if s, i, j := extend([]byte("ACGT"), nil, p); s != 0 || i != 0 || j != 0 {
+	if s, i, j := extend(new(Scratch), []byte("ACGT"), nil, p); s != 0 || i != 0 || j != 0 {
 		t.Fatal("empty t must be zero extension")
 	}
 }
@@ -166,7 +166,7 @@ func TestXDropLimitsWastedWork(t *testing.T) {
 	// the whole quadratic table.
 	a := readsim.Genome(readsim.GenomeConfig{Length: 5000, Seed: 7})
 	b := readsim.Genome(readsim.GenomeConfig{Length: 5000, Seed: 8})
-	score, si, ti := extend(a, b, DefaultParams(8))
+	score, si, ti := extend(new(Scratch), a, b, DefaultParams(8))
 	if si > 200 || ti > 200 {
 		t.Fatalf("x-drop failed to stop: si=%d ti=%d score=%d", si, ti, score)
 	}

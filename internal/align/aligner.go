@@ -71,5 +71,5 @@ func (a *XDropAligner) SeedExtend(u, v []byte, k int32, seed Seed) Result {
 // cross-backend agreement tests and benchmarks can compare primitives
 // directly.
 func (a *XDropAligner) Extend(s, t []byte) (score, si, ti int32) {
-	return extend(s, t, a.p)
+	return extend(&a.scratch, s, t, a.p)
 }

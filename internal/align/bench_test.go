@@ -12,9 +12,10 @@ func BenchmarkExtendPerfectOverlap(b *testing.B) {
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
 			g := readsim.Genome(readsim.GenomeConfig{Length: n, Seed: 1})
 			p := DefaultParams(15)
+			sc := new(Scratch)
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				extend(g, g, p)
+				extend(sc, g, g, p)
 			}
 		})
 	}
@@ -28,9 +29,10 @@ func BenchmarkExtendWithErrors(b *testing.B) {
 	}
 	r := reads[0]
 	p := DefaultParams(40)
+	sc := new(Scratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		extend(g[r.Pos:], r.Seq, p)
+		extend(sc, g[r.Pos:], r.Seq, p)
 	}
 }
 
@@ -56,6 +58,10 @@ func BenchmarkBestOfDispatch(b *testing.B) {
 	})
 }
 
+// BenchmarkSeedExtendRC is the steady-state cost of one seed-anchored
+// bidirectional extension with an RC seed through the backend instance the
+// overlap stage holds (the wfa package has the same benchmark as
+// BenchmarkSeedExtendRC/wfa); CI pins its allocs_per_op at 0.
 func BenchmarkSeedExtendRC(b *testing.B) {
 	g := readsim.Genome(readsim.GenomeConfig{Length: 6000, Seed: 4})
 	u := g[:4000]
@@ -67,9 +73,13 @@ func BenchmarkSeedExtendRC(b *testing.B) {
 	for i := range v {
 		vr[len(v)-1-i] = map[byte]byte{'A': 'T', 'C': 'G', 'G': 'C', 'T': 'A'}[v[i]]
 	}
-	p := DefaultParams(15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SeedExtend(u, vr, k, seed, p)
-	}
+	b.Run("xdrop", func(b *testing.B) {
+		xd := NewXDrop(DefaultParams(15))
+		xd.SeedExtend(u, vr, k, seed)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			xd.SeedExtend(u, vr, k, seed)
+		}
+	})
 }

@@ -3,6 +3,8 @@
 // pipeline (paper §2).
 package dna
 
+import "slices"
+
 // Bases in code order: code 0..3 = A, C, G, T. The complement of code b is
 // 3-b, which is what makes the 2-bit k-mer reverse complement cheap.
 const Bases = "ACGT"
@@ -55,15 +57,13 @@ func RevComp(seq []byte) []byte {
 	return out
 }
 
-// RevCompInto writes the reverse complement of src into buf (grown only when
-// too small) and returns the filled slice — the allocation-free variant hot
-// loops use with a reusable buffer (e.g. align.Scratch). buf and src must
-// not overlap.
+// RevCompInto writes the reverse complement of src into buf (grown
+// geometrically when too small, so a run of ever-longer reads re-allocates
+// O(log) times) and returns the filled slice — the allocation-free variant
+// hot loops use with a reusable buffer (e.g. align.Scratch). buf and src
+// must not overlap.
 func RevCompInto(buf, src []byte) []byte {
-	if cap(buf) < len(src) {
-		buf = make([]byte, len(src))
-	}
-	buf = buf[:len(src)]
+	buf = slices.Grow(buf[:0], len(src))[:len(src)]
 	for i, b := range src {
 		buf[len(src)-1-i] = compTab[b]
 	}

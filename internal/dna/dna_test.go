@@ -144,3 +144,20 @@ func TestRevCompIntoMatchesRevComp(t *testing.T) {
 		t.Fatalf("reused buffer = %q, want AT", buf)
 	}
 }
+
+func TestRevCompIntoGrowsGeometrically(t *testing.T) {
+	// A rank meets ever-longer reads; the buffer must not be re-allocated
+	// for each new longest one.
+	src := bytes.Repeat([]byte("ACGT"), 2048)
+	var buf []byte
+	grows := 0
+	for n := 1; n <= len(src); n++ {
+		before := cap(buf)
+		if buf = RevCompInto(buf, src[:n]); cap(buf) != before {
+			grows++
+		}
+	}
+	if grows > 40 {
+		t.Fatalf("%d re-allocations over lengths 1..%d, want O(log n)", grows, len(src))
+	}
+}

@@ -42,7 +42,7 @@ import (
 // Alignment backend names accepted by Options.AlignBackend.
 const (
 	BackendXDrop = "xdrop" // banded antidiagonal x-drop DP (package align)
-	BackendWFA   = "wfa"   // gap-affine wavefront alignment (package wfa)
+	BackendWFA   = "wfa"   // linear-gap wavefront alignment (package wfa)
 )
 
 // AlignBackends lists the built-in alignment backends.

@@ -28,19 +28,27 @@ func BenchmarkExtendBackends(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("err=%g/xdrop", er), func(b *testing.B) {
 			xd := align.NewXDrop(align.DefaultParams(drop))
+			xd.Extend(s, t)
+			work := xd.Work()
 			b.SetBytes(int64(len(t)))
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				xd.Extend(s, t)
 			}
-			b.ReportMetric(float64(xd.Work())/float64(b.N), "cells/op")
+			b.ReportMetric(float64(xd.Work()-work)/float64(b.N), "cells/op")
 		})
 		b.Run(fmt.Sprintf("err=%g/wfa", er), func(b *testing.B) {
 			wf := New(DefaultParams(drop))
+			wf.Extend(s, t)
+			work := wf.Work()
 			b.SetBytes(int64(len(t)))
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				wf.Extend(s, t)
 			}
-			b.ReportMetric(float64(wf.Work())/float64(b.N), "cells/op")
+			b.ReportMetric(float64(wf.Work()-work)/float64(b.N), "cells/op")
 		})
 	}
 }
@@ -57,9 +65,13 @@ func BenchmarkSeedExtendRC(b *testing.B) {
 	for i := range v {
 		vr[len(v)-1-i] = map[byte]byte{'A': 'T', 'C': 'G', 'G': 'C', 'T': 'A'}[v[i]]
 	}
-	wf := New(DefaultParams(15))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("wfa", func(b *testing.B) {
+		wf := New(DefaultParams(15))
 		wf.SeedExtend(u, vr, k, seed)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			wf.SeedExtend(u, vr, k, seed)
+		}
+	})
 }

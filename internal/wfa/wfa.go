@@ -1,9 +1,10 @@
-// Package wfa implements gap-affine wavefront alignment (Marco-Sola et al.,
-// Bioinformatics 2021) as a pluggable backend for the Alignment stage: the
-// same seed-anchored bidirectional extension contract as the x-drop DP
-// (align.Aligner), but O(n·s) in the alignment penalty s instead of
-// O(n·band). On low-divergence pairs (PacBio HiFi-style reads) the penalty —
-// and with it the number of wavefront offsets computed — stays tiny, so WFA
+// Package wfa implements linear-gap wavefront alignment (the wavefront
+// algorithm of Marco-Sola et al., Bioinformatics 2021, restricted to the
+// dual of the x-drop's +1/−2/−2 scoring) as a pluggable backend for the
+// Alignment stage: the same seed-anchored bidirectional extension contract as
+// the x-drop DP (align.Aligner), but O(n·s) in the alignment penalty s instead
+// of O(n·band). On low-divergence pairs (PacBio HiFi-style reads) the penalty
+// — and with it the number of wavefront offsets computed — stays tiny, so WFA
 // wins exactly where the x-drop still pays its per-antidiagonal band cost.
 //
 // The wavefront runs in a "doubled score" dual space: with penalties
@@ -16,9 +17,24 @@
 // diagonal whose dual score lags the running best by more than 2·Drop is
 // removed from the wavefront, which bounds both the wavefront width and the
 // number of waves.
+//
+// Gaps are linear (opening one costs nothing beyond its first extension), so
+// a single wavefront component suffices. The gap-affine algorithm keeps
+// insertion and deletion components I and D beside M; with a zero opening
+// cost both are fed from the same level as M's gap-closing move, M[q][k] is
+// by definition ≥ I[q][k] and D[q][k] before its match run and only grows
+// after, and a diagonal is pruned on its offset alone — so wherever I or D
+// holds a live offset M holds a live, further one on the same diagonal, every
+// max over {M, I, D} is decided by M, and dropping I and D changes no wave,
+// no prune and no stopping point (the differential tests hold the kernel to
+// the three-component reference bit for bit).
 package wfa
 
 import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+
 	"repro/internal/align"
 )
 
@@ -27,27 +43,21 @@ import (
 type Params struct {
 	Match    int32 // classic per-base match score (> 0); converts offsets back into scores
 	Mismatch int32 // substitution penalty (≥ 1)
-	GapOpen  int32 // gap-open penalty, charged once per gap run (0 = linear gaps)
-	GapExt   int32 // per-base gap-extension penalty (≥ 1)
+	GapExt   int32 // per-base gap penalty (≥ 1); gaps are linear, opening is free
 	// Drop is the adaptive-pruning threshold in classic score units, the
 	// x-drop analog: diagonals whose score falls more than Drop below the
 	// running best leave the wavefront.
 	Drop int32
-	// Cells, when non-nil, accumulates the number of wavefront offsets
-	// computed — the work counter behind package perfmodel (the aligner
-	// wrapper supplies its own; see New).
-	Cells *int64
 }
 
 // DualParams converts x-drop scoring parameters into the equivalent
 // linear-gap wavefront penalties: alignments ranked identically, scores
 // convertible exactly. With align.DefaultParams (+1/−2/−2) this yields
-// mismatch 6, gapExt 5, gapOpen 0.
+// mismatch 6, gapExt 5.
 func DualParams(a align.Params) Params {
 	return Params{
 		Match:    a.Match,
 		Mismatch: 2 * (a.Match - a.Mismatch),
-		GapOpen:  0,
 		GapExt:   a.Match - 2*a.Gap,
 		Drop:     a.XDrop,
 	}
@@ -58,21 +68,21 @@ func DefaultParams(drop int32) Params {
 	return DualParams(align.DefaultParams(drop))
 }
 
+// none marks a diagonal without a live cell; live offsets are ≥ 0.
 const none = int32(-1 << 30)
 
 // wave holds the furthest-reaching offsets of one penalty level: off[k-lo]
 // is h, the number of t bases consumed on diagonal k = h − v (none = no
-// live cell). Empty waves have a nil off.
+// live cell), trimmed to the live diagonals. An empty wave has len(off) == 0.
+// off is a view into buf, the slot's reusable backing store.
 type wave struct {
-	lo  int32
-	off []int32
+	lo       int32
+	off, buf []int32
 }
 
-func (w wave) empty() bool { return len(w.off) == 0 }
-
 // get returns the offset of diagonal k, or none.
-func (w wave) get(k int32) int32 {
-	if idx := k - w.lo; idx >= 0 && idx < int32(len(w.off)) {
+func (w *wave) get(k int32) int32 {
+	if idx := k - w.lo; uint32(idx) < uint32(len(w.off)) {
 		return w.off[idx]
 	}
 	return none
@@ -84,23 +94,23 @@ func (w wave) get(k int32) int32 {
 type Aligner struct {
 	p     Params
 	cells int64
-	// Wavefront components indexed by penalty: match/mismatch (m),
-	// insertion-in-t (i) and deletion-from-t (d), reused across calls.
-	m, i, d []wave
+	// ring holds the last max(Mismatch, GapExt)+1 waves, wave q in slot
+	// q mod len(ring): a wave reads only the levels q−Mismatch and q−GapExt,
+	// so older ones are dead and their buffers are reused in place.
+	ring []wave
 	// scratch backs the wrapper's reverse-complement/reversed-prefix copies;
 	// ext is the pre-bound extension func so SeedExtend closes over nothing.
 	scratch align.Scratch
 	ext     align.ExtendFunc
 }
 
-// New builds a wavefront backend. Any Cells pointer in p is replaced by the
-// aligner's own cumulative work counter (see Work).
+// New builds a wavefront backend with its own cumulative work counter (see
+// Work).
 func New(p Params) *Aligner {
-	if p.Match <= 0 || p.Mismatch < 1 || p.GapExt < 1 || p.GapOpen < 0 {
-		panic("wfa: need Match > 0, Mismatch ≥ 1, GapExt ≥ 1, GapOpen ≥ 0")
+	if p.Match <= 0 || p.Mismatch < 1 || p.GapExt < 1 {
+		panic("wfa: need Match > 0, Mismatch ≥ 1, GapExt ≥ 1")
 	}
-	a := &Aligner{p: p}
-	a.p.Cells = &a.cells
+	a := &Aligner{p: p, ring: make([]wave, max(p.Mismatch, p.GapExt)+1)}
 	a.ext = a.Extend
 	return a
 }
@@ -108,14 +118,41 @@ func New(p Params) *Aligner {
 // Name implements align.Aligner.
 func (a *Aligner) Name() string { return "wfa" }
 
-// Work implements align.Aligner: wavefront offsets computed plus match-run
-// cells visited, the WFA equivalent of the x-drop's DP-cell counter.
+// Work implements align.Aligner: wavefront offsets computed plus bases
+// compared by the match runs, the WFA equivalent of the x-drop's DP-cell
+// counter.
 func (a *Aligner) Work() int64 { return a.cells }
 
 // SeedExtend implements align.Aligner via the shared bidirectional wrapper,
 // with the instance's scratch buffers.
 func (a *Aligner) SeedExtend(u, v []byte, k int32, seed align.Seed) align.Result {
 	return align.SeedExtendWithScratch(&a.scratch, u, v, k, seed, a.p.Match, a.ext)
+}
+
+// lcp returns the length of the longest common prefix of a and b, eight
+// bases per step: XOR two little-endian words and the lowest set bit names
+// the first differing byte.
+func lcp(a, b []byte) int32 {
+	n := min(len(a), len(b))
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return int32(i + bits.TrailingZeros64(x)>>3)
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return int32(i)
+}
+
+// back returns the ring slot d levels before slot in a ring of n (d < n).
+func back(slot, d, n int32) int32 {
+	if slot -= d; slot < 0 {
+		slot += n
+	}
+	return slot
 }
 
 // Extend is the extension primitive (align.ExtendFunc): the best local
@@ -127,176 +164,100 @@ func (a *Aligner) Extend(s, t []byte) (score, si, ti int32) {
 	if ns == 0 || nt == 0 {
 		return 0, 0, 0
 	}
-	p := a.p
-	x, oe, e := p.Mismatch, p.GapOpen+p.GapExt, p.GapExt
-	lookback := x
-	if oe > lookback {
-		lookback = oe
-	}
-	drop2 := 2 * p.Drop
-
-	a.m, a.i, a.d = a.m[:0], a.i[:0], a.d[:0]
-	var cells int64
-	defer func() {
-		if p.Cells != nil {
-			*p.Cells += cells
-		}
-	}()
-
-	// best2 is the doubled classic score of the best cell seen; ties break
-	// like the x-drop: furthest v+h, then furthest v.
-	best2, bv, bh := int32(0), int32(0), int32(0)
-	better := func(s2, v, h int32) bool {
-		if s2 != best2 {
-			return s2 > best2
-		}
-		if v+h != bv+bh {
-			return v+h > bv+bh
-		}
-		return v > bv
-	}
-	// scan match-extends one wave along its diagonals, updates the best
-	// cell, applies the adaptive prune, and reports whether the wave is
-	// still live.
-	scan := func(w *wave, q int32, isM bool) bool {
-		live := false
-		liveLo, liveHi := int32(len(w.off)), int32(-1)
-		for idx := range w.off {
-			h := w.off[idx]
-			if h <= none/2 {
-				continue
-			}
-			k := w.lo + int32(idx)
-			if isM {
-				// Furthest-reaching match run.
-				for h < nt && h-k < ns && s[h-k] == t[h] {
-					h++
-					cells++
-				}
-				w.off[idx] = h
-				if s2 := p.Match*(2*h-k) - q; better(s2, h-k, h) {
-					best2, bv, bh = s2, h-k, h
-				}
-			}
-			// Adaptive prune: the x-drop rule in dual space.
-			if p.Match*(2*h-k)-q < best2-drop2 {
-				w.off[idx] = none
-				continue
-			}
-			live = true
-			if int32(idx) < liveLo {
-				liveLo = int32(idx)
-			}
-			if int32(idx) > liveHi {
-				liveHi = int32(idx)
-			}
-		}
-		if !live {
-			*w = wave{}
-			return false
-		}
-		w.lo, w.off = w.lo+liveLo, w.off[liveLo:liveHi+1]
-		return true
-	}
-	at := func(c []wave, q int32) wave {
-		if q < 0 || q >= int32(len(c)) {
-			return wave{}
-		}
-		return c[q]
+	match, x, e := a.p.Match, a.p.Mismatch, a.p.GapExt
+	drop2 := 2 * a.p.Drop
+	ring := a.ring
+	lookback := int32(len(ring)) - 1
+	for i := range ring {
+		ring[i].off = nil
 	}
 
-	// Penalty 0: the single cell (0,0) in M; I and D start empty.
-	a.m = append(a.m, wave{lo: 0, off: []int32{0}})
-	a.i = append(a.i, wave{})
-	a.d = append(a.d, wave{})
-	cells++
-	scan(&a.m[0], 0, true)
+	// Penalty 0: the single cell (0,0) and its match run. best2 is the
+	// doubled classic score of the best cell seen; ties break like the
+	// x-drop: furthest v+h, then furthest v.
+	h0 := lcp(s, t)
+	w0 := &ring[0]
+	w0.buf = append(w0.buf[:0], h0)
+	if drop2 >= 0 { // a negative Drop prunes even the best cell
+		w0.lo, w0.off = 0, w0.buf
+	}
+	cells := 1 + int64(h0)
+	best2, bv, bh := 2*match*h0, h0, h0
 	lastLive := int32(0)
 
 	// Safety cap: beyond it every cell's dual score is under best2 − drop2
 	// (best2 ≥ 0), so the prune has necessarily emptied all wavefronts.
-	qcap := p.Match*(ns+nt) + drop2 + lookback + 1
+	qcap := match*(ns+nt) + drop2 + lookback + 1
+	slot := int32(0) // q mod len(ring), kept incrementally
 	for q := int32(1); q-lastLive <= lookback && q < qcap; q++ {
-		mx, mo := at(a.m, q-x), at(a.m, q-oe)
-		ie, de := at(a.i, q-e), at(a.d, q-e)
+		if slot++; slot > lookback {
+			slot = 0
+		}
+		// Sources: mismatch from level q−x on the same diagonal, gap from
+		// level q−e on the two neighbouring diagonals. Levels below zero
+		// land on slots this call has not written yet, which are empty.
+		mx := &ring[back(slot, x, lookback+1)]
+		mg := &ring[back(slot, e, lookback+1)]
+		w := &ring[slot]
+		w.off = nil
 		lo, hi := int32(1)<<30, int32(-1)<<30
-		span := func(slo, shi, dk int32) {
-			if slo+dk < lo {
-				lo = slo + dk
-			}
-			if shi+dk > hi {
-				hi = shi + dk
-			}
+		if n := int32(len(mx.off)); n > 0 {
+			lo, hi = mx.lo, mx.lo+n-1
 		}
-		if !mx.empty() {
-			span(mx.lo, mx.lo+int32(len(mx.off))-1, 0)
-		}
-		if !mo.empty() {
-			span(mo.lo, mo.lo+int32(len(mo.off))-1, -1)
-			span(mo.lo, mo.lo+int32(len(mo.off))-1, 1)
-		}
-		if !ie.empty() {
-			span(ie.lo, ie.lo+int32(len(ie.off))-1, 1)
-		}
-		if !de.empty() {
-			span(de.lo, de.lo+int32(len(de.off))-1, -1)
+		if n := int32(len(mg.off)); n > 0 {
+			lo, hi = min(lo, mg.lo-1), max(hi, mg.lo+n)
 		}
 		if lo > hi {
-			a.m, a.i, a.d = append(a.m, wave{}), append(a.i, wave{}), append(a.d, wave{})
 			continue
 		}
-		width := hi - lo + 1
-		iOff := make([]int32, width)
-		dOff := make([]int32, width)
-		mOff := make([]int32, width)
-		cells += 3 * int64(width)
+		width := int(hi - lo + 1)
+		w.buf = slices.Grow(w.buf[:0], width)
+		off := w.buf[:width]
+		cells += int64(width)
+		liveLo, liveHi := int32(0), int32(-1)
 		for k := lo; k <= hi; k++ {
-			// I: gap in s (consume t): offset +1 from diagonal k−1.
-			ins := maxOff(mo.get(k-1), ie.get(k-1))
-			if ins > none/2 {
-				ins++
+			// Mismatch: consume a base of each on diagonal k.
+			h := mx.get(k) + 1
+			if h > nt || h-k > ns {
+				h = none
 			}
-			if ins > nt || ins-k > ns || ins-k < 0 {
-				ins = none
+			// Gap in s: consume a base of t, arriving from diagonal k−1.
+			if g := mg.get(k-1) + 1; g > h && g <= nt && g-k <= ns {
+				h = g
 			}
-			// D: gap in t (consume s): offset unchanged from diagonal k+1.
-			del := maxOff(mo.get(k+1), de.get(k+1))
-			if del > nt || del-k > ns || del < 0 {
-				del = none
+			// Gap in t: consume a base of s, arriving from diagonal k+1.
+			if g := mg.get(k + 1); g > h && g <= nt && g-k <= ns {
+				h = g
 			}
-			// M: mismatch (consume both) from the same diagonal, or close a
-			// gap from the I/D cells just computed.
-			mis := mx.get(k)
-			if mis > none/2 {
-				mis++
+			if h < 0 {
+				off[k-lo] = none
+				continue
 			}
-			if mis > nt || mis-k > ns || mis-k < 1 {
-				mis = none
+			// Furthest-reaching match run.
+			v := h - k
+			n := lcp(s[v:], t[h:])
+			cells += int64(n)
+			h, v = h+n, v+n
+			s2 := match*(h+v) - q
+			if s2 > best2 || s2 == best2 && (v+h > bv+bh || v+h == bv+bh && v > bv) {
+				best2, bv, bh = s2, v, h
 			}
-			iOff[k-lo], dOff[k-lo] = ins, del
-			mOff[k-lo] = maxOff(mis, maxOff(ins, del))
+			// Adaptive prune: the x-drop rule in dual space.
+			if s2 < best2-drop2 {
+				off[k-lo] = none
+				continue
+			}
+			off[k-lo] = h
+			if liveHi < 0 {
+				liveLo = k - lo
+			}
+			liveHi = k - lo
 		}
-		wi := wave{lo: lo, off: iOff}
-		wd := wave{lo: lo, off: dOff}
-		wm := wave{lo: lo, off: mOff}
-		liveQ := scan(&wm, q, true)
-		if scan(&wi, q, false) {
-			liveQ = true
-		}
-		if scan(&wd, q, false) {
-			liveQ = true
-		}
-		a.m, a.i, a.d = append(a.m, wm), append(a.i, wi), append(a.d, wd)
-		if liveQ {
+		if liveHi >= 0 {
+			w.lo, w.off = lo+liveLo, off[liveLo:liveHi+1]
 			lastLive = q
 		}
 	}
+	a.cells += cells
 	return best2 / 2, bv, bh
-}
-
-func maxOff(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
