@@ -6,23 +6,29 @@
 //
 // The gate compares the Alignment stage's work counter (align_cells) and the
 // pipeline's communication counters (comm_bytes, comm_messages) against the
-// committed baseline and fails on more than -max-ratio growth. Work and
-// traffic units — DP cells / wavefront offsets, bytes and messages moved —
-// are deterministic for a pinned dataset seed and identical on every host
+// committed baseline and fails on more than 2x growth. Work and traffic
+// units — DP cells / wavefront offsets, bytes and messages moved — are
+// deterministic for a pinned dataset seed and identical on every host
 // (and in blocking vs nonblocking comm modes), so the gate is immune to the
 // noisy shared runners that make wall-clock gates flap; an algorithmic
 // regression (a backend losing its pruning, a band blowing up, a collective
 // going quadratic) shows up as a work or traffic regression first.
-// Wall-clock metrics (align_wall_ms & friends) are recorded in the JSON
-// artifact for trend reading but not gated.
+// Wall-clock numbers are not this tool's business: ns/op rides along in the
+// JSON artifact, and every timing, RSS and throughput metric is measured,
+// bounded and compared by benchmark/ (the spine) instead.
 //
 // Allocation metrics get their own, tighter gate: -benchmem output is
 // normalized to allocs_per_op / bytes_per_op, and allocs_per_op fails on
-// more than -max-alloc-ratio growth (default 1.5x — allocation counts are
-// near-deterministic for a pinned seed, and the hot kernels are kept
-// allocation-lean on purpose, so churn creep must not ride in under the
-// loose work-counter ratio). bytes_per_op is recorded but not gated: heap
-// bytes shift with map/slice growth thresholds across Go versions.
+// more than 1.5x growth (allocation counts are near-deterministic for a
+// pinned seed, and the hot kernels are kept allocation-lean on purpose, so
+// churn creep must not ride in under the loose work-counter ratio).
+// bytes_per_op is recorded but not gated: heap bytes shift with map/slice
+// growth thresholds across Go versions.
+//
+// The baseline and the run must name the same gated metrics: a baseline
+// entry no benchmark line matches fails (a deleted benchmark left a stale
+// entry), and so does a gated metric with no baseline entry (a new benchmark
+// nobody recorded) — a stale baseline is a red run, not a reviewer's finding.
 //
 // Absolute floors/ceilings — e.g. the nightly multi-core job asserting the
 // worker-pool speedup — are expressed with -assert:
@@ -45,9 +51,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -59,19 +66,15 @@ type Record struct {
 }
 
 var (
-	benchPath     = flag.String("bench", "", "go test -bench output to parse (default: stdin)")
-	outPath       = flag.String("out", "", "write the parsed run as JSON here")
-	basePath      = flag.String("baseline", "", "baseline JSON to gate against (omit to skip the gate)")
-	maxRatio      = flag.Float64("max-ratio", 2.0, "fail when current/baseline of a gated metric exceeds this")
-	gateExpr      = flag.String("gate", `^(align_cells|comm_bytes|comm_messages)$`, "regexp of metric names the gate enforces")
-	maxAllocRatio = flag.Float64("max-alloc-ratio", 1.5, "fail when current/baseline of an alloc-gated metric exceeds this")
-	allocGateExpr = flag.String("alloc-gate", `^allocs_per_op$`, "regexp of metric names the allocation gate enforces")
-	asserts       = flag.String("assert", "", "comma-separated absolute assertions 'Benchmark/name:metric>=value' (also <=); checked against the current run")
-	note          = flag.String("note", "", "free-form note stored in the JSON")
-	manifestPath  = flag.String("manifest", "", "verify a RUN.json run manifest instead of parsing bench output")
-	manifestBase  = flag.String("manifest-baseline", "", "baseline manifest: contig checksum and comm totals must match -manifest exactly")
-	manifestPair  = flag.String("manifest-pair", "", "companion manifest for -assert ratios: every derived metric gains <name>_ratio = manifest/pair (the elbad smoke job pairs a sweep's cache-hit run with its cold predecessor)")
-	manifestRst   = flag.Int("manifest-restarts", -1, "require the -manifest run's supervised restart count to equal this exactly (-1: don't check); chaos CI uses it to prove a recovery actually happened")
+	benchPath    = flag.String("bench", "", "go test -bench output to parse (default: stdin)")
+	outPath      = flag.String("out", "", "write the parsed run as JSON here")
+	basePath     = flag.String("baseline", "", "baseline JSON to gate against (omit to skip the gate)")
+	asserts      = flag.String("assert", "", "comma-separated absolute assertions 'Benchmark/name:metric>=value' (also <=); checked against the current run")
+	note         = flag.String("note", "", "free-form note stored in the JSON")
+	manifestPath = flag.String("manifest", "", "verify a RUN.json run manifest instead of parsing bench output")
+	manifestBase = flag.String("manifest-baseline", "", "baseline manifest: contig checksum and comm totals must match -manifest exactly")
+	manifestPair = flag.String("manifest-pair", "", "companion manifest for -assert ratios: every derived metric gains <name>_ratio = manifest/pair (the elbad smoke job pairs a sweep's cache-hit run with its cold predecessor)")
+	manifestRst  = flag.Int("manifest-restarts", -1, "require the -manifest run's supervised restart count to equal this exactly (-1: don't check); chaos CI uses it to prove a recovery actually happened")
 )
 
 func main() {
@@ -136,16 +139,7 @@ func main() {
 	if err := json.Unmarshal(baseBuf, &base); err != nil {
 		fatal(fmt.Errorf("%s: %w", *basePath, err))
 	}
-	gate, err := regexp.Compile(*gateExpr)
-	if err != nil {
-		fatal(err)
-	}
-	allocGate, err := regexp.Compile(*allocGateExpr)
-	if err != nil {
-		fatal(err)
-	}
-	rules := []gateRule{{gate, *maxRatio}, {allocGate, *maxAllocRatio}}
-	if bad := compare(&base, rec, rules); len(bad) > 0 {
+	if bad := compare(&base, rec, gateRules); len(bad) > 0 {
 		for _, m := range bad {
 			fmt.Fprintln(os.Stderr, "benchguard: FAIL:", m)
 		}
@@ -158,6 +152,24 @@ func main() {
 type gateRule struct {
 	re       *regexp.Regexp
 	maxRatio float64
+}
+
+// gateRules is the -baseline gate: the host-independent work and traffic
+// counters at 2x, allocation counts at the tighter 1.5x.
+var gateRules = []gateRule{
+	{regexp.MustCompile(`^(align_cells|comm_bytes|comm_messages)$`), 2.0},
+	{regexp.MustCompile(`^allocs_per_op$`), 1.5},
+}
+
+// ratioFor returns the growth limit of the first rule matching metric, or 0
+// when no rule gates it.
+func ratioFor(rules []gateRule, metric string) float64 {
+	for _, r := range rules {
+		if r.re.MatchString(metric) {
+			return r.maxRatio
+		}
+	}
+	return 0
 }
 
 // parse reads go test -bench output: lines of the form
@@ -208,27 +220,16 @@ func metricName(unit string) string {
 }
 
 // compare returns one message per gated metric that regressed past its
-// rule's maxRatio or disappeared. The first rule whose pattern matches a
-// metric decides its ratio. Benchmarks present only in the current run are
-// fine (new coverage); benchmarks present only in the baseline fail, so the
-// gate cannot be dodged by deleting the benchmark without refreshing the
-// baseline.
+// rule's maxRatio or exists on one side only. The first rule whose pattern
+// matches a metric decides its ratio. A baseline entry missing from the
+// current run fails, so the gate cannot be dodged by deleting the benchmark
+// without refreshing the baseline; a gated metric of the current run missing
+// from the baseline fails too, so a new benchmark cannot run ungated.
 func compare(base, cur *Record, rules []gateRule) []string {
 	var bad []string
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(base.Benchmarks)) {
 		for metric, bv := range base.Benchmarks[name] {
-			maxRatio := 0.0
-			for _, r := range rules {
-				if r.re.MatchString(metric) {
-					maxRatio = r.maxRatio
-					break
-				}
-			}
+			maxRatio := ratioFor(rules, metric)
 			if maxRatio == 0 {
 				continue
 			}
@@ -252,6 +253,13 @@ func compare(base, cur *Record, rules []gateRule) []string {
 			if bv > 0 && cv/bv > maxRatio {
 				bad = append(bad, fmt.Sprintf("%s: %s regressed %.2fx (%.0f -> %.0f, limit %.1fx)",
 					name, metric, cv/bv, bv, cv, maxRatio))
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(cur.Benchmarks)) {
+		for metric, cv := range cur.Benchmarks[name] {
+			if _, ok := base.Benchmarks[name][metric]; !ok && ratioFor(rules, metric) != 0 {
+				bad = append(bad, fmt.Sprintf("%s: %s=%.0f has no baseline entry (record it in the baseline)", name, metric, cv))
 			}
 		}
 	}

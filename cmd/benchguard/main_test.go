@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -76,11 +77,35 @@ func TestCompareGate(t *testing.T) {
 	if bad := compare(base, noisy, []gateRule{{gate, 2.0}}); len(bad) != 0 {
 		t.Fatalf("wall-clock noise gated: %v", bad)
 	}
+}
 
-	// Deleting a gated benchmark without refreshing the baseline fails.
-	missing := parseSample(t, strings.Join(strings.Split(sample, "\n")[:5], "\n"))
-	if bad := compare(base, missing, []gateRule{{gate, 2.0}}); len(bad) != 1 {
-		t.Fatalf("missing benchmark not flagged: %v", bad)
+// TestCompareBaselineAndRunMustMatch pins baseline hygiene under the real
+// gateRules: the baseline and the run must name the same gated metrics, in
+// both directions, so a stale or incomplete baseline fails CI.
+func TestCompareBaselineAndRunMustMatch(t *testing.T) {
+	withoutThreads := strings.Join(slices.DeleteFunc(strings.Split(sample, "\n"), func(l string) bool {
+		return strings.HasPrefix(l, "BenchmarkThreads")
+	}), "\n")
+	for _, tc := range []struct {
+		name      string
+		base, cur string
+		want      string // substring of the single finding; "" = gate passes
+	}{
+		{"baseline entry with no benchmark line", sample, withoutThreads, "BenchmarkThreads/T=4: benchmark missing from current run"},
+		{"gated benchmark line with no baseline entry", withoutThreads, sample, "BenchmarkThreads/T=4: align_cells=1792722574 has no baseline entry"},
+		{"gated metric new on a known benchmark", memSample, strings.ReplaceAll(memSample, "68 allocs/op", "68 allocs/op  9 comm_bytes"), "BenchmarkSpGEMMDistributed/P=1: comm_bytes=9 has no baseline entry"},
+		{"ungated metric new on a known benchmark", memSample, strings.ReplaceAll(memSample, "68 allocs/op", "68 allocs/op  9 products/op"), ""},
+	} {
+		bad := compare(parseSample(t, tc.base), parseSample(t, tc.cur), gateRules)
+		if tc.want == "" {
+			if len(bad) != 0 {
+				t.Errorf("%s: flagged %v", tc.name, bad)
+			}
+			continue
+		}
+		if len(bad) != 1 || !strings.Contains(bad[0], tc.want) {
+			t.Errorf("%s: findings %v, want one containing %q", tc.name, bad, tc.want)
+		}
 	}
 }
 

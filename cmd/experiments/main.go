@@ -6,27 +6,24 @@
 //	experiments -exp fig4 -scale 0.5
 //
 // Experiments: env (Table 1), table2, fig4, fig5, fig6, table3, table4,
-// contigphase (§6.1 claim), ablation, backends, threads (intra-rank
-// worker-pool scaling of the Alignment stage), commoverlap (blocking vs
-// nonblocking communication and the comm_overlap/comm_exposed split), mem
-// (before/after allocation audit of the hot kernels: map-based reference vs
-// the Bloom-filtered / SPA / scratch-reusing paths), stages (stage-graph
-// artifact reuse: a TR-parameter sweep resumed from one post-Alignment
-// snapshot versus independent full runs), trace (the observability layer:
-// per-rank span census, merged metrics, and the run-manifest invariants of
-// a traced run, checked result-neutral against the untraced run).
+// contigphase (§6.1 claim), ablation, commoverlap (blocking vs nonblocking
+// communication and the comm_overlap/comm_exposed split; self-checking).
+//
+// This command owns the paper's tables and figures only. Wall-clock,
+// allocation, RSS and throughput numbers belong to benchmark/ (the spine);
+// host-independent work, traffic and allocs_per_op gates belong to
+// go test -bench + cmd/benchguard + ci/bench_baseline.json (DESIGN.md §7).
 package main
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,22 +32,18 @@ import (
 	"repro/internal/align"
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/dna"
-	"repro/internal/kmer"
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/polish"
 	"repro/internal/quality"
 	"repro/internal/readsim"
-	"repro/internal/spmat"
 )
 
 var (
 	scale   = flag.Float64("scale", 1.0, "dataset size multiplier")
 	seed    = flag.Int64("seed", 7, "dataset seed")
-	exp     = flag.String("exp", "all", "env|table2|fig4|fig5|fig6|table3|table4|contigphase|ablation|backends|threads|commoverlap|mem|stages|trace|all")
+	exp     = flag.String("exp", "all", "env|table2|fig4|fig5|fig6|table3|table4|contigphase|ablation|commoverlap|all")
 	network = flag.String("net", "aries", "network model: aries|infiniband")
 	// common holds the -backend/-threads/-comm execution knobs shared with
 	// cmd/elba (elba.Flags, registered in main).
@@ -82,6 +75,34 @@ func sizeOf(p readsim.Preset) int {
 
 var scalingP = []int{1, 4, 16, 36}
 
+type experiment struct {
+	name string
+	run  func()
+}
+
+// experiments is the -exp menu, in print order.
+var experiments = []experiment{
+	{"env", envTable},
+	{"table2", table2},
+	{"fig4", func() {
+		scalingFigure("Figure 4 (left): C. elegans-like strong scaling", readsim.CElegansLike)
+		scalingFigure("Figure 4 (right): O. sativa-like strong scaling", readsim.OSativaLike)
+	}},
+	{"fig5", func() {
+		breakdownFigure("Figure 5 (left): C. elegans-like breakdown", readsim.CElegansLike)
+		breakdownFigure("Figure 5 (right): O. sativa-like breakdown", readsim.OSativaLike)
+	}},
+	{"fig6", func() {
+		scalingFigure("Figure 6 (left): H. sapiens-like strong scaling", readsim.HSapiensLike)
+		breakdownFigure("Figure 6 (right): H. sapiens-like breakdown", readsim.HSapiensLike)
+	}},
+	{"table3", table3},
+	{"table4", table4},
+	{"contigphase", contigPhase},
+	{"ablation", ablation},
+	{"commoverlap", commOverlapTable},
+}
+
 func main() {
 	log.SetFlags(0)
 	common.Register(flag.CommandLine)
@@ -90,61 +111,15 @@ func main() {
 		log.Fatal(err)
 	}
 	which := strings.Split(*exp, ",")
-	run := func(name string) bool {
-		for _, w := range which {
-			if w == "all" || w == name {
-				return true
-			}
+	for _, w := range which {
+		if w != "all" && !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == w }) {
+			log.Fatalf("unknown -exp %q (want %s)", w, flag.Lookup("exp").Usage)
 		}
-		return false
 	}
-	if run("env") {
-		envTable()
-	}
-	if run("table2") {
-		table2()
-	}
-	if run("fig4") {
-		scalingFigure("Figure 4 (left): C. elegans-like strong scaling", readsim.CElegansLike)
-		scalingFigure("Figure 4 (right): O. sativa-like strong scaling", readsim.OSativaLike)
-	}
-	if run("fig5") {
-		breakdownFigure("Figure 5 (left): C. elegans-like breakdown", readsim.CElegansLike)
-		breakdownFigure("Figure 5 (right): O. sativa-like breakdown", readsim.OSativaLike)
-	}
-	if run("fig6") {
-		scalingFigure("Figure 6 (left): H. sapiens-like strong scaling", readsim.HSapiensLike)
-		breakdownFigure("Figure 6 (right): H. sapiens-like breakdown", readsim.HSapiensLike)
-	}
-	if run("table3") {
-		table3()
-	}
-	if run("table4") {
-		table4()
-	}
-	if run("contigphase") {
-		contigPhase()
-	}
-	if run("ablation") {
-		ablation()
-	}
-	if run("backends") {
-		backendsTable()
-	}
-	if run("threads") {
-		threadsTable()
-	}
-	if run("commoverlap") {
-		commOverlapTable()
-	}
-	if run("mem") {
-		memTable()
-	}
-	if run("stages") {
-		stagesTable()
-	}
-	if run("trace") {
-		traceTable()
+	for _, e := range experiments {
+		if slices.Contains(which, "all") || slices.Contains(which, e.name) {
+			e.run()
+		}
 	}
 }
 
@@ -191,29 +166,21 @@ func table2() {
 // P, backend) run, and the runs dominate the suite's wall time.
 var runCache = map[string]*pipeline.Output{}
 
-// runPreset assembles one preset dataset at P ranks with the -backend
-// aligner (cached).
+// runPreset assembles one preset dataset at P ranks under the -backend,
+// -threads and -comm knobs (cached).
 func runPreset(preset readsim.Preset, p int) (*pipeline.Output, *readsim.Dataset) {
-	return runPresetBackend(preset, p, common.Backend)
+	return runPresetMode(preset, p, common.Threads, common.AsyncMode())
 }
 
-func runPresetBackend(preset readsim.Preset, p int, be string) (*pipeline.Output, *readsim.Dataset) {
-	return runPresetThreads(preset, p, be, common.Threads)
-}
-
-func runPresetThreads(preset readsim.Preset, p int, be string, th int) (*pipeline.Output, *readsim.Dataset) {
-	return runPresetMode(preset, p, be, th, common.AsyncMode())
-}
-
-func runPresetMode(preset readsim.Preset, p int, be string, th int, async bool) (*pipeline.Output, *readsim.Dataset) {
+func runPresetMode(preset readsim.Preset, p, th int, async bool) (*pipeline.Output, *readsim.Dataset) {
 	ds := readsim.Generate(preset, sizeOf(preset), *seed)
 	opt := pipeline.PresetOptions(preset, p)
-	opt.AlignBackend = be
+	opt.AlignBackend = common.Backend
 	opt.Threads = th
 	opt.Async = async
 	// Key on the resolved worker count so an auto-split run and an explicit
 	// run at the same effective width share one cache entry.
-	key := fmt.Sprintf("%d/%d/%s/%d/%v", int(preset), p, be, opt.EffectiveThreads(), async)
+	key := fmt.Sprintf("%d/%d/%d/%v", int(preset), p, opt.EffectiveThreads(), async)
 	if out, ok := runCache[key]; ok {
 		return out, ds
 	}
@@ -230,8 +197,8 @@ func runPresetMode(preset readsim.Preset, p int, be string, th int, async bool) 
 // run pins Threads rather than inheriting -threads or the GOMAXPROCS
 // auto-split (StageTimeT would otherwise divide an already-threaded rate by
 // the Amdahl speedup a second time).
-func calibration(preset readsim.Preset, be string, stages []string) perfmodel.Calibration {
-	base, _ := runPresetThreads(preset, 1, be, 1)
+func calibration(preset readsim.Preset, stages []string) perfmodel.Calibration {
+	base, _ := runPresetMode(preset, 1, 1, common.AsyncMode())
 	return perfmodel.Calibrate(base.Stats.Timers, stages)
 }
 
@@ -241,7 +208,7 @@ func scalingFigure(title string, preset readsim.Preset) {
 	header(title)
 	stages := pipeline.MainStages
 	var rows []perfmodel.ScalingRow
-	cal := calibration(preset, common.Backend, stages)
+	cal := calibration(preset, stages)
 	var baseT float64
 	for _, p := range scalingP {
 		out, _ := runPreset(preset, p)
@@ -267,7 +234,7 @@ func scalingFigure(title string, preset readsim.Preset) {
 func breakdownFigure(title string, preset readsim.Preset) {
 	header(title)
 	stages := pipeline.MainStages
-	cal := calibration(preset, common.Backend, stages)
+	cal := calibration(preset, stages)
 	fmt.Printf("| P | %s |\n", strings.Join(stages, " | "))
 	fmt.Printf("|---|%s\n", strings.Repeat("---|", len(stages)))
 	for _, p := range scalingP {
@@ -304,7 +271,7 @@ func table3() {
 		bTime := time.Since(t0).Seconds()
 
 		stages := pipeline.MainStages
-		cal := calibration(preset, common.Backend, stages)
+		cal := calibration(preset, stages)
 		var speeds []string
 		for _, p := range []int{scalingP[0], scalingP[len(scalingP)-1]} {
 			popt := pipeline.PresetOptions(preset, p)
@@ -374,90 +341,6 @@ func table4() {
 		"polishing is the source of their fewer/longer contigs (§6.2).")
 }
 
-// backendsTable is the alignment-backend head-to-head: both aligners through
-// the full pipeline on a low-error and a high-error preset, comparing the
-// Alignment stage's work counters, modeled time and the resulting contig
-// quality. WFA's advantage should appear on the low-error preset (penalty
-// stays small) and shrink or invert at 15% error.
-func backendsTable() {
-	header("Alignment-backend comparison (x-drop vs WFA)")
-	fmt.Printf("| dataset | backend | align work (cells) | align modeled (ms) | overlaps | completeness %% | N50 |\n")
-	fmt.Printf("|---|---|---|---|---|---|---|\n")
-	for _, preset := range []readsim.Preset{readsim.CElegansLike, readsim.HSapiensLike} {
-		// Calibrated like before from the x-drop run at P=4, but pinned to
-		// Threads=1 so the rate means single-worker throughput.
-		var cal perfmodel.Calibration
-		for _, be := range pipeline.AlignBackends() {
-			out, ds := runPresetBackend(preset, 4, be)
-			if cal == nil {
-				calRun, _ := runPresetThreads(preset, 4, be, 1)
-				cal = perfmodel.Calibrate(calRun.Stats.Timers, pipeline.MainStages)
-			}
-			alnMS := 1000 * perfmodel.StageTime(out.Stats.Timers, "Alignment", cal, net())
-			seqs := make([][]byte, len(out.Contigs))
-			for i, c := range out.Contigs {
-				seqs[i] = c.Seq
-			}
-			rep := quality.Evaluate(ds.Genome, seqs)
-			fmt.Printf("| %s | %s | %d | %.1f | %d | %.2f | %d |\n",
-				ds.Name, be, out.Stats.Timers.Get("Alignment").SumWork, alnMS,
-				out.Stats.KeptOverlaps, rep.Completeness, rep.N50)
-		}
-	}
-	fmt.Println("\nBoth backends consume identical seeds; on error-free overlaps they " +
-		"return identical scores and extents (see internal/wfa agreement tests).")
-}
-
-// threadsTable is the hybrid ranks × threads scaling table: the same preset
-// assembled at a fixed rank count with 1/2/4/8 intra-rank workers, reporting
-// the Alignment stage's wall clock, its speedup over the single-worker run,
-// the perfmodel prediction (Amdahl at the stage's parallel fraction), and a
-// bit-identity check of the contig output against the Threads=1 run. On a
-// host with fewer cores than workers the measured speedup flattens at the
-// core count; the work counters and contigs stay invariant regardless.
-func threadsTable() {
-	header("Hybrid intra-rank scaling: Alignment stage vs worker count")
-	preset := readsim.CElegansLike
-	ds := readsim.Generate(preset, sizeOf(preset), *seed)
-	reads := readsim.Seqs(ds.Reads)
-	const p = 1 // one rank isolates the intra-rank axis
-
-	runAt := func(threads int) *pipeline.Output {
-		opt := pipeline.PresetOptions(preset, p)
-		opt.AlignBackend = common.Backend
-		opt.Threads = threads
-		out, err := pipeline.Run(reads, opt)
-		if err != nil {
-			log.Fatalf("pipeline threads=%d: %v", threads, err)
-		}
-		return out
-	}
-
-	base := runAt(1)
-	cal := perfmodel.Calibrate(base.Stats.Timers, pipeline.MainStages)
-	baseAlign := base.Stats.Timers.Dur("Alignment")
-	fmt.Printf("| threads | align wall (ms) | speedup | align work | modeled (ms) | total wall (ms) | contigs ≡ T1 |\n")
-	fmt.Printf("|---|---|---|---|---|---|---|\n")
-	for _, th := range []int{1, 2, 4, 8} {
-		out := base
-		if th != 1 {
-			out = runAt(th)
-		}
-		alignDur := out.Stats.Timers.Dur("Alignment")
-		modeled := perfmodel.StageTimeT(out.Stats.Timers, "Alignment", cal, net(), perfmodel.WithThreads(th))
-		fmt.Printf("| %d | %.1f | %.2fx | %d | %.1f | %.1f | %v |\n",
-			th, alignDur.Seconds()*1000,
-			float64(baseAlign)/float64(alignDur),
-			out.Stats.Timers.Get("Alignment").SumWork,
-			modeled*1000,
-			out.Stats.WallTime.Seconds()*1000,
-			sameContigs(base.Contigs, out.Contigs))
-	}
-	fmt.Printf("\nHost: %d CPUs, GOMAXPROCS=%d; ranks=%d, backend=%s.\n",
-		runtime.NumCPU(), runtime.GOMAXPROCS(0), p, common.Backend)
-	fmt.Println("Paper: pairwise alignment dominates runtime and runs multithreaded inside each rank.")
-}
-
 // commOverlapTable is the sync-vs-async head-to-head: the same dataset
 // assembled with blocking collectives and with the nonblocking layer,
 // comparing per-stage traffic, its comm_overlap/comm_exposed split, and the
@@ -470,9 +353,9 @@ func commOverlapTable() {
 	preset := readsim.CElegansLike
 	const p = 16
 	stages := append(append([]string{}, pipeline.MainStages...), pipeline.ContigStages...)
-	cal := calibration(preset, common.Backend, stages)
-	syncOut, _ := runPresetMode(preset, p, common.Backend, common.Threads, false)
-	asyncOut, ds := runPresetMode(preset, p, common.Backend, common.Threads, true)
+	cal := calibration(preset, stages)
+	syncOut, _ := runPresetMode(preset, p, common.Threads, false)
+	asyncOut, ds := runPresetMode(preset, p, common.Threads, true)
 
 	if !sameContigs(syncOut.Contigs, asyncOut.Contigs) {
 		log.Fatalf("commoverlap: contigs differ between blocking and nonblocking runs")
@@ -543,7 +426,7 @@ func sameContigs(a, b []core.Contig) bool {
 // cost at scale, which the simulator's measured durations understate).
 func contigPhase() {
 	header("§6.1 claims: contig-phase breakdown")
-	cal := calibration(readsim.CElegansLike, common.Backend,
+	cal := calibration(readsim.CElegansLike,
 		append(append([]string{}, pipeline.MainStages...), pipeline.ContigStages...))
 	fmt.Printf("| P | induced subgraph (+seq comm) share of contig phase | ExtractContig share of total |\n|---|---|---|\n")
 	for _, p := range scalingP[1:] {
@@ -560,152 +443,6 @@ func contigPhase() {
 	}
 	fmt.Println("\nPaper: induced subgraph (incl. sequence communication) is 65–85% of contig " +
 		"generation; ExtractContig never exceeds 5% of the pipeline.")
-}
-
-// extractMapRef is the pre-PR-4 extraction scan kept as the "before" side of
-// the memTable row (kmer.Extract itself now delegates to the scratch path):
-// a rolling encoder with a fresh map-backed dedup set and a growing output
-// slice per read, semantically identical to kmer.Extract.
-func extractMapRef(seq []byte, k int) []kmer.KPos {
-	if len(seq) < k {
-		return nil
-	}
-	mask := kmer.Kmer(1)<<(2*uint(k)) - 1
-	shift := 2 * uint(k-1)
-	var fwd, rc kmer.Kmer
-	out := make([]kmer.KPos, 0, len(seq)-k+1)
-	seen := make(map[kmer.Kmer]struct{}, len(seq)-k+1)
-	valid := 0
-	for i := 0; i < len(seq); i++ {
-		c := dna.Code(seq[i])
-		if c == 0xFF {
-			valid = 0
-			fwd, rc = 0, 0
-			continue
-		}
-		fwd = (fwd<<2 | kmer.Kmer(c)) & mask
-		rc = rc>>2 | kmer.Kmer(3-c)<<shift
-		valid++
-		if valid < k {
-			continue
-		}
-		canon, isRC := fwd, false
-		if rc < fwd {
-			canon, isRC = rc, true
-		}
-		if _, dup := seen[canon]; dup {
-			continue
-		}
-		seen[canon] = struct{}{}
-		out = append(out, kmer.KPos{Kmer: canon, Pos: int32(i - k + 1), RC: isRC})
-	}
-	return out
-}
-
-// measureAlloc reports mean allocations and MB allocated per invocation of
-// f, from the runtime's monotonic malloc counters (one warm-up call first,
-// so one-time growth doesn't pollute the steady state).
-func measureAlloc(f func()) (allocs, mb float64) {
-	const runs = 3
-	f()
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / runs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs / 1e6
-}
-
-// memTable is the hot-kernel allocation audit behind the PR's "make the hot
-// paths allocation-lean" claim: each row runs a stage's retained reference
-// kernel (the map/sort paths this repro shipped with) against the lean
-// kernel (blocked Bloom + open-addressing count, scratch-reusing extraction,
-// SPA Gustavson multiply, radix NewCOO) on identical bench-scale inputs.
-func memTable() {
-	header("Hot-kernel memory audit: reference vs allocation-lean kernels")
-
-	g := readsim.Genome(readsim.GenomeConfig{Length: int(50000 * *scale), Seed: *seed})
-	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 10, MeanLen: 3000, Seed: *seed + 1}))
-	const k = 31
-	// One occurrence part holding every extracted canonical k-mer — the
-	// owner-side input shape of CountAndBuild at P=1.
-	var occs []uint64
-	for _, r := range reads {
-		for _, kp := range kmer.Extract(r, k) {
-			occs = append(occs, uint64(kp.Kmer))
-		}
-	}
-	parts := [][]uint64{occs}
-
-	// Random candidate-matrix stand-in for the local SpGEMM row (same shape
-	// as the spmat benchmarks).
-	rng := rand.New(rand.NewSource(*seed))
-	n := int32(2000)
-	var ts []spmat.Triple[int64]
-	for r := int32(0); r < n; r++ {
-		for j := 0; j < 8; j++ {
-			ts = append(ts, spmat.Triple[int64]{Row: r, Col: rng.Int31n(n), Val: 1})
-		}
-	}
-	plusTimes := spmat.Semiring[int64, int64, int64]{
-		Mul:    func(c *int64, a, b int64) bool { *c = a * b; return true },
-		MulAdd: func(c *int64, a, b int64) { *c += a * b },
-		Add:    func(a, b int64) int64 { return a + b },
-	}
-	a := spmat.NewCOO(n, n, append([]spmat.Triple[int64](nil), ts...), plusTimes.Add).ToCSC()
-	shuffled := append([]spmat.Triple[int64](nil), ts...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-
-	rows := []struct {
-		stage, kernel string
-		before, after func()
-	}{
-		{"CountKmer", "occurrence counting (map vs Bloom+open addressing)",
-			func() { kmer.CountOccurrencesMap(parts) },
-			func() { kmer.CountOccurrences(parts, 2) }},
-		{"CountKmer", "extraction scan (per-read maps vs shared scratch)",
-			func() {
-				for _, r := range reads {
-					extractMapRef(r, k)
-				}
-			},
-			func() {
-				var sc kmer.ExtractScratch
-				for _, r := range reads {
-					sc.ExtractInto(r, k)
-				}
-			}},
-		{"DetectOverlap/TrReduction", "local SpGEMM (map accumulator vs SPA)",
-			func() { spmat.MultiplyMap(a, a, plusTimes) },
-			func() { spmat.Multiply(a, a, plusTimes) }},
-		{"matrix assembly", "NewCOO canonicalization (comparison sort vs radix)",
-			func() {
-				cp := append([]spmat.Triple[int64](nil), shuffled...)
-				sort.Slice(cp, func(i, j int) bool {
-					if cp[i].Col != cp[j].Col {
-						return cp[i].Col < cp[j].Col
-					}
-					return cp[i].Row < cp[j].Row
-				})
-			},
-			func() {
-				cp := append([]spmat.Triple[int64](nil), shuffled...)
-				spmat.NewCOO(n, n, cp, plusTimes.Add)
-			}},
-	}
-	fmt.Printf("| stage | kernel | allocs/op before | after | ratio | MB/op before | after |\n")
-	fmt.Printf("|---|---|---|---|---|---|---|\n")
-	for _, r := range rows {
-		ba, bm := measureAlloc(r.before)
-		aa, am := measureAlloc(r.after)
-		fmt.Printf("| %s | %s | %.0f | %.0f | %.1fx | %.2f | %.2f |\n",
-			r.stage, r.kernel, ba, aa, ba/max(aa, 1), bm, am)
-	}
-	fmt.Println("\nReference kernels are retained (kmer.CountOccurrencesMap, spmat.MultiplyMap)")
-	fmt.Println("and pinned to the lean kernels by randomized differential tests; counts, contigs")
-	fmt.Println("and traffic counters are identical by construction (DESIGN.md §8).")
 }
 
 // ablation exercises the design choices DESIGN.md calls out.
@@ -748,159 +485,4 @@ func ablation() {
 			out.Stats.BranchVertices, out.Stats.NumContigs, longest)
 	}
 	fmt.Fprintln(os.Stdout)
-}
-
-// stagesTable is the stage-graph artifact-reuse experiment: a transitive-
-// reduction parameter sweep executed twice — once as independent full
-// pipeline runs (each re-counting k-mers, re-multiplying A·Aᵀ and
-// re-aligning every candidate pair) and once as a single RunUntil(Alignment)
-// snapshot resumed per parameter point. Contigs must agree point for point;
-// the sweep's win is the overlap phase executing once, which the alignment
-// work counters make exact (align_cells swept vs full) and the wall clocks
-// make visible.
-func stagesTable() {
-	header("Stage-graph artifact reuse: TR-fuzz sweep, full runs vs resumed snapshot")
-	preset := readsim.CElegansLike
-	const p = 4
-	fuzzes := []int32{0, 150, 500}
-	ds := readsim.Generate(preset, sizeOf(preset), *seed)
-	reads := readsim.Seqs(ds.Reads)
-	base := pipeline.PresetOptions(preset, p)
-	base.AlignBackend = common.Backend
-	base.Threads = common.Threads
-	base.Async = common.AsyncMode()
-
-	// Independent full runs (no runCache: the point is the recompute cost).
-	fullOuts := make(map[int32]*pipeline.Output, len(fuzzes))
-	var fullWall time.Duration
-	var fullAlign int64
-	for _, fz := range fuzzes {
-		opt := base
-		opt.TRFuzz = fz
-		t0 := time.Now()
-		out, err := pipeline.Run(reads, opt)
-		if err != nil {
-			log.Fatalf("stages: full run fuzz=%d: %v", fz, err)
-		}
-		fullWall += time.Since(t0)
-		fullAlign += out.Stats.Timers.Get("Alignment").SumWork
-		fullOuts[fz] = out
-	}
-
-	// Swept: one overlap phase, then one resume per parameter point.
-	eng, err := pipeline.Plan(base)
-	if err != nil {
-		log.Fatal(err)
-	}
-	t0 := time.Now()
-	arts, err := eng.RunUntil(context.Background(), reads, pipeline.StageAlignment)
-	if err != nil {
-		log.Fatalf("stages: RunUntil: %v", err)
-	}
-	snapshotWall := time.Since(t0)
-	sweptAlign := arts.Aggregate().Get("Alignment").SumWork
-
-	fmt.Printf("dataset %s, P=%d, backend=%s; sweep over TRFuzz ∈ %v\n\n", ds.Name, p, common.Backend, fuzzes)
-	fmt.Printf("| TR fuzz | contigs | TR edges removed | full wall (ms) | resume wall (ms) | contigs ≡ full |\n")
-	fmt.Printf("|---|---|---|---|---|---|\n")
-	var resumeWall time.Duration
-	for _, fz := range fuzzes {
-		opt := base
-		opt.TRFuzz = fz
-		swept, err := pipeline.Plan(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r0 := time.Now()
-		chain, err := swept.ResumeFrom(context.Background(), arts, pipeline.StageExtractContig)
-		if err != nil {
-			log.Fatalf("stages: resume fuzz=%d: %v", fz, err)
-		}
-		rw := time.Since(r0)
-		resumeWall += rw
-		out, err := chain.Output()
-		if err != nil {
-			log.Fatal(err)
-		}
-		full := fullOuts[fz]
-		fmt.Printf("| %d | %d | %d | %.1f | %.1f | %v |\n",
-			fz, len(out.Contigs), out.Stats.TR.EdgesRemoved,
-			full.Stats.WallTime.Seconds()*1000, rw.Seconds()*1000,
-			sameContigs(out.Contigs, full.Contigs))
-	}
-	sweptWall := snapshotWall + resumeWall
-	fmt.Printf("\nalign_cells: %d swept vs %d across %d full runs (%.2fx fewer; the overlap phase ran once)\n",
-		sweptAlign, fullAlign, len(fuzzes), float64(fullAlign)/float64(sweptAlign))
-	fmt.Printf("wall: swept %v (snapshot %v + resumes %v) vs full %v — %.2fx speedup\n",
-		sweptWall.Round(time.Millisecond), snapshotWall.Round(time.Millisecond),
-		resumeWall.Round(time.Millisecond), fullWall.Round(time.Millisecond),
-		float64(fullWall)/float64(sweptWall))
-	fmt.Println("Snapshots are immutable: every resume forks, so one RunUntil feeds the whole sweep.")
-}
-
-// traceTable is the observability experiment: one traced + metered run,
-// summarized as a per-rank span census and the key merged metrics, with the
-// run manifest's invariants verified and result-neutrality checked against
-// the untraced run — tracing must not change contigs or traffic counters.
-func traceTable() {
-	header("Observability: span census, merged metrics, manifest invariants")
-	preset := readsim.CElegansLike
-	const p = 4
-	ds := readsim.Generate(preset, sizeOf(preset), *seed)
-	opt := pipeline.PresetOptions(preset, p)
-	opt.AlignBackend = common.Backend
-	opt.Threads = common.Threads
-	opt.Async = common.AsyncMode()
-	tr := obs.NewTrace(p)
-	ms := obs.NewMetricSet(p)
-	opt.Trace = tr
-	opt.Metrics = ms
-	out, err := pipeline.Run(readsim.Seqs(ds.Reads), opt)
-	if err != nil {
-		log.Fatalf("trace: %v", err)
-	}
-	plain, _ := runPresetMode(preset, p, common.Backend, common.Threads, common.AsyncMode())
-	if !sameContigs(out.Contigs, plain.Contigs) {
-		log.Fatal("trace: tracing changed the contigs")
-	}
-	if out.Stats.CommBytes != plain.Stats.CommBytes || out.Stats.CommMsgs != plain.Stats.CommMsgs {
-		log.Fatalf("trace: tracing changed the traffic: %d/%d bytes, %d/%d msgs",
-			out.Stats.CommBytes, plain.Stats.CommBytes, out.Stats.CommMsgs, plain.Stats.CommMsgs)
-	}
-	fmt.Printf("dataset %s, P=%d, backend=%s; contigs and traffic identical to the untraced run\n\n",
-		ds.Name, p, common.Backend)
-
-	fmt.Printf("| rank | stage spans | pool spans | mpi events | total | dropped |\n|---|---|---|---|---|---|\n")
-	for r := 0; r < tr.Ranks(); r++ {
-		lane := tr.Rank(r)
-		byCat := map[string]int{}
-		for _, e := range lane.Events() {
-			byCat[e.Cat]++
-		}
-		total := 0
-		for _, n := range byCat {
-			total += n
-		}
-		fmt.Printf("| %d | %d | %d | %d | %d | %d |\n",
-			r, byCat["stage"], byCat["pool"], byCat["mpi"], total, lane.Dropped())
-	}
-
-	fmt.Printf("\n| metric | kind | value |\n|---|---|---|\n")
-	for _, m := range ms.Merged() {
-		switch m.Kind {
-		case "histogram":
-			fmt.Printf("| %s | %s | count=%d sum=%d min=%d max=%d |\n", m.Name, m.Kind, m.Count, m.Sum, m.Min, m.Max)
-		default:
-			fmt.Printf("| %s | %s | %d |\n", m.Name, m.Kind, m.Value)
-		}
-	}
-
-	man := out.Manifest(opt)
-	if bad := man.Verify(); len(bad) > 0 {
-		log.Fatalf("trace: manifest invariants violated: %v", bad)
-	}
-	fmt.Printf("\nmanifest: schema %s, %d stages, %.2f MB / %d msgs total, contig checksum %s…\n",
-		man.Schema, len(man.Stages), float64(man.Comm.Bytes)/1e6, man.Comm.Msgs, man.Contigs.Checksum[:18])
-	fmt.Println("Invariants verified: per-stage overlap+exposed == total for bytes and messages.")
-	fmt.Println("The mpi msg-size histogram's count/sum equal the message/byte counters by construction.")
 }

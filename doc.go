@@ -28,7 +28,7 @@
 // engine: pipeline.Plan validates all options upfront, RunUntil stops after
 // any stage, ResumeFrom continues an Artifacts snapshot — any number of
 // times, under different downstream parameters, so a TR-parameter sweep
-// aligns once (cmd/experiments -exp stages) — and context cancellation
+// aligns once (BenchmarkStageSweep gates it) — and context cancellation
 // unwinds every rank promptly. The public facade is
 // elba.New(opts...) + Assembler.Assemble(ctx, src), where Source abstracts
 // in-memory reads, FASTA input and simulated datasets; monolithic, staged
@@ -55,14 +55,15 @@
 // wrapper reuse per-worker scratch, and the SpGEMM kernels accumulate
 // through a generation-tagged sparse accumulator with a radix-style
 // canonicalization in spmat.NewCOO. cmd/benchguard gates allocs_per_op
-// alongside the work and traffic counters, and cmd/experiments -exp mem
-// prints the before/after allocation table against the retained
-// map-based reference kernels.
+// alongside the work and traffic counters.
 //
-// The benchmark harness in bench_test.go regenerates each table and figure:
+// Every number has one owner (DESIGN.md §7): the paper's tables and figures
+// come from cmd/experiments, wall clock / allocations / RSS / throughput
+// from the benchmark/ module, and the host-independent work, traffic and
+// allocs_per_op gates from go test -bench (bench_test.go here plus the
+// kernel benchmarks under internal/) through cmd/benchguard:
 //
-//	go test -bench=Fig4 -benchtime=1x .
-//	go test -bench=Backends -benchtime=1x .   # x-drop vs WFA head-to-head
-//	go test -bench=Threads -benchtime=1x .    # intra-rank worker-pool sweep
-//	go run ./cmd/experiments -exp all         # incl. -exp commoverlap, -exp mem
+//	go run ./cmd/experiments -exp all         # tables, figures, -exp commoverlap
+//	bash benchmark/run.sh                     # six workloads, end to end and per layer
+//	go test -run '^$' -bench . -benchtime=1x -benchmem .   # counters CI gates
 package repro

@@ -202,7 +202,10 @@ func pipelineToContigs(t *testing.T, p int, seqs [][]byte, k int, xdrop int32) (
 		g := grid.New(c)
 		store := fasta.FromGlobal(c, seqs)
 		tm := trace.New()
-		ores := overlap.Run(g, store, cfg, tm)
+		ores := &overlap.Result{NumReads: store.N}
+		kres := overlap.CountKmers(g, store, cfg, tm, ores)
+		cands := overlap.DetectCandidates(g, store, kres, cfg, tm, ores)
+		overlap.AlignCandidates(g, store, cands, cfg, tm, ores)
 		s := overlap.ToStringGraph(ores.R, cfg.MaxOverhang)
 		tr.Reduce(s, 150, 10, false)
 		res := ContigGeneration(s, store, tm, false, false)

@@ -38,48 +38,6 @@ func FromGlobal(c *mpi.Comm, all [][]byte) *DistStore {
 	return &DistStore{Comm: c, N: n, Lo: lo, Hi: hi, Seqs: seqs, Lens: lens}
 }
 
-// Scatter distributes reads held by root across all ranks (the parallel
-// FastaReader entry point). Non-root ranks pass nil.
-func Scatter(c *mpi.Comm, root int, all [][]byte) *DistStore {
-	var n int
-	if c.Rank() == root {
-		n = len(all)
-	}
-	n = int(mpi.Bcast(c, root, []int64{int64(n)})[0])
-	// Flatten sequences into one byte buffer + offsets per destination so the
-	// traffic counters see real volume.
-	var myBuf []byte
-	var myLens []int32
-	if c.Rank() == root {
-		bufParts := make([][]byte, c.Size())
-		lenParts := make([][]int32, c.Size())
-		for r := 0; r < c.Size(); r++ {
-			lo, hi := grid.BlockRange(n, c.Size(), r)
-			for g := lo; g < hi; g++ {
-				bufParts[r] = append(bufParts[r], all[g]...)
-				lenParts[r] = append(lenParts[r], int32(len(all[g])))
-			}
-		}
-		myBuf = mpi.Scatterv(c, root, bufParts)
-		myLens = mpi.Scatterv(c, root, lenParts)
-	} else {
-		myBuf = mpi.Scatterv[byte](c, root, nil)
-		myLens = mpi.Scatterv[int32](c, root, nil)
-	}
-	lo, hi := grid.BlockRange(n, c.Size(), c.Rank())
-	seqs := make([][]byte, hi-lo)
-	off := 0
-	for i, l := range myLens {
-		seqs[i] = myBuf[off : off+int(l)]
-		off += int(l)
-	}
-	// Replicate lengths.
-	lens := make([]int32, 0, n)
-	flat, _ := mpi.AllgathervFlat(c, myLens)
-	lens = append(lens, flat...)
-	return &DistStore{Comm: c, N: n, Lo: lo, Hi: hi, Seqs: seqs, Lens: lens}
-}
-
 // Owns reports whether this rank owns read g.
 func (s *DistStore) Owns(g int) bool { return g >= s.Lo && g < s.Hi }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -113,34 +112,6 @@ func TestDistStoreFromGlobal(t *testing.T) {
 				}
 				if st.Owner(g) < 0 || st.Owner(g) >= p {
 					panic("owner out of range")
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-	}
-}
-
-func TestDistStoreScatterMatchesFromGlobal(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 5} {
-		reads := makeReads(31, 9)
-		err := mpi.Run(p, func(c *mpi.Comm) {
-			var input [][]byte
-			if c.Rank() == 0 {
-				input = reads
-			}
-			st := Scatter(c, 0, input)
-			ref := FromGlobal(c, reads)
-			if st.Lo != ref.Lo || st.Hi != ref.Hi || st.N != ref.N {
-				panic("ranges differ")
-			}
-			if !reflect.DeepEqual(st.Lens, ref.Lens) {
-				panic("lens differ")
-			}
-			for g := st.Lo; g < st.Hi; g++ {
-				if !bytes.Equal(st.Get(g), ref.Get(g)) {
-					panic("seq differs")
 				}
 			}
 		})

@@ -85,34 +85,17 @@ func BlockOwner(n, parts, idx int) int {
 	}
 }
 
-// RowRange returns the global matrix row range owned by grid row i for an
-// n-row matrix.
-func (g *Grid) RowRange(n, i int) (lo, hi int) { return BlockRange(n, g.Dim, i) }
-
-// ColRange returns the global matrix column range owned by grid column j
-// for an n-column matrix.
-func (g *Grid) ColRange(n, j int) (lo, hi int) { return BlockRange(n, g.Dim, j) }
-
 // MyRowRange returns this rank's global row range for an n-row matrix.
 func (g *Grid) MyRowRange(n int) (lo, hi int) { return BlockRange(n, g.Dim, g.Row) }
 
 // MyColRange returns this rank's global column range for an n-col matrix.
 func (g *Grid) MyColRange(n int) (lo, hi int) { return BlockRange(n, g.Dim, g.Col) }
 
-// VecRange returns the block of an n-vector owned by world rank r.
-func (g *Grid) VecRange(n, r int) (lo, hi int) { return BlockRange(n, g.Comm.Size(), r) }
-
 // MyVecRange returns this rank's block of an n-vector.
 func (g *Grid) MyVecRange(n int) (lo, hi int) { return BlockRange(n, g.Comm.Size(), g.Comm.Rank()) }
 
 // VecOwner returns the world rank owning element idx of an n-vector.
 func (g *Grid) VecOwner(n, idx int) int { return BlockOwner(n, g.Comm.Size(), idx) }
-
-// RowBlockOwner returns the grid row owning global matrix row idx.
-func (g *Grid) RowBlockOwner(n, idx int) int { return BlockOwner(n, g.Dim, idx) }
-
-// ColBlockOwner returns the grid column owning global matrix column idx.
-func (g *Grid) ColBlockOwner(n, idx int) int { return BlockOwner(n, g.Dim, idx) }
 
 // BlockOwnerRank returns the world rank owning matrix entry (r, c) of an
 // nr × nc matrix.

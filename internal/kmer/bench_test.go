@@ -45,9 +45,8 @@ func BenchmarkCountSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkCountOccurrences is the owner-side counting kernel head-to-head:
-// the retained map reference vs the blocked-Bloom two-phase scheme, on the
-// occurrence stream CountAndBuild routes at P=1.
+// BenchmarkCountOccurrences is the owner-side counting kernel (blocked-Bloom
+// two-phase scheme) on the occurrence stream CountAndBuild routes at P=1.
 func BenchmarkCountOccurrences(b *testing.B) {
 	g := readsim.Genome(readsim.GenomeConfig{Length: 50000, Seed: 2})
 	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 10, MeanLen: 3000, Seed: 3}))
@@ -59,12 +58,6 @@ func BenchmarkCountOccurrences(b *testing.B) {
 		}
 	}
 	parts := [][]uint64{occs}
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			CountOccurrencesMap(parts)
-		}
-	})
 	b.Run("bloom", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

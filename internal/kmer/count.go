@@ -298,15 +298,3 @@ func CountOccurrences(parts [][]uint64, low int32) *CountTable {
 	}
 	return c.table
 }
-
-// CountOccurrencesMap is the retained map-based reference kernel, used by the
-// differential tests and the cmd/experiments -exp mem before/after table.
-func CountOccurrencesMap(parts [][]uint64) map[Kmer]int32 {
-	counts := make(map[Kmer]int32)
-	for _, p := range parts {
-		for _, w := range p {
-			counts[Kmer(w)]++
-		}
-	}
-	return counts
-}

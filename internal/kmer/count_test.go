@@ -31,7 +31,7 @@ func TestCountOccurrencesMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
 		parts := randParts(rng, 1+rng.Intn(5), 400, 1+rng.Intn(300))
-		ref := CountOccurrencesMap(parts)
+		ref := countOccurrencesMap(parts)
 		for _, low := range []int32{1, 2, 3} {
 			got := CountOccurrences(parts, low)
 			// Every k-mer with count ≥ max(low,2) must be admitted with its
@@ -85,7 +85,7 @@ func TestCounterTinyBloomCollisions(t *testing.T) {
 		for _, p := range parts {
 			c.tally(p)
 		}
-		ref := CountOccurrencesMap(parts)
+		ref := countOccurrencesMap(parts)
 		want := SelectReliable(ref, 2, 1<<20)
 		if got := c.table.SelectReliable(2, 1<<20); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: tiny-bloom selection diverged (%d vs %d k-mers)", trial, len(got), len(want))

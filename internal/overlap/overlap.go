@@ -158,18 +158,6 @@ type Result struct {
 	KeptOverlaps   int64 // pairs surviving as dovetails
 }
 
-// Run executes k-mer counting, overlap detection and alignment. Stage timing
-// lands in tm under the paper's breakdown names (CountKmer, DetectOverlap,
-// Alignment). It is the monolithic composition of the three stage functions
-// below, which the pipeline engine also invokes one at a time.
-func Run(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Timers) *Result {
-	res := &Result{NumReads: store.N}
-	kres := CountKmers(g, store, cfg, tm, res)
-	c := DetectCandidates(g, store, kres, cfg, tm, res)
-	AlignCandidates(g, store, c, cfg, tm, res)
-	return res
-}
-
 // CountKmers is the CountKmer stage: distributed counting and reliable-k-mer
 // selection. It records the column count and work units into res and returns
 // the per-rank counting result consumed by DetectCandidates.

@@ -17,6 +17,17 @@ import (
 	"repro/internal/trace"
 )
 
+// runStages chains the three stage functions the way the pipeline engine
+// does, for tests that only care about the final overlap matrix.
+func runStages(g *grid.Grid, store *fasta.DistStore, cfg Config) *Result {
+	tm := trace.New()
+	res := &Result{NumReads: store.N}
+	kres := CountKmers(g, store, cfg, tm, res)
+	cands := DetectCandidates(g, store, kres, cfg, tm, res)
+	AlignCandidates(g, store, cands, cfg, tm, res)
+	return res
+}
+
 func testConfig(k int, xdrop int32) Config {
 	return Config{
 		K:            k,
@@ -148,7 +159,7 @@ func TestRunErrorFreeFindsTrueOverlapsOnly(t *testing.T) {
 			err := mpi.Run(p, func(c *mpi.Comm) {
 				g := grid.New(c)
 				store := fasta.FromGlobal(c, seqs)
-				res := Run(g, store, cfg, trace.New())
+				res := runStages(g, store, cfg)
 				all := res.R.GatherTriples(0)
 				if c.Rank() == 0 {
 					edges = all
@@ -222,7 +233,7 @@ func TestRunDeterministicAcrossP(t *testing.T) {
 		err := mpi.Run(p, func(c *mpi.Comm) {
 			g := grid.New(c)
 			store := fasta.FromGlobal(c, reads)
-			res := Run(g, store, cfg, trace.New())
+			res := runStages(g, store, cfg)
 			all := res.R.GatherTriples(0)
 			if c.Rank() == 0 {
 				edges = all
@@ -254,7 +265,7 @@ func TestRunWithErrorsStillFindsOverlaps(t *testing.T) {
 	err := mpi.Run(4, func(c *mpi.Comm) {
 		g := grid.New(c)
 		store := fasta.FromGlobal(c, seqs)
-		res := Run(g, store, cfg, trace.New())
+		res := runStages(g, store, cfg)
 		all := res.R.GatherTriples(0)
 		if c.Rank() == 0 {
 			nEdges = int64(len(all))
@@ -293,7 +304,7 @@ func TestContainedReadsAreRemoved(t *testing.T) {
 	err := mpi.Run(4, func(c *mpi.Comm) {
 		g := grid.New(c)
 		store := fasta.FromGlobal(c, seqs)
-		res := Run(g, store, cfg, trace.New())
+		res := runStages(g, store, cfg)
 		isContained := false
 		for _, id := range res.Contained {
 			if id == containedID {
@@ -321,7 +332,7 @@ func TestToStringGraphClassifiesAll(t *testing.T) {
 	err := mpi.Run(4, func(c *mpi.Comm) {
 		g := grid.New(c)
 		store := fasta.FromGlobal(c, reads)
-		res := Run(g, store, cfg, trace.New())
+		res := runStages(g, store, cfg)
 		s := ToStringGraph(res.R, cfg.MaxOverhang)
 		if s.Nnz() != res.R.Nnz() {
 			panic("string graph lost edges")

@@ -122,9 +122,6 @@ func (a *Artifacts) Stage() string {
 	return a.done[len(a.done)-1]
 }
 
-// Completed lists the completed stage names in graph order.
-func (a *Artifacts) Completed() []string { return append([]string(nil), a.done...) }
-
 // Aggregate folds every rank's timers into one cross-rank Summary, locally
 // (no simulated communication, so it never perturbs the traffic counters).
 // Valid between stage executions; observers receive the same view.

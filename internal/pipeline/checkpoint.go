@@ -301,7 +301,7 @@ func (e *Engine) writeCheckpoint(ctx context.Context, a *Artifacts) error {
 		sum := sha256.Sum256(frame)
 		hash := hex.EncodeToString(sum[:])
 		path := filepath.Join(stageDir, rankFile(rank))
-		if err := writeFileAtomic(path, frame); err != nil {
+		if err := WriteFileAtomic(path, frame); err != nil {
 			fail(fmt.Errorf("pipeline: checkpoint rank %d: %w", rank, err))
 			hash = "" // rank 0 sees the hole and never commits the manifest
 		}
@@ -334,7 +334,7 @@ func (e *Engine) writeCheckpoint(ctx context.Context, a *Artifacts) error {
 			fail(fmt.Errorf("pipeline: checkpoint manifest: %w", err))
 			return
 		}
-		if err := writeFileAtomic(filepath.Join(stageDir, CheckpointManifestName), append(blob, '\n')); err != nil {
+		if err := WriteFileAtomic(filepath.Join(stageDir, CheckpointManifestName), append(blob, '\n')); err != nil {
 			fail(fmt.Errorf("pipeline: committing checkpoint manifest: %w", err))
 		}
 	})
@@ -517,10 +517,12 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 	return &ck, nil
 }
 
-// writeFileAtomic writes data crash-consistently: temp file in the target's
-// dir, fsync, rename. Readers see either the old file or the complete new
-// one, never a torn write.
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data crash-consistently: temp file in the target's
+// dir, fsync, rename, fsync of the dir. Readers see either the old file or
+// the complete new one, never a torn write. Every commit marker — checkpoint
+// frames and manifests here, the artifact cache's ENTRY.json in
+// internal/serve — goes through this one function.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -323,27 +323,6 @@ var ContigStages = []string{
 	"CG:InducedSubgraph", "CG:SequenceComm", "CG:LocalAssembly",
 }
 
-// StageTotal sums the five main stages — the denominator for breakdown
-// percentages (CG:* stages are nested inside ExtractContig and excluded).
-func (s *Stats) StageTotal() time.Duration {
-	var t time.Duration
-	for _, n := range MainStages {
-		t += s.Timers.Dur(n)
-	}
-	return t
-}
-
-// ContigPhaseShare returns stage / ExtractContig — used to verify the
-// paper's claim that the induced subgraph step takes 65–85% of contig
-// generation.
-func (s *Stats) ContigPhaseShare(stage string) float64 {
-	total := s.Timers.Dur("ExtractContig")
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Timers.Dur(stage)) / float64(total)
-}
-
 func isqrt(n int) int {
 	r := 0
 	for (r+1)*(r+1) <= n {

@@ -126,29 +126,3 @@ func TestRunHighErrorPreset(t *testing.T) {
 		t.Fatalf("longest contig only %d bases", len(out.Contigs[0].Seq))
 	}
 }
-
-func TestContigPhaseShareAccessors(t *testing.T) {
-	genome := readsim.Genome(readsim.GenomeConfig{Length: 12000, Seed: 77})
-	reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 10, MeanLen: 1500, Seed: 78}))
-	opt := DefaultOptions(4)
-	opt.K = 21
-	opt.XDrop = 25
-	out, err := Run(reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, s := range ContigStages {
-		share := out.Stats.ContigPhaseShare(s)
-		if share < 0 || share > 1.5 {
-			t.Fatalf("share of %s = %f", s, share)
-		}
-		sum += share
-	}
-	if sum <= 0 {
-		t.Fatal("contig phase shares all zero")
-	}
-	if out.Stats.StageTotal() <= 0 {
-		t.Fatal("stage total zero")
-	}
-}

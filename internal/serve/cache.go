@@ -303,7 +303,7 @@ func (c *Cache) commit(key, staging string, opt pipeline.Options, reads [][]byte
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(staging, entryInfoName), append(blob, '\n')); err != nil {
+	if err := pipeline.WriteFileAtomic(filepath.Join(staging, entryInfoName), append(blob, '\n')); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -377,26 +377,4 @@ func dirSize(root string) (int64, error) {
 		return nil
 	})
 	return n, err
-}
-
-// writeFileAtomic writes data via temp + fsync + rename (the same
-// crash-consistency dance the checkpoint layer uses).
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

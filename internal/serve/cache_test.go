@@ -160,6 +160,23 @@ func TestCacheReopen(t *testing.T) {
 		t.Fatalf("first run: %q", how)
 	}
 
+	// The commit marker is published by pipeline.WriteFileAtomic, the helper
+	// the checkpoint layer commits with. It must leave no temp file beside
+	// ENTRY.json, and replaying the write (an interrupted commit, retried)
+	// must replace the marker whole: the reopened cache below still indexes
+	// and hits the entry.
+	marker := filepath.Join(dir, Key(opt, reads), entryInfoName)
+	blob, err := os.ReadFile(marker)
+	if err != nil {
+		t.Fatalf("committed entry has no marker: %v", err)
+	}
+	if err := pipeline.WriteFileAtomic(marker, blob); err != nil {
+		t.Fatal(err)
+	}
+	if tmps, _ := filepath.Glob(marker + ".tmp-*"); len(tmps) != 0 {
+		t.Fatalf("atomic write left temp files behind: %v", tmps)
+	}
+
 	c2, err := OpenCache(dir, 0)
 	if err != nil {
 		t.Fatal(err)

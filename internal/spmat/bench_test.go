@@ -31,19 +31,6 @@ func BenchmarkLocalMultiply(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalMultiplyMap is the retained map-accumulator reference, kept
-// benchmarked so the SPA kernel's advantage stays visible in the artifacts.
-func BenchmarkLocalMultiplyMap(b *testing.B) {
-	n := int32(2000)
-	ts := benchTriples(n, 8)
-	a := NewCOO(n, n, append([]Triple[int64](nil), ts...), nil).ToCSC()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MultiplyMap(a, a, plusTimes)
-	}
-}
-
 // BenchmarkNewCOO drives the three sortColumnMajor paths: column-clustered
 // input (row-run sorts only), shuffled input on a bucketable column count
 // (radix scatter), and shuffled hypersparse input (global sort fallback).

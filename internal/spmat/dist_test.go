@@ -393,7 +393,7 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 			"random":       func(r, c int32) bool { return (r*31+c*17+salt)%3 != 0 },
 		}
 		sr := semirings[trial%2]
-		ref := MultiplyMap(NewCOO(nr, k, append([]Triple[int64](nil), aT...), nil).ToCSC(),
+		ref := multiplyMap(NewCOO(nr, k, append([]Triple[int64](nil), aT...), nil).ToCSC(),
 			NewCOO(k, nc, append([]Triple[int64](nil), bT...), nil).ToCSC(), sr)
 		for name, keep := range masks {
 			var wantProducts int64
@@ -419,7 +419,7 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 						SpGEMMAsync(a, b, sr, keep, &prodAsync),
 					} {
 						if !reflect.DeepEqual(got.Local, want.Local) {
-							panic(fmt.Sprintf("masked SpGEMM block differs from MultiplyMap+Apply\n got %v\nwant %v", got.Local, want.Local))
+							panic(fmt.Sprintf("masked SpGEMM block differs from multiplyMap+Apply\n got %v\nwant %v", got.Local, want.Local))
 						}
 					}
 					sum := func(x, y int64) int64 { return x + y }

@@ -344,39 +344,6 @@ func Multiply[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 	return COO[C]{NR: a.NR, NC: b.NC, Ts: ts}
 }
 
-// MultiplyMap is the retained map-accumulator reference kernel Multiply
-// replaced: the randomized differential tests pin the SPA kernels (local and
-// distributed, masked and not) to it, and cmd/experiments -exp mem prints the
-// before/after allocation table from the pair. Not used on any hot path.
-func MultiplyMap[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
-	if a.NC != b.NR {
-		panic(fmt.Sprintf("spmat: inner dims %d != %d", a.NC, b.NR))
-	}
-	var ts []Triple[C]
-	acc := make(map[int32]C)
-	var cv C // the one slot products are folded in: its address escapes, once
-	var live bool
-	for j := int32(0); j < b.NC; j++ {
-		clear(acc)
-		for p := b.JC[j]; p < b.JC[j+1]; p++ {
-			k := b.IR[p]
-			bv := b.V[p]
-			for q := a.JC[k]; q < a.JC[k+1]; q++ {
-				if cv, live = acc[a.IR[q]]; live {
-					sr.MulAdd(&cv, a.V[q], bv)
-					acc[a.IR[q]] = cv
-				} else if sr.Mul(&cv, a.V[q], bv) {
-					acc[a.IR[q]] = cv
-				}
-			}
-		}
-		for i, v := range acc {
-			ts = append(ts, Triple[C]{Row: i, Col: j, Val: v})
-		}
-	}
-	return NewCOO(a.NR, b.NC, ts, nil)
-}
-
 // TransposeLocal returns the transpose of a local COO, mirroring values
 // (mirror nil keeps them unchanged).
 func TransposeLocal[T any](a COO[T], mirror func(T) T) COO[T] {

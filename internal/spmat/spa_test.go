@@ -112,7 +112,7 @@ func TestMultiplyMatchesMapKernel(t *testing.T) {
 		a := randCOO(rng, nr, k, rng.Float64()*0.4).ToCSC()
 		b := randCOO(rng, k, nc, rng.Float64()*0.4).ToCSC()
 		got := Multiply(a, b, plusTimes)
-		ref := MultiplyMap(a, b, plusTimes)
+		ref := multiplyMap(a, b, plusTimes)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("trial %d: SPA multiply diverged from map reference", trial)
 		}
@@ -135,7 +135,7 @@ func TestMultiplyMatchesMapKernelAnnihilation(t *testing.T) {
 		a := randCOO(rng, nr, k, 0.3).ToCSC()
 		b := randCOO(rng, k, nc, 0.3).ToCSC()
 		got := Multiply(a, b, odd)
-		ref := MultiplyMap(a, b, odd)
+		ref := multiplyMap(a, b, odd)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("trial %d: annihilating multiply diverged from map reference", trial)
 		}
