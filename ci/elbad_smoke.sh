@@ -56,6 +56,15 @@ wait_job() {
   return 1
 }
 
+# A bad spec is a 400 at submit time and the daemon keeps serving (a negative
+# genome_len once panicked the handler: the client saw EOF, not a status).
+CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/jobs" -d '{"preset":"celegans","genome_len":-5}')"
+if [ "$CODE" != 400 ]; then
+  echo "elbad_smoke: invalid spec answered HTTP $CODE, want 400" >&2
+  exit 1
+fi
+curl -sf "$BASE/healthz" >/dev/null
+
 SPEC_COMMON="\"preset\":\"celegans\",\"genome_len\":$SIZE,\"p\":$P,\"threads\":1"
 A="$(submit_job "{$SPEC_COMMON,\"tr_fuzz\":150}")"
 wait_job "$A"

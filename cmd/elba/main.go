@@ -15,9 +15,11 @@
 // ranks), with nonblocking communication overlapping the SUMMA, k-mer and
 // sequence exchanges against local computation (-comm sync for the blocking
 // baseline). Contigs are bit-identical for every -threads and -comm value.
-// The run is driven through the elba.Assembler facade, so an interrupt
-// (Ctrl-C) cancels the stage graph cleanly: every simulated rank unwinds
-// and the command exits with the cancellation error instead of hanging.
+// The flags resolve to one validated option set (pipeline.Resolve, the
+// function elbad's job specs go through too) and the run is an engine call
+// under a context, so an interrupt (Ctrl-C) cancels the stage graph cleanly:
+// every simulated rank unwinds and the command exits with the cancellation
+// error instead of hanging.
 // -progress prints each stage as it starts and finishes.
 //
 // # Running multi-process
@@ -93,9 +95,11 @@ import (
 	"time"
 
 	"repro/elba"
+	"repro/internal/fasta"
 	"repro/internal/faultinject"
 	"repro/internal/mpi/transport/tcp"
 	"repro/internal/pipeline"
+	"repro/internal/readsim"
 	"repro/internal/trace"
 )
 
@@ -107,21 +111,52 @@ const (
 	exitInterrupted = 130
 )
 
+// optionFlags are the flags that determine the run's pipeline.Options: the
+// job description proper, as opposed to where inputs and outputs live.
+type optionFlags struct {
+	common           elba.Flags
+	preset           string
+	p, np            int
+	k, xdrop, trfuzz int
+}
+
+func (f *optionFlags) register(fs *flag.FlagSet) {
+	f.common.Register(fs)
+	fs.StringVar(&f.preset, "preset", "", "simulate a dataset: celegans | osativa | hsapiens")
+	fs.IntVar(&f.p, "p", 4, "simulated ranks (perfect square: 1,4,9,16,…)")
+	fs.IntVar(&f.np, "np", 0, "alias for -p (mpirun-style spelling, e.g. -transport proc -np 4)")
+	fs.IntVar(&f.k, "k", 0, "k-mer length override (default: preset/paper value)")
+	fs.IntVar(&f.xdrop, "x", 0, "x-drop / wavefront-prune threshold override")
+	fs.IntVar(&f.trfuzz, "trfuzz", 0, "transitive-reduction fuzz override (default: preset/paper value)")
+}
+
+// options resolves the parsed flags to validated Options through
+// pipeline.Resolve: a zero override keeps the preset's value, anything else
+// is applied and judged, so `-k -5` is an error, not the default.
+func (f *optionFlags) options() (pipeline.Options, error) {
+	p := f.p
+	if f.np > 0 {
+		p = f.np
+	}
+	opt, err := pipeline.Resolve(f.preset, p, pipeline.Overrides{
+		Threads: f.common.Threads, K: f.k, XDrop: int32(f.xdrop),
+		TRFuzz: int32(f.trfuzz), Backend: f.common.Backend,
+	})
+	if err != nil {
+		return opt, err
+	}
+	return opt, f.common.Apply(&opt)
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("elba: ")
-	var common elba.Flags
-	common.Register(flag.CommandLine)
+	var of optionFlags
+	of.register(flag.CommandLine)
 	var (
 		in          = flag.String("in", "", "input reads FASTA (mutually exclusive with -preset)")
-		preset      = flag.String("preset", "", "simulate a dataset: celegans | osativa | hsapiens")
 		size        = flag.Int("size", 100000, "genome length for -preset")
 		seed        = flag.Int64("seed", 1, "seed for -preset")
-		p           = flag.Int("p", 4, "simulated ranks (perfect square: 1,4,9,16,…)")
-		np          = flag.Int("np", 0, "alias for -p (mpirun-style spelling, e.g. -transport proc -np 4)")
-		k           = flag.Int("k", 0, "k-mer length override (default: preset/paper value)")
-		xdrop       = flag.Int("x", 0, "x-drop / wavefront-prune threshold override")
-		trfuzz      = flag.Int("trfuzz", 0, "transitive-reduction fuzz override (default: preset/paper value)")
 		outPath     = flag.String("out", "", "write contigs FASTA here")
 		refPath     = flag.String("ref", "", "reference FASTA for a quality report")
 		breakdown   = flag.Bool("breakdown", false, "print the per-stage runtime breakdown")
@@ -143,9 +178,6 @@ func main() {
 		advertise   = flag.String("advertise", "", "mesh address published to peers for -join (default: derived from the route to the rendezvous)")
 	)
 	flag.Parse()
-	if *np > 0 {
-		*p = *np
-	}
 
 	// Deterministic fault injection (chaos CI, recovery drills): a malformed
 	// ELBA_FAULT spec is a fatal configuration error, not a silent no-op.
@@ -155,10 +187,34 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The whole job description is resolved and judged here, once, before
+	// anything is simulated, dialled or re-exec'd: the proc launcher's np
+	// workers repeat this on the same command line, so whatever passes in
+	// the parent passes in them.
+	opt, err := of.options()
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// -serve-rendezvous hosts only the bootstrap: serve the address exchange
 	// for -np ranks, then exit. Any machine of the job (or none) can host it.
 	if *serveRdv != "" {
-		os.Exit(serveRendezvous(*serveRdv, *p))
+		os.Exit(serveRendezvous(*serveRdv, opt.P))
+	}
+
+	var pr readsim.Preset
+	switch {
+	case of.preset != "" && *in != "":
+		log.Fatal("-in and -preset are mutually exclusive")
+	case of.preset != "":
+		if pr, err = readsim.ParsePreset(of.preset); err != nil {
+			log.Fatal(err)
+		}
+		if err := readsim.CheckSize(pr, *size, 0); err != nil {
+			log.Fatalf("-size: %v", err)
+		}
+	case *in == "":
+		log.Fatal("need -in or -preset")
 	}
 
 	// Two ways this process can be one rank of a multi-process world:
@@ -171,64 +227,26 @@ func main() {
 		switch {
 		case worker != nil:
 			log.Fatal("-join cannot be combined with the proc launcher environment")
-		case common.Transport == elba.TransportProc:
+		case opt.Transport == elba.TransportProc:
 			log.Fatal("-join launches each rank independently; use -transport tcp, not proc")
-		case *rank < 0 || *rank >= *p:
-			log.Fatalf("-join needs -rank in 0 … %d (got %d)", *p-1, *rank)
+		case *rank < 0 || *rank >= opt.P:
+			log.Fatalf("-join needs -rank in 0 … %d (got %d)", opt.P-1, *rank)
 		}
 		worker = &meshWorker{
-			rank: *rank, np: *p, rdv: *join,
+			rank: *rank, np: opt.P, rdv: *join,
 			cfg:       tcp.JoinConfig{Listen: *listen, Advertise: *advertise},
 			transport: elba.TransportTCP,
 		}
 	} else if *rank >= 0 {
 		log.Fatal("-rank only makes sense with -join")
 	}
-	if common.Transport == elba.TransportProc && worker == nil {
-		if err := common.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		os.Exit(launchProc(*p, *checkpoint, *maxRestarts))
+	if opt.Transport == elba.TransportProc && worker == nil {
+		os.Exit(launchProc(opt.P, *checkpoint, *maxRestarts))
 	}
 	// Non-zero ranks compute but stay silent: results are gathered at rank 0,
 	// whose process alone prints summaries and writes output files.
 	quiet := worker != nil && worker.rank > 0
 
-	var src elba.Source
-	var reference []byte
-	opt := elba.DefaultOptions(*p)
-	switch {
-	case *preset != "" && *in != "":
-		log.Fatal("-in and -preset are mutually exclusive")
-	case *preset != "":
-		pr, err := elba.ParsePreset(*preset)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ds := elba.SimulateDataset(pr, *size, *seed)
-		if !quiet {
-			fmt.Println(ds.Table2Row())
-		}
-		src = elba.FromDataset(ds)
-		reference = ds.Genome
-		opt = elba.PresetOptions(pr, *p)
-	case *in != "":
-		src = elba.FromFastaFile(*in)
-	default:
-		log.Fatal("need -in or -preset")
-	}
-	if *k > 0 {
-		opt.K = *k
-	}
-	if *xdrop > 0 {
-		opt.XDrop = int32(*xdrop)
-	}
-	if *trfuzz > 0 {
-		opt.TRFuzz = int32(*trfuzz)
-	}
-	if err := common.Apply(&opt); err != nil {
-		log.Fatal(err)
-	}
 	opt.CheckpointDir = *checkpoint
 	opt.CheckpointEvery = *ckptEvery
 	if worker != nil {
@@ -250,18 +268,8 @@ func main() {
 		}
 		restarts = n
 	}
-	if *refPath != "" {
-		ref, err := elba.FromFastaFile(*refPath).Reads()
-		if err != nil {
-			log.Fatal(err)
-		}
-		reference = nil
-		for _, r := range ref {
-			reference = append(reference, r...)
-		}
-	}
 
-	// Observability handles are allocated before New so validation sees them;
+	// Observability handles are allocated before Plan so validation sees them;
 	// both are result-neutral (contigs and traffic counters are identical
 	// with tracing on or off).
 	var traceRec *elba.Trace
@@ -275,11 +283,11 @@ func main() {
 		opt.Metrics = metricSet
 	}
 
-	asmOpts := []elba.Option{elba.WithOptions(opt)}
+	var observers []elba.Observer
 	if *progress {
 		// Progress streams to stderr: stdout carries only the
 		// machine-parseable summary lines.
-		asmOpts = append(asmOpts, elba.WithObserver(elba.Observer{
+		observers = append(observers, elba.Observer{
 			StageStart: func(stage string, i, n int) {
 				fmt.Fprintf(os.Stderr, "stage %d/%d %s...\n", i+1, n, stage)
 			},
@@ -288,11 +296,34 @@ func main() {
 				fmt.Fprintf(os.Stderr, "stage %s done in %v (%.2f MB total, max %d msgs/rank)\n",
 					stage, wall.Round(time.Millisecond), float64(e.SumBytes)/1e6, e.MaxMsgs)
 			},
-		}))
+		})
 	}
-	asm, err := elba.New(asmOpts...)
+	eng, err := elba.Plan(opt, observers...)
 	if err != nil {
 		log.Fatal(err)
+	}
+
+	// Inputs load only once the whole configuration has been accepted.
+	var reads [][]byte
+	var reference []byte
+	if of.preset != "" {
+		ds := readsim.Generate(pr, *size, *seed)
+		if !quiet {
+			fmt.Println(ds.Table2Row())
+		}
+		reads, reference = readsim.Seqs(ds.Reads), ds.Genome
+	} else if reads, err = readFasta(*in); err != nil {
+		log.Fatal(err)
+	}
+	if *refPath != "" {
+		ref, err := readFasta(*refPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		reference = nil
+		for _, r := range ref {
+			reference = append(reference, r...)
+		}
 	}
 
 	// Ctrl-C cancels the stage graph: the context threads through the
@@ -329,9 +360,9 @@ func main() {
 	}
 	var result *elba.Output
 	if resumeDir != "" {
-		result, err = asm.AssembleFrom(ctx, src, resumeDir)
+		result, err = resumeRun(ctx, eng, reads, resumeDir)
 	} else {
-		result, err = asm.Assemble(ctx, src)
+		result, err = eng.Run(ctx, reads)
 	}
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
@@ -421,6 +452,32 @@ func main() {
 		}
 		fmt.Printf("wrote %d contigs to %s\n", len(result.Contigs), *outPath)
 	}
+}
+
+// resumeRun finishes a run from the most advanced committed checkpoint under
+// dir (the engine refuses one whose options fingerprint or reads checksum
+// disagree with this run's) and returns the completed Output.
+func resumeRun(ctx context.Context, eng *elba.Engine, reads [][]byte, dir string) (*elba.Output, error) {
+	arts, err := eng.LoadCheckpoint(ctx, reads, dir)
+	if err != nil {
+		return nil, err
+	}
+	defer arts.Close()
+	fin, err := eng.ResumeFrom(ctx, arts, elba.StageExtractContig)
+	if err != nil {
+		return nil, err
+	}
+	return fin.Output()
+}
+
+// readFasta loads the sequences of a FASTA file.
+func readFasta(path string) ([][]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return fasta.ReadSeqs(f)
 }
 
 func printSummary(out *elba.Output) {

@@ -1,0 +1,104 @@
+package main
+
+import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+
+	"repro/internal/pipeline"
+	"repro/internal/serve"
+)
+
+// envRunMain makes the test binary behave as the elba command, so exit codes
+// and stderr are tested on the real main without a separate build.
+const envRunMain = "ELBA_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(envRunMain) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func flagOptions(t *testing.T, args ...string) (pipeline.Options, error) {
+	t.Helper()
+	var of optionFlags
+	fs := flag.NewFlagSet("elba", flag.ContinueOnError)
+	of.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return of.options()
+}
+
+// TestFlagsAndJobSpecAgree: one job description resolves to one option set
+// whether it arrives as cmd/elba flags or as an elbad JobSpec — and a
+// description one door rejects, the other rejects with the same message.
+func TestFlagsAndJobSpecAgree(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		spec serve.JobSpec
+	}{
+		{[]string{"-p", "4"}, serve.JobSpec{Dataset: "sha256:x", P: 4}},
+		{[]string{"-preset", "hsapiens", "-np", "16"}, serve.JobSpec{Preset: "hsapiens", P: 16}},
+		{[]string{"-preset", "celegans", "-p", "4", "-k", "19", "-x", "9", "-trfuzz", "300", "-backend", "wfa", "-threads", "2"},
+			serve.JobSpec{Preset: "celegans", P: 4, K: 19, XDrop: 9, TRFuzz: 300, Backend: "wfa", Threads: 2}},
+		{[]string{"-preset", "osativa", "-p", "3", "-k", "-5", "-trfuzz", "-3"},
+			serve.JobSpec{Preset: "osativa", P: 3, K: -5, TRFuzz: -3}},
+		{[]string{"-preset", "martian"}, serve.JobSpec{Preset: "martian"}},
+	} {
+		cli, cliErr := flagOptions(t, tc.args...)
+		job, jobErr := tc.spec.Options(4)
+		if cliErr != nil || jobErr != nil {
+			if cliErr == nil || jobErr == nil || cliErr.Error() != jobErr.Error() {
+				t.Errorf("%v: flags error %v, job spec error %v", tc.args, cliErr, jobErr)
+			}
+			continue
+		}
+		if cli.Fingerprint() != job.Fingerprint() || cli.Threads != job.Threads {
+			t.Errorf("%v: flags resolve to %+v, job spec to %+v", tc.args, cli, job)
+		}
+	}
+}
+
+// TestBadFlagsFailOnce: an invalid description is one `elba:` message and
+// exit code 1 — not a stack trace (exit 2), not a silent default (exit 0),
+// and with -transport proc not one copy per worker.
+func TestBadFlagsFailOnce(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args string
+		want string
+	}{
+		{"-preset celegans -size -5", "genome length -5"},
+		{"-preset celegans -size 0", "genome length 0"},
+		{"-preset celegans -k -5 -x -2", "Options.K"},
+		{"-preset celegans -k -5 -x -2", "Options.XDrop"},
+		{"-preset celegans -trfuzz -3", "Options.TRFuzz"},
+		{"-preset celegans -transport proc -np 3", "Options.P"},
+		{"-preset celegans -transport proc -np 4 -k -5", "Options.K"},
+		{"-preset celegans -transport proc -np 4 -size -5", "genome length -5"},
+	} {
+		cmd := exec.Command(exe, strings.Fields(tc.args)...)
+		cmd.Env = append(os.Environ(), envRunMain+"=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var xe *exec.ExitError
+		if !errors.As(err, &xe) || xe.ExitCode() != 1 {
+			t.Errorf("elba %s: %v, want exit status 1\n%s", tc.args, err, &stderr)
+			continue
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "elba: ") || strings.Contains(msg, "goroutine ") || strings.Count(msg, tc.want) != 1 {
+			t.Errorf("elba %s: want one `elba:` message naming %q, got:\n%s", tc.args, tc.want, msg)
+		}
+	}
+}

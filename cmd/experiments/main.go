@@ -45,8 +45,8 @@ var (
 	seed    = flag.Int64("seed", 7, "dataset seed")
 	exp     = flag.String("exp", "all", "env|table2|fig4|fig5|fig6|table3|table4|contigphase|ablation|commoverlap|all")
 	network = flag.String("net", "aries", "network model: aries|infiniband")
-	// common holds the -backend/-threads/-comm execution knobs shared with
-	// cmd/elba (elba.Flags, registered in main).
+	// common holds the -backend/-threads/-comm/-transport execution knobs
+	// shared with cmd/elba (elba.Flags, registered in main).
 	common elba.Flags
 )
 
@@ -107,7 +107,9 @@ func main() {
 	log.SetFlags(0)
 	common.Register(flag.CommandLine)
 	flag.Parse()
-	if err := common.Validate(); err != nil {
+	// Judge the shared flags once, before minutes of runs: every option set
+	// below is a preset base with these same four values applied.
+	if err := presetOptions(readsim.CElegansLike, 1).Validate(); err != nil {
 		log.Fatal(err)
 	}
 	which := strings.Split(*exp, ",")
@@ -166,27 +168,35 @@ func table2() {
 // P, backend) run, and the runs dominate the suite's wall time.
 var runCache = map[string]*pipeline.Output{}
 
-// runPreset assembles one preset dataset at P ranks under the -backend,
-// -threads and -comm knobs (cached).
-func runPreset(preset readsim.Preset, p int) (*pipeline.Output, *readsim.Dataset) {
-	return runPresetMode(preset, p, common.Threads, common.AsyncMode())
+// presetOptions is the preset's parameter set at P ranks under the shared
+// -backend, -threads, -comm and -transport flags — the same Flags.Apply path
+// cmd/elba takes, so every table runs on the transport the flag names.
+func presetOptions(preset readsim.Preset, p int) pipeline.Options {
+	opt := pipeline.PresetOptions(preset, p)
+	if err := common.Apply(&opt); err != nil {
+		log.Fatal(err)
+	}
+	return opt
 }
 
-func runPresetMode(preset readsim.Preset, p, th int, async bool) (*pipeline.Output, *readsim.Dataset) {
+// runPreset assembles one preset dataset at P ranks under the shared flags
+// (cached).
+func runPreset(preset readsim.Preset, p int) (*pipeline.Output, *readsim.Dataset) {
+	return runOptions(preset, presetOptions(preset, p))
+}
+
+// runOptions assembles the preset's dataset under opt (cached).
+func runOptions(preset readsim.Preset, opt pipeline.Options) (*pipeline.Output, *readsim.Dataset) {
 	ds := readsim.Generate(preset, sizeOf(preset), *seed)
-	opt := pipeline.PresetOptions(preset, p)
-	opt.AlignBackend = common.Backend
-	opt.Threads = th
-	opt.Async = async
 	// Key on the resolved worker count so an auto-split run and an explicit
 	// run at the same effective width share one cache entry.
-	key := fmt.Sprintf("%d/%d/%d/%v", int(preset), p, opt.EffectiveThreads(), async)
+	key := fmt.Sprintf("%d/%d/%d/%v", int(preset), opt.P, opt.EffectiveThreads(), opt.Async)
 	if out, ok := runCache[key]; ok {
 		return out, ds
 	}
 	out, err := pipeline.Run(readsim.Seqs(ds.Reads), opt)
 	if err != nil {
-		log.Fatalf("pipeline P=%d: %v", p, err)
+		log.Fatalf("pipeline P=%d: %v", opt.P, err)
 	}
 	runCache[key] = out
 	return out, ds
@@ -198,7 +208,9 @@ func runPresetMode(preset readsim.Preset, p, th int, async bool) (*pipeline.Outp
 // auto-split (StageTimeT would otherwise divide an already-threaded rate by
 // the Amdahl speedup a second time).
 func calibration(preset readsim.Preset, stages []string) perfmodel.Calibration {
-	base, _ := runPresetMode(preset, 1, 1, common.AsyncMode())
+	opt := presetOptions(preset, 1)
+	opt.Threads = 1
+	base, _ := runOptions(preset, opt)
 	return perfmodel.Calibrate(base.Stats.Timers, stages)
 }
 
@@ -274,10 +286,7 @@ func table3() {
 		cal := calibration(preset, stages)
 		var speeds []string
 		for _, p := range []int{scalingP[0], scalingP[len(scalingP)-1]} {
-			popt := pipeline.PresetOptions(preset, p)
-			popt.AlignBackend = common.Backend
-			popt.Threads = common.Threads
-			out, err := pipeline.Run(reads, popt)
+			out, err := pipeline.Run(reads, presetOptions(preset, p))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -354,8 +363,11 @@ func commOverlapTable() {
 	const p = 16
 	stages := append(append([]string{}, pipeline.MainStages...), pipeline.ContigStages...)
 	cal := calibration(preset, stages)
-	syncOut, _ := runPresetMode(preset, p, common.Threads, false)
-	asyncOut, ds := runPresetMode(preset, p, common.Threads, true)
+	opt := presetOptions(preset, p)
+	opt.Async = false
+	syncOut, _ := runOptions(preset, opt)
+	opt.Async = true
+	asyncOut, ds := runOptions(preset, opt)
 
 	if !sameContigs(syncOut.Contigs, asyncOut.Contigs) {
 		log.Fatalf("commoverlap: contigs differ between blocking and nonblocking runs")
@@ -468,9 +480,7 @@ func ablation() {
 	header("Ablation: transitive-reduction fuzz")
 	ds := readsim.Generate(readsim.CElegansLike, sizeOf(readsim.CElegansLike)/2, *seed)
 	for _, fuzz := range []int32{0, 150, 500} {
-		opt := pipeline.PresetOptions(readsim.CElegansLike, 4)
-		opt.AlignBackend = common.Backend
-		opt.Threads = common.Threads
+		opt := presetOptions(readsim.CElegansLike, 4)
 		opt.TRFuzz = fuzz
 		out, err := pipeline.Run(readsim.Seqs(ds.Reads), opt)
 		if err != nil {

@@ -58,13 +58,9 @@ func seqsOf(path string) [][]byte {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := fasta.Read(f)
+	seqs, err := fasta.ReadSeqs(f)
 	if err != nil {
 		log.Fatal(err)
 	}
-	out := make([][]byte, len(recs))
-	for i, r := range recs {
-		out[i] = r.Seq
-	}
-	return out
+	return seqs
 }

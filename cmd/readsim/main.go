@@ -41,7 +41,10 @@ func main() {
 	var reads []readsim.Read
 	var label string
 	if *preset != "" {
-		p, err := parsePreset(*preset)
+		p, err := readsim.ParsePreset(*preset)
+		if err == nil {
+			err = readsim.CheckSize(p, *size, 0)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,18 +83,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-func parsePreset(s string) (readsim.Preset, error) {
-	switch s {
-	case "celegans":
-		return readsim.CElegansLike, nil
-	case "osativa":
-		return readsim.OSativaLike, nil
-	case "hsapiens":
-		return readsim.HSapiensLike, nil
-	}
-	return 0, fmt.Errorf("unknown preset %q (want celegans|osativa|hsapiens)", s)
 }
 
 func writeFasta(path string, recs []fasta.Record) error {

@@ -29,9 +29,9 @@
 // any stage, ResumeFrom continues an Artifacts snapshot — any number of
 // times, under different downstream parameters, so a TR-parameter sweep
 // aligns once (BenchmarkStageSweep gates it) — and context cancellation
-// unwinds every rank promptly. The public facade is
-// elba.New(opts...) + Assembler.Assemble(ctx, src), where Source abstracts
-// in-memory reads, FASTA input and simulated datasets; monolithic, staged
+// unwinds every rank promptly. The public facade re-exports exactly that:
+// elba.Assemble(reads, opt) for the whole pipeline, elba.Plan(opt) for the
+// engine, with Options the only configuration surface; monolithic, staged
 // and resumed execution produce bit-identical contigs and equal traffic
 // counters (DESIGN.md §9).
 //

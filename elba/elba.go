@@ -12,74 +12,81 @@
 // redistributes each contig's reads to one rank via the induced-subgraph
 // communication, and assembles locally with a linear DFS walk.
 //
-// Quick start — configure an Assembler with functional options, then
-// assemble any Source (in-memory reads, FASTA, or a simulated dataset):
+// Quick start — take a preset's option set, change the fields you need, and
+// assemble in-memory reads (AssembleFasta reads a FASTA stream instead):
 //
 //	ds := elba.SimulateDataset(elba.CElegansLike, 100_000, 42)
-//	asm, err := elba.New(elba.WithPreset(elba.CElegansLike), elba.WithRanks(4))
-//	out, err := asm.Assemble(ctx, elba.FromDataset(ds))
+//	opt := elba.PresetOptions(elba.CElegansLike, 4) // P = 4 simulated ranks
+//	opt.AlignBackend = elba.BackendWFA
+//	out, err := elba.Assemble(elba.ReadSeqs(ds.Reads), opt)
 //	rep := elba.Evaluate(ds.Genome, out.Contigs)
 //
-// New validates everything upfront: a bad rank count, k-mer length, backend
-// name and negative thresholds are reported together, each error naming its
-// field. Cancelling ctx aborts a running assembly promptly.
+// Options is the whole configuration surface: there is no second way to set
+// a parameter. It is validated upfront — a bad rank count, k-mer length,
+// backend name and negative thresholds are reported together, each error
+// naming its field — before any rank starts.
 //
 // The pipeline is a stage graph (FastaReader → CountKmer → DetectOverlap →
-// Alignment → TrReduction → ExtractContig), and the Assembler exposes it:
-// RunUntil stops after any stage and returns an Artifacts snapshot;
-// ResumeFrom continues a snapshot — any number of times, under different
-// downstream parameters — without re-running the expensive overlap phase.
-// A TR-parameter sweep therefore aligns once:
+// Alignment → TrReduction → ExtractContig), and Plan hands out the Engine
+// that drives it: Run executes the whole graph under a context (cancelling
+// it aborts the run promptly), RunUntil stops after any stage and returns an
+// Artifacts snapshot, and ResumeFrom continues a snapshot — any number of
+// times, under different downstream parameters — without re-running the
+// expensive overlap phase. A TR-parameter sweep therefore aligns once:
 //
-//	arts, err := asm.RunUntil(ctx, elba.FromDataset(ds), elba.StageAlignment)
-//	loose, _ := elba.New(elba.WithPreset(elba.CElegansLike), elba.WithRanks(4), elba.WithTRFuzz(500))
+//	eng, err := elba.Plan(opt)
+//	arts, err := eng.RunUntil(ctx, reads, elba.StageAlignment)
+//	opt.TRFuzz = 500
+//	loose, err := elba.Plan(opt)
 //	chain, err := loose.ResumeFrom(ctx, arts, elba.StageExtractContig)
 //	out, err := chain.Output()
 //
 // Contigs are bit-identical between monolithic, staged and resumed
-// execution.
+// execution. With Options.CheckpointDir set the engine also persists each
+// completed stage, and Engine.LoadCheckpoint restores the most advanced
+// committed one as a snapshot to ResumeFrom after a crash.
 //
 // The Alignment stage dispatches through a pluggable backend: the default
 // x-drop DP, or linear-gap wavefront alignment (much faster on low-error
-// reads) via elba.WithBackend(elba.BackendWFA). Execution is hybrid like
+// reads) via Options.AlignBackend = elba.BackendWFA. Execution is hybrid like
 // the paper's MPI + threads design: each simulated rank drives the
 // alignment and k-mer hot paths through an intra-rank worker pool of
-// WithThreads workers, and with WithAsync(true) (the default) the
+// Options.Threads workers, and with Options.Async (the default) the
 // communication-heavy exchanges run on the nonblocking mpi layer,
 // overlapped against local computation. Contigs are bit-identical at any
 // thread count and in either communication mode.
 //
-// Ranks talk over a pluggable transport, selected with
-// WithTransport(elba.TransportInproc) — goroutines sharing in-process
-// mailboxes, the default — or WithTransport(elba.TransportTCP), a socket
-// mesh: loopback inside one process by default, or spanning OS processes
-// and machines when each process joins a rendezvous (`elba -serve-rendezvous`
-// plus one `elba -transport tcp -join host:port -rank R -np P` worker per
-// rank; see OPERATIONS.md). The third transport, TransportProc, is the
-// single-host special case driven by the cmd/elba launcher (`elba
-// -transport proc -np 4`), which re-execs one worker per rank. Contigs and
-// byte/message counters are identical on every transport. If a rank
-// process dies mid-run its peers abort promptly with an error naming the
-// dead rank and the per-stage restart point; WithFailureHandler observes
-// the cause and FailedRank recovers the attribution.
+// Ranks talk over a pluggable transport, selected with Options.Transport:
+// elba.TransportInproc — goroutines sharing in-process mailboxes, the
+// default — or elba.TransportTCP, a socket mesh: loopback inside one
+// process by default, or spanning OS processes and machines when each
+// process joins a rendezvous (`elba -serve-rendezvous` plus one `elba
+// -transport tcp -join host:port -rank R -np P` worker per rank; see
+// OPERATIONS.md). The third transport, TransportProc, is the single-host
+// special case driven by the cmd/elba launcher (`elba -transport proc -np
+// 4`), which re-execs one worker per rank. Contigs and byte/message
+// counters are identical on every transport. If a rank process dies mid-run
+// its peers abort promptly with an error naming the dead rank and the
+// per-stage restart point; Options.OnFailure observes the cause exactly
+// once and FailedRank recovers the attribution.
 //
-// Observability is opt-in and result-neutral: WithTrace records per-rank
-// event spans (stage bodies, pool chunks, mpi sends/receives/waits) for
-// Perfetto (`elba -traceout run.json`, then load run.json in
-// ui.perfetto.dev); WithMetrics collects typed counters/gauges/histograms;
-// and Output.Manifest builds the machine-readable RUN.json run record
-// (options, per-stage comm breakdown with the overlap/exposed split, contig
-// checksum) that benchguard -manifest verifies. Contigs and byte/message
-// counters are bit-identical with observability on or off.
-//
-// The pre-Assembler entry points (Assemble, AssembleFasta, DefaultOptions,
-// PresetOptions) remain as thin wrappers over the same engine.
+// Observability is opt-in and result-neutral: Options.Trace (NewTrace)
+// records per-rank event spans (stage bodies, pool chunks, mpi
+// sends/receives/waits) for Perfetto (`elba -traceout run.json`, then load
+// run.json in ui.perfetto.dev); Options.Metrics (NewMetricSet) collects
+// typed counters/gauges/histograms; an Observer passed to Plan streams
+// per-stage progress; and Output.Manifest builds the machine-readable
+// RUN.json run record (options, per-stage comm breakdown with the
+// overlap/exposed split, contig checksum) that benchguard -manifest
+// verifies. Contigs and byte/message counters are bit-identical with
+// observability on or off.
 package elba
 
 import (
 	"errors"
 	"io"
 
+	"repro/internal/align"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/fasta"
@@ -135,8 +142,8 @@ func Transports() []string { return pipeline.Transports() }
 // FailedRank reports the world rank a failure is attributed to, when the
 // transport could name one — a worker process that died mid-run, a broken
 // mesh connection, a peer that aborted the job. It unwraps the error chains
-// returned by Assemble/RunUntil/ResumeFrom on a distributed run and the
-// causes delivered to WithFailureHandler; ok is false for errors with no
+// returned by Assemble and the Engine on a distributed run and the causes
+// delivered to Options.OnFailure; ok is false for errors with no
 // rank attribution (validation errors, context cancellation).
 func FailedRank(err error) (rank int, ok bool) {
 	var rf *transport.RankFailure
@@ -155,11 +162,50 @@ type Stats = pipeline.Stats
 // Contig is one assembled chain of reads.
 type Contig = core.Contig
 
-// Trace collects per-rank event spans for Perfetto export (WithTrace);
+// Engine drives the stage graph under one validated option set: Run for the
+// whole pipeline, RunUntil / ResumeFrom for partial runs and parameter
+// sweeps that reuse the expensive overlap phase, LoadCheckpoint to restore
+// what a crashed run left under Options.CheckpointDir. Every method takes a
+// context; cancelling it unwinds every simulated rank. An Engine is
+// immutable and safe to reuse across inputs.
+type Engine = pipeline.Engine
+
+// Artifacts is a resume point: the typed bag of everything a partial run
+// produced (world, grid, read store, overlap result, string graph, contigs).
+// Produced by Engine.RunUntil or Engine.LoadCheckpoint, consumed — any
+// number of times — by Engine.ResumeFrom; call Output once the final stage
+// has run, and Close when done with a loaded checkpoint's world.
+type Artifacts = pipeline.Artifacts
+
+// Observer streams per-stage progress (start callbacks, post-stage wall time
+// and cross-rank trace aggregates) from a running assembly.
+type Observer = pipeline.Observer
+
+// Plan validates opt — all parameter errors surface here, together — and
+// returns the engine that runs under it, reporting progress to observers.
+func Plan(opt Options, observers ...Observer) (*Engine, error) {
+	return pipeline.Plan(opt, observers...)
+}
+
+// Stage names of the pipeline graph, for Engine.RunUntil/ResumeFrom, in
+// execution order.
+const (
+	StageFastaReader   = pipeline.StageFastaReader
+	StageCountKmer     = pipeline.StageCountKmer
+	StageDetectOverlap = pipeline.StageDetectOverlap
+	StageAlignment     = pipeline.StageAlignment
+	StageTrReduction   = pipeline.StageTrReduction
+	StageExtractContig = pipeline.StageExtractContig
+)
+
+// StageNames lists the pipeline's stages in execution order.
+func StageNames() []string { return pipeline.StageNames() }
+
+// Trace collects per-rank event spans for Perfetto export (Options.Trace);
 // write it with Trace.WriteFile after the run.
 type Trace = obs.Trace
 
-// MetricSet collects per-rank typed metrics (WithMetrics); snapshot it with
+// MetricSet collects per-rank typed metrics (Options.Metrics); snapshot it with
 // MetricSet.WriteFile or fold it into the manifest.
 type MetricSet = obs.MetricSet
 
@@ -190,6 +236,10 @@ type BaselineConfig = baseline.Config
 // BaselineResult is the comparator's output.
 type BaselineResult = baseline.Result
 
+// Preset selects a Table 2 dataset substitute (CElegansLike, OSativaLike,
+// HSapiensLike).
+type Preset = readsim.Preset
+
 // Dataset presets mirroring the paper's Table 2.
 const (
 	CElegansLike = readsim.CElegansLike
@@ -203,18 +253,19 @@ func DefaultOptions(p int) Options { return pipeline.DefaultOptions(p) }
 
 // PresetOptions returns per-dataset parameters mirroring §5 (k=17 for the
 // high-error preset).
-func PresetOptions(preset readsim.Preset, p int) Options {
+func PresetOptions(preset Preset, p int) Options {
 	return pipeline.PresetOptions(preset, p)
 }
 
-// Assemble runs the full distributed pipeline on the given read sequences.
+// Assemble runs the full distributed pipeline on the given read sequences
+// (Plan(opt) + Engine.Run under a background context).
 func Assemble(reads [][]byte, opt Options) (*Output, error) {
 	return pipeline.Run(reads, opt)
 }
 
 // AssembleFasta reads a FASTA stream and assembles it.
 func AssembleFasta(r io.Reader, opt Options) (*Output, error) {
-	reads, err := readFastaSeqs(r)
+	reads, err := fasta.ReadSeqs(r)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +274,7 @@ func AssembleFasta(r io.Reader, opt Options) (*Output, error) {
 
 // SimulateDataset generates a deterministic synthetic dataset mirroring a
 // Table 2 row at the given genome size.
-func SimulateDataset(preset readsim.Preset, genomeLen int, seed int64) *Dataset {
+func SimulateDataset(preset Preset, genomeLen int, seed int64) *Dataset {
 	return readsim.Generate(preset, genomeLen, seed)
 }
 
@@ -252,7 +303,7 @@ func BaselineFromOptions(o Options, threads int) BaselineConfig {
 		K:            o.K,
 		ReliableLow:  o.ReliableLow,
 		ReliableHigh: o.ReliableHigh,
-		Align:        alignParams(o),
+		Align:        align.DefaultParams(o.XDrop),
 		MinOverlap:   o.MinOverlap,
 		MinScoreFrac: o.MinScoreFrac,
 		MaxOverhang:  o.MaxOverhang,
@@ -273,11 +324,6 @@ func MergeContigs(contigs []Contig, cfg PolishConfig) []Contig {
 	return polish.Merge(contigs, cfg)
 }
 
-// WriteContigs serializes contigs as FASTA records named contig_0000….
-func WriteContigs(w io.Writer, contigs []Contig) error {
-	recs := make([]fasta.Record, len(contigs))
-	for i, c := range contigs {
-		recs[i] = fasta.Record{ID: contigName(i, c), Seq: c.Seq}
-	}
-	return fasta.Write(w, recs, 80)
-}
+// WriteContigs serializes contigs as FASTA records named contig_00000…,
+// each id carrying the length, read count and circularity.
+func WriteContigs(w io.Writer, contigs []Contig) error { return core.WriteContigs(w, contigs) }

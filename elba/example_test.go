@@ -9,20 +9,18 @@ import (
 	"repro/elba"
 )
 
-// ExampleAssembler demonstrates the stable facade: configure once with
-// functional options (all parameter errors surface at New, together), then
-// assemble any Source under a context.
-func ExampleAssembler() {
-	asm, err := elba.New(
-		elba.WithPreset(elba.CElegansLike),
-		elba.WithRanks(4),
-		elba.WithBackend(elba.BackendWFA),
-	)
+// ExamplePlan demonstrates the staged entry point: Options is the whole
+// configuration (all parameter errors surface at Plan, together), and the
+// engine runs any reads under a context.
+func ExamplePlan() {
+	opt := elba.PresetOptions(elba.CElegansLike, 4)
+	opt.AlignBackend = elba.BackendWFA
+	eng, err := elba.Plan(opt)
 	if err != nil {
 		panic(err)
 	}
 	ds := elba.SimulateDataset(elba.CElegansLike, 30_000, 42)
-	out, err := asm.Assemble(context.Background(), elba.FromDataset(ds))
+	out, err := eng.Run(context.Background(), elba.ReadSeqs(ds.Reads))
 	if err != nil {
 		panic(err)
 	}
@@ -31,33 +29,27 @@ func ExampleAssembler() {
 	// Output: true true true
 }
 
-// ExampleAssembler_ResumeFrom runs the pipeline once up to the Alignment
+// ExampleEngine_ResumeFrom runs the pipeline once up to the Alignment
 // stage, then resumes the snapshot under two transitive-reduction
 // configurations — the expensive k-mer/SpGEMM/alignment phase executes a
 // single time for the whole sweep, and the snapshot stays reusable.
-func ExampleAssembler_ResumeFrom() {
+func ExampleEngine_ResumeFrom() {
 	ctx := context.Background()
-	src := elba.FromSimulation(elba.CElegansLike, 30_000, 42)
-	asm, err := elba.New(
-		elba.WithPreset(elba.CElegansLike),
-		elba.WithRanks(4),
-		elba.WithBackend(elba.BackendWFA),
-	)
+	reads := elba.ReadSeqs(elba.SimulateDataset(elba.CElegansLike, 30_000, 42).Reads)
+	opt := elba.PresetOptions(elba.CElegansLike, 4)
+	opt.AlignBackend = elba.BackendWFA
+	eng, err := elba.Plan(opt)
 	if err != nil {
 		panic(err)
 	}
-	arts, err := asm.RunUntil(ctx, src, elba.StageAlignment)
+	arts, err := eng.RunUntil(ctx, reads, elba.StageAlignment)
 	if err != nil {
 		panic(err)
 	}
 	var contigCounts []int
 	for _, fuzz := range []int32{150, 500} {
-		swept, err := elba.New(
-			elba.WithPreset(elba.CElegansLike),
-			elba.WithRanks(4),
-			elba.WithBackend(elba.BackendWFA),
-			elba.WithTRFuzz(fuzz),
-		)
+		opt.TRFuzz = fuzz
+		swept, err := elba.Plan(opt)
 		if err != nil {
 			panic(err)
 		}
@@ -93,25 +85,19 @@ func Example() {
 	// Output: true true true
 }
 
-// ExampleWithTransport runs the same assembly over the in-process mailbox
-// transport and the TCP socket mesh: the transport decides where ranks live
-// (goroutines, OS processes, machines — see OPERATIONS.md for the
+// Example_transport runs the same assembly over the in-process mailbox
+// transport and the TCP socket mesh: Options.Transport decides where ranks
+// live (goroutines, OS processes, machines — see OPERATIONS.md for the
 // multi-host deployment), never what they compute, so contigs and traffic
 // counters are bit-identical.
-func ExampleWithTransport() {
-	ds := elba.SimulateDataset(elba.CElegansLike, 30_000, 42)
+func Example_transport() {
+	reads := elba.ReadSeqs(elba.SimulateDataset(elba.CElegansLike, 30_000, 42).Reads)
 	outs := make(map[string]*elba.Output)
 	for _, tr := range []string{elba.TransportInproc, elba.TransportTCP} {
-		asm, err := elba.New(
-			elba.WithPreset(elba.CElegansLike),
-			elba.WithRanks(4),
-			elba.WithBackend(elba.BackendWFA),
-			elba.WithTransport(tr),
-		)
-		if err != nil {
-			panic(err)
-		}
-		out, err := asm.Assemble(context.Background(), elba.FromDataset(ds))
+		opt := elba.PresetOptions(elba.CElegansLike, 4)
+		opt.AlignBackend = elba.BackendWFA
+		opt.Transport = tr
+		out, err := elba.Assemble(reads, opt)
 		if err != nil {
 			panic(err)
 		}
@@ -128,31 +114,28 @@ func ExampleWithTransport() {
 	// Output: true true true
 }
 
-// ExampleWithFailureHandler demonstrates the failure hook: when a run's
-// world is torn down early — here by context cancellation as the Alignment
-// stage starts; in a multi-process run, by a rank dying — the handler
-// receives the cause exactly once, before Assemble returns its error. For
+// Example_failureHandler demonstrates Options.OnFailure: when a run's world
+// is torn down early — here by context cancellation as the Alignment stage
+// starts; in a multi-process run, by a rank dying — the handler receives the
+// cause exactly once, before Run returns its error. For
 // transport-attributed deaths, FailedRank(err) recovers which rank was
 // lost.
-func ExampleWithFailureHandler() {
+func Example_failureHandler() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	failed := make(chan error, 1)
-	asm, err := elba.New(
-		elba.WithPreset(elba.CElegansLike),
-		elba.WithRanks(4),
-		elba.WithBackend(elba.BackendWFA),
-		elba.WithFailureHandler(func(err error) { failed <- err }),
-		elba.WithObserver(elba.Observer{StageStart: func(stage string, _, _ int) {
-			if stage == elba.StageAlignment {
-				cancel()
-			}
-		}}),
-	)
+	opt := elba.PresetOptions(elba.CElegansLike, 4)
+	opt.AlignBackend = elba.BackendWFA
+	opt.OnFailure = func(err error) { failed <- err }
+	eng, err := elba.Plan(opt, elba.Observer{StageStart: func(stage string, _, _ int) {
+		if stage == elba.StageAlignment {
+			cancel()
+		}
+	}})
 	if err != nil {
 		panic(err)
 	}
-	_, err = asm.Assemble(ctx, elba.FromSimulation(elba.CElegansLike, 20_000, 42))
+	_, err = eng.Run(ctx, elba.ReadSeqs(elba.SimulateDataset(elba.CElegansLike, 20_000, 42).Reads))
 	cause := <-failed
 	_, attributed := elba.FailedRank(cause)
 	fmt.Println(err != nil, errors.Is(cause, context.Canceled), attributed)

@@ -4,14 +4,11 @@ import (
 	"flag"
 	"fmt"
 	"strings"
-
-	"repro/internal/readsim"
 )
 
-// Flags is the flag→Options plumbing shared by cmd/elba and cmd/experiments
-// (previously copied between them): the execution knobs every command
-// exposes, with one Register/Apply pair so the flag names, defaults and help
-// strings cannot drift apart.
+// Flags is the flag→Options plumbing shared by cmd/elba and cmd/experiments:
+// the execution knobs every command exposes, with one Register/Apply pair so
+// the flag names, defaults and help strings cannot drift apart.
 type Flags struct {
 	Backend   string // -backend: alignment backend name
 	Threads   int    // -threads: intra-rank workers (0 = auto split)
@@ -32,54 +29,21 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 		"rank transport: inproc (goroutines + mailboxes) | tcp (loopback socket mesh) | proc (one OS process per rank; elba only); contigs are identical on all")
 }
 
-// Validate checks the -comm spelling (flag syntax, not an Options field);
-// backend and thread values are validated with everything else by
-// Options.Validate at New/Run time.
-func (f *Flags) Validate() error {
+// Apply copies the flags onto opt. Only the -comm spelling is judged here
+// (flag syntax, not an Options field); backend, thread count and transport
+// are validated with everything else by Options.Validate — at Plan, or
+// earlier by a caller that wants to fail before doing any work. The proc
+// transport is copied verbatim: only cmd/elba sets the endpoint hook that
+// makes it runnable, every other command gets Validate's error.
+func (f *Flags) Apply(opt *Options) error {
 	switch f.Comm {
 	case "async", "sync":
 	default:
 		return fmt.Errorf("unknown -comm mode %q (want async|sync)", f.Comm)
 	}
-	switch f.Transport {
-	case "", TransportInproc, TransportTCP, TransportProc:
-	default:
-		return fmt.Errorf("unknown -transport %q (want inproc|tcp|proc)", f.Transport)
-	}
-	return nil
-}
-
-// Apply validates the flags and copies them onto opt. The proc transport is
-// copied verbatim; commands without the process launcher surface the
-// validation error from Options.Validate (only cmd/elba sets the endpoint
-// hook that makes proc runnable).
-func (f *Flags) Apply(opt *Options) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	opt.Async = f.AsyncMode()
+	opt.Async = f.Comm == "async"
 	opt.AlignBackend = f.Backend
 	opt.Threads = f.Threads
 	opt.Transport = f.Transport
 	return nil
-}
-
-// AsyncMode reports the parsed -comm flag as a boolean (async unless
-// "sync"); valid once Validate has accepted the spelling. Commands that
-// parameterize runs beyond the flag defaults (cmd/experiments sweeps) read
-// this instead of Apply.
-func (f *Flags) AsyncMode() bool { return f.Comm != "sync" }
-
-// ParsePreset resolves a preset name (celegans | osativa | hsapiens) — the
-// -preset flag spelling shared by the commands.
-func ParsePreset(name string) (Preset, error) {
-	switch name {
-	case "celegans":
-		return readsim.CElegansLike, nil
-	case "osativa":
-		return readsim.OSativaLike, nil
-	case "hsapiens":
-		return readsim.HSapiensLike, nil
-	}
-	return 0, fmt.Errorf("unknown preset %q (want celegans|osativa|hsapiens)", name)
 }

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/bidir"
@@ -32,6 +33,24 @@ type Contig struct {
 	Seq      []byte
 	Reads    []int32 // global read ids in walk order
 	Circular bool    // true if the chain closed on itself (no root vertices)
+}
+
+// WriteContigs serializes contigs as FASTA records named contig_00000…,
+// each id carrying the sequence length, read count and circularity — the
+// one naming `elba -out` and elbad's GET /jobs/{id}/contigs share.
+func WriteContigs(w io.Writer, contigs []Contig) error {
+	recs := make([]fasta.Record, len(contigs))
+	for i, c := range contigs {
+		circ := ""
+		if c.Circular {
+			circ = " circular"
+		}
+		recs[i] = fasta.Record{
+			ID:  fmt.Sprintf("contig_%05d len=%d reads=%d%s", i, len(c.Seq), len(c.Reads), circ),
+			Seq: c.Seq,
+		}
+	}
+	return fasta.Write(w, recs, 80)
 }
 
 // Result is the outcome of contig generation on one rank.

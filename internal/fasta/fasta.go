@@ -55,6 +55,20 @@ func Read(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
+// ReadSeqs parses r and returns just the sequences, the pipeline's input
+// shape.
+func ReadSeqs(r io.Reader) ([][]byte, error) {
+	recs, err := Read(r)
+	if err != nil {
+		return nil, err
+	}
+	seqs := make([][]byte, len(recs))
+	for i, rec := range recs {
+		seqs[i] = rec.Seq
+	}
+	return seqs, nil
+}
+
 // Write serializes records to w with lines wrapped at width columns
 // (0 means no wrapping).
 func Write(w io.Writer, recs []Record, width int) error {

@@ -12,9 +12,9 @@ import (
 // Validate checks every option in one pass and reports all violations
 // together, each error naming its field — so a caller who got three
 // parameters wrong fixes them in one round trip instead of three. It is the
-// single gate in front of every execution path: Run, Engine.Plan and the
-// elba facade all call it before any rank starts, which is why the deep
-// kmer/grid code may simply panic on impossible values.
+// single gate in front of every execution path: Resolve, Run and Plan all
+// call it before any rank starts, which is why the deep kmer/grid code may
+// simply panic on impossible values.
 func (o Options) Validate() error {
 	var errs []error
 	bad := func(field, format string, args ...any) {

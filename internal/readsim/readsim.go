@@ -198,49 +198,73 @@ func (p Preset) String() string {
 	return "unknown"
 }
 
-// paperGenomeMb is the organism genome size of Table 2 in Mb.
-func (p Preset) paperGenomeMb() float64 {
+// ParsePreset resolves a preset name (celegans | osativa | hsapiens) — the
+// spelling shared by the -preset flags and the daemon's "preset" field.
+func ParsePreset(name string) (Preset, error) {
+	switch name {
+	case "celegans":
+		return CElegansLike, nil
+	case "osativa":
+		return OSativaLike, nil
+	case "hsapiens":
+		return HSapiensLike, nil
+	}
+	return 0, fmt.Errorf("unknown preset %q (want celegans|osativa|hsapiens)", name)
+}
+
+// table2Row is a preset's row of Table 2 plus the planted-repeat spacing
+// Generate uses (one repeat per that many bases; rice is repeat-rich, so
+// O. sativa-like genomes get the heaviest load).
+type table2Row struct {
+	depth, errRate float64
+	meanLen        int     // Table 2 mean read length
+	repeatSpacing  int     // one planted repeat per this many bases
+	genomeMb       float64 // organism genome size, Mb
+}
+
+func (p Preset) table2() table2Row {
 	switch p {
 	case CElegansLike:
-		return 100
+		return table2Row{40, 0.005, 14550, 40000, 100}
 	case OSativaLike:
-		return 500
+		return table2Row{30, 0.005, 19695, 20000, 500}
 	case HSapiensLike:
-		return 3200
+		return table2Row{10, 0.15, 7401, 30000, 3200}
 	}
-	return 0
+	panic("readsim: unknown preset")
+}
+
+// CheckSize is the one gate on a Generate size that arrives from outside
+// the program (a -size flag, a genome_len field): it must be at least one
+// base, and the reads Generate would draw — preset depth × size bases — must
+// fit in maxReadBytes when that bound is positive.
+func CheckSize(p Preset, size int, maxReadBytes int64) error {
+	if size < 1 {
+		return fmt.Errorf("genome length %d: must be at least 1", size)
+	}
+	depth := p.table2().depth
+	if bases := depth * float64(size); maxReadBytes > 0 && bases > float64(maxReadBytes) {
+		return fmt.Errorf("genome length %d: %s simulates about %.0f read bytes (depth %.0f), over the %d-byte input limit",
+			size, p, bases, depth, maxReadBytes)
+	}
+	return nil
 }
 
 // Generate builds a preset dataset. size is the synthetic genome length in
-// bases; depth, read length ratio and error rate come from Table 2. Read
-// lengths are scaled to genomeLen/20 capped at the Table 2 mean so a read
-// still spans many overlaps without covering the whole toy genome.
+// bases (callers passing an outside value gate it with CheckSize); depth,
+// read length ratio and error rate come from Table 2. Read lengths are
+// scaled to genomeLen/20 capped at the Table 2 mean so a read still spans
+// many overlaps without covering the whole toy genome.
 //
 // Genomes carry planted repeats longer than the reads, mirroring the repeat
 // structure that fragments real assemblies (the reason the paper's O. sativa
 // completeness is only 37%): repeats create the branch vertices that §4.2
-// masks, so contigs break at repeat boundaries. O. sativa-like genomes get
-// the heaviest repeat load (rice is repeat-rich).
+// masks, so contigs break at repeat boundaries.
 func Generate(p Preset, size int, seed int64) *Dataset {
-	var depth, errRate float64
-	var paperLen int
-	var repeatSpacing int // one planted repeat per this many bases (0 = none)
-	switch p {
-	case CElegansLike:
-		depth, errRate, paperLen = 40, 0.005, 14550
-		repeatSpacing = 40000
-	case OSativaLike:
-		depth, errRate, paperLen = 30, 0.005, 19695
-		repeatSpacing = 20000
-	case HSapiensLike:
-		depth, errRate, paperLen = 10, 0.15, 7401
-		repeatSpacing = 30000
-	default:
-		panic("readsim: unknown preset")
-	}
+	row := p.table2()
 	meanLen := size / 20
-	if meanLen > paperLen {
-		meanLen = paperLen
+	if meanLen > row.meanLen {
+		meanLen = row.meanLen
 	}
 	if meanLen < 200 {
 		meanLen = 200
@@ -248,22 +272,22 @@ func Generate(p Preset, size int, seed int64) *Dataset {
 	genome := Genome(GenomeConfig{
 		Length:      size,
 		Seed:        seed,
-		RepeatCount: size / repeatSpacing,
+		RepeatCount: size / row.repeatSpacing,
 		RepeatLen:   meanLen * 3 / 2, // longer than reads: unbridgeable
 	})
 	reads := Simulate(genome, ReadConfig{
-		Depth:     depth,
+		Depth:     row.depth,
 		MeanLen:   meanLen,
-		ErrorRate: errRate,
+		ErrorRate: row.errRate,
 		Seed:      seed + 1,
 	})
 	return &Dataset{
 		Name:        p.String(),
 		Genome:      genome,
 		Reads:       reads,
-		Depth:       depth,
+		Depth:       row.depth,
 		MeanLen:     meanLen,
-		ErrorRate:   errRate,
-		ScaleFactor: p.paperGenomeMb() * 1e6 / float64(size),
+		ErrorRate:   row.errRate,
+		ScaleFactor: row.genomeMb * 1e6 / float64(size),
 	}
 }

@@ -172,3 +172,42 @@ func TestPresetDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestParsePreset(t *testing.T) {
+	for name, want := range map[string]Preset{
+		"celegans": CElegansLike,
+		"osativa":  OSativaLike,
+		"hsapiens": HSapiensLike,
+	} {
+		got, err := ParsePreset(name)
+		if err != nil || got != want {
+			t.Errorf("ParsePreset(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ParsePreset("ecoli"); err == nil {
+		t.Error("unknown preset accepted")
+	}
+}
+
+// TestCheckSize: a size Generate would choke on is an error, and the byte
+// bound is the simulated read volume (depth × size), not the genome's.
+func TestCheckSize(t *testing.T) {
+	for _, size := range []int{0, -5} {
+		if err := CheckSize(CElegansLike, size, 0); err == nil {
+			t.Errorf("size %d accepted", size)
+		}
+	}
+	if err := CheckSize(CElegansLike, 1<<40, 0); err != nil {
+		t.Errorf("unbounded check refused a large size: %v", err)
+	}
+	// Depth 40: 1000 bases simulate 40000 read bytes.
+	if err := CheckSize(CElegansLike, 1000, 40000); err != nil {
+		t.Errorf("size at the bound refused: %v", err)
+	}
+	if err := CheckSize(CElegansLike, 1001, 40000); err == nil {
+		t.Error("size over the bound accepted")
+	}
+	if err := CheckSize(HSapiensLike, 1001, 40000); err != nil {
+		t.Errorf("depth-10 preset refused under the bound: %v", err)
+	}
+}

@@ -6,17 +6,16 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/elba"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/readsim"
 )
 
 // cacheFixture builds a small read set and base options for cache tests.
 func cacheFixture(t *testing.T, genomeLen int, seed int64) (pipeline.Options, [][]byte) {
 	t.Helper()
-	ds := elba.SimulateDataset(elba.CElegansLike, genomeLen, seed)
-	reads := elba.ReadSeqs(ds.Reads)
-	opt := pipeline.PresetOptions(elba.CElegansLike, 4)
+	reads := readsim.Seqs(readsim.Generate(readsim.CElegansLike, genomeLen, seed).Reads)
+	opt := pipeline.PresetOptions(readsim.CElegansLike, 4)
 	opt.Threads = 1
 	if err := opt.Validate(); err != nil {
 		t.Fatal(err)

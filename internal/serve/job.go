@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/elba"
+	"repro/internal/mpi/transport"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
@@ -266,8 +266,9 @@ func (s *Server) run(j *Job) {
 	default:
 		j.state = JobFailed
 		j.errMsg = err.Error()
-		if rank, ok := elba.FailedRank(err); ok {
-			j.errMsg = fmt.Sprintf("rank %d failed: %s", rank, err)
+		var rf *transport.RankFailure
+		if errors.As(err, &rf) {
+			j.errMsg = fmt.Sprintf("rank %d failed: %s", rf.Rank, err)
 		}
 		j.eventLocked("failed", "", j.errMsg, 0)
 	}

@@ -36,10 +36,11 @@ import (
 
 	"context"
 
-	"repro/elba"
+	"repro/internal/core"
 	"repro/internal/fasta"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/readsim"
 )
 
 // Config parameterizes a Server.
@@ -194,20 +195,18 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "upload exceeds %d bytes", s.cfg.MaxUpload)
 		return
 	}
-	recs, err := fasta.Read(bytes.NewReader(body))
+	reads, err := fasta.ReadSeqs(bytes.NewReader(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parsing FASTA: %v", err)
 		return
 	}
-	if len(recs) == 0 {
+	if len(reads) == 0 {
 		writeError(w, http.StatusBadRequest, "no sequences in upload")
 		return
 	}
-	reads := make([][]byte, len(recs))
 	var bases int64
-	for i, rec := range recs {
-		reads[i] = rec.Seq
-		bases += int64(len(rec.Seq))
+	for _, seq := range reads {
+		bases += int64(len(seq))
 	}
 	ds := &dataset{ID: obs.ChecksumSeqs(reads), Reads: len(reads), Bases: bases, reads: reads}
 	s.mu.Lock()
@@ -229,73 +228,61 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
-// jobInputs resolves a spec to (options, reads): the validation half of
-// admission, run before the job is ever queued so a bad spec is a 400 at
-// submit time, not a failed job later.
-func (s *Server) jobInputs(spec JobSpec) (pipeline.Options, [][]byte, error) {
+// Options resolves the spec's parameters through pipeline.Resolve — the
+// function cmd/elba's flags go through too, so one description means one
+// option set at either door. defaultP stands in for an unset P.
+func (spec JobSpec) Options(defaultP int) (pipeline.Options, error) {
 	p := spec.P
 	if p == 0 {
-		p = s.cfg.DefaultP
+		p = defaultP
 	}
-	var opt pipeline.Options
-	var reads [][]byte
+	return pipeline.Resolve(spec.Preset, p, pipeline.Overrides{
+		Threads: spec.Threads, K: spec.K, XDrop: spec.XDrop,
+		MinOverlap: spec.MinOverlap, MaxOverhang: spec.MaxOverhang,
+		TRFuzz: spec.TRFuzz, TRMaxIter: spec.TRMaxIter, Backend: spec.Backend,
+	})
+}
+
+// jobInputs resolves a spec to (options, reads): the validation half of
+// admission, run before the job is ever queued so a bad spec is a 400 at
+// submit time, not a failed job later. A simulated input obeys the same
+// byte bound as an uploaded one (Config.MaxUpload).
+func (s *Server) jobInputs(spec JobSpec) (pipeline.Options, [][]byte, error) {
 	switch {
 	case spec.Dataset != "" && spec.Preset != "":
-		return opt, nil, fmt.Errorf("dataset and preset are mutually exclusive")
-	case spec.Dataset != "":
+		return pipeline.Options{}, nil, fmt.Errorf("dataset and preset are mutually exclusive")
+	case spec.Dataset == "" && spec.Preset == "":
+		return pipeline.Options{}, nil, fmt.Errorf("need dataset or preset")
+	}
+	opt, err := spec.Options(s.cfg.DefaultP)
+	if err != nil {
+		return opt, nil, err
+	}
+	if spec.Dataset != "" {
 		s.mu.Lock()
 		ds := s.datasets[spec.Dataset]
 		s.mu.Unlock()
 		if ds == nil {
 			return opt, nil, fmt.Errorf("unknown dataset %q (POST it to /datasets first)", spec.Dataset)
 		}
-		reads = ds.reads
-		opt = pipeline.DefaultOptions(p)
-	case spec.Preset != "":
-		pr, err := elba.ParsePreset(spec.Preset)
-		if err != nil {
-			return opt, nil, err
-		}
-		size := spec.GenomeLen
-		if size == 0 {
-			size = 100000
-		}
-		seed := spec.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		ds := elba.SimulateDataset(pr, size, seed)
-		reads = elba.ReadSeqs(ds.Reads)
-		opt = pipeline.PresetOptions(pr, p)
-	default:
-		return opt, nil, fmt.Errorf("need dataset or preset")
+		return opt, ds.reads, nil
 	}
-	opt.Threads = spec.Threads
-	if spec.K > 0 {
-		opt.K = spec.K
-	}
-	if spec.XDrop > 0 {
-		opt.XDrop = spec.XDrop
-	}
-	if spec.MinOverlap > 0 {
-		opt.MinOverlap = spec.MinOverlap
-	}
-	if spec.MaxOverhang > 0 {
-		opt.MaxOverhang = spec.MaxOverhang
-	}
-	if spec.TRFuzz > 0 {
-		opt.TRFuzz = spec.TRFuzz
-	}
-	if spec.TRMaxIter > 0 {
-		opt.TRMaxIter = spec.TRMaxIter
-	}
-	if spec.Backend != "" {
-		opt.AlignBackend = spec.Backend
-	}
-	if err := opt.Validate(); err != nil {
+	pr, err := readsim.ParsePreset(spec.Preset)
+	if err != nil {
 		return opt, nil, err
 	}
-	return opt, reads, nil
+	size := spec.GenomeLen
+	if size == 0 {
+		size = 100000
+	}
+	seed := spec.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	if err := readsim.CheckSize(pr, size, s.cfg.MaxUpload); err != nil {
+		return opt, nil, err
+	}
+	return opt, readsim.Seqs(readsim.Generate(pr, size, seed).Reads), nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -444,7 +431,7 @@ func (s *Server) handleContigs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	elba.WriteContigs(w, out.Contigs)
+	core.WriteContigs(w, out.Contigs)
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {

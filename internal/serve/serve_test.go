@@ -45,6 +45,22 @@ func postJob(t *testing.T, ts *httptest.Server, spec JobSpec) string {
 
 func tryPostJob(t *testing.T, ts *httptest.Server, spec JobSpec) (string, int) {
 	t.Helper()
+	status, body := postSpec(t, ts, spec)
+	if status != http.StatusAccepted {
+		return "", status
+	}
+	var out struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("decoding POST /jobs response: %v", err)
+	}
+	return out.ID, status
+}
+
+// postSpec submits spec and returns the status and raw response body.
+func postSpec(t *testing.T, ts *httptest.Server, spec JobSpec) (int, []byte) {
+	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -54,17 +70,11 @@ func tryPostJob(t *testing.T, ts *httptest.Server, spec JobSpec) (string, int) {
 		t.Fatalf("POST /jobs: %v", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		io.Copy(io.Discard, resp.Body)
-		return "", resp.StatusCode
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading POST /jobs response: %v", err)
 	}
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decoding POST /jobs response: %v", err)
-	}
-	return out.ID, resp.StatusCode
+	return resp.StatusCode, out
 }
 
 // waitJob polls GET /jobs/{id} until the job is terminal.
@@ -310,7 +320,7 @@ func TestAdmissionAndCancel(t *testing.T) {
 
 // TestUploadedDatasetRoundTrip uploads reads as FASTA, assembles the
 // dataset by id, and checks the daemon's contigs match a standalone run on
-// the same sequences. Bad submissions get 400s.
+// the same sequences. Bad submissions get 400s and leave the daemon serving.
 func TestUploadedDatasetRoundTrip(t *testing.T) {
 	s, ts := startDaemon(t, Config{})
 	opt, reads, err := s.jobInputs(JobSpec{Preset: "celegans", GenomeLen: 15000, Seed: 13, P: 1, Threads: 1})
@@ -348,15 +358,43 @@ func TestUploadedDatasetRoundTrip(t *testing.T) {
 		t.Fatalf("uploaded-dataset contigs %+v, standalone %+v", got.Contigs, want.Contigs)
 	}
 
-	for _, bad := range []JobSpec{
-		{},                                   // no input
-		{Dataset: "nope"},                    // unknown dataset
-		{Preset: "celegans", Dataset: ds.ID}, // both inputs
-		{Preset: "martian"},                  // unknown preset
-		{Preset: "celegans", P: 3},           // invalid options (P not a square)
+	// Every bad spec is a 400 that says what is wrong, and the daemon is
+	// still serving afterwards (a panicking handler shows as a transport
+	// error here, a swallowed override as a 202).
+	for _, bad := range []struct {
+		spec JobSpec
+		want string // substring of the error body
+	}{
+		{JobSpec{}, "need dataset or preset"},
+		{JobSpec{Dataset: "nope"}, "unknown dataset"},
+		{JobSpec{Preset: "celegans", Dataset: ds.ID}, "mutually exclusive"},
+		{JobSpec{Preset: "martian"}, "unknown preset"},
+		{JobSpec{Preset: "celegans", P: 3}, "Options.P"},
+		{JobSpec{Preset: "celegans", GenomeLen: -5}, "genome length -5"},
+		{JobSpec{Preset: "celegans", GenomeLen: 1 << 30}, "input limit"}, // 40 GiB of reads > MaxUpload
+		{JobSpec{Preset: "celegans", Threads: -3}, "Options.Threads"},
+		{JobSpec{Preset: "celegans", K: -3}, "Options.K"},
+		{JobSpec{Preset: "celegans", XDrop: -3}, "Options.XDrop"},
+		{JobSpec{Dataset: ds.ID, MinOverlap: -3}, "Options.MinOverlap"},
+		{JobSpec{Dataset: ds.ID, MaxOverhang: -3}, "Options.MaxOverhang"},
+		{JobSpec{Preset: "celegans", TRFuzz: -3}, "Options.TRFuzz"},
+		{JobSpec{Preset: "celegans", TRMaxIter: -3}, "Options.TRMaxIter"},
+		{JobSpec{Preset: "celegans", K: 99, TRFuzz: -3}, "Options.TRFuzz"}, // all violations, not just the first (K)
 	} {
-		if _, status := tryPostJob(t, ts, bad); status != http.StatusBadRequest {
-			t.Fatalf("spec %+v: status %d, want 400", bad, status)
+		status, body := postSpec(t, ts, bad.spec)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), bad.want) {
+			t.Errorf("spec %+v: status %d body %s, want 400 naming %q", bad.spec, status, body, bad.want)
 		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("GET /healthz after spec %+v: %v", bad.spec, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /healthz after spec %+v: status %d", bad.spec, resp.StatusCode)
+		}
+	}
+	if st := waitJob(t, ts, postJob(t, ts, spec)); st.State != JobDone {
+		t.Fatalf("good job after the rejected ones: %q (%s)", st.State, st.Error)
 	}
 }
