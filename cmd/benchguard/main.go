@@ -18,12 +18,14 @@
 // bounded and compared by benchmark/ (the spine) instead.
 //
 // Allocation metrics get their own, tighter gate: -benchmem output is
-// normalized to allocs_per_op / bytes_per_op, and allocs_per_op fails on
-// more than 1.5x growth (allocation counts are near-deterministic for a
-// pinned seed, and the hot kernels are kept allocation-lean on purpose, so
-// churn creep must not ride in under the loose work-counter ratio).
-// bytes_per_op is recorded but not gated: heap bytes shift with map/slice
-// growth thresholds across Go versions.
+// normalized to allocs_per_op / bytes_per_op, and either fails on more than
+// 1.5x growth (both are near-deterministic for a pinned seed, and the hot
+// kernels are kept allocation-lean on purpose, so churn creep must not ride
+// in under the loose work-counter ratio). The two catch different
+// regressions: a buffer grown by append instead of sized up front multiplies
+// the bytes and barely moves the count — the layout pass once allocated
+// 981 MB where 320 MB do, with only twice the allocations — while map and
+// slice growth thresholds shifting across Go versions stay far inside 1.5x.
 //
 // The baseline and the run must name the same gated metrics: a baseline
 // entry no benchmark line matches fails (a deleted benchmark left a stale
@@ -155,10 +157,10 @@ type gateRule struct {
 }
 
 // gateRules is the -baseline gate: the host-independent work and traffic
-// counters at 2x, allocation counts at the tighter 1.5x.
+// counters at 2x, allocation counts and bytes at the tighter 1.5x.
 var gateRules = []gateRule{
 	{regexp.MustCompile(`^(align_cells|comm_bytes|comm_messages)$`), 2.0},
-	{regexp.MustCompile(`^allocs_per_op$`), 1.5},
+	{regexp.MustCompile(`^(allocs|bytes)_per_op$`), 1.5},
 }
 
 // ratioFor returns the growth limit of the first rule matching metric, or 0

@@ -184,6 +184,22 @@ func TestCompareAllocGateIsTighter(t *testing.T) {
 	}
 }
 
+func TestGateRulesCatchByteGrowthCountsMiss(t *testing.T) {
+	// The committed rules gate bytes_per_op beside allocs_per_op: a buffer
+	// grown by append instead of sized up front moves the count by 15% (under
+	// the 1.5x count gate) and the bytes by 1.8x, which must fail.
+	base := parseSample(t, memSample)
+	grew := parseSample(t, strings.NewReplacer("222 allocs/op", "255 allocs/op", "41414656 B/op", "74546380 B/op").Replace(memSample))
+	bad := compare(base, grew, gateRules)
+	if len(bad) != 1 || !strings.Contains(bad[0], "bytes_per_op regressed 1.80x") {
+		t.Fatalf("1.8x byte growth under a 1.15x count growth produced %v", bad)
+	}
+	shrunk := parseSample(t, strings.ReplaceAll(memSample, "41414656 B/op", "13000000 B/op"))
+	if bad := compare(base, shrunk, gateRules); len(bad) != 0 {
+		t.Fatalf("byte reduction flagged: %v", bad)
+	}
+}
+
 func TestCompareFirstMatchingRuleWins(t *testing.T) {
 	// A metric matching several rules uses the first: listing the alloc rule
 	// first pins allocs_per_op to 1.2x even if a broad rule would allow 10x.

@@ -67,8 +67,13 @@ type Result struct {
 }
 
 // ContigGeneration runs Algorithm 2 on the string matrix s. Sub-stage
-// timings land in tm under CG:* names (the paper's contig-phase breakdown:
-// the induced subgraph step dominates with 65–85% of the phase).
+// timings land in tm under CG:* names. The paper's contig-phase breakdown
+// has the induced subgraph step dominating with 65–85% of the phase; here,
+// where the step routes only edge triples, it is 4–7% and the phase is the
+// read-sequence exchange and the connected components: on the benchmark's
+// 10 Mb layout problem at P = 4 the exchange was 58% of the phase while every
+// base was copied five times, and is about a third now that each is copied
+// once (DESIGN.md §11 has the per-step copy budget), with LACC about half.
 // packSeqs enables the 2-bit sequence-communication encoding (§7 future
 // work); false matches the paper's raw char-buffer protocol.
 //
@@ -408,20 +413,29 @@ func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 }
 
 // startCommunicateSequences is the shared body: async posts nonblocking
-// exchanges, blocking completes them in place.
+// exchanges, blocking completes them in place. Every per-destination buffer
+// is sized from the replicated length table before a base is packed
+// (diBELLA's order), so each assigned base is copied once on the way out.
 func startCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int32], packed, async bool) *SeqCommHandle {
 	g := assign.G
 	p := g.Comm.Size()
 	h := &SeqCommHandle{store: store, p: p}
-	ids := make([][]int32, p)
-	raw := make([][][]byte, p)
+	reads := make([]int, p)
+	bases := make([]int, p)
 	for i, proc := range assign.Local {
-		if proc < 0 {
-			continue
+		if proc >= 0 {
+			reads[proc]++
+			bases[proc] += store.Len(int(assign.Lo) + i)
 		}
-		gid := assign.Lo + int32(i)
-		ids[proc] = append(ids[proc], gid)
-		raw[proc] = append(raw[proc], store.Get(int(gid)))
+	}
+	ids := make([][]int32, p)
+	for r := range ids {
+		ids[r] = make([]int32, 0, reads[r])
+	}
+	for i, proc := range assign.Local {
+		if proc >= 0 {
+			ids[proc] = append(ids[proc], assign.Lo+int32(i))
+		}
 	}
 	if async {
 		h.idsReq = mpi.IAlltoallv(g.Comm, ids)
@@ -436,7 +450,11 @@ func startCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 		okLocal := true
 		words := make([][]uint64, p)
 		for r := 0; r < p && okLocal; r++ {
-			words[r], okLocal = dna.PackAll(raw[r])
+			seqs := make([][]byte, len(ids[r]))
+			for i, gid := range ids[r] {
+				seqs[i] = store.Get(int(gid))
+			}
+			words[r], okLocal = dna.PackAll(seqs)
 		}
 		if mpi.Allreduce(g.Comm, okLocal, func(a, b bool) bool { return a && b }) {
 			h.packed = true
@@ -448,28 +466,39 @@ func startCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 			return h
 		}
 	}
-	bufs := make([][]byte, p)
-	for r := 0; r < p; r++ {
-		for _, seq := range raw[r] {
-			bufs[r] = append(bufs[r], seq...)
+	// Raw protocol: each read is copied once, straight into the frame that
+	// carries it.
+	bufs := make([]mpi.ByteBuf, p)
+	for r := range bufs {
+		bufs[r] = mpi.NewByteBuf(bases[r])
+		dst := bufs[r].Bytes()
+		for _, gid := range ids[r] {
+			dst = dst[copy(dst, store.Get(int(gid))):]
 		}
 	}
 	if async {
-		h.rawReq = mpi.IAlltoallvChunked(g.Comm, bufs)
+		h.rawReq = mpi.IAlltoallvBytes(g.Comm, bufs)
 	} else {
-		h.gotBufs = mpi.AlltoallvChunked(g.Comm, bufs)
+		h.gotBufs = mpi.AlltoallvBytes(g.Comm, bufs)
 	}
 	return h
 }
 
 // Finish waits for any posted exchange and returns the received sequences
-// keyed by global read id.
+// keyed by global read id. The raw protocol's sequences are slices of the
+// received buffers (one per source rank), not copies. What each source sent
+// must be exactly what the replicated lengths of its ids demand; anything
+// else panics naming the source rank and the ids.
 func (h *SeqCommHandle) Finish() map[int32][]byte {
 	gotIDs := h.gotIDs
 	if h.idsReq != nil {
 		gotIDs = h.idsReq.WaitValue()
 	}
-	out := map[int32][]byte{}
+	total := 0
+	for _, part := range gotIDs {
+		total += len(part)
+	}
+	out := make(map[int32][]byte, total)
 	if h.packed {
 		gotWords := h.gotWords
 		if h.packReq != nil {
@@ -480,6 +509,7 @@ func (h *SeqCommHandle) Finish() map[int32][]byte {
 			for i, gid := range gotIDs[r] {
 				lens[i] = h.store.Len(int(gid))
 			}
+			checkReceived(r, gotIDs[r], "2-bit words", len(gotWords[r]), dna.PackedWords(lens))
 			for i, seq := range dna.UnpackAll(gotWords[r], lens) {
 				out[gotIDs[r][i]] = seq
 			}
@@ -491,14 +521,32 @@ func (h *SeqCommHandle) Finish() map[int32][]byte {
 		gotBufs = h.rawReq.WaitValue()
 	}
 	for r := 0; r < h.p; r++ {
+		want := 0
+		for _, gid := range gotIDs[r] {
+			want += h.store.Len(int(gid))
+		}
+		checkReceived(r, gotIDs[r], "sequence bytes", len(gotBufs[r]), want)
 		off := 0
 		for _, gid := range gotIDs[r] {
 			ln := h.store.Len(int(gid))
-			out[gid] = gotBufs[r][off : off+ln]
+			out[gid] = gotBufs[r][off : off+ln : off+ln]
 			off += ln
 		}
 	}
 	return out
+}
+
+// checkReceived panics unless source rank src sent exactly the want units
+// the lengths of its announced read ids add up to.
+func checkReceived(src int, ids []int32, unit string, got, want int) {
+	if got == want {
+		return
+	}
+	span := "no reads"
+	if len(ids) > 0 {
+		span = fmt.Sprintf("%d reads, ids %d…%d", len(ids), ids[0], ids[len(ids)-1])
+	}
+	panic(fmt.Sprintf("core: rank %d sent %d %s for %s, whose lengths demand %d", src, got, unit, span, want))
 }
 
 // LocalAssembly walks every linear chain of the local graph and concatenates
@@ -614,82 +662,85 @@ func assembleSegments(lg *LocalGraph, seqs map[int32][]byte, steps []step, circu
 	return out
 }
 
-// assembleChain concatenates one valid chain into a contig.
+// assembleChain concatenates one valid chain into a contig. The contig's
+// exact length is the sum of its pieces, so the pieces are laid out first and
+// the sequence is written once into a buffer of that size.
 func assembleChain(lg *LocalGraph, seqs map[int32][]byte, steps []step, circular bool) (Contig, bool) {
 	q := len(steps)
 	if q < 2 {
 		return Contig{}, false
 	}
-	reads := make([]int32, q)
-	for i, st := range steps {
-		reads[i] = lg.Globals[st.vertex]
+	type piece struct {
+		l        []byte
+		from, to int32 // inclusive, in walk direction
+		fwd      bool
 	}
-	var seq []byte
+	reads := make([]int32, q)
+	pieces := make([]piece, q)
+	total := 0
 	for i, st := range steps {
 		gid := lg.Globals[st.vertex]
+		reads[i] = gid
 		l, ok := seqs[gid]
 		if !ok {
 			panic(fmt.Sprintf("core: read %d missing from local sequence store", gid))
 		}
 		L := int32(len(l))
-		var fwd bool
-		if i == 0 {
-			fwd = steps[1].edge.SrcForward()
-		} else {
-			fwd = steps[i].edge.DstForward()
-		}
-		// Inclusive slice bounds on the read in walk order.
-		var from, to int32 // from..to in walk direction
-		if i == 0 {
-			if fwd {
-				from, to = 0, steps[1].edge.Pre
-			} else {
-				from, to = L-1, steps[1].edge.Pre
+		pc := piece{l: l}
+		switch {
+		case i == 0:
+			pc.fwd = steps[1].edge.SrcForward()
+			pc.from, pc.to = 0, steps[1].edge.Pre
+			if !pc.fwd {
+				pc.from = L - 1
 			}
-		} else if i < q-1 {
+		case i < q-1:
 			// Middle read: from the first overlap base with the previous
 			// read to the last base before the overlap with the next;
 			// walk order (ascending/descending) is implied by fwd.
-			from, to = steps[i].edge.Post, steps[i+1].edge.Pre
-		} else {
-			if fwd {
-				from, to = steps[i].edge.Post, L-1
-			} else {
-				from, to = steps[i].edge.Post, 0
+			pc.fwd = steps[i].edge.DstForward()
+			pc.from, pc.to = steps[i].edge.Post, steps[i+1].edge.Pre
+		default:
+			pc.fwd = steps[i].edge.DstForward()
+			pc.from, pc.to = steps[i].edge.Post, 0
+			if pc.fwd {
+				pc.to = L - 1
 			}
 		}
-		seq = appendPiece(seq, l, from, to, fwd)
+		lo, hi := clampPiece(L, pc.from, pc.to, pc.fwd)
+		total += max(0, int(hi-lo)+1)
+		pieces[i] = pc
+	}
+	seq := make([]byte, 0, total)
+	for _, pc := range pieces {
+		seq = appendPiece(seq, pc.l, pc.from, pc.to, pc.fwd)
 	}
 	return Contig{Seq: seq, Reads: reads, Circular: circular}, true
+}
+
+// clampPiece turns the inclusive walk-ordered bounds from..to on a read of
+// length n into the ascending index range lo..hi they cover, clamped to the
+// read; lo > hi means no base.
+func clampPiece(n, from, to int32, fwd bool) (lo, hi int32) {
+	if !fwd {
+		from, to = to, from
+	}
+	return max(from, 0), min(to, n-1)
 }
 
 // appendPiece appends the inclusive walk-ordered slice l[from..to]: forward
 // slices ascend and copy in bulk; reverse slices descend and are
 // complemented through the dna package's table (the paper's l[j:i]
-// notation). Audit note for the RevComp call-site sweep: this is the one
-// reverse-complement loop of contig generation, and it already writes
-// straight into the contig buffer — dna.RevCompRange here would allocate a
-// temporary per read piece.
+// notation).
 func appendPiece(dst, l []byte, from, to int32, fwd bool) []byte {
+	lo, hi := clampPiece(int32(len(l)), from, to, fwd)
 	if fwd {
-		if from < 0 {
-			from = 0
-		}
-		if to >= int32(len(l)) {
-			to = int32(len(l)) - 1
-		}
-		if from > to {
+		if lo > hi {
 			return dst
 		}
-		return append(dst, l[from:to+1]...)
+		return append(dst, l[lo:hi+1]...)
 	}
-	if from >= int32(len(l)) {
-		from = int32(len(l)) - 1
-	}
-	if to < 0 {
-		to = 0
-	}
-	for i := from; i >= to; i-- {
+	for i := hi; i >= lo; i-- {
 		dst = append(dst, dna.Complement(l[i]))
 	}
 	return dst

@@ -429,3 +429,42 @@ func TestCommunicateSequencesChunked(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFinishChecksReceivedTotals: what a source rank sent must be exactly what
+// the replicated lengths of its announced ids demand. A short buffer used to
+// die as an anonymous slice-bounds panic and a long one was silently ignored;
+// both now name the source rank and the ids, on either protocol.
+func TestFinishChecksReceivedTotals(t *testing.T) {
+	reads := [][]byte{[]byte("ACGTACGTAC"), []byte("GGGGG"), []byte("TTTTTTT")}
+	err := mpi.Run(1, func(c *mpi.Comm) {
+		store := fasta.FromGlobal(c, reads)
+		ids := [][]int32{{0, 2}}
+		finish := func(h *SeqCommHandle) (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			h.store, h.p, h.gotIDs = store, 1, ids
+			h.Finish()
+			return ""
+		}
+		good := finish(&SeqCommHandle{gotBufs: [][]byte{[]byte("ACGTACGTACTTTTTTT")}})
+		if good != "<nil>" {
+			panic("exact buffer rejected: " + good)
+		}
+		words, _ := dna.PackAll([][]byte{reads[0], reads[2]})
+		for name, h := range map[string]*SeqCommHandle{
+			"short raw":    {gotBufs: [][]byte{[]byte("ACGTACGTACTTTTTT")}},
+			"long raw":     {gotBufs: [][]byte{[]byte("ACGTACGTACTTTTTTTA")}},
+			"short packed": {packed: true, gotWords: [][]uint64{words[:1]}},
+			"long packed":  {packed: true, gotWords: [][]uint64{append(words, 0)}},
+		} {
+			msg := finish(h)
+			for _, want := range []string{"rank 0 sent", "2 reads, ids 0…2", "demand"} {
+				if !strings.Contains(msg, want) {
+					panic(fmt.Sprintf("%s: panic %q lacks %q", name, msg, want))
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -78,25 +78,41 @@ func (s *DistStore) Fetch(ids []int) map[int][]byte {
 		req[o] = append(req[o], int64(g))
 	}
 	got := mpi.Alltoallv(s.Comm, req)
-	// Serve: for every requester, concatenated bytes + lengths.
-	respBuf := make([][]byte, p)
+	// Serve: for every requester, the concatenated bytes, packed straight
+	// into a frame sized from the lengths.
+	respBuf := make([]mpi.ByteBuf, p)
 	for r := 0; r < p; r++ {
+		respBuf[r] = mpi.NewByteBuf(s.totalLen(got[r]))
+		dst := respBuf[r].Bytes()
 		for _, g64 := range got[r] {
-			respBuf[r] = append(respBuf[r], s.Get(int(g64))...)
+			dst = dst[copy(dst, s.Get(int(g64))):]
 		}
 	}
-	back := mpi.AlltoallvChunked(s.Comm, respBuf)
+	back := mpi.AlltoallvBytes(s.Comm, respBuf)
 	out := make(map[int][]byte, len(uniq))
 	for r := 0; r < p; r++ {
-		off := 0
-		for _, g64 := range req[r] {
-			g := int(g64)
-			l := int(s.Lens[g])
-			out[g] = back[r][off : off+l]
-			off += l
+		lens := make([]int32, len(req[r]))
+		for i, g64 := range req[r] {
+			lens[i] = s.Lens[g64]
+		}
+		source := fmt.Sprintf("rank %d answering for no reads", r)
+		if n := len(req[r]); n > 0 {
+			source = fmt.Sprintf("rank %d answering for %d reads, ids %d…%d", r, n, req[r][0], req[r][n-1])
+		}
+		for i, seq := range unflatten(back[r], lens, source) {
+			out[int(req[r][i])] = seq
 		}
 	}
 	return out
+}
+
+// totalLen sums the replicated lengths of the given read ids.
+func (s *DistStore) totalLen(ids []int64) int {
+	total := 0
+	for _, g := range ids {
+		total += int(s.Lens[g])
+	}
+	return total
 }
 
 // Len returns the length of any read (lengths are replicated).
@@ -113,14 +129,19 @@ func (s *DistStore) Len(g int) int { return int(s.Lens[g]) }
 // Returned slices are indexed from the row/column range start of an n×n
 // matrix with n = s.N. Collective.
 func (s *DistStore) RowColSequences(g *grid.Grid) (rowSeqs, colSeqs [][]byte) {
-	// Flatten local reads into one buffer so traffic counters see volume.
-	var flat []byte
+	// Flatten local reads into one buffer, sized first, so traffic counters
+	// see volume.
+	total := 0
+	for _, seq := range s.Seqs {
+		total += len(seq)
+	}
+	flat := make([]byte, 0, total)
 	for _, seq := range s.Seqs {
 		flat = append(flat, seq...)
 	}
 	rowFlat, _ := mpi.AllgathervFlat(g.RowComm, flat)
 	rowLo, rowHi := g.MyRowRange(s.N)
-	rowSeqs = unflatten(rowFlat, s.Lens[rowLo:rowHi])
+	rowSeqs = unflatten(rowFlat, s.Lens[rowLo:rowHi], fmt.Sprintf("row communicator, reads %d…%d", rowLo, rowHi-1))
 
 	if g.Row == g.Col {
 		colSeqs = rowSeqs
@@ -131,20 +152,27 @@ func (s *DistStore) RowColSequences(g *grid.Grid) (rowSeqs, colSeqs [][]byte) {
 	mpi.SendChunked(g.Comm, partner, tag, rowFlat)
 	colFlat := mpi.RecvChunked[byte](g.Comm, partner, tag)
 	colLo, colHi := g.MyColRange(s.N)
-	colSeqs = unflatten(colFlat, s.Lens[colLo:colHi])
+	colSeqs = unflatten(colFlat, s.Lens[colLo:colHi], fmt.Sprintf("transposed rank %d, reads %d…%d", partner, colLo, colHi-1))
 	return rowSeqs, colSeqs
 }
 
-// unflatten splits a concatenated buffer back into per-read slices.
-func unflatten(flat []byte, lens []int32) [][]byte {
+// unflatten splits a concatenated buffer back into per-read slices. The
+// buffer must hold exactly what the lengths demand — checked before anything
+// is sliced, so a short or long buffer panics naming its source, not as an
+// anonymous slice-bounds error or not at all.
+func unflatten(flat []byte, lens []int32, source string) [][]byte {
+	want := 0
+	for _, l := range lens {
+		want += int(l)
+	}
+	if want != len(flat) {
+		panic(fmt.Sprintf("fasta: sequence buffer from %s has %d bytes, lengths demand %d", source, len(flat), want))
+	}
 	out := make([][]byte, len(lens))
 	off := 0
 	for i, l := range lens {
-		out[i] = flat[off : off+int(l)]
+		out[i] = flat[off : off+int(l) : off+int(l)]
 		off += int(l)
-	}
-	if off != len(flat) {
-		panic(fmt.Sprintf("fasta: sequence buffer has %d bytes, lengths demand %d", len(flat), off))
 	}
 	return out
 }

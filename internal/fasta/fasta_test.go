@@ -225,3 +225,25 @@ func TestDistStoreFetchChunked(t *testing.T) {
 		t.Fatal("not all ranks fetched")
 	}
 }
+
+// A received sequence buffer must be exactly what the replicated lengths
+// demand: a short one used to die as an anonymous slice-bounds panic, a long
+// one was silently accepted by Fetch.
+func TestUnflattenChecksTotal(t *testing.T) {
+	lens := []int32{3, 0, 2}
+	got := unflatten([]byte("AAACC"), lens, "test")
+	if string(got[0]) != "AAA" || len(got[1]) != 0 || string(got[2]) != "CC" {
+		t.Fatalf("unflatten = %q", got)
+	}
+	for _, buf := range []string{"AAAC", "AAACCG"} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "rank 3 answering") || !strings.Contains(msg, "lengths demand 5") {
+					t.Fatalf("buffer %q: panic %q does not name the source and the demand", buf, msg)
+				}
+			}()
+			unflatten([]byte(buf), lens, "rank 3 answering for 3 reads, ids 7…9")
+		}()
+	}
+}

@@ -220,18 +220,43 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 // message honours MaxMessageBytes via SendChunked, mirroring ELBA's handling
 // of the MPI 2^31-1 count limit for read sequences.
 func AlltoallvChunked[T any](c *Comm, send [][]T) [][]T {
-	tag := collTag(c)
-	p := c.Size()
-	if len(send) != p {
+	if len(send) != c.Size() {
 		panic("mpi: AlltoallvChunked needs one slice per rank")
 	}
-	recv := make([][]T, p)
-	cp := make([]T, len(send[c.rank]))
-	copy(cp, send[c.rank])
-	recv[c.rank] = cp
-	for off := 1; off < p; off++ {
-		dst := (c.rank + off) % p
+	return alltoallvChunked(c, ownCopy(send[c.rank]), func(dst int, tag int64) {
 		SendChunked(c, dst, tag, send[dst])
+	})
+}
+
+// AlltoallvBytes is AlltoallvChunked[byte] over buffers the caller packed in
+// place and gives away (see ByteBuf): same messages, bytes and result, minus
+// the copy of every buffer into a frame and of the caller's own into recv.
+func AlltoallvBytes(c *Comm, send []ByteBuf) [][]byte {
+	if len(send) != c.Size() {
+		panic("mpi: AlltoallvBytes needs one buffer per rank")
+	}
+	return alltoallvChunked(c, send[c.rank].payload, func(dst int, tag int64) {
+		sendChunkedBuf(c, dst, tag, send[dst])
+	})
+}
+
+// ownCopy is the caller's own part of an all-to-all result: a copy, never nil,
+// so the result aliases no send buffer.
+func ownCopy[T any](part []T) []T {
+	cp := make([]T, len(part))
+	copy(cp, part)
+	return cp
+}
+
+// alltoallvChunked is the pairwise exchange of the chunked all-to-alls: self
+// is the caller's own part of the result, sendTo ships the part for dst.
+func alltoallvChunked[T any](c *Comm, self []T, sendTo func(dst int, tag int64)) [][]T {
+	tag := collTag(c)
+	p := c.Size()
+	recv := make([][]T, p)
+	recv[c.rank] = self
+	for off := 1; off < p; off++ {
+		sendTo((c.rank+off)%p, tag)
 	}
 	for off := 1; off < p; off++ {
 		src := (c.rank - off + p) % p

@@ -8,6 +8,7 @@ package mpi
 // -race in CI for both the in-process mailbox and the loopback TCP mesh.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -350,6 +351,131 @@ func TestConformanceCountersEqualAcrossTransports(t *testing.T) {
 	for name, tot := range got {
 		if tot != ref {
 			t.Errorf("%s counters %+v differ from inproc %+v", name, tot, ref)
+		}
+	}
+}
+
+// TestConformanceChunkedBoundary drives the chunked byte exchange at the
+// sizes where its receive path changes — empty, exactly one full message
+// (returned as the received chunk itself), one element more (two chunks,
+// concatenated) — through all four entry points. Every one must deliver the
+// same data with the same messages and bytes: one count message plus
+// ceil(n/MaxMessageBytes) chunks per pair, 8 + n bytes.
+func TestConformanceChunkedBoundary(t *testing.T) {
+	old := MaxMessageBytes
+	MaxMessageBytes = 64
+	defer func() { MaxMessageBytes = old }()
+	fill := func(buf []byte, src, dst int) {
+		for i := range buf {
+			buf[i] = byte((src*31 + dst*7 + i) % 251)
+		}
+	}
+	plain := func(c *Comm, n int) [][]byte {
+		send := make([][]byte, c.Size())
+		for dst := range send {
+			send[dst] = make([]byte, n)
+			fill(send[dst], c.Rank(), dst)
+		}
+		return send
+	}
+	packed := func(c *Comm, n int) []ByteBuf {
+		send := make([]ByteBuf, c.Size())
+		for dst := range send {
+			send[dst] = NewByteBuf(n)
+			fill(send[dst].Bytes(), c.Rank(), dst)
+		}
+		return send
+	}
+	exchanges := []struct {
+		name string
+		run  func(c *Comm, n int) [][]byte
+	}{
+		{"AlltoallvChunked", func(c *Comm, n int) [][]byte { return AlltoallvChunked(c, plain(c, n)) }},
+		{"IAlltoallvChunked", func(c *Comm, n int) [][]byte { return IAlltoallvChunked(c, plain(c, n)).WaitValue() }},
+		{"AlltoallvBytes", func(c *Comm, n int) [][]byte { return AlltoallvBytes(c, packed(c, n)) }},
+		{"IAlltoallvBytes", func(c *Comm, n int) [][]byte { return IAlltoallvBytes(c, packed(c, n)).WaitValue() }},
+	}
+	const p = 4
+	for _, n := range []int{0, 64, 65} {
+		for _, ex := range exchanges {
+			for _, tr := range conformanceTransports() {
+				t.Run(fmt.Sprintf("n=%d/%s/%s", n, ex.name, tr.name), func(t *testing.T) {
+					w := tr.make(t, p)
+					err := w.Run(func(c *Comm) {
+						recv := ex.run(c, n)
+						for src := range recv {
+							want := make([]byte, n)
+							fill(want, src, c.Rank())
+							if recv[src] == nil || !bytes.Equal(recv[src], want) {
+								panic(fmt.Sprintf("rank %d: bad buffer from %d: %v", c.Rank(), src, recv[src]))
+							}
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					pairs := int64(p * (p - 1))
+					wantMsgs := pairs * int64(1+(n+63)/64)
+					wantBytes := pairs * int64(8+n)
+					if w.TotalMsgs() != wantMsgs || w.TotalBytes() != wantBytes {
+						t.Fatalf("%d msgs / %d bytes, want %d / %d", w.TotalMsgs(), w.TotalBytes(), wantMsgs, wantBytes)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestConformanceChunkedRejectsBadStreams: the element count of a chunked
+// stream is the peer's word. A receiver must not allocate from it, and a
+// negative count, a stream that stops short (an empty chunk) or a chunk that
+// overruns the count must fail the world naming the sender — not panic in
+// makeslice, not be silently accepted.
+func TestConformanceChunkedRejectsBadStreams(t *testing.T) {
+	streams := []struct {
+		name string
+		send func(c *Comm, tag int64)
+	}{
+		{"negative-count", func(c *Comm, tag int64) {
+			SendOne(c, 1, tag, int64(-5))
+		}},
+		{"huge-count-short-stream", func(c *Comm, tag int64) {
+			SendOne(c, 1, tag, int64(1)<<60)
+			Send(c, 1, tag, []byte{1})
+			Send(c, 1, tag, []byte{})
+		}},
+		{"overrun", func(c *Comm, tag int64) {
+			SendOne(c, 1, tag, int64(3))
+			Send(c, 1, tag, []byte{1, 2})
+			Send(c, 1, tag, []byte{3, 4})
+		}},
+	}
+	recvs := []struct {
+		name string
+		recv func(c *Comm, tag int64)
+	}{
+		{"RecvChunked", func(c *Comm, tag int64) { RecvChunked[byte](c, 0, tag) }},
+		{"IrecvChunked", func(c *Comm, tag int64) { IrecvChunked[byte](c, 0, tag).WaitValue() }},
+	}
+	for _, st := range streams {
+		for _, rv := range recvs {
+			t.Run(st.name+"/"+rv.name, func(t *testing.T) {
+				forTransports(t, []int{2}, func(t *testing.T, w *World) {
+					const tag = 77
+					err := w.Run(func(c *Comm) {
+						if c.Rank() == 0 {
+							st.send(c, tag)
+							return
+						}
+						rv.recv(c, tag)
+						panic("bad chunked stream was accepted")
+					})
+					var rf *transport.RankFailure
+					if !errors.As(err, &rf) || rf.Rank != 0 {
+						t.Fatalf("err = %v, want a RankFailure naming rank 0", err)
+					}
+				})
+			})
 		}
 	}
 }

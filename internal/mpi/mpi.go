@@ -682,7 +682,7 @@ func RecvOne[T any](c *Comm, src int, tag int64) T {
 
 // SendChunked splits data into MaxMessageBytes-sized chunks, mirroring how
 // ELBA works around the MPI 2^31-1 count limit for read-sequence buffers.
-// The element count is sent first so the receiver can size its buffer.
+// The element count is sent first; every chunk but the last is full.
 func SendChunked[T any](c *Comm, dst int, tag int64, data []T) {
 	esz := sizeOf[T]()
 	if esz == 0 {
@@ -702,12 +702,80 @@ func SendChunked[T any](c *Comm, dst int, tag int64, data []T) {
 	}
 }
 
-// RecvChunked receives a buffer sent with SendChunked.
+// ByteBuf is a []byte send buffer for the chunked byte exchanges that is laid
+// out as its own wire frame: the sender sizes it, packs its bytes straight
+// into Bytes, and the exchange hands the frame to the transport as it stands,
+// without Marshal's copy. Passing a ByteBuf to an exchange gives it away —
+// the frame's one owner is then its receiver — so the caller must not read
+// or write it afterwards.
+type ByteBuf struct {
+	frame, payload []byte
+}
+
+// NewByteBuf returns a send buffer with room for exactly n bytes.
+func NewByteBuf(n int) ByteBuf {
+	frame, payload := wire.NewByteFrame(n)
+	return ByteBuf{frame: frame, payload: payload}
+}
+
+// Bytes is the n-byte region to fill.
+func (b ByteBuf) Bytes() []byte { return b.payload }
+
+// sendChunkedBuf is SendChunked for a ByteBuf — same messages, same bytes: a
+// buffer that fits one message travels as the frame it already is; a larger
+// one is chunked, and so re-encoded, like any other.
+func sendChunkedBuf(c *Comm, dst int, tag int64, b ByteBuf) {
+	n := int64(len(b.payload))
+	if n == 0 || n > MaxMessageBytes {
+		SendChunked(c, dst, tag, b.payload)
+		return
+	}
+	SendOne(c, dst, tag, n)
+	c.sendRaw(dst, tag, b.frame, n)
+}
+
+// RecvChunked receives a buffer sent with SendChunked. A buffer that arrived
+// as one chunk — every buffer under MaxMessageBytes — is returned as decoded,
+// with no second copy; a []byte buffer is then a view of the received frame,
+// which this receiver alone owns (a point-to-point frame is dropped by its
+// sender at Send and matched once; see DESIGN.md, "one owner per frame").
 func RecvChunked[T any](c *Comm, src int, tag int64) []T {
-	n := RecvOne[int64](c, src, tag)
-	out := make([]T, 0, n)
-	for int64(len(out)) < n {
-		out = append(out, Recv[T](c, src, tag)...)
+	return recvChunked[T](c, src, tag, armedNow)
+}
+
+// recvChunked is the body RecvChunked and IrecvChunked share. The announced
+// count comes from the peer, so nothing is allocated from it: the result
+// grows as chunks arrive, and a negative count, an empty chunk (a stream
+// that stopped short) or a chunk overrunning the count fails the world with
+// src named as the failed rank.
+func recvChunked[T any](c *Comm, src int, tag int64, armed <-chan struct{}) []T {
+	n := mustUnmarshalOne[int64](c.recvRawArmed(src, tag, armed))
+	if n < 0 {
+		c.failPeer(src, fmt.Errorf("mpi: chunked stream (tag %d) announces %d elements", tag, n))
+	}
+	out := []T{}
+	for got := int64(0); got < n; got = int64(len(out)) {
+		chunk, err := wire.UnmarshalOwned[T](c.recvRawArmed(src, tag, armed))
+		if err != nil {
+			panic(fmt.Sprintf("mpi: recv type mismatch: %v", err))
+		}
+		if len(chunk) == 0 || got+int64(len(chunk)) > n {
+			c.failPeer(src, fmt.Errorf("mpi: chunked stream (tag %d) sent a chunk of %d elements with %d of %d outstanding",
+				tag, len(chunk), n-got, n))
+		}
+		if got == 0 {
+			out = chunk
+		} else {
+			out = append(out, chunk...)
+		}
 	}
 	return out
+}
+
+// failPeer cancels the world over a protocol violation by src (communicator
+// rank), attributed to it like a transport-reported failure, and unwinds the
+// calling rank.
+func (c *Comm) failPeer(src int, err error) {
+	c.world.Cancel(&transport.RankFailure{Rank: c.group[src], Err: err})
+	panic(cancelPanic{c.world.Err()})
 }

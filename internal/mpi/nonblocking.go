@@ -200,12 +200,7 @@ func IrecvChunked[T any](c *Comm, src int, tag int64) *RecvRequest[T] {
 	r := &RecvRequest[T]{reqState: newReqState()}
 	c.attachObs(&r.reqState)
 	r.background(func() {
-		n := mustUnmarshalOne[int64](c.recvRawArmed(src, tag, r.armed))
-		out := make([]T, 0, n)
-		for int64(len(out)) < n {
-			out = append(out, mustUnmarshal[T](c.recvRawArmed(src, tag, r.armed))...)
-		}
-		r.val = out
+		r.val = recvChunked[T](c, src, tag, r.armed)
 	})
 	return r
 }
@@ -294,15 +289,14 @@ func (r *AlltoallvRequest[T]) WaitValue() [][]T {
 	return r.out
 }
 
-// iAlltoallv is the shared body of IAlltoallv and IAlltoallvChunked: post
-// all receives first, then send (sends are buffered, so they complete at
-// post time); the request finishes when the posted receives drain.
-func iAlltoallv[T any](c *Comm, send [][]T, chunked bool) *AlltoallvRequest[T] {
+// iAlltoallv is the shared body of the nonblocking all-to-alls: post all
+// receives first, then send (sends are buffered, so they complete at post
+// time); the request finishes when the posted receives drain. self is the
+// caller's own part of the result; sendTo ships the part for dst on the
+// async view it is handed.
+func iAlltoallv[T any](c *Comm, chunked bool, self []T, sendTo func(ac *Comm, dst int, tag int64)) *AlltoallvRequest[T] {
 	tag := collTag(c)
 	p := c.Size()
-	if len(send) != p {
-		panic("mpi: IAlltoallv needs one slice per rank")
-	}
 	r := &AlltoallvRequest[T]{recvs: make([]*RecvRequest[T], p), out: make([][]T, p)}
 	// Post receives before packing/sending anything — the classic overlap
 	// schedule: remote data can land while this rank is still sending.
@@ -314,17 +308,10 @@ func iAlltoallv[T any](c *Comm, send [][]T, chunked bool) *AlltoallvRequest[T] {
 			r.recvs[src] = Irecv[T](c, src, tag)
 		}
 	}
-	cp := make([]T, len(send[c.rank]))
-	copy(cp, send[c.rank])
-	r.out[c.rank] = cp
+	r.out[c.rank] = self
 	ac := c.asyncView()
 	for off := 1; off < p; off++ {
-		dst := (c.rank + off) % p
-		if chunked {
-			SendChunked(ac, dst, tag, send[dst])
-		} else {
-			Send(ac, dst, tag, send[dst])
-		}
+		sendTo(ac, (c.rank+off)%p, tag)
 	}
 	return r
 }
@@ -333,12 +320,33 @@ func iAlltoallv[T any](c *Comm, send [][]T, chunked bool) *AlltoallvRequest[T] {
 // at post time; Wait returns when every pairwise receive has drained. Wire
 // shape and counters are identical to the blocking Alltoallv.
 func IAlltoallv[T any](c *Comm, send [][]T) *AlltoallvRequest[T] {
-	return iAlltoallv(c, send, false)
+	if len(send) != c.Size() {
+		panic("mpi: IAlltoallv needs one slice per rank")
+	}
+	return iAlltoallv(c, false, ownCopy(send[c.rank]), func(ac *Comm, dst int, tag int64) {
+		Send(ac, dst, tag, send[dst])
+	})
 }
 
 // IAlltoallvChunked is IAlltoallv with every pairwise message honouring
 // MaxMessageBytes via the chunked wire protocol — the nonblocking form of
 // the paper's read-sequence exchange.
 func IAlltoallvChunked[T any](c *Comm, send [][]T) *AlltoallvRequest[T] {
-	return iAlltoallv(c, send, true)
+	if len(send) != c.Size() {
+		panic("mpi: IAlltoallvChunked needs one slice per rank")
+	}
+	return iAlltoallv(c, true, ownCopy(send[c.rank]), func(ac *Comm, dst int, tag int64) {
+		SendChunked(ac, dst, tag, send[dst])
+	})
+}
+
+// IAlltoallvBytes is the nonblocking AlltoallvBytes: IAlltoallvChunked[byte]
+// over buffers the caller packed in place and gives away (see ByteBuf).
+func IAlltoallvBytes(c *Comm, send []ByteBuf) *AlltoallvRequest[byte] {
+	if len(send) != c.Size() {
+		panic("mpi: IAlltoallvBytes needs one buffer per rank")
+	}
+	return iAlltoallv(c, true, send[c.rank].payload, func(ac *Comm, dst int, tag int64) {
+		sendChunkedBuf(ac, dst, tag, send[dst])
+	})
 }

@@ -26,9 +26,12 @@ import (
 )
 
 // Message is one point-to-point transmission: an opaque payload from world
-// rank Src under a matching tag. The payload is immutable by convention —
-// senders must not modify it after Send, receivers must not modify it after
-// Match (in-process delivery passes the same backing array to the receiver).
+// rank Src under a matching tag. A sender must not touch the payload after
+// Send: in-process delivery passes the same backing array to the receiver. A
+// payload sent to one destination then has one owner, whoever Matched it
+// (package mpi's chunked byte receive keeps it as the result); a payload sent
+// to several destinations, as a broadcast forwards its frame, is shared and
+// stays read-only for all of them.
 type Message struct {
 	Src     int
 	Tag     int64

@@ -29,10 +29,17 @@
 // equal across transports by construction, and a 10-element []int64 message
 // still counts 80 bytes exactly as the reflection-based accounting did.
 //
-// Codecs are compiled per element type on first use and cached; types whose
-// memory layout already matches the wire layout (fixed-width, no padding, no
-// indirection) encode and decode as single bulk copies on little-endian
-// hosts.
+// Codecs are compiled per element type on first use and cached. On
+// little-endian hosts a type whose memory layout already matches the wire
+// layout (fixed-width, no padding, no indirection) encodes and decodes as one
+// bulk copy, and every other fixed-size type whose leaves are fixed-width
+// numbers — a padded struct such as a matrix triple — as a short list of
+// copy runs per element (see copyRun), with one length check per frame. The
+// per-field closures are the implementation for everything else:
+// variable-length types, padded types with a bool in them (the closures
+// decode a bool normalised to 0/1; copy runs are for numbers only) and
+// elements nested inside either. All three paths produce the same bytes;
+// padding never reaches a frame.
 package wire
 
 import (
@@ -40,6 +47,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 	"unsafe"
@@ -54,83 +62,104 @@ const (
 	headerLen = 1 + 1 + 4
 )
 
-// Marshal encodes a slice of values as one frame.
+// Marshal encodes a slice of values as one frame, allocated once at its exact
+// size: fixed-size types are n × their width, variable-length types are
+// measured in a sizing pass first.
 func Marshal[T any](data []T) []byte {
 	c := codecFor[T]()
 	n := len(data)
-	buf := make([]byte, 0, headerLen+binary.MaxVarintLen64+c.sizeHint(n))
+	var base unsafe.Pointer
+	if n > 0 {
+		base = unsafe.Pointer(&data[0])
+	}
+	buf := make([]byte, 0, headerLen+uvarintLen(uint64(n))+c.encodedLen(base, n))
 	buf = append(buf, magic, kindSlice)
 	buf = binary.LittleEndian.AppendUint32(buf, c.fp)
 	buf = binary.AppendUvarint(buf, uint64(n))
-	if n == 0 {
-		return buf
-	}
-	base := unsafe.Pointer(&data[0])
-	if c.dense {
-		return append(buf, unsafe.Slice((*byte)(base), n*int(c.memSize))...)
-	}
-	for i := 0; i < n; i++ {
-		buf = c.enc(buf, unsafe.Add(base, uintptr(i)*c.memSize))
-	}
-	return buf
+	return c.appendElems(buf, base, n)
 }
 
 // MarshalOne encodes a single value as one frame.
 func MarshalOne[T any](v T) []byte {
 	c := codecFor[T]()
-	buf := make([]byte, 0, headerLen+c.sizeHint(1))
+	base := unsafe.Pointer(&v)
+	buf := make([]byte, 0, headerLen+c.encodedLen(base, 1))
 	buf = append(buf, magic, kindOne)
 	buf = binary.LittleEndian.AppendUint32(buf, c.fp)
-	if c.dense {
-		return append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&v)), c.memSize)...)
-	}
-	return c.enc(buf, unsafe.Pointer(&v))
+	return c.appendElems(buf, base, 1)
+}
+
+// NewByteFrame returns a []byte slice frame with room for n payload bytes,
+// and the payload region to fill: a sender that packs its bytes straight into
+// payload hands frame to the transport without Marshal's copy. The frame is
+// byte-identical to Marshal(payload).
+func NewByteFrame(n int) (frame, payload []byte) {
+	h := headerLen + uvarintLen(uint64(n))
+	frame = make([]byte, h+n)
+	frame[0], frame[1] = magic, kindSlice
+	binary.LittleEndian.PutUint32(frame[2:], codecFor[byte]().fp)
+	binary.PutUvarint(frame[headerLen:], uint64(n))
+	return frame, frame[h:]
 }
 
 // Unmarshal decodes a slice frame produced by Marshal[T]. The result never
 // aliases the frame.
 func Unmarshal[T any](frame []byte) ([]T, error) {
 	c := codecFor[T]()
-	rest, err := checkHeader(frame, kindSlice, c)
+	n, rest, err := readSliceHeader(frame, c)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]T, n)
+	if err := c.decodeElems(rest, unsafe.Pointer(unsafe.SliceData(out)), n); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// UnmarshalOwned is Unmarshal for a caller that is the frame's only owner —
+// nobody else holds, forwards or decodes it: a []byte frame then decodes to a
+// view of the frame's payload instead of a copy. Every other element type
+// decodes exactly as Unmarshal does.
+func UnmarshalOwned[T any](frame []byte) ([]T, error) {
+	c := codecFor[T]()
+	if !c.isByte {
+		return Unmarshal[T](frame)
+	}
+	n, rest, err := readSliceHeader(frame, c)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != n {
+		return nil, fmt.Errorf("wire: %s: frame has %d payload bytes, want %d", c.name, len(rest), n)
+	}
+	if n == 0 {
+		return []T{}, nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&rest[0])), n), nil
+}
+
+// readSliceHeader checks a slice frame's header against c and returns the
+// element count and the payload.
+func readSliceHeader(frame []byte, c *codec) (int, []byte, error) {
+	rest, err := checkHeader(frame, kindSlice, c)
+	if err != nil {
+		return 0, nil, err
+	}
 	n, rest, err := readUvarint(rest)
 	if err != nil {
-		return nil, fmt.Errorf("wire: %s: bad element count: %w", c.name, err)
+		return 0, nil, fmt.Errorf("wire: %s: bad element count: %w", c.name, err)
 	}
 	// An element encodes to at least c.minSize bytes, so a well-formed frame
 	// bounds the count — reject early rather than allocating attacker-sized
 	// slices from a corrupt varint.
 	if c.minSize > 0 && n > uint64(len(rest))/uint64(c.minSize) {
-		return nil, fmt.Errorf("wire: %s: count %d exceeds frame capacity %d", c.name, n, len(rest))
+		return 0, nil, fmt.Errorf("wire: %s: count %d exceeds frame capacity %d", c.name, n, len(rest))
 	}
 	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("wire: %s: count %d exceeds limit", c.name, n)
+		return 0, nil, fmt.Errorf("wire: %s: count %d exceeds limit", c.name, n)
 	}
-	if n == 0 {
-		return []T{}, nil
-	}
-	out := make([]T, n)
-	base := unsafe.Pointer(&out[0])
-	if c.dense {
-		want := int(n) * int(c.memSize)
-		if len(rest) != want {
-			return nil, fmt.Errorf("wire: %s: frame has %d payload bytes, want %d", c.name, len(rest), want)
-		}
-		copy(unsafe.Slice((*byte)(base), want), rest)
-		return out, nil
-	}
-	for i := uint64(0); i < n; i++ {
-		rest, err = c.dec(rest, unsafe.Add(base, uintptr(i)*c.memSize))
-		if err != nil {
-			return nil, fmt.Errorf("wire: %s: element %d: %w", c.name, i, err)
-		}
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %s: %d trailing bytes after %d elements", c.name, len(rest), n)
-	}
-	return out, nil
+	return int(n), rest, nil
 }
 
 // UnmarshalOne decodes a single-value frame produced by MarshalOne[T].
@@ -141,21 +170,8 @@ func UnmarshalOne[T any](frame []byte) (T, error) {
 	if err != nil {
 		return v, err
 	}
-	if c.dense {
-		if len(rest) != int(c.memSize) {
-			return v, fmt.Errorf("wire: %s: frame has %d payload bytes, want %d", c.name, len(rest), c.memSize)
-		}
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&v)), c.memSize), rest)
-		return v, nil
-	}
-	rest, err = c.dec(rest, unsafe.Pointer(&v))
-	if err != nil {
-		return v, fmt.Errorf("wire: %s: %w", c.name, err)
-	}
-	if len(rest) != 0 {
-		return v, fmt.Errorf("wire: %s: %d trailing bytes", c.name, len(rest))
-	}
-	return v, nil
+	err = c.decodeElems(rest, unsafe.Pointer(&v), 1)
+	return v, err
 }
 
 // DataLen reports the element-payload bytes of a frame: its length minus the
@@ -204,16 +220,157 @@ type codec struct {
 	fixed   int  // encoded bytes per element; -1 if variable
 	minSize int  // lower bound on encoded bytes per element
 	dense   bool // memory layout == wire layout: bulk-copy eligible
-	enc     func(dst []byte, p unsafe.Pointer) []byte
-	dec     func(src []byte, p unsafe.Pointer) ([]byte, error)
+	isByte  bool // uint8: the one element type UnmarshalOwned returns as a view
+	// runs is the copy-run form of a fixed-size, non-dense type whose leaves
+	// are all fixed-width numbers (nil otherwise): top-level frames of such a
+	// type move through runs instead of enc/dec.
+	runs []copyRun
+	enc  func(dst []byte, p unsafe.Pointer) []byte
+	dec  func(src []byte, p unsafe.Pointer) ([]byte, error)
+	// size reports one element's encoded length; consulted only when fixed < 0.
+	size func(p unsafe.Pointer) int
 }
 
-func (c *codec) sizeHint(n int) int {
+// copyRun is one maximal stretch of an element that is contiguous both in
+// memory and on the wire: n bytes at memory offset mem are the n bytes at
+// wire offset wire. Adjacent fields coalesce, padding falls between runs —
+// spmat.Triple[bidir.Edge] (24 bytes in memory, 21 encoded) is the two runs
+// {0, 0, 9} and {12, 9, 12}.
+type copyRun struct {
+	mem, wire, n int
+}
+
+// encodedLen is the exact encoded length of the n elements at base.
+func (c *codec) encodedLen(base unsafe.Pointer, n int) int {
 	if c.fixed >= 0 {
 		return n * c.fixed
 	}
-	return n * 16 // variable-size elements: grow from a modest guess
+	total := 0
+	for i := 0; i < n; i++ {
+		total += c.size(unsafe.Add(base, uintptr(i)*c.memSize))
+	}
+	return total
 }
+
+// appendElems encodes the n elements at base onto buf by the cheapest path
+// the type allows: one bulk copy, copy runs, or the per-field closures.
+func (c *codec) appendElems(buf []byte, base unsafe.Pointer, n int) []byte {
+	switch {
+	case n == 0:
+		return buf
+	case c.dense:
+		return append(buf, unsafe.Slice((*byte)(base), n*int(c.memSize))...)
+	case c.runs != nil:
+		off := len(buf)
+		buf = buf[:off+n*c.fixed] // Marshal sized buf exactly
+		c.copyRuns(buf[off:], unsafe.Slice((*byte)(base), n*int(c.memSize)), n, true)
+		return buf
+	}
+	for i := 0; i < n; i++ {
+		buf = c.enc(buf, unsafe.Add(base, uintptr(i)*c.memSize))
+	}
+	return buf
+}
+
+// decodeElems decodes exactly n elements from src into the zeroed memory at
+// base; src must hold nothing else.
+func (c *codec) decodeElems(src []byte, base unsafe.Pointer, n int) error {
+	if c.dense || c.runs != nil {
+		if want := n * c.fixed; len(src) != want {
+			return fmt.Errorf("wire: %s: frame has %d payload bytes, want %d", c.name, len(src), want)
+		}
+		mem := unsafe.Slice((*byte)(base), n*int(c.memSize))
+		if c.dense {
+			copy(mem, src)
+		} else {
+			c.copyRuns(src, mem, n, false)
+		}
+		return nil
+	}
+	var err error
+	for i := 0; i < n; i++ {
+		src, err = c.dec(src, unsafe.Add(base, uintptr(i)*c.memSize))
+		if err != nil {
+			return fmt.Errorf("wire: %s: element %d: %w", c.name, i, err)
+		}
+	}
+	if len(src) != 0 {
+		return fmt.Errorf("wire: %s: %d trailing bytes after %d elements", c.name, len(src), n)
+	}
+	return nil
+}
+
+// copyRuns moves n elements between their wire form (n × fixed bytes) and
+// their memory form (n × memSize bytes) run by run; encode selects the
+// direction. Both slices are exactly sized by the caller — the frame's one
+// length check — so padding bytes are neither read nor written.
+func (c *codec) copyRuns(wire, mem []byte, n int, encode bool) {
+	ms, ws := int(c.memSize), c.fixed
+	for i := 0; i < n; i++ {
+		m, w := mem[i*ms:(i+1)*ms], wire[i*ws:(i+1)*ws]
+		for _, r := range c.runs {
+			if encode {
+				copy(w[r.wire:r.wire+r.n], m[r.mem:r.mem+r.n])
+			} else {
+				copy(m[r.mem:r.mem+r.n], w[r.wire:r.wire+r.n])
+			}
+		}
+	}
+}
+
+// compileRuns returns t's copy runs, or nil when t is not eligible: the host
+// is big-endian, or t has a leaf that is not a number stored exactly as the
+// wire stores it (bool, string, slice, a 4-byte int).
+func compileRuns(t reflect.Type) []copyRun {
+	if !hostLittleEndian {
+		return nil
+	}
+	var runs []copyRun
+	wire := 0
+	var walk func(t reflect.Type, mem int) bool
+	walk = func(t reflect.Type, mem int) bool {
+		switch t.Kind() {
+		case reflect.Int, reflect.Uint:
+			if t.Size() != 8 {
+				return false
+			}
+			fallthrough
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			n := int(t.Size())
+			if k := len(runs) - 1; k >= 0 && runs[k].mem+runs[k].n == mem {
+				runs[k].n += n // wire offsets are consecutive by construction
+			} else {
+				runs = append(runs, copyRun{mem: mem, wire: wire, n: n})
+			}
+			wire += n
+			return true
+		case reflect.Array:
+			for i := 0; i < t.Len(); i++ {
+				if !walk(t.Elem(), mem+i*int(t.Elem().Size())) {
+					return false
+				}
+			}
+			return true
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if !walk(t.Field(i).Type, mem+int(t.Field(i).Offset)) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	if !walk(t, 0) {
+		return nil
+	}
+	return runs
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 var hostLittleEndian = func() bool {
 	x := uint16(0x0102)
@@ -246,6 +403,10 @@ func compile(t reflect.Type, seen []reflect.Type) *codec {
 	fmt.Fprint(h, structure(t, seen[:len(seen)-1]))
 	c.fp = h.Sum32()
 	buildKind(c, t, seen)
+	c.isByte = t.Kind() == reflect.Uint8
+	if c.fixed >= 0 && !c.dense {
+		c.runs = compileRuns(t)
+	}
 	return c
 }
 
@@ -355,6 +516,10 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			*(*string)(p) = string(rest[:n])
 			return rest[n:], nil
 		}
+		c.size = func(p unsafe.Pointer) int {
+			n := len(*(*string)(p))
+			return uvarintLen(uint64(n)) + n
+		}
 	case reflect.Slice:
 		ec := compile(t.Elem(), seen)
 		es := ec.memSize
@@ -409,6 +574,10 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			reflect.NewAt(st, p).Elem().Set(sv)
 			return rest, nil
 		}
+		c.size = func(p unsafe.Pointer) int {
+			sh := (*sliceHeader)(p)
+			return uvarintLen(uint64(sh.len)) + ec.encodedLen(sh.data, sh.len)
+		}
 	case reflect.Array:
 		ec := compile(t.Elem(), seen)
 		es, n := ec.memSize, t.Len()
@@ -435,6 +604,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			}
 			return src, nil
 		}
+		c.size = func(p unsafe.Pointer) int { return ec.encodedLen(p, n) }
 	case reflect.Struct:
 		type field struct {
 			off uintptr
@@ -473,6 +643,13 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 				}
 			}
 			return src, nil
+		}
+		c.size = func(p unsafe.Pointer) int {
+			total := 0
+			for _, f := range fields {
+				total += f.c.encodedLen(unsafe.Add(p, f.off), 1)
+			}
+			return total
 		}
 	default:
 		panic(fmt.Sprintf("wire: type %v (kind %v) is not encodable — only bools, fixed-width numbers, int/uint, strings, slices, arrays and structs of those cross the wire", t, t.Kind()))

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // roundTrip asserts Marshal→Unmarshal→Marshal identity for a slice payload.
@@ -204,9 +205,20 @@ func TestFingerprintDistinguishesShapes(t *testing.T) {
 	}
 }
 
+// fixedMsg is a fixed-layout, padded, number-only struct: the shape the
+// copy-run path encodes, with the per-field closures as its oracle.
+type fixedMsg struct {
+	A int64
+	B uint32
+	C uint8 // padding follows
+	X float64
+	K [3]uint16
+}
+
 // FuzzRoundTripStruct drives a mixed struct payload (fixed ints, string,
-// nested bytes, padding) from fuzzed scalars: decode must invert encode and
-// re-encoding must be byte-identical.
+// nested bytes, padding) and a fixed-layout one from fuzzed scalars: decode
+// must invert encode, re-encoding must be byte-identical, and the
+// fixed-layout frame must equal what the closures produce.
 func FuzzRoundTripStruct(f *testing.F) {
 	f.Add(int64(1), uint32(2), "abc", []byte("ACGT"), true, 3.5)
 	f.Add(int64(-1), uint32(0), "", []byte{}, false, -0.0)
@@ -238,6 +250,20 @@ func FuzzRoundTripStruct(f *testing.F) {
 		if x == x && out[0].X != x {
 			t.Fatalf("float mismatch: %v vs %v", out[0].X, x)
 		}
+
+		fin := []fixedMsg{{a, b, uint8(len(s)), x, [3]uint16{uint16(b), uint16(b >> 16), uint16(len(p))}}, {A: -a, X: -x}}
+		fframe := Marshal(fin)
+		c := codecFor[fixedMsg]()
+		if want := encodeByClosures(c, unsafe.Pointer(&fin[0]), len(fin)); !bytes.Equal(fframe[len(fframe)-len(want):], want) {
+			t.Fatalf("fixed-layout frame differs from the closure encoding for %#v", fin)
+		}
+		fout, err := Unmarshal[fixedMsg](fframe)
+		if err != nil || !bytes.Equal(Marshal(fout), fframe) {
+			t.Fatalf("fixed-layout round trip: %v", err)
+		}
+		if fout[0].A != a || fout[0].B != b || fout[0].K != fin[0].K || fout[1].A != -a {
+			t.Fatalf("fixed-layout decode mismatch: %#v vs %#v", fout, fin)
+		}
 	})
 }
 
@@ -254,7 +280,31 @@ func FuzzDecodeArbitraryBytes(f *testing.F) {
 		V []int64
 	}
 	f.Add(Marshal([]msg{{"a", []int64{1}}}))
+	// Fixed-layout (copy-run) frames: whole, truncated inside the second
+	// element, over-long by one byte, and with a count the payload cannot
+	// hold.
+	fixed := Marshal([]fixedMsg{{1, 2, 3, 4.5, [3]uint16{6, 7, 8}}, {A: -1}})
+	f.Add(fixed)
+	f.Add(fixed[:len(fixed)-5])
+	f.Add(append(append([]byte(nil), fixed...), 0))
+	f.Add(append(append([]byte(nil), fixed[:6]...), 0x7f, 1, 2, 3))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		// The copy-run decoder and the closures accept exactly the same
+		// frames, and agree on what they hold.
+		c := codecFor[fixedMsg]()
+		out, err := Unmarshal[fixedMsg](raw)
+		if n, rest, herr := readSliceHeader(raw, c); herr == nil {
+			ref := make([]fixedMsg, n+1) // +1: n may be 0
+			refErr := decodeByClosures(c, rest, unsafe.Pointer(&ref[0]), n)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("copy-run decode err = %v, closure decode err = %v", err, refErr)
+			}
+			if err == nil && !bytes.Equal(Marshal(out), Marshal(ref[:n])) {
+				t.Fatalf("copy-run and closure decodes disagree: %#v vs %#v", out, ref[:n])
+			}
+		} else if err == nil {
+			t.Fatalf("frame with a bad header decoded: %v", herr)
+		}
 		if out, err := Unmarshal[int64](raw); err == nil {
 			redo, err2 := Unmarshal[int64](Marshal(out))
 			if err2 != nil || !reflect.DeepEqual(out, redo) {

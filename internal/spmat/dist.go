@@ -215,17 +215,6 @@ func (a *Dist[T]) MaskRowsCols(ids []int32) {
 	})
 }
 
-// BuildIndex returns a lookup map from packed (row,col) to the value — used
-// for the element-wise compare in transitive reduction, where both operands
-// share the same distribution.
-func (a *Dist[T]) BuildIndex() map[int64]T {
-	m := make(map[int64]T, a.Local.Nnz())
-	for _, t := range a.Local.Ts {
-		m[int64(t.Row)<<32|int64(uint32(t.Col))] = t.Val
-	}
-	return m
-}
-
 // SpGEMM computes A ⊗ B with the SUMMA algorithm: √P stages; in stage s the
 // ranks of grid column s broadcast their A blocks along their grid row, the
 // ranks of grid row s broadcast their B blocks along their grid column, and
@@ -451,20 +440,41 @@ func (v *DistVec[T]) RowColGather() (rowVals, colVals []T) {
 	return rowVals, colVals
 }
 
+// route is the counting pass of the owner-routed collectives below: the
+// owner rank of every index and how many indices each rank owns, so each
+// per-destination buffer is allocated once at its exact size.
+func (v *DistVec[T]) route(idx []int32) (owner []int32, counts []int) {
+	owner = make([]int32, len(idx))
+	counts = make([]int, v.G.Comm.Size())
+	for k, i := range idx {
+		o := v.Owner(i)
+		owner[k] = int32(o)
+		counts[o]++
+	}
+	return owner, counts
+}
+
+// routed builds the per-destination buffers of an owner-routed collective:
+// item(k) goes to owner[k], in index order.
+func routed[E any](owner []int32, counts []int, item func(k int) E) [][]E {
+	send := make([][]E, len(counts))
+	for r, n := range counts {
+		send[r] = make([]E, 0, n)
+	}
+	for k, o := range owner {
+		send[o] = append(send[o], item(k))
+	}
+	return send
+}
+
 // Fetch returns the values at arbitrary global indices, aligned with ids
 // (collective: every rank must call, possibly with no ids). Routed to owners
 // and answered with a mirrored Alltoallv — the pattern LACC uses to chase
 // parent pointers.
 func (v *DistVec[T]) Fetch(ids []int32) []T {
 	p := v.G.Comm.Size()
-	req := make([][]int32, p)
-	backIdx := make([][]int, p) // position in ids for each routed request
-	for pos, id := range ids {
-		o := v.Owner(id)
-		req[o] = append(req[o], id)
-		backIdx[o] = append(backIdx[o], pos)
-	}
-	got := mpi.Alltoallv(v.G.Comm, req)
+	owner, counts := v.route(ids)
+	got := mpi.Alltoallv(v.G.Comm, routed(owner, counts, func(k int) int32 { return ids[k] }))
 	resp := make([][]T, p)
 	for r := 0; r < p; r++ {
 		resp[r] = make([]T, len(got[r]))
@@ -473,11 +483,13 @@ func (v *DistVec[T]) Fetch(ids []int32) []T {
 		}
 	}
 	back := mpi.Alltoallv(v.G.Comm, resp)
+	// Requests went out in ids order per owner, so answers are consumed in
+	// the same order.
 	out := make([]T, len(ids))
-	for r := 0; r < p; r++ {
-		for i, pos := range backIdx[r] {
-			out[pos] = back[r][i]
-		}
+	next := make([]int, p)
+	for pos, o := range owner {
+		out[pos] = back[o][next[o]]
+		next[o]++
 	}
 	return out
 }
@@ -486,15 +498,10 @@ func (v *DistVec[T]) Fetch(ids []int32) []T {
 // into the vector with a minimum — the hooking write of connected
 // components (collective).
 func ScatterMin(v *DistVec[int32], idx []int32, vals []int32) {
-	p := v.G.Comm.Size()
 	type prop struct{ I, V int32 }
-	send := make([][]prop, p)
-	for k := range idx {
-		o := v.Owner(idx[k])
-		send[o] = append(send[o], prop{I: idx[k], V: vals[k]})
-	}
-	got := mpi.Alltoallv(v.G.Comm, send)
-	for _, part := range got {
+	owner, counts := v.route(idx)
+	send := routed(owner, counts, func(k int) prop { return prop{I: idx[k], V: vals[k]} })
+	for _, part := range mpi.Alltoallv(v.G.Comm, send) {
 		for _, pr := range part {
 			if pr.V < v.Get(pr.I) {
 				v.Set(pr.I, pr.V)
@@ -507,18 +514,13 @@ func ScatterMin(v *DistVec[int32], idx []int32, vals []int32) {
 // them into a bool vector — the star-correction write of connected
 // components (collective).
 func ScatterBoolAnd(v *DistVec[bool], idx []int32, vals []bool) {
-	p := v.G.Comm.Size()
 	type prop struct {
 		I int32
 		V bool
 	}
-	send := make([][]prop, p)
-	for k := range idx {
-		o := v.Owner(idx[k])
-		send[o] = append(send[o], prop{I: idx[k], V: vals[k]})
-	}
-	got := mpi.Alltoallv(v.G.Comm, send)
-	for _, part := range got {
+	owner, counts := v.route(idx)
+	send := routed(owner, counts, func(k int) prop { return prop{I: idx[k], V: vals[k]} })
+	for _, part := range mpi.Alltoallv(v.G.Comm, send) {
 		for _, pr := range part {
 			v.Set(pr.I, v.Get(pr.I) && pr.V)
 		}

@@ -275,18 +275,6 @@ func TestAddMerges(t *testing.T) {
 	})
 }
 
-func TestBuildIndex(t *testing.T) {
-	runGrid(t, func(g *grid.Grid) {
-		a := FromGlobalTriples(g, 10, 10, []Triple[int64]{{1, 2, 5}, {7, 9, 3}}, nil)
-		idx := a.BuildIndex()
-		for _, tr := range a.Local.Ts {
-			if idx[int64(tr.Row)<<32|int64(uint32(tr.Col))] != tr.Val {
-				panic("index lookup wrong")
-			}
-		}
-	})
-}
-
 func TestDistVecFullAndRowCol(t *testing.T) {
 	n := 35
 	full := make([]int64, n)

@@ -1,0 +1,113 @@
+package tr
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/bidir"
+	"repro/internal/grid"
+	"repro/internal/mpi"
+	"repro/internal/spmat"
+)
+
+// reduceRef is Reduce as it was before the pattern mask: all of N = S ⊗ S is
+// formed, indexed in a hash map and looked up per edge, and the verdicts are
+// a kill set keyed by (row, col). Kept as the oracle for the masked,
+// merge-joined Reduce.
+func reduceRef(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int) Stats {
+	g := s.G
+	key := func(r, c int32) int64 { return int64(r)<<32 | int64(uint32(c)) }
+	type pair struct{ R, C int32 }
+	var st Stats
+	for iter := 0; iter < maxIter; iter++ {
+		st.Iterations = iter + 1
+		n := spmat.SpGEMMCounted(s, s, pathSemiring, nil, &st.Products)
+		paths := make(map[int64]PathMin, n.Local.Nnz())
+		for _, t := range n.Local.Ts {
+			paths[key(t.Row, t.Col)] = t.Val
+		}
+		kill := map[int64]bool{}
+		send := make([][]pair, g.Comm.Size())
+		for _, t := range s.Local.Ts {
+			pm, ok := paths[key(t.Row, t.Col)]
+			if !ok {
+				continue
+			}
+			if m := pm.Min[t.Val.Dir]; m < inf && m <= t.Val.Suf+fuzz {
+				kill[key(t.Row, t.Col)] = true
+				o := g.BlockOwnerRank(int(s.NR), int(s.NC), int(t.Col), int(t.Row))
+				send[o] = append(send[o], pair{t.Col, t.Row})
+			}
+		}
+		for _, part := range mpi.Alltoallv(g.Comm, send) {
+			for _, m := range part {
+				kill[key(m.R, m.C)] = true
+			}
+		}
+		before := int64(s.Local.Nnz())
+		s.Apply(func(r, c int32, v bidir.Edge) (bidir.Edge, bool) { return v, !kill[key(r, c)] })
+		removed := mpi.Allreduce(g.Comm, before-int64(s.Local.Nnz()), func(a, b int64) int64 { return a + b })
+		st.EdgesRemoved += removed
+		if removed == 0 {
+			break
+		}
+	}
+	return st
+}
+
+// randomSymmetricGraph draws a graph with a symmetric pattern and arbitrary
+// edge payloads: dense enough that most vertex pairs have two-edge walks
+// between them but no edge — the cells the mask skips.
+func randomSymmetricGraph(rng *rand.Rand, n int, density float64) []spmat.Triple[bidir.Edge] {
+	edge := func() bidir.Edge {
+		return bidir.Edge{Dir: uint8(rng.Intn(4)), Suf: int32(1 + rng.Intn(60)), Pre: int32(rng.Intn(100)), Post: int32(rng.Intn(100))}
+	}
+	var ts []spmat.Triple[bidir.Edge]
+	for u := 0; u < n; u++ {
+		for w := u + 1; w < n; w++ {
+			if rng.Float64() < density {
+				ts = append(ts,
+					spmat.Triple[bidir.Edge]{Row: int32(u), Col: int32(w), Val: edge()},
+					spmat.Triple[bidir.Edge]{Row: int32(w), Col: int32(u), Val: edge()})
+			}
+		}
+	}
+	return ts
+}
+
+func TestMaskedReduceMatchesUnmasked(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 6; trial++ {
+		n := 20 + rng.Intn(60)
+		all := randomSymmetricGraph(rng, n, 0.08+0.25*rng.Float64())
+		fuzz := int32(rng.Intn(100))
+		maxIter := 1 + rng.Intn(4)
+		for _, p := range []int{1, 4, 9} {
+			for _, async := range []bool{false, true} {
+				t.Run(fmt.Sprintf("trial=%d/P=%d/async=%v", trial, p, async), func(t *testing.T) {
+					err := mpi.Run(p, func(c *mpi.Comm) {
+						g := grid.New(c)
+						ref := spmat.FromGlobalTriples(g, int32(n), int32(n), all, nil)
+						s := ref.Clone()
+						want := reduceRef(ref, fuzz, maxIter)
+						got := Reduce(s, fuzz, maxIter, async)
+						if got.Iterations != want.Iterations || got.EdgesRemoved != want.EdgesRemoved {
+							panic(fmt.Sprintf("masked %+v, unmasked %+v", got, want))
+						}
+						if got.Products > want.Products {
+							panic(fmt.Sprintf("the mask added products: %d > %d", got.Products, want.Products))
+						}
+						if !reflect.DeepEqual(s.Local.Ts, ref.Local.Ts) {
+							panic(fmt.Sprintf("rank %d: reduced blocks differ", c.Rank()))
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}

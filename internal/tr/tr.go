@@ -6,9 +6,22 @@
 // matrix computation: N = S ⊗ S under a direction-composing min-plus
 // semiring, followed by an element-wise comparison of N against S, iterated
 // to a fixpoint exactly like diBELLA 2D.
+//
+// N and S are identically distributed and the comparison reads N only where
+// S has an edge, so N is never formed in full: S's own local block is the
+// output mask of the multiply ("Parallel String Graph Construction and
+// Transitive Reduction" defines the step as this masked product). A two-edge
+// walk u→v→w with no edge (u,w) to test — most of S² — is never multiplied,
+// accumulated, emitted or merged, and the products counter counts only the
+// walks that were. What comes back holds at most one entry per edge, in the
+// same canonical order as S, so the comparison is a merge of two sorted
+// lists and the verdicts are marks on positions of S: no hash map is built
+// from either matrix.
 package tr
 
 import (
+	"slices"
+
 	"repro/internal/bidir"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
@@ -61,48 +74,49 @@ type Stats struct {
 // maxIter bounds the fixpoint loop (diBELLA iterates until no edge is
 // removed). async runs the SUMMA SpGEMM with nonblocking panel prefetch and
 // routes the mirror marks with a nonblocking all-to-all that overlaps the
-// local kill-set construction; results and traffic counters are identical
-// in both modes.
+// local marking; results and traffic counters are identical in both modes.
 func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stats {
 	g := s.G
 	var st Stats
 	for iter := 0; iter < maxIter; iter++ {
 		st.Iterations = iter + 1
+		pat := newPattern(s)
 		var n *spmat.Dist[PathMin]
 		if async {
-			n = spmat.SpGEMMAsync(s, s, pathSemiring, nil, &st.Products)
+			n = spmat.SpGEMMAsync(s, s, pathSemiring, pat.has, &st.Products)
 		} else {
-			n = spmat.SpGEMMCounted(s, s, pathSemiring, nil, &st.Products)
+			n = spmat.SpGEMMCounted(s, s, pathSemiring, pat.has, &st.Products)
 		}
-		paths := n.BuildIndex()
-		// Mark local transitive edges.
-		type pair struct{ R, C int32 }
-		var marked []pair
-		for _, t := range s.Local.Ts {
-			pm, ok := paths[int64(t.Row)<<32|int64(uint32(t.Col))]
-			if !ok {
-				continue
+		// Merge-join N against S — both canonical, N's cells a subset of
+		// S's — collecting the positions of the local transitive edges.
+		ts := s.Local.Ts
+		var marked []int32
+		i := 0
+		for _, nt := range n.Local.Ts {
+			for ts[i].Col != nt.Col || ts[i].Row != nt.Row {
+				i++
 			}
-			if m := pm.Min[t.Val.Dir]; m < inf && m <= t.Val.Suf+fuzz {
-				marked = append(marked, pair{t.Row, t.Col})
+			if m := nt.Val.Min[ts[i].Val.Dir]; m < inf && m <= ts[i].Val.Suf+fuzz {
+				marked = append(marked, int32(i))
 			}
 		}
 		// Symmetrize the marks: an edge dies in both directions or neither,
 		// so S stays a symmetric matrix. Mirrors are routed to the owner of
-		// the transposed entry; the async path folds the local marks into
-		// the kill set while the mirrors are still in flight.
+		// the transposed entry; the async path marks the local positions
+		// while the mirrors are still in flight.
+		type pair struct{ R, C int32 }
 		send := make([][]pair, g.Comm.Size())
-		for _, m := range marked {
-			o := g.BlockOwnerRank(int(s.NR), int(s.NC), int(m.C), int(m.R))
-			send[o] = append(send[o], pair{m.C, m.R})
+		for _, i := range marked {
+			o := g.BlockOwnerRank(int(s.NR), int(s.NC), int(ts[i].Col), int(ts[i].Row))
+			send[o] = append(send[o], pair{ts[i].Col, ts[i].Row})
 		}
 		var req *mpi.AlltoallvRequest[pair]
 		if async {
 			req = mpi.IAlltoallv(g.Comm, send)
 		}
-		kill := make(map[int64]bool, len(marked)*2)
-		for _, m := range marked {
-			kill[int64(m.R)<<32|int64(uint32(m.C))] = true
+		dead := make([]bool, len(ts))
+		for _, i := range marked {
+			dead[i] = true
 		}
 		var recv [][]pair
 		if async {
@@ -112,12 +126,16 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		}
 		for _, part := range recv {
 			for _, m := range part {
-				kill[int64(m.R)<<32|int64(uint32(m.C))] = true
+				if i := pat.find(m.R, m.C); i >= 0 {
+					dead[i] = true
+				}
 			}
 		}
-		before := int64(s.Local.Nnz())
-		s.Apply(func(r, c int32, v bidir.Edge) (bidir.Edge, bool) {
-			return v, !kill[int64(r)<<32|int64(uint32(c))]
+		before := int64(len(ts))
+		next := 0
+		s.Apply(func(_, _ int32, v bidir.Edge) (bidir.Edge, bool) {
+			next++
+			return v, !dead[next-1]
 		})
 		removedLocal := before - int64(s.Local.Nnz())
 		removed := mpi.Allreduce(g.Comm, removedLocal, func(a, b int64) int64 { return a + b })
@@ -127,4 +145,63 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		}
 	}
 	return st
+}
+
+// pattern indexes the nonzero pattern of one rank's block of S by column:
+// the triples of column j sit at positions ptr[j-colLo] to ptr[j-colLo+1] of
+// the canonical list, rows ascending.
+type pattern struct {
+	ts           []spmat.Triple[bidir.Edge]
+	rowLo, colLo int32
+	ptr          []int32
+	// has marks the rows of one column at a time: mark[r-rowLo] == gen says
+	// (r, col) is an edge.
+	mark []uint32
+	gen  uint32
+	col  int32
+}
+
+func newPattern(s *spmat.Dist[bidir.Edge]) *pattern {
+	p := &pattern{
+		ts: s.Local.Ts, rowLo: s.RowLo, colLo: s.ColLo,
+		ptr:  make([]int32, s.ColHi-s.ColLo+1),
+		mark: make([]uint32, s.RowHi-s.RowLo),
+		col:  -1,
+	}
+	for _, t := range p.ts {
+		p.ptr[t.Col-p.colLo+1]++
+	}
+	for j := 1; j < len(p.ptr); j++ {
+		p.ptr[j] += p.ptr[j-1]
+	}
+	return p
+}
+
+// has reports whether (row, col) is an edge of the block: the output mask of
+// the multiply. SpGEMM forms its output a column at a time, so the row marks
+// are refreshed only when col changes — a generation bump and one pass over
+// that column's few edges — and every other call is a single load.
+func (p *pattern) has(row, col int32) bool {
+	if col != p.col {
+		p.col = col
+		p.gen++ // 2^32 column changes per Reduce iteration cannot occur
+		j := col - p.colLo
+		for _, t := range p.ts[p.ptr[j]:p.ptr[j+1]] {
+			p.mark[t.Row-p.rowLo] = p.gen
+		}
+	}
+	return p.mark[row-p.rowLo] == p.gen
+}
+
+// find returns the position of edge (row, col) in the canonical list, or -1.
+func (p *pattern) find(row, col int32) int {
+	j := col - p.colLo
+	lo, hi := int(p.ptr[j]), int(p.ptr[j+1])
+	k, ok := slices.BinarySearchFunc(p.ts[lo:hi], row, func(t spmat.Triple[bidir.Edge], r int32) int {
+		return int(t.Row) - int(r)
+	})
+	if !ok {
+		return -1
+	}
+	return lo + k
 }
