@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,5 +101,48 @@ func TestBadFlagsFailOnce(t *testing.T) {
 		if !strings.HasPrefix(msg, "elba: ") || strings.Contains(msg, "goroutine ") || strings.Count(msg, tc.want) != 1 {
 			t.Errorf("elba %s: want one `elba:` message naming %q, got:\n%s", tc.args, tc.want, msg)
 		}
+	}
+}
+
+// TestResumeRefusesOldSchema: -resume on a checkpoint directory committed
+// under the previous schema is one `elba:` line naming both schemas and a
+// non-zero exit — not a decode panic, not a silently reinterpreted k-mer matrix.
+func TestResumeRefusesOldSchema(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(extra ...string) (string, error) {
+		args := append(strings.Fields("-preset celegans -size 4000 -seed 3 -p 4"), extra...)
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), envRunMain+"=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		return stderr.String(), err
+	}
+	if msg, err := run("-checkpoint", dir, "-checkpoint-every", pipeline.StageCountKmer); err != nil {
+		t.Fatalf("checkpointed run: %v\n%s", err, msg)
+	}
+	if msg, err := run("-resume", dir); err != nil {
+		t.Fatalf("resume of a current-schema checkpoint: %v\n%s", err, msg)
+	}
+	manPath := filepath.Join(dir, pipeline.StageCountKmer, pipeline.CheckpointManifestName)
+	blob, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := strings.Replace(string(blob), pipeline.CheckpointSchema, "elba/checkpoint/v2", 1)
+	if err := os.WriteFile(manPath, []byte(stale), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := run("-resume", dir)
+	var xe *exec.ExitError
+	if !errors.As(err, &xe) || xe.ExitCode() == 0 {
+		t.Fatalf("resume of a v2 checkpoint: %v, want a non-zero exit\n%s", err, msg)
+	}
+	if !strings.Contains(msg, `schema "elba/checkpoint/v2"`) || !strings.Contains(msg, pipeline.CheckpointSchema) || strings.Contains(msg, "goroutine ") {
+		t.Errorf("want one message naming both schemas, got:\n%s", msg)
 	}
 }

@@ -6,22 +6,25 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/mpi"
 	"repro/internal/par"
+	"repro/internal/spmat"
 )
 
-// ATriple is one nonzero of the |reads| × |k-mers| matrix A: read Row
-// contains reliable k-mer column Col at Val.Pos / Val.RC.
-type ATriple struct {
-	Row int32 // global read id
-	Col int32 // reliable k-mer column id
-	Val Occur
-}
+// ATriple is one nonzero of the |reads| × |k-mers| matrix A: read Row (a
+// global read id) contains reliable k-mer column Col at Val.Pos() on strand
+// Val.RC(). It is the matrix triple itself — 12 dense bytes — so the counting
+// stage's output feeds spmat.FromRowMajor, the wire codec and the checkpoint
+// without a conversion.
+type ATriple = spmat.Triple[Occur]
 
 // Result is the outcome of the distributed counting stage on one rank.
 type Result struct {
-	K           int
-	NumCols     int       // global number of reliable k-mer columns
-	Triples     []ATriple // triples for the reads owned by this rank
-	Occurrences int64     // k-mer occurrences this rank extracted (work units)
+	K       int
+	NumCols int // global number of reliable k-mer columns
+	// Triples are the nonzeros of the reads this rank owns, strictly
+	// row-major (Row, then Col) — the order spmat.FromRowMajor requires and
+	// checkpoints preserve.
+	Triples     []ATriple
+	Occurrences int64 // k-mer occurrences this rank extracted (work units)
 }
 
 // CountAndBuild is the distributed k-mer counter (Algorithm 1 lines 3–4).
@@ -73,11 +76,6 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int, 
 	// order — the fold keeps the wire layout deterministic). Workers reuse
 	// their scratch across reads and retain each read's k-mers in one
 	// exact-size copy.
-	type occRec struct {
-		Read int32
-		Pos  int32
-		RC   bool
-	}
 	perRead := make([][]KPos, store.Hi-store.Lo)
 	pool := par.NewPool(threads, func(int) *ExtractScratch { return new(ExtractScratch) })
 	pool.SetTrace(c.Lane(), "kmer.extract")
@@ -104,7 +102,7 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int, 
 		for _, kp := range perRead[g-store.Lo] {
 			o := Owner(kp.Kmer, p)
 			sendKmers[o] = append(sendKmers[o], uint64(kp.Kmer))
-			sendMeta[o] = append(sendMeta[o], occRec{Read: int32(g), Pos: kp.Pos, RC: kp.RC})
+			sendMeta[o] = append(sendMeta[o], occRec{Read: int32(g), Occ: MakeOccur(kp.Pos, kp.RC)})
 		}
 	}
 
@@ -193,30 +191,59 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int, 
 		cols = mpi.Alltoallv(c, reply)
 	}
 
-	// 4. Assemble triples (sized exactly by a survivor pre-pass).
-	var nTriples int
-	for r := 0; r < p; r++ {
-		for _, col := range cols[r] {
-			if col >= 0 {
-				nTriples++
-			}
-		}
-	}
-	triples := make([]ATriple, 0, nTriples)
-	for r := 0; r < p; r++ {
-		for i, col := range cols[r] {
-			if col < 0 {
-				continue
-			}
-			m := sendMeta[r][i]
-			triples = append(triples, ATriple{Row: m.Read, Col: col, Val: Occur{Pos: m.Pos, RC: m.RC}})
-		}
-	}
-	slices.SortFunc(triples, func(a, b ATriple) int {
-		if a.Row != b.Row {
-			return int(a.Row - b.Row)
-		}
-		return int(a.Col - b.Col)
-	})
+	// 4. Assemble the surviving triples, row-major.
+	triples := assembleRowMajor(store.Lo, store.Hi, sendMeta, cols)
 	return &Result{K: k, NumCols: total, Triples: triples, Occurrences: occ}
+}
+
+// occRec is the requester's record of one routed occurrence: which read it
+// came from and where. It stays local, parallel to the k-mer words sent to
+// the owner, and is matched positionally against the owner's reply.
+type occRec struct {
+	Read int32
+	Occ  Occur
+}
+
+// assembleRowMajor builds the rank's triples of A from the routed
+// occurrences meta and the owners' replies cols (column id, or -1 for an
+// unreliable k-mer; same shape as meta), in strictly row-major order and with
+// no comparison function: a stable counting scatter by read over [lo, hi)
+// places every survivor in its read's segment as the packed key Col<<32|Occ,
+// each segment is sorted as plain integers — a read holds a k-mer at most once
+// (Extract deduplicates), so its column ids are distinct and the key order is
+// the column order — and the keys unpack into the triples.
+func assembleRowMajor(lo, hi int, meta [][]occRec, cols [][]int32) []ATriple {
+	starts := make([]int32, hi-lo+1)
+	for r, part := range cols {
+		for i, col := range part {
+			if col >= 0 {
+				starts[int(meta[r][i].Read)-lo+1]++
+			}
+		}
+	}
+	for i := 0; i < hi-lo; i++ {
+		starts[i+1] += starts[i]
+	}
+	keys := make([]uint64, starts[hi-lo])
+	next := slices.Clone(starts[:hi-lo])
+	for r, part := range cols {
+		for i, col := range part {
+			if col >= 0 {
+				m := meta[r][i]
+				idx := int(m.Read) - lo
+				keys[next[idx]] = uint64(col)<<32 | uint64(m.Occ)
+				next[idx]++
+			}
+		}
+	}
+	triples := make([]ATriple, len(keys))
+	for idx := 0; idx < hi-lo; idx++ {
+		seg := keys[starts[idx]:starts[idx+1]]
+		slices.Sort(seg)
+		out := triples[starts[idx]:starts[idx+1]]
+		for i, key := range seg {
+			out[i] = ATriple{Row: int32(lo + idx), Col: int32(key >> 32), Val: Occur(key)}
+		}
+	}
+	return triples
 }

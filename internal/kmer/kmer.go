@@ -53,13 +53,28 @@ func RevComp(km Kmer, k int) Kmer {
 	return rc
 }
 
-// Occur is one occurrence of a canonical k-mer in a read: the start position
-// of the k-mer window on the read's forward strand and whether the canonical
-// form is the reverse complement of the window.
-type Occur struct {
-	Pos int32
-	RC  bool
+// Occur is one occurrence of a canonical k-mer in a read, packed into one
+// 32-bit word so that the matrix triples carrying it are 12 unpadded bytes
+// (the wire codec's bulk-copy path): bits 31..1 hold the start position of
+// the k-mer window on the read's forward strand, bit 0 is set when the
+// canonical form is the reverse complement of the window. The layout is part
+// of the checkpoint schema.
+type Occur uint32
+
+// MakeOccur packs a window position (0 ≤ pos ≤ 2³¹−1) and its strand.
+func MakeOccur(pos int32, rc bool) Occur {
+	o := Occur(pos) << 1
+	if rc {
+		o |= 1
+	}
+	return o
 }
+
+// Pos is the start of the k-mer window on the read's forward strand.
+func (o Occur) Pos() int32 { return int32(o >> 1) }
+
+// RC reports whether the canonical k-mer is the window's reverse complement.
+func (o Occur) RC() bool { return o&1 == 1 }
 
 // KPos is a canonical k-mer occurrence during extraction.
 type KPos struct {

@@ -217,7 +217,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		}
 		gotKeys := make([]key, len(got))
 		for i, tr := range got {
-			gotKeys[i] = key{tr.Row, tr.Val.Pos, tr.Val.RC}
+			gotKeys[i] = key{tr.Row, tr.Val.Pos(), tr.Val.RC()}
 		}
 		less := func(a, b key) bool {
 			if a.row != b.row {
@@ -253,7 +253,7 @@ func TestDistributedColumnIdsConsistent(t *testing.T) {
 		var local []pair
 		for _, tr := range res.Triples {
 			seq := store.Get(int(tr.Row))
-			fwd := Encode(seq[tr.Val.Pos:int(tr.Val.Pos)+k], k)
+			fwd := Encode(seq[tr.Val.Pos():int(tr.Val.Pos())+k], k)
 			canon := fwd
 			if rc := RevComp(fwd, k); rc < fwd {
 				canon = rc

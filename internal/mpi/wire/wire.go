@@ -196,6 +196,11 @@ func DataLen(frame []byte) int64 {
 // headers — exposed for conformance and fuzz tests.
 func Fingerprint[T any]() uint32 { return codecFor[T]().fp }
 
+// Dense reports whether frames of T move as one bulk copy — T's memory layout
+// is its wire layout. Exposed so that the owners of the element types whose
+// exchange cost depends on it (the k-mer matrix triples) can pin it in a test.
+func Dense[T any]() bool { return codecFor[T]().dense }
+
 func checkHeader(frame []byte, kind byte, c *codec) ([]byte, error) {
 	if len(frame) < headerLen {
 		return nil, fmt.Errorf("wire: %s: frame too short (%d bytes)", c.name, len(frame))

@@ -15,6 +15,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/kmer"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/spmat"
 	"repro/internal/trace"
@@ -37,19 +38,18 @@ type Seeds struct {
 type seedAcc [2]uint64
 
 // noSeed marks an unused accumulator slot. It is above every real key (bit 32
-// of a key is PV's sign bit, always clear), so an empty slot loses every
-// comparison without a count field.
+// of a key is always clear), so an empty slot loses every comparison without a
+// count field.
 const noSeed = ^uint64(0)
 
-// packSeed maps a seed to a key whose integer order is the seed order (PU,
-// then PV, then forward before reverse-complement). Positions are
-// non-negative int32, so the three fields do not overlap.
-func packSeed(pu, pv int32, rc bool) uint64 {
-	k := uint64(pu)<<33 | uint64(pv)<<1
-	if rc {
-		k |= 1
-	}
-	return k
+// seedKey is the packed key of the seed two occurrences of one k-mer share —
+// PU = a's position, PV = b's, RC when the strands differ — laid out so that
+// integer order is the seed order (PU, then PV, then forward before
+// reverse-complement): PU in bits 63..33, PV in bits 31..1, RC in bit 0. An
+// Occur is already position<<1|strand, so each position drops into its lane
+// with a mask and the strands combine with one XOR.
+func seedKey(a, b kmer.Occur) uint64 {
+	return uint64(a&^1)<<32 | uint64(b&^1) | uint64((a^b)&1)
 }
 
 func unpackSeed(k uint64) align.Seed {
@@ -85,30 +85,17 @@ func (c seedAcc) seeds() Seeds {
 // accumulation requires.
 var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, seedAcc]{
 	Mul: func(c *seedAcc, a, b kmer.Occur) bool {
-		c[0], c[1] = packSeed(a.Pos, b.Pos, a.RC != b.RC), noSeed
+		c[0], c[1] = seedKey(a, b), noSeed
 		return true
 	},
 	MulAdd: func(c *seedAcc, a, b kmer.Occur) {
-		c.add(packSeed(a.Pos, b.Pos, a.RC != b.RC))
+		c.add(seedKey(a, b))
 	},
 	Add: func(a, b seedAcc) seedAcc {
 		a.add(b[0])
 		a.add(b[1])
 		return a
 	},
-}
-
-// keepCandidate is the output mask of C = A·Aᵀ. C is symmetric and each pair
-// must be aligned exactly once; keeping only the upper triangle would idle the
-// lower-triangle ranks of the grid, so the surviving direction of each pair is
-// chosen checkerboard-style — (min,max) when i+j is even, (max,min) when odd —
-// which splits the alignment work evenly across both triangles. The diagonal
-// (a read against itself) is dropped.
-func keepCandidate(r, c int32) bool {
-	if (r+c)%2 == 0 {
-		return r < c
-	}
-	return r > c
 }
 
 // Config parameterizes overlap detection.
@@ -149,7 +136,6 @@ func (c Config) aligner() align.Aligner {
 type Result struct {
 	NumReads  int
 	NumKmers  int
-	A         *spmat.Dist[kmer.Occur]
 	R         *spmat.Dist[bidir.Aln] // symmetric overlap matrix
 	Contained []int32                // reads removed as contained (global, replicated)
 	// Counters (global, replicated); each candidate pair is counted once
@@ -171,26 +157,23 @@ func CountKmers(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Time
 	return kres
 }
 
-// DetectCandidates is the DetectOverlap stage: A, Aᵀ, C = A·Aᵀ under the
-// keepCandidate mask, so the diagonal and the mirrored direction of every pair
-// are never multiplied or accumulated. The mirror entry is reconstructed after
-// alignment. The returned candidate matrix is not mutated by AlignCandidates,
-// so one candidate set can feed several alignment runs.
+// DetectCandidates is the DetectOverlap stage: A and Aᵀ from one routing of
+// the counting stage's row-major triples (spmat.FromRowMajor), then
+// C = A·Aᵀ under the checkerboard mask, so the diagonal and the mirrored
+// direction of every pair are never multiplied or accumulated (C is symmetric
+// and each pair must be aligned exactly once). The mirror entry is
+// reconstructed after alignment. The returned candidate matrix is not mutated
+// by AlignCandidates, so one candidate set can feed several alignment runs.
 func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, cfg Config, tm *trace.Timers, res *Result) *spmat.Dist[Seeds] {
 	var c *spmat.Dist[Seeds]
 	var products int64
 	tm.Stage("DetectOverlap", g.Comm, func() {
-		ts := make([]spmat.Triple[kmer.Occur], len(kres.Triples))
-		for i, t := range kres.Triples {
-			ts[i] = spmat.Triple[kmer.Occur]{Row: t.Row, Col: t.Col, Val: t.Val}
-		}
-		res.A = spmat.NewDist(g, int32(store.N), int32(kres.NumCols), ts, nil)
-		at := spmat.Transpose(res.A, nil)
+		a, at := buildA(g, store.N, kres)
 		var acc *spmat.Dist[seedAcc]
 		if cfg.Async {
-			acc = spmat.SpGEMMAsync(res.A, at, seedSemiring, keepCandidate, &products)
+			acc = spmat.SpGEMMAsync(a, at, seedSemiring, spmat.Checkerboard(), &products)
 		} else {
-			acc = spmat.SpGEMMCounted(res.A, at, seedSemiring, keepCandidate, &products)
+			acc = spmat.SpGEMMCounted(a, at, seedSemiring, spmat.Checkerboard(), &products)
 		}
 		cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
 		for i, t := range acc.Local.Ts {
@@ -201,6 +184,26 @@ func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, c
 	})
 	tm.AddWork("DetectOverlap", products)
 	return c
+}
+
+// buildA distributes the |reads| × |k-mers| matrix and its transpose, and
+// records the construction on the rank's trace lane and metrics
+// (overlap.build_a span; overlap.a_nnz, overlap.a_exchange_bytes counters) so
+// a trace separates it from the summa.round spans of the multiply.
+func buildA(g *grid.Grid, numReads int, kres *kmer.Result) (a, at *spmat.Dist[kmer.Occur]) {
+	lane := g.Comm.Lane()
+	start, before := lane.Start(), g.Comm.BytesSent()
+	a, at = spmat.FromRowMajor(g, int32(numReads), int32(kres.NumCols), kres.Triples)
+	nnz, sent := int64(a.Local.Nnz()), g.Comm.BytesSent()-before
+	if reg := g.Comm.Metrics(); reg != nil {
+		reg.Counter("overlap.a_nnz").Add(nnz)
+		reg.Counter("overlap.a_exchange_bytes").Add(sent)
+	}
+	if lane != nil {
+		lane.Span(0, "overlap", "overlap.build_a", start,
+			obs.Arg{K: "a_nnz", V: nnz}, obs.Arg{K: "exchange_bytes", V: sent})
+	}
+	return a, at
 }
 
 // AlignCandidates is the Alignment stage: one backend extension per

@@ -93,8 +93,11 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 				store := fasta.FromGlobal(c, reads)
 				res := &Result{NumReads: store.N}
 				tm := trace.New()
-				cand := DetectCandidates(g, store, CountKmers(g, store, cfg, tm, res), cfg, tm, res)
-				gc, ga := cand.GatherTriples(0), res.A.GatherTriples(0)
+				kres := CountKmers(g, store, cfg, tm, res)
+				cand := DetectCandidates(g, store, kres, cfg, tm, res)
+				// A straight from the constructor DetectCandidates uses.
+				am, _ := spmat.FromRowMajor(g, int32(store.N), int32(kres.NumCols), kres.Triples)
+				gc, ga := cand.GatherTriples(0), am.GatherTriples(0)
 				if c.Rank() == 0 {
 					got, a, pairs = gc, ga, res.CandidatePairs
 				}
@@ -112,7 +115,7 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 				for _, u := range a[lo:hi] {
 					for _, v := range a[lo:hi] {
 						key := [2]int32{u.Row, v.Row}
-						full[key] = refAddSeed(full[key], align.Seed{PU: u.Val.Pos, PV: v.Val.Pos, RC: u.Val.RC != v.Val.RC})
+						full[key] = refAddSeed(full[key], align.Seed{PU: u.Val.Pos(), PV: v.Val.Pos(), RC: u.Val.RC() != v.Val.RC()})
 					}
 				}
 				lo = hi

@@ -11,8 +11,18 @@ import (
 )
 
 // The value-semantics seed arithmetic the packed accumulator replaced, kept
-// as the test reference: seedLess orders seeds, refAddSeed inserts one keeping
-// the two smallest distinct, refMerge was the semiring Add.
+// as the test reference: packSeed builds a key field by field (seedKey
+// computes the same word from two packed occurrences), seedLess orders seeds,
+// refAddSeed inserts one keeping the two smallest distinct, refMerge was the
+// semiring Add.
+
+func packSeed(pu, pv int32, rc bool) uint64 {
+	k := uint64(pu)<<33 | uint64(pv)<<1
+	if rc {
+		k |= 1
+	}
+	return k
+}
 
 func seedLess(a, b align.Seed) bool {
 	if a.PU != b.PU {
@@ -82,7 +92,7 @@ func accumulate(seeds []align.Seed) (seedAcc, Seeds) {
 	var ref Seeds
 	for i, s := range seeds {
 		// Occurrences whose product is s: positions carry over, RC is the XOR.
-		a, b := kmer.Occur{Pos: s.PU, RC: s.RC}, kmer.Occur{Pos: s.PV}
+		a, b := kmer.MakeOccur(s.PU, s.RC), kmer.MakeOccur(s.PV, false)
 		if i == 0 {
 			seedSemiring.Mul(&acc, a, b)
 		} else {
@@ -122,6 +132,13 @@ func TestPackedOrderMatchesSeedLess(t *testing.T) {
 		}
 		if got := unpackSeed(ka); got != a {
 			t.Fatalf("round trip %+v -> %#x -> %+v", a, ka, got)
+		}
+		// Every strand pair whose XOR is a.RC yields the same key from the
+		// packed occurrences.
+		for _, rcV := range []bool{false, true} {
+			if got := seedKey(kmer.MakeOccur(a.PU, a.RC != rcV), kmer.MakeOccur(a.PV, rcV)); got != ka {
+				t.Fatalf("seedKey of %+v (v strand rc=%v) = %#x, packSeed gives %#x", a, rcV, got, ka)
+			}
 		}
 		for _, b := range all {
 			kb := packSeed(b.PU, b.PV, b.RC)

@@ -57,11 +57,15 @@ import (
 // switched the embedded options fingerprint from the full option set to the
 // prefix through the checkpointed stage (FingerprintThrough), so a
 // post-Alignment checkpoint resumes under different TR parameters — the
-// sweep-reuse semantics the artifact cache is built on.
-const CheckpointSchema = "elba/checkpoint/v2"
+// sweep-reuse semantics the artifact cache is built on. v3 made two layouts of
+// the post-CountKmer state load-bearing: the k-mer occurrence is one packed
+// word (kmer.Occur: position<<1 | strand) and KmerTriples are strictly
+// row-major, the order DetectOverlap builds A from without sorting. Older
+// checkpoints and cache entries are refused by name, never reinterpreted.
+const CheckpointSchema = "elba/checkpoint/v3"
 
 // ckptSchema is the per-rank file's schema number (bumped with ckptRank).
-const ckptSchema uint32 = 2
+const ckptSchema uint32 = 3
 
 // CheckpointManifestName is the per-stage commit file written by rank 0.
 const CheckpointManifestName = "MANIFEST.json"
@@ -441,7 +445,7 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 	var peerFail atomic.Bool
 	runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
 		rank := c.Rank()
-		ck, err := readRankCheckpoint(filepath.Join(stageDir, rankFile(rank)), man, rank, e.opt)
+		ck, err := readRankCheckpoint(filepath.Join(stageDir, rankFile(rank)), man, rank, e.opt, len(reads))
 		flag := []int64{0}
 		if err != nil {
 			mu.Lock()
@@ -484,8 +488,11 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 // readRankCheckpoint loads and verifies one rank's file: content hash
 // against the committed manifest first (so truncation or bit rot is caught
 // before the codec sees the bytes), then the decoded self-description
-// against the resuming engine. Every failure names the rank and the file.
-func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Options) (*ckptRank, error) {
+// against the resuming engine, then the one invariant of the payload a later
+// stage would otherwise trip over mid-collective: the k-mer triples are this
+// rank's reads (block rank of numReads) in strict row-major order. Every
+// failure names the rank and the file.
+func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Options, numReads int) (*ckptRank, error) {
 	frame, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: reading %s: %w", rank, path, err)
@@ -513,6 +520,13 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 	if fp := opt.FingerprintThrough(man.Stage); ck.Fingerprint != fp {
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s carries options fingerprint %.12s…, engine has %.12s… through %s",
 			rank, path, ck.Fingerprint, fp, man.Stage)
+	}
+	if ck.HasKmers {
+		lo, hi := grid.BlockRange(numReads, opt.P, rank)
+		if err := spmat.CheckRowMajor(ck.KmerTriples, int32(lo), int32(hi), 0, ck.KmerNumCols); err != nil {
+			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer triples are not the rank's reads [%d,%d) in row-major order: %w",
+				rank, path, lo, hi, err)
+		}
 	}
 	return &ck, nil
 }

@@ -8,11 +8,16 @@ package pipeline
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/mpi/wire"
 )
 
 // checkpointedRun runs reads to `until` with checkpointing into dir, then
@@ -462,4 +467,138 @@ func TestCheckpointEveryValidation(t *testing.T) {
 	if err := opt.Validate(); err == nil {
 		t.Error("CheckpointEvery without CheckpointDir accepted")
 	}
+}
+
+// rewriteManifest edits the committed manifest of a stage checkpoint in place.
+func rewriteManifest(t *testing.T, stageDir string, edit func(*CheckpointManifest)) {
+	t.Helper()
+	path := filepath.Join(stageDir, CheckpointManifestName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man CheckpointManifest
+	if err := json.Unmarshal(blob, &man); err != nil {
+		t.Fatal(err)
+	}
+	edit(&man)
+	if blob, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteRankFile edits one rank's decoded checkpoint and commits the new
+// content hash to the manifest — a file that is internally consistent and
+// passes every integrity check, so only validation of its content can refuse
+// it.
+func rewriteRankFile(t *testing.T, stageDir string, rank int, edit func(*ckptRank)) {
+	t.Helper()
+	path := filepath.Join(stageDir, rankFile(rank))
+	frame, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := wire.UnmarshalOne[ckptRank](frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(&ck)
+	frame = wire.MarshalOne(ck)
+	if err := os.WriteFile(path, frame, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(frame)
+	rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.RankHashes[rank] = hex.EncodeToString(sum[:]) })
+}
+
+// TestCheckpointFailsClosedOnSchemaAndOrder: the packed Occur word and the
+// row-major order of KmerTriples are load-bearing since schema v3, so (1) a
+// directory committed under the v2 schema — manifest or rank file — is refused
+// with an error naming both schemas, and (2) a post-CountKmer checkpoint whose
+// triples are out of order, duplicated, or another rank's reads is refused at
+// load, naming rank and file, instead of panicking inside DetectOverlap's
+// collective construction of A.
+func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
+	reads := testReads(5000, 673)
+	opt := DefaultOptions(4)
+	opt.K = 21
+	opt.XDrop = 25
+	write := func(t *testing.T) (dir, stageDir string) {
+		dir = t.TempDir()
+		ckOpt := opt
+		ckOpt.CheckpointDir = dir
+		eng, err := Plan(ckOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts, err := eng.RunUntil(context.Background(), reads, StageCountKmer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts.Close()
+		return dir, filepath.Join(dir, StageCountKmer)
+	}
+	refused := func(t *testing.T, dir string, frags ...string) {
+		t.Helper()
+		eng, err := Plan(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := eng.LoadCheckpoint(context.Background(), reads, dir)
+		if err == nil {
+			a.Close()
+			t.Fatal("checkpoint loaded without error")
+		}
+		for _, frag := range frags {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("refusal lacks %q: %v", frag, err)
+			}
+		}
+	}
+	t.Run("v2 manifest", func(t *testing.T) {
+		dir, stageDir := write(t)
+		rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.Schema = "elba/checkpoint/v2" })
+		refused(t, dir, `schema "elba/checkpoint/v2"`, `"elba/checkpoint/v3"`)
+		// Naming the stage directory itself takes the other manifest path.
+		refused(t, stageDir, `schema "elba/checkpoint/v2"`, `"elba/checkpoint/v3"`)
+	})
+	t.Run("v2 rank file", func(t *testing.T) {
+		dir, stageDir := write(t)
+		rewriteRankFile(t, stageDir, 1, func(ck *ckptRank) { ck.Schema = 2 })
+		refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), "schema 2 (this build reads 3)")
+	})
+	for name, edit := range map[string]func(ck *ckptRank){
+		"out of order": func(ck *ckptRank) {
+			ts := ck.KmerTriples
+			ts[0], ts[len(ts)-1] = ts[len(ts)-1], ts[0]
+		},
+		"duplicate": func(ck *ckptRank) { ck.KmerTriples[1] = ck.KmerTriples[0] },
+		"another rank's read": func(ck *ckptRank) {
+			ck.KmerTriples[len(ck.KmerTriples)-1].Row = int32(len(reads) - 1)
+		},
+		"column past the k-mer count": func(ck *ckptRank) {
+			ck.KmerTriples[len(ck.KmerTriples)-1].Col = ck.KmerNumCols
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, stageDir := write(t)
+			rewriteRankFile(t, stageDir, 2, edit)
+			refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "row-major order")
+		})
+	}
+	// An untouched rewrite loads: the helpers themselves do not break a file.
+	dir, stageDir := write(t)
+	rewriteRankFile(t, stageDir, 2, func(*ckptRank) {})
+	eng, err := Plan(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := eng.LoadCheckpoint(context.Background(), reads, dir)
+	if err != nil {
+		t.Fatalf("re-encoded checkpoint refused: %v", err)
+	}
+	a.Close()
 }

@@ -175,10 +175,41 @@ func TestTracingEquivalence(t *testing.T) {
 				t.Fatalf("%s: rank %d recorded %d stage spans, want %d", label, r, stageSpans, len(StageNames()))
 			}
 		}
+		// Construction of A is its own span, inside DetectOverlap and before
+		// the first SUMMA round, so a trace separates building from multiplying.
+		for r := 0; r < tc.p; r++ {
+			var detect, build, firstRound *obs.Event
+			var builds int
+			for _, e := range tr.Rank(r).Events() {
+				switch {
+				case e.Cat == "stage" && e.Name == StageDetectOverlap:
+					detect = &e
+				case e.Name == "overlap.build_a":
+					build = &e
+					builds++
+				case e.Name == "summa.round" && firstRound == nil && build != nil:
+					firstRound = &e
+				}
+			}
+			if builds != 1 || detect == nil || firstRound == nil {
+				t.Fatalf("%s: rank %d: %d overlap.build_a spans (DetectOverlap span %v, later summa.round %v)", label, r, builds, detect != nil, firstRound != nil)
+			}
+			if build.Ts < detect.Ts || build.Ts+build.Dur > detect.Ts+detect.Dur || build.Ts+build.Dur > firstRound.Ts {
+				t.Fatalf("%s: rank %d: overlap.build_a [%d,+%d] not inside DetectOverlap [%d,+%d] before summa.round at %d",
+					label, r, build.Ts, build.Dur, detect.Ts, detect.Dur, firstRound.Ts)
+			}
+		}
 		merged := ms.Merged()
 		byName := map[string]obs.Metric{}
 		for _, m := range merged {
 			byName[m.Name] = m
+		}
+		// Every nonzero of A is counted once; its exchange is part of — and at
+		// P=1 none of — DetectOverlap's traffic.
+		detectBytes := traced.Stats.Timers.Get(StageDetectOverlap).SumBytes
+		if nnz, xb := byName["overlap.a_nnz"].Value, byName["overlap.a_exchange_bytes"].Value; nnz == 0 ||
+			xb > detectBytes || (xb == 0) != (tc.p == 1) {
+			t.Fatalf("%s: overlap.a_nnz=%d overlap.a_exchange_bytes=%d (DetectOverlap sent %d bytes)", label, nnz, xb, detectBytes)
 		}
 		for _, name := range []string{"align.cells", "align.pairs", "kmer.occurrences", "kmer.reliable", "pipeline.reads_local"} {
 			if _, ok := byName[name]; !ok {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -229,6 +230,62 @@ func TestCacheCorruptEntryFallsBack(t *testing.T) {
 		t.Errorf("fallback contigs %+v, cold %+v", got.Contigs, want.Contigs)
 	}
 	// The recomputed entry replaced the damaged one and serves hits again.
+	if _, how := assemble(t, c, opt, reads); how != "hit" {
+		t.Fatalf("after recompute: %q, want hit", how)
+	}
+}
+
+// TestCacheStaleSchemaEntryRunsCold: a cache directory written by a build with
+// the previous checkpoint schema survives a daemon upgrade as nothing worse
+// than a cold run — the entry is indexed at startup (its ENTRY.json is fine),
+// refused by LoadCheckpoint for its schema, dropped without counting as an
+// eviction, recomputed and replaced. The job never fails.
+func TestCacheStaleSchemaEntryRunsCold(t *testing.T) {
+	opt, reads := cacheFixture(t, 6000, 23)
+	dir := t.TempDir()
+	c, err := OpenCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, how := assemble(t, c, opt, reads)
+	if how != "miss" {
+		t.Fatalf("first run: %q", how)
+	}
+	// Relabel the committed checkpoint as the previous schema, the way a v2
+	// build left it.
+	manPath := filepath.Join(dir, Key(opt, reads), CacheStage, pipeline.CheckpointManifestName)
+	blob, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Replace(blob, []byte(pipeline.CheckpointSchema), []byte("elba/checkpoint/v2"), 1)
+	if bytes.Equal(stale, blob) {
+		t.Fatalf("manifest %s does not carry schema %q", manPath, pipeline.CheckpointSchema)
+	}
+	if err := os.WriteFile(manPath, stale, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	// The upgraded daemon starts on the old directory.
+	c, err = OpenCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("reopened cache indexes %d entries, want the stale one", st.Entries)
+	}
+	got, how := assemble(t, c, opt, reads)
+	if how != "miss" {
+		t.Fatalf("stale-schema entry: %q, want miss (cold run)", how)
+	}
+	if got.Contigs != want.Contigs {
+		t.Errorf("cold rerun contigs %+v, original %+v", got.Contigs, want.Contigs)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 0 || st.Misses != 1 {
+		t.Errorf("after the rerun: %+v, want one (recomputed) entry, no eviction, one miss", st)
+	}
+	if blob, err := os.ReadFile(manPath); err != nil || !bytes.Contains(blob, []byte(pipeline.CheckpointSchema)) {
+		t.Errorf("the stale entry was not replaced by a current-schema one (err %v)", err)
+	}
 	if _, how := assemble(t, c, opt, reads); how != "hit" {
 		t.Fatalf("after recompute: %q, want hit", how)
 	}

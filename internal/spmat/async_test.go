@@ -20,10 +20,10 @@ func TestSpGEMMAsyncMatchesBlocking(t *testing.T) {
 		b := FromGlobalTriples(g, 29, 31, bT, nil)
 
 		var prodSync, prodAsync int64
-		cs := SpGEMMCounted(a, b, plusTimes, nil, &prodSync)
+		cs := SpGEMMCounted(a, b, plusTimes, Mask{}, &prodSync)
 		bytesBefore := g.Comm.BytesSent()
 		asyncBefore := g.Comm.BytesAsync()
-		ca := SpGEMMAsync(a, b, plusTimes, nil, &prodAsync)
+		ca := SpGEMMAsync(a, b, plusTimes, Mask{}, &prodAsync)
 		asyncSent := g.Comm.BytesAsync() - asyncBefore
 		totalSent := g.Comm.BytesSent() - bytesBefore
 

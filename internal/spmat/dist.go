@@ -2,6 +2,7 @@ package spmat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/grid"
@@ -41,17 +42,11 @@ func (a *Dist[T]) owns(r, c int32) bool {
 // owner with one Alltoallv and combined there (collective).
 func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T, T) T) *Dist[T] {
 	a := newDistShell[T](g, nr, nc)
-	p := g.Comm.Size()
-	send := make([][]Triple[T], p)
-	for _, t := range mine {
-		o := g.BlockOwnerRank(int(nr), int(nc), int(t.Row), int(t.Col))
-		send[o] = append(send[o], t)
-	}
-	parts := mpi.Alltoallv(g.Comm, send)
-	var ts []Triple[T]
-	for _, part := range parts {
-		ts = append(ts, part...)
-	}
+	owner, counts := route(g.Comm.Size(), len(mine), func(k int) int {
+		return g.BlockOwnerRank(int(nr), int(nc), int(mine[k].Row), int(mine[k].Col))
+	})
+	parts := mpi.Alltoallv(g.Comm, routed(owner, counts, func(k int) Triple[T] { return mine[k] }))
+	ts := slices.Concat(parts...)
 	for _, t := range ts {
 		if !a.owns(t.Row, t.Col) {
 			panic(fmt.Sprintf("spmat: routed triple (%d,%d) outside block", t.Row, t.Col))
@@ -59,6 +54,94 @@ func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T
 	}
 	a.Local = NewCOO(nr, nc, ts, combine)
 	return a
+}
+
+// FromRowMajor builds the two operands of C = A·Aᵀ from one distribution of
+// A (collective). mine holds this rank's rows of the nr×nc matrix in strictly
+// row-major order (Row, then Col; no duplicates) and every row must lie in
+// the rank's grid-row range — which holds when rows are block-distributed
+// over the P ranks in world-rank order, as reads are (see package grid).
+//
+// Triples then only move along the grid row: √P exact-size buffers over the
+// row communicator, and because the senders' row ranges ascend with their
+// rank, the received parts concatenate into the block's row-major order with
+// no sort. One stable counting scatter by column turns that into the
+// canonical column-major A block; the Aᵀ block of rank (i, j) is the
+// row-major A block of the transposed rank (j, i) with Row and Col relabelled
+// — already column-major — so it arrives with one pairwise exchange (none on
+// the diagonal). Row range, column range, strict order and therefore
+// duplicates are checked on the input and on both received blocks; a
+// violation panics.
+func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *Dist[T]) {
+	a = newDistShell[T](g, nr, nc)
+	at = newDistShell[T](g, nc, nr)
+	if err := CheckRowMajor(mine, a.RowLo, a.RowHi, 0, nc); err != nil {
+		panic(fmt.Sprintf("spmat: FromRowMajor input: %v", err))
+	}
+	owner, counts := route(g.Dim, len(mine), func(k int) int {
+		return grid.BlockOwner(int(nc), g.Dim, int(mine[k].Col))
+	})
+	rows := slices.Concat(mpi.Alltoallv(g.RowComm, routed(owner, counts, func(k int) Triple[T] { return mine[k] }))...)
+	if err := CheckRowMajor(rows, a.RowLo, a.RowHi, a.ColLo, a.ColHi); err != nil {
+		panic(fmt.Sprintf("spmat: FromRowMajor routed block: %v", err))
+	}
+	a.Local.Ts = columnMajor(rows, a.ColLo, a.ColHi)
+
+	if g.Row != g.Col {
+		partner := g.TransposedRank()
+		const tag = 0x51e // private tag for this exchange pattern
+		mpi.Send(g.Comm, partner, tag, rows)
+		rows = mpi.Recv[Triple[T]](g.Comm, partner, tag)
+		if err := CheckRowMajor(rows, at.ColLo, at.ColHi, at.RowLo, at.RowHi); err != nil {
+			panic(fmt.Sprintf("spmat: FromRowMajor block of transposed rank %d: %v", partner, err))
+		}
+	}
+	for i := range rows {
+		rows[i].Row, rows[i].Col = rows[i].Col, rows[i].Row
+	}
+	if len(rows) > 0 {
+		at.Local.Ts = rows
+	}
+	return a, at
+}
+
+// CheckRowMajor reports the first triple of ts that lies outside rows
+// [rowLo, rowHi) × columns [colLo, colHi) or does not come strictly after its
+// predecessor in row-major order (so a duplicate cell is an error too).
+func CheckRowMajor[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32) error {
+	for i, t := range ts {
+		if t.Row < rowLo || t.Row >= rowHi || t.Col < colLo || t.Col >= colHi {
+			return fmt.Errorf("triple %d (%d,%d) outside [%d,%d)x[%d,%d)", i, t.Row, t.Col, rowLo, rowHi, colLo, colHi)
+		}
+		if i > 0 {
+			if p := ts[i-1]; t.Row < p.Row || (t.Row == p.Row && t.Col <= p.Col) {
+				return fmt.Errorf("triple %d (%d,%d) does not follow (%d,%d) in strict row-major order", i, t.Row, t.Col, p.Row, p.Col)
+			}
+		}
+	}
+	return nil
+}
+
+// columnMajor returns the canonical column-major copy of a strictly row-major
+// block whose columns lie in [colLo, colHi): a stable counting scatter by
+// column keeps each column's rows ascending.
+func columnMajor[T any](rows []Triple[T], colLo, colHi int32) []Triple[T] {
+	if len(rows) == 0 {
+		return nil
+	}
+	next := make([]int32, colHi-colLo+1)
+	for _, t := range rows {
+		next[t.Col-colLo+1]++
+	}
+	for j := int32(0); j < colHi-colLo; j++ {
+		next[j+1] += next[j]
+	}
+	out := make([]Triple[T], len(rows))
+	for _, t := range rows {
+		out[next[t.Col-colLo]] = t
+		next[t.Col-colLo]++
+	}
+	return out
 }
 
 // FromGlobalTriples builds the matrix when every rank deterministically holds
@@ -148,22 +231,18 @@ func (a *Dist[T]) Clone() *Dist[T] {
 func Transpose[T any](a *Dist[T], mirror func(T) T) *Dist[T] {
 	g := a.G
 	b := newDistShell[T](g, a.NC, a.NR)
-	p := g.Comm.Size()
-	send := make([][]Triple[T], p)
-	for _, t := range a.Local.Ts {
-		v := t.Val
+	ts := a.Local.Ts
+	owner, counts := route(g.Comm.Size(), len(ts), func(k int) int {
+		return g.BlockOwnerRank(int(a.NC), int(a.NR), int(ts[k].Col), int(ts[k].Row))
+	})
+	parts := mpi.Alltoallv(g.Comm, routed(owner, counts, func(k int) Triple[T] {
+		t := ts[k]
 		if mirror != nil {
-			v = mirror(v)
+			t.Val = mirror(t.Val)
 		}
-		o := g.BlockOwnerRank(int(a.NC), int(a.NR), int(t.Col), int(t.Row))
-		send[o] = append(send[o], Triple[T]{Row: t.Col, Col: t.Row, Val: v})
-	}
-	parts := mpi.Alltoallv(g.Comm, send)
-	var ts []Triple[T]
-	for _, part := range parts {
-		ts = append(ts, part...)
-	}
-	b.Local = NewCOO(a.NC, a.NR, ts, nil)
+		return Triple[T]{Row: t.Col, Col: t.Row, Val: t.Val}
+	}))
+	b.Local = NewCOO(a.NC, a.NR, slices.Concat(parts...), nil)
 	return b
 }
 
@@ -215,22 +294,52 @@ func (a *Dist[T]) MaskRowsCols(ids []int32) {
 	})
 }
 
+// Mask is the output mask of a multiply: which cells of C = A ⊗ B are formed
+// at all. A masked cell is never multiplied, never accumulated and never
+// counted, so the result equals the unmasked product followed by Apply(mask)
+// at the cost of the kept cells only. The zero Mask keeps every cell. The
+// multiply selects its product loop from the mask once, so the checkerboard —
+// a pure function of the indices — is tested inline, and only a KeepFunc mask
+// pays a call per product.
+type Mask struct {
+	checkerboard bool
+	keep         func(row, col int32) bool
+}
+
+// Checkerboard is the mask of a symmetric product whose pairs must each be
+// formed exactly once. Keeping only the upper triangle would idle the
+// lower-triangle ranks of the grid, so the surviving direction of each pair is
+// chosen checkerboard-style — (min,max) when row+col is even, (max,min) when
+// odd — which splits the work evenly across both triangles. The diagonal is
+// dropped.
+func Checkerboard() Mask { return Mask{checkerboard: true} }
+
+// KeepFunc masks with an arbitrary predicate, asked before each product is
+// formed.
+func KeepFunc(keep func(row, col int32) bool) Mask { return Mask{keep: keep} }
+
+// keepsCheckerboard is the Checkerboard predicate: equal parity keeps
+// row < col, unequal parity row > col.
+func keepsCheckerboard(row, col int32) bool {
+	if (row^col)&1 == 0 {
+		return row < col
+	}
+	return row > col
+}
+
 // SpGEMM computes A ⊗ B with the SUMMA algorithm: √P stages; in stage s the
 // ranks of grid column s broadcast their A blocks along their grid row, the
 // ranks of grid row s broadcast their B blocks along their grid column, and
 // every rank accumulates the local product (collective).
 func SpGEMM[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C]) *Dist[C] {
-	return SpGEMMCounted(a, b, sr, nil, nil)
+	return SpGEMMCounted(a, b, sr, Mask{}, nil)
 }
 
 // SpGEMMCounted is SpGEMM with an output mask and a semiring-product work
-// counter for the performance model (either may be nil). keep(row, col) is
-// asked before a product is formed: a false cell is never multiplied, never
-// accumulated and never counted, so the result equals the unmasked product
-// followed by Apply(keep) at the cost of the kept cells only. products is
-// advanced by the number of products evaluated (annihilated ones included).
-func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func(row, col int32) bool, products *int64) *Dist[C] {
-	return spgemm(a, b, sr, keep, products, false)
+// counter for the performance model (products may be nil): it is advanced by
+// the number of products evaluated on kept cells, annihilated ones included.
+func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
+	return spgemm(a, b, sr, mask, products, false)
 }
 
 // SpGEMMAsync is SpGEMMCounted with nonblocking SUMMA broadcasts: round
@@ -238,8 +347,8 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ke
 // panel transfer hides behind the local product. Accumulation order,
 // results, and byte/message counters are identical to the blocking form —
 // only the overlap attribution and wall time change.
-func SpGEMMAsync[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func(row, col int32) bool, products *int64) *Dist[C] {
-	return spgemm(a, b, sr, keep, products, true)
+func SpGEMMAsync[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
+	return spgemm(a, b, sr, mask, products, true)
 }
 
 // spgemm is the shared SUMMA body; async selects blocking broadcasts or the
@@ -250,7 +359,7 @@ func SpGEMMAsync[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep
 // path of NewCOO with the semiring Add as the combiner (Add is associative
 // and commutative — the precondition SUMMA's stage-order-independent
 // accumulation already imposes).
-func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func(row, col int32) bool, products *int64, async bool) *Dist[C] {
+func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64, async bool) *Dist[C] {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
 	}
@@ -310,27 +419,12 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func
 		panelNnz.Observe(int64(len(ablk)))
 		panelNnz.Observe(int64(len(bblk)))
 		roundStart := lane.Start()
-		// Local product: bucket A by inner index with a counting scatter
-		// (exact sizes, no per-bucket append growth), then walk B's column
-		// runs — bblk is canonical column-major — accumulating each output
-		// column in the SPA.
+		// Local product: both panels are canonical column-major, so A's
+		// inner-index runs are read where they lie — starts is a counting pass,
+		// no re-bucketing — and B is walked a column run at a time, each output
+		// column accumulated in the SPA.
 		kLo, kHi := grid.BlockRange(int(a.NC), g.Dim, s)
-		span := kHi - kLo
-		starts := make([]int32, span+1)
-		for _, t := range ablk {
-			starts[int(t.Col)-kLo+1]++
-		}
-		for i := 0; i < span; i++ {
-			starts[i+1] += starts[i]
-		}
-		flat := make([]Triple[A], len(ablk))
-		next := make([]int32, span)
-		copy(next, starts[:span])
-		for _, t := range ablk {
-			idx := int(t.Col) - kLo
-			flat[next[idx]] = t
-			next[idx]++
-		}
+		starts := columnStarts(ablk, kLo, kHi)
 		for lo := 0; lo < len(bblk); {
 			j := bblk[lo].Col
 			hi := lo + 1
@@ -340,12 +434,27 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func
 			acc.reset()
 			for _, bt := range bblk[lo:hi] {
 				kidx := int(bt.Row) - kLo
-				for _, at := range flat[starts[kidx]:starts[kidx+1]] {
-					if keep != nil && !keep(at.Row, j) {
-						continue
+				run := ablk[starts[kidx]:starts[kidx+1]]
+				switch {
+				case mask.checkerboard:
+					for _, at := range run {
+						if keepsCheckerboard(at.Row, j) {
+							evaluated++
+							fold(acc, at.Row-out.RowLo, at.Val, bt.Val, &sr)
+						}
 					}
-					evaluated++
-					fold(acc, at.Row-out.RowLo, at.Val, bt.Val, &sr)
+				case mask.keep != nil:
+					for _, at := range run {
+						if mask.keep(at.Row, j) {
+							evaluated++
+							fold(acc, at.Row-out.RowLo, at.Val, bt.Val, &sr)
+						}
+					}
+				default:
+					evaluated += int64(len(run))
+					for _, at := range run {
+						fold(acc, at.Row-out.RowLo, at.Val, bt.Val, &sr)
+					}
 				}
 			}
 			ts = acc.emit(ts, j, out.RowLo)
@@ -363,6 +472,27 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], keep func
 	}
 	out.Local = NewCOO(a.NR, b.NC, ts, sr.Add)
 	return out
+}
+
+// columnStarts indexes a canonical column-major panel whose columns lie in
+// [kLo, kHi): column k's triples are panel[starts[k-kLo]:starts[k-kLo+1]].
+// The panel arrived from another rank, so its column range and clustering are
+// checked, not assumed.
+func columnStarts[T any](panel []Triple[T], kLo, kHi int) []int32 {
+	span := kHi - kLo
+	starts := make([]int32, span+1)
+	prev := int32(kLo)
+	for _, t := range panel {
+		if t.Col < prev || int(t.Col) >= kHi {
+			panic(fmt.Sprintf("spmat: SUMMA panel column %d after %d is outside [%d,%d) or not column-major", t.Col, prev, kLo, kHi))
+		}
+		prev = t.Col
+		starts[int(t.Col)-kLo+1]++
+	}
+	for i := 0; i < span; i++ {
+		starts[i+1] += starts[i]
+	}
+	return starts
 }
 
 // DistVec is a dense vector block-distributed across all P ranks in
@@ -440,18 +570,25 @@ func (v *DistVec[T]) RowColGather() (rowVals, colVals []T) {
 	return rowVals, colVals
 }
 
-// route is the counting pass of the owner-routed collectives below: the
-// owner rank of every index and how many indices each rank owns, so each
-// per-destination buffer is allocated once at its exact size.
-func (v *DistVec[T]) route(idx []int32) (owner []int32, counts []int) {
-	owner = make([]int32, len(idx))
-	counts = make([]int, v.G.Comm.Size())
-	for k, i := range idx {
-		o := v.Owner(i)
+// route is the counting pass of every owner-routed exchange in this package:
+// the destination (of p) of each of n items and how many items each
+// destination gets, so each per-destination buffer is allocated once at its
+// exact size and an item's owner is computed once.
+func route(p, n int, ownerOf func(k int) int) (owner []int32, counts []int) {
+	owner = make([]int32, n)
+	counts = make([]int, p)
+	for k := range owner {
+		o := ownerOf(k)
 		owner[k] = int32(o)
 		counts[o]++
 	}
 	return owner, counts
+}
+
+// route is the counting pass for vector indices: the owner rank of every
+// index.
+func (v *DistVec[T]) route(idx []int32) (owner []int32, counts []int) {
+	return route(v.G.Comm.Size(), len(idx), func(k int) int { return v.Owner(idx[k]) })
 }
 
 // routed builds the per-destination buffers of an owner-routed collective:

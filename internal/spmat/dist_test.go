@@ -363,8 +363,14 @@ func TestScatterMin(t *testing.T) {
 // canonical nil on both sides), on random rectangular shapes, every mask
 // shape, a plain and an annihilating semiring, both schedules. The product
 // counter must equal the unmasked products that land on kept cells,
-// annihilated ones included.
+// annihilated ones included. The checkerboard runs twice — through the
+// inlined product loop (Checkerboard) and as a KeepFunc callback — against
+// one reference, so the two loops are held equal in result and products.
 func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
+	type maskCase struct {
+		mask Mask
+		keep func(r, c int32) bool
+	}
 	semirings := []Semiring[int64, int64, int64]{plusTimes, valueSemiring(oddProduct, plus)}
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 24; trial++ {
@@ -372,22 +378,29 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 		aT := globalTriples(rng, nr, k, rng.Float64()*0.4)
 		bT := globalTriples(rng, k, nc, rng.Float64()*0.4)
 		salt := rng.Int31()
-		masks := map[string]func(r, c int32) bool{
-			"nil":          nil,
-			"all":          func(_, _ int32) bool { return true },
-			"none":         func(_, _ int32) bool { return false },
-			"diagonal":     func(r, c int32) bool { return r == c },
-			"checkerboard": func(r, c int32) bool { return r != c && ((r+c)%2 == 0) == (r < c) },
-			"random":       func(r, c int32) bool { return (r*31+c*17+salt)%3 != 0 },
+		// Each mask with the predicate it must equal; the checkerboard appears
+		// as the inlined loop and as a callback.
+		all := func(_, _ int32) bool { return true }
+		checker := func(r, c int32) bool { return r != c && ((r+c)%2 == 0) == (r < c) }
+		fn := func(keep func(r, c int32) bool) maskCase { return maskCase{KeepFunc(keep), keep} }
+		masks := map[string]maskCase{
+			"zero":          {Mask{}, all},
+			"all":           fn(all),
+			"none":          fn(func(_, _ int32) bool { return false }),
+			"diagonal":      fn(func(r, c int32) bool { return r == c }),
+			"checker-func":  fn(checker),
+			"checker-board": {Checkerboard(), checker},
+			"random":        fn(func(r, c int32) bool { return (r*31+c*17+salt)%3 != 0 }),
 		}
 		sr := semirings[trial%2]
 		ref := multiplyMap(NewCOO(nr, k, append([]Triple[int64](nil), aT...), nil).ToCSC(),
 			NewCOO(k, nc, append([]Triple[int64](nil), bT...), nil).ToCSC(), sr)
-		for name, keep := range masks {
+		for name, mc := range masks {
+			mask, keep := mc.mask, mc.keep
 			var wantProducts int64
 			for _, at := range aT {
 				for _, bt := range bT {
-					if at.Col == bt.Row && (keep == nil || keep(at.Row, bt.Col)) {
+					if at.Col == bt.Row && keep(at.Row, bt.Col) {
 						wantProducts++
 					}
 				}
@@ -398,13 +411,11 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 					a := FromGlobalTriples(g, nr, k, aT, nil)
 					b := FromGlobalTriples(g, k, nc, bT, nil)
 					want := FromGlobalTriples(g, nr, nc, ref.Ts, nil)
-					if keep != nil {
-						want.Apply(func(r, c int32, v int64) (int64, bool) { return v, keep(r, c) })
-					}
+					want.Apply(func(r, c int32, v int64) (int64, bool) { return v, keep(r, c) })
 					var prodSync, prodAsync int64
 					for _, got := range []*Dist[int64]{
-						SpGEMMCounted(a, b, sr, keep, &prodSync),
-						SpGEMMAsync(a, b, sr, keep, &prodAsync),
+						SpGEMMCounted(a, b, sr, mask, &prodSync),
+						SpGEMMAsync(a, b, sr, mask, &prodAsync),
 					} {
 						if !reflect.DeepEqual(got.Local, want.Local) {
 							panic(fmt.Sprintf("masked SpGEMM block differs from multiplyMap+Apply\n got %v\nwant %v", got.Local, want.Local))

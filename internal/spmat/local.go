@@ -1,6 +1,7 @@
 // Package spmat is the sparse-matrix substrate standing in for CombBLAS:
 // local COO/CSC/DCSC formats with a semiring abstraction, and distributed
-// 2D block matrices on the √P × √P grid with SUMMA SpGEMM, distributed
+// 2D block matrices on the √P × √P grid with masked SUMMA SpGEMM, the
+// sort-free construction of A and Aᵀ from row-major triples, distributed
 // transpose, element-wise transforms, row-degree reductions and row/column
 // masking — the operations Algorithm 1 and Algorithm 2 are written in.
 //

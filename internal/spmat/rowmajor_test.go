@@ -1,0 +1,152 @@
+package spmat
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/grid"
+	"repro/internal/mpi"
+)
+
+// rowsOf returns the rows [lo, hi) of a global triple list in strictly
+// row-major order — what a rank owning those rows hands to FromRowMajor.
+func rowsOf(all []Triple[int64], lo, hi int) []Triple[int64] {
+	var mine []Triple[int64]
+	for _, t := range all {
+		if int(t.Row) >= lo && int(t.Row) < hi {
+			mine = append(mine, t)
+		}
+	}
+	slices.SortFunc(mine, func(a, b Triple[int64]) int {
+		if a.Row != b.Row {
+			return int(a.Row - b.Row)
+		}
+		return int(a.Col - b.Col)
+	})
+	return mine
+}
+
+// TestFromRowMajorMatchesNewDistTranspose holds the one-pass construction of
+// A and Aᵀ to the generic one it replaced on the k-mer matrix — NewDist
+// (all-to-all + radix sort) then Transpose (all-to-all + radix sort), kept in
+// the package for R's symmetrisation and here as the oracle — block by block,
+// for every grid size, on random shapes that include fewer rows or columns
+// than the grid dimension (so whole grid rows, ranks and column blocks are
+// empty), an all-zero matrix, and dense ones. The input must come back
+// untouched: it is the counting stage's artifact.
+func TestFromRowMajorMatchesNewDistTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	type shape struct {
+		nr, nc  int32
+		density float64
+	}
+	shapes := []shape{{0, 0, 0}, {1, 1, 1}, {2, 40, 0.5}, {40, 2, 0.5}, {3, 3, 1}, {25, 31, 0}, {64, 64, 1}}
+	for i := 0; i < 12; i++ {
+		shapes = append(shapes, shape{int32(1 + rng.Intn(50)), int32(1 + rng.Intn(50)), rng.Float64() * 0.6})
+	}
+	for _, sh := range shapes {
+		all := globalTriples(rng, sh.nr, sh.nc, sh.density)
+		for _, p := range gridSizes {
+			err := mpi.Run(p, func(c *mpi.Comm) {
+				g := grid.New(c)
+				lo, hi := g.MyVecRange(int(sh.nr))
+				mine := rowsOf(all, lo, hi)
+				input := slices.Clone(mine)
+				a, at := FromRowMajor(g, sh.nr, sh.nc, mine)
+				if !reflect.DeepEqual(mine, input) {
+					panic("FromRowMajor modified its input")
+				}
+				wantA := NewDist(g, sh.nr, sh.nc, slices.Clone(mine), nil)
+				wantAt := Transpose(wantA, nil)
+				a.G, at.G, wantA.G, wantAt.G = nil, nil, nil, nil // compare geometry and content, not the grid pointer
+				if !reflect.DeepEqual(a, wantA) {
+					panic(fmt.Sprintf("A block differs from NewDist\n got %+v\nwant %+v", a, wantA))
+				}
+				if !reflect.DeepEqual(at, wantAt) {
+					panic(fmt.Sprintf("Aᵀ block differs from Transpose\n got %+v\nwant %+v", at, wantAt))
+				}
+			})
+			if err != nil {
+				t.Fatalf("%dx%d density %.2f P=%d: %v", sh.nr, sh.nc, sh.density, p, err)
+			}
+		}
+	}
+}
+
+// TestFromRowMajorRefusesBadInput: everything NewDist + NewCOO caught by
+// routing and sorting, the sort-free constructor must catch by checking — a
+// duplicate cell, rows out of order, columns out of order within a row, a row
+// outside the rank's grid row, a column outside the matrix, and ranks whose
+// row ranges do not ascend with their rank (each input fine on its own, the
+// concatenation not). Every rank is given the bad input so that none is left
+// waiting for a peer that panicked.
+func TestFromRowMajorRefusesBadInput(t *testing.T) {
+	const n = 24
+	all := globalTriples(rand.New(rand.NewSource(31)), n, n, 1)
+	vecRange := func(g *grid.Grid) (int, int) { return g.MyVecRange(n) }
+	cases := []struct {
+		name    string
+		p       int
+		rows    func(g *grid.Grid) (lo, hi int)
+		corrupt func(g *grid.Grid, mine []Triple[int64]) []Triple[int64]
+		want    string
+	}{
+		{"duplicate cell", 4, vecRange, func(_ *grid.Grid, mine []Triple[int64]) []Triple[int64] {
+			return slices.Insert(mine, 1, mine[0])
+		}, "strict row-major"},
+		{"rows out of order", 9, vecRange, func(_ *grid.Grid, mine []Triple[int64]) []Triple[int64] {
+			slices.Reverse(mine)
+			return mine
+		}, "strict row-major"},
+		{"columns out of order", 1, vecRange, func(_ *grid.Grid, mine []Triple[int64]) []Triple[int64] {
+			mine[3], mine[4] = mine[4], mine[3]
+			return mine
+		}, "strict row-major"},
+		{"row of another grid row", 4, vecRange, func(g *grid.Grid, mine []Triple[int64]) []Triple[int64] {
+			mine[len(mine)-1].Row = int32((g.Row + 1) % g.Dim * n / g.Dim)
+			return mine
+		}, "outside"},
+		{"column outside the matrix", 4, vecRange, func(_ *grid.Grid, mine []Triple[int64]) []Triple[int64] {
+			mine[len(mine)-1].Col = n
+			return mine
+		}, "outside"},
+		{"row ranges descend along the grid row", 4, func(g *grid.Grid) (int, int) {
+			return grid.BlockRange(n, 4, g.Rank(g.Row, g.Dim-1-g.Col))
+		}, func(_ *grid.Grid, mine []Triple[int64]) []Triple[int64] { return mine }, "routed block"},
+	}
+	for _, tc := range cases {
+		err := mpi.Run(tc.p, func(c *mpi.Comm) {
+			g := grid.New(c)
+			lo, hi := tc.rows(g)
+			FromRowMajor(g, n, n, tc.corrupt(g, rowsOf(all, lo, hi)))
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want a panic mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckRowMajor: bounds on all four sides, strictness within and across
+// rows, and the empty list.
+func TestCheckRowMajor(t *testing.T) {
+	tr := func(r, c int32) Triple[int64] { return Triple[int64]{Row: r, Col: c} }
+	ok := [][]Triple[int64]{nil, {tr(2, 5)}, {tr(2, 5), tr(2, 6), tr(3, 5), tr(4, 9)}}
+	for _, ts := range ok {
+		if err := CheckRowMajor(ts, 2, 5, 5, 10); err != nil {
+			t.Errorf("%v: %v", ts, err)
+		}
+	}
+	bad := [][]Triple[int64]{
+		{tr(1, 5)}, {tr(5, 5)}, {tr(2, 4)}, {tr(2, 10)},
+		{tr(2, 5), tr(2, 5)}, {tr(2, 6), tr(2, 5)}, {tr(3, 5), tr(2, 6)},
+	}
+	for _, ts := range bad {
+		if err := CheckRowMajor(ts, 2, 5, 5, 10); err == nil {
+			t.Errorf("%v accepted", ts)
+		}
+	}
+}

@@ -23,7 +23,7 @@ func reduceRef(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int) Stats {
 	var st Stats
 	for iter := 0; iter < maxIter; iter++ {
 		st.Iterations = iter + 1
-		n := spmat.SpGEMMCounted(s, s, pathSemiring, nil, &st.Products)
+		n := spmat.SpGEMMCounted(s, s, pathSemiring, spmat.Mask{}, &st.Products)
 		paths := make(map[int64]PathMin, n.Local.Nnz())
 		for _, t := range n.Local.Ts {
 			paths[key(t.Row, t.Col)] = t.Val

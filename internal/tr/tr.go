@@ -83,9 +83,9 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		pat := newPattern(s)
 		var n *spmat.Dist[PathMin]
 		if async {
-			n = spmat.SpGEMMAsync(s, s, pathSemiring, pat.has, &st.Products)
+			n = spmat.SpGEMMAsync(s, s, pathSemiring, spmat.KeepFunc(pat.has), &st.Products)
 		} else {
-			n = spmat.SpGEMMCounted(s, s, pathSemiring, pat.has, &st.Products)
+			n = spmat.SpGEMMCounted(s, s, pathSemiring, spmat.KeepFunc(pat.has), &st.Products)
 		}
 		// Merge-join N against S — both canonical, N's cells a subset of
 		// S's — collecting the positions of the local transitive edges.
