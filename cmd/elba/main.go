@@ -432,6 +432,7 @@ func main() {
 	if *breakdown {
 		fmt.Println("\nStage breakdown (max across ranks):")
 		fmt.Print(result.Stats.Timers.Breakdown(pipeline.MainStages))
+		printAlignmentPhases(result.Stats)
 	}
 	if reference != nil {
 		rep := elba.Evaluate(reference, result.Contigs)
@@ -480,10 +481,24 @@ func readFasta(path string) ([][]byte, error) {
 	return fasta.ReadSeqs(f)
 }
 
+// printAlignmentPhases says how much of the Alignment stage the
+// containment-first schedule avoided: pairs aligned per phase against the
+// candidate count (the rest had both reads already known contained).
+func printAlignmentPhases(s elba.Stats) {
+	if s.AlignedPairs == 0 {
+		return // resumed past Alignment from artifacts that carry no count
+	}
+	p1 := s.Timers.Get(pipeline.AlignmentPhases[0])
+	p2 := s.Timers.Get(pipeline.AlignmentPhases[1])
+	fmt.Printf("Alignment: aligned %d of %d candidate pairs (phase 1 %d in %s, phase 2 %d in %s), skipped %d with both reads known contained\n",
+		s.AlignedPairs, s.CandidatePairs, p1.SumWork, p1.MaxDur.Round(time.Microsecond),
+		p2.SumWork, p2.MaxDur.Round(time.Microsecond), s.CandidatePairs-s.AlignedPairs)
+}
+
 func printSummary(out *elba.Output) {
 	s := out.Stats
-	fmt.Printf("P=%d threads/rank=%d reads=%d kmers=%d candidates=%d overlaps=%d contained=%d\n",
-		s.P, s.Threads, s.NumReads, s.NumKmers, s.CandidatePairs, s.KeptOverlaps, s.ContainedReads)
+	fmt.Printf("P=%d threads/rank=%d reads=%d kmers=%d candidates=%d aligned=%d overlaps=%d contained=%d\n",
+		s.P, s.Threads, s.NumReads, s.NumKmers, s.CandidatePairs, s.AlignedPairs, s.KeptOverlaps, s.ContainedReads)
 	fmt.Printf("TR: %d iterations, %d edges removed; branches=%d contigs=%d\n",
 		s.TR.Iterations, s.TR.EdgesRemoved, s.BranchVertices, s.NumContigs)
 	longest := 0

@@ -35,6 +35,15 @@ func DefaultParams(xdrop int32) Params {
 	return Params{Match: 1, Mismatch: -2, Gap: -2, XDrop: xdrop}
 }
 
+// chainExact is the precondition of the chained-seed lemma for the x-drop DP
+// (DESIGN.md §3). Match > 0 > Gap and Mismatch ≤ Match make an initial match
+// never worse than any other first move; XDrop ≥ −Gap keeps the two cells of
+// antidiagonal 1 alive, without which the DP stops before it reaches the
+// match at (1,1) and every extension is empty wherever it starts.
+func (p Params) chainExact() bool {
+	return p.Match > 0 && p.Gap < 0 && p.Mismatch <= p.Match && p.XDrop >= -p.Gap
+}
+
 // negInf marks a dead cell. The kernel adds one move score to it without
 // checking first, so scores and XDrop must stay far below 2^29 in magnitude —
 // any scoring that makes sense for reads does.
@@ -278,8 +287,9 @@ type paramsAligner struct {
 	sc *Scratch
 }
 
-func (a paramsAligner) Name() string { return "xdrop" }
-func (a paramsAligner) Work() int64  { return 0 }
+func (a paramsAligner) Name() string     { return "xdrop" }
+func (a paramsAligner) Work() int64      { return 0 }
+func (a paramsAligner) ChainExact() bool { return a.p.chainExact() }
 func (a paramsAligner) SeedExtend(u, v []byte, k int32, seed Seed) Result {
 	return seedExtend(a.sc, u, v, k, seed, a.p)
 }

@@ -20,14 +20,61 @@ type Aligner interface {
 	// Work returns the cumulative DP work units (cells or wavefront offsets
 	// visited) since construction — the counter behind package perfmodel.
 	Work() int64
+	// ChainExact reports whether the backend's own parameters meet the
+	// precondition of the chained-seed lemma (DESIGN.md §3): SeedExtend of a
+	// shared k-mer and of the same k-mer shifted by 0 < δ ≤ k bases along
+	// its diagonal return the same Result. BestOf extends one seed per chain
+	// only when this holds, and every seed otherwise.
+	ChainExact() bool
 }
 
-// BestOf runs al.SeedExtend for every seed and keeps the highest-scoring
-// alignment (ties: the first seed), BELLA's "up to two seeds" policy.
+// chained reports whether s is prev shifted by 0 < δ ≤ k bases along prev's
+// strand and diagonal: ΔPU = ΔPV = δ on forward seeds, ΔPU = −ΔPV = δ on
+// reverse-complement ones (PV counts on v's forward strand, so it falls as
+// the window advances on revcomp(v)). The two windows then abut or overlap:
+// the k+δ bases from prev's first to s's last are one exact match.
+func chained(prev, s Seed, k int32) bool {
+	d := s.PU - prev.PU
+	if s.RC != prev.RC || d <= 0 || d > k {
+		return false
+	}
+	if s.RC {
+		return prev.PV-s.PV == d
+	}
+	return s.PV-prev.PV == d
+}
+
+// Extensions returns how many of seeds BestOf(al, …, k, seeds) extends: all
+// of them, less those chained to the seed extended before them when
+// al.ChainExact().
+func Extensions(al Aligner, k int32, seeds []Seed) int {
+	exact := al.ChainExact()
+	n, last := 0, -1 // last: the seed BestOf extends last
+	for i, s := range seeds {
+		if exact && last >= 0 && chained(seeds[last], s, k) {
+			continue
+		}
+		n, last = n+1, i
+	}
+	return n
+}
+
+// BestOf keeps the highest-scoring alignment over the seeds (ties: the first
+// seed), BELLA's "up to two seeds" policy. Every seed must be a shared k-mer
+// of u and v (the Seed contract). A seed chained to the seed extended before
+// it would return that seed's Result (the chained-seed lemma, DESIGN.md §3)
+// and could not win the strict comparison, so when al.ChainExact() it is not
+// extended; every other seed is.
 func BestOf(al Aligner, u, v []byte, k int32, seeds []Seed) Result {
 	var best Result
 	bestScore := negInf
-	for _, s := range seeds {
+	exact := al.ChainExact()
+	last := -1 // the seed extended last
+	for i, s := range seeds {
+		if exact && last >= 0 && chained(seeds[last], s, k) {
+			continue
+		}
+		last = i
 		a := al.SeedExtend(u, v, k, s)
 		if a.Score > bestScore {
 			best, bestScore = a, a.Score
@@ -61,6 +108,9 @@ func (a *XDropAligner) Name() string { return "xdrop" }
 
 // Work implements Aligner.
 func (a *XDropAligner) Work() int64 { return a.cells }
+
+// ChainExact implements Aligner.
+func (a *XDropAligner) ChainExact() bool { return a.p.chainExact() }
 
 // SeedExtend implements Aligner.
 func (a *XDropAligner) SeedExtend(u, v []byte, k int32, seed Seed) Result {

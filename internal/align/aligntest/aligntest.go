@@ -5,6 +5,7 @@
 package aligntest
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/dna"
@@ -111,4 +112,107 @@ func SeededOverlap(seed int64, k int) (u, v []byte, pu, pv int32) {
 		}
 	}
 	panic("aligntest: no shared k-mer")
+}
+
+// ChainedCase is a read pair sharing an exact run of K+Delta bases, and the
+// two seeds a k-mer stage would report at the run's two ends: (PU, PV) and
+// the same window shifted Delta bases along the diagonal, (PU2, PV2), both in
+// forward coordinates of U and V. With RC the run sits on V's reverse strand.
+type ChainedCase struct {
+	U, V             []byte
+	K, Delta         int32
+	PU, PV, PU2, PV2 int32
+	RC               bool
+}
+
+// SeedExtendFunc is a backend's SeedExtend reduced to plain values (this
+// package imports no backend): the alignment's score and half-open extents.
+type SeedExtendFunc func(u, v []byte, k, pu, pv int32, rc bool) (score, bu, eu, bv, ev int32)
+
+// NewChained assembles a case from its five pieces: each read is its left
+// flank reversed (flanks are extension problems, written outward from the
+// run), the run, then its right flank. Empty flanks put the seeds at read
+// boundaries.
+func NewChained(leftU, leftV, run, rightU, rightV []byte, k, delta int32, rc bool) ChainedCase {
+	if int32(len(run)) != k+delta || delta < 1 || delta > k {
+		panic("aligntest: run must hold k+delta bases, 1 ≤ delta ≤ k")
+	}
+	join := func(left, right []byte) []byte {
+		out := make([]byte, 0, len(left)+len(run)+len(right))
+		for i := len(left) - 1; i >= 0; i-- {
+			out = append(out, left[i])
+		}
+		return append(append(out, run...), right...)
+	}
+	c := ChainedCase{U: join(leftU, rightU), V: join(leftV, rightV), K: k, Delta: delta, RC: rc}
+	c.PU, c.PU2 = int32(len(leftU)), int32(len(leftU))+delta
+	c.PV, c.PV2 = int32(len(leftV)), int32(len(leftV))+delta
+	if rc {
+		// The window [p, p+k) of the strand that matches u is
+		// [LV−p−k, LV−p) on the stored read.
+		lv := int32(len(c.V))
+		c.V = dna.RevComp(c.V)
+		c.PV, c.PV2 = lv-c.PV-k, lv-c.PV2-k
+	}
+	return c
+}
+
+// Chained draws a case whose flanks are two independent Pair problems at the
+// given error rate (so either read may end at the run, or run on alone).
+func Chained(rng *rand.Rand, maxLen int, k, delta int32, rate float64, rc bool) ChainedCase {
+	leftU, leftV := Pair(rng, maxLen, rate, true)
+	rightU, rightV := Pair(rng, maxLen, rate, true)
+	return NewChained(leftU, leftV, RandSeq(rng, int(k+delta)), rightU, rightV, k, delta, rc)
+}
+
+// EachChained is the sweep both backends' lemma tests run: per error rate
+// (0, 0.5%, 3%, 15%) and strand, n cases with k in [5,31] and delta in [1,k],
+// every sixth pinned to delta = 1 or delta = k.
+func EachChained(rng *rand.Rand, n int, fn func(c ChainedCase, rate float64)) {
+	for _, rate := range []float64{0, 0.005, 0.03, 0.15} {
+		for _, rc := range []bool{false, true} {
+			for i := 0; i < n; i++ {
+				k := int32(5 + rng.Intn(27))
+				delta := int32(1 + rng.Intn(int(k)))
+				if i%6 == 0 {
+					delta = []int32{1, k}[i/6%2]
+				}
+				fn(Chained(rng, 250, k, delta, rate, rc), rate)
+			}
+		}
+	}
+}
+
+// String describes the case for a failure message.
+func (c ChainedCase) String() string {
+	return fmt.Sprintf("k %d δ %d rc %v, seeds (%d,%d) and (%d,%d)\nu=%q\nv=%q",
+		c.K, c.Delta, c.RC, c.PU, c.PV, c.PU2, c.PV2, c.U, c.V)
+}
+
+// FuzzChained maps fuzzer bytes to a case: k in [5,31], delta in [1,k], the
+// run from raw's first bytes (cycled), the flanks from the two halves of raw
+// and edits through FuzzPair.
+func FuzzChained(raw, edits []byte, kb, db uint8, rc bool) ChainedCase {
+	k := 5 + int32(kb)%27
+	delta := 1 + int32(db)%k
+	run := make([]byte, k+delta)
+	for i := range run {
+		b := byte(i)
+		if len(raw) > 0 {
+			b = raw[i%len(raw)] + byte(i/len(raw))
+		}
+		run[i] = dna.Bases[b&3]
+	}
+	hr, he := len(raw)/2, min(len(edits), len(raw)/2)
+	leftU, leftV := FuzzPair(raw[:hr], edits[:he])
+	rightU, rightV := FuzzPair(raw[hr:], edits[he:])
+	return NewChained(leftU, leftV, run, rightU, rightV, k, delta, rc)
+}
+
+// Identical extends both seeds of the case and reports whether the two
+// alignments agree in score and extents, with both for the failure message.
+func (c ChainedCase) Identical(ext SeedExtendFunc) (same bool, first, second [5]int32) {
+	first[0], first[1], first[2], first[3], first[4] = ext(c.U, c.V, c.K, c.PU, c.PV, c.RC)
+	second[0], second[1], second[2], second[3], second[4] = ext(c.U, c.V, c.K, c.PU2, c.PV2, c.RC)
+	return first == second, first, second
 }

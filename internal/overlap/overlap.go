@@ -7,7 +7,7 @@
 package overlap
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/align"
 	"repro/internal/bidir"
@@ -140,7 +140,7 @@ type Result struct {
 	Contained []int32                // reads removed as contained (global, replicated)
 	// Counters (global, replicated); each candidate pair is counted once
 	// (the checkerboard keeps one direction per pair).
-	CandidatePairs int64 // aligned read pairs
+	CandidatePairs int64 // candidate read pairs (not all are aligned, see alignAndPrune)
 	KeptOverlaps   int64 // pairs surviving as dovetails
 }
 
@@ -206,17 +206,27 @@ func buildA(g *grid.Grid, numReads int, kres *kmer.Result) (a, at *spmat.Dist[km
 	return a, at
 }
 
-// AlignCandidates is the Alignment stage: one backend extension per
-// candidate (x-drop or wavefront, per cfg), classification, containment
-// pruning, symmetrization into res.R. The candidates are spread over an
-// intra-rank worker pool; each worker owns its aligner, and summing the
-// per-worker counters afterwards gives the same total as a serial run
-// (every pair is aligned exactly once).
+// The Alignment stage's two phases as trace sub-stages (nested under
+// "Alignment"; package pipeline registers the "AL" prefix): wall time and
+// traffic per phase, and as work units the candidate pairs the phase aligned —
+// their sum is the run's aligned-pair count, the rest of CandidatePairs was
+// skipped.
+const (
+	SubStagePhase1 = "AL:Phase1"
+	SubStagePhase2 = "AL:Phase2"
+)
+
+// AlignCandidates is the Alignment stage: backend extension (x-drop or
+// wavefront, per cfg) of every candidate whose result can change R,
+// classification, containment pruning, symmetrization into res.R. The pairs
+// are spread over an intra-rank worker pool; each worker owns its aligner,
+// and summing the per-worker counters afterwards gives the same total as a
+// serial run (every aligned pair is aligned exactly once).
 func AlignCandidates(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], cfg Config, tm *trace.Timers, res *Result) {
 	pool := par.NewPool(cfg.Threads, func(int) align.Aligner { return cfg.aligner() })
 	pool.SetTrace(g.Comm.Lane(), "align")
 	tm.Stage("Alignment", g.Comm, func() {
-		res.R = alignAndPrune(g, store, c, pool, cfg, res)
+		res.R = alignAndPrune(g, store, c, pool, cfg, tm, res)
 	})
 	var work int64
 	for _, al := range pool.States() {
@@ -225,87 +235,214 @@ func AlignCandidates(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds],
 	tm.AddWork("Alignment", work)
 }
 
-// alignAndPrune aligns every surviving candidate (one direction per pair)
-// through the worker pool's backends, prunes, removes contained reads, and
-// returns the symmetric overlap matrix.
-func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], pool *par.Pool[align.Aligner], cfg Config, res *Result) *spmat.Dist[bidir.Aln] {
+// containmentPicks chooses phase 1's candidates: for each local row read and
+// each local column read, the one candidate whose first seed predicts that
+// read most deeply contained in its partner. The seed's diagonal d = PU − PV′
+// (PV′ = LV−PV−k on the strand that matches u) places v at [d, d+LV) on u's
+// axis; u lies inside v with margin min(−d, d+LV−LU) to v's two ends, v
+// inside u with margin min(d, LU−d−LV). A read with no candidate of margin
+// ≥ 0 gets no pick. Returns candidate indices, ascending and distinct (at
+// most rows+cols of them); ties keep the earliest candidate, so the list is a
+// function of c alone.
+func containmentPicks(c *spmat.Dist[Seeds], rowSeqs, colSeqs [][]byte, k int32) []int32 {
+	// One flat slice pair, local rows first, then local columns.
+	nr := len(rowSeqs)
+	n := nr + len(colSeqs)
+	buf := make([]int32, 2*n)
+	for i := range buf {
+		buf[i] = -1
+	}
+	best, margin := buf[:n], buf[n:]
+	for i, t := range c.Local.Ts {
+		r, cc := int(t.Row-c.RowLo), int(t.Col-c.ColLo)
+		lu, lv := int32(len(rowSeqs[r])), int32(len(colSeqs[cc]))
+		s := t.Val.S[0]
+		pv := s.PV
+		if s.RC {
+			pv = lv - s.PV - k
+		}
+		d := s.PU - pv
+		if m := min(-d, d+lv-lu); m > margin[r] {
+			best[r], margin[r] = int32(i), m
+		}
+		if m := min(d, lu-d-lv); m > margin[nr+cc] {
+			best[nr+cc], margin[nr+cc] = int32(i), m
+		}
+	}
+	picks := best[:0]
+	for _, i := range best {
+		if i >= 0 {
+			picks = append(picks, i)
+		}
+	}
+	slices.Sort(picks)
+	return slices.Compact(picks)
+}
+
+// alignAndPrune aligns the candidates (one direction per pair) through the
+// worker pool's backends on a containment-first schedule, prunes, removes
+// contained reads, and returns the symmetric overlap matrix.
+//
+// Most reads of a deep dataset end up contained, and Prune(R,
+// IsContainedRead()) deletes every overlap that touches one — so phase 1
+// aligns the few pairs most likely to prove a read contained
+// (containmentPicks), the ids found are replicated as the set K₁, and phase 2
+// aligns every other candidate except those whose two reads are both in K₁.
+// The output does not depend on the prediction: a skipped pair could only
+// have named a read already in Contained or produced a dovetail that
+// MaskRowsCols(Contained) removes, and a read phase 1 misses keeps all its
+// pairs (DESIGN.md §3). Both phase lists are built serially from c and
+// results are written by candidate index, so R, the counters and the
+// aligners' work are the same for every pool size.
+func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], pool *par.Pool[align.Aligner], cfg Config, tm *trace.Timers, res *Result) *spmat.Dist[bidir.Aln] {
 	// diBELLA's sequence exchange: row-range sequences via the row
 	// communicator, column-range sequences via the transposed rank.
 	rowSeqs, colSeqs := store.RowColSequences(g)
 
 	cls := bidir.Params{MaxOverhang: cfg.MaxOverhang}
-	// Parallel phase: align and classify each candidate independently,
-	// writing by index so the downstream fold is order-deterministic. The
-	// LPT weights are the banded-DP cost proxy seeds × (|u|+|v|), keeping
-	// the few longest pairs from serializing one worker.
+	k := int32(cfg.K)
 	ts := c.Local.Ts
+	// A candidate that is never aligned stays Internal: dropped by the fold.
 	kinds := make([]bidir.Kind, len(ts))
+	for i := range kinds {
+		kinds[i] = bidir.Internal
+	}
 	alns := make([]bidir.Aln, len(ts))
-	// align.cells: per-pair DP-cell distribution via the aligner's cumulative
-	// work counter (each pair is aligned exactly once, so the histogram's
-	// count/sum are schedule- and thread-invariant).
-	cells := g.Comm.Metrics().Histogram("align.cells")
-	alignOne := func(al align.Aligner, i int) {
-		t := ts[i]
-		u, v := rowSeqs[t.Row-c.RowLo], colSeqs[t.Col-c.ColLo]
+	reg, lane := g.Comm.Metrics(), g.Comm.Lane()
+	// align.cells: per-aligned-pair DP-cell distribution via the aligner's
+	// cumulative work counter (each such pair is aligned exactly once, so the
+	// histogram's count/sum are schedule- and thread-invariant).
+	cells := reg.Histogram("align.cells")
+	chainedSeeds := reg.Counter("align.seeds_skipped_chained")
+	seedsOf := func(i int32) (u, v []byte, seeds []align.Seed) {
+		t := &ts[i]
+		return rowSeqs[t.Row-c.RowLo], colSeqs[t.Col-c.ColLo], t.Val.S[:t.Val.N]
+	}
+	alignOne := func(al align.Aligner, i int32) {
+		u, v, seeds := seedsOf(i)
 		var w0 int64
 		if cells != nil {
 			w0 = al.Work()
 		}
-		a := align.BestOf(al, u, v, int32(cfg.K), t.Val.S[:t.Val.N])
+		a := align.BestOf(al, u, v, k, seeds)
 		if cells != nil {
 			cells.Observe(al.Work() - w0)
+			chainedSeeds.Add(int64(len(seeds) - align.Extensions(al, k, seeds)))
 		}
-		a.U, a.V = t.Row, t.Col
+		a.U, a.V = ts[i].Row, ts[i].Col
 		// Quality gates first: length and score density.
-		alnLen := min32(a.EU-a.BU, a.EV-a.BV)
+		alnLen := min(a.EU-a.BU, a.EV-a.BV)
 		if alnLen < cfg.MinOverlap || float64(a.Score) < cfg.MinScoreFrac*float64(alnLen) {
-			kinds[i] = bidir.Internal // dropped either way
-			return
+			return // dropped either way
 		}
 		_, kinds[i] = bidir.Classify(a, cls)
 		alns[i] = a
 	}
-	if pool.Workers() == 1 {
-		// Serial pool: skip the weight pass, LPT would ignore it anyway.
-		par.ForEach(pool, len(ts), alignOne)
-	} else {
-		weights := make([]int64, len(ts))
-		for i, t := range ts {
-			u, v := rowSeqs[t.Row-c.RowLo], colSeqs[t.Col-c.ColLo]
-			weights[i] = int64(t.Val.N) * int64(len(u)+len(v))
+	// known is the replicated contained-read set: K₁ after phase 1, all of
+	// Contained after phase 2. found counts the ids this rank announced.
+	known := make([]bool, store.N)
+	var nKnown, found int
+	// phase aligns the listed candidates in parallel, each independently,
+	// writing by candidate index so what follows is order-deterministic,
+	// then all-gathers the reads they prove contained that known does not
+	// hold yet (each id once per rank) and marks every rank's finds. It is
+	// one trace sub-stage and one span on the rank's lane.
+	phase := func(name, span string, idx []int32) {
+		start := lane.Start()
+		tm.Stage(name, g.Comm, func() {
+			if pool.Workers() == 1 {
+				// Serial pool: skip the weight pass, LPT would ignore it.
+				par.ForEach(pool, len(idx), func(al align.Aligner, j int) { alignOne(al, idx[j]) })
+			} else {
+				// The LPT weights are the banded-DP cost proxy
+				// extensions × (|u|+|v|), keeping the few longest pairs
+				// from serializing one worker.
+				al0 := pool.States()[0]
+				weights := make([]int64, len(idx))
+				for j, i := range idx {
+					u, v, seeds := seedsOf(i)
+					weights[j] = int64(align.Extensions(al0, k, seeds)) * int64(len(u)+len(v))
+				}
+				par.ForEachBalanced(pool, weights, func(al align.Aligner, j int) { alignOne(al, idx[j]) })
+			}
+			ids := make([]int32, 0, min(len(idx), len(known)-nKnown))
+			for _, i := range idx {
+				id := ts[i].Col
+				switch kinds[i] {
+				case bidir.ContainedU:
+					id = ts[i].Row
+				case bidir.ContainsV:
+				default:
+					continue
+				}
+				if !known[id] {
+					known[id] = true
+					nKnown++
+					ids = append(ids, id)
+				}
+			}
+			found += len(ids)
+			// Replicate the contained reads (Prune(R, IsContainedRead())).
+			flat, _ := mpi.AllgathervFlat(g.Comm, ids)
+			for _, id := range flat {
+				if !known[id] {
+					known[id] = true
+					nKnown++
+				}
+			}
+		})
+		tm.AddWork(name, int64(len(idx)))
+		if lane != nil {
+			lane.Span(0, "overlap", span, start, obs.Arg{K: "pairs", V: int64(len(idx))})
 		}
-		par.ForEachBalanced(pool, weights, alignOne)
 	}
-	// Serial fold in candidate order: identical upper/contained slices for
-	// every pool size.
-	var upper []spmat.Triple[bidir.Aln]
-	var contained []int32
+
+	picks := containmentPicks(c, rowSeqs, colSeqs, k)
+	phase(SubStagePhase1, "align.phase1", picks)
+	knownPhase1 := nKnown
+	rest := make([]int32, 0, len(ts)-len(picks))
+	for i, p := 0, 0; i < len(ts); i++ {
+		if p < len(picks) && picks[p] == int32(i) {
+			p++
+		} else if !known[ts[i].Row] || !known[ts[i].Col] {
+			rest = append(rest, int32(i))
+		}
+	}
+	phase(SubStagePhase2, "align.phase2", rest)
+	res.Contained = make([]int32, 0, nKnown)
+	for id, is := range known {
+		if is {
+			res.Contained = append(res.Contained, int32(id))
+		}
+	}
+	// Serial fold in candidate order: the same upper slice for every pool
+	// size.
+	dovetails := 0
+	for _, kind := range kinds {
+		if kind == bidir.Dovetail {
+			dovetails++
+		}
+	}
+	upper := make([]spmat.Triple[bidir.Aln], 0, dovetails)
 	for i, t := range ts {
-		switch kinds[i] {
-		case bidir.Dovetail:
+		if kinds[i] == bidir.Dovetail {
 			upper = append(upper, spmat.Triple[bidir.Aln]{Row: t.Row, Col: t.Col, Val: alns[i]})
-		case bidir.ContainsV:
-			contained = append(contained, t.Col)
-		case bidir.ContainedU:
-			contained = append(contained, t.Row)
-		case bidir.Internal:
-			// repeat-induced, low-quality, or gate-filtered: drop
 		}
 	}
-	if reg := g.Comm.Metrics(); reg != nil {
+	if reg != nil {
+		aligned := len(picks) + len(rest)
 		reg.Counter("align.pairs").Add(int64(len(ts)))
+		reg.Counter("align.pairs_aligned").Add(int64(aligned))
+		reg.Counter("align.pairs_skipped_contained").Add(int64(len(ts) - aligned))
 		reg.Counter("align.dovetails").Add(int64(len(upper)))
-		reg.Counter("align.contained").Add(int64(len(contained)))
+		reg.Counter("align.contained").Add(int64(found))
+		if g.Comm.Rank() == 0 { // K₁ is replicated: count it once
+			reg.Counter("align.contained_known_phase1").Add(int64(knownPhase1))
+		}
 	}
-	// Replicate the contained-read set (Prune(R, IsContainedRead())).
-	flat, _ := mpi.AllgathervFlat(g.Comm, contained)
-	sort.Slice(flat, func(i, j int) bool { return flat[i] < flat[j] })
-	flat = dedup(flat)
-	res.Contained = flat
 
 	rHalf := spmat.NewDist(g, int32(store.N), int32(store.N), upper, nil)
-	rHalf.MaskRowsCols(flat)
+	rHalf.MaskRowsCols(res.Contained)
 	res.KeptOverlaps = rHalf.Nnz()
 	// Symmetrize: R = half + mirror(half)ᵀ (each pair has exactly one
 	// stored direction, so the merge cannot collide).
@@ -329,21 +466,4 @@ func ToStringGraph(r *spmat.Dist[bidir.Aln], maxOverhang int32) *spmat.Dist[bidi
 	}
 	out.Local = spmat.NewCOO(r.NR, r.NC, ts, nil)
 	return out
-}
-
-func dedup(xs []int32) []int32 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || xs[i-1] != x {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -69,8 +69,9 @@ type Threading struct {
 func Serial() Threading { return Threading{Threads: 1} }
 
 // DefaultFrac reflects which loops the worker pool actually drives:
-// alignment is embarrassingly parallel across candidate pairs (the residue
-// is the sequence exchange and the fold), and k-mer counting parallelizes
+// alignment is embarrassingly parallel across the candidate pairs each of
+// its two phases aligns (the residue is the sequence exchange, the serial
+// phase selection, the two all-gathers of contained ids and the fold), and k-mer counting parallelizes
 // its extraction scan but not the routing/counting protocol. Stages with no
 // entry get f = 0.
 func DefaultFrac() map[string]float64 {

@@ -203,6 +203,11 @@ type Stats struct {
 	NumReads       int
 	NumKmers       int
 	CandidatePairs int64
+	// AlignedPairs is how many of CandidatePairs the Alignment stage
+	// extended (summed over ranks); the rest were skipped because both reads
+	// were already known contained. 0 when the run resumed from artifacts
+	// whose Alignment ran before the count existed.
+	AlignedPairs   int64
 	KeptOverlaps   int64
 	ContainedReads int
 	TR             tr.Stats
@@ -322,6 +327,11 @@ var ContigStages = []string{
 	"CG:BranchRemoval", "CG:ConnectedComponent", "CG:Partitioning",
 	"CG:InducedSubgraph", "CG:SequenceComm", "CG:LocalAssembly",
 }
+
+// AlignmentPhases are the Alignment sub-stages (the containment-first
+// schedule's two phases); their work units are candidate pairs aligned, and
+// Stats.AlignedPairs is their sum.
+var AlignmentPhases = []string{overlap.SubStagePhase1, overlap.SubStagePhase2}
 
 func isqrt(n int) int {
 	r := 0

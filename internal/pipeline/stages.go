@@ -30,6 +30,9 @@ func init() {
 	// CG:* timer entries are contig-generation sub-stages nested inside
 	// ExtractContig; deterministic breakdowns group them under it.
 	trace.RegisterSubStages("CG", StageExtractContig)
+	// AL:* entries are the Alignment stage's two phases
+	// (AlignmentPhases); their work units are aligned pairs.
+	trace.RegisterSubStages("AL", StageAlignment)
 }
 
 // Stage is one node of the pipeline graph. Run executes the stage's body on
@@ -99,8 +102,9 @@ func (detectOverlapStage) Run(opt Options, a *Artifacts, rank int) {
 	rs.Candidates = overlap.DetectCandidates(rs.Grid, rs.Store, rs.Kmers, overlapCfg(opt), rs.Timers, rs.Overlap)
 }
 
-// alignmentStage extends every candidate pair through the configured backend
-// and prunes to the symmetric overlap matrix R.
+// alignmentStage extends the candidate pairs through the configured backend —
+// every pair whose result can change R (overlap.AlignCandidates) — and prunes
+// to the symmetric overlap matrix R.
 type alignmentStage struct{}
 
 func (alignmentStage) Name() string   { return StageAlignment }
@@ -156,12 +160,17 @@ func (extractContigStage) Run(opt Options, a *Artifacts, rank int) {
 	merged := trace.MergeMax(rs.Grid.Comm, rs.Timers)
 	if rank == 0 {
 		ores := rs.Overlap
+		var aligned int64
+		for _, phase := range AlignmentPhases {
+			aligned += merged.Get(phase).SumWork
+		}
 		a.storeOutput(contigs, Stats{
 			P:              opt.P,
 			Threads:        opt.EffectiveThreads(),
 			NumReads:       ores.NumReads,
 			NumKmers:       ores.NumKmers,
 			CandidatePairs: ores.CandidatePairs,
+			AlignedPairs:   aligned,
 			KeptOverlaps:   ores.KeptOverlaps,
 			ContainedReads: len(ores.Contained),
 			TR:             rs.TRStats,

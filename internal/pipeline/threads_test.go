@@ -10,8 +10,10 @@ import (
 // TestThreadsDeterminism asserts the hybrid-parallelism contract: for both
 // alignment backends, a run with 8 intra-rank workers produces byte-identical
 // contigs AND identical per-backend work counters to the single-worker run.
-// Work totals are schedule-invariant because every candidate pair is aligned
-// exactly once by exactly one worker's aligner.
+// Work totals are schedule-invariant because the pairs each Alignment phase
+// aligns are chosen serially, before the pool sees them, and each is aligned
+// exactly once by exactly one worker's aligner — so the per-phase aligned-pair
+// counts are thread-invariant too.
 func TestThreadsDeterminism(t *testing.T) {
 	size := 30000
 	if testing.Short() {
@@ -48,7 +50,12 @@ func TestThreadsDeterminism(t *testing.T) {
 					t.Fatalf("contig %d differs between T=1 and T=8", i)
 				}
 			}
-			for _, stage := range []string{"CountKmer", "DetectOverlap", "Alignment"} {
+			if got.Stats.AlignedPairs != ref.Stats.AlignedPairs ||
+				ref.Stats.AlignedPairs <= 0 || ref.Stats.AlignedPairs >= ref.Stats.CandidatePairs {
+				t.Fatalf("aligned pairs: %d at T=1 vs %d at T=8, of %d candidates (want equal, some skipped)",
+					ref.Stats.AlignedPairs, got.Stats.AlignedPairs, ref.Stats.CandidatePairs)
+			}
+			for _, stage := range append([]string{"CountKmer", "DetectOverlap", "Alignment"}, AlignmentPhases...) {
 				w1 := ref.Stats.Timers.Get(stage).SumWork
 				w8 := got.Stats.Timers.Get(stage).SumWork
 				if w1 != w8 {

@@ -123,6 +123,15 @@ func (a *Aligner) Name() string { return "wfa" }
 // counter.
 func (a *Aligner) Work() int64 { return a.cells }
 
+// ChainExact implements align.Aligner: the chained-seed lemma (DESIGN.md §3)
+// holds for the wavefront whenever a gap costs more than a match earns
+// (GapExt > Match, i.e. a negative classic gap score) and Drop ≥ 0. The match
+// run of wave 0 swallows the bases between two chained seeds, and every later
+// offset derives from that run's end, so the waves of the two extensions are
+// translates of each other; the gap condition only keeps a read that ends
+// inside the run from tying with the cell one gap past its end.
+func (a *Aligner) ChainExact() bool { return a.p.GapExt > a.p.Match && a.p.Drop >= 0 }
+
 // SeedExtend implements align.Aligner via the shared bidirectional wrapper,
 // with the instance's scratch buffers.
 func (a *Aligner) SeedExtend(u, v []byte, k int32, seed align.Seed) align.Result {
