@@ -40,14 +40,16 @@
 // paths (the -threads flag on cmd/elba and cmd/experiments; default splits
 // GOMAXPROCS across ranks), with communication overlapped against
 // computation through internal/mpi's nonblocking layer
-// (Isend/Irecv/Request/Waitall, IBcast, IAlltoallv): the SUMMA SpGEMM
+// (Isend/Irecv/Request, IBcast, IAlltoallv): the SUMMA SpGEMM
 // prefetches the next round's panels while multiplying, the k-mer exchange
 // posts receives before packing sends, and contig generation pipelines the
 // read-sequence exchange against edge routing and the DFS walks. Every
 // stage's traffic splits into comm_overlap vs comm_exposed counters feeding
-// the perfmodel overlap term. Contig output is bit-identical for every
-// thread count and for blocking (-comm sync) vs nonblocking (-comm async,
-// the default) communication.
+// the perfmodel overlap term. The kernels have that one schedule; -comm sync
+// (the paper's blocking baseline) runs it with every rank in the request
+// layer's blocking mode, where a posted transfer happens inside its Wait.
+// Contig output is bit-identical for every thread count and for blocking
+// (-comm sync) vs nonblocking (-comm async, the default) communication.
 //
 // The hot kernels are allocation-lean (DESIGN.md §8): k-mer counting runs a
 // blocked Bloom filter in front of an open-addressing count table so

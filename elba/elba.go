@@ -51,10 +51,11 @@
 // reads) via Options.AlignBackend = elba.BackendWFA. Execution is hybrid like
 // the paper's MPI + threads design: each simulated rank drives the
 // alignment and k-mer hot paths through an intra-rank worker pool of
-// Options.Threads workers, and with Options.Async (the default) the
-// communication-heavy exchanges run on the nonblocking mpi layer,
-// overlapped against local computation. Contigs are bit-identical at any
-// thread count and in either communication mode.
+// Options.Threads workers, and the communication-heavy exchanges are posted
+// early on the nonblocking mpi layer; with Options.Async (the default) they
+// run behind the local computation, without it the same posts complete
+// inside their Wait (the blocking baseline). Contigs are bit-identical at
+// any thread count and in either communication mode.
 //
 // Ranks talk over a pluggable transport, selected with Options.Transport:
 // elba.TransportInproc — goroutines sharing in-process mailboxes, the
@@ -104,8 +105,9 @@ import (
 // (BackendXDrop or BackendWFA; empty means x-drop). The Threads field sets
 // the intra-rank worker count for the alignment and k-mer hot paths — the
 // hybrid ranks × threads model (0 = GOMAXPROCS split across ranks). The
-// Async field (default true) overlaps the SUMMA, k-mer and read-sequence
-// exchanges against computation via nonblocking communication. Contigs are
+// Async field (default true) lets the SUMMA, k-mer and read-sequence
+// exchanges the kernels post early run behind the computation; false runs
+// the same schedule with every transfer inside its Wait. Contigs are
 // bit-identical for every Threads and Async value.
 //
 // Options.Fingerprint and Options.FingerprintThrough(stage) are the stable

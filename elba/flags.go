@@ -12,7 +12,7 @@ import (
 type Flags struct {
 	Backend   string // -backend: alignment backend name
 	Threads   int    // -threads: intra-rank workers (0 = auto split)
-	Comm      string // -comm: async | sync
+	Comm      string // -comm: async | sync (sync = every rank in mpi's blocking mode; same kernels)
 	Transport string // -transport: inproc | tcp | proc (proc: cmd/elba only)
 }
 

@@ -77,14 +77,16 @@ type Result struct {
 // packSeqs enables the 2-bit sequence-communication encoding (§7 future
 // work); false matches the paper's raw char-buffer protocol.
 //
-// async selects the nonblocking schedule: the read-sequence exchange — the
-// dominant traffic of the phase — is started as soon as the assignment
-// vector exists and stays in flight while the induced subgraph is routed,
-// re-indexed, and DFS-walked into chains; only the final chain-to-sequence
-// assembly waits for it. The contig set and all byte/message counters are
-// identical in both modes.
+// The read-sequence exchange — the dominant traffic of the phase — is
+// started as soon as the assignment vector exists and stays posted while the
+// induced subgraph is routed, re-indexed, and DFS-walked into chains; only
+// the final chain-to-sequence assembly waits for it. async = false puts the
+// rank in blocking mode (mpi.Comm.SetBlocking) for the call: the same
+// schedule, with every transfer inside its Wait. The contig set and all
+// byte/message counters are identical in both modes.
 func ContigGeneration(s *spmat.Dist[bidir.Edge], store *fasta.DistStore, tm *trace.Timers, packSeqs, async bool) *Result {
 	g := s.G
+	defer g.Comm.SetBlocking(g.Comm.SetBlocking(!async))
 	res := &Result{}
 
 	// --- BranchRemoval (Algorithm 2 line 2) ---
@@ -109,42 +111,34 @@ func ContigGeneration(s *spmat.Dist[bidir.Edge], store *fasta.DistStore, tm *tra
 	})
 	tm.AddWork("CG:Partitioning", int64(len(assign.Local)))
 
-	// --- Read sequence communication, nonblocking start (§4.3) ---
+	// --- Read sequence communication, start (§4.3) ---
 	// Posted before the induced subgraph so the sequence bytes travel while
 	// edges are routed and walked; Stage accumulates, so the finish below
 	// lands under the same CG:SequenceComm name.
 	var seqComm *SeqCommHandle
-	if async {
-		tm.Stage("CG:SequenceComm", g.Comm, func() {
-			seqComm = StartCommunicateSequences(store, assign, packSeqs)
-		})
-	}
+	tm.Stage("CG:SequenceComm", g.Comm, func() {
+		seqComm = StartCommunicateSequences(store, assign, packSeqs)
+	})
 
 	// --- InducedSubgraph (line 5) ---
 	var local *LocalGraph
 	tm.Stage("CG:InducedSubgraph", g.Comm, func() {
-		local = inducedSubgraph(l, assign, async)
+		local = inducedSubgraph(l, assign)
 	})
 	tm.AddWork("CG:InducedSubgraph", int64(len(local.CSC.IR)))
 
 	// --- LocalAssembly traversal (line 6, §4.4): the DFS walks need only
-	// the re-indexed graph, so in async mode they run while the sequence
-	// exchange is still in flight. ---
+	// the re-indexed graph, so they run before the sequence exchange is
+	// collected. ---
 	var chains []chain
-	if async {
-		tm.Stage("CG:LocalAssembly", g.Comm, func() {
-			chains = traverseChains(local)
-		})
-	}
+	tm.Stage("CG:LocalAssembly", g.Comm, func() {
+		chains = traverseChains(local)
+	})
 
 	// --- Read sequence communication, completion ---
 	var seqs map[int32][]byte
 	tm.Stage("CG:SequenceComm", g.Comm, func() {
-		if async {
-			seqs = seqComm.Finish()
-		} else {
-			seqs = CommunicateSequences(store, assign, packSeqs)
-		}
+		seqs = seqComm.Finish()
 	})
 	var seqBytes int64
 	for _, sq := range seqs {
@@ -154,9 +148,6 @@ func ContigGeneration(s *spmat.Dist[bidir.Edge], store *fasta.DistStore, tm *tra
 
 	// --- LocalAssembly sequence concatenation ---
 	tm.Stage("CG:LocalAssembly", g.Comm, func() {
-		if !async {
-			chains = traverseChains(local)
-		}
 		res.Contigs = assembleChains(local, seqs, chains)
 	})
 	var asmBases int64
@@ -311,18 +302,20 @@ type LocalGraph struct {
 // vector entries for local rows arrive via an Allgatherv on the row
 // communicator; entries for local columns via the point-to-point exchange
 // with the transposed rank; then a custom all-to-all routes each triple
-// (u, v, L(u,v)) with v[u] = v[v] = d to processor d.
+// (u, v, L(u,v)) with v[u] = v[v] = d to processor d. As a step called on its
+// own it runs with the rank in blocking mode, so its traffic reads as
+// exposed whatever the caller's mode.
 func InducedSubgraph(l *spmat.Dist[bidir.Edge], assign *spmat.DistVec[int32]) *LocalGraph {
-	return inducedSubgraph(l, assign, false)
+	defer l.G.Comm.SetBlocking(l.G.Comm.SetBlocking(true))
+	return inducedSubgraph(l, assign)
 }
 
-// inducedSubgraph is the shared body; async routes the edge triples with the
-// nonblocking all-to-all. The request is collected immediately (re-indexing
-// needs every edge), so the gain here is bounded — remote transfers proceed
-// while this rank issues its own sends — and the traffic is accounted as
-// overlappable; the phase-level overlap comes from the sequence exchange
-// that ContigGeneration keeps in flight across this whole step.
-func inducedSubgraph(l *spmat.Dist[bidir.Edge], assign *spmat.DistVec[int32], async bool) *LocalGraph {
+// inducedSubgraph is the step in the rank's current mode. The all-to-all's
+// request is collected immediately (re-indexing needs every edge), so the
+// gain here is bounded — remote transfers proceed while this rank issues its
+// own sends; the phase-level overlap comes from the sequence exchange that
+// ContigGeneration keeps posted across this whole step.
+func inducedSubgraph(l *spmat.Dist[bidir.Edge], assign *spmat.DistVec[int32]) *LocalGraph {
 	g := l.G
 	p := g.Comm.Size()
 	rowAsg, colAsg := assign.RowColGather()
@@ -335,12 +328,7 @@ func inducedSubgraph(l *spmat.Dist[bidir.Edge], assign *spmat.DistVec[int32], as
 		}
 		send[du] = append(send[du], t)
 	}
-	var parts [][]spmat.Triple[bidir.Edge]
-	if async {
-		parts = mpi.IAlltoallv(g.Comm, send).WaitValue()
-	} else {
-		parts = mpi.Alltoallv(g.Comm, send)
-	}
+	parts := mpi.IAlltoallv(g.Comm, send).WaitValue()
 
 	// Re-index: collect the vertex set, sort ascending for determinism.
 	vset := map[int32]struct{}{}
@@ -380,46 +368,34 @@ func inducedSubgraph(l *spmat.Dist[bidir.Edge], assign *spmat.DistVec[int32], as
 // per-destination char buffers and exchanged with an all-to-all that chunks
 // each message to respect the MPI 2³¹−1 count limit. With packed=true the
 // buffers travel 2-bit-encoded (quarter the volume), falling back to raw
-// bytes if any local read has a non-ACGT base.
+// bytes if any local read has a non-ACGT base. It is the exchange started and
+// finished in one step, with the rank in blocking mode for its duration.
 func CommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int32], packed bool) map[int32][]byte {
-	return startCommunicateSequences(store, assign, packed, false).Finish()
+	c := assign.G.Comm
+	defer c.SetBlocking(c.SetBlocking(true))
+	return StartCommunicateSequences(store, assign, packed).Finish()
 }
 
-// SeqCommHandle is an in-flight read-sequence exchange: every send has been
-// posted (buffered, so they are already complete) and the receives drain in
-// the background while the caller computes; Finish assembles the result. In
-// blocking mode the exchange completes inside start and Finish only
-// assembles — one wire protocol, two schedules.
+// SeqCommHandle is a posted read-sequence exchange: every send has been
+// issued (buffered, so they are already complete) and the receives are the
+// requests it holds, draining while the caller computes unless the rank is
+// blocking; Finish collects them and assembles the result.
 type SeqCommHandle struct {
-	store  *fasta.DistStore
-	p      int
-	packed bool // 2-bit packed protocol agreed by all ranks
-	// Nonblocking mode: posted exchanges, collected at Finish.
+	store   *fasta.DistStore
 	idsReq  *mpi.AlltoallvRequest[int32]
-	packReq *mpi.AlltoallvRequest[uint64]
-	rawReq  *mpi.AlltoallvRequest[byte]
-	// Blocking mode: completed exchanges.
-	gotIDs   [][]int32
-	gotWords [][]uint64
-	gotBufs  [][]byte
+	packReq *mpi.AlltoallvRequest[uint64] // 2-bit protocol, agreed by all ranks
+	rawReq  *mpi.AlltoallvRequest[byte]   // raw protocol
 }
 
-// StartCommunicateSequences posts the full sequence exchange nonblocking and
-// returns immediately — the transfers complete while the caller routes edges
-// and walks chains. Wire protocol, bytes, and messages are identical to the
-// blocking CommunicateSequences.
+// StartCommunicateSequences posts the full sequence exchange and returns —
+// the transfers complete while the caller routes edges and walks chains.
+// Every per-destination buffer is sized from the replicated length table
+// before a base is packed (diBELLA's order), so each assigned base is copied
+// once on the way out.
 func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int32], packed bool) *SeqCommHandle {
-	return startCommunicateSequences(store, assign, packed, true)
-}
-
-// startCommunicateSequences is the shared body: async posts nonblocking
-// exchanges, blocking completes them in place. Every per-destination buffer
-// is sized from the replicated length table before a base is packed
-// (diBELLA's order), so each assigned base is copied once on the way out.
-func startCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int32], packed, async bool) *SeqCommHandle {
 	g := assign.G
 	p := g.Comm.Size()
-	h := &SeqCommHandle{store: store, p: p}
+	h := &SeqCommHandle{store: store}
 	reads := make([]int, p)
 	bases := make([]int, p)
 	for i, proc := range assign.Local {
@@ -437,16 +413,12 @@ func startCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 			ids[proc] = append(ids[proc], assign.Lo+int32(i))
 		}
 	}
-	if async {
-		h.idsReq = mpi.IAlltoallv(g.Comm, ids)
-	} else {
-		h.gotIDs = mpi.Alltoallv(g.Comm, ids)
-	}
+	h.idsReq = mpi.IAlltoallv(g.Comm, ids)
 
 	if packed {
 		// All ranks must agree on the encoding: fall back to raw everywhere
 		// if any rank holds a non-ACGT read. The agreement allreduce is tiny
-		// and stays blocking in both modes.
+		// and blocking.
 		okLocal := true
 		words := make([][]uint64, p)
 		for r := 0; r < p && okLocal; r++ {
@@ -457,12 +429,7 @@ func startCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 			words[r], okLocal = dna.PackAll(seqs)
 		}
 		if mpi.Allreduce(g.Comm, okLocal, func(a, b bool) bool { return a && b }) {
-			h.packed = true
-			if async {
-				h.packReq = mpi.IAlltoallvChunked(g.Comm, words)
-			} else {
-				h.gotWords = mpi.AlltoallvChunked(g.Comm, words)
-			}
+			h.packReq = mpi.IAlltoallvChunked(g.Comm, words)
 			return h
 		}
 	}
@@ -476,60 +443,55 @@ func startCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 			dst = dst[copy(dst, store.Get(int(gid))):]
 		}
 	}
-	if async {
-		h.rawReq = mpi.IAlltoallvBytes(g.Comm, bufs)
-	} else {
-		h.gotBufs = mpi.AlltoallvBytes(g.Comm, bufs)
-	}
+	h.rawReq = mpi.IAlltoallvBytes(g.Comm, bufs)
 	return h
 }
 
-// Finish waits for any posted exchange and returns the received sequences
-// keyed by global read id. The raw protocol's sequences are slices of the
-// received buffers (one per source rank), not copies. What each source sent
-// must be exactly what the replicated lengths of its ids demand; anything
-// else panics naming the source rank and the ids.
+// Finish waits for the posted exchanges and returns the received sequences
+// keyed by global read id.
 func (h *SeqCommHandle) Finish() map[int32][]byte {
-	gotIDs := h.gotIDs
-	if h.idsReq != nil {
-		gotIDs = h.idsReq.WaitValue()
+	ids := h.idsReq.WaitValue()
+	if h.packReq != nil {
+		return keyReceived(h.store, ids, h.packReq.WaitValue(), nil)
 	}
+	return keyReceived(h.store, ids, nil, h.rawReq.WaitValue())
+}
+
+// keyReceived keys what every source rank sent — 2-bit words when words is
+// non-nil, raw buffers otherwise — by the global read ids it announced. The
+// raw protocol's sequences are slices of the received buffers (one per source
+// rank), not copies. What each source sent must be exactly what the
+// replicated lengths of its ids demand; anything else panics naming the
+// source rank and the ids.
+func keyReceived(store *fasta.DistStore, ids [][]int32, words [][]uint64, bufs [][]byte) map[int32][]byte {
 	total := 0
-	for _, part := range gotIDs {
+	for _, part := range ids {
 		total += len(part)
 	}
 	out := make(map[int32][]byte, total)
-	if h.packed {
-		gotWords := h.gotWords
-		if h.packReq != nil {
-			gotWords = h.packReq.WaitValue()
-		}
-		for r := 0; r < h.p; r++ {
-			lens := make([]int, len(gotIDs[r]))
-			for i, gid := range gotIDs[r] {
-				lens[i] = h.store.Len(int(gid))
+	if words != nil {
+		for r, part := range ids {
+			lens := make([]int, len(part))
+			for i, gid := range part {
+				lens[i] = store.Len(int(gid))
 			}
-			checkReceived(r, gotIDs[r], "2-bit words", len(gotWords[r]), dna.PackedWords(lens))
-			for i, seq := range dna.UnpackAll(gotWords[r], lens) {
-				out[gotIDs[r][i]] = seq
+			checkReceived(r, part, "2-bit words", len(words[r]), dna.PackedWords(lens))
+			for i, seq := range dna.UnpackAll(words[r], lens) {
+				out[part[i]] = seq
 			}
 		}
 		return out
 	}
-	gotBufs := h.gotBufs
-	if h.rawReq != nil {
-		gotBufs = h.rawReq.WaitValue()
-	}
-	for r := 0; r < h.p; r++ {
+	for r, part := range ids {
 		want := 0
-		for _, gid := range gotIDs[r] {
-			want += h.store.Len(int(gid))
+		for _, gid := range part {
+			want += store.Len(int(gid))
 		}
-		checkReceived(r, gotIDs[r], "sequence bytes", len(gotBufs[r]), want)
+		checkReceived(r, part, "sequence bytes", len(bufs[r]), want)
 		off := 0
-		for _, gid := range gotIDs[r] {
-			ln := h.store.Len(int(gid))
-			out[gid] = gotBufs[r][off : off+ln : off+ln]
+		for _, gid := range part {
+			ln := store.Len(int(gid))
+			out[gid] = bufs[r][off : off+ln : off+ln]
 			off += ln
 		}
 	}
@@ -558,8 +520,8 @@ func checkReceived(src int, ids []int32, unit string, got, want int) {
 // here — the contigs' reads are all local by construction.
 //
 // Internally it is two phases — traverseChains needs only the graph,
-// assembleChains additionally needs the sequences — so the async schedule
-// can run the walks while the sequence exchange is still in flight.
+// assembleChains additionally needs the sequences — so ContigGeneration can
+// run the walks while the sequence exchange is still in flight.
 func LocalAssembly(lg *LocalGraph, seqs map[int32][]byte) []Contig {
 	return assembleChains(lg, seqs, traverseChains(lg))
 }

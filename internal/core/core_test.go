@@ -439,24 +439,27 @@ func TestFinishChecksReceivedTotals(t *testing.T) {
 	err := mpi.Run(1, func(c *mpi.Comm) {
 		store := fasta.FromGlobal(c, reads)
 		ids := [][]int32{{0, 2}}
-		finish := func(h *SeqCommHandle) (msg string) {
+		type received struct {
+			words [][]uint64
+			bufs  [][]byte
+		}
+		finish := func(got received) (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
-			h.store, h.p, h.gotIDs = store, 1, ids
-			h.Finish()
+			keyReceived(store, ids, got.words, got.bufs)
 			return ""
 		}
-		good := finish(&SeqCommHandle{gotBufs: [][]byte{[]byte("ACGTACGTACTTTTTTT")}})
+		good := finish(received{bufs: [][]byte{[]byte("ACGTACGTACTTTTTTT")}})
 		if good != "<nil>" {
 			panic("exact buffer rejected: " + good)
 		}
 		words, _ := dna.PackAll([][]byte{reads[0], reads[2]})
-		for name, h := range map[string]*SeqCommHandle{
-			"short raw":    {gotBufs: [][]byte{[]byte("ACGTACGTACTTTTTT")}},
-			"long raw":     {gotBufs: [][]byte{[]byte("ACGTACGTACTTTTTTTA")}},
-			"short packed": {packed: true, gotWords: [][]uint64{words[:1]}},
-			"long packed":  {packed: true, gotWords: [][]uint64{append(words, 0)}},
+		for name, got := range map[string]received{
+			"short raw":    {bufs: [][]byte{[]byte("ACGTACGTACTTTTTT")}},
+			"long raw":     {bufs: [][]byte{[]byte("ACGTACGTACTTTTTTTA")}},
+			"short packed": {words: [][]uint64{words[:1]}},
+			"long packed":  {words: [][]uint64{append(words, 0)}},
 		} {
-			msg := finish(h)
+			msg := finish(got)
 			for _, want := range []string{"rank 0 sent", "2 reads, ids 0…2", "demand"} {
 				if !strings.Contains(msg, want) {
 					panic(fmt.Sprintf("%s: panic %q lacks %q", name, msg, want))

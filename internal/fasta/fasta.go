@@ -1,6 +1,11 @@
 // Package fasta provides FASTA parsing/serialization and the distributed
 // read store used throughout the pipeline (Algorithm 1 line 2 and the read
 // sequence communication of §4.3).
+//
+// Read is where sequence bytes enter the program, and it upper-cases them:
+// the k-mer stage reads acgt as ACGT but the aligners compare raw bytes, so a
+// soft-masked (lower-case) read would seed overlaps it can never align.
+// Everything past Read sees one case.
 package fasta
 
 import (
@@ -18,7 +23,9 @@ type Record struct {
 }
 
 // Read parses all records from r. Sequence lines may be wrapped; blank lines
-// are ignored; the ID is the header up to the first whitespace.
+// are ignored; the ID is the header up to the first whitespace. Sequence
+// letters are upper-cased (soft-masking is dropped); headers are kept as
+// written.
 func Read(r io.Reader) ([]Record, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var recs []Record
@@ -44,6 +51,11 @@ func Read(r io.Reader) ([]Record, error) {
 			} else {
 				if cur == nil {
 					return nil, fmt.Errorf("fasta: line %d: sequence data before any header", lineno)
+				}
+				for i, b := range line {
+					if 'a' <= b && b <= 'z' {
+						line[i] = b - 'a' + 'A'
+					}
 				}
 				cur.Seq = append(cur.Seq, line...)
 			}

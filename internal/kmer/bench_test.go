@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fasta"
 	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 	"repro/internal/readsim"
 )
 
@@ -74,9 +75,11 @@ func BenchmarkCountAndBuildDistributed(b *testing.B) {
 			b.ReportAllocs()
 			err := mpi.Run(p, func(c *mpi.Comm) {
 				store := fasta.FromGlobal(c, reads)
-				for i := 0; i < b.N; i++ {
-					CountAndBuild(store, 31, 2, 100, 1, false)
-				}
+				mpitest.InMode(c, false, func() {
+					for i := 0; i < b.N; i++ {
+						CountAndBuild(store, 31, 2, 100, 1)
+					}
+				})
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -26,12 +26,11 @@ import (
 //	         can only add count-1 entries that the selection removes.
 //
 // The admitted set can differ with observation order (false positives depend
-// on which bits were set first — the async schedule observes parts as they
-// arrive), but only on singletons: a k-mer occurring ≥ 2 times is admitted in
+// on which bits were set first), but only on singletons: a k-mer occurring ≥ 2 times is admitted in
 // every order, at the latest when its second occurrence finds the bits its
 // first occurrence set. Selection over [low ≥ 2, high] is therefore
-// schedule-invariant, which is what keeps contigs and traffic counters
-// bit-identical across sync/async and thread counts.
+// order-invariant, which is what keeps contigs and traffic counters
+// bit-identical however the parts are observed.
 
 // emptyKmer marks a vacant table slot: k ≤ 31 packs into at most 62 bits, so
 // the all-ones word can never be a canonical k-mer.

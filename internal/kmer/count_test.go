@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fasta"
 	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 	"repro/internal/readsim"
 )
 
@@ -184,7 +185,8 @@ func TestReplyShapeMirrorsRequests(t *testing.T) {
 			w := mpi.NewWorld(p)
 			err := w.Run(func(c *mpi.Comm) {
 				store := fasta.FromGlobal(c, reads)
-				res := CountAndBuild(store, k, 1<<30, 1<<30, 1, async)
+				var res *Result
+				mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, 1<<30, 1<<30, 1) })
 				if res.NumCols != 0 {
 					panic("expected no reliable k-mers")
 				}

@@ -47,29 +47,25 @@ type Result struct {
 // with it every downstream collective — is identical for any thread count,
 // because extraction results are folded in read order.
 //
-// async selects the nonblocking exchange schedule: receives for Alltoallv #1
-// are posted before the extraction scan and the packing loop even start, so
-// remote occurrence records land while this rank is still packing, and the
-// owner-side admission pass of step 2 consumes each incoming part as it
-// arrives instead of blocking for the full exchange (the exact tally runs
-// over the retained parts in rank order in both modes). Counts, column ids,
-// triples, and byte/message counters are identical in both modes.
-func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int, async bool) *Result {
+// The exchanges are nonblocking: receives for Alltoallv #1 are posted before
+// the extraction scan and the packing loop even start, so (on a rank not in
+// blocking mode) remote occurrence records land while this rank is still
+// packing, and the owner-side admission pass of step 2 consumes each incoming
+// part as it arrives instead of blocking for the full exchange (the exact
+// tally runs over the retained parts in rank order). Counts, column ids,
+// triples, and byte/message counters do not depend on the rank's mode.
+func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) *Result {
 	c := store.Comm
 	p := c.Size()
 
-	// In async mode, post all receives up front (the overlap schedule: the
-	// matching sends are buffered, so every transfer can complete while this
-	// rank is extracting and packing).
-	var tag int64
-	var pending []*mpi.RecvRequest[uint64]
-	if async {
-		tag = mpi.ReserveTag(c)
-		pending = make([]*mpi.RecvRequest[uint64], p)
-		for off := 1; off < p; off++ {
-			src := (c.Rank() - off + p) % p
-			pending[src] = mpi.Irecv[uint64](c, src, tag)
-		}
+	// Post all receives up front (the overlap schedule: the matching sends are
+	// buffered, so every transfer can complete while this rank is extracting
+	// and packing).
+	tag := mpi.ReserveTag(c)
+	pending := make([]*mpi.RecvRequest[uint64], p)
+	for off := 1; off < p; off++ {
+		src := (c.Rank() - off + p) % p
+		pending[src] = mpi.Irecv[uint64](c, src, tag)
 	}
 
 	// 1. Extract (in parallel, indexed by read) and route (serially, in read
@@ -106,12 +102,11 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int, 
 		}
 	}
 
-	// 2. Count and select on owners. Phase 1 (admission) streams: the async
-	// path observes the local part first, then each remote part in rank order
-	// as its posted receive drains — admission of part r overlaps the
-	// transfer of parts after r. Phase 2 (the exact tally) runs over the
-	// retained parts in rank order in both modes, so stored counts never
-	// depend on the arrival schedule.
+	// 2. Count and select on owners. Phase 1 (admission) streams: it observes
+	// the local part first, then each remote part in rank order as its posted
+	// receive drains — admission of part r overlaps the transfer of parts
+	// after r. Phase 2 (the exact tally) runs over the retained parts in rank
+	// order, so stored counts never depend on the arrival schedule.
 	var occ int64
 	for r := 0; r < p; r++ {
 		occ += int64(len(sendKmers[r]))
@@ -120,25 +115,18 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int, 
 	// receive: the k-mer hash spreads occurrences uniformly across owners.
 	cnt := newCounter(low, int(occ))
 	recvKmers := make([][]uint64, p)
-	if async {
-		for off := 1; off < p; off++ {
-			dst := (c.Rank() + off) % p
-			mpi.Isend(c, dst, tag, sendKmers[dst]).Wait()
+	for off := 1; off < p; off++ {
+		dst := (c.Rank() + off) % p
+		mpi.Isend(c, dst, tag, sendKmers[dst]).Wait()
+	}
+	recvKmers[c.Rank()] = sendKmers[c.Rank()]
+	cnt.observe(recvKmers[c.Rank()])
+	for src := 0; src < p; src++ {
+		if pending[src] == nil {
+			continue
 		}
-		recvKmers[c.Rank()] = sendKmers[c.Rank()]
-		cnt.observe(recvKmers[c.Rank()])
-		for src := 0; src < p; src++ {
-			if pending[src] == nil {
-				continue
-			}
-			recvKmers[src] = pending[src].WaitValue()
-			cnt.observe(recvKmers[src])
-		}
-	} else {
-		recvKmers = mpi.Alltoallv(c, sendKmers)
-		for _, part := range recvKmers {
-			cnt.observe(part)
-		}
+		recvKmers[src] = pending[src].WaitValue()
+		cnt.observe(recvKmers[src])
 	}
 	for _, part := range recvKmers {
 		cnt.tally(part)
@@ -184,12 +172,7 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int, 
 			}
 		}
 	}
-	var cols [][]int32
-	if async {
-		cols = mpi.IAlltoallv(c, reply).WaitValue()
-	} else {
-		cols = mpi.Alltoallv(c, reply)
-	}
+	cols := mpi.IAlltoallv(c, reply).WaitValue()
 
 	// 4. Assemble the surviving triples, row-major.
 	triples := assembleRowMajor(store.Lo, store.Hi, sendMeta, cols)

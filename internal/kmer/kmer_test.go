@@ -11,6 +11,7 @@ import (
 	"repro/internal/dna"
 	"repro/internal/fasta"
 	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 	"repro/internal/readsim"
 )
 
@@ -187,7 +188,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		var got []ATriple
 		err := mpi.Run(p, func(c *mpi.Comm) {
 			store := fasta.FromGlobal(c, reads)
-			res := CountAndBuild(store, k, low, high, 1, false)
+			res := CountAndBuild(store, k, low, high, 1)
 			if res.NumCols != nRef {
 				panic("reliable column count differs from serial")
 			}
@@ -245,7 +246,7 @@ func TestDistributedColumnIdsConsistent(t *testing.T) {
 	k := 13
 	err := mpi.Run(4, func(c *mpi.Comm) {
 		store := fasta.FromGlobal(c, reads)
-		res := CountAndBuild(store, k, 2, 1000, 2, false)
+		res := CountAndBuild(store, k, 2, 1000, 2)
 		type pair struct {
 			km  uint64
 			col int32
@@ -275,9 +276,9 @@ func TestDistributedColumnIdsConsistent(t *testing.T) {
 }
 
 func TestCountAndBuildAsyncMatchesSync(t *testing.T) {
-	// The nonblocking exchange schedule (receives posted before the
-	// extraction scan, parts counted as they arrive) must produce identical
-	// results and identical traffic to the blocking protocol on every P.
+	// The exchange schedule (receives posted before the extraction scan,
+	// parts counted as they arrive) must produce identical results and
+	// identical traffic on nonblocking and on blocking ranks, on every P.
 	g := readsim.Genome(readsim.GenomeConfig{Length: 5000, Seed: 71})
 	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 6, MeanLen: 450, Seed: 72}))
 	k := 15
@@ -288,7 +289,8 @@ func TestCountAndBuildAsyncMatchesSync(t *testing.T) {
 			w := mpi.NewWorld(p)
 			err := w.Run(func(c *mpi.Comm) {
 				store := fasta.FromGlobal(c, reads)
-				res := CountAndBuild(store, k, 2, 1000, 2, async)
+				var res *Result
+				mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, 2, 1000, 2) })
 				if c.Rank() == 0 {
 					results[mode] = res
 				}

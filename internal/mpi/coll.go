@@ -66,25 +66,6 @@ func bcastFrames(c *Comm, root int, tag int64, frame []byte, armed <-chan struct
 	return frame
 }
 
-// Gather collects one value from every rank at root; root receives a slice
-// indexed by rank, others receive nil.
-func Gather[T any](c *Comm, root int, v T) []T {
-	tag := collTag(c)
-	if c.rank != root {
-		SendOne(c, root, tag, v)
-		return nil
-	}
-	out := make([]T, c.Size())
-	out[root] = v
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		out[r] = RecvOne[T](c, r, tag)
-	}
-	return out
-}
-
 // Gatherv collects a variable-length slice from every rank at root; root
 // receives per-rank slices, others nil.
 func Gatherv[T any](c *Comm, root int, local []T) [][]T {
@@ -216,28 +197,28 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 	return recv
 }
 
-// AlltoallvChunked is Alltoallv for potentially huge buffers: every pairwise
-// message honours MaxMessageBytes via SendChunked, mirroring ELBA's handling
-// of the MPI 2^31-1 count limit for read sequences.
-func AlltoallvChunked[T any](c *Comm, send [][]T) [][]T {
-	if len(send) != c.Size() {
-		panic("mpi: AlltoallvChunked needs one slice per rank")
-	}
-	return alltoallvChunked(c, ownCopy(send[c.rank]), func(dst int, tag int64) {
-		SendChunked(c, dst, tag, send[dst])
-	})
-}
-
-// AlltoallvBytes is AlltoallvChunked[byte] over buffers the caller packed in
-// place and gives away (see ByteBuf): same messages, bytes and result, minus
-// the copy of every buffer into a frame and of the caller's own into recv.
+// AlltoallvBytes is the all-to-all for potentially huge byte buffers the
+// caller packed in place and gives away (see ByteBuf): every pairwise message
+// honours MaxMessageBytes via the chunked protocol, mirroring ELBA's handling
+// of the MPI 2^31-1 count limit for read sequences, with no copy of a buffer
+// into a frame or of the caller's own into recv.
 func AlltoallvBytes(c *Comm, send []ByteBuf) [][]byte {
-	if len(send) != c.Size() {
+	p := c.Size()
+	if len(send) != p {
 		panic("mpi: AlltoallvBytes needs one buffer per rank")
 	}
-	return alltoallvChunked(c, send[c.rank].payload, func(dst int, tag int64) {
+	tag := collTag(c)
+	recv := make([][]byte, p)
+	recv[c.rank] = send[c.rank].payload
+	for off := 1; off < p; off++ {
+		dst := (c.rank + off) % p
 		sendChunkedBuf(c, dst, tag, send[dst])
-	})
+	}
+	for off := 1; off < p; off++ {
+		src := (c.rank - off + p) % p
+		recv[src] = RecvChunked[byte](c, src, tag)
+	}
+	return recv
 }
 
 // ownCopy is the caller's own part of an all-to-all result: a copy, never nil,
@@ -246,23 +227,6 @@ func ownCopy[T any](part []T) []T {
 	cp := make([]T, len(part))
 	copy(cp, part)
 	return cp
-}
-
-// alltoallvChunked is the pairwise exchange of the chunked all-to-alls: self
-// is the caller's own part of the result, sendTo ships the part for dst.
-func alltoallvChunked[T any](c *Comm, self []T, sendTo func(dst int, tag int64)) [][]T {
-	tag := collTag(c)
-	p := c.Size()
-	recv := make([][]T, p)
-	recv[c.rank] = self
-	for off := 1; off < p; off++ {
-		sendTo((c.rank+off)%p, tag)
-	}
-	for off := 1; off < p; off++ {
-		src := (c.rank - off + p) % p
-		recv[src] = RecvChunked[T](c, src, tag)
-	}
-	return recv
 }
 
 // Reduce folds one value per rank with op at root (op must be associative

@@ -158,7 +158,7 @@ func TestConformanceChunkedHonoursLimit(t *testing.T) {
 				}
 				send[r] = buf
 			}
-			recv := AlltoallvChunked(c, send)
+			recv := blockingAlltoallvChunked(c, send)
 			for r := 0; r < p; r++ {
 				want := make([]byte, 300+c.Rank()*17)
 				for i := range want {
@@ -358,7 +358,8 @@ func TestConformanceCountersEqualAcrossTransports(t *testing.T) {
 // TestConformanceChunkedBoundary drives the chunked byte exchange at the
 // sizes where its receive path changes — empty, exactly one full message
 // (returned as the received chunk itself), one element more (two chunks,
-// concatenated) — through all four entry points. Every one must deliver the
+// concatenated) — through all four entry points (AlltoallvChunked is
+// IAlltoallvChunked on a blocking rank). Every one must deliver the
 // same data with the same messages and bytes: one count message plus
 // ceil(n/MaxMessageBytes) chunks per pair, 8 + n bytes.
 func TestConformanceChunkedBoundary(t *testing.T) {
@@ -390,7 +391,7 @@ func TestConformanceChunkedBoundary(t *testing.T) {
 		name string
 		run  func(c *Comm, n int) [][]byte
 	}{
-		{"AlltoallvChunked", func(c *Comm, n int) [][]byte { return AlltoallvChunked(c, plain(c, n)) }},
+		{"AlltoallvChunked", func(c *Comm, n int) [][]byte { return blockingAlltoallvChunked(c, plain(c, n)) }},
 		{"IAlltoallvChunked", func(c *Comm, n int) [][]byte { return IAlltoallvChunked(c, plain(c, n)).WaitValue() }},
 		{"AlltoallvBytes", func(c *Comm, n int) [][]byte { return AlltoallvBytes(c, packed(c, n)) }},
 		{"IAlltoallvBytes", func(c *Comm, n int) [][]byte { return IAlltoallvBytes(c, packed(c, n)).WaitValue() }},

@@ -15,13 +15,14 @@
 //
 // Above the seams live the MPI semantics, shared by all transports:
 // point-to-point Send/Recv with buffered sends and (src, tag) matching, the
-// usual collectives (Barrier, Bcast, Gather(v), Allgather(v), Alltoall(v),
-// Reduce, Allreduce, ReduceScatter, Exscan) built on point-to-point exchange
-// exactly as a small MPI implementation would, communicator Split (the
-// row/column communicators of the 2D process grid), a nonblocking layer
-// (Isend/Irecv/Request/Waitall, IBcast, IAlltoallv — see nonblocking.go)
-// for overlapping communication with computation, cooperative cancellation
-// (see cancel.go), and a recv deadlock watchdog.
+// usual collectives (Barrier, Bcast, Gatherv, Scatterv, Allgather(v),
+// Alltoallv, Reduce, Allreduce, ReduceScatter, Exscan) built on
+// point-to-point exchange exactly as a small MPI implementation would,
+// communicator Split (the row/column communicators of the 2D process grid), a
+// nonblocking layer (Isend/Irecv/Request, IBcast, IAlltoallv — see
+// nonblocking.go) in which every communicating kernel is written, with
+// blocking execution a per-rank mode of its requests (SetBlocking),
+// cooperative cancellation (see cancel.go), and a recv deadlock watchdog.
 //
 // Because every payload is encoded at send and decoded at receive, a rank
 // can never observe another rank's memory — algorithmic errors (reading a
@@ -82,6 +83,9 @@ type World struct {
 	local []int                 // sorted world ranks served by this process
 	eps   []transport.Transport // indexed by world rank; nil for remote ranks
 	stats []RankStats
+	// blocking is each world rank's request mode (see Comm.SetBlocking); an
+	// entry is read and written by its rank's goroutine only.
+	blocking []bool
 	// recvTimeout is read atomically (nanoseconds): background matcher
 	// goroutines consult it while tests adjust it.
 	recvTimeout int64
@@ -137,6 +141,7 @@ func NewWorldTransport(eps ...transport.Transport) *World {
 		size:     size,
 		eps:      make([]transport.Transport, size),
 		stats:    make([]RankStats, size),
+		blocking: make([]bool, size),
 		cancelCh: make(chan struct{}),
 	}
 	atomic.StoreInt64(&w.recvTimeout, int64(DefaultRecvTimeout))
@@ -368,9 +373,10 @@ type Comm struct {
 	rank  int   // rank within this communicator
 	group []int // world rank of each communicator rank
 	seq   uint64
-	// async marks sends issued through the nonblocking layer, counting them
-	// into the BytesAsync/MsgsAsync overlap counters. Set only on the private
-	// views Isend & friends derive via asyncView; user-held Comms are sync.
+	// async marks sends issued through the nonblocking layer of a rank not in
+	// blocking mode, counting them into the BytesAsync/MsgsAsync overlap
+	// counters. Set only on the private views Isend & friends derive via
+	// asyncView; user-held Comms are sync.
 	async bool
 	// nocount makes the communicator invisible to all counters, gauges,
 	// histograms and trace instants, symmetrically on send and receive — the

@@ -158,10 +158,11 @@ func TestBcast(t *testing.T) {
 func TestGatherAndGatherv(t *testing.T) {
 	forSizes(t, func(t *testing.T, p int) {
 		err := Run(p, func(c *Comm) {
-			got := Gather(c, 0, c.Rank()*10)
+			// One value per rank is a one-element Gatherv.
+			got := Gatherv(c, 0, []int{c.Rank() * 10})
 			if c.Rank() == 0 {
 				for r := 0; r < p; r++ {
-					if got[r] != r*10 {
+					if len(got[r]) != 1 || got[r][0] != r*10 {
 						panic("gather wrong")
 					}
 				}
@@ -289,6 +290,13 @@ func TestAlltoallv(t *testing.T) {
 	})
 }
 
+// blockingAlltoallvChunked is the chunked all-to-all as a blocking rank runs
+// it: the posted exchange completes inside its Wait.
+func blockingAlltoallvChunked[T any](c *Comm, send [][]T) [][]T {
+	defer c.SetBlocking(c.SetBlocking(true))
+	return IAlltoallvChunked(c, send).WaitValue()
+}
+
 func TestAlltoallvChunkedHonoursLimit(t *testing.T) {
 	old := MaxMessageBytes
 	MaxMessageBytes = 64 // force chunking of anything bigger than 64 bytes
@@ -303,7 +311,7 @@ func TestAlltoallvChunkedHonoursLimit(t *testing.T) {
 			}
 			send[r] = buf
 		}
-		recv := AlltoallvChunked(c, send)
+		recv := blockingAlltoallvChunked(c, send)
 		for r := 0; r < p; r++ {
 			want := make([]byte, 300+c.Rank()*17)
 			for i := range want {

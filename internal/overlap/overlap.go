@@ -117,11 +117,6 @@ type Config struct {
 	// worker gets its own aligner instance, so NewAligner is called Threads
 	// times per rank.
 	Threads int
-	// Async runs the communication-heavy loops with the nonblocking layer:
-	// the k-mer exchange posts its receives before packing sends, and the
-	// SUMMA SpGEMM prefetches round r+1's panels while multiplying round r.
-	// Results and traffic counters are identical in both modes.
-	Async bool
 }
 
 // aligner instantiates this rank's alignment backend.
@@ -150,7 +145,7 @@ type Result struct {
 func CountKmers(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Timers, res *Result) *kmer.Result {
 	var kres *kmer.Result
 	tm.Stage("CountKmer", g.Comm, func() {
-		kres = kmer.CountAndBuild(store, cfg.K, cfg.ReliableLow, cfg.ReliableHigh, cfg.Threads, cfg.Async)
+		kres = kmer.CountAndBuild(store, cfg.K, cfg.ReliableLow, cfg.ReliableHigh, cfg.Threads)
 	})
 	res.NumKmers = kres.NumCols
 	tm.AddWork("CountKmer", kres.Occurrences)
@@ -169,12 +164,7 @@ func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, c
 	var products int64
 	tm.Stage("DetectOverlap", g.Comm, func() {
 		a, at := buildA(g, store.N, kres)
-		var acc *spmat.Dist[seedAcc]
-		if cfg.Async {
-			acc = spmat.SpGEMMAsync(a, at, seedSemiring, spmat.Checkerboard(), &products)
-		} else {
-			acc = spmat.SpGEMMCounted(a, at, seedSemiring, spmat.Checkerboard(), &products)
-		}
+		acc := spmat.SpGEMMCounted(a, at, seedSemiring, spmat.Checkerboard(), &products)
 		cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
 		for i, t := range acc.Local.Ts {
 			cs[i] = spmat.Triple[Seeds]{Row: t.Row, Col: t.Col, Val: t.Val.seeds()}

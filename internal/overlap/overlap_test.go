@@ -12,6 +12,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/kmer"
 	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 	"repro/internal/readsim"
 	"repro/internal/spmat"
 	"repro/internal/trace"
@@ -84,7 +85,6 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 	for _, p := range []int{1, 4, 9} {
 		for _, async := range []bool{false, true} {
 			cfg := testConfig(17, 20)
-			cfg.Async = async
 			var got []spmat.Triple[Seeds]
 			var a []spmat.Triple[kmer.Occur]
 			var pairs int64
@@ -93,8 +93,12 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 				store := fasta.FromGlobal(c, reads)
 				res := &Result{NumReads: store.N}
 				tm := trace.New()
-				kres := CountKmers(g, store, cfg, tm, res)
-				cand := DetectCandidates(g, store, kres, cfg, tm, res)
+				var kres *kmer.Result
+				var cand *spmat.Dist[Seeds]
+				mpitest.InMode(c, async, func() {
+					kres = CountKmers(g, store, cfg, tm, res)
+					cand = DetectCandidates(g, store, kres, cfg, tm, res)
+				})
 				// A straight from the constructor DetectCandidates uses.
 				am, _ := spmat.FromRowMajor(g, int32(store.N), int32(kres.NumCols), kres.Triples)
 				gc, ga := cand.GatherTriples(0), am.GatherTriples(0)

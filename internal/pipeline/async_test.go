@@ -42,7 +42,9 @@ func assertSameContigs(t *testing.T, a, b *Output, label string) {
 
 // assertOverlapInvariants checks the counter contract on an async run
 // against its sync twin: per stage, overlap+exposed == total, the sync run
-// has zero overlap, and total traffic is identical between modes.
+// has zero overlap, and traffic is identical between modes — in total and
+// under every stage and sub-stage name (both modes run one schedule, so every
+// send lands in the same stage).
 func assertOverlapInvariants(t *testing.T, syncOut, asyncOut *Output, label string) {
 	t.Helper()
 	if syncOut.Stats.CommBytes != asyncOut.Stats.CommBytes {
@@ -50,6 +52,15 @@ func assertOverlapInvariants(t *testing.T, syncOut, asyncOut *Output, label stri
 	}
 	if syncOut.Stats.CommMsgs != asyncOut.Stats.CommMsgs {
 		t.Fatalf("%s: total messages differ: sync %d, async %d", label, syncOut.Stats.CommMsgs, asyncOut.Stats.CommMsgs)
+	}
+	for _, stages := range [][]string{MainStages, ContigStages, AlignmentPhases} {
+		for _, s := range stages {
+			se, ae := syncOut.Stats.Timers.Get(s), asyncOut.Stats.Timers.Get(s)
+			if se.SumBytes != ae.SumBytes || se.SumMsgs != ae.SumMsgs || se.MaxBytes != ae.MaxBytes || se.MaxMsgs != ae.MaxMsgs {
+				t.Fatalf("%s: stage %s traffic differs: sync %d B / %d msgs (max %d / %d), async %d / %d (max %d / %d)", label, s,
+					se.SumBytes, se.SumMsgs, se.MaxBytes, se.MaxMsgs, ae.SumBytes, ae.SumMsgs, ae.MaxBytes, ae.MaxMsgs)
+			}
+		}
 	}
 	var sawOverlap bool
 	for _, tm := range []*trace.Summary{syncOut.Stats.Timers, asyncOut.Stats.Timers} {

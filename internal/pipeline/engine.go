@@ -208,6 +208,9 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 		stageIdx := i
 		runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
 			rank := c.Rank()
+			// One schedule in every kernel; whether its posted transfers run
+			// behind the computation is the rank's mode.
+			c.SetBlocking(!e.opt.Async)
 			// Deterministic fault injection (chaos tests and the nightly CI
 			// job): one atomic load when nothing is armed.
 			faultinject.At(st.Name(), rank)

@@ -145,15 +145,17 @@ type Options struct {
 	// every stage but the final one; a stage name checkpoints only after
 	// that stage. Ignored when CheckpointDir is empty.
 	CheckpointEvery string `json:"-"`
-	// Async runs the communication-heavy loops on the nonblocking mpi layer
-	// so transfers overlap local computation: the SUMMA SpGEMM (overlap
-	// detection and transitive reduction) prefetches the next round's panels
-	// while multiplying, the k-mer exchange posts receives before packing
-	// sends, and contig generation pipelines the read-sequence exchange
-	// against edge routing and the DFS walks. Contigs and all byte/message
-	// counters are bit-identical with Async on or off; only the
-	// comm_overlap/comm_exposed split and wall time differ. Sync(false) is
-	// the paper's blocking baseline; DefaultOptions enables Async.
+	// Async lets the transfers the kernels post early really run behind the
+	// computation; false puts every rank in mpi's blocking mode, where the
+	// same posts complete inside their Wait. The kernels have one schedule
+	// either way: the SUMMA SpGEMM (overlap detection and transitive
+	// reduction) posts the next round's panels before multiplying, the k-mer
+	// exchange posts receives before packing sends, and contig generation
+	// starts the read-sequence exchange before edge routing and the DFS
+	// walks. Contigs and all byte/message counters are bit-identical with
+	// Async on or off; only the comm_overlap/comm_exposed split and wall time
+	// differ. false is the paper's blocking baseline; DefaultOptions enables
+	// Async.
 	Async bool
 }
 
@@ -254,7 +256,6 @@ func (o Options) overlapConfig(newAligner func() align.Aligner) overlap.Config {
 		MinScoreFrac: o.MinScoreFrac,
 		MaxOverhang:  o.MaxOverhang,
 		Threads:      o.EffectiveThreads(),
-		Async:        o.Async,
 	}
 }
 

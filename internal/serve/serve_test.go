@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fasta"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
@@ -315,6 +316,67 @@ func TestAdmissionAndCancel(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("contigs of cancelled job: status %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestMixedCaseFastaAssemblesLikeUpperCase: FASTA is the trust boundary for
+// letter case. The k-mer stage reads acgt as ACGT, the aligners compare raw
+// bytes, so before fasta.Read normalised case one soft-masked read seeded
+// overlaps that never aligned and cut this dataset's single contig in three.
+// The same mixed-case file must give the upper-case contigs both ways in:
+// through fasta.ReadSeqs (cmd/elba -in) and through a POST /datasets upload.
+func TestMixedCaseFastaAssemblesLikeUpperCase(t *testing.T) {
+	s, ts := startDaemon(t, Config{})
+	preset := JobSpec{Preset: "celegans", GenomeLen: 20000, Seed: 3, P: 4, Threads: 1}
+	opt, reads, err := s.jobInputs(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fa bytes.Buffer
+	for i, r := range reads {
+		switch {
+		case i == len(reads)/2: // one fully soft-masked read
+			r = bytes.ToLower(r)
+		case i%7 == 0: // and some masked in part, wrapped so a line starts mid-mask
+			r = append(bytes.ToLower(r[:len(r)/3]), r[len(r)/3:]...)
+		}
+		fmt.Fprintf(&fa, ">Read%d softMasked\n%s\n%s\n", i, r[:len(r)/4], r[len(r)/4:])
+	}
+	want := standalone(t, s, preset).Contigs
+
+	seqs, err := fasta.ReadSeqs(bytes.NewReader(fa.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := pipeline.Run(seqs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Manifest(opt).Contigs; got != want {
+		t.Errorf("through fasta.ReadSeqs: contigs %+v, upper-case twin %+v", got, want)
+	}
+
+	resp, err := http.Post(ts.URL+"/datasets", "text/plain", bytes.NewReader(fa.Bytes()))
+	if err != nil {
+		t.Fatalf("POST /datasets: %v", err)
+	}
+	var ds struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&ds)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.ID != obs.ChecksumSeqs(reads) {
+		t.Errorf("uploaded dataset id %s, upper-case twin's %s", ds.ID, obs.ChecksumSeqs(reads))
+	}
+	id := postJob(t, ts, JobSpec{Dataset: ds.ID, P: 4, Threads: 1, K: opt.K})
+	if st := waitJob(t, ts, id); st.State != JobDone {
+		t.Fatalf("job %s: %q (%s)", id, st.State, st.Error)
+	}
+	if got := jobManifest(t, ts, id).Contigs; got != want {
+		t.Errorf("through an upload: contigs %+v, upper-case twin %+v", got, want)
 	}
 }
 

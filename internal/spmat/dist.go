@@ -338,28 +338,17 @@ func SpGEMM[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C]) *Dist[C] 
 // SpGEMMCounted is SpGEMM with an output mask and a semiring-product work
 // counter for the performance model (products may be nil): it is advanced by
 // the number of products evaluated on kept cells, annihilated ones included.
+//
+// The SUMMA broadcasts are nonblocking: round s+1's A/B panels are posted
+// with IBcast before round s multiplies, so on a rank that is not in blocking
+// mode the panel transfer hides behind the local product. The local product
+// of each round is a Gustavson pass that folds every kept product in place
+// into the generation-tagged sparse accumulator of local.go over the block's
+// row span; per-round emissions are column-clustered, so the final
+// cross-round merge is the radix path of NewCOO with the semiring Add as the
+// combiner (Add is associative and commutative — the precondition SUMMA's
+// stage-order-independent accumulation already imposes).
 func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
-	return spgemm(a, b, sr, mask, products, false)
-}
-
-// SpGEMMAsync is SpGEMMCounted with nonblocking SUMMA broadcasts: round
-// r+1's A/B panels are prefetched with IBcast while round r multiplies, so
-// panel transfer hides behind the local product. Accumulation order,
-// results, and byte/message counters are identical to the blocking form —
-// only the overlap attribution and wall time change.
-func SpGEMMAsync[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
-	return spgemm(a, b, sr, mask, products, true)
-}
-
-// spgemm is the shared SUMMA body; async selects blocking broadcasts or the
-// IBcast prefetch pipeline. The local product of each round is a Gustavson
-// pass that folds every kept product in place into the generation-tagged
-// sparse accumulator of local.go over the block's row span; per-round
-// emissions are column-clustered, so the final cross-round merge is the radix
-// path of NewCOO with the semiring Add as the combiner (Add is associative
-// and commutative — the precondition SUMMA's stage-order-independent
-// accumulation already imposes).
-func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64, async bool) *Dist[C] {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
 	}
@@ -374,9 +363,8 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask
 	panelNnz := g.Comm.Metrics().Histogram("spmat.panel_nnz")
 	var evaluated int64 // products formed; a local, published once, not *products++ per product
 
-	// post starts the round-s panel broadcasts (nonblocking path only). The
-	// post order (A then B) matches the blocking call order, so tag sequences
-	// line up across ranks.
+	// post starts the round-s panel broadcasts, A then B on every rank, so
+	// tag sequences line up.
 	post := func(s int) (*mpi.BcastRequest[Triple[A]], *mpi.BcastRequest[Triple[B]]) {
 		var ablk []Triple[A]
 		if g.Col == s {
@@ -388,33 +376,15 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask
 		}
 		return mpi.IBcast(g.RowComm, s, ablk), mpi.IBcast(g.ColComm, s, bblk)
 	}
-	var reqA *mpi.BcastRequest[Triple[A]]
-	var reqB *mpi.BcastRequest[Triple[B]]
-	if async {
-		reqA, reqB = post(0)
-	}
+	reqA, reqB := post(0)
 	for s := 0; s < g.Dim; s++ {
-		var ablk []Triple[A]
-		var bblk []Triple[B]
-		if async {
-			// Collect round s, then immediately post round s+1 so its panels
-			// travel while this round multiplies.
-			ablk = reqA.WaitValue()
-			bblk = reqB.WaitValue()
-			if s+1 < g.Dim {
-				reqA, reqB = post(s + 1)
-			}
-		} else {
-			// Broadcast A(:, s-block) along grid rows, B(s-block, :) along
-			// grid columns.
-			if g.Col == s {
-				ablk = a.Local.Ts
-			}
-			ablk = mpi.Bcast(g.RowComm, s, ablk)
-			if g.Row == s {
-				bblk = b.Local.Ts
-			}
-			bblk = mpi.Bcast(g.ColComm, s, bblk)
+		// Collect round s — A(:, s-block) came along the grid row, B(s-block, :)
+		// along the grid column — then immediately post round s+1 so its
+		// panels travel while this round multiplies.
+		ablk := reqA.WaitValue()
+		bblk := reqB.WaitValue()
+		if s+1 < g.Dim {
+			reqA, reqB = post(s + 1)
 		}
 		panelNnz.Observe(int64(len(ablk)))
 		panelNnz.Observe(int64(len(bblk)))

@@ -72,21 +72,19 @@ type Stats struct {
 // Reduce removes transitive edges from s in place (collective). fuzz
 // tolerates alignment-coordinate noise like miniasm's fuzz parameter;
 // maxIter bounds the fixpoint loop (diBELLA iterates until no edge is
-// removed). async runs the SUMMA SpGEMM with nonblocking panel prefetch and
-// routes the mirror marks with a nonblocking all-to-all that overlaps the
-// local marking; results and traffic counters are identical in both modes.
+// removed). The SUMMA SpGEMM prefetches its panels and the mirror marks are
+// routed with a nonblocking all-to-all posted before the local marking;
+// async = false puts the rank in blocking mode (mpi.Comm.SetBlocking) for the
+// call, which runs the same schedule with every transfer inside its Wait —
+// results and traffic counters are identical in both modes.
 func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stats {
 	g := s.G
+	defer g.Comm.SetBlocking(g.Comm.SetBlocking(!async))
 	var st Stats
 	for iter := 0; iter < maxIter; iter++ {
 		st.Iterations = iter + 1
 		pat := newPattern(s)
-		var n *spmat.Dist[PathMin]
-		if async {
-			n = spmat.SpGEMMAsync(s, s, pathSemiring, spmat.KeepFunc(pat.has), &st.Products)
-		} else {
-			n = spmat.SpGEMMCounted(s, s, pathSemiring, spmat.KeepFunc(pat.has), &st.Products)
-		}
+		n := spmat.SpGEMMCounted(s, s, pathSemiring, spmat.KeepFunc(pat.has), &st.Products)
 		// Merge-join N against S — both canonical, N's cells a subset of
 		// S's — collecting the positions of the local transitive edges.
 		ts := s.Local.Ts
@@ -102,29 +100,20 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		}
 		// Symmetrize the marks: an edge dies in both directions or neither,
 		// so S stays a symmetric matrix. Mirrors are routed to the owner of
-		// the transposed entry; the async path marks the local positions
-		// while the mirrors are still in flight.
+		// the transposed entry; the local positions are marked while the
+		// mirrors are still in flight.
 		type pair struct{ R, C int32 }
 		send := make([][]pair, g.Comm.Size())
 		for _, i := range marked {
 			o := g.BlockOwnerRank(int(s.NR), int(s.NC), int(ts[i].Col), int(ts[i].Row))
 			send[o] = append(send[o], pair{ts[i].Col, ts[i].Row})
 		}
-		var req *mpi.AlltoallvRequest[pair]
-		if async {
-			req = mpi.IAlltoallv(g.Comm, send)
-		}
+		req := mpi.IAlltoallv(g.Comm, send)
 		dead := make([]bool, len(ts))
 		for _, i := range marked {
 			dead[i] = true
 		}
-		var recv [][]pair
-		if async {
-			recv = req.WaitValue()
-		} else {
-			recv = mpi.Alltoallv(g.Comm, send)
-		}
-		for _, part := range recv {
+		for _, part := range req.WaitValue() {
 			for _, m := range part {
 				if i := pat.find(m.R, m.C); i >= 0 {
 					dead[i] = true
