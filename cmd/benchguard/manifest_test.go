@@ -118,7 +118,7 @@ func TestVerifyManifestAgainstBaseline(t *testing.T) {
 	}
 	// Traffic counters are schedule-invariant; any drift fails.
 	cur = sampleManifest()
-	cur.Comm.Msgs = 11
+	cur.Comm.Msgs, cur.Stages[0].Msgs, cur.Stages[0].ExposedMsgs = 11, 11, 5
 	bad = verifyManifest(cur, sampleManifest())
 	if len(bad) != 1 || !strings.Contains(bad[0], "comm totals drifted") {
 		t.Fatalf("comm drift produced %v", bad)

@@ -431,7 +431,7 @@ func main() {
 	printSummary(result)
 	if *breakdown {
 		fmt.Println("\nStage breakdown (max across ranks):")
-		fmt.Print(result.Stats.Timers.Breakdown(pipeline.MainStages))
+		fmt.Print(result.Stats.Timers.Breakdown(pipeline.StageNames()))
 		printAlignmentPhases(result.Stats)
 	}
 	if reference != nil {

@@ -133,16 +133,16 @@ func TestResumeRefusesOldSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := strings.Replace(string(blob), pipeline.CheckpointSchema, "elba/checkpoint/v2", 1)
+	stale := strings.Replace(string(blob), pipeline.CheckpointSchema, "elba/checkpoint/v3", 1)
 	if err := os.WriteFile(manPath, []byte(stale), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := run("-resume", dir)
 	var xe *exec.ExitError
 	if !errors.As(err, &xe) || xe.ExitCode() == 0 {
-		t.Fatalf("resume of a v2 checkpoint: %v, want a non-zero exit\n%s", err, msg)
+		t.Fatalf("resume of a v3 checkpoint: %v, want a non-zero exit\n%s", err, msg)
 	}
-	if !strings.Contains(msg, `schema "elba/checkpoint/v2"`) || !strings.Contains(msg, pipeline.CheckpointSchema) || strings.Contains(msg, "goroutine ") {
+	if !strings.Contains(msg, `schema "elba/checkpoint/v3"`) || !strings.Contains(msg, pipeline.CheckpointSchema) || strings.Contains(msg, "goroutine ") {
 		t.Errorf("want one message naming both schemas, got:\n%s", msg)
 	}
 }

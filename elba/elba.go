@@ -180,7 +180,7 @@ type Engine = pipeline.Engine
 type Artifacts = pipeline.Artifacts
 
 // Observer streams per-stage progress (start callbacks, post-stage wall time
-// and cross-rank trace aggregates) from a running assembly.
+// and the whole job's cross-rank stage rows) from a running assembly.
 type Observer = pipeline.Observer
 
 // Plan validates opt — all parameter errors surface here, together — and

@@ -89,11 +89,6 @@ type World struct {
 	// recvTimeout is read atomically (nanoseconds): background matcher
 	// goroutines consult it while tests adjust it.
 	recvTimeout int64
-	// inflight tracks bytes sent but not yet received, per communicator
-	// context id (uint64 → *int64). Incremented at send, decremented when the
-	// receiver takes the message; a rank can read its communicator's gauge
-	// with Comm.InflightBytes. Local traffic only in multi-process worlds.
-	inflight sync.Map
 	// Cancellation (see cancel.go): cancelCh is closed exactly once, after
 	// cancelErr is set, so readers woken by the close always see the cause.
 	cancelMu  sync.Mutex
@@ -258,27 +253,6 @@ func (w *World) TotalMsgs() int64 {
 	return t
 }
 
-// inflightCounter returns the in-flight byte gauge for a communicator
-// context, creating it on first use.
-func (w *World) inflightCounter(ctx uint64) *int64 {
-	if v, ok := w.inflight.Load(ctx); ok {
-		return v.(*int64)
-	}
-	v, _ := w.inflight.LoadOrStore(ctx, new(int64))
-	return v.(*int64)
-}
-
-// InflightBytes returns the bytes currently sent but not yet received across
-// all communicators of the world (local endpoints only).
-func (w *World) InflightBytes() int64 {
-	var t int64
-	w.inflight.Range(func(_, v any) bool {
-		t += atomic.LoadInt64(v.(*int64))
-		return true
-	})
-	return t
-}
-
 // Comm returns the world communicator for the given rank. Each rank goroutine
 // must use its own Comm; Comms are not shared between goroutines. In a
 // distributed world a Comm for a remote rank can be constructed (the engine
@@ -418,13 +392,6 @@ func (c *Comm) MsgsAsync() int64 {
 	return atomic.LoadInt64(&c.world.stats[c.group[c.rank]].MsgsAsync)
 }
 
-// InflightBytes returns the bytes currently sent but not yet received on
-// this communicator (local ranks' traffic; a live gauge, not a monotone
-// counter). After a Barrier following a fully-drained exchange it is zero.
-func (c *Comm) InflightBytes() int64 {
-	return atomic.LoadInt64(c.world.inflightCounter(c.ctx))
-}
-
 // nextSeq reserves a fresh operation sequence number. SPMD programs call
 // collectives in the same order on every rank, so sequence numbers line up
 // across the communicator without coordination (the MPI matching rule).
@@ -485,7 +452,6 @@ func (c *Comm) sendRaw(dst int, tag int64, frame []byte, dataBytes int64) {
 			atomic.AddInt64(&c.world.stats[wsrc].MsgsAsync, 1)
 			atomic.AddInt64(&c.world.stats[wsrc].BytesAsync, dataBytes)
 		}
-		atomic.AddInt64(c.world.inflightCounter(c.ctx), dataBytes)
 		if o := c.world.obs; o != nil {
 			o.msgBytes[wsrc].Observe(dataBytes)
 			if c.async {
@@ -551,14 +517,10 @@ func (c *Comm) recvRawArmed(src int, tag int64, armed <-chan struct{}) []byte {
 		c.world.checkCancel()
 		msg, gen, ok := ep.Match(wsrc, wtag)
 		if ok {
-			bytes := wire.DataLen(msg.Payload)
-			if !c.nocount {
-				atomic.AddInt64(c.world.inflightCounter(c.ctx), -bytes)
-			}
 			if blockStart >= 0 {
 				lane.Span(0, "mpi", "recv.wait", blockStart,
 					obs.Arg{K: "src", V: int64(wsrc)}, obs.Arg{K: "tag", V: tag},
-					obs.Arg{K: "bytes", V: bytes})
+					obs.Arg{K: "bytes", V: wire.DataLen(msg.Payload)})
 			}
 			return msg.Payload
 		}

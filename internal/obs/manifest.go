@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 // ManifestSchema identifies the RUN.json layout; Verify rejects manifests
@@ -55,7 +56,7 @@ type Manifest struct {
 	Threads int           `json:"threads"`
 	WallNS  int64         `json:"wall_ns"`
 	Stages  []StageStats  `json:"stages"`
-	Comm    CommTotals    `json:"comm"`
+	Comm    CommTotals    `json:"comm"` // the sums of the top-level Stages rows
 	Contigs ContigSummary `json:"contigs"`
 	Metrics []Metric      `json:"metrics,omitempty"`
 	// Restarts counts how many times the supervised proc launcher relaunched
@@ -89,7 +90,9 @@ func ChecksumSeqs(seqs [][]byte) string {
 // Verify checks the manifest's internal invariants and returns one message
 // per violation (empty slice: all good): schema match, non-negative
 // counters, the per-stage comm_overlap + comm_exposed == comm_total
-// identities, and a present checksum whenever contigs exist.
+// identities, the run totals equal to the sums of the top-level stage rows
+// (names without ':'; sub-stages nest inside them), and a present checksum
+// whenever contigs exist.
 func (m *Manifest) Verify() []string {
 	var bad []string
 	if m.Schema != ManifestSchema {
@@ -101,7 +104,12 @@ func (m *Manifest) Verify() []string {
 	if m.Comm.Bytes < 0 || m.Comm.Msgs < 0 {
 		bad = append(bad, fmt.Sprintf("negative comm totals: %d bytes, %d msgs", m.Comm.Bytes, m.Comm.Msgs))
 	}
+	var rowBytes, rowMsgs int64
 	for _, s := range m.Stages {
+		if !strings.Contains(s.Name, ":") {
+			rowBytes += s.Bytes
+			rowMsgs += s.Msgs
+		}
 		if s.Bytes < 0 || s.Msgs < 0 || s.OverlapBytes < 0 || s.OverlapMsgs < 0 ||
 			s.ExposedBytes < 0 || s.ExposedMsgs < 0 {
 			bad = append(bad, fmt.Sprintf("stage %s: negative traffic counter", s.Name))
@@ -115,6 +123,10 @@ func (m *Manifest) Verify() []string {
 			bad = append(bad, fmt.Sprintf("stage %s: overlap_msgs %d + exposed_msgs %d != msgs %d",
 				s.Name, s.OverlapMsgs, s.ExposedMsgs, s.Msgs))
 		}
+	}
+	if rowBytes != m.Comm.Bytes || rowMsgs != m.Comm.Msgs {
+		bad = append(bad, fmt.Sprintf("top-level stage rows sum to %d bytes, %d msgs; comm totals are %d bytes, %d msgs",
+			rowBytes, rowMsgs, m.Comm.Bytes, m.Comm.Msgs))
 	}
 	if m.Contigs.Count > 0 && m.Contigs.Checksum == "" {
 		bad = append(bad, fmt.Sprintf("%d contigs but empty checksum", m.Contigs.Count))

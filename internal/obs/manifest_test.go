@@ -57,6 +57,23 @@ func TestManifestVerify(t *testing.T) {
 	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "schema") {
 		t.Fatalf("schema violation not caught: %v", bad)
 	}
+	// A sub-stage row nests inside its parent: it never enters the sum.
+	m = validManifest()
+	m.Stages = append(m.Stages, StageStats{Name: "CG:Walk", Bytes: 8, Msgs: 1, ExposedBytes: 8, ExposedMsgs: 1})
+	if bad := m.Verify(); len(bad) != 0 {
+		t.Fatalf("sub-stage row counted into the totals: %v", bad)
+	}
+	// Traffic outside every top-level row (or a row missing) breaks the sum.
+	m = validManifest()
+	m.Comm.Msgs = 5
+	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "top-level stage rows") {
+		t.Fatalf("totals beyond the rows not caught: %v", bad)
+	}
+	m = validManifest()
+	m.Stages = nil
+	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "top-level stage rows") {
+		t.Fatalf("missing rows not caught: %v", bad)
+	}
 	m = validManifest()
 	m.Contigs.Checksum = ""
 	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "checksum") {

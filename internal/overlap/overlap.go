@@ -140,13 +140,11 @@ type Result struct {
 }
 
 // CountKmers is the CountKmer stage: distributed counting and reliable-k-mer
-// selection. It records the column count and work units into res and returns
-// the per-rank counting result consumed by DetectCandidates.
+// selection. It records the column count into res and the work units into
+// tm's CountKmer row (timed by the caller), and returns the per-rank counting
+// result consumed by DetectCandidates.
 func CountKmers(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Timers, res *Result) *kmer.Result {
-	var kres *kmer.Result
-	tm.Stage("CountKmer", g.Comm, func() {
-		kres = kmer.CountAndBuild(store, cfg.K, cfg.ReliableLow, cfg.ReliableHigh, cfg.Threads)
-	})
+	kres := kmer.CountAndBuild(store, cfg.K, cfg.ReliableLow, cfg.ReliableHigh, cfg.Threads)
 	res.NumKmers = kres.NumCols
 	tm.AddWork("CountKmer", kres.Occurrences)
 	return kres
@@ -160,18 +158,15 @@ func CountKmers(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Time
 // reconstructed after alignment. The returned candidate matrix is not mutated
 // by AlignCandidates, so one candidate set can feed several alignment runs.
 func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, cfg Config, tm *trace.Timers, res *Result) *spmat.Dist[Seeds] {
-	var c *spmat.Dist[Seeds]
 	var products int64
-	tm.Stage("DetectOverlap", g.Comm, func() {
-		a, at := buildA(g, store.N, kres)
-		acc := spmat.SpGEMMCounted(a, at, seedSemiring, spmat.Checkerboard(), &products)
-		cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
-		for i, t := range acc.Local.Ts {
-			cs[i] = spmat.Triple[Seeds]{Row: t.Row, Col: t.Col, Val: t.Val.seeds()}
-		}
-		c = spmat.FromLocalTriples(g, acc.NR, acc.NC, cs)
-		res.CandidatePairs = c.Nnz()
-	})
+	a, at := buildA(g, store.N, kres)
+	acc := spmat.SpGEMMCounted(a, at, seedSemiring, spmat.Checkerboard(), &products)
+	cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
+	for i, t := range acc.Local.Ts {
+		cs[i] = spmat.Triple[Seeds]{Row: t.Row, Col: t.Col, Val: t.Val.seeds()}
+	}
+	c := spmat.FromLocalTriples(g, acc.NR, acc.NC, cs)
+	res.CandidatePairs = c.Nnz()
 	tm.AddWork("DetectOverlap", products)
 	return c
 }
@@ -215,9 +210,7 @@ const (
 func AlignCandidates(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], cfg Config, tm *trace.Timers, res *Result) {
 	pool := par.NewPool(cfg.Threads, func(int) align.Aligner { return cfg.aligner() })
 	pool.SetTrace(g.Comm.Lane(), "align")
-	tm.Stage("Alignment", g.Comm, func() {
-		res.R = alignAndPrune(g, store, c, pool, cfg, tm, res)
-	})
+	res.R = alignAndPrune(g, store, c, pool, cfg, tm, res)
 	var work int64
 	for _, al := range pool.States() {
 		work += al.Work()

@@ -5,30 +5,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mpi"
 	"repro/internal/trace"
 )
 
-// summary builds a Summary via a 1-rank MergeMax round-trip.
-func summary(t *testing.T, fill func(tm *trace.Timers)) *trace.Summary {
-	t.Helper()
-	var out *trace.Summary
-	err := mpi.Run(1, func(c *mpi.Comm) {
-		tm := trace.New()
-		fill(tm)
-		out = trace.MergeMax(c, tm)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+// summary folds one rank's rows into a Summary.
+func summary(recs ...trace.Record) *trace.Summary {
+	return trace.Aggregate([]*trace.Timers{trace.FromRecords(recs)})
 }
 
+const sec = int64(time.Second)
+
 func TestCalibrateAndExactAtBaseline(t *testing.T) {
-	base := summary(t, func(tm *trace.Timers) {
-		tm.Add("comp", 2*time.Second)
-		tm.AddWork("comp", 1000)
-	})
+	base := summary(trace.Record{Name: "comp", Nanos: 2 * sec, Work: 1000})
 	cal := Calibrate(base, []string{"comp"})
 	if math.Abs(cal["comp"]-500) > 1e-9 {
 		t.Fatalf("rate %f, want 500 units/s", cal["comp"])
@@ -40,11 +28,8 @@ func TestCalibrateAndExactAtBaseline(t *testing.T) {
 }
 
 func TestStageTimeAddsCommTerms(t *testing.T) {
-	sum := summary(t, func(tm *trace.Timers) {
-		tm.Add("s", time.Second)
-		tm.AddWork("s", 100)
-		tm.AddComm("s", 8e9, 1e6) // 1s of bandwidth + 1.5s of latency on Aries
-	})
+	// 1s of bandwidth + 1.5s of latency on Aries.
+	sum := summary(trace.Record{Name: "s", Nanos: sec, Work: 100, Bytes: 8e9, Msgs: 1e6})
 	cal := Calibration{"s": 100} // 1s of compute
 	got := StageTime(sum, "s", cal, Aries())
 	want := 1.0 + 1.0 + 1.5
@@ -54,9 +39,7 @@ func TestStageTimeAddsCommTerms(t *testing.T) {
 }
 
 func TestStageTimeFallsBackToMeasured(t *testing.T) {
-	sum := summary(t, func(tm *trace.Timers) {
-		tm.Add("nocounter", 3*time.Second)
-	})
+	sum := summary(trace.Record{Name: "nocounter", Nanos: 3 * sec})
 	got := StageTime(sum, "nocounter", Calibration{}, Aries())
 	if math.Abs(got-3.0) > 1e-9 {
 		t.Fatalf("fallback %f, want 3.0", got)
@@ -64,12 +47,7 @@ func TestStageTimeFallsBackToMeasured(t *testing.T) {
 }
 
 func TestTotalSumsStages(t *testing.T) {
-	sum := summary(t, func(tm *trace.Timers) {
-		tm.Add("a", time.Second)
-		tm.AddWork("a", 10)
-		tm.Add("b", time.Second)
-		tm.AddWork("b", 20)
-	})
+	sum := summary(trace.Record{Name: "a", Nanos: sec, Work: 10}, trace.Record{Name: "b", Nanos: sec, Work: 20})
 	cal := Calibrate(sum, []string{"a", "b"})
 	if got := Total(sum, []string{"a", "b"}, cal, Aries()); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("total %f", got)
@@ -102,12 +80,8 @@ func TestStageTimeOverlapTerm(t *testing.T) {
 	// 1s of compute, 2s of overlappable bandwidth, 0.5s of exposed
 	// bandwidth: the overlappable share hides behind compute up to the
 	// compute time, so T = max(1, 2) + 0.5 = 2.5 — not 1 + 2.5.
-	sum := summary(t, func(tm *trace.Timers) {
-		tm.Add("s", time.Second)
-		tm.AddWork("s", 100)
-		tm.AddCommOverlap("s", 16e9, 0) // 2s on Aries bandwidth
-		tm.AddComm("s", 4e9, 0)         // 0.5s, blocking
-	})
+	// 16 GB overlappable (2s on Aries bandwidth) + 4 GB blocking (0.5s).
+	sum := summary(trace.Record{Name: "s", Nanos: sec, Work: 100, Bytes: 20e9, OvBytes: 16e9})
 	cal := Calibration{"s": 100}
 	if got := StageTime(sum, "s", cal, Aries()); math.Abs(got-2.5) > 1e-6 {
 		t.Fatalf("comm-bound overlapped stage: got %f want 2.5", got)
@@ -121,21 +95,14 @@ func TestStageTimeOverlapTerm(t *testing.T) {
 	}
 
 	// The same traffic fully blocking is strictly worse: 4 + 2.5.
-	blocking := summary(t, func(tm *trace.Timers) {
-		tm.Add("s", time.Second)
-		tm.AddWork("s", 100)
-		tm.AddComm("s", 20e9, 0)
-	})
+	blocking := summary(trace.Record{Name: "s", Nanos: sec, Work: 100, Bytes: 20e9})
 	if got := StageTime(blocking, "s", cal2, Aries()); math.Abs(got-6.5) > 1e-6 {
 		t.Fatalf("blocking stage: got %f want 6.5", got)
 	}
 }
 
 func TestCommSplitSumsToTotal(t *testing.T) {
-	sum := summary(t, func(tm *trace.Timers) {
-		tm.AddCommOverlap("s", 8e9, 2e6)
-		tm.AddComm("s", 8e9, 1e6)
-	})
+	sum := summary(trace.Record{Name: "s", Bytes: 16e9, Msgs: 3e6, OvBytes: 8e9, OvMsgs: 2e6})
 	e := sum.Get("s")
 	overlap, exposed := CommSplit(e, Aries())
 	total := float64(e.MaxBytes)/Aries().Bandwidth + float64(e.MaxMsgs)*Aries().Latency

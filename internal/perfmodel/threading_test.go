@@ -3,7 +3,6 @@ package perfmodel
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -29,11 +28,8 @@ func TestThreadingSpeedup(t *testing.T) {
 }
 
 func TestStageTimeTDividesComputeOnly(t *testing.T) {
-	sum := summary(t, func(tm *trace.Timers) {
-		tm.Add("Alignment", time.Second)
-		tm.AddWork("Alignment", 100)
-		tm.AddComm("Alignment", 8e9, 1e6) // 1s bandwidth + 1.5s latency on Aries
-	})
+	// 1s bandwidth + 1.5s latency on Aries.
+	sum := summary(trace.Record{Name: "Alignment", Nanos: sec, Work: 100, Bytes: 8e9, Msgs: 1e6})
 	cal := Calibration{"Alignment": 100} // 1s of compute at one worker
 	th := Threading{Threads: 4, Frac: map[string]float64{"Alignment": 1.0}}
 	got := StageTimeT(sum, "Alignment", cal, Aries(), th)
@@ -48,12 +44,8 @@ func TestStageTimeTDividesComputeOnly(t *testing.T) {
 }
 
 func TestTotalTAndDefaults(t *testing.T) {
-	sum := summary(t, func(tm *trace.Timers) {
-		tm.Add("Alignment", time.Second)
-		tm.AddWork("Alignment", 100)
-		tm.Add("TrReduction", time.Second)
-		tm.AddWork("TrReduction", 100)
-	})
+	sum := summary(trace.Record{Name: "Alignment", Nanos: sec, Work: 100},
+		trace.Record{Name: "TrReduction", Nanos: sec, Work: 100})
 	cal := Calibration{"Alignment": 100, "TrReduction": 100}
 	th := WithThreads(4)
 	got := TotalT(sum, []string{"Alignment", "TrReduction"}, cal, Aries(), th)

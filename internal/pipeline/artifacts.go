@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bidir"
@@ -25,7 +26,7 @@ type RankState struct {
 	Comm   *mpi.Comm        // this rank's world communicator (persistent across stages)
 	Grid   *grid.Grid       // FastaReader: √P×√P process grid
 	Store  *fasta.DistStore // FastaReader: block-distributed read store
-	Timers *trace.Timers    // per-rank stage accounting (forked on resume)
+	Timers *trace.Timers    // per-rank stage rows, timed by the engine (forked on resume)
 
 	Kmers       *kmer.Result               // CountKmer: reliable k-mer columns + A-matrix triples
 	Candidates  *spmat.Dist[overlap.Seeds] // DetectOverlap: C = A·Aᵀ, one direction per pair
@@ -58,17 +59,16 @@ type Artifacts struct {
 	done []string // completed stage names, in graph order
 
 	// ctl holds one uncounted control communicator per rank: the engine's
-	// cross-process stage accounting runs on it, invisible to the traffic
-	// counters the pipeline reports. Shared by forks, like the world.
+	// cross-process row fold runs on it, invisible to the traffic counters
+	// the pipeline reports. Shared by forks, like the world.
 	ctl []*mpi.Comm
 
-	// Chain-local accounting: deltas of the world's counters summed over
-	// this chain's stage executions only, so Output reports the same totals
-	// a dedicated monolithic run would even when sibling forks share the
-	// world.
-	commBytes int64
-	commMsgs  int64
-	wall      time.Duration
+	// sum is the cross-rank fold of every rank's Timers, replaced after each
+	// stage, never mutated; observers, Aggregate and Output all read it.
+	// Chain-local like the Timers it folds, so a fork reports what a
+	// monolithic run would even when sibling forks share the world.
+	sum  *trace.Summary
+	wall time.Duration
 
 	// exec serializes stage execution across all forks sharing the world.
 	exec *sync.Mutex
@@ -99,10 +99,11 @@ func newArtifacts(opt Options, reads [][]byte) (*Artifacts, error) {
 		Reads: reads,
 		Ranks: make([]*RankState, opt.P),
 		ctl:   make([]*mpi.Comm, opt.P),
+		sum:   trace.Aggregate(nil),
 		exec:  &sync.Mutex{},
 	}
 	for r := range a.Ranks {
-		a.Ranks[r] = &RankState{Comm: w.Comm(r)}
+		a.Ranks[r] = &RankState{Comm: w.Comm(r), Timers: trace.New()}
 		a.ctl[r] = w.ControlComm(r)
 	}
 	return a, nil
@@ -122,22 +123,44 @@ func (a *Artifacts) Stage() string {
 	return a.done[len(a.done)-1]
 }
 
-// Aggregate folds every rank's timers into one cross-rank Summary, locally
-// (no simulated communication, so it never perturbs the traffic counters).
-// Valid between stage executions; observers receive the same view.
-func (a *Artifacts) Aggregate() *trace.Summary {
+// Aggregate returns the cross-rank fold of every rank's stage rows through
+// the last completed stage (the whole job, in a multi-process world too): the
+// immutable Summary observers received at that stage's end.
+func (a *Artifacts) Aggregate() *trace.Summary { return a.sum }
+
+// fold refreshes the summary after a world execution. In-process every
+// rank's Timers is in this address space; a multi-process world passes the
+// rows its ranks all-gathered in shareRows instead, since this process holds
+// only its own ranks' Timers.
+func (a *Artifacts) fold(shared *[][]trace.Record) {
 	ts := make([]*trace.Timers, 0, len(a.Ranks))
-	for _, rs := range a.Ranks {
-		if rs != nil && rs.Timers != nil {
+	if shared != nil {
+		for _, recs := range *shared {
+			ts = append(ts, trace.FromRecords(recs))
+		}
+	} else {
+		for _, rs := range a.Ranks {
 			ts = append(ts, rs.Timers)
 		}
 	}
-	return trace.Aggregate(ts)
+	a.sum = trace.Aggregate(ts)
+}
+
+// shareRows is a rank body's last step. In a multi-process world it
+// all-gathers the rank's rows on the uncounted control plane (doubling as the
+// cross-process barrier) for fold; in-process fold reads the Timers directly,
+// and gathering would only cost allocations.
+func (a *Artifacts) shareRows(rank int, shared *atomic.Pointer[[][]trace.Record]) {
+	if a.World.Distributed() {
+		rows := mpi.Allgatherv(a.ctl[rank], a.Ranks[rank].Timers.Records())
+		shared.Store(&rows)
+	}
 }
 
 // Output returns the assembly result. It is available only once the final
 // stage (ExtractContig) has completed; partial artifacts return an error
-// naming the stage they stopped at.
+// naming the stage they stopped at. The run's traffic totals are the sums of
+// its top-level stage rows.
 func (a *Artifacts) Output() (*Output, error) {
 	if a.Stage() != StageExtractContig {
 		return nil, fmt.Errorf("pipeline: artifacts stop after stage %q; resume through %q for contigs",
@@ -146,9 +169,16 @@ func (a *Artifacts) Output() (*Output, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := &Output{Contigs: a.contigs, Stats: a.stats}
-	out.Stats.CommBytes = a.commBytes
-	out.Stats.CommMsgs = a.commMsgs
-	out.Stats.WallTime = a.wall
+	st := &out.Stats
+	st.Timers, st.WallTime = a.sum, a.wall
+	for _, phase := range AlignmentPhases {
+		st.AlignedPairs += a.sum.Get(phase).SumWork
+	}
+	for _, stage := range a.done {
+		e := a.sum.Get(stage)
+		st.CommBytes += e.SumBytes
+		st.CommMsgs += e.SumMsgs
+	}
 	return out, nil
 }
 
@@ -166,22 +196,19 @@ func (a *Artifacts) storeOutput(contigs []core.Contig, stats Stats) {
 // World, reads and the execution lock are shared.
 func (a *Artifacts) fork(opt Options) *Artifacts {
 	f := &Artifacts{
-		Opt:       opt,
-		World:     a.World,
-		Reads:     a.Reads,
-		Ranks:     make([]*RankState, len(a.Ranks)),
-		done:      append([]string(nil), a.done...),
-		ctl:       a.ctl,
-		commBytes: a.commBytes,
-		commMsgs:  a.commMsgs,
-		wall:      a.wall,
-		exec:      a.exec,
+		Opt:   opt,
+		World: a.World,
+		Reads: a.Reads,
+		Ranks: make([]*RankState, len(a.Ranks)),
+		done:  append([]string(nil), a.done...),
+		ctl:   a.ctl,
+		sum:   a.sum,
+		wall:  a.wall,
+		exec:  a.exec,
 	}
 	for i, rs := range a.Ranks {
 		cp := *rs
-		if rs.Timers != nil {
-			cp.Timers = rs.Timers.Clone()
-		}
+		cp.Timers = rs.Timers.Clone()
 		if rs.Overlap != nil {
 			o := *rs.Overlap
 			cp.Overlap = &o

@@ -41,10 +41,10 @@ import (
 //     control plane (so checkpointing never perturbs the traffic counters
 //     the pipeline reports).
 //  3. Rank 0 writes MANIFEST.json — stage, completed-stage list, options
-//     fingerprint, reads checksum, per-rank hashes, accumulated traffic
-//     totals — via the same temp+fsync+rename dance. The manifest rename is
-//     the commit point: a stage dir without MANIFEST.json is garbage from an
-//     interrupted attempt and LatestCheckpoint ignores it.
+//     fingerprint, reads checksum, per-rank hashes — via the same
+//     temp+fsync+rename dance. The manifest rename is the commit point: a
+//     stage dir without MANIFEST.json is garbage from an interrupted attempt
+//     and LatestCheckpoint ignores it.
 //
 // LoadCheckpoint inverts the process with a two-phase protocol that can
 // never hang on a corrupt file: every rank first reads, hash-verifies and
@@ -60,12 +60,15 @@ import (
 // sweep-reuse semantics the artifact cache is built on. v3 made two layouts of
 // the post-CountKmer state load-bearing: the k-mer occurrence is one packed
 // word (kmer.Occur: position<<1 | strand) and KmerTriples are strictly
-// row-major, the order DetectOverlap builds A from without sorting. Older
-// checkpoints and cache entries are refused by name, never reinterpreted.
-const CheckpointSchema = "elba/checkpoint/v3"
+// row-major, the order DetectOverlap builds A from without sorting. v4 made
+// the rank files' timer rows the run's traffic totals (the manifest carries
+// none): every stage, FastaReader included, has a row, and a v3 file lacks
+// FastaReader's, so its totals would come out short. Older checkpoints and
+// cache entries are refused by name, never reinterpreted.
+const CheckpointSchema = "elba/checkpoint/v4"
 
 // ckptSchema is the per-rank file's schema number (bumped with ckptRank).
-const ckptSchema uint32 = 3
+const ckptSchema uint32 = 4
 
 // CheckpointManifestName is the per-stage commit file written by rank 0.
 const CheckpointManifestName = "MANIFEST.json"
@@ -79,8 +82,6 @@ type CheckpointManifest struct {
 	Fingerprint   string   `json:"options_fingerprint"`
 	ReadsChecksum string   `json:"reads_checksum"`
 	RankHashes    []string `json:"rank_hashes"` // sha256 of rank-<r>.ckpt, world-rank order
-	CommBytes     int64    `json:"comm_bytes"`  // chain totals through Stage
-	CommMsgs      int64    `json:"comm_msgs"`
 	WallNS        int64    `json:"wall_ns"`
 }
 
@@ -330,8 +331,7 @@ func (e *Engine) writeCheckpoint(ctx context.Context, a *Artifacts) error {
 			P:    e.opt.P, Fingerprint: e.opt.FingerprintThrough(stage),
 			ReadsChecksum: obs.ChecksumSeqs(a.Reads),
 			RankHashes:    hashes,
-			CommBytes:     a.commBytes, CommMsgs: a.commMsgs,
-			WallNS: int64(a.wall),
+			WallNS:        int64(a.wall),
 		}
 		blob, err := json.MarshalIndent(man, "", "  ")
 		if err != nil {
@@ -443,6 +443,7 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 	var mu sync.Mutex
 	var errs []error
 	var peerFail atomic.Bool
+	var shared atomic.Pointer[[][]trace.Record]
 	runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
 		rank := c.Rank()
 		ck, err := readRankCheckpoint(filepath.Join(stageDir, rankFile(rank)), man, rank, e.opt, len(reads))
@@ -467,6 +468,7 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 		rs.Store = fasta.FromGlobal(rs.Comm, a.Reads)
 		installRank(rs, ck)
 		rs.Comm.Metrics().Gauge("pipeline.reads_local").Set(int64(rs.Store.Hi - rs.Store.Lo))
+		a.shareRows(rank, &shared)
 	})
 	if runErr != nil {
 		a.Close()
@@ -480,7 +482,7 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 		return nil, fmt.Errorf("pipeline: checkpoint %s: a peer process failed to load its rank files (see its log)", stageDir)
 	}
 	a.done = append([]string(nil), man.Done...)
-	a.commBytes, a.commMsgs = man.CommBytes, man.CommMsgs
+	a.fold(shared.Load())
 	a.wall = time.Duration(man.WallNS)
 	return a, nil
 }

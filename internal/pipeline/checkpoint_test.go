@@ -515,9 +515,11 @@ func rewriteRankFile(t *testing.T, stageDir string, rank int, edit func(*ckptRan
 }
 
 // TestCheckpointFailsClosedOnSchemaAndOrder: the packed Occur word and the
-// row-major order of KmerTriples are load-bearing since schema v3, so (1) a
-// directory committed under the v2 schema — manifest or rank file — is refused
-// with an error naming both schemas, and (2) a post-CountKmer checkpoint whose
+// row-major order of KmerTriples are load-bearing since schema v3, and the
+// rank files' timer rows (FastaReader's included) are the run's traffic
+// totals since v4, so (1) a directory committed under an older schema —
+// manifest or rank file — is refused with an error naming both schemas, and
+// (2) a post-CountKmer checkpoint whose
 // triples are out of order, duplicated, or another rank's reads is refused at
 // load, naming rank and file, instead of panicking inside DetectOverlap's
 // collective construction of A.
@@ -558,18 +560,21 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			}
 		}
 	}
-	t.Run("v2 manifest", func(t *testing.T) {
-		dir, stageDir := write(t)
-		rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.Schema = "elba/checkpoint/v2" })
-		refused(t, dir, `schema "elba/checkpoint/v2"`, `"elba/checkpoint/v3"`)
-		// Naming the stage directory itself takes the other manifest path.
-		refused(t, stageDir, `schema "elba/checkpoint/v2"`, `"elba/checkpoint/v3"`)
-	})
-	t.Run("v2 rank file", func(t *testing.T) {
-		dir, stageDir := write(t)
-		rewriteRankFile(t, stageDir, 1, func(ck *ckptRank) { ck.Schema = 2 })
-		refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), "schema 2 (this build reads 3)")
-	})
+	for _, old := range []uint32{2, 3} {
+		schema := fmt.Sprintf("elba/checkpoint/v%d", old)
+		t.Run(fmt.Sprintf("v%d manifest", old), func(t *testing.T) {
+			dir, stageDir := write(t)
+			rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.Schema = schema })
+			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v4"`)
+			// Naming the stage directory itself takes the other manifest path.
+			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v4"`)
+		})
+		t.Run(fmt.Sprintf("v%d rank file", old), func(t *testing.T) {
+			dir, stageDir := write(t)
+			rewriteRankFile(t, stageDir, 1, func(ck *ckptRank) { ck.Schema = old })
+			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 4)", old))
+		})
+	}
 	for name, edit := range map[string]func(ck *ckptRank){
 		"out of order": func(ck *ckptRank) {
 			ts := ck.KmerTriples

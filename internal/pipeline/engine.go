@@ -50,9 +50,10 @@ type Observer struct {
 	// StageStart fires before stage index (of total) begins executing.
 	StageStart func(stage string, index, total int)
 	// StageEnd fires after a stage's barrier with the wall time of the stage
-	// and the cross-rank aggregate of all per-rank timers so far (the
-	// finished stage's entry sits under its own name; aggregation is local,
-	// so observing never perturbs the run's traffic counters).
+	// and the artifacts' Summary: every rank's rows so far, the finished
+	// stage's under its own name. It covers the whole job on every process
+	// of a multi-process run too (the rows travel on the uncounted control
+	// plane), and observing never perturbs the run's traffic counters.
 	StageEnd func(stage string, ranks *trace.Summary, wall time.Duration)
 	// Event fires at run-lifecycle boundaries (EventRunStart before the
 	// first StageStart, EventRunEnd after the last StageEnd or the failure).
@@ -201,9 +202,7 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 				ob.StageStart(st.Name(), i, total)
 			}
 		}
-		b0, m0 := a.World.TotalBytes(), a.World.TotalMsgs()
-		dist := a.World.Distributed()
-		var distBytes, distMsgs atomic.Int64
+		var shared atomic.Pointer[[][]trace.Record]
 		start := time.Now()
 		stageIdx := i
 		runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
@@ -214,58 +213,41 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 			// Deterministic fault injection (chaos tests and the nightly CI
 			// job): one atomic load when nothing is armed.
 			faultinject.At(st.Name(), rank)
-			var rb0, rm0 int64
-			if dist {
-				rb0, rm0 = c.BytesSent(), c.MsgsSent()
-			}
 			lane := c.Lane()
 			spanStart := lane.Start()
-			// pprof labels let CPU profiles slice samples by stage and rank
-			// (`go tool pprof -tagfocus stage=Alignment`).
-			pprof.Do(context.Background(),
-				pprof.Labels("stage", st.Name(), "rank", strconv.Itoa(rank)),
-				func(context.Context) { st.Run(e.opt, a, rank) })
+			// The stage's row: the one place its time and traffic are
+			// measured. pprof labels let CPU profiles slice samples by stage
+			// and rank (`go tool pprof -tagfocus stage=Alignment`).
+			a.Ranks[rank].Timers.Stage(st.Name(), c, func() {
+				pprof.Do(context.Background(),
+					pprof.Labels("stage", st.Name(), "rank", strconv.Itoa(rank)),
+					func(context.Context) { st.Run(e.opt, a, rank) })
+			})
 			lane.Span(0, "stage", st.Name(), spanStart, obs.Arg{K: "index", V: int64(stageIdx)})
-			if dist {
-				// Sum this stage's traffic across all processes on the
-				// uncounted control plane (a rank's deltas are final here:
-				// every request is waited inside the stage body). The
-				// allreduce doubles as the cross-process stage barrier.
-				d := mpi.AllreduceSlice(a.ctl[rank],
-					[]int64{c.BytesSent() - rb0, c.MsgsSent() - rm0},
-					func(x, y int64) int64 { return x + y })
-				distBytes.Store(d[0])
-				distMsgs.Store(d[1])
-				if st.Name() == StageExtractContig {
-					// Each process populated only its own rank's metrics;
-					// stream every snapshot to rank 0 on the control plane so
-					// the -metrics file and the manifest cover the whole
-					// world with no shared-filesystem assumption. The gather
-					// runs whether or not this process collects metrics: in a
-					// -join job every process has its own command line, and a
-					// sequence conditional on a local flag would deadlock the
-					// world the moment rank 0 asks for a manifest and a
-					// worker was launched without.
-					streamMetrics(a.ctl[rank], e.opt.Metrics)
-				}
+			a.shareRows(rank, &shared)
+			if a.World.Distributed() && st.Name() == StageExtractContig {
+				// Each process populated only its own rank's metrics; stream
+				// every snapshot to rank 0 on the control plane so the
+				// -metrics file and the manifest cover the whole world with
+				// no shared-filesystem assumption. The gather runs whether or
+				// not this process collects metrics: in a -join job every
+				// process has its own command line, and a sequence
+				// conditional on a local flag would deadlock the world the
+				// moment rank 0 asks for a manifest and a worker was launched
+				// without.
+				streamMetrics(a.ctl[rank], e.opt.Metrics)
 			}
 		})
 		wall := time.Since(start)
 		if runErr != nil {
 			return nil, e.abortError(st.Name(), a, runErr)
 		}
-		if dist {
-			a.commBytes += distBytes.Load()
-			a.commMsgs += distMsgs.Load()
-		} else {
-			a.commBytes += a.World.TotalBytes() - b0
-			a.commMsgs += a.World.TotalMsgs() - m0
-		}
+		a.fold(shared.Load())
 		a.wall += wall
 		a.done = append(a.done, st.Name())
 		if e.checkpointAfter(st.Name()) {
-			// Durable resume point: persisted after the stage's accounting
-			// lands (so the manifest's totals match the chain's) and before
+			// Durable resume point: persisted after the stage's row lands
+			// (the rank files carry every row so far) and before
 			// observers see the stage as complete. Checkpoint I/O and the
 			// hash gather run outside the stage's traffic window, on the
 			// uncounted control plane — totals stay equal to an
@@ -276,7 +258,7 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 		}
 		for _, ob := range e.obs {
 			if ob.StageEnd != nil {
-				ob.StageEnd(st.Name(), a.Aggregate(), wall)
+				ob.StageEnd(st.Name(), a.sum, wall)
 			}
 		}
 	}

@@ -113,6 +113,36 @@ func TestStagedMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestRunTotalsAreRowSums: on a cold in-process run every counted message is
+// sent inside some stage's row — FastaReader's grid splits and the contig
+// gather included, the accounting itself adding none — so the world's
+// counters, the run's totals and the sum of its top-level rows agree.
+func TestRunTotalsAreRowSums(t *testing.T) {
+	opt := DefaultOptions(4)
+	opt.K = 21
+	opt.XDrop = 25
+	eng, err := Plan(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts, err := eng.RunUntil(context.Background(), testReads(8000, 619), StageExtractContig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := arts.Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := arts.World; w.TotalBytes() != out.Stats.CommBytes || w.TotalMsgs() != out.Stats.CommMsgs {
+		t.Fatalf("world counted %d B / %d msgs, run totals %d B / %d msgs",
+			w.TotalBytes(), w.TotalMsgs(), out.Stats.CommBytes, out.Stats.CommMsgs)
+	}
+	assertRowsSumToTotals(t, out, "cold run")
+	if out.Stats.Timers.Get(StageFastaReader).SumMsgs == 0 {
+		t.Fatal("FastaReader's grid construction has no row")
+	}
+}
+
 // TestResumeSweepReusesOverlapArtifacts pins the parameter-sweep contract:
 // one post-Alignment snapshot resumed under several TR configurations must
 // (a) leave the snapshot reusable, (b) match a dedicated full run of each

@@ -198,7 +198,10 @@ func PresetOptions(preset readsim.Preset, p int) Options {
 	return o
 }
 
-// Stats aggregates the run's counters and timings (rank-0 view).
+// Stats aggregates the run's counters and timings. Timers, AlignedPairs,
+// CommBytes/CommMsgs and WallTime are whole-job values on every process,
+// folded from every rank's stage rows; the other counters are rank 0's view
+// (zero on the other processes of a multi-process run).
 type Stats struct {
 	P              int
 	Threads        int // intra-rank workers actually used (EffectiveThreads)
@@ -207,8 +210,7 @@ type Stats struct {
 	CandidatePairs int64
 	// AlignedPairs is how many of CandidatePairs the Alignment stage
 	// extended (summed over ranks); the rest were skipped because both reads
-	// were already known contained. 0 when the run resumed from artifacts
-	// whose Alignment ran before the count existed.
+	// were already known contained.
 	AlignedPairs   int64
 	KeptOverlaps   int64
 	ContainedReads int
@@ -219,8 +221,8 @@ type Stats struct {
 	MaxLoad        int64 // LPT load balance extremes (reads per rank)
 	MinLoad        int64
 	Timers         *trace.Summary // per-stage aggregates across ranks
-	CommBytes      int64          // total bytes moved by all ranks
-	CommMsgs       int64          // total messages moved by all ranks
+	CommBytes      int64          // total bytes moved by all ranks: the sum of the top-level Timers rows
+	CommMsgs       int64          // total messages moved by all ranks: the sum of the top-level Timers rows
 	WallTime       time.Duration  // end-to-end wall clock of the mpi run
 }
 

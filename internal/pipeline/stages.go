@@ -77,7 +77,6 @@ func (fastaReaderStage) Run(opt Options, a *Artifacts, rank int) {
 	rs := a.Ranks[rank]
 	rs.Grid = grid.New(rs.Comm)
 	rs.Store = fasta.FromGlobal(rs.Comm, a.Reads)
-	rs.Timers = trace.New()
 	rs.Comm.Metrics().Gauge("pipeline.reads_local").Set(int64(rs.Store.Hi - rs.Store.Lo))
 }
 
@@ -125,52 +124,36 @@ func (trReductionStage) Deps() []string { return []string{StageAlignment} }
 func (trReductionStage) Run(opt Options, a *Artifacts, rank int) {
 	rs := a.Ranks[rank]
 	s := overlap.ToStringGraph(rs.Overlap.R, opt.MaxOverhang)
-	rs.Timers.Stage("TrReduction", rs.Grid.Comm, func() {
-		rs.TRStats = tr.Reduce(s, opt.TRFuzz, opt.TRMaxIter, opt.Async)
-	})
-	rs.Timers.AddWork("TrReduction", rs.TRStats.Products)
+	rs.TRStats = tr.Reduce(s, opt.TRFuzz, opt.TRMaxIter, opt.Async)
+	rs.Timers.AddWork(StageTrReduction, rs.TRStats.Products)
 	rs.StringGraph = s
 }
 
 // extractContigStage runs Algorithm 2 (contig generation), then gathers the
-// contigs and cross-rank timer aggregates at rank 0 and stores the run's
-// Output into the artifacts — the same op sequence, and therefore the same
-// traffic, as the tail of a monolithic run.
+// contigs at rank 0 and stores the run's Output into the artifacts — the same
+// op sequence, and therefore the same traffic, as the tail of a monolithic
+// run. The CG:* sub-stages nest inside the stage's row.
 type extractContigStage struct{}
 
 func (extractContigStage) Name() string   { return StageExtractContig }
 func (extractContigStage) Deps() []string { return []string{StageTrReduction} }
 func (extractContigStage) Run(opt Options, a *Artifacts, rank int) {
 	rs := a.Ranks[rank]
-	var cres *core.Result
-	cgTimers := trace.New()
-	rs.Timers.Stage("ExtractContig", rs.Grid.Comm, func() {
-		cres = core.ContigGeneration(rs.StringGraph, rs.Store, cgTimers, opt.PackSeqComm, opt.Async)
-	})
+	cres := core.ContigGeneration(rs.StringGraph, rs.Store, rs.Timers, opt.PackSeqComm, opt.Async)
 	// ExtractContig's work units: edges routed plus bases assembled.
-	rs.Timers.AddWork("ExtractContig",
-		cgTimers.Entry("CG:InducedSubgraph").Work+cgTimers.Entry("CG:LocalAssembly").Work)
-	// Fold the CG sub-stages into the same timer set under CG:* names
-	// (nested inside ExtractContig, so breakdown callers use MainStages
-	// as the denominator — see Stats accessors).
-	rs.Timers.Merge(cgTimers)
+	rs.Timers.AddWork(StageExtractContig,
+		rs.Timers.Entry("CG:InducedSubgraph").Work+rs.Timers.Entry("CG:LocalAssembly").Work)
 	rs.Contig = cres
 
 	contigs := core.GatherContigs(rs.Grid.Comm, cres.Contigs)
-	merged := trace.MergeMax(rs.Grid.Comm, rs.Timers)
 	if rank == 0 {
 		ores := rs.Overlap
-		var aligned int64
-		for _, phase := range AlignmentPhases {
-			aligned += merged.Get(phase).SumWork
-		}
 		a.storeOutput(contigs, Stats{
 			P:              opt.P,
 			Threads:        opt.EffectiveThreads(),
 			NumReads:       ores.NumReads,
 			NumKmers:       ores.NumKmers,
 			CandidatePairs: ores.CandidatePairs,
-			AlignedPairs:   aligned,
 			KeptOverlaps:   ores.KeptOverlaps,
 			ContainedReads: len(ores.Contained),
 			TR:             rs.TRStats,
@@ -179,7 +162,6 @@ func (extractContigStage) Run(opt Options, a *Artifacts, rank int) {
 			AssignedReads:  cres.AssignedReads,
 			MaxLoad:        cres.MaxLoad,
 			MinLoad:        cres.MinLoad,
-			Timers:         merged,
 		})
 	}
 }

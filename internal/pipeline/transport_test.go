@@ -6,11 +6,31 @@ import (
 	"testing"
 )
 
+// assertRowsSumToTotals fails unless the run's traffic totals are exactly
+// the sums of its top-level stage rows (names without ':').
+func assertRowsSumToTotals(t *testing.T, out *Output, label string) {
+	t.Helper()
+	var bytes, msgs int64
+	for _, name := range out.Stats.Timers.Names() {
+		if !strings.Contains(name, ":") {
+			bytes += out.Stats.Timers.Get(name).SumBytes
+			msgs += out.Stats.Timers.Get(name).SumMsgs
+		}
+	}
+	if bytes != out.Stats.CommBytes || msgs != out.Stats.CommMsgs {
+		t.Fatalf("%s: top-level rows sum to %d B / %d msgs, totals are %d B / %d msgs",
+			label, bytes, msgs, out.Stats.CommBytes, out.Stats.CommMsgs)
+	}
+}
+
 // assertSameRun fails unless the two outputs carry byte-identical contigs and
-// equal traffic counters — the cross-transport equivalence contract.
+// equal traffic counters, each the sum of its run's top-level rows — the
+// cross-transport equivalence contract.
 func assertSameRun(t *testing.T, ref, got *Output, label string) {
 	t.Helper()
 	assertSameContigs(t, ref, got, label)
+	assertRowsSumToTotals(t, ref, label+" (reference)")
+	assertRowsSumToTotals(t, got, label)
 	if ref.Stats.CommBytes != got.Stats.CommBytes {
 		t.Fatalf("%s: comm bytes differ: %d vs %d", label, ref.Stats.CommBytes, got.Stats.CommBytes)
 	}

@@ -251,14 +251,14 @@ func TestCacheStaleSchemaEntryRunsCold(t *testing.T) {
 	if how != "miss" {
 		t.Fatalf("first run: %q", how)
 	}
-	// Relabel the committed checkpoint as the previous schema, the way a v2
+	// Relabel the committed checkpoint as the previous schema, the way a v3
 	// build left it.
 	manPath := filepath.Join(dir, Key(opt, reads), CacheStage, pipeline.CheckpointManifestName)
 	blob, err := os.ReadFile(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := bytes.Replace(blob, []byte(pipeline.CheckpointSchema), []byte("elba/checkpoint/v2"), 1)
+	stale := bytes.Replace(blob, []byte(pipeline.CheckpointSchema), []byte("elba/checkpoint/v3"), 1)
 	if bytes.Equal(stale, blob) {
 		t.Fatalf("manifest %s does not carry schema %q", manPath, pipeline.CheckpointSchema)
 	}

@@ -3,12 +3,11 @@ package trace
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestTimersConcurrentReporting exercises the thread-safety contract the
-// intra-rank worker pools rely on: many goroutines reporting work, comm and
-// durations into one rank's Timers (run under -race in CI).
+// intra-rank worker pools rely on: many goroutines timing intervals,
+// reporting work and reading one rank's Timers (run under -race in CI).
 func TestTimersConcurrentReporting(t *testing.T) {
 	tm := New()
 	const workers, per = 8, 1000
@@ -19,8 +18,7 @@ func TestTimersConcurrentReporting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				tm.AddWork("Alignment", 2)
-				tm.Add("Alignment", time.Microsecond)
-				tm.AddComm("Alignment", 10, 1)
+				tm.Stage("Alignment", nil, func() {})
 				_ = tm.Entry("Alignment")
 				_ = tm.Names()
 			}
@@ -31,20 +29,19 @@ func TestTimersConcurrentReporting(t *testing.T) {
 	if e.Work != workers*per*2 {
 		t.Fatalf("work %d, want %d", e.Work, workers*per*2)
 	}
-	if e.Bytes != workers*per*10 || e.Msgs != workers*per {
-		t.Fatalf("comm %d/%d, want %d/%d", e.Bytes, e.Msgs, workers*per*10, workers*per)
+	if e.Bytes != 0 || e.Msgs != 0 {
+		t.Fatalf("comm %d/%d without a communicator", e.Bytes, e.Msgs)
 	}
-	if e.Dur != time.Duration(workers*per)*time.Microsecond {
-		t.Fatalf("dur %v", e.Dur)
+	if names := tm.Names(); len(names) != 1 {
+		t.Fatalf("names %v, want one row", names)
 	}
 }
 
-// TestTimersConcurrentMerge folds sub-stage timers while another goroutine
-// reports — the ExtractContig/CG:* nesting pattern with workers active.
+// TestTimersConcurrentMerge nests sub-stage rows inside a stage row of the
+// same Timers while another goroutine reports — the ExtractContig/CG:*
+// pattern with workers active.
 func TestTimersConcurrentMerge(t *testing.T) {
 	tm := New()
-	sub := New()
-	sub.AddWork("CG:LocalAssembly", 7)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -55,13 +52,18 @@ func TestTimersConcurrentMerge(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		tm.Merge(sub)
+		tm.Stage("ExtractContig", nil, func() {
+			tm.Stage("CG:LocalAssembly", nil, func() { tm.AddWork("CG:LocalAssembly", 7) })
+		})
 	}()
 	wg.Wait()
 	if got := tm.Entry("CG:LocalAssembly").Work; got != 7 {
-		t.Fatalf("merged work %d, want 7", got)
+		t.Fatalf("nested work %d, want 7", got)
 	}
 	if got := tm.Entry("Alignment").Work; got != 100 {
 		t.Fatalf("reported work %d, want 100", got)
+	}
+	if outer, inner := tm.Get("ExtractContig"), tm.Get("CG:LocalAssembly"); outer < inner {
+		t.Fatalf("outer row %v shorter than the row nested in it %v", outer, inner)
 	}
 }

@@ -9,6 +9,12 @@
 // remainder); the two always sum to the stage total, and perfmodel's
 // overlap term charges only the exposed share plus whatever overlappable
 // traffic exceeds the stage's compute time.
+//
+// Rows are written only by measurement — Stage charges an interval's time and
+// the rank's traffic delta, AddWork adds work units — so the top-level rows
+// of a pipeline run (one Stage per graph node, wrapped by the engine)
+// partition its traffic, and nested "PREFIX:rest" sub-stages subdivide their
+// parent without adding to it.
 package trace
 
 import (
@@ -69,7 +75,8 @@ func (t *Timers) entry(name string) *Entry {
 
 // Stage times fn under name and attributes this rank's traffic delta of the
 // interval to the stage. fn runs outside the lock, so stage bodies may
-// themselves report into the same Timers.
+// themselves report into the same Timers — including nested Stage calls
+// under sub-stage names, whose time and traffic are also in the outer row.
 func (t *Timers) Stage(name string, c *mpi.Comm, fn func()) {
 	var b0, m0, ob0, om0 int64
 	if c != nil {
@@ -91,39 +98,11 @@ func (t *Timers) Stage(name string, c *mpi.Comm, fn func()) {
 	}
 }
 
-// Add accumulates a duration under name.
-func (t *Timers) Add(name string, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.entry(name).Dur += d
-}
-
 // AddWork accumulates abstract work units under name.
 func (t *Timers) AddWork(name string, units int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.entry(name).Work += units
-}
-
-// AddComm accumulates traffic under name.
-func (t *Timers) AddComm(name string, bytes, msgs int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.entry(name)
-	e.Bytes += bytes
-	e.Msgs += msgs
-}
-
-// AddCommOverlap accumulates traffic under name that was sent through the
-// nonblocking layer (also counted into the stage totals).
-func (t *Timers) AddCommOverlap(name string, bytes, msgs int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.entry(name)
-	e.Bytes += bytes
-	e.Msgs += msgs
-	e.OverlapBytes += bytes
-	e.OverlapMsgs += msgs
 }
 
 // Get returns the accumulated duration of a stage.
@@ -160,25 +139,6 @@ func (t *Timers) Clone() *Timers {
 		out.order = append(out.order, n)
 	}
 	return out
-}
-
-// Merge folds another rank-local timer set into this one (used to nest
-// sub-stage timers).
-func (t *Timers) Merge(other *Timers) {
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, n := range other.order {
-		src := other.m[n]
-		e := t.entry(n)
-		e.Dur += src.Dur
-		e.Bytes += src.Bytes
-		e.Msgs += src.Msgs
-		e.OverlapBytes += src.OverlapBytes
-		e.OverlapMsgs += src.OverlapMsgs
-		e.Work += src.Work
-	}
 }
 
 // SummaryEntry aggregates a stage across ranks.
@@ -230,9 +190,9 @@ func (s *Summary) Total() time.Duration {
 }
 
 // Record is one stage's accounting flattened to wire-encodable scalars: the
-// form MergeMax exchanges between ranks and durable checkpoints persist
-// (every field is a fixed-width integer or a string, so the typed wire codec
-// carries it and the bytes are schedule-invariant).
+// form a multi-process run all-gathers between processes and durable
+// checkpoints persist (every field is a fixed-width integer or a string, so
+// the typed wire codec carries it and the bytes are schedule-invariant).
 type Record struct {
 	Name    string
 	Nanos   int64
@@ -274,12 +234,19 @@ func FromRecords(recs []Record) *Timers {
 	return t
 }
 
-// foldWires aggregates per-rank records: durations, per-rank bytes/messages
-// and work take the max (critical path); bytes and work are also summed.
-func foldWires(parts [][]Record) *Summary {
+// Aggregate folds several ranks' timer sets into one cross-rank Summary:
+// durations, per-rank bytes/messages and work take the max (critical path);
+// bytes, messages and work are also summed (totals). It is local — no
+// communication — so folding never perturbs the traffic it reports; a
+// multi-process caller moves the ranks' Records on an uncounted channel and
+// rebuilds them with FromRecords first.
+func Aggregate(ts []*Timers) *Summary {
 	out := &Summary{m: map[string]SummaryEntry{}}
-	for _, part := range parts {
-		for _, w := range part {
+	for _, t := range ts {
+		if t == nil {
+			continue
+		}
+		for _, w := range t.Records() {
 			e, seen := out.m[w.Name]
 			if !seen {
 				out.order = append(out.order, w.Name)
@@ -311,32 +278,6 @@ func foldWires(parts [][]Record) *Summary {
 		}
 	}
 	return out
-}
-
-// MergeMax gathers per-rank timers at rank 0 and aggregates them: durations,
-// per-rank bytes/messages and work take the max (critical path); bytes and
-// work are also summed (totals). Collective; returns nil on non-zero ranks.
-func MergeMax(c *mpi.Comm, t *Timers) *Summary {
-	parts := mpi.Gatherv(c, 0, t.Records())
-	if c.Rank() != 0 {
-		return nil
-	}
-	return foldWires(parts)
-}
-
-// Aggregate folds several ranks' timer sets into one Summary with MergeMax's
-// aggregation, but locally — no communication. The pipeline engine, which
-// can reach every simulated rank's Timers through shared memory between
-// stages, uses it to stream per-stage aggregates to observers without
-// perturbing the run's traffic counters.
-func Aggregate(ts []*Timers) *Summary {
-	parts := make([][]Record, 0, len(ts))
-	for _, t := range ts {
-		if t != nil {
-			parts = append(parts, t.Records())
-		}
-	}
-	return foldWires(parts)
 }
 
 // Sub-stage registry: stage names of the form "PREFIX:rest" are sub-stages;

@@ -35,98 +35,80 @@ func TestStageAccumulatesTimeAndTraffic(t *testing.T) {
 	}
 }
 
+// TestAddWorkAndMerge: work accumulates within a rank (AddWork on top of a
+// restored row) and sums across ranks when their rows are folded.
 func TestAddWorkAndMerge(t *testing.T) {
-	a := New()
-	a.Add("x", time.Second)
-	a.AddWork("x", 100)
-	b := New()
-	b.Add("x", 2*time.Second)
-	b.AddWork("x", 50)
-	b.AddComm("y", 10, 1)
-	a.Merge(b)
-	if a.Get("x") != 3*time.Second {
-		t.Fatal("merge dur")
+	a := FromRecords([]Record{{Name: "x", Nanos: int64(time.Second), Work: 100}})
+	a.AddWork("x", 25)
+	b := FromRecords([]Record{
+		{Name: "x", Nanos: int64(2 * time.Second), Work: 25},
+		{Name: "y", Bytes: 10, Msgs: 1},
+	})
+	if a.Entry("x").Work != 125 {
+		t.Fatal("AddWork did not accumulate")
 	}
-	if a.Entry("x").Work != 150 {
-		t.Fatal("merge work")
+	sum := Aggregate([]*Timers{a, b})
+	if sum.Dur("x") != 2*time.Second {
+		t.Fatal("fold dur")
 	}
-	if a.Entry("y").Bytes != 10 {
-		t.Fatal("merge comm")
+	if e := sum.Get("x"); e.SumWork != 150 || e.MaxWork != 125 {
+		t.Fatalf("fold work: %+v", e)
+	}
+	if sum.Get("y").SumBytes != 10 {
+		t.Fatal("fold comm")
 	}
 }
 
 func TestMergeMaxAggregates(t *testing.T) {
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		tm := New()
-		tm.Add("stage", time.Duration(c.Rank()+1)*time.Millisecond)
-		tm.AddWork("stage", int64(10*(c.Rank()+1)))
-		tm.AddComm("stage", int64(100*(c.Rank()+1)), int64(c.Rank()))
-		sum := MergeMax(c, tm)
-		if c.Rank() == 0 {
-			e := sum.Get("stage")
-			if e.MaxDur != 4*time.Millisecond {
-				panic("max dur wrong")
-			}
-			if e.MaxWork != 40 || e.SumWork != 100 {
-				panic("work aggregation wrong")
-			}
-			if e.SumBytes != 1000 || e.MaxBytes != 400 || e.MaxMsgs != 3 {
-				panic("traffic aggregation wrong")
-			}
-			if sum.Dur("stage") != 4*time.Millisecond {
-				panic("accessor wrong")
-			}
-		} else if sum != nil {
-			panic("non-root must get nil")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	ranks := make([]*Timers, 4)
+	for r := range ranks {
+		ranks[r] = FromRecords([]Record{{Name: "stage",
+			Nanos: int64(time.Duration(r+1) * time.Millisecond),
+			Work:  int64(10 * (r + 1)),
+			Bytes: int64(100 * (r + 1)), Msgs: int64(r)}})
+	}
+	sum := Aggregate(ranks)
+	e := sum.Get("stage")
+	if e.MaxDur != 4*time.Millisecond {
+		t.Fatal("max dur wrong")
+	}
+	if e.MaxWork != 40 || e.SumWork != 100 {
+		t.Fatal("work aggregation wrong")
+	}
+	if e.SumBytes != 1000 || e.MaxBytes != 400 || e.SumMsgs != 6 || e.MaxMsgs != 3 {
+		t.Fatal("traffic aggregation wrong")
+	}
+	if sum.Dur("stage") != 4*time.Millisecond {
+		t.Fatal("accessor wrong")
 	}
 }
 
+// timed is a row holding only a duration.
+func timed(name string, d time.Duration) Record { return Record{Name: name, Nanos: int64(d)} }
+
+// rows folds one rank's rows into a Summary.
+func rows(recs ...Record) *Summary { return Aggregate([]*Timers{FromRecords(recs)}) }
+
 func TestBreakdownFormatting(t *testing.T) {
-	err := mpi.Run(1, func(c *mpi.Comm) {
-		tm := New()
-		tm.Add("alpha", 3*time.Second)
-		tm.Add("beta", time.Second)
-		sum := MergeMax(c, tm)
-		out := sum.Breakdown(nil)
-		if !strings.Contains(out, "alpha") || !strings.Contains(out, "75.0%") {
-			panic("breakdown missing expected share:\n" + out)
-		}
-		// Restricted stage list changes the denominator.
-		only := sum.Breakdown([]string{"beta"})
-		if !strings.Contains(only, "100.0%") {
-			panic("restricted breakdown wrong:\n" + only)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	sum := rows(timed("alpha", 3*time.Second), timed("beta", time.Second))
+	out := sum.Breakdown(nil)
+	if !strings.Contains(out, "alpha") || !strings.Contains(out, "75.0%") {
+		t.Fatalf("breakdown missing expected share:\n%s", out)
+	}
+	// Restricted stage list changes the denominator.
+	if only := sum.Breakdown([]string{"beta"}); !strings.Contains(only, "100.0%") {
+		t.Fatalf("restricted breakdown wrong:\n%s", only)
 	}
 }
 
 func TestBreakdownGroupedGolden(t *testing.T) {
 	RegisterSubStages("CG", "ExtractContig")
-	build := func(insert func(tm *Timers)) *Summary {
-		tm := New()
-		insert(tm)
-		return Aggregate([]*Timers{tm})
-	}
-	a := build(func(tm *Timers) {
-		tm.Add("ExtractContig", 2*time.Second)
-		tm.Add("CG:Walk", time.Second)
-		tm.Add("Alignment", 6*time.Second)
-		tm.Add("CG:Vote", 500*time.Millisecond)
-	})
+	a := rows(timed("ExtractContig", 2*time.Second), timed("CG:Walk", time.Second),
+		timed("Alignment", 6*time.Second), timed("CG:Vote", 500*time.Millisecond))
 	// Same stages observed in a different order (rank scheduling is free to
 	// reorder first-seen) must render byte-identically.
-	b := build(func(tm *Timers) {
-		tm.Add("CG:Vote", 500*time.Millisecond)
-		tm.Add("Alignment", 6*time.Second)
-		tm.Add("CG:Walk", time.Second)
-		tm.Add("ExtractContig", 2*time.Second)
-	})
+	b := rows(timed("CG:Vote", 500*time.Millisecond), timed("Alignment", 6*time.Second),
+		timed("CG:Walk", time.Second), timed("ExtractContig", 2*time.Second))
 	wantNames := []string{"Alignment", "ExtractContig", "CG:Vote", "CG:Walk"}
 	gotNames := a.OrderedNames()
 	if len(gotNames) != len(wantNames) {
@@ -151,10 +133,7 @@ Total                            8s
 		t.Fatalf("breakdown drifted from golden:\ngot:\n%q\nwant:\n%q", out, golden)
 	}
 	// Sub-stages with an unregistered prefix trail the top-level stages.
-	orphan := build(func(tm *Timers) {
-		tm.Add("ZZ:late", time.Second)
-		tm.Add("Alpha", time.Second)
-	})
+	orphan := rows(timed("ZZ:late", time.Second), timed("Alpha", time.Second))
 	names := orphan.OrderedNames()
 	if len(names) != 2 || names[0] != "Alpha" || names[1] != "ZZ:late" {
 		t.Fatalf("orphan sub-stage order = %v", names)
@@ -163,9 +142,9 @@ Total                            8s
 
 func TestNamesOrder(t *testing.T) {
 	tm := New()
-	tm.Add("z", 1)
-	tm.Add("a", 1)
-	tm.Add("z", 1)
+	tm.AddWork("z", 1)
+	tm.Stage("a", nil, func() {})
+	tm.AddWork("z", 1)
 	names := tm.Names()
 	if len(names) != 2 || names[0] != "z" || names[1] != "a" {
 		t.Fatalf("names %v", names)
@@ -198,15 +177,17 @@ func TestStageSplitsOverlapAndExposed(t *testing.T) {
 		if e.OverlapBytes+e.ExposedBytes() != e.Bytes {
 			panic("overlap + exposed != total")
 		}
-		sum := MergeMax(c, tm)
-		if c.Rank() == 0 {
-			m := sum.Get("mix")
-			if m.SumOverlapBytes != 800 || m.MaxOverlapBytes != 800 || m.SumExposedBytes() != 800 {
-				panic("summary overlap aggregation wrong")
-			}
-			if m.MaxOverlapBytes > m.MaxBytes {
-				panic("max overlap exceeds max bytes")
-			}
+		// The multi-process fold: every rank's records, rebuilt and folded.
+		var ranks []*Timers
+		for _, recs := range mpi.Allgatherv(c, tm.Records()) {
+			ranks = append(ranks, FromRecords(recs))
+		}
+		m := Aggregate(ranks).Get("mix")
+		if m.SumOverlapBytes != 800 || m.MaxOverlapBytes != 800 || m.SumExposedBytes() != 800 {
+			panic("summary overlap aggregation wrong")
+		}
+		if m.MaxOverlapBytes > m.MaxBytes {
+			panic("max overlap exceeds max bytes")
 		}
 	})
 	if err != nil {
@@ -214,18 +195,17 @@ func TestStageSplitsOverlapAndExposed(t *testing.T) {
 	}
 }
 
+// TestAddCommOverlapAndMerge: the overlap subset survives the record round
+// trip and the cross-rank fold, so overlap + exposed == total holds in the
+// Summary as it does per rank.
 func TestAddCommOverlapAndMerge(t *testing.T) {
-	a := New()
-	a.AddComm("s", 100, 2)
-	a.AddCommOverlap("s", 60, 1)
-	b := New()
-	b.AddCommOverlap("s", 40, 1)
-	a.Merge(b)
-	e := a.Entry("s")
-	if e.Bytes != 200 || e.OverlapBytes != 100 || e.ExposedBytes() != 100 {
-		panic("merge lost overlap accounting")
+	a := FromRecords([]Record{{Name: "s", Bytes: 160, Msgs: 3, OvBytes: 60, OvMsgs: 1}})
+	b := FromRecords(FromRecords([]Record{{Name: "s", Bytes: 40, Msgs: 1, OvBytes: 40, OvMsgs: 1}}).Records())
+	e := Aggregate([]*Timers{a, b}).Get("s")
+	if e.SumBytes != 200 || e.SumOverlapBytes != 100 || e.SumExposedBytes() != 100 {
+		t.Fatalf("fold lost overlap accounting: %+v", e)
 	}
-	if e.Msgs != 4 || e.OverlapMsgs != 2 {
-		panic("merge lost message accounting")
+	if e.SumMsgs != 4 || e.SumOverlapMsgs != 2 || e.SumExposedMsgs() != 2 {
+		t.Fatalf("fold lost message accounting: %+v", e)
 	}
 }
