@@ -24,6 +24,22 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. readHeaderTimeout drops a client that opens a
+// connection and trickles its request headers; idleTimeout reaps idle
+// keep-alive connections. There is deliberately no WriteTimeout:
+// /jobs/{id}/events is a server-sent event stream that stays open for the
+// job's lifetime. Request bodies are capped by the handlers (uploads at
+// serve.Config.MaxUpload, job specs at 1 MiB).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	listen := flag.String("listen", ":8080", "address to serve the HTTP API on")
 	queue := flag.Int("queue", 8, "max queued jobs before POST /jobs returns 429")
@@ -46,7 +62,7 @@ func main() {
 		log.Fatalf("elbad: %v", err)
 	}
 
-	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	hs := newHTTPServer(*listen, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -2,10 +2,11 @@
 // read store used throughout the pipeline (Algorithm 1 line 2 and the read
 // sequence communication of §4.3).
 //
-// Read is where sequence bytes enter the program, and it upper-cases them:
-// the k-mer stage reads acgt as ACGT but the aligners compare raw bytes, so a
-// soft-masked (lower-case) read would seed overlaps it can never align.
-// Everything past Read sees one case.
+// Read is where sequence bytes enter the program. It refuses any byte but a
+// letter, and it upper-cases the letters: the k-mer stage reads acgt as ACGT
+// but the aligners compare raw bytes, so a soft-masked (lower-case) read
+// would seed overlaps it can never align. Everything past Read sees letters
+// of one case.
 package fasta
 
 import (
@@ -13,7 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
+	"unicode"
 )
 
 // Record is one FASTA entry.
@@ -23,9 +24,11 @@ type Record struct {
 }
 
 // Read parses all records from r. Sequence lines may be wrapped; blank lines
-// are ignored; the ID is the header up to the first whitespace. Sequence
-// letters are upper-cased (soft-masking is dropped); headers are kept as
-// written.
+// are ignored; the ID is the header up to the first whitespace. A sequence
+// line holds ASCII letters only, anything else is an error naming the line
+// and the byte, so no byte Write could wrap to the start of a line reads
+// back as a header. Sequence letters are upper-cased (soft-masking is
+// dropped).
 func Read(r io.Reader) ([]Record, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var recs []Record
@@ -41,21 +44,23 @@ func Read(r io.Reader) ([]Record, error) {
 		line = bytes.TrimRight(line, "\r\n")
 		if len(line) > 0 {
 			if line[0] == '>' {
-				header := strings.TrimSpace(string(line[1:]))
-				id := header
-				if i := strings.IndexAny(header, " \t"); i >= 0 {
-					id = header[:i]
+				id := bytes.TrimLeftFunc(line[1:], unicode.IsSpace)
+				if i := bytes.IndexFunc(id, unicode.IsSpace); i >= 0 {
+					id = id[:i]
 				}
-				recs = append(recs, Record{ID: id})
+				recs = append(recs, Record{ID: string(id)})
 				cur = &recs[len(recs)-1]
 			} else {
 				if cur == nil {
 					return nil, fmt.Errorf("fasta: line %d: sequence data before any header", lineno)
 				}
 				for i, b := range line {
-					if 'a' <= b && b <= 'z' {
-						line[i] = b - 'a' + 'A'
+					// b|0x20 folds A–Z onto a–z and sends every other byte
+					// outside it; b&^0x20 is then the upper-case letter.
+					if c := b | 0x20; c < 'a' || c > 'z' {
+						return nil, fmt.Errorf("fasta: line %d: byte %q at column %d is not a sequence letter", lineno, line[i:i+1], i+1)
 					}
+					line[i] = b &^ 0x20
 				}
 				cur.Seq = append(cur.Seq, line...)
 			}

@@ -46,6 +46,133 @@ func TestReadRejectsLeadingSequence(t *testing.T) {
 	}
 }
 
+// TestReadRejectsNonLetters: a sequence line holds letters only. A '>' inside
+// one used to be kept, and Write at width 7 then wrapped ACGTACG>TTT so the
+// '>' started a line and read back as a second record; now the input is an
+// error naming the line and the byte.
+func TestReadRejectsNonLetters(t *testing.T) {
+	for in, want := range map[string]string{
+		">x\nACGTACG>TTT\n":  `line 2: byte ">" at column 8`,
+		">x\nACGT\nAC GT\n":  `line 3: byte " " at column 3`,
+		">x\r\nAC-GT\r\n":    `line 2: byte "-" at column 3`,
+		">x\nACGT*\n":        `line 2: byte "*" at column 5`,
+		">x\n\nAC\x00\n":     `line 3: byte "\x00" at column 3`,
+		">x\nACG\xc3\x84T\n": `line 2: byte "\xc3" at column 4`,
+	} {
+		_, err := Read(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Read(%q) = %v, want an error naming %q", in, err, want)
+		}
+	}
+}
+
+// TestReadIDIsFirstWord: the ID ends at the first whitespace of any kind, so
+// the header Write emits for it reads back as the same ID.
+func TestReadIDIsFirstWord(t *testing.T) {
+	for in, want := range map[string]string{">a b\nA\n": "a", ">\t a\tb\nA\n": "a", ">a\vb\nA\n": "a", ">a\rb\nA\n": "a", ">\nA\n": ""} {
+		recs, err := Read(strings.NewReader(in))
+		if err != nil || len(recs) != 1 || recs[0].ID != want {
+			t.Errorf("Read(%q) = %q, %v; want ID %q", in, recs, err, want)
+		}
+	}
+}
+
+// FuzzRead holds Read to three properties on any input: it never panics; an
+// accepted input round-trips through Write at widths 0 and 7 to the same IDs
+// and sequences; and neither lower-casing every sequence letter nor
+// re-wrapping the sequence lines changes the parse, or whether it succeeds.
+func FuzzRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		recs, err := Read(bytes.NewReader(in))
+		for name, variant := range map[string][]byte{
+			"lower-cased": mapSeqLines(in, func(line []byte) []byte {
+				out := bytes.Clone(line)
+				for i, b := range out {
+					if 'A' <= b && b <= 'Z' {
+						out[i] = b + 'a' - 'A'
+					}
+				}
+				return out
+			}),
+			"unwrapped":    rewrap(in, 0),
+			"wrapped at 3": rewrap(in, 3),
+		} {
+			if name != "lower-cased" && err != nil {
+				continue // re-wrapping can move a rejected byte to a line start
+			}
+			got, verr := Read(bytes.NewReader(variant))
+			if (err == nil) != (verr == nil) {
+				t.Fatalf("%s: input error %v, variant error %v", name, err, verr)
+			}
+			sameRecords(t, name, recs, got)
+		}
+		if err != nil {
+			return
+		}
+		for _, width := range []int{0, 7} {
+			var buf bytes.Buffer
+			if err := Write(&buf, recs, width); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Read(&buf)
+			if err != nil {
+				t.Fatalf("width %d: written records do not read back: %v", width, err)
+			}
+			sameRecords(t, fmt.Sprintf("written at width %d", width), recs, back)
+		}
+	})
+}
+
+// mapSeqLines applies fn to every line of in that is not a header.
+func mapSeqLines(in []byte, fn func([]byte) []byte) []byte {
+	lines := bytes.Split(in, []byte("\n"))
+	for i, line := range lines {
+		if len(line) == 0 || line[0] != '>' {
+			lines[i] = fn(line)
+		}
+	}
+	return bytes.Join(lines, []byte("\n"))
+}
+
+// rewrap rebuilds in with each record's sequence lines joined and cut every
+// width bytes (0: one line per record); blank lines go.
+func rewrap(in []byte, width int) []byte {
+	var out, seq []byte
+	flush := func() {
+		for len(seq) > 0 {
+			n := len(seq)
+			if width > 0 {
+				n = min(n, width)
+			}
+			out = append(append(out, seq[:n]...), '\n')
+			seq = seq[n:]
+		}
+	}
+	for _, line := range bytes.Split(in, []byte("\n")) {
+		line = bytes.TrimRight(line, "\r")
+		if len(line) > 0 && line[0] == '>' {
+			flush()
+			out = append(append(out, line...), '\n')
+		} else {
+			seq = append(seq, line...)
+		}
+	}
+	flush()
+	return out
+}
+
+func sameRecords(t *testing.T, label string, want, got []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || !bytes.Equal(got[i].Seq, want[i].Seq) {
+			t.Fatalf("%s: record %d = %q %q, want %q %q", label, i, got[i].ID, got[i].Seq, want[i].ID, want[i].Seq)
+		}
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, width := range []int{0, 1, 7, 80} {

@@ -1,10 +1,9 @@
 package pipeline
 
-// Durable-checkpoint suite: the on-disk resume path must be exactly as
-// invisible as the in-memory one — bit-identical contigs, equal traffic
-// counters — across ranks, transports and sync/async, and a damaged
-// checkpoint must fail loudly, naming the rank and file, never producing
-// output.
+// Durable-checkpoint suite: the checkpoint rows of the equivalence matrix
+// (matrix_test.go) hold the on-disk resume path to the in-memory one; here a
+// damaged or mismatched checkpoint must fail loudly, naming the rank and
+// file, never producing output.
 
 import (
 	"context"
@@ -19,119 +18,6 @@ import (
 
 	"repro/internal/mpi/wire"
 )
-
-// checkpointedRun runs reads to `until` with checkpointing into dir, then
-// finishes the assembly from the durable checkpoint on a completely fresh
-// engine and world — the crash-and-restart path without the crash.
-func checkpointedRun(t *testing.T, reads [][]byte, opt Options, dir, until string) *Output {
-	t.Helper()
-	ckOpt := opt
-	ckOpt.CheckpointDir = dir
-	eng, err := Plan(ckOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arts, err := eng.RunUntil(context.Background(), reads, until)
-	if err != nil {
-		t.Fatalf("run until %s: %v", until, err)
-	}
-	arts.Close()
-
-	fresh, err := Plan(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := fresh.LoadCheckpoint(context.Background(), reads, dir)
-	if err != nil {
-		t.Fatalf("load checkpoint: %v", err)
-	}
-	defer loaded.Close()
-	if got := loaded.Stage(); got != until {
-		t.Fatalf("loaded checkpoint resumes after %q, want %q", got, until)
-	}
-	fin, err := fresh.ResumeFrom(context.Background(), loaded, StageExtractContig)
-	if err != nil {
-		t.Fatalf("resume from checkpoint: %v", err)
-	}
-	out, err := fin.Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestCheckpointRoundTripEquivalence is the durable analog of the staged-run
-// equivalence gate: RunUntil(stage) → on-disk checkpoint → fresh engine
-// LoadCheckpoint → finish must produce bit-identical contigs and equal
-// byte/message counters for every (P, transport, sync/async) combination,
-// and for every checkpointable resume point.
-func TestCheckpointRoundTripEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full checkpoint matrix in -short mode (see TestCheckpointSmoke)")
-	}
-	reads := testReads(8000, 641)
-	for _, p := range []int{1, 4} {
-		base := DefaultOptions(p)
-		base.K = 21
-		base.XDrop = 25
-		ref, err := Run(reads, base)
-		if err != nil {
-			t.Fatalf("P=%d reference: %v", p, err)
-		}
-		for _, transport := range []string{TransportInproc, TransportTCP} {
-			for _, async := range []bool{true, false} {
-				opt := base
-				opt.Transport = transport
-				opt.Async = async
-				label := fmt.Sprintf("P=%d %s async=%t", p, transport, async)
-				t.Run(label, func(t *testing.T) {
-					got := checkpointedRun(t, reads, opt, t.TempDir(), StageAlignment)
-					assertSameRun(t, ref, got, label)
-				})
-			}
-		}
-	}
-}
-
-// TestCheckpointEveryResumePoint walks every checkpointable stage boundary:
-// finishing from each must reproduce the reference run exactly.
-func TestCheckpointEveryResumePoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("per-stage resume matrix in -short mode (see TestCheckpointSmoke)")
-	}
-	reads := testReads(8000, 643)
-	opt := DefaultOptions(4)
-	opt.K = 21
-	opt.XDrop = 25
-	ref, err := Run(reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stage := range StageNames() {
-		if stage == StageExtractContig {
-			continue
-		}
-		t.Run(stage, func(t *testing.T) {
-			got := checkpointedRun(t, reads, opt, t.TempDir(), stage)
-			assertSameRun(t, ref, got, "resume after "+stage)
-		})
-	}
-}
-
-// TestCheckpointSmoke is the -short member of the family: one P=4 inproc
-// round trip through a post-CountKmer checkpoint.
-func TestCheckpointSmoke(t *testing.T) {
-	reads := testReads(5000, 647)
-	opt := DefaultOptions(4)
-	opt.K = 21
-	opt.XDrop = 25
-	ref, err := Run(reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := checkpointedRun(t, reads, opt, t.TempDir(), StageCountKmer)
-	assertSameRun(t, ref, got, "checkpoint smoke")
-}
 
 // TestCheckpointLatestWins checkpoints after every stage of one run and
 // requires LoadCheckpoint to pick the most advanced committed stage, while a

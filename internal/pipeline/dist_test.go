@@ -20,7 +20,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
 	"repro/internal/mpi/transport/tcp"
-	"repro/internal/trace"
 )
 
 // startTestRendezvous serves a p-rank bootstrap on loopback and returns its
@@ -70,84 +69,6 @@ func waitGoroutines(t *testing.T, base int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// TestDistributedTwoHostEquivalence is the cross-transport invariant over a
-// simulated two-host deployment: a P=4 assembly split across two process
-// groups (ranks 0,1 on 127.0.0.1; ranks 2,3 on 127.0.0.2, each rank its own
-// engine and endpoint) must produce bit-identical contigs and equal
-// byte/message counters to the in-process reference, with contigs living
-// only at rank 0 — no shared state between the "processes" beyond sockets.
-// Every process's stage accounting covers the whole job: its last StageEnd
-// summary and its Stats.Timers equal the in-process run's on every stage.
-func TestDistributedTwoHostEquivalence(t *testing.T) {
-	if ln, err := net.Listen("tcp", "127.0.0.2:0"); err != nil {
-		t.Skipf("second loopback interface unavailable: %v", err)
-	} else {
-		ln.Close()
-	}
-	reads := testReads(8000, 619)
-	const p = 4
-	base := DefaultOptions(p)
-	base.K = 21
-	base.XDrop = 25
-
-	inproc, err := Run(reads, base)
-	if err != nil {
-		t.Fatalf("inproc: %v", err)
-	}
-
-	goroutines := runtime.NumGoroutine()
-	rdv := startTestRendezvous(t, p)
-	hosts := []string{"127.0.0.1", "127.0.0.1", "127.0.0.2", "127.0.0.2"}
-	outs := make([]*Output, p)
-	lastEnd := make([]*trace.Summary, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			obs := Observer{StageEnd: func(_ string, sum *trace.Summary, _ time.Duration) { lastEnd[r] = sum }}
-			eng, err := Plan(joinOptions(base, rdv, hosts[r], r, nil), obs)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			outs[r], errs[r] = eng.Run(context.Background(), reads)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	assertSameRun(t, inproc, outs[0], "two-host rank 0 vs inproc")
-	for r := 1; r < p; r++ {
-		// Contigs are gathered at rank 0 only; the job-wide traffic totals
-		// are folded from every rank's rows, all-gathered on the control
-		// plane, so every process agrees.
-		if len(outs[r].Contigs) != 0 {
-			t.Errorf("rank %d holds %d contigs; gathering should leave them at rank 0 only", r, len(outs[r].Contigs))
-		}
-		if outs[r].Stats.CommBytes != inproc.Stats.CommBytes || outs[r].Stats.CommMsgs != inproc.Stats.CommMsgs {
-			t.Errorf("rank %d counters (%d B, %d msgs) disagree with inproc (%d B, %d msgs)",
-				r, outs[r].Stats.CommBytes, outs[r].Stats.CommMsgs, inproc.Stats.CommBytes, inproc.Stats.CommMsgs)
-		}
-	}
-	for r := 0; r < p; r++ {
-		for view, sum := range map[string]*trace.Summary{"last StageEnd": lastEnd[r], "Stats.Timers": outs[r].Stats.Timers} {
-			for _, name := range MainStages {
-				got, want := sum.Get(name), inproc.Stats.Timers.Get(name)
-				if got.SumBytes != want.SumBytes || got.SumMsgs != want.SumMsgs || got.SumWork != want.SumWork {
-					t.Errorf("rank %d %s %s: %d B / %d msgs / %d work, inproc %d B / %d msgs / %d work",
-						r, view, name, got.SumBytes, got.SumMsgs, got.SumWork, want.SumBytes, want.SumMsgs, want.SumWork)
-				}
-			}
-		}
-	}
-	waitGoroutines(t, goroutines)
 }
 
 // TestDistributedRankFailure kills rank 2 at the start of Alignment in a

@@ -98,66 +98,3 @@ func TestRepeatGenomeCreatesBranchesButExactContigs(t *testing.T) {
 	t.Logf("repeats: %d branches, %d contigs, longest %d",
 		out.Stats.BranchVertices, len(out.Contigs), len(out.Contigs[0].Seq))
 }
-
-// TestPackSeqCommEquivalentAndSmaller: the §7 packed sequence exchange must
-// not change the contig set and must shrink the sequence-communication
-// traffic roughly 4×.
-func TestPackSeqCommEquivalentAndSmaller(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-pipeline run in -short mode")
-	}
-	genome := readsim.Genome(readsim.GenomeConfig{Length: 20000, Seed: 301})
-	reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 12, MeanLen: 1800, Seed: 302}))
-	opt := DefaultOptions(4)
-	opt.K = 21
-	opt.XDrop = 25
-	plain, err := Run(reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.PackSeqComm = true
-	packed, err := Run(reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Contigs) != len(packed.Contigs) {
-		t.Fatalf("packing changed the contig count: %d vs %d", len(plain.Contigs), len(packed.Contigs))
-	}
-	for i := range plain.Contigs {
-		if string(plain.Contigs[i].Seq) != string(packed.Contigs[i].Seq) {
-			t.Fatalf("packing changed contig %d", i)
-		}
-	}
-	pb := plain.Stats.Timers.Get("CG:SequenceComm").SumBytes
-	qb := packed.Stats.Timers.Get("CG:SequenceComm").SumBytes
-	if qb*3 >= pb {
-		t.Fatalf("packed exchange not smaller: %d vs %d bytes", qb, pb)
-	}
-	t.Logf("sequence comm: raw %d bytes, packed %d bytes", pb, qb)
-}
-
-// TestLoadBalanceReported: LPT must distribute assigned reads across ranks
-// within a sane imbalance bound on a many-contig workload.
-func TestLoadBalanceReported(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-pipeline run in -short mode")
-	}
-	genome := readsim.Genome(readsim.GenomeConfig{Length: 40000, Seed: 203})
-	reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{
-		Depth: 10, MeanLen: 1200, Seed: 204,
-	}))
-	opt := DefaultOptions(4)
-	opt.K = 21
-	opt.XDrop = 25
-	out, err := Run(reads, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats.AssignedReads == 0 {
-		t.Fatal("no reads assigned")
-	}
-	if out.Stats.MaxLoad < out.Stats.MinLoad {
-		t.Fatal("load accounting broken")
-	}
-	t.Logf("loads: min=%d max=%d contigs=%d", out.Stats.MinLoad, out.Stats.MaxLoad, out.Stats.NumContigs)
-}

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,100 +16,6 @@ import (
 func testReads(length int, seed int64) [][]byte {
 	genome := readsim.Genome(readsim.GenomeConfig{Length: length, Seed: seed})
 	return readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 12, MeanLen: 1500, Seed: seed + 1}))
-}
-
-// stagedRun splits one assembly into RunUntil(split) + ResumeFrom(rest).
-func stagedRun(t *testing.T, reads [][]byte, opt Options, split string) *Output {
-	t.Helper()
-	eng, err := Plan(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arts, err := eng.RunUntil(context.Background(), reads, split)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := arts.Stage(); got != split {
-		t.Fatalf("RunUntil(%s) stopped at %q", split, got)
-	}
-	if _, err := arts.Output(); err == nil {
-		t.Fatalf("partial artifacts (at %s) yielded an Output", split)
-	}
-	rest, err := eng.ResumeFrom(context.Background(), arts, StageExtractContig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := rest.Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestStagedMatchesMonolithic is the engine's acceptance gate: splitting the
-// run at every stage boundary must reproduce the monolithic run bit for bit
-// — contigs, traffic totals, and per-stage traffic attribution — across
-// (P, threads, backend, sync/async) combinations.
-func TestStagedMatchesMonolithic(t *testing.T) {
-	reads := testReads(18000, 601)
-	cases := []struct {
-		p, threads int
-		backend    string
-		async      bool
-	}{
-		{1, 1, BackendXDrop, false},
-		{4, 1, BackendXDrop, true},
-		{4, 2, BackendWFA, true},
-		{9, 1, BackendXDrop, false},
-		{4, 1, BackendWFA, false},
-		{4, 2, BackendXDrop, true},
-	}
-	if testing.Short() {
-		cases = cases[:2]
-	}
-	for _, tc := range cases {
-		label := fmt.Sprintf("%s/P=%d/T=%d/async=%v", tc.backend, tc.p, tc.threads, tc.async)
-		opt := DefaultOptions(tc.p)
-		opt.K = 21
-		opt.XDrop = 25
-		opt.Threads = tc.threads
-		opt.AlignBackend = tc.backend
-		opt.Async = tc.async
-
-		mono, err := Run(reads, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		splits := []string{StageAlignment}
-		if !testing.Short() {
-			splits = []string{StageFastaReader, StageCountKmer, StageDetectOverlap,
-				StageAlignment, StageTrReduction}
-		}
-		for _, split := range splits {
-			staged := stagedRun(t, reads, opt, split)
-			if len(staged.Contigs) != len(mono.Contigs) {
-				t.Fatalf("%s split@%s: %d contigs vs %d monolithic",
-					label, split, len(staged.Contigs), len(mono.Contigs))
-			}
-			for i := range mono.Contigs {
-				if !bytes.Equal(staged.Contigs[i].Seq, mono.Contigs[i].Seq) {
-					t.Fatalf("%s split@%s: contig %d differs", label, split, i)
-				}
-			}
-			if staged.Stats.CommBytes != mono.Stats.CommBytes || staged.Stats.CommMsgs != mono.Stats.CommMsgs {
-				t.Fatalf("%s split@%s: traffic %d bytes/%d msgs vs monolithic %d/%d",
-					label, split, staged.Stats.CommBytes, staged.Stats.CommMsgs,
-					mono.Stats.CommBytes, mono.Stats.CommMsgs)
-			}
-			for _, s := range append(append([]string{}, MainStages...), ContigStages...) {
-				se, me := staged.Stats.Timers.Get(s), mono.Stats.Timers.Get(s)
-				if se.SumBytes != me.SumBytes || se.MaxMsgs != me.MaxMsgs || se.SumWork != me.SumWork {
-					t.Fatalf("%s split@%s: stage %s accounting differs: bytes %d/%d msgs %d/%d work %d/%d",
-						label, split, s, se.SumBytes, me.SumBytes, se.MaxMsgs, me.MaxMsgs, se.SumWork, me.SumWork)
-				}
-			}
-		}
-	}
 }
 
 // TestRunTotalsAreRowSums: on a cold in-process run every counted message is
@@ -186,14 +91,7 @@ func TestResumeSweepReusesOverlapArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sweptOut.Contigs) != len(full.Contigs) {
-			t.Fatalf("fuzz=%d: swept %d contigs, full %d", fuzz, len(sweptOut.Contigs), len(full.Contigs))
-		}
-		for i := range full.Contigs {
-			if !bytes.Equal(sweptOut.Contigs[i].Seq, full.Contigs[i].Seq) {
-				t.Fatalf("fuzz=%d: contig %d differs between swept and full run", fuzz, i)
-			}
-		}
+		assertSameRun(t, full, sweptOut, fmt.Sprintf("fuzz=%d swept vs full", fuzz))
 		// The resumed chain carries the snapshot's alignment counters but ran
 		// no new alignment: its align work must equal the single execution.
 		if got := sweptOut.Stats.Timers.Get("Alignment").SumWork; got != alignOnce {

@@ -79,18 +79,12 @@ func TestRecoveryFromCheckpointAfterRankLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed recovery run in -short mode")
 	}
-	reads := testReads(8000, 673)
-	const p = 4
-	base := DefaultOptions(p)
-	base.K = 21
-	base.XDrop = 25
-	ref, err := Run(reads, base)
-	if err != nil {
-		t.Fatalf("undisturbed reference: %v", err)
-	}
+	_, reads := matrixInput()
+	ref := check(t, reference)
+	p := reference.p
 
 	dir := t.TempDir()
-	ck := base
+	ck := reference.options()
 	ck.CheckpointDir = dir // CheckpointEvery "": every stage boundary
 
 	// distOptions wires rank r of a distributed job, capturing its world so
@@ -201,11 +195,5 @@ func TestRecoveryFromCheckpointAfterRankLoss(t *testing.T) {
 			t.Fatalf("recovery rank %d: %v", r, err)
 		}
 	}
-	assertSameRun(t, ref, outs[0], "recovered run vs undisturbed")
-	for r := 1; r < p; r++ {
-		if outs[r].Stats.CommBytes != ref.Stats.CommBytes || outs[r].Stats.CommMsgs != ref.Stats.CommMsgs {
-			t.Errorf("recovered rank %d counters (%d B, %d msgs) disagree with undisturbed (%d B, %d msgs)",
-				r, outs[r].Stats.CommBytes, outs[r].Stats.CommMsgs, ref.Stats.CommBytes, ref.Stats.CommMsgs)
-		}
-	}
+	assertEveryProcess(t, ref, outs, nil, "recovered run vs undisturbed")
 }

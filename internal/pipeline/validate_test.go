@@ -63,6 +63,35 @@ func TestValidateReliableRange(t *testing.T) {
 	}
 }
 
+// TestEffectiveThreadsResolution pins the auto-split rule: explicit values
+// win, otherwise GOMAXPROCS/P clamped to ≥ 1.
+func TestEffectiveThreadsResolution(t *testing.T) {
+	if got := (Options{P: 4, Threads: 3}).EffectiveThreads(); got != 3 {
+		t.Fatalf("explicit Threads=3 resolved to %d", got)
+	}
+	if got := (Options{P: 1 << 20}).EffectiveThreads(); got != 1 {
+		t.Fatalf("huge P must clamp to 1 worker, got %d", got)
+	}
+	if got := (Options{}).EffectiveThreads(); got < 1 {
+		t.Fatalf("zero options resolved to %d workers", got)
+	}
+}
+
+// TestTransportValidation pins the Options seam: unknown transports are
+// rejected up front, and the proc transport refuses to run without the
+// launcher's endpoint hook instead of silently falling back to inproc.
+func TestTransportValidation(t *testing.T) {
+	opt := DefaultOptions(4)
+	opt.Transport = "carrier-pigeon"
+	if _, err := Run(nil, opt); err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
+		t.Fatalf("unknown transport: err = %v, want mention of the bad name", err)
+	}
+	opt.Transport = TransportProc
+	if _, err := Run(nil, opt); err == nil || !strings.Contains(err.Error(), "cmd/elba -transport proc") {
+		t.Fatalf("proc without NewWorld hook: err = %v, want pointer at the launcher", err)
+	}
+}
+
 // TestRunValidatesUpfront: Run must fail before any rank starts, with every
 // violation in one error (previously only the P check was upfront; a bad K
 // surfaced as a rank panic deep in kmer).

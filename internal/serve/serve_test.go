@@ -380,6 +380,33 @@ func TestMixedCaseFastaAssemblesLikeUpperCase(t *testing.T) {
 	}
 }
 
+// TestUploadRejectsNonLetterSequence: FASTA is parsed fail-closed at the
+// upload boundary. A '>' inside a sequence line is a 400 naming the line and
+// the byte, not a second record, and the daemon keeps serving.
+func TestUploadRejectsNonLetterSequence(t *testing.T) {
+	_, ts := startDaemon(t, Config{})
+	resp, err := http.Post(ts.URL+"/datasets", "text/plain", strings.NewReader(">x\nACGTACG>TTT\n"))
+	if err != nil {
+		t.Fatalf("POST /datasets: %v", err)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `line 2: byte ">" at column 8`) {
+		t.Fatalf("status %d error %q, want 400 naming line 2 and the '>'", resp.StatusCode, body.Error)
+	}
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz after the rejected upload: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+}
+
 // TestUploadedDatasetRoundTrip uploads reads as FASTA, assembles the
 // dataset by id, and checks the daemon's contigs match a standalone run on
 // the same sequences. Bad submissions get 400s and leave the daemon serving.
