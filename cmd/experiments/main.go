@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (§5–6) on synthetic Table 2 dataset substitutes, printing
-// markdown-ish tables. EXPERIMENTS.md is produced from this output.
+// markdown-ish tables to stdout.
 //
 //	experiments -exp all            # everything (several minutes)
 //	experiments -exp fig4 -scale 0.5

@@ -18,9 +18,10 @@
 // are buffered and complete at post time; a zero-duration span would only
 // clutter the timeline).
 //
-// Lanes are ring buffers of fixed capacity: when full, the oldest event is
-// overwritten and a dropped counter advances, so tracing a long run costs
-// bounded memory and the tail — usually the interesting part — survives.
+// Lanes grow as they record, up to a fixed capacity, and are then ring
+// buffers: the oldest event is overwritten and a dropped counter advances, so
+// a short run costs only the events it records, tracing a long run costs
+// bounded memory, and the tail — usually the interesting part — survives.
 package obs
 
 import (
@@ -58,12 +59,12 @@ type Event struct {
 // (no-ops) and safe for concurrent use — a rank's pool workers and posted
 // receive matchers record into the same lane as the rank goroutine.
 type Lane struct {
-	epoch   time.Time
-	mu      sync.Mutex
-	buf     []Event
-	head    int // index of the oldest event when full
-	n       int
-	dropped int64
+	epoch    time.Time
+	mu       sync.Mutex
+	capacity int     // buf grows to this many events, then is a ring
+	buf      []Event // oldest first until full
+	head     int     // index of the oldest event once full
+	dropped  int64
 }
 
 // Start returns the current trace timestamp, to be passed to Span when the
@@ -96,9 +97,8 @@ func (l *Lane) Instant(tid int32, cat, name string, args ...Arg) {
 
 func (l *Lane) record(e Event) {
 	l.mu.Lock()
-	if l.n < len(l.buf) {
-		l.buf[(l.head+l.n)%len(l.buf)] = e
-		l.n++
+	if len(l.buf) < l.capacity {
+		l.buf = append(l.buf, e)
 	} else {
 		l.buf[l.head] = e
 		l.head = (l.head + 1) % len(l.buf)
@@ -114,8 +114,8 @@ func (l *Lane) Events() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, l.n)
-	for i := 0; i < l.n; i++ {
+	out := make([]Event, len(l.buf))
+	for i := range out {
 		out[i] = l.buf[(l.head+i)%len(l.buf)]
 	}
 	return out
@@ -151,7 +151,7 @@ func NewTraceCap(ranks, capacity int) *Trace {
 	}
 	t := &Trace{epoch: time.Now(), lanes: make([]*Lane, ranks)}
 	for i := range t.lanes {
-		t.lanes[i] = &Lane{epoch: t.epoch, buf: make([]Event, capacity)}
+		t.lanes[i] = &Lane{epoch: t.epoch, capacity: capacity}
 	}
 	return t
 }

@@ -63,6 +63,26 @@ func TestLaneRingOverwritesOldest(t *testing.T) {
 	}
 }
 
+// TestLaneGrowsToCapacity: a lane allocates what it records, not its
+// capacity up front — a fresh lane holds no buffer, and n events below the
+// cap hold n.
+func TestLaneGrowsToCapacity(t *testing.T) {
+	l := NewTrace(1).Rank(0)
+	if l.buf != nil {
+		t.Fatalf("fresh lane holds a %d-event buffer", cap(l.buf))
+	}
+	const n = 400
+	for i := 0; i < n; i++ {
+		l.Instant(0, "c", "e")
+	}
+	if len(l.buf) != n || cap(l.buf) >= DefaultLaneCap {
+		t.Fatalf("after %d events the lane holds %d (capacity %d), want %d", n, len(l.buf), cap(l.buf), n)
+	}
+	if len(l.Events()) != n || l.Dropped() != 0 {
+		t.Fatalf("lane returns %d events, %d dropped", len(l.Events()), l.Dropped())
+	}
+}
+
 func TestLaneConcurrentRecording(t *testing.T) {
 	tr := NewTrace(1)
 	l := tr.Rank(0)

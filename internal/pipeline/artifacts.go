@@ -19,9 +19,9 @@ import (
 )
 
 // RankState is one simulated rank's slot of the Artifacts bag. Each field is
-// the output of the stage of the same position in the graph; a stage reads
-// the fields of its dependencies and replaces (never mutates) its own, which
-// is what makes a snapshot safe to resume from any number of times.
+// the output of the stage it is labelled with; a stage reads the fields of
+// the stages before it and replaces (never mutates) its own, which is what
+// makes a snapshot safe to resume from any number of times.
 type RankState struct {
 	Comm   *mpi.Comm        // this rank's world communicator (persistent across stages)
 	Grid   *grid.Grid       // FastaReader: √P×√P process grid
@@ -39,8 +39,8 @@ type RankState struct {
 // Artifacts is the typed bag a (partial) pipeline run produces: the
 // simulated world, the per-rank stage outputs, and — once the final stage
 // has run — the gathered contigs and statistics. An Artifacts value is a
-// resume point: Engine.ResumeFrom continues the graph from the last
-// completed stage, under the same or downstream-modified options.
+// resume point: Engine.ResumeFrom continues from the last completed stage,
+// under the same or downstream-modified options.
 //
 // Snapshot semantics: ResumeFrom never modifies the artifacts it is given
 // (it forks them), so one post-Alignment snapshot can seed an entire
@@ -56,7 +56,7 @@ type Artifacts struct {
 	Reads [][]byte   // FastaReader input
 	Ranks []*RankState
 
-	done []string // completed stage names, in graph order
+	done int // completed stages: the prefix stages[:done]
 
 	// ctl holds one uncounted control communicator per rank: the engine's
 	// cross-process row fold runs on it, invisible to the traffic counters
@@ -117,10 +117,10 @@ func (a *Artifacts) Close() error { return a.World.Close() }
 
 // Stage returns the name of the last completed stage ("" before any).
 func (a *Artifacts) Stage() string {
-	if len(a.done) == 0 {
+	if a.done == 0 {
 		return ""
 	}
-	return a.done[len(a.done)-1]
+	return stages[a.done-1].name
 }
 
 // Aggregate returns the cross-rank fold of every rank's stage rows through
@@ -174,8 +174,8 @@ func (a *Artifacts) Output() (*Output, error) {
 	for _, phase := range AlignmentPhases {
 		st.AlignedPairs += a.sum.Get(phase).SumWork
 	}
-	for _, stage := range a.done {
-		e := a.sum.Get(stage)
+	for _, s := range stages[:a.done] {
+		e := a.sum.Get(s.name)
 		st.CommBytes += e.SumBytes
 		st.CommMsgs += e.SumMsgs
 	}
@@ -200,7 +200,7 @@ func (a *Artifacts) fork(opt Options) *Artifacts {
 		World: a.World,
 		Reads: a.Reads,
 		Ranks: make([]*RankState, len(a.Ranks)),
-		done:  append([]string(nil), a.done...),
+		done:  a.done,
 		ctl:   a.ctl,
 		sum:   a.sum,
 		wall:  a.wall,

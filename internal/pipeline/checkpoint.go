@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -86,49 +87,29 @@ type CheckpointManifest struct {
 }
 
 // FingerprintThrough returns a stable hex digest of the algorithmic options
-// the stage prefix ending at `stage` (inclusive) depends on. Each option
-// enters the digest at the first stage that consumes it:
-//
-//	FastaReader    P (the grid shape every distributed artifact is laid out on)
-//	CountKmer      K, ReliableLow, ReliableHigh
-//	DetectOverlap  — (pure SpGEMM over CountKmer's A matrix)
-//	Alignment      AlignBackend, XDrop, MinOverlap, MinScoreFrac, MaxOverhang
-//	TrReduction    TRFuzz, TRMaxIter
-//	ExtractContig  PackSeqComm
-//
-// Two uses share this one implementation: a checkpoint committed after a
-// stage embeds the prefix through that stage, so LoadCheckpoint accepts a
-// resuming engine whose options differ only downstream of the resume point
-// (the TR-parameter sweep); and the serve-layer artifact cache keys entries
-// by (reads checksum, prefix through the cached stage) so sweep jobs reuse
-// one alignment. Plumbing and observability knobs (Threads, Async,
-// Transport, Trace, Metrics, the checkpoint settings themselves) never enter
-// any prefix: they are result-invariant by the pipeline's standing
+// the stage prefix ending at `stage` (inclusive) depends on: each row of the
+// stages table, through that stage, contributes the options it is the first
+// to consume. Two uses share this one implementation: a checkpoint committed
+// after a stage embeds the prefix through that stage, so LoadCheckpoint
+// accepts a resuming engine whose options differ only downstream of the
+// resume point (the TR-parameter sweep); and the serve-layer artifact cache
+// keys entries by (reads checksum, prefix through the cached stage) so sweep
+// jobs reuse one alignment. Plumbing and observability knobs (Threads,
+// Async, Transport, Trace, Metrics, the checkpoint settings themselves) never
+// enter any prefix: they are result-invariant by the pipeline's standing
 // equivalences. Unknown stage names panic — callers pass stage constants or
 // names validated against StageNames.
 func (o Options) FingerprintThrough(stage string) string {
-	idx := slices.Index(StageNames(), stage)
-	if idx < 0 {
-		panic(fmt.Sprintf("pipeline: FingerprintThrough(%q): unknown stage", stage))
-	}
-	backend := o.AlignBackend
-	if backend == "" {
-		backend = BackendXDrop
+	idx, err := stageIndex(stage)
+	if err != nil {
+		panic(err)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "elba/options/v2 through=%s p=%d", stage, o.P)
-	if idx >= 1 { // CountKmer
-		fmt.Fprintf(h, " k=%d rlow=%d rhigh=%d", o.K, o.ReliableLow, o.ReliableHigh)
-	}
-	if idx >= 3 { // Alignment
-		fmt.Fprintf(h, " backend=%s xdrop=%d minov=%d minfrac=%g maxovh=%d",
-			backend, o.XDrop, o.MinOverlap, o.MinScoreFrac, o.MaxOverhang)
-	}
-	if idx >= 4 { // TrReduction
-		fmt.Fprintf(h, " trfuzz=%d trmaxiter=%d", o.TRFuzz, o.TRMaxIter)
-	}
-	if idx >= 5 { // ExtractContig
-		fmt.Fprintf(h, " packseq=%t", o.PackSeqComm)
+	fmt.Fprintf(h, "elba/options/v2 through=%s", stage)
+	for _, s := range stages[:idx+1] {
+		if s.options != nil {
+			io.WriteString(h, s.options(o))
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -184,15 +165,14 @@ type ckptRank struct {
 // rankFile names rank r's checkpoint file within a stage dir.
 func rankFile(rank int) string { return fmt.Sprintf("rank-%d.ckpt", rank) }
 
-// rankCheckpoint snapshots rank's state for the current resume point. Fields
-// no downstream stage consumes are dropped — the same liveness the stage
-// graph's Deps encode: Kmers feed only DetectOverlap, Candidates only
-// Alignment, R only TrReduction (which rederives the string graph from it),
-// and after TrReduction the reduced StringGraph plus the replicated Overlap
-// counters carry everything ExtractContig needs.
+// rankCheckpoint snapshots rank's state for the current resume point. Each
+// stage's output is live only until the next stage consumes it, so a file
+// holds the last stage's output: Kmers feed only DetectOverlap, Candidates
+// only Alignment, R only TrReduction (which rederives the string graph from
+// it), and after TrReduction the reduced StringGraph plus the replicated
+// Overlap counters carry everything ExtractContig needs.
 func (a *Artifacts) rankCheckpoint(rank int) ckptRank {
 	rs := a.Ranks[rank]
-	has := func(stage string) bool { return slices.Contains(a.done, stage) }
 	ck := ckptRank{
 		Schema: ckptSchema, Rank: int32(rank), P: int32(a.Opt.P),
 		Fingerprint: a.Opt.FingerprintThrough(a.Stage()), Stage: a.Stage(),
@@ -206,24 +186,22 @@ func (a *Artifacts) rankCheckpoint(rank int) ckptRank {
 		ck.OvKeptOverlaps = rs.Overlap.KeptOverlaps
 		ck.OvContained = rs.Overlap.Contained
 	}
-	if has(StageCountKmer) && !has(StageDetectOverlap) {
+	switch a.Stage() {
+	case StageCountKmer:
 		ck.HasKmers = true
 		ck.KmerK = int32(rs.Kmers.K)
 		ck.KmerNumCols = int32(rs.Kmers.NumCols)
 		ck.KmerOccurrences = rs.Kmers.Occurrences
 		ck.KmerTriples = rs.Kmers.Triples
-	}
-	if has(StageDetectOverlap) && !has(StageAlignment) {
+	case StageDetectOverlap:
 		ck.HasCands = true
 		ck.CandNR, ck.CandNC = rs.Candidates.NR, rs.Candidates.NC
 		ck.CandTriples = rs.Candidates.Local.Ts
-	}
-	if has(StageAlignment) && !has(StageTrReduction) {
+	case StageAlignment:
 		ck.HasR = true
 		ck.RNR, ck.RNC = rs.Overlap.R.NR, rs.Overlap.R.NC
 		ck.RTriples = rs.Overlap.R.Local.Ts
-	}
-	if has(StageTrReduction) {
+	case StageTrReduction:
 		ck.HasSG = true
 		ck.SGNR, ck.SGNC = rs.StringGraph.NR, rs.StringGraph.NC
 		ck.SGTriples = rs.StringGraph.Local.Ts
@@ -327,7 +305,7 @@ func (e *Engine) writeCheckpoint(ctx context.Context, a *Artifacts) error {
 		}
 		man := CheckpointManifest{
 			Schema: CheckpointSchema, Stage: stage,
-			Done: append([]string(nil), a.done...),
+			Done: StageNames()[:a.done],
 			P:    e.opt.P, Fingerprint: e.opt.FingerprintThrough(stage),
 			ReadsChecksum: obs.ChecksumSeqs(a.Reads),
 			RankHashes:    hashes,
@@ -357,15 +335,11 @@ func (e *Engine) writeCheckpoint(ctx context.Context, a *Artifacts) error {
 // ("", nil, nil): no checkpoint, not an error, so a supervisor can ask
 // before the first commit.
 func LatestCheckpoint(dir string) (stageDir string, man *CheckpointManifest, err error) {
-	if blob, err := os.ReadFile(filepath.Join(dir, CheckpointManifestName)); err == nil {
-		var m CheckpointManifest
-		if err := json.Unmarshal(blob, &m); err != nil {
-			return "", nil, fmt.Errorf("pipeline: checkpoint manifest %s: %w", filepath.Join(dir, CheckpointManifestName), err)
+	if m, err := readManifest(dir); !errors.Is(err, fs.ErrNotExist) {
+		if err != nil {
+			return "", nil, err
 		}
-		if m.Schema != CheckpointSchema {
-			return "", nil, fmt.Errorf("pipeline: checkpoint manifest %s: schema %q (this build reads %q)", filepath.Join(dir, CheckpointManifestName), m.Schema, CheckpointSchema)
-		}
-		return dir, &m, nil
+		return dir, m, nil
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -378,23 +352,52 @@ func LatestCheckpoint(dir string) (stageDir string, man *CheckpointManifest, err
 		if !ent.IsDir() {
 			continue
 		}
-		mp := filepath.Join(dir, ent.Name(), CheckpointManifestName)
-		blob, err := os.ReadFile(mp)
-		if err != nil {
+		sd := filepath.Join(dir, ent.Name())
+		m, err := readManifest(sd)
+		if errors.Is(err, fs.ErrNotExist) {
 			continue // uncommitted stage dir (interrupted attempt): ignore
 		}
-		var m CheckpointManifest
-		if err := json.Unmarshal(blob, &m); err != nil {
-			return "", nil, fmt.Errorf("pipeline: checkpoint manifest %s: %w", mp, err)
-		}
-		if m.Schema != CheckpointSchema {
-			return "", nil, fmt.Errorf("pipeline: checkpoint manifest %s: schema %q (this build reads %q)", mp, m.Schema, CheckpointSchema)
+		if err != nil {
+			return "", nil, err
 		}
 		if man == nil || len(m.Done) > len(man.Done) {
-			man, stageDir = &m, filepath.Join(dir, ent.Name())
+			man, stageDir = m, sd
 		}
 	}
 	return stageDir, man, nil
+}
+
+// readManifest decodes a stage dir's committed MANIFEST.json (an error
+// wrapping fs.ErrNotExist when there is none) and fails closed on anything
+// the engine cannot resume from: another schema, a stage that is never
+// checkpointed, or a done list that is not exactly the stages through the
+// manifest's stage — execution always continues a prefix of the table.
+func readManifest(stageDir string) (*CheckpointManifest, error) {
+	path := filepath.Join(stageDir, CheckpointManifestName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	bad := func(format string, args ...any) (*CheckpointManifest, error) {
+		return nil, fmt.Errorf("pipeline: checkpoint manifest %s: %s", path, fmt.Sprintf(format, args...))
+	}
+	var m CheckpointManifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		return bad("%v", err)
+	}
+	if m.Schema != CheckpointSchema {
+		return bad("schema %q (this build reads %q)", m.Schema, CheckpointSchema)
+	}
+	idx := slices.Index(StageNames(), m.Stage)
+	switch {
+	case idx < 0:
+		return bad("names unknown stage %q", m.Stage)
+	case idx == len(stages)-1:
+		return bad("stage %q is never checkpointed", m.Stage)
+	case !slices.Equal(m.Done, StageNames()[:idx+1]):
+		return bad("done = %q is not the stages through %q", m.Done, m.Stage)
+	}
+	return &m, nil
 }
 
 // LoadCheckpoint builds Artifacts from the most advanced committed
@@ -420,9 +423,6 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 	}
 	if man.P != e.opt.P {
 		return nil, fmt.Errorf("pipeline: checkpoint %s holds a %d-rank world; engine P = %d", stageDir, man.P, e.opt.P)
-	}
-	if !slices.Contains(StageNames(), man.Stage) {
-		return nil, fmt.Errorf("pipeline: checkpoint manifest %s names unknown stage %q", stageDir, man.Stage)
 	}
 	// The manifest carries the option prefix through its stage: options that
 	// only stages downstream of the resume point consume (the TR sweep
@@ -481,7 +481,7 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 		}
 		return nil, fmt.Errorf("pipeline: checkpoint %s: a peer process failed to load its rank files (see its log)", stageDir)
 	}
-	a.done = append([]string(nil), man.Done...)
+	a.done = len(man.Done)
 	a.fold(shared.Load())
 	a.wall = time.Duration(man.WallNS)
 	return a, nil
@@ -535,9 +535,9 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 
 // WriteFileAtomic writes data crash-consistently: temp file in the target's
 // dir, fsync, rename, fsync of the dir. Readers see either the old file or
-// the complete new one, never a torn write. Every commit marker — checkpoint
-// frames and manifests here, the artifact cache's ENTRY.json in
-// internal/serve — goes through this one function.
+// the complete new one, never a torn write. Every commit marker goes through
+// this one function: checkpoint frames and manifests, and so the artifact
+// cache's entries in internal/serve, which an Alignment MANIFEST.json commits.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

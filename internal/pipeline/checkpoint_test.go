@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi/wire"
+	"repro/internal/readsim"
 )
 
 // TestCheckpointLatestWins checkpoints after every stage of one run and
@@ -268,6 +269,40 @@ func TestFingerprintThrough(t *testing.T) {
 	}
 }
 
+// TestFingerprintThroughGolden pins every stage's prefix fingerprint to the
+// digests committed checkpoints and cache keys on disk were written under: a
+// digest that moves orphans them all.
+func TestFingerprintThroughGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  Options
+		want []string // one per stage, in StageNames order
+	}{
+		{"DefaultOptions(4)", DefaultOptions(4), []string{
+			"2f43e2b680c6511a4f3ca107265fe7d6b3cefe5138d3da308e92c6ae858248b4",
+			"839ce2f375ee35c99d6a669838cd6c10cf71aec6aa2c84f1071ca4c23bba28cc",
+			"7287fbff12709414ea3d59984d7b588782146e97b3c85c6fa5b0c6a260334b49",
+			"f15dd587e852b42827cdaea89da9dd079b006845ec08822009a5747d726ab3df",
+			"5c6e52aaece64101544121e020da111c18702f0e7228b5a64ee6341bf459d062",
+			"32e95ed0e9438d93114c0a4053f7465e0466d5b4b74202ee57f8e8c8fe9af88a",
+		}},
+		{"PresetOptions(HSapiensLike, 9)", PresetOptions(readsim.HSapiensLike, 9), []string{
+			"2c63e1a9b123b01203ec85b6312a6564bd121a0ff5e1a8bf10a0f7f850b49294",
+			"b545e0c10cb28b5f1b711e0105462748d45088b25c2c9eaa5d1e00ac749479ce",
+			"abf467f5c70059fbfe9d17a1d59caad3b9771edbe0b2d08024cdb09a54161543",
+			"c99da73f7b089c08103df6af59d0de68300486f6e0a1d75ba85f10c0a1e133a9",
+			"43c0e6afe815f360f6080071ea6e9e76a682efa144c8f94d098f4b784ef4b818",
+			"2591e93aaa2e5c910fc2a55456dcdb57edb59d697ceadb7349958544e066c17d",
+		}},
+	} {
+		for i, stage := range StageNames() {
+			if got := c.opt.FingerprintThrough(stage); got != c.want[i] {
+				t.Errorf("%s through %s: %s, want %s", c.name, stage, got, c.want[i])
+			}
+		}
+	}
+}
+
 // TestCheckpointPrefixResume is the sweep-reuse contract: a post-Alignment
 // checkpoint must resume under changed TR parameters (downstream of the
 // resume point) and reproduce a cold run at those parameters exactly, while
@@ -492,4 +527,134 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		t.Fatalf("re-encoded checkpoint refused: %v", err)
 	}
 	a.Close()
+}
+
+// commitAlignmentCheckpoint assembles reads at P = 1 with a checkpoint
+// committed after Alignment. It returns the options to resume under, the
+// checkpoint dir and the run's output.
+func commitAlignmentCheckpoint(tb testing.TB, reads [][]byte) (Options, string, *Output) {
+	tb.Helper()
+	opt := DefaultOptions(1)
+	opt.K = 21
+	opt.XDrop = 25
+	ckOpt := opt
+	ckOpt.CheckpointDir = tb.TempDir()
+	ckOpt.CheckpointEvery = StageAlignment
+	out, err := Run(reads, ckOpt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return opt, ckOpt.CheckpointDir, out
+}
+
+// TestLoadCheckpointRefusesInconsistentManifest: execution always continues a
+// prefix of the stages table, so a manifest whose done list is not exactly
+// the stages through its stage, or that names ExtractContig (never
+// checkpointed), is refused at load with an error naming the manifest —
+// never resumed from a state the stages it lists did not produce.
+func TestLoadCheckpointRefusesInconsistentManifest(t *testing.T) {
+	reads := testReads(5000, 677)
+	opt, dir, _ := commitAlignmentCheckpoint(t, reads)
+	stageDir := filepath.Join(dir, StageAlignment)
+	manPath := filepath.Join(stageDir, CheckpointManifestName)
+	pristine, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Plan(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*CheckpointManifest)
+	}{
+		{"short done", func(m *CheckpointManifest) { m.Done = []string{StageFastaReader, StageCountKmer} }},
+		{"reordered done", func(m *CheckpointManifest) { m.Done[0], m.Done[1] = m.Done[1], m.Done[0] }},
+		{"final stage", func(m *CheckpointManifest) { m.Stage, m.Done = StageExtractContig, StageNames() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rewriteManifest(t, stageDir, c.edit)
+			defer os.WriteFile(manPath, pristine, 0o666)
+			a, err := eng.LoadCheckpoint(context.Background(), reads, dir)
+			if err == nil {
+				defer a.Close()
+				_, rerr := eng.ResumeFrom(context.Background(), a, StageExtractContig)
+				t.Fatalf("inconsistent manifest loaded as stage %q; resuming it: %v", a.Stage(), rerr)
+			}
+			if !strings.Contains(err.Error(), manPath) {
+				t.Errorf("refusal does not name the manifest %s: %v", manPath, err)
+			}
+		})
+	}
+	// Restored, the manifest loads (guards the rewrite helper above).
+	a, err := eng.LoadCheckpoint(context.Background(), reads, dir)
+	if err != nil {
+		t.Fatalf("pristine manifest refused: %v", err)
+	}
+	a.Close()
+}
+
+// FuzzLoadCheckpointManifest feeds arbitrary bytes to LoadCheckpoint as the
+// MANIFEST.json of a committed P = 1 post-Alignment checkpoint. The input is
+// a template: {{fingerprint}}, {{reads}} and {{rank0}} expand to the real
+// checkpoint's values, so the committed seeds reach past the integrity checks
+// (testdata/fuzz holds the real manifest and one seed per refusal).
+// LoadCheckpoint must never panic or hang; when it accepts a manifest, the
+// artifacts must resume after the manifest's stage and finish with the
+// reference contigs.
+func FuzzLoadCheckpointManifest(f *testing.F) {
+	reads := testReads(5000, 677)
+	opt, src, ref := commitAlignmentCheckpoint(f, reads)
+	_, man, err := LatestCheckpoint(src)
+	if err != nil || man == nil {
+		f.Fatalf("no committed checkpoint (manifest %v, err %v)", man, err)
+	}
+	rank, err := os.ReadFile(filepath.Join(src, StageAlignment, rankFile(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	expand := strings.NewReplacer("{{fingerprint}}", man.Fingerprint,
+		"{{reads}}", man.ReadsChecksum, "{{rank0}}", man.RankHashes[0])
+	eng, err := Plan(opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		blob = []byte(expand.Replace(string(blob)))
+		dir := t.TempDir()
+		stageDir := filepath.Join(dir, StageAlignment)
+		if err := os.Mkdir(stageDir, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(stageDir, rankFile(0)), rank, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(stageDir, CheckpointManifestName), blob, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		a, err := eng.LoadCheckpoint(context.Background(), reads, dir)
+		if err != nil {
+			return
+		}
+		defer a.Close()
+		var m CheckpointManifest
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatalf("loaded a manifest that does not decode: %v", err)
+		}
+		if a.Stage() != m.Stage {
+			t.Fatalf("artifacts resume after %q, manifest commits %q", a.Stage(), m.Stage)
+		}
+		fin, err := eng.ResumeFrom(context.Background(), a, StageExtractContig)
+		if err != nil {
+			t.Fatalf("accepted manifest does not resume: %v", err)
+		}
+		out, err := fin.Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := contigChecksum(out), contigChecksum(ref); got != want {
+			t.Fatalf("resumed contigs %s, reference %s", got, want)
+		}
+	})
 }

@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
-	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -60,26 +58,25 @@ type Observer struct {
 	Event func(EngineEvent)
 }
 
-// Engine runs the pipeline's stage graph. Plan validates the options once;
-// RunUntil executes a prefix of the graph on a fresh simulated world and
+// Engine runs the pipeline's stages. Plan validates the options once;
+// RunUntil executes a prefix of the stages on a fresh simulated world and
 // ResumeFrom continues from a previous run's Artifacts — under this engine's
 // options, which may differ in parameters downstream of the resume point
 // (the TR/overhang sweep use case). Contigs are bit-identical, and
 // byte/message counters equal, between a monolithic run and any chain of
 // partial runs, for every (P, threads, backend, sync/async) combination.
 type Engine struct {
-	opt    Options
-	stages []Stage
-	obs    []Observer
+	opt Options
+	obs []Observer
 }
 
 // Plan validates opt (reporting all violations at once) and builds an
-// engine over the paper's stage graph.
+// engine over the paper's stages.
 func Plan(opt Options, obs ...Observer) (*Engine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{opt: opt, stages: defaultStages(), obs: obs}, nil
+	return &Engine{opt: opt, obs: obs}, nil
 }
 
 // Options returns the engine's validated options.
@@ -94,26 +91,7 @@ func (e *Engine) emit(ev EngineEvent) {
 	}
 }
 
-// Stages lists the engine's stage names in execution order.
-func (e *Engine) Stages() []string {
-	names := make([]string, len(e.stages))
-	for i, s := range e.stages {
-		names[i] = s.Name()
-	}
-	return names
-}
-
-// stageIndex resolves a stage name to its graph position.
-func (e *Engine) stageIndex(name string) (int, error) {
-	for i, s := range e.stages {
-		if s.Name() == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("pipeline: unknown stage %q (stages: %s)", name, strings.Join(e.Stages(), " → "))
-}
-
-// Run assembles reads end to end: the whole graph on a fresh world. The
+// Run assembles reads end to end: every stage on a fresh world. The
 // world is closed before returning (the artifacts are not exposed, so there
 // is nothing to resume) — for the socket-backed transports this is the
 // polite connection drain; for inproc it is a no-op.
@@ -126,13 +104,13 @@ func (e *Engine) Run(ctx context.Context, reads [][]byte) (*Output, error) {
 	return a.Output()
 }
 
-// RunUntil executes the graph on a fresh simulated world of e.Options().P
+// RunUntil executes the stages on a fresh simulated world of e.Options().P
 // ranks, stopping after stage `until` completes, and returns the Artifacts
 // snapshot. If ctx is cancelled mid-stage the world is cancelled, every rank
 // goroutine unwinds promptly, and RunUntil returns ctx.Err(); the artifacts
 // are then dead (their world is poisoned).
 func (e *Engine) RunUntil(ctx context.Context, reads [][]byte, until string) (*Artifacts, error) {
-	idx, err := e.stageIndex(until)
+	idx, err := stageIndex(until)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +121,7 @@ func (e *Engine) RunUntil(ctx context.Context, reads [][]byte, until string) (*A
 	return e.resume(ctx, a, idx)
 }
 
-// ResumeFrom continues the graph from the last stage recorded in a, running
+// ResumeFrom continues the stages from the last one completed in a, running
 // the remaining stages up to and including `until` under this engine's
 // options. The given artifacts are forked, not modified: one snapshot can
 // seed any number of resumed chains (a parameter sweep re-runs only the
@@ -152,7 +130,7 @@ func (e *Engine) RunUntil(ctx context.Context, reads [][]byte, until string) (*A
 // (the world's shape is baked into the artifacts); upstream algorithmic
 // parameters (K, alignment settings, …) are the caller's responsibility.
 func (e *Engine) ResumeFrom(ctx context.Context, a *Artifacts, until string) (*Artifacts, error) {
-	idx, err := e.stageIndex(until)
+	idx, err := stageIndex(until)
 	if err != nil {
 		return nil, err
 	}
@@ -162,13 +140,13 @@ func (e *Engine) ResumeFrom(ctx context.Context, a *Artifacts, until string) (*A
 	if err := a.World.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: artifacts are dead (world cancelled: %w)", err)
 	}
-	if idx < len(a.done) {
+	if idx < a.done {
 		return nil, fmt.Errorf("pipeline: stage %q already complete in these artifacts (resume point: after %q)", until, a.Stage())
 	}
 	return e.resume(ctx, a.fork(e.opt), idx)
 }
 
-// resume drives stages len(a.done)..untilIdx on a's world, one engine-level
+// resume drives stages[a.done..untilIdx] on a's world, one engine-level
 // barrier per stage. Stage bodies reuse the communicators stored in the
 // RankStates, so the op (and therefore traffic) sequence is identical to a
 // monolithic run; the per-stage world.Run only adds a goroutine join.
@@ -176,21 +154,15 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 	a.exec.Lock()
 	defer a.exec.Unlock()
 	first := ""
-	if len(a.done) <= untilIdx {
-		first = e.stages[len(a.done)].Name()
+	if a.done <= untilIdx {
+		first = stages[a.done].name
 	}
 	e.emit(EngineEvent{Kind: EventRunStart, Stage: first})
 	defer func() {
 		e.emit(EngineEvent{Kind: EventRunEnd, Stage: a.Stage(), Err: err})
 	}()
-	total := len(e.stages)
-	for i := len(a.done); i <= untilIdx; i++ {
-		st := e.stages[i]
-		for _, dep := range st.Deps() {
-			if !slices.Contains(a.done, dep) {
-				return nil, fmt.Errorf("pipeline: stage %q needs %q, which the artifacts have not run", st.Name(), dep)
-			}
-		}
+	for i := a.done; i <= untilIdx; i++ {
+		st := stages[i]
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				a.World.Cancel(err)
@@ -199,12 +171,11 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 		}
 		for _, ob := range e.obs {
 			if ob.StageStart != nil {
-				ob.StageStart(st.Name(), i, total)
+				ob.StageStart(st.name, i, len(stages))
 			}
 		}
 		var shared atomic.Pointer[[][]trace.Record]
 		start := time.Now()
-		stageIdx := i
 		runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
 			rank := c.Rank()
 			// One schedule in every kernel; whether its posted transfers run
@@ -212,20 +183,20 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 			c.SetBlocking(!e.opt.Async)
 			// Deterministic fault injection (chaos tests and the nightly CI
 			// job): one atomic load when nothing is armed.
-			faultinject.At(st.Name(), rank)
+			faultinject.At(st.name, rank)
 			lane := c.Lane()
 			spanStart := lane.Start()
 			// The stage's row: the one place its time and traffic are
 			// measured. pprof labels let CPU profiles slice samples by stage
 			// and rank (`go tool pprof -tagfocus stage=Alignment`).
-			a.Ranks[rank].Timers.Stage(st.Name(), c, func() {
+			a.Ranks[rank].Timers.Stage(st.name, c, func() {
 				pprof.Do(context.Background(),
-					pprof.Labels("stage", st.Name(), "rank", strconv.Itoa(rank)),
-					func(context.Context) { st.Run(e.opt, a, rank) })
+					pprof.Labels("stage", st.name, "rank", strconv.Itoa(rank)),
+					func(context.Context) { st.run(e.opt, a, a.Ranks[rank]) })
 			})
-			lane.Span(0, "stage", st.Name(), spanStart, obs.Arg{K: "index", V: int64(stageIdx)})
+			lane.Span(0, "stage", st.name, spanStart, obs.Arg{K: "index", V: int64(i)})
 			a.shareRows(rank, &shared)
-			if a.World.Distributed() && st.Name() == StageExtractContig {
+			if a.World.Distributed() && st.name == StageExtractContig {
 				// Each process populated only its own rank's metrics; stream
 				// every snapshot to rank 0 on the control plane so the
 				// -metrics file and the manifest cover the whole world with
@@ -240,12 +211,12 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 		})
 		wall := time.Since(start)
 		if runErr != nil {
-			return nil, e.abortError(st.Name(), a, runErr)
+			return nil, e.abortError(st.name, a, runErr)
 		}
 		a.fold(shared.Load())
 		a.wall += wall
-		a.done = append(a.done, st.Name())
-		if e.checkpointAfter(st.Name()) {
+		a.done++
+		if e.checkpointAfter(st.name) {
 			// Durable resume point: persisted after the stage's row lands
 			// (the rank files carry every row so far) and before
 			// observers see the stage as complete. Checkpoint I/O and the
@@ -258,7 +229,7 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *A
 		}
 		for _, ob := range e.obs {
 			if ob.StageEnd != nil {
-				ob.StageEnd(st.Name(), a.sum, wall)
+				ob.StageEnd(st.name, a.sum, wall)
 			}
 		}
 	}

@@ -11,9 +11,10 @@
 // Alignment, TrReduction, ExtractContig) plus the contig-phase sub-stages
 // (CG:*) used for the §6.1 induced-subgraph claim.
 //
-// The computation is organized as a typed stage graph (Stage, Artifacts)
+// The computation is one table of stages (stages.go: each row's name, the
+// options it consumes and its per-rank body) over a typed Artifacts bag,
 // driven by an Engine: Plan(opt) validates the options, RunUntil executes a
-// prefix of the graph, ResumeFrom continues a snapshot — possibly many
+// prefix of the table, ResumeFrom continues a snapshot — possibly many
 // times, under different downstream parameters — and context cancellation
 // unwinds every simulated rank promptly. Run is the monolithic convenience
 // wrapper over the same engine, so monolithic, staged and resumed execution
@@ -310,8 +311,8 @@ func (o Options) newWorld() (*mpi.World, error) {
 }
 
 // Run assembles reads on a fresh simulated world of opt.P ranks — the
-// monolithic compatibility wrapper: it plans an engine and runs the whole
-// stage graph in one call. Callers that want partial runs, resume points,
+// monolithic compatibility wrapper: it plans an engine and runs every stage
+// in one call. Callers that want partial runs, resume points,
 // progress observers or cancellation use Plan/RunUntil/ResumeFrom directly.
 func Run(reads [][]byte, opt Options) (*Output, error) {
 	eng, err := Plan(opt)
@@ -320,10 +321,6 @@ func Run(reads [][]byte, opt Options) (*Output, error) {
 	}
 	return eng.Run(context.Background(), reads)
 }
-
-// MainStages are the paper's Figure 5 breakdown categories in pipeline
-// order.
-var MainStages = []string{"CountKmer", "DetectOverlap", "Alignment", "TrReduction", "ExtractContig"}
 
 // ContigStages are the ExtractContig sub-stages (Algorithm 2 steps).
 var ContigStages = []string{

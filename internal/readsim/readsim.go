@@ -158,7 +158,7 @@ type Dataset struct {
 	MeanLen   int
 	ErrorRate float64
 	// ScaleFactor records how much smaller the synthetic genome is than the
-	// organism's in Table 2 (documentation for EXPERIMENTS.md).
+	// organism's in Table 2 (the "scale vs paper" column of cmd/experiments -exp table2).
 	ScaleFactor float64
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -24,25 +23,15 @@ import (
 // alignment serves the whole sweep.
 const CacheStage = pipeline.StageAlignment
 
-// entryInfoName is the per-entry commit marker. An entry directory without
-// it is garbage from an interrupted commit or eviction and is removed at
-// startup; eviction deletes it first, so a crash mid-removal can never leave
-// a half-deleted directory that still looks committed.
-const entryInfoName = "ENTRY.json"
-
-// entryInfo is the ENTRY.json payload: enough to audit what an entry holds
-// without decoding the checkpoint inside it.
-type entryInfo struct {
-	Key           string `json:"key"`
-	Stage         string `json:"stage"`
-	ReadsChecksum string `json:"reads_checksum"`
-	Fingerprint   string `json:"prefix_fingerprint"`
-	Bytes         int64  `json:"bytes"`
-}
-
 // Cache is the content-addressed artifact store behind the daemon: each
 // entry is one committed post-Alignment pipeline checkpoint, keyed by
-// (read-set checksum, options-prefix fingerprint through Alignment). A job
+// (read-set checksum, options-prefix fingerprint through Alignment) and
+// stored under its key as <key>/Alignment/. The checkpoint's own
+// MANIFEST.json (which records the stage, reads checksum and prefix
+// fingerprint) is the entry's commit marker: a directory without one is
+// garbage from an interrupted commit or eviction, removed at startup, and
+// eviction deletes it first, so a crash mid-removal never leaves a
+// half-deleted directory that still looks committed. A job
 // whose key matches resumes via Engine.LoadCheckpoint/ResumeFrom instead of
 // re-aligning; a miss runs cold with CheckpointDir pointed at a staging
 // directory and commits the result with one atomic rename. Entries are
@@ -76,8 +65,10 @@ type cacheEntry struct {
 // OpenCache opens (creating if needed) the cache rooted at dir with the
 // given byte budget (<= 0: unlimited). Leftover staging directories and
 // uncommitted entries from an interrupted process are removed; committed
-// entries are indexed with their ENTRY.json mtime as the LRU timestamp, so
-// recency survives restarts.
+// entries are indexed with their manifest's mtime as the LRU timestamp, so
+// recency survives restarts. A directory under the wrong key is indexed
+// too: LoadCheckpoint refuses its fingerprint or checksum on the first hit,
+// which drops it and runs cold, like any damaged entry.
 func OpenCache(dir string, budget int64) (*Cache, error) {
 	reg := obs.NewRegistry()
 	c := &Cache{
@@ -103,7 +94,7 @@ func OpenCache(dir string, budget int64) (*Cache, error) {
 			continue
 		}
 		entDir := filepath.Join(dir, ent.Name())
-		st, err := os.Stat(filepath.Join(entDir, entryInfoName))
+		st, err := os.Stat(marker(entDir))
 		if err != nil {
 			// No commit marker: garbage from an interrupted commit/eviction.
 			if err := os.RemoveAll(entDir); err != nil {
@@ -111,19 +102,11 @@ func OpenCache(dir string, budget int64) (*Cache, error) {
 			}
 			continue
 		}
-		blob, err := os.ReadFile(filepath.Join(entDir, entryInfoName))
+		size, err := dirSize(entDir)
 		if err != nil {
-			return nil, fmt.Errorf("serve: reading %s: %w", filepath.Join(entDir, entryInfoName), err)
+			return nil, fmt.Errorf("serve: sizing cache entry %s: %w", entDir, err)
 		}
-		var info entryInfo
-		if err := json.Unmarshal(blob, &info); err != nil || info.Key != ent.Name() {
-			// Torn or mislabeled marker: treat as uncommitted.
-			if err := os.RemoveAll(entDir); err != nil {
-				return nil, fmt.Errorf("serve: removing bad cache entry %s: %w", entDir, err)
-			}
-			continue
-		}
-		e := &cacheEntry{key: info.Key, dir: entDir, bytes: info.Bytes, lastUsed: st.ModTime()}
+		e := &cacheEntry{key: ent.Name(), dir: entDir, bytes: size, lastUsed: st.ModTime()}
 		c.entries[e.key] = e
 		c.bytes += e.bytes
 	}
@@ -226,7 +209,7 @@ func (c *Cache) Assemble(ctx context.Context, opt pipeline.Options, reads [][]by
 	}
 	// Commit failures (budget too small for the entry, full of in-use
 	// entries, disk errors) degrade reuse, not the finished job.
-	if err := c.commit(key, staging, opt, reads); err != nil {
+	if err := c.commit(key, staging); err != nil {
 		os.RemoveAll(staging)
 	}
 	return out, "miss", nil
@@ -264,7 +247,7 @@ func (c *Cache) acquire(key string) *cacheEntry {
 	ent.refs++
 	ent.lastUsed = time.Now()
 	// Persist recency so the LRU order survives a daemon restart.
-	os.Chtimes(filepath.Join(ent.dir, entryInfoName), ent.lastUsed, ent.lastUsed)
+	os.Chtimes(marker(ent.dir), ent.lastUsed, ent.lastUsed)
 	return ent
 }
 
@@ -283,27 +266,14 @@ func (c *Cache) drop(key string) {
 	}
 }
 
-// commit publishes a staged checkpoint as the committed entry for key:
-// ENTRY.json is written (atomically) into the staging directory, LRU entries
-// are evicted until the budget fits, and one rename moves the whole
-// directory under its content address — the commit point. A concurrent
-// commit of the same key keeps the first winner.
-func (c *Cache) commit(key, staging string, opt pipeline.Options, reads [][]byte) error {
+// commit publishes a staged checkpoint, whose manifest the engine already
+// committed, as the entry for key: LRU entries are evicted until the budget
+// fits, and one rename moves the whole directory under its content address —
+// the commit point. A concurrent commit of the same key keeps the first
+// winner.
+func (c *Cache) commit(key, staging string) error {
 	size, err := dirSize(staging)
 	if err != nil {
-		return err
-	}
-	info := entryInfo{
-		Key: key, Stage: CacheStage,
-		ReadsChecksum: obs.ChecksumSeqs(reads),
-		Fingerprint:   opt.FingerprintThrough(CacheStage),
-		Bytes:         size,
-	}
-	blob, err := json.MarshalIndent(info, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := pipeline.WriteFileAtomic(filepath.Join(staging, entryInfoName), append(blob, '\n')); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -354,10 +324,15 @@ func (c *Cache) lruIdleLocked() *cacheEntry {
 // so an interrupted removal is startup garbage, never a corrupt committed
 // entry), then the payload.
 func (c *Cache) removeLocked(ent *cacheEntry) {
-	os.Remove(filepath.Join(ent.dir, entryInfoName))
+	os.Remove(marker(ent.dir))
 	os.RemoveAll(ent.dir)
 	delete(c.entries, ent.key)
 	c.bytes -= ent.bytes
+}
+
+// marker is the commit marker of the entry in dir: its checkpoint's manifest.
+func marker(dir string) string {
+	return filepath.Join(dir, CacheStage, pipeline.CheckpointManifestName)
 }
 
 // dirSize sums the regular-file bytes under root.

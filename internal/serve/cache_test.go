@@ -160,21 +160,26 @@ func TestCacheReopen(t *testing.T) {
 		t.Fatalf("first run: %q", how)
 	}
 
-	// The commit marker is published by pipeline.WriteFileAtomic, the helper
-	// the checkpoint layer commits with. It must leave no temp file beside
-	// ENTRY.json, and replaying the write (an interrupted commit, retried)
-	// must replace the marker whole: the reopened cache below still indexes
-	// and hits the entry.
-	marker := filepath.Join(dir, Key(opt, reads), entryInfoName)
-	blob, err := os.ReadFile(marker)
+	// The commit marker is the checkpoint's manifest, published by
+	// pipeline.WriteFileAtomic. It must leave no temp file beside it, and
+	// replaying the write (an interrupted commit, retried) must replace the
+	// marker whole: the reopened cache below still indexes and hits the entry.
+	entDir := filepath.Join(dir, Key(opt, reads))
+	man := marker(entDir)
+	blob, err := os.ReadFile(man)
 	if err != nil {
 		t.Fatalf("committed entry has no marker: %v", err)
 	}
-	if err := pipeline.WriteFileAtomic(marker, blob); err != nil {
+	if err := pipeline.WriteFileAtomic(man, blob); err != nil {
 		t.Fatal(err)
 	}
-	if tmps, _ := filepath.Glob(marker + ".tmp-*"); len(tmps) != 0 {
+	if tmps, _ := filepath.Glob(man + ".tmp-*"); len(tmps) != 0 {
 		t.Fatalf("atomic write left temp files behind: %v", tmps)
+	}
+	// Entries written by earlier builds also hold an ENTRY.json marker; the
+	// reopened cache must index and hit them all the same.
+	if err := os.WriteFile(filepath.Join(entDir, "ENTRY.json"), []byte(`{"key":"`+filepath.Base(entDir)+`"}`), 0o666); err != nil {
+		t.Fatal(err)
 	}
 
 	c2, err := OpenCache(dir, 0)
@@ -237,7 +242,7 @@ func TestCacheCorruptEntryFallsBack(t *testing.T) {
 
 // TestCacheStaleSchemaEntryRunsCold: a cache directory written by a build with
 // the previous checkpoint schema survives a daemon upgrade as nothing worse
-// than a cold run — the entry is indexed at startup (its ENTRY.json is fine),
+// than a cold run — the entry is indexed at startup (its manifest exists),
 // refused by LoadCheckpoint for its schema, dropped without counting as an
 // eviction, recomputed and replaced. The job never fails.
 func TestCacheStaleSchemaEntryRunsCold(t *testing.T) {

@@ -49,7 +49,6 @@ type JobSpec struct {
 	TRFuzz      int32  `json:"tr_fuzz,omitempty"`      // transitive-reduction fuzz override
 	TRMaxIter   int    `json:"tr_max_iter,omitempty"`  // transitive-reduction iteration cap override
 	Backend     string `json:"backend,omitempty"`      // xdrop | wfa
-	NoCache     bool   `json:"no_cache,omitempty"`     // bypass the artifact cache for this job
 }
 
 // Event is one entry of a job's progress stream, replayed and then streamed
@@ -237,11 +236,7 @@ func (s *Server) run(j *Job) {
 		},
 	}
 
-	var cache *Cache
-	if !j.Spec.NoCache {
-		cache = s.cache
-	}
-	out, how, err := cache.Assemble(ctx, opt, j.reads, observer)
+	out, how, err := s.cache.Assemble(ctx, opt, j.reads, observer)
 	if how != "" {
 		j.mu.Lock()
 		j.cache = how

@@ -59,8 +59,13 @@ func tryPostJob(t *testing.T, ts *httptest.Server, spec JobSpec) (string, int) {
 	return out.ID, status
 }
 
+// rawSpec is a job spec body posted verbatim.
+type rawSpec string
+
+func (r rawSpec) MarshalJSON() ([]byte, error) { return []byte(r), nil }
+
 // postSpec submits spec and returns the status and raw response body.
-func postSpec(t *testing.T, ts *httptest.Server, spec JobSpec) (int, []byte) {
+func postSpec(t *testing.T, ts *httptest.Server, spec any) (int, []byte) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -451,7 +456,7 @@ func TestUploadedDatasetRoundTrip(t *testing.T) {
 	// still serving afterwards (a panicking handler shows as a transport
 	// error here, a swallowed override as a 202).
 	for _, bad := range []struct {
-		spec JobSpec
+		spec any    // a JobSpec or a rawSpec
 		want string // substring of the error body
 	}{
 		{JobSpec{}, "need dataset or preset"},
@@ -469,6 +474,7 @@ func TestUploadedDatasetRoundTrip(t *testing.T) {
 		{JobSpec{Preset: "celegans", TRFuzz: -3}, "Options.TRFuzz"},
 		{JobSpec{Preset: "celegans", TRMaxIter: -3}, "Options.TRMaxIter"},
 		{JobSpec{Preset: "celegans", K: 99, TRFuzz: -3}, "Options.TRFuzz"}, // all violations, not just the first (K)
+		{rawSpec(`{"preset":"celegans","no_cache":true}`), `unknown field \"no_cache\"`},
 	} {
 		status, body := postSpec(t, ts, bad.spec)
 		if status != http.StatusBadRequest || !strings.Contains(string(body), bad.want) {
