@@ -1,8 +1,6 @@
 package kmer
 
 import (
-	"slices"
-
 	"repro/internal/fasta"
 	"repro/internal/mpi"
 	"repro/internal/par"
@@ -190,43 +188,65 @@ type occRec struct {
 // assembleRowMajor builds the rank's triples of A from the routed
 // occurrences meta and the owners' replies cols (column id, or -1 for an
 // unreliable k-mer; same shape as meta), in strictly row-major order and with
-// no comparison function: a stable counting scatter by read over [lo, hi)
-// places every survivor in its read's segment as the packed key Col<<32|Occ,
-// each segment is sorted as plain integers — a read holds a k-mer at most once
-// (Extract deduplicates), so its column ids are distinct and the key order is
-// the column order — and the keys unpack into the triples.
+// no comparison at all: stable counting passes over 16-bit digits of the
+// column id, least significant first — the first scatters straight from the
+// replies, a second runs only when some column id needs one — then one stable
+// counting scatter by read over [lo, hi). A read holds a k-mer at most once
+// (Extract deduplicates), so its column ids are distinct and the result is
+// strictly row-major. Scratch is two triple buffers, the per-read counts and
+// one fixed 2¹⁶-entry digit count, never anything sized by the global column
+// count.
 func assembleRowMajor(lo, hi int, meta [][]occRec, cols [][]int32) []ATriple {
-	starts := make([]int32, hi-lo+1)
+	const digitBits = 16
+	const digitMask = 1<<digitBits - 1
+	starts := make([]int32, hi-lo+1)    // by read, shifted one up
+	digit := make([]int32, digitMask+2) // by column digit, shifted one up
+	var maxCol int32
 	for r, part := range cols {
 		for i, col := range part {
 			if col >= 0 {
 				starts[int(meta[r][i].Read)-lo+1]++
+				digit[col&digitMask+1]++
+				maxCol = max(maxCol, col)
 			}
 		}
 	}
-	for i := 0; i < hi-lo; i++ {
-		starts[i+1] += starts[i]
-	}
-	keys := make([]uint64, starts[hi-lo])
-	next := slices.Clone(starts[:hi-lo])
+	prefixSums(starts)
+	prefixSums(digit)
+	buf, out := make([]ATriple, starts[hi-lo]), make([]ATriple, starts[hi-lo])
 	for r, part := range cols {
 		for i, col := range part {
 			if col >= 0 {
 				m := meta[r][i]
-				idx := int(m.Read) - lo
-				keys[next[idx]] = uint64(col)<<32 | uint64(m.Occ)
-				next[idx]++
+				buf[digit[col&digitMask]] = ATriple{Row: m.Read, Col: col, Val: m.Occ}
+				digit[col&digitMask]++
 			}
 		}
 	}
-	triples := make([]ATriple, len(keys))
-	for idx := 0; idx < hi-lo; idx++ {
-		seg := keys[starts[idx]:starts[idx+1]]
-		slices.Sort(seg)
-		out := triples[starts[idx]:starts[idx+1]]
-		for i, key := range seg {
-			out[i] = ATriple{Row: int32(lo + idx), Col: int32(key >> 32), Val: Occur(key)}
+	if maxCol>>digitBits != 0 {
+		clear(digit)
+		for _, t := range buf {
+			digit[t.Col>>digitBits+1]++
 		}
+		prefixSums(digit)
+		for _, t := range buf {
+			out[digit[t.Col>>digitBits]] = t
+			digit[t.Col>>digitBits]++
+		}
+		buf, out = out, buf
 	}
-	return triples
+	for _, t := range buf {
+		idx := int(t.Row) - lo
+		out[starts[idx]] = t
+		starts[idx]++
+	}
+	return out
+}
+
+// prefixSums turns counts into running totals in place; over counts shifted
+// one up, entry i becomes the start of bucket i.
+func prefixSums(counts []int32) {
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
 }

@@ -446,20 +446,35 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 	var shared atomic.Pointer[[][]trace.Record]
 	runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
 		rank := c.Rank()
-		ck, err := readRankCheckpoint(filepath.Join(stageDir, rankFile(rank)), man, rank, e.opt, len(reads))
-		flag := []int64{0}
-		if err != nil {
+		path := filepath.Join(stageDir, rankFile(rank))
+		ck, err := readRankCheckpoint(path, man, rank, e.opt, reads)
+		fail := func(err error) {
 			mu.Lock()
 			errs = append(errs, err)
 			mu.Unlock()
+		}
+		flag := []int64{0, 0, 0} // failed, k-mer column count, its negation
+		if err != nil {
+			fail(err)
 			flag[0] = 1
+		} else if ck.HasKmers {
+			flag[1], flag[2] = int64(ck.KmerNumCols), -int64(ck.KmerNumCols)
 		}
 		// Phase 1 barrier: every rank — including ones whose file is bad —
 		// joins this agreement, so a corrupt checkpoint can fail the load
-		// without wedging a collective. Phase 2 communicates only when all
-		// ranks decoded cleanly.
-		bad := mpi.AllreduceSlice(a.ctl[rank], flag, func(x, y int64) int64 { return x + y })
-		if bad[0] > 0 {
+		// without wedging a collective. It also takes the k-mer column
+		// count's maximum and minimum, which must be equal: the count sizes
+		// A on every rank. Phase 2 communicates only when all ranks decoded
+		// cleanly and agree.
+		agreed := mpi.AllreduceSlice(a.ctl[rank], flag, func(x, y int64) int64 { return max(x, y) })
+		if agreed[0] > 0 {
+			peerFail.Store(true)
+			return
+		}
+		if hi, lo := agreed[1], -agreed[2]; hi != lo {
+			if flag[1] != hi {
+				fail(fmt.Errorf("pipeline: checkpoint rank %d: %s counts %d k-mer columns, another rank's file %d", rank, path, flag[1], hi))
+			}
 			peerFail.Store(true)
 			return
 		}
@@ -490,11 +505,23 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 // readRankCheckpoint loads and verifies one rank's file: content hash
 // against the committed manifest first (so truncation or bit rot is caught
 // before the codec sees the bytes), then the decoded self-description
-// against the resuming engine, then the one invariant of the payload a later
-// stage would otherwise trip over mid-collective: the k-mer triples are this
-// rank's reads (block rank of numReads) in strict row-major order. Every
+// against the resuming engine, then the payload a later stage would otherwise
+// trip over mid-collective. A checkpoint it returns satisfies every invariant
+// the resume relies on:
+//   - schema, rank, P, stage and options fingerprint are this build's, the
+//     engine's and the manifest's;
+//   - it carries exactly the payload rankCheckpoint writes for its stage: the
+//     overlap counters after FastaReader, plus that stage's own output;
+//   - a k-mer payload has the engine's K; a column count in [0, the read
+//     set's k-mer window count] — each reliable k-mer is a distinct window,
+//     and resuming sizes A's column index by this count; and triples that
+//     are this rank's reads (block rank of the read set) in strict row-major
+//     order, each column below the count and each occurrence a window inside
+//     its read.
+//
+// That the ranks agree on the column count is LoadCheckpoint's check. Every
 // failure names the rank and the file.
-func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Options, numReads int) (*ckptRank, error) {
+func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Options, reads [][]byte) (*ckptRank, error) {
 	frame, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: reading %s: %w", rank, path, err)
@@ -523,14 +550,42 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s carries options fingerprint %.12s…, engine has %.12s… through %s",
 			rank, path, ck.Fingerprint, fp, man.Stage)
 	}
+	if ck.HasOverlap != (ck.Stage != StageFastaReader) || ck.HasKmers != (ck.Stage == StageCountKmer) ||
+		ck.HasCands != (ck.Stage == StageDetectOverlap) || ck.HasR != (ck.Stage == StageAlignment) ||
+		ck.HasSG != (ck.Stage == StageTrReduction) {
+		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s carries a payload other than stage %q's", rank, path, ck.Stage)
+	}
 	if ck.HasKmers {
-		lo, hi := grid.BlockRange(numReads, opt.P, rank)
+		if int(ck.KmerK) != opt.K {
+			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s holds k-mers of k = %d, engine has k = %d", rank, path, ck.KmerK, opt.K)
+		}
+		if windows := kmerWindows(reads, opt.K); ck.KmerNumCols < 0 || int64(ck.KmerNumCols) > windows {
+			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s counts %d k-mer columns, outside [0, %d] (the reads' k-mer windows)",
+				rank, path, ck.KmerNumCols, windows)
+		}
+		lo, hi := grid.BlockRange(len(reads), opt.P, rank)
 		if err := spmat.CheckRowMajor(ck.KmerTriples, int32(lo), int32(hi), 0, ck.KmerNumCols); err != nil {
 			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer triples are not the rank's reads [%d,%d) in row-major order: %w",
 				rank, path, lo, hi, err)
 		}
+		for _, t := range ck.KmerTriples {
+			if pos := int(t.Val.Pos()); pos+opt.K > len(reads[t.Row]) {
+				return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer occurrence at %d is no window of read %d (length %d)",
+					rank, path, pos, t.Row, len(reads[t.Row]))
+			}
+		}
 	}
 	return &ck, nil
+}
+
+// kmerWindows counts the read set's k-mer windows: an upper bound on its
+// distinct k-mers, hence on the reliable k-mer columns.
+func kmerWindows(reads [][]byte, k int) int64 {
+	var n int64
+	for _, r := range reads {
+		n += int64(max(len(r)-k+1, 0))
+	}
+	return n
 }
 
 // WriteFileAtomic writes data crash-consistently: temp file in the target's

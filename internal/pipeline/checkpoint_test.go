@@ -11,11 +11,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/kmer"
 	"repro/internal/mpi/wire"
 	"repro/internal/readsim"
 )
@@ -443,7 +445,10 @@ func rewriteRankFile(t *testing.T, stageDir string, rank int, edit func(*ckptRan
 // (2) a post-CountKmer checkpoint whose
 // triples are out of order, duplicated, or another rank's reads is refused at
 // load, naming rank and file, instead of panicking inside DetectOverlap's
-// collective construction of A.
+// collective construction of A — and so is (3) one whose column count is
+// negative, exceeds the reads' k-mer windows or differs between ranks, whose
+// occurrence is no window of its read, whose k is not the engine's, or that
+// carries another stage's payload.
 func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 	reads := testReads(5000, 673)
 	opt := DefaultOptions(4)
@@ -513,6 +518,30 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteRankFile(t, stageDir, 2, edit)
 			refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "row-major order")
+		})
+	}
+	// The rest of the payload fails closed too: the column count, which sizes
+	// A on resume, is bounded by the reads' k-mer windows and must be the
+	// same on every rank; each occurrence is a window of its read; and a file
+	// carries its stage's payload only.
+	for name, c := range map[string]struct {
+		edit func(ck *ckptRank)
+		want string
+	}{
+		"negative column count":              {func(ck *ckptRank) { ck.KmerNumCols = -1 }, "-1 k-mer columns, outside [0,"},
+		"column count past the windows":      {func(ck *ckptRank) { ck.KmerNumCols = math.MaxInt32 }, "k-mer columns, outside [0,"},
+		"ranks disagree on the column count": {func(ck *ckptRank) { ck.KmerNumCols++ }, "another rank's file"},
+		"occurrence past its read": {func(ck *ckptRank) {
+			last := &ck.KmerTriples[len(ck.KmerTriples)-1]
+			last.Val = kmer.MakeOccur(int32(len(reads[last.Row])-opt.K+1), false)
+		}, "is no window of read"},
+		"another k":               {func(ck *ckptRank) { ck.KmerK++ }, "k = 22"},
+		"another stage's payload": {func(ck *ckptRank) { ck.HasCands = true }, `payload other than stage "CountKmer"'s`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, stageDir := write(t)
+			rewriteRankFile(t, stageDir, 2, c.edit)
+			refused(t, dir, stageDir, c.want)
 		})
 	}
 	// An untouched rewrite loads: the helpers themselves do not break a file.
@@ -655,6 +684,88 @@ func FuzzLoadCheckpointManifest(f *testing.F) {
 		}
 		if got, want := contigChecksum(out), contigChecksum(ref); got != want {
 			t.Fatalf("resumed contigs %s, reference %s", got, want)
+		}
+	})
+}
+
+// fuzzCkptReads is the read set behind FuzzReadRankCheckpoint: 300 bases at
+// depth 3, so a P = 1 post-CountKmer rank file — and each committed seed —
+// is a few kilobytes.
+func fuzzCkptReads() [][]byte {
+	genome := readsim.Genome(readsim.GenomeConfig{Length: 300, Seed: 683})
+	return readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 3, MeanLen: 120, Seed: 684}))
+}
+
+// FuzzReadRankCheckpoint feeds arbitrary bytes to readRankCheckpoint as rank
+// 0's file of a committed P = 1 post-CountKmer checkpoint, with the manifest's
+// hash recomputed for them, so the decoder and its validation — not the
+// integrity check in front of them — are what the input reaches
+// (testdata/fuzz holds the real file and one seed per refusal). The call must
+// never panic, and a checkpoint it accepts must satisfy every invariant its
+// doc comment lists, checked here independently of it.
+func FuzzReadRankCheckpoint(f *testing.F) {
+	reads := fuzzCkptReads()
+	opt := DefaultOptions(1)
+	opt.K = 21
+	dir := f.TempDir()
+	ckOpt := opt
+	ckOpt.CheckpointDir = dir
+	eng, err := Plan(ckOpt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	arts, err := eng.RunUntil(context.Background(), reads, StageCountKmer)
+	if err != nil {
+		f.Fatal(err)
+	}
+	arts.Close()
+	stageDir, man, err := LatestCheckpoint(dir)
+	if err != nil || man == nil {
+		f.Fatalf("no committed checkpoint (manifest %v, err %v)", man, err)
+	}
+	realFile := filepath.Join(stageDir, rankFile(0))
+	if ck, err := readRankCheckpoint(realFile, man, 0, opt, reads); err != nil || len(ck.KmerTriples) == 0 {
+		f.Fatalf("the committed rank file is refused (%v) or holds no k-mers", err)
+	}
+	var windows int64
+	for _, r := range reads {
+		if len(r) >= opt.K {
+			windows += int64(len(r) - opt.K + 1)
+		}
+	}
+	path := filepath.Join(f.TempDir(), rankFile(0)) // a worker runs its inputs one at a time
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if err := os.WriteFile(path, frame, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		m := *man
+		sum := sha256.Sum256(frame)
+		m.RankHashes = []string{hex.EncodeToString(sum[:])}
+		ck, err := readRankCheckpoint(path, &m, 0, opt, reads)
+		if err != nil {
+			return
+		}
+		if ck.Schema != ckptSchema || ck.Rank != 0 || ck.P != 1 || ck.Stage != StageCountKmer || ck.Fingerprint != man.Fingerprint {
+			t.Fatalf("accepted a file describing schema %d, rank %d of %d, stage %q, fingerprint %.12s…", ck.Schema, ck.Rank, ck.P, ck.Stage, ck.Fingerprint)
+		}
+		if !ck.HasOverlap || !ck.HasKmers || ck.HasCands || ck.HasR || ck.HasSG {
+			t.Fatalf("accepted a CountKmer file with payload flags overlap=%t kmers=%t cands=%t r=%t sg=%t", ck.HasOverlap, ck.HasKmers, ck.HasCands, ck.HasR, ck.HasSG)
+		}
+		if int(ck.KmerK) != opt.K || ck.KmerNumCols < 0 || int64(ck.KmerNumCols) > windows {
+			t.Fatalf("accepted k = %d with %d columns (engine k = %d, %d windows)", ck.KmerK, ck.KmerNumCols, opt.K, windows)
+		}
+		for i, tr := range ck.KmerTriples {
+			if tr.Row < 0 || int(tr.Row) >= len(reads) || tr.Col < 0 || tr.Col >= ck.KmerNumCols {
+				t.Fatalf("accepted triple %d (%d,%d) outside %d reads x %d columns", i, tr.Row, tr.Col, len(reads), ck.KmerNumCols)
+			}
+			if i > 0 {
+				if p := ck.KmerTriples[i-1]; tr.Row < p.Row || tr.Row == p.Row && tr.Col <= p.Col {
+					t.Fatalf("accepted triple %d (%d,%d) after (%d,%d)", i, tr.Row, tr.Col, p.Row, p.Col)
+				}
+			}
+			if end := int(tr.Val.Pos()) + opt.K; end > len(reads[tr.Row]) {
+				t.Fatalf("accepted an occurrence ending at %d in read %d of length %d", end, tr.Row, len(reads[tr.Row]))
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package spmat
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -298,9 +299,10 @@ func (a *Dist[T]) MaskRowsCols(ids []int32) {
 // at all. A masked cell is never multiplied, never accumulated and never
 // counted, so the result equals the unmasked product followed by Apply(mask)
 // at the cost of the kept cells only. The zero Mask keeps every cell. The
-// multiply selects its product loop from the mask once, so the checkerboard —
-// a pure function of the indices — is tested inline, and only a KeepFunc mask
-// pays a call per product.
+// multiply selects its product loop from the mask once: the checkerboard — a
+// pure function of the indices — asks nothing per product, because each A
+// column run is split into parity sub-runs whose kept rows are a prefix and a
+// suffix (see SpGEMMCounted); only a KeepFunc mask pays a call per product.
 type Mask struct {
 	checkerboard bool
 	keep         func(row, col int32) bool
@@ -309,23 +311,14 @@ type Mask struct {
 // Checkerboard is the mask of a symmetric product whose pairs must each be
 // formed exactly once. Keeping only the upper triangle would idle the
 // lower-triangle ranks of the grid, so the surviving direction of each pair is
-// chosen checkerboard-style — (min,max) when row+col is even, (max,min) when
-// odd — which splits the work evenly across both triangles. The diagonal is
-// dropped.
+// chosen checkerboard-style — equal parity keeps row < col, unequal parity
+// row > col — which splits the work evenly across both triangles. The
+// diagonal is dropped.
 func Checkerboard() Mask { return Mask{checkerboard: true} }
 
 // KeepFunc masks with an arbitrary predicate, asked before each product is
 // formed.
 func KeepFunc(keep func(row, col int32) bool) Mask { return Mask{keep: keep} }
-
-// keepsCheckerboard is the Checkerboard predicate: equal parity keeps
-// row < col, unequal parity row > col.
-func keepsCheckerboard(row, col int32) bool {
-	if (row^col)&1 == 0 {
-		return row < col
-	}
-	return row > col
-}
 
 // SpGEMM computes A ⊗ B with the SUMMA algorithm: √P stages; in stage s the
 // ranks of grid column s broadcast their A blocks along their grid row, the
@@ -348,6 +341,15 @@ func SpGEMM[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C]) *Dist[C] 
 // cross-round merge is the radix path of NewCOO with the semiring Add as the
 // combiner (Add is associative and commutative — the precondition SUMMA's
 // stage-order-independent accumulation already imposes).
+//
+// Under the Checkerboard mask no product asks the mask. Each received A panel
+// — a fresh decoded copy on every rank, the root's included, so a and b are
+// never touched — has every column run reordered in place: even rows first,
+// then odd rows, both still ascending. For output column j the kept rows are
+// then a prefix of the sub-run of j's parity (rows < j) and a suffix of the
+// other (rows > j), walked until the first row that fails: one loop exit per
+// run instead of one unpredictable branch per product. A cell's products still
+// arrive in B's row order, so every semiring sees the same fold sequence.
 func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
@@ -361,7 +363,9 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 	var ts []Triple[C]
 	lane := g.Comm.Lane()
 	panelNnz := g.Comm.Metrics().Histogram("spmat.panel_nnz")
-	var evaluated int64 // products formed; a local, published once, not *products++ per product
+	var evaluated int64     // products formed; a local, published once, not *products++ per product
+	var mid []int32         // checkerboard: run k's odd rows start at mid[k]
+	var scratch []Triple[A] // checkerboard: one run's odd rows during the split
 
 	// post starts the round-s panel broadcasts, A then B on every rank, so
 	// tag sequences line up.
@@ -395,6 +399,9 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 		// column accumulated in the SPA.
 		kLo, kHi := grid.BlockRange(int(a.NC), g.Dim, s)
 		starts := columnStarts(ablk, kLo, kHi)
+		if mask.checkerboard {
+			mid, scratch = splitParity(ablk, starts, mid, scratch)
+		}
 		for lo := 0; lo < len(bblk); {
 			j := bblk[lo].Col
 			hi := lo + 1
@@ -407,12 +414,19 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 				run := ablk[starts[kidx]:starts[kidx+1]]
 				switch {
 				case mask.checkerboard:
-					for _, at := range run {
-						if keepsCheckerboard(at.Row, j) {
-							evaluated++
-							fold(acc, at.Row-out.RowLo, at.Val, bt.Val, &sr)
-						}
+					same, other := ablk[starts[kidx]:mid[kidx]], ablk[mid[kidx]:starts[kidx+1]]
+					if j&1 == 1 {
+						same, other = other, same
 					}
+					n := 0
+					for ; n < len(same) && same[n].Row < j; n++ {
+						fold(acc, same[n].Row-out.RowLo, same[n].Val, bt.Val, &sr)
+					}
+					i := len(other) - 1
+					for ; i >= 0 && other[i].Row > j; i-- {
+						fold(acc, other[i].Row-out.RowLo, other[i].Val, bt.Val, &sr)
+					}
+					evaluated += int64(n + len(other) - 1 - i)
 				case mask.keep != nil:
 					for _, at := range run {
 						if mask.keep(at.Row, j) {
@@ -446,23 +460,52 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 
 // columnStarts indexes a canonical column-major panel whose columns lie in
 // [kLo, kHi): column k's triples are panel[starts[k-kLo]:starts[k-kLo+1]].
-// The panel arrived from another rank, so its column range and clustering are
-// checked, not assumed.
+// The panel arrived from another rank, so its column range, its clustering
+// and the strict ascent of rows within each column — which the checkerboard's
+// prefix/suffix cut relies on — are checked, not assumed.
 func columnStarts[T any](panel []Triple[T], kLo, kHi int) []int32 {
 	span := kHi - kLo
 	starts := make([]int32, span+1)
-	prev := int32(kLo)
+	prev, prevRow := int32(kLo), int32(math.MinInt32)
 	for _, t := range panel {
 		if t.Col < prev || int(t.Col) >= kHi {
 			panic(fmt.Sprintf("spmat: SUMMA panel column %d after %d is outside [%d,%d) or not column-major", t.Col, prev, kLo, kHi))
 		}
-		prev = t.Col
+		if t.Col == prev && t.Row <= prevRow {
+			panic(fmt.Sprintf("spmat: SUMMA panel row %d after %d in column %d does not strictly ascend", t.Row, prevRow, t.Col))
+		}
+		prev, prevRow = t.Col, t.Row
 		starts[int(t.Col)-kLo+1]++
 	}
 	for i := 0; i < span; i++ {
 		starts[i+1] += starts[i]
 	}
 	return starts
+}
+
+// splitParity reorders every column run of an indexed panel in place so its
+// even rows precede its odd rows, both still ascending, and returns where each
+// run's odd rows start (mid[k], a panel index) with the scratch that held one
+// run's odd rows; mid and scratch are reused across rounds.
+func splitParity[T any](panel []Triple[T], starts, mid []int32, scratch []Triple[T]) ([]int32, []Triple[T]) {
+	mid = slices.Grow(mid[:0], len(starts)-1)[:len(starts)-1]
+	for k := range mid {
+		run := panel[starts[k]:starts[k+1]]
+		odd := scratch[:0]
+		even := 0
+		for _, t := range run {
+			if t.Row&1 == 0 {
+				run[even] = t
+				even++
+			} else {
+				odd = append(odd, t)
+			}
+		}
+		copy(run[even:], odd)
+		mid[k] = starts[k] + int32(even)
+		scratch = odd
+	}
+	return mid, scratch
 }
 
 // DistVec is a dense vector block-distributed across all P ranks in

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -358,15 +360,29 @@ func TestScatterMin(t *testing.T) {
 	})
 }
 
-// TestMaskedSpGEMMMatchesMapThenApply pins the fused kernel — mask asked
+// parityTriples is globalTriples with long single-parity runs mixed in: of
+// the columns, a third keep only their even rows and a third only their odd
+// rows.
+func parityTriples(rng *rand.Rand, nr, nc int32, density float64) []Triple[int64] {
+	return slices.DeleteFunc(globalTriples(rng, nr, nc, density), func(t Triple[int64]) bool {
+		return t.Col%3 < 2 && t.Row%2 != t.Col%3
+	})
+}
+
+// TestMaskedSpGEMMMatchesMapThenApply pins the fused kernel — mask applied
 // before the product, product folded in place — to the map oracle followed by
 // a post-hoc Apply(keep), block by block (so empty blocks must be the same
-// canonical nil on both sides), on random rectangular shapes, every mask
-// shape, a plain and an annihilating semiring, both schedules. The product
-// counter must equal the unmasked products that land on kept cells,
-// annihilated ones included. The checkerboard runs twice — through the
-// inlined product loop (Checkerboard) and as a KeepFunc callback — against
-// one reference, so the two loops are held equal in result and products.
+// canonical nil on both sides), every mask shape, a plain and an annihilating
+// semiring, both schedules, P ∈ {1, 4, 9, 16}. Shapes are random small
+// rectangles, then outputs of at least 200×200 over a short inner dimension,
+// so A's column runs are long, a third of them even rows only and a third odd
+// rows only, and grid blocks lie wholly above or below the diagonal. The
+// product counter must equal the brute-force count of products on kept cells,
+// annihilated ones included. The checkerboard runs twice — through its parity
+// sub-runs (Checkerboard) and as a KeepFunc callback — against one reference.
+// Neither operand may change on any rank: the split reorders the decoded
+// panel copy only, so an IBcast that handed the root its own block would fail
+// here.
 func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 	type maskCase struct {
 		mask Mask
@@ -374,13 +390,19 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 	}
 	semirings := []Semiring[int64, int64, int64]{plusTimes, valueSemiring(oddProduct, plus)}
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 24; trial++ {
+	for trial := 0; trial < 28; trial++ {
 		nr, k, nc := int32(1+rng.Intn(30)), int32(1+rng.Intn(30)), int32(1+rng.Intn(30))
-		aT := globalTriples(rng, nr, k, rng.Float64()*0.4)
-		bT := globalTriples(rng, k, nc, rng.Float64()*0.4)
+		aDensity, bDensity := rng.Float64()*0.4, rng.Float64()*0.4
+		gen := globalTriples
+		if trial >= 24 {
+			nr, k, nc = int32(200+rng.Intn(60)), int32(4+rng.Intn(12)), int32(200+rng.Intn(60))
+			aDensity, bDensity, gen = 0.3, 0.3, parityTriples
+		}
+		aT := gen(rng, nr, k, aDensity)
+		bT := globalTriples(rng, k, nc, bDensity)
 		salt := rng.Int31()
 		// Each mask with the predicate it must equal; the checkerboard appears
-		// as the inlined loop and as a callback.
+		// as parity sub-runs and as a callback.
 		all := func(_, _ int32) bool { return true }
 		checker := func(r, c int32) bool { return r != c && ((r+c)%2 == 0) == (r < c) }
 		fn := func(keep func(r, c int32) bool) maskCase { return maskCase{KeepFunc(keep), keep} }
@@ -406,11 +428,13 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 					}
 				}
 			}
-			for _, p := range []int{1, 4, 9} {
+			for _, p := range gridSizes {
 				err := mpi.Run(p, func(c *mpi.Comm) {
 					g := grid.New(c)
 					a := FromGlobalTriples(g, nr, k, aT, nil)
 					b := FromGlobalTriples(g, k, nc, bT, nil)
+					aWas, bWas := a.Local, b.Local
+					aWas.Ts, bWas.Ts = slices.Clone(aWas.Ts), slices.Clone(bWas.Ts)
 					want := FromGlobalTriples(g, nr, nc, ref.Ts, nil)
 					want.Apply(func(r, c int32, v int64) (int64, bool) { return v, keep(r, c) })
 					var prodSync, prodAsync int64
@@ -419,6 +443,9 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 						mpitest.InMode(c, i == 1, func() { got = SpGEMMCounted(a, b, sr, mask, prod) })
 						if !reflect.DeepEqual(got.Local, want.Local) {
 							panic(fmt.Sprintf("masked SpGEMM block differs from multiplyMap+Apply\n got %v\nwant %v", got.Local, want.Local))
+						}
+						if !reflect.DeepEqual(a.Local, aWas) || !reflect.DeepEqual(b.Local, bWas) {
+							panic("SpGEMM changed an operand's local block")
 						}
 					}
 					sum := func(x, y int64) int64 { return x + y }
@@ -430,6 +457,30 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 					t.Fatalf("trial %d (%dx%dx%d) mask=%s P=%d: %v", trial, nr, k, nc, name, p, err)
 				}
 			}
+		}
+	}
+}
+
+// TestSpGEMMRefusesUnsortedPanelRows: the checkerboard's prefix/suffix cut is
+// correct only if every A column's rows strictly ascend, so indexing the
+// panel panics on a row that does not follow its predecessor — a hand-built
+// P = 1 block, past NewCOO's canonical form, whose column 1 holds its rows
+// descending or one row twice.
+func TestSpGEMMRefusesUnsortedPanelRows(t *testing.T) {
+	tr := func(r, c int32) Triple[int64] { return Triple[int64]{Row: r, Col: c, Val: 1} }
+	for name, ts := range map[string][]Triple[int64]{
+		"descending": {tr(0, 0), tr(5, 1), tr(2, 1), tr(3, 2)},
+		"repeated":   {tr(0, 0), tr(2, 1), tr(2, 1), tr(3, 2)},
+	} {
+		err := mpi.Run(1, func(c *mpi.Comm) {
+			g := grid.New(c)
+			a := FromGlobalTriples[int64](g, 8, 3, nil, nil)
+			a.Local.Ts = ts
+			b := FromGlobalTriples(g, 3, 8, []Triple[int64]{tr(1, 4)}, nil)
+			SpGEMMCounted(a, b, plusTimes, Checkerboard(), nil)
+		})
+		if err == nil || !strings.Contains(err.Error(), "does not strictly ascend") {
+			t.Errorf("%s: error %v, want a panic naming the row order", name, err)
 		}
 	}
 }
