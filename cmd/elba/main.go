@@ -13,8 +13,8 @@
 // Execution is hybrid: -p simulated ranks × -threads intra-rank workers on
 // the alignment and k-mer hot paths (default: GOMAXPROCS split across
 // ranks), with nonblocking communication overlapping the SUMMA, k-mer and
-// sequence exchanges against local computation (-comm sync for the blocking
-// baseline). Contigs are bit-identical for every -threads and -comm value.
+// sequence exchanges against local computation. Contigs are bit-identical
+// for every -threads value.
 // The flags resolve to one validated option set (pipeline.Resolve, the
 // function elbad's job specs go through too) and the run is an engine call
 // under a context, so an interrupt (Ctrl-C) cancels the stage graph cleanly:
@@ -92,6 +92,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/elba"
@@ -114,15 +115,15 @@ const (
 // optionFlags are the flags that determine the run's pipeline.Options: the
 // job description proper, as opposed to where inputs and outputs live.
 type optionFlags struct {
-	common           elba.Flags
-	preset           string
-	p, np            int
+	preset, backend  string
+	p, np, threads   int
 	k, xdrop, trfuzz int
 }
 
 func (f *optionFlags) register(fs *flag.FlagSet) {
-	f.common.Register(fs)
 	fs.StringVar(&f.preset, "preset", "", "simulate a dataset: celegans | osativa | hsapiens")
+	fs.StringVar(&f.backend, "backend", elba.BackendXDrop, "alignment backend: "+strings.Join(elba.AlignBackends(), " | "))
+	fs.IntVar(&f.threads, "threads", 0, "intra-rank workers for the alignment/k-mer hot paths (0 = GOMAXPROCS split across ranks)")
 	fs.IntVar(&f.p, "p", 4, "simulated ranks (perfect square: 1,4,9,16,…)")
 	fs.IntVar(&f.np, "np", 0, "alias for -p (mpirun-style spelling, e.g. -transport proc -np 4)")
 	fs.IntVar(&f.k, "k", 0, "k-mer length override (default: preset/paper value)")
@@ -138,14 +139,10 @@ func (f *optionFlags) options() (pipeline.Options, error) {
 	if f.np > 0 {
 		p = f.np
 	}
-	opt, err := pipeline.Resolve(f.preset, p, pipeline.Overrides{
-		Threads: f.common.Threads, K: f.k, XDrop: int32(f.xdrop),
-		TRFuzz: int32(f.trfuzz), Backend: f.common.Backend,
+	return pipeline.Resolve(f.preset, p, pipeline.Overrides{
+		Threads: f.threads, K: f.k, XDrop: int32(f.xdrop),
+		TRFuzz: int32(f.trfuzz), Backend: f.backend,
 	})
-	if err != nil {
-		return opt, err
-	}
-	return opt, f.common.Apply(&opt)
 }
 
 func main() {
@@ -167,6 +164,7 @@ func main() {
 		traceOut    = flag.String("traceout", "", "write a Perfetto-loadable event trace (JSON) here")
 		metricsOut  = flag.String("metrics", "", "write the per-rank + merged metrics snapshot (JSON) here")
 		manifestOut = flag.String("manifest", "", "write the machine-readable RUN.json run manifest here")
+		transport   = flag.String("transport", elba.TransportInproc, "rank transport: inproc (goroutines + mailboxes) | tcp (loopback socket mesh) | proc (one OS process per rank); contigs are identical on all")
 		checkpoint  = flag.String("checkpoint", "", "write durable checkpoints under this directory after completed stages, enabling -resume and supervised proc recovery")
 		ckptEvery   = flag.String("checkpoint-every", "", "which stage boundaries to checkpoint: all (default) or one stage name")
 		resume      = flag.String("resume", "", "finish a run from the most advanced committed checkpoint under this directory (same input and algorithmic options required)")
@@ -227,7 +225,7 @@ func main() {
 		switch {
 		case worker != nil:
 			log.Fatal("-join cannot be combined with the proc launcher environment")
-		case opt.Transport == elba.TransportProc:
+		case *transport == elba.TransportProc:
 			log.Fatal("-join launches each rank independently; use -transport tcp, not proc")
 		case *rank < 0 || *rank >= opt.P:
 			log.Fatalf("-join needs -rank in 0 … %d (got %d)", opt.P-1, *rank)
@@ -240,15 +238,18 @@ func main() {
 	} else if *rank >= 0 {
 		log.Fatal("-rank only makes sense with -join")
 	}
-	if opt.Transport == elba.TransportProc && worker == nil {
+	if *transport == elba.TransportProc && worker == nil {
 		os.Exit(launchProc(opt.P, *checkpoint, *maxRestarts))
 	}
 	// Non-zero ranks compute but stay silent: results are gathered at rank 0,
 	// whose process alone prints summaries and writes output files.
 	quiet := worker != nil && worker.rank > 0
 
+	// Deployment settings sit on top of the resolved job description; Plan
+	// judges them with the rest (an unknown -transport fails there, once).
 	opt.CheckpointDir = *checkpoint
 	opt.CheckpointEvery = *ckptEvery
+	opt.Transport = *transport
 	if worker != nil {
 		opt.Transport = worker.transport
 		opt.NewWorld = worker.newWorld()

@@ -48,6 +48,7 @@ func TestFlagsAndJobSpecAgree(t *testing.T) {
 		{[]string{"-preset", "hsapiens", "-np", "16"}, serve.JobSpec{Preset: "hsapiens", P: 16}},
 		{[]string{"-preset", "celegans", "-p", "4", "-k", "19", "-x", "9", "-trfuzz", "300", "-backend", "wfa", "-threads", "2"},
 			serve.JobSpec{Preset: "celegans", P: 4, K: 19, XDrop: 9, TRFuzz: 300, Backend: "wfa", Threads: 2}},
+		{[]string{"-preset", "celegans", "-p", "4", "-backend", "xdrop"}, serve.JobSpec{Preset: "celegans", P: 4}},
 		{[]string{"-preset", "osativa", "-p", "3", "-k", "-5", "-trfuzz", "-3"},
 			serve.JobSpec{Preset: "osativa", P: 3, K: -5, TRFuzz: -3}},
 		{[]string{"-preset", "martian"}, serve.JobSpec{Preset: "martian"}},
@@ -83,6 +84,7 @@ func TestBadFlagsFailOnce(t *testing.T) {
 		{"-preset celegans -k -5 -x -2", "Options.K"},
 		{"-preset celegans -k -5 -x -2", "Options.XDrop"},
 		{"-preset celegans -trfuzz -3", "Options.TRFuzz"},
+		{"-preset celegans -transport carrier-pigeon", "Options.Transport"},
 		{"-preset celegans -transport proc -np 3", "Options.P"},
 		{"-preset celegans -transport proc -np 4 -k -5", "Options.K"},
 		{"-preset celegans -transport proc -np 4 -size -5", "genome length -5"},

@@ -6,8 +6,10 @@
 //	experiments -exp fig4 -scale 0.5
 //
 // Experiments: env (Table 1), table2, fig4, fig5, fig6, table3, table4,
-// contigphase (§6.1 claim), ablation, commoverlap (blocking vs nonblocking
-// communication and the comm_overlap/comm_exposed split; self-checking).
+// contigphase (§6.1 claim), ablation.
+//
+// Every run's options come from pipeline.Resolve — the door cmd/elba and
+// elbad use — with -backend and -threads as its only overrides.
 //
 // This command owns the paper's tables and figures only. Wall-clock,
 // allocation, RSS and throughput numbers belong to benchmark/ (the spine);
@@ -16,7 +18,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -29,9 +30,7 @@ import (
 
 	"repro/elba"
 
-	"repro/internal/align"
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
@@ -43,11 +42,10 @@ import (
 var (
 	scale   = flag.Float64("scale", 1.0, "dataset size multiplier")
 	seed    = flag.Int64("seed", 7, "dataset seed")
-	exp     = flag.String("exp", "all", "env|table2|fig4|fig5|fig6|table3|table4|contigphase|ablation|commoverlap|all")
+	exp     = flag.String("exp", "all", "env|table2|fig4|fig5|fig6|table3|table4|contigphase|ablation|all")
 	network = flag.String("net", "aries", "network model: aries|infiniband")
-	// common holds the -backend/-threads/-comm/-transport execution knobs
-	// shared with cmd/elba (elba.Flags, registered in main).
-	common elba.Flags
+	backend = flag.String("backend", elba.BackendXDrop, "alignment backend: "+strings.Join(elba.AlignBackends(), " | "))
+	threads = flag.Int("threads", 0, "intra-rank workers for the alignment/k-mer hot paths (0 = GOMAXPROCS split across ranks)")
 )
 
 func net() perfmodel.Network {
@@ -100,18 +98,14 @@ var experiments = []experiment{
 	{"table4", table4},
 	{"contigphase", contigPhase},
 	{"ablation", ablation},
-	{"commoverlap", commOverlapTable},
 }
 
 func main() {
 	log.SetFlags(0)
-	common.Register(flag.CommandLine)
 	flag.Parse()
-	// Judge the shared flags once, before minutes of runs: every option set
-	// below is a preset base with these same four values applied.
-	if err := presetOptions(readsim.CElegansLike, 1).Validate(); err != nil {
-		log.Fatal(err)
-	}
+	// Judge the flags once, before minutes of runs: every option set below
+	// resolves these same two overrides.
+	presetOptions(readsim.CElegansLike, 1)
 	which := strings.Split(*exp, ",")
 	for _, w := range which {
 		if w != "all" && !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == w }) {
@@ -128,9 +122,6 @@ func main() {
 func header(title string) {
 	fmt.Printf("\n## %s\n\n", title)
 }
-
-// alignOf derives the aligner parameters from pipeline options.
-func alignOf(o pipeline.Options) align.Params { return align.DefaultParams(o.XDrop) }
 
 // envTable is the Table 1 substitute: the simulated platform.
 func envTable() {
@@ -168,12 +159,16 @@ func table2() {
 // P, backend) run, and the runs dominate the suite's wall time.
 var runCache = map[string]*pipeline.Output{}
 
-// presetOptions is the preset's parameter set at P ranks under the shared
-// -backend, -threads, -comm and -transport flags — the same Flags.Apply path
-// cmd/elba takes, so every table runs on the transport the flag names.
+// presetOptions resolves the preset at P ranks with the -backend and
+// -threads overrides through pipeline.Resolve, the door every command uses.
 func presetOptions(preset readsim.Preset, p int) pipeline.Options {
-	opt := pipeline.PresetOptions(preset, p)
-	if err := common.Apply(&opt); err != nil {
+	return resolve(preset, p, *threads)
+}
+
+// resolve is presetOptions with an explicit thread count.
+func resolve(preset readsim.Preset, p, threads int) pipeline.Options {
+	opt, err := pipeline.Resolve(preset.Name(), p, pipeline.Overrides{Backend: *backend, Threads: threads})
+	if err != nil {
 		log.Fatal(err)
 	}
 	return opt
@@ -190,7 +185,7 @@ func runOptions(preset readsim.Preset, opt pipeline.Options) (*pipeline.Output, 
 	ds := readsim.Generate(preset, sizeOf(preset), *seed)
 	// Key on the resolved worker count so an auto-split run and an explicit
 	// run at the same effective width share one cache entry.
-	key := fmt.Sprintf("%d/%d/%d/%v", int(preset), opt.P, opt.EffectiveThreads(), opt.Async)
+	key := fmt.Sprintf("%d/%d/%d", int(preset), opt.P, opt.EffectiveThreads())
 	if out, ok := runCache[key]; ok {
 		return out, ds
 	}
@@ -205,12 +200,9 @@ func runOptions(preset readsim.Preset, opt pipeline.Options) (*pipeline.Output, 
 // calibration derives per-stage rates from a P=1, Threads=1 run of the
 // preset: perfmodel rates mean single-worker throughput, so the calibration
 // run pins Threads rather than inheriting -threads or the GOMAXPROCS
-// auto-split (StageTimeT would otherwise divide an already-threaded rate by
-// the Amdahl speedup a second time).
+// auto-split.
 func calibration(preset readsim.Preset, stages []string) perfmodel.Calibration {
-	opt := presetOptions(preset, 1)
-	opt.Threads = 1
-	base, _ := runOptions(preset, opt)
+	base, _ := runOptions(preset, resolve(preset, 1, 1))
 	return perfmodel.Calibrate(base.Stats.Timers, stages)
 }
 
@@ -271,13 +263,7 @@ func table3() {
 	for _, preset := range []readsim.Preset{readsim.CElegansLike, readsim.OSativaLike} {
 		ds := readsim.Generate(preset, sizeOf(preset), *seed)
 		reads := readsim.Seqs(ds.Reads)
-		opt := pipeline.PresetOptions(preset, 1)
-		bcfg := baseline.Config{
-			K: opt.K, ReliableLow: opt.ReliableLow, ReliableHigh: opt.ReliableHigh,
-			Align: alignOf(opt), MinOverlap: opt.MinOverlap,
-			MinScoreFrac: opt.MinScoreFrac, MaxOverhang: opt.MaxOverhang,
-			Threads: runtime.NumCPU(),
-		}
+		bcfg := elba.BaselineFromOptions(presetOptions(preset, 1), runtime.NumCPU())
 		t0 := time.Now()
 		bres := baseline.BestOverlapAssemble(reads, bcfg)
 		bTime := time.Since(t0).Seconds()
@@ -307,7 +293,8 @@ func table4() {
 	fmt.Printf("| tool | organism | completeness %% | longest contig | contigs | misassembled |\n")
 	fmt.Printf("|---|---|---|---|---|---|\n")
 	for _, preset := range []readsim.Preset{readsim.OSativaLike, readsim.CElegansLike} {
-		out, ds := runPreset(preset, 4)
+		opt := presetOptions(preset, 4)
+		out, ds := runOptions(preset, opt)
 		seqs := make([][]byte, len(out.Contigs))
 		for i, c := range out.Contigs {
 			seqs[i] = c.Seq
@@ -316,14 +303,7 @@ func table4() {
 		fmt.Printf("| ELBA (this repro) | %s | %.2f | %d | %d | %d |\n",
 			ds.Name, rep.Completeness, rep.LongestContig, rep.NumContigs, rep.Misassemblies)
 
-		opt := pipeline.PresetOptions(preset, 1)
-		bcfg := baseline.Config{
-			K: opt.K, ReliableLow: opt.ReliableLow, ReliableHigh: opt.ReliableHigh,
-			Align: alignOf(opt), MinOverlap: opt.MinOverlap,
-			MinScoreFrac: opt.MinScoreFrac, MaxOverhang: opt.MaxOverhang,
-			Threads: runtime.NumCPU(),
-		}
-		bres := baseline.BestOverlapAssemble(readsim.Seqs(ds.Reads), bcfg)
+		bres := baseline.BestOverlapAssemble(readsim.Seqs(ds.Reads), elba.BaselineFromOptions(opt, runtime.NumCPU()))
 		bseqs := make([][]byte, len(bres.Contigs))
 		for i, c := range bres.Contigs {
 			bseqs[i] = c.Seq
@@ -348,88 +328,6 @@ func table4() {
 		"HiCanu 25.94%/37.5Mb/168/2. (C. elegans): ELBA 98.93%/0.313Mb/4287/5; " +
 		"Hifiasm 99.96%/6.44Mb/133/0; HiCanu 99.90%/18.3Mb/32/2. The comparators' " +
 		"polishing is the source of their fewer/longer contigs (§6.2).")
-}
-
-// commOverlapTable is the sync-vs-async head-to-head: the same dataset
-// assembled with blocking collectives and with the nonblocking layer,
-// comparing per-stage traffic, its comm_overlap/comm_exposed split, and the
-// modeled stage times under the perfmodel overlap term. The two runs must
-// produce bit-identical contigs and identical byte/message counters; the
-// only modeled difference is the communication the async schedule hides
-// behind computation.
-func commOverlapTable() {
-	header("Compute/communication overlap: blocking vs nonblocking")
-	preset := readsim.CElegansLike
-	const p = 16
-	stages := append(append([]string{}, pipeline.MainStages...), pipeline.ContigStages...)
-	cal := calibration(preset, stages)
-	opt := presetOptions(preset, p)
-	opt.Async = false
-	syncOut, _ := runOptions(preset, opt)
-	opt.Async = true
-	asyncOut, ds := runOptions(preset, opt)
-
-	if !sameContigs(syncOut.Contigs, asyncOut.Contigs) {
-		log.Fatalf("commoverlap: contigs differ between blocking and nonblocking runs")
-	}
-	if syncOut.Stats.CommBytes != asyncOut.Stats.CommBytes || syncOut.Stats.CommMsgs != asyncOut.Stats.CommMsgs {
-		log.Fatalf("commoverlap: traffic differs between modes: %d/%d bytes, %d/%d msgs",
-			syncOut.Stats.CommBytes, asyncOut.Stats.CommBytes, syncOut.Stats.CommMsgs, asyncOut.Stats.CommMsgs)
-	}
-
-	fmt.Printf("dataset %s, P=%d, backend=%s; %d reads, %.2f MB traffic, %d messages (identical in both modes)\n\n",
-		ds.Name, p, common.Backend, asyncOut.Stats.NumReads, float64(asyncOut.Stats.CommBytes)/1e6, asyncOut.Stats.CommMsgs)
-	fmt.Printf("| stage | comm (MB) | msgs | overlap (MB) | exposed (MB) | modeled sync (ms) | modeled async (ms) | hidden |\n")
-	fmt.Printf("|---|---|---|---|---|---|---|---|\n")
-	var tSync, tAsync float64
-	for _, s := range stages {
-		es := syncOut.Stats.Timers.Get(s)
-		ea := asyncOut.Stats.Timers.Get(s)
-		if ea.SumOverlapBytes+ea.SumExposedBytes() != ea.SumBytes {
-			log.Fatalf("commoverlap: %s overlap+exposed != total (%d+%d != %d)",
-				s, ea.SumOverlapBytes, ea.SumExposedBytes(), ea.SumBytes)
-		}
-		if es.SumOverlapBytes != 0 {
-			log.Fatalf("commoverlap: blocking run reports %d overlap bytes in %s", es.SumOverlapBytes, s)
-		}
-		ms := 1000 * perfmodel.StageTime(syncOut.Stats.Timers, s, cal, net())
-		ma := 1000 * perfmodel.StageTime(asyncOut.Stats.Timers, s, cal, net())
-		// CG:* sub-stages nest inside ExtractContig: keep them out of the
-		// totals but show their split.
-		if !strings.HasPrefix(s, "CG:") {
-			tSync += ms
-			tAsync += ma
-		}
-		fmt.Printf("| %s | %.2f | %d | %.2f | %.2f | %.2f | %.2f | %.0f%% |\n",
-			s, float64(ea.SumBytes)/1e6, ea.MaxMsgs,
-			float64(ea.SumOverlapBytes)/1e6, float64(ea.SumExposedBytes())/1e6,
-			ms, ma, 100*(1-safeDiv(ma, ms)))
-	}
-	fmt.Printf("| **pipeline total** | | | | | %.2f | %.2f | %.0f%% |\n", tSync, tAsync, 100*(1-safeDiv(tAsync, tSync)))
-	fmt.Printf("\nwall: sync %s, async %s (simulated-rank wall clock; the modeled columns are the scaling claim)\n",
-		syncOut.Stats.WallTime.Round(time.Millisecond), asyncOut.Stats.WallTime.Round(time.Millisecond))
-	fmt.Println("Modeled async time per stage: max(compute, overlappable comm) + exposed comm; " +
-		"sync charges compute + all comm (perfmodel.StageTimeT).")
-}
-
-func safeDiv(a, b float64) float64 {
-	if b == 0 {
-		return 1
-	}
-	return a / b
-}
-
-// sameContigs reports byte-identity of two contig sets.
-func sameContigs(a, b []core.Contig) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !bytes.Equal(a[i].Seq, b[i].Seq) {
-			return false
-		}
-	}
-	return true
 }
 
 // contigPhase verifies the §6.1 claims: the induced subgraph step dominates

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"reflect"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -9,24 +10,25 @@ import (
 )
 
 // TestSharedFlagsReachTheRuns: every table builds its options through
-// presetOptions, so -transport (once registered, validated and dropped) and
-// its three siblings all arrive in the Options a run executes under.
+// pipeline.Resolve, so -backend and -threads arrive in the Options a run
+// executes under exactly as they would from cmd/elba or an elbad job spec.
 func TestSharedFlagsReachTheRuns(t *testing.T) {
-	saved := common
-	t.Cleanup(func() { common = saved })
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	common.Register(fs)
-	if err := fs.Parse([]string{"-transport", "tcp", "-backend", "wfa", "-threads", "2", "-comm", "sync"}); err != nil {
+	savedBackend, savedThreads := *backend, *threads
+	t.Cleanup(func() { *backend, *threads = savedBackend, savedThreads })
+	for name, v := range map[string]string{"backend": "wfa", "threads": "2"} {
+		if err := flag.Set(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := pipeline.Resolve("hsapiens", 4, pipeline.Overrides{Backend: "wfa", Threads: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	opt := presetOptions(readsim.HSapiensLike, 4)
-	if opt.Transport != pipeline.TransportTCP || opt.AlignBackend != pipeline.BackendWFA || opt.Threads != 2 || opt.Async {
-		t.Fatalf("shared flags lost on the way to Options: %+v", opt)
+	got := presetOptions(readsim.HSapiensLike, 4)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags resolve to %+v, pipeline.Resolve to %+v", got, want)
 	}
-	if opt.K != 17 || opt.P != 4 {
-		t.Fatalf("preset base lost: %+v", opt)
-	}
-	if err := opt.Validate(); err != nil {
-		t.Fatal(err)
+	if got.AlignBackend != pipeline.BackendWFA || got.Threads != 2 || got.K != 17 {
+		t.Fatalf("flags or preset base lost on the way to Options: %+v", got)
 	}
 }

@@ -45,11 +45,9 @@
 // posts receives before packing sends, and contig generation pipelines the
 // read-sequence exchange against edge routing and the DFS walks. Every
 // stage's traffic splits into comm_overlap vs comm_exposed counters feeding
-// the perfmodel overlap term. The kernels have that one schedule; -comm sync
-// (the paper's blocking baseline) runs it with every rank in the request
-// layer's blocking mode, where a posted transfer happens inside its Wait.
-// Contig output is bit-identical for every thread count and for blocking
-// (-comm sync) vs nonblocking (-comm async, the default) communication.
+// the perfmodel overlap term. Contig output is bit-identical for every
+// thread count. Every command turns its flags into Options through one
+// function, pipeline.Resolve — the one elbad's job specs go through too.
 //
 // The hot kernels are allocation-lean (DESIGN.md §8): k-mer counting runs a
 // blocked Bloom filter in front of an open-addressing count table so
@@ -65,7 +63,7 @@
 // allocs_per_op gates from go test -bench (bench_test.go here plus the
 // kernel benchmarks under internal/) through cmd/benchguard:
 //
-//	go run ./cmd/experiments -exp all         # tables, figures, -exp commoverlap
+//	go run ./cmd/experiments -exp all         # Tables 1–4, Figures 4–6, §6.1, ablation
 //	bash benchmark/run.sh                     # six workloads, end to end and per layer
 //	go test -run '^$' -bench . -benchtime=1x -benchmem .   # counters CI gates
 package repro

@@ -21,7 +21,7 @@
 //     binds every interface and advertises the address this host used to
 //     reach the rendezvous — routable from any machine that can reach the
 //     rendezvous — with JoinConfig overriding bind and advertise addresses
-//     for multi-homed hosts. Connect is Join with the default config.
+//     for multi-homed hosts.
 //   - Messages are length-prefixed frames ([kind][tag][len][payload]); a
 //     reader goroutine per peer drains them into the rank's mailbox
 //     immediately, which both implements the buffered-send contract (a
@@ -189,7 +189,7 @@ func (e *Endpoint) Match(src int, tag int64) (transport.Message, <-chan struct{}
 }
 
 // SetFailureHandler registers fn; if the endpoint already failed (readers
-// start at Connect time, possibly before the handler exists), fn fires
+// start at Join time, possibly before the handler exists), fn fires
 // immediately with the buffered cause.
 func (e *Endpoint) SetFailureHandler(fn func(error)) {
 	e.mu.Lock()
@@ -441,7 +441,7 @@ func (e *Endpoint) reader(peer int, pc *peerConn) {
 // ServeRendezvous accepts exactly p rank registrations on ln and replies to
 // each with the complete rank→address table, then closes everything. Run it
 // in the launching process (or a goroutine of a single-process mesh) before
-// workers call Connect.
+// workers call Join.
 func ServeRendezvous(ln net.Listener, p int) error {
 	defer ln.Close()
 	type reg struct {
@@ -571,16 +571,12 @@ func (c JoinConfig) heartbeats() (time.Duration, time.Duration) {
 	return interval, timeout
 }
 
-// Connect builds rank self's endpoint of a p-rank job with the default
-// JoinConfig: register a routable listen address with the rendezvous at rdv,
-// receive the address table, and wire one connection per peer (dial lower
-// ranks, accept higher ones).
-func Connect(rdv string, self, p int) (*Endpoint, error) {
-	return Join(rdv, self, p, JoinConfig{})
-}
-
-// Join is Connect with explicit bind/advertise control — the entry point of
-// a multi-host worker (`cmd/elba -transport tcp -join host:port -rank R`).
+// Join builds rank self's endpoint of a p-rank job: register a routable
+// listen address with the rendezvous at rdv, receive the address table, and
+// wire one connection per peer (dial lower ranks, accept higher ones). cfg
+// controls bind/advertise addresses and heartbeats (zero value: defaults).
+// It is the entry point of a multi-host worker (`cmd/elba -transport tcp
+// -join host:port -rank R`) and of the proc launcher's workers.
 func Join(rdv string, self, p int, cfg JoinConfig) (*Endpoint, error) {
 	if self < 0 || self >= p {
 		return nil, fmt.Errorf("tcp: rank %d out of range [0,%d)", self, p)

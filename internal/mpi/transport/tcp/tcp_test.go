@@ -256,10 +256,10 @@ func TestFailureBeforeHandlerRegistrationIsBuffered(t *testing.T) {
 }
 
 func TestRendezvousRejectsDuplicateRank(t *testing.T) {
-	if _, err := Connect("127.0.0.1:1", -1, 2); err == nil {
+	if _, err := Join("127.0.0.1:1", -1, 2, JoinConfig{}); err == nil {
 		t.Fatal("negative rank accepted")
 	}
-	if _, err := Connect("127.0.0.1:1", 2, 2); err == nil {
+	if _, err := Join("127.0.0.1:1", 2, 2, JoinConfig{}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
 }

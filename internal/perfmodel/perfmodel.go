@@ -15,14 +15,11 @@
 // same dataset (at P=1 the measured time is pure compute, so the model is
 // exact there by construction) and the network constants default to an
 // Aries-like interconnect matching the paper's Cori platform (Table 1).
-// Intra-rank worker parallelism (the hybrid ranks × threads model, package
-// par) enters through Threading: the compute term divides by the stage's
-// Amdahl speedup while communication terms stay fixed.
 // Nonblocking communication enters through the overlap term: the share of a
 // stage's traffic sent through the nonblocking mpi layer hides behind the
 // compute term, and only the exposed remainder — max(0, overlappable comm −
 // overlappable compute) plus all blocking comm — lands on the critical path
-// (see StageTimeT).
+// (see StageTime).
 // Load imbalance and communication growth — the real drivers of the paper's
 // efficiency curves — enter through the max-per-rank counters.
 package perfmodel
@@ -55,50 +52,6 @@ func InfiniBand() Network { return Network{Latency: 2.0e-6, Bandwidth: 5e9} }
 // from a Threads=1 run so the rate means single-thread throughput).
 type Calibration map[string]float64
 
-// Threading models intra-rank worker parallelism — the hybrid ranks ×
-// threads model. A stage's compute term shrinks by its Amdahl speedup
-// 1/((1−f) + f/t), where f is the stage's parallelizable fraction and t the
-// worker count; communication terms are unaffected (workers share the
-// rank's network ports).
-type Threading struct {
-	Threads int                // workers per rank (≤ 1 = serial)
-	Frac    map[string]float64 // stage → parallelizable fraction in [0,1]
-}
-
-// Serial is the single-worker configuration (no intra-rank speedup).
-func Serial() Threading { return Threading{Threads: 1} }
-
-// DefaultFrac reflects which loops the worker pool actually drives:
-// alignment is embarrassingly parallel across the candidate pairs each of
-// its two phases aligns (the residue is the sequence exchange, the serial
-// phase selection, the two all-gathers of contained ids and the fold), and k-mer counting parallelizes
-// its extraction scan but not the routing/counting protocol. Stages with no
-// entry get f = 0.
-func DefaultFrac() map[string]float64 {
-	return map[string]float64{
-		"Alignment": 0.95,
-		"CountKmer": 0.60,
-	}
-}
-
-// WithThreads builds a Threading at t workers with the default fractions.
-func WithThreads(t int) Threading { return Threading{Threads: t, Frac: DefaultFrac()} }
-
-// Speedup returns the modeled compute speedup of a stage under th.
-func (th Threading) Speedup(stage string) float64 {
-	if th.Threads <= 1 {
-		return 1
-	}
-	f := th.Frac[stage]
-	if f <= 0 {
-		return 1
-	}
-	if f > 1 {
-		f = 1
-	}
-	return 1 / ((1 - f) + f/float64(th.Threads))
-}
-
 // Calibrate derives per-stage compute rates from a baseline run (typically
 // P=1, where measured time contains no off-rank communication or core
 // contention).
@@ -113,14 +66,7 @@ func Calibrate(base *trace.Summary, stages []string) Calibration {
 	return cal
 }
 
-// StageTime predicts the distributed wall time of one stage with one worker
-// per rank.
-func StageTime(sum *trace.Summary, stage string, cal Calibration, net Network) float64 {
-	return StageTimeT(sum, stage, cal, net, Serial())
-}
-
-// StageTimeT predicts the distributed wall time of one stage when every
-// rank runs th.Threads intra-rank workers.
+// StageTime predicts the distributed wall time of one stage.
 //
 // Communication enters through the overlap model: traffic sent through the
 // nonblocking layer (the stage's MaxOverlapBytes/MaxOverlapMsgs) hides
@@ -133,18 +79,15 @@ func StageTime(sum *trace.Summary, stage string, cal Calibration, net Network) f
 // A blocking run has zero overlap counters, reducing T to the additive
 // compute + comm form, so sync and async runs of the same program differ
 // exactly by the hidden communication.
-func StageTimeT(sum *trace.Summary, stage string, cal Calibration, net Network, th Threading) float64 {
+func StageTime(sum *trace.Summary, stage string, cal Calibration, net Network) float64 {
 	e := sum.Get(stage)
 	var t float64
 	if rate, ok := cal[stage]; ok && rate > 0 {
-		// Work counters are thread-invariant, so dividing the single-worker
-		// compute estimate by the Amdahl speedup is well-defined.
-		t = float64(e.MaxWork) / rate / th.Speedup(stage)
+		t = float64(e.MaxWork) / rate
 	} else {
 		// No work counter for this stage: fall back to the measured max
 		// duration (documented limitation; all five main stages have
-		// counters). The measurement already reflects however many workers
-		// the run used, so it must NOT be divided by the speedup again.
+		// counters).
 		t = e.MaxDur.Seconds()
 	}
 	overlapComm, exposedComm := CommSplit(e, net)
@@ -169,14 +112,9 @@ func CommSplit(e trace.SummaryEntry, net Network) (overlap, exposed float64) {
 
 // Total predicts the end-to-end runtime over the given stages.
 func Total(sum *trace.Summary, stages []string, cal Calibration, net Network) float64 {
-	return TotalT(sum, stages, cal, net, Serial())
-}
-
-// TotalT predicts the end-to-end runtime over the given stages under th.
-func TotalT(sum *trace.Summary, stages []string, cal Calibration, net Network, th Threading) float64 {
 	var t float64
 	for _, s := range stages {
-		t += StageTimeT(sum, s, cal, net, th)
+		t += StageTime(sum, s, cal, net)
 	}
 	return t
 }

@@ -198,16 +198,26 @@ func (p Preset) String() string {
 	return "unknown"
 }
 
-// ParsePreset resolves a preset name (celegans | osativa | hsapiens) — the
-// spelling shared by the -preset flags and the daemon's "preset" field.
+// Name is the preset's spelling shared by the -preset flags and the daemon's
+// "preset" field (celegans | osativa | hsapiens); ParsePreset inverts it.
+func (p Preset) Name() string {
+	switch p {
+	case CElegansLike:
+		return "celegans"
+	case OSativaLike:
+		return "osativa"
+	case HSapiensLike:
+		return "hsapiens"
+	}
+	return "unknown"
+}
+
+// ParsePreset resolves a preset name (see Preset.Name).
 func ParsePreset(name string) (Preset, error) {
-	switch name {
-	case "celegans":
-		return CElegansLike, nil
-	case "osativa":
-		return OSativaLike, nil
-	case "hsapiens":
-		return HSapiensLike, nil
+	for _, p := range []Preset{CElegansLike, OSativaLike, HSapiensLike} {
+		if p.Name() == name {
+			return p, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown preset %q (want celegans|osativa|hsapiens)", name)
 }

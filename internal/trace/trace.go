@@ -180,15 +180,6 @@ func (s *Summary) Get(name string) SummaryEntry { return s.m[name] }
 // Dur returns the stage's max-across-ranks duration.
 func (s *Summary) Dur(name string) time.Duration { return s.m[name].MaxDur }
 
-// Total sums all stage max-durations.
-func (s *Summary) Total() time.Duration {
-	var t time.Duration
-	for _, e := range s.m {
-		t += e.MaxDur
-	}
-	return t
-}
-
 // Record is one stage's accounting flattened to wire-encodable scalars: the
 // form a multi-process run all-gathers between processes and durable
 // checkpoints persist (every field is a fixed-width integer or a string, so
