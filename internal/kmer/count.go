@@ -1,9 +1,6 @@
 package kmer
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // This file is the allocation-lean counting substrate behind CountAndBuild:
 // a cache-line-blocked Bloom filter that absorbs first occurrences (HipMer's
@@ -56,8 +53,9 @@ func tableHash(km Kmer) uint64 {
 
 // CountTable is an open-addressing Kmer → int32 hash table (linear probing,
 // power-of-two capacity, splitmix-hashed keys). It is the allocation-lean
-// replacement for map[Kmer]int32 on the counting hot path, and doubles as the
-// k-mer → column-id index of the reply step.
+// replacement for map[Kmer]int32 on the counting hot path, and once its
+// counts are marked (MarkReliable) it is the k-mer → column-id index of the
+// reply step (Column).
 type CountTable struct {
 	kms  []Kmer
 	vals []int32
@@ -131,16 +129,6 @@ func (t *CountTable) AddIfPresent(km Kmer) {
 	}
 }
 
-// Put stores v under km, inserting or overwriting.
-func (t *CountTable) Put(km Kmer, v int32) {
-	i := t.slot(km)
-	if t.kms[i] == km {
-		t.vals[i] = v
-		return
-	}
-	t.insert(i, km, v)
-}
-
 // Get returns km's value and whether it is present.
 func (t *CountTable) Get(km Kmer) (int32, bool) {
 	if i := t.slot(km); t.kms[i] == km {
@@ -149,17 +137,45 @@ func (t *CountTable) Get(km Kmer) (int32, bool) {
 	return 0, false
 }
 
-// SelectReliable returns the sorted k-mers whose value lies in [low, high] —
-// the table counterpart of the package-level SelectReliable.
-func (t *CountTable) SelectReliable(low, high int32) []Kmer {
-	out := make([]Kmer, 0, t.n)
+// Column-index values: after MarkReliable a stored value is a column id
+// (≥ 0), unreliable, or reliable and not yet numbered.
+const (
+	unreliable = int32(-1)
+	unnumbered = int32(-2)
+)
+
+// MarkReliable turns a table of counts into the column index of the reply
+// step: every k-mer whose count lies in [low, high] becomes unnumbered, every
+// other one unreliable. It returns the number of reliable k-mers.
+func (t *CountTable) MarkReliable(low, high int32) int {
+	n := 0
 	for i, km := range t.kms {
-		if km != emptyKmer && t.vals[i] >= low && t.vals[i] <= high {
-			out = append(out, km)
+		if km == emptyKmer {
+			continue
+		}
+		if v := t.vals[i]; v >= low && v <= high {
+			t.vals[i] = unnumbered
+			n++
+		} else {
+			t.vals[i] = unreliable
 		}
 	}
-	slices.Sort(out)
-	return out
+	return n
+}
+
+// Column returns km's column id after MarkReliable, or -1 when km is absent
+// or unreliable. A reliable k-mer's first lookup numbers it: it takes *next,
+// which then advances, so ids follow the order of first lookup.
+func (t *CountTable) Column(km Kmer, next *int32) int32 {
+	i := t.slot(km)
+	if t.kms[i] != km {
+		return unreliable
+	}
+	if t.vals[i] == unnumbered {
+		t.vals[i] = *next
+		*next++
+	}
+	return t.vals[i]
 }
 
 // bloomBlockWords is the words-per-block of the blocked Bloom filter: 8

@@ -49,7 +49,7 @@ func TestCountOccurrencesMatchesMap(t *testing.T) {
 			}
 			for _, high := range []int32{1, 4, 1 << 20} {
 				want := SelectReliable(ref, low, high)
-				if sel := got.SelectReliable(low, high); !reflect.DeepEqual(sel, want) {
+				if sel := reliableOf(got, low, high); !reflect.DeepEqual(sel, want) {
 					t.Fatalf("trial %d low=%d high=%d: selection %v, want %v", trial, low, high, sel, want)
 				}
 			}
@@ -88,7 +88,7 @@ func TestCounterTinyBloomCollisions(t *testing.T) {
 		}
 		ref := countOccurrencesMap(parts)
 		want := SelectReliable(ref, 2, 1<<20)
-		if got := c.table.SelectReliable(2, 1<<20); !reflect.DeepEqual(got, want) {
+		if got := reliableOf(c.table, 2, 1<<20); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: tiny-bloom selection diverged (%d vs %d k-mers)", trial, len(got), len(want))
 		}
 		// The saturated filter admits nearly everything — counts must still
@@ -111,7 +111,7 @@ func TestCountObserveOrderInvariance(t *testing.T) {
 	for _, p := range parts {
 		occ += len(p)
 	}
-	base := CountOccurrences(parts, 2).SelectReliable(2, 1<<20)
+	base := reliableOf(CountOccurrences(parts, 2), 2, 1<<20)
 	for trial := 0; trial < 20; trial++ {
 		order := rng.Perm(len(parts))
 		c := newCounter(2, occ)
@@ -121,30 +121,61 @@ func TestCountObserveOrderInvariance(t *testing.T) {
 		for _, p := range parts { // tally always runs in rank order
 			c.tally(p)
 		}
-		if got := c.table.SelectReliable(2, 1<<20); !reflect.DeepEqual(got, base) {
+		if got := reliableOf(c.table, 2, 1<<20); !reflect.DeepEqual(got, base) {
 			t.Fatalf("trial %d: selection depends on observe order", trial)
 		}
 	}
 }
 
 // TestCountTableBasics exercises the open-addressing table around growth and
-// the Put/Get column-index usage.
+// its use as the column index: MarkReliable keeps exactly the k-mers whose
+// count lies in the window, and Column numbers each of them at its first
+// lookup, answers -1 for the rest and for absent keys, and repeats itself.
 func TestCountTableBasics(t *testing.T) {
 	tab := NewCountTable(0)
 	const n = 5000 // forces several grows past the 1024 floor
 	for i := 0; i < n; i++ {
-		tab.Put(Kmer(i*i), int32(i))
+		tab.Admit(Kmer(i * i))
+		for range i % 5 {
+			tab.AddIfPresent(Kmer(i * i))
+		}
 	}
 	if tab.Len() != n {
 		t.Fatalf("Len = %d, want %d", tab.Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		if v, ok := tab.Get(Kmer(i * i)); !ok || v != int32(i) {
-			t.Fatalf("Get(%d) = %d,%v want %d", i*i, v, ok, i)
+		if v, ok := tab.Get(Kmer(i * i)); !ok || v != int32(i%5) {
+			t.Fatalf("Get(%d) = %d,%v want %d", i*i, v, ok, i%5)
 		}
 	}
 	if _, ok := tab.Get(Kmer(7)); ok {
 		t.Fatal("Get of absent key reported present")
+	}
+	if got := tab.MarkReliable(2, 3); got != 2*n/5 {
+		t.Fatalf("MarkReliable = %d, want %d", got, 2*n/5)
+	}
+	next := int32(100)
+	for _, pass := range []string{"first", "repeat"} {
+		want := int32(100)
+		for i := n - 1; i >= 0; i-- { // lookup order, not key order, numbers
+			got := tab.Column(Kmer(i*i), &next)
+			switch {
+			case i%5 != 2 && i%5 != 3:
+				if got != -1 {
+					t.Fatalf("%s: Column of unreliable %d = %d, want -1", pass, i*i, got)
+				}
+			case got != want:
+				t.Fatalf("%s: Column(%d) = %d, want %d", pass, i*i, got, want)
+			default:
+				want++
+			}
+		}
+	}
+	if next != 100+2*n/5 {
+		t.Fatalf("next = %d after numbering, want %d", next, 100+2*n/5)
+	}
+	if got := tab.Column(Kmer(7), &next); got != -1 {
+		t.Fatalf("Column of absent key = %d, want -1", got)
 	}
 }
 

@@ -31,13 +31,14 @@ type Result struct {
 //  1. Every rank extracts canonical k-mers from its reads and routes one
 //     record per (read, k-mer) occurrence to the k-mer's hash owner
 //     (Alltoallv #1).
-//  2. Owners count occurrences, select reliable k-mers in [low, high], sort
-//     them, and assign globally consecutive column ids via Exscan. Counting
+//  2. Owners count occurrences, mark reliable k-mers in [low, high], and
+//     take a globally consecutive range of column ids via Exscan. Counting
 //     is the two-phase Bloom-filtered scheme of count.go when low ≥ 2
 //     (singletons never enter the table); low < 2 bypasses the filter so
 //     every count is taken exactly.
 //  3. Owners answer every received occurrence with its column id or -1
-//     (Alltoallv #2, reply shape mirrors the request shape).
+//     (Alltoallv #2, reply shape mirrors the request shape), numbering
+//     each reliable k-mer in order of first appearance.
 //  4. Ranks assemble local A-matrix triples from the replies.
 //
 // threads sets the intra-rank worker count for the extraction scan (step 1),
@@ -129,8 +130,7 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	for _, part := range recvKmers {
 		cnt.tally(part)
 	}
-	reliable := cnt.table.SelectReliable(low, high)
-	nLocal := len(reliable)
+	nLocal := cnt.table.MarkReliable(low, high)
 	if reg := c.Metrics(); reg != nil {
 		// All values here are schedule-invariant except table_entries, whose
 		// admitted set may differ on singletons between observation orders
@@ -146,10 +146,6 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	}
 	offset := mpi.Exscan(c, nLocal, func(a, b int) int { return a + b })
 	total := mpi.Allreduce(c, nLocal, func(a, b int) int { return a + b })
-	colOf := NewCountTable(nLocal)
-	for i, km := range reliable {
-		colOf.Put(km, int32(offset+i))
-	}
 
 	// 3. Reply with column ids, mirroring the request shape — including
 	// parts whose entries are all -1 (no reliable k-mer matched). The shape
@@ -159,15 +155,21 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	// would change the wire traffic between runs with different [low, high].
 	// TestReplyShapeMirrorsRequests pins this: both comm modes produce the
 	// same reply shape even when every part is all-miss.
+	//
+	// The count table is the column index, and a reliable k-mer is numbered
+	// at its first lookup: the owner's ids, its Exscan range, follow first
+	// appearance in rank order, then part order — together global read
+	// order — then extraction order. Neighbouring k-mers of one read mostly
+	// get neighbouring ids, or met each other first along an earlier read
+	// that overlaps it, so the multiply's consecutive B entries open
+	// neighbouring runs of the A panel (DESIGN.md §8). Nothing downstream
+	// depends on which id a k-mer gets.
+	next := int32(offset)
 	reply := make([][]int32, p)
 	for r := 0; r < p; r++ {
 		reply[r] = make([]int32, len(recvKmers[r]))
 		for i, km := range recvKmers[r] {
-			if col, ok := colOf.Get(Kmer(km)); ok {
-				reply[r][i] = col
-			} else {
-				reply[r][i] = -1
-			}
+			reply[r][i] = cnt.table.Column(Kmer(km), &next)
 		}
 	}
 	cols := mpi.IAlltoallv(c, reply).WaitValue()

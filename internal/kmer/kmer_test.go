@@ -2,6 +2,7 @@ package kmer
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -253,13 +254,7 @@ func TestDistributedColumnIdsConsistent(t *testing.T) {
 		}
 		var local []pair
 		for _, tr := range res.Triples {
-			seq := store.Get(int(tr.Row))
-			fwd := Encode(seq[tr.Val.Pos():int(tr.Val.Pos())+k], k)
-			canon := fwd
-			if rc := RevComp(fwd, k); rc < fwd {
-				canon = rc
-			}
-			local = append(local, pair{uint64(canon), tr.Col})
+			local = append(local, pair{uint64(tripleKmer(store.Get(int(tr.Row)), tr, k)), tr.Col})
 		}
 		all, _ := mpi.AllgathervFlat(c, local)
 		colOf := map[uint64]int32{}
@@ -272,6 +267,78 @@ func TestDistributedColumnIdsConsistent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tripleKmer returns the canonical k-mer a triple of read seq stands for.
+func tripleKmer(seq []byte, tr ATriple, k int) Kmer {
+	fwd := Encode(seq[tr.Val.Pos():int(tr.Val.Pos())+k], k)
+	return min(fwd, RevComp(fwd, k))
+}
+
+// TestColumnIDsFollowFirstOccurrence pins the column numbering to its
+// reference: owner o's reliable k-mers take the ids [offset_o, offset_o+n_o),
+// offset_o the count of reliable k-mers on owners below o, in order of first
+// appearance along the reads — global read order, then extraction order. The
+// numbering, and with it every triple, is the same on every P for thread
+// counts 1 and 3 and on blocking and nonblocking ranks.
+func TestColumnIDsFollowFirstOccurrence(t *testing.T) {
+	g := readsim.Genome(readsim.GenomeConfig{Length: 5000, Seed: 81})
+	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 7, MeanLen: 450, ErrorRate: 0.01, Seed: 82}))
+	k, low, high := 15, int32(2), int32(40)
+	reliable := map[Kmer]bool{}
+	for _, km := range SelectReliable(CountSerial(reads, k), low, high) {
+		reliable[km] = true
+	}
+	for _, p := range []int{1, 4, 9} {
+		// The reference numbering: owner ranges first, then first appearance.
+		next := make([]int32, p)
+		for km := range reliable {
+			for o := Owner(km, p) + 1; o < p; o++ {
+				next[o]++
+			}
+		}
+		want := map[Kmer]int32{}
+		for _, seq := range reads {
+			for _, kp := range Extract(seq, k) {
+				if _, seen := want[kp.Kmer]; reliable[kp.Kmer] && !seen {
+					o := Owner(kp.Kmer, p)
+					want[kp.Kmer] = next[o]
+					next[o]++
+				}
+			}
+		}
+		var first []ATriple
+		for _, threads := range []int{1, 3} {
+			for _, async := range []bool{false, true} {
+				var triples []ATriple
+				err := mpi.Run(p, func(c *mpi.Comm) {
+					store := fasta.FromGlobal(c, reads)
+					var res *Result
+					mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, low, high, threads) })
+					if res.NumCols != len(reliable) {
+						panic(fmt.Sprintf("%d columns, want %d", res.NumCols, len(reliable)))
+					}
+					for _, tr := range res.Triples {
+						if km := tripleKmer(store.Get(int(tr.Row)), tr, k); tr.Col != want[km] {
+							panic(fmt.Sprintf("read %d k-mer %d has column %d, want %d", tr.Row, km, tr.Col, want[km]))
+						}
+					}
+					all, _ := mpi.AllgathervFlat(c, res.Triples)
+					if c.Rank() == 0 {
+						triples = all
+					}
+				})
+				if err != nil {
+					t.Fatalf("P=%d threads=%d async=%v: %v", p, threads, async, err)
+				}
+				if first == nil {
+					first = triples
+				} else if !reflect.DeepEqual(triples, first) {
+					t.Fatalf("P=%d threads=%d async=%v: triples differ from threads=1 blocking", p, threads, async)
+				}
+			}
+		}
 	}
 }
 

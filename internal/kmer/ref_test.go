@@ -14,6 +14,22 @@ func countOccurrencesMap(parts [][]uint64) map[Kmer]int32 {
 	return counts
 }
 
+// reliableOf returns, sorted, the k-mers MarkReliable marks reliable in a
+// copy of t — the selection the column index numbers — leaving t's counts
+// intact, in the shape of the map reference SelectReliable.
+func reliableOf(t *CountTable, low, high int32) []Kmer {
+	cp := *t
+	cp.vals = slices.Clone(t.vals)
+	out := make([]Kmer, 0, cp.MarkReliable(low, high))
+	for i, km := range cp.kms {
+		if km != emptyKmer && cp.vals[i] == unnumbered {
+			out = append(out, km)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // assembleSorted is the triple assembly assembleRowMajor replaced — every
 // survivor appended in reply order, then one comparator sort by (Row, Col) —
 // kept as the oracle of TestAssembleRowMajorMatchesComparatorSort.

@@ -80,16 +80,21 @@ func (c seedAcc) seeds() Seeds {
 
 // seedSemiring builds C = A·Aᵀ: multiplying occurrence A(i,k) with
 // Aᵀ(k,j) yields a shared-seed candidate for pair (i,j), folded in place into
-// the cell's two-key accumulator. Keeping the two smallest distinct keys is
-// associative, commutative and idempotent, as SUMMA's stage-order-independent
+// the cell's two-key accumulator — a whole run of k's occurrences per call,
+// none annihilated. Keeping the two smallest distinct keys is associative,
+// commutative and idempotent, as SUMMA's stage-order-independent
 // accumulation requires.
 var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, seedAcc]{
-	Mul: func(c *seedAcc, a, b kmer.Occur) bool {
-		c[0], c[1] = seedKey(a, b), noSeed
-		return true
-	},
-	MulAdd: func(c *seedAcc, a, b kmer.Occur) {
-		c.add(seedKey(a, b))
+	Fold: func(acc *spmat.Acc[seedAcc], run []spmat.Triple[kmer.Occur], rowLo int32, b kmer.Occur) {
+		for _, t := range run {
+			k := seedKey(t.Val, b)
+			if c, live := acc.Slot(t.Row - rowLo); live {
+				c.add(k)
+			} else {
+				*c = seedAcc{k, noSeed}
+				acc.Claim(t.Row - rowLo)
+			}
+		}
 	},
 	Add: func(a, b seedAcc) seedAcc {
 		a.add(b[0])

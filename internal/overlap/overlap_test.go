@@ -1,8 +1,11 @@
 package overlap
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -145,6 +148,89 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 				t.Fatalf("P=%d async=%v: %d candidates (CandidatePairs %d) differ from the %d of the value-semantics reference",
 					p, async, len(got), pairs, len(want))
 			}
+		}
+	}
+}
+
+// TestCandidatesIndependentOfColumnOrder: seeds, products and candidates
+// depend on reads and positions only, never on which column id a k-mer has,
+// so relabelling A's columns — a random permutation, and the sorted-k-mer
+// numbering the counting stage used to assign — must give a deep-equal
+// candidate matrix and the same product count as the counting stage's own
+// first-occurrence numbering, on every grid size.
+func TestCandidatesIndependentOfColumnOrder(t *testing.T) {
+	genome := readsim.Genome(readsim.GenomeConfig{Length: 12000, Seed: 43})
+	reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 10, MeanLen: 1500, ErrorRate: 0.01, Seed: 44}))
+	cfg := testConfig(17, 20)
+	sum := func(x, y int64) int64 { return x + y }
+	for _, p := range []int{1, 4, 9} {
+		err := mpi.Run(p, func(c *mpi.Comm) {
+			g := grid.New(c)
+			store := fasta.FromGlobal(c, reads)
+			kres := CountKmers(g, store, cfg, trace.New(), &Result{NumReads: store.N})
+			// Every column's k-mer, gathered, ranks the columns by k-mer.
+			type colKmer struct {
+				Col int32
+				Km  kmer.Kmer
+			}
+			var mine []colKmer
+			for _, tr := range kres.Triples {
+				fwd := kmer.Encode(store.Get(int(tr.Row))[tr.Val.Pos():int(tr.Val.Pos())+cfg.K], cfg.K)
+				mine = append(mine, colKmer{tr.Col, min(fwd, kmer.RevComp(fwd, cfg.K))})
+			}
+			all, _ := mpi.AllgathervFlat(c, mine)
+			kmerOf := make([]kmer.Kmer, kres.NumCols)
+			for _, ck := range all {
+				kmerOf[ck.Col] = ck.Km
+			}
+			bySorted := make([]int32, kres.NumCols)
+			for i := range bySorted {
+				bySorted[i] = int32(i)
+			}
+			slices.SortFunc(bySorted, func(x, y int32) int { return cmp.Compare(kmerOf[x], kmerOf[y]) })
+			sortedID := make([]int32, kres.NumCols)
+			for id, col := range bySorted {
+				sortedID[col] = int32(id)
+			}
+			permuted := make([]int32, kres.NumCols)
+			for i, id := range rand.New(rand.NewSource(int64(p))).Perm(kres.NumCols) {
+				permuted[i] = int32(id)
+			}
+			if slices.IsSorted(sortedID) {
+				panic("sorted-k-mer numbering equals the first-occurrence one: nothing to compare")
+			}
+
+			detect := func(id []int32) ([]spmat.Triple[Seeds], int64) {
+				relabelled := *kres
+				relabelled.Triples = slices.Clone(kres.Triples)
+				if id != nil {
+					for i := range relabelled.Triples {
+						relabelled.Triples[i].Col = id[relabelled.Triples[i].Col]
+					}
+					slices.SortFunc(relabelled.Triples, func(x, y kmer.ATriple) int {
+						return cmp.Or(cmp.Compare(x.Row, y.Row), cmp.Compare(x.Col, y.Col))
+					})
+				}
+				tm := trace.New()
+				cand := DetectCandidates(g, store, &relabelled, cfg, tm, &Result{NumReads: store.N})
+				return cand.GatherTriples(0), mpi.Allreduce(c, tm.Entry("DetectOverlap").Work, sum)
+			}
+			want, wantProducts := detect(nil)
+			for _, relabel := range []struct {
+				name string
+				id   []int32
+			}{{"permuted", permuted}, {"sorted k-mers", sortedID}} {
+				got, products := detect(relabel.id)
+				if products != wantProducts {
+					panic(fmt.Sprintf("%s columns: %d products, want %d", relabel.name, products, wantProducts))
+				}
+				if c.Rank() == 0 && (len(want) < 100 || !reflect.DeepEqual(got, want)) {
+					panic(fmt.Sprintf("%s columns: %d candidates differ from the %d of the counting stage's numbering", relabel.name, len(got), len(want)))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/kmer"
+	"repro/internal/spmat"
 )
 
 // The value-semantics seed arithmetic the packed accumulator replaced, kept
@@ -84,23 +85,22 @@ func randSeed(rng *rand.Rand) align.Seed {
 	return align.Seed{PU: pos(), PV: pos(), RC: rng.Intn(2) == 1}
 }
 
-// accumulate folds seeds through the production semiring exactly as the SPA
-// does (Mul into the fresh slot, MulAdd into the live one) and, beside it,
-// through the value-semantics reference.
+// accumulate folds seeds through the production semiring exactly as the
+// multiply does — the one cell of a 1×n by n×1 product, seed i the product
+// of inner index i, so the fresh slot takes the first and the live slot the
+// rest in order — and, beside it, through the value-semantics reference.
 func accumulate(seeds []align.Seed) (seedAcc, Seeds) {
-	var acc seedAcc
+	n := int32(len(seeds))
+	a := spmat.COO[kmer.Occur]{NR: 1, NC: n}
+	b := spmat.COO[kmer.Occur]{NR: n, NC: 1}
 	var ref Seeds
 	for i, s := range seeds {
 		// Occurrences whose product is s: positions carry over, RC is the XOR.
-		a, b := kmer.MakeOccur(s.PU, s.RC), kmer.MakeOccur(s.PV, false)
-		if i == 0 {
-			seedSemiring.Mul(&acc, a, b)
-		} else {
-			seedSemiring.MulAdd(&acc, a, b)
-		}
+		a.Ts = append(a.Ts, spmat.Triple[kmer.Occur]{Row: 0, Col: int32(i), Val: kmer.MakeOccur(s.PU, s.RC)})
+		b.Ts = append(b.Ts, spmat.Triple[kmer.Occur]{Row: int32(i), Col: 0, Val: kmer.MakeOccur(s.PV, false)})
 		ref = refAddSeed(ref, s)
 	}
-	return acc, ref
+	return spmat.Multiply(a, b, seedSemiring).Ts[0].Val, ref
 }
 
 // randAcc builds a random live accumulator (1–4 insertions).

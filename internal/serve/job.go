@@ -40,8 +40,8 @@ type JobSpec struct {
 	GenomeLen int    `json:"genome_len,omitempty"` // preset genome length (default 100000)
 	Seed      int64  `json:"seed,omitempty"`       // preset simulation seed (default 1)
 
-	P           int    `json:"p,omitempty"`            // simulated ranks (perfect square; default 4)
-	Threads     int    `json:"threads,omitempty"`      // intra-rank workers (0: auto)
+	P           int    `json:"p,omitempty"`            // simulated ranks (perfect square ≤ MaxJobP; default 4)
+	Threads     int    `json:"threads,omitempty"`      // intra-rank workers (≤ MaxJobThreads; 0: auto)
 	K           int    `json:"k,omitempty"`            // k-mer length override
 	XDrop       int32  `json:"xdrop,omitempty"`        // x-drop threshold override
 	MinOverlap  int32  `json:"min_overlap,omitempty"`  // overlap-length floor override

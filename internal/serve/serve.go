@@ -28,6 +28,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -228,10 +229,45 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
+// The largest world a job spec may ask for. Every rank is a goroutine with
+// its own mailboxes and matrix blocks, and every thread builds its own
+// aligner, so an unbounded p or threads lets one request exhaust the host
+// (p = 4096 is a perfect square). 64 is the largest P the equivalence matrix
+// runs. cmd/elba stays unbounded: its operator owns the host.
+const (
+	MaxJobP       = 64
+	MaxJobThreads = 64
+)
+
+// maxSpecBytes bounds a POST /jobs body.
+const maxSpecBytes = 1 << 20
+
+// decodeJobSpec parses a POST /jobs body: one JSON object of at most
+// maxSpecBytes with no unknown fields.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(io.LimitReader(r, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // Options resolves the spec's parameters through pipeline.Resolve — the
 // function cmd/elba's flags go through too, so one description means one
-// option set at either door. defaultP stands in for an unset P.
+// option set at either door. defaultP stands in for an unset P. A p or
+// threads above MaxJobP or MaxJobThreads is refused, naming the field,
+// before anything is resolved.
 func (spec JobSpec) Options(defaultP int) (pipeline.Options, error) {
+	var errs []error
+	if spec.P > MaxJobP {
+		errs = append(errs, fmt.Errorf("serve: JobSpec p = %d: above this daemon's limit of %d ranks", spec.P, MaxJobP))
+	}
+	if spec.Threads > MaxJobThreads {
+		errs = append(errs, fmt.Errorf("serve: JobSpec threads = %d: above this daemon's limit of %d workers per rank", spec.Threads, MaxJobThreads))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return pipeline.Options{}, err
+	}
 	p := spec.P
 	if p == 0 {
 		p = defaultP
@@ -286,10 +322,8 @@ func (s *Server) jobInputs(spec JobSpec) (pipeline.Options, [][]byte, error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeJobSpec(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "parsing job spec: %v", err)
 		return
 	}

@@ -493,3 +493,59 @@ func TestUploadedDatasetRoundTrip(t *testing.T) {
 		t.Fatalf("good job after the rejected ones: %q (%s)", st.State, st.Error)
 	}
 }
+
+// TestSubmitRefusesOversizedWorld: a p or threads above the daemon's bounds
+// is a 400 naming the field, even where the value is otherwise valid (4096 is
+// a perfect square), and nothing is queued — such a job would exhaust the
+// host before its first stage ended.
+func TestSubmitRefusesOversizedWorld(t *testing.T) {
+	_, ts := startDaemon(t, Config{Queue: 4, Workers: 1})
+	for _, bad := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Preset: "celegans", GenomeLen: 20000, P: 4096}, "p = 4096"},
+		{JobSpec{Preset: "celegans", GenomeLen: 20000, P: 1000000}, "p = 1000000"},
+		{JobSpec{Preset: "celegans", GenomeLen: 20000, Threads: 1 << 30}, "threads = 1073741824"},
+	} {
+		status, body := postSpec(t, ts, bad.spec)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), bad.want) {
+			t.Errorf("spec %+v: status %d body %s, want 400 naming %q", bad.spec, status, body, bad.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatalf("GET /jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var jobs []JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+		t.Fatalf("decoding GET /jobs: %v", err)
+	}
+	if len(jobs) != 0 {
+		t.Fatalf("%d jobs queued after refused submissions, want none", len(jobs))
+	}
+}
+
+// FuzzJobSpec holds the job-spec trust boundary to two properties on any
+// POST /jobs body: decoding and resolving never panic, and a body both
+// accept yields options within the daemon's world bounds that pipeline.Plan
+// accepts — the options a queued job would run with.
+func FuzzJobSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeJobSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		opt, err := spec.Options(4)
+		if err != nil {
+			return
+		}
+		if opt.P > MaxJobP || opt.Threads > MaxJobThreads {
+			t.Fatalf("spec %+v resolved to P = %d, Threads = %d: past the bounds %d, %d", spec, opt.P, opt.Threads, MaxJobP, MaxJobThreads)
+		}
+		if _, err := pipeline.Plan(opt); err != nil {
+			t.Fatalf("spec %+v resolved to options Plan refuses: %v", spec, err)
+		}
+	})
+}

@@ -24,7 +24,7 @@ func benchTriples(n int32, nnzPerRow int) []Triple[int64] {
 func BenchmarkLocalMultiply(b *testing.B) {
 	n := int32(2000)
 	ts := benchTriples(n, 8)
-	a := NewCOO(n, n, append([]Triple[int64](nil), ts...), nil).ToCSC()
+	a := NewCOO(n, n, append([]Triple[int64](nil), ts...), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

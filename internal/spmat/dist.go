@@ -302,7 +302,8 @@ func (a *Dist[T]) MaskRowsCols(ids []int32) {
 // multiply selects its product loop from the mask once: the checkerboard — a
 // pure function of the indices — asks nothing per product, because each A
 // column run is split into parity sub-runs whose kept rows are a prefix and a
-// suffix (see SpGEMMCounted); only a KeepFunc mask pays a call per product.
+// suffix (see gustavson.multiply); only a KeepFunc mask pays a call per
+// product.
 type Mask struct {
 	checkerboard bool
 	keep         func(row, col int32) bool
@@ -331,25 +332,22 @@ func SpGEMM[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C]) *Dist[C] 
 // SpGEMMCounted is SpGEMM with an output mask and a semiring-product work
 // counter for the performance model (products may be nil): it is advanced by
 // the number of products evaluated on kept cells, annihilated ones included.
+// With a counter, the products and the Fold calls that formed them are also
+// published as spmat.spgemm_products and spmat.fold_calls.
 //
 // The SUMMA broadcasts are nonblocking: round s+1's A/B panels are posted
 // with IBcast before round s multiplies, so on a rank that is not in blocking
 // mode the panel transfer hides behind the local product. The local product
-// of each round is a Gustavson pass that folds every kept product in place
-// into the generation-tagged sparse accumulator of local.go over the block's
-// row span; per-round emissions are column-clustered, so the final
-// cross-round merge is the radix path of NewCOO with the semiring Add as the
-// combiner (Add is associative and commutative — the precondition SUMMA's
-// stage-order-independent accumulation already imposes).
-//
-// Under the Checkerboard mask no product asks the mask. Each received A panel
-// — a fresh decoded copy on every rank, the root's included, so a and b are
-// never touched — has every column run reordered in place: even rows first,
-// then odd rows, both still ascending. For output column j the kept rows are
-// then a prefix of the sub-run of j's parity (rows < j) and a suffix of the
-// other (rows > j), walked until the first row that fails: one loop exit per
-// run instead of one unpredictable branch per product. A cell's products still
-// arrive in B's row order, so every semiring sees the same fold sequence.
+// of each round is the Gustavson pass of local.go (gustavson.multiply), which
+// hands the semiring whole kept stretches of A's column runs to fold into the
+// generation-tagged accumulator over the block's row span; per-round
+// emissions are column-clustered, so the final cross-round merge is the radix
+// path of NewCOO with the semiring Add as the combiner (Add is associative
+// and commutative — the precondition SUMMA's stage-order-independent
+// accumulation already imposes). Under the Checkerboard mask the pass
+// reorders each received A panel's column runs in place; the panel is a fresh
+// decoded copy on every rank, the root's included, so a and b are never
+// touched.
 func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
@@ -359,13 +357,9 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 	}
 	g := a.G
 	out := newDistShell[C](g, a.NR, b.NC)
-	acc := newSPA[C](out.RowHi - out.RowLo)
-	var ts []Triple[C]
+	p := gustavson[A, B, C]{sr: sr, mask: mask, acc: newAcc[C](out.RowHi - out.RowLo), rowLo: out.RowLo}
 	lane := g.Comm.Lane()
 	panelNnz := g.Comm.Metrics().Histogram("spmat.panel_nnz")
-	var evaluated int64     // products formed; a local, published once, not *products++ per product
-	var mid []int32         // checkerboard: run k's odd rows start at mid[k]
-	var scratch []Triple[A] // checkerboard: one run's odd rows during the split
 
 	// post starts the round-s panel broadcasts, A then B on every rank, so
 	// tag sequences line up.
@@ -393,57 +387,8 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 		panelNnz.Observe(int64(len(ablk)))
 		panelNnz.Observe(int64(len(bblk)))
 		roundStart := lane.Start()
-		// Local product: both panels are canonical column-major, so A's
-		// inner-index runs are read where they lie — starts is a counting pass,
-		// no re-bucketing — and B is walked a column run at a time, each output
-		// column accumulated in the SPA.
 		kLo, kHi := grid.BlockRange(int(a.NC), g.Dim, s)
-		starts := columnStarts(ablk, kLo, kHi)
-		if mask.checkerboard {
-			mid, scratch = splitParity(ablk, starts, mid, scratch)
-		}
-		for lo := 0; lo < len(bblk); {
-			j := bblk[lo].Col
-			hi := lo + 1
-			for hi < len(bblk) && bblk[hi].Col == j {
-				hi++
-			}
-			acc.reset()
-			for _, bt := range bblk[lo:hi] {
-				kidx := int(bt.Row) - kLo
-				run := ablk[starts[kidx]:starts[kidx+1]]
-				switch {
-				case mask.checkerboard:
-					same, other := ablk[starts[kidx]:mid[kidx]], ablk[mid[kidx]:starts[kidx+1]]
-					if j&1 == 1 {
-						same, other = other, same
-					}
-					n := 0
-					for ; n < len(same) && same[n].Row < j; n++ {
-						fold(acc, same[n].Row-out.RowLo, same[n].Val, bt.Val, &sr)
-					}
-					i := len(other) - 1
-					for ; i >= 0 && other[i].Row > j; i-- {
-						fold(acc, other[i].Row-out.RowLo, other[i].Val, bt.Val, &sr)
-					}
-					evaluated += int64(n + len(other) - 1 - i)
-				case mask.keep != nil:
-					for _, at := range run {
-						if mask.keep(at.Row, j) {
-							evaluated++
-							fold(acc, at.Row-out.RowLo, at.Val, bt.Val, &sr)
-						}
-					}
-				default:
-					evaluated += int64(len(run))
-					for _, at := range run {
-						fold(acc, at.Row-out.RowLo, at.Val, bt.Val, &sr)
-					}
-				}
-			}
-			ts = acc.emit(ts, j, out.RowLo)
-			lo = hi
-		}
+		p.multiply(ablk, kLo, kHi, bblk)
 		if lane != nil {
 			lane.Span(0, "spmat", "summa.round", roundStart,
 				obs.Arg{K: "s", V: int64(s)}, obs.Arg{K: "a_nnz", V: int64(len(ablk))},
@@ -451,10 +396,11 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 		}
 	}
 	if products != nil {
-		*products += evaluated
-		g.Comm.Metrics().Counter("spmat.spgemm_products").Add(evaluated)
+		*products += p.products
+		g.Comm.Metrics().Counter("spmat.spgemm_products").Add(p.products)
+		g.Comm.Metrics().Counter("spmat.fold_calls").Add(p.calls)
 	}
-	out.Local = NewCOO(a.NR, b.NC, ts, sr.Add)
+	out.Local = NewCOO(a.NR, b.NC, p.ts, sr.Add)
 	return out
 }
 

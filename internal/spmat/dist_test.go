@@ -12,6 +12,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/mpi/mpitest"
+	"repro/internal/obs"
 )
 
 var gridSizes = []int{1, 4, 9, 16}
@@ -136,8 +137,8 @@ func TestSpGEMMMatchesSerialMultiply(t *testing.T) {
 	aT := globalTriples(rng, nr, k, 0.2)
 	bT := globalTriples(rng, k, nc, 0.2)
 	// Serial reference.
-	ref := Multiply(NewCOO(nr, k, append([]Triple[int64](nil), aT...), nil).ToCSC(),
-		NewCOO(k, nc, append([]Triple[int64](nil), bT...), nil).ToCSC(), plusTimes)
+	ref := Multiply(NewCOO(nr, k, append([]Triple[int64](nil), aT...), nil),
+		NewCOO(k, nc, append([]Triple[int64](nil), bT...), nil), plusTimes)
 	runGrid(t, func(g *grid.Grid) {
 		a := FromGlobalTriples(g, nr, k, aT, nil)
 		b := FromGlobalTriples(g, k, nc, bT, nil)
@@ -370,7 +371,8 @@ func parityTriples(rng *rand.Rand, nr, nc int32, density float64) []Triple[int64
 }
 
 // TestMaskedSpGEMMMatchesMapThenApply pins the fused kernel — mask applied
-// before the product, product folded in place — to the map oracle followed by
+// before the product, kept stretches of A's runs folded in place by the
+// semiring's Fold — to the map oracle (one product per Fold) followed by
 // a post-hoc Apply(keep), block by block (so empty blocks must be the same
 // canonical nil on both sides), every mask shape, a plain and an annihilating
 // semiring, both schedules, P ∈ {1, 4, 9, 16}. Shapes are random small
@@ -456,6 +458,67 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d (%dx%dx%d) mask=%s P=%d: %v", trial, nr, k, nc, name, p, err)
 				}
+			}
+		}
+	}
+}
+
+// TestFoldCallCounts pins the run contract's call budget per rank: the zero
+// mask makes exactly one Fold call per B entry the rank multiplies, the
+// checkerboard at most two, and a KeepFunc mask — one call per maximal kept
+// stretch — at most one per kept product. The spmat.fold_calls and
+// spmat.spgemm_products counters must publish exactly the calls made and the
+// products counted.
+func TestFoldCallCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	nr, k, nc := int32(120), int32(12), int32(110)
+	aT := parityTriples(rng, nr, k, 0.3)
+	bT := globalTriples(rng, k, nc, 0.3)
+	masks := []struct {
+		name string
+		mask Mask
+		// budget is the most Fold calls allowed for bEntries B entries and
+		// products kept products.
+		budget func(bEntries, products int64) int64
+	}{
+		{"zero", Mask{}, func(b, _ int64) int64 { return b }},
+		{"checkerboard", Checkerboard(), func(b, _ int64) int64 { return 2 * b }},
+		{"keep", KeepFunc(func(r, c int32) bool { return (r*7+c)%5 < 3 }), func(_, p int64) int64 { return p }},
+	}
+	for _, mc := range masks {
+		for _, p := range gridSizes {
+			w := mpi.NewWorld(p)
+			metrics := obs.NewMetricSet(p)
+			w.SetObs(nil, metrics)
+			err := w.Run(func(c *mpi.Comm) {
+				g := grid.New(c)
+				a := FromGlobalTriples(g, nr, k, aT, nil)
+				b := FromGlobalTriples(g, k, nc, bT, nil)
+				var calls, products, bEntries int64
+				sr := plusTimes
+				sr.Fold = func(acc *Acc[int64], run []Triple[int64], rowLo int32, bv int64) {
+					calls++
+					plusTimes.Fold(acc, run, rowLo, bv)
+				}
+				SpGEMMCounted(a, b, sr, mc.mask, &products)
+				for _, bt := range bT {
+					if bt.Col >= b.ColLo && bt.Col < b.ColHi {
+						bEntries++
+					}
+				}
+				if budget := mc.budget(bEntries, products); calls > budget || (mc.name == "zero" && calls != budget) {
+					panic(fmt.Sprintf("%d Fold calls for %d B entries and %d products", calls, bEntries, products))
+				}
+				reg := c.Metrics()
+				if got := reg.Counter("spmat.fold_calls").Value(); got != calls {
+					panic(fmt.Sprintf("spmat.fold_calls = %d, made %d", got, calls))
+				}
+				if got := reg.Counter("spmat.spgemm_products").Value(); got != products {
+					panic(fmt.Sprintf("spmat.spgemm_products = %d, counted %d", got, products))
+				}
+			})
+			if err != nil {
+				t.Fatalf("mask=%s P=%d: %v", mc.name, p, err)
 			}
 		}
 	}

@@ -115,10 +115,7 @@ func sortColumnMajor[T any](ts []Triple[T], nc int32) {
 // stable merge sort above that.
 func sortRowRuns[T any](ts []Triple[T]) {
 	for lo := 0; lo < len(ts); {
-		hi := lo + 1
-		for hi < len(ts) && ts[hi].Col == ts[lo].Col {
-			hi++
-		}
+		hi := runEnd(ts, lo)
 		run := ts[lo:hi]
 		if len(run) > 1 {
 			if len(run) <= 24 {
@@ -244,41 +241,58 @@ func (d DCSC[T]) ToCSC() CSC[T] {
 func (d DCSC[T]) Nnz() int { return len(d.IR) }
 
 // Semiring overloads multiplication and addition for SpGEMM, CombBLAS-style,
-// as an in-place accumulate contract: a product is folded straight into its
-// accumulator slot and never materialised as a value, so the hot loop pays one
-// indirect call per product and moves no C through it.
+// as an in-place accumulate contract over whole runs: the multiply hands the
+// semiring one run of A's triples and one B value at a time, and the
+// semiring folds every product of the run straight into its accumulator slot
+// — one indirect call per run, none per product, and no C value moved
+// through a call.
 //
-//   - Mul writes a⊗b into the fresh slot *c, whose previous content is
-//     unspecified, and reports whether the product is nonzero; false
-//     annihilates it (the implicit zero) and leaves the slot unclaimed.
-//   - MulAdd folds a⊗b into the live slot *c (c ← c ⊕ a⊗b); an annihilated
-//     product leaves *c as it is.
+//   - Fold folds a⊗b into acc for every triple a of run, a stretch of one
+//     column run of A whose rows are distinct; triple t's slot is row
+//     t.Row−rowLo. A slot the current column has claimed (Acc.Slot reports
+//     it live) folds in place, c ← c ⊕ a⊗b. A fresh slot receives a⊗b and is
+//     then claimed (Acc.Claim) — unless the product annihilates (the implicit
+//     zero), which leaves it unclaimed; an annihilated product leaves a live
+//     slot as it is.
 //   - Add merges two accumulated values: the cross-round combiner of SUMMA's
 //     final NewCOO, so it must be associative and commutative and agree with
-//     MulAdd (MulAdd(c, a, b) ≡ *c = Add(*c, a⊗b)).
+//     Fold (folding a⊗b into c ≡ c = Add(c, a⊗b)).
 type Semiring[A, B, C any] struct {
-	Mul    func(c *C, a A, b B) bool
-	MulAdd func(c *C, a A, b B)
-	Add    func(C, C) C
+	Fold func(acc *Acc[C], run []Triple[A], rowLo int32, b B)
+	Add  func(C, C) C
 }
 
-// spa is a generation-tagged sparse accumulator over a dense row span — the
+// Acc is a generation-tagged sparse accumulator over a dense row span — the
 // classic Gustavson SPA: vals and gen are allocated once for the whole
 // multiply and invalidated per column by bumping cur instead of clearing, so
-// the per-column cost is proportional to the rows actually touched.
-type spa[C any] struct {
+// the per-column cost is proportional to the rows actually touched. A
+// Semiring's Fold reads and claims its slots through Slot and Claim.
+type Acc[C any] struct {
 	vals []C
 	gen  []uint32
 	cur  uint32
-	rows []int32 // rows touched this generation, insertion order
+	rows []int32 // rows claimed this generation, insertion order
 }
 
-func newSPA[C any](n int32) *spa[C] {
-	return &spa[C]{vals: make([]C, n), gen: make([]uint32, n), cur: 1}
+func newAcc[C any](n int32) *Acc[C] {
+	return &Acc[C]{vals: make([]C, n), gen: make([]uint32, n), cur: 1}
+}
+
+// Slot returns row i's slot and whether the current column has claimed it;
+// an unclaimed slot's content is unspecified.
+func (s *Acc[C]) Slot(i int32) (*C, bool) {
+	return &s.vals[i], s.gen[i] == s.cur
+}
+
+// Claim marks row i's slot, just written with its first value, as live for
+// the current column; call it only on a slot Slot reported not live.
+func (s *Acc[C]) Claim(i int32) {
+	s.gen[i] = s.cur
+	s.rows = append(s.rows, i)
 }
 
 // reset opens a fresh generation (O(1); a hard clear only on tag wraparound).
-func (s *spa[C]) reset() {
+func (s *Acc[C]) reset() {
 	s.rows = s.rows[:0]
 	s.cur++
 	if s.cur == 0 {
@@ -287,22 +301,10 @@ func (s *spa[C]) reset() {
 	}
 }
 
-// fold accumulates the product a⊗b into row i's slot in place: MulAdd into a
-// slot this generation already claimed, Mul into a fresh one, which is claimed
-// only if the product is nonzero.
-func fold[A, B, C any](s *spa[C], i int32, a A, b B, sr *Semiring[A, B, C]) {
-	if s.gen[i] == s.cur {
-		sr.MulAdd(&s.vals[i], a, b)
-	} else if sr.Mul(&s.vals[i], a, b) {
-		s.gen[i] = s.cur
-		s.rows = append(s.rows, i)
-	}
-}
-
 // emit appends this generation's entries for column j to ts in ascending row
-// order, rows shifted by rowLo (SPA indices are span-relative), and returns
+// order, rows shifted by rowLo (slot indices are span-relative), and returns
 // the extended slice.
-func (s *spa[C]) emit(ts []Triple[C], j, rowLo int32) []Triple[C] {
+func (s *Acc[C]) emit(ts []Triple[C], j, rowLo int32) []Triple[C] {
 	if len(s.rows) == 0 {
 		return ts
 	}
@@ -313,36 +315,121 @@ func (s *spa[C]) emit(ts []Triple[C], j, rowLo int32) []Triple[C] {
 	return ts
 }
 
-// Multiply computes a ⊗ b over the semiring with Gustavson's column
-// algorithm and a reusable sparse accumulator (dense values plus
-// generation-tagged flags — no per-column map). a is NR×K, b is K×NC. The
-// output is emitted column by column with sorted rows, so it is canonical by
-// construction and skips the NewCOO sort entirely.
-func Multiply[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
+// runEnd returns the end of the equal-column run of ts that starts at lo.
+func runEnd[T any](ts []Triple[T], lo int) int {
+	hi := lo + 1
+	for hi < len(ts) && ts[hi].Col == ts[lo].Col {
+		hi++
+	}
+	return hi
+}
+
+// gustavson is the local product of one multiply — Gustavson's column
+// algorithm over an Acc spanning the output rows [rowLo, rowLo+len) — kept
+// across SUMMA rounds with its output and work counters: products formed on
+// kept cells (annihilated ones included) and Fold calls made.
+type gustavson[A, B, C any] struct {
+	sr              Semiring[A, B, C]
+	mask            Mask
+	acc             *Acc[C]
+	rowLo           int32
+	ts              []Triple[C]
+	products, calls int64
+	mid             []int32     // checkerboard: run k's odd rows start at mid[k]
+	scratch         []Triple[A] // checkerboard: one run's odd rows during the split
+}
+
+// multiply folds a ⊗ b into the output. Both are canonical column-major: a's
+// columns lie in [kLo, kHi), and so do b's rows. a's column runs are read
+// where they lie — indexed by one counting pass, no re-bucketing — and b is
+// walked a column run at a time, each output column accumulated in the Acc
+// and emitted with ascending rows.
+//
+// The mask picks the loop once. The zero mask folds each whole A run: one
+// Fold call per B entry. The checkerboard first reorders every A run in place
+// — even rows, then odd rows, both still ascending — so for output column j
+// the kept rows are a prefix of the sub-run of j's parity (rows < j) and a
+// suffix of the other (rows > j); walks over the rows alone find both cuts,
+// then two Fold calls fold them. A KeepFunc is asked per product, and each
+// maximal stretch of kept rows is one Fold call. A cell gets at most one
+// product per B entry, so its products still arrive in B's row order and
+// every semiring sees the same fold sequence under every loop.
+func (p *gustavson[A, B, C]) multiply(a []Triple[A], kLo, kHi int, b []Triple[B]) {
+	starts := columnStarts(a, kLo, kHi)
+	if p.mask.checkerboard {
+		p.mid, p.scratch = splitParity(a, starts, p.mid, p.scratch)
+	}
+	sr, acc, rowLo, mid, keep := p.sr, p.acc, p.rowLo, p.mid, p.mask.keep
+	var products, calls int64
+	for lo := 0; lo < len(b); {
+		hi := runEnd(b, lo)
+		j := b[lo].Col
+		acc.reset()
+		for _, bt := range b[lo:hi] {
+			k := int(bt.Row) - kLo
+			switch {
+			case p.mask.checkerboard:
+				same, other := a[starts[k]:mid[k]], a[mid[k]:starts[k+1]]
+				if j&1 == 1 {
+					same, other = other, same
+				}
+				n := 0
+				for n < len(same) && same[n].Row < j {
+					n++
+				}
+				m := len(other)
+				for m > 0 && other[m-1].Row > j {
+					m--
+				}
+				sr.Fold(acc, same[:n], rowLo, bt.Val)
+				sr.Fold(acc, other[m:], rowLo, bt.Val)
+				products += int64(n + len(other) - m)
+				calls += 2
+			case keep != nil:
+				run := a[starts[k]:starts[k+1]]
+				for q := 0; q < len(run); {
+					if !keep(run[q].Row, j) {
+						q++
+						continue
+					}
+					e := q + 1
+					for e < len(run) && keep(run[e].Row, j) {
+						e++
+					}
+					sr.Fold(acc, run[q:e], rowLo, bt.Val)
+					products += int64(e - q)
+					calls++
+					q = e + 1 // run[e], if any, is not kept
+				}
+			default:
+				run := a[starts[k]:starts[k+1]]
+				sr.Fold(acc, run, rowLo, bt.Val)
+				products += int64(len(run))
+				calls++
+			}
+		}
+		p.ts = acc.emit(p.ts, j, rowLo)
+		lo = hi
+	}
+	p.products += products
+	p.calls += calls
+}
+
+// Multiply computes a ⊗ b over the semiring with the local product SUMMA
+// runs per round (a is NR×K, b is K×NC, both canonical): A is read as the
+// column runs of its triples, and the output is emitted column by column
+// with sorted rows, so it is canonical by construction and skips the NewCOO
+// sort entirely.
+func Multiply[A, B, C any](a COO[A], b COO[B], sr Semiring[A, B, C]) COO[C] {
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: inner dims %d != %d", a.NC, b.NR))
 	}
-	acc := newSPA[C](a.NR)
-	cap0 := len(a.V)
-	if len(b.V) > cap0 {
-		cap0 = len(b.V)
+	p := gustavson[A, B, C]{sr: sr, acc: newAcc[C](a.NR), ts: make([]Triple[C], 0, max(len(a.Ts), len(b.Ts)))}
+	p.multiply(a.Ts, 0, int(a.NC), b.Ts)
+	if len(p.ts) == 0 {
+		p.ts = nil
 	}
-	ts := make([]Triple[C], 0, cap0)
-	for j := int32(0); j < b.NC; j++ {
-		acc.reset()
-		for p := b.JC[j]; p < b.JC[j+1]; p++ {
-			k := b.IR[p]
-			bv := b.V[p]
-			for q := a.JC[k]; q < a.JC[k+1]; q++ {
-				fold(acc, a.IR[q], a.V[q], bv, &sr)
-			}
-		}
-		ts = acc.emit(ts, j, 0)
-	}
-	if len(ts) == 0 {
-		ts = nil
-	}
-	return COO[C]{NR: a.NR, NC: b.NC, Ts: ts}
+	return COO[C]{NR: a.NR, NC: b.NC, Ts: p.ts}
 }
 
 // TransposeLocal returns the transpose of a local COO, mirroring values

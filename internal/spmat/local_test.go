@@ -8,19 +8,21 @@ import (
 )
 
 // valueSemiring lifts a value-returning product (false annihilates) and an
-// addition into the in-place contract, so test semirings stay one-liners.
+// addition into the run contract, so test semirings stay one-liners.
 func valueSemiring(mul func(a, b int64) (int64, bool), add func(a, b int64) int64) Semiring[int64, int64, int64] {
 	return Semiring[int64, int64, int64]{
-		Mul: func(c *int64, a, b int64) bool {
-			v, ok := mul(a, b)
-			if ok {
-				*c = v
-			}
-			return ok
-		},
-		MulAdd: func(c *int64, a, b int64) {
-			if v, ok := mul(a, b); ok {
-				*c = add(*c, v)
+		Fold: func(acc *Acc[int64], run []Triple[int64], rowLo int32, b int64) {
+			for _, t := range run {
+				v, ok := mul(t.Val, b)
+				if !ok {
+					continue
+				}
+				if c, live := acc.Slot(t.Row - rowLo); live {
+					*c = add(*c, v)
+				} else {
+					*c = v
+					acc.Claim(t.Row - rowLo)
+				}
 			}
 		},
 		Add: add,
@@ -164,7 +166,7 @@ func TestMultiplyMatchesDense(t *testing.T) {
 		nr, k, nc := int32(rng.Intn(15)+1), int32(rng.Intn(15)+1), int32(rng.Intn(15)+1)
 		a := randCOO(rng, nr, k, 0.35)
 		b := randCOO(rng, k, nc, 0.35)
-		got := toDense(COO[int64]{NR: nr, NC: nc, Ts: Multiply(a.ToCSC(), b.ToCSC(), plusTimes).Ts})
+		got := toDense(COO[int64]{NR: nr, NC: nc, Ts: Multiply(a, b, plusTimes).Ts})
 		want := denseMul(toDense(a), toDense(b))
 		return reflect.DeepEqual(got, want)
 	}
@@ -174,12 +176,12 @@ func TestMultiplyMatchesDense(t *testing.T) {
 }
 
 func TestMultiplyAnnihilation(t *testing.T) {
-	// A semiring whose Mul rejects products with odd results must produce
-	// only entries built from surviving products.
+	// A semiring whose product rejects odd results must produce only
+	// entries built from surviving products.
 	sr := valueSemiring(func(a, b int64) (int64, bool) { v := a * b; return v, v%2 == 0 }, plus)
 	a := NewCOO(2, 2, []Triple[int64]{{0, 0, 3}, {0, 1, 2}}, nil)
 	b := NewCOO(2, 1, []Triple[int64]{{0, 0, 5}, {1, 0, 7}}, nil)
-	got := Multiply(a.ToCSC(), b.ToCSC(), sr)
+	got := Multiply(a, b, sr)
 	// products: 3*5=15 (dropped), 2*7=14 (kept)
 	want := []Triple[int64]{{0, 0, 14}}
 	if !reflect.DeepEqual(got.Ts, want) {

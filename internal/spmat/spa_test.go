@@ -109,10 +109,10 @@ func TestMultiplyMatchesMapKernel(t *testing.T) {
 		nr := int32(1 + rng.Intn(30))
 		k := int32(1 + rng.Intn(30))
 		nc := int32(1 + rng.Intn(30))
-		a := randCOO(rng, nr, k, rng.Float64()*0.4).ToCSC()
-		b := randCOO(rng, k, nc, rng.Float64()*0.4).ToCSC()
+		a := randCOO(rng, nr, k, rng.Float64()*0.4)
+		b := randCOO(rng, k, nc, rng.Float64()*0.4)
 		got := Multiply(a, b, plusTimes)
-		ref := multiplyMap(a, b, plusTimes)
+		ref := multiplyMap(a.ToCSC(), b.ToCSC(), plusTimes)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("trial %d: SPA multiply diverged from map reference", trial)
 		}
@@ -123,7 +123,7 @@ func TestMultiplyMatchesMapKernel(t *testing.T) {
 func oddProduct(a, b int64) (int64, bool) { p := a * b; return p, p%2 == 1 }
 
 // TestMultiplyMatchesMapKernelAnnihilation repeats the differential check
-// under a semiring whose Mul annihilates (the candidate-matrix pattern):
+// under a semiring whose product annihilates (the candidate-matrix pattern):
 // rows whose every product annihilates must not appear.
 func TestMultiplyMatchesMapKernelAnnihilation(t *testing.T) {
 	odd := valueSemiring(oddProduct, plus)
@@ -132,10 +132,10 @@ func TestMultiplyMatchesMapKernelAnnihilation(t *testing.T) {
 		nr := int32(1 + rng.Intn(25))
 		k := int32(1 + rng.Intn(25))
 		nc := int32(1 + rng.Intn(25))
-		a := randCOO(rng, nr, k, 0.3).ToCSC()
-		b := randCOO(rng, k, nc, 0.3).ToCSC()
+		a := randCOO(rng, nr, k, 0.3)
+		b := randCOO(rng, k, nc, 0.3)
 		got := Multiply(a, b, odd)
-		ref := multiplyMap(a, b, odd)
+		ref := multiplyMap(a.ToCSC(), b.ToCSC(), odd)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("trial %d: annihilating multiply diverged from map reference", trial)
 		}
@@ -145,8 +145,8 @@ func TestMultiplyMatchesMapKernelAnnihilation(t *testing.T) {
 // TestMultiplyEmptyOperands checks the canonical nil form survives the SPA
 // path (no touched rows must mean no emitted triples).
 func TestMultiplyEmptyOperands(t *testing.T) {
-	empty := COO[int64]{NR: 5, NC: 4}.ToCSC()
-	b := randCOO(rand.New(rand.NewSource(3)), 4, 6, 0.5).ToCSC()
+	empty := COO[int64]{NR: 5, NC: 4}
+	b := randCOO(rand.New(rand.NewSource(3)), 4, 6, 0.5)
 	if got := Multiply(empty, b, plusTimes); got.Ts != nil || got.NR != 5 || got.NC != 6 {
 		t.Fatalf("empty ⊗ b = %+v, want nil triples", got)
 	}
@@ -155,10 +155,13 @@ func TestMultiplyEmptyOperands(t *testing.T) {
 // TestSPAGenerationWraparound forces the uint32 generation counter over its
 // wrap and checks stale tags cannot leak rows between columns.
 func TestSPAGenerationWraparound(t *testing.T) {
-	s := newSPA[int64](4)
+	fold := func(s *Acc[int64], row int32, a, b int64) {
+		plusTimes.Fold(s, []Triple[int64]{{Row: row, Val: a}}, 0, b)
+	}
+	s := newAcc[int64](4)
 	s.cur = ^uint32(0) - 1 // two resets from wrapping
 	s.reset()
-	fold(s, 2, 7, 1, &plusTimes)
+	fold(s, 2, 7, 1)
 	s.reset() // wraps: gen array must be hard-cleared
 	if s.cur != 1 {
 		t.Fatalf("cur = %d after wrap, want 1", s.cur)
@@ -166,8 +169,8 @@ func TestSPAGenerationWraparound(t *testing.T) {
 	if len(s.rows) != 0 {
 		t.Fatal("rows not reset")
 	}
-	fold(s, 1, 5, 1, &plusTimes)
-	fold(s, 1, 3, 2, &plusTimes) // live slot: folded in place
+	fold(s, 1, 5, 1)
+	fold(s, 1, 3, 2) // live slot: folded in place
 	ts := s.emit(nil, 0, 0)
 	want := []Triple[int64]{{Row: 1, Col: 0, Val: 11}}
 	if !reflect.DeepEqual(ts, want) {

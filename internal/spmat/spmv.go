@@ -18,27 +18,30 @@ import (
 //     reduction on the row communicator, and each rank keeps its vector
 //     block of the result.
 //
-// Every partial starts live at identity, so the local pass is one in-place
-// sr.MulAdd per nonzero (sr.Mul is not called); an annihilated product leaves
-// the slot alone, so rows with no surviving product stay at identity.
-// identity must be neutral for MulAdd's addition and for combine, which must
-// be that same addition (e.g. +∞ for min, 0 for sum): the row reduction folds
-// one identity-initialized partial per grid-row rank.
+// The partials are an accumulator whose rows all start live at identity, so
+// the local pass is one sr.Fold per column run of the block, each row folded
+// in place; an annihilated product leaves the slot alone, so rows with no
+// surviving product stay at identity. identity must be neutral for Fold's
+// addition and for combine, which must be that same addition (e.g. +∞ for
+// min, 0 for sum): the row reduction folds one identity-initialized partial
+// per grid-row rank.
 func SpMV[T, V, W any](a *Dist[T], x *DistVec[V], sr Semiring[T, V, W], identity W, combine func(W, W) W) *DistVec[W] {
 	if int32(x.N) != a.NC {
 		panic("spmat: SpMV dimension mismatch")
 	}
 	g := a.G
 	_, colX := x.RowColGather()
-	span := int(a.RowHi - a.RowLo)
-	partial := make([]W, span)
-	for i := range partial {
-		partial[i] = identity
+	partial := newAcc[W](a.RowHi - a.RowLo)
+	for i := range partial.vals {
+		partial.vals[i], partial.gen[i] = identity, partial.cur
 	}
-	for _, t := range a.Local.Ts {
-		sr.MulAdd(&partial[t.Row-a.RowLo], t.Val, colX[t.Col-a.ColLo])
+	ts := a.Local.Ts
+	for lo := 0; lo < len(ts); {
+		hi := runEnd(ts, lo)
+		sr.Fold(partial, ts[lo:hi], a.RowLo, colX[ts[lo].Col-a.ColLo])
+		lo = hi
 	}
-	full := mpi.AllreduceSlice(g.RowComm, partial, combine)
+	full := mpi.AllreduceSlice(g.RowComm, partial.vals, combine)
 	// A rank's vector block always sits inside its matrix row range (the
 	// package grid layout invariant), so the result block is a plain slice.
 	y := NewDistVec[W](g, int(a.NR))

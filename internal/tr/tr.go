@@ -40,18 +40,20 @@ type PathMin struct {
 // pathSemiring composes edges u→v and v→w into candidate u→w walks; walks
 // whose directions do not compose are annihilated.
 var pathSemiring = spmat.Semiring[bidir.Edge, bidir.Edge, PathMin]{
-	Mul: func(c *PathMin, e1, e2 bidir.Edge) bool {
-		d, ok := bidir.ComposeDirs(e1.Dir, e2.Dir)
-		if !ok {
-			return false
-		}
-		c.Min = [4]int32{inf, inf, inf, inf}
-		c.Min[d] = e1.Suf + e2.Suf
-		return true
-	},
-	MulAdd: func(c *PathMin, e1, e2 bidir.Edge) {
-		if d, ok := bidir.ComposeDirs(e1.Dir, e2.Dir); ok {
-			c.Min[d] = min(c.Min[d], e1.Suf+e2.Suf)
+	Fold: func(acc *spmat.Acc[PathMin], run []spmat.Triple[bidir.Edge], rowLo int32, e2 bidir.Edge) {
+		for _, t := range run {
+			d, ok := bidir.ComposeDirs(t.Val.Dir, e2.Dir)
+			if !ok {
+				continue
+			}
+			suf := t.Val.Suf + e2.Suf
+			if c, live := acc.Slot(t.Row - rowLo); live {
+				c.Min[d] = min(c.Min[d], suf)
+			} else {
+				c.Min = [4]int32{inf, inf, inf, inf}
+				c.Min[d] = suf
+				acc.Claim(t.Row - rowLo)
+			}
 		}
 	},
 	Add: func(a, b PathMin) PathMin {
