@@ -16,11 +16,13 @@ import (
 	"context"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/quality"
 	"repro/internal/readsim"
+	"repro/internal/trace"
 )
 
 const benchSeed = 97
@@ -154,7 +156,10 @@ func BenchmarkStageSweep(b *testing.B) {
 	same := 1.0
 	for i := 0; i < b.N; i++ {
 		sweptCells, fullCells = 0, 0
-		eng, err := pipeline.Plan(base)
+		var snap *trace.Summary
+		eng, err := pipeline.Plan(base, pipeline.Observer{
+			StageEnd: func(_ string, sum *trace.Summary, _ time.Duration) { snap = sum },
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +167,7 @@ func BenchmarkStageSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sweptCells = arts.Aggregate().Get("Alignment").SumWork
+		sweptCells = snap.Get("Alignment").SumWork
 		for _, fz := range fuzzes {
 			opt := base
 			opt.TRFuzz = fz

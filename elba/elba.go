@@ -68,8 +68,8 @@
 // 4`), which re-execs one worker per rank. Contigs and byte/message
 // counters are identical on every transport. If a rank process dies mid-run
 // its peers abort promptly with an error naming the dead rank and the
-// per-stage restart point; Options.OnFailure observes the cause exactly
-// once and FailedRank recovers the attribution.
+// per-stage restart point, and FailedRank recovers the attribution from the
+// returned error.
 //
 // Observability is opt-in and result-neutral: Options.Trace (NewTrace)
 // records per-rank event spans (stage bodies, pool chunks, mpi
@@ -144,9 +144,8 @@ func Transports() []string { return pipeline.Transports() }
 // FailedRank reports the world rank a failure is attributed to, when the
 // transport could name one — a worker process that died mid-run, a broken
 // mesh connection, a peer that aborted the job. It unwraps the error chains
-// returned by Assemble and the Engine on a distributed run and the causes
-// delivered to Options.OnFailure; ok is false for errors with no
-// rank attribution (validation errors, context cancellation).
+// returned by Assemble and the Engine on a distributed run; ok is false for
+// errors with no rank attribution (validation errors, context cancellation).
 func FailedRank(err error) (rank int, ok bool) {
 	var rf *transport.RankFailure
 	if errors.As(err, &rf) {

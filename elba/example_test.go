@@ -114,19 +114,16 @@ func Example_transport() {
 	// Output: true true true
 }
 
-// Example_failureHandler demonstrates Options.OnFailure: when a run's world
-// is torn down early — here by context cancellation as the Alignment stage
-// starts; in a multi-process run, by a rank dying — the handler receives the
-// cause exactly once, before Run returns its error. For
-// transport-attributed deaths, FailedRank(err) recovers which rank was
-// lost.
+// Example_failureHandler demonstrates reading a failure from the returned
+// error: when a run's world is torn down early — here by context
+// cancellation as the Alignment stage starts; in a multi-process run, by a
+// rank dying — Run returns the cause. For transport-attributed deaths,
+// FailedRank(err) recovers which rank was lost.
 func Example_failureHandler() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	failed := make(chan error, 1)
 	opt := elba.PresetOptions(elba.CElegansLike, 4)
 	opt.AlignBackend = elba.BackendWFA
-	opt.OnFailure = func(err error) { failed <- err }
 	eng, err := elba.Plan(opt, elba.Observer{StageStart: func(stage string, _, _ int) {
 		if stage == elba.StageAlignment {
 			cancel()
@@ -136,9 +133,8 @@ func Example_failureHandler() {
 		panic(err)
 	}
 	_, err = eng.Run(ctx, elba.ReadSeqs(elba.SimulateDataset(elba.CElegansLike, 20_000, 42).Reads))
-	cause := <-failed
-	_, attributed := elba.FailedRank(cause)
-	fmt.Println(err != nil, errors.Is(cause, context.Canceled), attributed)
+	_, attributed := elba.FailedRank(err)
+	fmt.Println(err != nil, errors.Is(err, context.Canceled), attributed)
 	// Output: true true false
 }
 

@@ -68,12 +68,12 @@ type Result struct {
 
 // ContigGeneration runs Algorithm 2 on the string matrix s. Sub-stage
 // timings land in tm under CG:* names. The paper's contig-phase breakdown
-// has the induced subgraph step dominating with 65–85% of the phase; here,
-// where the step routes only edge triples, it is 4–7% and the phase is the
-// read-sequence exchange and the connected components: on the benchmark's
-// 10 Mb layout problem at P = 4 the exchange was 58% of the phase while every
-// base was copied five times, and is about a third now that each is copied
-// once (DESIGN.md §11 has the per-step copy budget), with LACC about half.
+// has the induced subgraph step dominating with 65–85% of the phase; here the
+// step routes only edge triples, and the phase is mostly the connected
+// components. Of core.contig_s on the benchmark's layout-inproc workload
+// (10 Mb layout problem, P = 4), LACC is 61%, the read-sequence exchange 16%
+// (DESIGN.md §11 has its per-step copy budget), local assembly 9% and the
+// induced subgraph 8%.
 // packSeqs enables the 2-bit sequence-communication encoding (§7 future
 // work); false matches the paper's raw char-buffer protocol.
 //
@@ -356,11 +356,8 @@ func inducedSubgraph(l *spmat.Dist[bidir.Edge], assign *spmat.DistVec[int32]) *L
 		ts[i] = spmat.Triple[bidir.Edge]{Row: localIdx[t.Col], Col: localIdx[t.Row], Val: t.Val}
 	}
 	n := int32(len(globals))
-	coo := spmat.NewCOO(n, n, ts, nil)
-	// The distributed stages store blocks in DCSC (hypersparse); local
-	// assembly converts to plain CSC for O(1) column indexing (§4.4).
-	dcsc := coo.ToCSC().ToDCSC()
-	return &LocalGraph{Globals: globals, CSC: dcsc.ToCSC()}
+	// Local assembly walks plain CSC for O(1) column indexing (§4.4).
+	return &LocalGraph{Globals: globals, CSC: spmat.NewCOO(n, n, ts, nil).ToCSC()}
 }
 
 // CommunicateSequences routes every assigned read's bytes to its owner

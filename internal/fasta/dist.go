@@ -2,7 +2,6 @@ package fasta
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -51,69 +50,6 @@ func (s *DistStore) Get(g int) []byte {
 
 // Owner returns the rank owning read g.
 func (s *DistStore) Owner(g int) int { return grid.BlockOwner(s.N, s.Comm.Size(), g) }
-
-// Fetch retrieves the sequences of arbitrary global read ids (collective:
-// every rank must call it, possibly with an empty request). Duplicate ids are
-// allowed. The result maps each requested id to its sequence.
-//
-// Implementation: request ids go to their owners with one Alltoallv; owners
-// answer with a second Alltoallv whose byte payload is chunk-limited like all
-// sequence traffic.
-func (s *DistStore) Fetch(ids []int) map[int][]byte {
-	p := s.Comm.Size()
-	// Deduplicate and route requests.
-	uniq := make([]int, 0, len(ids))
-	seen := make(map[int]struct{}, len(ids))
-	for _, g := range ids {
-		if _, ok := seen[g]; ok {
-			continue
-		}
-		seen[g] = struct{}{}
-		uniq = append(uniq, g)
-	}
-	sort.Ints(uniq)
-	req := make([][]int64, p)
-	for _, g := range uniq {
-		o := s.Owner(g)
-		req[o] = append(req[o], int64(g))
-	}
-	got := mpi.Alltoallv(s.Comm, req)
-	// Serve: for every requester, the concatenated bytes, packed straight
-	// into a frame sized from the lengths.
-	respBuf := make([]mpi.ByteBuf, p)
-	for r := 0; r < p; r++ {
-		respBuf[r] = mpi.NewByteBuf(s.totalLen(got[r]))
-		dst := respBuf[r].Bytes()
-		for _, g64 := range got[r] {
-			dst = dst[copy(dst, s.Get(int(g64))):]
-		}
-	}
-	back := mpi.AlltoallvBytes(s.Comm, respBuf)
-	out := make(map[int][]byte, len(uniq))
-	for r := 0; r < p; r++ {
-		lens := make([]int32, len(req[r]))
-		for i, g64 := range req[r] {
-			lens[i] = s.Lens[g64]
-		}
-		source := fmt.Sprintf("rank %d answering for no reads", r)
-		if n := len(req[r]); n > 0 {
-			source = fmt.Sprintf("rank %d answering for %d reads, ids %d…%d", r, n, req[r][0], req[r][n-1])
-		}
-		for i, seq := range unflatten(back[r], lens, source) {
-			out[int(req[r][i])] = seq
-		}
-	}
-	return out
-}
-
-// totalLen sums the replicated lengths of the given read ids.
-func (s *DistStore) totalLen(ids []int64) int {
-	total := 0
-	for _, g := range ids {
-		total += int(s.Lens[g])
-	}
-	return total
-}
 
 // Len returns the length of any read (lengths are replicated).
 func (s *DistStore) Len(g int) int { return int(s.Lens[g]) }

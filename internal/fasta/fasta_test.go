@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/dna"
@@ -248,30 +247,6 @@ func TestDistStoreFromGlobal(t *testing.T) {
 	}
 }
 
-func TestDistStoreFetch(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 6} {
-		reads := makeReads(40, 11)
-		err := mpi.Run(p, func(c *mpi.Comm) {
-			st := FromGlobal(c, reads)
-			// Each rank fetches a strided subset, including remote ids and
-			// duplicates.
-			var ids []int
-			for g := c.Rank(); g < st.N; g += 3 {
-				ids = append(ids, g, g) // duplicate on purpose
-			}
-			got := st.Fetch(ids)
-			for _, g := range ids {
-				if !bytes.Equal(got[g], reads[g]) {
-					panic(fmt.Sprintf("fetch read %d wrong", g))
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-	}
-}
-
 func TestRowColSequences(t *testing.T) {
 	for _, p := range []int{1, 4, 9, 16} {
 		reads := makeReads(37, 13)
@@ -325,37 +300,9 @@ func TestRowColSequencesChunked(t *testing.T) {
 	}
 }
 
-func TestDistStoreFetchChunked(t *testing.T) {
-	old := mpi.MaxMessageBytes
-	mpi.MaxMessageBytes = 128 // force the chunked path
-	defer func() { mpi.MaxMessageBytes = old }()
-	reads := makeReads(12, 3)
-	var mu sync.Mutex
-	fetched := 0
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		st := FromGlobal(c, reads)
-		ids := []int{0, 5, 11}
-		got := st.Fetch(ids)
-		for _, g := range ids {
-			if !bytes.Equal(got[g], reads[g]) {
-				panic("chunked fetch wrong")
-			}
-		}
-		mu.Lock()
-		fetched++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fetched != 4 {
-		t.Fatal("not all ranks fetched")
-	}
-}
-
 // A received sequence buffer must be exactly what the replicated lengths
 // demand: a short one used to die as an anonymous slice-bounds panic, a long
-// one was silently accepted by Fetch.
+// one was silently accepted.
 func TestUnflattenChecksTotal(t *testing.T) {
 	lens := []int32{3, 0, 2}
 	got := unflatten([]byte("AAACC"), lens, "test")
@@ -366,11 +313,11 @@ func TestUnflattenChecksTotal(t *testing.T) {
 		func() {
 			defer func() {
 				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, "rank 3 answering") || !strings.Contains(msg, "lengths demand 5") {
+				if !strings.Contains(msg, "transposed rank 3") || !strings.Contains(msg, "lengths demand 5") {
 					t.Fatalf("buffer %q: panic %q does not name the source and the demand", buf, msg)
 				}
 			}()
-			unflatten([]byte(buf), lens, "rank 3 answering for 3 reads, ids 7…9")
+			unflatten([]byte(buf), lens, "transposed rank 3, reads 7…9")
 		}()
 	}
 }

@@ -46,24 +46,18 @@ func (w *World) Cancel(cause error) {
 		cause = context.Canceled
 	}
 	w.cancelMu.Lock()
-	first := w.cancelErr == nil
-	var hook func(error)
-	if first {
-		w.cancelErr = cause
-		close(w.cancelCh)
-		hook = w.onCancel
+	if w.cancelErr != nil {
+		w.cancelMu.Unlock()
+		return
 	}
+	w.cancelErr = cause
+	close(w.cancelCh)
 	w.cancelMu.Unlock()
-	if first {
-		if hook != nil {
-			hook(cause)
-		}
-		origin := failureOrigin(cause)
-		for _, r := range w.local {
-			// Abort may block on socket writes; never under cancelMu, and
-			// never on the canceller's goroutine.
-			go w.eps[r].Abort(origin, cause.Error())
-		}
+	origin := failureOrigin(cause)
+	for _, r := range w.local {
+		// Abort may block on socket writes; never under cancelMu, and never
+		// on the canceller's goroutine.
+		go w.eps[r].Abort(origin, cause.Error())
 	}
 }
 
@@ -77,26 +71,6 @@ func failureOrigin(cause error) int {
 		return rf.Rank
 	}
 	return -1
-}
-
-// OnCancel registers fn to run exactly once when the world is cancelled —
-// by context cancellation, a rank panic or send failure, or a
-// transport-reported peer death (unwrap the cause with errors.As to a
-// *transport.RankFailure to name a dead rank). fn runs on the goroutine
-// that first cancels the world, before blocked ranks finish unwinding, so
-// it must be quick and must not communicate on the world. Registering on an
-// already-cancelled world fires fn immediately with the buffered cause; a
-// later OnCancel replaces an unfired hook.
-func (w *World) OnCancel(fn func(error)) {
-	w.cancelMu.Lock()
-	pending := w.cancelErr
-	if pending == nil {
-		w.onCancel = fn
-	}
-	w.cancelMu.Unlock()
-	if pending != nil && fn != nil {
-		fn(pending)
-	}
 }
 
 // Err returns the cancellation cause, or nil while the world is live.
@@ -122,7 +96,7 @@ func (w *World) checkCancel() {
 // starting any rank. A ctx that is already cancelled on entry likewise
 // starts no rank, but it does cancel the world first — a run requested
 // under a dead context poisons the world exactly as a mid-run cancellation
-// would, so the OnCancel hook fires no matter where the cancellation lands
+// would, so Err reports the cause no matter where the cancellation lands
 // relative to the stage boundaries above.
 func (w *World) RunCtx(ctx context.Context, fn func(*Comm)) error {
 	if err := w.Err(); err != nil {

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,8 +233,8 @@ func TestConformanceCancelUnblocksReceive(t *testing.T) {
 //
 //   - a rank's abort cancels every peer's world with a cause that
 //     errors.As-unwraps to a *transport.RankFailure naming the aborting rank;
-//   - OnCancel fires exactly once with that cause, and a handler registered
-//     after the failure fires immediately with the buffered cause;
+//   - the world keeps that cause: Err returns it, with the same attribution,
+//     after Run has returned;
 //   - messages delivered before the failure stay matchable at the transport,
 //     so a receiver can drain what arrived before deciding how to unwind.
 func TestConformanceFailureDeliveryOrdering(t *testing.T) {
@@ -245,15 +244,6 @@ func TestConformanceFailureDeliveryOrdering(t *testing.T) {
 		t.Fatalf("tcp mesh: %v", err)
 	}
 	w := NewWorldTransport(eps...)
-	var fired atomic.Int32
-	causeCh := make(chan error, 1)
-	w.OnCancel(func(err error) {
-		fired.Add(1)
-		select {
-		case causeCh <- err:
-		default:
-		}
-	})
 	runErr := w.Run(func(c *Comm) {
 		switch c.Rank() {
 		case 0:
@@ -277,22 +267,9 @@ func TestConformanceFailureDeliveryOrdering(t *testing.T) {
 	if rf.Rank != 0 {
 		t.Fatalf("failure names rank %d, want 0: %v", rf.Rank, runErr)
 	}
-	if n := fired.Load(); n != 1 {
-		t.Fatalf("OnCancel fired %d times, want exactly once", n)
-	}
-	if cause := <-causeCh; !errors.Is(runErr, cause) && runErr.Error() != cause.Error() {
-		t.Fatalf("OnCancel cause %v differs from run error %v", cause, runErr)
-	}
-	// Late registration replays the buffered cause immediately.
-	late := make(chan error, 1)
-	w.OnCancel(func(err error) { late <- err })
-	select {
-	case err := <-late:
-		if !errors.As(err, &rf) || rf.Rank != 0 {
-			t.Fatalf("late OnCancel cause lost rank attribution: %v", err)
-		}
-	default:
-		t.Fatal("OnCancel on a failed world did not fire immediately")
+	// The world keeps the cause after Run returns, attribution included.
+	if err := w.Err(); !errors.As(err, &rf) || rf.Rank != 0 {
+		t.Fatalf("world cause lost rank attribution: %v", err)
 	}
 	// The pre-failure message is still matchable at rank 1's endpoint
 	// (scan-then-wait: its reader may still be draining).

@@ -94,7 +94,6 @@ type World struct {
 	cancelMu  sync.Mutex
 	cancelCh  chan struct{}
 	cancelErr error
-	onCancel  func(error)
 	// obs holds the optional tracing/metrics handles (see obs.go). Written
 	// only by SetObs before ranks start; read without synchronization after.
 	obs *worldObs
@@ -153,11 +152,15 @@ func NewWorldTransport(eps ...transport.Transport) *World {
 		}
 		w.eps[r] = ep
 		w.local = append(w.local, r)
+	}
+	sort.Ints(w.local)
+	// Handlers go on once the world is complete: a failure may fire one at
+	// once, and Cancel reads every local endpoint.
+	for _, ep := range eps {
 		ep.SetFailureHandler(func(err error) {
 			w.Cancel(fmt.Errorf("mpi: transport failure: %w", err))
 		})
 	}
-	sort.Ints(w.local)
 	return w
 }
 

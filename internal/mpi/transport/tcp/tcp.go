@@ -74,6 +74,19 @@ const (
 // limit the chunking layer enforces, plus codec header slack).
 const maxFrameLen = 1<<31 - 1 + 64
 
+// maxAbortReason bounds an ABORT frame's reason text. Abort truncates what it
+// sends to this length, so only a peer that breaks the protocol exceeds it.
+const maxAbortReason = 64 << 10
+
+// readChunk is the step in which the reader takes a payload off the socket;
+// each step is read under a fresh heartbeat deadline. A payload buffer is at
+// most payloadGrowth times the bytes that have arrived, or payloadGrowth
+// steps (see readPayload).
+const (
+	readChunk     = 1 << 20
+	payloadGrowth = 8
+)
+
 // dialTimeout is the default bound on connection attempts (rendezvous and
 // mesh); JoinConfig.DialTimeout overrides it per Join.
 const dialTimeout = 30 * time.Second
@@ -245,7 +258,7 @@ func (e *Endpoint) Abort(origin int, reason string) {
 	if origin < 0 {
 		origin = e.self
 	}
-	payload := []byte(reason)
+	payload := []byte(reason[:min(len(reason), maxAbortReason)])
 	for _, pc := range e.peers {
 		if pc == nil {
 			continue
@@ -320,21 +333,72 @@ func (e *Endpoint) readFailure(err error) error {
 // large frame that is still flowing never trips the timeout, a stalled one
 // does.
 func (e *Endpoint) readFullAlive(pc *peerConn, br *bufio.Reader, buf []byte) error {
-	const chunk = 1 << 20
 	for len(buf) > 0 {
-		if e.hbTimeout > 0 {
-			pc.nc.SetReadDeadline(time.Now().Add(e.hbTimeout))
-		}
-		n := len(buf)
-		if n > chunk {
-			n = chunk
-		}
+		e.keepAlive(pc)
+		n := min(len(buf), readChunk)
 		if _, err := io.ReadFull(br, buf[:n]); err != nil {
 			return err
 		}
 		buf = buf[n:]
 	}
 	return nil
+}
+
+// readPayload reads an n-byte frame payload. The header's length is the
+// peer's claim, not its bytes, so the buffer grows only as they arrive. A
+// payload above one read step commits nothing until its first bytes have
+// filled the reader's buffer, and the buffer then never exceeds
+// payloadGrowth times what has arrived, or payloadGrowth steps. A header
+// announcing a huge frame that never comes costs no payload memory; an honest
+// frame of up to payloadGrowth steps is allocated once, at its size.
+func (e *Endpoint) readPayload(pc *peerConn, br *bufio.Reader, n int) ([]byte, error) {
+	if n > readChunk {
+		e.keepAlive(pc)
+		if _, err := br.Peek(br.Size()); err != nil {
+			return nil, err
+		}
+	}
+	var buf []byte
+	for got := 0; got < n; got = len(buf) {
+		next := make([]byte, min(n, payloadGrowth*max(got, readChunk)))
+		copy(next, buf)
+		buf = next
+		if err := e.readFullAlive(pc, br, buf[got:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// frameError refuses a frame header before any of its payload is read, or
+// returns nil for a header the protocol allows: a payload within
+// maxFrameLen, none on the control frames, and a bounded abort reason.
+func (e *Endpoint) frameError(kind byte, n uint32) error {
+	switch {
+	case uint64(n) > maxFrameLen:
+		return fmt.Errorf("sent rank %d an oversized frame (%d bytes)", e.self, n)
+	case kind == frameMsg:
+		return nil
+	case kind == frameAbort:
+		if n > maxAbortReason {
+			return fmt.Errorf("sent rank %d an abort reason of %d bytes (limit %d)", e.self, n, maxAbortReason)
+		}
+		return nil
+	case kind == framePing || kind == framePong || kind == frameBye:
+		if n > 0 {
+			return fmt.Errorf("sent rank %d a control frame 0x%02x with a %d-byte payload", e.self, kind, n)
+		}
+		return nil
+	default:
+		return fmt.Errorf("sent rank %d an unknown frame kind 0x%02x", e.self, kind)
+	}
+}
+
+// keepAlive gives the next read the heartbeat timeout, when detection is on.
+func (e *Endpoint) keepAlive(pc *peerConn) {
+	if e.hbTimeout > 0 {
+		pc.nc.SetReadDeadline(time.Now().Add(e.hbTimeout))
+	}
 }
 
 // heartbeat pings every write-idle peer connection each interval, so a rank
@@ -394,17 +458,14 @@ func (e *Endpoint) reader(peer int, pc *peerConn) {
 		kind := hdr[0]
 		tag := int64(binary.LittleEndian.Uint64(hdr[1:9]))
 		n := binary.LittleEndian.Uint32(hdr[9:13])
-		if uint64(n) > maxFrameLen {
-			e.fail(&transport.RankFailure{Rank: peer, Err: fmt.Errorf("sent rank %d an oversized frame (%d bytes)", e.self, n)})
+		if err := e.frameError(kind, n); err != nil {
+			e.fail(&transport.RankFailure{Rank: peer, Err: err})
 			return
 		}
-		var payload []byte
-		if n > 0 {
-			payload = make([]byte, n)
-			if err := e.readFullAlive(pc, br, payload); err != nil {
-				e.fail(&transport.RankFailure{Rank: peer, Err: e.readFailure(err)})
-				return
-			}
+		payload, err := e.readPayload(pc, br, int(n))
+		if err != nil {
+			e.fail(&transport.RankFailure{Rank: peer, Err: e.readFailure(err)})
+			return
 		}
 		switch kind {
 		case frameMsg:
@@ -430,9 +491,6 @@ func (e *Endpoint) reader(peer int, pc *peerConn) {
 			} else {
 				e.fail(&transport.RankFailure{Rank: rank, Err: fmt.Errorf("aborted the job: %s", payload)})
 			}
-			return
-		default:
-			e.fail(&transport.RankFailure{Rank: peer, Err: fmt.Errorf("sent rank %d an unknown frame kind 0x%02x", e.self, kind)})
 			return
 		}
 	}

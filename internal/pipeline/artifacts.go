@@ -64,7 +64,7 @@ type Artifacts struct {
 	ctl []*mpi.Comm
 
 	// sum is the cross-rank fold of every rank's Timers, replaced after each
-	// stage, never mutated; observers, Aggregate and Output all read it.
+	// stage, never mutated; observers and Output read it.
 	// Chain-local like the Timers it folds, so a fork reports what a
 	// monolithic run would even when sibling forks share the world.
 	sum  *trace.Summary
@@ -90,9 +90,6 @@ func newArtifacts(opt Options, reads [][]byte) (*Artifacts, error) {
 	// Observability attaches to the world before any rank starts; forks share
 	// the world and therefore the same trace lanes and metric registries.
 	w.SetObs(opt.Trace, opt.Metrics)
-	if opt.OnFailure != nil {
-		w.OnCancel(opt.OnFailure)
-	}
 	a := &Artifacts{
 		Opt:   opt,
 		World: w,
@@ -122,11 +119,6 @@ func (a *Artifacts) Stage() string {
 	}
 	return stages[a.done-1].name
 }
-
-// Aggregate returns the cross-rank fold of every rank's stage rows through
-// the last completed stage (the whole job, in a multi-process world too): the
-// immutable Summary observers received at that stage's end.
-func (a *Artifacts) Aggregate() *trace.Summary { return a.sum }
 
 // fold refreshes the summary after a world execution. In-process every
 // rank's Timers is in this address space; a multi-process world passes the

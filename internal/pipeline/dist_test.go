@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,7 +76,7 @@ func waitGoroutines(t *testing.T, base int) {
 //   - every surviving process aborts promptly with an error naming the dead
 //     rank, the failed stage, and the restart point (the last snapshotted
 //     stage), still errors.As-unwrappable to *transport.RankFailure;
-//   - the Options.OnFailure handler fires exactly once with the cause;
+//   - the world keeps the cause, attributed to the dead rank;
 //   - the pre-failure artifacts are poisoned (dead world, resume refused);
 //   - every rank goroutine and socket reader unwinds — no leaks.
 func TestDistributedRankFailure(t *testing.T) {
@@ -89,8 +88,6 @@ func TestDistributedRankFailure(t *testing.T) {
 
 	goroutines := runtime.NumGoroutine()
 	rdv := startTestRendezvous(t, p)
-	var failures atomic.Int32
-	failCause := make(chan error, 1)
 	// The simulated processes share this test's address space, so the kill
 	// can be synchronized deterministically: every engine signals when it
 	// reaches Alignment's StageStart (i.e. has fully left DetectOverlap's
@@ -102,6 +99,7 @@ func TestDistributedRankFailure(t *testing.T) {
 
 	type result struct {
 		resumeErr error // error of the killed resume
+		worldErr  error // the poisoned world's cause
 		deadErr   error // error of resuming the poisoned snapshot again
 	}
 	results := make([]result, p)
@@ -114,15 +112,6 @@ func TestDistributedRankFailure(t *testing.T) {
 			errs[r] = func() error {
 				var ep *tcp.Endpoint
 				opt := joinOptions(base, rdv, "127.0.0.1", r, &ep)
-				if r == 0 {
-					opt.OnFailure = func(err error) {
-						failures.Add(1)
-						select {
-						case failCause <- err:
-						default:
-						}
-					}
-				}
 				eng, err := Plan(opt)
 				if err != nil {
 					return err
@@ -154,14 +143,15 @@ func TestDistributedRankFailure(t *testing.T) {
 				if resumeErr == nil {
 					return errors.New("resume survived the death of rank 2")
 				}
-				if arts.World.Err() == nil {
+				worldErr := arts.World.Err()
+				if worldErr == nil {
 					return errors.New("world not poisoned after rank failure")
 				}
 				_, deadErr := eng.ResumeFrom(context.Background(), arts, StageExtractContig)
 				if deadErr == nil {
 					return errors.New("poisoned artifacts accepted a resume")
 				}
-				results[r] = result{resumeErr: resumeErr, deadErr: deadErr}
+				results[r] = result{resumeErr: resumeErr, worldErr: worldErr, deadErr: deadErr}
 				return nil
 			}()
 		}(r)
@@ -186,19 +176,15 @@ func TestDistributedRankFailure(t *testing.T) {
 				t.Errorf("rank %d: abort error lacks %q: %v", r, want, err)
 			}
 		}
+		if !errors.As(results[r].worldErr, &rf) || rf.Rank != 2 {
+			t.Errorf("rank %d: world cause does not name rank 2: %v", r, results[r].worldErr)
+		}
 		if !strings.Contains(results[r].deadErr.Error(), "dead") {
 			t.Errorf("rank %d: poisoned-resume error does not say the artifacts are dead: %v", r, results[r].deadErr)
 		}
 	}
 	if !strings.Contains(results[2].resumeErr.Error(), "injected fault") {
 		t.Errorf("rank 2's own error lost the injected cause: %v", results[2].resumeErr)
-	}
-	if n := failures.Load(); n != 1 {
-		t.Fatalf("OnFailure fired %d times on rank 0, want exactly once", n)
-	}
-	var rf *transport.RankFailure
-	if cause := <-failCause; !errors.As(cause, &rf) || rf.Rank != 2 {
-		t.Errorf("OnFailure cause does not name rank 2: %v", cause)
 	}
 	waitGoroutines(t, goroutines)
 }

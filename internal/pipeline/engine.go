@@ -17,29 +17,6 @@ import (
 	"repro/internal/trace"
 )
 
-// EngineEventKind classifies Observer.Event callbacks.
-type EngineEventKind int
-
-const (
-	// EventRunStart fires once per RunUntil/ResumeFrom call, before any
-	// stage executes. Stage names the first pending stage ("" when the call
-	// has nothing left to run).
-	EventRunStart EngineEventKind = iota
-	// EventRunEnd fires once per call, after the last stage's barrier (or
-	// the failure). Stage names the last completed stage; Err carries the
-	// run's error (nil on success, ctx.Err() on cancellation). A cancelled
-	// run sees its cancelled stage's StageStart with no matching StageEnd,
-	// then EventRunEnd — no callbacks follow it.
-	EventRunEnd
-)
-
-// EngineEvent is one run-lifecycle notification.
-type EngineEvent struct {
-	Kind  EngineEventKind
-	Stage string
-	Err   error
-}
-
 // Observer receives engine progress callbacks. Fields may be nil. Callbacks
 // run on the engine's calling goroutine between stage executions — never on
 // a rank goroutine — so they may cancel the run's context, read the
@@ -53,9 +30,6 @@ type Observer struct {
 	// of a multi-process run too (the rows travel on the uncounted control
 	// plane), and observing never perturbs the run's traffic counters.
 	StageEnd func(stage string, ranks *trace.Summary, wall time.Duration)
-	// Event fires at run-lifecycle boundaries (EventRunStart before the
-	// first StageStart, EventRunEnd after the last StageEnd or the failure).
-	Event func(EngineEvent)
 }
 
 // Engine runs the pipeline's stages. Plan validates the options once;
@@ -79,18 +53,6 @@ func Plan(opt Options, obs ...Observer) (*Engine, error) {
 	return &Engine{opt: opt, obs: obs}, nil
 }
 
-// Options returns the engine's validated options.
-func (e *Engine) Options() Options { return e.opt }
-
-// emit delivers a lifecycle event to every observer that registered for it.
-func (e *Engine) emit(ev EngineEvent) {
-	for _, ob := range e.obs {
-		if ob.Event != nil {
-			ob.Event(ev)
-		}
-	}
-}
-
 // Run assembles reads end to end: every stage on a fresh world. The
 // world is closed before returning (the artifacts are not exposed, so there
 // is nothing to resume) — for the socket-backed transports this is the
@@ -104,8 +66,8 @@ func (e *Engine) Run(ctx context.Context, reads [][]byte) (*Output, error) {
 	return a.Output()
 }
 
-// RunUntil executes the stages on a fresh simulated world of e.Options().P
-// ranks, stopping after stage `until` completes, and returns the Artifacts
+// RunUntil executes the stages on a fresh simulated world of P ranks,
+// stopping after stage `until` completes, and returns the Artifacts
 // snapshot. If ctx is cancelled mid-stage the world is cancelled, every rank
 // goroutine unwinds promptly, and RunUntil returns ctx.Err(); the artifacts
 // are then dead (their world is poisoned).
@@ -150,17 +112,9 @@ func (e *Engine) ResumeFrom(ctx context.Context, a *Artifacts, until string) (*A
 // barrier per stage. Stage bodies reuse the communicators stored in the
 // RankStates, so the op (and therefore traffic) sequence is identical to a
 // monolithic run; the per-stage world.Run only adds a goroutine join.
-func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (out *Artifacts, err error) {
+func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (*Artifacts, error) {
 	a.exec.Lock()
 	defer a.exec.Unlock()
-	first := ""
-	if a.done <= untilIdx {
-		first = stages[a.done].name
-	}
-	e.emit(EngineEvent{Kind: EventRunStart, Stage: first})
-	defer func() {
-		e.emit(EngineEvent{Kind: EventRunEnd, Stage: a.Stage(), Err: err})
-	}()
 	for i := a.done; i <= untilIdx; i++ {
 		st := stages[i]
 		if ctx != nil {

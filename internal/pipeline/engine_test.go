@@ -58,7 +58,8 @@ func TestResumeSweepReusesOverlapArtifacts(t *testing.T) {
 	base := DefaultOptions(4)
 	base.K = 21
 	base.XDrop = 25
-	eng, err := Plan(base)
+	var snap *trace.Summary
+	eng, err := Plan(base, Observer{StageEnd: func(_ string, sum *trace.Summary, _ time.Duration) { snap = sum }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestResumeSweepReusesOverlapArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alignOnce := arts.Aggregate().Get("Alignment").SumWork
+	alignOnce := snap.Get("Alignment").SumWork
 	if alignOnce <= 0 {
 		t.Fatal("no alignment work recorded in the snapshot")
 	}

@@ -124,14 +124,6 @@ type Options struct {
 	// into the rank mesh. The returned world must span p ranks. Excluded
 	// from the manifest (plumbing, not an algorithmic parameter).
 	NewWorld func(p int) (*mpi.World, error) `json:"-"`
-	// OnFailure, when non-nil, runs exactly once if the run's world is
-	// cancelled — a rank process died, a peer aborted the job, or the
-	// context was cancelled — with the cause. Unwrap it with errors.As to a
-	// *transport.RankFailure to name a dead rank. It runs on the goroutine
-	// that detected the failure, before the run returns; keep it quick and
-	// do not communicate from it. Excluded from the manifest (plumbing, not
-	// an algorithmic parameter).
-	OnFailure func(error) `json:"-"`
 	// CheckpointDir, when non-empty, makes the engine write a durable
 	// checkpoint of the per-rank artifacts after each completed stage (see
 	// CheckpointEvery): one wire-encoded file per rank plus a

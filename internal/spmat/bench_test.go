@@ -73,7 +73,7 @@ func BenchmarkSpGEMMDistributed(b *testing.B) {
 				a := FromGlobalTriples(g, n, n, ts, nil)
 				mpitest.InMode(c, false, func() {
 					for i := 0; i < b.N; i++ {
-						SpGEMM(a, a, plusTimes)
+						SpGEMMCounted(a, a, plusTimes, Mask{}, nil)
 					}
 				})
 			})
@@ -102,29 +102,4 @@ func BenchmarkDistributedTranspose(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkFormatConversions(b *testing.B) {
-	n := int32(5000)
-	coo := NewCOO(n, n, benchTriples(n, 6), nil)
-	b.Run("COO_to_CSC", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			coo.ToCSC()
-		}
-	})
-	csc := coo.ToCSC()
-	b.Run("CSC_to_DCSC", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			csc.ToDCSC()
-		}
-	})
-	dcsc := csc.ToDCSC()
-	b.Run("DCSC_to_CSC", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dcsc.ToCSC()
-		}
-	})
 }

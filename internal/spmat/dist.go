@@ -321,17 +321,13 @@ func Checkerboard() Mask { return Mask{checkerboard: true} }
 // formed.
 func KeepFunc(keep func(row, col int32) bool) Mask { return Mask{keep: keep} }
 
-// SpGEMM computes A ⊗ B with the SUMMA algorithm: √P stages; in stage s the
-// ranks of grid column s broadcast their A blocks along their grid row, the
-// ranks of grid row s broadcast their B blocks along their grid column, and
-// every rank accumulates the local product (collective).
-func SpGEMM[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C]) *Dist[C] {
-	return SpGEMMCounted(a, b, sr, Mask{}, nil)
-}
-
-// SpGEMMCounted is SpGEMM with an output mask and a semiring-product work
-// counter for the performance model (products may be nil): it is advanced by
-// the number of products evaluated on kept cells, annihilated ones included.
+// SpGEMMCounted computes A ⊗ B with the SUMMA algorithm: √P stages; in stage
+// s the ranks of grid column s broadcast their A blocks along their grid row,
+// the ranks of grid row s broadcast their B blocks along their grid column,
+// and every rank accumulates the local product (collective). Only cells the
+// mask keeps are formed (Mask{} keeps every cell). products, when non-nil, is
+// a semiring-product work counter for the performance model: it is advanced
+// by the number of products evaluated on kept cells, annihilated ones included.
 // With a counter, the products and the Fold calls that formed them are also
 // published as spmat.spgemm_products and spmat.fold_calls.
 //

@@ -142,7 +142,7 @@ func TestSpGEMMMatchesSerialMultiply(t *testing.T) {
 	runGrid(t, func(g *grid.Grid) {
 		a := FromGlobalTriples(g, nr, k, aT, nil)
 		b := FromGlobalTriples(g, k, nc, bT, nil)
-		c := SpGEMM(a, b, plusTimes)
+		c := SpGEMMCounted(a, b, plusTimes, Mask{}, nil)
 		got := c.GatherTriples(0)
 		if g.Comm.Rank() == 0 {
 			if !reflect.DeepEqual(got, ref.Ts) {
@@ -160,7 +160,7 @@ func TestSpGEMMSquareAAT(t *testing.T) {
 	runGrid(t, func(g *grid.Grid) {
 		a := FromGlobalTriples(g, nr, k, aT, nil)
 		at := Transpose(a, nil)
-		c := SpGEMM(a, at, plusTimes)
+		c := SpGEMMCounted(a, at, plusTimes, Mask{}, nil)
 		got := c.GatherTriples(0)
 		if g.Comm.Rank() == 0 {
 			m := map[[2]int32]int64{}

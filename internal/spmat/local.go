@@ -1,5 +1,5 @@
 // Package spmat is the sparse-matrix substrate standing in for CombBLAS:
-// local COO/CSC/DCSC formats with a semiring abstraction, and distributed
+// local COO/CSC formats with a semiring abstraction, and distributed
 // 2D block matrices on the √P × √P grid with masked SUMMA SpGEMM, the
 // sort-free construction of A and Aᵀ from row-major triples, distributed
 // transpose, element-wise transforms, row-degree reductions and row/column
@@ -173,72 +173,9 @@ func (a COO[T]) ToCSC() CSC[T] {
 	return CSC[T]{NR: a.NR, NC: a.NC, JC: jc, IR: ir, V: v}
 }
 
-// ToCOO converts CSC back to canonical COO.
-func (a CSC[T]) ToCOO() COO[T] {
-	if len(a.IR) == 0 {
-		return COO[T]{NR: a.NR, NC: a.NC} // canonical empty form is nil
-	}
-	ts := make([]Triple[T], 0, len(a.IR))
-	for j := int32(0); j < a.NC; j++ {
-		for p := a.JC[j]; p < a.JC[j+1]; p++ {
-			ts = append(ts, Triple[T]{Row: a.IR[p], Col: j, Val: a.V[p]})
-		}
-	}
-	return COO[T]{NR: a.NR, NC: a.NC, Ts: ts}
-}
-
 // ColDegree returns the number of nonzeros in column j — the vertex degree
 // when the matrix is a symmetric graph adjacency.
 func (a CSC[T]) ColDegree(j int32) int32 { return a.JC[j+1] - a.JC[j] }
-
-// DCSC is the doubly-compressed format of Buluç & Gilbert that ELBA uses for
-// hypersparse distributed blocks: only non-empty columns are stored. JC lists
-// the non-empty column ids, CP the pointer range of each into IR/V.
-type DCSC[T any] struct {
-	NR, NC int32
-	JC     []int32 // non-empty column ids, ascending
-	CP     []int32 // len(JC)+1 pointers
-	IR     []int32
-	V      []T
-}
-
-// ToDCSC compresses the column dimension.
-func (a CSC[T]) ToDCSC() DCSC[T] {
-	var jc, cp []int32
-	cp = append(cp, 0)
-	for j := int32(0); j < a.NC; j++ {
-		if a.JC[j+1] > a.JC[j] {
-			jc = append(jc, j)
-			cp = append(cp, a.JC[j+1])
-		}
-	}
-	ir := make([]int32, len(a.IR))
-	copy(ir, a.IR)
-	v := make([]T, len(a.V))
-	copy(v, a.V)
-	return DCSC[T]{NR: a.NR, NC: a.NC, JC: jc, CP: cp, IR: ir, V: v}
-}
-
-// ToCSC uncompresses the column pointers — the linear-time conversion §4.4
-// performs before local assembly ("only column pointers need to be
-// uncompressed and the row indices array stays intact").
-func (d DCSC[T]) ToCSC() CSC[T] {
-	jc := make([]int32, d.NC+1)
-	for i, j := range d.JC {
-		jc[j+1] = d.CP[i+1] - d.CP[i]
-	}
-	for j := int32(0); j < d.NC; j++ {
-		jc[j+1] += jc[j]
-	}
-	ir := make([]int32, len(d.IR))
-	copy(ir, d.IR)
-	v := make([]T, len(d.V))
-	copy(v, d.V)
-	return CSC[T]{NR: d.NR, NC: d.NC, JC: jc, IR: ir, V: v}
-}
-
-// Nnz returns the number of stored nonzeros.
-func (d DCSC[T]) Nnz() int { return len(d.IR) }
 
 // Semiring overloads multiplication and addition for SpGEMM, CombBLAS-style,
 // as an in-place accumulate contract over whole runs: the multiply hands the
@@ -430,18 +367,4 @@ func Multiply[A, B, C any](a COO[A], b COO[B], sr Semiring[A, B, C]) COO[C] {
 		p.ts = nil
 	}
 	return COO[C]{NR: a.NR, NC: b.NC, Ts: p.ts}
-}
-
-// TransposeLocal returns the transpose of a local COO, mirroring values
-// (mirror nil keeps them unchanged).
-func TransposeLocal[T any](a COO[T], mirror func(T) T) COO[T] {
-	ts := make([]Triple[T], len(a.Ts))
-	for i, t := range a.Ts {
-		v := t.Val
-		if mirror != nil {
-			v = mirror(v)
-		}
-		ts[i] = Triple[T]{Row: t.Col, Col: t.Row, Val: v}
-	}
-	return NewCOO(a.NC, a.NR, ts, nil)
 }
