@@ -143,6 +143,10 @@ func TestAppendPieceBounds(t *testing.T) {
 	if got := appendPiece(nil, l, 3, 2, false); string(got) != "AC" {
 		t.Fatalf("partial reverse: %q", got)
 	}
+	// An IUPAC R read off the reverse strand is a Y, not an N.
+	if got := appendPiece(nil, []byte("ARGT"), 3, 0, false); string(got) != "ACYT" {
+		t.Fatalf("reverse IUPAC piece: %q, want ACYT", got)
+	}
 	// Reverse empty (from < to).
 	if got := appendPiece(nil, l, 1, 2, false); len(got) != 0 {
 		t.Fatalf("empty reverse piece: %q", got)

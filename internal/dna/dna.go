@@ -13,24 +13,29 @@ const Bases = "ACGT"
 // for non-bases.
 var codeTab [256]byte
 
-// compTab maps an ASCII base to its Watson–Crick complement.
+// compTab maps an ASCII byte to its IUPAC complement: A↔T, C↔G and the
+// ambiguity codes R↔Y, K↔M, B↔V, D↔H swap; S, W, N and every other byte map
+// to themselves. A lower-case letter maps to its upper-case complement, as
+// fasta.Read upper-cases reads, so the table is an involution on upper case:
+// a sequence read off either strand complements back to itself.
 var compTab [256]byte
 
 func init() {
 	for i := range codeTab {
 		codeTab[i] = 0xFF
-		compTab[i] = 'N'
+		compTab[i] = byte(i)
 	}
-	set := func(b, c byte, code byte) {
-		codeTab[b] = code
-		codeTab[b|0x20] = code // lower case
-		compTab[b] = c
-		compTab[b|0x20] = c
+	for code, b := range []byte(Bases) {
+		codeTab[b] = byte(code)
+		codeTab[b|0x20] = byte(code) // lower case
 	}
-	set('A', 'T', 0)
-	set('C', 'G', 1)
-	set('G', 'C', 2)
-	set('T', 'A', 3)
+	for b := byte('a'); b <= 'z'; b++ {
+		compTab[b] = b &^ 0x20
+	}
+	for _, p := range []string{"AT", "CG", "RY", "KM", "BV", "DH"} {
+		compTab[p[0]], compTab[p[1]] = p[1], p[0]
+		compTab[p[0]|0x20], compTab[p[1]|0x20] = p[1], p[0]
+	}
 }
 
 // Code returns the 2-bit code of an ASCII base, or 0xFF if b is not a base.
@@ -42,7 +47,7 @@ func Base(code byte) byte { return Bases[code&3] }
 // IsBase reports whether b is one of ACGT (either case).
 func IsBase(b byte) bool { return codeTab[b] != 0xFF }
 
-// Complement returns the Watson–Crick complement of an ASCII base.
+// Complement returns the IUPAC complement of an ASCII base (see compTab).
 func Complement(b byte) byte { return compTab[b] }
 
 // ComplementCode returns the complement of a 2-bit base code.

@@ -35,6 +35,28 @@ func TestComplementPairs(t *testing.T) {
 	}
 }
 
+// TestRevCompInvolutionIUPAC: every upper-case letter, IUPAC ambiguity codes
+// included, comes back to itself after two reverse complements, a lower-case
+// one comes back upper-cased, and the ambiguity codes swap with their IUPAC
+// partners.
+func TestRevCompInvolutionIUPAC(t *testing.T) {
+	var upper, lower []byte
+	for b := byte('A'); b <= 'Z'; b++ {
+		upper, lower = append(upper, b), append(lower, b|0x20)
+	}
+	if got := RevComp(RevComp(upper)); string(got) != string(upper) {
+		t.Fatalf("RevComp(RevComp(%s)) = %s", upper, got)
+	}
+	if got := RevComp(RevComp(lower)); string(got) != string(upper) {
+		t.Fatalf("RevComp(RevComp(%s)) = %s, want %s", lower, got, upper)
+	}
+	for b, c := range map[byte]byte{'R': 'Y', 'K': 'M', 'B': 'V', 'D': 'H', 'S': 'S', 'W': 'W', 'N': 'N', 'X': 'X'} {
+		if Complement(b) != c || Complement(c) != b || Complement(b|0x20) != c {
+			t.Errorf("Complement(%c) = %c, Complement(%c) = %c, Complement(%c) = %c", b, Complement(b), c, Complement(c), b|0x20, Complement(b|0x20))
+		}
+	}
+}
+
 func TestCodeRoundTrip(t *testing.T) {
 	for code := byte(0); code < 4; code++ {
 		if Code(Base(code)) != code {

@@ -47,13 +47,13 @@ const noParent = int32(1<<31 - 1)
 // minNeighborSemiring implements the hooking SpMV: y_u = min over neighbors
 // v of f[v] (the select2nd/min semiring of LACC).
 var minNeighborSemiring = spmat.Semiring[bidir.Edge, int32, int32]{
-	Fold: func(acc *spmat.Acc[int32], run []spmat.Triple[bidir.Edge], rowLo int32, fv int32) {
-		for _, t := range run {
-			if c, live := acc.Slot(t.Row - rowLo); live {
+	Fold: func(acc *spmat.Acc[int32], rows []int32, _ []bidir.Edge, rowLo int32, fv int32) {
+		for _, r := range rows {
+			if c, live := acc.Slot(r - rowLo); live {
 				*c = min32(*c, fv)
 			} else {
 				*c = fv
-				acc.Claim(t.Row - rowLo)
+				acc.Claim(r - rowLo)
 			}
 		}
 	},

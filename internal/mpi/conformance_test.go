@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/mpi/transport"
 	"repro/internal/mpi/transport/tcp"
+	"repro/internal/mpi/wire"
 )
 
 // conformanceTransport builds a fresh world of p ranks over one transport.
@@ -183,9 +184,9 @@ func TestConformanceInterleavedCollectivesOnSplitComms(t *testing.T) {
 			// per-collective tags must keep them all separate.
 			sum := Allreduce(c, c.Rank(), func(a, b int) int { return a + b })
 			rowSum := Allreduce(row, c.Rank(), func(a, b int) int { return a + b })
-			req := IBcast(c, 0, []int{sum})
+			req := IBcast(c, 0, wire.Marshal([]int{sum}))
 			colSum := Allreduce(col, c.Rank(), func(a, b int) int { return a + b })
-			got := req.WaitValue()
+			got := mustUnmarshal[int](req.WaitFrame())
 			if sum != 0+1+2+3 || got[0] != sum {
 				panic(fmt.Sprintf("world collectives broken: sum=%d bcast=%d", sum, got[0]))
 			}

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mpi/wire"
 )
 
 // modeOps are the nonblocking operations, each as an SPMD program that posts,
@@ -53,9 +55,9 @@ var modeOps = []struct {
 		if c.Rank() == root {
 			data = []int64{3, 1, 4, 1, 5, 9, 2, 6}
 		}
-		req := IBcast(c, root, data)
+		req := IBcast(c, root, wire.Marshal(data))
 		done := req.Done()
-		return done, req.WaitValue()
+		return done, mustUnmarshal[int64](req.WaitFrame())
 	}},
 	{"IAlltoallv", func(c *Comm) (bool, any) {
 		send := make([][]int64, c.Size())
@@ -186,7 +188,7 @@ func TestRequestModesMisuseAndFailure(t *testing.T) {
 			tag := ReserveTag(c)
 			recv := Irecv[int](c, peer, tag)
 			send := Isend(c, peer, tag, []int{c.Rank()})
-			bcast := IBcast(c, 0, []int{1})
+			bcast := IBcast(c, 0, wire.Marshal([]int{1}))
 			all := IAlltoallv(c, [][]int{{1}, {2}})
 			for i, r := range []Request{send, recv, bcast, all} {
 				r.Wait()
@@ -234,13 +236,13 @@ func TestSetBlockingScopes(t *testing.T) {
 		}
 
 		c.SetBlocking(true)
-		req := IBcast(c, 0, []int{42})
+		req := IBcast(c, 0, wire.Marshal([]int{42}))
 		c.SetBlocking(false)
 		Barrier(c)
 		if req.Done() {
 			panic("a request posted by a blocking rank ran before its Wait")
 		}
-		if got := req.WaitValue(); len(got) != 1 || got[0] != 42 {
+		if got := mustUnmarshal[int](req.WaitFrame()); len(got) != 1 || got[0] != 42 {
 			panic(fmt.Sprintf("bcast got %v", got))
 		}
 		if c.BytesAsync() != 0 {

@@ -234,43 +234,41 @@ func IrecvChunked[T any](c *Comm, src int, tag int64) *RecvRequest[T] {
 	return r
 }
 
-// BcastRequest is the handle of an IBcast; Wait returns the broadcast data.
-type BcastRequest[T any] struct {
+// BcastRequest is the handle of an IBcast; Wait returns the broadcast frame.
+type BcastRequest struct {
 	reqState
-	val []T
+	frame []byte
 }
 
 // Wait blocks until this rank's part of the broadcast tree (receive from
-// parent, forwards to children) has completed and returns the data.
-func (r *BcastRequest[T]) Wait() { r.wait("bcast") }
+// parent, forwards to children) has completed.
+func (r *BcastRequest) Wait() { r.wait("bcast") }
 
-// Value returns the broadcast payload; valid only after Wait.
-func (r *BcastRequest[T]) Value() []T { return r.val }
-
-// WaitValue combines Wait and Value.
-func (r *BcastRequest[T]) WaitValue() []T {
+// WaitFrame waits and returns the broadcast frame.
+func (r *BcastRequest) WaitFrame() []byte {
 	r.Wait()
-	return r.val
+	return r.frame
 }
 
-// IBcast starts a nonblocking broadcast of root's data (collective: every
-// rank of c must post it, in the same program order as any other collective
-// on c). The binomial tree — identical to the blocking Bcast, so message and
-// byte counters match between modes — runs in the background; several
-// IBcasts may be in flight at once, which is how the SUMMA loop prefetches
-// round r+1's panels while multiplying round r.
-func IBcast[T any](c *Comm, root int, data []T) *BcastRequest[T] {
+// IBcast starts a nonblocking broadcast of root's encoded frame (collective:
+// every rank of c must post it, in the same program order as any other
+// collective on c; frame is ignored off the root). The binomial tree —
+// identical to the blocking Bcast, so message and byte counters match between
+// modes, each message charged the frame's wire.DataLen — runs in the
+// background; several IBcasts may be in flight at once, which is how the SUMMA
+// loop prefetches round r+1's panels while multiplying round r. Every rank,
+// the root included, gets back a frame it decodes itself. In process the
+// ranks of the tree share the root's frame by reference, so the frame and
+// every view of it are read-only (see package wire).
+func IBcast(c *Comm, root int, frame []byte) *BcastRequest {
 	tag := collTag(c) // consumed on the caller goroutine, like every collective
 	ac := c.asyncView()
-	var frame []byte
-	if c.rank == root {
-		// Encoded on the caller goroutine at post time, so the caller keeps
-		// ownership of data while the tree runs in the background.
-		frame = wire.Marshal(data)
+	if c.rank != root {
+		frame = nil
 	}
-	r := &BcastRequest[T]{reqState: newReqState()}
+	r := &BcastRequest{reqState: newReqState()}
 	c.post(&r.reqState, func() {
-		r.val = mustUnmarshal[T](bcastFrames(ac, root, tag, frame, r.armed))
+		r.frame = bcastFrames(ac, root, tag, frame, r.armed)
 	})
 	return r
 }

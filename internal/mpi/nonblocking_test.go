@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/mpi/transport"
+	"repro/internal/mpi/wire"
 )
 
 func TestIsendIrecvRoundtrip(t *testing.T) {
@@ -172,7 +173,7 @@ func TestIBcastMatchesBcast(t *testing.T) {
 				if c.Rank() == root {
 					data = []int32{int32(root), 100 + int32(root)}
 				}
-				got := IBcast(c, root, data).WaitValue()
+				got := mustUnmarshal[int32](IBcast(c, root, wire.Marshal(data)).WaitFrame())
 				want := []int32{int32(root), 100 + int32(root)}
 				if !reflect.DeepEqual(got, want) {
 					panic(fmt.Sprintf("rank %d root %d: got %v", c.Rank(), root, got))
@@ -190,16 +191,16 @@ func TestIBcastPrefetchPipeline(t *testing.T) {
 	// once, waited in posting order — payloads must never cross rounds.
 	forSizes(t, func(t *testing.T, p int) {
 		err := Run(p, func(c *Comm) {
-			reqs := make([]*BcastRequest[int], p)
+			reqs := make([]*BcastRequest, p)
 			for root := 0; root < p; root++ {
 				var data []int
 				if c.Rank() == root {
 					data = []int{root * 7}
 				}
-				reqs[root] = IBcast(c, root, data)
+				reqs[root] = IBcast(c, root, wire.Marshal(data))
 			}
 			for root := 0; root < p; root++ {
-				got := reqs[root].WaitValue()
+				got := mustUnmarshal[int](reqs[root].WaitFrame())
 				if len(got) != 1 || got[0] != root*7 {
 					panic(fmt.Sprintf("rank %d round %d: got %v", c.Rank(), root, got))
 				}

@@ -9,13 +9,18 @@ import (
 	"repro/internal/spmat"
 )
 
-// TestKmerMatrixTriplesAreDense: every exchange, SUMMA panel and checkpoint of
-// the |reads| × |k-mers| matrix rides the bulk-copy path because its triple is
-// 12 unpadded bytes. A field that pads the triple or a bool inside Occur would
-// silently fall back to copy runs or per-field closures; fail here instead.
+// TestKmerMatrixTriplesAreDense: every exchange and checkpoint of the
+// |reads| × |k-mers| matrix rides the bulk-copy path because its triple is 12
+// unpadded bytes, and its SUMMA panels' values are views of the received
+// frame because Occur is dense. A field that pads the triple or a bool inside
+// Occur would silently fall back to copy runs or per-field closures (and the
+// panels to a decoded copy); fail here instead.
 func TestKmerMatrixTriplesAreDense(t *testing.T) {
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
 		t.Skip("bulk copy is a little-endian path")
+	}
+	if !wire.Dense[kmer.Occur]() {
+		t.Error("kmer.Occur does not compile to the dense codec path")
 	}
 	if !wire.Dense[kmer.ATriple]() {
 		t.Error("kmer.ATriple does not compile to the dense codec path")

@@ -1,5 +1,5 @@
 // Package wire is the typed frame codec beneath package mpi: every payload a
-// rank sends — packed k-mer triples, COO matrix panels, read sequences,
+// rank sends — packed k-mer triples, DCSC matrix panels, read sequences,
 // count/meta vectors, contig records — is encoded into a self-describing
 // byte frame that decodes byte-identically in any process, replacing the old
 // in-process contract where payloads crossed ranks as Go values and byte
@@ -8,10 +8,11 @@
 // Frame layout (all integers little-endian):
 //
 //	magic   1 byte  0xE7
-//	kind    1 byte  0 = slice of values, 1 = single value
+//	kind    1 byte  0 = slice of values, 1 = single value, 2 = aligned
 //	fp      4 bytes structural fingerprint of the element type
 //	count   uvarint number of elements (slice frames only)
-//	data    count encoded elements
+//	pad     2 zero bytes (aligned frames only)
+//	data    count encoded elements, or an aligned frame's payload
 //
 // The fingerprint hashes the element type's structure (field kinds, widths
 // and order — not names), so a frame is rejected when sender and receiver
@@ -28,6 +29,21 @@
 // header), which is what the mpi traffic counters charge — so counters are
 // equal across transports by construction, and a 10-element []int64 message
 // still counts 80 bytes exactly as the reflection-based accounting did.
+//
+// An aligned frame carries a payload whose layout its owner defines — a
+// SUMMA panel's arrays (spmat) — behind a fixed 8-byte header, so an array
+// the owner places at a multiple of 8 bytes into the payload lies 8-byte
+// aligned in memory whenever the frame does. Both transports deliver a frame
+// as its own fresh allocation (in process, the sender's buffer itself; over
+// TCP, the reader's), which Go aligns to 8 bytes at any size an aligned
+// frame with a payload has.
+//
+// Views: UnmarshalOwned of a []byte frame, AlignedPayload and Elems of a
+// dense type return slices that alias the frame instead of copies. A
+// broadcast frame is shared by reference among the in-process ranks of its
+// tree, so a view is read-only: no code writes to a view of a frame it
+// received. The one writer is the sender, filling the frame it has just
+// allocated, before handing it to a transport.
 //
 // Codecs are compiled per element type on first use and cached. On
 // little-endian hosts a type whose memory layout already matches the wire
@@ -49,6 +65,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -57,9 +74,12 @@ const (
 	magic     = 0xE7
 	kindSlice = 0x00
 	kindOne   = 0x01
+	kindAlign = 0x02
 
 	// headerLen is the fixed prefix before the optional count varint.
 	headerLen = 1 + 1 + 4
+	// alignedHeaderLen is an aligned frame's whole header.
+	alignedHeaderLen = headerLen + 2
 )
 
 // Marshal encodes a slice of values as one frame, allocated once at its exact
@@ -100,6 +120,73 @@ func NewByteFrame(n int) (frame, payload []byte) {
 	binary.LittleEndian.PutUint32(frame[2:], codecFor[byte]().fp)
 	binary.PutUvarint(frame[headerLen:], uint64(n))
 	return frame, frame[h:]
+}
+
+// NewAlignedFrame returns an aligned frame tagged with T's fingerprint and
+// room for n payload bytes, and the payload region for the sender to fill.
+// The payload starts 8 bytes past the frame base.
+func NewAlignedFrame[T any](n int) (frame, payload []byte) {
+	frame = make([]byte, alignedHeaderLen+n)
+	frame[0], frame[1] = magic, kindAlign
+	binary.LittleEndian.PutUint32(frame[2:], codecFor[T]().fp)
+	return frame, frame[alignedHeaderLen:]
+}
+
+// AlignedPayload returns a read-only view of the payload of a frame made by
+// NewAlignedFrame[T]. A non-empty payload whose frame base is not 8-byte
+// aligned is refused, never copied; an empty one has nothing to align.
+func AlignedPayload[T any](frame []byte) ([]byte, error) {
+	c := codecFor[T]()
+	rest, err := checkHeader(frame, kindAlign, c)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) < 2 || rest[0]|rest[1] != 0 {
+		return nil, fmt.Errorf("wire: %s: aligned frame header padding is not two zero bytes", c.name)
+	}
+	if len(frame) > alignedHeaderLen && uintptr(unsafe.Pointer(&frame[0]))%8 != 0 {
+		return nil, fmt.Errorf("wire: %s: aligned frame base %p is not 8-byte aligned", c.name, &frame[0])
+	}
+	return rest[2:], nil
+}
+
+// Width reports the encoded bytes of one T, or -1 when T's encoding varies
+// in length.
+func Width[T any]() int { return codecFor[T]().fixed }
+
+// AppendElems appends the encoding of data's elements to buf, with no frame
+// header: the bytes Elems reads back.
+func AppendElems[T any](buf []byte, data []T) []byte {
+	c := codecFor[T]()
+	base := unsafe.Pointer(unsafe.SliceData(data))
+	return c.appendElems(slices.Grow(buf, c.encodedLen(base, len(data))), base, len(data))
+}
+
+// Elems returns the n elements of T that src holds and nothing else, as
+// AppendElems wrote them. For a dense T (see Dense) the result is a view of
+// src — no copy, read-only like every view — and src must be aligned for T:
+// a misaligned src is refused, never copied. Any other T decodes into a fresh
+// slice.
+func Elems[T any](src []byte, n int) ([]T, error) {
+	c := codecFor[T]()
+	if n < 0 || c.fixed >= 0 && len(src) != n*c.fixed || c.minSize > 0 && n > len(src)/c.minSize {
+		return nil, fmt.Errorf("wire: %s: %d bytes do not hold %d elements", c.name, len(src), n)
+	}
+	if !c.dense {
+		out := make([]T, n)
+		if err := c.decodeElems(src, unsafe.Pointer(unsafe.SliceData(out)), n); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	if n == 0 {
+		return []T{}, nil
+	}
+	var zero T
+	if uintptr(unsafe.Pointer(&src[0]))%unsafe.Alignof(zero) != 0 {
+		return nil, fmt.Errorf("wire: %s: elements at %p are misaligned", c.name, &src[0])
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&src[0])), n), nil
 }
 
 // Unmarshal decodes a slice frame produced by Marshal[T]. The result never
@@ -182,14 +269,17 @@ func DataLen(frame []byte) int64 {
 		return 0
 	}
 	h := headerLen
-	if frame[1] == kindSlice {
+	switch frame[1] {
+	case kindAlign:
+		h = alignedHeaderLen
+	case kindSlice:
 		_, n := binary.Uvarint(frame[headerLen:])
 		if n <= 0 {
 			return 0
 		}
 		h += n
 	}
-	return int64(len(frame) - h)
+	return int64(max(len(frame)-h, 0))
 }
 
 // Fingerprint returns the structural fingerprint of T as encoded in frame

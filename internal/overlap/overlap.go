@@ -85,14 +85,15 @@ func (c seedAcc) seeds() Seeds {
 // commutative and idempotent, as SUMMA's stage-order-independent
 // accumulation requires.
 var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, seedAcc]{
-	Fold: func(acc *spmat.Acc[seedAcc], run []spmat.Triple[kmer.Occur], rowLo int32, b kmer.Occur) {
-		for _, t := range run {
-			k := seedKey(t.Val, b)
-			if c, live := acc.Slot(t.Row - rowLo); live {
+	Fold: func(acc *spmat.Acc[seedAcc], rows []int32, vals []kmer.Occur, rowLo int32, b kmer.Occur) {
+		vals = vals[:len(rows)] // one bounds check for the loop
+		for i, r := range rows {
+			k := seedKey(vals[i], b)
+			if c, live := acc.Slot(r - rowLo); live {
 				c.add(k)
 			} else {
 				*c = seedAcc{k, noSeed}
-				acc.Claim(t.Row - rowLo)
+				acc.Claim(r - rowLo)
 			}
 		}
 	},

@@ -2,7 +2,6 @@ package spmat
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -333,17 +332,19 @@ func KeepFunc(keep func(row, col int32) bool) Mask { return Mask{keep: keep} }
 //
 // The SUMMA broadcasts are nonblocking: round s+1's A/B panels are posted
 // with IBcast before round s multiplies, so on a rank that is not in blocking
-// mode the panel transfer hides behind the local product. The local product
-// of each round is the Gustavson pass of local.go (gustavson.multiply), which
-// hands the semiring whole kept stretches of A's column runs to fold into the
-// generation-tagged accumulator over the block's row span; per-round
-// emissions are column-clustered, so the final cross-round merge is the radix
-// path of NewCOO with the semiring Add as the combiner (Add is associative
-// and commutative — the precondition SUMMA's stage-order-independent
-// accumulation already imposes). Under the Checkerboard mask the pass
-// reorders each received A panel's column runs in place; the panel is a fresh
-// decoded copy on every rank, the root's included, so a and b are never
-// touched.
+// mode the panel transfer hides behind the local product. Each panel crosses
+// the wire as one DCSC frame (panel.go) that its root encodes once — under
+// the Checkerboard mask with A's runs already split by row parity — and every
+// rank, the root included, multiplies read-only views of the frame it holds
+// after one linear validation pass; a frame failing it panics naming its
+// root. a and b are never touched. The local product of each round is the
+// Gustavson pass of local.go (gustavson.multiply), which hands the semiring
+// whole kept stretches of A's column runs to fold into the generation-tagged
+// accumulator over the block's row span; per-round emissions are
+// column-clustered, so the final cross-round merge is the radix path of
+// NewCOO with the semiring Add as the combiner (Add is associative and
+// commutative — the precondition SUMMA's stage-order-independent
+// accumulation already imposes).
 func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
@@ -358,37 +359,44 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 	panelNnz := g.Comm.Metrics().Histogram("spmat.panel_nnz")
 
 	// post starts the round-s panel broadcasts, A then B on every rank, so
-	// tag sequences line up.
-	post := func(s int) (*mpi.BcastRequest[Triple[A]], *mpi.BcastRequest[Triple[B]]) {
-		var ablk []Triple[A]
+	// tag sequences line up; a rank encodes its own block in the round it
+	// roots.
+	post := func(s int) (*mpi.BcastRequest, *mpi.BcastRequest) {
+		var aFrame, bFrame []byte
 		if g.Col == s {
-			ablk = a.Local.Ts
+			aFrame = encodePanel(a.Local.Ts, mask.checkerboard)
 		}
-		var bblk []Triple[B]
 		if g.Row == s {
-			bblk = b.Local.Ts
+			bFrame = encodePanel(b.Local.Ts, false)
 		}
-		return mpi.IBcast(g.RowComm, s, ablk), mpi.IBcast(g.ColComm, s, bblk)
+		return mpi.IBcast(g.RowComm, s, aFrame), mpi.IBcast(g.ColComm, s, bFrame)
 	}
 	reqA, reqB := post(0)
 	for s := 0; s < g.Dim; s++ {
 		// Collect round s — A(:, s-block) came along the grid row, B(s-block, :)
 		// along the grid column — then immediately post round s+1 so its
 		// panels travel while this round multiplies.
-		ablk := reqA.WaitValue()
-		bblk := reqB.WaitValue()
+		aFrame, bFrame := reqA.WaitFrame(), reqB.WaitFrame()
 		if s+1 < g.Dim {
 			reqA, reqB = post(s + 1)
 		}
-		panelNnz.Observe(int64(len(ablk)))
-		panelNnz.Observe(int64(len(bblk)))
-		roundStart := lane.Start()
 		kLo, kHi := grid.BlockRange(int(a.NC), g.Dim, s)
-		p.multiply(ablk, kLo, kHi, bblk)
+		ap, err := decodePanel[A](aFrame, int32(kLo), int32(kHi), a.RowLo, a.RowHi, mask.checkerboard)
+		if err != nil {
+			panic(fmt.Sprintf("spmat: A panel from rank %d: %v", g.Rank(g.Row, s), err))
+		}
+		bp, err := decodePanel[B](bFrame, b.ColLo, b.ColHi, int32(kLo), int32(kHi), false)
+		if err != nil {
+			panic(fmt.Sprintf("spmat: B panel from rank %d: %v", g.Rank(s, g.Col), err))
+		}
+		panelNnz.Observe(int64(len(ap.rows)))
+		panelNnz.Observe(int64(len(bp.rows)))
+		roundStart := lane.Start()
+		p.multiply(ap, kLo, kHi, bp)
 		if lane != nil {
 			lane.Span(0, "spmat", "summa.round", roundStart,
-				obs.Arg{K: "s", V: int64(s)}, obs.Arg{K: "a_nnz", V: int64(len(ablk))},
-				obs.Arg{K: "b_nnz", V: int64(len(bblk))})
+				obs.Arg{K: "s", V: int64(s)}, obs.Arg{K: "a_nnz", V: int64(len(ap.rows))},
+				obs.Arg{K: "b_nnz", V: int64(len(bp.rows))})
 		}
 	}
 	if products != nil {
@@ -398,56 +406,6 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 	}
 	out.Local = NewCOO(a.NR, b.NC, p.ts, sr.Add)
 	return out
-}
-
-// columnStarts indexes a canonical column-major panel whose columns lie in
-// [kLo, kHi): column k's triples are panel[starts[k-kLo]:starts[k-kLo+1]].
-// The panel arrived from another rank, so its column range, its clustering
-// and the strict ascent of rows within each column — which the checkerboard's
-// prefix/suffix cut relies on — are checked, not assumed.
-func columnStarts[T any](panel []Triple[T], kLo, kHi int) []int32 {
-	span := kHi - kLo
-	starts := make([]int32, span+1)
-	prev, prevRow := int32(kLo), int32(math.MinInt32)
-	for _, t := range panel {
-		if t.Col < prev || int(t.Col) >= kHi {
-			panic(fmt.Sprintf("spmat: SUMMA panel column %d after %d is outside [%d,%d) or not column-major", t.Col, prev, kLo, kHi))
-		}
-		if t.Col == prev && t.Row <= prevRow {
-			panic(fmt.Sprintf("spmat: SUMMA panel row %d after %d in column %d does not strictly ascend", t.Row, prevRow, t.Col))
-		}
-		prev, prevRow = t.Col, t.Row
-		starts[int(t.Col)-kLo+1]++
-	}
-	for i := 0; i < span; i++ {
-		starts[i+1] += starts[i]
-	}
-	return starts
-}
-
-// splitParity reorders every column run of an indexed panel in place so its
-// even rows precede its odd rows, both still ascending, and returns where each
-// run's odd rows start (mid[k], a panel index) with the scratch that held one
-// run's odd rows; mid and scratch are reused across rounds.
-func splitParity[T any](panel []Triple[T], starts, mid []int32, scratch []Triple[T]) ([]int32, []Triple[T]) {
-	mid = slices.Grow(mid[:0], len(starts)-1)[:len(starts)-1]
-	for k := range mid {
-		run := panel[starts[k]:starts[k+1]]
-		odd := scratch[:0]
-		even := 0
-		for _, t := range run {
-			if t.Row&1 == 0 {
-				run[even] = t
-				even++
-			} else {
-				odd = append(odd, t)
-			}
-		}
-		copy(run[even:], odd)
-		mid[k] = starts[k] + int32(even)
-		scratch = odd
-	}
-	return mid, scratch
 }
 
 // DistVec is a dense vector block-distributed across all P ranks in

@@ -382,9 +382,9 @@ func parityTriples(rng *rand.Rand, nr, nc int32, density float64) []Triple[int64
 // product counter must equal the brute-force count of products on kept cells,
 // annihilated ones included. The checkerboard runs twice — through its parity
 // sub-runs (Checkerboard) and as a KeepFunc callback — against one reference.
-// Neither operand may change on any rank: the split reorders the decoded
-// panel copy only, so an IBcast that handed the root its own block would fail
-// here.
+// Neither operand may change on any rank: the sender splits while it
+// encodes its block into a panel frame, and every rank multiplies views of
+// that frame.
 func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 	type maskCase struct {
 		mask Mask
@@ -496,9 +496,9 @@ func TestFoldCallCounts(t *testing.T) {
 				b := FromGlobalTriples(g, k, nc, bT, nil)
 				var calls, products, bEntries int64
 				sr := plusTimes
-				sr.Fold = func(acc *Acc[int64], run []Triple[int64], rowLo int32, bv int64) {
+				sr.Fold = func(acc *Acc[int64], rows []int32, vals []int64, rowLo int32, bv int64) {
 					calls++
-					plusTimes.Fold(acc, run, rowLo, bv)
+					plusTimes.Fold(acc, rows, vals, rowLo, bv)
 				}
 				SpGEMMCounted(a, b, sr, mc.mask, &products)
 				for _, bt := range bT {

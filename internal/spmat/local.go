@@ -179,23 +179,25 @@ func (a CSC[T]) ColDegree(j int32) int32 { return a.JC[j+1] - a.JC[j] }
 
 // Semiring overloads multiplication and addition for SpGEMM, CombBLAS-style,
 // as an in-place accumulate contract over whole runs: the multiply hands the
-// semiring one run of A's triples and one B value at a time, and the
+// semiring one run of A's entries and one B value at a time, and the
 // semiring folds every product of the run straight into its accumulator slot
 // — one indirect call per run, none per product, and no C value moved
 // through a call.
 //
-//   - Fold folds a⊗b into acc for every triple a of run, a stretch of one
-//     column run of A whose rows are distinct; triple t's slot is row
-//     t.Row−rowLo. A slot the current column has claimed (Acc.Slot reports
-//     it live) folds in place, c ← c ⊕ a⊗b. A fresh slot receives a⊗b and is
-//     then claimed (Acc.Claim) — unless the product annihilates (the implicit
-//     zero), which leaves it unclaimed; an annihilated product leaves a live
-//     slot as it is.
+//   - Fold folds a⊗b into acc for every entry of a run, a stretch of one
+//     column of A given as its rows — distinct — and their values vals
+//     (len(vals) == len(rows)); row rows[i]'s slot is rows[i]−rowLo. Both
+//     slices may be views of a received frame: Fold must not write to them.
+//     A slot the current column has claimed (Acc.Slot reports it live) folds
+//     in place, c ← c ⊕ a⊗b. A fresh slot receives a⊗b and is then claimed
+//     (Acc.Claim) — unless the product annihilates (the implicit zero), which
+//     leaves it unclaimed; an annihilated product leaves a live slot as it
+//     is.
 //   - Add merges two accumulated values: the cross-round combiner of SUMMA's
 //     final NewCOO, so it must be associative and commutative and agree with
 //     Fold (folding a⊗b into c ≡ c = Add(c, a⊗b)).
 type Semiring[A, B, C any] struct {
-	Fold func(acc *Acc[C], run []Triple[A], rowLo int32, b B)
+	Fold func(acc *Acc[C], rows []int32, vals []A, rowLo int32, b B)
 	Add  func(C, C) C
 }
 
@@ -272,97 +274,107 @@ type gustavson[A, B, C any] struct {
 	rowLo           int32
 	ts              []Triple[C]
 	products, calls int64
-	mid             []int32     // checkerboard: run k's odd rows start at mid[k]
-	scratch         []Triple[A] // checkerboard: one run's odd rows during the split
+	aux             []int32 // column k of the round's A panel is run aux[k-kLo], -1 if empty
 }
 
-// multiply folds a ⊗ b into the output. Both are canonical column-major: a's
-// columns lie in [kLo, kHi), and so do b's rows. a's column runs are read
-// where they lie — indexed by one counting pass, no re-bucketing — and b is
-// walked a column run at a time, each output column accumulated in the Acc
-// and emitted with ascending rows.
+// multiply folds a ⊗ b into the output. a's columns lie in [kLo, kHi), and
+// so do b's rows; a is split exactly when the mask is the checkerboard. a's
+// runs are read where they lie in the panel, found through aux — CombBLAS's
+// auxiliary column index, filled from a's column ids alone — and b is walked
+// a column at a time, each output column accumulated in the Acc and emitted
+// with ascending rows. A B entry whose A column is empty still makes its Fold
+// calls, with empty runs, so the call count is a function of B alone.
 //
 // The mask picks the loop once. The zero mask folds each whole A run: one
-// Fold call per B entry. The checkerboard first reorders every A run in place
-// — even rows, then odd rows, both still ascending — so for output column j
-// the kept rows are a prefix of the sub-run of j's parity (rows < j) and a
-// suffix of the other (rows > j); walks over the rows alone find both cuts,
-// then two Fold calls fold them. A KeepFunc is asked per product, and each
-// maximal stretch of kept rows is one Fold call. A cell gets at most one
-// product per B entry, so its products still arrive in B's row order and
-// every semiring sees the same fold sequence under every loop.
-func (p *gustavson[A, B, C]) multiply(a []Triple[A], kLo, kHi int, b []Triple[B]) {
-	starts := columnStarts(a, kLo, kHi)
-	if p.mask.checkerboard {
-		p.mid, p.scratch = splitParity(a, starts, p.mid, p.scratch)
+// Fold call per B entry. Under the checkerboard, for output column j the kept
+// rows are a prefix of the sub-run of j's parity (rows < j) and a suffix of
+// the other (rows > j); walks over the rows alone find both cuts, then two
+// Fold calls fold them. A KeepFunc is asked per product, and each maximal
+// stretch of kept rows is one Fold call. A cell gets at most one product per
+// B entry, so its products still arrive in B's row order and every semiring
+// sees the same fold sequence under every loop.
+func (p *gustavson[A, B, C]) multiply(a panel[A], kLo, kHi int, b panel[B]) {
+	aux := slices.Grow(p.aux[:0], kHi-kLo)[:kHi-kLo]
+	for i := range aux {
+		aux[i] = -1
 	}
-	sr, acc, rowLo, mid, keep := p.sr, p.acc, p.rowLo, p.mid, p.mask.keep
+	for r, k := range a.cols {
+		aux[int(k)-kLo] = int32(r)
+	}
+	p.aux = aux
+	sr, acc, rowLo, keep := p.sr, p.acc, p.rowLo, p.mask.keep
 	var products, calls int64
-	for lo := 0; lo < len(b); {
-		hi := runEnd(b, lo)
-		j := b[lo].Col
+	for q, j := range b.cols {
 		acc.reset()
-		for _, bt := range b[lo:hi] {
-			k := int(bt.Row) - kLo
+		for e := b.starts[q]; e < b.starts[q+1]; e++ {
+			bv := b.vals[e]
+			var lo, mid, hi int32 // an empty A column is the empty run
+			if r := aux[int(b.rows[e])-kLo]; r >= 0 {
+				lo, hi = a.starts[r], a.starts[r+1]
+				mid = hi
+				if a.mid != nil {
+					mid = a.mid[r]
+				}
+			}
 			switch {
 			case p.mask.checkerboard:
-				same, other := a[starts[k]:mid[k]], a[mid[k]:starts[k+1]]
+				sameRows, sameVals := a.rows[lo:mid], a.vals[lo:mid]
+				otherRows, otherVals := a.rows[mid:hi], a.vals[mid:hi]
 				if j&1 == 1 {
-					same, other = other, same
+					sameRows, otherRows = otherRows, sameRows
+					sameVals, otherVals = otherVals, sameVals
 				}
 				n := 0
-				for n < len(same) && same[n].Row < j {
+				for n < len(sameRows) && sameRows[n] < j {
 					n++
 				}
-				m := len(other)
-				for m > 0 && other[m-1].Row > j {
+				m := len(otherRows)
+				for m > 0 && otherRows[m-1] > j {
 					m--
 				}
-				sr.Fold(acc, same[:n], rowLo, bt.Val)
-				sr.Fold(acc, other[m:], rowLo, bt.Val)
-				products += int64(n + len(other) - m)
+				sr.Fold(acc, sameRows[:n], sameVals[:n], rowLo, bv)
+				sr.Fold(acc, otherRows[m:], otherVals[m:], rowLo, bv)
+				products += int64(n + len(otherRows) - m)
 				calls += 2
 			case keep != nil:
-				run := a[starts[k]:starts[k+1]]
-				for q := 0; q < len(run); {
-					if !keep(run[q].Row, j) {
-						q++
+				rows, vals := a.rows[lo:hi], a.vals[lo:hi]
+				for i := 0; i < len(rows); {
+					if !keep(rows[i], j) {
+						i++
 						continue
 					}
-					e := q + 1
-					for e < len(run) && keep(run[e].Row, j) {
-						e++
+					end := i + 1
+					for end < len(rows) && keep(rows[end], j) {
+						end++
 					}
-					sr.Fold(acc, run[q:e], rowLo, bt.Val)
-					products += int64(e - q)
+					sr.Fold(acc, rows[i:end], vals[i:end], rowLo, bv)
+					products += int64(end - i)
 					calls++
-					q = e + 1 // run[e], if any, is not kept
+					i = end + 1 // rows[end], if any, is not kept
 				}
 			default:
-				run := a[starts[k]:starts[k+1]]
-				sr.Fold(acc, run, rowLo, bt.Val)
-				products += int64(len(run))
+				sr.Fold(acc, a.rows[lo:hi], a.vals[lo:hi], rowLo, bv)
+				products += int64(hi - lo)
 				calls++
 			}
 		}
 		p.ts = acc.emit(p.ts, j, rowLo)
-		lo = hi
 	}
 	p.products += products
 	p.calls += calls
 }
 
 // Multiply computes a ⊗ b over the semiring with the local product SUMMA
-// runs per round (a is NR×K, b is K×NC, both canonical): A is read as the
-// column runs of its triples, and the output is emitted column by column
-// with sorted rows, so it is canonical by construction and skips the NewCOO
-// sort entirely.
+// runs per round (a is NR×K, b is K×NC, both canonical): both operands are
+// read as panels, and the output is emitted column by column with sorted
+// rows, so it is canonical by construction and skips the NewCOO sort
+// entirely.
 func Multiply[A, B, C any](a COO[A], b COO[B], sr Semiring[A, B, C]) COO[C] {
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: inner dims %d != %d", a.NC, b.NR))
 	}
 	p := gustavson[A, B, C]{sr: sr, acc: newAcc[C](a.NR), ts: make([]Triple[C], 0, max(len(a.Ts), len(b.Ts)))}
-	p.multiply(a.Ts, 0, int(a.NC), b.Ts)
+	p.multiply(newPanel(a.Ts), 0, int(a.NC), newPanel(b.Ts))
 	if len(p.ts) == 0 {
 		p.ts = nil
 	}

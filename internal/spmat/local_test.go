@@ -11,17 +11,17 @@ import (
 // addition into the run contract, so test semirings stay one-liners.
 func valueSemiring(mul func(a, b int64) (int64, bool), add func(a, b int64) int64) Semiring[int64, int64, int64] {
 	return Semiring[int64, int64, int64]{
-		Fold: func(acc *Acc[int64], run []Triple[int64], rowLo int32, b int64) {
-			for _, t := range run {
-				v, ok := mul(t.Val, b)
+		Fold: func(acc *Acc[int64], rows []int32, vals []int64, rowLo int32, b int64) {
+			for i, r := range rows {
+				v, ok := mul(vals[i], b)
 				if !ok {
 					continue
 				}
-				if c, live := acc.Slot(t.Row - rowLo); live {
+				if c, live := acc.Slot(r - rowLo); live {
 					*c = add(*c, v)
 				} else {
 					*c = v
-					acc.Claim(t.Row - rowLo)
+					acc.Claim(r - rowLo)
 				}
 			}
 		},

@@ -26,7 +26,7 @@ func multiplyMap[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 					slot.vals[0] = cv
 					slot.Claim(0)
 				}
-				sr.Fold(slot, []Triple[A]{{Val: a.V[q]}}, 0, bv)
+				sr.Fold(slot, []int32{0}, a.V[q:q+1], 0, bv)
 				if len(slot.rows) > 0 {
 					acc[a.IR[q]] = slot.vals[0]
 				}

@@ -156,7 +156,7 @@ func TestMultiplyEmptyOperands(t *testing.T) {
 // wrap and checks stale tags cannot leak rows between columns.
 func TestSPAGenerationWraparound(t *testing.T) {
 	fold := func(s *Acc[int64], row int32, a, b int64) {
-		plusTimes.Fold(s, []Triple[int64]{{Row: row, Val: a}}, 0, b)
+		plusTimes.Fold(s, []int32{row}, []int64{a}, 0, b)
 	}
 	s := newAcc[int64](4)
 	s.cur = ^uint32(0) - 1 // two resets from wrapping

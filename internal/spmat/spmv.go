@@ -1,6 +1,8 @@
 package spmat
 
 import (
+	"slices"
+
 	"repro/internal/mpi"
 )
 
@@ -19,8 +21,9 @@ import (
 //     block of the result.
 //
 // The partials are an accumulator whose rows all start live at identity, so
-// the local pass is one sr.Fold per column run of the block, each row folded
-// in place; an annihilated product leaves the slot alone, so rows with no
+// the local pass is one sr.Fold per column run of the block — the run's rows
+// and values copied into two buffers reused across runs — each row folded in
+// place; an annihilated product leaves the slot alone, so rows with no
 // surviving product stay at identity. identity must be neutral for Fold's
 // addition and for combine, which must be that same addition (e.g. +∞ for
 // min, 0 for sum): the row reduction folds one identity-initialized partial
@@ -36,9 +39,15 @@ func SpMV[T, V, W any](a *Dist[T], x *DistVec[V], sr Semiring[T, V, W], identity
 		partial.vals[i], partial.gen[i] = identity, partial.cur
 	}
 	ts := a.Local.Ts
+	var rows []int32
+	var vals []T
 	for lo := 0; lo < len(ts); {
 		hi := runEnd(ts, lo)
-		sr.Fold(partial, ts[lo:hi], a.RowLo, colX[ts[lo].Col-a.ColLo])
+		rows, vals = slices.Grow(rows[:0], hi-lo)[:hi-lo], slices.Grow(vals[:0], hi-lo)[:hi-lo]
+		for i, t := range ts[lo:hi] {
+			rows[i], vals[i] = t.Row, t.Val
+		}
+		sr.Fold(partial, rows, vals, a.RowLo, colX[ts[lo].Col-a.ColLo])
 		lo = hi
 	}
 	full := mpi.AllreduceSlice(g.RowComm, partial.vals, combine)

@@ -40,19 +40,20 @@ type PathMin struct {
 // pathSemiring composes edges u→v and v→w into candidate u→w walks; walks
 // whose directions do not compose are annihilated.
 var pathSemiring = spmat.Semiring[bidir.Edge, bidir.Edge, PathMin]{
-	Fold: func(acc *spmat.Acc[PathMin], run []spmat.Triple[bidir.Edge], rowLo int32, e2 bidir.Edge) {
-		for _, t := range run {
-			d, ok := bidir.ComposeDirs(t.Val.Dir, e2.Dir)
+	Fold: func(acc *spmat.Acc[PathMin], rows []int32, vals []bidir.Edge, rowLo int32, e2 bidir.Edge) {
+		vals = vals[:len(rows)] // one bounds check for the loop
+		for i, r := range rows {
+			d, ok := bidir.ComposeDirs(vals[i].Dir, e2.Dir)
 			if !ok {
 				continue
 			}
-			suf := t.Val.Suf + e2.Suf
-			if c, live := acc.Slot(t.Row - rowLo); live {
+			suf := vals[i].Suf + e2.Suf
+			if c, live := acc.Slot(r - rowLo); live {
 				c.Min[d] = min(c.Min[d], suf)
 			} else {
 				c.Min = [4]int32{inf, inf, inf, inf}
 				c.Min[d] = suf
-				acc.Claim(t.Row - rowLo)
+				acc.Claim(r - rowLo)
 			}
 		}
 	},
