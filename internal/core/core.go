@@ -223,15 +223,15 @@ func PartitionContigs(labels *spmat.DistVec[int32], deg *spmat.DistVec[int32], r
 		sort.Slice(send[r], func(i, j int) bool { return send[r][i].Label < send[r][j].Label })
 	}
 	parts := mpi.Alltoallv(g.Comm, send)
-	sizeOf := map[int32]int64{}
+	compSize := map[int32]int64{}
 	for _, part := range parts {
 		for _, e := range part {
-			sizeOf[e.Label] += e.Count
+			compSize[e.Label] += e.Count
 		}
 	}
 	// Contigs are components with at least 2 reads (§4.4).
 	var mine []lc
-	for lab, sz := range sizeOf {
+	for lab, sz := range compSize {
 		if sz >= 2 {
 			mine = append(mine, lc{Label: lab, Count: sz})
 		}
@@ -265,7 +265,7 @@ func PartitionContigs(labels *spmat.DistVec[int32], deg *spmat.DistVec[int32], r
 		}
 	}
 	table = mpi.Bcast(g.Comm, 0, table)
-	res.NumContigs = mpi.Bcast(g.Comm, 0, []int64{int64(len(table))})[0]
+	res.NumContigs = int64(len(table))
 
 	procOf := make(map[int32]int32, len(table))
 	for _, e := range table {

@@ -2,6 +2,7 @@ package fasta
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -58,24 +59,26 @@ func (s *DistStore) Len(g int) int { return int(s.Lens[g]) }
 // stage: every rank obtains the sequences of all reads in its matrix ROW
 // range and COLUMN range. Because reads are block-distributed in world-rank
 // order, the reads of grid row i live exactly on the ranks of grid row i, so
-// an Allgatherv on the row communicator yields the row-range sequences; the
-// column-range sequences then come from the transposed rank, the same
-// pattern as the induced-subgraph assignment exchange (Figure 2).
+// an all-to-all on the row communicator, every rank sending its whole block
+// to every other, yields the row-range sequences; the column-range sequences
+// then come from the transposed rank, the same pattern as the
+// induced-subgraph assignment exchange (Figure 2). Both halves go through the
+// chunked protocol, so no message exceeds mpi.MaxMessageBytes however many
+// bases a rank holds.
 //
 // Returned slices are indexed from the row/column range start of an n×n
 // matrix with n = s.N. Collective.
 func (s *DistStore) RowColSequences(g *grid.Grid) (rowSeqs, colSeqs [][]byte) {
-	// Flatten local reads into one buffer, sized first, so traffic counters
-	// see volume.
-	total := 0
-	for _, seq := range s.Seqs {
-		total += len(seq)
+	flat := slices.Concat(s.Seqs...)
+	send := make([][]byte, g.RowComm.Size())
+	for i := range send {
+		send[i] = flat
 	}
-	flat := make([]byte, 0, total)
-	for _, seq := range s.Seqs {
-		flat = append(flat, seq...)
-	}
-	rowFlat, _ := mpi.AllgathervFlat(g.RowComm, flat)
+	// Blocking for the call keeps the row half's bytes exposed, as they are
+	// on the transposed half.
+	prev := g.RowComm.SetBlocking(true)
+	rowFlat := slices.Concat(mpi.IAlltoallvChunked(g.RowComm, send).WaitValue()...)
+	g.RowComm.SetBlocking(prev)
 	rowLo, rowHi := g.MyRowRange(s.N)
 	rowSeqs = unflatten(rowFlat, s.Lens[rowLo:rowHi], fmt.Sprintf("row communicator, reads %d…%d", rowLo, rowHi-1))
 

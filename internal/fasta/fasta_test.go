@@ -279,24 +279,34 @@ func TestRowColSequences(t *testing.T) {
 	}
 }
 
+// Both halves of the exchange honour MaxMessageBytes: at 256 bytes the
+// transposed half is chunked; at 64 a rank's own block (210 bytes on some
+// rank) no longer fits one message on the row half either.
 func TestRowColSequencesChunked(t *testing.T) {
-	old := mpi.MaxMessageBytes
-	mpi.MaxMessageBytes = 256 // force chunking of the transpose exchange
-	defer func() { mpi.MaxMessageBytes = old }()
+	defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
 	reads := makeReads(25, 17)
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		g := grid.New(c)
-		st := FromGlobal(c, reads)
-		_, colSeqs := st.RowColSequences(g)
-		clo, _ := g.MyColRange(st.N)
-		for i, seq := range colSeqs {
-			if !bytes.Equal(seq, reads[clo+i]) {
-				panic("chunked col read wrong")
+	for _, limit := range []int64{256, 64} {
+		mpi.MaxMessageBytes = limit
+		err := mpi.Run(4, func(c *mpi.Comm) {
+			g := grid.New(c)
+			st := FromGlobal(c, reads)
+			rowSeqs, colSeqs := st.RowColSequences(g)
+			rlo, _ := g.MyRowRange(st.N)
+			for i, seq := range rowSeqs {
+				if !bytes.Equal(seq, reads[rlo+i]) {
+					panic("chunked row read wrong")
+				}
 			}
+			clo, _ := g.MyColRange(st.N)
+			for i, seq := range colSeqs {
+				if !bytes.Equal(seq, reads[clo+i]) {
+					panic("chunked col read wrong")
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("MaxMessageBytes=%d: %v", limit, err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

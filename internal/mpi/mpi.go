@@ -43,12 +43,12 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/mpi/transport"
 	"repro/internal/mpi/wire"
@@ -600,13 +600,6 @@ func (c *Comm) Split(color, key int) *Comm {
 	return &Comm{world: c.world, ctx: ctx, rank: newRank, group: group, nocount: c.nocount}
 }
 
-// sizeOf returns the in-memory size of T's top-level representation; used
-// only to estimate chunk element counts in SendChunked.
-func sizeOf[T any]() int64 {
-	var z T
-	return int64(unsafe.Sizeof(z))
-}
-
 // mustUnmarshal decodes a received frame; a codec error here means sender
 // and receiver disagree about the element type — a program bug on the order
 // of an MPI datatype mismatch, so it panics.
@@ -653,16 +646,16 @@ func RecvOne[T any](c *Comm, src int, tag int64) T {
 
 // SendChunked splits data into MaxMessageBytes-sized chunks, mirroring how
 // ELBA works around the MPI 2^31-1 count limit for read-sequence buffers.
-// The element count is sent first; every chunk but the last is full.
+// The element count is sent first; every chunk but the last is full. Chunks
+// are sized by the codec's wire width of T, so T must be fixed-width: a
+// variable-width T (a string, a slice, a struct holding one) panics naming
+// the type before anything is sent.
 func SendChunked[T any](c *Comm, dst int, tag int64, data []T) {
-	esz := sizeOf[T]()
-	if esz == 0 {
-		esz = 1
+	w := int64(wire.Width[T]())
+	if w < 0 {
+		panic(fmt.Sprintf("mpi: SendChunked of %s: a variable-width element has no chunk size", reflect.TypeFor[T]()))
 	}
-	maxElems := int(MaxMessageBytes / esz)
-	if maxElems < 1 {
-		maxElems = 1
-	}
+	maxElems := max(int(MaxMessageBytes/max(w, 1)), 1)
 	SendOne(c, dst, tag, int64(len(data)))
 	for off := 0; off < len(data); off += maxElems {
 		end := off + maxElems

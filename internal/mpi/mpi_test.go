@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -344,6 +345,33 @@ func TestSendPanicsOverLimit(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected over-limit send to panic")
+	}
+}
+
+// A variable-width element has no chunk size: SendChunked refuses it before
+// the count goes out, naming the type, instead of panicking mid-stream once
+// a chunk of long strings overruns the limit.
+func TestSendChunkedRefusesVariableWidth(t *testing.T) {
+	defer func(old int64) { MaxMessageBytes = old }(MaxMessageBytes)
+	MaxMessageBytes = 64
+	w := NewWorld(2)
+	var msg string
+	err := w.Run(func(c *Comm) {
+		if c.Rank() != 0 {
+			return
+		}
+		defer func() { msg = fmt.Sprint(recover()) }()
+		long := string(make([]byte, 40))
+		SendChunked(c, 1, 0, []string{long, long, long})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(msg, "SendChunked of string") {
+		t.Errorf("panic %q does not name the element type", msg)
+	}
+	if w.TotalMsgs() != 0 {
+		t.Errorf("%d messages sent before the refusal, want 0", w.TotalMsgs())
 	}
 }
 

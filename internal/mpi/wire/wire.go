@@ -45,17 +45,20 @@
 // received. The one writer is the sender, filling the frame it has just
 // allocated, before handing it to a transport.
 //
-// Codecs are compiled per element type on first use and cached. On
-// little-endian hosts a type whose memory layout already matches the wire
-// layout (fixed-width, no padding, no indirection) encodes and decodes as one
-// bulk copy, and every other fixed-size type whose leaves are fixed-width
-// numbers — a padded struct such as a matrix triple — as a short list of
-// copy runs per element (see copyRun), with one length check per frame. The
-// per-field closures are the implementation for everything else:
-// variable-length types, padded types with a bool in them (the closures
-// decode a bool normalised to 0/1; copy runs are for numbers only) and
-// elements nested inside either. All three paths produce the same bytes;
-// padding never reaches a frame.
+// Codecs are compiled per element type on first use and cached, in one walk
+// of the type: its fingerprint shape, copy runs and closures are derived
+// together from the codecs of its elements, so the three cannot disagree.
+// Width is the codec's answer to "how many bytes per element", which package
+// mpi sizes its chunks by. On little-endian hosts a type whose memory layout
+// already matches the wire layout (fixed-width, no padding, no indirection)
+// encodes and decodes as one bulk copy, and every other fixed-size type whose
+// leaves are fixed-width numbers — a padded struct such as a matrix triple —
+// as a short list of copy runs per element (see copyRun), with one length
+// check per frame. The per-field closures are the implementation for
+// everything else: variable-length types, padded types with a bool in them
+// (the closures decode a bool normalised to 0/1; copy runs are for numbers
+// only) and elements nested inside either. All three paths produce the same
+// bytes; padding never reaches a frame.
 package wire
 
 import (
@@ -310,15 +313,18 @@ func checkHeader(frame []byte, kind byte, c *codec) ([]byte, error) {
 // codec is a compiled encoder/decoder for one element type.
 type codec struct {
 	name    string // Go type name, for error messages
+	shape   string // layout (kinds, widths, order — no names) that fp hashes
 	fp      uint32 // structural fingerprint
 	memSize uintptr
 	fixed   int  // encoded bytes per element; -1 if variable
 	minSize int  // lower bound on encoded bytes per element
 	dense   bool // memory layout == wire layout: bulk-copy eligible
 	isByte  bool // uint8: the one element type UnmarshalOwned returns as a view
-	// runs is the copy-run form of a fixed-size, non-dense type whose leaves
-	// are all fixed-width numbers (nil otherwise): top-level frames of such a
-	// type move through runs instead of enc/dec.
+	// runs is the copy-run form of a type whose leaves are all fixed-width
+	// numbers stored exactly as the wire stores them (nil otherwise: a bool,
+	// string or slice leaf, a 4-byte int, a big-endian host). Top-level
+	// frames of such a type that is not dense move through runs instead of
+	// enc/dec; a dense one's runs exist only for the types that contain it.
 	runs []copyRun
 	enc  func(dst []byte, p unsafe.Pointer) []byte
 	dec  func(src []byte, p unsafe.Pointer) ([]byte, error)
@@ -413,57 +419,6 @@ func (c *codec) copyRuns(wire, mem []byte, n int, encode bool) {
 	}
 }
 
-// compileRuns returns t's copy runs, or nil when t is not eligible: the host
-// is big-endian, or t has a leaf that is not a number stored exactly as the
-// wire stores it (bool, string, slice, a 4-byte int).
-func compileRuns(t reflect.Type) []copyRun {
-	if !hostLittleEndian {
-		return nil
-	}
-	var runs []copyRun
-	wire := 0
-	var walk func(t reflect.Type, mem int) bool
-	walk = func(t reflect.Type, mem int) bool {
-		switch t.Kind() {
-		case reflect.Int, reflect.Uint:
-			if t.Size() != 8 {
-				return false
-			}
-			fallthrough
-		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64:
-			n := int(t.Size())
-			if k := len(runs) - 1; k >= 0 && runs[k].mem+runs[k].n == mem {
-				runs[k].n += n // wire offsets are consecutive by construction
-			} else {
-				runs = append(runs, copyRun{mem: mem, wire: wire, n: n})
-			}
-			wire += n
-			return true
-		case reflect.Array:
-			for i := 0; i < t.Len(); i++ {
-				if !walk(t.Elem(), mem+i*int(t.Elem().Size())) {
-					return false
-				}
-			}
-			return true
-		case reflect.Struct:
-			for i := 0; i < t.NumField(); i++ {
-				if !walk(t.Field(i).Type, mem+int(t.Field(i).Offset)) {
-					return false
-				}
-			}
-			return true
-		}
-		return false
-	}
-	if !walk(t, 0) {
-		return nil
-	}
-	return runs
-}
-
 // uvarintLen is the number of bytes binary.AppendUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
@@ -484,71 +439,29 @@ func codecFor[T any]() *codec {
 	return actual.(*codec)
 }
 
-// compile builds the codec for t; seen guards against recursive types, which
-// cannot occur in practice without pointers but would otherwise loop.
+// compile builds the codec for t in one walk of its structure: buildKind
+// derives the fingerprint shape, the copy runs and the closures together from
+// the element codecs it compiles on the way down. seen guards against
+// recursive types (type T []T), which would otherwise loop.
 func compile(t reflect.Type, seen []reflect.Type) *codec {
-	for _, s := range seen {
-		if s == t {
-			panic(fmt.Sprintf("wire: recursive type %v is not encodable", t))
-		}
+	if slices.Contains(seen, t) {
+		panic(fmt.Sprintf("wire: recursive type %v is not encodable", t))
 	}
-	seen = append(seen, t)
 	c := &codec{name: t.String(), memSize: t.Size()}
+	buildKind(c, t, append(seen, t))
 	h := fnv.New32a()
-	fmt.Fprint(h, structure(t, seen[:len(seen)-1]))
+	h.Write([]byte(c.shape))
 	c.fp = h.Sum32()
-	buildKind(c, t, seen)
 	c.isByte = t.Kind() == reflect.Uint8
-	if c.fixed >= 0 && !c.dense {
-		c.runs = compileRuns(t)
-	}
 	return c
-}
-
-// structure renders t's layout (kinds, widths, order — no names) for the
-// fingerprint.
-func structure(t reflect.Type, seen []reflect.Type) string {
-	for _, s := range seen {
-		if s == t {
-			panic(fmt.Sprintf("wire: recursive type %v is not encodable", t))
-		}
-	}
-	seen = append(seen, t)
-	switch t.Kind() {
-	case reflect.Bool:
-		return "b"
-	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return fmt.Sprintf("i%d", t.Bits()/8)
-	case reflect.Int:
-		return "i8"
-	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return fmt.Sprintf("u%d", t.Bits()/8)
-	case reflect.Uint:
-		return "u8"
-	case reflect.Float32, reflect.Float64:
-		return fmt.Sprintf("f%d", t.Bits()/8)
-	case reflect.String:
-		return "s"
-	case reflect.Slice:
-		return "[" + structure(t.Elem(), seen)
-	case reflect.Array:
-		return fmt.Sprintf("a%d%s", t.Len(), structure(t.Elem(), seen))
-	case reflect.Struct:
-		s := "{"
-		for i := 0; i < t.NumField(); i++ {
-			s += structure(t.Field(i).Type, seen)
-		}
-		return s + "}"
-	default:
-		panic(fmt.Sprintf("wire: type %v (kind %v) is not encodable — only bools, fixed-width numbers, int/uint, strings, slices, arrays and structs of those cross the wire", t, t.Kind()))
-	}
 }
 
 func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 	switch t.Kind() {
 	case reflect.Bool:
-		c.fixed, c.minSize = 1, 1
-		c.dense = hostLittleEndian // bool is one byte of 0/1 in memory too
+		// One byte of 0/1 in memory too, so dense; but no copy run: a decoded
+		// bool is normalised to 0/1, and copy runs are for numbers only.
+		c.shape, c.fixed, c.minSize, c.dense = "b", 1, 1, hostLittleEndian
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			if *(*bool)(p) {
 				return append(dst, 1)
@@ -562,17 +475,14 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			*(*bool)(p) = src[0] != 0
 			return src[1:], nil
 		}
-	case reflect.Int8, reflect.Uint8:
-		fixedInt(c, t, 1)
-	case reflect.Int16, reflect.Uint16:
-		fixedInt(c, t, 2)
-	case reflect.Int32, reflect.Uint32, reflect.Float32:
-		fixedInt(c, t, 4)
-	case reflect.Int64, reflect.Uint64, reflect.Float64:
-		fixedInt(c, t, 8)
+	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		fixedInt(c, "i", int(t.Size()))
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		fixedInt(c, "u", int(t.Size()))
+	case reflect.Float32, reflect.Float64:
+		fixedInt(c, "f", int(t.Size()))
 	case reflect.Int:
-		c.fixed, c.minSize = 8, 8
-		c.dense = hostLittleEndian && c.memSize == 8
+		number(c, "i8", 8, hostLittleEndian && c.memSize == 8)
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint64(dst, uint64(*(*int)(p)))
 		}
@@ -584,8 +494,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			return src[8:], nil
 		}
 	case reflect.Uint:
-		c.fixed, c.minSize = 8, 8
-		c.dense = hostLittleEndian && c.memSize == 8
+		number(c, "u8", 8, hostLittleEndian && c.memSize == 8)
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint64(dst, uint64(*(*uint)(p)))
 		}
@@ -597,7 +506,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			return src[8:], nil
 		}
 	case reflect.String:
-		c.fixed, c.minSize = -1, 1
+		c.shape, c.fixed, c.minSize = "s", -1, 1
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			s := *(*string)(p)
 			dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -619,7 +528,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 		ec := compile(t.Elem(), seen)
 		es := ec.memSize
 		st := t
-		c.fixed, c.minSize = -1, 1
+		c.shape, c.fixed, c.minSize = "["+ec.shape, -1, 1
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			sh := (*sliceHeader)(p)
 			dst = binary.AppendUvarint(dst, uint64(sh.len))
@@ -683,6 +592,13 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 		}
 		c.minSize = n * ec.minSize
 		c.dense = ec.dense && c.fixed >= 0 && uintptr(c.fixed) == c.memSize
+		c.shape = fmt.Sprintf("a%d%s", n, ec.shape)
+		if ec.runs != nil || n == 0 && c.fixed >= 0 { // no element, no leaf to rule runs out
+			c.runs = []copyRun{}
+			for i := 0; i < n; i++ {
+				c.runs = appendRuns(c.runs, ec.runs, i*int(es), i*ec.fixed)
+			}
+		}
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			for i := 0; i < n; i++ {
 				dst = ec.enc(dst, unsafe.Add(p, uintptr(i)*es))
@@ -707,10 +623,17 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 		}
 		fields := make([]field, t.NumField())
 		fixed, minSize, dense := 0, 0, true
+		shape, runs := "{", []copyRun{}
 		for i := range fields {
 			f := t.Field(i)
 			fc := compile(f.Type, seen)
 			fields[i] = field{off: f.Offset, c: fc}
+			shape += fc.shape
+			if runs != nil && fc.runs != nil {
+				runs = appendRuns(runs, fc.runs, int(f.Offset), fixed)
+			} else {
+				runs = nil
+			}
 			if fc.fixed < 0 || fixed < 0 {
 				fixed = -1
 			} else {
@@ -719,7 +642,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			minSize += fc.minSize
 			dense = dense && fc.dense
 		}
-		c.fixed, c.minSize = fixed, minSize
+		c.shape, c.fixed, c.minSize, c.runs = shape+"}", fixed, minSize, runs
 		// Dense only when the fields' wire bytes tile the struct exactly:
 		// any padding would leak nondeterministic memory into frames.
 		c.dense = dense && fixed >= 0 && uintptr(fixed) == c.memSize
@@ -751,12 +674,11 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 	}
 }
 
-// fixedInt wires the codec for a fixed-width integer or float of w bytes;
-// floats reuse the integer paths via their memory representation, which is
-// exactly their IEEE bit pattern.
-func fixedInt(c *codec, t reflect.Type, w int) {
-	c.fixed, c.minSize = w, w
-	c.dense = hostLittleEndian
+// fixedInt wires the codec for a fixed-width integer or float of w bytes,
+// kind "i", "u" or "f"; floats reuse the integer paths via their memory
+// representation, which is exactly their IEEE bit pattern.
+func fixedInt(c *codec, kind string, w int) {
+	number(c, fmt.Sprintf("%s%d", kind, w), w, hostLittleEndian)
 	switch w {
 	case 1:
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte { return append(dst, *(*byte)(p)) }
@@ -801,6 +723,31 @@ func fixedInt(c *codec, t reflect.Type, w int) {
 			return src[8:], nil
 		}
 	}
+}
+
+// number sets what every number codec shares: its fingerprint shape, its
+// width and, when its memory form is its wire form, the one copy run it
+// contributes to the types that contain it.
+func number(c *codec, shape string, w int, dense bool) {
+	c.shape, c.fixed, c.minSize, c.dense = shape, w, w, dense
+	if dense {
+		c.runs = []copyRun{{n: w}}
+	}
+}
+
+// appendRuns appends elem's runs, placed at memory offset mem and wire offset
+// wire, to runs, extending the last run when the first new one continues it
+// in memory (wire offsets are consecutive by construction).
+func appendRuns(runs, elem []copyRun, mem, wire int) []copyRun {
+	for _, r := range elem {
+		r.mem, r.wire = r.mem+mem, r.wire+wire
+		if k := len(runs) - 1; k >= 0 && runs[k].mem+runs[k].n == r.mem {
+			runs[k].n += r.n
+		} else {
+			runs = append(runs, r)
+		}
+	}
+	return runs
 }
 
 // sliceHeader mirrors the runtime slice layout for direct element access.

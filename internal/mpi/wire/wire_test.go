@@ -10,7 +10,9 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -202,6 +204,32 @@ func TestFingerprintDistinguishesShapes(t *testing.T) {
 	}
 	if Fingerprint[[]byte]() == Fingerprint[string]() {
 		t.Fatal("[]byte and string share a fingerprint (different recv types)")
+	}
+}
+
+// Compilation refuses what has no wire form, naming the offending type: a
+// kind outside the encodable set, at any depth, and a type containing itself.
+func TestCompileRefusesUnencodableTypes(t *testing.T) {
+	type node []node
+	type withChan struct {
+		X  int64
+		Ch []chan int
+	}
+	for _, c := range []struct {
+		typ  reflect.Type
+		want string
+	}{
+		{reflect.TypeOf(node(nil)), "recursive type wire.node"},
+		{reflect.TypeOf(withChan{}), "type chan int (kind chan) is not encodable"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("%v: panic %q, want it to contain %q", c.typ, msg, c.want)
+				}
+			}()
+			compile(c.typ, nil)
+		}()
 	}
 }
 

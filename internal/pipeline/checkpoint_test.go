@@ -305,6 +305,15 @@ func TestFingerprintThroughGolden(t *testing.T) {
 	}
 }
 
+// TestRankCheckpointFingerprintGolden pins the wire fingerprint every rank
+// checkpoint file is stamped with: a codec change that moves it makes every
+// committed checkpoint unreadable, so it must come with a ckptSchema bump.
+func TestRankCheckpointFingerprintGolden(t *testing.T) {
+	if got, want := wire.Fingerprint[ckptRank](), uint32(0xc3ee2bc7); got != want {
+		t.Errorf("ckptRank fingerprint 0x%08x, want 0x%08x", got, want)
+	}
+}
+
 // TestCheckpointPrefixResume is the sweep-reuse contract: a post-Alignment
 // checkpoint must resume under changed TR parameters (downstream of the
 // resume point) and reproduce a cold run at those parameters exactly, while
