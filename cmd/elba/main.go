@@ -484,14 +484,16 @@ func readFasta(path string) ([][]byte, error) {
 
 // printAlignmentPhases says how much of the Alignment stage the
 // containment-first schedule avoided: pairs aligned per phase against the
-// candidate count (the rest had both reads already known contained).
+// candidate count (the rest could not change R: both reads already known
+// contained, or one known and its seeds ruling out a containment of the
+// other).
 func printAlignmentPhases(s elba.Stats) {
 	if s.AlignedPairs == 0 {
 		return // resumed past Alignment from artifacts that carry no count
 	}
 	p1 := s.Timers.Get(pipeline.AlignmentPhases[0])
 	p2 := s.Timers.Get(pipeline.AlignmentPhases[1])
-	fmt.Printf("Alignment: aligned %d of %d candidate pairs (phase 1 %d in %s, phase 2 %d in %s), skipped %d with both reads known contained\n",
+	fmt.Printf("Alignment: aligned %d of %d candidate pairs (phase 1 %d in %s, phase 2 %d in %s), skipped %d that cannot change R\n",
 		s.AlignedPairs, s.CandidatePairs, p1.SumWork, p1.MaxDur.Round(time.Microsecond),
 		p2.SumWork, p2.MaxDur.Round(time.Microsecond), s.CandidatePairs-s.AlignedPairs)
 }

@@ -8,6 +8,7 @@
 package align
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/bidir"
@@ -210,6 +211,59 @@ func reverseInto(buf, src []byte) []byte {
 type Seed struct {
 	PU, PV int32
 	RC     bool
+}
+
+// Diag is s's diagonal d = PU − PV′ on u's axis, where PV′ is the window's
+// start on the strand of v (of length lv) that matches u: PV forward,
+// lv−PV−k on reverse-complement seeds. A gapless alignment through s puts v
+// at [d, d+lv) on u.
+func (s Seed) Diag(lv, k int32) int32 {
+	if s.RC {
+		return s.PU - (lv - s.PV - k)
+	}
+	return s.PU - s.PV
+}
+
+// MayContain reports whether an alignment of reads of lengths lu and lv
+// anchored at one of seeds can pass the quality gate
+// Score ≥ frac·min(EU−BU, EV−BV) and classify (bidir.Classify) as kind:
+// bidir.ContainedU (u inside v) or bidir.ContainsV (v inside u). false is a
+// proof that no backend scoring in p's units returns such an alignment; any
+// other kind, or a scoring the proof does not cover, answers true.
+//
+// The alignment passes through its seed's diagonal d (Seed.Diag), starts on
+// diagonal BU − BV′ and ends on EU − EV′ (BV′, EV′ on v's strand that matches
+// u), and each gap moves it one diagonal. ContainedU needs BU ≤ BV′ and LU−EU ≤ LV−EV′, so it
+// starts on a diagonal ≤ 0, ends on one ≥ LU−LV and has at least
+// max(0, d) + max(0, LU−LV−d) gaps; ContainsV mirrors it with
+// max(0, −d) + max(0, d−(LU−LV)). Either count is ≥ |LU−LV|. With M matches,
+// X mismatches and G gaps, M+X ≤ alnLen ≤ min(LU, LV), so under Match > 0 ≥
+// Mismatch and Gap < 0 the score Match·M + Mismatch·X + Gap·G is at most
+// Match·alnLen − |Gap|·G, and the gate leaves G ≤ (Match − frac)·min(LU,
+// LV)/|Gap| when Match > frac. That needs a backend's Score to be this linear
+// score of the path it reports: the x-drop DP's is, and the wavefront
+// converts its dual score back exactly (package wfa).
+func (p Params) MayContain(kind bidir.Kind, lu, lv, k int32, seeds []Seed, frac float64) bool {
+	if kind != bidir.ContainedU && kind != bidir.ContainsV ||
+		!(p.Match > 0 && p.Mismatch <= 0 && p.Gap < 0 && float64(p.Match) > frac) {
+		return true
+	}
+	// The gate rounds frac·alnLen once and maxGaps takes three roundings:
+	// together under 2^-50 of (Match+|frac|)·m/|Gap|, which the slack covers.
+	m, gap := float64(min(lu, lv)), float64(-p.Gap)
+	maxGaps := (float64(p.Match)-frac)*m/gap + (float64(p.Match)+math.Abs(frac))*m/gap*0x1p-40
+	dl := int64(lu) - int64(lv)
+	for _, s := range seeds {
+		d := int64(s.Diag(lv, k))
+		gaps := max(0, -d) + max(0, d-dl)
+		if kind == bidir.ContainedU {
+			gaps = max(0, d) + max(0, dl-d)
+		}
+		if float64(gaps) <= maxGaps {
+			return true
+		}
+	}
+	return false
 }
 
 // ExtendFunc is the extension primitive an alignment backend supplies: the

@@ -216,3 +216,37 @@ func (c ChainedCase) Identical(ext SeedExtendFunc) (same bool, first, second [5]
 	second[0], second[1], second[2], second[3], second[4] = ext(c.U, c.V, c.K, c.PU2, c.PV2, c.RC)
 	return first == second, first, second
 }
+
+// Trim cuts up to lo bases from the start and up to hi from the end of U
+// (onU) or V, as the reads are stored, never into either seed window, so a
+// read of a related pair may end nested in the other. Seed positions follow
+// the cut.
+func (c ChainedCase) Trim(onU bool, lo, hi int) ChainedCase {
+	seq, p, p2 := &c.U, &c.PU, &c.PU2
+	if !onU {
+		seq, p, p2 = &c.V, &c.PV, &c.PV2
+	}
+	lo = min(lo, int(min(*p, *p2)))
+	hi = min(hi, len(*seq)-int(max(*p, *p2)+c.K))
+	*seq = (*seq)[lo : len(*seq)-hi]
+	*p -= int32(lo)
+	*p2 -= int32(lo)
+	return c
+}
+
+// Inserted returns n random bases s and a copy t with g < n random bases
+// inserted, spread evenly and none at either end: an alignment of all of
+// both crosses exactly g single-base gaps.
+func Inserted(rng *rand.Rand, n, g int) (s, t []byte) {
+	s = RandSeq(rng, n)
+	t = make([]byte, 0, n+g)
+	next := 1 // the next insertion goes after base ⌊next·n/(g+1)⌋
+	for i, b := range s {
+		t = append(t, b)
+		for next <= g && i+1 == next*n/(g+1) {
+			t = append(t, dna.Bases[rng.Intn(4)])
+			next++
+		}
+	}
+	return s, t
+}

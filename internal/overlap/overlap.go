@@ -109,7 +109,9 @@ type Config struct {
 	K            int   // k-mer length (paper: 31 low-error, 17 H. sapiens)
 	ReliableLow  int32 // minimum read-count for a reliable k-mer
 	ReliableHigh int32 // maximum read-count (repeat guard)
-	Align        align.Params
+	// Align is the scoring every backend reports its Score in (NewAligner's
+	// too): phase 2's containment bound reads it.
+	Align align.Params
 	// NewAligner, when non-nil, constructs the per-rank alignment backend
 	// the stage dispatches through; nil falls back to the x-drop aligner
 	// built from Align. Each rank gets its own instance, so backends need
@@ -226,13 +228,13 @@ func AlignCandidates(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds],
 
 // containmentPicks chooses phase 1's candidates: for each local row read and
 // each local column read, the one candidate whose first seed predicts that
-// read most deeply contained in its partner. The seed's diagonal d = PU − PV′
-// (PV′ = LV−PV−k on the strand that matches u) places v at [d, d+LV) on u's
-// axis; u lies inside v with margin min(−d, d+LV−LU) to v's two ends, v
-// inside u with margin min(d, LU−d−LV). A read with no candidate of margin
-// ≥ 0 gets no pick. Returns candidate indices, ascending and distinct (at
-// most rows+cols of them); ties keep the earliest candidate, so the list is a
-// function of c alone.
+// read most deeply contained in its partner. The seed's diagonal d
+// (align.Seed.Diag) places v at [d, d+LV) on u's axis; u lies inside v with
+// margin min(−d, d+LV−LU) to v's two ends, v inside u with margin
+// min(d, LU−d−LV). A read with no candidate of margin ≥ 0 gets no pick.
+// Returns candidate indices, ascending and distinct (at most rows+cols of
+// them); ties keep the earliest candidate, so the list is a function of c
+// alone.
 func containmentPicks(c *spmat.Dist[Seeds], rowSeqs, colSeqs [][]byte, k int32) []int32 {
 	// One flat slice pair, local rows first, then local columns.
 	nr := len(rowSeqs)
@@ -245,12 +247,7 @@ func containmentPicks(c *spmat.Dist[Seeds], rowSeqs, colSeqs [][]byte, k int32) 
 	for i, t := range c.Local.Ts {
 		r, cc := int(t.Row-c.RowLo), int(t.Col-c.ColLo)
 		lu, lv := int32(len(rowSeqs[r])), int32(len(colSeqs[cc]))
-		s := t.Val.S[0]
-		pv := s.PV
-		if s.RC {
-			pv = lv - s.PV - k
-		}
-		d := s.PU - pv
+		d := t.Val.S[0].Diag(lv, k)
 		if m := min(-d, d+lv-lu); m > margin[r] {
 			best[r], margin[r] = int32(i), m
 		}
@@ -276,13 +273,15 @@ func containmentPicks(c *spmat.Dist[Seeds], rowSeqs, colSeqs [][]byte, k int32) 
 // IsContainedRead()) deletes every overlap that touches one — so phase 1
 // aligns the few pairs most likely to prove a read contained
 // (containmentPicks), the ids found are replicated as the set K₁, and phase 2
-// aligns every other candidate except those whose two reads are both in K₁.
-// The output does not depend on the prediction: a skipped pair could only
-// have named a read already in Contained or produced a dovetail that
-// MaskRowsCols(Contained) removes, and a read phase 1 misses keeps all its
-// pairs (DESIGN.md §3). Both phase lists are built serially from c and
-// results are written by candidate index, so R, the counters and the
-// aligners' work are the same for every pool size.
+// aligns every other candidate except those whose two reads are both in K₁
+// and those with one read in K₁ whose seeds rule out an alignment that passes
+// the quality gate and proves the other read contained
+// (align.Params.MayContain). The output does not depend on the prediction: a
+// skipped pair could only have named a read already in Contained or produced
+// a dovetail that MaskRowsCols(Contained) removes, and a read phase 1 misses
+// keeps all its pairs (DESIGN.md §3). Both phase lists are built serially
+// from c and results are written by candidate index, so R, the counters and
+// the aligners' work are the same for every pool size.
 func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], pool *par.Pool[align.Aligner], cfg Config, tm *trace.Timers, res *Result) *spmat.Dist[bidir.Aln] {
 	// diBELLA's sequence exchange: row-range sequences via the row
 	// communicator, column-range sequences via the transposed rank.
@@ -386,14 +385,31 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 		}
 	}
 
+	// mayProveOther: can candidate i, one of whose reads is in K₁ (u when
+	// uKnown, else v), still prove the other read contained?
+	mayProveOther := func(i int32, uKnown bool) bool {
+		kind := bidir.ContainedU
+		if uKnown {
+			kind = bidir.ContainsV
+		}
+		u, v, seeds := seedsOf(i)
+		return cfg.Align.MayContain(kind, int32(len(u)), int32(len(v)), k, seeds, cfg.MinScoreFrac)
+	}
 	picks := containmentPicks(c, rowSeqs, colSeqs, k)
 	phase(SubStagePhase1, "align.phase1", picks)
 	knownPhase1 := nKnown
 	rest := make([]int32, 0, len(ts)-len(picks))
+	skippedContained, skippedBound := 0, 0
 	for i, p := 0, 0; i < len(ts); i++ {
-		if p < len(picks) && picks[p] == int32(i) {
+		ku, kv := known[ts[i].Row], known[ts[i].Col]
+		switch {
+		case p < len(picks) && picks[p] == int32(i):
 			p++
-		} else if !known[ts[i].Row] || !known[ts[i].Col] {
+		case ku && kv: // both reads already known contained
+			skippedContained++
+		case ku != kv && !mayProveOther(int32(i), ku):
+			skippedBound++
+		default:
 			rest = append(rest, int32(i))
 		}
 	}
@@ -419,10 +435,10 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 		}
 	}
 	if reg != nil {
-		aligned := len(picks) + len(rest)
 		reg.Counter("align.pairs").Add(int64(len(ts)))
-		reg.Counter("align.pairs_aligned").Add(int64(aligned))
-		reg.Counter("align.pairs_skipped_contained").Add(int64(len(ts) - aligned))
+		reg.Counter("align.pairs_aligned").Add(int64(len(picks) + len(rest)))
+		reg.Counter("align.pairs_skipped_contained").Add(int64(skippedContained))
+		reg.Counter("align.pairs_skipped_bound").Add(int64(skippedBound))
 		reg.Counter("align.dovetails").Add(int64(len(upper)))
 		reg.Counter("align.contained").Add(int64(found))
 		if g.Comm.Rank() == 0 { // K₁ is replicated: count it once

@@ -15,6 +15,7 @@ import (
 	"repro/internal/fasta"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/readsim"
 	"repro/internal/spmat"
 	"repro/internal/trace"
@@ -69,20 +70,66 @@ func alignAndPruneRef(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds]
 }
 
 // schedTotals is what one differential run saw, summed over ranks and
-// configurations: candidate pairs, pairs the schedule aligned (per phase) and
-// phase-1 picks whose predicted-contained read did not end up contained.
+// configurations: candidate pairs, pairs the schedule aligned (per phase),
+// pairs phase 2 skipped by the containment bound and phase-1 picks whose
+// predicted-contained read did not end up contained.
 type schedTotals struct {
-	candidates, phase1, phase2, mispredicted atomic.Int64
+	candidates, phase1, phase2, skippedBound, mispredicted atomic.Int64
+}
+
+// pairCounters reads the Alignment stage's pair counters off a rank's
+// registry: candidates, aligned, skipped with both reads in K₁, skipped by
+// the containment bound.
+func pairCounters(reg *obs.Registry) [4]int64 {
+	var n [4]int64
+	for i, name := range []string{"align.pairs", "align.pairs_aligned", "align.pairs_skipped_contained", "align.pairs_skipped_bound"} {
+		n[i] = reg.Counter(name).Value()
+	}
+	return n
+}
+
+// alignCounted runs the Alignment stage and returns what it added to the
+// rank's pair counters (pairCounters order), after checking that every
+// candidate was counted once: align.pairs = pairs_aligned +
+// pairs_skipped_contained + pairs_skipped_bound.
+func alignCounted(c *mpi.Comm, g *grid.Grid, store *fasta.DistStore, cands *spmat.Dist[Seeds], cfg Config, tm *trace.Timers, res *Result, where string) [4]int64 {
+	before := pairCounters(c.Metrics())
+	AlignCandidates(g, store, cands, cfg, tm, res)
+	n := pairCounters(c.Metrics())
+	for i := range n {
+		n[i] -= before[i]
+	}
+	if n[0] != int64(len(cands.Local.Ts)) || n[0] != n[1]+n[2]+n[3] {
+		panic(fmt.Sprintf("%s: align.pairs %d (%d local candidates) ≠ aligned %d + skipped contained %d + skipped bound %d",
+			where, n[0], len(cands.Local.Ts), n[1], n[2], n[3]))
+	}
+	return n
+}
+
+// runWithMetrics runs fn on p in-process ranks that each have a metric
+// registry.
+func runWithMetrics(p int, fn func(*mpi.Comm)) error {
+	w := mpi.NewWorld(p)
+	w.SetObs(nil, obs.NewMetricSet(p))
+	return w.Run(fn)
+}
+
+// backendConfigs are the two alignment backends the differential tests run,
+// both scoring in cfg.Align's units.
+func backendConfigs(cfg Config) map[string]Config {
+	wcfg := cfg
+	wcfg.NewAligner = func() align.Aligner { return wfa.New(wfa.DualParams(cfg.Align)) }
+	return map[string]Config{"xdrop": cfg, "wfa": wcfg}
 }
 
 // diffAgainstRef runs CountKmer and DetectOverlap once on P ranks, then for
 // both backends holds the scheduled Alignment stage at Threads 1 and 3 to the
 // exhaustive reference on the same candidates: equal R triples on every rank,
-// equal Contained, CandidatePairs and KeptOverlaps, and equal aligner work at
-// both thread counts.
+// equal Contained, CandidatePairs and KeptOverlaps, equal aligner work at
+// both thread counts, and pair counters that account for every candidate.
 func diffAgainstRef(t *testing.T, label string, seqs [][]byte, p int, cfg Config, tot *schedTotals) {
 	t.Helper()
-	err := mpi.Run(p, func(c *mpi.Comm) {
+	err := runWithMetrics(p, func(c *mpi.Comm) {
 		g := grid.New(c)
 		store := fasta.FromGlobal(c, seqs)
 		base := &Result{NumReads: store.N}
@@ -91,10 +138,7 @@ func diffAgainstRef(t *testing.T, label string, seqs [][]byte, p int, cfg Config
 		rowSeqs, colSeqs := store.RowColSequences(g)
 		picks := containmentPicks(cands, rowSeqs, colSeqs, int32(cfg.K))
 		for _, backend := range []string{"xdrop", "wfa"} {
-			bcfg := cfg
-			if backend == "wfa" {
-				bcfg.NewAligner = func() align.Aligner { return wfa.New(wfa.DualParams(cfg.Align)) }
-			}
+			bcfg := backendConfigs(cfg)[backend]
 			wantR, wantContained, wantKept := alignAndPruneRef(g, store, cands, bcfg)
 			isContained := map[int32]bool{}
 			for _, id := range wantContained {
@@ -110,8 +154,8 @@ func diffAgainstRef(t *testing.T, label string, seqs [][]byte, p int, cfg Config
 				bcfg.Threads = threads
 				res := &Result{NumReads: store.N, CandidatePairs: base.CandidatePairs}
 				tm := trace.New()
-				AlignCandidates(g, store, cands, bcfg, tm, res)
 				where := fmt.Sprintf("%s P=%d %s threads=%d rank %d", label, p, backend, threads, c.Rank())
+				counts := alignCounted(c, g, store, cands, bcfg, tm, res, where)
 				if !reflect.DeepEqual(res.R.Local.Ts, wantR.Local.Ts) {
 					panic(fmt.Sprintf("%s: R has %d local triples that differ from the reference's %d", where, len(res.R.Local.Ts), len(wantR.Local.Ts)))
 				}
@@ -123,14 +167,16 @@ func diffAgainstRef(t *testing.T, label string, seqs [][]byte, p int, cfg Config
 						where, res.KeptOverlaps, wantKept, res.CandidatePairs, base.CandidatePairs))
 				}
 				p1, p2 := tm.Entry(SubStagePhase1).Work, tm.Entry(SubStagePhase2).Work
-				if p1 != int64(len(picks)) || p1+p2 > int64(len(cands.Local.Ts)) {
-					panic(fmt.Sprintf("%s: phases aligned %d+%d of %d candidates, %d picks", where, p1, p2, len(cands.Local.Ts), len(picks)))
+				if p1 != int64(len(picks)) || p1+p2 > int64(len(cands.Local.Ts)) || p1+p2 != counts[1] {
+					panic(fmt.Sprintf("%s: phases aligned %d+%d of %d candidates, %d picks, align.pairs_aligned %d",
+						where, p1, p2, len(cands.Local.Ts), len(picks), counts[1]))
 				}
 				work := tm.Entry("Alignment").Work
 				if threads == 1 {
 					work1 = work
 					tot.phase1.Add(p1)
 					tot.phase2.Add(p2)
+					tot.skippedBound.Add(counts[3])
 				} else if work != work1 {
 					panic(fmt.Sprintf("%s: aligner work %d, %d at threads=1", where, work, work1))
 				}
@@ -169,35 +215,28 @@ func errorConfig(rate float64) Config {
 	return testConfig(17, 20)
 }
 
-// TestScheduledAlignmentMatchesExhaustive is the stage-level differential
-// test of the containment-first schedule and the chained-seed skip on
-// simulated reads: every error rate × grid size × backend × thread count
-// gives the reference's R, Contained and counters, while a real share of the
-// candidates is never aligned.
-func TestScheduledAlignmentMatchesExhaustive(t *testing.T) {
-	for ei, rate := range []float64{0, 0.005, 0.03, 0.15} {
-		genome := readsim.Genome(readsim.GenomeConfig{Length: 6000, Seed: int64(100 + ei)})
-		reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 14, MeanLen: 1000, ErrorRate: rate, Seed: int64(200 + ei)}))
-		var tot schedTotals
-		for _, p := range gridSizes() {
-			diffAgainstRef(t, fmt.Sprintf("error %v", rate), reads, p, errorConfig(rate), &tot)
-		}
-		cand, p1, p2 := tot.candidates.Load(), tot.phase1.Load(), tot.phase2.Load()
-		t.Logf("error %v: %d reads; over %v ranks and both backends %d candidate pairs, aligned %d + %d, %d picks mispredicted",
-			rate, len(reads), gridSizes(), 2*cand, p1, p2, tot.mispredicted.Load())
-		if cand < 100 || p1 == 0 {
-			t.Fatalf("error %v: %d candidates, %d phase-1 pairs: the input does not exercise the schedule", rate, cand, p1)
-		}
-		if rate <= 0.03 && 4*(p1+p2) > 3*2*cand {
-			t.Fatalf("error %v: %d of %d candidate pairs still aligned, want under three quarters", rate, p1+p2, 2*cand)
-		}
-	}
+// diffInput is one input of the differential tests: reads and the stage
+// configuration they run with.
+type diffInput struct {
+	name string
+	seqs [][]byte
+	cfg  Config
 }
 
-// TestScheduleNoReadContained: equal-length reads tiling a genome contain
-// nothing, so no candidate predicts a containment — phase 1 is empty, nothing
-// is skipped, and the stage is the exhaustive one.
-func TestScheduleNoReadContained(t *testing.T) {
+// errorRates are the simulated error rates of the differential inputs.
+var errorRates = []float64{0, 0.005, 0.03, 0.15}
+
+// errorRateInput simulates reads at errorRates[ei].
+func errorRateInput(ei int) diffInput {
+	rate := errorRates[ei]
+	genome := readsim.Genome(readsim.GenomeConfig{Length: 6000, Seed: int64(100 + ei)})
+	reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 14, MeanLen: 1000, ErrorRate: rate, Seed: int64(200 + ei)}))
+	return diffInput{fmt.Sprintf("error %v", rate), reads, errorConfig(rate)}
+}
+
+// tilingInput is equal-length reads tiling a genome, every third one
+// reverse-complemented: no read is contained.
+func tilingInput() diffInput {
 	genome := readsim.Genome(readsim.GenomeConfig{Length: 12000, Seed: 31})
 	var seqs [][]byte
 	for pos := 0; pos+1500 <= len(genome); pos += 350 {
@@ -207,20 +246,12 @@ func TestScheduleNoReadContained(t *testing.T) {
 		}
 		seqs = append(seqs, seq)
 	}
-	for _, p := range gridSizes() {
-		var tot schedTotals
-		diffAgainstRef(t, "tiling", seqs, p, testConfig(21, 20), &tot)
-		if cand := tot.candidates.Load(); tot.phase1.Load() != 0 || tot.phase2.Load() != 2*cand || cand == 0 {
-			t.Fatalf("P=%d: phases aligned %d + %d of 2×%d candidates, want 0 and all", p, tot.phase1.Load(), tot.phase2.Load(), cand)
-		}
-	}
+	return diffInput{"tiling", seqs, testConfig(21, 20)}
 }
 
-// TestScheduleDuplicatedReads: exact duplicates (and reverse-complement
-// duplicates) classify as perfectly symmetric, where the larger id is the
-// contained one — the U < V tie-break. The schedule must remove the same copy
-// the reference removes.
-func TestScheduleDuplicatedReads(t *testing.T) {
+// duplicatesInput is simulated reads plus exact and reverse-complement
+// copies of half of them, and third copies of a sixth.
+func duplicatesInput() diffInput {
 	genome := readsim.Genome(readsim.GenomeConfig{Length: 9000, Seed: 33})
 	reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 6, MeanLen: 1200, Seed: 34}))
 	n := len(reads)
@@ -234,21 +265,12 @@ func TestScheduleDuplicatedReads(t *testing.T) {
 	for i := 0; i < n; i += 6 { // a third copy, so duplicates meet duplicates
 		reads = append(reads, reads[i])
 	}
-	for _, p := range gridSizes() {
-		var tot schedTotals
-		diffAgainstRef(t, "duplicates", reads, p, testConfig(21, 20), &tot)
-		if tot.phase1.Load() == 0 || tot.phase1.Load()+tot.phase2.Load() >= 2*tot.candidates.Load() {
-			t.Fatalf("P=%d: phases aligned %d + %d of 2×%d candidates: duplicates must be picked and pairs skipped",
-				p, tot.phase1.Load(), tot.phase2.Load(), tot.candidates.Load())
-		}
-	}
+	return diffInput{"duplicates", reads, testConfig(21, 20)}
 }
 
-// TestScheduleIndelHeavyReads: reads whose errors are all deletions (even
-// ids) or all insertions (odd ids) drift off the first seed's diagonal by
-// tens of bases over a read, so the containment prediction is wrong in both
-// directions. The output must not depend on it.
-func TestScheduleIndelHeavyReads(t *testing.T) {
+// indelHeavyInput is reads whose errors are all deletions (even ids) or all
+// insertions (odd ids), short ones nested a few bases inside long ones.
+func indelHeavyInput() diffInput {
 	rng := rand.New(rand.NewSource(35))
 	genome := aligntest.RandSeq(rng, 8000)
 	indel := func(s []byte, insert bool) []byte {
@@ -277,13 +299,181 @@ func TestScheduleIndelHeavyReads(t *testing.T) {
 	}
 	cfg := testConfig(15, 40)
 	cfg.MinScoreFrac, cfg.MaxOverhang = 0.3, 120
+	return diffInput{"indel-heavy", seqs, cfg}
+}
+
+// TestScheduledAlignmentMatchesExhaustive is the stage-level differential
+// test of the containment-first schedule, the containment bound and the
+// chained-seed skip on simulated reads: every error rate × grid size ×
+// backend × thread count gives the reference's R, Contained and counters,
+// while a real share of the candidates is never aligned.
+func TestScheduledAlignmentMatchesExhaustive(t *testing.T) {
+	for ei, rate := range errorRates {
+		in := errorRateInput(ei)
+		var tot schedTotals
+		for _, p := range gridSizes() {
+			diffAgainstRef(t, in.name, in.seqs, p, in.cfg, &tot)
+		}
+		cand, p1, p2, bound := tot.candidates.Load(), tot.phase1.Load(), tot.phase2.Load(), tot.skippedBound.Load()
+		t.Logf("error %v: %d reads; over %v ranks and both backends %d candidate pairs, aligned %d + %d, %d skipped by the bound, %d picks mispredicted",
+			rate, len(in.seqs), gridSizes(), 2*cand, p1, p2, bound, tot.mispredicted.Load())
+		if cand < 100 || p1 == 0 {
+			t.Fatalf("error %v: %d candidates, %d phase-1 pairs: the input does not exercise the schedule", rate, cand, p1)
+		}
+		if rate <= 0.03 && 4*(p1+p2) > 3*2*cand {
+			t.Fatalf("error %v: %d of %d candidate pairs still aligned, want under three quarters", rate, p1+p2, 2*cand)
+		}
+		if (rate == 0.005 || rate == 0.03) && bound == 0 {
+			t.Fatalf("error %v: the containment bound skipped no pair: the input does not exercise it", rate)
+		}
+	}
+}
+
+// TestScheduleNoReadContained: equal-length reads tiling a genome contain
+// nothing, so no candidate predicts a containment — phase 1 is empty, nothing
+// is skipped, and the stage is the exhaustive one.
+func TestScheduleNoReadContained(t *testing.T) {
+	in := tilingInput()
+	for _, p := range gridSizes() {
+		var tot schedTotals
+		diffAgainstRef(t, in.name, in.seqs, p, in.cfg, &tot)
+		if cand := tot.candidates.Load(); tot.phase1.Load() != 0 || tot.phase2.Load() != 2*cand || cand == 0 {
+			t.Fatalf("P=%d: phases aligned %d + %d of 2×%d candidates, want 0 and all", p, tot.phase1.Load(), tot.phase2.Load(), cand)
+		}
+	}
+}
+
+// TestScheduleDuplicatedReads: exact duplicates (and reverse-complement
+// duplicates) classify as perfectly symmetric, where the larger id is the
+// contained one — the U < V tie-break. The schedule must remove the same copy
+// the reference removes.
+func TestScheduleDuplicatedReads(t *testing.T) {
+	in := duplicatesInput()
+	for _, p := range gridSizes() {
+		var tot schedTotals
+		diffAgainstRef(t, in.name, in.seqs, p, in.cfg, &tot)
+		if tot.phase1.Load() == 0 || tot.phase1.Load()+tot.phase2.Load() >= 2*tot.candidates.Load() {
+			t.Fatalf("P=%d: phases aligned %d + %d of 2×%d candidates: duplicates must be picked and pairs skipped",
+				p, tot.phase1.Load(), tot.phase2.Load(), tot.candidates.Load())
+		}
+	}
+}
+
+// TestScheduleIndelHeavyReads: reads whose errors are all deletions (even
+// ids) or all insertions (odd ids) drift off the first seed's diagonal by
+// tens of bases over a read, so the containment prediction is wrong in both
+// directions. The output must not depend on it.
+func TestScheduleIndelHeavyReads(t *testing.T) {
+	in := indelHeavyInput()
 	var tot schedTotals
 	for _, p := range gridSizes() {
-		diffAgainstRef(t, "indel-heavy", seqs, p, cfg, &tot)
+		diffAgainstRef(t, in.name, in.seqs, p, in.cfg, &tot)
 	}
 	t.Logf("%d candidate pairs, aligned %d + %d, %d picks mispredicted",
 		2*tot.candidates.Load(), tot.phase1.Load(), tot.phase2.Load(), tot.mispredicted.Load())
 	if tot.mispredicted.Load() == 0 || tot.phase1.Load() == 0 {
 		t.Fatalf("%d phase-1 pairs, %d mispredicted: the input does not defeat the prediction", tot.phase1.Load(), tot.mispredicted.Load())
 	}
+}
+
+// TestBoundSkippedPairsCannotProveContainment holds phase 2's containment
+// bound to what it claims on every differential input, at every grid size
+// (gridSizes) with both backends. The test rebuilds K₁ itself (phase 1's
+// picks aligned, gated, classified and all-gathered), lists the pairs with
+// exactly one read in K₁ whose seeds the bound rules out, aligns each anyway
+// and requires that none passes MinOverlap and the score gate as a
+// containment of the read not in K₁. The stage's align.pairs_skipped_bound
+// must count the same pairs.
+func TestBoundSkippedPairsCannotProveContainment(t *testing.T) {
+	inputs := []diffInput{tilingInput(), duplicatesInput(), indelHeavyInput()}
+	for ei := range errorRates {
+		inputs = append(inputs, errorRateInput(ei))
+	}
+	var total atomic.Int64
+	for _, in := range inputs {
+		for _, p := range gridSizes() {
+			err := runWithMetrics(p, func(c *mpi.Comm) {
+				g := grid.New(c)
+				store := fasta.FromGlobal(c, in.seqs)
+				base := &Result{NumReads: store.N}
+				cands := DetectCandidates(g, store, CountKmers(g, store, in.cfg, trace.New(), base), in.cfg, trace.New(), base)
+				for backend, cfg := range backendConfigs(in.cfg) {
+					where := fmt.Sprintf("%s P=%d %s rank %d", in.name, p, backend, c.Rank())
+					skipped := boundSkippedPairs(c, g, store, cands, cfg, where)
+					res := &Result{NumReads: store.N}
+					if n := alignCounted(c, g, store, cands, cfg, trace.New(), res, where); n[3] != skipped {
+						panic(fmt.Sprintf("%s: the stage skipped %d pairs by the bound, the test derived %d", where, n[3], skipped))
+					}
+					total.Add(skipped)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Logf("%d bound-skipped pairs aligned anyway, none a containment", total.Load())
+	if total.Load() == 0 {
+		t.Fatal("the bound skipped no pair on any input")
+	}
+}
+
+// boundSkippedPairs derives this rank's bound-skipped pairs from phase 1's
+// picks, aligns each and panics if one passes the gates as a containment of
+// its read outside K₁. It returns how many there were.
+func boundSkippedPairs(c *mpi.Comm, g *grid.Grid, store *fasta.DistStore, cands *spmat.Dist[Seeds], cfg Config, where string) int64 {
+	rowSeqs, colSeqs := store.RowColSequences(g)
+	k := int32(cfg.K)
+	cls := bidir.Params{MaxOverhang: cfg.MaxOverhang}
+	al := cfg.aligner()
+	ts := cands.Local.Ts
+	// alignGated aligns candidate i and returns its class, Internal when it
+	// fails MinOverlap or the score gate.
+	alignGated := func(i int32) bidir.Kind {
+		tr := ts[i]
+		a := align.BestOf(al, rowSeqs[tr.Row-cands.RowLo], colSeqs[tr.Col-cands.ColLo], k, tr.Val.S[:tr.Val.N])
+		a.U, a.V = tr.Row, tr.Col
+		alnLen := min(a.EU-a.BU, a.EV-a.BV)
+		if alnLen < cfg.MinOverlap || float64(a.Score) < cfg.MinScoreFrac*float64(alnLen) {
+			return bidir.Internal
+		}
+		_, kind := bidir.Classify(a, cls)
+		return kind
+	}
+	picks := containmentPicks(cands, rowSeqs, colSeqs, k)
+	isPick := map[int32]bool{}
+	var found []int32
+	for _, i := range picks {
+		isPick[i] = true
+		switch alignGated(i) {
+		case bidir.ContainedU:
+			found = append(found, ts[i].Row)
+		case bidir.ContainsV:
+			found = append(found, ts[i].Col)
+		}
+	}
+	flat, _ := mpi.AllgathervFlat(c, found)
+	k1 := map[int32]bool{}
+	for _, id := range flat {
+		k1[id] = true
+	}
+	var skipped int64
+	for i, tr := range ts {
+		if isPick[int32(i)] || k1[tr.Row] == k1[tr.Col] {
+			continue
+		}
+		kind := bidir.ContainedU // v is in K₁: only proving u contained matters
+		if k1[tr.Row] {
+			kind = bidir.ContainsV
+		}
+		lu, lv := int32(len(rowSeqs[tr.Row-cands.RowLo])), int32(len(colSeqs[tr.Col-cands.ColLo]))
+		if cfg.Align.MayContain(kind, lu, lv, k, tr.Val.S[:tr.Val.N], cfg.MinScoreFrac) {
+			continue
+		}
+		skipped++
+		if got := alignGated(int32(i)); got == kind {
+			panic(fmt.Sprintf("%s: pair (%d,%d) was skipped by the bound but aligns as %v", where, tr.Row, tr.Col, got))
+		}
+	}
+	return skipped
 }

@@ -202,8 +202,8 @@ type Stats struct {
 	NumKmers       int
 	CandidatePairs int64
 	// AlignedPairs is how many of CandidatePairs the Alignment stage
-	// extended (summed over ranks); the rest were skipped because both reads
-	// were already known contained.
+	// extended (summed over ranks); the rest were skipped because their
+	// alignment could not change R (DESIGN.md §3).
 	AlignedPairs   int64
 	KeptOverlaps   int64
 	ContainedReads int

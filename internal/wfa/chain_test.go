@@ -17,24 +17,28 @@ func seedExtendOf(a *Aligner) aligntest.SeedExtendFunc {
 	}
 }
 
+// chainScores are the two defaults the pipeline runs and the score sets of
+// TestExtendMatchesRefOtherPenalties with Drop ≥ 0 (plus Drop 1), in the
+// classic units DualParams converts from.
+var chainScores = []align.Params{
+	align.DefaultParams(15),
+	align.DefaultParams(7),
+	{Match: 1, Mismatch: -1, Gap: -2, XDrop: 10},
+	{Match: 2, Mismatch: -3, Gap: -2, XDrop: 20},
+	{Match: 1, Mismatch: -4, Gap: -1, XDrop: 5},
+	{Match: 1, Mismatch: -2, Gap: -2, XDrop: 1},
+	{Match: 1, Mismatch: -2, Gap: -2, XDrop: 0},
+}
+
 // TestChainedSeedIdentical is the chained-seed lemma on the wavefront: a
 // shared k-mer and the same k-mer shifted δ ≤ k bases along its diagonal
-// extend to the same alignment — for the score sets of
-// TestExtendMatchesRefOtherPenalties with Drop ≥ 0 (the wavefront has no
+// extend to the same alignment — for chainScores (the wavefront has no
 // XDrop ≥ −Gap condition: Drop 0 holds too), every δ, both strands, flanks
 // that may be empty.
 func TestChainedSeedIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	trials := 0
-	for _, ap := range []align.Params{
-		align.DefaultParams(15),
-		align.DefaultParams(7),
-		{Match: 1, Mismatch: -1, Gap: -2, XDrop: 10},
-		{Match: 2, Mismatch: -3, Gap: -2, XDrop: 20},
-		{Match: 1, Mismatch: -4, Gap: -1, XDrop: 5},
-		{Match: 1, Mismatch: -2, Gap: -2, XDrop: 1},
-		{Match: 1, Mismatch: -2, Gap: -2, XDrop: 0},
-	} {
+	for _, ap := range chainScores {
 		a := New(DualParams(ap))
 		if !a.ChainExact() {
 			t.Fatalf("%+v does not meet the precondition", ap)
