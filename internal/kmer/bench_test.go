@@ -67,14 +67,25 @@ func BenchmarkCountOccurrences(b *testing.B) {
 	})
 }
 
+// BenchmarkCountAndBuildDistributed runs the whole counting stage on
+// error-free depth-10 reads (P=1, 4, 16) and on the same genome at 3% error
+// (err=0.03/P=4), where most k-mers are singletons the Bloom filter keeps out
+// of the count table, so the table's sizing shows.
 func BenchmarkCountAndBuildDistributed(b *testing.B) {
 	g := readsim.Genome(readsim.GenomeConfig{Length: 50000, Seed: 4})
-	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 10, MeanLen: 3000, Seed: 5}))
-	for _, p := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+	clean := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 10, MeanLen: 3000, Seed: 5}))
+	noisy := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 10, MeanLen: 3000, ErrorRate: 0.03, Seed: 5}))
+	for _, run := range []struct {
+		name  string
+		reads [][]byte
+		p     int
+	}{
+		{"P=1", clean, 1}, {"P=4", clean, 4}, {"P=16", clean, 16}, {"err=0.03/P=4", noisy, 4},
+	} {
+		b.Run(run.name, func(b *testing.B) {
 			b.ReportAllocs()
-			err := mpi.Run(p, func(c *mpi.Comm) {
-				store := fasta.FromGlobal(c, reads)
+			err := mpi.Run(run.p, func(c *mpi.Comm) {
+				store := fasta.FromGlobal(c, run.reads)
 				mpitest.InMode(c, false, func() {
 					for i := 0; i < b.N; i++ {
 						CountAndBuild(store, 31, 2, 100, 1)

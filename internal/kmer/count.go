@@ -18,9 +18,17 @@ import "math/bits"
 //	         selection (the scheme requires low ≥ 2; CountAndBuild bypasses
 //	         the filter entirely when low < 2).
 //	tally:   every occurrence of an admitted k-mer increments its exact
-//	         count. Counts of admitted k-mers are exact, so reliable-k-mer
-//	         selection is identical to the map-based reference — the filter
-//	         can only add count-1 entries that the selection removes.
+//	         count, and the occurrence's slot is recorded (−1 when its k-mer
+//	         was not admitted). Counts of admitted k-mers are exact, so
+//	         reliable-k-mer selection is identical to the map-based
+//	         reference — the filter can only add count-1 entries that the
+//	         selection removes.
+//
+// The table starts at its floor and doubles as admissions fill it, in both
+// filter modes, so its size follows the k-mers it admits, not the
+// occurrences routed to it. Nothing is inserted after the tally, so the slots
+// it records stay valid through MarkReliable and the numbering of the reply
+// step, which reads each occurrence's column off its slot (number).
 //
 // The admitted set can differ with observation order (false positives depend
 // on which bits were set first), but only on singletons: a k-mer occurring ≥ 2 times is admitted in
@@ -54,8 +62,8 @@ func tableHash(km Kmer) uint64 {
 // CountTable is an open-addressing Kmer → int32 hash table (linear probing,
 // power-of-two capacity, splitmix-hashed keys). It is the allocation-lean
 // replacement for map[Kmer]int32 on the counting hot path, and once its
-// counts are marked (MarkReliable) it is the k-mer → column-id index of the
-// reply step (Column).
+// counts are marked (MarkReliable) its values are the column ids of the
+// reply step (number).
 type CountTable struct {
 	kms  []Kmer
 	vals []int32
@@ -63,13 +71,12 @@ type CountTable struct {
 	mask uint64
 }
 
-// NewCountTable allocates a table pre-sized for about capHint entries.
-func NewCountTable(capHint int) *CountTable {
-	size := 1024
-	for size < 2*capHint {
-		size <<= 1
-	}
-	t := &CountTable{kms: make([]Kmer, size), vals: make([]int32, size), mask: uint64(size - 1)}
+// tableFloor is the slot count a table starts at; it doubles from there.
+const tableFloor = 1024
+
+// NewCountTable allocates an empty table at the floor size.
+func NewCountTable() *CountTable {
+	t := &CountTable{kms: make([]Kmer, tableFloor), vals: make([]int32, tableFloor), mask: tableFloor - 1}
 	for i := range t.kms {
 		t.kms[i] = emptyKmer
 	}
@@ -122,29 +129,24 @@ func (t *CountTable) Admit(km Kmer) {
 	}
 }
 
-// AddIfPresent increments km's value when km is in the table (phase-2 tally).
-func (t *CountTable) AddIfPresent(km Kmer) {
+// tally increments km's value when km is in the table (phase-2 tally) and
+// returns its slot, or -1 when km is absent.
+func (t *CountTable) tally(km Kmer) int32 {
 	if i := t.slot(km); t.kms[i] == km {
 		t.vals[i]++
+		return int32(i)
 	}
+	return -1
 }
 
-// Get returns km's value and whether it is present.
-func (t *CountTable) Get(km Kmer) (int32, bool) {
-	if i := t.slot(km); t.kms[i] == km {
-		return t.vals[i], true
-	}
-	return 0, false
-}
-
-// Column-index values: after MarkReliable a stored value is a column id
-// (≥ 0), unreliable, or reliable and not yet numbered.
+// Column values: after MarkReliable a stored value is a column id (≥ 0),
+// unreliable, or reliable and not yet numbered.
 const (
 	unreliable = int32(-1)
 	unnumbered = int32(-2)
 )
 
-// MarkReliable turns a table of counts into the column index of the reply
+// MarkReliable turns a table of counts into the column values of the reply
 // step: every k-mer whose count lies in [low, high] becomes unnumbered, every
 // other one unreliable. It returns the number of reliable k-mers.
 func (t *CountTable) MarkReliable(low, high int32) int {
@@ -163,19 +165,23 @@ func (t *CountTable) MarkReliable(low, high int32) int {
 	return n
 }
 
-// Column returns km's column id after MarkReliable, or -1 when km is absent
-// or unreliable. A reliable k-mer's first lookup numbers it: it takes *next,
-// which then advances, so ids follow the order of first lookup.
-func (t *CountTable) Column(km Kmer, next *int32) int32 {
-	i := t.slot(km)
-	if t.kms[i] != km {
-		return unreliable
+// number turns slots, as tally recorded them, into column ids in place after
+// MarkReliable: -1 for an absent or unreliable k-mer, else the k-mer's id. A
+// reliable k-mer's first occurrence numbers it: it takes *next, which then
+// advances, so ids follow the order in which the slots are numbered.
+func (t *CountTable) number(slots []int32, next *int32) {
+	for i, s := range slots {
+		if s < 0 {
+			continue
+		}
+		v := t.vals[s]
+		if v == unnumbered {
+			v = *next
+			t.vals[s] = v
+			*next++
+		}
+		slots[i] = v
 	}
-	if t.vals[i] == unnumbered {
-		t.vals[i] = *next
-		*next++
-	}
-	return t.vals[i]
 }
 
 // bloomBlockWords is the words-per-block of the blocked Bloom filter: 8
@@ -252,18 +258,15 @@ type counter struct {
 	table *CountTable
 }
 
-// newCounter sizes the counting state for about expectedOcc incoming
+// newCounter sizes the Bloom filter for about expectedOcc incoming
 // occurrences (the rank's own outgoing total is the proxy CountAndBuild uses:
-// the k-mer hash spreads occurrences uniformly, so in ≈ out).
+// the k-mer hash spreads occurrences uniformly, so in ≈ out). The table
+// starts at its floor and grows with what it admits: most k-mers at the
+// counting stage are sequencing-error singletons the filter keeps out.
 func newCounter(low int32, expectedOcc int) *counter {
-	c := &counter{low: low}
+	c := &counter{low: low, table: NewCountTable()}
 	if low >= 2 {
 		c.bloom = newBloom(expectedOcc)
-		// Most k-mers are singletons at the counting stage (sequencing
-		// errors); the admitted set is far smaller than the occurrence count.
-		c.table = NewCountTable(expectedOcc / 4)
-	} else {
-		c.table = NewCountTable(expectedOcc)
 	}
 	return c
 }
@@ -286,11 +289,15 @@ func (c *counter) observe(part []uint64) {
 	}
 }
 
-// tally runs phase 2 (exact counting) over one part; CountAndBuild tallies
-// the retained parts in rank order in both comm modes.
-func (c *counter) tally(part []uint64) {
-	for _, w := range part {
-		c.table.AddIfPresent(Kmer(w))
+// tally runs phase 2 (exact counting) over one part and records each
+// occurrence's slot in slots (len(part) entries; -1 for a k-mer the table did
+// not admit). CountAndBuild tallies the retained parts in rank order in both
+// comm modes, into the reply buffers that number then turns into column ids.
+// It must follow every observe: an admission after it could move the slots
+// it recorded.
+func (c *counter) tally(part []uint64, slots []int32) {
+	for i, w := range part {
+		slots[i] = c.table.tally(Kmer(w))
 	}
 }
 
@@ -309,7 +316,9 @@ func CountOccurrences(parts [][]uint64, low int32) *CountTable {
 		c.observe(p)
 	}
 	for _, p := range parts {
-		c.tally(p)
+		for _, w := range p {
+			c.table.tally(Kmer(w))
+		}
 	}
 	return c.table
 }

@@ -3,6 +3,7 @@ package kmer
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fasta"
@@ -79,12 +80,12 @@ func TestCounterTinyBloomCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
 		parts := randParts(rng, 3, 500, 2000)
-		c := &counter{low: 2, bloom: newBloomBlocks(1), table: NewCountTable(8)}
+		c := &counter{low: 2, bloom: newBloomBlocks(1), table: NewCountTable()}
 		for _, p := range parts {
 			c.observe(p)
 		}
 		for _, p := range parts {
-			c.tally(p)
+			c.tally(p, make([]int32, len(p)))
 		}
 		ref := countOccurrencesMap(parts)
 		want := SelectReliable(ref, 2, 1<<20)
@@ -119,7 +120,7 @@ func TestCountObserveOrderInvariance(t *testing.T) {
 			c.observe(parts[i])
 		}
 		for _, p := range parts { // tally always runs in rank order
-			c.tally(p)
+			c.tally(p, make([]int32, len(p)))
 		}
 		if got := reliableOf(c.table, 2, 1<<20); !reflect.DeepEqual(got, base) {
 			t.Fatalf("trial %d: selection depends on observe order", trial)
@@ -129,15 +130,15 @@ func TestCountObserveOrderInvariance(t *testing.T) {
 
 // TestCountTableBasics exercises the open-addressing table around growth and
 // its use as the column index: MarkReliable keeps exactly the k-mers whose
-// count lies in the window, and Column numbers each of them at its first
-// lookup, answers -1 for the rest and for absent keys, and repeats itself.
+// count lies in the window, and number gives each of them an id at its first
+// slot, answers -1 for the rest and for absent keys, and repeats itself.
 func TestCountTableBasics(t *testing.T) {
-	tab := NewCountTable(0)
-	const n = 5000 // forces several grows past the 1024 floor
+	tab := NewCountTable()
+	const n = 5000 // forces several grows past the floor
 	for i := 0; i < n; i++ {
 		tab.Admit(Kmer(i * i))
 		for range i % 5 {
-			tab.AddIfPresent(Kmer(i * i))
+			tab.tally(Kmer(i * i))
 		}
 	}
 	if tab.Len() != n {
@@ -151,21 +152,30 @@ func TestCountTableBasics(t *testing.T) {
 	if _, ok := tab.Get(Kmer(7)); ok {
 		t.Fatal("Get of absent key reported present")
 	}
+	if s := tab.tally(Kmer(7)); s != -1 {
+		t.Fatalf("tally of absent key = slot %d, want -1", s)
+	}
 	if got := tab.MarkReliable(2, 3); got != 2*n/5 {
 		t.Fatalf("MarkReliable = %d, want %d", got, 2*n/5)
 	}
+	slots := make([]int32, n)
+	for j := range slots { // slot order, not key order, numbers
+		slots[j] = int32(tab.slot(Kmer((n - 1 - j) * (n - 1 - j))))
+	}
 	next := int32(100)
 	for _, pass := range []string{"first", "repeat"} {
+		cols := slices.Clone(slots)
+		tab.number(cols, &next)
 		want := int32(100)
-		for i := n - 1; i >= 0; i-- { // lookup order, not key order, numbers
-			got := tab.Column(Kmer(i*i), &next)
+		for i := n - 1; i >= 0; i-- {
+			got := cols[n-1-i]
 			switch {
 			case i%5 != 2 && i%5 != 3:
 				if got != -1 {
-					t.Fatalf("%s: Column of unreliable %d = %d, want -1", pass, i*i, got)
+					t.Fatalf("%s: column of unreliable %d = %d, want -1", pass, i*i, got)
 				}
 			case got != want:
-				t.Fatalf("%s: Column(%d) = %d, want %d", pass, i*i, got, want)
+				t.Fatalf("%s: column of %d = %d, want %d", pass, i*i, got, want)
 			default:
 				want++
 			}
@@ -174,8 +184,9 @@ func TestCountTableBasics(t *testing.T) {
 	if next != 100+2*n/5 {
 		t.Fatalf("next = %d after numbering, want %d", next, 100+2*n/5)
 	}
-	if got := tab.Column(Kmer(7), &next); got != -1 {
-		t.Fatalf("Column of absent key = %d, want -1", got)
+	absent := []int32{tab.tally(Kmer(7))}
+	if tab.number(absent, &next); absent[0] != -1 {
+		t.Fatalf("column of absent key = %d, want -1", absent[0])
 	}
 }
 

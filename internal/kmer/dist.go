@@ -28,27 +28,33 @@ type Result struct {
 // CountAndBuild is the distributed k-mer counter (Algorithm 1 lines 3–4).
 //
 // Protocol (all collectives on the full communicator):
-//  1. Every rank extracts canonical k-mers from its reads and routes one
-//     record per (read, k-mer) occurrence to the k-mer's hash owner
-//     (Alltoallv #1).
+//  1. Every rank extracts canonical k-mers from its reads into one flat
+//     occurrence stream, in read order, and routes one k-mer word per
+//     (read, k-mer) occurrence to the k-mer's hash owner (Alltoallv #1). The
+//     read and position of an occurrence stay in the stream: nothing else is
+//     kept per routed word.
 //  2. Owners count occurrences, mark reliable k-mers in [low, high], and
 //     take a globally consecutive range of column ids via Exscan. Counting
 //     is the two-phase Bloom-filtered scheme of count.go when low ≥ 2
 //     (singletons never enter the table); low < 2 bypasses the filter so
-//     every count is taken exactly.
+//     every count is taken exactly. The tally records each received
+//     occurrence's table slot in the reply buffer.
 //  3. Owners answer every received occurrence with its column id or -1
 //     (Alltoallv #2, reply shape mirrors the request shape), numbering
-//     each reliable k-mer in order of first appearance.
-//  4. Ranks assemble local A-matrix triples from the replies.
+//     each reliable k-mer in order of first appearance, read off the slots
+//     the tally recorded.
+//  4. Ranks walk their stream in read order again, one cursor per owner
+//     into its reply, and emit the surviving triples row-major.
 //
 // threads sets the intra-rank worker count for the extraction scan (step 1),
 // the rank's compute-heavy loop; ≤ 1 scans serially. Routing order — and
 // with it every downstream collective — is identical for any thread count,
-// because extraction results are folded in read order.
+// because every read is extracted into its own span of the stream, fixed
+// before the scan from the reads' window counts, and routed in read order.
 //
 // The exchanges are nonblocking: receives for Alltoallv #1 are posted before
 // the extraction scan and the packing loop even start, so (on a rank not in
-// blocking mode) remote occurrence records land while this rank is still
+// blocking mode) remote k-mer words land while this rank is still
 // packing, and the owner-side admission pass of step 2 consumes each incoming
 // part as it arrives instead of blocking for the full exchange (the exact
 // tally runs over the retained parts in rank order). Counts, column ids,
@@ -56,6 +62,7 @@ type Result struct {
 func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) *Result {
 	c := store.Comm
 	p := c.Size()
+	checkK(k)
 
 	// Post all receives up front (the overlap schedule: the matching sends are
 	// buffered, so every transfer can complete while this rank is extracting
@@ -67,39 +74,12 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 		pending[src] = mpi.Irecv[uint64](c, src, tag)
 	}
 
-	// 1. Extract (in parallel, indexed by read) and route (serially, in read
-	// order — the fold keeps the wire layout deterministic). Workers reuse
-	// their scratch across reads and retain each read's k-mers in one
-	// exact-size copy.
-	perRead := make([][]KPos, store.Hi-store.Lo)
+	// 1. Extract (in parallel, each read into its span of the stream) and
+	// route (serially, in read order — the wire layout is deterministic).
 	pool := par.NewPool(threads, func(int) *ExtractScratch { return new(ExtractScratch) })
 	pool.SetTrace(c.Lane(), "kmer.extract")
-	par.ForEach(pool, len(perRead), func(sc *ExtractScratch, i int) {
-		if kps := sc.ExtractInto(store.Seqs[i], k); len(kps) > 0 {
-			perRead[i] = append(make([]KPos, 0, len(kps)), kps...)
-		}
-	})
-	// Counting pre-pass sizes the per-destination buffers exactly — the
-	// routing loop never append-grows.
-	destOcc := make([]int, p)
-	for i := range perRead {
-		for _, kp := range perRead[i] {
-			destOcc[Owner(kp.Kmer, p)]++
-		}
-	}
-	sendKmers := make([][]uint64, p)
-	sendMeta := make([][]occRec, p) // stays local, parallel to sendKmers
-	for r := 0; r < p; r++ {
-		sendKmers[r] = make([]uint64, 0, destOcc[r])
-		sendMeta[r] = make([]occRec, 0, destOcc[r])
-	}
-	for g := store.Lo; g < store.Hi; g++ {
-		for _, kp := range perRead[g-store.Lo] {
-			o := Owner(kp.Kmer, p)
-			sendKmers[o] = append(sendKmers[o], uint64(kp.Kmer))
-			sendMeta[o] = append(sendMeta[o], occRec{Read: int32(g), Occ: MakeOccur(kp.Pos, kp.RC)})
-		}
-	}
+	s := extract(pool, store.Seqs, k)
+	sendKmers := s.route(p)
 
 	// 2. Count and select on owners. Phase 1 (admission) streams: it observes
 	// the local part first, then each remote part in rank order as its posted
@@ -107,8 +87,8 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	// after r. Phase 2 (the exact tally) runs over the retained parts in rank
 	// order, so stored counts never depend on the arrival schedule.
 	var occ int64
-	for r := 0; r < p; r++ {
-		occ += int64(len(sendKmers[r]))
+	for _, part := range sendKmers {
+		occ += int64(len(part))
 	}
 	// The rank's own outgoing total is the sizing proxy for what it will
 	// receive: the k-mer hash spreads occurrences uniformly across owners.
@@ -127,8 +107,10 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 		recvKmers[src] = pending[src].WaitValue()
 		cnt.observe(recvKmers[src])
 	}
-	for _, part := range recvKmers {
-		cnt.tally(part)
+	reply := make([][]int32, p)
+	for r, part := range recvKmers {
+		reply[r] = make([]int32, len(part))
+		cnt.tally(part, reply[r])
 	}
 	nLocal := cnt.table.MarkReliable(low, high)
 	if reg := c.Metrics(); reg != nil {
@@ -149,79 +131,130 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 
 	// 3. Reply with column ids, mirroring the request shape — including
 	// parts whose entries are all -1 (no reliable k-mer matched). The shape
-	// mirror is load-bearing: the requester indexes replies positionally
-	// against its retained sendMeta, so compacting all-miss parts would need
-	// an extra index channel that costs more than the -1 words it saves, and
+	// mirror is load-bearing: the requester matches replies positionally
+	// against its own stream, so compacting all-miss parts would need an
+	// extra index channel that costs more than the -1 words it saves, and
 	// would change the wire traffic between runs with different [low, high].
 	// TestReplyShapeMirrorsRequests pins this: both comm modes produce the
 	// same reply shape even when every part is all-miss.
 	//
-	// The count table is the column index, and a reliable k-mer is numbered
-	// at its first lookup: the owner's ids, its Exscan range, follow first
-	// appearance in rank order, then part order — together global read
-	// order — then extraction order. Neighbouring k-mers of one read mostly
-	// get neighbouring ids, or met each other first along an earlier read
-	// that overlaps it, so the multiply's consecutive B entries open
-	// neighbouring runs of the A panel (DESIGN.md §8). Nothing downstream
-	// depends on which id a k-mer gets.
+	// The count table's values are the column ids, and a reliable k-mer is
+	// numbered at its first occurrence: the owner's ids, its Exscan range,
+	// follow first appearance in rank order, then part order — together
+	// global read order — then extraction order. Neighbouring k-mers of one
+	// read mostly get neighbouring ids, or met each other first along an
+	// earlier read that overlaps it, so the multiply's consecutive B entries
+	// open neighbouring runs of the A panel (DESIGN.md §8). Nothing
+	// downstream depends on which id a k-mer gets.
 	next := int32(offset)
-	reply := make([][]int32, p)
-	for r := 0; r < p; r++ {
-		reply[r] = make([]int32, len(recvKmers[r]))
-		for i, km := range recvKmers[r] {
-			reply[r][i] = cnt.table.Column(Kmer(km), &next)
-		}
+	for _, slots := range reply {
+		cnt.table.number(slots, &next)
 	}
 	cols := mpi.IAlltoallv(c, reply).WaitValue()
 
 	// 4. Assemble the surviving triples, row-major.
-	triples := assembleRowMajor(store.Lo, store.Hi, sendMeta, cols)
+	triples := s.emitRowMajor(store.Lo, cols)
 	return &Result{K: k, NumCols: total, Triples: triples, Occurrences: occ}
 }
 
-// occRec is the requester's record of one routed occurrence: which read it
-// came from and where. It stays local, parallel to the k-mer words sent to
-// the owner, and is matched positionally against the owner's reply.
-type occRec struct {
-	Read int32
-	Occ  Occur
+// stream is one rank's extracted k-mer occurrences, flat and in read order:
+// local read i's canonical k-mers, in extraction order, are
+// kms[start[i]:end[i]], and occ holds their positions and strands beside
+// them. start comes from the reads' window counts before the scan, so the
+// pool's workers write every read in place; a read keeps end[i]−start[i] of
+// its windows after invalid bases and duplicates are dropped, and the rest of
+// its span is never read.
+type stream struct {
+	kms   []uint64
+	occ   []Occur
+	start []int // by read, plus one past the last span
+	end   []int
 }
 
-// assembleRowMajor builds the rank's triples of A from the routed
-// occurrences meta and the owners' replies cols (column id, or -1 for an
-// unreliable k-mer; same shape as meta), in strictly row-major order and with
-// no comparison at all: stable counting passes over 16-bit digits of the
-// column id, least significant first — the first scatters straight from the
-// replies, a second runs only when some column id needs one — then one stable
-// counting scatter by read over [lo, hi). A read holds a k-mer at most once
-// (Extract deduplicates), so its column ids are distinct and the result is
+// extract scans seqs into a stream, each read by one of pool's workers.
+func extract(pool *par.Pool[*ExtractScratch], seqs [][]byte, k int) *stream {
+	s := &stream{start: make([]int, len(seqs)+1), end: make([]int, len(seqs))}
+	for i, seq := range seqs {
+		s.start[i+1] = s.start[i] + windows(len(seq), k)
+	}
+	s.kms = make([]uint64, s.start[len(seqs)])
+	s.occ = make([]Occur, s.start[len(seqs)])
+	par.ForEach(pool, len(seqs), func(sc *ExtractScratch, i int) {
+		lo, hi := s.start[i], s.start[i+1]
+		s.end[i] = lo + sc.scan(seqs[i], k, s.kms[lo:hi], s.occ[lo:hi])
+	})
+	return s
+}
+
+// route packs the stream's k-mers by owner, in read order, into one buffer
+// sized by a counting pre-pass (the packing never append-grows); part o is
+// what owner o is sent.
+func (s *stream) route(p int) [][]uint64 {
+	bounds := make([]int, p+1) // by owner, shifted one up
+	for i, end := range s.end {
+		for _, km := range s.kms[s.start[i]:end] {
+			bounds[Owner(Kmer(km), p)+1]++
+		}
+	}
+	for o := 1; o <= p; o++ {
+		bounds[o] += bounds[o-1]
+	}
+	buf := make([]uint64, bounds[p])
+	parts := make([][]uint64, p)
+	for o := range parts {
+		parts[o] = buf[bounds[o]:bounds[o]:bounds[o+1]]
+	}
+	for i, end := range s.end {
+		for _, km := range s.kms[s.start[i]:end] {
+			o := Owner(Kmer(km), p)
+			parts[o] = append(parts[o], km)
+		}
+	}
+	return parts
+}
+
+// emitRowMajor builds the triples of A of the stream's reads (global ids from
+// lo) from the owners' replies cols: cols[o] answers, in order, the
+// occurrences route sent owner o, each with its column id or -1 for an
+// unreliable k-mer. A walk of the stream in read order, one cursor per owner,
+// matches every occurrence with its answer. The triples leave strictly
+// row-major with no comparison at all: stable counting passes over 16-bit
+// digits of the column id, least significant first — the walk scatters
+// straight into the first, a second runs only when some column id needs one —
+// then one stable counting scatter by read. A read holds a k-mer at most once
+// (the scan deduplicates), so its column ids are distinct and the result is
 // strictly row-major. Scratch is two triple buffers, the per-read counts and
 // one fixed 2¹⁶-entry digit count, never anything sized by the global column
 // count.
-func assembleRowMajor(lo, hi int, meta [][]occRec, cols [][]int32) []ATriple {
+func (s *stream) emitRowMajor(lo int, cols [][]int32) []ATriple {
 	const digitBits = 16
 	const digitMask = 1<<digitBits - 1
-	starts := make([]int32, hi-lo+1)    // by read, shifted one up
-	digit := make([]int32, digitMask+2) // by column digit, shifted one up
+	p := len(cols)
+	starts := make([]int32, len(s.end)+1) // by read, shifted one up
+	digit := make([]int32, digitMask+2)   // by column digit, shifted one up
 	var maxCol int32
-	for r, part := range cols {
-		for i, col := range part {
+	for _, part := range cols {
+		for _, col := range part {
 			if col >= 0 {
-				starts[int(meta[r][i].Read)-lo+1]++
 				digit[col&digitMask+1]++
 				maxCol = max(maxCol, col)
 			}
 		}
 	}
-	prefixSums(starts)
 	prefixSums(digit)
-	buf, out := make([]ATriple, starts[hi-lo]), make([]ATriple, starts[hi-lo])
-	for r, part := range cols {
-		for i, col := range part {
+	n := digit[digitMask+1]
+	buf, out := make([]ATriple, n), make([]ATriple, n)
+	cursor := make([]int, p)
+	for i, end := range s.end {
+		row := int32(lo + i)
+		for j := s.start[i]; j < end; j++ {
+			o := Owner(Kmer(s.kms[j]), p)
+			col := cols[o][cursor[o]]
+			cursor[o]++
 			if col >= 0 {
-				m := meta[r][i]
-				buf[digit[col&digitMask]] = ATriple{Row: m.Read, Col: col, Val: m.Occ}
+				buf[digit[col&digitMask]] = ATriple{Row: row, Col: col, Val: s.occ[j]}
 				digit[col&digitMask]++
+				starts[i+1]++
 			}
 		}
 	}
@@ -237,6 +270,7 @@ func assembleRowMajor(lo, hi int, meta [][]occRec, cols [][]int32) []ATriple {
 		}
 		buf, out = out, buf
 	}
+	prefixSums(starts)
 	for _, t := range buf {
 		idx := int(t.Row) - lo
 		out[starts[idx]] = t

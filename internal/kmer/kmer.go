@@ -93,17 +93,21 @@ func Extract(seq []byte, k int) []KPos {
 	return sc.ExtractInto(seq, k)
 }
 
-// ExtractScratch is the reusable state of the extraction scan: the output
-// buffer and an open-addressing per-read dedup set whose slots are
-// invalidated in O(1) between reads by a generation tag instead of a clear.
-// A scratch is single-goroutine state; the distributed counter gives each
-// pool worker its own (package par's per-worker state).
+// ExtractScratch is the reusable state of the extraction scan: an
+// open-addressing per-read dedup set whose slots are invalidated in O(1)
+// between reads by a generation tag instead of a clear, and the output
+// buffers of ExtractInto. A scratch is single-goroutine state; the
+// distributed counter gives each pool worker its own (package par's
+// per-worker state).
 type ExtractScratch struct {
-	out  []KPos
 	kms  []Kmer
 	gens []uint32
 	gen  uint32
 	mask uint64
+
+	outKms []uint64
+	outOcc []Occur
+	out    []KPos
 }
 
 // ensure sizes the dedup set for up to n distinct k-mers and opens a fresh
@@ -140,26 +144,32 @@ func (sc *ExtractScratch) seen(km Kmer) bool {
 	return false
 }
 
-// ExtractInto is Extract with scratch reuse: the returned slice aliases the
-// scratch's buffer and is valid until the next call. Callers that retain
-// results across calls must copy.
-func (sc *ExtractScratch) ExtractInto(seq []byte, k int) []KPos {
+// windows is the number of k-mer windows of a read of length n: the most
+// occurrences its extraction can yield.
+func windows(n, k int) int { return max(0, n-k+1) }
+
+// checkK panics unless 1 ≤ k ≤ MaxK.
+func checkK(k int) {
 	if k <= 0 || k > MaxK {
 		panic(fmt.Sprintf("kmer: k=%d out of range (1..%d)", k, MaxK))
 	}
+}
+
+// scan is the extraction loop: it writes seq's canonical k-mers with a
+// rolling encoder, deduplicated (first occurrence wins), into kms and their
+// positions and strands beside them into occ, and returns how many it wrote.
+// Both slices must hold windows(len(seq), k) entries; the distributed counter
+// passes each read its span of the rank's flat occurrence stream, so the
+// k-mers land where they are routed from with no per-read copy.
+func (sc *ExtractScratch) scan(seq []byte, k int, kms []uint64, occ []Occur) int {
 	if len(seq) < k {
-		return nil
+		return 0
 	}
-	windows := len(seq) - k + 1
-	if cap(sc.out) < windows {
-		sc.out = make([]KPos, 0, windows)
-	}
-	sc.ensure(windows)
-	out := sc.out[:0]
+	sc.ensure(windows(len(seq), k))
 	mask := Kmer(1)<<(2*uint(k)) - 1
 	shift := 2 * uint(k-1)
 	var fwd, rc Kmer
-	valid := 0
+	valid, n := 0, 0
 	for i := 0; i < len(seq); i++ {
 		c := dna.Code(seq[i])
 		if c == 0xFF {
@@ -180,9 +190,30 @@ func (sc *ExtractScratch) ExtractInto(seq []byte, k int) []KPos {
 		if sc.seen(canon) {
 			continue
 		}
-		out = append(out, KPos{Kmer: canon, Pos: int32(i - k + 1), RC: isRC})
+		kms[n], occ[n] = uint64(canon), MakeOccur(int32(i-k+1), isRC)
+		n++
 	}
-	sc.out = out
+	return n
+}
+
+// ExtractInto is Extract with scratch reuse: the returned slice aliases the
+// scratch's buffer and is valid until the next call. Callers that retain
+// results across calls must copy.
+func (sc *ExtractScratch) ExtractInto(seq []byte, k int) []KPos {
+	checkK(k)
+	w := windows(len(seq), k)
+	if w == 0 {
+		return nil
+	}
+	if cap(sc.out) < w {
+		sc.outKms, sc.outOcc, sc.out = make([]uint64, w), make([]Occur, w), make([]KPos, 0, w)
+	}
+	n := sc.scan(seq, k, sc.outKms[:w], sc.outOcc[:w])
+	out := sc.out[:n]
+	for i := range out {
+		o := sc.outOcc[i]
+		out[i] = KPos{Kmer: Kmer(sc.outKms[i]), Pos: o.Pos(), RC: o.RC()}
+	}
 	return out
 }
 

@@ -286,28 +286,10 @@ func TestColumnIDsFollowFirstOccurrence(t *testing.T) {
 	g := readsim.Genome(readsim.GenomeConfig{Length: 5000, Seed: 81})
 	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 7, MeanLen: 450, ErrorRate: 0.01, Seed: 82}))
 	k, low, high := 15, int32(2), int32(40)
-	reliable := map[Kmer]bool{}
-	for _, km := range SelectReliable(CountSerial(reads, k), low, high) {
-		reliable[km] = true
-	}
+	nReliable := len(SelectReliable(CountSerial(reads, k), low, high))
 	for _, p := range []int{1, 4, 9} {
 		// The reference numbering: owner ranges first, then first appearance.
-		next := make([]int32, p)
-		for km := range reliable {
-			for o := Owner(km, p) + 1; o < p; o++ {
-				next[o]++
-			}
-		}
-		want := map[Kmer]int32{}
-		for _, seq := range reads {
-			for _, kp := range Extract(seq, k) {
-				if _, seen := want[kp.Kmer]; reliable[kp.Kmer] && !seen {
-					o := Owner(kp.Kmer, p)
-					want[kp.Kmer] = next[o]
-					next[o]++
-				}
-			}
-		}
+		want := firstAppearanceColumns(reads, k, low, high, p)
 		var first []ATriple
 		for _, threads := range []int{1, 3} {
 			for _, async := range []bool{false, true} {
@@ -316,8 +298,8 @@ func TestColumnIDsFollowFirstOccurrence(t *testing.T) {
 					store := fasta.FromGlobal(c, reads)
 					var res *Result
 					mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, low, high, threads) })
-					if res.NumCols != len(reliable) {
-						panic(fmt.Sprintf("%d columns, want %d", res.NumCols, len(reliable)))
+					if res.NumCols != nReliable {
+						panic(fmt.Sprintf("%d columns, want %d", res.NumCols, nReliable))
 					}
 					for _, tr := range res.Triples {
 						if km := tripleKmer(store.Get(int(tr.Row)), tr, k); tr.Col != want[km] {

@@ -36,41 +36,52 @@ func TestOccurRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAssembleRowMajorMatchesComparatorSort: the counting passes over column
-// digits and the stable scatter by read emit exactly what appending in reply
-// order and comparator-sorting by (Row, Col) did — on random reply shapes
-// with misses, empty parts, reads with no survivor and an empty read range,
-// over column counts of 0 and 1 (every reply a miss, one column at most per
-// read), up to exactly one 16-bit digit (40 and 2¹⁶), and past it (3·2¹⁶ and
-// 2²⁴) so the second digit pass runs.
+// TestAssembleRowMajorMatchesComparatorSort: the walk of the occurrence
+// stream with one cursor per owner, the counting passes over column digits
+// and the stable scatter by read emit exactly what appending every survivor
+// and comparator-sorting by (Row, Col) does — on random streams over one to
+// five owners with misses, owners sent nothing, spans with unread slack (the
+// windows a read's scan did not fill), reads with no occurrence, reads with no
+// survivor and an empty read range, over column counts of 0 and 1 (every
+// reply a miss, one column at most per read), up to exactly one 16-bit digit
+// (40 and 2¹⁶), and past it (3·2¹⁶ and 2²⁴) so the second digit pass runs.
 func TestAssembleRowMajorMatchesComparatorSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, numCols := range []int{0, 1, 40, 1 << 16, 3 << 16, 1 << 24} {
 		for trial := 0; trial < 100; trial++ {
 			lo := rng.Intn(50)
-			hi := lo + rng.Intn(12)
-			nParts := 1 + rng.Intn(5)
-			meta := make([][]occRec, nParts)
-			cols := make([][]int32, nParts)
-			for read := lo; read < hi; read++ {
-				// Distinct columns per read, as Extract's dedup guarantees; a
-				// quarter of the reads keep no survivor at all, and with no
+			nReads := rng.Intn(12)
+			p := 1 + rng.Intn(5)
+			s := &stream{start: make([]int, nReads+1), end: make([]int, nReads)}
+			cols := make([][]int32, p)
+			want := []ATriple{}
+			for i := range nReads {
+				// Distinct columns per read, as the scan's dedup guarantees;
+				// a quarter of the reads keep no survivor at all, and with no
 				// columns every k-mer misses.
 				lost := numCols == 0 || rng.Intn(4) == 0
 				for _, col := range distinctCols(rng, cmp.Or(numCols, 40), rng.Intn(20)) {
-					r := rng.Intn(nParts)
-					meta[r] = append(meta[r], occRec{Read: int32(read), Occ: MakeOccur(rng.Int31(), rng.Intn(2) == 1)})
+					km, occ := rng.Uint64()>>2, MakeOccur(rng.Int31(), rng.Intn(2) == 1)
+					s.kms, s.occ = append(s.kms, km), append(s.occ, occ)
 					if lost || rng.Intn(3) == 0 {
 						col = -1
+					} else {
+						want = append(want, ATriple{Row: int32(lo + i), Col: col, Val: occ})
 					}
-					cols[r] = append(cols[r], col)
+					o := Owner(Kmer(km), p)
+					cols[o] = append(cols[o], col)
 				}
+				s.end[i] = len(s.kms)
+				for range rng.Intn(3) { // slack the walk must not read
+					s.kms, s.occ = append(s.kms, rng.Uint64()), append(s.occ, Occur(rng.Uint32()))
+				}
+				s.start[i+1] = len(s.kms)
 			}
-			got, want := assembleRowMajor(lo, hi, meta, cols), assembleSorted(meta, cols)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("numCols %d trial %d: reads [%d,%d), %d parts:\n got %v\nwant %v", numCols, trial, lo, hi, nParts, got, want)
+			got := s.emitRowMajor(lo, cols)
+			if want = sortedTriples(want); !reflect.DeepEqual(got, want) {
+				t.Fatalf("numCols %d trial %d: reads [%d,%d), %d owners:\n got %v\nwant %v", numCols, trial, lo, lo+nReads, p, got, want)
 			}
-			if err := spmat.CheckRowMajor(got, int32(lo), int32(hi), 0, int32(numCols)); err != nil {
+			if err := spmat.CheckRowMajor(got, int32(lo), int32(lo+nReads), 0, int32(numCols)); err != nil {
 				t.Fatalf("numCols %d trial %d: emission is not strictly row-major: %v", numCols, trial, err)
 			}
 		}

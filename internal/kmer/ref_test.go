@@ -30,18 +30,20 @@ func reliableOf(t *CountTable, low, high int32) []Kmer {
 	return out
 }
 
-// assembleSorted is the triple assembly assembleRowMajor replaced — every
-// survivor appended in reply order, then one comparator sort by (Row, Col) —
-// kept as the oracle of TestAssembleRowMajorMatchesComparatorSort.
-func assembleSorted(meta [][]occRec, cols [][]int32) []ATriple {
-	triples := []ATriple{}
-	for r := range cols {
-		for i, col := range cols[r] {
-			if col >= 0 {
-				triples = append(triples, ATriple{Row: meta[r][i].Read, Col: col, Val: meta[r][i].Occ})
-			}
-		}
+// Get returns km's value and whether the table holds it — the tests' view of
+// a table's counts.
+func (t *CountTable) Get(km Kmer) (int32, bool) {
+	if i := t.slot(km); t.kms[i] == km {
+		return t.vals[i], true
 	}
+	return 0, false
+}
+
+// sortedTriples is the triple assembly the counting-pass emission replaced —
+// every survivor appended, then one comparator sort by (Row, Col) — kept as
+// the oracle of TestAssembleRowMajorMatchesComparatorSort and of the
+// first-appearance reference below.
+func sortedTriples(triples []ATriple) []ATriple {
 	slices.SortFunc(triples, func(a, b ATriple) int {
 		if a.Row != b.Row {
 			return int(a.Row - b.Row)
@@ -49,4 +51,48 @@ func assembleSorted(meta [][]occRec, cols [][]int32) []ATriple {
 		return int(a.Col - b.Col)
 	})
 	return triples
+}
+
+// firstAppearanceColumns is the reference numbering of CountAndBuild's
+// columns at p ranks: owner o's reliable k-mers take the ids
+// [offset_o, offset_o+n_o), offset_o the count of reliable k-mers on owners
+// below o, in order of first appearance along the reads — global read order,
+// then extraction order. It maps every reliable k-mer to its id.
+func firstAppearanceColumns(reads [][]byte, k int, low, high int32, p int) map[Kmer]int32 {
+	reliable := map[Kmer]bool{}
+	for _, km := range SelectReliable(CountSerial(reads, k), low, high) {
+		reliable[km] = true
+	}
+	next := make([]int32, p)
+	for km := range reliable {
+		for o := Owner(km, p) + 1; o < p; o++ {
+			next[o]++
+		}
+	}
+	want := map[Kmer]int32{}
+	for _, seq := range reads {
+		for _, kp := range Extract(seq, k) {
+			if _, seen := want[kp.Kmer]; reliable[kp.Kmer] && !seen {
+				o := Owner(kp.Kmer, p)
+				want[kp.Kmer] = next[o]
+				next[o]++
+			}
+		}
+	}
+	return want
+}
+
+// firstAppearanceTriples is the serial reference of CountAndBuild's output
+// over all ranks: every occurrence of a reliable k-mer, numbered by cols
+// (firstAppearanceColumns), strictly row-major.
+func firstAppearanceTriples(reads [][]byte, k int, cols map[Kmer]int32) []ATriple {
+	triples := []ATriple{}
+	for r, seq := range reads {
+		for _, kp := range Extract(seq, k) {
+			if col, ok := cols[kp.Kmer]; ok {
+				triples = append(triples, ATriple{Row: int32(r), Col: col, Val: MakeOccur(kp.Pos, kp.RC)})
+			}
+		}
+	}
+	return sortedTriples(triples)
 }
