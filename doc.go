@@ -8,7 +8,7 @@
 // intra-rank worker pools, distributed sparse matrices with SUMMA SpGEMM,
 // distributed k-mer counting, the pluggable alignment-backend layer with its
 // x-drop and wavefront (WFA) aligners, bidirected string-graph semantics,
-// transitive reduction, LACC connected components, LPT partitioning, read
+// transitive reduction, FastSV connected components, LPT partitioning, read
 // simulator, quality evaluator and baseline assemblers) each have their own
 // package under internal/. See ARCHITECTURE.md for the layer map and
 // DESIGN.md for the per-package system inventory; the paper-versus-measured

@@ -7,7 +7,7 @@
 // on a (simulated) distributed-memory machine: overlap detection is a
 // distributed SpGEMM C = A·Aᵀ, the layout phase is a bidirected transitive
 // reduction, and the contig generation phase — the paper's contribution —
-// masks branches, finds linear components with Awerbuch–Shiloach connected
+// masks branches, finds linear components with FastSV connected
 // components, load-balances contigs with LPT multiway number partitioning,
 // redistributes each contig's reads to one rank via the induced-subgraph
 // communication, and assembles locally with a linear DFS walk.

@@ -2,7 +2,7 @@
 // contig generation of Algorithm 2.
 //
 //	L    ← BranchRemoval(S)          (§4.2: mask vertices with degree ≥ 3)
-//	v    ← ConnectedComponent(L)     (§4.2: LACC over the linear components)
+//	v    ← ConnectedComponent(L)     (§4.2: FastSV over the linear components)
 //	p    ← GreedyPartitioning(v, P)  (§4.3: LPT multiway number partitioning)
 //	P    ← InducedSubgraph(L, p)     (§4.3: Figure 2 communication + all-to-all)
 //	cset ← LocalAssembly(P, reads)   (§4.4: per-rank CSC linear walks)
@@ -69,11 +69,11 @@ type Result struct {
 // ContigGeneration runs Algorithm 2 on the string matrix s. Sub-stage
 // timings land in tm under CG:* names. The paper's contig-phase breakdown
 // has the induced subgraph step dominating with 65–85% of the phase; here the
-// step routes only edge triples, and the phase is mostly the connected
-// components. Of core.contig_s on the benchmark's layout-inproc workload
-// (10 Mb layout problem, P = 4), LACC is 61%, the read-sequence exchange 16%
-// (DESIGN.md §11 has its per-step copy budget), local assembly 9% and the
-// induced subgraph 8%.
+// step routes only edge triples, and the connected components are the
+// largest step. Of core.contig_s on the benchmark's layout-inproc workload
+// (10 Mb layout problem, P = 4, 2 vCPUs), the FastSV components are 35–42%,
+// the read-sequence exchange 26–31% (DESIGN.md §11 has its per-step copy
+// budget), local assembly 13–15% and the induced subgraph 10–12%.
 // packSeqs enables the 2-bit sequence-communication encoding (§7 future
 // work); false matches the paper's raw char-buffer protocol.
 //

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bidir"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/spmat"
 )
 
@@ -66,14 +67,19 @@ func symTriples(edges [][2]int32) []spmat.Triple[bidir.Edge] {
 	return ts
 }
 
-func checkComponents(t *testing.T, n int, edges [][2]int32, sizes []int) {
+// checkComponents compares Components with the union-find labels at every
+// grid size in sizes and returns the largest lacc.rounds rank 0 recorded;
+// every other rank must record none.
+func checkComponents(t *testing.T, n int, edges [][2]int32, sizes []int) (rounds int64) {
 	t.Helper()
 	want := minLabels(n, edges)
 	ts := symTriples(edges)
 	for _, p := range sizes {
 		p := p
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			err := mpi.Run(p, func(c *mpi.Comm) {
+			w := mpi.NewWorld(p)
+			w.SetObs(nil, obs.NewMetricSet(p))
+			err := w.Run(func(c *mpi.Comm) {
 				g := grid.New(c)
 				l := spmat.FromGlobalTriples(g, int32(n), int32(n), ts, func(a, b bidir.Edge) bidir.Edge { return a })
 				v := Components(l)
@@ -81,12 +87,22 @@ func checkComponents(t *testing.T, n int, edges [][2]int32, sizes []int) {
 				if !reflect.DeepEqual(got, want) {
 					panic(fmt.Sprintf("labels differ\n got %v\nwant %v", got, want))
 				}
+				r := c.Metrics().Counter("lacc.rounds").Value()
+				switch {
+				case c.Rank() == 0 && r < 1:
+					panic(fmt.Sprintf("rank 0 recorded lacc.rounds = %d", r))
+				case c.Rank() != 0 && r != 0:
+					panic(fmt.Sprintf("rank %d recorded lacc.rounds = %d, want 0", c.Rank(), r))
+				case c.Rank() == 0:
+					rounds = max(rounds, r)
+				}
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+	return rounds
 }
 
 func TestPaperExample(t *testing.T) {
@@ -179,4 +195,53 @@ func TestRingComponent(t *testing.T) {
 
 func TestEmptyGraphAllSingletons(t *testing.T) {
 	checkComponents(t, 17, nil, []int{1, 4})
+}
+
+// TestContigShapes runs the shapes contig generation hands to Components
+// at every grid size. maxRounds, when set, bounds lacc.rounds.
+func TestContigShapes(t *testing.T) {
+	// One long chain whose ids follow no order along it, as read ids do
+	// along a contig: the slowest shape for hooking onto smaller ids.
+	const chainN = 100_000
+	perm := rand.New(rand.NewSource(5)).Perm(chainN)
+	chain := make([][2]int32, chainN-1)
+	for i := range chain {
+		chain[i] = [2]int32{int32(perm[i]), int32(perm[i+1])}
+	}
+	var star, caterpillar, tree, pairs [][2]int32
+	for v := 0; v < 299; v++ { // every leaf hooks the hub, the largest id
+		star = append(star, [2]int32{299, int32(v)})
+	}
+	for i := 0; i < 250; i++ { // spine 0..249, the leaf of spine i is 250+i
+		caterpillar = append(caterpillar, [2]int32{int32(i), int32(250 + i)})
+		if i > 0 {
+			caterpillar = append(caterpillar, [2]int32{int32(i - 1), int32(i)})
+		}
+	}
+	for h := 1; h < 511; h++ { // heap order, ids reversed: the root is 510
+		tree = append(tree, [2]int32{int32(510 - (h-1)/2), int32(510 - h)})
+	}
+	for v := 0; v+2 < 600; v += 3 { // pair (v+2, v), then v+1 isolated
+		pairs = append(pairs, [2]int32{int32(v + 2), int32(v)})
+	}
+	for _, tc := range []struct {
+		name      string
+		n         int
+		edges     [][2]int32
+		maxRounds int64
+	}{
+		{"permuted_chain", chainN, chain, 32},
+		{"star_largest_hub", 300, star, 0},
+		{"caterpillar", 500, caterpillar, 0},
+		{"reversed_binary_tree", 511, tree, 0},
+		{"pairs_among_isolated", 600, pairs, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rounds := checkComponents(t, tc.n, tc.edges, []int{1, 4, 9, 16})
+			t.Logf("lacc.rounds = %d (largest over P)", rounds)
+			if tc.maxRounds > 0 && rounds > tc.maxRounds {
+				t.Fatalf("%d rounds, want ≤ %d", rounds, tc.maxRounds)
+			}
+		})
+	}
 }

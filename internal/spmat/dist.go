@@ -519,8 +519,8 @@ func routed[E any](owner []int32, counts []int, item func(k int) E) [][]E {
 
 // Fetch returns the values at arbitrary global indices, aligned with ids
 // (collective: every rank must call, possibly with no ids). Routed to owners
-// and answered with a mirrored Alltoallv — the pattern LACC uses to chase
-// parent pointers.
+// and answered with a mirrored Alltoallv — the pattern connected components
+// use to chase parent pointers.
 func (v *DistVec[T]) Fetch(ids []int32) []T {
 	p := v.G.Comm.Size()
 	owner, counts := v.route(ids)
@@ -556,23 +556,6 @@ func ScatterMin(v *DistVec[int32], idx []int32, vals []int32) {
 			if pr.V < v.Get(pr.I) {
 				v.Set(pr.I, pr.V)
 			}
-		}
-	}
-}
-
-// ScatterBoolAnd routes (index, value) proposals to their owners and ANDs
-// them into a bool vector — the star-correction write of connected
-// components (collective).
-func ScatterBoolAnd(v *DistVec[bool], idx []int32, vals []bool) {
-	type prop struct {
-		I int32
-		V bool
-	}
-	owner, counts := v.route(idx)
-	send := routed(owner, counts, func(k int) prop { return prop{I: idx[k], V: vals[k]} })
-	for _, part := range mpi.Alltoallv(v.G.Comm, send) {
-		for _, pr := range part {
-			v.Set(pr.I, v.Get(pr.I) && pr.V)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // SpMV computes y = A ⊗ x over a semiring on the 2D grid — the
-// matrix-vector kernel CombBLAS-style graph algorithms (like LACC's
+// matrix-vector kernel CombBLAS-style graph algorithms (like FastSV's
 // hooking) are written in.
 //
 // Communication pattern (standard 2D SpMV):
