@@ -16,7 +16,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/bidir"
 	"repro/internal/dna"
@@ -156,15 +156,7 @@ func ContigGeneration(s *spmat.Dist[bidir.Edge], store *fasta.DistStore, tm *tra
 	}
 	tm.AddWork("CG:LocalAssembly", asmBases)
 	loads := mpi.Allgather(g.Comm, int64(len(local.Globals)))
-	res.MaxLoad, res.MinLoad = loads[0], loads[0]
-	for _, ld := range loads {
-		if ld > res.MaxLoad {
-			res.MaxLoad = ld
-		}
-		if ld < res.MinLoad {
-			res.MinLoad = ld
-		}
-	}
+	res.MaxLoad, res.MinLoad = slices.Max(loads), slices.Min(loads)
 	return res
 }
 
@@ -181,9 +173,9 @@ func BranchRemoval(s *spmat.Dist[bidir.Edge]) (*spmat.Dist[bidir.Edge], *spmat.D
 			branchLocal = append(branchLocal, deg.Lo+int32(i))
 		}
 	}
-	// The branch vector is replicated so every rank can mask its block.
+	// The branch vector is replicated so every rank can mask its block
+	// (ascending: the vector blocks ascend with the rank).
 	branch, _ := mpi.AllgathervFlat(s.G.Comm, branchLocal)
-	sort.Slice(branch, func(i, j int) bool { return branch[i] < branch[j] })
 	l := s.Clone()
 	l.MaskRowsCols(branch)
 	deg2 := l.RowDegrees()
@@ -197,51 +189,45 @@ func BranchRemoval(s *spmat.Dist[bidir.Edge]) (*spmat.Dist[bidir.Edge], *spmat.D
 // or in components of fewer than 2 reads).
 func PartitionContigs(labels *spmat.DistVec[int32], deg *spmat.DistVec[int32], res *Result) *spmat.DistVec[int32] {
 	g := labels.G
-	p := g.Comm.Size()
 
 	// Local size estimate per component label, counting only vertices that
-	// survived masking (degree ≥ 1).
-	localSize := map[int32]int64{}
+	// survived masking (degree ≥ 1): the sorted labels, run-length coded.
+	live := make([]int32, 0, len(labels.Local))
 	for i, lab := range labels.Local {
 		if deg.Local[i] >= 1 {
-			localSize[lab]++
+			live = append(live, lab)
 		}
 	}
-	// Sparse reduce-scatter: each label's counts are summed on the rank
-	// owning the label's index (labels are vertex ids, so ownership follows
-	// the vector distribution).
+	slices.Sort(live)
+	var labs []int32
+	var counts []int64
+	for i, lab := range live {
+		if i == 0 || lab != live[i-1] {
+			labs, counts = append(labs, lab), append(counts, 0)
+		}
+		counts[len(counts)-1]++
+	}
+	// Each label's counts are summed on the rank owning the label's index
+	// (labels are vertex ids, so ownership follows the vector distribution).
+	size := spmat.NewDistVec[int64](g, labels.N)
+	spmat.ScatterFold(size, labs, counts, func(a, b int64) int64 { return a + b })
+	// Contigs are components with at least 2 reads (§4.4), ascending by label.
 	type lc struct {
 		Label int32
 		Count int64
 	}
-	send := make([][]lc, p)
-	for lab, cnt := range localSize {
-		o := labels.Owner(lab)
-		send[o] = append(send[o], lc{Label: lab, Count: cnt})
-	}
-	for r := range send {
-		sort.Slice(send[r], func(i, j int) bool { return send[r][i].Label < send[r][j].Label })
-	}
-	parts := mpi.Alltoallv(g.Comm, send)
-	compSize := map[int32]int64{}
-	for _, part := range parts {
-		for _, e := range part {
-			compSize[e.Label] += e.Count
-		}
-	}
-	// Contigs are components with at least 2 reads (§4.4).
 	var mine []lc
-	for lab, sz := range compSize {
+	for i, sz := range size.Local {
 		if sz >= 2 {
-			mine = append(mine, lc{Label: lab, Count: sz})
+			mine = append(mine, lc{Label: size.Lo + int32(i), Count: sz})
 		}
 	}
-	sort.Slice(mine, func(i, j int) bool { return mine[i].Label < mine[j].Label })
 
 	// Gather contig sizes on a single processor and run LPT there (§4.3:
 	// "we collect the global information about contig lengths in a single
 	// processor ... to avoid the unnecessary communication of small
-	// messages").
+	// messages"). The blocks ascend with the rank, so the gathered list is
+	// ascending by label.
 	gathered := mpi.Gatherv(g.Comm, 0, mine)
 	type asg struct {
 		Label int32
@@ -249,16 +235,12 @@ func PartitionContigs(labels *spmat.DistVec[int32], deg *spmat.DistVec[int32], r
 	}
 	var table []asg
 	if g.Comm.Rank() == 0 {
-		var all []lc
-		for _, part := range gathered {
-			all = append(all, part...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Label < all[j].Label })
+		all := slices.Concat(gathered...)
 		sizes := make([]int64, len(all))
 		for i, e := range all {
 			sizes[i] = e.Count
 		}
-		procOf, _ := partition.LPT(sizes, p)
+		procOf, _ := partition.LPT(sizes, g.Comm.Size())
 		table = make([]asg, len(all))
 		for i, e := range all {
 			table[i] = asg{Label: e.Label, Proc: procOf[i]}
@@ -344,7 +326,7 @@ func inducedSubgraph(l *spmat.Dist[bidir.Edge], assign *spmat.DistVec[int32]) *L
 	for v := range vset {
 		globals = append(globals, v)
 	}
-	sort.Slice(globals, func(i, j int) bool { return globals[i] < globals[j] })
+	slices.Sort(globals)
 	localIdx := make(map[int32]int32, len(globals))
 	for i, v := range globals {
 		localIdx[v] = int32(i)

@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bidir"
 	"repro/internal/grid"
+	"repro/internal/lacc"
 	"repro/internal/mpi"
+	"repro/internal/partition"
 	"repro/internal/readsim"
 	"repro/internal/spmat"
 )
@@ -87,6 +91,86 @@ func TestPartitionContigsFewerThanRanks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPartitionContigsMatchesSerial holds the distributed contig sizes and
+// assignment to a serial union-find plus partition.LPT, on random graphs
+// whose components are chains and trees over shuffled vertex ids — so they
+// span ranks — with isolated vertices between them, at P ∈ {1, 4, 9, 16}.
+func TestPartitionContigsMatchesSerial(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := int32(60 + rng.Intn(60))
+		perm := rng.Perm(int(n))
+		edges := map[[2]int32]bool{}
+		for i := 1; i < len(perm)*4/5; i++ {
+			if rng.Intn(6) > 0 { // else start a new component at perm[i]
+				u, v := int32(perm[i]), int32(perm[rng.Intn(i)])
+				edges[[2]int32{u, v}], edges[[2]int32{v, u}] = true, true
+			}
+		}
+		var ts []spmat.Triple[bidir.Edge]
+		deg := make([]int64, n)
+		parent := make([]int32, n)
+		for i := range parent {
+			parent[i] = int32(i)
+		}
+		var find func(int32) int32
+		find = func(x int32) int32 {
+			if parent[x] != x {
+				parent[x] = find(parent[x])
+			}
+			return parent[x]
+		}
+		for e := range edges {
+			ts = append(ts, spmat.Triple[bidir.Edge]{Row: e[0], Col: e[1]})
+			deg[e[0]]++
+			if ru, rv := find(e[0]), find(e[1]); ru != rv {
+				parent[max(ru, rv)] = min(ru, rv) // the root is the smallest id
+			}
+		}
+		size := make([]int64, n)
+		for v := range n {
+			if deg[v] > 0 {
+				size[find(v)]++
+			}
+		}
+		var labels []int32 // components of ≥ 2 reads, ascending
+		var sizes []int64
+		for v, sz := range size {
+			if sz >= 2 {
+				labels, sizes = append(labels, int32(v)), append(sizes, sz)
+			}
+		}
+		for _, p := range []int{1, 4, 9, 16} {
+			procOf, _ := partition.LPT(sizes, p)
+			want := make([]int32, n)
+			var wantAssigned int64
+			for v := range n {
+				want[v] = -1
+				if k, ok := slices.BinarySearch(labels, find(v)); ok && deg[v] > 0 {
+					want[v] = procOf[k]
+					wantAssigned++
+				}
+			}
+			err := mpi.Run(p, func(c *mpi.Comm) {
+				g := grid.New(c)
+				l := spmat.FromGlobalTriples(g, n, n, slices.Clone(ts), nil)
+				res := &Result{}
+				assign := PartitionContigs(lacc.Components(l), l.RowDegrees(), res)
+				if got := assign.AllgatherFull(); !slices.Equal(got, want) {
+					panic(fmt.Sprintf("assignment %v, want %v", got, want))
+				}
+				if res.NumContigs != int64(len(labels)) || res.AssignedReads != wantAssigned {
+					panic(fmt.Sprintf("%d contigs, %d reads assigned; want %d, %d",
+						res.NumContigs, res.AssignedReads, len(labels), wantAssigned))
+				}
+			})
+			if err != nil {
+				t.Fatalf("seed %d, n %d, P=%d: %v", seed, n, p, err)
+			}
+		}
 	}
 }
 

@@ -298,19 +298,18 @@ func AllreduceSlice[T any](c *Comm, vals []T, op func(T, T) T) []T {
 
 // ReduceScatterBlocks reduces P per-rank contribution blocks element-wise and
 // scatters block r to rank r: rank i passes contrib[r] destined for rank r,
-// and receives op-folded contrib_allranks[i]. This is the MPI_Reduce_scatter
-// the paper uses to compute global contig sizes.
+// and receives op-folded contrib_allranks[i] (op must be associative and
+// commutative). This is the paper's MPI_Reduce_scatter; package spmat's row
+// reductions call it.
 func ReduceScatterBlocks[T any](c *Comm, contrib [][]T, op func(T, T) T) []T {
 	parts := Alltoallv(c, contrib)
-	var acc []T
-	for _, p := range parts {
-		if acc == nil {
-			acc = make([]T, len(p))
-			copy(acc, p)
-			continue
-		}
+	acc := parts[c.rank] // Alltoallv's own copy
+	for r, p := range parts {
 		if len(p) != len(acc) {
 			panic("mpi: ReduceScatterBlocks block length mismatch")
+		}
+		if r == c.rank {
+			continue
 		}
 		for i := range acc {
 			acc[i] = op(acc[i], p[i])

@@ -278,10 +278,11 @@ func containmentPicks(c *spmat.Dist[Seeds], rowSeqs, colSeqs [][]byte, k int32) 
 // the quality gate and proves the other read contained
 // (align.Params.MayContain). The output does not depend on the prediction: a
 // skipped pair could only have named a read already in Contained or produced
-// a dovetail that MaskRowsCols(Contained) removes, and a read phase 1 misses
-// keeps all its pairs (DESIGN.md §3). Both phase lists are built serially
-// from c and results are written by candidate index, so R, the counters and
-// the aligners' work are the same for every pool size.
+// a dovetail touching Contained, which never enters R, and a read phase 1
+// misses keeps all its pairs (DESIGN.md §3). Both phase lists are built
+// serially from c and results are written by candidate index, so R, the
+// counters and the aligners' work are the same for every pool size. R is
+// placed by one routing: each kept dovetail travels with its mirror.
 func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], pool *par.Pool[align.Aligner], cfg Config, tm *trace.Timers, res *Result) *spmat.Dist[bidir.Aln] {
 	// diBELLA's sequence exchange: row-range sequences via the row
 	// communicator, column-range sequences via the transposed rank.
@@ -420,18 +421,20 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 			res.Contained = append(res.Contained, int32(id))
 		}
 	}
-	// Serial fold in candidate order: the same upper slice for every pool
-	// size.
+	// Serial fold in candidate order, the same for every pool size: each
+	// dovetail whose two reads are both outside Contained (Prune(R,
+	// IsContainedRead())) goes into R with its mirror beside it. Each pair
+	// has exactly one stored direction, so the two cannot collide.
 	dovetails := 0
-	for _, kind := range kinds {
-		if kind == bidir.Dovetail {
-			dovetails++
-		}
-	}
-	upper := make([]spmat.Triple[bidir.Aln], 0, dovetails)
+	var rts []spmat.Triple[bidir.Aln]
 	for i, t := range ts {
-		if kinds[i] == bidir.Dovetail {
-			upper = append(upper, spmat.Triple[bidir.Aln]{Row: t.Row, Col: t.Col, Val: alns[i]})
+		if kinds[i] != bidir.Dovetail {
+			continue
+		}
+		dovetails++
+		if !known[t.Row] && !known[t.Col] {
+			rts = append(rts, spmat.Triple[bidir.Aln]{Row: t.Row, Col: t.Col, Val: alns[i]},
+				spmat.Triple[bidir.Aln]{Row: t.Col, Col: t.Row, Val: alns[i].Mirror()})
 		}
 	}
 	if reg != nil {
@@ -439,20 +442,16 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 		reg.Counter("align.pairs_aligned").Add(int64(len(picks) + len(rest)))
 		reg.Counter("align.pairs_skipped_contained").Add(int64(skippedContained))
 		reg.Counter("align.pairs_skipped_bound").Add(int64(skippedBound))
-		reg.Counter("align.dovetails").Add(int64(len(upper)))
+		reg.Counter("align.dovetails").Add(int64(dovetails))
 		reg.Counter("align.contained").Add(int64(found))
 		if g.Comm.Rank() == 0 { // K₁ is replicated: count it once
 			reg.Counter("align.contained_known_phase1").Add(int64(knownPhase1))
 		}
 	}
 
-	rHalf := spmat.NewDist(g, int32(store.N), int32(store.N), upper, nil)
-	rHalf.MaskRowsCols(res.Contained)
-	res.KeptOverlaps = rHalf.Nnz()
-	// Symmetrize: R = half + mirror(half)ᵀ (each pair has exactly one
-	// stored direction, so the merge cannot collide).
-	rMirror := spmat.Transpose(rHalf, bidir.Aln.Mirror)
-	return spmat.Add(rHalf, rMirror, nil)
+	r := spmat.NewDist(g, int32(store.N), int32(store.N), rts, nil)
+	res.KeptOverlaps = r.Nnz() / 2
+	return r
 }
 
 // ToStringGraph classifies every directed overlap into its bidirected edge —
@@ -460,7 +459,6 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 // cannot fail here: containment and internal matches were pruned.
 func ToStringGraph(r *spmat.Dist[bidir.Aln], maxOverhang int32) *spmat.Dist[bidir.Edge] {
 	p := bidir.Params{MaxOverhang: maxOverhang}
-	out := spmat.FromGlobalTriples[bidir.Edge](r.G, r.NR, r.NC, nil, nil)
 	ts := make([]spmat.Triple[bidir.Edge], 0, r.Local.Nnz())
 	for _, t := range r.Local.Ts {
 		e, kind := bidir.Classify(t.Val, p)
@@ -469,6 +467,6 @@ func ToStringGraph(r *spmat.Dist[bidir.Aln], maxOverhang int32) *spmat.Dist[bidi
 		}
 		ts = append(ts, spmat.Triple[bidir.Edge]{Row: t.Row, Col: t.Col, Val: e})
 	}
-	out.Local = spmat.NewCOO(r.NR, r.NC, ts, nil)
-	return out
+	// R's block is canonical already, and classification keeps its order.
+	return spmat.FromLocalTriples(r.G, r.NR, r.NC, ts)
 }

@@ -36,7 +36,8 @@ type Observer struct {
 // RunUntil executes a prefix of the stages on a fresh simulated world and
 // ResumeFrom continues from a previous run's Artifacts — under this engine's
 // options, which may differ in parameters downstream of the resume point
-// (the TR/overhang sweep use case). Contigs are bit-identical, and
+// (the TR-parameter sweep use case: TRFuzz and TRMaxIter; MaxOverhang is
+// part of the Alignment prefix). Contigs are bit-identical, and
 // byte/message counters equal, between a monolithic run and any chain of
 // partial runs, for every (P, threads, backend, sync/async) combination.
 type Engine struct {

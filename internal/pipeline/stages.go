@@ -91,7 +91,8 @@ var stages = []stageDef{
 	// TrReduction classifies R into the bidirected string graph and runs the
 	// transitive reduction. The string graph is derived fresh from R on every
 	// execution (tr.Reduce reduces in place), which is what lets a
-	// post-Alignment snapshot feed many TR/overhang parameter points.
+	// post-Alignment snapshot feed many TR parameter points (MaxOverhang,
+	// which the classification also reads, is in the Alignment prefix).
 	{StageTrReduction, func(o Options) string {
 		return fmt.Sprintf(" trfuzz=%d trmaxiter=%d", o.TRFuzz, o.TRMaxIter)
 	}, func(opt Options, a *Artifacts, rs *RankState) {

@@ -3,7 +3,6 @@ package spmat
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -71,8 +70,12 @@ func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T
 // — already column-major — so it arrives with one pairwise exchange (none on
 // the diagonal). Row range, column range, strict order and therefore
 // duplicates are checked on the input and on both received blocks; a
-// violation panics.
+// violation panics. Both exchanges go through the chunked protocol, so no
+// message exceeds mpi.MaxMessageBytes however large a block is (T must be
+// fixed-width); the rank is blocking for the call, so their bytes stay
+// exposed.
 func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *Dist[T]) {
+	defer g.Comm.SetBlocking(g.Comm.SetBlocking(true))
 	a = newDistShell[T](g, nr, nc)
 	at = newDistShell[T](g, nc, nr)
 	if err := CheckRowMajor(mine, a.RowLo, a.RowHi, 0, nc); err != nil {
@@ -81,7 +84,7 @@ func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *D
 	owner, counts := route(g.Dim, len(mine), func(k int) int {
 		return grid.BlockOwner(int(nc), g.Dim, int(mine[k].Col))
 	})
-	rows := slices.Concat(mpi.Alltoallv(g.RowComm, routed(owner, counts, func(k int) Triple[T] { return mine[k] }))...)
+	rows := slices.Concat(mpi.IAlltoallvChunked(g.RowComm, routed(owner, counts, func(k int) Triple[T] { return mine[k] })).WaitValue()...)
 	if err := CheckRowMajor(rows, a.RowLo, a.RowHi, a.ColLo, a.ColHi); err != nil {
 		panic(fmt.Sprintf("spmat: FromRowMajor routed block: %v", err))
 	}
@@ -90,8 +93,8 @@ func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *D
 	if g.Row != g.Col {
 		partner := g.TransposedRank()
 		const tag = 0x51e // private tag for this exchange pattern
-		mpi.Send(g.Comm, partner, tag, rows)
-		rows = mpi.Recv[Triple[T]](g.Comm, partner, tag)
+		mpi.SendChunked(g.Comm, partner, tag, rows)
+		rows = mpi.RecvChunked[Triple[T]](g.Comm, partner, tag)
 		if err := CheckRowMajor(rows, at.ColLo, at.ColHi, at.RowLo, at.RowHi); err != nil {
 			panic(fmt.Sprintf("spmat: FromRowMajor block of transposed rank %d: %v", partner, err))
 		}
@@ -188,16 +191,8 @@ func (a *Dist[T]) GatherTriples(root int) []Triple[T] {
 	if a.G.Comm.Rank() != root {
 		return nil
 	}
-	var ts []Triple[T]
-	for _, p := range parts {
-		ts = append(ts, p...)
-	}
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Col != ts[j].Col {
-			return ts[i].Col < ts[j].Col
-		}
-		return ts[i].Row < ts[j].Row
-	})
+	ts := slices.Concat(parts...)
+	sortColumnMajor(ts, a.NC)
 	return ts
 }
 
@@ -259,35 +254,44 @@ func Add[T any](a, b *Dist[T], combine func(T, T) T) *Dist[T] {
 }
 
 // RowDegrees returns the global row nonzero counts as a block-distributed
-// vector (collective): local per-row counts are summed across the grid row
-// with an allreduce on the row communicator — the "summation reduction over
-// the row dimension" of §4.2 — then each rank keeps its vector block.
+// vector (collective): local per-row counts are summed across the grid row —
+// the "summation reduction over the row dimension" of §4.2 — by reduceRows.
 func (a *Dist[T]) RowDegrees() *DistVec[int32] {
-	span := int(a.RowHi - a.RowLo)
-	counts := make([]int32, span)
+	counts := make([]int32, a.RowHi-a.RowLo)
 	for _, t := range a.Local.Ts {
 		counts[t.Row-a.RowLo]++
 	}
-	full := mpi.AllreduceSlice(a.G.RowComm, counts, func(x, y int32) int32 { return x + y })
-	v := NewDistVec[int32](a.G, int(a.NR))
-	copy(v.Local, full[int(v.Lo)-int(a.RowLo):int(v.Hi)-int(a.RowLo)])
-	return v
+	return reduceRows(a, counts, func(x, y int32) int32 { return x + y })
 }
 
-// MaskRowsCols removes every nonzero whose row or column appears in ids
-// (which must be identical on all ranks — the branch vector after its
-// allgather). Indices stay valid: the matrix is not re-indexed, exactly as
-// §4.2 prescribes.
+// reduceRows folds the ranks' partials over a's row range element-wise with
+// combine and returns this rank's vector block of the result (collective
+// over the row communicator). The vector blocks of a grid row's ranks exactly
+// cover its row range (package grid), so this is one MPI_Reduce_scatter:
+// each rank sends every peer of its grid row only that peer's block.
+func reduceRows[T, W any](a *Dist[T], partial []W, combine func(W, W) W) *DistVec[W] {
+	g := a.G
+	blocks := make([][]W, g.Dim)
+	for j := range blocks {
+		lo, hi := grid.BlockRange(int(a.NR), g.Comm.Size(), g.Rank(g.Row, j))
+		blocks[j] = partial[int32(lo)-a.RowLo : int32(hi)-a.RowLo]
+	}
+	lo, hi := g.MyVecRange(int(a.NR))
+	return &DistVec[W]{G: g, N: int(a.NR), Lo: int32(lo), Hi: int32(hi),
+		Local: mpi.ReduceScatterBlocks(g.RowComm, blocks, combine)}
+}
+
+// MaskRowsCols removes every nonzero whose row or column appears in ids,
+// which must be ascending and identical on all ranks (the branch vector
+// after its allgather). Indices stay valid: the matrix is not re-indexed,
+// exactly as §4.2 prescribes.
 func (a *Dist[T]) MaskRowsCols(ids []int32) {
 	if len(ids) == 0 {
 		return
 	}
-	sorted := make([]int32, len(ids))
-	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	in := func(x int32) bool {
-		k := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
-		return k < len(sorted) && sorted[k] == x
+		_, ok := slices.BinarySearch(ids, x)
+		return ok
 	}
 	a.Apply(func(r, c int32, v T) (T, bool) {
 		return v, !in(r) && !in(c)
@@ -544,18 +548,28 @@ func (v *DistVec[T]) Fetch(ids []int32) []T {
 	return out
 }
 
-// ScatterMin routes (index, value) proposals to their owners and folds them
-// into the vector with a minimum — the hooking write of connected
-// components (collective).
-func ScatterMin(v *DistVec[int32], idx []int32, vals []int32) {
-	type prop struct{ I, V int32 }
+// prop is one owner-routed (index, value) proposal of ScatterFold.
+type prop[T any] struct {
+	I int32
+	V T
+}
+
+// ScatterFold routes (index, value) proposals to their owners and folds each
+// into the vector there, v[i] = fold(v[i], val) (collective). fold must be
+// associative and commutative, so the result does not depend on which rank
+// proposed what.
+func ScatterFold[T any](v *DistVec[T], idx []int32, vals []T, fold func(T, T) T) {
 	owner, counts := v.route(idx)
-	send := routed(owner, counts, func(k int) prop { return prop{I: idx[k], V: vals[k]} })
+	send := routed(owner, counts, func(k int) prop[T] { return prop[T]{I: idx[k], V: vals[k]} })
 	for _, part := range mpi.Alltoallv(v.G.Comm, send) {
 		for _, pr := range part {
-			if pr.V < v.Get(pr.I) {
-				v.Set(pr.I, pr.V)
-			}
+			v.Set(pr.I, fold(v.Get(pr.I), pr.V))
 		}
 	}
+}
+
+// ScatterMin is ScatterFold with a minimum — the hooking write of connected
+// components.
+func ScatterMin(v *DistVec[int32], idx []int32, vals []int32) {
+	ScatterFold(v, idx, vals, func(x, y int32) int32 { return min(x, y) })
 }

@@ -230,7 +230,15 @@ func TestRowDegrees(t *testing.T) {
 	}
 	runGrid(t, func(g *grid.Grid) {
 		a := FromGlobalTriples(g, n, n, all, nil)
+		bytes0, msgs0 := g.Comm.BytesSent(), g.Comm.MsgsSent()
 		deg := a.RowDegrees()
+		// One reduce-scatter: each rank sends every peer of its grid row that
+		// peer's vector block, one message each, and nothing else.
+		rowLo, rowHi := g.MyRowRange(int(n))
+		wantBytes := 4 * int64(rowHi-rowLo-len(deg.Local))
+		if b, m := g.Comm.BytesSent()-bytes0, g.Comm.MsgsSent()-msgs0; b != wantBytes || m != int64(g.Dim-1) {
+			panic(fmt.Sprintf("rank %d sent %d bytes in %d messages, want %d in %d", g.Comm.Rank(), b, m, wantBytes, g.Dim-1))
+		}
 		full := deg.AllgatherFull()
 		if !reflect.DeepEqual(full, wantDeg) {
 			panic(fmt.Sprintf("degrees %v want %v", full, wantDeg))
@@ -356,6 +364,27 @@ func TestScatterMin(t *testing.T) {
 			}
 			if out[i] != want {
 				panic(fmt.Sprintf("scatter-min idx %d: got %d want %d", i, out[i], want))
+			}
+		}
+		// A sum fold through ScatterFold: every rank adds rank+1 at each
+		// index k·(rank+1), so an index gathers from every rank whose stride
+		// divides it, on whichever rank owns it.
+		sum := NewDistVec[int64](g, n)
+		var sIdx []int32
+		var sVals []int64
+		for k := 0; k < n; k += g.Comm.Rank() + 1 {
+			sIdx, sVals = append(sIdx, int32(k)), append(sVals, int64(g.Comm.Rank()+1))
+		}
+		ScatterFold(sum, sIdx, sVals, func(x, y int64) int64 { return x + y })
+		for i, got := range sum.AllgatherFull() {
+			var want int64
+			for r := 0; r < g.Comm.Size(); r++ {
+				if i%(r+1) == 0 {
+					want += int64(r + 1)
+				}
+			}
+			if got != want {
+				panic(fmt.Sprintf("scatter-sum idx %d: got %d want %d", i, got, want))
 			}
 		}
 	})

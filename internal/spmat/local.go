@@ -1,9 +1,13 @@
 // Package spmat is the sparse-matrix substrate standing in for CombBLAS:
 // local COO/CSC formats with a semiring abstraction, and distributed
 // 2D block matrices on the √P × √P grid with masked SUMMA SpGEMM, the
-// sort-free construction of A and Aᵀ from row-major triples, distributed
-// transpose, element-wise transforms, row-degree reductions and row/column
-// masking — the operations Algorithm 1 and Algorithm 2 are written in.
+// sort-free construction of A and Aᵀ from row-major triples, element-wise
+// transforms and row/column masking, and block-distributed vectors with the
+// collectives Algorithm 2 is written in: the row reduction as one
+// reduce-scatter (row degrees, SpMV), the owner-routed fold (ScatterFold),
+// fetch and the Figure 2 exchange. Transpose and Add have no production
+// caller; they are the oracles the one-routing constructions are tested
+// against.
 //
 // Indices are int32 (the simulated scale never approaches 2^31 rows); values
 // are generic so each pipeline stage can carry its own nonzero payload

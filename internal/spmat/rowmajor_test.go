@@ -77,6 +77,36 @@ func TestFromRowMajorMatchesNewDistTranspose(t *testing.T) {
 	}
 }
 
+// TestFromRowMajorChunked: both exchanges honour mpi.MaxMessageBytes. At 64
+// bytes (four int64 triples) every routed block and every transposed block of
+// a dense matrix needs several chunks; the blocks must still be those every
+// rank cuts from the global triples without communicating.
+func TestFromRowMajorChunked(t *testing.T) {
+	defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+	mpi.MaxMessageBytes = 64
+	const n = 24
+	all := globalTriples(rand.New(rand.NewSource(37)), n, n, 0.8)
+	allT := make([]Triple[int64], len(all))
+	for i, t := range all {
+		allT[i] = Triple[int64]{Row: t.Col, Col: t.Row, Val: t.Val}
+	}
+	for _, p := range []int{4, 9} {
+		err := mpi.Run(p, func(c *mpi.Comm) {
+			g := grid.New(c)
+			lo, hi := g.MyVecRange(n)
+			a, at := FromRowMajor(g, n, n, rowsOf(all, lo, hi))
+			wantA := FromGlobalTriples(g, n, n, all, nil)
+			wantAt := FromGlobalTriples(g, n, n, slices.Clone(allT), nil)
+			if !reflect.DeepEqual(a.Local, wantA.Local) || !reflect.DeepEqual(at.Local, wantAt.Local) {
+				panic("chunked FromRowMajor blocks differ from the global triples' blocks")
+			}
+		})
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+	}
+}
+
 // TestFromRowMajorRefusesBadInput: everything NewDist + NewCOO caught by
 // routing and sorting, the sort-free constructor must catch by checking — a
 // duplicate cell, rows out of order, columns out of order within a row, a row

@@ -1,10 +1,6 @@
 package spmat
 
-import (
-	"slices"
-
-	"repro/internal/mpi"
-)
+import "slices"
 
 // SpMV computes y = A ⊗ x over a semiring on the 2D grid — the
 // matrix-vector kernel CombBLAS-style graph algorithms (like FastSV's
@@ -16,8 +12,8 @@ import (
 //     all vectors, block over ranks in row-major order);
 //  2. each rank multiplies its local block into partial y values for its
 //     ROW range;
-//  3. partials are combined across each grid row with an element-wise
-//     reduction on the row communicator, and each rank keeps its vector
+//  3. partials are combined across each grid row with one reduce-scatter on
+//     the row communicator (reduceRows), which leaves each rank its vector
 //     block of the result.
 //
 // The partials are an accumulator whose rows all start live at identity, so
@@ -32,7 +28,6 @@ func SpMV[T, V, W any](a *Dist[T], x *DistVec[V], sr Semiring[T, V, W], identity
 	if int32(x.N) != a.NC {
 		panic("spmat: SpMV dimension mismatch")
 	}
-	g := a.G
 	_, colX := x.RowColGather()
 	partial := newAcc[W](a.RowHi - a.RowLo)
 	for i := range partial.vals {
@@ -50,11 +45,5 @@ func SpMV[T, V, W any](a *Dist[T], x *DistVec[V], sr Semiring[T, V, W], identity
 		sr.Fold(partial, rows, vals, a.RowLo, colX[ts[lo].Col-a.ColLo])
 		lo = hi
 	}
-	full := mpi.AllreduceSlice(g.RowComm, partial.vals, combine)
-	// A rank's vector block always sits inside its matrix row range (the
-	// package grid layout invariant), so the result block is a plain slice.
-	y := NewDistVec[W](g, int(a.NR))
-	lo, _ := g.MyVecRange(int(a.NR))
-	copy(y.Local, full[int32(lo)-a.RowLo:int32(lo)-a.RowLo+int32(len(y.Local))])
-	return y
+	return reduceRows(a, partial.vals, combine)
 }
