@@ -278,10 +278,7 @@ type ExtendFunc func(s, t []byte) (score, si, ti int32)
 // left zero for the caller to fill). It builds a throwaway Scratch per call;
 // hot loops hold an XDropAligner instead.
 func SeedExtend(u, v []byte, k int32, seed Seed, p Params) bidir.Aln {
-	return seedExtend(new(Scratch), u, v, k, seed, p)
-}
-
-func seedExtend(sc *Scratch, u, v []byte, k int32, seed Seed, p Params) bidir.Aln {
+	sc := new(Scratch)
 	return SeedExtendWithScratch(sc, u, v, k, seed, p.Match,
 		func(s, t []byte) (int32, int32, int32) { return extend(sc, s, t, p) })
 }
@@ -327,23 +324,9 @@ func SeedExtendWithScratch(sc *Scratch, u, v []byte, k int32, seed Seed, matchSc
 	return a
 }
 
-// Best runs SeedExtend for every seed with the given params — BestOf over
-// an aligner view that honors p verbatim (including any Cells pointer), with
-// one throwaway Scratch for the call.
+// Best is BestOf over a fresh x-drop aligner for p, for a one-off call that
+// holds no aligner of its own. The aligner counts its own cells (NewXDrop),
+// so a Cells pointer in p is not advanced.
 func Best(u, v []byte, k int32, seeds []Seed, p Params) bidir.Aln {
-	return BestOf(paramsAligner{p, new(Scratch)}, u, v, k, seeds)
-}
-
-// paramsAligner adapts raw Params to the Aligner interface without taking
-// over the work counter the way NewXDrop does.
-type paramsAligner struct {
-	p  Params
-	sc *Scratch
-}
-
-func (a paramsAligner) Name() string     { return "xdrop" }
-func (a paramsAligner) Work() int64      { return 0 }
-func (a paramsAligner) ChainExact() bool { return a.p.chainExact() }
-func (a paramsAligner) SeedExtend(u, v []byte, k int32, seed Seed) Result {
-	return seedExtend(a.sc, u, v, k, seed, a.p)
+	return BestOf(NewXDrop(p), u, v, k, seeds)
 }

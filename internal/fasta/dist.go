@@ -59,39 +59,22 @@ func (s *DistStore) Len(g int) int { return int(s.Lens[g]) }
 // stage: every rank obtains the sequences of all reads in its matrix ROW
 // range and COLUMN range. Because reads are block-distributed in world-rank
 // order, the reads of grid row i live exactly on the ranks of grid row i, so
-// an all-to-all on the row communicator, every rank sending its whole block
-// to every other, yields the row-range sequences; the column-range sequences
-// then come from the transposed rank, the same pattern as the
-// induced-subgraph assignment exchange (Figure 2). Both halves go through the
-// chunked protocol, so no message exceeds mpi.MaxMessageBytes however many
-// bases a rank holds.
+// the Figure 2 exchange of the rank's concatenated block (grid.RowCol) yields
+// both: the row gather the row-range sequences, the swap with the transposed
+// rank the column-range ones. Both halves are chunked, so no message exceeds
+// mpi.MaxMessageBytes however many bases a rank holds.
 //
 // Returned slices are indexed from the row/column range start of an n×n
 // matrix with n = s.N. Collective.
 func (s *DistStore) RowColSequences(g *grid.Grid) (rowSeqs, colSeqs [][]byte) {
-	flat := slices.Concat(s.Seqs...)
-	send := make([][]byte, g.RowComm.Size())
-	for i := range send {
-		send[i] = flat
-	}
-	// Blocking for the call keeps the row half's bytes exposed, as they are
-	// on the transposed half.
-	prev := g.RowComm.SetBlocking(true)
-	rowFlat := slices.Concat(mpi.IAlltoallvChunked(g.RowComm, send).WaitValue()...)
-	g.RowComm.SetBlocking(prev)
+	rowFlat, colFlat := grid.RowCol(g, slices.Concat(s.Seqs...))
 	rowLo, rowHi := g.MyRowRange(s.N)
 	rowSeqs = unflatten(rowFlat, s.Lens[rowLo:rowHi], fmt.Sprintf("row communicator, reads %d…%d", rowLo, rowHi-1))
-
 	if g.Row == g.Col {
-		colSeqs = rowSeqs
-		return rowSeqs, colSeqs
+		return rowSeqs, rowSeqs
 	}
-	partner := g.TransposedRank()
-	const tag = 0x5e9 // arbitrary private tag for this exchange pattern
-	mpi.SendChunked(g.Comm, partner, tag, rowFlat)
-	colFlat := mpi.RecvChunked[byte](g.Comm, partner, tag)
 	colLo, colHi := g.MyColRange(s.N)
-	colSeqs = unflatten(colFlat, s.Lens[colLo:colHi], fmt.Sprintf("transposed rank %d, reads %d…%d", partner, colLo, colHi-1))
+	colSeqs = unflatten(colFlat, s.Lens[colLo:colHi], fmt.Sprintf("transposed rank %d, reads %d…%d", g.Rank(g.Col, g.Row), colLo, colHi-1))
 	return rowSeqs, colSeqs
 }
 

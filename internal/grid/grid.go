@@ -13,6 +13,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 )
@@ -57,8 +58,46 @@ func isqrt(n int) int {
 func (g *Grid) Rank(i, j int) int { return i*g.Dim + j }
 
 // TransposedRank returns the world rank of the grid-transposed position,
-// the partner in the induced-subgraph point-to-point exchange.
+// the partner of Transposed.
 func (g *Grid) TransposedRank() int { return g.Rank(g.Col, g.Row) }
+
+// RowCol is the exchange of the paper's Figure 2 (collective): block goes to
+// every other rank of this grid row, so row is the row's blocks concatenated
+// in grid-column order, and row is then swapped with the transposed rank
+// (Transposed), so col is the row of grid row Col. For data block-distributed
+// over the world in rank order — reads, vectors — row covers this rank's
+// matrix row range and col its column range. Every message goes through the
+// chunked protocol, so none exceeds mpi.MaxMessageBytes (T must be
+// fixed-width). row never aliases block; on the diagonal col is row.
+func RowCol[T any](g *Grid, block []T) (row, col []T) {
+	rc := g.RowComm
+	tag := mpi.ReserveTag(rc)
+	p, me := rc.Size(), rc.Rank()
+	for off := 1; off < p; off++ {
+		mpi.SendChunked(rc, (me+off)%p, tag, block)
+	}
+	parts := make([][]T, p)
+	parts[me] = block
+	for off := 1; off < p; off++ {
+		src := (me - off + p) % p
+		parts[src] = mpi.RecvChunked[T](rc, src, tag)
+	}
+	row = slices.Concat(parts...)
+	return row, Transposed(g, row)
+}
+
+// Transposed swaps block with the rank at the transposed grid position
+// (collective) and returns the partner's block, chunked like RowCol. A
+// diagonal rank is its own partner and gets block back.
+func Transposed[T any](g *Grid, block []T) []T {
+	tag := mpi.ReserveTag(g.Comm) // on the diagonal too: tags follow the call order
+	if g.Row == g.Col {
+		return block
+	}
+	partner := g.TransposedRank()
+	mpi.SendChunked(g.Comm, partner, tag, block)
+	return mpi.RecvChunked[T](g.Comm, partner, tag)
+}
 
 // BlockRange splits n elements into parts balanced blocks and returns the
 // half-open range [lo, hi) of block idx.

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,5 +106,61 @@ func TestGridRequiresSquare(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected panic for non-square world")
+	}
+}
+
+// TestRowColAndTransposed drives the Figure 2 primitives on every rank's own
+// block (lengths 0..10, so some are empty, and at the lowered limit of eight
+// entries the longer blocks and most rows are split). Transposed must return the transposed rank's block, and a
+// diagonal rank its own block back; RowCol must return the blocks of grid
+// rows Row and Col concatenated in grid-column order. The calls run back to
+// back with collectives between them on both communicators they use, so a
+// tag reused across calls or a rank skipping one would cross-match or hang.
+func TestRowColAndTransposed(t *testing.T) {
+	blockOf := func(r, round int) []int32 {
+		b := make([]int32, (r*7+round)%11)
+		for k := range b {
+			b[k] = int32(1000*round + 100*r + k)
+		}
+		return b
+	}
+	for _, limit := range []int64{mpi.MaxMessageBytes, 32} {
+		for _, p := range []int{1, 4, 9, 16} {
+			t.Run(fmt.Sprintf("MaxMessageBytes=%d/P=%d", limit, p), func(t *testing.T) {
+				defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+				mpi.MaxMessageBytes = limit
+				err := mpi.Run(p, func(c *mpi.Comm) {
+					g := New(c)
+					rowOf := func(i, round int) []int32 {
+						var want []int32
+						for j := 0; j < g.Dim; j++ {
+							want = append(want, blockOf(g.Rank(i, j), round)...)
+						}
+						return want
+					}
+					for round := 0; round < 3; round++ {
+						mine := blockOf(c.Rank(), round)
+						got := Transposed(g, mine)
+						if !slices.Equal(got, blockOf(g.TransposedRank(), round)) {
+							panic(fmt.Sprintf("round %d: Transposed gave %v", round, got))
+						}
+						if g.Row == g.Col && len(mine) > 0 && &got[0] != &mine[0] {
+							panic("a diagonal rank did not get its own block back")
+						}
+						if mpi.Allreduce(c, 1, func(a, b int) int { return a + b }) != p {
+							panic("collective after Transposed mismatched")
+						}
+						row, col := RowCol(g, mine)
+						if !slices.Equal(row, rowOf(g.Row, round)) || !slices.Equal(col, rowOf(g.Col, round)) {
+							panic(fmt.Sprintf("round %d: RowCol gave %v / %v", round, row, col))
+						}
+						mpi.Barrier(g.RowComm)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -103,7 +103,7 @@ func (w *World) RunCtx(ctx context.Context, fn func(*Comm)) error {
 		return err
 	}
 	if ctx == nil || ctx.Done() == nil {
-		return w.runChecked(fn)
+		return w.Run(fn)
 	}
 	if err := ctx.Err(); err != nil {
 		w.Cancel(err)
@@ -119,23 +119,13 @@ func (w *World) RunCtx(ctx context.Context, fn func(*Comm)) error {
 		case <-stop:
 		}
 	}()
-	err := w.runChecked(fn)
+	err := w.Run(fn)
 	// Stand the watcher down and WAIT for it before deciding the outcome:
 	// a cancellation racing the final ranks must either be reported by this
 	// very call or not poison the world at all — never poison a snapshot
 	// whose RunCtx already returned success.
 	close(stop)
 	<-parked
-	if cerr := w.Err(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// runChecked is Run with the cancellation cause taking precedence over the
-// per-rank error report.
-func (w *World) runChecked(fn func(*Comm)) error {
-	err := w.Run(fn)
 	if cerr := w.Err(); cerr != nil {
 		return cerr
 	}

@@ -338,8 +338,10 @@ func TestConformanceCountersEqualAcrossTransports(t *testing.T) {
 // (returned as the received chunk itself), one element more (two chunks,
 // concatenated) — through all four entry points (AlltoallvChunked is
 // IAlltoallvChunked on a blocking rank). Every one must deliver the
-// same data with the same messages and bytes: one count message plus
-// ceil(n/MaxMessageBytes) chunks per pair, 8 + n bytes.
+// same data with the same messages and bytes: per pair, a buffer that fits
+// is one message of n bytes (n = 0 and 64: 12 messages at P = 4); a split
+// one is a count message plus ceil(n/MaxMessageBytes) chunks, 8 + n bytes
+// (n = 65: 36 messages, 876 bytes).
 func TestConformanceChunkedBoundary(t *testing.T) {
 	old := MaxMessageBytes
 	MaxMessageBytes = 64
@@ -394,8 +396,10 @@ func TestConformanceChunkedBoundary(t *testing.T) {
 						t.Fatal(err)
 					}
 					pairs := int64(p * (p - 1))
-					wantMsgs := pairs * int64(1+(n+63)/64)
-					wantBytes := pairs * int64(8+n)
+					wantMsgs, wantBytes := pairs, pairs*int64(n)
+					if n > 64 {
+						wantMsgs, wantBytes = pairs*int64(1+(n+63)/64), pairs*int64(8+n)
+					}
 					if w.TotalMsgs() != wantMsgs || w.TotalBytes() != wantBytes {
 						t.Fatalf("%d msgs / %d bytes, want %d / %d", w.TotalMsgs(), w.TotalBytes(), wantMsgs, wantBytes)
 					}
@@ -407,9 +411,10 @@ func TestConformanceChunkedBoundary(t *testing.T) {
 
 // TestConformanceChunkedRejectsBadStreams: the element count of a chunked
 // stream is the peer's word. A receiver must not allocate from it, and a
-// negative count, a stream that stops short (an empty chunk) or a chunk that
-// overruns the count must fail the world naming the sender — not panic in
-// makeslice, not be silently accepted.
+// count that is not positive (a buffer that fits is sent whole, so a split
+// one has elements), a stream that stops short (an empty chunk) or a chunk
+// that overruns the count must fail the world naming the sender — not panic
+// in makeslice, not be silently accepted.
 func TestConformanceChunkedRejectsBadStreams(t *testing.T) {
 	streams := []struct {
 		name string
@@ -417,6 +422,9 @@ func TestConformanceChunkedRejectsBadStreams(t *testing.T) {
 	}{
 		{"negative-count", func(c *Comm, tag int64) {
 			SendOne(c, 1, tag, int64(-5))
+		}},
+		{"zero-count", func(c *Comm, tag int64) {
+			SendOne(c, 1, tag, int64(0))
 		}},
 		{"huge-count-short-stream", func(c *Comm, tag int64) {
 			SendOne(c, 1, tag, int64(1)<<60)

@@ -611,6 +611,16 @@ func mustUnmarshal[T any](frame []byte) []T {
 	return v
 }
 
+// mustUnmarshalOwned is mustUnmarshal for a frame this receiver alone owns
+// (see wire.UnmarshalOwned).
+func mustUnmarshalOwned[T any](frame []byte) []T {
+	v, err := wire.UnmarshalOwned[T](frame)
+	if err != nil {
+		panic(fmt.Sprintf("mpi: recv type mismatch: %v", err))
+	}
+	return v
+}
+
 func mustUnmarshalOne[T any](frame []byte) T {
 	v, err := wire.UnmarshalOne[T](frame)
 	if err != nil {
@@ -644,25 +654,26 @@ func RecvOne[T any](c *Comm, src int, tag int64) T {
 	return mustUnmarshalOne[T](c.recvRaw(src, tag))
 }
 
-// SendChunked splits data into MaxMessageBytes-sized chunks, mirroring how
-// ELBA works around the MPI 2^31-1 count limit for read-sequence buffers.
-// The element count is sent first; every chunk but the last is full. Chunks
-// are sized by the codec's wire width of T, so T must be fixed-width: a
-// variable-width T (a string, a slice, a struct holding one) panics naming
-// the type before anything is sent.
+// SendChunked sends data under the MaxMessageBytes limit, mirroring how ELBA
+// works around the MPI 2^31-1 count limit for read-sequence buffers. A buffer
+// that fits is the one slice frame Send would send; a larger one is split:
+// its element count goes first, as a one-value int64 frame, then the chunks,
+// every one but the last full. Chunks are sized by the codec's wire width of
+// T, so T must be fixed-width: a variable-width T (a string, a slice, a
+// struct holding one) panics naming the type before anything is sent.
 func SendChunked[T any](c *Comm, dst int, tag int64, data []T) {
 	w := int64(wire.Width[T]())
 	if w < 0 {
 		panic(fmt.Sprintf("mpi: SendChunked of %s: a variable-width element has no chunk size", reflect.TypeFor[T]()))
 	}
 	maxElems := max(int(MaxMessageBytes/max(w, 1)), 1)
+	if len(data) <= maxElems {
+		Send(c, dst, tag, data)
+		return
+	}
 	SendOne(c, dst, tag, int64(len(data)))
 	for off := 0; off < len(data); off += maxElems {
-		end := off + maxElems
-		if end > len(data) {
-			end = len(data)
-		}
-		Send(c, dst, tag, data[off:end])
+		Send(c, dst, tag, data[off:min(off+maxElems, len(data))])
 	}
 }
 
@@ -689,40 +700,40 @@ func (b ByteBuf) Bytes() []byte { return b.payload }
 // buffer that fits one message travels as the frame it already is; a larger
 // one is chunked, and so re-encoded, like any other.
 func sendChunkedBuf(c *Comm, dst int, tag int64, b ByteBuf) {
-	n := int64(len(b.payload))
-	if n == 0 || n > MaxMessageBytes {
-		SendChunked(c, dst, tag, b.payload)
+	if n := int64(len(b.payload)); n <= MaxMessageBytes {
+		c.sendRaw(dst, tag, b.frame, n)
 		return
 	}
-	SendOne(c, dst, tag, n)
-	c.sendRaw(dst, tag, b.frame, n)
+	SendChunked(c, dst, tag, b.payload)
 }
 
-// RecvChunked receives a buffer sent with SendChunked. A buffer that arrived
-// as one chunk — every buffer under MaxMessageBytes — is returned as decoded,
-// with no second copy; a []byte buffer is then a view of the received frame,
-// which this receiver alone owns (a point-to-point frame is dropped by its
-// sender at Send and matched once; see DESIGN.md, "one owner per frame").
+// RecvChunked receives a buffer sent with SendChunked. A buffer that fit one
+// message is returned as decoded, with no second copy; a []byte buffer is
+// then a view of the received frame, which this receiver alone owns (a
+// point-to-point frame is dropped by its sender at Send and matched once; see
+// DESIGN.md, "one owner per frame").
 func RecvChunked[T any](c *Comm, src int, tag int64) []T {
 	return recvChunked[T](c, src, tag, armedNow)
 }
 
-// recvChunked is the body RecvChunked and IrecvChunked share. The announced
-// count comes from the peer, so nothing is allocated from it: the result
-// grows as chunks arrive, and a negative count, an empty chunk (a stream
-// that stopped short) or a chunk overrunning the count fails the world with
-// src named as the failed rank.
+// recvChunked is the body RecvChunked and IrecvChunked share. The first frame
+// is either the whole buffer or, as its kind tells, the element count of a
+// split one. That count comes from the peer, so nothing is allocated from it:
+// the result grows as chunks arrive, and a count that is not positive, an
+// empty chunk (a stream that stopped short) or a chunk overrunning the count
+// fails the world with src named as the failed rank.
 func recvChunked[T any](c *Comm, src int, tag int64, armed <-chan struct{}) []T {
-	n := mustUnmarshalOne[int64](c.recvRawArmed(src, tag, armed))
-	if n < 0 {
+	frame := c.recvRawArmed(src, tag, armed)
+	if !wire.IsOne(frame) {
+		return mustUnmarshalOwned[T](frame)
+	}
+	n := mustUnmarshalOne[int64](frame)
+	if n <= 0 {
 		c.failPeer(src, fmt.Errorf("mpi: chunked stream (tag %d) announces %d elements", tag, n))
 	}
-	out := []T{}
+	var out []T
 	for got := int64(0); got < n; got = int64(len(out)) {
-		chunk, err := wire.UnmarshalOwned[T](c.recvRawArmed(src, tag, armed))
-		if err != nil {
-			panic(fmt.Sprintf("mpi: recv type mismatch: %v", err))
-		}
+		chunk := mustUnmarshalOwned[T](c.recvRawArmed(src, tag, armed))
 		if len(chunk) == 0 || got+int64(len(chunk)) > n {
 			c.failPeer(src, fmt.Errorf("mpi: chunked stream (tag %d) sent a chunk of %d elements with %d of %d outstanding",
 				tag, len(chunk), n-got, n))

@@ -63,8 +63,9 @@ type Request interface {
 
 // ReserveTag consumes one communicator sequence number and returns it as a
 // tag. SPMD programs calling it in the same order on every rank obtain
-// matching tags without coordination — the hook for hand-rolled nonblocking
-// exchanges (post Irecvs, pack, Isend) like the k-mer exchange.
+// matching tags without coordination — the hook for hand-rolled exchanges,
+// nonblocking (post Irecvs, pack, Isend) like the k-mer exchange or blocking
+// like the grid's Figure 2 exchange.
 func ReserveTag(c *Comm) int64 {
 	return collTag(c)
 }

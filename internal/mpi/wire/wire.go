@@ -264,6 +264,10 @@ func UnmarshalOne[T any](frame []byte) (T, error) {
 	return v, err
 }
 
+// IsOne reports whether frame is a single-value frame (MarshalOne), which a
+// receiver expecting either kind tells from a slice frame before decoding.
+func IsOne(frame []byte) bool { return len(frame) >= headerLen && frame[1] == kindOne }
+
 // DataLen reports the element-payload bytes of a frame: its length minus the
 // header and count prefix. This is the number the mpi traffic counters
 // charge per message.

@@ -67,8 +67,8 @@ func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T
 // no sort. One stable counting scatter by column turns that into the
 // canonical column-major A block; the Aᵀ block of rank (i, j) is the
 // row-major A block of the transposed rank (j, i) with Row and Col relabelled
-// — already column-major — so it arrives with one pairwise exchange (none on
-// the diagonal). Row range, column range, strict order and therefore
+// — already column-major — so it arrives with one grid.Transposed swap (none
+// on the diagonal). Row range, column range, strict order and therefore
 // duplicates are checked on the input and on both received blocks; a
 // violation panics. Both exchanges go through the chunked protocol, so no
 // message exceeds mpi.MaxMessageBytes however large a block is (T must be
@@ -90,13 +90,10 @@ func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *D
 	}
 	a.Local.Ts = columnMajor(rows, a.ColLo, a.ColHi)
 
+	rows = grid.Transposed(g, rows)
 	if g.Row != g.Col {
-		partner := g.TransposedRank()
-		const tag = 0x51e // private tag for this exchange pattern
-		mpi.SendChunked(g.Comm, partner, tag, rows)
-		rows = mpi.RecvChunked[Triple[T]](g.Comm, partner, tag)
 		if err := CheckRowMajor(rows, at.ColLo, at.ColHi, at.RowLo, at.RowHi); err != nil {
-			panic(fmt.Sprintf("spmat: FromRowMajor block of transposed rank %d: %v", partner, err))
+			panic(fmt.Sprintf("spmat: FromRowMajor block of transposed rank %d: %v", g.Rank(g.Col, g.Row), err))
 		}
 	}
 	for i := range rows {
@@ -466,25 +463,12 @@ func (v *DistVec[T]) AllgatherFull() []T {
 	return flat
 }
 
-// RowColGather implements the Figure 2 exchange for a square-matrix-aligned
-// vector: an Allgatherv over the row communicator yields the entries for
-// this rank's row range; a point-to-point exchange with the transposed rank
-// then yields the entries for the column range (diagonal ranks already have
-// them). Returned slices are indexed from RowLo / ColLo of an NxN matrix
-// with N = v.N.
+// RowColGather is the Figure 2 exchange (grid.RowCol) of a
+// square-matrix-aligned vector: the entries of this rank's row range, then
+// those of its column range, indexed from RowLo / ColLo of an NxN matrix
+// with N = v.N. Both are chunked; on the diagonal they are one slice.
 func (v *DistVec[T]) RowColGather() (rowVals, colVals []T) {
-	g := v.G
-	rowVals, _ = mpi.AllgathervFlat(g.RowComm, v.Local)
-	if g.Row == g.Col {
-		colVals = make([]T, len(rowVals))
-		copy(colVals, rowVals)
-		return rowVals, colVals
-	}
-	partner := g.TransposedRank()
-	const tag = 0x51d // private tag for this exchange pattern
-	mpi.Send(g.Comm, partner, tag, rowVals)
-	colVals = mpi.Recv[T](g.Comm, partner, tag)
-	return rowVals, colVals
+	return grid.RowCol(v.G, v.Local)
 }
 
 // route is the counting pass of every owner-routed exchange in this package:

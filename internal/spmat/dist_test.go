@@ -287,18 +287,18 @@ func TestAddMerges(t *testing.T) {
 	})
 }
 
+// TestDistVecFullAndRowCol checks AllgatherFull and RowColGather against the
+// global vector on every grid size, and RowColGather again with
+// mpi.MaxMessageBytes at 64 bytes (eight entries) at P 4 and 9, where every
+// row block and every swap needs several chunks.
 func TestDistVecFullAndRowCol(t *testing.T) {
 	n := 35
 	full := make([]int64, n)
 	for i := range full {
 		full[i] = int64(i * i)
 	}
-	runGrid(t, func(g *grid.Grid) {
-		v := VecFromGlobal(g, full)
-		if !reflect.DeepEqual(v.AllgatherFull(), full) {
-			panic("allgather full wrong")
-		}
-		rowVals, colVals := v.RowColGather()
+	checkRowCol := func(g *grid.Grid) {
+		rowVals, colVals := VecFromGlobal(g, full).RowColGather()
 		rlo, rhi := g.MyRowRange(n)
 		if len(rowVals) != rhi-rlo {
 			panic("row span wrong")
@@ -315,6 +315,21 @@ func TestDistVecFullAndRowCol(t *testing.T) {
 		for i, val := range colVals {
 			if val != full[clo+i] {
 				panic("col value wrong")
+			}
+		}
+	}
+	runGrid(t, func(g *grid.Grid) {
+		if !reflect.DeepEqual(VecFromGlobal(g, full).AllgatherFull(), full) {
+			panic("allgather full wrong")
+		}
+		checkRowCol(g)
+	})
+	t.Run("MaxMessageBytes=64", func(t *testing.T) {
+		defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+		mpi.MaxMessageBytes = 64
+		for _, p := range []int{4, 9} {
+			if err := mpi.Run(p, func(c *mpi.Comm) { checkRowCol(grid.New(c)) }); err != nil {
+				t.Fatalf("P=%d: %v", p, err)
 			}
 		}
 	})
