@@ -42,7 +42,7 @@
 // computation through internal/mpi's nonblocking layer
 // (Isend/Irecv/Request, IBcast, IAlltoallv): the SUMMA SpGEMM
 // prefetches the next round's panels while multiplying, the k-mer exchange
-// posts receives before packing sends, and contig generation pipelines the
+// drains while owners size count tables, and contig generation pipelines the
 // read-sequence exchange against edge routing and the DFS walks. Every
 // stage's traffic splits into comm_overlap vs comm_exposed counters feeding
 // the perfmodel overlap term. Contig output is bit-identical for every

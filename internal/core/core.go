@@ -408,7 +408,7 @@ func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 			words[r], okLocal = dna.PackAll(seqs)
 		}
 		if mpi.Allreduce(g.Comm, okLocal, func(a, b bool) bool { return a && b }) {
-			h.packReq = mpi.IAlltoallvChunked(g.Comm, words)
+			h.packReq = mpi.IAlltoallv(g.Comm, words)
 			return h
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -385,6 +386,49 @@ func TestInducedSubgraphFigure2(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInducedSubgraphChunked: at P 4 and 9 with mpi.MaxMessageBytes at 64
+// bytes, where the edge routing's parts need several chunks, every rank
+// receives the same local graph as in the unlimited run.
+func TestInducedSubgraphChunked(t *testing.T) {
+	n := int32(60)
+	// One path 0–1–…–59, cut into four contigs of 15 vertices each.
+	var ts []spmat.Triple[bidir.Edge]
+	for i := int32(0); i+1 < n; i++ {
+		ts = append(ts, spmat.Triple[bidir.Edge]{Row: i, Col: i + 1, Val: bidir.Edge{Suf: i}},
+			spmat.Triple[bidir.Edge]{Row: i + 1, Col: i, Val: bidir.Edge{Suf: -i}})
+	}
+	defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+	unlimited := mpi.MaxMessageBytes
+	for _, p := range []int{4, 9} {
+		mpi.MaxMessageBytes = unlimited
+		run := func() []*LocalGraph {
+			out := make([]*LocalGraph, p)
+			err := mpi.Run(p, func(c *mpi.Comm) {
+				g := grid.New(c)
+				full := make([]int32, n)
+				for i := range full {
+					full[i] = int32(i/15) * int32(p-1) / 3 // contig d on rank d·(P−1)/3
+				}
+				out[c.Rank()] = InducedSubgraph(spmat.FromGlobalTriples(g, n, n, ts, nil), spmat.VecFromGlobal(g, full))
+			})
+			if err != nil {
+				t.Fatalf("P=%d MaxMessageBytes=%d: %v", p, mpi.MaxMessageBytes, err)
+			}
+			return out
+		}
+		want := run()
+		for d := range 4 {
+			if lg := want[d*(p-1)/3]; len(lg.Globals) != 15 || len(lg.CSC.IR) != 28 {
+				t.Fatalf("P=%d: contig %d arrived as %d vertices, %d edges; want 15, 28", p, d, len(lg.Globals), len(lg.CSC.IR))
+			}
+		}
+		mpi.MaxMessageBytes = 64
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("P=%d: local graphs under the limit differ from the unlimited run", p)
+		}
 	}
 }
 

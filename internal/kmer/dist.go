@@ -52,27 +52,16 @@ type Result struct {
 // because every read is extracted into its own span of the stream, fixed
 // before the scan from the reads' window counts, and routed in read order.
 //
-// The exchanges are nonblocking: receives for Alltoallv #1 are posted before
-// the extraction scan and the packing loop even start, so (on a rank not in
-// blocking mode) remote k-mer words land while this rank is still
-// packing, and the owner-side admission pass of step 2 consumes each incoming
-// part as it arrives instead of blocking for the full exchange (the exact
-// tally runs over the retained parts in rank order). Counts, column ids,
-// triples, and byte/message counters do not depend on the rank's mode.
+// Both exchanges are one mpi.IAlltoallv each, so every message honours
+// mpi.MaxMessageBytes and the rank's own part is handed over, not copied.
+// Alltoallv #1 is posted as soon as the stream is routed; the rank sizes its
+// count table while the parts are in flight (on a rank not in blocking
+// mode). Counts, column ids, triples, and byte/message counters do not
+// depend on the rank's mode.
 func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) *Result {
 	c := store.Comm
 	p := c.Size()
 	checkK(k)
-
-	// Post all receives up front (the overlap schedule: the matching sends are
-	// buffered, so every transfer can complete while this rank is extracting
-	// and packing).
-	tag := mpi.ReserveTag(c)
-	pending := make([]*mpi.RecvRequest[uint64], p)
-	for off := 1; off < p; off++ {
-		src := (c.Rank() - off + p) % p
-		pending[src] = mpi.Irecv[uint64](c, src, tag)
-	}
 
 	// 1. Extract (in parallel, each read into its span of the stream) and
 	// route (serially, in read order — the wire layout is deterministic).
@@ -80,32 +69,25 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	pool.SetTrace(c.Lane(), "kmer.extract")
 	s := extract(pool, store.Seqs, k)
 	sendKmers := s.route(p)
-
-	// 2. Count and select on owners. Phase 1 (admission) streams: it observes
-	// the local part first, then each remote part in rank order as its posted
-	// receive drains — admission of part r overlaps the transfer of parts
-	// after r. Phase 2 (the exact tally) runs over the retained parts in rank
-	// order, so stored counts never depend on the arrival schedule.
 	var occ int64
 	for _, part := range sendKmers {
 		occ += int64(len(part))
 	}
-	// The rank's own outgoing total is the sizing proxy for what it will
-	// receive: the k-mer hash spreads occurrences uniformly across owners.
+	req := mpi.IAlltoallv(c, sendKmers)
+
+	// 2. Count and select on owners. Phase 1 (admission) observes the local
+	// part first, then each remote part in rank order; phase 2 (the exact
+	// tally) runs over the parts in rank order, so stored counts never depend
+	// on the arrival schedule. The rank's own outgoing total is the sizing
+	// proxy for what it receives: the k-mer hash spreads occurrences
+	// uniformly across owners.
 	cnt := newCounter(low, int(occ))
-	recvKmers := make([][]uint64, p)
-	for off := 1; off < p; off++ {
-		dst := (c.Rank() + off) % p
-		mpi.Isend(c, dst, tag, sendKmers[dst]).Wait()
-	}
-	recvKmers[c.Rank()] = sendKmers[c.Rank()]
+	recvKmers := req.WaitValue()
 	cnt.observe(recvKmers[c.Rank()])
-	for src := 0; src < p; src++ {
-		if pending[src] == nil {
-			continue
+	for src, part := range recvKmers {
+		if src != c.Rank() {
+			cnt.observe(part)
 		}
-		recvKmers[src] = pending[src].WaitValue()
-		cnt.observe(recvKmers[src])
 	}
 	reply := make([][]int32, p)
 	for r, part := range recvKmers {

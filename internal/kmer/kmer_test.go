@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -281,43 +282,50 @@ func tripleKmer(seq []byte, tr ATriple, k int) Kmer {
 // offset_o the count of reliable k-mers on owners below o, in order of first
 // appearance along the reads — global read order, then extraction order. The
 // numbering, and with it every triple, is the same on every P for thread
-// counts 1 and 3 and on blocking and nonblocking ranks.
+// counts 1 and 3, on blocking and nonblocking ranks, and at P 4 and 9 with
+// mpi.MaxMessageBytes at 64 bytes, where every part of both exchanges needs
+// several chunks.
 func TestColumnIDsFollowFirstOccurrence(t *testing.T) {
 	g := readsim.Genome(readsim.GenomeConfig{Length: 5000, Seed: 81})
 	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 7, MeanLen: 450, ErrorRate: 0.01, Seed: 82}))
 	k, low, high := 15, int32(2), int32(40)
 	nReliable := len(SelectReliable(CountSerial(reads, k), low, high))
+	defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+	unlimited := mpi.MaxMessageBytes
 	for _, p := range []int{1, 4, 9} {
 		// The reference numbering: owner ranges first, then first appearance.
 		want := firstAppearanceColumns(reads, k, low, high, p)
 		var first []ATriple
-		for _, threads := range []int{1, 3} {
-			for _, async := range []bool{false, true} {
-				var triples []ATriple
-				err := mpi.Run(p, func(c *mpi.Comm) {
-					store := fasta.FromGlobal(c, reads)
-					var res *Result
-					mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, low, high, threads) })
-					if res.NumCols != nReliable {
-						panic(fmt.Sprintf("%d columns, want %d", res.NumCols, nReliable))
-					}
-					for _, tr := range res.Triples {
-						if km := tripleKmer(store.Get(int(tr.Row)), tr, k); tr.Col != want[km] {
-							panic(fmt.Sprintf("read %d k-mer %d has column %d, want %d", tr.Row, km, tr.Col, want[km]))
+		for _, limit := range []int64{unlimited, 64} {
+			if limit < unlimited && p == 1 {
+				continue // one rank sends nothing
+			}
+			mpi.MaxMessageBytes = limit
+			for _, threads := range []int{1, 3} {
+				for _, async := range []bool{false, true} {
+					perRank := make([][]ATriple, p)
+					err := mpi.Run(p, func(c *mpi.Comm) {
+						store := fasta.FromGlobal(c, reads)
+						var res *Result
+						mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, low, high, threads) })
+						if res.NumCols != nReliable {
+							panic(fmt.Sprintf("%d columns, want %d", res.NumCols, nReliable))
 						}
+						for _, tr := range res.Triples {
+							if km := tripleKmer(store.Get(int(tr.Row)), tr, k); tr.Col != want[km] {
+								panic(fmt.Sprintf("read %d k-mer %d has column %d, want %d", tr.Row, km, tr.Col, want[km]))
+							}
+						}
+						perRank[c.Rank()] = res.Triples
+					})
+					if err != nil {
+						t.Fatalf("P=%d limit=%d threads=%d async=%v: %v", p, limit, threads, async, err)
 					}
-					all, _ := mpi.AllgathervFlat(c, res.Triples)
-					if c.Rank() == 0 {
-						triples = all
+					if triples := slices.Concat(perRank...); first == nil {
+						first = triples
+					} else if !reflect.DeepEqual(triples, first) {
+						t.Fatalf("P=%d limit=%d threads=%d async=%v: triples differ from the unlimited threads=1 blocking run", p, limit, threads, async)
 					}
-				})
-				if err != nil {
-					t.Fatalf("P=%d threads=%d async=%v: %v", p, threads, async, err)
-				}
-				if first == nil {
-					first = triples
-				} else if !reflect.DeepEqual(triples, first) {
-					t.Fatalf("P=%d threads=%d async=%v: triples differ from threads=1 blocking", p, threads, async)
 				}
 			}
 		}

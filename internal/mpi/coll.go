@@ -5,7 +5,11 @@ package mpi
 // MPI matching rule); each call consumes one sequence number that becomes
 // the message tag, so back-to-back collectives never cross-match.
 
-import "repro/internal/mpi/wire"
+import (
+	"fmt"
+
+	"repro/internal/mpi/wire"
+)
 
 // collTag derives the private tag for one collective call.
 func collTag(c *Comm) int64 {
@@ -173,60 +177,56 @@ func AllgathervFlat[T any](c *Comm, local []T) ([]T, []int) {
 
 // Alltoallv sends send[r] to rank r and returns recv where recv[r] came from
 // rank r. This is the paper's "custom all-to-all" used to redistribute
-// matrix triples and read sequences.
+// matrix triples and read sequences. Its contract is the one all four
+// all-to-alls keep:
+//   - every pairwise message goes through the chunked protocol (SendChunked,
+//     RecvChunked), so none exceeds MaxMessageBytes however large a part is,
+//     and a part that fits is the one message Send would send; T must be
+//     fixed-width;
+//   - passing send gives its buffers away: recv[c.Rank()] is send[c.Rank()]
+//     itself, not a copy, so the caller must not write any send buffer
+//     afterwards.
 func Alltoallv[T any](c *Comm, send [][]T) [][]T {
-	tag := collTag(c)
-	p := c.Size()
-	if len(send) != p {
-		panic("mpi: Alltoallv needs one slice per rank")
-	}
-	recv := make([][]T, p)
-	cp := make([]T, len(send[c.rank]))
-	copy(cp, send[c.rank])
-	recv[c.rank] = cp
-	// Pairwise exchange schedule; posts sends first, so it cannot deadlock
-	// with buffered semantics.
-	for off := 1; off < p; off++ {
-		dst := (c.rank + off) % p
-		Send(c, dst, tag, send[dst])
-	}
-	for off := 1; off < p; off++ {
-		src := (c.rank - off + p) % p
-		recv[src] = Recv[T](c, src, tag)
-	}
-	return recv
+	checkParts(c, len(send), "Alltoallv")
+	return alltoallv(c, send[c.rank], func(c *Comm, dst int, tag int64) {
+		SendChunked(c, dst, tag, send[dst])
+	})
 }
 
-// AlltoallvBytes is the all-to-all for potentially huge byte buffers the
-// caller packed in place and gives away (see ByteBuf): every pairwise message
-// honours MaxMessageBytes via the chunked protocol, mirroring ELBA's handling
-// of the MPI 2^31-1 count limit for read sequences, with no copy of a buffer
-// into a frame or of the caller's own into recv.
+// AlltoallvBytes is Alltoallv for potentially huge byte buffers the caller
+// packed in place and gives away (see ByteBuf), with no copy of a buffer into
+// a frame or of the caller's own into recv.
 func AlltoallvBytes(c *Comm, send []ByteBuf) [][]byte {
-	p := c.Size()
-	if len(send) != p {
-		panic("mpi: AlltoallvBytes needs one buffer per rank")
-	}
-	tag := collTag(c)
-	recv := make([][]byte, p)
-	recv[c.rank] = send[c.rank].payload
-	for off := 1; off < p; off++ {
-		dst := (c.rank + off) % p
+	checkParts(c, len(send), "AlltoallvBytes")
+	return alltoallv(c, send[c.rank].payload, func(c *Comm, dst int, tag int64) {
 		sendChunkedBuf(c, dst, tag, send[dst])
+	})
+}
+
+// alltoallv is the pairwise loop of the blocking all-to-alls, shaped like
+// iAlltoallv: self is the caller's own part of the result, and sendTo ships
+// the part for dst, chunked. Every send goes first — sends are buffered, so
+// the schedule cannot deadlock — then every receive.
+func alltoallv[T any](c *Comm, self []T, sendTo func(c *Comm, dst int, tag int64)) [][]T {
+	tag := collTag(c)
+	p := c.Size()
+	recv := make([][]T, p)
+	recv[c.rank] = self
+	for off := 1; off < p; off++ {
+		sendTo(c, (c.rank+off)%p, tag)
 	}
 	for off := 1; off < p; off++ {
 		src := (c.rank - off + p) % p
-		recv[src] = RecvChunked[byte](c, src, tag)
+		recv[src] = RecvChunked[T](c, src, tag)
 	}
 	return recv
 }
 
-// ownCopy is the caller's own part of an all-to-all result: a copy, never nil,
-// so the result aliases no send buffer.
-func ownCopy[T any](part []T) []T {
-	cp := make([]T, len(part))
-	copy(cp, part)
-	return cp
+// checkParts panics unless an all-to-all was handed one part per rank.
+func checkParts(c *Comm, n int, op string) {
+	if n != c.Size() {
+		panic(fmt.Sprintf("mpi: %s needs one part per rank, got %d for %d ranks", op, n, c.Size()))
+	}
 }
 
 // Reduce folds one value per rank with op at root (op must be associative
@@ -300,10 +300,11 @@ func AllreduceSlice[T any](c *Comm, vals []T, op func(T, T) T) []T {
 // scatters block r to rank r: rank i passes contrib[r] destined for rank r,
 // and receives op-folded contrib_allranks[i] (op must be associative and
 // commutative). This is the paper's MPI_Reduce_scatter; package spmat's row
-// reductions call it.
+// reductions call it. Like Alltoallv it takes contrib: the result is folded
+// into contrib[c.Rank()] in place.
 func ReduceScatterBlocks[T any](c *Comm, contrib [][]T, op func(T, T) T) []T {
 	parts := Alltoallv(c, contrib)
-	acc := parts[c.rank] // Alltoallv's own copy
+	acc := parts[c.rank] // contrib[c.rank], given away
 	for r, p := range parts {
 		if len(p) != len(acc) {
 			panic("mpi: ReduceScatterBlocks block length mismatch")

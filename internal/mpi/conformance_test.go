@@ -158,7 +158,7 @@ func TestConformanceChunkedHonoursLimit(t *testing.T) {
 				}
 				send[r] = buf
 			}
-			recv := blockingAlltoallvChunked(c, send)
+			recv := Alltoallv(c, send)
 			for r := 0; r < p; r++ {
 				want := make([]byte, 300+c.Rank()*17)
 				for i := range want {
@@ -336,8 +336,9 @@ func TestConformanceCountersEqualAcrossTransports(t *testing.T) {
 // TestConformanceChunkedBoundary drives the chunked byte exchange at the
 // sizes where its receive path changes — empty, exactly one full message
 // (returned as the received chunk itself), one element more (two chunks,
-// concatenated) — through all four entry points (AlltoallvChunked is
-// IAlltoallvChunked on a blocking rank). Every one must deliver the
+// concatenated) — through all four all-to-alls (the rows named
+// AlltoallvChunked and IAlltoallvChunked drive Alltoallv and IAlltoallv over
+// plain []byte parts). Every one must deliver the
 // same data with the same messages and bytes: per pair, a buffer that fits
 // is one message of n bytes (n = 0 and 64: 12 messages at P = 4); a split
 // one is a count message plus ceil(n/MaxMessageBytes) chunks, 8 + n bytes
@@ -371,8 +372,8 @@ func TestConformanceChunkedBoundary(t *testing.T) {
 		name string
 		run  func(c *Comm, n int) [][]byte
 	}{
-		{"AlltoallvChunked", func(c *Comm, n int) [][]byte { return blockingAlltoallvChunked(c, plain(c, n)) }},
-		{"IAlltoallvChunked", func(c *Comm, n int) [][]byte { return IAlltoallvChunked(c, plain(c, n)).WaitValue() }},
+		{"AlltoallvChunked", func(c *Comm, n int) [][]byte { return Alltoallv(c, plain(c, n)) }},
+		{"IAlltoallvChunked", func(c *Comm, n int) [][]byte { return IAlltoallv(c, plain(c, n)).WaitValue() }},
 		{"AlltoallvBytes", func(c *Comm, n int) [][]byte { return AlltoallvBytes(c, packed(c, n)) }},
 		{"IAlltoallvBytes", func(c *Comm, n int) [][]byte { return IAlltoallvBytes(c, packed(c, n)).WaitValue() }},
 	}

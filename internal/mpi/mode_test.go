@@ -78,7 +78,7 @@ var modeOps = []struct {
 				send[dst][i] = uint64(c.Rank()<<16 | dst<<8 | i)
 			}
 		}
-		req := IAlltoallvChunked(c, send)
+		req := IAlltoallv(c, send)
 		done := req.Done() && c.Size() > 1
 		return done, req.WaitValue()
 	}},

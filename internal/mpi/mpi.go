@@ -24,6 +24,12 @@
 // blocking execution a per-rank mode of its requests (SetBlocking),
 // cooperative cancellation (see cancel.go), and a recv deadlock watchdog.
 //
+// The four all-to-alls (Alltoallv, AlltoallvBytes, IAlltoallv,
+// IAlltoallvBytes) keep one contract: every pairwise message goes through the
+// chunked protocol (SendChunked, RecvChunked), so none exceeds
+// MaxMessageBytes, and passing send buffers gives them away — the result's
+// own part is the caller's send buffer itself, as with a ByteBuf.
+//
 // Because every payload is encoded at send and decoded at receive, a rank
 // can never observe another rank's memory — algorithmic errors (reading a
 // vector entry the rank does not own) fail in tests the same way they would

@@ -319,9 +319,9 @@ func (r *AlltoallvRequest[T]) WaitValue() [][]T {
 // iAlltoallv is the shared body of the nonblocking all-to-alls: post all
 // receives first, then send (sends are buffered, so they complete at post
 // time); the request finishes when the posted receives drain. self is the
-// caller's own part of the result; sendTo ships the part for dst on the
-// async view it is handed.
-func iAlltoallv[T any](c *Comm, chunked bool, self []T, sendTo func(ac *Comm, dst int, tag int64)) *AlltoallvRequest[T] {
+// caller's own part of the result; sendTo ships the part for dst, chunked,
+// on the async view it is handed.
+func iAlltoallv[T any](c *Comm, self []T, sendTo func(ac *Comm, dst int, tag int64)) *AlltoallvRequest[T] {
 	tag := collTag(c)
 	p := c.Size()
 	r := &AlltoallvRequest[T]{recvs: make([]*RecvRequest[T], p), out: make([][]T, p)}
@@ -329,11 +329,7 @@ func iAlltoallv[T any](c *Comm, chunked bool, self []T, sendTo func(ac *Comm, ds
 	// schedule: remote data can land while this rank is still sending.
 	for off := 1; off < p; off++ {
 		src := (c.rank - off + p) % p
-		if chunked {
-			r.recvs[src] = IrecvChunked[T](c, src, tag)
-		} else {
-			r.recvs[src] = Irecv[T](c, src, tag)
-		}
+		r.recvs[src] = IrecvChunked[T](c, src, tag)
 	}
 	r.out[c.rank] = self
 	ac := c.asyncView()
@@ -345,35 +341,20 @@ func iAlltoallv[T any](c *Comm, chunked bool, self []T, sendTo func(ac *Comm, ds
 
 // IAlltoallv starts a nonblocking Alltoallv (collective). All sends complete
 // at post time; Wait returns when every pairwise receive has drained. Wire
-// shape and counters are identical to the blocking Alltoallv.
+// shape, counters and contract (chunked messages, send buffers given away)
+// are the blocking Alltoallv's.
 func IAlltoallv[T any](c *Comm, send [][]T) *AlltoallvRequest[T] {
-	if len(send) != c.Size() {
-		panic("mpi: IAlltoallv needs one slice per rank")
-	}
-	return iAlltoallv(c, false, ownCopy(send[c.rank]), func(ac *Comm, dst int, tag int64) {
-		Send(ac, dst, tag, send[dst])
-	})
-}
-
-// IAlltoallvChunked is IAlltoallv with every pairwise message honouring
-// MaxMessageBytes via the chunked wire protocol — the nonblocking form of
-// the paper's read-sequence exchange.
-func IAlltoallvChunked[T any](c *Comm, send [][]T) *AlltoallvRequest[T] {
-	if len(send) != c.Size() {
-		panic("mpi: IAlltoallvChunked needs one slice per rank")
-	}
-	return iAlltoallv(c, true, ownCopy(send[c.rank]), func(ac *Comm, dst int, tag int64) {
+	checkParts(c, len(send), "IAlltoallv")
+	return iAlltoallv(c, send[c.rank], func(ac *Comm, dst int, tag int64) {
 		SendChunked(ac, dst, tag, send[dst])
 	})
 }
 
-// IAlltoallvBytes is the nonblocking AlltoallvBytes: IAlltoallvChunked[byte]
-// over buffers the caller packed in place and gives away (see ByteBuf).
+// IAlltoallvBytes is the nonblocking AlltoallvBytes: IAlltoallv[byte] over
+// buffers the caller packed in place (see ByteBuf).
 func IAlltoallvBytes(c *Comm, send []ByteBuf) *AlltoallvRequest[byte] {
-	if len(send) != c.Size() {
-		panic("mpi: IAlltoallvBytes needs one buffer per rank")
-	}
-	return iAlltoallv(c, true, send[c.rank].payload, func(ac *Comm, dst int, tag int64) {
+	checkParts(c, len(send), "IAlltoallvBytes")
+	return iAlltoallv(c, send[c.rank].payload, func(ac *Comm, dst int, tag int64) {
 		sendChunkedBuf(ac, dst, tag, send[dst])
 	})
 }

@@ -285,7 +285,7 @@ func TestIAlltoallvChunkedHonoursLimit(t *testing.T) {
 				send[dst] = append(send[dst], int64(c.Rank()*1000+dst*100+k))
 			}
 		}
-		got := IAlltoallvChunked(c, send).WaitValue()
+		got := IAlltoallv(c, send).WaitValue()
 		for src := 0; src < p; src++ {
 			for k := 0; k < 40; k++ {
 				if got[src][k] != int64(src*1000+c.Rank()*100+k) {
@@ -326,7 +326,9 @@ func TestInflightAccountingDrainsToZero(t *testing.T) {
 
 func TestAlltoallvZeroLengthAndSelfOnly(t *testing.T) {
 	// Blocking collective edge cases: every segment empty, and traffic only
-	// to self — both must round-trip without deadlock in both modes.
+	// to self — both must round-trip without deadlock in both modes, and the
+	// self segment is given away: the result's own part is the send buffer
+	// itself, not a copy.
 	for _, async := range []bool{false, true} {
 		err := Run(3, func(c *Comm) {
 			p := c.Size()
@@ -351,6 +353,9 @@ func TestAlltoallvZeroLengthAndSelfOnly(t *testing.T) {
 			}
 			if len(got[c.Rank()]) != 1 || got[c.Rank()][0] != c.Rank()*3 {
 				panic("self segment lost")
+			}
+			if &got[c.Rank()][0] != &selfOnly[c.Rank()][0] {
+				panic("self segment copied, not given away")
 			}
 		})
 		if err != nil {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/bidir"
-	"repro/internal/fasta"
 	"repro/internal/grid"
 	"repro/internal/kmer"
 	"repro/internal/mpi"
@@ -479,10 +478,8 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 			return
 		}
 		rs := a.Ranks[rank]
-		rs.Grid = grid.New(rs.Comm)
-		rs.Store = fasta.FromGlobal(rs.Comm, a.Reads)
+		stages[0].run(e.opt, a, rs) // FastaReader: the grid and the read store
 		installRank(rs, ck)
-		rs.Comm.Metrics().Gauge("pipeline.reads_local").Set(int64(rs.Store.Hi - rs.Store.Lo))
 		a.shareRows(rank, &shared)
 	})
 	if runErr != nil {

@@ -84,7 +84,7 @@ func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *D
 	owner, counts := route(g.Dim, len(mine), func(k int) int {
 		return grid.BlockOwner(int(nc), g.Dim, int(mine[k].Col))
 	})
-	rows := slices.Concat(mpi.IAlltoallvChunked(g.RowComm, routed(owner, counts, func(k int) Triple[T] { return mine[k] })).WaitValue()...)
+	rows := slices.Concat(mpi.IAlltoallv(g.RowComm, routed(owner, counts, func(k int) Triple[T] { return mine[k] })).WaitValue()...)
 	if err := CheckRowMajor(rows, a.RowLo, a.RowHi, a.ColLo, a.ColHi); err != nil {
 		panic(fmt.Sprintf("spmat: FromRowMajor routed block: %v", err))
 	}

@@ -33,6 +33,31 @@ func runGrid(t *testing.T, fn func(g *grid.Grid)) {
 	}
 }
 
+// sameUnderLimit runs op on every rank of a P-rank grid for P 4 and 9, once
+// as is and once with mpi.MaxMessageBytes at 64 bytes, where every routed
+// part the callers build needs several chunks, and requires each rank's
+// result to be the same in both runs.
+func sameUnderLimit[R any](t *testing.T, op func(g *grid.Grid) R) {
+	t.Helper()
+	for _, p := range []int{4, 9} {
+		t.Run(fmt.Sprintf("MaxMessageBytes=64/P=%d", p), func(t *testing.T) {
+			run := func() []R {
+				out := make([]R, p)
+				if err := mpi.Run(p, func(c *mpi.Comm) { out[c.Rank()] = op(grid.New(c)) }); err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			want := run()
+			defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+			mpi.MaxMessageBytes = 64
+			if got := run(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ranks' results under the limit differ from the unlimited run:\n%v\n%v", got, want)
+			}
+		})
+	}
+}
+
 func globalTriples(rng *rand.Rand, nr, nc int32, density float64) []Triple[int64] {
 	var ts []Triple[int64]
 	for r := int32(0); r < nr; r++ {
@@ -96,6 +121,13 @@ func TestFromGlobalMatchesNewDist(t *testing.T) {
 		if !reflect.DeepEqual(a.Local, b.Local) {
 			panic("FromGlobal and NewDist disagree")
 		}
+	})
+	sameUnderLimit(t, func(g *grid.Grid) COO[int64] {
+		var mine []Triple[int64]
+		if g.Comm.Rank() == 0 {
+			mine = all
+		}
+		return NewDist(g, 19, 19, mine, nil).Local
 	})
 }
 
@@ -244,6 +276,13 @@ func TestRowDegrees(t *testing.T) {
 			panic(fmt.Sprintf("degrees %v want %v", full, wantDeg))
 		}
 	})
+	// Vector blocks of 22 or more entries at P = 9: each rank's part of the
+	// reduce-scatter needs two chunks.
+	big := int32(200)
+	allBig := globalTriples(rng, big, big, 0.05)
+	sameUnderLimit(t, func(g *grid.Grid) []int32 {
+		return FromGlobalTriples(g, big, big, allBig, nil).RowDegrees().Local
+	})
 }
 
 func TestMaskRowsCols(t *testing.T) {
@@ -355,6 +394,14 @@ func TestDistVecFetch(t *testing.T) {
 			}
 		}
 	})
+	// Every index eight times over: each owner is asked for at least 24 ids.
+	sameUnderLimit(t, func(g *grid.Grid) []int32 {
+		var ids []int32
+		for i := range 8 * n {
+			ids = append(ids, int32((i+g.Comm.Rank())%n))
+		}
+		return VecFromGlobal(g, full).Fetch(ids)
+	})
 }
 
 func TestScatterMin(t *testing.T) {
@@ -402,6 +449,18 @@ func TestScatterMin(t *testing.T) {
 				panic(fmt.Sprintf("scatter-sum idx %d: got %d want %d", i, got, want))
 			}
 		}
+	})
+	// Every rank proposes at every index of a 72-entry vector: each owner
+	// gets eight or more proposals from each rank.
+	sameUnderLimit(t, func(g *grid.Grid) []int64 {
+		sum := NewDistVec[int64](g, 72)
+		idx := make([]int32, 72)
+		vals := make([]int64, 72)
+		for i := range idx {
+			idx[i], vals[i] = int32(i), int64(g.Comm.Rank()*i)
+		}
+		ScatterFold(sum, idx, vals, func(x, y int64) int64 { return x + y })
+		return sum.Local
 	})
 }
 

@@ -14,8 +14,8 @@ import (
 
 // reduceRef is Reduce as it was before the pattern mask: all of N = S ⊗ S is
 // formed, indexed in a hash map and looked up per edge, and the verdicts are
-// a kill set keyed by (row, col). Kept as the oracle for the masked,
-// merge-joined Reduce.
+// a kill set keyed by (row, col), with the mirrors routed by a world
+// all-to-all. Kept as the oracle for the masked, merge-joined Reduce.
 func reduceRef(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int) Stats {
 	g := s.G
 	key := func(r, c int32) int64 { return int64(r)<<32 | int64(uint32(c)) }
@@ -91,10 +91,25 @@ func TestMaskedReduceMatchesUnmasked(t *testing.T) {
 						g := grid.New(c)
 						ref := spmat.FromGlobalTriples(g, int32(n), int32(n), all, nil)
 						s := ref.Clone()
+						b0, m0 := c.BytesSent(), c.MsgsSent()
 						want := reduceRef(ref, fuzz, maxIter)
+						b1, m1 := c.BytesSent(), c.MsgsSent()
 						got := Reduce(s, fuzz, maxIter, async)
+						b2, m2 := c.BytesSent(), c.MsgsSent()
 						if got.Iterations != want.Iterations || got.EdgesRemoved != want.EdgesRemoved {
 							panic(fmt.Sprintf("masked %+v, unmasked %+v", got, want))
+						}
+						// The mirrors move the same bytes, but to the
+						// transposed rank alone: one message per iteration
+						// off the diagonal, none on it, where the all-to-all
+						// sends P-1.
+						fewer := int64(p - 1)
+						if g.Row != g.Col {
+							fewer--
+						}
+						if b2-b1 != b1-b0 || (m1-m0)-(m2-m1) != int64(got.Iterations)*fewer {
+							panic(fmt.Sprintf("rank %d: Reduce sent %d B in %d messages, the reference %d B in %d; want %d fewer messages",
+								c.Rank(), b2-b1, m2-m1, b1-b0, m1-m0, int64(got.Iterations)*fewer))
 						}
 						if got.Products > want.Products {
 							panic(fmt.Sprintf("the mask added products: %d > %d", got.Products, want.Products))

@@ -23,6 +23,7 @@ import (
 	"slices"
 
 	"repro/internal/bidir"
+	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
 )
@@ -75,11 +76,12 @@ type Stats struct {
 // Reduce removes transitive edges from s in place (collective). fuzz
 // tolerates alignment-coordinate noise like miniasm's fuzz parameter;
 // maxIter bounds the fixpoint loop (diBELLA iterates until no edge is
-// removed). The SUMMA SpGEMM prefetches its panels and the mirror marks are
-// routed with a nonblocking all-to-all posted before the local marking;
-// async = false puts the rank in blocking mode (mpi.Comm.SetBlocking) for the
-// call, which runs the same schedule with every transfer inside its Wait —
-// results and traffic counters are identical in both modes.
+// removed). The SUMMA SpGEMM prefetches its panels; async = false puts the
+// rank in blocking mode (mpi.Comm.SetBlocking) for the call, which runs the
+// same schedule with every transfer inside its Wait — results and traffic
+// counters are identical in both modes. S is square, so the mirror of every
+// local entry lives on the transposed rank: the marks' mirrors are one
+// grid.Transposed swap per iteration.
 func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stats {
 	g := s.G
 	defer g.Comm.SetBlocking(g.Comm.SetBlocking(!async))
@@ -102,25 +104,17 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 			}
 		}
 		// Symmetrize the marks: an edge dies in both directions or neither,
-		// so S stays a symmetric matrix. Mirrors are routed to the owner of
-		// the transposed entry; the local positions are marked while the
-		// mirrors are still in flight.
+		// so S stays a symmetric matrix.
 		type pair struct{ R, C int32 }
-		send := make([][]pair, g.Comm.Size())
-		for _, i := range marked {
-			o := g.BlockOwnerRank(int(s.NR), int(s.NC), int(ts[i].Col), int(ts[i].Row))
-			send[o] = append(send[o], pair{ts[i].Col, ts[i].Row})
-		}
-		req := mpi.IAlltoallv(g.Comm, send)
+		mirrors := make([]pair, len(marked))
 		dead := make([]bool, len(ts))
-		for _, i := range marked {
+		for k, i := range marked {
+			mirrors[k] = pair{ts[i].Col, ts[i].Row}
 			dead[i] = true
 		}
-		for _, part := range req.WaitValue() {
-			for _, m := range part {
-				if i := pat.find(m.R, m.C); i >= 0 {
-					dead[i] = true
-				}
+		for _, m := range grid.Transposed(g, mirrors) {
+			if i := pat.find(m.R, m.C); i >= 0 {
+				dead[i] = true
 			}
 		}
 		before := int64(len(ts))
