@@ -1,35 +1,35 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mpi"
+	"repro/internal/mpi/wire"
 )
-
-// flatContig is the wire form of a contig for gathering.
-type flatContig struct {
-	Seq      []byte
-	Reads    []int32
-	Circular bool
-}
 
 // GatherContigs collects every rank's contigs at root (nil elsewhere),
 // sorted deterministically by (length desc, sequence) so the result is
-// independent of the processor count (collective).
+// independent of the processor count (collective). A contig has no fixed
+// width, so every other rank's contigs travel as one wire frame of bytes,
+// which the gather chunks under mpi.MaxMessageBytes.
 func GatherContigs(c *mpi.Comm, contigs []Contig) []Contig {
-	mine := make([]flatContig, len(contigs))
-	for i, ct := range contigs {
-		mine[i] = flatContig{Seq: ct.Seq, Reads: ct.Reads, Circular: ct.Circular}
+	var mine []byte
+	if c.Rank() != 0 {
+		mine = wire.Marshal(contigs)
 	}
 	parts := mpi.Gatherv(c, 0, mine)
 	if c.Rank() != 0 {
 		return nil
 	}
-	var all []Contig
-	for _, part := range parts {
-		for _, fc := range part {
-			all = append(all, Contig{Seq: fc.Seq, Reads: fc.Reads, Circular: fc.Circular})
+	all := slices.Clone(contigs)
+	for r, part := range parts[1:] {
+		theirs, err := wire.Unmarshal[Contig](part)
+		if err != nil {
+			panic(fmt.Sprintf("core: contigs of rank %d: %v", r+1, err))
 		}
+		all = append(all, theirs...)
 	}
 	SortContigs(all)
 	return all

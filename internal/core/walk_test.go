@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -205,6 +207,42 @@ func TestGatherContigsCanonicalOrder(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGatherContigsChunked: at P 4 and 9 with mpi.MaxMessageBytes at 64
+// bytes, where every rank's encoded contigs need several chunks, root gathers
+// the same contigs as in the unlimited run.
+func TestGatherContigsChunked(t *testing.T) {
+	defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+	unlimited := mpi.MaxMessageBytes
+	for _, p := range []int{4, 9} {
+		run := func() []Contig {
+			var all []Contig
+			err := mpi.Run(p, func(c *mpi.Comm) {
+				r := c.Rank()
+				mine := []Contig{
+					{Seq: bytes.Repeat([]byte("ACGT"[r%4:r%4+1]), 50+r), Reads: []int32{int32(r), int32(r + p)}},
+					{Seq: bytes.Repeat([]byte("GT"), 30+r), Reads: []int32{int32(r + 2*p)}, Circular: r%2 == 1},
+				}
+				if got := GatherContigs(c, mine); r == 0 {
+					all = got
+				}
+			})
+			if err != nil {
+				t.Fatalf("P=%d MaxMessageBytes=%d: %v", p, mpi.MaxMessageBytes, err)
+			}
+			return all
+		}
+		mpi.MaxMessageBytes = unlimited
+		want := run()
+		if len(want) != 2*p {
+			t.Fatalf("P=%d: gathered %d contigs, want %d", p, len(want), 2*p)
+		}
+		mpi.MaxMessageBytes = 64
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("P=%d: contigs gathered under the limit differ from the unlimited run", p)
+		}
 	}
 }
 

@@ -61,8 +61,8 @@ func (g *Grid) Rank(i, j int) int { return i*g.Dim + j }
 // the partner of Transposed.
 func (g *Grid) TransposedRank() int { return g.Rank(g.Col, g.Row) }
 
-// RowCol is the exchange of the paper's Figure 2 (collective): block goes to
-// every other rank of this grid row, so row is the row's blocks concatenated
+// RowCol is the exchange of the paper's Figure 2 (collective): block is
+// all-gathered over this grid row, so row is the row's blocks concatenated
 // in grid-column order, and row is then swapped with the transposed rank
 // (Transposed), so col is the row of grid row Col. For data block-distributed
 // over the world in rank order — reads, vectors — row covers this rank's
@@ -70,19 +70,7 @@ func (g *Grid) TransposedRank() int { return g.Rank(g.Col, g.Row) }
 // chunked protocol, so none exceeds mpi.MaxMessageBytes (T must be
 // fixed-width). row never aliases block; on the diagonal col is row.
 func RowCol[T any](g *Grid, block []T) (row, col []T) {
-	rc := g.RowComm
-	tag := mpi.ReserveTag(rc)
-	p, me := rc.Size(), rc.Rank()
-	for off := 1; off < p; off++ {
-		mpi.SendChunked(rc, (me+off)%p, tag, block)
-	}
-	parts := make([][]T, p)
-	parts[me] = block
-	for off := 1; off < p; off++ {
-		src := (me - off + p) % p
-		parts[src] = mpi.RecvChunked[T](rc, src, tag)
-	}
-	row = slices.Concat(parts...)
+	row = slices.Concat(mpi.Allgatherv(g.RowComm, block)...)
 	return row, Transposed(g, row)
 }
 

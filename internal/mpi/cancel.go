@@ -63,12 +63,16 @@ func (w *World) Cancel(cause error) {
 
 // failureOrigin extracts the world rank a cancellation cause is attributed
 // to — a cascade triggered by a peer's death keeps blaming that peer when
-// the abort is rebroadcast — or -1 when the cause is local (context
-// cancellation, a rank panic).
+// the abort is rebroadcast, and a rank panic blames the rank that panicked —
+// or -1 when the cause is local (context cancellation).
 func failureOrigin(cause error) int {
 	var rf *transport.RankFailure
 	if errors.As(cause, &rf) {
 		return rf.Rank
+	}
+	var re *RankError
+	if errors.As(cause, &re) {
+		return re.Rank
 	}
 	return -1
 }

@@ -155,3 +155,52 @@ func TestSendFailureAbortNamesDeadRank(t *testing.T) {
 		t.Fatalf("relayed abort names rank %d, want 1", origin)
 	}
 }
+
+// abortRecorder is an endpoint that records the origin of every Abort.
+type abortRecorder struct {
+	transport.Transport
+	aborts chan int
+}
+
+func (a *abortRecorder) Abort(origin int, _ string) { a.aborts <- origin }
+
+// TestRankPanicCancelsWorld: a panicking rank fails the world at once. Peers
+// blocked in Recv unwind, so Run returns well inside the default watchdog,
+// with the *RankError itself, and the abort relayed to every endpoint names
+// the rank that panicked.
+func TestRankPanicCancelsWorld(t *testing.T) {
+	eps := transport.NewInproc(3)
+	aborts := make(chan int, len(eps))
+	for i, ep := range eps {
+		eps[i] = &abortRecorder{Transport: ep, aborts: aborts}
+	}
+	w := NewWorldTransport(eps...)
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c *Comm) {
+			if c.Rank() == 1 {
+				panic("boom")
+			}
+			Recv[int64](c, 1, 0) // never sent
+		})
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run still waiting 2 s after a rank panicked")
+	}
+	if re, ok := err.(*RankError); !ok || re.Rank != 1 {
+		t.Fatalf("Run returned %v, want the *RankError of rank 1", err)
+	}
+	for range eps {
+		select {
+		case origin := <-aborts:
+			if origin != 1 {
+				t.Fatalf("abort names rank %d, want 1", origin)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("an endpoint was never aborted")
+		}
+	}
+}

@@ -7,6 +7,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi/wire"
 )
@@ -44,11 +45,14 @@ func Bcast[T any](c *Comm, root int, data []T) []T {
 
 // bcastFrames is the binomial-tree broadcast body shared by Bcast and
 // IBcast, operating on an encoded frame: the root encodes once and every
-// hop forwards the frame verbatim, so all P-1 tree messages carry identical
-// bytes and the per-hop counters match a fresh Send exactly. The tag is
-// pre-reserved so background goroutines never touch the communicator's
-// sequence counter, and the parent receive's deadlock watchdog arms per the
-// armed channel (immediately for the blocking Bcast, at Wait for IBcast).
+// hop forwards the frame it received. A frame that fits MaxMessageBytes
+// crosses an edge verbatim, so its per-hop counters match a fresh Send
+// exactly; a larger one is chunked as SendChunked chunks a []byte and put
+// back together in a fresh allocation, which keeps an aligned frame 8-byte
+// aligned. The tag is pre-reserved so background goroutines never touch the
+// communicator's sequence counter, and the parent receive's deadlock
+// watchdog arms per the armed channel (immediately for the blocking Bcast,
+// at Wait for IBcast).
 func bcastFrames(c *Comm, root int, tag int64, frame []byte, armed <-chan struct{}) []byte {
 	p := c.Size()
 	vrank := (c.rank - root + p) % p
@@ -56,106 +60,74 @@ func bcastFrames(c *Comm, root int, tag int64, frame []byte, armed <-chan struct
 	for mask < p {
 		if vrank&mask != 0 {
 			parent := (c.rank - mask + p) % p
-			frame = c.recvRawArmed(parent, tag, armed)
+			if frame = c.recvRawArmed(parent, tag, armed); wire.IsOne(frame) {
+				frame = recvSplit[byte](c, parent, tag, frame, armed)
+			}
 			break
 		}
 		mask <<= 1
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < p {
-			dst := (c.rank + mask) % p
-			c.sendRaw(dst, tag, frame, wire.DataLen(frame))
+			if dst := (c.rank + mask) % p; wire.DataLen(frame) <= MaxMessageBytes {
+				c.sendRaw(dst, tag, frame, wire.DataLen(frame))
+			} else {
+				SendChunked(c, dst, tag, frame)
+			}
 		}
 	}
 	return frame
 }
 
 // Gatherv collects a variable-length slice from every rank at root; root
-// receives per-rank slices, others nil.
+// receives per-rank slices, others nil. Passing local gives it away: root's
+// own part is local itself.
 func Gatherv[T any](c *Comm, root int, local []T) [][]T {
 	tag := collTag(c)
 	if c.rank != root {
-		Send(c, root, tag, local)
+		sendPart(c, root, tag, local)
 		return nil
 	}
 	out := make([][]T, c.Size())
-	cp := make([]T, len(local))
-	copy(cp, local)
-	out[root] = cp
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
+	out[root] = local
+	for r := range out {
+		if r != root {
+			out[r] = RecvChunked[T](c, r, tag)
 		}
-		out[r] = Recv[T](c, r, tag)
 	}
 	return out
 }
 
-// Scatterv distributes parts[r] from root to rank r. Non-root ranks pass nil.
+// Scatterv distributes parts[r] from root to rank r and gives the parts
+// away: root gets parts[root] itself. Non-root ranks pass nil.
 func Scatterv[T any](c *Comm, root int, parts [][]T) []T {
 	tag := collTag(c)
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			panic("mpi: Scatterv needs one part per rank")
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			Send(c, r, tag, parts[r])
-		}
-		cp := make([]T, len(parts[root]))
-		copy(cp, parts[root])
-		return cp
+	if c.rank != root {
+		return RecvChunked[T](c, root, tag)
 	}
-	return Recv[T](c, root, tag)
+	checkParts(c, len(parts), "Scatterv")
+	for r, part := range parts {
+		if r != root {
+			sendPart(c, r, tag, part)
+		}
+	}
+	return parts[root]
 }
 
 // Allgather collects one value from every rank on every rank.
 func Allgather[T any](c *Comm, v T) []T {
-	tag := collTag(c)
-	p := c.Size()
-	out := make([]T, p)
-	out[c.rank] = v
-	// Ring: p-1 steps, each forwarding the block received last step.
-	cur := v
-	curIdx := c.rank
-	for step := 0; step < p-1; step++ {
-		dst := (c.rank + 1) % p
-		src := (c.rank - 1 + p) % p
-		type blk struct {
-			Idx int
-			V   T
-		}
-		SendOne(c, dst, tag, blk{Idx: curIdx, V: cur})
-		b := RecvOne[blk](c, src, tag)
-		out[b.Idx] = b.V
-		cur, curIdx = b.V, b.Idx
-	}
-	return out
+	flat, _ := AllgathervFlat(c, []T{v})
+	return flat
 }
 
 // Allgatherv collects a variable-length slice from every rank on every rank,
-// returned as per-rank slices.
+// returned as per-rank slices: the all-to-all loop with every rank's part
+// its own local, so each rank sends p-1 parts. Passing local gives it away:
+// the result's own part is local itself.
 func Allgatherv[T any](c *Comm, local []T) [][]T {
-	tag := collTag(c)
-	p := c.Size()
-	out := make([][]T, p)
-	cp := make([]T, len(local))
-	copy(cp, local)
-	out[c.rank] = cp
-	cur, curIdx := local, c.rank
-	for step := 0; step < p-1; step++ {
-		dst := (c.rank + 1) % p
-		src := (c.rank - 1 + p) % p
-		SendOne(c, dst, tag, int64(curIdx))
-		Send(c, dst, tag, cur)
-		idx := int(RecvOne[int64](c, src, tag))
-		blk := Recv[T](c, src, tag)
-		out[idx] = blk
-		cur, curIdx = blk, idx
-	}
-	return out
+	return alltoallv(c, local, func(c *Comm, dst int, tag int64) {
+		sendPart(c, dst, tag, local)
+	})
 }
 
 // AllgathervFlat collects variable-length slices and concatenates them in
@@ -163,26 +135,21 @@ func Allgatherv[T any](c *Comm, local []T) [][]T {
 func AllgathervFlat[T any](c *Comm, local []T) ([]T, []int) {
 	parts := Allgatherv(c, local)
 	counts := make([]int, len(parts))
-	total := 0
 	for i, p := range parts {
 		counts[i] = len(p)
-		total += len(p)
 	}
-	flat := make([]T, 0, total)
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	return flat, counts
+	return slices.Concat(parts...), counts
 }
 
 // Alltoallv sends send[r] to rank r and returns recv where recv[r] came from
 // rank r. This is the paper's "custom all-to-all" used to redistribute
-// matrix triples and read sequences. Its contract is the one all four
-// all-to-alls keep:
+// matrix triples and read sequences. Its contract is the one every
+// collective keeps (the gathers run this same pairwise loop):
 //   - every pairwise message goes through the chunked protocol (SendChunked,
 //     RecvChunked), so none exceeds MaxMessageBytes however large a part is,
 //     and a part that fits is the one message Send would send; T must be
-//     fixed-width;
+//     fixed-width (a gather or scatter sends a variable-width part as one
+//     message);
 //   - passing send gives its buffers away: recv[c.Rank()] is send[c.Rank()]
 //     itself, not a copy, so the caller must not write any send buffer
 //     afterwards.
@@ -232,36 +199,21 @@ func checkParts(c *Comm, n int, op string) {
 // Reduce folds one value per rank with op at root (op must be associative
 // and commutative). Non-root ranks receive the zero value.
 func Reduce[T any](c *Comm, root int, v T, op func(T, T) T) T {
-	tag := collTag(c)
-	p := c.Size()
-	// Binomial tree reduction in coordinates shifted so root is 0.
-	vrank := (c.rank - root + p) % p
-	acc := v
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % p
-			SendOne(c, parent, tag, acc)
-			var zero T
-			return zero
-		}
-		if vrank|mask < p {
-			child := ((vrank | mask) + root) % p
-			acc = op(acc, RecvOne[T](c, child, tag))
-		}
-		mask <<= 1
+	var acc T
+	if all := ReduceSlice(c, root, []T{v}, op); all != nil {
+		acc = all[0]
 	}
 	return acc
 }
 
 // Allreduce folds one value per rank with op and distributes the result.
 func Allreduce[T any](c *Comm, v T, op func(T, T) T) T {
-	total := Reduce(c, 0, v, op)
-	res := Bcast(c, 0, []T{total})
-	return res[0]
+	return AllreduceSlice(c, []T{v}, op)[0]
 }
 
-// ReduceSlice element-wise folds equal-length slices at root.
+// ReduceSlice element-wise folds equal-length slices at root (nil
+// elsewhere): the one reduction tree, binomial in coordinates shifted so
+// root is 0.
 func ReduceSlice[T any](c *Comm, root int, vals []T, op func(T, T) T) []T {
 	tag := collTag(c)
 	p := c.Size()
@@ -271,13 +223,11 @@ func ReduceSlice[T any](c *Comm, root int, vals []T, op func(T, T) T) []T {
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % p
-			Send(c, parent, tag, acc)
+			sendPart(c, ((vrank&^mask)+root)%p, tag, acc)
 			return nil
 		}
 		if vrank|mask < p {
-			child := ((vrank | mask) + root) % p
-			other := Recv[T](c, child, tag)
+			other := RecvChunked[T](c, ((vrank|mask)+root)%p, tag)
 			if len(other) != len(acc) {
 				panic("mpi: ReduceSlice length mismatch across ranks")
 			}

@@ -24,11 +24,15 @@
 // blocking execution a per-rank mode of its requests (SetBlocking),
 // cooperative cancellation (see cancel.go), and a recv deadlock watchdog.
 //
-// The four all-to-alls (Alltoallv, AlltoallvBytes, IAlltoallv,
-// IAlltoallvBytes) keep one contract: every pairwise message goes through the
-// chunked protocol (SendChunked, RecvChunked), so none exceeds
-// MaxMessageBytes, and passing send buffers gives them away — the result's
-// own part is the caller's send buffer itself, as with a ByteBuf.
+// Every collective keeps one contract: each part of a fixed-width type goes
+// through the chunked protocol (SendChunked, RecvChunked), and every
+// broadcast frame is chunked at each hop, so no message exceeds
+// MaxMessageBytes; and passing send buffers gives them away — the result's
+// own part is the caller's send buffer itself, as with a ByteBuf. The
+// gathers are the all-to-alls' pairwise loop and the reductions one binomial
+// tree (ReduceSlice). A part of a variable-width type has no chunk size and
+// travels as one message; a caller whose such parts may outgrow the limit
+// encodes them to bytes (core.GatherContigs).
 //
 // Because every payload is encoded at send and decoded at receive, a rank
 // can never observe another rank's memory — algorithmic errors (reading a
@@ -312,7 +316,8 @@ func Run(p int, fn func(*Comm)) error {
 // Run executes fn on every local rank of the world and waits for completion.
 // In-process worlds run all P ranks as goroutines; a multi-process world
 // runs only this process's ranks, and every process must call Run with the
-// same SPMD program.
+// same SPMD program. A rank that panics cancels the world with its
+// *RankError as the cause, which Run returns.
 func (w *World) Run(fn func(*Comm)) error {
 	errs := make(chan *RankError, len(w.local))
 	done := make(chan struct{})
@@ -326,7 +331,12 @@ func (w *World) Run(fn func(*Comm)) error {
 					// Cancellation unwinds ranks by design; only genuine
 					// panics become rank errors.
 					if _, cancelled := v.(cancelPanic); !cancelled {
-						errs <- &RankError{Rank: rank, Value: v, Stack: string(debug.Stack())}
+						// A dead rank fails the world at once, so peers
+						// blocked on it unwind instead of waiting out the
+						// watchdog.
+						re := &RankError{Rank: rank, Value: v, Stack: string(debug.Stack())}
+						w.Cancel(re)
+						errs <- re
 					}
 				}
 				if pending.Add(-1) == 0 {
@@ -683,6 +693,18 @@ func SendChunked[T any](c *Comm, dst int, tag int64, data []T) {
 	}
 }
 
+// sendPart sends one part of a collective: chunked for a fixed-width element
+// type, as one Send for a variable-width one, which has no chunk size (a
+// caller whose parts may outgrow MaxMessageBytes encodes them to bytes
+// first). Receivers take either with RecvChunked.
+func sendPart[T any](c *Comm, dst int, tag int64, part []T) {
+	if wire.Width[T]() < 0 {
+		Send(c, dst, tag, part)
+		return
+	}
+	SendChunked(c, dst, tag, part)
+}
+
 // ByteBuf is a []byte send buffer for the chunked byte exchanges that is laid
 // out as its own wire frame: the sender sizes it, packs its bytes straight
 // into Bytes, and the exchange hands the frame to the transport as it stands,
@@ -724,16 +746,22 @@ func RecvChunked[T any](c *Comm, src int, tag int64) []T {
 
 // recvChunked is the body RecvChunked and IrecvChunked share. The first frame
 // is either the whole buffer or, as its kind tells, the element count of a
-// split one. That count comes from the peer, so nothing is allocated from it:
-// the result grows as chunks arrive, and a count that is not positive, an
-// empty chunk (a stream that stopped short) or a chunk overrunning the count
-// fails the world with src named as the failed rank.
+// split one.
 func recvChunked[T any](c *Comm, src int, tag int64, armed <-chan struct{}) []T {
 	frame := c.recvRawArmed(src, tag, armed)
 	if !wire.IsOne(frame) {
 		return mustUnmarshalOwned[T](frame)
 	}
-	n := mustUnmarshalOne[int64](frame)
+	return recvSplit[T](c, src, tag, frame, armed)
+}
+
+// recvSplit receives the chunks of a split buffer whose count frame has
+// arrived. That count comes from the peer, so nothing is allocated from it:
+// the result grows as chunks arrive, and a count that is not positive, an
+// empty chunk (a stream that stopped short) or a chunk overrunning the count
+// fails the world with src named as the failed rank.
+func recvSplit[T any](c *Comm, src int, tag int64, count []byte, armed <-chan struct{}) []T {
+	n := mustUnmarshalOne[int64](count)
 	if n <= 0 {
 		c.failPeer(src, fmt.Errorf("mpi: chunked stream (tag %d) announces %d elements", tag, n))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -232,7 +233,14 @@ func TestAllgatherAndAllgatherv(t *testing.T) {
 			for i := range local {
 				local[i] = int32(c.Rank())
 			}
+			sent := c.MsgsSent()
 			parts := Allgatherv(c, local)
+			if n := c.MsgsSent() - sent; n != int64(p-1) {
+				panic(fmt.Sprintf("allgatherv sent %d messages, want %d", n, p-1))
+			}
+			if &parts[c.Rank()][0] != &local[0] {
+				panic("allgatherv copied the rank's own part")
+			}
 			for r := 0; r < p; r++ {
 				if len(parts[r]) != (r%3)+1 {
 					panic("allgatherv count wrong")
@@ -542,51 +550,128 @@ func TestDeadlockWatchdog(t *testing.T) {
 	}
 }
 
-// TestCollectivesMatchSequentialReference drives random sequences of
-// collectives and checks them against a sequential model.
+// TestCollectivesMatchSequentialReference drives the collectives over
+// random per-rank inputs and checks them against a sequential model. One
+// more input puts every part over MaxMessageBytes = 64 at P 4 and 9, where
+// each collective, in a subtest of its own, must chunk, and compares it with
+// the unlimited run.
 func TestCollectivesMatchSequentialReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := testSizes[rng.Intn(len(testSizes))]
-		n := rng.Intn(20) + 1
-		inputs := make([][]int, p)
-		for r := range inputs {
-			inputs[r] = make([]int, n)
-			for i := range inputs[r] {
-				inputs[r][i] = rng.Intn(1000) - 500
-			}
-		}
-		// Sequential reference: element-wise min over ranks.
-		want := make([]int, n)
-		copy(want, inputs[0])
-		for r := 1; r < p; r++ {
-			for i := range want {
-				if inputs[r][i] < want[i] {
-					want[i] = inputs[r][i]
-				}
-			}
-		}
-		ok := true
-		var mu sync.Mutex
-		err := Run(p, func(c *Comm) {
-			got := AllreduceSlice(c, inputs[c.Rank()], func(a, b int) int {
-				if a < b {
-					return a
-				}
-				return b
-			})
-			mu.Lock()
-			if !reflect.DeepEqual(got, want) {
-				ok = false
-			}
-			mu.Unlock()
-		})
-		return err == nil && ok
+		return newCollectiveModel(randomInputs(rng, p, rng.Intn(20)+1)).run(collectiveChecks...) == nil
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+	defer func(old int64) { MaxMessageBytes = old }(MaxMessageBytes)
+	unlimited := MaxMessageBytes
+	for _, p := range []int{4, 9} {
+		m := newCollectiveModel(randomInputs(rand.New(rand.NewSource(int64(p))), p, 20)) // 160 bytes a part
+		for _, cc := range collectiveChecks {
+			t.Run(fmt.Sprintf("MaxMessageBytes=64/P=%d/%s", p, cc.name), func(t *testing.T) {
+				for _, limit := range []int64{unlimited, 64} {
+					MaxMessageBytes = limit
+					if err := m.run(cc); err != nil {
+						t.Fatalf("MaxMessageBytes=%d: %v", limit, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+func randomInputs(rng *rand.Rand, p, n int) [][]int {
+	inputs := make([][]int, p)
+	for r := range inputs {
+		inputs[r] = make([]int, n)
+		for i := range inputs[r] {
+			inputs[r][i] = rng.Intn(1000) - 500
+		}
+	}
+	return inputs
+}
+
+// collectiveModel is the sequential model of the collectives over one []int
+// per rank: rank r holds inputs[r].
+type collectiveModel struct {
+	inputs    [][]int
+	min, flat []int // element-wise min; inputs concatenated
+	counts    []int
+}
+
+func newCollectiveModel(inputs [][]int) *collectiveModel {
+	m := &collectiveModel{inputs: inputs, min: slices.Clone(inputs[0]), flat: slices.Concat(inputs...)}
+	for _, in := range inputs {
+		for i := range m.min {
+			m.min[i] = min(m.min[i], in[i])
+		}
+		m.counts = append(m.counts, len(in))
+	}
+	return m
+}
+
+func minInt(a, b int) int { return min(a, b) }
+
+// collectiveCheck runs one collective on a rank and returns its result and
+// the model's.
+type collectiveCheck struct {
+	name string
+	run  func(c *Comm, m *collectiveModel) (got, want any)
+}
+
+var collectiveChecks = []collectiveCheck{
+	{"ReduceSlice", func(c *Comm, m *collectiveModel) (any, any) {
+		root, want := c.Size()-1, m.min
+		if c.Rank() != root {
+			want = nil
+		}
+		return ReduceSlice(c, root, m.inputs[c.Rank()], minInt), want
+	}},
+	{"AllreduceSlice", func(c *Comm, m *collectiveModel) (any, any) {
+		return AllreduceSlice(c, m.inputs[c.Rank()], minInt), m.min
+	}},
+	{"Allgatherv", func(c *Comm, m *collectiveModel) (any, any) {
+		return Allgatherv(c, m.inputs[c.Rank()]), m.inputs
+	}},
+	{"AllgathervFlat", func(c *Comm, m *collectiveModel) (any, any) {
+		flat, counts := AllgathervFlat(c, m.inputs[c.Rank()])
+		return [2]any{flat, counts}, [2]any{m.flat, m.counts}
+	}},
+	{"Gatherv", func(c *Comm, m *collectiveModel) (any, any) {
+		want := m.inputs
+		if c.Rank() != 0 {
+			want = nil
+		}
+		return Gatherv(c, 0, m.inputs[c.Rank()]), want
+	}},
+	{"Scatterv", func(c *Comm, m *collectiveModel) (any, any) {
+		var parts [][]int
+		if c.Rank() == 0 {
+			parts = m.inputs
+		}
+		return Scatterv(c, 0, parts), m.inputs[c.Rank()]
+	}},
+	{"Bcast", func(c *Comm, m *collectiveModel) (any, any) {
+		var data []int
+		if c.Rank() == 0 {
+			data = m.flat
+		}
+		return Bcast(c, 0, data), m.flat
+	}},
+}
+
+// run runs checks in order on one rank per input and fails on the first
+// result the model does not predict.
+func (m *collectiveModel) run(checks ...collectiveCheck) error {
+	return Run(len(m.inputs), func(c *Comm) {
+		for _, cc := range checks {
+			if got, want := cc.run(c, m); !reflect.DeepEqual(got, want) {
+				panic(fmt.Sprintf("rank %d: %s = %v, want %v", c.Rank(), cc.name, got, want))
+			}
+		}
+	})
 }
 
 // TestAlltoallvRandomizedRoundtrip checks that data sent in a random

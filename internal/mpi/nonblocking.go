@@ -260,12 +260,16 @@ func (r *BcastRequest) WaitFrame() []byte {
 // loop prefetches round r+1's panels while multiplying round r. Every rank,
 // the root included, gets back a frame it decodes itself. In process the
 // ranks of the tree share the root's frame by reference, so the frame and
-// every view of it are read-only (see package wire).
+// every view of it are read-only (see package wire). A frame over
+// MaxMessageBytes crosses each hop chunked, announced by a one-value count,
+// so a one-value frame (wire.MarshalOne) is refused.
 func IBcast(c *Comm, root int, frame []byte) *BcastRequest {
 	tag := collTag(c) // consumed on the caller goroutine, like every collective
 	ac := c.asyncView()
 	if c.rank != root {
 		frame = nil
+	} else if wire.IsOne(frame) {
+		panic("mpi: IBcast of a one-value frame, which a chunked frame's count would read as")
 	}
 	r := &BcastRequest{reqState: newReqState()}
 	c.post(&r.reqState, func() {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -165,25 +166,64 @@ func TestWaitallMixedRequests(t *testing.T) {
 	}
 }
 
+// TestIBcastMatchesBcast: from every root, IBcast delivers what Bcast does,
+// and an aligned frame arrives 8-byte aligned. One more input broadcasts
+// 160-byte frames under MaxMessageBytes = 64 at P 4 and 9, where every hop
+// is chunked.
 func TestIBcastMatchesBcast(t *testing.T) {
-	forSizes(t, func(t *testing.T, p int) {
-		err := Run(p, func(c *Comm) {
-			for root := 0; root < p; root++ {
-				var data []int32
-				if c.Rank() == root {
-					data = []int32{int32(root), 100 + int32(root)}
-				}
-				got := mustUnmarshal[int32](IBcast(c, root, wire.Marshal(data)).WaitFrame())
-				want := []int32{int32(root), 100 + int32(root)}
-				if !reflect.DeepEqual(got, want) {
-					panic(fmt.Sprintf("rank %d root %d: got %v", c.Rank(), root, got))
-				}
-			}
+	forSizes(t, func(t *testing.T, p int) { ibcastMatchesBcast(t, p, 2) })
+	defer func(old int64) { MaxMessageBytes = old }(MaxMessageBytes)
+	for _, p := range []int{4, 9} {
+		t.Run(fmt.Sprintf("MaxMessageBytes=64/P=%d", p), func(t *testing.T) {
+			MaxMessageBytes = 64
+			ibcastMatchesBcast(t, p, 40)
 		})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+func ibcastMatchesBcast(t *testing.T, p, n int) {
+	err := Run(p, func(c *Comm) {
+		for root := 0; root < p; root++ {
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(root*1000 + i)
+			}
+			var data []int32
+			var aligned []byte
+			if c.Rank() == root {
+				data = want
+				var payload []byte
+				aligned, payload = wire.NewAlignedFrame[int32](4 * n)
+				copy(payload, wire.AppendElems(nil, want))
+			}
+			got := mustUnmarshal[int32](IBcast(c, root, wire.Marshal(data)).WaitFrame())
+			if !reflect.DeepEqual(got, want) {
+				panic(fmt.Sprintf("rank %d root %d: got %v", c.Rank(), root, got))
+			}
+			if got := Bcast(c, root, data); !reflect.DeepEqual(got, want) {
+				panic(fmt.Sprintf("rank %d root %d: Bcast got %v", c.Rank(), root, got))
+			}
+			payload, err := wire.AlignedPayload[int32](IBcast(c, root, aligned).WaitFrame())
+			if err != nil {
+				panic(fmt.Sprintf("rank %d root %d: %v", c.Rank(), root, err))
+			}
+			if !bytes.Equal(payload, wire.AppendElems(nil, want)) {
+				panic(fmt.Sprintf("rank %d root %d: aligned payload differs", c.Rank(), root))
+			}
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIBcastRefusesOneValueFrame: a chunked broadcast announces itself with
+// a one-value count, so IBcast refuses to broadcast a one-value frame.
+func TestIBcastRefusesOneValueFrame(t *testing.T) {
+	err := Run(1, func(c *Comm) { IBcast(c, 0, wire.MarshalOne(int64(7))).Wait() })
+	if err == nil || !strings.Contains(err.Error(), "one-value frame") {
+		t.Fatalf("IBcast of a one-value frame: err = %v", err)
+	}
 }
 
 func TestIBcastPrefetchPipeline(t *testing.T) {

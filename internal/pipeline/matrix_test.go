@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/dna"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/readsim"
 	"repro/internal/trace"
@@ -632,5 +633,32 @@ func TestLoadBalanceReported(t *testing.T) {
 	st := out.Stats
 	if st.NumContigs < int64(st.P) || st.MinLoad <= 0 || st.MaxLoad < st.MinLoad {
 		t.Fatalf("P=%d: %d contigs, loads [%d, %d]; want at least P contigs and every rank loaded", st.P, st.NumContigs, st.MinLoad, st.MaxLoad)
+	}
+}
+
+// TestAssemblyUnderMessageLimit: with mpi.MaxMessageBytes at 1 KiB every
+// exchange and collective of a whole assembly chunks, and the run gives the
+// reference's contigs at P 4 and 9 on both transports.
+func TestAssemblyUnderMessageLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-pipeline rows in -short mode")
+	}
+	ref := check(t, reference)
+	_, reads := matrixInput()
+	defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+	for _, p := range []int{4, 9} {
+		for _, transport := range Transports() {
+			r := row{p: p, transport: transport}
+			t.Run(r.String(), func(t *testing.T) {
+				mpi.MaxMessageBytes = 1024
+				out, err := Run(reads, r.options())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a, b := contigChecksum(ref), contigChecksum(out); a != b {
+					t.Fatalf("contigs under the limit %s, reference %s", b, a)
+				}
+			})
+		}
 	}
 }
