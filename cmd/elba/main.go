@@ -38,8 +38,9 @@
 // summary and writes every output file; the launcher forwards its stdout.
 // -np is an mpirun-style alias for -p. Contigs are bit-identical and
 // byte/message counters equal across all three transports — only wall time
-// differs. (In proc mode -traceout/-metrics/-cpuprofile cover rank 0's
-// process; a worker that dies aborts its peers instead of hanging them.)
+// differs. (In proc mode -traceout, -cpuprofile and -memprofile cover rank
+// 0's process only; -metrics and -manifest cover every rank. A worker that
+// dies aborts its peers instead of hanging them.)
 //
 // # Running across machines
 //
@@ -57,8 +58,9 @@
 // Each worker listens for its peers (every interface, ephemeral port, unless
 // -listen pins an address) and advertises an address derived from its route
 // to the rendezvous; -advertise overrides it on NATed hosts. No shared
-// filesystem is assumed: contigs, statistics and metric snapshots stream to
-// rank 0 over the mesh, and rank 0 alone prints the summary and writes -out,
+// filesystem is assumed: contigs and statistics stream to rank 0 over the
+// mesh, every rank's stage rows and metric snapshot reach every process after
+// each stage, and rank 0 alone prints the summary and writes -out,
 // -metrics and -manifest. If any rank dies mid-run its peers abort promptly
 // with an error naming the dead rank (and the resume point, when a snapshot
 // completed). See OPERATIONS.md for ports, bootstrap ordering and failure

@@ -99,7 +99,8 @@ func (e *RankFailure) Unwrap() error { return e.Err }
 
 // QueueInstrumented is optionally implemented by transports whose local
 // delivery queue can report depth changes (package mpi wires the hook to the
-// mpi.mailbox_depth gauge). The hook must be set before the first delivery.
+// mpi.mailbox_depth gauge). Setting it may race with deliveries: a peer of a
+// multi-process world can send before this process attaches its metrics.
 type QueueInstrumented interface {
 	SetQueueDepthHook(fn func(delta int64))
 }
@@ -130,9 +131,17 @@ func NewMailbox() *Mailbox {
 	return &Mailbox{gen: make(chan struct{})}
 }
 
-// SetDepthHook registers fn to observe queue-depth deltas. Call before the
-// first Push.
-func (m *Mailbox) SetDepthHook(fn func(delta int64)) { m.depth = fn }
+// SetDepthHook registers fn to observe queue-depth deltas, starting with one
+// delta for the messages already queued. It is safe against concurrent
+// Push and Take.
+func (m *Mailbox) SetDepthHook(fn func(delta int64)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.depth = fn
+	if fn != nil && len(m.queue) > 0 {
+		fn(int64(len(m.queue)))
+	}
+}
 
 // Push appends msg and wakes every waiter.
 func (m *Mailbox) Push(msg Message) {

@@ -3,6 +3,7 @@ package transport
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -111,6 +112,31 @@ func TestMailboxDepthHook(t *testing.T) {
 	m.Take(0, 0)
 	if depth != 1 {
 		t.Fatalf("depth after take = %d", depth)
+	}
+}
+
+// TestMailboxDepthHookSetAfterDeliveries: a hook attached while messages
+// are queued — a multi-process world's peers may deliver before this process
+// attaches its metrics — counts them, so the depth never goes negative, and
+// attaching it while a reader pushes is race-free.
+func TestMailboxDepthHookSetAfterDeliveries(t *testing.T) {
+	m := NewMailbox()
+	m.Push(Message{Src: 0, Tag: 0})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Push(Message{Src: 0, Tag: 0})
+	}()
+	var depth atomic.Int64
+	m.SetDepthHook(func(d int64) { depth.Add(d) })
+	<-done
+	if got := depth.Load(); got != 2 {
+		t.Fatalf("depth with 2 queued = %d", got)
+	}
+	m.Take(0, 0)
+	m.Take(0, 0)
+	if got := depth.Load(); got != 0 {
+		t.Fatalf("depth after taking every message = %d", got)
 	}
 }
 

@@ -331,14 +331,14 @@ func mergeBuckets(a, b []Bucket) []Bucket {
 // MetricSet is the per-rank registry collection an assembly run reports
 // into: one Registry per simulated rank, merged deterministically for the
 // manifest and the -metrics snapshot. In a multi-process run each process
-// populates only its own rank's registry; rank 0 absorbs the others'
-// snapshots — streamed over the engine's control communicator — with
-// SetSnapshot, so Merged and WriteJSON cover the whole world without a
+// populates only its own rank's registry; after every stage it absorbs the
+// others' snapshots — all-gathered over the engine's control communicator —
+// with SetSnapshot, so Merged and WriteJSON cover the whole world without a
 // shared filesystem.
 type MetricSet struct {
 	regs []*Registry
 
-	// imported holds per-rank snapshots streamed from other processes; a
+	// imported holds per-rank snapshots gathered from other processes; a
 	// non-nil entry overrides that rank's live registry in Merged/WriteJSON.
 	mu       sync.Mutex
 	imported [][]Metric
@@ -373,8 +373,8 @@ func (s *MetricSet) Rank(i int) *Registry {
 }
 
 // SetSnapshot installs a fixed snapshot for rank i, overriding its live
-// registry in Merged and WriteJSON. A distributed run calls it at rank 0
-// with the snapshots streamed from the other processes; installing nil
+// registry in Merged and WriteJSON. A distributed run calls it on every
+// process with the snapshots gathered from the others; installing nil
 // reverts rank i to its live registry. Nil set: no-op.
 func (s *MetricSet) SetSnapshot(i int, snap []Metric) {
 	if s == nil {

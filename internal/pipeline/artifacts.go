@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/kmer"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/overlap"
 	"repro/internal/spmat"
 	"repro/internal/tr"
@@ -59,7 +61,7 @@ type Artifacts struct {
 	done int // completed stages: the prefix stages[:done]
 
 	// ctl holds one uncounted control communicator per rank: the engine's
-	// cross-process row fold runs on it, invisible to the traffic counters
+	// per-stage report gather runs on it, invisible to the traffic counters
 	// the pipeline reports. Shared by forks, like the world.
 	ctl []*mpi.Comm
 
@@ -120,15 +122,48 @@ func (a *Artifacts) Stage() string {
 	return stages[a.done-1].name
 }
 
+// report is what one rank tells every other process after a stage: its
+// stage rows and, when its process keeps metrics, its metric snapshot. A
+// multi-process world all-gathers it once per stage on the uncounted control
+// plane; in-process every rank's Timers and registry are already in this
+// address space and nothing is gathered.
+type report struct {
+	Rows    []trace.Record
+	Metrics []obs.Metric
+}
+
+// share is a rank body's last step. In a multi-process world it all-gathers
+// the rank's report on the control plane (doubling as the cross-process
+// barrier) for fold. Every process joins, whether or not it keeps metrics:
+// in a -join job every process has its own command line, and a sequence
+// conditional on a local flag would deadlock the world.
+func (a *Artifacts) share(rank int, shared *atomic.Pointer[[]report]) {
+	if !a.World.Distributed() {
+		return
+	}
+	all := mpi.Allgather(a.ctl[rank], report{
+		Rows:    a.Ranks[rank].Timers.Records(),
+		Metrics: a.Opt.Metrics.Rank(rank).Snapshot(),
+	})
+	shared.Store(&all)
+}
+
 // fold refreshes the summary after a world execution. In-process every
 // rank's Timers is in this address space; a multi-process world passes the
-// rows its ranks all-gathered in shareRows instead, since this process holds
-// only its own ranks' Timers.
-func (a *Artifacts) fold(shared *[][]trace.Record) {
+// reports its ranks all-gathered in share instead, since this process holds
+// only its own ranks' Timers and registries. Every other process's metric
+// snapshot replaces that rank's registry here (a process without metrics
+// sent none, which leaves the rank empty), so this process's metrics cover
+// the world after every stage, as its rows do.
+func (a *Artifacts) fold(shared *[]report) {
 	ts := make([]*trace.Timers, 0, len(a.Ranks))
 	if shared != nil {
-		for _, recs := range *shared {
-			ts = append(ts, trace.FromRecords(recs))
+		local := a.World.Local()
+		for r, rep := range *shared {
+			ts = append(ts, trace.FromRecords(rep.Rows))
+			if !slices.Contains(local, r) {
+				a.Opt.Metrics.SetSnapshot(r, rep.Metrics)
+			}
 		}
 	} else {
 		for _, rs := range a.Ranks {
@@ -136,17 +171,6 @@ func (a *Artifacts) fold(shared *[][]trace.Record) {
 		}
 	}
 	a.sum = trace.Aggregate(ts)
-}
-
-// shareRows is a rank body's last step. In a multi-process world it
-// all-gathers the rank's rows on the uncounted control plane (doubling as the
-// cross-process barrier) for fold; in-process fold reads the Timers directly,
-// and gathering would only cost allocations.
-func (a *Artifacts) shareRows(rank int, shared *atomic.Pointer[[][]trace.Record]) {
-	if a.World.Distributed() {
-		rows := mpi.Allgatherv(a.ctl[rank], a.Ranks[rank].Timers.Records())
-		shared.Store(&rows)
-	}
 }
 
 // Output returns the assembly result. It is available only once the final

@@ -442,7 +442,7 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 	var mu sync.Mutex
 	var errs []error
 	var peerFail atomic.Bool
-	var shared atomic.Pointer[[][]trace.Record]
+	var shared atomic.Pointer[[]report]
 	runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
 		rank := c.Rank()
 		path := filepath.Join(stageDir, rankFile(rank))
@@ -480,7 +480,7 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 		rs := a.Ranks[rank]
 		stages[0].run(e.opt, a, rs) // FastaReader: the grid and the read store
 		installRank(rs, ck)
-		a.shareRows(rank, &shared)
+		a.share(rank, &shared)
 	})
 	if runErr != nil {
 		a.Close()

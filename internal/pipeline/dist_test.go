@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
 	"repro/internal/mpi/transport/tcp"
+	"repro/internal/obs"
 )
 
 // startTestRendezvous serves a p-rank bootstrap on loopback and returns its
@@ -187,4 +189,81 @@ func TestDistributedRankFailure(t *testing.T) {
 		t.Errorf("rank 2's own error lost the injected cause: %v", results[2].resumeErr)
 	}
 	waitGoroutines(t, goroutines)
+}
+
+// TestDistributedMetricsCoverEveryRank runs a 4-process distributed job with
+// a metric set on every process and requires each process's merged counters
+// to equal an in-process run's, both after Alignment and after the full run:
+// every rank's snapshot reaches every process with its stage rows, after
+// every stage.
+func TestDistributedMetricsCoverEveryRank(t *testing.T) {
+	reads := testReads(8000, 631)
+	const p = 4
+	base := DefaultOptions(p)
+	base.K = 21
+	base.XDrop = 25
+
+	type view map[string][2]int64 // counter value, or histogram count and sum
+	counters := func(ms *obs.MetricSet) view {
+		v := view{}
+		for _, m := range ms.Merged() {
+			switch m.Name {
+			case "align.pairs", "align.pairs_aligned", "kmer.occurrences", "spmat.spgemm_products":
+				v[m.Name] = [2]int64{m.Value}
+			case "mpi.msg_bytes":
+				v[m.Name] = [2]int64{m.Count, m.Sum}
+			}
+		}
+		return v
+	}
+	// run takes a process (or the whole in-process world) through Alignment
+	// and then to the end, returning its merged counters after each.
+	run := func(opt Options) ([2]view, error) {
+		ms := obs.NewMetricSet(p)
+		opt.Metrics = ms
+		eng, err := Plan(opt)
+		if err != nil {
+			return [2]view{}, err
+		}
+		arts, err := eng.RunUntil(context.Background(), reads, StageAlignment)
+		if err != nil {
+			return [2]view{}, err
+		}
+		defer arts.Close()
+		atAlignment := counters(ms)
+		if _, err := eng.ResumeFrom(context.Background(), arts, StageExtractContig); err != nil {
+			return [2]view{}, err
+		}
+		return [2]view{atAlignment, counters(ms)}, nil
+	}
+
+	want, err := run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want[0]) != 5 {
+		t.Fatalf("in-process run reports %v, want the five checked metrics", want[0])
+	}
+	rdv := startTestRendezvous(t, p)
+	got := make([][2]view, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			got[r], errs[r] = run(joinOptions(base, rdv, "127.0.0.1", r, nil))
+		}(r)
+	}
+	wg.Wait()
+	for r := 0; r < p; r++ {
+		if errs[r] != nil {
+			t.Fatalf("process %d: %v", r, errs[r])
+		}
+		for i, stage := range []string{StageAlignment, StageExtractContig} {
+			if !reflect.DeepEqual(got[r][i], want[i]) {
+				t.Errorf("process %d after %s: merged counters %v, in-process run %v", r, stage, got[r][i], want[i])
+			}
+		}
+	}
 }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/pprof"
@@ -27,8 +26,9 @@ type Observer struct {
 	// StageEnd fires after a stage's barrier with the wall time of the stage
 	// and the artifacts' Summary: every rank's rows so far, the finished
 	// stage's under its own name. It covers the whole job on every process
-	// of a multi-process run too (the rows travel on the uncounted control
-	// plane), and observing never perturbs the run's traffic counters.
+	// of a multi-process run too (each rank's rows reach every process on the
+	// uncounted control plane), and observing never perturbs the run's
+	// traffic counters.
 	StageEnd func(stage string, ranks *trace.Summary, wall time.Duration)
 }
 
@@ -129,7 +129,7 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (*Artif
 				ob.StageStart(st.name, i, len(stages))
 			}
 		}
-		var shared atomic.Pointer[[][]trace.Record]
+		var shared atomic.Pointer[[]report]
 		start := time.Now()
 		runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
 			rank := c.Rank()
@@ -150,19 +150,7 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (*Artif
 					func(context.Context) { st.run(e.opt, a, a.Ranks[rank]) })
 			})
 			lane.Span(0, "stage", st.name, spanStart, obs.Arg{K: "index", V: int64(i)})
-			a.shareRows(rank, &shared)
-			if a.World.Distributed() && st.name == StageExtractContig {
-				// Each process populated only its own rank's metrics; stream
-				// every snapshot to rank 0 on the control plane so the
-				// -metrics file and the manifest cover the whole world with
-				// no shared-filesystem assumption. The gather runs whether or
-				// not this process collects metrics: in a -join job every
-				// process has its own command line, and a sequence
-				// conditional on a local flag would deadlock the world the
-				// moment rank 0 asks for a manifest and a worker was launched
-				// without.
-				streamMetrics(a.ctl[rank], e.opt.Metrics)
-			}
+			a.share(rank, &shared)
 		})
 		wall := time.Since(start)
 		if runErr != nil {
@@ -208,39 +196,4 @@ func (e *Engine) abortError(stage string, a *Artifacts, err error) error {
 	}
 	return fmt.Errorf("pipeline: stage %q aborted by the loss of rank %d (no completed stages; restart the run from scratch): %w",
 		stage, rf.Rank, err)
-}
-
-// streamMetrics gathers every rank's metric snapshot at rank 0 on the
-// uncounted control communicator and imports them into rank 0's MetricSet.
-// Snapshots travel JSON-encoded: metric names are strings, which the typed
-// wire codec deliberately does not carry, and the control plane is invisible
-// to every counter, so the encoding never perturbs what it reports. A
-// process without a MetricSet still participates — it contributes an empty
-// snapshot and discards the gather — so the collective sequence is identical
-// on every process regardless of per-process observability flags.
-func streamMetrics(ctl *mpi.Comm, ms *obs.MetricSet) {
-	self := ctl.WorldRank(ctl.Rank())
-	var buf []byte
-	if ms != nil {
-		b, err := json.Marshal(ms.Rank(self).Snapshot())
-		if err != nil {
-			panic(fmt.Sprintf("pipeline: encoding rank %d metrics: %v", self, err))
-		}
-		buf = b
-	}
-	parts := mpi.Gatherv(ctl, 0, buf)
-	if ctl.Rank() != 0 || ms == nil {
-		return
-	}
-	for r, part := range parts {
-		wr := ctl.WorldRank(r)
-		if wr == self || len(part) == 0 {
-			continue
-		}
-		var snap []obs.Metric
-		if err := json.Unmarshal(part, &snap); err != nil {
-			panic(fmt.Sprintf("pipeline: decoding rank %d metrics: %v", wr, err))
-		}
-		ms.SetSnapshot(wr, snap)
-	}
 }

@@ -108,9 +108,8 @@ type Options struct {
 	// histograms (mpi.*, kmer.*, spmat.*, align.*, pipeline.*) for the
 	// -metrics snapshot and the manifest. Same contract as Trace: ≥ P ranks,
 	// no effect on results, nil means zero-cost. In a multi-process run every
-	// process must agree on whether Metrics is set (the engine streams the
-	// snapshots to rank 0 over the control plane at the end of the final
-	// stage, an SPMD exchange all processes must join).
+	// process's snapshot reaches every other after each stage, on the control
+	// plane with the stage rows; a process without Metrics sends none.
 	Metrics *obs.MetricSet `json:"-"`
 	// Transport selects how the P ranks exchange messages: "" or "inproc"
 	// (goroutines over the in-process mailbox), "tcp" (a loopback socket

@@ -20,7 +20,7 @@ func TestTimersConcurrentReporting(t *testing.T) {
 				tm.AddWork("Alignment", 2)
 				tm.Stage("Alignment", nil, func() {})
 				_ = tm.Entry("Alignment")
-				_ = tm.Names()
+				_ = tm.Records()
 			}
 		}()
 	}
@@ -32,8 +32,8 @@ func TestTimersConcurrentReporting(t *testing.T) {
 	if e.Bytes != 0 || e.Msgs != 0 {
 		t.Fatalf("comm %d/%d without a communicator", e.Bytes, e.Msgs)
 	}
-	if names := tm.Names(); len(names) != 1 {
-		t.Fatalf("names %v, want one row", names)
+	if rows := tm.Records(); len(rows) != 1 {
+		t.Fatalf("rows %v, want one", rows)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestTimersConcurrentMerge(t *testing.T) {
 	if got := tm.Entry("Alignment").Work; got != 100 {
 		t.Fatalf("reported work %d, want 100", got)
 	}
-	if outer, inner := tm.Get("ExtractContig"), tm.Get("CG:LocalAssembly"); outer < inner {
+	if outer, inner := tm.Entry("ExtractContig").Nanos, tm.Entry("CG:LocalAssembly").Nanos; outer < inner {
 		t.Fatalf("outer row %v shorter than the row nested in it %v", outer, inner)
 	}
 }

@@ -19,6 +19,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -27,50 +28,49 @@ import (
 	"repro/internal/mpi"
 )
 
-// Entry is one stage's accounting on one rank. OverlapBytes/OverlapMsgs are
-// the subset of Bytes/Msgs sent through the nonblocking layer — traffic the
-// rank could hide behind computation; the exposed remainder is
-// Bytes−OverlapBytes (so comm_overlap + comm_exposed == comm_total by
-// construction). Blocking runs keep the overlap counters at zero.
-type Entry struct {
-	Dur          time.Duration // measured wall time on this rank
-	Bytes        int64         // bytes this rank sent during the stage
-	Msgs         int64         // messages this rank sent during the stage
-	OverlapBytes int64         // of Bytes: sent nonblocking (overlappable)
-	OverlapMsgs  int64         // of Msgs: sent nonblocking (overlappable)
-	Work         int64         // abstract work units (stage-specific, e.g. DP cells)
+// Record is one stage's accounting on one rank: the one row form, held by
+// Timers, all-gathered between the processes of a multi-process run and
+// persisted by durable checkpoints (every field is a fixed-width integer or a
+// string, so the typed wire codec carries it and the bytes are
+// schedule-invariant). OvBytes/OvMsgs are the subset of Bytes/Msgs sent
+// through the nonblocking layer — traffic the rank could hide behind
+// computation; the exposed remainder is Bytes−OvBytes (so comm_overlap +
+// comm_exposed == comm_total by construction). Blocking runs keep the
+// overlap counters at zero.
+type Record struct {
+	Name    string
+	Nanos   int64 // measured wall time on this rank
+	Bytes   int64 // bytes this rank sent during the stage
+	Msgs    int64 // messages this rank sent during the stage
+	OvBytes int64 // of Bytes: sent nonblocking (overlappable)
+	OvMsgs  int64 // of Msgs: sent nonblocking (overlappable)
+	Work    int64 // abstract work units (stage-specific, e.g. DP cells)
 }
 
-// ExposedBytes returns the bytes whose transfer the rank had to wait for —
-// the comm_exposed counter (Bytes − OverlapBytes).
-func (e Entry) ExposedBytes() int64 { return e.Bytes - e.OverlapBytes }
-
-// ExposedMsgs returns the messages not sent through the nonblocking layer.
-func (e Entry) ExposedMsgs() int64 { return e.Msgs - e.OverlapMsgs }
-
-// Timers accumulates per-stage entries on one rank. Each rank owns its
-// Timers, but a rank's intra-rank worker pool (package par) may report work
+// Timers accumulates per-stage rows on one rank. Each rank owns its Timers,
+// but a rank's intra-rank worker pool (package par) may report work
 // concurrently, so all mutating and reading accessors are mutex-protected.
 type Timers struct {
-	mu    sync.Mutex
-	order []string
-	m     map[string]*Entry
+	mu   sync.Mutex
+	rows []Record       // first-seen order
+	idx  map[string]int // name → index into rows
 }
 
 // New creates an empty timer set.
 func New() *Timers {
-	return &Timers{m: map[string]*Entry{}}
+	return &Timers{idx: map[string]int{}}
 }
 
-// entry returns the named entry; the caller must hold t.mu.
-func (t *Timers) entry(name string) *Entry {
-	e, ok := t.m[name]
+// row returns the named row, appending a zero one when it is absent; the
+// caller must hold t.mu. Only writers call it: reading a row never creates it.
+func (t *Timers) row(name string) *Record {
+	i, ok := t.idx[name]
 	if !ok {
-		e = &Entry{}
-		t.m[name] = e
-		t.order = append(t.order, name)
+		i = len(t.rows)
+		t.idx[name] = i
+		t.rows = append(t.rows, Record{Name: name})
 	}
-	return e
+	return &t.rows[i]
 }
 
 // Stage times fn under name and attributes this rank's traffic delta of the
@@ -88,13 +88,13 @@ func (t *Timers) Stage(name string, c *mpi.Comm, fn func()) {
 	dur := time.Since(start)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.entry(name)
-	e.Dur += dur
+	r := t.row(name)
+	r.Nanos += int64(dur)
 	if c != nil {
-		e.Bytes += c.BytesSent() - b0
-		e.Msgs += c.MsgsSent() - m0
-		e.OverlapBytes += c.BytesAsync() - ob0
-		e.OverlapMsgs += c.MsgsAsync() - om0
+		r.Bytes += c.BytesSent() - b0
+		r.Msgs += c.MsgsSent() - m0
+		r.OvBytes += c.BytesAsync() - ob0
+		r.OvMsgs += c.MsgsAsync() - om0
 	}
 }
 
@@ -102,44 +102,42 @@ func (t *Timers) Stage(name string, c *mpi.Comm, fn func()) {
 func (t *Timers) AddWork(name string, units int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entry(name).Work += units
+	t.row(name).Work += units
 }
 
-// Get returns the accumulated duration of a stage.
-func (t *Timers) Get(name string) time.Duration {
+// Entry returns a copy of the stage's row, or a zero Record when the stage
+// has none.
+func (t *Timers) Entry(name string) Record {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.entry(name).Dur
-}
-
-// Entry returns a copy of the stage's accounting.
-func (t *Timers) Entry(name string) Entry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return *t.entry(name)
-}
-
-// Names lists stages in first-seen order.
-func (t *Timers) Names() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.order...)
-}
-
-// Clone returns a deep copy (entries and first-seen order). The pipeline
-// engine forks a rank's timers when resuming from an artifact snapshot, so
-// the snapshot's accounting is never double-counted by the resumed chain.
-func (t *Timers) Clone() *Timers {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := New()
-	for _, n := range t.order {
-		e := *t.m[n]
-		out.m[n] = &e
-		out.order = append(out.order, n)
+	if i, ok := t.idx[name]; ok {
+		return t.rows[i]
 	}
-	return out
+	return Record{}
 }
+
+// Records returns a copy of the rows in first-seen order. FromRecords
+// inverts it exactly.
+func (t *Timers) Records() []Record {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Clone(t.rows)
+}
+
+// FromRecords builds a timer set holding recs, in order — the checkpoint
+// restore path and the multi-process fold.
+func FromRecords(recs []Record) *Timers {
+	t := New()
+	for _, r := range recs {
+		*t.row(r.Name) = r
+	}
+	return t
+}
+
+// Clone returns a deep copy. The pipeline engine forks a rank's timers when
+// resuming from an artifact snapshot, so the snapshot's accounting is never
+// double-counted by the resumed chain.
+func (t *Timers) Clone() *Timers { return FromRecords(t.Records()) }
 
 // SummaryEntry aggregates a stage across ranks.
 type SummaryEntry struct {
@@ -179,51 +177,6 @@ func (s *Summary) Get(name string) SummaryEntry { return s.m[name] }
 
 // Dur returns the stage's max-across-ranks duration.
 func (s *Summary) Dur(name string) time.Duration { return s.m[name].MaxDur }
-
-// Record is one stage's accounting flattened to wire-encodable scalars: the
-// form a multi-process run all-gathers between processes and durable
-// checkpoints persist (every field is a fixed-width integer or a string, so
-// the typed wire codec carries it and the bytes are schedule-invariant).
-type Record struct {
-	Name    string
-	Nanos   int64
-	Bytes   int64
-	Msgs    int64
-	OvBytes int64
-	OvMsgs  int64
-	Work    int64
-}
-
-// Records flattens the timer set into per-stage records in first-seen order.
-// FromRecords inverts it exactly.
-func (t *Timers) Records() []Record {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Record
-	for _, n := range t.order {
-		e := t.m[n]
-		out = append(out, Record{Name: n, Nanos: int64(e.Dur), Bytes: e.Bytes, Msgs: e.Msgs,
-			OvBytes: e.OverlapBytes, OvMsgs: e.OverlapMsgs, Work: e.Work})
-	}
-	return out
-}
-
-// FromRecords rebuilds a timer set from flattened records, preserving order —
-// the checkpoint restore path; FromRecords(t.Records()) is equivalent to
-// t.Clone().
-func FromRecords(recs []Record) *Timers {
-	t := New()
-	for _, r := range recs {
-		e := t.entry(r.Name)
-		e.Dur = time.Duration(r.Nanos)
-		e.Bytes = r.Bytes
-		e.Msgs = r.Msgs
-		e.OverlapBytes = r.OvBytes
-		e.OverlapMsgs = r.OvMsgs
-		e.Work = r.Work
-	}
-	return t
-}
 
 // Aggregate folds several ranks' timer sets into one cross-rank Summary:
 // durations, per-rank bytes/messages and work take the max (critical path);
