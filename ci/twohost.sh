@@ -14,13 +14,20 @@ OUT="${2:-RUN_twohost.json}"
 SIZE="${SIZE:-150000}"
 NP=4
 
-ELBA="$(mktemp -d)/elba"
+# The binary's directory is removed on every exit, and the ranks still
+# running are killed; the trap stays set to the end of the script.
+BIN="$(mktemp -d)"
+pids=()
+cleanup() {
+	kill "${pids[@]}" 2>/dev/null || true
+	rm -rf "$BIN"
+}
+trap cleanup EXIT
+
+ELBA="$BIN/elba"
 go build -o "$ELBA" ./cmd/elba
 
 RDV="127.0.0.1:$((20000 + RANDOM % 20000))"
-pids=()
-cleanup() { kill "${pids[@]}" 2>/dev/null || true; }
-trap cleanup EXIT
 
 "$ELBA" -serve-rendezvous "$RDV" -np $NP &
 pids+=($!)
@@ -44,6 +51,6 @@ pids+=($!)
 "$ELBA" "${common[@]}" -rank 0 -listen 127.0.0.1:0
 
 wait "${pids[@]}"
-trap - EXIT
+pids=()
 
 go run ./cmd/benchguard -manifest "$OUT" -manifest-baseline "$BASELINE"

@@ -301,14 +301,28 @@ func inducedSubgraph(l *spmat.Dist[bidir.Edge], assign *spmat.DistVec[int32]) *L
 	g := l.G
 	p := g.Comm.Size()
 	rowAsg, colAsg := assign.RowColGather()
-	send := make([][]spmat.Triple[bidir.Edge], p)
-	for _, t := range l.Local.Ts {
-		du := rowAsg[t.Row-l.RowLo]
-		dw := colAsg[t.Col-l.ColLo]
-		if du < 0 || du != dw {
-			continue
+	dest := func(t spmat.Triple[bidir.Edge]) int32 {
+		if du := rowAsg[t.Row-l.RowLo]; du >= 0 && du == colAsg[t.Col-l.ColLo] {
+			return du
 		}
-		send[du] = append(send[du], t)
+		return -1
+	}
+	counts := make([]int, p)
+	for _, t := range l.Local.Ts {
+		if d := dest(t); d >= 0 {
+			counts[d]++
+		}
+	}
+	send := make([]mpi.Buf[spmat.Triple[bidir.Edge]], p)
+	fill := make([][]spmat.Triple[bidir.Edge], p)
+	for d, n := range counts {
+		send[d] = mpi.NewBuf[spmat.Triple[bidir.Edge]](n)
+		fill[d] = send[d].Elems()[:0]
+	}
+	for _, t := range l.Local.Ts {
+		if d := dest(t); d >= 0 {
+			fill[d] = append(fill[d], t)
+		}
 	}
 	parts := mpi.IAlltoallv(g.Comm, send).WaitValue()
 
@@ -368,9 +382,10 @@ type SeqCommHandle struct {
 
 // StartCommunicateSequences posts the full sequence exchange and returns —
 // the transfers complete while the caller routes edges and walks chains.
-// Every per-destination buffer is sized from the replicated length table
-// before a base is packed (diBELLA's order), so each assigned base is copied
-// once on the way out.
+// Every per-destination buffer — read ids, 2-bit words or raw bytes, each an
+// mpi.Buf — is sized from the replicated length table before a base is
+// packed (diBELLA's order), so each assigned base is copied once on the way
+// out and none on the way in.
 func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int32], packed bool) *SeqCommHandle {
 	g := assign.G
 	p := g.Comm.Size()
@@ -383,31 +398,37 @@ func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 			bases[proc] += store.Len(int(assign.Lo) + i)
 		}
 	}
-	ids := make([][]int32, p)
+	ids := make([]mpi.Buf[int32], p)
+	own := make([][]int32, p) // ids[r]'s elements, read until ids is given away
 	for r := range ids {
-		ids[r] = make([]int32, 0, reads[r])
+		ids[r] = mpi.NewBuf[int32](reads[r])
+		own[r] = ids[r].Elems()[:0]
 	}
 	for i, proc := range assign.Local {
 		if proc >= 0 {
-			ids[proc] = append(ids[proc], assign.Lo+int32(i))
+			own[proc] = append(own[proc], assign.Lo+int32(i))
 		}
 	}
-	h.idsReq = mpi.IAlltoallv(g.Comm, ids)
 
+	// The sequences are packed from own before ids is posted.
 	if packed {
 		// All ranks must agree on the encoding: fall back to raw everywhere
 		// if any rank holds a non-ACGT read. The agreement allreduce is tiny
 		// and blocking.
 		okLocal := true
-		words := make([][]uint64, p)
+		words := make([]mpi.Buf[uint64], p)
 		for r := 0; r < p && okLocal; r++ {
-			seqs := make([][]byte, len(ids[r]))
-			for i, gid := range ids[r] {
+			seqs := make([][]byte, len(own[r]))
+			lens := make([]int, len(own[r]))
+			for i, gid := range own[r] {
 				seqs[i] = store.Get(int(gid))
+				lens[i] = len(seqs[i])
 			}
-			words[r], okLocal = dna.PackAll(seqs)
+			words[r] = mpi.NewBuf[uint64](dna.PackedWords(lens))
+			okLocal = dna.PackAllInto(words[r].Elems(), seqs)
 		}
 		if mpi.Allreduce(g.Comm, okLocal, func(a, b bool) bool { return a && b }) {
+			h.idsReq = mpi.IAlltoallv(g.Comm, ids)
 			h.packReq = mpi.IAlltoallv(g.Comm, words)
 			return h
 		}
@@ -417,12 +438,13 @@ func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 	bufs := make([]mpi.ByteBuf, p)
 	for r := range bufs {
 		bufs[r] = mpi.NewByteBuf(bases[r])
-		dst := bufs[r].Bytes()
-		for _, gid := range ids[r] {
+		dst := bufs[r].Elems()
+		for _, gid := range own[r] {
 			dst = dst[copy(dst, store.Get(int(gid))):]
 		}
 	}
-	h.rawReq = mpi.IAlltoallvBytes(g.Comm, bufs)
+	h.idsReq = mpi.IAlltoallv(g.Comm, ids)
+	h.rawReq = mpi.IAlltoallv(g.Comm, bufs)
 	return h
 }
 

@@ -64,15 +64,25 @@ func PackAll(seqs [][]byte) (words []uint64, ok bool) {
 		total += (len(s) + 31) / 32
 	}
 	words = make([]uint64, total)
+	if !PackAllInto(words, seqs) {
+		return nil, false
+	}
+	return words, true
+}
+
+// PackAllInto is PackAll into words, which the caller zeroed and sized to
+// PackedWords of the reads' lengths; it reports false, with words partly
+// written, if any read has a non-ACGT byte.
+func PackAllInto(words []uint64, seqs [][]byte) bool {
 	off := 0
 	for _, s := range seqs {
 		nw := (len(s) + 31) / 32
 		if !packInto(words[off:off+nw], s) {
-			return nil, false
+			return false
 		}
 		off += nw
 	}
-	return words, true
+	return true
 }
 
 // UnpackAll reverses PackAll given the original lengths. The reads are

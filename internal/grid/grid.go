@@ -68,22 +68,25 @@ func (g *Grid) TransposedRank() int { return g.Rank(g.Col, g.Row) }
 // over the world in rank order — reads, vectors — row covers this rank's
 // matrix row range and col its column range. Every message goes through the
 // chunked protocol, so none exceeds mpi.MaxMessageBytes (T must be
-// fixed-width). row never aliases block; on the diagonal col is row.
+// fixed-width). row never aliases block, and stays the caller's: it is
+// copied once into the swap's frame; on the diagonal col is row.
 func RowCol[T any](g *Grid, block []T) (row, col []T) {
 	row = slices.Concat(mpi.Allgatherv(g.RowComm, block)...)
-	return row, Transposed(g, row)
+	return row, Transposed(g, mpi.BufOf(row))
 }
 
 // Transposed swaps block with the rank at the transposed grid position
-// (collective) and returns the partner's block, chunked like RowCol. A
-// diagonal rank is its own partner and gets block back.
-func Transposed[T any](g *Grid, block []T) []T {
+// (collective) and returns the partner's block, chunked like RowCol. Passing
+// block gives it away (see mpi.Buf): a dense block filled in a mpi.NewBuf
+// crosses uncopied. A diagonal rank is its own partner and gets block's
+// elements back.
+func Transposed[T any](g *Grid, block mpi.Buf[T]) []T {
 	tag := mpi.ReserveTag(g.Comm) // on the diagonal too: tags follow the call order
 	if g.Row == g.Col {
-		return block
+		return block.Elems()
 	}
 	partner := g.TransposedRank()
-	mpi.SendChunked(g.Comm, partner, tag, block)
+	mpi.SendBuf(g.Comm, partner, tag, block)
 	return mpi.RecvChunked[T](g.Comm, partner, tag)
 }
 

@@ -140,11 +140,13 @@ func TestRowColAndTransposed(t *testing.T) {
 					}
 					for round := 0; round < 3; round++ {
 						mine := blockOf(c.Rank(), round)
-						got := Transposed(g, mine)
+						send := mpi.NewBuf[int32](len(mine))
+						copy(send.Elems(), mine)
+						got := Transposed(g, send)
 						if !slices.Equal(got, blockOf(g.TransposedRank(), round)) {
 							panic(fmt.Sprintf("round %d: Transposed gave %v", round, got))
 						}
-						if g.Row == g.Col && len(mine) > 0 && &got[0] != &mine[0] {
+						if g.Row == g.Col && len(mine) > 0 && &got[0] != &send.Elems()[0] {
 							panic("a diagonal rank did not get its own block back")
 						}
 						if mpi.Allreduce(c, 1, func(a, b int) int { return a + b }) != p {

@@ -2,6 +2,7 @@ package kmer
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/fasta"
@@ -96,5 +97,47 @@ func BenchmarkCountAndBuildDistributed(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestCountAndBuildAllocationBudget bounds what CountAndBuild allocates at
+// P = 4 against the bytes it routes: every occurrence goes to its owner as an
+// 8-byte k-mer and comes back as a 4-byte column id. The stream, the routed
+// parts, the count table, the replies and the emitted triples each cost a
+// few bytes per occurrence, 5.1 × the routed bytes in all. A routed part
+// copied into a frame at send, or out of one at receive, costs its bytes once
+// more (5.9 ×), and both copies twice more (6.6 ×).
+func TestCountAndBuildAllocationBudget(t *testing.T) {
+	const budget = 5.5
+	g := readsim.Genome(readsim.GenomeConfig{Length: 50000, Seed: 4})
+	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 10, MeanLen: 3000, Seed: 5}))
+	var allocated uint64
+	var routed int64
+	err := mpi.Run(4, func(c *mpi.Comm) {
+		store := fasta.FromGlobal(c, reads)
+		// Rank 0 reads the process-wide counter between barriers, so the
+		// delta is what all four ranks allocated in between.
+		var before, after runtime.MemStats
+		mpi.Barrier(c)
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		mpi.Barrier(c)
+		res := CountAndBuild(store, 31, 2, 100, 1)
+		mpi.Barrier(c)
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		occ := mpi.Allreduce(c, res.Occurrences, func(a, b int64) int64 { return a + b })
+		if c.Rank() == 0 {
+			allocated, routed = after.TotalAlloc-before.TotalAlloc, 12*occ
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("allocated %d bytes for %d routed bytes (%.2f ×; budget %.1f ×)", allocated, routed, float64(allocated)/float64(routed), budget)
+	if float64(allocated) > budget*float64(routed) {
+		t.Fatalf("CountAndBuild allocated %d bytes, budget %.0f", allocated, budget*float64(routed))
 	}
 }

@@ -54,6 +54,9 @@ type Result struct {
 //
 // Both exchanges are one mpi.IAlltoallv each, so every message honours
 // mpi.MaxMessageBytes and the rank's own part is handed over, not copied.
+// Both are packed in place into mpi.Bufs, so a routed word or reply is
+// written once by its sender and read where it lands: in process the owner
+// reads the sender's buffer itself, over TCP the frame its reader filled.
 // Alltoallv #1 is posted as soon as the stream is routed; the rank sizes its
 // count table while the parts are in flight (on a rank not in blocking
 // mode). Counts, column ids, triples, and byte/message counters do not
@@ -71,7 +74,7 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	sendKmers := s.route(p)
 	var occ int64
 	for _, part := range sendKmers {
-		occ += int64(len(part))
+		occ += int64(len(part.Elems()))
 	}
 	req := mpi.IAlltoallv(c, sendKmers)
 
@@ -89,10 +92,10 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 			cnt.observe(part)
 		}
 	}
-	reply := make([][]int32, p)
+	reply := make([]mpi.Buf[int32], p)
 	for r, part := range recvKmers {
-		reply[r] = make([]int32, len(part))
-		cnt.tally(part, reply[r])
+		reply[r] = mpi.NewBuf[int32](len(part))
+		cnt.tally(part, reply[r].Elems())
 	}
 	nLocal := cnt.table.MarkReliable(low, high)
 	if reg := c.Metrics(); reg != nil {
@@ -130,7 +133,7 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	// downstream depends on which id a k-mer gets.
 	next := int32(offset)
 	for _, slots := range reply {
-		cnt.table.number(slots, &next)
+		cnt.table.number(slots.Elems(), &next)
 	}
 	cols := mpi.IAlltoallv(c, reply).WaitValue()
 
@@ -168,28 +171,25 @@ func extract(pool *par.Pool[*ExtractScratch], seqs [][]byte, k int) *stream {
 	return s
 }
 
-// route packs the stream's k-mers by owner, in read order, into one buffer
-// sized by a counting pre-pass (the packing never append-grows); part o is
-// what owner o is sent.
-func (s *stream) route(p int) [][]uint64 {
-	bounds := make([]int, p+1) // by owner, shifted one up
+// route packs the stream's k-mers by owner, in read order, into send buffers
+// sized by a counting pre-pass; part o is what owner o is sent.
+func (s *stream) route(p int) []mpi.Buf[uint64] {
+	counts := make([]int, p)
 	for i, end := range s.end {
 		for _, km := range s.kms[s.start[i]:end] {
-			bounds[Owner(Kmer(km), p)+1]++
+			counts[Owner(Kmer(km), p)]++
 		}
 	}
-	for o := 1; o <= p; o++ {
-		bounds[o] += bounds[o-1]
-	}
-	buf := make([]uint64, bounds[p])
-	parts := make([][]uint64, p)
-	for o := range parts {
-		parts[o] = buf[bounds[o]:bounds[o]:bounds[o+1]]
+	parts := make([]mpi.Buf[uint64], p)
+	fill := make([][]uint64, p)
+	for o, n := range counts {
+		parts[o] = mpi.NewBuf[uint64](n)
+		fill[o] = parts[o].Elems()[:0]
 	}
 	for i, end := range s.end {
 		for _, km := range s.kms[s.start[i]:end] {
 			o := Owner(Kmer(km), p)
-			parts[o] = append(parts[o], km)
+			fill[o] = append(fill[o], km)
 		}
 	}
 	return parts

@@ -147,12 +147,15 @@ func AllgathervFlat[T any](c *Comm, local []T) ([]T, []int) {
 // collective keeps (the gathers run this same pairwise loop):
 //   - every pairwise message goes through the chunked protocol (SendChunked,
 //     RecvChunked), so none exceeds MaxMessageBytes however large a part is,
-//     and a part that fits is the one message Send would send; T must be
-//     fixed-width (a gather or scatter sends a variable-width part as one
-//     message);
+//     and a part that fits is one aligned frame, copied once from send and,
+//     for a dense T, read by its receiver as a view; T must be fixed-width
+//     (a gather or scatter sends a variable-width part as one message);
 //   - passing send gives its buffers away: recv[c.Rank()] is send[c.Rank()]
 //     itself, not a copy, so the caller must not write any send buffer
 //     afterwards.
+//
+// AlltoallvBufs and IAlltoallv, the nonblocking form, take Bufs, in which a
+// dense part reaches the transport without the copy.
 func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 	checkParts(c, len(send), "Alltoallv")
 	return alltoallv(c, send[c.rank], func(c *Comm, dst int, tag int64) {
@@ -160,15 +163,16 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 	})
 }
 
-// AlltoallvBytes is Alltoallv for potentially huge byte buffers the caller
-// packed in place and gives away (see ByteBuf), with no copy of a buffer into
-// a frame or of the caller's own into recv.
-func AlltoallvBytes(c *Comm, send []ByteBuf) [][]byte {
-	checkParts(c, len(send), "AlltoallvBytes")
-	return alltoallv(c, send[c.rank].payload, func(c *Comm, dst int, tag int64) {
-		sendChunkedBuf(c, dst, tag, send[dst])
-	})
+// AlltoallvBufs is the blocking IAlltoallv: Alltoallv of Bufs the caller
+// packed in place and gives away, so a dense part that fits one message is
+// not copied into a frame, and the caller's own is recv[c.Rank()].
+func AlltoallvBufs[T any](c *Comm, send []Buf[T]) [][]T {
+	checkParts(c, len(send), "AlltoallvBufs")
+	return alltoallv(c, send[c.rank].elems, func(c *Comm, dst int, tag int64) { SendBuf(c, dst, tag, send[dst]) })
 }
+
+// AlltoallvBytes is AlltoallvBufs of byte buffers.
+func AlltoallvBytes(c *Comm, send []ByteBuf) [][]byte { return AlltoallvBufs(c, send) }
 
 // alltoallv is the pairwise loop of the blocking all-to-alls, shaped like
 // iAlltoallv: self is the caller's own part of the result, and sendTo ships

@@ -109,6 +109,48 @@ func TestConformanceSelfSend(t *testing.T) {
 	})
 }
 
+// TestConformanceOneElementParts: a one-element part of a small type is an
+// aligned frame of 9 to 16 bytes, which Go's allocator would place at an
+// address aligned only to its size unless every allocation point asks for 16
+// bytes. Each rank sends each peer one bool, int32 or uint64 through the
+// blocking and the nonblocking all-to-all; every part must arrive intact, a
+// misaligned frame being refused at the receiver.
+func TestConformanceOneElementParts(t *testing.T) {
+	oneElement(t, "bool", func(src, dst int) bool { return (src+dst)%2 == 1 })
+	oneElement(t, "int32", func(src, dst int) int32 { return int32(-1000*src - dst) })
+	oneElement(t, "uint64", func(src, dst int) uint64 { return uint64(src)<<40 | uint64(dst) })
+}
+
+func oneElement[T comparable](t *testing.T, name string, val func(src, dst int) T) {
+	exchanges := []struct {
+		op  string
+		run func(c *Comm, send [][]T) [][]T
+	}{
+		{"Alltoallv", Alltoallv[T]},
+		{"IAlltoallv", func(c *Comm, send [][]T) [][]T { return IAlltoallv(c, packBufs(send)).WaitValue() }},
+	}
+	for _, ex := range exchanges {
+		t.Run(name+"/"+ex.op, func(t *testing.T) {
+			forTransports(t, []int{2, 4}, func(t *testing.T, w *World) {
+				err := w.Run(func(c *Comm) {
+					send := make([][]T, c.Size())
+					for dst := range send {
+						send[dst] = []T{val(c.Rank(), dst)}
+					}
+					for src, part := range ex.run(c, send) {
+						if len(part) != 1 || part[0] != val(src, c.Rank()) {
+							panic(fmt.Sprintf("rank %d: part from %d is %v", c.Rank(), src, part))
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
 func TestConformanceZeroLengthAlltoallv(t *testing.T) {
 	forTransports(t, conformanceSizes, func(t *testing.T, w *World) {
 		err := w.Run(func(c *Comm) {
@@ -307,7 +349,7 @@ func TestConformanceCountersEqualAcrossTransports(t *testing.T) {
 			}
 			send[r] = seg
 		}
-		IAlltoallv(c, send).Wait()
+		IAlltoallv(c, packBufs(send)).Wait()
 		Bcast(c, 0, []byte("counter probe"))
 		Allreduce(c, int64(c.Rank()), func(a, b int64) int64 { return a + b })
 		Gatherv(c, 0, []int32{int32(c.Rank())})
@@ -337,8 +379,9 @@ func TestConformanceCountersEqualAcrossTransports(t *testing.T) {
 // sizes where its receive path changes — empty, exactly one full message
 // (returned as the received chunk itself), one element more (two chunks,
 // concatenated) — through all four all-to-alls (the rows named
-// AlltoallvChunked and IAlltoallvChunked drive Alltoallv and IAlltoallv over
-// plain []byte parts). Every one must deliver the
+// AlltoallvChunked and IAlltoallvChunked drive Alltoallv over plain []byte
+// parts and IAlltoallv over BufOf them, encoded at send). Every one must
+// deliver the
 // same data with the same messages and bytes: per pair, a buffer that fits
 // is one message of n bytes (n = 0 and 64: 12 messages at P = 4); a split
 // one is a count message plus ceil(n/MaxMessageBytes) chunks, 8 + n bytes
@@ -364,7 +407,14 @@ func TestConformanceChunkedBoundary(t *testing.T) {
 		send := make([]ByteBuf, c.Size())
 		for dst := range send {
 			send[dst] = NewByteBuf(n)
-			fill(send[dst].Bytes(), c.Rank(), dst)
+			fill(send[dst].Elems(), c.Rank(), dst)
+		}
+		return send
+	}
+	wrapped := func(c *Comm, n int) []ByteBuf {
+		send := make([]ByteBuf, c.Size())
+		for dst, part := range plain(c, n) {
+			send[dst] = BufOf(part)
 		}
 		return send
 	}
@@ -373,7 +423,7 @@ func TestConformanceChunkedBoundary(t *testing.T) {
 		run  func(c *Comm, n int) [][]byte
 	}{
 		{"AlltoallvChunked", func(c *Comm, n int) [][]byte { return Alltoallv(c, plain(c, n)) }},
-		{"IAlltoallvChunked", func(c *Comm, n int) [][]byte { return IAlltoallv(c, plain(c, n)).WaitValue() }},
+		{"IAlltoallvChunked", func(c *Comm, n int) [][]byte { return IAlltoallv(c, wrapped(c, n)).WaitValue() }},
 		{"AlltoallvBytes", func(c *Comm, n int) [][]byte { return AlltoallvBytes(c, packed(c, n)) }},
 		{"IAlltoallvBytes", func(c *Comm, n int) [][]byte { return IAlltoallvBytes(c, packed(c, n)).WaitValue() }},
 	}
@@ -429,13 +479,13 @@ func TestConformanceChunkedRejectsBadStreams(t *testing.T) {
 		}},
 		{"huge-count-short-stream", func(c *Comm, tag int64) {
 			SendOne(c, 1, tag, int64(1)<<60)
-			Send(c, 1, tag, []byte{1})
-			Send(c, 1, tag, []byte{})
+			sendAligned(c, 1, tag, []byte{1})
+			sendAligned(c, 1, tag, []byte{})
 		}},
 		{"overrun", func(c *Comm, tag int64) {
 			SendOne(c, 1, tag, int64(3))
-			Send(c, 1, tag, []byte{1, 2})
-			Send(c, 1, tag, []byte{3, 4})
+			sendAligned(c, 1, tag, []byte{1, 2})
+			sendAligned(c, 1, tag, []byte{3, 4})
 		}},
 	}
 	recvs := []struct {

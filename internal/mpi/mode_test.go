@@ -66,7 +66,7 @@ var modeOps = []struct {
 				send[dst] = append(send[dst], int64(c.Rank()*100+dst*10+i))
 			}
 		}
-		req := IAlltoallv(c, send)
+		req := IAlltoallv(c, packBufs(send))
 		done := req.Done() && c.Size() > 1
 		return done, req.WaitValue()
 	}},
@@ -78,7 +78,7 @@ var modeOps = []struct {
 				send[dst][i] = uint64(c.Rank()<<16 | dst<<8 | i)
 			}
 		}
-		req := IAlltoallv(c, send)
+		req := IAlltoallv(c, packBufs(send))
 		done := req.Done() && c.Size() > 1
 		return done, req.WaitValue()
 	}},
@@ -86,8 +86,8 @@ var modeOps = []struct {
 		send := make([]ByteBuf, c.Size())
 		for dst := range send {
 			send[dst] = NewByteBuf(100 + dst)
-			for i := range send[dst].Bytes() {
-				send[dst].Bytes()[i] = byte(c.Rank()*31 + dst*7 + i)
+			for i := range send[dst].Elems() {
+				send[dst].Elems()[i] = byte(c.Rank()*31 + dst*7 + i)
 			}
 		}
 		req := IAlltoallvBytes(c, send)
@@ -189,7 +189,7 @@ func TestRequestModesMisuseAndFailure(t *testing.T) {
 			recv := Irecv[int](c, peer, tag)
 			send := Isend(c, peer, tag, []int{c.Rank()})
 			bcast := IBcast(c, 0, wire.Marshal([]int{1}))
-			all := IAlltoallv(c, [][]int{{1}, {2}})
+			all := IAlltoallv(c, packBufs([][]int{{1}, {2}}))
 			for i, r := range []Request{send, recv, bcast, all} {
 				r.Wait()
 				if msg := mustPanic("second Wait", r.Wait); !strings.Contains(msg, "waited twice") {

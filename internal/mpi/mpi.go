@@ -28,19 +28,22 @@
 // through the chunked protocol (SendChunked, RecvChunked), and every
 // broadcast frame is chunked at each hop, so no message exceeds
 // MaxMessageBytes; and passing send buffers gives them away — the result's
-// own part is the caller's send buffer itself, as with a ByteBuf. The
+// own part is the caller's send buffer itself. A part of a fixed-width type
+// travels as an aligned frame (package wire): a dense part packed in a Buf
+// is sent as the Buf itself, and a dense part received is a view of its
+// frame, so each exchanged element is copied at most once. The
 // gathers are the all-to-alls' pairwise loop and the reductions one binomial
 // tree (ReduceSlice). A part of a variable-width type has no chunk size and
 // travels as one message; a caller whose such parts may outgrow the limit
 // encodes them to bytes (core.GatherContigs).
 //
-// Because every payload is encoded at send and decoded at receive, a rank
-// can never observe another rank's memory — algorithmic errors (reading a
-// vector entry the rank does not own) fail in tests the same way they would
-// on real distributed hardware — and the traffic counters charge the actual
-// wire bytes, identically on every transport. The runtime keeps per-rank
-// totals, the nonblocking (overlappable) subset, and per-communicator
-// in-flight gauges; the cross-transport conformance suite
+// Because every payload crosses as a frame its sender no longer holds, a
+// rank never observes memory another rank still uses — algorithmic errors
+// (reading a vector entry the rank does not own) fail in tests the same way
+// they would on real distributed hardware — and the traffic counters charge
+// the actual wire bytes, identically on every transport. The runtime keeps
+// per-rank totals, the nonblocking (overlappable) subset, and
+// per-communicator in-flight gauges; the cross-transport conformance suite
 // (conformance_test.go) pins byte/message equality between the in-process
 // and TCP transports.
 //
@@ -627,16 +630,6 @@ func mustUnmarshal[T any](frame []byte) []T {
 	return v
 }
 
-// mustUnmarshalOwned is mustUnmarshal for a frame this receiver alone owns
-// (see wire.UnmarshalOwned).
-func mustUnmarshalOwned[T any](frame []byte) []T {
-	v, err := wire.UnmarshalOwned[T](frame)
-	if err != nil {
-		panic(fmt.Sprintf("mpi: recv type mismatch: %v", err))
-	}
-	return v
-}
-
 func mustUnmarshalOne[T any](frame []byte) T {
 	v, err := wire.UnmarshalOne[T](frame)
 	if err != nil {
@@ -671,26 +664,36 @@ func RecvOne[T any](c *Comm, src int, tag int64) T {
 }
 
 // SendChunked sends data under the MaxMessageBytes limit, mirroring how ELBA
-// works around the MPI 2^31-1 count limit for read-sequence buffers. A buffer
-// that fits is the one slice frame Send would send; a larger one is split:
-// its element count goes first, as a one-value int64 frame, then the chunks,
-// every one but the last full. Chunks are sized by the codec's wire width of
-// T, so T must be fixed-width: a variable-width T (a string, a slice, a
-// struct holding one) panics naming the type before anything is sent.
+// works around the MPI 2^31-1 count limit for read-sequence buffers. Every
+// message of the stream is an aligned frame of elements at their wire width
+// (wire.MarshalAligned), so data is copied once, into the frames. A buffer
+// that fits is one such frame; a larger one is split: its element count goes
+// first, as a one-value int64 frame, then the chunks, every one but the last
+// full. Chunks are sized by the codec's wire width of T, so T must be
+// fixed-width and not zero-width (an aligned payload carries its count as its
+// length): another T (a string, a slice, a struct holding one, struct{})
+// panics naming the type before anything is sent.
 func SendChunked[T any](c *Comm, dst int, tag int64, data []T) {
 	w := int64(wire.Width[T]())
-	if w < 0 {
-		panic(fmt.Sprintf("mpi: SendChunked of %s: a variable-width element has no chunk size", reflect.TypeFor[T]()))
+	if w <= 0 {
+		panic(fmt.Sprintf("mpi: SendChunked of %s: an element of variable or zero width has no chunk size", reflect.TypeFor[T]()))
 	}
-	maxElems := max(int(MaxMessageBytes/max(w, 1)), 1)
+	maxElems := max(int(MaxMessageBytes/w), 1)
 	if len(data) <= maxElems {
-		Send(c, dst, tag, data)
+		sendAligned(c, dst, tag, data)
 		return
 	}
 	SendOne(c, dst, tag, int64(len(data)))
 	for off := 0; off < len(data); off += maxElems {
-		Send(c, dst, tag, data[off:min(off+maxElems, len(data))])
+		sendAligned(c, dst, tag, data[off:min(off+maxElems, len(data))])
 	}
+}
+
+// sendAligned sends one message of a chunked stream: data as an aligned
+// frame.
+func sendAligned[T any](c *Comm, dst int, tag int64, data []T) {
+	frame := wire.MarshalAligned(data)
+	c.sendRaw(dst, tag, frame, wire.DataLen(frame))
 }
 
 // sendPart sends one part of a collective: chunked for a fixed-width element
@@ -705,41 +708,65 @@ func sendPart[T any](c *Comm, dst int, tag int64, part []T) {
 	SendChunked(c, dst, tag, part)
 }
 
-// ByteBuf is a []byte send buffer for the chunked byte exchanges that is laid
-// out as its own wire frame: the sender sizes it, packs its bytes straight
-// into Bytes, and the exchange hands the frame to the transport as it stands,
-// without Marshal's copy. Passing a ByteBuf to an exchange gives it away —
-// the frame's one owner is then its receiver — so the caller must not read
-// or write it afterwards.
-type ByteBuf struct {
-	frame, payload []byte
+// Buf is a typed send buffer for the chunked exchanges (SendBuf,
+// AlltoallvBufs, IAlltoallv).
+// A Buf from NewBuf of a dense T (wire.Dense: memory layout is wire layout)
+// is laid out as its own aligned wire frame: the sender fills Elems in place,
+// and the exchange hands the frame to the transport as it stands, with no
+// encoding copy, so a receiver in the same process reads the sender's memory
+// itself. Passing such a Buf to an exchange gives it away — the frame's one
+// owner is then its receiver — so the caller must not read or write it
+// afterwards. Any other Buf (of a T that is not dense, or from BufOf) is a
+// plain slice, encoded into a frame at send, as SendChunked does.
+type Buf[T any] struct {
+	frame []byte // the aligned frame elems lies in; nil when encoded at send
+	elems []T
 }
 
-// NewByteBuf returns a send buffer with room for exactly n bytes.
-func NewByteBuf(n int) ByteBuf {
-	frame, payload := wire.NewByteFrame(n)
-	return ByteBuf{frame: frame, payload: payload}
+// NewBuf returns a send buffer with room for exactly n elements. An empty
+// one allocates nothing; it is encoded at send like a slice.
+func NewBuf[T any](n int) Buf[T] {
+	if n == 0 || !wire.Dense[T]() {
+		return Buf[T]{elems: make([]T, n)}
+	}
+	frame, payload := wire.NewAlignedFrame[T](n * wire.Width[T]())
+	elems, err := wire.Elems[T](payload, n)
+	if err != nil {
+		panic(fmt.Sprintf("mpi: NewBuf: %v", err))
+	}
+	return Buf[T]{frame: frame, elems: elems}
 }
 
-// Bytes is the n-byte region to fill.
-func (b ByteBuf) Bytes() []byte { return b.payload }
+// BufOf returns a Buf over s that is encoded at send: the exchange copies s
+// once into its frame and leaves it to the caller.
+func BufOf[T any](s []T) Buf[T] { return Buf[T]{elems: s} }
 
-// sendChunkedBuf is SendChunked for a ByteBuf — same messages, same bytes: a
-// buffer that fits one message travels as the frame it already is; a larger
-// one is chunked, and so re-encoded, like any other.
-func sendChunkedBuf(c *Comm, dst int, tag int64, b ByteBuf) {
-	if n := int64(len(b.payload)); n <= MaxMessageBytes {
+// Elems is the n-element region to fill.
+func (b Buf[T]) Elems() []T { return b.elems }
+
+// ByteBuf is the byte send buffer of the sequence exchange.
+type ByteBuf = Buf[byte]
+
+// NewByteBuf returns a byte send buffer with room for exactly n bytes.
+func NewByteBuf(n int) ByteBuf { return NewBuf[byte](n) }
+
+// SendBuf is SendChunked for a Buf, which it gives away — same messages,
+// same bytes: a Buf that is its own frame and fits one message travels as
+// that frame; any other is chunked, and so copied into frames, like a slice.
+func SendBuf[T any](c *Comm, dst int, tag int64, b Buf[T]) {
+	if n := wire.DataLen(b.frame); b.frame != nil && n <= MaxMessageBytes {
 		c.sendRaw(dst, tag, b.frame, n)
 		return
 	}
-	SendChunked(c, dst, tag, b.payload)
+	SendChunked(c, dst, tag, b.elems)
 }
 
-// RecvChunked receives a buffer sent with SendChunked. A buffer that fit one
-// message is returned as decoded, with no second copy; a []byte buffer is
-// then a view of the received frame, which this receiver alone owns (a
-// point-to-point frame is dropped by its sender at Send and matched once; see
-// DESIGN.md, "one owner per frame").
+// RecvChunked receives a buffer sent with SendChunked or SendBuf, or a part a
+// collective sent as one Send (a variable-width T). A buffer that fit one
+// message comes back with no copy for a dense T: a view of the received
+// frame, which this receiver alone owns and may write (a point-to-point frame
+// is dropped by its sender at Send and matched once; see DESIGN.md, "one
+// owner per frame"). A T that is not dense decodes into fresh memory.
 func RecvChunked[T any](c *Comm, src int, tag int64) []T {
 	return recvChunked[T](c, src, tag, armedNow)
 }
@@ -750,9 +777,23 @@ func RecvChunked[T any](c *Comm, src int, tag int64) []T {
 func recvChunked[T any](c *Comm, src int, tag int64, armed <-chan struct{}) []T {
 	frame := c.recvRawArmed(src, tag, armed)
 	if !wire.IsOne(frame) {
-		return mustUnmarshalOwned[T](frame)
+		return mustDecodePart[T](frame)
 	}
 	return recvSplit[T](c, src, tag, frame, armed)
+}
+
+// mustDecodePart decodes one message of a collective part: an aligned frame
+// of a fixed-width T (wire.AlignedElems), the one slice frame of a
+// variable-width one. Like mustUnmarshal it panics on a type mismatch.
+func mustDecodePart[T any](frame []byte) []T {
+	if wire.Width[T]() < 0 {
+		return mustUnmarshal[T](frame)
+	}
+	v, err := wire.AlignedElems[T](frame)
+	if err != nil {
+		panic(fmt.Sprintf("mpi: recv type mismatch: %v", err))
+	}
+	return v
 }
 
 // recvSplit receives the chunks of a split buffer whose count frame has
@@ -767,7 +808,7 @@ func recvSplit[T any](c *Comm, src int, tag int64, count []byte, armed <-chan st
 	}
 	var out []T
 	for got := int64(0); got < n; got = int64(len(out)) {
-		chunk := mustUnmarshalOwned[T](c.recvRawArmed(src, tag, armed))
+		chunk := mustDecodePart[T](c.recvRawArmed(src, tag, armed))
 		if len(chunk) == 0 || got+int64(len(chunk)) > n {
 			c.failPeer(src, fmt.Errorf("mpi: chunked stream (tag %d) sent a chunk of %d elements with %d of %d outstanding",
 				tag, len(chunk), n-got, n))

@@ -343,22 +343,19 @@ func iAlltoallv[T any](c *Comm, self []T, sendTo func(ac *Comm, dst int, tag int
 	return r
 }
 
-// IAlltoallv starts a nonblocking Alltoallv (collective). All sends complete
-// at post time; Wait returns when every pairwise receive has drained. Wire
-// shape, counters and contract (chunked messages, send buffers given away)
-// are the blocking Alltoallv's.
-func IAlltoallv[T any](c *Comm, send [][]T) *AlltoallvRequest[T] {
+// IAlltoallv starts a nonblocking all-to-all of Bufs (collective): send[r]
+// goes to rank r. All sends complete at post time; Wait returns when every
+// pairwise receive has drained. Wire shape, counters and contract (chunked
+// messages, send buffers given away) are the blocking Alltoallv's; the
+// difference is the send side: a dense part that fits one message reaches
+// the transport as the Buf it was packed in, with no copy, and the own part
+// of the result is send[c.Rank()]'s elements.
+func IAlltoallv[T any](c *Comm, send []Buf[T]) *AlltoallvRequest[T] {
 	checkParts(c, len(send), "IAlltoallv")
-	return iAlltoallv(c, send[c.rank], func(ac *Comm, dst int, tag int64) {
-		SendChunked(ac, dst, tag, send[dst])
+	return iAlltoallv(c, send[c.rank].elems, func(ac *Comm, dst int, tag int64) {
+		SendBuf(ac, dst, tag, send[dst])
 	})
 }
 
-// IAlltoallvBytes is the nonblocking AlltoallvBytes: IAlltoallv[byte] over
-// buffers the caller packed in place (see ByteBuf).
-func IAlltoallvBytes(c *Comm, send []ByteBuf) *AlltoallvRequest[byte] {
-	checkParts(c, len(send), "IAlltoallvBytes")
-	return iAlltoallv(c, send[c.rank].payload, func(ac *Comm, dst int, tag int64) {
-		sendChunkedBuf(ac, dst, tag, send[dst])
-	})
-}
+// IAlltoallvBytes is IAlltoallv of byte buffers.
+func IAlltoallvBytes(c *Comm, send []ByteBuf) *AlltoallvRequest[byte] { return IAlltoallv(c, send) }

@@ -268,6 +268,21 @@ func alltoallvCases(rng *rand.Rand, p, rank int) [][]int64 {
 	return send
 }
 
+// packBufs copies every part into a Buf of its own, as a sender packing its
+// parts in place would have them; a nil part stays the zero Buf, so the own
+// part of a result is nil exactly where Alltoallv's is.
+func packBufs[T any](parts [][]T) []Buf[T] {
+	bufs := make([]Buf[T], len(parts))
+	for r, part := range parts {
+		if part == nil {
+			continue
+		}
+		bufs[r] = NewBuf[T](len(part))
+		copy(bufs[r].Elems(), part)
+	}
+	return bufs
+}
+
 func TestIAlltoallvMatchesBlocking(t *testing.T) {
 	forSizes(t, func(t *testing.T, p int) {
 		// Two worlds, same payloads: the blocking and nonblocking alltoallv
@@ -282,7 +297,7 @@ func TestIAlltoallvMatchesBlocking(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(31*p + c.Rank())))
 				send := alltoallvCases(rng, p, c.Rank())
 				if async {
-					res[c.Rank()] = IAlltoallv(c, send).WaitValue()
+					res[c.Rank()] = IAlltoallv(c, packBufs(send)).WaitValue()
 				} else {
 					res[c.Rank()] = Alltoallv(c, send)
 				}
@@ -325,7 +340,7 @@ func TestIAlltoallvChunkedHonoursLimit(t *testing.T) {
 				send[dst] = append(send[dst], int64(c.Rank()*1000+dst*100+k))
 			}
 		}
-		got := IAlltoallv(c, send).WaitValue()
+		got := IAlltoallv(c, packBufs(send)).WaitValue()
 		for src := 0; src < p; src++ {
 			for k := 0; k < 40; k++ {
 				if got[src][k] != int64(src*1000+c.Rank()*100+k) {
@@ -349,7 +364,7 @@ func TestInflightAccountingDrainsToZero(t *testing.T) {
 		for dst := range send {
 			send[dst] = []int32{int32(c.Rank()), int32(dst)}
 		}
-		IAlltoallv(c, send).Wait()
+		IAlltoallv(c, packBufs(send)).Wait()
 		Barrier(c)
 		Barrier(c)
 		Barrier(c)
@@ -375,7 +390,7 @@ func TestAlltoallvZeroLengthAndSelfOnly(t *testing.T) {
 			empty := make([][]int, p)
 			var got [][]int
 			if async {
-				got = IAlltoallv(c, empty).WaitValue()
+				got = IAlltoallv(c, packBufs(empty)).WaitValue()
 			} else {
 				got = Alltoallv(c, empty)
 			}
@@ -386,15 +401,18 @@ func TestAlltoallvZeroLengthAndSelfOnly(t *testing.T) {
 			}
 			selfOnly := make([][]int, p)
 			selfOnly[c.Rank()] = []int{c.Rank() * 3}
+			own := selfOnly[c.Rank()]
 			if async {
-				got = IAlltoallv(c, selfOnly).WaitValue()
+				bufs := packBufs(selfOnly)
+				own = bufs[c.Rank()].Elems()
+				got = IAlltoallv(c, bufs).WaitValue()
 			} else {
 				got = Alltoallv(c, selfOnly)
 			}
 			if len(got[c.Rank()]) != 1 || got[c.Rank()][0] != c.Rank()*3 {
 				panic("self segment lost")
 			}
-			if &got[c.Rank()][0] != &selfOnly[c.Rank()][0] {
+			if &got[c.Rank()][0] != &own[0] {
 				panic("self segment copied, not given away")
 			}
 		})
@@ -434,7 +452,7 @@ func TestInterleavedAsyncAndCollectives(t *testing.T) {
 		for dst := range send {
 			send[dst] = []int{c.Rank()*10 + dst}
 		}
-		req := IAlltoallv(c, send)
+		req := IAlltoallv(c, packBufs(send))
 		sum := Allreduce(c, c.Rank(), func(a, b int) int { return a + b })
 		if sum != 6 {
 			panic(fmt.Sprintf("allreduce under in-flight alltoallv: %d", sum))

@@ -81,10 +81,14 @@ const maxAbortReason = 64 << 10
 // readChunk is the step in which the reader takes a payload off the socket;
 // each step is read under a fresh heartbeat deadline. A payload buffer is at
 // most payloadGrowth times the bytes that have arrived, or payloadGrowth
-// steps (see readPayload).
+// steps (see readPayload). minPayloadCap is the least capacity a payload
+// buffer is allocated with: Go places a pointer-free allocation under 16
+// bytes at an address aligned only to its size, and an aligned wire frame
+// (package wire) needs its base 8-byte aligned.
 const (
 	readChunk     = 1 << 20
 	payloadGrowth = 8
+	minPayloadCap = 16
 )
 
 // dialTimeout is the default bound on connection attempts (rendezvous and
@@ -350,7 +354,8 @@ func (e *Endpoint) readFullAlive(pc *peerConn, br *bufio.Reader, buf []byte) err
 // filled the reader's buffer, and the buffer then never exceeds
 // payloadGrowth times what has arrived, or payloadGrowth steps. A header
 // announcing a huge frame that never comes costs no payload memory; an honest
-// frame of up to payloadGrowth steps is allocated once, at its size.
+// frame of up to payloadGrowth steps is allocated once, at its size (at
+// least minPayloadCap).
 func (e *Endpoint) readPayload(pc *peerConn, br *bufio.Reader, n int) ([]byte, error) {
 	if n > readChunk {
 		e.keepAlive(pc)
@@ -360,7 +365,8 @@ func (e *Endpoint) readPayload(pc *peerConn, br *bufio.Reader, n int) ([]byte, e
 	}
 	var buf []byte
 	for got := 0; got < n; got = len(buf) {
-		next := make([]byte, min(n, payloadGrowth*max(got, readChunk)))
+		size := min(n, payloadGrowth*max(got, readChunk))
+		next := make([]byte, size, max(size, minPayloadCap))
 		copy(next, buf)
 		buf = next
 		if err := e.readFullAlive(pc, br, buf[got:]); err != nil {

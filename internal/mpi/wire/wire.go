@@ -30,20 +30,25 @@
 // equal across transports by construction, and a 10-element []int64 message
 // still counts 80 bytes exactly as the reflection-based accounting did.
 //
-// An aligned frame carries a payload whose layout its owner defines — a
-// SUMMA panel's arrays (spmat) — behind a fixed 8-byte header, so an array
-// the owner places at a multiple of 8 bytes into the payload lies 8-byte
-// aligned in memory whenever the frame does. Both transports deliver a frame
-// as its own fresh allocation (in process, the sender's buffer itself; over
-// TCP, the reader's), which Go aligns to 8 bytes at any size an aligned
-// frame with a payload has.
+// An aligned frame carries a payload behind a fixed 8-byte header: a SUMMA
+// panel's arrays, laid out by their owner (spmat), or the elements of one
+// part of a point-to-point exchange at their wire width (MarshalAligned,
+// AlignedElems), whose count is the payload length over that width. An array
+// placed at a multiple of 8 bytes into the payload lies 8-byte aligned in
+// memory whenever the frame does. Both transports deliver a frame as its own
+// allocation (in process, the sender's buffer itself; over TCP, the
+// reader's). Go aligns an allocation of 16 bytes or more to 8, but packs a
+// pointer-free one under 16 bytes into a shared block at an address aligned
+// only to its size — a 9-byte frame can start at an odd address — so every
+// point that allocates a frame (NewAlignedFrame here, the TCP reader there)
+// asks for at least minFrameCap bytes of capacity.
 //
-// Views: UnmarshalOwned of a []byte frame, AlignedPayload and Elems of a
-// dense type return slices that alias the frame instead of copies. A
-// broadcast frame is shared by reference among the in-process ranks of its
-// tree, so a view is read-only: no code writes to a view of a frame it
-// received. The one writer is the sender, filling the frame it has just
-// allocated, before handing it to a transport.
+// Views: UnmarshalOwned of a []byte frame, AlignedPayload, AlignedElems and
+// Elems of a dense type return slices that alias the frame instead of
+// copies. A broadcast frame is shared by reference among the in-process
+// ranks of its tree, so a view of one is read-only. A point-to-point frame
+// has one owner at a time — its sender until it is sent, then its receiver —
+// and only that owner may write through a view of it.
 //
 // Codecs are compiled per element type on first use and cached, in one walk
 // of the type: its fingerprint shape, copy runs and closures are derived
@@ -83,6 +88,10 @@ const (
 	headerLen = 1 + 1 + 4
 	// alignedHeaderLen is an aligned frame's whole header.
 	alignedHeaderLen = headerLen + 2
+	// minFrameCap is the least capacity an aligned frame is allocated with:
+	// from 16 bytes up Go's allocator never places an object below 8-byte
+	// alignment.
+	minFrameCap = 16
 )
 
 // Marshal encodes a slice of values as one frame, allocated once at its exact
@@ -127,12 +136,42 @@ func NewByteFrame(n int) (frame, payload []byte) {
 
 // NewAlignedFrame returns an aligned frame tagged with T's fingerprint and
 // room for n payload bytes, and the payload region for the sender to fill.
-// The payload starts 8 bytes past the frame base.
+// The payload starts 8 bytes past the frame base, which is 8-byte aligned.
 func NewAlignedFrame[T any](n int) (frame, payload []byte) {
-	frame = make([]byte, alignedHeaderLen+n)
+	frame = make([]byte, alignedHeaderLen+n, max(alignedHeaderLen+n, minFrameCap))
 	frame[0], frame[1] = magic, kindAlign
 	binary.LittleEndian.PutUint32(frame[2:], codecFor[T]().fp)
 	return frame, frame[alignedHeaderLen:]
+}
+
+// MarshalAligned encodes data as an aligned frame whose payload is its
+// elements at their wire width, as AppendElems writes them; T must have a
+// positive fixed width (see AlignedElems).
+func MarshalAligned[T any](data []T) []byte {
+	frame, payload := NewAlignedFrame[T](len(data) * codecFor[T]().fixed)
+	AppendElems(payload[:0], data)
+	return frame
+}
+
+// AlignedElems returns the elements of an aligned frame made by
+// MarshalAligned[T] or filled through NewAlignedFrame[T]: a view of the
+// frame for a dense T, a decoded copy otherwise (see Elems). The count is the
+// payload length over T's width, so a T whose width varies or is zero cannot
+// travel this way and is refused, as is a payload that is not a whole number
+// of elements.
+func AlignedElems[T any](frame []byte) ([]T, error) {
+	c := codecFor[T]()
+	if c.fixed <= 0 {
+		return nil, fmt.Errorf("wire: %s: an aligned frame cannot carry the count of elements without a positive fixed width", c.name)
+	}
+	payload, err := AlignedPayload[T](frame)
+	if err != nil {
+		return nil, err
+	}
+	if len(payload)%c.fixed != 0 {
+		return nil, fmt.Errorf("wire: %s: %d payload bytes are not a whole number of %d-byte elements", c.name, len(payload), c.fixed)
+	}
+	return Elems[T](payload, len(payload)/c.fixed)
 }
 
 // AlignedPayload returns a read-only view of the payload of a frame made by
@@ -167,7 +206,8 @@ func AppendElems[T any](buf []byte, data []T) []byte {
 
 // Elems returns the n elements of T that src holds and nothing else, as
 // AppendElems wrote them. For a dense T (see Dense) the result is a view of
-// src — no copy, read-only like every view — and src must be aligned for T:
+// src — no copy; who may write it is the frame owner's rule (see the package
+// comment) — and src must be aligned for T:
 // a misaligned src is refused, never copied. Any other T decodes into a fresh
 // slice.
 func Elems[T any](src []byte, n int) ([]T, error) {

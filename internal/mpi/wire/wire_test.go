@@ -297,7 +297,10 @@ func FuzzRoundTripStruct(f *testing.F) {
 
 // FuzzDecodeArbitraryBytes feeds the decoder raw bytes: it may reject them,
 // but must never panic, and anything it accepts must re-encode to a frame it
-// accepts again (self-produced frames are canonical).
+// accepts again (self-produced frames are canonical). The aligned-part decode
+// a collective's receiver runs on every message (AlignedElems) is held to
+// more: whatever it accepts, as a view of a dense type or a decoded copy of a
+// padded one, re-encodes to the very same frame.
 func FuzzDecodeArbitraryBytes(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Marshal([]int64{1, 2, 3}))
@@ -316,7 +319,27 @@ func FuzzDecodeArbitraryBytes(f *testing.F) {
 	f.Add(fixed[:len(fixed)-5])
 	f.Add(append(append([]byte(nil), fixed...), 0))
 	f.Add(append(append([]byte(nil), fixed[:6]...), 0x7f, 1, 2, 3))
+	// Aligned parts: whole, cut inside an element, with a nonzero padding
+	// byte, and of the padded type.
+	words := MarshalAligned([]uint64{1, 1 << 63, 3})
+	f.Add(words)
+	f.Add(words[:len(words)-3])
+	f.Add(append(append([]byte(nil), words[:6]...), 0, 1))
+	f.Add(MarshalAligned([]fixedMsg{{1, 2, 3, 4.5, [3]uint16{6, 7, 8}}}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		// A transport delivers a frame at an 8-byte-aligned base; the fuzzer's
+		// slice may sit anywhere, so both are tried.
+		aligned := make([]byte, len(raw), max(len(raw), minFrameCap))
+		copy(aligned, raw)
+		for _, frame := range [][]byte{raw, aligned} {
+			if out, err := AlignedElems[uint64](frame); err == nil && !bytes.Equal(MarshalAligned(out), frame) {
+				t.Fatalf("accepted aligned uint64 part %x re-encodes to %x", frame, MarshalAligned(out))
+			}
+			if out, err := AlignedElems[fixedMsg](frame); err == nil && !bytes.Equal(MarshalAligned(out), frame) {
+				t.Fatalf("accepted aligned fixedMsg part %x re-encodes to %x", frame, MarshalAligned(out))
+			}
+		}
+
 		// The copy-run decoder and the closures accept exactly the same
 		// frames, and agree on what they hold.
 		c := codecFor[fixedMsg]()

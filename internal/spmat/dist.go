@@ -44,7 +44,7 @@ func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T
 	owner, counts := route(g.Comm.Size(), len(mine), func(k int) int {
 		return g.BlockOwnerRank(int(nr), int(nc), int(mine[k].Row), int(mine[k].Col))
 	})
-	parts := mpi.Alltoallv(g.Comm, routed(owner, counts, func(k int) Triple[T] { return mine[k] }))
+	parts := mpi.AlltoallvBufs(g.Comm, routed(owner, counts, func(k int) Triple[T] { return mine[k] }))
 	ts := slices.Concat(parts...)
 	for _, t := range ts {
 		if !a.owns(t.Row, t.Col) {
@@ -73,7 +73,9 @@ func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T
 // violation panics. Both exchanges go through the chunked protocol, so no
 // message exceeds mpi.MaxMessageBytes however large a block is (T must be
 // fixed-width); the rank is blocking for the call, so their bytes stay
-// exposed.
+// exposed. Both send mpi.Bufs: the routed parts, and the received parts
+// concatenated into one for the swap, so for a dense T a triple is copied
+// once at routing and once at the concatenation, never by the wire.
 func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *Dist[T]) {
 	defer g.Comm.SetBlocking(g.Comm.SetBlocking(true))
 	a = newDistShell[T](g, nr, nc)
@@ -84,13 +86,22 @@ func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *D
 	owner, counts := route(g.Dim, len(mine), func(k int) int {
 		return grid.BlockOwner(int(nc), g.Dim, int(mine[k].Col))
 	})
-	rows := slices.Concat(mpi.IAlltoallv(g.RowComm, routed(owner, counts, func(k int) Triple[T] { return mine[k] })).WaitValue()...)
+	recv := mpi.IAlltoallv(g.RowComm, routed(owner, counts, func(k int) Triple[T] { return mine[k] })).WaitValue()
+	n := 0
+	for _, part := range recv {
+		n += len(part)
+	}
+	block := mpi.NewBuf[Triple[T]](n)
+	rows := block.Elems()[:0]
+	for _, part := range recv {
+		rows = append(rows, part...)
+	}
 	if err := CheckRowMajor(rows, a.RowLo, a.RowHi, a.ColLo, a.ColHi); err != nil {
 		panic(fmt.Sprintf("spmat: FromRowMajor routed block: %v", err))
 	}
 	a.Local.Ts = columnMajor(rows, a.ColLo, a.ColHi)
 
-	rows = grid.Transposed(g, rows)
+	rows = grid.Transposed(g, block)
 	if g.Row != g.Col {
 		if err := CheckRowMajor(rows, at.ColLo, at.ColHi, at.RowLo, at.RowHi); err != nil {
 			panic(fmt.Sprintf("spmat: FromRowMajor block of transposed rank %d: %v", g.Rank(g.Col, g.Row), err))
@@ -227,7 +238,7 @@ func Transpose[T any](a *Dist[T], mirror func(T) T) *Dist[T] {
 	owner, counts := route(g.Comm.Size(), len(ts), func(k int) int {
 		return g.BlockOwnerRank(int(a.NC), int(a.NR), int(ts[k].Col), int(ts[k].Row))
 	})
-	parts := mpi.Alltoallv(g.Comm, routed(owner, counts, func(k int) Triple[T] {
+	parts := mpi.AlltoallvBufs(g.Comm, routed(owner, counts, func(k int) Triple[T] {
 		t := ts[k]
 		if mirror != nil {
 			t.Val = mirror(t.Val)
@@ -492,15 +503,19 @@ func (v *DistVec[T]) route(idx []int32) (owner []int32, counts []int) {
 	return route(v.G.Comm.Size(), len(idx), func(k int) int { return v.Owner(idx[k]) })
 }
 
-// routed builds the per-destination buffers of an owner-routed collective:
-// item(k) goes to owner[k], in index order.
-func routed[E any](owner []int32, counts []int, item func(k int) E) [][]E {
-	send := make([][]E, len(counts))
+// routed builds the per-destination send buffers of an owner-routed
+// collective, each at its exact size: item(k) goes to owner[k], in index
+// order. It fills each buffer from its end, so counts, its cursors, are all
+// zero when it returns.
+func routed[E any](owner []int32, counts []int, item func(k int) E) []mpi.Buf[E] {
+	send := make([]mpi.Buf[E], len(counts))
 	for r, n := range counts {
-		send[r] = make([]E, 0, n)
+		send[r] = mpi.NewBuf[E](n)
 	}
-	for k, o := range owner {
-		send[o] = append(send[o], item(k))
+	for k := len(owner) - 1; k >= 0; k-- {
+		o := owner[k]
+		counts[o]--
+		send[o].Elems()[counts[o]] = item(k)
 	}
 	return send
 }
@@ -512,15 +527,15 @@ func routed[E any](owner []int32, counts []int, item func(k int) E) [][]E {
 func (v *DistVec[T]) Fetch(ids []int32) []T {
 	p := v.G.Comm.Size()
 	owner, counts := v.route(ids)
-	got := mpi.Alltoallv(v.G.Comm, routed(owner, counts, func(k int) int32 { return ids[k] }))
-	resp := make([][]T, p)
+	got := mpi.AlltoallvBufs(v.G.Comm, routed(owner, counts, func(k int) int32 { return ids[k] }))
+	resp := make([]mpi.Buf[T], p)
 	for r := 0; r < p; r++ {
-		resp[r] = make([]T, len(got[r]))
+		resp[r] = mpi.NewBuf[T](len(got[r]))
 		for i, id := range got[r] {
-			resp[r][i] = v.Get(id)
+			resp[r].Elems()[i] = v.Get(id)
 		}
 	}
-	back := mpi.Alltoallv(v.G.Comm, resp)
+	back := mpi.AlltoallvBufs(v.G.Comm, resp)
 	// Requests went out in ids order per owner, so answers are consumed in
 	// the same order.
 	out := make([]T, len(ids))
@@ -545,7 +560,7 @@ type prop[T any] struct {
 func ScatterFold[T any](v *DistVec[T], idx []int32, vals []T, fold func(T, T) T) {
 	owner, counts := v.route(idx)
 	send := routed(owner, counts, func(k int) prop[T] { return prop[T]{I: idx[k], V: vals[k]} })
-	for _, part := range mpi.Alltoallv(v.G.Comm, send) {
+	for _, part := range mpi.AlltoallvBufs(v.G.Comm, send) {
 		for _, pr := range part {
 			v.Set(pr.I, fold(v.Get(pr.I), pr.V))
 		}

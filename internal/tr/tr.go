@@ -106,10 +106,10 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		// Symmetrize the marks: an edge dies in both directions or neither,
 		// so S stays a symmetric matrix.
 		type pair struct{ R, C int32 }
-		mirrors := make([]pair, len(marked))
+		mirrors := mpi.NewBuf[pair](len(marked))
 		dead := make([]bool, len(ts))
 		for k, i := range marked {
-			mirrors[k] = pair{ts[i].Col, ts[i].Row}
+			mirrors.Elems()[k] = pair{ts[i].Col, ts[i].Row}
 			dead[i] = true
 		}
 		for _, m := range grid.Transposed(g, mirrors) {
