@@ -17,7 +17,9 @@ OUT="${2:-RUN_chaos.json}"
 SIZE="${SIZE:-150000}"
 NP=4
 
+# The binary and checkpoints live in a directory removed on every exit.
 SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
 ELBA="$SCRATCH/elba"
 CKPT="$SCRATCH/checkpoints"
 go build -o "$ELBA" ./cmd/elba

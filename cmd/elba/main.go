@@ -31,11 +31,13 @@
 //	elba -preset celegans -transport tcp -p 4       # loopback TCP mesh, one process
 //	elba -preset celegans -transport proc -np 4     # one OS process per rank
 //
-// With -transport proc the command re-executes itself once per rank; the
-// workers rendezvous over loopback TCP, wire a socket mesh, and run the
-// identical SPMD program — every message crosses a real process boundary
-// through the wire codec. Rank 0's process gathers the contigs, prints the
-// summary and writes every output file; the launcher forwards its stdout.
+// With -transport proc the command serves a loopback rendezvous and
+// re-executes itself once per rank as an ordinary -join worker (below), with
+// its own flags plus -join, -rank and a loopback -listen; the workers wire a
+// socket mesh and run the identical SPMD program — every message crosses a
+// real process boundary through the wire codec. Rank 0's process gathers the
+// contigs, prints the summary and writes every output file; the launcher
+// forwards its stdout.
 // -np is an mpirun-style alias for -p. Contigs are bit-identical and
 // byte/message counters equal across all three transports — only wall time
 // differs. (In proc mode -traceout, -cpuprofile and -memprofile cover rank
@@ -46,8 +48,10 @@
 //
 // The proc launcher is the single-host special case of a general mesh: with
 // -join, independently launched processes — on any mix of machines — wire
-// themselves into one world through a rendezvous point. One machine hosts
-// the bootstrap, then every rank joins it with the same assembly arguments:
+// themselves into one world through a rendezvous point (a -join worker
+// records transport tcp in the manifest, or proc when the launcher started
+// it). One machine hosts the bootstrap, then every rank joins it with the
+// same assembly arguments:
 //
 //	hostA$ elba -serve-rendezvous :9100 -np 4
 //	hostA$ elba -preset celegans -transport tcp -join hostA:9100 -rank 0 -np 4 &
@@ -217,50 +221,40 @@ func main() {
 		log.Fatal("need -in or -preset")
 	}
 
-	// Two ways this process can be one rank of a multi-process world:
-	// -transport proc re-exec'd it with the ELBA_PROC_* environment (the
-	// single-host launcher), or -join names a rendezvous to dial (multi-host).
-	// Either way it falls through to the ordinary assembly path below, with a
-	// world wired over TCP instead of in-process mailboxes.
-	worker := meshWorkerFromEnv()
-	if *join != "" {
-		switch {
-		case worker != nil:
-			log.Fatal("-join cannot be combined with the proc launcher environment")
-		case *transport == elba.TransportProc:
-			log.Fatal("-join launches each rank independently; use -transport tcp, not proc")
-		case *rank < 0 || *rank >= opt.P:
-			log.Fatalf("-join needs -rank in 0 … %d (got %d)", opt.P-1, *rank)
-		}
-		worker = &meshWorker{
-			rank: *rank, np: opt.P, rdv: *join,
-			cfg:       tcp.JoinConfig{Listen: *listen, Advertise: *advertise},
-			transport: elba.TransportTCP,
-		}
-	} else if *rank >= 0 {
+	// A -join worker is one rank of a multi-process world: it dials the
+	// rendezvous and runs the ordinary assembly path below, with a world
+	// wired over TCP instead of in-process mailboxes. The proc launcher
+	// starts such workers on this host; -transport proc without -join is the
+	// launcher.
+	worker := *join != ""
+	switch {
+	case worker && (*rank < 0 || *rank >= opt.P):
+		log.Fatalf("-join needs -rank in 0 … %d (got %d)", opt.P-1, *rank)
+	case !worker && *rank >= 0:
 		log.Fatal("-rank only makes sense with -join")
-	}
-	if *transport == elba.TransportProc && worker == nil {
-		os.Exit(launchProc(opt.P, *checkpoint, *maxRestarts))
+	case !worker && *transport == elba.TransportProc:
+		// The workers get the flags as parsed, not os.Args: after a
+		// positional argument or "--" the appended -join would be an
+		// argument too, and a worker without it would launch a group.
+		var args []string
+		flag.Visit(func(f *flag.Flag) { args = append(args, "-"+f.Name+"="+f.Value.String()) })
+		os.Exit(launchProc(args, opt.P, *checkpoint, *maxRestarts))
 	}
 	// Non-zero ranks compute but stay silent: results are gathered at rank 0,
 	// whose process alone prints summaries and writes output files.
-	quiet := worker != nil && worker.rank > 0
+	quiet := worker && *rank > 0
 
 	// Deployment settings sit on top of the resolved job description; Plan
 	// judges them with the rest (an unknown -transport fails there, once).
 	opt.CheckpointDir = *checkpoint
 	opt.CheckpointEvery = *ckptEvery
 	opt.Transport = *transport
-	if worker != nil {
-		opt.Transport = worker.transport
-		opt.NewWorld = worker.newWorld()
-	}
-	// Resume point: the -resume flag, overridden by the supervisor's relaunch
-	// environment (which pins the exact committed stage directory it saw).
-	resumeDir := *resume
-	if dir := os.Getenv(envProcResume); dir != "" {
-		resumeDir = dir
+	if worker {
+		// A worker the proc launcher started records proc, any other tcp.
+		if opt.Transport != elba.TransportProc {
+			opt.Transport = elba.TransportTCP
+		}
+		opt.NewWorld = joinWorld(*join, *rank, tcp.JoinConfig{Listen: *listen, Advertise: *advertise})
 	}
 	// Supervised relaunches ride the attempt count into the run manifest.
 	restarts := 0
@@ -362,8 +356,8 @@ func main() {
 		}
 	}
 	var result *elba.Output
-	if resumeDir != "" {
-		result, err = resumeRun(ctx, eng, reads, resumeDir)
+	if *resume != "" {
+		result, err = resumeRun(ctx, eng, reads, *resume)
 	} else {
 		result, err = eng.Run(ctx, reads)
 	}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
 )
@@ -146,5 +148,57 @@ func TestResumeRefusesOldSchema(t *testing.T) {
 	}
 	if !strings.Contains(msg, `schema "elba/checkpoint/v3"`) || !strings.Contains(msg, pipeline.CheckpointSchema) || strings.Contains(msg, "goroutine ") {
 		t.Errorf("want one message naming both schemas, got:\n%s", msg)
+	}
+}
+
+// TestProcLauncher: -transport proc -np 4 re-execs this binary as four -join
+// workers, and the run gives the in-process run's contig checksum and
+// traffic totals and records transport proc. With -checkpoint and a fault
+// that kills rank 2 in Alignment, the launcher relaunches the group once,
+// from the committed checkpoint, and the run gives the same contigs.
+func TestProcLauncher(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts worker groups in -short mode")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(name string, env []string, args ...string) *obs.Manifest {
+		t.Helper()
+		path := filepath.Join(dir, name+".json")
+		args = append(strings.Fields("-preset celegans -size 4000 -seed 3 -manifest "+path), args...)
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), append(env, envRunMain+"=1")...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s run: %v\n%s", name, err, &stderr)
+		}
+		m, err := obs.ReadManifestFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	transport := func(m *obs.Manifest) any { return m.Options.(map[string]any)["Transport"] }
+
+	want := run("inproc", nil, "-p", "4")
+	got := run("proc", nil, "-transport", "proc", "-np", "4")
+	if got.Contigs != want.Contigs || got.Comm != want.Comm {
+		t.Errorf("proc run: contigs %+v, comm %+v; inproc run: %+v, %+v", got.Contigs, got.Comm, want.Contigs, want.Comm)
+	}
+	if transport(got) != "proc" || got.Restarts != 0 {
+		t.Errorf("proc run records transport %v and %d restarts, want proc and 0", transport(got), got.Restarts)
+	}
+
+	chaos := run("chaos", []string{faultinject.EnvVar + "=kill:rank=2,stage=Alignment,n=1"},
+		"-transport", "proc", "-np", "4", "-checkpoint", filepath.Join(dir, "checkpoints"))
+	if chaos.Contigs != want.Contigs || chaos.Comm != want.Comm {
+		t.Errorf("recovered run: contigs %+v, comm %+v; inproc run: %+v, %+v", chaos.Contigs, chaos.Comm, want.Contigs, want.Comm)
+	}
+	if chaos.Restarts != 1 {
+		t.Errorf("recovered run records %d restarts, want 1", chaos.Restarts)
 	}
 }

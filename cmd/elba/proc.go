@@ -2,13 +2,12 @@ package main
 
 // Multi-process and multi-host execution.
 //
-// Two ways to put each rank in its own OS process share one worker path:
+// A rank in its own OS process is a -join worker: it dials a rendezvous,
+// joins its one endpoint into a TCP mesh, and runs the ordinary assembly
+// path with a NewWorld hook that returns that world — the pipeline, the
+// collectives and the nonblocking layer are unchanged above the seam. Two
+// ways start workers:
 //
-//   - Single host (-transport proc -np P): the launcher re-execs this binary
-//     once per rank with identical arguments plus the ELBA_PROC_* environment,
-//     serves the rendezvous point the workers dial to wire the TCP mesh, and
-//     multiplexes their output (rank 0's stdout is the run's stdout). This is
-//     the single-host special case of the mesh below.
 //   - Multiple hosts (-transport tcp -join host:port -rank R -np P): each
 //     worker is launched independently — by hand, a job scheduler, or ssh —
 //     and dials a standalone rendezvous (hosted by any one machine running
@@ -16,14 +15,18 @@ package main
 //     addresses derived from their route to the rendezvous; -listen and
 //     -advertise pin the bind interface and published address on multi-homed
 //     or NATed hosts.
+//   - Single host (-transport proc -np P), the special case: the launcher
+//     serves a loopback rendezvous and re-execs this binary once per rank
+//     with its own flags plus -join <rendezvous> -rank R -listen 127.0.0.1:0
+//     (and -resume <stage dir> on a relaunch), then multiplexes the workers'
+//     output (rank 0's stdout is the run's stdout). A worker started this way
+//     records transport proc in the run manifest, any other records tcp.
 //
-// Either way each worker runs the ordinary assembly path with a NewWorld
-// hook that joins its single endpoint into the mesh — the pipeline, the
-// collectives and the nonblocking layer are unchanged above the seam. Rank 0
-// gathers the contigs, statistics and metric snapshots over the wire (no
-// shared filesystem is assumed) and alone prints summaries and writes output
-// files. A worker that dies aborts its peers through the transport failure
-// path instead of hanging them; see OPERATIONS.md for the failure semantics.
+// Rank 0 gathers the contigs, statistics and metric snapshots over the wire
+// (no shared filesystem is assumed) and alone prints summaries and writes
+// output files. A worker that dies aborts its peers through the transport
+// failure path instead of hanging them; see OPERATIONS.md for the failure
+// semantics.
 
 import (
 	"errors"
@@ -32,29 +35,21 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/elba"
 	"repro/internal/faultinject"
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport/tcp"
 	"repro/internal/pipeline"
 )
 
-// Worker environment set by the proc launcher. Presence of ELBA_PROC_RANK
-// marks a process as a re-exec'd rank worker. RESUME and RESTARTS are set by
-// the supervisor on relaunch attempts: the checkpoint stage directory to
-// finish the run from (absent when no checkpoint committed before the
-// failure) and the attempt number rank 0 records in the run manifest.
-const (
-	envProcRank     = "ELBA_PROC_RANK"
-	envProcNP       = "ELBA_PROC_NP"
-	envProcRdv      = "ELBA_PROC_RDV"
-	envProcResume   = "ELBA_PROC_RESUME"
-	envProcRestarts = "ELBA_PROC_RESTARTS"
-)
+// envProcRestarts is the one variable the proc launcher sets on its
+// workers: the attempt number (0 on the first launch), which rank 0 records
+// in the run manifest.
+const envProcRestarts = "ELBA_PROC_RESTARTS"
 
 // procGrace bounds how long surviving workers may keep running after the
 // first worker failure before the supervisor kills them. It comfortably
@@ -64,52 +59,12 @@ const (
 // reaches the kill.
 const procGrace = 30 * time.Second
 
-// meshWorker describes this process's place in a multi-process job: its
-// world rank, the job size, the rendezvous to dial, and how to bind and
-// advertise the mesh listener.
-type meshWorker struct {
-	rank, np  int
-	rdv       string
-	cfg       tcp.JoinConfig
-	transport string // Options.Transport value to record (proc or tcp)
-}
-
-// meshWorkerFromEnv reports whether this process was re-exec'd by the proc
-// launcher, and its coordinates. Launcher and workers share one host, so the
-// mesh stays on loopback.
-func meshWorkerFromEnv() *meshWorker {
-	rs, have := os.LookupEnv(envProcRank)
-	if !have {
-		return nil
-	}
-	rank, err := strconv.Atoi(rs)
-	if err != nil {
-		log.Fatalf("bad %s=%q: %v", envProcRank, rs, err)
-	}
-	np, err := strconv.Atoi(os.Getenv(envProcNP))
-	if err != nil || np < 1 {
-		log.Fatalf("bad %s=%q", envProcNP, os.Getenv(envProcNP))
-	}
-	rdv := os.Getenv(envProcRdv)
-	if rdv == "" {
-		log.Fatalf("%s is empty", envProcRdv)
-	}
-	return &meshWorker{
-		rank: rank, np: np, rdv: rdv,
-		cfg:       tcp.JoinConfig{Listen: "127.0.0.1:0"},
-		transport: elba.TransportProc,
-	}
-}
-
-// newWorld returns the Options.NewWorld hook of one worker: dial the
-// rendezvous point, join this rank's endpoint into the mesh, and build a
-// world where the other np-1 ranks are remote.
-func (w *meshWorker) newWorld() func(int) (*mpi.World, error) {
+// joinWorld returns the Options.NewWorld hook of a -join worker: dial the
+// rendezvous at rdv, join this rank's endpoint into the mesh, and build a
+// world where the other ranks are remote.
+func joinWorld(rdv string, rank int, cfg tcp.JoinConfig) func(int) (*mpi.World, error) {
 	return func(p int) (*mpi.World, error) {
-		if p != w.np {
-			return nil, fmt.Errorf("elba: -p %d disagrees with job size %d", p, w.np)
-		}
-		ep, err := tcp.Join(w.rdv, w.rank, w.np, w.cfg)
+		ep, err := tcp.Join(rdv, rank, p, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -137,22 +92,22 @@ func serveRendezvous(addr string, np int) int {
 
 // launchProc is the parent side of -transport proc: a supervisor. Each
 // attempt serves a fresh rendezvous listener, re-execs this binary np times
-// with the worker environment, and waits. When checkpointing is on
-// (-checkpoint) and a worker dies, the supervisor relaunches the whole group
-// — resuming from the most advanced committed checkpoint if one exists, from
-// scratch otherwise — up to maxRestarts times with exponential backoff
-// before giving up with the workers' failure exit code. Without durable
-// checkpoints there is nothing safe to relaunch from, so the first failure
-// is final (PR 8 behavior: the attributed abort). Rank 0's stdout is the
-// run's stdout (the summary lines); all other output goes to stderr.
+// as -join workers with the launcher's own flags (args), and waits. When
+// checkpointing is on (-checkpoint) and a worker dies, the supervisor
+// relaunches the whole group — resuming from the most advanced committed
+// checkpoint if one exists, from scratch otherwise — up to maxRestarts times
+// with exponential backoff before giving up with the workers' failure exit
+// code. Without durable checkpoints there is nothing safe to relaunch from,
+// so the first failure is final (the attributed abort). Rank 0's stdout is
+// the run's stdout (the summary lines); all other output goes to stderr.
 // Returns the exit code to propagate.
-func launchProc(np int, checkpointDir string, maxRestarts int) int {
+func launchProc(args []string, np int, checkpointDir string, maxRestarts int) int {
 	if checkpointDir == "" {
 		maxRestarts = 0
 	}
 	resumeDir := ""
 	for attempt := 0; ; attempt++ {
-		code := runProcGroup(np, attempt, resumeDir)
+		code := runProcGroup(args, np, attempt, resumeDir)
 		if code == 0 {
 			if attempt > 0 {
 				fmt.Fprintf(os.Stderr, "elba: recovered after %d restart(s)\n", attempt)
@@ -203,8 +158,10 @@ func workerEnviron(attempt int) []string {
 }
 
 // runProcGroup runs one attempt of the np-worker group to completion and
-// returns its exit code (0: the whole group succeeded).
-func runProcGroup(np, attempt int, resumeDir string) int {
+// returns its exit code (0: the whole group succeeded). Rank R runs args plus
+// its place in the loopback mesh and, on a relaunch from a checkpoint, the
+// pinned stage directory, which wins over any -resume in args.
+func runProcGroup(args []string, np, attempt int, resumeDir string) int {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Print(err)
@@ -221,16 +178,13 @@ func runProcGroup(np, attempt int, resumeDir string) int {
 	}
 	procs := make([]*exec.Cmd, np)
 	for rank := 0; rank < np; rank++ {
-		cmd := exec.Command(exe, os.Args[1:]...)
-		cmd.Env = append(workerEnviron(attempt),
-			envProcRank+"="+strconv.Itoa(rank),
-			envProcNP+"="+strconv.Itoa(np),
-			envProcRdv+"="+ln.Addr().String(),
-			envProcRestarts+"="+strconv.Itoa(attempt),
-		)
+		wargs := append(slices.Clip(args), "-join", ln.Addr().String(),
+			"-rank", strconv.Itoa(rank), "-listen", "127.0.0.1:0")
 		if resumeDir != "" {
-			cmd.Env = append(cmd.Env, envProcResume+"="+resumeDir)
+			wargs = append(wargs, "-resume", resumeDir)
 		}
+		cmd := exec.Command(exe, wargs...)
+		cmd.Env = append(workerEnviron(attempt), envProcRestarts+"="+strconv.Itoa(attempt))
 		// Only rank 0 produces results; its stdout stays machine-parseable.
 		if rank == 0 {
 			cmd.Stdout = os.Stdout

@@ -149,7 +149,8 @@ func AllgathervFlat[T any](c *Comm, local []T) ([]T, []int) {
 //     RecvChunked), so none exceeds MaxMessageBytes however large a part is,
 //     and a part that fits is one aligned frame, copied once from send and,
 //     for a dense T, read by its receiver as a view; T must be fixed-width
-//     (a gather or scatter sends a variable-width part as one message);
+//     (a gather or scatter sends a variable-width part as its frame's
+//     bytes);
 //   - passing send gives its buffers away: recv[c.Rank()] is send[c.Rank()]
 //     itself, not a copy, so the caller must not write any send buffer
 //     afterwards.

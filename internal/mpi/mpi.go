@@ -24,18 +24,17 @@
 // blocking execution a per-rank mode of its requests (SetBlocking),
 // cooperative cancellation (see cancel.go), and a recv deadlock watchdog.
 //
-// Every collective keeps one contract: each part of a fixed-width type goes
-// through the chunked protocol (SendChunked, RecvChunked), and every
-// broadcast frame is chunked at each hop, so no message exceeds
-// MaxMessageBytes; and passing send buffers gives them away — the result's
-// own part is the caller's send buffer itself. A part of a fixed-width type
-// travels as an aligned frame (package wire): a dense part packed in a Buf
-// is sent as the Buf itself, and a dense part received is a view of its
-// frame, so each exchanged element is copied at most once. The
-// gathers are the all-to-alls' pairwise loop and the reductions one binomial
-// tree (ReduceSlice). A part of a variable-width type has no chunk size and
-// travels as one message; a caller whose such parts may outgrow the limit
-// encodes them to bytes (core.GatherContigs).
+// Every collective keeps one contract: each part goes through the chunked
+// protocol (SendChunked, RecvChunked), and every broadcast frame is chunked
+// at each hop, so no message exceeds MaxMessageBytes; and passing send
+// buffers gives them away — the result's own part is the caller's send
+// buffer itself. A part of a fixed-width type travels as an aligned frame
+// (package wire): a dense part packed in a Buf is sent as the Buf itself,
+// and a dense part received is a view of its frame, so each exchanged
+// element is copied at most once. A part of a variable-width type has no
+// chunk size of its own: it is encoded to one frame (wire.Marshal), whose
+// bytes are chunked. The gathers are the all-to-alls' pairwise loop and the
+// reductions one binomial tree (ReduceSlice).
 //
 // Because every payload crosses as a frame its sender no longer holds, a
 // rank never observes memory another rank still uses — algorithmic errors
@@ -696,13 +695,12 @@ func sendAligned[T any](c *Comm, dst int, tag int64, data []T) {
 	c.sendRaw(dst, tag, frame, wire.DataLen(frame))
 }
 
-// sendPart sends one part of a collective: chunked for a fixed-width element
-// type, as one Send for a variable-width one, which has no chunk size (a
-// caller whose parts may outgrow MaxMessageBytes encodes them to bytes
-// first). Receivers take either with RecvChunked.
+// sendPart sends one part of a collective, chunked: a variable-width T,
+// which has no chunk size, as the bytes of its frame. Receivers take either
+// with RecvChunked.
 func sendPart[T any](c *Comm, dst int, tag int64, part []T) {
 	if wire.Width[T]() < 0 {
-		Send(c, dst, tag, part)
+		SendChunked(c, dst, tag, wire.Marshal(part))
 		return
 	}
 	SendChunked(c, dst, tag, part)
@@ -762,7 +760,8 @@ func SendBuf[T any](c *Comm, dst int, tag int64, b Buf[T]) {
 }
 
 // RecvChunked receives a buffer sent with SendChunked or SendBuf, or a part a
-// collective sent as one Send (a variable-width T). A buffer that fit one
+// collective sent as the chunked bytes of its frame (a variable-width T,
+// decoded into fresh memory). A buffer that fit one
 // message comes back with no copy for a dense T: a view of the received
 // frame, which this receiver alone owns and may write (a point-to-point frame
 // is dropped by its sender at Send and matched once; see DESIGN.md, "one
@@ -775,6 +774,9 @@ func RecvChunked[T any](c *Comm, src int, tag int64) []T {
 // is either the whole buffer or, as its kind tells, the element count of a
 // split one.
 func recvChunked[T any](c *Comm, src int, tag int64, armed <-chan struct{}) []T {
+	if wire.Width[T]() < 0 {
+		return mustUnmarshal[T](recvChunked[byte](c, src, tag, armed))
+	}
 	frame := c.recvRawArmed(src, tag, armed)
 	if !wire.IsOne(frame) {
 		return mustDecodePart[T](frame)
@@ -782,13 +784,9 @@ func recvChunked[T any](c *Comm, src int, tag int64, armed <-chan struct{}) []T 
 	return recvSplit[T](c, src, tag, frame, armed)
 }
 
-// mustDecodePart decodes one message of a collective part: an aligned frame
-// of a fixed-width T (wire.AlignedElems), the one slice frame of a
-// variable-width one. Like mustUnmarshal it panics on a type mismatch.
+// mustDecodePart decodes one message of a chunked stream, an aligned frame
+// (wire.AlignedElems). Like mustUnmarshal it panics on a type mismatch.
 func mustDecodePart[T any](frame []byte) []T {
-	if wire.Width[T]() < 0 {
-		return mustUnmarshal[T](frame)
-	}
 	v, err := wire.AlignedElems[T](frame)
 	if err != nil {
 		panic(fmt.Sprintf("mpi: recv type mismatch: %v", err))

@@ -31,8 +31,11 @@
 //     theirs, then close. TCP ordering guarantees a peer's BYE arrives after
 //     all its data, so closing can never discard delivered-but-unread
 //     frames (an early close with unread data would RST the connection).
-//   - Abort broadcasts an ABORT frame carrying the reason and tears the
-//     endpoint down without draining. A peer's reader surfaces the abort —
+//   - Abort broadcasts an ABORT frame carrying the reason and closes each
+//     connection once its reader has taken what already arrived (bounded),
+//     so a frame written before a failure stays matchable even when another
+//     peer's abort tears this endpoint down first. A peer's reader surfaces
+//     the abort —
 //     or a broken connection, which is how an outright-killed rank appears,
 //     to the reader or to a Send whose write breaks first — through the
 //     failure handler as a *transport.RankFailure naming the dead rank; that
@@ -99,8 +102,9 @@ const dialTimeout = 30 * time.Second
 // anyway (a peer that crashed will never say goodbye).
 const closeDrain = 10 * time.Second
 
-// failDrain bounds how long a Send whose write broke waits for the same
-// connection's reader to report what the peer said last.
+// failDrain bounds how long a failing side waits for a connection's reader
+// to take what the peer said last: a Send whose write broke, before it
+// reports the failure, and Abort, before it closes the connection.
 const failDrain = 2 * time.Second
 
 // Heartbeat defaults (JoinConfig.HeartbeatInterval/-Timeout override; a
@@ -244,12 +248,15 @@ func (e *Endpoint) fail(err error) {
 	}
 }
 
-// Abort tears the endpoint down without draining: every live peer gets an
-// ABORT frame carrying reason (best effort, bounded by a write deadline),
-// then all connections close. origin rides the frame's otherwise-unused tag
-// field (-1 = this endpoint's own rank), so a cascading abort keeps the
-// failure attributed to the rank that actually died — peers racing the
-// origin's own abort against a relayed one see the same rank either way.
+// Abort tears the endpoint down: every live peer gets an ABORT frame
+// carrying reason (best effort, bounded by a write deadline), then each
+// connection closes once its reader has taken the frames already on it (see
+// closeAfterReaders; a peer's reader closes its side on the ABORT, so this
+// is prompt unless the peer is wedged). origin rides the frame's
+// otherwise-unused tag field (-1 = this endpoint's own rank), so a cascading
+// abort keeps the failure attributed to the rank that actually died — peers
+// racing the origin's own abort against a relayed one see the same rank
+// either way.
 func (e *Endpoint) Abort(origin int, reason string) {
 	e.mu.Lock()
 	already := e.closing
@@ -276,8 +283,8 @@ func (e *Endpoint) Abort(origin int, reason string) {
 			continue
 		}
 		pc.writeFrame(frameAbort, int64(origin), payload)
-		pc.nc.Close()
 	}
+	e.closeAfterReaders(failDrain)
 }
 
 // Close drains politely: BYE to every peer, wait (bounded) for each peer's
@@ -297,7 +304,17 @@ func (e *Endpoint) Close() error {
 			pc.writeFrame(frameBye, 0, nil)
 		}
 	}
-	deadline := time.Now().Add(closeDrain)
+	e.closeAfterReaders(closeDrain)
+	return nil
+}
+
+// closeAfterReaders closes every connection once its reader has exited, or
+// once drain has passed: a reader exits on the peer's BYE or ABORT or when
+// the connection ends, having pushed every message frame before it into the
+// mailbox. Closing a socket under a reader that has not drained it would
+// discard frames already delivered to this host.
+func (e *Endpoint) closeAfterReaders(drain time.Duration) {
+	deadline := time.Now().Add(drain)
 	for _, pc := range e.peers {
 		if pc == nil {
 			continue
@@ -317,7 +334,6 @@ func (e *Endpoint) Close() error {
 		}
 		pc.nc.Close()
 	}
-	return nil
 }
 
 // readFailure classifies a reader's error: a read-deadline expiry means the
@@ -497,6 +513,9 @@ func (e *Endpoint) reader(peer int, pc *peerConn) {
 			} else {
 				e.fail(&transport.RankFailure{Rank: rank, Err: fmt.Errorf("aborted the job: %s", payload)})
 			}
+			// Nothing follows an ABORT. Closing this side ends the peer's
+			// reader, which its Abort waits for before closing.
+			pc.nc.Close()
 			return
 		}
 	}

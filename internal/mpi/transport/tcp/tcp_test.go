@@ -130,6 +130,10 @@ type goneConn struct {
 	once     sync.Once
 }
 
+// Close is what the reader does after an ABORT frame; the peer is gone
+// already.
+func (c *goneConn) Close() error { return nil }
+
 func (c *goneConn) Write([]byte) (int, error) {
 	c.once.Do(func() { close(c.wrote) })
 	return 0, syscall.ECONNRESET

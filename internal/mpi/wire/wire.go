@@ -60,10 +60,11 @@
 // leaves are fixed-width numbers — a padded struct such as a matrix triple —
 // as a short list of copy runs per element (see copyRun), with one length
 // check per frame. The per-field closures are the implementation for
-// everything else: variable-length types, padded types with a bool in them
-// (the closures decode a bool normalised to 0/1; copy runs are for numbers
-// only) and elements nested inside either. All three paths produce the same
-// bytes; padding never reaches a frame.
+// everything else: variable-length types, types with a bool in them (a bool
+// is the byte 0 or 1 and nothing else, which the closures check: a frame
+// holding another byte where a bool lies is refused, never normalised) and
+// elements nested inside either. All three paths produce the same bytes;
+// padding never reaches a frame.
 package wire
 
 import (
@@ -503,9 +504,10 @@ func compile(t reflect.Type, seen []reflect.Type) *codec {
 func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 	switch t.Kind() {
 	case reflect.Bool:
-		// One byte of 0/1 in memory too, so dense; but no copy run: a decoded
-		// bool is normalised to 0/1, and copy runs are for numbers only.
-		c.shape, c.fixed, c.minSize, c.dense = "b", 1, 1, hostLittleEndian
+		// One byte of 0/1 in memory too, but neither dense nor a copy run:
+		// a received byte is a bool only if it is 0 or 1, so every decode
+		// checks it, and no view of a frame is one.
+		c.shape, c.fixed, c.minSize = "b", 1, 1
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			if *(*bool)(p) {
 				return append(dst, 1)
@@ -516,7 +518,10 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			if len(src) < 1 {
 				return nil, errShort
 			}
-			*(*bool)(p) = src[0] != 0
+			if src[0] > 1 {
+				return nil, errBool
+			}
+			*(*bool)(p) = src[0] == 1
 			return src[1:], nil
 		}
 	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -801,7 +806,10 @@ type sliceHeader struct {
 	cap  int
 }
 
-var errShort = fmt.Errorf("truncated frame")
+var (
+	errShort = fmt.Errorf("truncated frame")
+	errBool  = fmt.Errorf("a bool byte is neither 0 nor 1")
+)
 
 func readUvarint(src []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(src)

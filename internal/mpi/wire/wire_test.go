@@ -146,6 +146,51 @@ func TestPaddedStructDeterminism(t *testing.T) {
 }
 
 // TestDataLenCountsPayloadOnly pins the counter contract: 10 int64s charge
+// TestNonCanonicalBoolRefused: a frame holding a byte other than 0 or 1
+// where a bool lies is refused by every decode entry point — Unmarshal,
+// UnmarshalOne, AlignedElems and Elems — for a bool, a dense struct of bools,
+// a padded struct holding one and a bool slice inside a variable-width
+// element, never normalised to true.
+func TestNonCanonicalBoolRefused(t *testing.T) {
+	type pair struct{ A, B bool }
+	type padded struct {
+		B bool
+		V int32
+	}
+	type nested struct {
+		S string
+		B []bool
+	}
+	// Each value encodes one true bool fromEnd bytes before the end of its
+	// element, which ends every frame below.
+	boolRefused(t, true, 1)
+	boolRefused(t, pair{false, true}, 1)
+	boolRefused(t, padded{true, 7}, 5)
+	boolRefused(t, nested{"x", []bool{false, true}}, 1)
+}
+
+func boolRefused[T any](t *testing.T, v T, fromEnd int) {
+	t.Helper()
+	name := reflect.TypeFor[T]().String()
+	check := func(entry string, enc []byte, decode func([]byte) error) {
+		t.Helper()
+		if err := decode(enc); err != nil {
+			t.Fatalf("%s %s of a canonical encoding: %v", entry, name, err)
+		}
+		enc[len(enc)-fromEnd] = 2 // in place: an aligned frame keeps its base
+		if err := decode(enc); err == nil || !strings.Contains(err.Error(), "neither 0 nor 1") {
+			t.Errorf("%s %s of a bool byte 2: %v, want it refused", entry, name, err)
+		}
+	}
+	check("Unmarshal", Marshal([]T{v}), func(b []byte) error { _, err := Unmarshal[T](b); return err })
+	check("UnmarshalOne", MarshalOne(v), func(b []byte) error { _, err := UnmarshalOne[T](b); return err })
+	if Width[T]() < 0 {
+		return
+	}
+	check("AlignedElems", MarshalAligned([]T{v}), func(b []byte) error { _, err := AlignedElems[T](b); return err })
+	check("Elems", AppendElems(nil, []T{v}), func(b []byte) error { _, err := Elems[T](b, 1); return err })
+}
+
 // exactly 80 bytes, whatever the frame header costs.
 func TestDataLenCountsPayloadOnly(t *testing.T) {
 	frame := Marshal(make([]int64, 10))
@@ -326,6 +371,10 @@ func FuzzDecodeArbitraryBytes(f *testing.F) {
 	f.Add(words[:len(words)-3])
 	f.Add(append(append([]byte(nil), words[:6]...), 0, 1))
 	f.Add(MarshalAligned([]fixedMsg{{1, 2, 3, 4.5, [3]uint16{6, 7, 8}}}))
+	// A bool byte that is neither 0 nor 1.
+	bools := Marshal([]bool{true, false})
+	bools[len(bools)-1] = 2
+	f.Add(bools)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// A transport delivers a frame at an 8-byte-aligned base; the fuzzer's
 		// slice may sit anywhere, so both are tried.
@@ -366,6 +415,14 @@ func FuzzDecodeArbitraryBytes(f *testing.F) {
 			if _, err2 := Unmarshal[msg](Marshal(out)); err2 != nil {
 				t.Fatalf("accepted struct frame not canonical: %v", err2)
 			}
+		}
+		// A bool decodes only from its canonical byte, so what a bool decoder
+		// accepts re-encodes to the same bytes.
+		if out, err := Unmarshal[bool](raw); err == nil && !bytes.Equal(Marshal(out), raw) {
+			t.Fatalf("accepted bool frame %x re-encodes to %x", raw, Marshal(out))
+		}
+		if out, err := AlignedElems[bool](aligned); err == nil && !bytes.Equal(MarshalAligned(out), aligned) {
+			t.Fatalf("accepted aligned bool part %x re-encodes to %x", aligned, MarshalAligned(out))
 		}
 		if v, err := UnmarshalOne[string](raw); err == nil {
 			if _, err2 := UnmarshalOne[string](MarshalOne(v)); err2 != nil {

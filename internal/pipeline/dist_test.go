@@ -267,3 +267,43 @@ func TestDistributedMetricsCoverEveryRank(t *testing.T) {
 		}
 	}
 }
+
+// TestDistributedReportsUnderMessageLimit: with mpi.MaxMessageBytes at 1 KiB
+// a 4-process job whose processes keep metrics assembles the in-process
+// run's contigs. Each stage's report all-gather — stage rows and a metric
+// snapshot, far over 1 KiB — is chunked like every other collective part.
+func TestDistributedReportsUnderMessageLimit(t *testing.T) {
+	reads := testReads(8000, 631)
+	const p = 4
+	base := DefaultOptions(p)
+	base.K = 21
+	base.XDrop = 25
+	ref, err := Run(reads, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(old int64) { mpi.MaxMessageBytes = old }(mpi.MaxMessageBytes)
+	mpi.MaxMessageBytes = 1024
+	rdv := startTestRendezvous(t, p)
+	outs := make([]*Output, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			opt := joinOptions(base, rdv, "127.0.0.1", r, nil)
+			opt.Metrics = obs.NewMetricSet(p)
+			outs[r], errs[r] = Run(reads, opt)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d: %v", r, err)
+		}
+	}
+	if a, b := contigChecksum(ref), contigChecksum(outs[0]); a != b {
+		t.Fatalf("contigs under the limit %s, in-process run %s", b, a)
+	}
+}

@@ -162,7 +162,7 @@ func TestRecoveryFromCheckpointAfterRankLoss(t *testing.T) {
 	}
 
 	// Recovery: a fresh group loads the pinned commit and finishes — the
-	// in-test replica of the supervisor's relaunch with ELBA_PROC_RESUME.
+	// in-test replica of the supervisor's relaunch with -resume <stage dir>.
 	rdv2 := startTestRendezvous(t, p)
 	outs := make([]*Output, p)
 	recErrs := make([]error, p)
