@@ -142,7 +142,7 @@ func (f *optionFlags) register(fs *flag.FlagSet) {
 // is applied and judged, so `-k -5` is an error, not the default.
 func (f *optionFlags) options() (pipeline.Options, error) {
 	p := f.p
-	if f.np > 0 {
+	if f.np != 0 {
 		p = f.np
 	}
 	return pipeline.Resolve(f.preset, p, pipeline.Overrides{
@@ -250,8 +250,10 @@ func main() {
 	opt.CheckpointEvery = *ckptEvery
 	opt.Transport = *transport
 	if worker {
-		// A worker the proc launcher started records proc, any other tcp.
-		if opt.Transport != elba.TransportProc {
+		// A worker joins over sockets: the default inproc records tcp, proc
+		// (the launcher's workers) and tcp stay, and anything else fails in
+		// Plan before the rendezvous is dialled.
+		if opt.Transport == elba.TransportInproc {
 			opt.Transport = elba.TransportTCP
 		}
 		opt.NewWorld = joinWorld(*join, *rank, tcp.JoinConfig{Listen: *listen, Advertise: *advertise})

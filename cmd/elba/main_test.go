@@ -87,6 +87,8 @@ func TestBadFlagsFailOnce(t *testing.T) {
 		{"-preset celegans -k -5 -x -2", "Options.XDrop"},
 		{"-preset celegans -trfuzz -3", "Options.TRFuzz"},
 		{"-preset celegans -transport carrier-pigeon", "Options.Transport"},
+		{"-preset celegans -transport carrier-pigeon -join 127.0.0.1:1 -rank 0 -np 1", "Options.Transport"},
+		{"-preset celegans -np -4", "Options.P"},
 		{"-preset celegans -transport proc -np 3", "Options.P"},
 		{"-preset celegans -transport proc -np 4 -k -5", "Options.K"},
 		{"-preset celegans -transport proc -np 4 -size -5", "genome length -5"},

@@ -31,6 +31,7 @@ import (
 	"repro/elba"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
@@ -345,8 +346,8 @@ func contigPhase() {
 		for _, s := range pipeline.ContigStages {
 			phase += perfmodel.StageTime(out.Stats.Timers, s, cal, net())
 		}
-		induced := perfmodel.StageTime(out.Stats.Timers, "CG:InducedSubgraph", cal, net()) +
-			perfmodel.StageTime(out.Stats.Timers, "CG:SequenceComm", cal, net())
+		induced := perfmodel.StageTime(out.Stats.Timers, core.SubStageInducedSubgraph, cal, net()) +
+			perfmodel.StageTime(out.Stats.Timers, core.SubStageSequenceComm, cal, net())
 		extract := perfmodel.StageTime(out.Stats.Timers, "ExtractContig", cal, net())
 		total := perfmodel.Total(out.Stats.Timers, pipeline.MainStages, cal, net())
 		fmt.Printf("| %d | %.0f%% | %.1f%% |\n", p, 100*induced/phase, 100*extract/total)

@@ -66,9 +66,21 @@ type Result struct {
 	MinLoad        int64 // smallest per-rank read load after LPT
 }
 
+// Algorithm 2's steps as trace sub-stages, nested inside the pipeline's
+// ExtractContig row: wall time and traffic per step, and each step's own
+// work units (edges, vertices, sequence bytes or bases).
+const (
+	SubStageBranchRemoval      = "CG:BranchRemoval"
+	SubStageConnectedComponent = "CG:ConnectedComponent"
+	SubStagePartitioning       = "CG:Partitioning"
+	SubStageInducedSubgraph    = "CG:InducedSubgraph"
+	SubStageSequenceComm       = "CG:SequenceComm"
+	SubStageLocalAssembly      = "CG:LocalAssembly"
+)
+
 // ContigGeneration runs Algorithm 2 on the string matrix s. Sub-stage
-// timings land in tm under CG:* names. The paper's contig-phase breakdown
-// has the induced subgraph step dominating with 65–85% of the phase; here the
+// timings land in tm under the SubStage* rows. The paper's contig-phase
+// breakdown has the induced subgraph step dominating with 65–85%; here the
 // step routes only edge triples, and the connected components are the
 // largest step. Of core.contig_s on the benchmark's layout-inproc workload
 // (10 Mb layout problem, P = 4, 2 vCPUs), the FastSV components are 35–42%,
@@ -92,69 +104,69 @@ func ContigGeneration(s *spmat.Dist[bidir.Edge], store *fasta.DistStore, tm *tra
 	// --- BranchRemoval (Algorithm 2 line 2) ---
 	var l *spmat.Dist[bidir.Edge]
 	var deg *spmat.DistVec[int32]
-	tm.Stage("CG:BranchRemoval", g.Comm, func() {
+	tm.Stage(SubStageBranchRemoval, g.Comm, func() {
 		l, deg, res.BranchVertices = BranchRemoval(s)
 	})
-	tm.AddWork("CG:BranchRemoval", int64(s.Local.Nnz()))
+	tm.AddWork(SubStageBranchRemoval, int64(s.Local.Nnz()))
 
 	// --- ConnectedComponent (line 3) ---
 	var labels *spmat.DistVec[int32]
-	tm.Stage("CG:ConnectedComponent", g.Comm, func() {
+	tm.Stage(SubStageConnectedComponent, g.Comm, func() {
 		labels = lacc.Components(l)
 	})
-	tm.AddWork("CG:ConnectedComponent", int64(l.Local.Nnz()))
+	tm.AddWork(SubStageConnectedComponent, int64(l.Local.Nnz()))
 
 	// --- GreedyPartitioning (line 4) ---
 	var assign *spmat.DistVec[int32]
-	tm.Stage("CG:Partitioning", g.Comm, func() {
+	tm.Stage(SubStagePartitioning, g.Comm, func() {
 		assign = PartitionContigs(labels, deg, res)
 	})
-	tm.AddWork("CG:Partitioning", int64(len(assign.Local)))
+	tm.AddWork(SubStagePartitioning, int64(len(assign.Local)))
 
 	// --- Read sequence communication, start (§4.3) ---
 	// Posted before the induced subgraph so the sequence bytes travel while
 	// edges are routed and walked; Stage accumulates, so the finish below
-	// lands under the same CG:SequenceComm name.
+	// lands under the same SubStageSequenceComm row.
 	var seqComm *SeqCommHandle
-	tm.Stage("CG:SequenceComm", g.Comm, func() {
+	tm.Stage(SubStageSequenceComm, g.Comm, func() {
 		seqComm = StartCommunicateSequences(store, assign, packSeqs)
 	})
 
 	// --- InducedSubgraph (line 5) ---
 	var local *LocalGraph
-	tm.Stage("CG:InducedSubgraph", g.Comm, func() {
+	tm.Stage(SubStageInducedSubgraph, g.Comm, func() {
 		local = inducedSubgraph(l, assign)
 	})
-	tm.AddWork("CG:InducedSubgraph", int64(len(local.CSC.IR)))
+	tm.AddWork(SubStageInducedSubgraph, int64(len(local.CSC.IR)))
 
 	// --- LocalAssembly traversal (line 6, §4.4): the DFS walks need only
 	// the re-indexed graph, so they run before the sequence exchange is
 	// collected. ---
 	var chains []chain
-	tm.Stage("CG:LocalAssembly", g.Comm, func() {
+	tm.Stage(SubStageLocalAssembly, g.Comm, func() {
 		chains = traverseChains(local)
 	})
 
 	// --- Read sequence communication, completion ---
 	var seqs map[int32][]byte
-	tm.Stage("CG:SequenceComm", g.Comm, func() {
+	tm.Stage(SubStageSequenceComm, g.Comm, func() {
 		seqs = seqComm.Finish()
 	})
 	var seqBytes int64
 	for _, sq := range seqs {
 		seqBytes += int64(len(sq))
 	}
-	tm.AddWork("CG:SequenceComm", seqBytes)
+	tm.AddWork(SubStageSequenceComm, seqBytes)
 
 	// --- LocalAssembly sequence concatenation ---
-	tm.Stage("CG:LocalAssembly", g.Comm, func() {
+	tm.Stage(SubStageLocalAssembly, g.Comm, func() {
 		res.Contigs = assembleChains(local, seqs, chains)
 	})
 	var asmBases int64
 	for _, c := range res.Contigs {
 		asmBases += int64(len(c.Seq))
 	}
-	tm.AddWork("CG:LocalAssembly", asmBases)
+	tm.AddWork(SubStageLocalAssembly, asmBases)
 	loads := mpi.Allgather(g.Comm, int64(len(local.Globals)))
 	res.MaxLoad, res.MinLoad = slices.Max(loads), slices.Min(loads)
 	return res

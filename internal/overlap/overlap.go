@@ -200,7 +200,7 @@ func buildA(g *grid.Grid, numReads int, kres *kmer.Result) (a, at *spmat.Dist[km
 }
 
 // The Alignment stage's two phases as trace sub-stages (nested under
-// "Alignment"; package pipeline registers the "AL" prefix): wall time and
+// "Alignment"; package pipeline's stage table lists them): wall time and
 // traffic per phase, and as work units the candidate pairs the phase aligned —
 // their sum is the run's aligned-pair count, the rest of CandidatePairs was
 // skipped.

@@ -1,14 +1,19 @@
 package pipeline
 
-import "repro/internal/obs"
+import (
+	"slices"
+
+	"repro/internal/obs"
+)
 
 // Manifest builds the machine-readable run record (RUN.json) from a
 // completed run's output and the options it ran under: the full option set,
-// per-stage wall/work/traffic rows with the overlap/exposed split, the
-// run-wide communication totals, a contig checksum that identifies the
-// assembly bit-exactly, and — when the run collected metrics — the
-// deterministic cross-rank metric merge. The result satisfies
-// obs.(*Manifest).Verify; benchguard's -manifest mode gates on it.
+// per-stage wall/work/traffic rows with the overlap/exposed split (the
+// recorded rows, in RowNames order), the run-wide communication totals, a
+// contig checksum that identifies the assembly bit-exactly, and — when the
+// run collected metrics — the deterministic cross-rank metric merge. The
+// result satisfies obs.(*Manifest).Verify; benchguard's -manifest mode gates
+// on it.
 func (o *Output) Manifest(opt Options) *obs.Manifest {
 	// Observability handles are run plumbing, not algorithmic parameters:
 	// scrub them so the recorded options are plain data and two runs that
@@ -24,7 +29,11 @@ func (o *Output) Manifest(opt Options) *obs.Manifest {
 		Comm:    obs.CommTotals{Bytes: o.Stats.CommBytes, Msgs: o.Stats.CommMsgs},
 	}
 	if t := o.Stats.Timers; t != nil {
-		for _, name := range t.OrderedNames() {
+		recorded := t.Names()
+		for _, name := range RowNames() {
+			if !slices.Contains(recorded, name) {
+				continue
+			}
 			e := t.Get(name)
 			m.Stages = append(m.Stages, obs.StageStats{
 				Name:         name,

