@@ -10,7 +10,7 @@ import (
 // ATriple is one nonzero of the |reads| × |k-mers| matrix A: read Row (a
 // global read id) contains reliable k-mer column Col at Val.Pos() on strand
 // Val.RC(). It is the matrix triple itself — 12 dense bytes — so the counting
-// stage's output feeds spmat.FromRowMajor, the wire codec and the checkpoint
+// stage's output feeds spmat.FromRows, the wire codec and the checkpoint
 // without a conversion.
 type ATriple = spmat.Triple[Occur]
 
@@ -18,9 +18,10 @@ type ATriple = spmat.Triple[Occur]
 type Result struct {
 	K       int
 	NumCols int // global number of reliable k-mer columns
-	// Triples are the nonzeros of the reads this rank owns, strictly
-	// row-major (Row, then Col) — the order spmat.FromRowMajor requires and
-	// checkpoints preserve.
+	// Triples are the nonzeros of the reads this rank owns, row-grouped:
+	// rows ascending, each read's columns distinct and in the order its
+	// extraction found them — the order spmat.FromRows takes (it sorts A
+	// once) and checkpoints preserve.
 	Triples     []ATriple
 	Occurrences int64 // k-mer occurrences this rank extracted (work units)
 }
@@ -44,7 +45,7 @@ type Result struct {
 //     each reliable k-mer in order of first appearance, read off the slots
 //     the tally recorded.
 //  4. Ranks walk their stream in read order again, one cursor per owner
-//     into its reply, and emit the surviving triples row-major.
+//     into its reply, and emit the surviving triples in that order.
 //
 // threads sets the intra-rank worker count for the extraction scan (step 1),
 // the rank's compute-heavy loop; ≤ 1 scans serially. Routing order — and
@@ -137,8 +138,8 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	}
 	cols := mpi.IAlltoallv(c, reply).WaitValue()
 
-	// 4. Assemble the surviving triples, row-major.
-	triples := s.emitRowMajor(store.Lo, cols)
+	// 4. Assemble the surviving triples, row-grouped in stream order.
+	triples := s.emit(store.Lo, cols)
 	return &Result{K: k, NumCols: total, Triples: triples, Occurrences: occ}
 }
 
@@ -195,76 +196,35 @@ func (s *stream) route(p int) []mpi.Buf[uint64] {
 	return parts
 }
 
-// emitRowMajor builds the triples of A of the stream's reads (global ids from
-// lo) from the owners' replies cols: cols[o] answers, in order, the
-// occurrences route sent owner o, each with its column id or -1 for an
-// unreliable k-mer. A walk of the stream in read order, one cursor per owner,
-// matches every occurrence with its answer. The triples leave strictly
-// row-major with no comparison at all: stable counting passes over 16-bit
-// digits of the column id, least significant first — the walk scatters
-// straight into the first, a second runs only when some column id needs one —
-// then one stable counting scatter by read. A read holds a k-mer at most once
-// (the scan deduplicates), so its column ids are distinct and the result is
-// strictly row-major. Scratch is two triple buffers, the per-read counts and
-// one fixed 2¹⁶-entry digit count, never anything sized by the global column
-// count.
-func (s *stream) emitRowMajor(lo int, cols [][]int32) []ATriple {
-	const digitBits = 16
-	const digitMask = 1<<digitBits - 1
-	p := len(cols)
-	starts := make([]int32, len(s.end)+1) // by read, shifted one up
-	digit := make([]int32, digitMask+2)   // by column digit, shifted one up
-	var maxCol int32
+// emit builds the triples of A of the stream's reads (global ids from lo)
+// from the owners' replies cols: cols[o] answers, in order, the occurrences
+// route sent owner o, each with its column id or -1 for an unreliable k-mer.
+// A walk of the stream in read order, one cursor per owner, matches every
+// occurrence with its answer and appends the survivors to one exact-size
+// buffer, so the triples leave row-grouped: rows ascending, each read's
+// columns in the order its scan found them. A read holds a k-mer at most once
+// (the scan deduplicates), so its columns are distinct. Nothing here sorts:
+// spmat.FromRows puts A in order once, where it is distributed.
+func (s *stream) emit(lo int, cols [][]int32) []ATriple {
+	n := 0
 	for _, part := range cols {
 		for _, col := range part {
 			if col >= 0 {
-				digit[col&digitMask+1]++
-				maxCol = max(maxCol, col)
+				n++
 			}
 		}
 	}
-	prefixSums(digit)
-	n := digit[digitMask+1]
-	buf, out := make([]ATriple, n), make([]ATriple, n)
-	cursor := make([]int, p)
+	out := make([]ATriple, 0, n)
+	cursor := make([]int, len(cols))
 	for i, end := range s.end {
 		row := int32(lo + i)
 		for j := s.start[i]; j < end; j++ {
-			o := Owner(Kmer(s.kms[j]), p)
-			col := cols[o][cursor[o]]
-			cursor[o]++
-			if col >= 0 {
-				buf[digit[col&digitMask]] = ATriple{Row: row, Col: col, Val: s.occ[j]}
-				digit[col&digitMask]++
-				starts[i+1]++
+			o := Owner(Kmer(s.kms[j]), len(cols))
+			if col := cols[o][cursor[o]]; col >= 0 {
+				out = append(out, ATriple{Row: row, Col: col, Val: s.occ[j]})
 			}
+			cursor[o]++
 		}
-	}
-	if maxCol>>digitBits != 0 {
-		clear(digit)
-		for _, t := range buf {
-			digit[t.Col>>digitBits+1]++
-		}
-		prefixSums(digit)
-		for _, t := range buf {
-			out[digit[t.Col>>digitBits]] = t
-			digit[t.Col>>digitBits]++
-		}
-		buf, out = out, buf
-	}
-	prefixSums(starts)
-	for _, t := range buf {
-		idx := int(t.Row) - lo
-		out[starts[idx]] = t
-		starts[idx]++
 	}
 	return out
-}
-
-// prefixSums turns counts into running totals in place; over counts shifted
-// one up, entry i becomes the start of bucket i.
-func prefixSums(counts []int32) {
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
 }

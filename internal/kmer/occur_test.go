@@ -36,16 +36,16 @@ func TestOccurRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAssembleRowMajorMatchesComparatorSort: the walk of the occurrence
-// stream with one cursor per owner, the counting passes over column digits
-// and the stable scatter by read emit exactly what appending every survivor
-// and comparator-sorting by (Row, Col) does — on random streams over one to
-// five owners with misses, owners sent nothing, spans with unread slack (the
-// windows a read's scan did not fill), reads with no occurrence, reads with no
-// survivor and an empty read range, over column counts of 0 and 1 (every
-// reply a miss, one column at most per read), up to exactly one 16-bit digit
-// (40 and 2¹⁶), and past it (3·2¹⁶ and 2²⁴) so the second digit pass runs.
-func TestAssembleRowMajorMatchesComparatorSort(t *testing.T) {
+// TestEmitFollowsStream: the walk of the occurrence stream with one cursor
+// per owner emits exactly the survivors appended in stream order — no sort,
+// so the order is pinned as well as the set — in one buffer of exactly their
+// count, row-grouped with distinct columns per read (what spmat.FromRows
+// takes). Random streams over one to five owners with misses, owners sent
+// nothing, spans with unread slack (the windows a read's scan did not fill),
+// reads with no occurrence, reads with no survivor and an empty read range,
+// over column counts of 0 and 1 (every reply a miss, one column at most per
+// read), 40, and up to 2²⁴.
+func TestEmitFollowsStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, numCols := range []int{0, 1, 40, 1 << 16, 3 << 16, 1 << 24} {
 		for trial := 0; trial < 100; trial++ {
@@ -77,12 +77,15 @@ func TestAssembleRowMajorMatchesComparatorSort(t *testing.T) {
 				}
 				s.start[i+1] = len(s.kms)
 			}
-			got := s.emitRowMajor(lo, cols)
-			if want = sortedTriples(want); !reflect.DeepEqual(got, want) {
+			got := s.emit(lo, cols)
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("numCols %d trial %d: reads [%d,%d), %d owners:\n got %v\nwant %v", numCols, trial, lo, lo+nReads, p, got, want)
 			}
-			if err := spmat.CheckRowMajor(got, int32(lo), int32(lo+nReads), 0, int32(numCols)); err != nil {
-				t.Fatalf("numCols %d trial %d: emission is not strictly row-major: %v", numCols, trial, err)
+			if cap(got) != len(want) {
+				t.Fatalf("numCols %d trial %d: %d triples in a buffer of %d", numCols, trial, len(got), cap(got))
+			}
+			if err := spmat.CheckRowGrouped(got, int32(lo), int32(lo+nReads), 0, int32(numCols)); err != nil {
+				t.Fatalf("numCols %d trial %d: emission is not row-grouped: %v", numCols, trial, err)
 			}
 		}
 	}

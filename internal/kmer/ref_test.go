@@ -39,20 +39,6 @@ func (t *CountTable) Get(km Kmer) (int32, bool) {
 	return 0, false
 }
 
-// sortedTriples is the triple assembly the counting-pass emission replaced —
-// every survivor appended, then one comparator sort by (Row, Col) — kept as
-// the oracle of TestAssembleRowMajorMatchesComparatorSort and of the
-// first-appearance reference below.
-func sortedTriples(triples []ATriple) []ATriple {
-	slices.SortFunc(triples, func(a, b ATriple) int {
-		if a.Row != b.Row {
-			return int(a.Row - b.Row)
-		}
-		return int(a.Col - b.Col)
-	})
-	return triples
-}
-
 // firstAppearanceColumns is the reference numbering of CountAndBuild's
 // columns at p ranks: owner o's reliable k-mers take the ids
 // [offset_o, offset_o+n_o), offset_o the count of reliable k-mers on owners
@@ -84,7 +70,7 @@ func firstAppearanceColumns(reads [][]byte, k int, low, high int32, p int) map[K
 
 // firstAppearanceTriples is the serial reference of CountAndBuild's output
 // over all ranks: every occurrence of a reliable k-mer, numbered by cols
-// (firstAppearanceColumns), strictly row-major.
+// (firstAppearanceColumns), in read order, then extraction order — no sort.
 func firstAppearanceTriples(reads [][]byte, k int, cols map[Kmer]int32) []ATriple {
 	triples := []ATriple{}
 	for r, seq := range reads {
@@ -94,5 +80,5 @@ func firstAppearanceTriples(reads [][]byte, k int, cols map[Kmer]int32) []ATripl
 			}
 		}
 	}
-	return sortedTriples(triples)
+	return triples
 }

@@ -33,7 +33,9 @@ func gatherCountAndBuild(reads [][]byte, k int, low, high int32, p, threads int,
 
 // checkFirstAppearance holds CountAndBuild to the serial first-appearance
 // reference on every P, thread count and request mode given: the same column
-// count and, triple for triple, the same row-major A.
+// count and, triple for triple, the same A in stream order — read order, then
+// extraction order — which pins the canonical blocks spmat.FromRows sorts it
+// into as well.
 func checkFirstAppearance(t *testing.T, reads [][]byte, k int, low, high int32, ps, threads []int, modes []bool) {
 	t.Helper()
 	for _, p := range ps {

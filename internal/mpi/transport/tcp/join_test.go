@@ -1,11 +1,17 @@
 package tcp
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mpi/transport"
 )
@@ -207,4 +213,189 @@ func TestReaderFailureIsRankAttributed(t *testing.T) {
 	}
 	eps[0].Close()
 	eps[1].Close()
+}
+
+// TestRendezvousOutlivesStrangers: a silent connection and an HTTP request
+// reach the rendezvous before any rank registers. The HTTP one must be
+// dropped (its connection closed by the server), the silent one must hold up
+// nobody, and all p ranks must still receive the address table and wire
+// their mesh — well inside a dial budget far shorter than the deadline a
+// silent stranger could otherwise hold the rendezvous for.
+func TestRendezvousOutlivesStrangers(t *testing.T) {
+	const p = 4
+	rdv := startRendezvous(t, p)
+	silent, err := net.Dial("tcp", rdv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	probe, err := net.Dial("tcp", rdv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	if _, err := probe.Write([]byte("GET /healthz HTTP/1.1\r\nHost: elba\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	eps := make([]transport.Transport, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			eps[r], errs[r] = Join(rdv, r, p, JoinConfig{Listen: "127.0.0.1:0", DialTimeout: 3 * time.Second})
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d join behind two strangers: %v", r, err)
+		}
+	}
+	t.Cleanup(func() { closeAll(t, eps) })
+	exchangeAllPairs(t, eps)
+	probe.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := probe.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("the HTTP stranger's connection read %d bytes, %v; want it closed by the rendezvous", n, err)
+	}
+}
+
+// TestRendezvousDropsDuplicateRank: two connections register rank 0 before
+// the other ranks arrive. Whichever the rendezvous takes first is rank 0: it
+// gets the table, with its own address in slot 0, as every other rank does.
+// The other is dropped, its connection closed with nothing written.
+func TestRendezvousDropsDuplicateRank(t *testing.T) {
+	const p = 3
+	rdv := startRendezvous(t, p)
+	register := func(rank int, addr string) net.Conn {
+		conn, err := net.Dial("tcp", rdv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		bw := bufio.NewWriter(conn)
+		bw.Write(binary.AppendUvarint(nil, uint64(rank)))
+		writeString(bw, addr)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	table := func(conn net.Conn) ([]string, error) {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(conn)
+		addrs := make([]string, p)
+		for i := range addrs {
+			var err error
+			if addrs[i], err = readString(br); err != nil {
+				return nil, err
+			}
+		}
+		return addrs, nil
+	}
+	claims := []string{"127.0.0.1:1", "127.0.0.1:2"}
+	conns := []net.Conn{register(0, claims[0]), register(0, claims[1]), register(1, "127.0.0.1:3"), register(2, "127.0.0.1:4")}
+	var got [][]string
+	for i, conn := range conns {
+		addrs, err := table(conn)
+		switch {
+		case i < 2 && err == io.EOF:
+			continue // the dropped claim
+		case err != nil:
+			t.Fatalf("connection %d: %v", i, err)
+		case i < 2 && addrs[0] != claims[i]:
+			t.Fatalf("rank 0 claim %d received a table naming %q for rank 0", i, addrs[0])
+		}
+		got = append(got, addrs)
+	}
+	if len(got) != p {
+		t.Fatalf("%d connections received the table, want %d (one rank 0 claim dropped)", len(got), p)
+	}
+	for _, addrs := range got[1:] {
+		if !slices.Equal(addrs, got[0]) || addrs[1] != "127.0.0.1:3" || addrs[2] != "127.0.0.1:4" {
+			t.Fatalf("ranks received different tables: %q", got)
+		}
+	}
+}
+
+// scriptedListener hands out the connections sent on its channel and fails
+// every Accept once the channel is closed.
+type scriptedListener chan net.Conn
+
+func (l scriptedListener) Accept() (net.Conn, error) {
+	if c, ok := <-l; ok {
+		return c, nil
+	}
+	return nil, errors.New("listener broke")
+}
+func (scriptedListener) Close() error   { return nil }
+func (scriptedListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestRendezvousAcceptErrorClosesRanks: when the listener fails after a rank
+// has registered, the rendezvous returns the accept error and closes that
+// rank's connection, so the worker fails its join at once instead of waiting
+// out its deadline for a table that will never come.
+func TestRendezvousAcceptErrorClosesRanks(t *testing.T) {
+	ln := make(scriptedListener, 1)
+	worker, server := net.Pipe()
+	defer worker.Close()
+	ln <- server
+	done := make(chan error, 1)
+	go func() { done <- ServeRendezvous(ln, 2) }()
+	var reg bytes.Buffer
+	bw := bufio.NewWriter(&reg)
+	bw.WriteByte(0)
+	writeString(bw, "127.0.0.1:4242")
+	bw.Flush()
+	if _, err := worker.Write(reg.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	close(ln)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "listener broke") {
+		t.Fatalf("rendezvous returned %v, want the accept error", err)
+	}
+	worker.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := worker.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("the registered rank's connection read %d bytes, %v; want it closed", n, err)
+	}
+}
+
+// FuzzRendezvousRegistration feeds arbitrary bytes to the rendezvous'
+// registration parser as the first bytes of a connection to a p-rank world.
+// It must never panic, and a registration it accepts must name a rank in
+// [0, p) and be what the bytes it consumed say when decoded independently:
+// a uvarint rank, a uvarint length, then that many bytes of address.
+func FuzzRendezvousRegistration(f *testing.F) {
+	var reg bytes.Buffer
+	bw := bufio.NewWriter(&reg)
+	bw.WriteByte(3)
+	writeString(bw, "127.0.0.1:4242")
+	bw.Flush()
+	f.Add(reg.Bytes(), uint8(4))
+	f.Add([]byte("GET / HTTP/1.1\r\nHost: elba\r\n\r\n"), uint8(64))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, uint8(4))
+	f.Add([]byte{0, 0xff, 0xff, 0x7f}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, np uint8) {
+		p := 1 + int(np)%64
+		rd := bytes.NewReader(data)
+		br := bufio.NewReader(rd)
+		rank, addr, err := readRegistration(br, p)
+		if err != nil {
+			return
+		}
+		if rank < 0 || rank >= p {
+			t.Fatalf("accepted rank %d of a %d-rank world", rank, p)
+		}
+		used := data[:len(data)-rd.Len()-br.Buffered()]
+		r, n := binary.Uvarint(used)
+		if n <= 0 || r != uint64(rank) {
+			t.Fatalf("accepted rank %d from %x, which starts with rank %d (%d bytes)", rank, used, r, n)
+		}
+		l, m := binary.Uvarint(used[n:])
+		if m <= 0 || l != uint64(len(addr)) || string(used[n+m:]) != addr {
+			t.Fatalf("accepted address %q from %x, which holds a %d-byte address after the rank", addr, used, l)
+		}
+	})
 }

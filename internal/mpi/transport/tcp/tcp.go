@@ -51,9 +51,11 @@ package tcp
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net"
 	"strconv"
@@ -525,55 +527,106 @@ func (e *Endpoint) reader(peer int, pc *peerConn) {
 // each with the complete rank→address table, then closes everything. Run it
 // in the launching process (or a goroutine of a single-process mesh) before
 // workers call Join.
+//
+// The listener is open to anyone who can reach it, so a connection is a rank
+// only once its registration parses: each is read on its own goroutine under
+// the dial deadline, and one that fails to parse, names a rank outside
+// [0, p) or repeats a registered rank is logged and closed while the
+// rendezvous keeps accepting. A stranger — a port scan, an HTTP probe, a
+// silent client — neither ends the bootstrap nor holds up the ranks queued
+// behind it. Only an accept error ends it early. Every connection it
+// accepted, a registered rank's included, is closed before it returns, and
+// so every goroutine it started has ended.
 func ServeRendezvous(ln net.Listener, p int) error {
-	defer ln.Close()
 	type reg struct {
 		conn net.Conn
-		bw   *bufio.Writer
+		rank int
+		addr string
+		err  error
 	}
-	regs := make([]*reg, p)
+	arrived := make(chan reg)
+	acceptErr := make(chan error, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel() // closes every connection accepted, registered or not
+	defer ln.Close()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				acceptErr <- err
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				context.AfterFunc(ctx, func() { conn.Close() })
+				conn.SetDeadline(time.Now().Add(dialTimeout))
+				r := reg{conn: conn}
+				r.rank, r.addr, r.err = readRegistration(bufio.NewReader(conn), p)
+				select {
+				case arrived <- r:
+				case <-ctx.Done():
+				}
+			}()
+		}
+	}()
+	conns := make([]net.Conn, p)
 	addrs := make([]string, p)
-	seen := 0
-	for seen < p {
-		conn, err := ln.Accept()
-		if err != nil {
+	for seen := 0; seen < p; {
+		select {
+		case err := <-acceptErr:
 			return fmt.Errorf("tcp: rendezvous accept: %w", err)
+		case r := <-arrived:
+			if r.err == nil && conns[r.rank] != nil {
+				r.err = fmt.Errorf("rank %d is already registered", r.rank)
+			}
+			if r.err != nil {
+				log.Printf("tcp: rendezvous: dropped connection from %s: %v", r.conn.RemoteAddr(), r.err)
+				r.conn.Close()
+				continue
+			}
+			// A worker advertising an unspecified host (":port",
+			// "0.0.0.0:port") gets it rewritten to the source IP this
+			// registration arrived from — the one address the server knows
+			// is routable back to the worker.
+			conns[r.rank] = r.conn
+			addrs[r.rank] = rewriteUnspecified(r.addr, r.conn.RemoteAddr())
+			seen++
 		}
-		conn.SetDeadline(time.Now().Add(dialTimeout))
-		br := bufio.NewReader(conn)
-		rank, err := binary.ReadUvarint(br)
-		if err != nil {
-			conn.Close()
-			return fmt.Errorf("tcp: rendezvous registration: %w", err)
-		}
-		addr, err := readString(br)
-		if err != nil {
-			conn.Close()
-			return fmt.Errorf("tcp: rendezvous registration: %w", err)
-		}
-		// A worker advertising an unspecified host (":port", "0.0.0.0:port")
-		// gets it rewritten to the source IP this registration arrived from —
-		// the one address the server knows is routable back to the worker.
-		addr = rewriteUnspecified(addr, conn.RemoteAddr())
-		if rank >= uint64(p) || regs[rank] != nil {
-			conn.Close()
-			return fmt.Errorf("tcp: rendezvous: bad or duplicate rank %d", rank)
-		}
-		regs[rank] = &reg{conn: conn, bw: bufio.NewWriter(conn)}
-		addrs[rank] = addr
-		seen++
 	}
 	var first error
-	for _, r := range regs {
+	for _, c := range conns {
+		bw := bufio.NewWriter(c)
 		for _, a := range addrs {
-			writeString(r.bw, a)
+			writeString(bw, a)
 		}
-		if err := r.bw.Flush(); err != nil && first == nil {
+		if err := bw.Flush(); err != nil && first == nil {
 			first = fmt.Errorf("tcp: rendezvous reply: %w", err)
 		}
-		r.conn.Close()
 	}
 	return first
+}
+
+// readRegistration parses one rendezvous registration — the rank as a
+// uvarint, then the advertised address as a length-prefixed string — for a
+// p-rank world. The rank is checked before the address is read, so a stranger
+// whose first byte is no rank is refused without waiting for more.
+func readRegistration(br *bufio.Reader, p int) (rank int, addr string, err error) {
+	r, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, "", fmt.Errorf("registration: %w", err)
+	}
+	if r >= uint64(p) {
+		return 0, "", fmt.Errorf("registration names rank %d of a %d-rank world", r, p)
+	}
+	if addr, err = readString(br); err != nil {
+		return 0, "", fmt.Errorf("registration of rank %d: %w", r, err)
+	}
+	return int(r), addr, nil
 }
 
 // rewriteUnspecified replaces an unspecified or empty host in addr with the

@@ -159,7 +159,7 @@ func CountKmers(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Time
 }
 
 // DetectCandidates is the DetectOverlap stage: A and Aᵀ from one routing of
-// the counting stage's row-major triples (spmat.FromRowMajor), then
+// the counting stage's row-grouped triples (spmat.FromRows), then
 // C = A·Aᵀ under the checkerboard mask, so the diagonal and the mirrored
 // direction of every pair are never multiplied or accumulated (C is symmetric
 // and each pair must be aligned exactly once). The mirror entry is
@@ -186,7 +186,7 @@ func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, c
 func buildA(g *grid.Grid, numReads int, kres *kmer.Result) (a, at *spmat.Dist[kmer.Occur]) {
 	lane := g.Comm.Lane()
 	start, before := lane.Start(), g.Comm.BytesSent()
-	a, at = spmat.FromRowMajor(g, int32(numReads), int32(kres.NumCols), kres.Triples)
+	a, at = spmat.FromRows(g, int32(numReads), int32(kres.NumCols), kres.Triples)
 	nnz, sent := int64(a.Local.Nnz()), g.Comm.BytesSent()-before
 	if reg := g.Comm.Metrics(); reg != nil {
 		reg.Counter("overlap.a_nnz").Add(nnz)

@@ -103,7 +103,7 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 					cand = DetectCandidates(g, store, kres, cfg, tm, res)
 				})
 				// A straight from the constructor DetectCandidates uses.
-				am, _ := spmat.FromRowMajor(g, int32(store.N), int32(kres.NumCols), kres.Triples)
+				am, _ := spmat.FromRows(g, int32(store.N), int32(kres.NumCols), kres.Triples)
 				gc, ga := cand.GatherTriples(0), am.GatherTriples(0)
 				if c.Rank() == 0 {
 					got, a, pairs = gc, ga, res.CandidatePairs
@@ -204,12 +204,9 @@ func TestCandidatesIndependentOfColumnOrder(t *testing.T) {
 				relabelled := *kres
 				relabelled.Triples = slices.Clone(kres.Triples)
 				if id != nil {
-					for i := range relabelled.Triples {
+					for i := range relabelled.Triples { // still row-grouped: FromRows sorts
 						relabelled.Triples[i].Col = id[relabelled.Triples[i].Col]
 					}
-					slices.SortFunc(relabelled.Triples, func(x, y kmer.ATriple) int {
-						return cmp.Or(cmp.Compare(x.Row, y.Row), cmp.Compare(x.Col, y.Col))
-					})
 				}
 				tm := trace.New()
 				cand := DetectCandidates(g, store, &relabelled, cfg, tm, &Result{NumReads: store.N})

@@ -63,12 +63,16 @@ import (
 // row-major, the order DetectOverlap builds A from without sorting. v4 made
 // the rank files' timer rows the run's traffic totals (the manifest carries
 // none): every stage, FastaReader included, has a row, and a v3 file lacks
-// FastaReader's, so its totals would come out short. Older checkpoints and
-// cache entries are refused by name, never reinterpreted.
-const CheckpointSchema = "elba/checkpoint/v4"
+// FastaReader's, so its totals would come out short. v5 stores KmerTriples
+// row-grouped — rows ascending, each read's columns distinct, in extraction
+// order — because DetectOverlap sorts A once itself (spmat.FromRows): a v4
+// reader would refuse such a file as out of order, so it carries a schema of
+// its own. Older checkpoints and cache entries are refused by name, never
+// reinterpreted.
+const CheckpointSchema = "elba/checkpoint/v5"
 
 // ckptSchema is the per-rank file's schema number (bumped with ckptRank).
-const ckptSchema uint32 = 4
+const ckptSchema uint32 = 5
 
 // CheckpointManifestName is the per-stage commit file written by rank 0.
 const CheckpointManifestName = "MANIFEST.json"
@@ -561,8 +565,8 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 				rank, path, ck.KmerNumCols, windows)
 		}
 		lo, hi := grid.BlockRange(len(reads), opt.P, rank)
-		if err := spmat.CheckRowMajor(ck.KmerTriples, int32(lo), int32(hi), 0, ck.KmerNumCols); err != nil {
-			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer triples are not the rank's reads [%d,%d) in row-major order: %w",
+		if err := checkKmerTriples(ck.KmerTriples, int32(lo), int32(hi), ck.KmerNumCols); err != nil {
+			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer triples are not the rank's reads [%d,%d) grouped by row with distinct columns: %w",
 				rank, path, lo, hi, err)
 		}
 		for _, t := range ck.KmerTriples {
@@ -573,6 +577,26 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 		}
 	}
 	return &ck, nil
+}
+
+// checkKmerTriples reports the first triple of ts outside rows [lo, hi) ×
+// columns [0, numCols), whose row goes backwards, or whose column its read
+// already holds — everything spmat.FromRows would otherwise panic on inside
+// a collective. last stamps each column with 1 + the last row that held it,
+// so the pass is O(len(ts) + numCols), and numCols is bounded by the reads'
+// windows before this runs.
+func checkKmerTriples(ts []kmer.ATriple, lo, hi, numCols int32) error {
+	if err := spmat.CheckRowGrouped(ts, lo, hi, 0, numCols); err != nil {
+		return err
+	}
+	last := make([]int32, numCols)
+	for i, t := range ts {
+		if last[t.Col] == t.Row+1 {
+			return fmt.Errorf("triple %d (%d,%d) repeats column %d of read %d", i, t.Row, t.Col, t.Col, t.Row)
+		}
+		last[t.Col] = t.Row + 1
+	}
+	return nil
 }
 
 // kmerWindows counts the read set's k-mer windows: an upper bound on its

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -446,15 +447,15 @@ func rewriteRankFile(t *testing.T, stageDir string, rank int, edit func(*ckptRan
 	rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.RankHashes[rank] = hex.EncodeToString(sum[:]) })
 }
 
-// TestCheckpointFailsClosedOnSchemaAndOrder: the packed Occur word and the
-// row-major order of KmerTriples are load-bearing since schema v3, and the
-// rank files' timer rows (FastaReader's included) are the run's traffic
-// totals since v4, so (1) a directory committed under an older schema —
+// TestCheckpointFailsClosedOnSchemaAndOrder: the packed Occur word is
+// load-bearing since schema v3, the rank files' timer rows (FastaReader's
+// included) are the run's traffic totals since v4, and KmerTriples are
+// row-grouped since v5, so (1) a directory committed under an older schema —
 // manifest or rank file — is refused with an error naming both schemas, and
-// (2) a post-CountKmer checkpoint whose
-// triples are out of order, duplicated, or another rank's reads is refused at
-// load, naming rank and file, instead of panicking inside DetectOverlap's
-// collective construction of A — and so is (3) one whose column count is
+// (2) a post-CountKmer checkpoint whose triples' rows go backwards, that
+// repeats a column within a read, or that holds another rank's reads is
+// refused at load, naming rank and file, instead of panicking inside
+// DetectOverlap's collective construction of A — and so is (3) one whose column count is
 // negative, exceeds the reads' k-mer windows or differs between ranks, whose
 // occurrence is no window of its read, whose k is not the engine's, or that
 // carries another stage's payload.
@@ -495,19 +496,19 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			}
 		}
 	}
-	for _, old := range []uint32{2, 3} {
+	for _, old := range []uint32{2, 3, 4} {
 		schema := fmt.Sprintf("elba/checkpoint/v%d", old)
 		t.Run(fmt.Sprintf("v%d manifest", old), func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.Schema = schema })
-			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v4"`)
+			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v5"`)
 			// Naming the stage directory itself takes the other manifest path.
-			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v4"`)
+			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v5"`)
 		})
 		t.Run(fmt.Sprintf("v%d rank file", old), func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteRankFile(t, stageDir, 1, func(ck *ckptRank) { ck.Schema = old })
-			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 4)", old))
+			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 5)", old))
 		})
 	}
 	for name, edit := range map[string]func(ck *ckptRank){
@@ -516,6 +517,11 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			ts[0], ts[len(ts)-1] = ts[len(ts)-1], ts[0]
 		},
 		"duplicate": func(ck *ckptRank) { ck.KmerTriples[1] = ck.KmerTriples[0] },
+		"column repeated apart within a read": func(ck *ckptRank) {
+			ts := ck.KmerTriples
+			i := slices.IndexFunc(ts[:len(ts)-2], func(tr kmer.ATriple) bool { return ts[len(ts)-1].Row == tr.Row })
+			ts[i+2].Col = ts[i].Col
+		},
 		"another rank's read": func(ck *ckptRank) {
 			ck.KmerTriples[len(ck.KmerTriples)-1].Row = int32(len(reads) - 1)
 		},
@@ -526,7 +532,7 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteRankFile(t, stageDir, 2, edit)
-			refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "row-major order")
+			refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "grouped by row with distinct columns")
 		})
 	}
 	// The rest of the payload fails closed too: the column count, which sizes
@@ -763,14 +769,20 @@ func FuzzReadRankCheckpoint(f *testing.F) {
 		if int(ck.KmerK) != opt.K || ck.KmerNumCols < 0 || int64(ck.KmerNumCols) > windows {
 			t.Fatalf("accepted k = %d with %d columns (engine k = %d, %d windows)", ck.KmerK, ck.KmerNumCols, opt.K, windows)
 		}
+		held := map[[2]int32]bool{}
 		for i, tr := range ck.KmerTriples {
 			if tr.Row < 0 || int(tr.Row) >= len(reads) || tr.Col < 0 || tr.Col >= ck.KmerNumCols {
 				t.Fatalf("accepted triple %d (%d,%d) outside %d reads x %d columns", i, tr.Row, tr.Col, len(reads), ck.KmerNumCols)
 			}
 			if i > 0 {
-				if p := ck.KmerTriples[i-1]; tr.Row < p.Row || tr.Row == p.Row && tr.Col <= p.Col {
+				if p := ck.KmerTriples[i-1]; tr.Row < p.Row {
 					t.Fatalf("accepted triple %d (%d,%d) after (%d,%d)", i, tr.Row, tr.Col, p.Row, p.Col)
 				}
+			}
+			if cell := [2]int32{tr.Row, tr.Col}; held[cell] {
+				t.Fatalf("accepted triple %d (%d,%d): read %d already holds column %d", i, tr.Row, tr.Col, tr.Row, tr.Col)
+			} else {
+				held[cell] = true
 			}
 			if end := int(tr.Val.Pos()) + opt.K; end > len(reads[tr.Row]) {
 				t.Fatalf("accepted an occurrence ending at %d in read %d of length %d", end, tr.Row, len(reads[tr.Row]))

@@ -55,56 +55,73 @@ func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T
 	return a
 }
 
-// FromRowMajor builds the two operands of C = A·Aᵀ from one distribution of
-// A (collective). mine holds this rank's rows of the nr×nc matrix in strictly
-// row-major order (Row, then Col; no duplicates) and every row must lie in
-// the rank's grid-row range — which holds when rows are block-distributed
-// over the P ranks in world-rank order, as reads are (see package grid).
+// FromRows builds the two operands of C = A·Aᵀ from one distribution of A
+// (collective). mine holds this rank's rows of the nr×nc matrix row-grouped —
+// rows ascending, each row's columns distinct, in any order — and every row
+// must lie in the rank's grid-row range, which holds when rows are
+// block-distributed over the P ranks in world-rank order, as reads are (see
+// package grid).
 //
-// Triples then only move along the grid row: √P exact-size buffers over the
-// row communicator, and because the senders' row ranges ascend with their
-// rank, the received parts concatenate into the block's row-major order with
-// no sort. One stable counting scatter by column turns that into the
-// canonical column-major A block; the Aᵀ block of rank (i, j) is the
-// row-major A block of the transposed rank (j, i) with Row and Col relabelled
-// — already column-major — so it arrives with one grid.Transposed swap (none
-// on the diagonal). Row range, column range, strict order and therefore
-// duplicates are checked on the input and on both received blocks; a
-// violation panics. Both exchanges go through the chunked protocol, so no
-// message exceeds mpi.MaxMessageBytes however large a block is (T must be
-// fixed-width); the rank is blocking for the call, so their bytes stay
-// exposed. Both send mpi.Bufs: the routed parts, and the received parts
-// concatenated into one for the swap, so for a dense T a triple is copied
-// once at routing and once at the concatenation, never by the wire.
-func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *Dist[T]) {
+// A is sorted once, here, and Aᵀ needs no sort of its own. Triples only move
+// along the grid row: a count pass and a fill pass route them by column block
+// into √P exact-size buffers over the row communicator. Because the senders'
+// row ranges ascend with their rank, one stable counting scatter of the
+// received parts by column is the canonical column-major A block: within a
+// column, rows ascend across and within the parts. One stable counting
+// scatter of that block by row is its strictly row-major form, each row's
+// columns ascending; the Aᵀ block of rank (i, j) is that block of the
+// transposed rank (j, i) with Row and Col relabelled — column-major as it
+// lands — so it arrives with one grid.Transposed swap (none on the diagonal).
+// The input is checked row-grouped inside the rank's row range and the
+// matrix's columns, A strictly column-major after its scatter (so a duplicate
+// cell, or rows that go backwards across the senders, panics) and a received
+// Aᵀ block strictly row-major. Both exchanges go through the chunked
+// protocol, so no message exceeds mpi.MaxMessageBytes however large a block is
+// (T must be fixed-width); the rank is blocking for the call, so their bytes
+// stay exposed. Both send mpi.Bufs, so for a dense T a triple is copied once
+// at routing, once into A and once into the row-major block, never by the
+// wire.
+func FromRows[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *Dist[T]) {
 	defer g.Comm.SetBlocking(g.Comm.SetBlocking(true))
 	a = newDistShell[T](g, nr, nc)
 	at = newDistShell[T](g, nc, nr)
-	if err := CheckRowMajor(mine, a.RowLo, a.RowHi, 0, nc); err != nil {
-		panic(fmt.Sprintf("spmat: FromRowMajor input: %v", err))
+	if err := CheckRowGrouped(mine, a.RowLo, a.RowHi, 0, nc); err != nil {
+		panic(fmt.Sprintf("spmat: FromRows input: %v", err))
 	}
-	owner, counts := route(g.Dim, len(mine), func(k int) int {
-		return grid.BlockOwner(int(nc), g.Dim, int(mine[k].Col))
-	})
-	recv := mpi.IAlltoallv(g.RowComm, routed(owner, counts, func(k int) Triple[T] { return mine[k] })).WaitValue()
+	counts := make([]int, g.Dim)
+	for _, t := range mine {
+		counts[grid.BlockOwner(int(nc), g.Dim, int(t.Col))]++
+	}
+	send := make([]mpi.Buf[Triple[T]], g.Dim)
+	fill := make([][]Triple[T], g.Dim)
+	for j, n := range counts {
+		send[j] = mpi.NewBuf[Triple[T]](n)
+		fill[j] = send[j].Elems()[:0]
+	}
+	for _, t := range mine {
+		j := grid.BlockOwner(int(nc), g.Dim, int(t.Col))
+		fill[j] = append(fill[j], t)
+	}
+	recv := mpi.IAlltoallv(g.RowComm, send).WaitValue()
 	n := 0
 	for _, part := range recv {
 		n += len(part)
 	}
-	block := mpi.NewBuf[Triple[T]](n)
-	rows := block.Elems()[:0]
-	for _, part := range recv {
-		rows = append(rows, part...)
+	cols := make([]Triple[T], n)
+	scatter(cols, recv, a.ColLo, a.ColHi, false)
+	if err := checkOrder(cols, a.RowLo, a.RowHi, a.ColLo, a.ColHi, colMajor); err != nil {
+		panic(fmt.Sprintf("spmat: FromRows A block: %v", err))
 	}
-	if err := CheckRowMajor(rows, a.RowLo, a.RowHi, a.ColLo, a.ColHi); err != nil {
-		panic(fmt.Sprintf("spmat: FromRowMajor routed block: %v", err))
+	if n > 0 {
+		a.Local.Ts = cols
 	}
-	a.Local.Ts = columnMajor(rows, a.ColLo, a.ColHi)
 
-	rows = grid.Transposed(g, block)
+	block := mpi.NewBuf[Triple[T]](n)
+	scatter(block.Elems(), [][]Triple[T]{cols}, a.RowLo, a.RowHi, true)
+	rows := grid.Transposed(g, block)
 	if g.Row != g.Col {
 		if err := CheckRowMajor(rows, at.ColLo, at.ColHi, at.RowLo, at.RowHi); err != nil {
-			panic(fmt.Sprintf("spmat: FromRowMajor block of transposed rank %d: %v", g.Rank(g.Col, g.Row), err))
+			panic(fmt.Sprintf("spmat: FromRows block of transposed rank %d: %v", g.Rank(g.Col, g.Row), err))
 		}
 	}
 	for i := range rows {
@@ -116,43 +133,84 @@ func FromRowMajor[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *D
 	return a, at
 }
 
-// CheckRowMajor reports the first triple of ts that lies outside rows
-// [rowLo, rowHi) × columns [colLo, colHi) or does not come strictly after its
-// predecessor in row-major order (so a duplicate cell is an error too).
-func CheckRowMajor[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32) error {
+// scatter is a stable counting scatter of parts, in order, into out by column
+// (by row if byRow), every key in [lo, hi): triples of one key keep their
+// order across and within the parts.
+func scatter[T any](out []Triple[T], parts [][]Triple[T], lo, hi int32, byRow bool) {
+	next := make([]int32, hi-lo+1) // by key, shifted one up
+	for _, part := range parts {
+		for _, t := range part {
+			k := t.Col
+			if byRow {
+				k = t.Row
+			}
+			next[k-lo+1]++
+		}
+	}
+	for j := range hi - lo {
+		next[j+1] += next[j]
+	}
+	for _, part := range parts {
+		for _, t := range part {
+			k := t.Col
+			if byRow {
+				k = t.Row
+			}
+			out[next[k-lo]] = t
+			next[k-lo]++
+		}
+	}
+}
+
+// order is what checkOrder requires of each triple against its predecessor.
+type order string
+
+const (
+	rowGrouped order = "row-grouped"         // row not below the predecessor's
+	rowMajor   order = "strict row-major"    // strictly after it by (Row, Col)
+	colMajor   order = "strict column-major" // strictly after it by (Col, Row)
+)
+
+// checkOrder reports the first triple of ts that lies outside rows
+// [rowLo, rowHi) × columns [colLo, colHi) or breaks order o against its
+// predecessor; under a strict order a duplicate cell is an error too.
+func checkOrder[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32, o order) error {
 	for i, t := range ts {
 		if t.Row < rowLo || t.Row >= rowHi || t.Col < colLo || t.Col >= colHi {
 			return fmt.Errorf("triple %d (%d,%d) outside [%d,%d)x[%d,%d)", i, t.Row, t.Col, rowLo, rowHi, colLo, colHi)
 		}
-		if i > 0 {
-			if p := ts[i-1]; t.Row < p.Row || (t.Row == p.Row && t.Col <= p.Col) {
-				return fmt.Errorf("triple %d (%d,%d) does not follow (%d,%d) in strict row-major order", i, t.Row, t.Col, p.Row, p.Col)
-			}
+		if i == 0 {
+			continue
+		}
+		p := ts[i-1]
+		var bad bool
+		switch o {
+		case rowGrouped:
+			bad = t.Row < p.Row
+		case rowMajor:
+			bad = t.Row < p.Row || t.Row == p.Row && t.Col <= p.Col
+		case colMajor:
+			bad = t.Col < p.Col || t.Col == p.Col && t.Row <= p.Row
+		}
+		if bad {
+			return fmt.Errorf("triple %d (%d,%d) does not follow (%d,%d) in %s order", i, t.Row, t.Col, p.Row, p.Col, o)
 		}
 	}
 	return nil
 }
 
-// columnMajor returns the canonical column-major copy of a strictly row-major
-// block whose columns lie in [colLo, colHi): a stable counting scatter by
-// column keeps each column's rows ascending.
-func columnMajor[T any](rows []Triple[T], colLo, colHi int32) []Triple[T] {
-	if len(rows) == 0 {
-		return nil
-	}
-	next := make([]int32, colHi-colLo+1)
-	for _, t := range rows {
-		next[t.Col-colLo+1]++
-	}
-	for j := int32(0); j < colHi-colLo; j++ {
-		next[j+1] += next[j]
-	}
-	out := make([]Triple[T], len(rows))
-	for _, t := range rows {
-		out[next[t.Col-colLo]] = t
-		next[t.Col-colLo]++
-	}
-	return out
+// CheckRowGrouped reports the first triple of ts that lies outside rows
+// [rowLo, rowHi) × columns [colLo, colHi) or whose row is below its
+// predecessor's. Columns within a row are not compared.
+func CheckRowGrouped[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32) error {
+	return checkOrder(ts, rowLo, rowHi, colLo, colHi, rowGrouped)
+}
+
+// CheckRowMajor reports the first triple of ts that lies outside rows
+// [rowLo, rowHi) × columns [colLo, colHi) or does not come strictly after its
+// predecessor in row-major order (so a duplicate cell is an error too).
+func CheckRowMajor[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32) error {
+	return checkOrder(ts, rowLo, rowHi, colLo, colHi, rowMajor)
 }
 
 // FromGlobalTriples builds the matrix when every rank deterministically holds
