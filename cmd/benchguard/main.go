@@ -26,6 +26,8 @@
 // the bytes and barely moves the count — the layout pass once allocated
 // 981 MB where 320 MB do, with only twice the allocations — while map and
 // slice growth thresholds shifting across Go versions stay far inside 1.5x.
+// A benchmark whose one op allocates by schedule (several ranks in one
+// process) runs with -count, and the least of its runs is gated.
 //
 // The baseline and the run must name the same gated metrics: a baseline
 // entry no benchmark line matches fails (a deleted benchmark left a stale
@@ -160,8 +162,11 @@ type gateRule struct {
 // counters at 2x, allocation counts and bytes at the tighter 1.5x.
 var gateRules = []gateRule{
 	{regexp.MustCompile(`^(align_cells|comm_bytes|comm_messages)$`), 2.0},
-	{regexp.MustCompile(`^(allocs|bytes)_per_op$`), 1.5},
+	{allocMetric, 1.5},
 }
+
+// allocMetric matches the -benchmem metrics.
+var allocMetric = regexp.MustCompile(`^(allocs|bytes)_per_op$`)
 
 // ratioFor returns the growth limit of the first rule matching metric, or 0
 // when no rule gates it.
@@ -179,7 +184,10 @@ func ratioFor(rules []gateRule, metric string) float64 {
 //	BenchmarkName/sub-8   1   123 ns/op   456 metric_a   7.8 metric_b
 //
 // The trailing -<GOMAXPROCS> suffix is stripped so records from hosts with
-// different core counts compare against each other.
+// different core counts compare against each other. A benchmark repeated
+// with -count keeps the least allocs_per_op and bytes_per_op of its runs —
+// what one op needs at least, the figure a schedule-dependent allocation
+// count can be gated on — and its last run's other metrics.
 func parse(f *os.File) (*Record, error) {
 	rec := &Record{Benchmarks: map[string]map[string]float64{}}
 	sc := bufio.NewScanner(f)
@@ -197,7 +205,11 @@ func parse(f *os.File) (*Record, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: bad value %q: %w", name, fields[i], err)
 			}
-			metrics[metricName(fields[i+1])] = v
+			metric := metricName(fields[i+1])
+			if prev, ok := rec.Benchmarks[name][metric]; ok && allocMetric.MatchString(metric) {
+				v = min(v, prev)
+			}
+			metrics[metric] = v
 		}
 		rec.Benchmarks[name] = metrics
 	}

@@ -156,6 +156,20 @@ func TestParseNormalizesBenchmemUnits(t *testing.T) {
 	}
 }
 
+// TestParseKeepsLeastAllocsOfRepeatedRuns: a benchmark run with -count
+// is gated on its least allocs and bytes per op, in whatever order the runs
+// came; its other metrics are the last run's.
+func TestParseKeepsLeastAllocsOfRepeatedRuns(t *testing.T) {
+	rec := parseSample(t, `BenchmarkDetectCandidates/sync-4  1  900 ns/op  121 B/op  7 allocs/op  5 products/op
+BenchmarkDetectCandidates/sync-4  1  800 ns/op  108 B/op  9 allocs/op  5 products/op
+BenchmarkDetectCandidates/sync-4  1  700 ns/op  114 B/op  8 allocs/op  5 products/op
+`)
+	m := rec.Benchmarks["BenchmarkDetectCandidates/sync"]
+	if m["bytes_per_op"] != 108 || m["allocs_per_op"] != 7 || m["ns/op"] != 700 || m["products/op"] != 5 {
+		t.Fatalf("repeated runs folded to %v, want 108 B/op, 7 allocs/op and the last run's 700 ns/op", m)
+	}
+}
+
 func TestCompareAllocGateIsTighter(t *testing.T) {
 	// The allocation gate trips at its own (tighter) ratio: a 1.6x allocs
 	// growth passes the 2.0x work gate but must fail the 1.5x alloc gate,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dna"
 	"repro/internal/fasta"
 	"repro/internal/grid"
+	"repro/internal/kmer"
 	"repro/internal/mpi"
 	"repro/internal/overlap"
 	"repro/internal/readsim"
@@ -190,8 +191,6 @@ func pipelineToContigs(t *testing.T, p int, seqs [][]byte, k int, xdrop int32) (
 	t.Helper()
 	cfg := overlap.Config{
 		K:            k,
-		ReliableLow:  2,
-		ReliableHigh: 100,
 		Align:        align.DefaultParams(xdrop),
 		MinOverlap:   100,
 		MinScoreFrac: 0.5,
@@ -204,8 +203,8 @@ func pipelineToContigs(t *testing.T, p int, seqs [][]byte, k int, xdrop int32) (
 		store := fasta.FromGlobal(c, seqs)
 		tm := trace.New()
 		ores := &overlap.Result{NumReads: store.N}
-		kres := overlap.CountKmers(g, store, cfg, tm, ores)
-		cands := overlap.DetectCandidates(g, store, kres, cfg, tm, ores)
+		kres := kmer.CountAndBuild(store, k, 2, 100, cfg.Threads)
+		cands, _ := overlap.DetectCandidates(g, store, kres, ores)
 		overlap.AlignCandidates(g, store, cands, cfg, tm, ores)
 		s := overlap.ToStringGraph(ores.R, cfg.MaxOverhang)
 		tr.Reduce(s, 150, 10, false)

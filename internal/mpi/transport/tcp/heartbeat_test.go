@@ -6,6 +6,7 @@ package tcp
 // to a refused connection.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -75,7 +76,7 @@ func TestHeartbeatSurfacesHungPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dummyLn.Close()
-	addrs, err := rendezvous(rdv, 1, p, dummyLn.Addr().String(), dummyLn, time.Second)
+	addrs, err := rendezvous(context.Background(), rdv, 1, p, dummyLn.Addr().String(), dummyLn, time.Second)
 	if err != nil {
 		t.Fatalf("fake rank rendezvous: %v", err)
 	}
@@ -141,52 +142,6 @@ func TestHeartbeatKeepsQuietMeshAlive(t *testing.T) {
 		t.Fatalf("payload corrupted after idle period: %q", m.Payload)
 	}
 	closeAll(t, []transport.Transport{eps[0], eps[1]})
-}
-
-// TestJoinRetriesRendezvous starts the workers first and the rendezvous
-// late — the supervised-relaunch bootstrap order — and requires Join to
-// redial until it is up instead of dying to the first refused connection.
-func TestJoinRetriesRendezvous(t *testing.T) {
-	// Reserve an address, then free it so the first dials are refused.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdv := ln.Addr().String()
-	ln.Close()
-
-	const p = 2
-	eps := make([]transport.Transport, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			eps[r], errs[r] = Join(rdv, r, p, JoinConfig{
-				Listen:      "127.0.0.1:0",
-				DialTimeout: 10 * time.Second,
-			})
-		}(r)
-	}
-	time.Sleep(300 * time.Millisecond) // let both workers fail a few dials
-	ln, err = net.Listen("tcp", rdv)
-	if err != nil {
-		t.Fatalf("rebind rendezvous address: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- ServeRendezvous(ln, p) }()
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d join with late rendezvous: %v", r, err)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("rendezvous: %v", err)
-	}
-	exchangeAllPairs(t, eps)
-	closeAll(t, eps)
 }
 
 // TestJoinRejectsBadHeartbeatConfig pins the interval/timeout sanity check.

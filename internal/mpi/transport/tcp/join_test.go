@@ -7,9 +7,11 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -256,9 +258,17 @@ func TestRendezvousOutlivesStrangers(t *testing.T) {
 	t.Cleanup(func() { closeAll(t, eps) })
 	exchangeAllPairs(t, eps)
 	probe.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if n, err := probe.Read(make([]byte, 64)); err != io.EOF {
+	if n, err := probe.Read(make([]byte, 64)); n != 0 || !closedByPeer(err) {
 		t.Fatalf("the HTTP stranger's connection read %d bytes, %v; want it closed by the rendezvous", n, err)
 	}
+}
+
+// closedByPeer reports whether a read error means the other side closed the
+// connection: EOF, or a reset when it closed with bytes of ours unread — as
+// the rendezvous does to a connection it accepted but had not read yet when
+// the last rank registered.
+func closedByPeer(err error) bool {
+	return err == io.EOF || errors.Is(err, syscall.ECONNRESET)
 }
 
 // TestRendezvousDropsDuplicateRank: two connections register rank 0 before
@@ -300,7 +310,7 @@ func TestRendezvousDropsDuplicateRank(t *testing.T) {
 	for i, conn := range conns {
 		addrs, err := table(conn)
 		switch {
-		case i < 2 && err == io.EOF:
+		case i < 2 && closedByPeer(err):
 			continue // the dropped claim
 		case err != nil:
 			t.Fatalf("connection %d: %v", i, err)
@@ -398,4 +408,38 @@ func FuzzRendezvousRegistration(f *testing.F) {
 			t.Fatalf("accepted address %q from %x, which holds a %d-byte address after the rank", addr, used, l)
 		}
 	})
+}
+
+// TestNewLocalHostsFailsFast: when one rank cannot join — here it cannot
+// bind its listener on an address no interface has — the setup returns that
+// rank's error at once, not a peer's timeout on the rendezvous it can never
+// complete, and leaves no goroutine or listener behind.
+func TestNewLocalHostsFailsFast(t *testing.T) {
+	const unbound = "192.0.2.1" // TEST-NET-1: reserved, assigned to no host
+	if ln, err := net.Listen("tcp", net.JoinHostPort(unbound, "0")); err == nil {
+		ln.Close()
+		t.Skipf("this host can bind %s", unbound)
+	}
+	before := runtime.NumGoroutine()
+	start := time.Now()
+	eps, err := NewLocalHosts([]string{"127.0.0.1", unbound, "127.0.0.1", "127.0.0.1"})
+	elapsed := time.Since(start)
+	if err == nil {
+		closeAll(t, eps)
+		t.Fatal("a mesh with an unbindable rank was wired")
+	}
+	if elapsed > time.Second {
+		t.Fatalf("setup took %v to fail, want about none", elapsed)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "rank 1") || !strings.Contains(msg, unbound) {
+		t.Fatalf("error %q does not name rank 1's bind failure", msg)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines left running after the failed setup (%d before):\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -714,6 +714,13 @@ func (c JoinConfig) heartbeats() (time.Duration, time.Duration) {
 // It is the entry point of a multi-host worker (`cmd/elba -transport tcp
 // -join host:port -rank R`) and of the proc launcher's workers.
 func Join(rdv string, self, p int, cfg JoinConfig) (*Endpoint, error) {
+	return join(context.Background(), rdv, self, p, cfg)
+}
+
+// join is Join that gives up when ctx is done: the dials stop and the mesh
+// listener closes. A rank waiting for the rendezvous table is released by
+// the rendezvous closing its connection.
+func join(ctx context.Context, rdv string, self, p int, cfg JoinConfig) (*Endpoint, error) {
 	if self < 0 || self >= p {
 		return nil, fmt.Errorf("tcp: rank %d out of range [0,%d)", self, p)
 	}
@@ -730,7 +737,8 @@ func Join(rdv string, self, p int, cfg JoinConfig) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcp: listen %s: %w", listen, err)
 	}
-	addrs, err := rendezvous(rdv, self, p, cfg.Advertise, ln, dial)
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
+	addrs, err := rendezvous(ctx, rdv, self, p, cfg.Advertise, ln, dial)
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -773,8 +781,9 @@ func Join(rdv string, self, p int, cfg JoinConfig) (*Endpoint, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		d := net.Dialer{Timeout: dial}
 		for peer := 0; peer < self; peer++ {
-			conn, err := net.DialTimeout("tcp", addrs[peer], dial)
+			conn, err := d.DialContext(ctx, "tcp", addrs[peer])
 			if err != nil {
 				errs <- fmt.Errorf("tcp: rank %d dial rank %d: %w", self, peer, err)
 				return
@@ -815,8 +824,8 @@ func Join(rdv string, self, p int, cfg JoinConfig) (*Endpoint, error) {
 // rendezvous registers this rank's advertised address and returns the full
 // address table. An empty advertise derives one from the mesh listener and
 // the route to the rendezvous.
-func rendezvous(rdv string, self, p int, advertise string, ln net.Listener, dial time.Duration) ([]string, error) {
-	conn, err := dialRetry(rdv, dial)
+func rendezvous(ctx context.Context, rdv string, self, p int, advertise string, ln net.Listener, dial time.Duration) ([]string, error) {
+	conn, err := dialRetry(ctx, rdv, dial)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: dial rendezvous %s: %w", rdv, err)
 	}
@@ -843,19 +852,23 @@ func rendezvous(rdv string, self, p int, advertise string, ln net.Listener, dial
 	return addrs, nil
 }
 
-// dialRetry dials addr until it answers or the timeout budget is spent,
-// backing off exponentially with jitter between attempts. Workers routinely
-// start before the rendezvous is listening — a supervised relaunch even
-// guarantees it, racing fresh workers against a fresh rendezvous — so a
+// dialRetry dials addr until it answers, the timeout budget is spent or ctx
+// is done, backing off exponentially with jitter between attempts. Workers
+// routinely start before the rendezvous is listening — a supervised relaunch
+// even guarantees it, racing fresh workers against a fresh rendezvous — so a
 // refused connection inside the budget is a bootstrap-order race, not an
-// error.
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
+// error. So is a dial that connected to itself (dropSelfConnected).
+func dialRetry(ctx context.Context, addr string, timeout time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(timeout)
+	d := net.Dialer{Timeout: timeout}
 	backoff := 50 * time.Millisecond
 	for {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
+		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {
-			return conn, nil
+			if !dropSelfConnected(conn) {
+				return conn, nil
+			}
+			err = fmt.Errorf("dial %s connected to itself", addr)
 		}
 		sleep := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
 		if backoff < 2*time.Second {
@@ -865,11 +878,29 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 		if remain <= 0 {
 			return nil, err
 		}
-		if sleep > remain {
-			sleep = remain
+		select {
+		case <-time.After(min(sleep, remain)):
+		case <-ctx.Done():
+			return nil, err
 		}
-		time.Sleep(sleep)
 	}
+}
+
+// dropSelfConnected closes conn and reports true when it is connected to
+// itself. A dial to a local port nobody listens on can be given that very
+// port as its source and complete as a TCP simultaneous open with itself;
+// the socket then holds the port the rendezvous is about to bind, and a plain
+// close would keep holding it in TIME_WAIT. Closing with linger 0 resets it,
+// so the port is free the moment this returns.
+func dropSelfConnected(conn net.Conn) bool {
+	if conn.LocalAddr().String() != conn.RemoteAddr().String() {
+		return false
+	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetLinger(0)
+	}
+	conn.Close()
+	return true
 }
 
 // advertisedAddr derives the address peers should dial: a listener bound to
@@ -909,39 +940,50 @@ func NewLocal(p int) ([]transport.Transport, error) {
 // interfaces (127.0.0.1, 127.0.0.2, …) simulate a multi-host deployment, so
 // the equivalence and fault-injection suites can exercise cross-"host"
 // routing and advertise derivation without real machines.
+//
+// The first rank that fails to join ends the setup: its error is returned,
+// the rendezvous listener closes, and the other ranks stop waiting on a
+// bootstrap that can no longer complete. Nothing started here outlives the
+// call.
 func NewLocalHosts(hosts []string) ([]transport.Transport, error) {
 	p := len(hosts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("tcp: rendezvous listen: %w", err)
 	}
-	go ServeRendezvous(ln, p)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		ServeRendezvous(ln, p) // a failure here reaches the ranks as theirs
+	}()
+	stopServe := context.AfterFunc(ctx, func() { ln.Close() })
 	eps := make([]transport.Transport, p)
-	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ep, err := Join(ln.Addr().String(), r, p,
+			ep, err := join(ctx, ln.Addr().String(), r, p,
 				JoinConfig{Listen: net.JoinHostPort(hosts[r], "0")})
 			if err != nil {
-				errs[r] = err
+				cancel(fmt.Errorf("tcp: local mesh rank %d: %w", r, err)) // only the first cause is kept
 				return
 			}
 			eps[r] = ep
 		}(r)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, ep := range eps {
-				if ep != nil {
-					ep.Abort(-1, "mesh setup failed")
-				}
+	stopServe()
+	<-served
+	if err := context.Cause(ctx); err != nil {
+		for _, ep := range eps {
+			if ep != nil {
+				ep.Abort(-1, "mesh setup failed")
 			}
-			return nil, err
 		}
+		return nil, err
 	}
 	return eps, nil
 }

@@ -187,9 +187,11 @@ type jsonEvent struct {
 
 // WriteJSON exports the trace as Chrome trace-event JSON loadable by Perfetto
 // (ui.perfetto.dev) and chrome://tracing: ranks appear as processes
-// ("rank N"), thread 0 as "rank main", thread 1+w as "worker w". Output is
-// deterministic for a given set of recorded events (ranks ascending, each
-// lane's events sorted by timestamp).
+// ("rank N"), thread 0 as "rank main", thread 1+w as "worker w". Each
+// process's name metadata carries its lane's dropped_events count, so a
+// trace whose ring overwrote its head says so. Output is deterministic for a
+// given set of recorded events (ranks ascending, each lane's events sorted by
+// timestamp).
 func (t *Trace) WriteJSON(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("obs: WriteJSON on a nil trace")
@@ -207,7 +209,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 		events := l.Events()
 		sort.SliceStable(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
 		metas = append(metas,
-			metaEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": fmt.Sprintf("rank %d", pid)}},
+			metaEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": fmt.Sprintf("rank %d", pid), "dropped_events": l.Dropped()}},
 			metaEvent{Name: "process_sort_index", Ph: "M", Pid: pid, Args: map[string]any{"sort_index": pid}})
 		tids := map[int32]bool{}
 		for _, e := range events {

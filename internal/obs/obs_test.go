@@ -151,3 +151,36 @@ func TestWriteJSONIsPerfettoShaped(t *testing.T) {
 		t.Fatal("pool worker thread not named")
 	}
 }
+
+// TestWriteJSONReportsDropped: a lane whose ring overwrote events says how
+// many in its process metadata, and an intact lane says 0.
+func TestWriteJSONReportsDropped(t *testing.T) {
+	tr := NewTraceCap(2, 4)
+	for i := 0; i < 10; i++ {
+		tr.Rank(0).Instant(0, "c", "e")
+	}
+	tr.Rank(1).Instant(0, "c", "e")
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	dropped := map[int]any{}
+	for _, e := range doc.TraceEvents {
+		if e.Name == "process_name" {
+			dropped[e.Pid] = e.Args["dropped_events"]
+		}
+	}
+	if dropped[0] != 6.0 || dropped[1] != 0.0 {
+		t.Fatalf("process metadata dropped_events %v, want rank 0: 6, rank 1: 0", dropped)
+	}
+}

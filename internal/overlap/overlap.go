@@ -104,11 +104,9 @@ var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, seedAcc]{
 	},
 }
 
-// Config parameterizes overlap detection.
+// Config parameterizes the Alignment stage.
 type Config struct {
-	K            int   // k-mer length (paper: 31 low-error, 17 H. sapiens)
-	ReliableLow  int32 // minimum read-count for a reliable k-mer
-	ReliableHigh int32 // maximum read-count (repeat guard)
+	K int // k-mer length (paper: 31 low-error, 17 H. sapiens): the seeds' length
 	// Align is the scoring every backend reports its Score in (NewAligner's
 	// too): phase 2's containment bound reads it.
 	Align align.Params
@@ -147,17 +145,6 @@ type Result struct {
 	KeptOverlaps   int64 // pairs surviving as dovetails
 }
 
-// CountKmers is the CountKmer stage: distributed counting and reliable-k-mer
-// selection. It records the column count into res and the work units into
-// tm's CountKmer row (timed by the caller), and returns the per-rank counting
-// result consumed by DetectCandidates.
-func CountKmers(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Timers, res *Result) *kmer.Result {
-	kres := kmer.CountAndBuild(store, cfg.K, cfg.ReliableLow, cfg.ReliableHigh, cfg.Threads)
-	res.NumKmers = kres.NumCols
-	tm.AddWork("CountKmer", kres.Occurrences)
-	return kres
-}
-
 // DetectCandidates is the DetectOverlap stage: A and Aᵀ from one routing of
 // the counting stage's row-grouped triples (spmat.FromRows), then
 // C = A·Aᵀ under the checkerboard mask, so the diagonal and the mirrored
@@ -165,18 +152,18 @@ func CountKmers(g *grid.Grid, store *fasta.DistStore, cfg Config, tm *trace.Time
 // and each pair must be aligned exactly once). The mirror entry is
 // reconstructed after alignment. The returned candidate matrix is not mutated
 // by AlignCandidates, so one candidate set can feed several alignment runs.
-func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, cfg Config, tm *trace.Timers, res *Result) *spmat.Dist[Seeds] {
-	var products int64
+// It also returns the semiring products this rank evaluated, the stage's
+// work units.
+func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, res *Result) (c *spmat.Dist[Seeds], products int64) {
 	a, at := buildA(g, store.N, kres)
 	acc := spmat.SpGEMMCounted(a, at, seedSemiring, spmat.Checkerboard(), &products)
 	cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
 	for i, t := range acc.Local.Ts {
 		cs[i] = spmat.Triple[Seeds]{Row: t.Row, Col: t.Col, Val: t.Val.seeds()}
 	}
-	c := spmat.FromLocalTriples(g, acc.NR, acc.NC, cs)
+	c = spmat.FromLocalTriples(g, acc.NR, acc.NC, cs)
 	res.CandidatePairs = c.Nnz()
-	tm.AddWork("DetectOverlap", products)
-	return c
+	return c, products
 }
 
 // buildA distributes the |reads| × |k-mers| matrix and its transpose, and
@@ -214,16 +201,17 @@ const (
 // classification, containment pruning, symmetrization into res.R. The pairs
 // are spread over an intra-rank worker pool; each worker owns its aligner,
 // and summing the per-worker counters afterwards gives the same total as a
-// serial run (every aligned pair is aligned exactly once).
-func AlignCandidates(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], cfg Config, tm *trace.Timers, res *Result) {
+// serial run (every aligned pair is aligned exactly once). The phases are
+// sub-stage rows of tm; the returned aligner work (DP cells or wavefront
+// offsets) is the stage's work units.
+func AlignCandidates(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], cfg Config, tm *trace.Timers, res *Result) (work int64) {
 	pool := par.NewPool(cfg.Threads, func(int) align.Aligner { return cfg.aligner() })
 	pool.SetTrace(g.Comm.Lane(), "align")
 	res.R = alignAndPrune(g, store, c, pool, cfg, tm, res)
-	var work int64
 	for _, al := range pool.States() {
 		work += al.Work()
 	}
-	tm.AddWork("Alignment", work)
+	return work
 }
 
 // containmentPicks chooses phase 1's candidates: for each local row read and
@@ -297,7 +285,7 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 		kinds[i] = bidir.Internal
 	}
 	alns := make([]bidir.Aln, len(ts))
-	reg, lane := g.Comm.Metrics(), g.Comm.Lane()
+	reg := g.Comm.Metrics()
 	// align.cells: per-aligned-pair DP-cell distribution via the aligner's
 	// cumulative work counter (each such pair is aligned exactly once, so the
 	// histogram's count/sum are schedule- and thread-invariant).
@@ -335,9 +323,8 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 	// writing by candidate index so what follows is order-deterministic,
 	// then all-gathers the reads they prove contained that known does not
 	// hold yet (each id once per rank) and marks every rank's finds. It is
-	// one trace sub-stage and one span on the rank's lane.
-	phase := func(name, span string, idx []int32) {
-		start := lane.Start()
+	// one trace sub-stage.
+	phase := func(name string, idx []int32) {
 		tm.Stage(name, g.Comm, func() {
 			if pool.Workers() == 1 {
 				// Serial pool: skip the weight pass, LPT would ignore it.
@@ -381,9 +368,6 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 			}
 		})
 		tm.AddWork(name, int64(len(idx)))
-		if lane != nil {
-			lane.Span(0, "overlap", span, start, obs.Arg{K: "pairs", V: int64(len(idx))})
-		}
 	}
 
 	// mayProveOther: can candidate i, one of whose reads is in K₁ (u when
@@ -397,7 +381,7 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 		return cfg.Align.MayContain(kind, int32(len(u)), int32(len(v)), k, seeds, cfg.MinScoreFrac)
 	}
 	picks := containmentPicks(c, rowSeqs, colSeqs, k)
-	phase(SubStagePhase1, "align.phase1", picks)
+	phase(SubStagePhase1, picks)
 	knownPhase1 := nKnown
 	rest := make([]int32, 0, len(ts)-len(picks))
 	skippedContained, skippedBound := 0, 0
@@ -414,7 +398,7 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 			rest = append(rest, int32(i))
 		}
 	}
-	phase(SubStagePhase2, "align.phase2", rest)
+	phase(SubStagePhase2, rest)
 	res.Contained = make([]int32, 0, nKnown)
 	for id, is := range known {
 		if is {

@@ -21,22 +21,24 @@ import (
 	"repro/internal/trace"
 )
 
-// runStages chains the three stage functions the way the pipeline engine
-// does, for tests that only care about the final overlap matrix.
+// countKmers is the CountKmer stage as the pipeline runs it, with the
+// suite's reliable band [2, 80].
+func countKmers(store *fasta.DistStore, cfg Config) *kmer.Result {
+	return kmer.CountAndBuild(store, cfg.K, 2, 80, cfg.Threads)
+}
+
+// runStages chains the three stages the way the pipeline engine does, for
+// tests that only care about the final overlap matrix.
 func runStages(g *grid.Grid, store *fasta.DistStore, cfg Config) *Result {
-	tm := trace.New()
 	res := &Result{NumReads: store.N}
-	kres := CountKmers(g, store, cfg, tm, res)
-	cands := DetectCandidates(g, store, kres, cfg, tm, res)
-	AlignCandidates(g, store, cands, cfg, tm, res)
+	cands, _ := DetectCandidates(g, store, countKmers(store, cfg), res)
+	AlignCandidates(g, store, cands, cfg, trace.New(), res)
 	return res
 }
 
 func testConfig(k int, xdrop int32) Config {
 	return Config{
 		K:            k,
-		ReliableLow:  2,
-		ReliableHigh: 80,
 		Align:        align.DefaultParams(xdrop),
 		MinOverlap:   100,
 		MinScoreFrac: 0.5,
@@ -95,12 +97,11 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 				g := grid.New(c)
 				store := fasta.FromGlobal(c, reads)
 				res := &Result{NumReads: store.N}
-				tm := trace.New()
 				var kres *kmer.Result
 				var cand *spmat.Dist[Seeds]
 				mpitest.InMode(c, async, func() {
-					kres = CountKmers(g, store, cfg, tm, res)
-					cand = DetectCandidates(g, store, kres, cfg, tm, res)
+					kres = countKmers(store, cfg)
+					cand, _ = DetectCandidates(g, store, kres, res)
 				})
 				// A straight from the constructor DetectCandidates uses.
 				am, _ := spmat.FromRows(g, int32(store.N), int32(kres.NumCols), kres.Triples)
@@ -167,7 +168,7 @@ func TestCandidatesIndependentOfColumnOrder(t *testing.T) {
 		err := mpi.Run(p, func(c *mpi.Comm) {
 			g := grid.New(c)
 			store := fasta.FromGlobal(c, reads)
-			kres := CountKmers(g, store, cfg, trace.New(), &Result{NumReads: store.N})
+			kres := countKmers(store, cfg)
 			// Every column's k-mer, gathered, ranks the columns by k-mer.
 			type colKmer struct {
 				Col int32
@@ -208,9 +209,8 @@ func TestCandidatesIndependentOfColumnOrder(t *testing.T) {
 						relabelled.Triples[i].Col = id[relabelled.Triples[i].Col]
 					}
 				}
-				tm := trace.New()
-				cand := DetectCandidates(g, store, &relabelled, cfg, tm, &Result{NumReads: store.N})
-				return cand.GatherTriples(0), mpi.Allreduce(c, tm.Entry("DetectOverlap").Work, sum)
+				cand, products := DetectCandidates(g, store, &relabelled, &Result{NumReads: store.N})
+				return cand.GatherTriples(0), mpi.Allreduce(c, products, sum)
 			}
 			want, wantProducts := detect(nil)
 			for _, relabel := range []struct {

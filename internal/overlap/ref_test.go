@@ -133,7 +133,7 @@ func diffAgainstRef(t *testing.T, label string, seqs [][]byte, p int, cfg Config
 		g := grid.New(c)
 		store := fasta.FromGlobal(c, seqs)
 		base := &Result{NumReads: store.N}
-		cands := DetectCandidates(g, store, CountKmers(g, store, cfg, trace.New(), base), cfg, trace.New(), base)
+		cands, _ := DetectCandidates(g, store, countKmers(store, cfg), base)
 		tot.candidates.Add(int64(len(cands.Local.Ts)))
 		rowSeqs, colSeqs := store.RowColSequences(g)
 		picks := containmentPicks(cands, rowSeqs, colSeqs, int32(cfg.K))
@@ -396,7 +396,7 @@ func TestBoundSkippedPairsCannotProveContainment(t *testing.T) {
 				g := grid.New(c)
 				store := fasta.FromGlobal(c, in.seqs)
 				base := &Result{NumReads: store.N}
-				cands := DetectCandidates(g, store, CountKmers(g, store, in.cfg, trace.New(), base), in.cfg, trace.New(), base)
+				cands, _ := DetectCandidates(g, store, countKmers(store, in.cfg), base)
 				for backend, cfg := range backendConfigs(in.cfg) {
 					where := fmt.Sprintf("%s P=%d %s rank %d", in.name, p, backend, c.Rank())
 					skipped := boundSkippedPairs(c, g, store, cands, cfg, where)

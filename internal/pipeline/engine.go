@@ -12,7 +12,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -139,17 +138,18 @@ func (e *Engine) resume(ctx context.Context, a *Artifacts, untilIdx int) (*Artif
 			// Deterministic fault injection (chaos tests and the nightly CI
 			// job): one atomic load when nothing is armed.
 			faultinject.At(st.name, rank)
-			lane := c.Lane()
-			spanStart := lane.Start()
-			// The stage's row: the one place its time and traffic are
-			// measured. pprof labels let CPU profiles slice samples by stage
-			// and rank (`go tool pprof -tagfocus stage=Alignment`).
-			a.Ranks[rank].Timers.Stage(st.name, c, func() {
+			// The stage's row: the one place its time, traffic and work are
+			// written, and its trace span. pprof labels let CPU profiles
+			// slice samples by stage and rank (`go tool pprof -tagfocus
+			// stage=Alignment`).
+			rs := a.Ranks[rank]
+			var work int64
+			rs.Timers.Stage(st.name, c, func() {
 				pprof.Do(context.Background(),
 					pprof.Labels("stage", st.name, "rank", strconv.Itoa(rank)),
-					func(context.Context) { st.run(e.opt, a, a.Ranks[rank]) })
+					func(context.Context) { work = st.run(e.opt, a, rs) })
 			})
-			lane.Span(0, "stage", st.name, spanStart, obs.Arg{K: "index", V: int64(i)})
+			rs.Timers.AddWork(st.name, work)
 			a.share(rank, &shared)
 		})
 		wall := time.Since(start)

@@ -398,7 +398,8 @@ func checkpointedRun(t *testing.T, reads [][]byte, opt Options, until string) *O
 }
 
 // tracedRun assembles with a trace and a metric set attached and requires
-// them to have observed the run: six stage spans on every rank,
+// them to have observed the run: on every rank a stage span for every row of
+// the run's summary (Algorithm 2's steps and the alignment phases included),
 // overlap.build_a inside DetectOverlap and before the first summa.round, the
 // expected metrics, an mpi.msg_bytes histogram equal to the traffic counters,
 // and a manifest that verifies clean and carries the run's checksum.
@@ -410,13 +411,18 @@ func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := out.Stats.Timers.Names()
+	if len(rows) != len(RowNames()) {
+		t.Fatalf("summary has rows %v, want %v", rows, RowNames())
+	}
 	for r := 0; r < opt.P; r++ {
-		var stageSpans, builds int
+		spans := map[string]int{}
+		var builds int
 		var detect, build, firstRound *obs.Event
 		for _, e := range tr.Rank(r).Events() {
 			switch {
 			case e.Cat == "stage":
-				stageSpans++
+				spans[e.Name]++
 				if e.Name == StageDetectOverlap {
 					detect = &e
 				}
@@ -427,8 +433,13 @@ func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 				firstRound = &e
 			}
 		}
-		if stageSpans != len(StageNames()) {
-			t.Fatalf("rank %d recorded %d stage spans, want %d", r, stageSpans, len(StageNames()))
+		for _, row := range rows {
+			if spans[row] == 0 {
+				t.Fatalf("rank %d recorded no stage span for row %s (stage spans: %v)", r, row, spans)
+			}
+		}
+		if len(spans) != len(rows) {
+			t.Fatalf("rank %d recorded stage spans %v, the summary has rows %v", r, spans, rows)
 		}
 		if builds != 1 || detect == nil || firstRound == nil {
 			t.Fatalf("rank %d: %d overlap.build_a spans (DetectOverlap span %v, later summa.round %v)", r, builds, detect != nil, firstRound != nil)

@@ -28,16 +28,13 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport/tcp"
 	"repro/internal/obs"
-	"repro/internal/overlap"
 	"repro/internal/readsim"
 	"repro/internal/tr"
 	"repro/internal/trace"
-	"repro/internal/wfa"
 )
 
 // Alignment backend names accepted by Options.AlignBackend.
@@ -222,35 +219,6 @@ type Stats struct {
 type Output struct {
 	Contigs []core.Contig // gathered and canonically sorted
 	Stats   Stats
-}
-
-// alignerFactory maps AlignBackend to a per-rank backend constructor.
-func (o Options) alignerFactory() (func() align.Aligner, error) {
-	switch o.AlignBackend {
-	case "", BackendXDrop:
-		p := align.DefaultParams(o.XDrop)
-		return func() align.Aligner { return align.NewXDrop(p) }, nil
-	case BackendWFA:
-		p := wfa.DualParams(align.DefaultParams(o.XDrop))
-		return func() align.Aligner { return wfa.New(p) }, nil
-	}
-	return nil, fmt.Errorf("pipeline: unknown AlignBackend %q (want %s)",
-		o.AlignBackend, strings.Join(AlignBackends(), "|"))
-}
-
-// overlapConfig converts Options to the overlap stage config.
-func (o Options) overlapConfig(newAligner func() align.Aligner) overlap.Config {
-	return overlap.Config{
-		K:            o.K,
-		ReliableLow:  o.ReliableLow,
-		ReliableHigh: o.ReliableHigh,
-		Align:        align.DefaultParams(o.XDrop),
-		NewAligner:   newAligner,
-		MinOverlap:   o.MinOverlap,
-		MinScoreFrac: o.MinScoreFrac,
-		MaxOverhang:  o.MaxOverhang,
-		Threads:      o.EffectiveThreads(),
-	}
 }
 
 // EffectiveThreads resolves the Threads option: an explicit value wins,

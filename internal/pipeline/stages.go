@@ -6,11 +6,14 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/align"
 	"repro/internal/core"
 	"repro/internal/fasta"
 	"repro/internal/grid"
+	"repro/internal/kmer"
 	"repro/internal/overlap"
 	"repro/internal/tr"
+	"repro/internal/wfa"
 )
 
 // Stage names. The five compute stages carry the paper's Figure 5 breakdown
@@ -47,14 +50,15 @@ var ContigStages = []string{
 // run executes the stage's body on one rank: it reads the outputs of the
 // stages before it from rs and replaces its own output fields there, never
 // mutating an input — the property that makes any Artifacts snapshot a
-// reusable resume point. The engine provides the barrier between stages;
-// within run, the rank is free to communicate through its stored
-// communicators.
+// reusable resume point. It returns the stage's work units on this rank,
+// which the engine adds to the stage's row: the engine is the one writer of
+// a top-level row. The engine provides the barrier between stages; within
+// run, the rank is free to communicate through its stored communicators.
 type stageDef struct {
 	name    string
 	subs    []string
 	options func(o Options) string
-	run     func(opt Options, a *Artifacts, rs *RankState)
+	run     func(opt Options, a *Artifacts, rs *RankState) int64
 }
 
 // stages is the paper's linear pipeline, in execution order: FastaReader →
@@ -67,22 +71,27 @@ var stages = []stageDef{
 	// artifact is laid out on.
 	{StageFastaReader, nil, func(o Options) string {
 		return fmt.Sprintf(" p=%d", o.P)
-	}, func(opt Options, a *Artifacts, rs *RankState) {
+	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
 		rs.Grid = grid.New(rs.Comm)
 		rs.Store = fasta.FromGlobal(rs.Comm, a.Reads)
 		rs.Comm.Metrics().Gauge("pipeline.reads_local").Set(int64(rs.Store.Hi - rs.Store.Lo))
+		return 0
 	}},
-	// CountKmer runs distributed k-mer counting and reliable selection.
+	// CountKmer runs distributed k-mer counting and reliable selection; its
+	// work units are the k-mer occurrences extracted.
 	{StageCountKmer, nil, func(o Options) string {
 		return fmt.Sprintf(" k=%d rlow=%d rhigh=%d", o.K, o.ReliableLow, o.ReliableHigh)
-	}, func(opt Options, a *Artifacts, rs *RankState) {
-		rs.Overlap = &overlap.Result{NumReads: rs.Store.N}
-		rs.Kmers = overlap.CountKmers(rs.Grid, rs.Store, overlapCfg(opt), rs.Timers, rs.Overlap)
+	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
+		rs.Kmers = kmer.CountAndBuild(rs.Store, opt.K, opt.ReliableLow, opt.ReliableHigh, opt.EffectiveThreads())
+		rs.Overlap = &overlap.Result{NumReads: rs.Store.N, NumKmers: rs.Kmers.NumCols}
+		return rs.Kmers.Occurrences
 	}},
 	// DetectOverlap computes the candidate matrix C = A·Aᵀ: a pure SpGEMM
-	// over CountKmer's A matrix.
-	{StageDetectOverlap, nil, nil, func(opt Options, a *Artifacts, rs *RankState) {
-		rs.Candidates = overlap.DetectCandidates(rs.Grid, rs.Store, rs.Kmers, overlapCfg(opt), rs.Timers, rs.Overlap)
+	// over CountKmer's A matrix. Its work units are the semiring products.
+	{StageDetectOverlap, nil, nil, func(opt Options, a *Artifacts, rs *RankState) int64 {
+		var products int64
+		rs.Candidates, products = overlap.DetectCandidates(rs.Grid, rs.Store, rs.Kmers, rs.Overlap)
+		return products
 	}},
 	// Alignment extends the candidate pairs through the configured backend —
 	// every pair whose result can change R (overlap.AlignCandidates) — and
@@ -90,8 +99,8 @@ var stages = []stageDef{
 	{StageAlignment, AlignmentPhases, func(o Options) string {
 		return fmt.Sprintf(" backend=%s xdrop=%d minov=%d minfrac=%g maxovh=%d",
 			cmp.Or(o.AlignBackend, BackendXDrop), o.XDrop, o.MinOverlap, o.MinScoreFrac, o.MaxOverhang)
-	}, func(opt Options, a *Artifacts, rs *RankState) {
-		overlap.AlignCandidates(rs.Grid, rs.Store, rs.Candidates, overlapCfg(opt), rs.Timers, rs.Overlap)
+	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
+		return overlap.AlignCandidates(rs.Grid, rs.Store, rs.Candidates, overlapCfg(opt), rs.Timers, rs.Overlap)
 	}},
 	// TrReduction classifies R into the bidirected string graph and runs the
 	// transitive reduction. The string graph is derived fresh from R on every
@@ -100,11 +109,11 @@ var stages = []stageDef{
 	// which the classification also reads, is in the Alignment prefix).
 	{StageTrReduction, nil, func(o Options) string {
 		return fmt.Sprintf(" trfuzz=%d trmaxiter=%d", o.TRFuzz, o.TRMaxIter)
-	}, func(opt Options, a *Artifacts, rs *RankState) {
+	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
 		s := overlap.ToStringGraph(rs.Overlap.R, opt.MaxOverhang)
 		rs.TRStats = tr.Reduce(s, opt.TRFuzz, opt.TRMaxIter, opt.Async)
-		rs.Timers.AddWork(StageTrReduction, rs.TRStats.Products)
 		rs.StringGraph = s
+		return rs.TRStats.Products
 	}},
 	// ExtractContig runs Algorithm 2 (contig generation), then gathers the
 	// contigs at rank 0 and stores the run's Output into the artifacts — the
@@ -112,11 +121,8 @@ var stages = []stageDef{
 	// monolithic run. Algorithm 2's sub-stages nest inside the stage's row.
 	{StageExtractContig, ContigStages, func(o Options) string {
 		return fmt.Sprintf(" packseq=%t", o.PackSeqComm)
-	}, func(opt Options, a *Artifacts, rs *RankState) {
+	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
 		cres := core.ContigGeneration(rs.StringGraph, rs.Store, rs.Timers, opt.PackSeqComm, opt.Async)
-		// ExtractContig's work units: edges routed plus bases assembled.
-		rs.Timers.AddWork(StageExtractContig,
-			rs.Timers.Entry(core.SubStageInducedSubgraph).Work+rs.Timers.Entry(core.SubStageLocalAssembly).Work)
 		rs.Contig = cres
 
 		contigs := core.GatherContigs(rs.Grid.Comm, cres.Contigs)
@@ -138,6 +144,8 @@ var stages = []stageDef{
 				MinLoad:        cres.MinLoad,
 			})
 		}
+		// ExtractContig's work units: edges routed plus bases assembled.
+		return rs.Timers.Entry(core.SubStageInducedSubgraph).Work + rs.Timers.Entry(core.SubStageLocalAssembly).Work
 	}},
 }
 
@@ -174,12 +182,20 @@ func stageIndex(name string) (int, error) {
 	return 0, fmt.Errorf("pipeline: unknown stage %q (stages: %s)", name, strings.Join(StageNames(), " → "))
 }
 
-// overlapCfg derives the overlap-stage config; the backend was validated at
-// Plan time, so the factory error cannot fire here.
+// overlapCfg derives the Alignment stage's config. Plan validated the
+// backend, and a nil NewAligner is the x-drop aligner.
 func overlapCfg(opt Options) overlap.Config {
-	newAligner, err := opt.alignerFactory()
-	if err != nil {
-		panic(err)
+	cfg := overlap.Config{
+		K:            opt.K,
+		Align:        align.DefaultParams(opt.XDrop),
+		MinOverlap:   opt.MinOverlap,
+		MinScoreFrac: opt.MinScoreFrac,
+		MaxOverhang:  opt.MaxOverhang,
+		Threads:      opt.EffectiveThreads(),
 	}
-	return opt.overlapConfig(newAligner)
+	if opt.AlignBackend == BackendWFA {
+		p := wfa.DualParams(cfg.Align)
+		cfg.NewAligner = func() align.Aligner { return wfa.New(p) }
+	}
+	return cfg
 }

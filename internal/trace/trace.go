@@ -11,10 +11,11 @@
 // traffic exceeds the stage's compute time.
 //
 // Rows are written only by measurement — Stage charges an interval's time and
-// the rank's traffic delta, AddWork adds work units — so the top-level rows
-// of a pipeline run (one Stage per graph node, wrapped by the engine)
-// partition its traffic, and nested "PREFIX:rest" sub-stages subdivide their
-// parent without adding to it. A row is only a name here: which rows a run
+// the rank's traffic delta, and records the interval as the row's trace span;
+// AddWork adds work units — so the top-level rows of a pipeline run (one
+// Stage per graph node, wrapped by the engine) partition its traffic, and
+// nested "PREFIX:rest" sub-stages subdivide their parent without adding to
+// it. A row is only a name here: which rows a run
 // has, and the order they are listed in, is the pipeline's stage table
 // (pipeline.RowNames).
 package trace
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/obs"
 )
 
 // Record is one stage's accounting on one rank: the one row form, held by
@@ -78,25 +80,39 @@ func (t *Timers) row(name string) *Record {
 // interval to the stage. fn runs outside the lock, so stage bodies may
 // themselves report into the same Timers — including nested Stage calls
 // under sub-stage names, whose time and traffic are also in the outer row.
+//
+// The interval is also the row's span on the rank's trace lane (c.Lane():
+// cat "stage", named by the row, thread 0, the interval's bytes and
+// messages as args), so every row of a traced run is on its timeline and no
+// caller times a row a second time. An untraced run records nothing more.
 func (t *Timers) Stage(name string, c *mpi.Comm, fn func()) {
+	var lane *obs.Lane
 	var b0, m0, ob0, om0 int64
 	if c != nil {
+		lane = c.Lane()
 		b0, m0 = c.BytesSent(), c.MsgsSent()
 		ob0, om0 = c.BytesAsync(), c.MsgsAsync()
 	}
+	spanStart := lane.Start()
 	start := time.Now()
 	fn()
 	dur := time.Since(start)
+	var d Record
+	if c != nil {
+		d = Record{Bytes: c.BytesSent() - b0, Msgs: c.MsgsSent() - m0,
+			OvBytes: c.BytesAsync() - ob0, OvMsgs: c.MsgsAsync() - om0}
+	}
+	if lane != nil { // the args escape into the lane: build them only for it
+		lane.Span(0, "stage", name, spanStart, obs.Arg{K: "bytes", V: d.Bytes}, obs.Arg{K: "msgs", V: d.Msgs})
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.row(name)
 	r.Nanos += int64(dur)
-	if c != nil {
-		r.Bytes += c.BytesSent() - b0
-		r.Msgs += c.MsgsSent() - m0
-		r.OvBytes += c.BytesAsync() - ob0
-		r.OvMsgs += c.MsgsAsync() - om0
-	}
+	r.Bytes += d.Bytes
+	r.Msgs += d.Msgs
+	r.OvBytes += d.OvBytes
+	r.OvMsgs += d.OvMsgs
 }
 
 // AddWork accumulates abstract work units under name.

@@ -1,11 +1,14 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/obs"
 )
 
 func TestStageAccumulatesTimeAndTraffic(t *testing.T) {
@@ -28,6 +31,69 @@ func TestStageAccumulatesTimeAndTraffic(t *testing.T) {
 		}
 		if c.Rank() == 1 && e.Bytes != 0 {
 			panic("receiver should have sent nothing")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStageIsTheRowsSpan: on a traced rank every Stage interval, nested
+// sub-stages included, is one span on the rank's main thread, carrying the
+// interval's traffic; untraced, Stage allocates nothing once its row exists.
+func TestStageIsTheRowsSpan(t *testing.T) {
+	tr := obs.NewTrace(2)
+	w := mpi.NewWorld(2)
+	w.SetObs(tr, nil)
+	rows := make([]*Timers, 2)
+	err := w.Run(func(c *mpi.Comm) {
+		tm := New()
+		rows[c.Rank()] = tm
+		tm.Stage("ExtractContig", c, func() {
+			tm.Stage("CG:SequenceComm", c, func() {
+				if c.Rank() == 0 {
+					mpi.Send(c, 1, 0, make([]int64, 100))
+				} else {
+					mpi.Recv[int64](c, 0, 0)
+				}
+			})
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range 2 {
+		spans := map[string]obs.Event{}
+		for _, e := range tr.Rank(r).Events() {
+			if e.Cat == "stage" {
+				spans[e.Name] = e
+			}
+		}
+		outer, inner := spans["ExtractContig"], spans["CG:SequenceComm"]
+		if len(spans) != 2 || outer.TID != 0 || inner.TID != 0 {
+			t.Fatalf("rank %d stage spans %v, want ExtractContig and CG:SequenceComm on thread 0", r, spans)
+		}
+		if inner.Ts < outer.Ts || inner.Ts+inner.Dur > outer.Ts+outer.Dur {
+			t.Fatalf("rank %d: sub-stage span [%d,+%d] outside its stage's [%d,+%d]", r, inner.Ts, inner.Dur, outer.Ts, outer.Dur)
+		}
+		for name, e := range spans {
+			row := rows[r].Entry(name)
+			want := []obs.Arg{{K: "bytes", V: row.Bytes}, {K: "msgs", V: row.Msgs}}
+			if !slices.Equal(e.Args, want) {
+				t.Fatalf("rank %d %s span args %v, want the row's traffic %v", r, name, e.Args, want)
+			}
+		}
+	}
+	if rows[0].Entry("ExtractContig").Bytes != 800 {
+		t.Fatalf("rank 0 row %+v, want the 800 bytes it sent", rows[0].Entry("ExtractContig"))
+	}
+
+	err = mpi.Run(1, func(c *mpi.Comm) {
+		tm := New()
+		fn := func() {}
+		tm.Stage("s", c, fn)
+		if n := testing.AllocsPerRun(100, func() { tm.Stage("s", c, fn) }); n != 0 {
+			panic(fmt.Sprintf("untraced Stage allocates %v times per call, want 0", n))
 		}
 	})
 	if err != nil {
