@@ -1,12 +1,20 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"flag"
+	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -202,5 +210,156 @@ func TestProcLauncher(t *testing.T) {
 	}
 	if chaos.Restarts != 1 {
 		t.Errorf("recovered run records %d restarts, want 1", chaos.Restarts)
+	}
+}
+
+// joinJob runs an np-rank -join world of this binary behind its own
+// `elba -serve-rendezvous`: every rank gets args plus -join, -rank, -np and a
+// loopback -listen, then extra(rank). Before any rank starts, strangers gets
+// the rendezvous address. It returns each rank's exit error and stderr, after
+// checking that the rendezvous wired the ranks and exited 0.
+func joinJob(t *testing.T, np int, args []string, extra func(rank int) []string, strangers func(rdv string)) ([]error, []string) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	command := func(args ...string) *exec.Cmd {
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), envRunMain+"=1")
+		return cmd
+	}
+	rdvCmd := command("-serve-rendezvous", "127.0.0.1:0", "-np", strconv.Itoa(np))
+	rdvOut, err := rdvCmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rdvCmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rdvCmd.Process.Kill() // a no-op once it has exited
+	lines := bufio.NewScanner(rdvOut)
+	if !lines.Scan() {
+		t.Fatalf("rendezvous printed no address: %v", lines.Err())
+	}
+	fields := strings.Fields(lines.Text()) // rendezvous: serving <np> ranks on <addr>
+	rdv := fields[len(fields)-1]
+	var rdvLog strings.Builder
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for lines.Scan() {
+			rdvLog.WriteString(lines.Text() + "\n")
+		}
+	}()
+	if strangers != nil {
+		strangers(rdv)
+	}
+
+	errs, stderr := make([]error, np), make([]string, np)
+	var wg sync.WaitGroup
+	for r := range np {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rankArgs := append(slices.Clone(args), "-join", rdv, "-rank", strconv.Itoa(r), "-np", strconv.Itoa(np), "-listen", "127.0.0.1:0")
+			cmd := command(append(rankArgs, extra(r)...)...)
+			var b strings.Builder
+			cmd.Stderr = &b
+			errs[r] = cmd.Run()
+			stderr[r] = b.String()
+		}()
+	}
+	wg.Wait()
+	<-drained
+	if err := rdvCmd.Wait(); err != nil {
+		t.Fatalf("rendezvous: %v\n%s", err, &rdvLog)
+	}
+	return errs, stderr
+}
+
+// TestJoinRefusesMixedJobs: a 4-rank -join world where rank 3 alone adds
+// -k 17 is not one job. Every rank must fail before the first stage, naming
+// rank 3 and its options fingerprint, rather than assemble wrong contigs.
+func TestJoinRefusesMixedJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a worker group in -short mode")
+	}
+	args := strings.Fields("-preset celegans -size 4000 -seed 3 -transport tcp -out " + filepath.Join(t.TempDir(), "contigs.fa"))
+	errs, stderr := joinJob(t, 4, args, func(rank int) []string {
+		if rank == 3 {
+			return []string{"-k", "17"}
+		}
+		return nil
+	}, nil)
+	for r := range errs {
+		var xe *exec.ExitError
+		if !errors.As(errs[r], &xe) || xe.ExitCode() == 0 {
+			t.Errorf("rank %d: exit %v, want a failure\n%s", r, errs[r], stderr[r])
+			continue
+		}
+		if !strings.Contains(stderr[r], "rank 3 does not run rank 0's job: its options fingerprint") || strings.Contains(stderr[r], "goroutine ") {
+			t.Errorf("rank %d: want one error naming rank 3 and its options, got:\n%s", r, stderr[r])
+		}
+	}
+}
+
+// TestJoinAssemblesBehindStrangers: a silent TCP connection and an HTTP
+// request reach `elba -serve-rendezvous` before any rank; the rendezvous
+// drops them and wires the four -join ranks, whose assembly must write the
+// in-process run's contigs byte for byte.
+func TestJoinAssemblesBehindStrangers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a worker group in -short mode")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	job := strings.Fields("-preset celegans -size 4000 -seed 3")
+	inproc := exec.Command(exe, append(slices.Clone(job), "-p", "4", "-out", filepath.Join(dir, "inproc.fa"))...)
+	inproc.Env = append(os.Environ(), envRunMain+"=1")
+	if out, err := inproc.CombinedOutput(); err != nil {
+		t.Fatalf("inproc run: %v\n%s", err, out)
+	}
+
+	var silent net.Conn
+	strangers := func(rdv string) {
+		if silent, err = net.Dial("tcp", rdv); err != nil {
+			t.Fatal(err)
+		}
+		http, err := net.Dial("tcp", rdv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer http.Close()
+		if _, err := http.Write([]byte("GET / HTTP/1.1\r\nHost: " + rdv + "\r\n\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		// The rendezvous closes what it cannot parse: wait for that, so the
+		// request has surely arrived before the first rank.
+		if _, err := io.ReadAll(http); err != nil && !errors.Is(err, syscall.ECONNRESET) {
+			t.Fatal(err)
+		}
+	}
+	errs, stderr := joinJob(t, 4, append(job, "-transport", "tcp", "-out", filepath.Join(dir, "join.fa")),
+		func(int) []string { return nil }, strangers)
+	defer silent.Close()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v\n%s", r, err, stderr[r])
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "inproc.fa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "join.fa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("-join contigs (%d bytes) differ from the in-process run's (%d bytes)", len(got), len(want))
 	}
 }

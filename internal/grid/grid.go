@@ -90,6 +90,18 @@ func Transposed[T any](g *Grid, block mpi.Buf[T]) []T {
 	return mpi.RecvChunked[T](g.Comm, partner, tag)
 }
 
+// TransposedFrame is Transposed for an encoded frame its receiver decodes
+// itself, such as a SUMMA panel: the frame crosses as one hop of a broadcast
+// does (mpi.SwapFrame) — verbatim when it fits mpi.MaxMessageBytes — and the
+// partner's frame comes back as it was sent. A diagonal rank gets frame back.
+func TransposedFrame(g *Grid, frame []byte) []byte {
+	tag := mpi.ReserveTag(g.Comm)
+	if g.Row == g.Col {
+		return frame
+	}
+	return mpi.SwapFrame(g.Comm, g.TransposedRank(), tag, frame)
+}
+
 // BlockRange splits n elements into parts balanced blocks and returns the
 // half-open range [lo, hi) of block idx.
 func BlockRange(n, parts, idx int) (lo, hi int) {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mpi"
+	"repro/internal/mpi/wire"
 )
 
 func TestBlockRangeCoversExactly(t *testing.T) {
@@ -111,8 +112,9 @@ func TestGridRequiresSquare(t *testing.T) {
 
 // TestRowColAndTransposed drives the Figure 2 primitives on every rank's own
 // block (lengths 0..10, so some are empty, and at the lowered limit of eight
-// entries the longer blocks and most rows are split). Transposed must return the transposed rank's block, and a
-// diagonal rank its own block back; RowCol must return the blocks of grid
+// entries the longer blocks and most rows are split). Transposed, and
+// TransposedFrame on the block's aligned frame, must return the transposed
+// rank's block, and a diagonal rank its own block back; RowCol must return the blocks of grid
 // rows Row and Col concatenated in grid-column order. The calls run back to
 // back with collectives between them on both communicators they use, so a
 // tag reused across calls or a rank skipping one would cross-match or hang.
@@ -151,6 +153,11 @@ func TestRowColAndTransposed(t *testing.T) {
 						}
 						if mpi.Allreduce(c, 1, func(a, b int) int { return a + b }) != p {
 							panic("collective after Transposed mismatched")
+						}
+						frame := wire.MarshalAligned(mine)
+						back, err := wire.AlignedElems[int32](TransposedFrame(g, frame))
+						if err != nil || !slices.Equal(back, blockOf(g.TransposedRank(), round)) {
+							panic(fmt.Sprintf("round %d: TransposedFrame gave %v, %v", round, back, err))
 						}
 						row, col := RowCol(g, mine)
 						if !slices.Equal(row, rowOf(g.Row, round)) || !slices.Equal(col, rowOf(g.Col, round)) {

@@ -21,7 +21,8 @@ type Result struct {
 	// Triples are the nonzeros of the reads this rank owns, row-grouped:
 	// rows ascending, each read's columns distinct and in the order its
 	// extraction found them — the order spmat.FromRows takes (it sorts A
-	// once) and checkpoints preserve.
+	// once, straight into the SUMMA panels of A and Aᵀ) and checkpoints
+	// preserve.
 	Triples     []ATriple
 	Occurrences int64 // k-mer occurrences this rank extracted (work units)
 }
@@ -204,7 +205,8 @@ func (s *stream) route(p int) []mpi.Buf[uint64] {
 // buffer, so the triples leave row-grouped: rows ascending, each read's
 // columns in the order its scan found them. A read holds a k-mer at most once
 // (the scan deduplicates), so its columns are distinct. Nothing here sorts:
-// spmat.FromRows puts A in order once, where it is distributed.
+// spmat.FromRows puts A in order once, where it is distributed, as it
+// scatters A into the panel frames the multiply broadcasts.
 func (s *stream) emit(lo int, cols [][]int32) []ATriple {
 	n := 0
 	for _, part := range cols {

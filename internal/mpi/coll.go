@@ -45,36 +45,63 @@ func Bcast[T any](c *Comm, root int, data []T) []T {
 
 // bcastFrames is the binomial-tree broadcast body shared by Bcast and
 // IBcast, operating on an encoded frame: the root encodes once and every
-// hop forwards the frame it received. A frame that fits MaxMessageBytes
-// crosses an edge verbatim, so its per-hop counters match a fresh Send
-// exactly; a larger one is chunked as SendChunked chunks a []byte and put
-// back together in a fresh allocation, which keeps an aligned frame 8-byte
-// aligned. The tag is pre-reserved so background goroutines never touch the
-// communicator's sequence counter, and the parent receive's deadlock
-// watchdog arms per the armed channel (immediately for the blocking Bcast,
-// at Wait for IBcast).
+// hop forwards the frame it received (sendFrame, recvFrame). The tag is
+// pre-reserved so background goroutines never touch the communicator's
+// sequence counter, and the parent receive's deadlock watchdog arms per the
+// armed channel (immediately for the blocking Bcast, at Wait for IBcast).
 func bcastFrames(c *Comm, root int, tag int64, frame []byte, armed <-chan struct{}) []byte {
 	p := c.Size()
 	vrank := (c.rank - root + p) % p
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
-			parent := (c.rank - mask + p) % p
-			if frame = c.recvRawArmed(parent, tag, armed); wire.IsOne(frame) {
-				frame = recvSplit[byte](c, parent, tag, frame, armed)
-			}
+			frame = recvFrame(c, (c.rank-mask+p)%p, tag, armed)
 			break
 		}
 		mask <<= 1
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < p {
-			if dst := (c.rank + mask) % p; wire.DataLen(frame) <= MaxMessageBytes {
-				c.sendRaw(dst, tag, frame, wire.DataLen(frame))
-			} else {
-				SendChunked(c, dst, tag, frame)
-			}
+			sendFrame(c, (c.rank+mask)%p, tag, frame)
 		}
+	}
+	return frame
+}
+
+// SwapFrame sends frame to partner and returns the frame partner sent this
+// rank under the same tag (both must call it): the pairwise exchange of an
+// encoded frame its receiver decodes itself, such as a SUMMA panel
+// (grid.TransposedFrame). Each frame crosses as one hop of a broadcast does,
+// so a one-value frame, which a chunked frame's count would read as, is
+// refused. Passing frame gives it away; in process the partner holds the
+// very same bytes.
+func SwapFrame(c *Comm, partner int, tag int64, frame []byte) []byte {
+	if wire.IsOne(frame) {
+		panic("mpi: SwapFrame of a one-value frame, which a chunked frame's count would read as")
+	}
+	sendFrame(c, partner, tag, frame)
+	return recvFrame(c, partner, tag, armedNow)
+}
+
+// sendFrame sends an encoded frame to dst as one hop of a frame relay. A
+// frame that fits MaxMessageBytes crosses verbatim, so its counters match a
+// fresh Send exactly; a larger one is chunked as SendChunked chunks a
+// []byte, and recvFrame puts it back together in a fresh allocation, which
+// keeps an aligned frame 8-byte aligned.
+func sendFrame(c *Comm, dst int, tag int64, frame []byte) {
+	if n := wire.DataLen(frame); n <= MaxMessageBytes {
+		c.sendRaw(dst, tag, frame, n)
+		return
+	}
+	SendChunked(c, dst, tag, frame)
+}
+
+// recvFrame receives the frame sendFrame sent from src: the message itself,
+// or, when it is a one-value count, the frame's chunks joined.
+func recvFrame(c *Comm, src int, tag int64, armed <-chan struct{}) []byte {
+	frame := c.recvRawArmed(src, tag, armed)
+	if wire.IsOne(frame) {
+		return recvSplit[byte](c, src, tag, frame, armed)
 	}
 	return frame
 }

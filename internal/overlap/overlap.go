@@ -145,18 +145,17 @@ type Result struct {
 	KeptOverlaps   int64 // pairs surviving as dovetails
 }
 
-// DetectCandidates is the DetectOverlap stage: A and Aᵀ from one routing of
-// the counting stage's row-grouped triples (spmat.FromRows), then
-// C = A·Aᵀ under the checkerboard mask, so the diagonal and the mirrored
-// direction of every pair are never multiplied or accumulated (C is symmetric
-// and each pair must be aligned exactly once). The mirror entry is
-// reconstructed after alignment. The returned candidate matrix is not mutated
-// by AlignCandidates, so one candidate set can feed several alignment runs.
-// It also returns the semiring products this rank evaluated, the stage's
-// work units.
+// DetectCandidates is the DetectOverlap stage: the SUMMA panels of A and Aᵀ
+// from one routing of the counting stage's row-grouped triples
+// (spmat.FromRows), then C = A·Aᵀ under the checkerboard mask, so the
+// diagonal and the mirrored direction of every pair are never multiplied or
+// accumulated (C is symmetric and each pair must be aligned exactly once).
+// The mirror entry is reconstructed after alignment. The returned candidate
+// matrix is not mutated by AlignCandidates, so one candidate set can feed
+// several alignment runs. It also returns the semiring products this rank
+// evaluated, the stage's work units.
 func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, res *Result) (c *spmat.Dist[Seeds], products int64) {
-	a, at := buildA(g, store.N, kres)
-	acc := spmat.SpGEMMCounted(a, at, seedSemiring, spmat.Checkerboard(), &products)
+	acc := spmat.SpGEMMPanels(buildA(g, store.N, kres), seedSemiring, &products)
 	cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
 	for i, t := range acc.Local.Ts {
 		cs[i] = spmat.Triple[Seeds]{Row: t.Row, Col: t.Col, Val: t.Val.seeds()}
@@ -166,15 +165,15 @@ func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, r
 	return c, products
 }
 
-// buildA distributes the |reads| × |k-mers| matrix and its transpose, and
-// records the construction on the rank's trace lane and metrics
+// buildA distributes the |reads| × |k-mers| matrix as the SUMMA panels of A
+// and Aᵀ, and records the construction on the rank's trace lane and metrics
 // (overlap.build_a span; overlap.a_nnz, overlap.a_exchange_bytes counters) so
 // a trace separates it from the summa.round spans of the multiply.
-func buildA(g *grid.Grid, numReads int, kres *kmer.Result) (a, at *spmat.Dist[kmer.Occur]) {
+func buildA(g *grid.Grid, numReads int, kres *kmer.Result) *spmat.Panels[kmer.Occur] {
 	lane := g.Comm.Lane()
 	start, before := lane.Start(), g.Comm.BytesSent()
-	a, at = spmat.FromRows(g, int32(numReads), int32(kres.NumCols), kres.Triples)
-	nnz, sent := int64(a.Local.Nnz()), g.Comm.BytesSent()-before
+	a := spmat.FromRows(g, int32(numReads), int32(kres.NumCols), kres.Triples)
+	nnz, sent := int64(a.Nnz), g.Comm.BytesSent()-before
 	if reg := g.Comm.Metrics(); reg != nil {
 		reg.Counter("overlap.a_nnz").Add(nnz)
 		reg.Counter("overlap.a_exchange_bytes").Add(sent)
@@ -183,7 +182,7 @@ func buildA(g *grid.Grid, numReads int, kres *kmer.Result) (a, at *spmat.Dist[km
 		lane.Span(0, "overlap", "overlap.build_a", start,
 			obs.Arg{K: "a_nnz", V: nnz}, obs.Arg{K: "exchange_bytes", V: sent})
 	}
-	return a, at
+	return a
 }
 
 // The Alignment stage's two phases as trace sub-stages (nested under

@@ -103,8 +103,9 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 					kres = countKmers(store, cfg)
 					cand, _ = DetectCandidates(g, store, kres, res)
 				})
-				// A straight from the constructor DetectCandidates uses.
-				am, _ := spmat.FromRows(g, int32(store.N), int32(kres.NumCols), kres.Triples)
+				// A from the counting stage's triples by the generic
+				// constructor, not the panels DetectCandidates builds.
+				am := spmat.NewDist(g, int32(store.N), int32(kres.NumCols), slices.Clone(kres.Triples), nil)
 				gc, ga := cand.GatherTriples(0), am.GatherTriples(0)
 				if c.Rank() == 0 {
 					got, a, pairs = gc, ga, res.CandidatePairs

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/kmer"
 	"repro/internal/mpi"
+	"repro/internal/mpi/wire"
 	"repro/internal/obs"
 	"repro/internal/overlap"
 	"repro/internal/spmat"
@@ -82,9 +85,10 @@ type Artifacts struct {
 }
 
 // newArtifacts prepares the bag for a fresh run: a new world (built per
-// Options.Transport) and one RankState per rank holding its persistent
-// communicator.
-func newArtifacts(opt Options, reads [][]byte) (*Artifacts, error) {
+// Options.Transport), one RankState per rank holding its persistent
+// communicator and, in a multi-process world, its ranks' agreement that
+// they run one job (agreeOnJob); a world that disagrees is closed.
+func newArtifacts(ctx context.Context, opt Options, reads [][]byte) (*Artifacts, error) {
 	w, err := opt.newWorld()
 	if err != nil {
 		return nil, err
@@ -105,6 +109,10 @@ func newArtifacts(opt Options, reads [][]byte) (*Artifacts, error) {
 		a.Ranks[r] = &RankState{Comm: w.Comm(r), Timers: trace.New()}
 		a.ctl[r] = w.ControlComm(r)
 	}
+	if err := a.agreeOnJob(ctx); err != nil {
+		a.Close()
+		return nil, err
+	}
 	return a, nil
 }
 
@@ -120,6 +128,43 @@ func (a *Artifacts) Stage() string {
 		return ""
 	}
 	return stages[a.done-1].name
+}
+
+// jobParts names what every rank of a multi-process world must share before
+// its first stage. In a -join job every process has its own command line and
+// its own copy of the reads, so nothing else makes them one job.
+var jobParts = [...]string{"options fingerprint", "P", "codec fingerprint", "reads checksum"}
+
+// agreeOnJob is a multi-process world's first collective: every rank
+// all-gathers its jobParts — the codec's is the rank checkpoint's wire
+// fingerprint, which covers every artifact type — on the uncounted control
+// plane, and every process fails with the same error, naming the first rank
+// whose parts are not rank 0's and the part that differs. In process every
+// rank shares one Options and one read set, and nothing is gathered.
+func (a *Artifacts) agreeOnJob(ctx context.Context) error {
+	if !a.World.Distributed() {
+		return nil
+	}
+	mine := [len(jobParts)]string{a.Opt.Fingerprint(), strconv.Itoa(a.Opt.P),
+		fmt.Sprintf("%08x", wire.Fingerprint[ckptRank]()), obs.ChecksumSeqs(a.Reads)}
+	var verdict atomic.Pointer[error] // every local rank reaches the same one
+	runErr := a.World.RunCtx(ctx, func(c *mpi.Comm) {
+		all := mpi.Allgather(a.ctl[c.Rank()], mine)
+		for r, parts := range all {
+			for i, part := range parts {
+				if part != all[0][i] {
+					err := fmt.Errorf("pipeline: rank %d does not run rank 0's job: its %s %.12s is not %.12s (every rank of a world needs the same options, P, build and reads)",
+						r, jobParts[i], part, all[0][i])
+					verdict.Store(&err)
+					return
+				}
+			}
+		}
+	})
+	if err := verdict.Load(); runErr == nil && err != nil {
+		return *err
+	}
+	return runErr
 }
 
 // report is what one rank tells every other process after a stage: its

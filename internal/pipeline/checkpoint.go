@@ -65,10 +65,10 @@ import (
 // none): every stage, FastaReader included, has a row, and a v3 file lacks
 // FastaReader's, so its totals would come out short. v5 stores KmerTriples
 // row-grouped — rows ascending, each read's columns distinct, in extraction
-// order — because DetectOverlap sorts A once itself (spmat.FromRows): a v4
-// reader would refuse such a file as out of order, so it carries a schema of
-// its own. Older checkpoints and cache entries are refused by name, never
-// reinterpreted.
+// order — because DetectOverlap sorts A once itself, as spmat.FromRows
+// scatters it into its SUMMA panels: a v4 reader would refuse such a file as
+// out of order, so it carries a schema of its own. Older checkpoints and
+// cache entries are refused by name, never reinterpreted.
 const CheckpointSchema = "elba/checkpoint/v5"
 
 // ckptSchema is the per-rank file's schema number (bumped with ckptRank).
@@ -439,7 +439,7 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 	if len(man.RankHashes) != e.opt.P {
 		return nil, fmt.Errorf("pipeline: checkpoint manifest %s lists %d rank hashes, want %d", stageDir, len(man.RankHashes), e.opt.P)
 	}
-	a, err := newArtifacts(e.opt, reads)
+	a, err := newArtifacts(ctx, e.opt, reads)
 	if err != nil {
 		return nil, err
 	}
@@ -581,8 +581,8 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 
 // checkKmerTriples reports the first triple of ts outside rows [lo, hi) ×
 // columns [0, numCols), whose row goes backwards, or whose column its read
-// already holds — everything spmat.FromRows would otherwise panic on inside
-// a collective. last stamps each column with 1 + the last row that held it,
+// already holds — everything spmat.FromRows, or the decode of the panels it
+// builds, would otherwise panic on inside a collective. last stamps each column with 1 + the last row that held it,
 // so the pass is O(len(ts) + numCols), and numCols is bounded by the reads'
 // windows before this runs.
 func checkKmerTriples(ts []kmer.ATriple, lo, hi, numCols int32) error {

@@ -12,6 +12,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -305,5 +306,53 @@ func TestDistributedReportsUnderMessageLimit(t *testing.T) {
 	}
 	if a, b := contigChecksum(ref), contigChecksum(outs[0]); a != b {
 		t.Fatalf("contigs under the limit %s, in-process run %s", b, a)
+	}
+}
+
+// TestDistributedRefusesMixedJobs: four processes joined into one world are
+// one job only if every rank runs the same options on the same reads. When
+// rank 3 alone differs — in K, or in one read — every process must fail
+// before the first stage, naming rank 3 and the part that differs, and the
+// world must be closed behind it.
+func TestDistributedRefusesMixedJobs(t *testing.T) {
+	reads := testReads(6000, 17)
+	const p = 4
+	base := DefaultOptions(p)
+	for _, tc := range []struct {
+		name   string
+		change func(opt *Options, reads [][]byte) [][]byte
+		want   string
+	}{
+		{"k", func(opt *Options, reads [][]byte) [][]byte { opt.K = 17; return reads }, "rank 3 does not run rank 0's job: its options fingerprint"},
+		{"reads", func(_ *Options, reads [][]byte) [][]byte {
+			reads = slices.Clone(reads)
+			reads[5] = append([]byte("A"), reads[5]...)
+			return reads
+		}, "rank 3 does not run rank 0's job: its reads checksum"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			rdv := startTestRendezvous(t, p)
+			errs := make([]error, p)
+			var wg sync.WaitGroup
+			for r := 0; r < p; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					opt, mine := joinOptions(base, rdv, "127.0.0.1", r, nil), reads
+					if r == 3 {
+						mine = tc.change(&opt, reads)
+					}
+					_, errs[r] = Run(mine, opt)
+				}(r)
+			}
+			wg.Wait()
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("process %d: %v, want an error containing %q", r, err, tc.want)
+				}
+			}
+			waitGoroutines(t, before)
+		})
 	}
 }

@@ -76,7 +76,7 @@ func (e *Engine) RunUntil(ctx context.Context, reads [][]byte, until string) (*A
 	if err != nil {
 		return nil, err
 	}
-	a, err := newArtifacts(e.opt, reads)
+	a, err := newArtifacts(ctx, e.opt, reads)
 	if err != nil {
 		return nil, err
 	}

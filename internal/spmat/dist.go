@@ -55,37 +55,49 @@ func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T
 	return a
 }
 
-// FromRows builds the two operands of C = A·Aᵀ from one distribution of A
-// (collective). mine holds this rank's rows of the nr×nc matrix row-grouped —
-// rows ascending, each row's columns distinct, in any order — and every row
-// must lie in the rank's grid-row range, which holds when rows are
-// block-distributed over the P ranks in world-rank order, as reads are (see
-// package grid).
+// Panels is one rank's two operands of C = A·Aᵀ in the form the SUMMA loop
+// broadcasts them (FromRows): the panel frame of its A block, split by row
+// parity for the Checkerboard mask, and the unsplit panel frame of its Aᵀ
+// block, which the rank at the transposed grid position built from its own
+// A block. Both frames are read-only; SpGEMMPanels multiplies them.
+type Panels[T any] struct {
+	G      *grid.Grid
+	NR, NC int32 // A is NR×NC
+	Nnz    int   // this rank's nonzeros of A
+	a, at  []byte
+}
+
+// FromRows builds the two SUMMA panels of C = A·Aᵀ from one distribution of
+// A (collective). mine holds this rank's rows of the nr×nc matrix
+// row-grouped — rows ascending, each row's columns distinct, in any order —
+// and every row must lie in the rank's grid-row range, which holds when rows
+// are block-distributed over the P ranks in world-rank order, as reads are
+// (see package grid).
 //
-// A is sorted once, here, and Aᵀ needs no sort of its own. Triples only move
-// along the grid row: a count pass and a fill pass route them by column block
-// into √P exact-size buffers over the row communicator. Because the senders'
-// row ranges ascend with their rank, one stable counting scatter of the
-// received parts by column is the canonical column-major A block: within a
-// column, rows ascend across and within the parts. One stable counting
-// scatter of that block by row is its strictly row-major form, each row's
-// columns ascending; the Aᵀ block of rank (i, j) is that block of the
-// transposed rank (j, i) with Row and Col relabelled — column-major as it
-// lands — so it arrives with one grid.Transposed swap (none on the diagonal).
-// The input is checked row-grouped inside the rank's row range and the
-// matrix's columns, A strictly column-major after its scatter (so a duplicate
-// cell, or rows that go backwards across the senders, panics) and a received
-// Aᵀ block strictly row-major. Both exchanges go through the chunked
-// protocol, so no message exceeds mpi.MaxMessageBytes however large a block is
-// (T must be fixed-width); the rank is blocking for the call, so their bytes
-// stay exposed. Both send mpi.Bufs, so for a dense T a triple is copied once
-// at routing, once into A and once into the row-major block, never by the
-// wire.
-func FromRows[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *Dist[T]) {
+// A is sorted once, here, and never held as triples: a count pass and a fill
+// pass route the triples by column block into √P exact-size buffers over the
+// row communicator. Because the senders' row ranges ascend with their rank,
+// one stable counting scatter of the received parts by (column, row parity)
+// is the rank's split A panel, written straight into its frame: within a
+// column, rows ascend across and within the parts. One counting scatter of
+// that panel by row, walking its columns in order, is the unsplit panel of
+// its transpose — each row's columns ascending — and that frame is the Aᵀ
+// panel of the transposed rank, so it crosses one grid.TransposedFrame swap
+// (none on the diagonal) and its receiver broadcasts it as its B panel. The
+// input is checked row-grouped inside the rank's row range and the matrix's
+// columns here; the order of both panels — a duplicate cell, or rows that go
+// backwards across the senders — is checked by the decode every rank runs on
+// every panel it multiplies, which names the rank that built a bad one. Both
+// exchanges are chunked, so no message exceeds mpi.MaxMessageBytes however
+// large a block is (T must be fixed-width); the rank is blocking for the
+// call, so their bytes stay exposed. The routed parts are mpi.Bufs, so for a
+// dense T a triple is copied once at routing and its row and value once into
+// each panel, never by the wire.
+func FromRows[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) *Panels[T] {
 	defer g.Comm.SetBlocking(g.Comm.SetBlocking(true))
-	a = newDistShell[T](g, nr, nc)
-	at = newDistShell[T](g, nc, nr)
-	if err := CheckRowGrouped(mine, a.RowLo, a.RowHi, 0, nc); err != nil {
+	rlo, rhi := g.MyRowRange(int(nr))
+	clo, chi := g.MyColRange(int(nc))
+	if err := CheckRowGrouped(mine, int32(rlo), int32(rhi), 0, nc); err != nil {
 		panic(fmt.Sprintf("spmat: FromRows input: %v", err))
 	}
 	counts := make([]int, g.Dim)
@@ -103,72 +115,17 @@ func FromRows[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) (a, at *Dist[
 		fill[j] = append(fill[j], t)
 	}
 	recv := mpi.IAlltoallv(g.RowComm, send).WaitValue()
-	n := 0
-	for _, part := range recv {
-		n += len(part)
-	}
-	cols := make([]Triple[T], n)
-	scatter(cols, recv, a.ColLo, a.ColHi, false)
-	if err := checkOrder(cols, a.RowLo, a.RowHi, a.ColLo, a.ColHi, colMajor); err != nil {
-		panic(fmt.Sprintf("spmat: FromRows A block: %v", err))
-	}
-	if n > 0 {
-		a.Local.Ts = cols
-	}
-
-	block := mpi.NewBuf[Triple[T]](n)
-	scatter(block.Elems(), [][]Triple[T]{cols}, a.RowLo, a.RowHi, true)
-	rows := grid.Transposed(g, block)
-	if g.Row != g.Col {
-		if err := CheckRowMajor(rows, at.ColLo, at.ColHi, at.RowLo, at.RowHi); err != nil {
-			panic(fmt.Sprintf("spmat: FromRows block of transposed rank %d: %v", g.Rank(g.Col, g.Row), err))
-		}
-	}
-	for i := range rows {
-		rows[i].Row, rows[i].Col = rows[i].Col, rows[i].Row
-	}
-	if len(rows) > 0 {
-		at.Local.Ts = rows
-	}
-	return a, at
-}
-
-// scatter is a stable counting scatter of parts, in order, into out by column
-// (by row if byRow), every key in [lo, hi): triples of one key keep their
-// order across and within the parts.
-func scatter[T any](out []Triple[T], parts [][]Triple[T], lo, hi int32, byRow bool) {
-	next := make([]int32, hi-lo+1) // by key, shifted one up
-	for _, part := range parts {
-		for _, t := range part {
-			k := t.Col
-			if byRow {
-				k = t.Row
-			}
-			next[k-lo+1]++
-		}
-	}
-	for j := range hi - lo {
-		next[j+1] += next[j]
-	}
-	for _, part := range parts {
-		for _, t := range part {
-			k := t.Col
-			if byRow {
-				k = t.Row
-			}
-			out[next[k-lo]] = t
-			next[k-lo]++
-		}
-	}
+	a, p := scatterPanel(recv, int32(clo), int32(chi))
+	at := transposePanel(p, int32(rlo), int32(rhi))
+	return &Panels[T]{G: g, NR: nr, NC: nc, Nnz: len(p.rows), a: a, at: grid.TransposedFrame(g, at)}
 }
 
 // order is what checkOrder requires of each triple against its predecessor.
 type order string
 
 const (
-	rowGrouped order = "row-grouped"         // row not below the predecessor's
-	rowMajor   order = "strict row-major"    // strictly after it by (Row, Col)
-	colMajor   order = "strict column-major" // strictly after it by (Col, Row)
+	rowGrouped order = "row-grouped"      // row not below the predecessor's
+	rowMajor   order = "strict row-major" // strictly after it by (Row, Col)
 )
 
 // checkOrder reports the first triple of ts that lies outside rows
@@ -189,8 +146,6 @@ func checkOrder[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32, o order
 			bad = t.Row < p.Row
 		case rowMajor:
 			bad = t.Row < p.Row || t.Row == p.Row && t.Col <= p.Col
-		case colMajor:
-			bad = t.Col < p.Col || t.Col == p.Col && t.Row <= p.Row
 		}
 		if bad {
 			return fmt.Errorf("triple %d (%d,%d) does not follow (%d,%d) in %s order", i, t.Row, t.Col, p.Row, p.Col, o)
@@ -390,31 +345,16 @@ func Checkerboard() Mask { return Mask{checkerboard: true} }
 // formed.
 func KeepFunc(keep func(row, col int32) bool) Mask { return Mask{keep: keep} }
 
-// SpGEMMCounted computes A ⊗ B with the SUMMA algorithm: √P stages; in stage
-// s the ranks of grid column s broadcast their A blocks along their grid row,
-// the ranks of grid row s broadcast their B blocks along their grid column,
-// and every rank accumulates the local product (collective). Only cells the
-// mask keeps are formed (Mask{} keeps every cell). products, when non-nil, is
-// a semiring-product work counter for the performance model: it is advanced
-// by the number of products evaluated on kept cells, annihilated ones included.
-// With a counter, the products and the Fold calls that formed them are also
-// published as spmat.spgemm_products and spmat.fold_calls.
-//
-// The SUMMA broadcasts are nonblocking: round s+1's A/B panels are posted
-// with IBcast before round s multiplies, so on a rank that is not in blocking
-// mode the panel transfer hides behind the local product. Each panel crosses
-// the wire as one DCSC frame (panel.go) that its root encodes once — under
-// the Checkerboard mask with A's runs already split by row parity — and every
-// rank, the root included, multiplies read-only views of the frame it holds
-// after one linear validation pass; a frame failing it panics naming its
-// root. a and b are never touched. The local product of each round is the
-// Gustavson pass of local.go (gustavson.multiply), which hands the semiring
-// whole kept stretches of A's column runs to fold into the generation-tagged
-// accumulator over the block's row span; per-round emissions are
-// column-clustered, so the final cross-round merge is the radix path of
-// NewCOO with the semiring Add as the combiner (Add is associative and
-// commutative — the precondition SUMMA's stage-order-independent
-// accumulation already imposes).
+// SpGEMMCounted computes A ⊗ B with the SUMMA algorithm (collective; see
+// summa): each rank encodes its A block — under the Checkerboard mask with
+// its runs split by row parity — and its B block as the panel frames it
+// broadcasts. Only cells the mask keeps are formed (Mask{}
+// keeps every cell). products, when non-nil, is a semiring-product work
+// counter for the performance model: it is advanced by the number of
+// products evaluated on kept cells, annihilated ones included. With a
+// counter, the products and the Fold calls that formed them are also
+// published as spmat.spgemm_products and spmat.fold_calls. a and b are never
+// touched.
 func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
@@ -422,24 +362,61 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: SpGEMM inner dims %d != %d", a.NC, b.NR))
 	}
-	g := a.G
-	out := newDistShell[C](g, a.NR, b.NC)
+	return summa(operands{
+		g: a.G, nr: a.NR, nk: a.NC, nc: b.NC,
+		a: encodePanel(a.Local.Ts, mask.checkerboard), b: encodePanel(b.Local.Ts, false),
+	}, sr, mask, products)
+}
+
+// SpGEMMPanels is SpGEMMCounted of C = A ⊗ Aᵀ under the Checkerboard mask
+// for the panels FromRows built, which the SUMMA loop broadcasts as they
+// are. p is never touched.
+func SpGEMMPanels[T, C any](p *Panels[T], sr Semiring[T, T, C], products *int64) *Dist[C] {
+	return summa(operands{g: p.G, nr: p.NR, nk: p.NC, nc: p.NR, a: p.a, b: p.at, bTransposed: true},
+		sr, Checkerboard(), products)
+}
+
+// operands is what the SUMMA loop needs of C = A ⊗ B on one rank: the
+// shapes — A is nr×nk, B is nk×nc — and the rank's A and B panel frames,
+// which must not change once given. bTransposed says every rank's B frame
+// was built by its transposed rank (FromRows), which a bad one then names.
+type operands struct {
+	g           *grid.Grid
+	nr, nk, nc  int32
+	a, b        []byte
+	bTransposed bool
+}
+
+// summa is the SUMMA loop: √P stages; in stage s the ranks of grid column s
+// broadcast their A panels along their grid row, the ranks of grid row s
+// broadcast their B panels along their grid column, and every rank
+// accumulates the local product of the kept cells.
+//
+// The broadcasts are nonblocking: round s+1's A/B panels are posted with
+// IBcast before round s multiplies, so on a rank that is not in blocking
+// mode the panel transfer hides behind the local product. Each panel crosses
+// the wire as one DCSC frame (panel.go), and every rank, the root included,
+// multiplies read-only views of the frame it holds after one linear
+// validation pass; a frame failing it panics naming its root (and, for a B
+// frame from FromRows, the rank that built it). The local product of each
+// round is the Gustavson pass of local.go (gustavson.multiply), which hands
+// the semiring whole kept stretches of A's column runs to fold into the
+// generation-tagged accumulator over the block's row span; per-round
+// emissions are column-clustered, so the final cross-round merge is the
+// radix path of NewCOO with the semiring Add as the combiner (Add is
+// associative and commutative — the precondition SUMMA's
+// stage-order-independent accumulation already imposes).
+func summa[A, B, C any](op operands, sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
+	g := op.g
+	out := newDistShell[C](g, op.nr, op.nc)
 	p := gustavson[A, B, C]{sr: sr, mask: mask, acc: newAcc[C](out.RowHi - out.RowLo), rowLo: out.RowLo}
 	lane := g.Comm.Lane()
 	panelNnz := g.Comm.Metrics().Histogram("spmat.panel_nnz")
 
 	// post starts the round-s panel broadcasts, A then B on every rank, so
-	// tag sequences line up; a rank encodes its own block in the round it
-	// roots.
+	// tag sequences line up; only the round's roots' frames are read.
 	post := func(s int) (*mpi.BcastRequest, *mpi.BcastRequest) {
-		var aFrame, bFrame []byte
-		if g.Col == s {
-			aFrame = encodePanel(a.Local.Ts, mask.checkerboard)
-		}
-		if g.Row == s {
-			bFrame = encodePanel(b.Local.Ts, false)
-		}
-		return mpi.IBcast(g.RowComm, s, aFrame), mpi.IBcast(g.ColComm, s, bFrame)
+		return mpi.IBcast(g.RowComm, s, op.a), mpi.IBcast(g.ColComm, s, op.b)
 	}
 	reqA, reqB := post(0)
 	for s := 0; s < g.Dim; s++ {
@@ -450,14 +427,18 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 		if s+1 < g.Dim {
 			reqA, reqB = post(s + 1)
 		}
-		kLo, kHi := grid.BlockRange(int(a.NC), g.Dim, s)
-		ap, err := decodePanel[A](aFrame, int32(kLo), int32(kHi), a.RowLo, a.RowHi, mask.checkerboard)
+		kLo, kHi := grid.BlockRange(int(op.nk), g.Dim, s)
+		ap, err := decodePanel[A](aFrame, int32(kLo), int32(kHi), out.RowLo, out.RowHi, mask.checkerboard)
 		if err != nil {
 			panic(fmt.Sprintf("spmat: A panel from rank %d: %v", g.Rank(g.Row, s), err))
 		}
-		bp, err := decodePanel[B](bFrame, b.ColLo, b.ColHi, int32(kLo), int32(kHi), false)
+		bp, err := decodePanel[B](bFrame, out.ColLo, out.ColHi, int32(kLo), int32(kHi), false)
 		if err != nil {
-			panic(fmt.Sprintf("spmat: B panel from rank %d: %v", g.Rank(s, g.Col), err))
+			built := ""
+			if op.bTransposed {
+				built = fmt.Sprintf(", built by rank %d", g.Rank(g.Col, s))
+			}
+			panic(fmt.Sprintf("spmat: B panel from rank %d%s: %v", g.Rank(s, g.Col), built, err))
 		}
 		panelNnz.Observe(int64(len(ap.rows)))
 		panelNnz.Observe(int64(len(bp.rows)))
@@ -474,7 +455,7 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 		g.Comm.Metrics().Counter("spmat.spgemm_products").Add(p.products)
 		g.Comm.Metrics().Counter("spmat.fold_calls").Add(p.calls)
 	}
-	out.Local = NewCOO(a.NR, b.NC, p.ts, sr.Add)
+	out.Local = NewCOO(op.nr, op.nc, p.ts, sr.Add)
 	return out
 }
 

@@ -67,26 +67,140 @@ func (l panelLayout) arrays(ints []int32) (cols, starts, mid, rows []int32) {
 // of a SUMMA broadcast, done once however many ranks receive it; split makes
 // it a split panel. ts must be canonical (see fill).
 func encodePanel[T any](ts []Triple[T], split bool) []byte {
-	if len(ts) == 0 {
+	frame, p := allocPanel[T](countCols(ts), len(ts), split)
+	if len(ts) > 0 {
+		p.fill(ts)
+		p.commit(frame)
+	}
+	return frame
+}
+
+// allocPanel lays a panel of ncols columns and nnz entries out in a fresh
+// frame, which nobody else holds yet, and returns the frame and the panel's
+// arrays for the caller to fill: views of the frame, except the values of a
+// T that is not dense, a slice of their own until commit encodes them. With
+// no entries it is the empty panel's frame, and the arrays are nil.
+func allocPanel[T any](ncols, nnz int, split bool) ([]byte, panel[T]) {
+	if nnz == 0 {
 		frame, _ := wire.NewAlignedFrame[T](0)
-		return frame
+		return frame, panel[T]{}
 	}
 	width := wire.Width[T]()
 	if width < 0 {
-		panic(fmt.Sprintf("spmat: panel values of type %T have no fixed wire width", ts[0].Val))
+		panic(fmt.Sprintf("spmat: panel values of type %T have no fixed wire width", *new(T)))
 	}
-	l := layoutPanel(countCols(ts), len(ts), width, split)
+	l := layoutPanel(ncols, nnz, width, split)
 	frame, buf := wire.NewAlignedFrame[T](l.end)
 	binary.LittleEndian.PutUint32(buf, uint32(l.ncols))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(l.nnz))
-	ints, flushInts := sink[int32](buf[8:8+4*l.words], l.words)
-	vals, flushVals := sink[T](buf[8+4*l.words:], l.nnz)
-	p := panel[T]{vals: vals}
+	ints, err := wire.Elems[int32](buf[8:8+4*l.words], l.words)
+	p := panel[T]{}
+	if wire.Dense[T]() {
+		if err == nil {
+			p.vals, err = wire.Elems[T](buf[8+4*l.words:], l.nnz)
+		}
+	} else {
+		p.vals = make([]T, l.nnz)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("spmat: panel frame: %v", err))
+	}
 	p.cols, p.starts, p.mid, p.rows = l.arrays(ints)
-	p.fill(ts)
-	flushInts()
-	flushVals()
+	return frame, p
+}
+
+// commit encodes the values of a T that is not dense, which allocPanel gave
+// p as a slice of their own, into the end of frame, where its layout puts
+// them; a dense T's values are the frame already.
+func (p panel[T]) commit(frame []byte) {
+	if !wire.Dense[T]() {
+		wire.AppendElems(frame[len(frame)-wire.Width[T]()*len(p.vals):][:0], p.vals)
+	}
+}
+
+// scatterPanel writes the block the parts hold, every column in
+// [colLo, colHi), as a split panel frame: one stable counting scatter by
+// (column, row parity) lists each column's even rows, then its odd rows, in
+// the order the parts hold them. Parts whose rows ascend across and within
+// them — the senders of a grid row, in rank order — give every sub-run
+// ascending; any other order, or a repeated cell, gives a frame decodePanel
+// refuses. It returns the frame and the panel's arrays.
+func scatterPanel[T any](parts [][]Triple[T], colLo, colHi int32) ([]byte, panel[T]) {
+	next := make([]int32, 2*(colHi-colLo)+1) // by (column, parity), shifted one up
+	for _, part := range parts {
+		for _, t := range part {
+			next[2*(t.Col-colLo)+t.Row&1+1]++
+		}
+	}
+	frame, p := allocScattered[T](next, colLo, true)
+	for _, part := range parts {
+		for _, t := range part {
+			k := 2*(t.Col-colLo) + t.Row&1
+			p.rows[next[k]], p.vals[next[k]] = t.Row, t.Val
+			next[k]++
+		}
+	}
+	p.commit(frame)
+	return frame, p
+}
+
+// transposePanel writes the transpose of p, whose rows lie in
+// [rowLo, rowHi), as an unsplit panel frame: one counting scatter of p's
+// entries by row, walking p's columns in ascending order, so that every
+// column of the result (a row of p) lists p's columns ascending.
+func transposePanel[T any](p panel[T], rowLo, rowHi int32) []byte {
+	next := make([]int32, rowHi-rowLo+1) // by row, shifted one up
+	for _, r := range p.rows {
+		next[r-rowLo+1]++
+	}
+	frame, q := allocScattered[T](next, rowLo, false)
+	for i, c := range p.cols {
+		for e := p.starts[i]; e < p.starts[i+1]; e++ {
+			k := p.rows[e] - rowLo
+			q.rows[next[k]], q.vals[next[k]] = c, p.vals[e]
+			next[k]++
+		}
+	}
+	q.commit(frame)
 	return frame
+}
+
+// allocScattered is allocPanel for a counting scatter whose key counts are
+// next[1:]: one key per column from colLo up, or two for a split panel (its
+// even rows, then its odd ones). It turns next into each key's first slot
+// and fills the panel's column ids, run starts and mids, leaving the rows and
+// values to the scatter (and commit).
+func allocScattered[T any](next []int32, colLo int32, split bool) ([]byte, panel[T]) {
+	stride := 1
+	if split {
+		stride = 2
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	span, n := (len(next)-1)/stride, int(next[len(next)-1])
+	ncols := 0
+	for c := range span {
+		if next[(c+1)*stride] > next[c*stride] {
+			ncols++
+		}
+	}
+	frame, p := allocPanel[T](ncols, n, split)
+	if n == 0 {
+		return frame, p
+	}
+	r := 0
+	for c := range span {
+		if lo := next[c*stride]; next[(c+1)*stride] > lo {
+			p.cols[r], p.starts[r] = colLo+int32(c), lo
+			if split {
+				p.mid[r] = next[c*stride+1]
+			}
+			r++
+		}
+	}
+	p.starts[ncols] = int32(n)
+	return frame, p
 }
 
 // newPanel is the unsplit panel of a canonical block held locally, in
@@ -152,22 +266,6 @@ func (p panel[T]) fill(ts []Triple[T]) {
 		lo = hi
 	}
 	p.starts[len(p.cols)] = int32(e)
-}
-
-// sink returns n elements of E for encodePanel to fill at the head of b, in
-// a frame it has just allocated and nobody else holds yet, and the func that
-// commits them: a view of b itself when E is dense, with nothing to commit;
-// else a slice that the func encodes into b.
-func sink[E any](b []byte, n int) ([]E, func()) {
-	if !wire.Dense[E]() {
-		s := make([]E, n)
-		return s, func() { wire.AppendElems(b[:0], s) }
-	}
-	s, err := wire.Elems[E](b, n)
-	if err != nil {
-		panic(fmt.Sprintf("spmat: panel frame: %v", err))
-	}
-	return s, func() {}
 }
 
 // decodePanel returns the panel a frame holds as views of the frame, after

@@ -34,8 +34,10 @@ func (e recordingEndpoint) Send(dst int, m transport.Message) error {
 // TestSpGEMMLeavesBroadcastFramesIntact: every rank multiplies views of the
 // panel frame it received — in process, the root's own frame, shared by
 // reference down the broadcast tree — so after SpGEMMCounted under every mask
-// and in both request modes, every frame's bytes must equal their value when
-// it was sent, right after its root encoded it. Run it under -race too: a
+// and SpGEMMPanels over FromRows' frames (the Aᵀ frame crosses the transposed
+// swap before its receiver broadcasts it), in both request modes, every
+// frame's bytes must equal their value when it was sent, right after it was
+// built. Run it under -race too: a
 // write to a shared view races with the other ranks' reads.
 func TestSpGEMMLeavesBroadcastFramesIntact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -60,8 +62,13 @@ func TestSpGEMMLeavesBroadcastFramesIntact(t *testing.T) {
 				g := grid.New(c)
 				a := FromGlobalTriples(g, nr, k, aT, nil)
 				b := FromGlobalTriples(g, k, nc, bT, nil)
+				lo, hi := g.MyVecRange(int(nr))
+				panels := FromRows(g, nr, k, rowsOf(aT, lo, hi))
 				for _, async := range []bool{false, true} {
-					mpitest.InMode(c, async, func() { SpGEMMCounted(a, b, plusTimes, mask, nil) })
+					mpitest.InMode(c, async, func() {
+						SpGEMMCounted(a, b, plusTimes, mask, nil)
+						SpGEMMPanels(panels, plusTimes, nil)
+					})
 				}
 			})
 			if err != nil {
