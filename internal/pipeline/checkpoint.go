@@ -516,9 +516,12 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 //   - a k-mer payload has the engine's K; a column count in [0, the read
 //     set's k-mer window count] — each reliable k-mer is a distinct window,
 //     and resuming sizes A's column index by this count; and triples that
-//     are this rank's reads (block rank of the read set) in strict row-major
-//     order, each column below the count and each occurrence a window inside
-//     its read.
+//     are this rank's reads (block rank of the read set) grouped by row, no
+//     column twice within a read, each column below the count and each
+//     occurrence a window inside its read;
+//   - a matrix payload (candidates, R or the string graph) is reads × reads,
+//     and its triples lie in the rank's grid block in strict column-major
+//     order, the canonical form FromLocalTriples and every later stage take.
 //
 // That the ranks agree on the column count is LoadCheckpoint's check. Every
 // failure names the rank and the file.
@@ -576,7 +579,31 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 			}
 		}
 	}
+	switch {
+	case ck.HasCands:
+		err = checkBlock(ck.CandNR, ck.CandNC, ck.CandTriples, len(reads), opt.P, rank)
+	case ck.HasR:
+		err = checkBlock(ck.RNR, ck.RNC, ck.RTriples, len(reads), opt.P, rank)
+	case ck.HasSG:
+		err = checkBlock(ck.SGNR, ck.SGNC, ck.SGTriples, len(reads), opt.P, rank)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: stage %q's matrix block is not the rank's canonical block: %w", rank, path, ck.Stage, err)
+	}
 	return &ck, nil
+}
+
+// checkBlock reports a restored matrix block whose dims are not n × n, for
+// n reads, or whose triples do not lie, strictly column-major, in the grid
+// block that rank owns in a world of p ranks.
+func checkBlock[T any](nr, nc int32, ts []spmat.Triple[T], n, p, rank int) error {
+	if int(nr) != n || int(nc) != n {
+		return fmt.Errorf("dims %d×%d, want %d×%d (the reads)", nr, nc, n, n)
+	}
+	dim := isqrt(p)
+	rlo, rhi := grid.BlockRange(n, dim, rank/dim)
+	clo, chi := grid.BlockRange(n, dim, rank%dim)
+	return spmat.CheckColMajor(ts, int32(rlo), int32(rhi), int32(clo), int32(chi))
 }
 
 // checkKmerTriples reports the first triple of ts outside rows [lo, hi) ×

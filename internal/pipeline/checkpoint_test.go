@@ -21,6 +21,7 @@ import (
 	"repro/internal/kmer"
 	"repro/internal/mpi/wire"
 	"repro/internal/readsim"
+	"repro/internal/spmat"
 )
 
 // TestCheckpointLatestWins checkpoints after every stage of one run and
@@ -464,7 +465,7 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 	opt := DefaultOptions(4)
 	opt.K = 21
 	opt.XDrop = 25
-	write := func(t *testing.T) (dir, stageDir string) {
+	writeThrough := func(t *testing.T, stage string) (dir, stageDir string) {
 		dir = t.TempDir()
 		ckOpt := opt
 		ckOpt.CheckpointDir = dir
@@ -472,13 +473,14 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arts, err := eng.RunUntil(context.Background(), reads, StageCountKmer)
+		arts, err := eng.RunUntil(context.Background(), reads, stage)
 		if err != nil {
 			t.Fatal(err)
 		}
 		arts.Close()
-		return dir, filepath.Join(dir, StageCountKmer)
+		return dir, filepath.Join(dir, stage)
 	}
+	write := func(t *testing.T) (dir, stageDir string) { return writeThrough(t, StageCountKmer) }
 	refused := func(t *testing.T, dir string, frags ...string) {
 		t.Helper()
 		eng, err := Plan(opt)
@@ -559,6 +561,28 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			refused(t, dir, stageDir, c.want)
 		})
 	}
+	// A matrix payload fails closed too: a block that would load silently (a
+	// swapped or repeated cell), panic inside a later collective (a swap's
+	// column order, dims one larger) or fail only as a rank panic (a triple
+	// outside the rank's block) is refused at load, naming rank and file.
+	for _, stage := range []string{StageDetectOverlap, StageAlignment, StageTrReduction} {
+		for _, how := range []string{"swapped", "repeated cell", "out of block", "wrong dims"} {
+			t.Run(stage+"/"+how, func(t *testing.T) {
+				dir, stageDir := writeThrough(t, stage)
+				rewriteRankFile(t, stageDir, 1, func(ck *ckptRank) {
+					switch stage {
+					case StageDetectOverlap:
+						breakBlock(t, how, &ck.CandNR, &ck.CandNC, ck.CandTriples)
+					case StageAlignment:
+						breakBlock(t, how, &ck.RNR, &ck.RNC, ck.RTriples)
+					default:
+						breakBlock(t, how, &ck.SGNR, &ck.SGNC, ck.SGTriples)
+					}
+				})
+				refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), "matrix block is not the rank's canonical block")
+			})
+		}
+	}
 	// An untouched rewrite loads: the helpers themselves do not break a file.
 	dir, stageDir := write(t)
 	rewriteRankFile(t, stageDir, 2, func(*ckptRank) {})
@@ -571,6 +595,27 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		t.Fatalf("re-encoded checkpoint refused: %v", err)
 	}
 	a.Close()
+}
+
+// breakBlock applies one named corruption to rank 1's restored matrix block
+// of a P = 4 world, which holds rows [0, n/2) × columns [n/2, n) of n reads.
+func breakBlock[T any](t *testing.T, how string, nr, nc *int32, ts []spmat.Triple[T]) {
+	t.Helper()
+	if len(ts) < 2 {
+		t.Fatalf("the block holds %d triples, too few to break", len(ts))
+	}
+	switch how {
+	case "swapped":
+		ts[0], ts[len(ts)-1] = ts[len(ts)-1], ts[0]
+	case "repeated cell":
+		ts[1] = ts[0]
+	case "out of block":
+		ts[0].Row, ts[0].Col = 0, 0
+	case "wrong dims":
+		*nr, *nc = *nr+1, *nc+1
+	default:
+		t.Fatalf("no corruption %q", how)
+	}
 }
 
 // commitAlignmentCheckpoint assembles reads at P = 1 with a checkpoint

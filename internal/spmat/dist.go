@@ -115,41 +115,49 @@ func FromRows[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) *Panels[T] {
 		fill[j] = append(fill[j], t)
 	}
 	recv := mpi.IAlltoallv(g.RowComm, send).WaitValue()
-	a, p := scatterPanel(recv, int32(clo), int32(chi))
+	a, p := scatterPanel(recv, int32(clo), int32(chi), true)
 	at := transposePanel(p, int32(rlo), int32(rhi))
 	return &Panels[T]{G: g, NR: nr, NC: nc, Nnz: len(p.rows), a: a, at: grid.TransposedFrame(g, at)}
 }
 
 // order is what checkOrder requires of each triple against its predecessor.
-type order string
+type order uint8
 
 const (
-	rowGrouped order = "row-grouped"      // row not below the predecessor's
-	rowMajor   order = "strict row-major" // strictly after it by (Row, Col)
+	rowGrouped order = iota // row not below the predecessor's
+	rowMajor                // strictly after it by (Row, Col)
+	colMajor                // strictly after it by (Col, Row)
 )
+
+func (o order) String() string { return [...]string{"row-grouped", "row-major", "column-major"}[o] }
 
 // checkOrder reports the first triple of ts that lies outside rows
 // [rowLo, rowHi) × columns [colLo, colHi) or breaks order o against its
 // predecessor; under a strict order a duplicate cell is an error too.
 func checkOrder[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32, o order) error {
-	for i, t := range ts {
-		if t.Row < rowLo || t.Row >= rowHi || t.Col < colLo || t.Col >= colHi {
-			return fmt.Errorf("triple %d (%d,%d) outside [%d,%d)x[%d,%d)", i, t.Row, t.Col, rowLo, rowHi, colLo, colHi)
+	var pr, pc int32
+	for i := range ts {
+		r, c := ts[i].Row, ts[i].Col
+		if r < rowLo || r >= rowHi || c < colLo || c >= colHi {
+			return fmt.Errorf("triple %d (%d,%d) outside [%d,%d)x[%d,%d)", i, r, c, rowLo, rowHi, colLo, colHi)
 		}
-		if i == 0 {
-			continue
-		}
-		p := ts[i-1]
 		var bad bool
 		switch o {
 		case rowGrouped:
-			bad = t.Row < p.Row
+			bad = r < pr
 		case rowMajor:
-			bad = t.Row < p.Row || t.Row == p.Row && t.Col <= p.Col
+			bad = r < pr || r == pr && c <= pc
+		case colMajor:
+			bad = c < pc || c == pc && r <= pr
 		}
-		if bad {
-			return fmt.Errorf("triple %d (%d,%d) does not follow (%d,%d) in %s order", i, t.Row, t.Col, p.Row, p.Col, o)
+		if bad && i > 0 {
+			strictly := "strictly "
+			if o == rowGrouped {
+				strictly = ""
+			}
+			return fmt.Errorf("triple %d (%d,%d) after (%d,%d) does not %sascend in %s order", i, r, c, pr, pc, strictly, o)
 		}
+		pr, pc = r, c
 	}
 	return nil
 }
@@ -166,6 +174,14 @@ func CheckRowGrouped[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32) er
 // predecessor in row-major order (so a duplicate cell is an error too).
 func CheckRowMajor[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32) error {
 	return checkOrder(ts, rowLo, rowHi, colLo, colHi, rowMajor)
+}
+
+// CheckColMajor reports the first triple of ts that lies outside rows
+// [rowLo, rowHi) × columns [colLo, colHi) or does not come strictly after its
+// predecessor in column-major order — the canonical order of COO.Ts, in which
+// a duplicate cell is an error too.
+func CheckColMajor[T any](ts []Triple[T], rowLo, rowHi, colLo, colHi int32) error {
+	return checkOrder(ts, rowLo, rowHi, colLo, colHi, colMajor)
 }
 
 // FromGlobalTriples builds the matrix when every rank deterministically holds
@@ -346,13 +362,14 @@ func Checkerboard() Mask { return Mask{checkerboard: true} }
 func KeepFunc(keep func(row, col int32) bool) Mask { return Mask{keep: keep} }
 
 // SpGEMMCounted computes A ⊗ B with the SUMMA algorithm (collective; see
-// summa): each rank encodes its A block — under the Checkerboard mask with
-// its runs split by row parity — and its B block as the panel frames it
-// broadcasts. Only cells the mask keeps are formed (Mask{}
-// keeps every cell). products, when non-nil, is a semiring-product work
-// counter for the performance model: it is advanced by the number of
-// products evaluated on kept cells, annihilated ones included. With a
-// counter, the products and the Fold calls that formed them are also
+// summa): each rank scatters its A block — under the Checkerboard mask split
+// by row parity — and its B block into the panel frames it broadcasts, after
+// checking both are canonical inside the block, which a block that is not
+// panics on here, on the rank that holds it. Only cells the mask keeps are
+// formed (Mask{} keeps every cell). products, when non-nil, is a
+// semiring-product work counter for the performance model: it is advanced by
+// the number of products evaluated on kept cells, annihilated ones included.
+// With a counter, the products and the Fold calls that formed them are also
 // published as spmat.spgemm_products and spmat.fold_calls. a and b are never
 // touched.
 func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
@@ -364,8 +381,18 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 	}
 	return summa(operands{
 		g: a.G, nr: a.NR, nk: a.NC, nc: b.NC,
-		a: encodePanel(a.Local.Ts, mask.checkerboard), b: encodePanel(b.Local.Ts, false),
+		a: blockFrame(a, "A", mask.checkerboard), b: blockFrame(b, "B", false),
 	}, sr, mask, products)
+}
+
+// blockFrame is the panel frame of the rank's block of a as a SUMMA operand;
+// name says which one in the panic on a block that is not canonical.
+func blockFrame[T any](a *Dist[T], name string, split bool) []byte {
+	if err := CheckColMajor(a.Local.Ts, a.RowLo, a.RowHi, a.ColLo, a.ColHi); err != nil {
+		panic(fmt.Sprintf("spmat: SpGEMM %s block of rank %d: %v", name, a.G.Comm.Rank(), err))
+	}
+	frame, _ := scatterPanel([][]Triple[T]{a.Local.Ts}, a.ColLo, a.ColHi, split)
+	return frame
 }
 
 // SpGEMMPanels is SpGEMMCounted of C = A ⊗ Aᵀ under the Checkerboard mask

@@ -1,11 +1,11 @@
 // Package spmat is the sparse-matrix substrate standing in for CombBLAS:
 // local COO/CSC formats with a semiring abstraction, and distributed
 // 2D block matrices on the √P × √P grid with masked SUMMA SpGEMM, the
-// sort-free construction of A and Aᵀ from row-major triples, element-wise
-// transforms and row/column masking, and block-distributed vectors with the
-// collectives Algorithm 2 is written in: the row reduction as one
-// reduce-scatter (row degrees, SpMV), the owner-routed fold (ScatterFold),
-// fetch and the Figure 2 exchange. Transpose and Add have no production
+// sort-free construction of A's and Aᵀ's SUMMA panels from row-grouped
+// triples, element-wise transforms and row/column masking, and
+// block-distributed vectors with the collectives Algorithm 2 is written in:
+// the row reduction as one reduce-scatter (row degrees, SpMV), the
+// owner-routed fold (ScatterFold), fetch and the Figure 2 exchange. Transpose and Add have no production
 // caller; they are the oracles the one-routing constructions are tested
 // against.
 //
@@ -369,18 +369,28 @@ func (p *gustavson[A, B, C]) multiply(a panel[A], kLo, kHi int, b panel[B]) {
 }
 
 // Multiply computes a ⊗ b over the semiring with the local product SUMMA
-// runs per round (a is NR×K, b is K×NC, both canonical): both operands are
-// read as panels, and the output is emitted column by column with sorted
-// rows, so it is canonical by construction and skips the NewCOO sort
-// entirely.
+// runs per round (a is NR×K, b is K×NC, both canonical — a block that is not
+// panics): both operands are scattered into unsplit panels over all their
+// columns, and the output is emitted column by column with sorted rows, so it
+// is canonical by construction and skips the NewCOO sort entirely.
 func Multiply[A, B, C any](a COO[A], b COO[B], sr Semiring[A, B, C]) COO[C] {
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: inner dims %d != %d", a.NC, b.NR))
 	}
 	p := gustavson[A, B, C]{sr: sr, acc: newAcc[C](a.NR), ts: make([]Triple[C], 0, max(len(a.Ts), len(b.Ts)))}
-	p.multiply(newPanel(a.Ts), 0, int(a.NC), newPanel(b.Ts))
+	p.multiply(localPanel(a), 0, int(a.NC), localPanel(b))
 	if len(p.ts) == 0 {
 		p.ts = nil
 	}
 	return COO[C]{NR: a.NR, NC: b.NC, Ts: p.ts}
+}
+
+// localPanel is a's unsplit panel over columns [0, NC), after checking that
+// a is canonical.
+func localPanel[T any](a COO[T]) panel[T] {
+	if err := CheckColMajor(a.Ts, 0, a.NR, 0, a.NC); err != nil {
+		panic(fmt.Sprintf("spmat: Multiply operand: %v", err))
+	}
+	_, p := scatterPanel([][]Triple[T]{a.Ts}, 0, a.NC, false)
+	return p
 }

@@ -63,55 +63,9 @@ func (l panelLayout) arrays(ints []int32) (cols, starts, mid, rows []int32) {
 	return cols, starts, mid, rows
 }
 
-// encodePanel encodes a block as one panel frame — the sender's whole share
-// of a SUMMA broadcast, done once however many ranks receive it; split makes
-// it a split panel. ts must be canonical (see fill).
-func encodePanel[T any](ts []Triple[T], split bool) []byte {
-	frame, p := allocPanel[T](countCols(ts), len(ts), split)
-	if len(ts) > 0 {
-		p.fill(ts)
-		p.commit(frame)
-	}
-	return frame
-}
-
-// allocPanel lays a panel of ncols columns and nnz entries out in a fresh
-// frame, which nobody else holds yet, and returns the frame and the panel's
-// arrays for the caller to fill: views of the frame, except the values of a
-// T that is not dense, a slice of their own until commit encodes them. With
-// no entries it is the empty panel's frame, and the arrays are nil.
-func allocPanel[T any](ncols, nnz int, split bool) ([]byte, panel[T]) {
-	if nnz == 0 {
-		frame, _ := wire.NewAlignedFrame[T](0)
-		return frame, panel[T]{}
-	}
-	width := wire.Width[T]()
-	if width < 0 {
-		panic(fmt.Sprintf("spmat: panel values of type %T have no fixed wire width", *new(T)))
-	}
-	l := layoutPanel(ncols, nnz, width, split)
-	frame, buf := wire.NewAlignedFrame[T](l.end)
-	binary.LittleEndian.PutUint32(buf, uint32(l.ncols))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(l.nnz))
-	ints, err := wire.Elems[int32](buf[8:8+4*l.words], l.words)
-	p := panel[T]{}
-	if wire.Dense[T]() {
-		if err == nil {
-			p.vals, err = wire.Elems[T](buf[8+4*l.words:], l.nnz)
-		}
-	} else {
-		p.vals = make([]T, l.nnz)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("spmat: panel frame: %v", err))
-	}
-	p.cols, p.starts, p.mid, p.rows = l.arrays(ints)
-	return frame, p
-}
-
-// commit encodes the values of a T that is not dense, which allocPanel gave
-// p as a slice of their own, into the end of frame, where its layout puts
-// them; a dense T's values are the frame already.
+// commit encodes the values of a T that is not dense, which allocScattered
+// gave p as a slice of their own, into the end of frame, where its layout
+// puts them; a dense T's values are the frame already.
 func (p panel[T]) commit(frame []byte) {
 	if !wire.Dense[T]() {
 		wire.AppendElems(frame[len(frame)-wire.Width[T]()*len(p.vals):][:0], p.vals)
@@ -119,23 +73,29 @@ func (p panel[T]) commit(frame []byte) {
 }
 
 // scatterPanel writes the block the parts hold, every column in
-// [colLo, colHi), as a split panel frame: one stable counting scatter by
-// (column, row parity) lists each column's even rows, then its odd rows, in
-// the order the parts hold them. Parts whose rows ascend across and within
-// them — the senders of a grid row, in rank order — give every sub-run
-// ascending; any other order, or a repeated cell, gives a frame decodePanel
-// refuses. It returns the frame and the panel's arrays.
-func scatterPanel[T any](parts [][]Triple[T], colLo, colHi int32) ([]byte, panel[T]) {
-	next := make([]int32, 2*(colHi-colLo)+1) // by (column, parity), shifted one up
+// [colLo, colHi), as one panel frame: one stable counting scatter by
+// (column, row parity) when split, by column alone otherwise, lists each
+// column's rows — a split panel's even rows, then its odd ones — in the order
+// the parts hold them. Parts in which each column's rows ascend across and
+// within them — a canonical block as its one part, or the senders of a grid
+// row in rank order — give every (sub-)run ascending; any other order, or a
+// repeated cell, gives a frame decodePanel refuses. It returns the frame and
+// the panel's arrays.
+func scatterPanel[T any](parts [][]Triple[T], colLo, colHi int32, split bool) ([]byte, panel[T]) {
+	s := int32(0) // the parity bit's width in the key
+	if split {
+		s = 1
+	}
+	next := make([]int32, (colHi-colLo)<<s+1) // by key, shifted one up
 	for _, part := range parts {
 		for _, t := range part {
-			next[2*(t.Col-colLo)+t.Row&1+1]++
+			next[(t.Col-colLo)<<s+t.Row&s+1]++
 		}
 	}
-	frame, p := allocScattered[T](next, colLo, true)
+	frame, p := allocScattered[T](next, colLo, split)
 	for _, part := range parts {
 		for _, t := range part {
-			k := 2*(t.Col-colLo) + t.Row&1
+			k := (t.Col-colLo)<<s + t.Row&s
 			p.rows[next[k]], p.vals[next[k]] = t.Row, t.Val
 			next[k]++
 		}
@@ -165,11 +125,14 @@ func transposePanel[T any](p panel[T], rowLo, rowHi int32) []byte {
 	return frame
 }
 
-// allocScattered is allocPanel for a counting scatter whose key counts are
-// next[1:]: one key per column from colLo up, or two for a split panel (its
-// even rows, then its odd ones). It turns next into each key's first slot
-// and fills the panel's column ids, run starts and mids, leaving the rows and
-// values to the scatter (and commit).
+// allocScattered lays out, in a fresh frame that nobody else holds yet, the
+// panel of a counting scatter whose key counts are next[1:]: one key per
+// column from colLo up, or two for a split panel (its even rows, then its odd
+// ones). It turns next into each key's first slot and fills the panel's
+// column ids, run starts and mids, leaving the rows and values to the scatter
+// (and commit): views of the frame, except the values of a T that is not
+// dense, a slice of their own until commit encodes them. With no entries it
+// is the empty panel's frame, and the arrays are nil.
 func allocScattered[T any](next []int32, colLo int32, split bool) ([]byte, panel[T]) {
 	stride := 1
 	if split {
@@ -179,16 +142,37 @@ func allocScattered[T any](next []int32, colLo int32, split bool) ([]byte, panel
 		next[k] += next[k-1]
 	}
 	span, n := (len(next)-1)/stride, int(next[len(next)-1])
+	if n == 0 {
+		frame, _ := wire.NewAlignedFrame[T](0)
+		return frame, panel[T]{}
+	}
+	width := wire.Width[T]()
+	if width < 0 {
+		panic(fmt.Sprintf("spmat: panel values of type %T have no fixed wire width", *new(T)))
+	}
 	ncols := 0
 	for c := range span {
 		if next[(c+1)*stride] > next[c*stride] {
 			ncols++
 		}
 	}
-	frame, p := allocPanel[T](ncols, n, split)
-	if n == 0 {
-		return frame, p
+	l := layoutPanel(ncols, n, width, split)
+	frame, buf := wire.NewAlignedFrame[T](l.end)
+	binary.LittleEndian.PutUint32(buf, uint32(l.ncols))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(l.nnz))
+	ints, err := wire.Elems[int32](buf[8:8+4*l.words], l.words)
+	p := panel[T]{}
+	if wire.Dense[T]() {
+		if err == nil {
+			p.vals, err = wire.Elems[T](buf[8+4*l.words:], l.nnz)
+		}
+	} else {
+		p.vals = make([]T, l.nnz)
 	}
+	if err != nil {
+		panic(fmt.Sprintf("spmat: panel frame: %v", err))
+	}
+	p.cols, p.starts, p.mid, p.rows = l.arrays(ints)
 	r := 0
 	for c := range span {
 		if lo := next[c*stride]; next[(c+1)*stride] > lo {
@@ -201,71 +185,6 @@ func allocScattered[T any](next []int32, colLo int32, split bool) ([]byte, panel
 	}
 	p.starts[ncols] = int32(n)
 	return frame, p
-}
-
-// newPanel is the unsplit panel of a canonical block held locally, in
-// memory of its own.
-func newPanel[T any](ts []Triple[T]) panel[T] {
-	l := layoutPanel(countCols(ts), len(ts), 0, false)
-	p := panel[T]{vals: make([]T, l.nnz)}
-	p.cols, p.starts, p.mid, p.rows = l.arrays(make([]int32, l.words))
-	p.fill(ts)
-	return p
-}
-
-// countCols is the number of distinct columns of a column-clustered block.
-func countCols[T any](ts []Triple[T]) int {
-	n := min(len(ts), 1)
-	for i := 1; i < len(ts); i++ {
-		if ts[i].Col != ts[i-1].Col {
-			n++
-		}
-	}
-	return n
-}
-
-// fill writes the arrays of the panel of ts into p, which is sized for it
-// and split when p.mid is not nil. ts must be canonical (columns ascending,
-// rows strictly ascending within each): a block that is not panics here, on
-// the rank that holds it.
-func (p panel[T]) fill(ts []Triple[T]) {
-	e := 0
-	for r, lo := 0, 0; lo < len(ts); r++ {
-		hi := runEnd(ts, lo)
-		col := ts[lo].Col
-		if lo > 0 && col < ts[lo-1].Col {
-			panic(fmt.Sprintf("spmat: SUMMA panel column %d after %d is not column-major", col, ts[lo-1].Col))
-		}
-		run := ts[lo:hi]
-		for i := 1; i < len(run); i++ {
-			if run[i].Row <= run[i-1].Row {
-				panic(fmt.Sprintf("spmat: SUMMA panel row %d after %d in column %d does not strictly ascend", run[i].Row, run[i-1].Row, col))
-			}
-		}
-		p.cols[r], p.starts[r] = col, int32(e)
-		if p.mid != nil {
-			for _, t := range run {
-				if t.Row&1 == 0 {
-					p.rows[e], p.vals[e] = t.Row, t.Val
-					e++
-				}
-			}
-			p.mid[r] = int32(e)
-			for _, t := range run {
-				if t.Row&1 == 1 {
-					p.rows[e], p.vals[e] = t.Row, t.Val
-					e++
-				}
-			}
-		} else {
-			for _, t := range run {
-				p.rows[e], p.vals[e] = t.Row, t.Val
-				e++
-			}
-		}
-		lo = hi
-	}
-	p.starts[len(p.cols)] = int32(e)
 }
 
 // decodePanel returns the panel a frame holds as views of the frame, after

@@ -2,8 +2,10 @@ package spmat
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -96,7 +98,7 @@ func TestSpGEMMLeavesBroadcastFramesIntact(t *testing.T) {
 func TestDecodePanelAlignment(t *testing.T) {
 	ts := []Triple[uint32]{{Row: 0, Col: 3, Val: 7}, {Row: 5, Col: 3, Val: 8}, {Row: 2, Col: 9, Val: 9}}
 	for _, split := range []bool{false, true} {
-		frame := encodePanel(ts, split)
+		frame := frameOf(ts, 0, 16, split)
 		if _, err := decodePanel[uint32](frame, 0, 16, 0, 8, split); err != nil {
 			t.Fatalf("split=%v: aligned frame refused: %v", split, err)
 		}
@@ -106,7 +108,7 @@ func TestDecodePanelAlignment(t *testing.T) {
 			t.Errorf("split=%v: frame 1 byte off decoded, error %v", split, err)
 		}
 	}
-	empty := encodePanel[uint32](nil, true)
+	empty := frameOf[uint32](nil, 0, 16, true)
 	off := make([]byte, len(empty)+16)[1 : 1+len(empty)]
 	copy(off, empty)
 	if p, err := decodePanel[uint32](off, 0, 16, 0, 8, true); err != nil || len(p.cols)+len(p.rows) != 0 {
@@ -157,10 +159,10 @@ func transposed[T any](ts []Triple[T]) []Triple[T] {
 func FuzzDecodePanel(f *testing.F) {
 	const colLo, colHi, rowLo, rowHi = 2, 40, 0, 64
 	ts := []Triple[uint32]{{Row: 1, Col: 2, Val: 10}, {Row: 4, Col: 2, Val: 11}, {Row: 7, Col: 2, Val: 12}, {Row: 63, Col: 39, Val: 13}}
-	f.Add(encodePanel(ts, true), uint8(0))
-	f.Add(encodePanel(ts, false), uint8(0))
-	f.Add(encodePanel(ts, false), uint8(1))
-	f.Add(encodePanel[uint32](nil, false), uint8(3))
+	f.Add(frameOf(ts, colLo, colHi, true), uint8(0))
+	f.Add(frameOf(ts, colLo, colHi, false), uint8(0))
+	f.Add(frameOf(ts, colLo, colHi, false), uint8(1))
+	f.Add(frameOf[uint32](nil, colLo, colHi, false), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
 		buf := make([]byte, len(data)+16) // ≥ 16 bytes: 8-aligned base
 		frame := buf[off%8 : int(off%8)+len(data)]
@@ -184,16 +186,25 @@ func FuzzDecodePanel(f *testing.F) {
 			if err != nil {
 				t.Fatalf("split=%v: decoded panel is not canonical: %v", split, err)
 			}
-			if again := encodePanel(ts, split); !bytes.Equal(again, frame) {
+			if again := frameOf(ts, colLo, colHi, split); !bytes.Equal(again, frame) {
 				t.Fatalf("split=%v: re-encoded\n%x\nwant\n%x", split, again, frame)
 			}
 		}
 	})
 }
 
+// frameOf is the panel frame of a canonical block over columns
+// [colLo, colHi), scattered as one part.
+func frameOf[T any](ts []Triple[T], colLo, colHi int32, split bool) []byte {
+	frame, _ := scatterPanel([][]Triple[T]{ts}, colLo, colHi, split)
+	return frame
+}
+
 // TestPanelRoundTrip: an encoded canonical block decodes to its own entries,
 // split or not, for a dense value type and for a padded one that decodes into
-// a copy.
+// a copy; and the same block cut at random row boundaries into row-grouped
+// parts whose rows ascend across them, empty parts included — FromRows'
+// shape — scatters to the same frame bytes.
 func TestPanelRoundTrip(t *testing.T) {
 	type padded struct {
 		Tag uint8
@@ -202,22 +213,57 @@ func TestPanelRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		var ts []Triple[padded]
+		var dense []Triple[int64]
 		for c := int32(0); c < 30; c++ {
 			for r := int32(0); r < 50; r++ {
 				if rng.Intn(5) == 0 {
 					ts = append(ts, Triple[padded]{Row: r, Col: c, Val: padded{uint8(r), c * r}})
+					dense = append(dense, Triple[int64]{Row: r, Col: c, Val: int64(c*r) << 32})
 				}
 			}
 		}
-		for _, split := range []bool{false, true} {
-			p, err := decodePanel[padded](encodePanel(ts, split), 0, 30, 0, 50, split)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.triples(0, 30, 0, 50)
-			if err != nil || fmt.Sprint(got) != fmt.Sprint(ts) {
-				t.Fatalf("trial %d split=%v: round trip %v, %v", trial, split, got, err)
-			}
+		roundTrip(t, rng, trial, ts)
+		roundTrip(t, rng, trial, dense)
+	}
+}
+
+// roundTrip is TestPanelRoundTrip's check of one canonical block over
+// columns [0, 30) × rows [0, 50).
+func roundTrip[T any](t *testing.T, rng *rand.Rand, trial int, ts []Triple[T]) {
+	t.Helper()
+	parts := rowParts(rng, ts)
+	for _, split := range []bool{false, true} {
+		frame := frameOf(ts, 0, 30, split)
+		p, err := decodePanel[T](frame, 0, 30, 0, 50, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.triples(0, 30, 0, 50)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(ts) {
+			t.Fatalf("trial %d %T split=%v: round trip %v, %v", trial, *new(T), split, got, err)
+		}
+		if cut, _ := scatterPanel(parts, 0, 30, split); !bytes.Equal(cut, frame) {
+			t.Fatalf("trial %d %T split=%v: the block cut into %d row parts scatters to\n%x\nwant\n%x", trial, *new(T), split, len(parts), cut, frame)
 		}
 	}
+}
+
+// rowParts regroups ts by row, each row's columns in random order, and cuts
+// it at random row boundaries, the ends included, into parts — none, one or
+// more of them empty at each cut.
+func rowParts[T any](rng *rand.Rand, ts []Triple[T]) [][]Triple[T] {
+	rows := slices.Clone(ts)
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	slices.SortStableFunc(rows, func(x, y Triple[T]) int { return cmp.Compare(x.Row, y.Row) })
+	var parts [][]Triple[T]
+	lo := 0
+	for i := 0; i <= len(rows); i++ {
+		if i > 0 && i < len(rows) && rows[i].Row == rows[i-1].Row {
+			continue
+		}
+		for rng.Intn(3) == 0 {
+			parts, lo = append(parts, rows[lo:i]), i
+		}
+	}
+	return append(parts, rows[lo:])
 }
