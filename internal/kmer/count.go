@@ -1,6 +1,9 @@
 package kmer
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // This file is the allocation-lean counting substrate behind CountAndBuild:
 // a cache-line-blocked Bloom filter that absorbs first occurrences (HipMer's
@@ -8,7 +11,8 @@ import "math/bits"
 // enter the count table) and an open-addressing Kmer→int32 table that
 // replaces the builtin map on the owner-side counting hot path.
 //
-// Counting is two-phase over the received occurrence parts:
+// Counting is two-phase over the received run parts (runs.go), each walked
+// with a rolling k-mer encoder once per phase:
 //
 //	observe: a k-mer already marked in the filter is admitted to the table
 //	         (it has possibly been seen before); an unmarked k-mer only sets
@@ -41,26 +45,8 @@ import "math/bits"
 // the all-ones word can never be a canonical k-mer.
 const emptyKmer = ^Kmer(0)
 
-// tableHash re-finalizes hash(km) for table slots and Bloom blocks. The
-// extra mix is load-bearing: Owner routing selects this rank's k-mers by
-// hash(km) mod P, so every k-mer an owner counts shares its low hash bits
-// at power-of-two rank counts — indexing the table or filter with hash(km)
-// directly would leave only 1/P of the blocks and start slots reachable,
-// saturating the filter and clustering the probes exactly where the
-// pipeline runs (P = 4, 16). A second finalizer round decorrelates the
-// bits (murmur3's 64-bit finalizer).
-func tableHash(km Kmer) uint64 {
-	h := hash(km)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
 // CountTable is an open-addressing Kmer → int32 hash table (linear probing,
-// power-of-two capacity, splitmix-hashed keys). It is the allocation-lean
+// power-of-two capacity, keys mixed by hash). It is the allocation-lean
 // replacement for map[Kmer]int32 on the counting hot path, and once its
 // counts are marked (MarkReliable) its values are the column ids of the
 // reply step (number).
@@ -87,8 +73,11 @@ func NewCountTable() *CountTable {
 func (t *CountTable) Len() int { return t.n }
 
 // slot returns the index holding km, or the vacant slot where it belongs.
-func (t *CountTable) slot(km Kmer) int {
-	i := tableHash(km) & t.mask
+func (t *CountTable) slot(km Kmer) int { return t.slotAt(km, hash(km)) }
+
+// slotAt is slot for a k-mer whose hash the caller already took.
+func (t *CountTable) slotAt(km Kmer, h uint64) int {
+	i := h & t.mask
 	for t.kms[i] != emptyKmer && t.kms[i] != km {
 		i = (i + 1) & t.mask
 	}
@@ -123,8 +112,11 @@ func (t *CountTable) insert(i int, km Kmer, v int32) {
 
 // Admit inserts km with value 0 if absent (phase-1 admission; no-op when
 // already present).
-func (t *CountTable) Admit(km Kmer) {
-	if i := t.slot(km); t.kms[i] == emptyKmer {
+func (t *CountTable) Admit(km Kmer) { t.admitAt(km, hash(km)) }
+
+// admitAt is Admit for a k-mer whose hash the caller already took.
+func (t *CountTable) admitAt(km Kmer, h uint64) {
+	if i := t.slotAt(km, h); t.kms[i] == emptyKmer {
 		t.insert(i, km, 0)
 	}
 }
@@ -251,8 +243,10 @@ func (b *blockedBloom) testAndSet(h uint64) bool {
 	return present
 }
 
-// counter is the streaming two-phase counting state of one owner rank.
+// counter is the streaming two-phase counting state of one owner rank over
+// run parts of k-mers of length k.
 type counter struct {
+	k     int
 	low   int32
 	bloom *blockedBloom // nil when low < 2: every k-mer is admitted
 	table *CountTable
@@ -260,65 +254,97 @@ type counter struct {
 
 // newCounter sizes the Bloom filter for about expectedOcc incoming
 // occurrences (the rank's own outgoing total is the proxy CountAndBuild uses:
-// the k-mer hash spreads occurrences uniformly, so in ≈ out). The table
-// starts at its floor and grows with what it admits: most k-mers at the
+// the minimizer hash spreads occurrences about evenly, so in ≈ out). The
+// table starts at its floor and grows with what it admits: most k-mers at the
 // counting stage are sequencing-error singletons the filter keeps out.
-func newCounter(low int32, expectedOcc int) *counter {
-	c := &counter{low: low, table: NewCountTable()}
+func newCounter(k int, low int32, expectedOcc int) *counter {
+	c := &counter{k: k, low: low, table: NewCountTable()}
 	if low >= 2 {
 		c.bloom = newBloom(expectedOcc)
 	}
 	return c
 }
 
-// observe runs phase 1 (admission) over one received part; parts may be
+// observe runs phase 1 (admission) over one received run part; parts may be
 // observed in any order (see the file comment for why selection stays
 // order-invariant).
-func (c *counter) observe(part []uint64) {
-	if c.bloom == nil {
-		for _, w := range part {
-			c.table.Admit(Kmer(w))
-		}
-		return
-	}
-	for _, w := range part {
-		km := Kmer(w)
-		if c.bloom.testAndSet(tableHash(km)) {
-			c.table.Admit(km)
+func (c *counter) observe(part []byte) { c.walk(part, false, nil) }
+
+// tally runs phase 2 (exact counting) over one run part and records each
+// occurrence's slot in slots, when not nil (one entry per k-mer of the part,
+// in order; -1 for a k-mer the table did not admit). CountAndBuild tallies
+// the retained parts in rank order in both comm modes, into the reply
+// buffers that number then turns into column ids. It must follow every
+// observe: an admission after it could move the slots it recorded.
+func (c *counter) tally(part []byte, slots []int32) { c.walk(part, true, slots) }
+
+// walk expands every record of part, which checkRuns accepted, into its
+// canonical k-mers and admits (phase 1) or tallies (phase 2) each in turn:
+// the first k-mer of a run is read from its first bases at once, the rest by
+// rolling one base each, into no buffer.
+func (c *counter) walk(part []byte, tally bool, slots []int32) {
+	k := c.k
+	mask := Kmer(1)<<(2*uint(k)) - 1
+	shift := 2 * uint(k-1)
+	j := 0
+	for off := 0; off < len(part); {
+		n := int(binary.LittleEndian.Uint16(part[off:]))
+		bases := part[off+runHeader : off+runBytes(n, k)]
+		off += runBytes(n, k)
+		fwd := firstKmer(bases, k)
+		rc := RevComp(fwd, k)
+		for b := k; ; b++ {
+			km := min(fwd, rc)
+			if tally {
+				s := c.table.tally(km)
+				if slots != nil {
+					slots[j] = s
+				}
+				j++
+			} else if h := hash(km); c.bloom == nil || c.bloom.testAndSet(h) {
+				c.table.admitAt(km, h)
+			}
+			if b == n+k-1 {
+				break
+			}
+			code := Kmer(bases[b>>2]>>(6-2*uint(b&3))) & 3
+			fwd = (fwd<<2 | code) & mask
+			rc = rc>>2 | (3-code)<<shift
 		}
 	}
 }
 
-// tally runs phase 2 (exact counting) over one part and records each
-// occurrence's slot in slots (len(part) entries; -1 for a k-mer the table did
-// not admit). CountAndBuild tallies the retained parts in rank order in both
-// comm modes, into the reply buffers that number then turns into column ids.
-// It must follow every observe: an admission after it could move the slots
-// it recorded.
-func (c *counter) tally(part []uint64, slots []int32) {
-	for i, w := range part {
-		slots[i] = c.table.tally(Kmer(w))
+// firstKmer returns the k-mer of the first k bases of a record's packed
+// bases, which hold at least k: they are its leading 2k bits.
+func firstKmer(bases []byte, k int) Kmer {
+	var w uint64
+	if len(bases) >= 8 {
+		w = binary.BigEndian.Uint64(bases)
+	} else {
+		for i, b := range bases {
+			w |= uint64(b) << (56 - 8*uint(i))
+		}
 	}
+	return Kmer(w >> (64 - 2*uint(k)))
 }
 
 // CountOccurrences is the two-phase Bloom-filtered counting kernel over
-// complete occurrence parts (packed canonical k-mers): k-mers seen once never
-// enter the table when low ≥ 2, and every stored count is exact. It returns
-// the same reliable selection as the map-based reference for any low ≥ 1
-// (when low < 2 the filter is bypassed so singletons are counted too).
-func CountOccurrences(parts [][]uint64, low int32) *CountTable {
+// complete run parts of k-mers of length k: k-mers seen once never enter the
+// table when low ≥ 2, and every stored count is exact. It returns the same
+// reliable selection as the map-based reference for any low ≥ 1 (when
+// low < 2 the filter is bypassed so singletons are counted too). A malformed
+// part panics naming its index.
+func CountOccurrences(parts [][]byte, k int, low int32) *CountTable {
 	var occ int
-	for _, p := range parts {
-		occ += len(p)
+	for src, p := range parts {
+		occ += runOccurrences(p, k, src)
 	}
-	c := newCounter(low, occ)
+	c := newCounter(k, low, occ)
 	for _, p := range parts {
 		c.observe(p)
 	}
 	for _, p := range parts {
-		for _, w := range p {
-			c.table.tally(Kmer(w))
-		}
+		c.tally(p, nil)
 	}
 	return c.table
 }

@@ -13,7 +13,11 @@ import (
 )
 
 // randParts builds occurrence parts over a small k-mer universe so duplicate
-// counts and Bloom collisions are common.
+// counts and Bloom collisions are common. Every word below 4²⁵ is a canonical
+// k-mer at k = randK (its reverse complement starts with a base other than
+// A), so wordRuns turns the parts into run parts of the same k-mers.
+const randK = 31
+
 func randParts(rng *rand.Rand, nParts, maxLen, universe int) [][]uint64 {
 	parts := make([][]uint64, nParts)
 	for r := range parts {
@@ -35,7 +39,7 @@ func TestCountOccurrencesMatchesMap(t *testing.T) {
 		parts := randParts(rng, 1+rng.Intn(5), 400, 1+rng.Intn(300))
 		ref := countOccurrencesMap(parts)
 		for _, low := range []int32{1, 2, 3} {
-			got := CountOccurrences(parts, low)
+			got := CountOccurrences(wordRuns(parts, randK), randK, low)
 			// Every k-mer with count ≥ max(low,2) must be admitted with its
 			// exact count; admitted singletons (false positives) keep exact
 			// count 1.
@@ -62,7 +66,7 @@ func TestCountOccurrencesMatchesMap(t *testing.T) {
 // singletons must be counted even though no Bloom filter runs.
 func TestCountOccurrencesLowBypass(t *testing.T) {
 	parts := [][]uint64{{7, 7, 9}, {11}}
-	got := CountOccurrences(parts, 1)
+	got := CountOccurrences(wordRuns(parts, randK), randK, 1)
 	for km, want := range map[Kmer]int32{7: 2, 9: 1, 11: 1} {
 		if c, ok := got.Get(km); !ok || c != want {
 			t.Fatalf("k-mer %d: count %d (present=%v), want %d", km, c, ok, want)
@@ -80,12 +84,13 @@ func TestCounterTinyBloomCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
 		parts := randParts(rng, 3, 500, 2000)
-		c := &counter{low: 2, bloom: newBloomBlocks(1), table: NewCountTable()}
-		for _, p := range parts {
+		c := &counter{k: randK, low: 2, bloom: newBloomBlocks(1), table: NewCountTable()}
+		runs := wordRuns(parts, randK)
+		for _, p := range runs {
 			c.observe(p)
 		}
-		for _, p := range parts {
-			c.tally(p, make([]int32, len(p)))
+		for _, p := range runs {
+			c.tally(p, nil)
 		}
 		ref := countOccurrencesMap(parts)
 		want := SelectReliable(ref, 2, 1<<20)
@@ -112,15 +117,16 @@ func TestCountObserveOrderInvariance(t *testing.T) {
 	for _, p := range parts {
 		occ += len(p)
 	}
-	base := reliableOf(CountOccurrences(parts, 2), 2, 1<<20)
+	runs := wordRuns(parts, randK)
+	base := reliableOf(CountOccurrences(runs, randK, 2), 2, 1<<20)
 	for trial := 0; trial < 20; trial++ {
 		order := rng.Perm(len(parts))
-		c := newCounter(2, occ)
+		c := newCounter(randK, 2, occ)
 		for _, i := range order {
-			c.observe(parts[i])
+			c.observe(runs[i])
 		}
-		for _, p := range parts { // tally always runs in rank order
-			c.tally(p, make([]int32, len(p)))
+		for _, p := range runs { // tally always runs in rank order
+			c.tally(p, nil)
 		}
 		if got := reliableOf(c.table, 2, 1<<20); !reflect.DeepEqual(got, base) {
 			t.Fatalf("trial %d: selection depends on observe order", trial)

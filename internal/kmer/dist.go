@@ -1,6 +1,8 @@
 package kmer
 
 import (
+	"fmt"
+
 	"repro/internal/fasta"
 	"repro/internal/mpi"
 	"repro/internal/par"
@@ -31,22 +33,30 @@ type Result struct {
 //
 // Protocol (all collectives on the full communicator):
 //  1. Every rank extracts canonical k-mers from its reads into one flat
-//     occurrence stream, in read order, and routes one k-mer word per
-//     (read, k-mer) occurrence to the k-mer's hash owner (Alltoallv #1). The
-//     read and position of an occurrence stay in the stream: nothing else is
-//     kept per routed word.
-//  2. Owners count occurrences, mark reliable k-mers in [low, high], and
-//     take a globally consecutive range of column ids via Exscan. Counting
-//     is the two-phase Bloom-filtered scheme of count.go when low ≥ 2
-//     (singletons never enter the table); low < 2 bypasses the filter so
-//     every count is taken exactly. The tally records each received
-//     occurrence's table slot in the reply buffer.
-//  3. Owners answer every received occurrence with its column id or -1
-//     (Alltoallv #2, reply shape mirrors the request shape), numbering
-//     each reliable k-mer in order of first appearance, read off the slots
-//     the tally recorded.
+//     occurrence stream, in read order, keeping each kept window's position,
+//     strand and owner — the owner of the k-mer's canonical minimizer
+//     (Owner). It routes each read's maximal runs of consecutive kept
+//     windows that share an owner to that owner as one record of 2-bit
+//     packed bases (runs.go; Alltoallv #1). The read and position of an
+//     occurrence stay in the stream: no k-mer word is kept or sent.
+//  2. Owners check every received part's records (a malformed one panics
+//     naming its sender), expand the runs into k-mers with a rolling
+//     encoder, count them, mark reliable k-mers in [low, high], and take a
+//     globally consecutive range of column ids via Exscan. Counting is the
+//     two-phase Bloom-filtered scheme of count.go when low ≥ 2 (singletons
+//     never enter the table); low < 2 bypasses the filter so every count is
+//     taken exactly. The tally records each received occurrence's table slot
+//     in the reply buffer.
+//  3. Owners answer every received occurrence, in the order its runs expand
+//     to, with its column id or -1 (Alltoallv #2, one int32 per occurrence,
+//     so the reply is the request's occurrences in the sender's stream
+//     order), numbering each reliable k-mer in order of first appearance,
+//     read off the slots the tally recorded.
 //  4. Ranks walk their stream in read order again, one cursor per owner
 //     into its reply, and emit the surviving triples in that order.
+//
+// A k-mer and its reverse complement share their canonical minimizer, so
+// every occurrence of a k-mer meets at one owner and counts are exact.
 //
 // threads sets the intra-rank worker count for the extraction scan (step 1),
 // the rank's compute-heavy loop; ≤ 1 scans serially. Routing order — and
@@ -56,7 +66,7 @@ type Result struct {
 //
 // Both exchanges are one mpi.IAlltoallv each, so every message honours
 // mpi.MaxMessageBytes and the rank's own part is handed over, not copied.
-// Both are packed in place into mpi.Bufs, so a routed word or reply is
+// Both are packed in place into mpi.Bufs, so a routed record or reply is
 // written once by its sender and read where it lands: in process the owner
 // reads the sender's buffer itself, over TCP the frame its reader filled.
 // Alltoallv #1 is posted as soon as the stream is routed; the rank sizes its
@@ -67,37 +77,42 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	c := store.Comm
 	p := c.Size()
 	checkK(k)
+	if p > 1<<16 {
+		panic(fmt.Sprintf("kmer: %d ranks: the occurrence stream holds owners in 16 bits", p))
+	}
 
 	// 1. Extract (in parallel, each read into its span of the stream) and
 	// route (serially, in read order — the wire layout is deterministic).
 	pool := par.NewPool(threads, func(int) *ExtractScratch { return new(ExtractScratch) })
 	pool.SetTrace(c.Lane(), "kmer.extract")
-	s := extract(pool, store.Seqs, k)
-	sendKmers := s.route(p)
+	s := extract(pool, store.Seqs, k, p)
+	send := s.route(store.Seqs, k, p)
 	var occ int64
-	for _, part := range sendKmers {
-		occ += int64(len(part.Elems()))
+	for i, end := range s.end {
+		occ += int64(end - s.start[i])
 	}
-	req := mpi.IAlltoallv(c, sendKmers)
+	req := mpi.IAlltoallv(c, send)
 
 	// 2. Count and select on owners. Phase 1 (admission) observes the local
 	// part first, then each remote part in rank order; phase 2 (the exact
 	// tally) runs over the parts in rank order, so stored counts never depend
 	// on the arrival schedule. The rank's own outgoing total is the sizing
-	// proxy for what it receives: the k-mer hash spreads occurrences
-	// uniformly across owners.
-	cnt := newCounter(low, int(occ))
-	recvKmers := req.WaitValue()
-	cnt.observe(recvKmers[c.Rank()])
-	for src, part := range recvKmers {
+	// proxy for what it receives: the minimizer hash spreads occurrences
+	// about evenly across owners.
+	cnt := newCounter(k, low, int(occ))
+	recv := req.WaitValue()
+	reply := make([]mpi.Buf[int32], p)
+	for src, part := range recv {
+		reply[src] = mpi.NewBuf[int32](runOccurrences(part, k, src))
+	}
+	cnt.observe(recv[c.Rank()])
+	for src, part := range recv {
 		if src != c.Rank() {
 			cnt.observe(part)
 		}
 	}
-	reply := make([]mpi.Buf[int32], p)
-	for r, part := range recvKmers {
-		reply[r] = mpi.NewBuf[int32](len(part))
-		cnt.tally(part, reply[r].Elems())
+	for src, part := range recv {
+		cnt.tally(part, reply[src].Elems())
 	}
 	nLocal := cnt.table.MarkReliable(low, high)
 	if reg := c.Metrics(); reg != nil {
@@ -116,23 +131,23 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 	offset := mpi.Exscan(c, nLocal, func(a, b int) int { return a + b })
 	total := mpi.Allreduce(c, nLocal, func(a, b int) int { return a + b })
 
-	// 3. Reply with column ids, mirroring the request shape — including
-	// parts whose entries are all -1 (no reliable k-mer matched). The shape
-	// mirror is load-bearing: the requester matches replies positionally
-	// against its own stream, so compacting all-miss parts would need an
-	// extra index channel that costs more than the -1 words it saves, and
-	// would change the wire traffic between runs with different [low, high].
-	// TestReplyShapeMirrorsRequests pins this: both comm modes produce the
-	// same reply shape even when every part is all-miss.
+	// 3. Reply with column ids, mirroring the request's occurrences —
+	// including parts whose entries are all -1 (no reliable k-mer matched).
+	// The shape mirror is load-bearing: the requester matches replies
+	// positionally against its own stream, so compacting all-miss parts would
+	// need an extra index channel that costs more than the -1 words it saves,
+	// and would change the wire traffic between runs with different
+	// [low, high]. TestReplyShapeMirrorsRequests pins this: both comm modes
+	// produce the same reply shape even when every part is all-miss.
 	//
 	// The count table's values are the column ids, and a reliable k-mer is
 	// numbered at its first occurrence: the owner's ids, its Exscan range,
 	// follow first appearance in rank order, then part order — together
-	// global read order — then extraction order. Neighbouring k-mers of one
-	// read mostly get neighbouring ids, or met each other first along an
-	// earlier read that overlaps it, so the multiply's consecutive B entries
-	// open neighbouring runs of the A panel (DESIGN.md §8). Nothing
-	// downstream depends on which id a k-mer gets.
+	// global read order — then extraction order. The k-mers of one run
+	// share an owner, so those first seen together get consecutive ids, and
+	// the multiply's consecutive B entries open neighbouring runs of the A
+	// panel (DESIGN.md §8). Nothing downstream depends on which id a k-mer
+	// gets.
 	next := int32(offset)
 	for _, slots := range reply {
 		cnt.table.number(slots.Elems(), &next)
@@ -145,53 +160,75 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 }
 
 // stream is one rank's extracted k-mer occurrences, flat and in read order:
-// local read i's canonical k-mers, in extraction order, are
-// kms[start[i]:end[i]], and occ holds their positions and strands beside
-// them. start comes from the reads' window counts before the scan, so the
-// pool's workers write every read in place; a read keeps end[i]−start[i] of
-// its windows after invalid bases and duplicates are dropped, and the rest of
-// its span is never read.
+// local read i's kept windows, in extraction order, are
+// occ[start[i]:end[i]] — each window's position and strand — with the owner
+// of each window's k-mer beside it in own. start comes from the reads'
+// window counts before the scan, so the pool's workers write every read in
+// place; a read keeps end[i]−start[i] of its windows after invalid bases and
+// duplicates are dropped, and the rest of its span is never read. The
+// k-mers themselves are not kept: the read's bases are where route packs
+// them from.
 type stream struct {
-	kms   []uint64
 	occ   []Occur
+	own   []uint16
 	start []int // by read, plus one past the last span
 	end   []int
 }
 
-// extract scans seqs into a stream, each read by one of pool's workers.
-func extract(pool *par.Pool[*ExtractScratch], seqs [][]byte, k int) *stream {
+// extract scans seqs into a stream for p owners, each read by one of pool's
+// workers.
+func extract(pool *par.Pool[*ExtractScratch], seqs [][]byte, k, p int) *stream {
 	s := &stream{start: make([]int, len(seqs)+1), end: make([]int, len(seqs))}
 	for i, seq := range seqs {
 		s.start[i+1] = s.start[i] + windows(len(seq), k)
 	}
-	s.kms = make([]uint64, s.start[len(seqs)])
 	s.occ = make([]Occur, s.start[len(seqs)])
+	s.own = make([]uint16, s.start[len(seqs)])
 	par.ForEach(pool, len(seqs), func(sc *ExtractScratch, i int) {
 		lo, hi := s.start[i], s.start[i+1]
-		s.end[i] = lo + sc.scan(seqs[i], k, s.kms[lo:hi], s.occ[lo:hi])
+		s.end[i] = lo + sc.scan(seqs[i], k, p, nil, s.occ[lo:hi], s.own[lo:hi])
 	})
 	return s
 }
 
-// route packs the stream's k-mers by owner, in read order, into send buffers
-// sized by a counting pre-pass; part o is what owner o is sent.
-func (s *stream) route(p int) []mpi.Buf[uint64] {
-	counts := make([]int, p)
+// runLen returns the length of the run that starts at the stream's window j,
+// of a read whose kept windows end at end: the windows from j on, at most
+// maxRun, whose positions follow one another (a dropped duplicate or an
+// invalid base leaves a gap) and whose owners agree.
+func (s *stream) runLen(j, end int) int {
+	own, occ := s.own[j:end], s.occ[j:end]
+	n := 1
+	for n < len(own) && n < maxRun && own[n] == own[0] && occ[n].Pos() == occ[0].Pos()+int32(n) {
+		n++
+	}
+	return n
+}
+
+// route packs the stream's runs (runs.go) by owner, in read order, into send
+// buffers sized by a counting pre-pass, from the bases of seqs, the reads
+// the stream was extracted from; part o is what owner o is sent.
+func (s *stream) route(seqs [][]byte, k, p int) []mpi.Buf[byte] {
+	size := make([]int, p)
 	for i, end := range s.end {
-		for _, km := range s.kms[s.start[i]:end] {
-			counts[Owner(Kmer(km), p)]++
+		for j := s.start[i]; j < end; {
+			n := s.runLen(j, end)
+			size[s.own[j]] += runBytes(n, k)
+			j += n
 		}
 	}
-	parts := make([]mpi.Buf[uint64], p)
-	fill := make([][]uint64, p)
-	for o, n := range counts {
-		parts[o] = mpi.NewBuf[uint64](n)
-		fill[o] = parts[o].Elems()[:0]
+	parts := make([]mpi.Buf[byte], p)
+	fill := make([][]byte, p)
+	for o, n := range size {
+		parts[o] = mpi.NewBuf[byte](n)
+		fill[o] = parts[o].Elems()
 	}
 	for i, end := range s.end {
-		for _, km := range s.kms[s.start[i]:end] {
-			o := Owner(Kmer(km), p)
-			fill[o] = append(fill[o], km)
+		for j := s.start[i]; j < end; {
+			n := s.runLen(j, end)
+			o, pos := s.own[j], int(s.occ[j].Pos())
+			putRun(fill[o], seqs[i][pos:pos+n+k-1], n)
+			fill[o] = fill[o][runBytes(n, k):]
+			j += n
 		}
 	}
 	return parts
@@ -199,14 +236,15 @@ func (s *stream) route(p int) []mpi.Buf[uint64] {
 
 // emit builds the triples of A of the stream's reads (global ids from lo)
 // from the owners' replies cols: cols[o] answers, in order, the occurrences
-// route sent owner o, each with its column id or -1 for an unreliable k-mer.
-// A walk of the stream in read order, one cursor per owner, matches every
-// occurrence with its answer and appends the survivors to one exact-size
-// buffer, so the triples leave row-grouped: rows ascending, each read's
-// columns in the order its scan found them. A read holds a k-mer at most once
-// (the scan deduplicates), so its columns are distinct. Nothing here sorts:
-// spmat.FromRows puts A in order once, where it is distributed, as it
-// scatters A into the panel frames the multiply broadcasts.
+// of the runs route sent owner o, each with its column id or -1 for an
+// unreliable k-mer. A walk of the stream in read order, one cursor per
+// owner, matches every occurrence with its answer and appends the survivors
+// to one exact-size buffer, so the triples leave row-grouped: rows
+// ascending, each read's columns in the order its scan found them. A read
+// holds a k-mer at most once (the scan deduplicates), so its columns are
+// distinct. Nothing here sorts: spmat.FromRows puts A in order once, where
+// it is distributed, as it scatters A into the panel frames the multiply
+// broadcasts.
 func (s *stream) emit(lo int, cols [][]int32) []ATriple {
 	n := 0
 	for _, part := range cols {
@@ -221,7 +259,7 @@ func (s *stream) emit(lo int, cols [][]int32) []ATriple {
 	for i, end := range s.end {
 		row := int32(lo + i)
 		for j := s.start[i]; j < end; j++ {
-			o := Owner(Kmer(s.kms[j]), len(cols))
+			o := s.own[j]
 			if col := cols[o][cursor[o]]; col >= 0 {
 				out = append(out, ATriple{Row: row, Col: col, Val: s.occ[j]})
 			}

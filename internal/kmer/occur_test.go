@@ -61,21 +61,20 @@ func TestEmitFollowsStream(t *testing.T) {
 				// columns every k-mer misses.
 				lost := numCols == 0 || rng.Intn(4) == 0
 				for _, col := range distinctCols(rng, cmp.Or(numCols, 40), rng.Intn(20)) {
-					km, occ := rng.Uint64()>>2, MakeOccur(rng.Int31(), rng.Intn(2) == 1)
-					s.kms, s.occ = append(s.kms, km), append(s.occ, occ)
+					o, occ := rng.Intn(p), MakeOccur(rng.Int31(), rng.Intn(2) == 1)
+					s.own, s.occ = append(s.own, uint16(o)), append(s.occ, occ)
 					if lost || rng.Intn(3) == 0 {
 						col = -1
 					} else {
 						want = append(want, ATriple{Row: int32(lo + i), Col: col, Val: occ})
 					}
-					o := Owner(Kmer(km), p)
 					cols[o] = append(cols[o], col)
 				}
-				s.end[i] = len(s.kms)
+				s.end[i] = len(s.occ)
 				for range rng.Intn(3) { // slack the walk must not read
-					s.kms, s.occ = append(s.kms, rng.Uint64()), append(s.occ, Occur(rng.Uint32()))
+					s.own, s.occ = append(s.own, uint16(rng.Uint32())), append(s.occ, Occur(rng.Uint32()))
 				}
-				s.start[i+1] = len(s.kms)
+				s.start[i+1] = len(s.occ)
 			}
 			got := s.emit(lo, cols)
 			if !reflect.DeepEqual(got, want) {

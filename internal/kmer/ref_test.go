@@ -14,6 +14,20 @@ func countOccurrencesMap(parts [][]uint64) map[Kmer]int32 {
 	return counts
 }
 
+// wordRuns encodes occurrence parts of canonical k-mer words as run parts,
+// each k-mer its own run of one: the parts the counter expands back to the
+// same k-mers in the same order.
+func wordRuns(parts [][]uint64, k int) [][]byte {
+	runs := make([][]byte, len(parts))
+	for r, part := range parts {
+		runs[r] = make([]byte, len(part)*runBytes(1, k))
+		for i, w := range part {
+			putRun(runs[r][i*runBytes(1, k):], Decode(Kmer(w), k), 1)
+		}
+	}
+	return runs
+}
+
 // reliableOf returns, sorted, the k-mers MarkReliable marks reliable in a
 // copy of t — the selection the column index numbers — leaving t's counts
 // intact, in the shape of the map reference SelectReliable.
@@ -51,7 +65,7 @@ func firstAppearanceColumns(reads [][]byte, k int, low, high int32, p int) map[K
 	}
 	next := make([]int32, p)
 	for km := range reliable {
-		for o := Owner(km, p) + 1; o < p; o++ {
+		for o := Owner(km, k, p) + 1; o < p; o++ {
 			next[o]++
 		}
 	}
@@ -59,7 +73,7 @@ func firstAppearanceColumns(reads [][]byte, k int, low, high int32, p int) map[K
 	for _, seq := range reads {
 		for _, kp := range Extract(seq, k) {
 			if _, seen := want[kp.Kmer]; reliable[kp.Kmer] && !seen {
-				o := Owner(kp.Kmer, p)
+				o := Owner(kp.Kmer, k, p)
 				want[kp.Kmer] = next[o]
 				next[o]++
 			}

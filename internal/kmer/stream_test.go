@@ -110,17 +110,18 @@ func TestCountTableGrowsFromFloor(t *testing.T) {
 	var sc ExtractScratch
 	for _, seq := range reads {
 		for _, kp := range sc.ExtractInto(seq, k) {
-			o := Owner(kp.Kmer, p)
+			o := Owner(kp.Kmer, k, p)
 			parts[o] = append(parts[o], uint64(kp.Kmer))
 			occ++
 		}
 	}
+	runs := wordRuns(parts, k)
 	for _, low := range []int32{1, 2} {
-		c := newCounter(low, occ)
+		c := newCounter(k, low, occ)
 		if len(c.table.kms) != tableFloor {
 			t.Fatalf("low=%d: table starts at %d slots, want the floor %d", low, len(c.table.kms), tableFloor)
 		}
-		for _, part := range parts {
+		for _, part := range runs {
 			c.observe(part)
 		}
 		if len(c.table.kms) < tableFloor<<5 {
@@ -129,7 +130,7 @@ func TestCountTableGrowsFromFloor(t *testing.T) {
 		slots := make([][]int32, p)
 		for r, part := range parts {
 			slots[r] = make([]int32, len(part))
-			c.tally(part, slots[r])
+			c.tally(runs[r], slots[r])
 		}
 		tab := c.table
 		size, n, kms, vals := len(tab.kms), tab.n, &tab.kms[0], &tab.vals[0]

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -377,6 +378,76 @@ func TestCheckpointPrefixResume(t *testing.T) {
 		t.Fatal("in-prefix option change (MaxOverhang) accepted a post-Alignment checkpoint")
 	} else if !strings.Contains(err.Error(), "different algorithmic options") {
 		t.Errorf("refusal lacks the options message: %v", err)
+	}
+}
+
+// TestResumeAcrossColumnRenumbering relabels the k-mer columns of a
+// post-CountKmer checkpoint by one random permutation on every rank — what a
+// build that numbers A's columns another way would have written — and
+// resumes it: the contigs, every row but DetectOverlap and that row's
+// products are those of a cold run. C = A·Aᵀ, its seeds and its product
+// count do not depend on column order, so a schema v5 checkpoint or cache
+// entry written under another numbering resumes to the same assembly; only
+// the bytes of A's panels move with the columns each block holds.
+func TestResumeAcrossColumnRenumbering(t *testing.T) {
+	reads := testReads(5000, 673)
+	opt := DefaultOptions(4)
+	opt.K = 21
+	opt.XDrop = 25
+	cold, err := Run(reads, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ckOpt := opt
+	ckOpt.CheckpointDir = dir
+	ckOpt.CheckpointEvery = StageCountKmer
+	eng, err := Plan(ckOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts, err := eng.RunUntil(context.Background(), reads, StageCountKmer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	numCols := arts.Ranks[0].Kmers.NumCols
+	arts.Close()
+	perm := rand.New(rand.NewSource(29)).Perm(numCols)
+	stageDir := filepath.Join(dir, StageCountKmer)
+	moved := 0
+	for r := range opt.P {
+		rewriteRankFile(t, stageDir, r, func(ck *ckptRank) {
+			for i, tr := range ck.KmerTriples {
+				ck.KmerTriples[i].Col = int32(perm[tr.Col])
+				if perm[tr.Col] != int(tr.Col) {
+					moved++
+				}
+			}
+		})
+	}
+	if moved == 0 {
+		t.Fatal("the permutation moved no column")
+	}
+	fresh, err := Plan(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := fresh.LoadCheckpoint(context.Background(), reads, dir)
+	if err != nil {
+		t.Fatalf("relabelled checkpoint refused: %v", err)
+	}
+	defer loaded.Close()
+	fin, err := fresh.ResumeFrom(context.Background(), loaded, StageExtractContig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := fin.Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, cold, out, "resume of relabelled columns", StageDetectOverlap)
+	if a, b := cold.Stats.Timers.Get(StageDetectOverlap).SumWork, out.Stats.Timers.Get(StageDetectOverlap).SumWork; a != b {
+		t.Fatalf("DetectOverlap work %d after relabelling the columns, cold run %d", b, a)
 	}
 }
 

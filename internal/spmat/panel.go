@@ -3,6 +3,7 @@ package spmat
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/mpi/wire"
 )
@@ -86,7 +87,9 @@ func scatterPanel[T any](parts [][]Triple[T], colLo, colHi int32, split bool) ([
 	if split {
 		s = 1
 	}
-	next := make([]int32, (colHi-colLo)<<s+1) // by key, shifted one up
+	counts := borrowCounts(int((colHi-colLo)<<s + 1))
+	defer keyCounts.Put(counts)
+	next := *counts // by key, shifted one up
 	for _, part := range parts {
 		for _, t := range part {
 			next[(t.Col-colLo)<<s+t.Row&s+1]++
@@ -109,7 +112,9 @@ func scatterPanel[T any](parts [][]Triple[T], colLo, colHi int32, split bool) ([
 // entries by row, walking p's columns in ascending order, so that every
 // column of the result (a row of p) lists p's columns ascending.
 func transposePanel[T any](p panel[T], rowLo, rowHi int32) []byte {
-	next := make([]int32, rowHi-rowLo+1) // by row, shifted one up
+	counts := borrowCounts(int(rowHi - rowLo + 1))
+	defer keyCounts.Put(counts)
+	next := *counts // by row, shifted one up
 	for _, r := range p.rows {
 		next[r-rowLo+1]++
 	}
@@ -123,6 +128,25 @@ func transposePanel[T any](p panel[T], rowLo, rowHi int32) []byte {
 	}
 	q.commit(frame)
 	return frame
+}
+
+// keyCounts holds the key-count arrays of the counting scatters between
+// calls: TR scatters blocks of one span every iteration, so an array is
+// reused and cleared instead of allocated per call.
+var keyCounts sync.Pool
+
+// borrowCounts returns n zeroed key counts from keyCounts, or new ones; the
+// caller puts them back when its scatter is done.
+func borrowCounts(n int) *[]int32 {
+	c, _ := keyCounts.Get().(*[]int32)
+	if c == nil || cap(*c) < n {
+		c = new([]int32)
+		*c = make([]int32, n)
+		return c
+	}
+	*c = (*c)[:n]
+	clear(*c)
+	return c
 }
 
 // allocScattered lays out, in a fresh frame that nobody else holds yet, the
