@@ -521,7 +521,10 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 //     occurrence a window inside its read;
 //   - a matrix payload (candidates, R or the string graph) is reads × reads,
 //     and its triples lie in the rank's grid block in strict column-major
-//     order, the canonical form FromLocalTriples and every later stage take.
+//     order, the canonical form FromLocalTriples and every later stage take;
+//   - each value of R is a dovetail alignment of its cell's two reads, and
+//     each value of the string graph an edge those reads can give (checkAlns,
+//     checkEdges), so no value panics inside a later collective.
 //
 // That the ranks agree on the column count is LoadCheckpoint's check. Every
 // failure names the rank and the file.
@@ -590,7 +593,58 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: stage %q's matrix block is not the rank's canonical block: %w", rank, path, ck.Stage, err)
 	}
+	switch {
+	case ck.HasR:
+		err = checkAlns(ck.RTriples, reads, opt.MaxOverhang)
+	case ck.HasSG:
+		err = checkEdges(ck.SGTriples, reads)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: stage %q's matrix block holds a value its reads cannot have: %w", rank, path, ck.Stage, err)
+	}
 	return &ck, nil
+}
+
+// checkAlns reports the first alignment of a restored block of R (whose
+// cells lie in the grid block already) that is not what pruning leaves at
+// its cell: an alignment of the cell's row read against its column read, of
+// their lengths, over a range of each read's bases, classified a
+// dovetail under maxOverhang — what the string graph's construction and
+// transitive reduction would otherwise panic on inside a collective.
+func checkAlns(ts []spmat.Triple[bidir.Aln], reads [][]byte, maxOverhang int32) error {
+	p := bidir.Params{MaxOverhang: maxOverhang}
+	for i, t := range ts {
+		a := t.Val
+		lu, lv := int32(len(reads[t.Row])), int32(len(reads[t.Col]))
+		switch {
+		case a.U != t.Row || a.V != t.Col:
+			return fmt.Errorf("triple %d (%d,%d) aligns reads %d and %d", i, t.Row, t.Col, a.U, a.V)
+		case a.LU != lu || a.LV != lv:
+			return fmt.Errorf("triple %d (%d,%d) gives read lengths %d and %d, the reads have %d and %d", i, t.Row, t.Col, a.LU, a.LV, lu, lv)
+		case a.BU < 0 || a.BU > a.EU || a.EU > lu || a.BV < 0 || a.BV > a.EV || a.EV > lv:
+			return fmt.Errorf("triple %d (%d,%d) aligns [%d,%d) of %d bases with [%d,%d) of %d", i, t.Row, t.Col, a.BU, a.EU, lu, a.BV, a.EV, lv)
+		}
+		if _, kind := bidir.Classify(a, p); kind != bidir.Dovetail {
+			return fmt.Errorf("triple %d (%d,%d) is no dovetail under MaxOverhang %d (kind %d)", i, t.Row, t.Col, maxOverhang, kind)
+		}
+	}
+	return nil
+}
+
+// checkEdges reports the first edge of a restored block of the string graph
+// S (whose cells lie in the grid block already) that classification cannot
+// have made from its reads: a direction above 3, an overhang outside [0, the
+// column read's length], or a Pre or Post outside [-1, its read's length] —
+// the inclusive indexes one base before or past a read included.
+func checkEdges(ts []spmat.Triple[bidir.Edge], reads [][]byte) error {
+	for i, t := range ts {
+		e := t.Val
+		lu, lv := int32(len(reads[t.Row])), int32(len(reads[t.Col]))
+		if e.Dir > 3 || e.Suf < 0 || e.Suf > lv || e.Pre < -1 || e.Pre > lu || e.Post < -1 || e.Post > lv {
+			return fmt.Errorf("triple %d (%d,%d) holds edge %+v, which reads of %d and %d bases cannot give", i, t.Row, t.Col, e, lu, lv)
+		}
+	}
+	return nil
 }
 
 // checkBlock reports a restored matrix block whose dims are not n × n, for

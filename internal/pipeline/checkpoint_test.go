@@ -654,6 +654,30 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			})
 		}
 	}
+	// So does a bad value in a canonical block: an alignment of R or an edge
+	// of the string graph that the reads cannot give would load silently and
+	// panic inside a later collective (the string graph's construction, the
+	// transitive reduction's packing) or feed contig generation garbage.
+	for _, bad := range []struct {
+		stage, name string
+		edit        func(ck *ckptRank)
+	}{
+		{StageAlignment, "begin past end", func(ck *ckptRank) { a := &ck.RTriples[0].Val; a.BU = a.EU + 1 }},
+		{StageAlignment, "end past the read", func(ck *ckptRank) { a := &ck.RTriples[0].Val; a.EV = a.LV + 1 }},
+		{StageAlignment, "another read length", func(ck *ckptRank) { ck.RTriples[0].Val.LU++ }},
+		{StageAlignment, "another cell's reads", func(ck *ckptRank) { a := &ck.RTriples[0].Val; a.U, a.V = a.V, a.U }},
+		{StageAlignment, "no dovetail", func(ck *ckptRank) { a := &ck.RTriples[0].Val; a.BU, a.EU, a.BV, a.EV = 0, a.LU, 0, a.LV }},
+		{StageTrReduction, "fifth direction", func(ck *ckptRank) { ck.SGTriples[0].Val.Dir = 4 }},
+		{StageTrReduction, "negative overhang", func(ck *ckptRank) { ck.SGTriples[0].Val.Suf = -1 }},
+		{StageTrReduction, "pre past the read", func(ck *ckptRank) { ck.SGTriples[0].Val.Pre = 1 << 30 }},
+		{StageTrReduction, "post before the read", func(ck *ckptRank) { ck.SGTriples[0].Val.Post = -2 }},
+	} {
+		t.Run(bad.stage+"/bad value/"+bad.name, func(t *testing.T) {
+			dir, stageDir := writeThrough(t, bad.stage)
+			rewriteRankFile(t, stageDir, 1, bad.edit)
+			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), "matrix block holds a value its reads cannot have", "triple 0 (")
+		})
+	}
 	// An untouched rewrite loads: the helpers themselves do not break a file.
 	dir, stageDir := write(t)
 	rewriteRankFile(t, stageDir, 2, func(*ckptRank) {})

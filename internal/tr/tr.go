@@ -17,9 +17,18 @@
 // same canonical order as S, so the comparison is a merge of two sorted
 // lists and the verdicts are marks on positions of S: no hash map is built
 // from either matrix.
+//
+// The multiply reads only what the verdict reads. Its operand is a packed
+// view of S, one dense 4-byte word a value (direction and overhang; Pre and
+// Post stay in S's block), so its panels are views of their frames. Each
+// cell of N is one int32: the least overhang over the walks whose composed
+// direction is the direction of S's own edge at that cell, the one the
+// comparison looks up — the mask's column marks carry each row's direction,
+// and the semiring annihilates a walk of any other.
 package tr
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/bidir"
@@ -28,42 +37,41 @@ import (
 	"repro/internal/spmat"
 )
 
-// inf is the "no path" overhang.
+// inf is the "no path" overhang, and the bound every packed overhang stays
+// under: two of them sum below 2³¹, so a walk's overhang never overflows.
 const inf = int32(1 << 30)
 
-// PathMin records, per composed direction, the minimum overhang over all
-// two-edge walks between a vertex pair. Element-wise min is associative and
-// commutative, as SUMMA accumulation requires.
-type PathMin struct {
-	Min [4]int32
+// packed is the value S's SUMMA panels carry: an edge's direction in the two
+// high bits and its overhang (Suf) below, all the semiring reads of an edge.
+// The type is dense, so a panel is a view of the frame it crosses the wire
+// in: four bytes a value, no encode and no decode copy. Pre and Post stay in
+// S's own block, which the multiply never reads.
+type packed uint32
+
+// pack packs edge (row, col) of S. An overhang outside [0, inf), or a
+// direction above 3, has no packed form and panics naming the edge.
+func pack(row, col int32, e bidir.Edge) packed {
+	if e.Suf < 0 || e.Suf >= inf || e.Dir > 3 {
+		panic(fmt.Sprintf("tr: edge (%d,%d) %+v cannot be packed: its overhang must lie in [0, 2^30) and its direction in [0, 3]", row, col, e))
+	}
+	return packed(uint32(e.Dir)<<30 | uint32(e.Suf))
 }
 
-// pathSemiring composes edges u→v and v→w into candidate u→w walks; walks
-// whose directions do not compose are annihilated.
-var pathSemiring = spmat.Semiring[bidir.Edge, bidir.Edge, PathMin]{
-	Fold: func(acc *spmat.Acc[PathMin], rows []int32, vals []bidir.Edge, rowLo int32, e2 bidir.Edge) {
-		vals = vals[:len(rows)] // one bounds check for the loop
-		for i, r := range rows {
-			d, ok := bidir.ComposeDirs(vals[i].Dir, e2.Dir)
-			if !ok {
-				continue
-			}
-			suf := vals[i].Suf + e2.Suf
-			if c, live := acc.Slot(r - rowLo); live {
-				c.Min[d] = min(c.Min[d], suf)
-			} else {
-				c.Min = [4]int32{inf, inf, inf, inf}
-				c.Min[d] = suf
-				acc.Claim(r - rowLo)
-			}
-		}
-	},
-	Add: func(a, b PathMin) PathMin {
-		for i := range a.Min {
-			a.Min[i] = min(a.Min[i], b.Min[i])
-		}
-		return a
-	},
+func (p packed) dir() uint8 { return uint8(p >> 30) }
+func (p packed) suf() int32 { return int32(p & packed(inf-1)) }
+
+// packView returns the packed view of s, the multiply's operand: s's triples
+// with packed values, written into buf, which must hold len(s.Local.Ts).
+func packView(s *spmat.Dist[bidir.Edge], buf []spmat.Triple[packed]) *spmat.Dist[packed] {
+	ts := buf[:len(s.Local.Ts)]
+	for i, t := range s.Local.Ts {
+		ts[i] = spmat.Triple[packed]{Row: t.Row, Col: t.Col, Val: pack(t.Row, t.Col, t.Val)}
+	}
+	return &spmat.Dist[packed]{
+		G: s.G, NR: s.NR, NC: s.NC,
+		RowLo: s.RowLo, RowHi: s.RowHi, ColLo: s.ColLo, ColHi: s.ColHi,
+		Local: spmat.COO[packed]{NR: s.NR, NC: s.NC, Ts: ts},
+	}
 }
 
 // Stats reports what the reduction did.
@@ -86,20 +94,24 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 	g := s.G
 	defer g.Comm.SetBlocking(g.Comm.SetBlocking(!async))
 	var st Stats
+	pat := newPattern(s)
+	sr := pat.semiring()
+	buf := make([]spmat.Triple[packed], len(s.Local.Ts)) // S only shrinks
 	for iter := 0; iter < maxIter; iter++ {
 		st.Iterations = iter + 1
-		pat := newPattern(s)
-		n := spmat.SpGEMMCounted(s, s, pathSemiring, spmat.KeepFunc(pat.has), &st.Products)
+		ts := s.Local.Ts
+		pat.index(ts)
+		view := packView(s, buf)
+		n := spmat.SpGEMMCounted(view, view, sr, spmat.KeepFunc(pat.has), &st.Products)
 		// Merge-join N against S — both canonical, N's cells a subset of
 		// S's — collecting the positions of the local transitive edges.
-		ts := s.Local.Ts
 		var marked []int32
 		i := 0
 		for _, nt := range n.Local.Ts {
 			for ts[i].Col != nt.Col || ts[i].Row != nt.Row {
 				i++
 			}
-			if m := nt.Val.Min[ts[i].Val.Dir]; m < inf && m <= ts[i].Val.Suf+fuzz {
+			if m := nt.Val; m < inf && m <= ts[i].Val.Suf+fuzz {
 				marked = append(marked, int32(i))
 			}
 		}
@@ -135,48 +147,86 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 
 // pattern indexes the nonzero pattern of one rank's block of S by column:
 // the triples of column j sit at positions ptr[j-colLo] to ptr[j-colLo+1] of
-// the canonical list, rows ascending.
+// the canonical list, rows ascending. One pattern serves every iteration of
+// a Reduce; index points it at the iteration's block.
 type pattern struct {
 	ts           []spmat.Triple[bidir.Edge]
 	rowLo, colLo int32
 	ptr          []int32
 	// has marks the rows of one column at a time: mark[r-rowLo] == gen says
-	// (r, col) is an edge.
+	// (r, col) is an edge, whose direction is dir[r-rowLo].
 	mark []uint32
+	dir  []uint8
 	gen  uint32
 	col  int32
 }
 
 func newPattern(s *spmat.Dist[bidir.Edge]) *pattern {
-	p := &pattern{
-		ts: s.Local.Ts, rowLo: s.RowLo, colLo: s.ColLo,
+	return &pattern{
+		rowLo: s.RowLo, colLo: s.ColLo,
 		ptr:  make([]int32, s.ColHi-s.ColLo+1),
 		mark: make([]uint32, s.RowHi-s.RowLo),
-		col:  -1,
+		dir:  make([]uint8, s.RowHi-s.RowLo),
 	}
-	for _, t := range p.ts {
+}
+
+// index points the pattern at ts, the block's canonical triples, and forgets
+// the marked column.
+func (p *pattern) index(ts []spmat.Triple[bidir.Edge]) {
+	p.ts, p.col = ts, -1
+	clear(p.ptr)
+	for _, t := range ts {
 		p.ptr[t.Col-p.colLo+1]++
 	}
 	for j := 1; j < len(p.ptr); j++ {
 		p.ptr[j] += p.ptr[j-1]
 	}
-	return p
 }
 
 // has reports whether (row, col) is an edge of the block: the output mask of
 // the multiply. SpGEMM forms its output a column at a time, so the row marks
-// are refreshed only when col changes — a generation bump and one pass over
-// that column's few edges — and every other call is a single load.
+// and directions are refreshed only when col changes — a generation bump and
+// one pass over that column's few edges — and every other call is a single
+// load.
 func (p *pattern) has(row, col int32) bool {
 	if col != p.col {
 		p.col = col
-		p.gen++ // 2^32 column changes per Reduce iteration cannot occur
+		p.gen++ // 2^32 column changes per Reduce cannot occur
 		j := col - p.colLo
 		for _, t := range p.ts[p.ptr[j]:p.ptr[j+1]] {
 			p.mark[t.Row-p.rowLo] = p.gen
+			p.dir[t.Row-p.rowLo] = t.Val.Dir
 		}
 	}
 	return p.mark[row-p.rowLo] == p.gen
+}
+
+// semiring composes walks u→v→w of S's packed view into the least overhang
+// over those whose composed direction is the direction of S's own edge
+// (u,w) — the one entry of N the verdict reads. A walk whose directions do
+// not compose, or compose to another direction, is annihilated. Fold folds
+// only rows the mask kept, so has has just marked their column and dir holds
+// each row's edge direction (the output's rowLo is S's block's).
+func (p *pattern) semiring() spmat.Semiring[packed, packed, int32] {
+	return spmat.Semiring[packed, packed, int32]{
+		Fold: func(acc *spmat.Acc[int32], rows []int32, vals []packed, rowLo int32, e2 packed) {
+			vals = vals[:len(rows)] // one bounds check for the loop
+			for i, r := range rows {
+				d, ok := bidir.ComposeDirs(vals[i].dir(), e2.dir())
+				if !ok || d != p.dir[r-rowLo] {
+					continue
+				}
+				suf := vals[i].suf() + e2.suf()
+				if c, live := acc.Slot(r - rowLo); live {
+					*c = min(*c, suf)
+				} else {
+					*c = suf
+					acc.Claim(r - rowLo)
+				}
+			}
+		},
+		Add: func(a, b int32) int32 { return min(a, b) },
+	}
 }
 
 // find returns the position of edge (row, col) in the canonical list, or -1.
