@@ -14,6 +14,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -83,9 +84,10 @@ const (
 // breakdown has the induced subgraph step dominating with 65–85%; here the
 // step routes only edge triples, and the connected components are the
 // largest step. Of core.contig_s on the benchmark's layout-inproc workload
-// (10 Mb layout problem, P = 4, 2 vCPUs), the FastSV components are 35–42%,
-// the read-sequence exchange 26–31% (DESIGN.md §11 has its per-step copy
-// budget), local assembly 13–15% and the induced subgraph 10–12%.
+// (10 Mb layout problem, P = 4, 2 vCPUs), the FastSV components are 39–41%,
+// the read-sequence exchange 23–24% (each rank's own reads stay home;
+// DESIGN.md §11 has its per-step copy budget), local assembly 16–19% and the
+// induced subgraph 11–12%.
 // packSeqs enables the 2-bit sequence-communication encoding (§7 future
 // work); false matches the paper's raw char-buffer protocol.
 //
@@ -387,6 +389,7 @@ func CommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int32], 
 // blocking; Finish collects them and assembles the result.
 type SeqCommHandle struct {
 	store   *fasta.DistStore
+	self    int // the rank's own index among the sources
 	idsReq  *mpi.AlltoallvRequest[int32]
 	packReq *mpi.AlltoallvRequest[uint64] // 2-bit protocol, agreed by all ranks
 	rawReq  *mpi.AlltoallvRequest[byte]   // raw protocol
@@ -396,12 +399,15 @@ type SeqCommHandle struct {
 // the transfers complete while the caller routes edges and walks chains.
 // Every per-destination buffer — read ids, 2-bit words or raw bytes, each an
 // mpi.Buf — is sized from the replicated length table before a base is
-// packed (diBELLA's order), so each assigned base is copied once on the way
-// out and none on the way in.
+// packed (diBELLA's order), so each base assigned to another rank is copied
+// once on the way out and none on the way in. The rank's own assigned reads
+// stay home: its own part carries their ids but no base, and Finish keys
+// them to the store's slices, in either protocol.
 func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int32], packed bool) *SeqCommHandle {
 	g := assign.G
 	p := g.Comm.Size()
-	h := &SeqCommHandle{store: store}
+	self := g.Comm.Rank()
+	h := &SeqCommHandle{store: store, self: self}
 	reads := make([]int, p)
 	bases := make([]int, p)
 	for i, proc := range assign.Local {
@@ -425,11 +431,19 @@ func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 	// The sequences are packed from own before ids is posted.
 	if packed {
 		// All ranks must agree on the encoding: fall back to raw everywhere
-		// if any rank holds a non-ACGT read. The agreement allreduce is tiny
+		// if any rank holds a non-ACGT read, its own assigned reads included,
+		// which are tested but not packed. The agreement allreduce is tiny
 		// and blocking.
 		okLocal := true
+		for _, gid := range own[self] {
+			okLocal = okLocal && dna.Valid(store.Get(int(gid)))
+		}
 		words := make([]mpi.Buf[uint64], p)
 		for r := 0; r < p && okLocal; r++ {
+			if r == self {
+				words[r] = mpi.NewBuf[uint64](0)
+				continue
+			}
 			seqs := make([][]byte, len(own[r]))
 			lens := make([]int, len(own[r]))
 			for i, gid := range own[r] {
@@ -449,6 +463,10 @@ func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 	// carries it.
 	bufs := make([]mpi.ByteBuf, p)
 	for r := range bufs {
+		if r == self {
+			bufs[r] = mpi.NewByteBuf(0)
+			continue
+		}
 		bufs[r] = mpi.NewByteBuf(bases[r])
 		dst := bufs[r].Elems()
 		for _, gid := range own[r] {
@@ -465,25 +483,39 @@ func StartCommunicateSequences(store *fasta.DistStore, assign *spmat.DistVec[int
 func (h *SeqCommHandle) Finish() map[int32][]byte {
 	ids := h.idsReq.WaitValue()
 	if h.packReq != nil {
-		return keyReceived(h.store, ids, h.packReq.WaitValue(), nil)
+		return keyReceived(h.store, h.self, ids, h.packReq.WaitValue(), nil)
 	}
-	return keyReceived(h.store, ids, nil, h.rawReq.WaitValue())
+	return keyReceived(h.store, h.self, ids, nil, h.rawReq.WaitValue())
 }
 
 // keyReceived keys what every source rank sent — 2-bit words when words is
 // non-nil, raw buffers otherwise — by the global read ids it announced. The
 // raw protocol's sequences are slices of the received buffers (one per source
-// rank), not copies. What each source sent must be exactly what the
-// replicated lengths of its ids demand; anything else panics naming the
-// source rank and the ids.
-func keyReceived(store *fasta.DistStore, ids [][]int32, words [][]uint64, bufs [][]byte) map[int32][]byte {
+// rank), not copies. Source self is the rank itself, whose reads are the
+// store's own slices and whose part carries no base (the 2-bit protocol's
+// unpacking upper-cases, so a home read with a lower-case base is the one
+// copied). What every other source sent must be exactly what the replicated
+// lengths of its ids demand; anything else panics naming the source rank and
+// the ids.
+func keyReceived(store *fasta.DistStore, self int, ids [][]int32, words [][]uint64, bufs [][]byte) map[int32][]byte {
 	total := 0
 	for _, part := range ids {
 		total += len(part)
 	}
 	out := make(map[int32][]byte, total)
+	for _, gid := range ids[self] {
+		seq := store.Get(int(gid))
+		seq = seq[:len(seq):len(seq)]
+		if words != nil && bytes.ContainsAny(seq, "acgt") {
+			seq = bytes.ToUpper(seq)
+		}
+		out[gid] = seq
+	}
 	if words != nil {
 		for r, part := range ids {
+			if r == self {
+				continue
+			}
 			lens := make([]int, len(part))
 			for i, gid := range part {
 				lens[i] = store.Len(int(gid))
@@ -496,6 +528,9 @@ func keyReceived(store *fasta.DistStore, ids [][]int32, words [][]uint64, bufs [
 		return out
 	}
 	for r, part := range ids {
+		if r == self {
+			continue
+		}
 		want := 0
 		for _, gid := range part {
 			want += store.Len(int(gid))

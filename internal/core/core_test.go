@@ -473,6 +473,123 @@ func TestCommunicateSequencesChunked(t *testing.T) {
 	}
 }
 
+// homeReads is 24 ACGT reads of 40–86 bases, block-distributed six to a rank
+// at P = 4 and assigned round-robin (read i to rank i mod 4), so reads 0 and
+// 4 stay on rank 0, 9 on rank 1, 14 on rank 2, 19 and 23 on rank 3; read 4
+// is the one fix edits.
+func homeReads(fix func([]byte) []byte) ([][]byte, []int32) {
+	reads := make([][]byte, 24)
+	assign := make([]int32, len(reads))
+	for i := range reads {
+		reads[i] = bytes.Repeat([]byte{"ACGT"[i%4], "ACGT"[(i/4)%4]}, 20+2*i)
+		assign[i] = int32(i % 4)
+	}
+	reads[4] = fix(reads[4])
+	return reads, assign
+}
+
+// TestOwnReadsStayHome: in both protocols every read a rank assigns to
+// itself is the store's own slice in the sequence map — neither packed,
+// unpacked nor copied — and no read from another rank is. The one exception
+// is the 2-bit protocol's upper-casing: a home read with a lower-case base
+// comes back upper-cased, as it would have unpacked.
+func TestOwnReadsStayHome(t *testing.T) {
+	for _, lower := range []bool{false, true} {
+		reads, full := homeReads(func(r []byte) []byte {
+			if lower {
+				return bytes.ToLower(r)
+			}
+			return r
+		})
+		for _, packed := range []bool{false, true} {
+			err := mpi.Run(4, func(c *mpi.Comm) {
+				store := fasta.FromGlobal(c, reads)
+				seqs := CommunicateSequences(store, spmat.VecFromGlobal(grid.New(c), full), packed)
+				home := 0
+				for gid, seq := range seqs {
+					want := reads[gid]
+					if packed {
+						want = bytes.ToUpper(want)
+					}
+					if !bytes.Equal(seq, want) || full[gid] != int32(c.Rank()) {
+						panic(fmt.Sprintf("rank %d: read %d wrong or misdelivered", c.Rank(), gid))
+					}
+					same := &seq[0] == &reads[gid][0]
+					if store.Owns(int(gid)) {
+						home++
+						if lower && packed && gid == 4 {
+							same = !same // upper-cased into a copy
+						}
+						if !same {
+							panic(fmt.Sprintf("rank %d: own read %d is not the store's slice", c.Rank(), gid))
+						}
+					} else if same {
+						panic(fmt.Sprintf("rank %d: remote read %d aliases its owner's store", c.Rank(), gid))
+					}
+				}
+				wantHome := 0
+				for gid := store.Lo; gid < store.Hi; gid++ {
+					if full[gid] == int32(c.Rank()) {
+						wantHome++
+					}
+				}
+				if len(seqs) != 6 || home != wantHome || home == 0 {
+					panic(fmt.Sprintf("rank %d: %d reads, %d of them home; want 6 and %d", c.Rank(), len(seqs), home, wantHome))
+				}
+			})
+			if err != nil {
+				t.Fatalf("lower=%v packed=%v: %v", lower, packed, err)
+			}
+		}
+	}
+}
+
+// TestHomeNonACGTReadForcesRaw: a non-ACGT read that stays on its rank still
+// forces the raw protocol on every rank, though it is never packed: the 2-bit
+// exchange then sends exactly the raw exchange's bytes and messages plus the
+// agreement allreduce's, as it did when the own part was packed too. Without
+// the N the 2-bit protocol runs and sends fewer bytes.
+func TestHomeNonACGTReadForcesRaw(t *testing.T) {
+	type counters struct{ bytes, msgs, agreeBytes, agreeMsgs int64 }
+	run := func(reads [][]byte, full []int32, packed bool) counters {
+		var got counters
+		err := mpi.Run(4, func(c *mpi.Comm) {
+			store := fasta.FromGlobal(c, reads)
+			assign := spmat.VecFromGlobal(grid.New(c), full)
+			b0, m0 := c.BytesSent(), c.MsgsSent()
+			seqs := CommunicateSequences(store, assign, packed)
+			b1, m1 := c.BytesSent(), c.MsgsSent()
+			mpi.Allreduce(c, true, func(a, b bool) bool { return a && b })
+			b2, m2 := c.BytesSent(), c.MsgsSent()
+			for gid, seq := range seqs {
+				if !bytes.Equal(seq, reads[gid]) {
+					panic(fmt.Sprintf("rank %d: read %d corrupted", c.Rank(), gid))
+				}
+			}
+			sum := func(a, b int64) int64 { return a + b }
+			all := counters{mpi.Allreduce(c, b1-b0, sum), mpi.Allreduce(c, m1-m0, sum),
+				mpi.Allreduce(c, b2-b1, sum), mpi.Allreduce(c, m2-m1, sum)}
+			if c.Rank() == 0 {
+				got = all
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	withN, full := homeReads(func(r []byte) []byte { r = bytes.Clone(r); r[7] = 'N'; return r })
+	raw, packed := run(withN, full, false), run(withN, full, true)
+	if packed.bytes != raw.bytes+packed.agreeBytes || packed.msgs != raw.msgs+packed.agreeMsgs {
+		t.Fatalf("2-bit exchange with a home N read sent %d bytes in %d messages; raw %d in %d plus the agreement's %d in %d",
+			packed.bytes, packed.msgs, raw.bytes, raw.msgs, packed.agreeBytes, packed.agreeMsgs)
+	}
+	clean, _ := homeReads(func(r []byte) []byte { return r })
+	if p := run(clean, full, true); p.bytes >= raw.bytes {
+		t.Fatalf("2-bit exchange of ACGT reads sent %d bytes, raw %d: the 2-bit protocol did not run", p.bytes, raw.bytes)
+	}
+}
+
 // TestFinishChecksReceivedTotals: what a source rank sent must be exactly what
 // the replicated lengths of its announced ids demand. A short buffer used to
 // die as an anonymous slice-bounds panic and a long one was silently ignored;
@@ -481,14 +598,14 @@ func TestFinishChecksReceivedTotals(t *testing.T) {
 	reads := [][]byte{[]byte("ACGTACGTAC"), []byte("GGGGG"), []byte("TTTTTTT")}
 	err := mpi.Run(1, func(c *mpi.Comm) {
 		store := fasta.FromGlobal(c, reads)
-		ids := [][]int32{{0, 2}}
+		ids := [][]int32{{0, 2}, nil} // from rank 0, to the caller, rank 1
 		type received struct {
 			words [][]uint64
 			bufs  [][]byte
 		}
 		finish := func(got received) (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
-			keyReceived(store, ids, got.words, got.bufs)
+			keyReceived(store, 1, ids, got.words, got.bufs)
 			return ""
 		}
 		good := finish(received{bufs: [][]byte{[]byte("ACGTACGTACTTTTTTT")}})

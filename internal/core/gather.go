@@ -10,7 +10,9 @@ import (
 // GatherContigs collects every rank's contigs at root (nil elsewhere),
 // sorted deterministically by (length desc, sequence) so the result is
 // independent of the processor count (collective). It gives contigs away
-// (mpi.Gatherv); the result is a fresh slice.
+// (mpi.Gatherv); the result is a fresh slice. Each rank's contigs are
+// encoded once, and root reads them in place: an off-root contig's Seq is a
+// view of the frame its rank sent, which root alone owns.
 func GatherContigs(c *mpi.Comm, contigs []Contig) []Contig {
 	parts := mpi.Gatherv(c, 0, contigs)
 	if c.Rank() != 0 {

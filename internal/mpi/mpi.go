@@ -696,11 +696,16 @@ func sendAligned[T any](c *Comm, dst int, tag int64, data []T) {
 }
 
 // sendPart sends one part of a collective, chunked: a variable-width T,
-// which has no chunk size, as the bytes of its frame. Receivers take either
-// with RecvChunked.
+// which has no chunk size, as the bytes of its frame. That frame is encoded
+// once, straight into the aligned byte frame that carries it when it fits one
+// message (the frame SendChunked of Marshal(part) would build, so the same
+// bytes and messages), and chunked from there otherwise. Receivers take
+// either with RecvChunked.
 func sendPart[T any](c *Comm, dst int, tag int64, part []T) {
 	if wire.Width[T]() < 0 {
-		SendChunked(c, dst, tag, wire.Marshal(part))
+		b := NewByteBuf(wire.MarshalLen(part))
+		wire.MarshalInto(b.Elems(), part)
+		SendBuf(c, dst, tag, b)
 		return
 	}
 	SendChunked(c, dst, tag, part)
@@ -761,7 +766,8 @@ func SendBuf[T any](c *Comm, dst int, tag int64, b Buf[T]) {
 
 // RecvChunked receives a buffer sent with SendChunked or SendBuf, or a part a
 // collective sent as the chunked bytes of its frame (a variable-width T,
-// decoded into fresh memory). A buffer that fit one
+// decoded by wire.UnmarshalOwned: every []byte in it is a view of the
+// received bytes, the rest fresh memory). A buffer that fit one
 // message comes back with no copy for a dense T: a view of the received
 // frame, which this receiver alone owns and may write (a point-to-point frame
 // is dropped by its sender at Send and matched once; see DESIGN.md, "one
@@ -775,7 +781,11 @@ func RecvChunked[T any](c *Comm, src int, tag int64) []T {
 // split one.
 func recvChunked[T any](c *Comm, src int, tag int64, armed <-chan struct{}) []T {
 	if wire.Width[T]() < 0 {
-		return mustUnmarshal[T](recvChunked[byte](c, src, tag, armed))
+		v, err := wire.UnmarshalOwned[T](recvChunked[byte](c, src, tag, armed))
+		if err != nil {
+			panic(fmt.Sprintf("mpi: recv type mismatch: %v", err))
+		}
+		return v
 	}
 	frame := c.recvRawArmed(src, tag, armed)
 	if !wire.IsOne(frame) {

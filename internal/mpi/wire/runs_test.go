@@ -29,7 +29,7 @@ func encodeByClosures(c *codec, base unsafe.Pointer, n int) []byte {
 func decodeByClosures(c *codec, src []byte, base unsafe.Pointer, n int) error {
 	var err error
 	for i := 0; i < n; i++ {
-		if src, err = c.dec(src, unsafe.Add(base, uintptr(i)*c.memSize)); err != nil {
+		if src, err = c.dec(src, unsafe.Add(base, uintptr(i)*c.memSize), false); err != nil {
 			return err
 		}
 	}
@@ -147,7 +147,7 @@ func TestCopyRunsMatchClosures(t *testing.T) {
 		// re-encoding either reproduces the frame (padding stays out).
 		_, viaRuns := noisySlice(rng, typ, n)
 		_, viaClosures := noisySlice(rng, typ, n)
-		if err := c.decodeElems(got, viaRuns, n); err != nil {
+		if err := c.decodeElems(got, viaRuns, n, false); err != nil {
 			t.Fatalf("%v: decode: %v", typ, err)
 		}
 		if err := decodeByClosures(c, got, viaClosures, n); err != nil {
@@ -159,7 +159,7 @@ func TestCopyRunsMatchClosures(t *testing.T) {
 			}
 		}
 		// One length check per frame: a byte short or long is rejected.
-		if c.decodeElems(got[:len(got)-1], viaRuns, n) == nil || c.decodeElems(append(got, 0), viaRuns, n) == nil {
+		if c.decodeElems(got[:len(got)-1], viaRuns, n, false) == nil || c.decodeElems(append(got, 0), viaRuns, n, false) == nil {
 			t.Fatalf("%v: mis-sized payload decoded without error", typ)
 		}
 	}

@@ -43,12 +43,13 @@
 // point that allocates a frame (NewAlignedFrame here, the TCP reader there)
 // asks for at least minFrameCap bytes of capacity.
 //
-// Views: UnmarshalOwned of a []byte frame, AlignedPayload, AlignedElems and
-// Elems of a dense type return slices that alias the frame instead of
-// copies. A broadcast frame is shared by reference among the in-process
-// ranks of its tree, so a view of one is read-only. A point-to-point frame
-// has one owner at a time — its sender until it is sent, then its receiver —
-// and only that owner may write through a view of it.
+// Views: UnmarshalOwned (for the []byte frame itself and every []byte inside
+// any element), AlignedPayload, AlignedElems and Elems of a dense type return
+// slices that alias the frame instead of copies. A broadcast frame is shared
+// by reference among the in-process ranks of its tree, so a view of one is
+// read-only. A point-to-point frame has one owner at a time — its sender
+// until it is sent, then its receiver — and only that owner may write through
+// a view of it.
 //
 // Codecs are compiled per element type on first use and cached, in one walk
 // of the type: its fingerprint shape, copy runs and closures are derived
@@ -99,17 +100,30 @@ const (
 // size: fixed-size types are n × their width, variable-length types are
 // measured in a sizing pass first.
 func Marshal[T any](data []T) []byte {
+	frame := make([]byte, MarshalLen(data))
+	MarshalInto(frame, data)
+	return frame
+}
+
+// MarshalLen is the length of Marshal(data)'s frame: the sizing pass alone.
+func MarshalLen[T any](data []T) int {
+	n := len(data)
+	return headerLen + uvarintLen(uint64(n)) + codecFor[T]().encodedLen(unsafe.Pointer(unsafe.SliceData(data)), n)
+}
+
+// MarshalInto writes Marshal(data)'s frame into dst, which must be exactly
+// MarshalLen(data) bytes long: a sender that owns a buffer of its own (package
+// mpi's aligned byte frame) encodes straight into it, with no second copy.
+func MarshalInto[T any](dst []byte, data []T) {
 	c := codecFor[T]()
 	n := len(data)
-	var base unsafe.Pointer
-	if n > 0 {
-		base = unsafe.Pointer(&data[0])
-	}
-	buf := make([]byte, 0, headerLen+uvarintLen(uint64(n))+c.encodedLen(base, n))
-	buf = append(buf, magic, kindSlice)
+	buf := append(dst[:0], magic, kindSlice)
 	buf = binary.LittleEndian.AppendUint32(buf, c.fp)
 	buf = binary.AppendUvarint(buf, uint64(n))
-	return c.appendElems(buf, base, n)
+	buf = c.appendElems(buf, unsafe.Pointer(unsafe.SliceData(data)), n)
+	if len(buf) != len(dst) {
+		panic(fmt.Sprintf("wire: MarshalInto of %d %s into %d bytes, want %d", n, c.name, len(dst), len(buf)))
+	}
 }
 
 // MarshalOne encodes a single value as one frame.
@@ -218,7 +232,7 @@ func Elems[T any](src []byte, n int) ([]T, error) {
 	}
 	if !c.dense {
 		out := make([]T, n)
-		if err := c.decodeElems(src, unsafe.Pointer(unsafe.SliceData(out)), n); err != nil {
+		if err := c.decodeElems(src, unsafe.Pointer(unsafe.SliceData(out)), n, false); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -236,26 +250,19 @@ func Elems[T any](src []byte, n int) ([]T, error) {
 // Unmarshal decodes a slice frame produced by Marshal[T]. The result never
 // aliases the frame.
 func Unmarshal[T any](frame []byte) ([]T, error) {
-	c := codecFor[T]()
-	n, rest, err := readSliceHeader(frame, c)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, n)
-	if err := c.decodeElems(rest, unsafe.Pointer(unsafe.SliceData(out)), n); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return unmarshal[T](frame, false)
 }
 
 // UnmarshalOwned is Unmarshal for a caller that is the frame's only owner —
-// nobody else holds, forwards or decodes it: a []byte frame then decodes to a
-// view of the frame's payload instead of a copy. Every other element type
-// decodes exactly as Unmarshal does.
+// nobody else holds, forwards or decodes it: every []byte in the result, the
+// slice itself for a []byte frame or a field or element at any depth, is a
+// view of the frame (capped at its length) instead of a copy. Strings, other
+// slices and the result slice of any other element type are fresh memory, as
+// Unmarshal makes them; it accepts exactly the frames Unmarshal accepts.
 func UnmarshalOwned[T any](frame []byte) ([]T, error) {
 	c := codecFor[T]()
 	if !c.isByte {
-		return Unmarshal[T](frame)
+		return unmarshal[T](frame, true)
 	}
 	n, rest, err := readSliceHeader(frame, c)
 	if err != nil {
@@ -268,6 +275,21 @@ func UnmarshalOwned[T any](frame []byte) ([]T, error) {
 		return []T{}, nil
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(&rest[0])), n), nil
+}
+
+// unmarshal is the body of Unmarshal and UnmarshalOwned; own lets a []byte
+// below the top level be a view of the frame.
+func unmarshal[T any](frame []byte, own bool) ([]T, error) {
+	c := codecFor[T]()
+	n, rest, err := readSliceHeader(frame, c)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	if err := c.decodeElems(rest, unsafe.Pointer(unsafe.SliceData(out)), n, own); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // readSliceHeader checks a slice frame's header against c and returns the
@@ -301,7 +323,7 @@ func UnmarshalOne[T any](frame []byte) (T, error) {
 	if err != nil {
 		return v, err
 	}
-	err = c.decodeElems(rest, unsafe.Pointer(&v), 1)
+	err = c.decodeElems(rest, unsafe.Pointer(&v), 1, false)
 	return v, err
 }
 
@@ -364,7 +386,7 @@ type codec struct {
 	fixed   int  // encoded bytes per element; -1 if variable
 	minSize int  // lower bound on encoded bytes per element
 	dense   bool // memory layout == wire layout: bulk-copy eligible
-	isByte  bool // uint8: the one element type UnmarshalOwned returns as a view
+	isByte  bool // uint8: a slice of it UnmarshalOwned returns as a view
 	// runs is the copy-run form of a type whose leaves are all fixed-width
 	// numbers stored exactly as the wire stores them (nil otherwise: a bool,
 	// string or slice leaf, a 4-byte int, a big-endian host). Top-level
@@ -372,7 +394,9 @@ type codec struct {
 	// enc/dec; a dense one's runs exist only for the types that contain it.
 	runs []copyRun
 	enc  func(dst []byte, p unsafe.Pointer) []byte
-	dec  func(src []byte, p unsafe.Pointer) ([]byte, error)
+	// dec decodes one element; own says the caller owns src (UnmarshalOwned),
+	// so a []byte at any depth may be a view of it instead of a copy.
+	dec func(src []byte, p unsafe.Pointer, own bool) ([]byte, error)
 	// size reports one element's encoded length; consulted only when fixed < 0.
 	size func(p unsafe.Pointer) int
 }
@@ -408,7 +432,7 @@ func (c *codec) appendElems(buf []byte, base unsafe.Pointer, n int) []byte {
 		return append(buf, unsafe.Slice((*byte)(base), n*int(c.memSize))...)
 	case c.runs != nil:
 		off := len(buf)
-		buf = buf[:off+n*c.fixed] // Marshal sized buf exactly
+		buf = buf[:off+n*c.fixed] // the caller sized buf exactly
 		c.copyRuns(buf[off:], unsafe.Slice((*byte)(base), n*int(c.memSize)), n, true)
 		return buf
 	}
@@ -419,8 +443,8 @@ func (c *codec) appendElems(buf []byte, base unsafe.Pointer, n int) []byte {
 }
 
 // decodeElems decodes exactly n elements from src into the zeroed memory at
-// base; src must hold nothing else.
-func (c *codec) decodeElems(src []byte, base unsafe.Pointer, n int) error {
+// base; src must hold nothing else. own is UnmarshalOwned's (see codec.dec).
+func (c *codec) decodeElems(src []byte, base unsafe.Pointer, n int, own bool) error {
 	if c.dense || c.runs != nil {
 		if want := n * c.fixed; len(src) != want {
 			return fmt.Errorf("wire: %s: frame has %d payload bytes, want %d", c.name, len(src), want)
@@ -435,7 +459,7 @@ func (c *codec) decodeElems(src []byte, base unsafe.Pointer, n int) error {
 	}
 	var err error
 	for i := 0; i < n; i++ {
-		src, err = c.dec(src, unsafe.Add(base, uintptr(i)*c.memSize))
+		src, err = c.dec(src, unsafe.Add(base, uintptr(i)*c.memSize), own)
 		if err != nil {
 			return fmt.Errorf("wire: %s: element %d: %w", c.name, i, err)
 		}
@@ -514,7 +538,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			}
 			return append(dst, 0)
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			if len(src) < 1 {
 				return nil, errShort
 			}
@@ -535,7 +559,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint64(dst, uint64(*(*int)(p)))
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			if len(src) < 8 {
 				return nil, errShort
 			}
@@ -547,7 +571,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint64(dst, uint64(*(*uint)(p)))
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			if len(src) < 8 {
 				return nil, errShort
 			}
@@ -561,7 +585,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			dst = binary.AppendUvarint(dst, uint64(len(s)))
 			return append(dst, s...)
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			n, rest, err := readUvarint(src)
 			if err != nil || n > uint64(len(rest)) {
 				return nil, errShort
@@ -592,7 +616,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			}
 			return dst
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			n, rest, err := readUvarint(src)
 			if err != nil {
 				return nil, err
@@ -602,6 +626,12 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			}
 			if n > math.MaxInt32 {
 				return nil, errShort
+			}
+			if own && ec.isByte && n > 0 {
+				// A view: the minSize check above bounded n by rest. A typed
+				// store, so the write carries the GC barrier.
+				*(*[]byte)(p) = rest[:n:n]
+				return rest[n:], nil
 			}
 			sv := reflect.MakeSlice(st, int(n), int(n))
 			if n > 0 {
@@ -615,7 +645,7 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 					rest = rest[want:]
 				} else {
 					for i := uint64(0); i < n; i++ {
-						rest, err = ec.dec(rest, unsafe.Add(base, uintptr(i)*es))
+						rest, err = ec.dec(rest, unsafe.Add(base, uintptr(i)*es), own)
 						if err != nil {
 							return nil, err
 						}
@@ -654,10 +684,10 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			}
 			return dst
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			var err error
 			for i := 0; i < n; i++ {
-				src, err = ec.dec(src, unsafe.Add(p, uintptr(i)*es))
+				src, err = ec.dec(src, unsafe.Add(p, uintptr(i)*es), own)
 				if err != nil {
 					return nil, err
 				}
@@ -701,10 +731,10 @@ func buildKind(c *codec, t reflect.Type, seen []reflect.Type) {
 			}
 			return dst
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			var err error
 			for _, f := range fields {
-				src, err = f.c.dec(src, unsafe.Add(p, f.off))
+				src, err = f.c.dec(src, unsafe.Add(p, f.off), own)
 				if err != nil {
 					return nil, err
 				}
@@ -731,7 +761,7 @@ func fixedInt(c *codec, kind string, w int) {
 	switch w {
 	case 1:
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte { return append(dst, *(*byte)(p)) }
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			if len(src) < 1 {
 				return nil, errShort
 			}
@@ -742,7 +772,7 @@ func fixedInt(c *codec, kind string, w int) {
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint16(dst, *(*uint16)(p))
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			if len(src) < 2 {
 				return nil, errShort
 			}
@@ -753,7 +783,7 @@ func fixedInt(c *codec, kind string, w int) {
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint32(dst, *(*uint32)(p))
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			if len(src) < 4 {
 				return nil, errShort
 			}
@@ -764,7 +794,7 @@ func fixedInt(c *codec, kind string, w int) {
 		c.enc = func(dst []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint64(dst, *(*uint64)(p))
 		}
-		c.dec = func(src []byte, p unsafe.Pointer) ([]byte, error) {
+		c.dec = func(src []byte, p unsafe.Pointer, own bool) ([]byte, error) {
 			if len(src) < 8 {
 				return nil, errShort
 			}

@@ -340,12 +340,80 @@ func FuzzRoundTripStruct(f *testing.F) {
 	})
 }
 
+// blob holds []byte at several depths beside a string and another slice:
+// the shape UnmarshalOwned views in part.
+type blob struct {
+	B  []byte
+	S  string
+	N  [][]byte
+	I  []int32
+	In struct {
+		X []byte
+		F bool
+	}
+}
+
+// checkOwned holds UnmarshalOwned[T] to Unmarshal[T] on frame: both accept
+// it or both refuse it, with equal values, and views reports the byte
+// ranges the owned decode viewed (every one must lie inside the frame) and
+// copied (none may); nothing Unmarshal returns may.
+func checkOwned[T any](t *testing.T, frame []byte, views func(v []T) (viewed, copied [][]byte)) {
+	t.Helper()
+	ref, err := Unmarshal[T](frame)
+	own, oerr := UnmarshalOwned[T](frame)
+	if (err == nil) != (oerr == nil) {
+		t.Fatalf("%T: Unmarshal err = %v, UnmarshalOwned err = %v", own, err, oerr)
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(ref, own) {
+		t.Fatalf("%T: UnmarshalOwned = %#v, Unmarshal = %#v", own, own, ref)
+	}
+	inside := func(b []byte) bool {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		return p >= lo && p+uintptr(len(b)) <= lo+uintptr(len(frame))
+	}
+	viewed, copied := views(own)
+	for _, b := range viewed {
+		if len(b) > 0 && (!inside(b) || cap(b) != len(b)) {
+			t.Fatalf("%T: a []byte of %d bytes (capacity %d) is not a capped view of the frame", own, len(b), cap(b))
+		}
+	}
+	for _, b := range copied {
+		if len(b) > 0 && inside(b) {
+			t.Fatalf("%T: %q lies inside the frame", own, b)
+		}
+	}
+	refViewed, refCopied := views(ref)
+	for _, b := range append(refViewed, refCopied...) {
+		if len(b) > 0 && inside(b) {
+			t.Fatalf("%T: Unmarshal's %q lies inside the frame", ref, b)
+		}
+	}
+}
+
+// blobViews lists what UnmarshalOwned[blob] views (every []byte) and copies
+// (the strings; the []int32 is fresh memory too).
+func blobViews(v []blob) (viewed, copied [][]byte) {
+	for _, b := range v {
+		viewed = append(append(viewed, b.B, b.In.X), b.N...)
+		copied = append(copied, unsafe.Slice(unsafe.StringData(b.S), len(b.S)),
+			unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b.I))), 4*len(b.I)))
+	}
+	return viewed, copied
+}
+
 // FuzzDecodeArbitraryBytes feeds the decoder raw bytes: it may reject them,
 // but must never panic, and anything it accepts must re-encode to a frame it
 // accepts again (self-produced frames are canonical). The aligned-part decode
 // a collective's receiver runs on every message (AlignedElems) is held to
 // more: whatever it accepts, as a view of a dense type or a decoded copy of a
-// padded one, re-encodes to the very same frame.
+// padded one, re-encodes to the very same frame. UnmarshalOwned, which a
+// collective's receiver runs on every variable-width part, accepts exactly
+// what Unmarshal accepts and decodes it to an equal value, every []byte in it
+// (at the top or at any depth) a view of the frame and every string a copy.
 func FuzzDecodeArbitraryBytes(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Marshal([]int64{1, 2, 3}))
@@ -375,6 +443,14 @@ func FuzzDecodeArbitraryBytes(f *testing.F) {
 	bools := Marshal([]bool{true, false})
 	bools[len(bools)-1] = 2
 	f.Add(bools)
+	// []byte at three depths beside strings: whole, empty slices, and cut
+	// inside the nested slice.
+	b := blob{B: []byte("ab"), S: "str", N: [][]byte{[]byte("x"), nil, []byte("yz")}, I: []int32{7}}
+	b.In.X, b.In.F = []byte("inner"), true
+	blobs := Marshal([]blob{b, {S: "s"}})
+	f.Add(blobs)
+	f.Add(blobs[:len(blobs)-12])
+	f.Add(Marshal([][]byte{[]byte("abc"), {}, []byte("d")}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// A transport delivers a frame at an 8-byte-aligned base; the fuzzer's
 		// slice may sit anywhere, so both are tried.
@@ -429,5 +505,15 @@ func FuzzDecodeArbitraryBytes(f *testing.F) {
 				t.Fatalf("accepted one-frame not canonical: %v", err2)
 			}
 		}
+
+		checkOwned(t, raw, blobViews)
+		checkOwned(t, raw, func(v [][]byte) ([][]byte, [][]byte) { return v, nil })
+		checkOwned(t, raw, func(v []byte) ([][]byte, [][]byte) { return [][]byte{v}, nil })
+		checkOwned(t, raw, func(v []msg) (viewed, copied [][]byte) {
+			for _, m := range v {
+				copied = append(copied, unsafe.Slice(unsafe.StringData(m.S), len(m.S)))
+			}
+			return nil, copied
+		})
 	})
 }

@@ -371,7 +371,9 @@ func KeepFunc(keep func(row, col int32) bool) Mask { return Mask{keep: keep} }
 // the number of products evaluated on kept cells, annihilated ones included.
 // With a counter, the products and the Fold calls that formed them are also
 // published as spmat.spgemm_products and spmat.fold_calls. a and b are never
-// touched.
+// touched. When a and b are one matrix (transitive reduction's S ⊗ S) and the
+// mask does not split A, the two frames would be equal, so one is built and
+// broadcast as both: a frame is never written once sent.
 func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
@@ -379,10 +381,12 @@ func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], ma
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: SpGEMM inner dims %d != %d", a.NC, b.NR))
 	}
-	return summa(operands{
-		g: a.G, nr: a.NR, nk: a.NC, nc: b.NC,
-		a: blockFrame(a, "A", mask.checkerboard), b: blockFrame(b, "B", false),
-	}, sr, mask, products)
+	af := blockFrame(a, "A", mask.checkerboard)
+	bf := af
+	if any(a) != any(b) || mask.checkerboard {
+		bf = blockFrame(b, "B", false)
+	}
+	return summa(operands{g: a.G, nr: a.NR, nk: a.NC, nc: b.NC, a: af, b: bf}, sr, mask, products)
 }
 
 // blockFrame is the panel frame of the rank's block of a as a SUMMA operand;

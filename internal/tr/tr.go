@@ -96,7 +96,10 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 	var st Stats
 	pat := newPattern(s)
 	sr := pat.semiring()
-	buf := make([]spmat.Triple[packed], len(s.Local.Ts)) // S only shrinks
+	// S only shrinks, so buffers sized by its first block never grow.
+	buf := make([]spmat.Triple[packed], len(s.Local.Ts))
+	marked := make([]int32, 0, len(s.Local.Ts))
+	dead := make([]bool, len(s.Local.Ts))
 	for iter := 0; iter < maxIter; iter++ {
 		st.Iterations = iter + 1
 		ts := s.Local.Ts
@@ -105,7 +108,7 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		n := spmat.SpGEMMCounted(view, view, sr, spmat.KeepFunc(pat.has), &st.Products)
 		// Merge-join N against S — both canonical, N's cells a subset of
 		// S's — collecting the positions of the local transitive edges.
-		var marked []int32
+		marked = marked[:0]
 		i := 0
 		for _, nt := range n.Local.Ts {
 			for ts[i].Col != nt.Col || ts[i].Row != nt.Row {
@@ -119,7 +122,8 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		// so S stays a symmetric matrix.
 		type pair struct{ R, C int32 }
 		mirrors := mpi.NewBuf[pair](len(marked))
-		dead := make([]bool, len(ts))
+		dead = dead[:len(ts)]
+		clear(dead)
 		for k, i := range marked {
 			mirrors.Elems()[k] = pair{ts[i].Col, ts[i].Row}
 			dead[i] = true
