@@ -33,9 +33,10 @@ RDV="127.0.0.1:$((20000 + RANDOM % 20000))"
 pids+=($!)
 sleep 1
 
-# Every rank gets the same flags, -manifest included, so every process
-# collects the metrics that rank 0's manifest gathers; worker ranks never
-# write the file (only rank 0 produces output).
+# Every rank gets the same flags, -manifest included; worker ranks never
+# write the file (only rank 0 produces output). Every process collects its
+# ranks' metrics whether or not it is given -manifest, so rank 0's manifest
+# covers the world either way.
 common=(-preset celegans -size "$SIZE" -transport tcp -join "$RDV" -np $NP -manifest "$OUT")
 
 # Group B ("host" 127.0.0.2), launched first: bootstrap order must not

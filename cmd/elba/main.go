@@ -41,8 +41,8 @@
 // -np is an mpirun-style alias for -p. Contigs are bit-identical and
 // byte/message counters equal across all three transports — only wall time
 // differs. (In proc mode -traceout, -cpuprofile and -memprofile cover rank
-// 0's process only; -metrics and -manifest cover every rank. A worker that
-// dies aborts its peers instead of hanging them.)
+// 0's process only; -manifest covers every rank. A worker that dies aborts
+// its peers instead of hanging them.)
 //
 // # Running across machines
 //
@@ -64,8 +64,9 @@
 // to the rendezvous; -advertise overrides it on NATed hosts. No shared
 // filesystem is assumed: contigs and statistics stream to rank 0 over the
 // mesh, every rank's stage rows and metric snapshot reach every process after
-// each stage, and rank 0 alone prints the summary and writes -out,
-// -metrics and -manifest. If any rank dies mid-run its peers abort promptly
+// each stage, and rank 0 alone prints the summary and writes -out and
+// -manifest, whose metrics cover every rank whether or not the others were
+// given -manifest. If any rank dies mid-run its peers abort promptly
 // with an error naming the dead rank (and the resume point, when a snapshot
 // completed). See OPERATIONS.md for ports, bootstrap ordering and failure
 // semantics.
@@ -77,11 +78,12 @@
 //	go tool pprof cpu.pb.gz
 //
 // Observability rides the same run: -traceout writes a Perfetto-loadable
-// event trace (open it in ui.perfetto.dev), -metrics a per-rank + merged
-// metrics snapshot, and -manifest the machine-readable RUN.json run record
-// that benchguard -manifest verifies:
+// event trace (open it in ui.perfetto.dev), and -manifest the
+// machine-readable RUN.json run record — stage rows, contig checksum, and
+// every rank's metric snapshot with their merge — that benchguard -manifest
+// verifies:
 //
-//	elba -preset celegans -p 4 -traceout trace.json -metrics metrics.json -manifest RUN.json
+//	elba -preset celegans -p 4 -traceout trace.json -manifest RUN.json
 //
 // Progress and stage streaming (-progress) go to stderr, so stdout stays
 // machine-parseable when piping the summary lines.
@@ -168,7 +170,6 @@ func main() {
 		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile of the assembly here")
 		memProf     = flag.String("memprofile", "", "write a pprof heap profile (post-assembly, after GC) here")
 		traceOut    = flag.String("traceout", "", "write a Perfetto-loadable event trace (JSON) here")
-		metricsOut  = flag.String("metrics", "", "write the per-rank + merged metrics snapshot (JSON) here")
 		manifestOut = flag.String("manifest", "", "write the machine-readable RUN.json run manifest here")
 		transport   = flag.String("transport", elba.TransportInproc, "rank transport: inproc (goroutines + mailboxes) | tcp (loopback socket mesh) | proc (one OS process per rank); contigs are identical on all")
 		checkpoint  = flag.String("checkpoint", "", "write durable checkpoints under this directory after completed stages, enabling -resume and supervised proc recovery")
@@ -270,17 +271,15 @@ func main() {
 
 	// Observability handles are allocated before Plan so validation sees them;
 	// both are result-neutral (contigs and traffic counters are identical
-	// with tracing on or off).
+	// with tracing on or off). Every process keeps metrics: in a -join world
+	// each rank's snapshot reaches rank 0's manifest only if its own process
+	// collects one, and only rank 0 need be given -manifest.
 	var traceRec *elba.Trace
-	var metricSet *elba.MetricSet
 	if *traceOut != "" {
 		traceRec = elba.NewTrace(opt.P)
 		opt.Trace = traceRec
 	}
-	if *metricsOut != "" || *manifestOut != "" {
-		metricSet = elba.NewMetricSet(opt.P)
-		opt.Metrics = metricSet
-	}
+	opt.Metrics = elba.NewMetricSet(opt.P)
 
 	var observers []elba.Observer
 	if *progress {
@@ -412,12 +411,6 @@ func main() {
 			log.Fatal(werr)
 		}
 		fmt.Fprintf(os.Stderr, "wrote trace to %s\n", *traceOut)
-	}
-	if metricSet != nil && *metricsOut != "" {
-		if werr := metricSet.WriteFile(*metricsOut); werr != nil {
-			log.Fatal(werr)
-		}
-		fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", *metricsOut)
 	}
 	if *manifestOut != "" {
 		man := result.Manifest(opt)

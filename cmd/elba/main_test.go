@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -161,49 +162,82 @@ func TestResumeRefusesOldSchema(t *testing.T) {
 	}
 }
 
-// TestProcLauncher: -transport proc -np 4 re-execs this binary as four -join
-// workers, and the run gives the in-process run's contig checksum and
-// traffic totals and records transport proc. With -checkpoint and a fault
-// that kills rank 2 in Alignment, the launcher relaunches the group once,
-// from the committed checkpoint, and the run gives the same contigs.
-func TestProcLauncher(t *testing.T) {
-	if testing.Short() {
-		t.Skip("starts worker groups in -short mode")
-	}
+// runManifest runs this binary as elba with a small job, args and env, and
+// returns the RUN.json it wrote as dir/name.json.
+func runManifest(t *testing.T, dir, name string, env []string, args ...string) *obs.Manifest {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	run := func(name string, env []string, args ...string) *obs.Manifest {
-		t.Helper()
-		path := filepath.Join(dir, name+".json")
-		args = append(strings.Fields("-preset celegans -size 4000 -seed 3 -manifest "+path), args...)
-		cmd := exec.Command(exe, args...)
-		cmd.Env = append(os.Environ(), append(env, envRunMain+"=1")...)
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%s run: %v\n%s", name, err, &stderr)
-		}
-		m, err := obs.ReadManifestFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	path := filepath.Join(dir, name+".json")
+	args = append(strings.Fields("-preset celegans -size 4000 -seed 3 -manifest "+path), args...)
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), append(env, envRunMain+"=1")...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%s run: %v\n%s", name, err, &stderr)
 	}
+	m, err := obs.ReadManifestFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// byName indexes one metric snapshot by metric name.
+func byName(snap []obs.Metric) map[string]obs.Metric {
+	out := make(map[string]obs.Metric, len(snap))
+	for _, m := range snap {
+		out[m.Name] = m
+	}
+	return out
+}
+
+// TestProcLauncher: -transport proc -np 4 re-execs this binary as four -join
+// workers, and the run gives the in-process run's contig checksum, traffic
+// totals and, rank by rank, metric names and non-gauge values, and records
+// transport proc. With -checkpoint and a fault that kills rank 2 in
+// Alignment, the launcher relaunches the group once, from the committed
+// checkpoint, and the run gives the same contigs.
+func TestProcLauncher(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts worker groups in -short mode")
+	}
+	dir := t.TempDir()
 	transport := func(m *obs.Manifest) any { return m.Options.(map[string]any)["Transport"] }
 
-	want := run("inproc", nil, "-p", "4")
-	got := run("proc", nil, "-transport", "proc", "-np", "4")
+	want := runManifest(t, dir, "inproc", nil, "-p", "4")
+	got := runManifest(t, dir, "proc", nil, "-transport", "proc", "-np", "4")
 	if got.Contigs != want.Contigs || got.Comm != want.Comm {
 		t.Errorf("proc run: contigs %+v, comm %+v; inproc run: %+v, %+v", got.Contigs, got.Comm, want.Contigs, want.Comm)
 	}
 	if transport(got) != "proc" || got.Restarts != 0 {
 		t.Errorf("proc run records transport %v and %d restarts, want proc and 0", transport(got), got.Restarts)
 	}
+	if bad := got.Verify(); len(bad) != 0 || len(got.PerRank) != len(want.PerRank) {
+		t.Fatalf("proc run records %d per-rank snapshots (inproc %d): %v", len(got.PerRank), len(want.PerRank), bad)
+	}
+	// Gauges are last values and high-watermarks of a rank's own schedule
+	// (mailbox depth, a table's entries as it grows), not totals of its work.
+	for r := range want.PerRank {
+		g, w := byName(got.PerRank[r]), byName(want.PerRank[r])
+		if len(g) != len(w) {
+			t.Errorf("rank %d: proc run has %d metrics, inproc run %d", r, len(g), len(w))
+		}
+		for name, wm := range w {
+			gm, ok := g[name]
+			switch {
+			case !ok:
+				t.Errorf("rank %d: metric %s missing from the proc run", r, name)
+			case wm.Kind != obs.KindGauge && !reflect.DeepEqual(gm, wm):
+				t.Errorf("rank %d: proc run's %+v, inproc run's %+v", r, gm, wm)
+			}
+		}
+	}
 
-	chaos := run("chaos", []string{faultinject.EnvVar + "=kill:rank=2,stage=Alignment,n=1"},
+	chaos := runManifest(t, dir, "chaos", []string{faultinject.EnvVar + "=kill:rank=2,stage=Alignment,n=1"},
 		"-transport", "proc", "-np", "4", "-checkpoint", filepath.Join(dir, "checkpoints"))
 	if chaos.Contigs != want.Contigs || chaos.Comm != want.Comm {
 		t.Errorf("recovered run: contigs %+v, comm %+v; inproc run: %+v, %+v", chaos.Contigs, chaos.Comm, want.Contigs, want.Comm)
@@ -361,5 +395,51 @@ func TestJoinAssemblesBehindStrangers(t *testing.T) {
 	}
 	if len(want) == 0 || !bytes.Equal(got, want) {
 		t.Fatalf("-join contigs (%d bytes) differ from the in-process run's (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestJoinManifestCoversEveryRank: in a 4-rank -join world where only rank 0
+// is given -manifest, its RUN.json still records every rank's metric
+// snapshot, and their merge equals an in-process run's work and traffic.
+func TestJoinManifestCoversEveryRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a worker group in -short mode")
+	}
+	dir := t.TempDir()
+	want := byName(runManifest(t, dir, "inproc", nil, "-p", "4").Metrics)
+	path := filepath.Join(dir, "join.json")
+	errs, stderr := joinJob(t, 4, strings.Fields("-preset celegans -size 4000 -seed 3 -transport tcp"), func(rank int) []string {
+		if rank == 0 {
+			return []string{"-manifest", path}
+		}
+		return nil
+	}, nil)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v\n%s", r, err, stderr[r])
+		}
+	}
+	m, err := obs.ReadManifestFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := m.Verify(); len(bad) != 0 {
+		t.Fatalf("join manifest invalid: %v", bad)
+	}
+	if len(m.PerRank) != 4 {
+		t.Fatalf("join manifest records %d per-rank snapshots, want 4", len(m.PerRank))
+	}
+	for r, snap := range m.PerRank {
+		if len(snap) == 0 {
+			t.Errorf("rank %d's metric snapshot is empty", r)
+		}
+	}
+	got := byName(m.Metrics)
+	for _, name := range []string{"kmer.occurrences", "align.pairs", "spmat.spgemm_products", "mpi.msg_bytes"} {
+		g, w := got[name], want[name]
+		if w.Value+w.Count == 0 || g.Value != w.Value || g.Count != w.Count || g.Sum != w.Sum {
+			t.Errorf("%s: join run value %d count %d sum %d; inproc run value %d count %d sum %d",
+				name, g.Value, g.Count, g.Sum, w.Value, w.Count, w.Sum)
+		}
 	}
 }

@@ -75,11 +75,11 @@
 // records per-rank event spans (stage bodies, pool chunks, mpi
 // sends/receives/waits) for Perfetto (`elba -traceout run.json`, then load
 // run.json in ui.perfetto.dev); Options.Metrics (NewMetricSet) collects
-// typed counters/gauges/histograms; an Observer passed to Plan streams
-// per-stage progress; and Output.Manifest builds the machine-readable
+// typed counters/gauges/histograms per rank; an Observer passed to Plan
+// streams per-stage progress; and Output.Manifest builds the machine-readable
 // RUN.json run record (options, per-stage comm breakdown with the
-// overlap/exposed split, contig checksum) that benchguard -manifest
-// verifies. Contigs and byte/message counters are bit-identical with
+// overlap/exposed split, contig checksum, every rank's metric snapshot and
+// their merge) that benchguard -manifest verifies. Contigs and byte/message counters are bit-identical with
 // observability on or off.
 package elba
 
@@ -206,8 +206,8 @@ func StageNames() []string { return pipeline.StageNames() }
 // write it with Trace.WriteFile after the run.
 type Trace = obs.Trace
 
-// MetricSet collects per-rank typed metrics (Options.Metrics); snapshot it with
-// MetricSet.WriteFile or fold it into the manifest.
+// MetricSet collects per-rank typed metrics (Options.Metrics); the run
+// manifest records each rank's snapshot and their merge.
 type MetricSet = obs.MetricSet
 
 // Manifest is the machine-readable run record (RUN.json), built by

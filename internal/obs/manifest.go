@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 )
 
@@ -47,8 +49,9 @@ type ContigSummary struct {
 
 // Manifest is the machine-readable record of one assembly run (RUN.json).
 // Options carries the full option set the run used (serialized as-is);
-// Metrics is the deterministic cross-rank merge of the run's metric
-// snapshots, present only when the run collected metrics.
+// PerRank holds each rank's metric snapshot, in rank order, and Metrics
+// their deterministic cross-rank merge — both present only when the run
+// collected metrics.
 type Manifest struct {
 	Schema  string        `json:"schema"`
 	Options any           `json:"options"`
@@ -59,6 +62,7 @@ type Manifest struct {
 	Comm    CommTotals    `json:"comm"` // the sums of the top-level Stages rows
 	Contigs ContigSummary `json:"contigs"`
 	Metrics []Metric      `json:"metrics,omitempty"`
+	PerRank [][]Metric    `json:"per_rank,omitempty"`
 	// Restarts counts how many times the supervised proc launcher relaunched
 	// the worker group before this run completed (0 for an undisturbed run).
 	// Like wall time it is never part of baseline comparison — a recovered
@@ -91,8 +95,10 @@ func ChecksumSeqs(seqs [][]byte) string {
 // per violation (empty slice: all good): schema match, non-negative
 // counters, the per-stage comm_overlap + comm_exposed == comm_total
 // identities, the run totals equal to the sums of the top-level stage rows
-// (names without ':'; sub-stages nest inside them), and a present checksum
-// whenever contigs exist.
+// (names without ':'; sub-stages nest inside them), a present checksum
+// whenever contigs exist, and — when per-rank snapshots are recorded — one
+// per rank whose merge is the recorded Metrics, so a record missing a rank's
+// metrics fails.
 func (m *Manifest) Verify() []string {
 	var bad []string
 	if m.Schema != ManifestSchema {
@@ -134,7 +140,25 @@ func (m *Manifest) Verify() []string {
 	if m.Contigs.Count < 0 || m.Contigs.TotalBases < 0 {
 		bad = append(bad, "negative contig summary")
 	}
+	if m.PerRank != nil {
+		if len(m.PerRank) != m.P {
+			bad = append(bad, fmt.Sprintf("per_rank has %d snapshots, want p = %d", len(m.PerRank), m.P))
+		}
+		if !slices.EqualFunc(Merge(m.PerRank...), m.Metrics, sameMetric) {
+			bad = append(bad, "metrics are not the merge of the per_rank snapshots")
+		}
+	}
 	return bad
+}
+
+// sameMetric reports whether two snapshots of a metric agree, an absent
+// bucket list equal to an empty one (JSON omits both).
+func sameMetric(a, b Metric) bool {
+	if !slices.Equal(a.Buckets, b.Buckets) {
+		return false
+	}
+	a.Buckets, b.Buckets = nil, nil
+	return reflect.DeepEqual(a, b)
 }
 
 // WriteJSON writes the manifest as indented JSON (deterministic field

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -79,11 +80,46 @@ func TestManifestVerify(t *testing.T) {
 	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "checksum") {
 		t.Fatalf("missing checksum not caught: %v", bad)
 	}
+	// Per-rank snapshots: one per rank, merging to the recorded metrics. A
+	// record missing a rank is caught however its metrics were merged.
+	m = withPerRank(validManifest())
+	if bad := m.Verify(); len(bad) != 0 {
+		t.Fatalf("valid per-rank manifest rejected: %v", bad)
+	}
+	m.PerRank = m.PerRank[:3]
+	if bad := m.Verify(); len(bad) != 2 || !strings.Contains(bad[0], "per_rank has 3 snapshots") {
+		t.Fatalf("missing rank not caught: %v", bad)
+	}
+	m.Metrics = Merge(m.PerRank...)
+	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "per_rank has 3 snapshots") {
+		t.Fatalf("missing rank with matching merge not caught: %v", bad)
+	}
+	m = withPerRank(validManifest())
+	m.PerRank[2][0].Value++
+	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "not the merge") {
+		t.Fatalf("merge mismatch not caught: %v", bad)
+	}
+}
+
+// withPerRank gives m per-rank snapshots — a counter, a gauge and a
+// histogram on each of its P ranks — and their merge.
+func withPerRank(m *Manifest) *Manifest {
+	m.PerRank = make([][]Metric, m.P)
+	for r := range m.PerRank {
+		reg := NewRegistry()
+		reg.Counter("align.pairs").Add(int64(10 * (r + 1)))
+		reg.Gauge("kmer.table_entries").Set(int64(r))
+		reg.Histogram("mpi.msg_bytes").Observe(int64(100 << r))
+		m.PerRank[r] = reg.Snapshot()
+	}
+	m.Metrics = Merge(m.PerRank...)
+	return m
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	m := validManifest()
-	m.Metrics = []Metric{{Name: "align.cells", Kind: KindHistogram, Count: 3, Sum: 42}}
+	m := withPerRank(validManifest())
+	m.PerRank[0] = append(m.PerRank[0], Metric{Name: "align.cells", Kind: KindHistogram, Count: 3, Sum: 42})
+	m.Metrics = Merge(m.PerRank...)
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -98,8 +134,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	if len(got.Stages) != 1 || got.Stages[0].OverlapBytes != 600 {
 		t.Fatalf("round trip lost stages: %+v", got.Stages)
 	}
-	if len(got.Metrics) != 1 || got.Metrics[0].Sum != 42 {
+	if len(got.Metrics) != 4 || got.Metrics[0].Name != "align.cells" || got.Metrics[0].Sum != 42 {
 		t.Fatalf("round trip lost metrics: %+v", got.Metrics)
+	}
+	if !reflect.DeepEqual(got.PerRank, m.PerRank) {
+		t.Fatalf("round trip changed per_rank:\n%+v\nwant\n%+v", got.PerRank, m.PerRank)
 	}
 	if bad := got.Verify(); len(bad) != 0 {
 		t.Fatalf("round-tripped manifest invalid: %v", bad)

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -329,17 +326,17 @@ func mergeBuckets(a, b []Bucket) []Bucket {
 }
 
 // MetricSet is the per-rank registry collection an assembly run reports
-// into: one Registry per simulated rank, merged deterministically for the
-// manifest and the -metrics snapshot. In a multi-process run each process
+// into: one Registry per simulated rank, recorded per rank and merged
+// deterministically in the run manifest. In a multi-process run each process
 // populates only its own rank's registry; after every stage it absorbs the
 // others' snapshots — all-gathered over the engine's control communicator —
-// with SetSnapshot, so Merged and WriteJSON cover the whole world without a
-// shared filesystem.
+// with SetSnapshot, so Snapshots covers the whole world without a shared
+// filesystem.
 type MetricSet struct {
 	regs []*Registry
 
 	// imported holds per-rank snapshots gathered from other processes; a
-	// non-nil entry overrides that rank's live registry in Merged/WriteJSON.
+	// non-nil entry overrides that rank's live registry in Snapshots.
 	mu       sync.Mutex
 	imported [][]Metric
 }
@@ -373,9 +370,9 @@ func (s *MetricSet) Rank(i int) *Registry {
 }
 
 // SetSnapshot installs a fixed snapshot for rank i, overriding its live
-// registry in Merged and WriteJSON. A distributed run calls it on every
-// process with the snapshots gathered from the others; installing nil
-// reverts rank i to its live registry. Nil set: no-op.
+// registry in Snapshots. A distributed run calls it on every process with
+// the snapshots gathered from the others; installing nil reverts rank i to
+// its live registry. Nil set: no-op.
 func (s *MetricSet) SetSnapshot(i int, snap []Metric) {
 	if s == nil {
 		return
@@ -388,62 +385,21 @@ func (s *MetricSet) SetSnapshot(i int, snap []Metric) {
 	s.imported[i] = snap
 }
 
-// snapshot returns rank i's effective snapshot: the imported one when
-// installed, the live registry's otherwise.
-func (s *MetricSet) snapshot(i int) []Metric {
-	s.mu.Lock()
-	var imp []Metric
-	if s.imported != nil {
-		imp = s.imported[i]
-	}
-	s.mu.Unlock()
-	if imp != nil {
-		return imp
-	}
-	return s.regs[i].Snapshot()
-}
-
-// Merged returns the deterministic cross-rank merge of all per-rank
-// snapshots. Nil set: nil.
-func (s *MetricSet) Merged() []Metric {
+// Snapshots returns every rank's effective snapshot, in rank order — the
+// imported one where installed, the live registry's otherwise: the one view
+// the run manifest records per rank and merges. Nil set: nil.
+func (s *MetricSet) Snapshots() [][]Metric {
 	if s == nil {
 		return nil
 	}
 	snaps := make([][]Metric, len(s.regs))
-	for i := range s.regs {
-		snaps[i] = s.snapshot(i)
+	s.mu.Lock()
+	copy(snaps, s.imported)
+	s.mu.Unlock()
+	for i, snap := range snaps {
+		if snap == nil {
+			snaps[i] = s.regs[i].Snapshot()
+		}
 	}
-	return Merge(snaps...)
-}
-
-// WriteJSON writes the merged view plus every per-rank snapshot as indented
-// JSON.
-func (s *MetricSet) WriteJSON(w io.Writer) error {
-	if s == nil {
-		return fmt.Errorf("obs: WriteJSON on a nil metric set")
-	}
-	perRank := make([][]Metric, len(s.regs))
-	for i := range s.regs {
-		perRank[i] = s.snapshot(i)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Ranks   int        `json:"ranks"`
-		Merged  []Metric   `json:"merged"`
-		PerRank [][]Metric `json:"per_rank"`
-	}{Ranks: len(s.regs), Merged: s.Merged(), PerRank: perRank})
-}
-
-// WriteFile writes the metrics snapshot JSON to path.
-func (s *MetricSet) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return snaps
 }

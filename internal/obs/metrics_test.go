@@ -21,7 +21,7 @@ func TestNilMetricHandles(t *testing.T) {
 		t.Fatal("nil handles not inert")
 	}
 	var s *MetricSet
-	if s.Ranks() != 0 || s.Rank(0) != nil || s.Merged() != nil {
+	if s.Ranks() != 0 || s.Rank(0) != nil || s.Snapshots() != nil {
 		t.Fatal("nil metric set not inert")
 	}
 }
@@ -105,28 +105,43 @@ func TestMergeIsDeterministicAndAdditive(t *testing.T) {
 	}
 }
 
+// TestMetricSetMergedAndJSON: Snapshots gives each rank's view — an
+// installed snapshot in place of the live registry — and a manifest carries
+// them per rank beside their merge through JSON.
 func TestMetricSetMergedAndJSON(t *testing.T) {
 	s := NewMetricSet(3)
 	for i := 0; i < s.Ranks(); i++ {
 		s.Rank(i).Counter("mpi.msgs").Add(int64(i + 1))
 	}
-	merged := s.Merged()
-	if len(merged) != 1 || merged[0].Value != 6 {
-		t.Fatalf("merged = %v, want one counter of 6", merged)
+	s.SetSnapshot(1, []Metric{{Name: "mpi.msgs", Kind: KindCounter, Value: 20}})
+	snaps := s.Snapshots()
+	if len(snaps) != 3 || snaps[0][0].Value != 1 || snaps[1][0].Value != 20 || snaps[2][0].Value != 3 {
+		t.Fatalf("snapshots = %v, want 1, 20 (installed), 3", snaps)
+	}
+	s.SetSnapshot(1, nil)
+	if v := s.Snapshots()[1][0].Value; v != 2 {
+		t.Fatalf("rank 1 after uninstalling its snapshot = %d, want its live 2", v)
+	}
+
+	m := validManifest()
+	m.P = s.Ranks()
+	m.PerRank = s.Snapshots()
+	m.Metrics = Merge(m.PerRank...)
+	if len(m.Metrics) != 1 || m.Metrics[0].Value != 6 {
+		t.Fatalf("merged = %v, want one counter of 6", m.Metrics)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Ranks   int        `json:"ranks"`
-		Merged  []Metric   `json:"merged"`
+		Metrics []Metric   `json:"metrics"`
 		PerRank [][]Metric `json:"per_rank"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Ranks != 3 || len(doc.PerRank) != 3 || doc.PerRank[2][0].Value != 3 {
-		t.Fatalf("metrics JSON wrong: %+v", doc)
+	if len(doc.Metrics) != 1 || doc.Metrics[0].Value != 6 || len(doc.PerRank) != 3 || doc.PerRank[2][0].Value != 3 {
+		t.Fatalf("manifest JSON metrics wrong: %+v", doc)
 	}
 }

@@ -207,7 +207,7 @@ func TestDistributedMetricsCoverEveryRank(t *testing.T) {
 	type view map[string][2]int64 // counter value, or histogram count and sum
 	counters := func(ms *obs.MetricSet) view {
 		v := view{}
-		for _, m := range ms.Merged() {
+		for _, m := range obs.Merge(ms.Snapshots()...) {
 			switch m.Name {
 			case "align.pairs", "align.pairs_aligned", "kmer.occurrences", "spmat.spgemm_products":
 				v[m.Name] = [2]int64{m.Value}

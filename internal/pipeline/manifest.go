@@ -11,7 +11,8 @@ import (
 // per-stage wall/work/traffic rows with the overlap/exposed split (the
 // recorded rows, in RowNames order), the run-wide communication totals, a
 // contig checksum that identifies the assembly bit-exactly, and — when the
-// run collected metrics — the deterministic cross-rank metric merge. The
+// run collected metrics — each rank's snapshot, taken once, with their
+// deterministic cross-rank merge. The
 // result satisfies obs.(*Manifest).Verify; benchguard's -manifest mode gates
 // on it.
 func (o *Output) Manifest(opt Options) *obs.Manifest {
@@ -58,6 +59,10 @@ func (o *Output) Manifest(opt Options) *obs.Manifest {
 	if len(seqs) > 0 {
 		m.Contigs.Checksum = obs.ChecksumSeqs(seqs)
 	}
-	m.Metrics = opt.Metrics.Merged()
+	if opt.Metrics != nil {
+		// A metric set may cover more ranks than the run has; only P report.
+		m.PerRank = opt.Metrics.Snapshots()[:m.P]
+		m.Metrics = obs.Merge(m.PerRank...)
+	}
 	return m
 }

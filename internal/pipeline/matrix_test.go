@@ -450,7 +450,7 @@ func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 		}
 	}
 	byName := map[string]obs.Metric{}
-	for _, m := range ms.Merged() {
+	for _, m := range obs.Merge(ms.Snapshots()...) {
 		byName[m.Name] = m
 	}
 	// Every nonzero of A is counted once; its exchange is part of — and at

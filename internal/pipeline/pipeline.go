@@ -102,11 +102,12 @@ type Options struct {
 	// (observability configuration is not an algorithmic parameter).
 	Trace *obs.Trace `json:"-"`
 	// Metrics, when non-nil, collects per-rank typed counters, gauges and
-	// histograms (mpi.*, kmer.*, spmat.*, align.*, pipeline.*) for the
-	// -metrics snapshot and the manifest. Same contract as Trace: ≥ P ranks,
-	// no effect on results, nil means zero-cost. In a multi-process run every
-	// process's snapshot reaches every other after each stage, on the control
-	// plane with the stage rows; a process without Metrics sends none.
+	// histograms (mpi.*, kmer.*, spmat.*, align.*, pipeline.*) for the run
+	// manifest, which records each rank's snapshot and their merge. Same
+	// contract as Trace: ≥ P ranks, no effect on results, nil means
+	// zero-cost. In a multi-process run every process's snapshot reaches
+	// every other after each stage, on the control plane with the stage rows;
+	// a process without Metrics sends none, so its ranks' snapshots are empty.
 	Metrics *obs.MetricSet `json:"-"`
 	// Transport selects how the P ranks exchange messages: "" or "inproc"
 	// (goroutines over the in-process mailbox), "tcp" (a loopback socket
