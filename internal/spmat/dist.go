@@ -335,18 +335,16 @@ func (a *Dist[T]) MaskRowsCols(ids []int32) {
 	})
 }
 
-// Mask is the output mask of a multiply: which cells of C = A ⊗ B are formed
-// at all. A masked cell is never multiplied, never accumulated and never
-// counted, so the result equals the unmasked product followed by Apply(mask)
-// at the cost of the kept cells only. The zero Mask keeps every cell. The
-// multiply selects its product loop from the mask once: the checkerboard — a
-// pure function of the indices — asks nothing per product, because each A
-// column run is split into parity sub-runs whose kept rows are a prefix and a
-// suffix (see gustavson.multiply); only a KeepFunc mask pays a call per
-// product.
+// Mask is the output mask of SpGEMMCounted: which cells of C = A ⊗ B are
+// formed at all. A masked cell is never multiplied, never accumulated and
+// never counted, so the result equals the unmasked product followed by
+// Apply(mask) at the cost of the kept cells only. The zero Mask keeps every
+// cell. The checkerboard — a pure function of the indices — asks nothing per
+// product, because each A column run is split into parity sub-runs whose kept
+// rows are a prefix and a suffix (see gustavson.multiply). A mask that is a
+// matrix's pattern is SpGEMMInto's.
 type Mask struct {
 	checkerboard bool
-	keep         func(row, col int32) bool
 }
 
 // Checkerboard is the mask of a symmetric product whose pairs must each be
@@ -357,36 +355,93 @@ type Mask struct {
 // diagonal is dropped.
 func Checkerboard() Mask { return Mask{checkerboard: true} }
 
-// KeepFunc masks with an arbitrary predicate, asked before each product is
-// formed.
-func KeepFunc(keep func(row, col int32) bool) Mask { return Mask{keep: keep} }
-
 // SpGEMMCounted computes A ⊗ B with the SUMMA algorithm (collective; see
 // summa): each rank scatters its A block — under the Checkerboard mask split
 // by row parity — and its B block into the panel frames it broadcasts, after
 // checking both are canonical inside the block, which a block that is not
 // panics on here, on the rank that holds it. Only cells the mask keeps are
-// formed (Mask{} keeps every cell). products, when non-nil, is a
-// semiring-product work counter for the performance model: it is advanced by
-// the number of products evaluated on kept cells, annihilated ones included.
-// With a counter, the products and the Fold calls that formed them are also
-// published as spmat.spgemm_products and spmat.fold_calls. a and b are never
-// touched. When a and b are one matrix (transitive reduction's S ⊗ S) and the
-// mask does not split A, the two frames would be equal, so one is built and
-// broadcast as both: a frame is never written once sent.
+// formed (Mask{} keeps every cell); the rounds' outputs are merged by NewCOO
+// with sr.Add. products, when non-nil, is a semiring-product work counter
+// for the performance model: it is advanced by the number of products
+// evaluated on kept cells, annihilated ones included. With a counter, the
+// products and the Fold calls that formed them are also published as
+// spmat.spgemm_products and spmat.fold_calls. a and b are never touched.
 func SpGEMMCounted[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
+	return product(operandsOf(a, b, mask.checkerboard), sr, mask.checkerboard, products)
+}
+
+// product runs the SUMMA loop of op through gustavson.multiply, A's panels
+// split when split is set, and merges the rounds' outputs with sr.Add.
+func product[A, B, C any](op operands, sr Semiring[A, B, C], split bool, products *int64) *Dist[C] {
+	out := newDistShell[C](op.g, op.nr, op.nc)
+	p := &gustavson[A, B, C]{sr: sr, split: split, acc: newAcc[C](out.RowHi - out.RowLo), rowLo: out.RowLo}
+	summa(op, split, p.multiply)
+	p.publish(op.g.Comm, products)
+	out.Local = NewCOO(op.nr, op.nc, p.ts, sr.Add)
+	return out
+}
+
+// SpGEMMInto folds A ⊗ B into values the caller owns, under the pattern of
+// mask (collective; see summa): out[p] is the value of the cell of
+// mask.Local.Ts[p], and only those cells are formed. Each product of a cell
+// is folded into its value in place, so a cell no product reaches keeps the
+// value it came in with, and the caller seeds out with whatever its fold
+// starts from. Nothing is emitted, sorted or merged, and sr.Add is never
+// called. mask must be on a's grid and shaped like the product, its block
+// canonical, and out exactly as long as that block; a mask or out that is
+// not panics naming the rank. products counts as for SpGEMMCounted, the
+// products on mask cells, annihilated ones included, and the Fold calls
+// published as spmat.fold_calls are one per maximal stretch of an A run over
+// mask cells. a, b and mask are never touched.
+func SpGEMMInto[A, B, C, M any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], mask *Dist[M], out []C, products *int64) {
+	op := operandsOf(a, b, false)
+	g, rank := op.g, op.g.Comm.Rank()
+	if mask.G != g || mask.NR != op.nr || mask.NC != op.nc {
+		panic(fmt.Sprintf("spmat: SpGEMMInto mask on rank %d is %dx%d or on another grid; the product is %dx%d", rank, mask.NR, mask.NC, op.nr, op.nc))
+	}
+	shell := newDistShell[C](g, op.nr, op.nc)
+	if err := CheckColMajor(mask.Local.Ts, shell.RowLo, shell.RowHi, shell.ColLo, shell.ColHi); err != nil {
+		panic(fmt.Sprintf("spmat: SpGEMMInto mask block of rank %d: %v", rank, err))
+	}
+	if len(out) != len(mask.Local.Ts) {
+		panic(fmt.Sprintf("spmat: SpGEMMInto on rank %d: %d output values for a mask block of %d cells", rank, len(out), len(mask.Local.Ts)))
+	}
+	p := &gustavson[A, B, C]{sr: sr, acc: borrowAcc[C](&intoAccs, shell.RowHi-shell.RowLo), rowLo: shell.RowLo}
+	defer intoAccs.Put(p.acc)
+	summa(op, false, func(ap panel[A], kLo, kHi int, bp panel[B]) {
+		foldInto(p, ap, kLo, kHi, bp, mask.Local.Ts, out)
+	})
+	p.publish(g.Comm, products)
+}
+
+// operandsOf checks a and b against each other and builds this rank's two
+// panel frames of A ⊗ B, A's split by row parity when split is set. When a
+// and b are one matrix (transitive reduction's S ⊗ S) and A is not split,
+// the two frames would be equal, so one is built and broadcast as both: a
+// frame is never written once sent.
+func operandsOf[A, B any](a *Dist[A], b *Dist[B], split bool) operands {
 	if a.G != b.G {
 		panic("spmat: SpGEMM operands on different grids")
 	}
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: SpGEMM inner dims %d != %d", a.NC, b.NR))
 	}
-	af := blockFrame(a, "A", mask.checkerboard)
+	af := blockFrame(a, "A", split)
 	bf := af
-	if any(a) != any(b) || mask.checkerboard {
+	if any(a) != any(b) || split {
 		bf = blockFrame(b, "B", false)
 	}
-	return summa(operands{g: a.G, nr: a.NR, nk: a.NC, nc: b.NC, a: af, b: bf}, sr, mask, products)
+	return operands{g: a.G, nr: a.NR, nk: a.NC, nc: b.NC, a: af, b: bf}
+}
+
+// publish adds the multiply's products to products and, with a counter, to
+// the rank's spmat.spgemm_products and its Fold calls to spmat.fold_calls.
+func (p *gustavson[A, B, C]) publish(c *mpi.Comm, products *int64) {
+	if products != nil {
+		*products += p.products
+		c.Metrics().Counter("spmat.spgemm_products").Add(p.products)
+		c.Metrics().Counter("spmat.fold_calls").Add(p.calls)
+	}
 }
 
 // blockFrame is the panel frame of the rank's block of a as a SUMMA operand;
@@ -403,8 +458,7 @@ func blockFrame[T any](a *Dist[T], name string, split bool) []byte {
 // for the panels FromRows built, which the SUMMA loop broadcasts as they
 // are. p is never touched.
 func SpGEMMPanels[T, C any](p *Panels[T], sr Semiring[T, T, C], products *int64) *Dist[C] {
-	return summa(operands{g: p.G, nr: p.NR, nk: p.NC, nc: p.NR, a: p.a, b: p.at, bTransposed: true},
-		sr, Checkerboard(), products)
+	return product(operands{g: p.G, nr: p.NR, nk: p.NC, nc: p.NR, a: p.a, b: p.at, bTransposed: true}, sr, true, products)
 }
 
 // operands is what the SUMMA loop needs of C = A ⊗ B on one rank: the
@@ -420,8 +474,9 @@ type operands struct {
 
 // summa is the SUMMA loop: √P stages; in stage s the ranks of grid column s
 // broadcast their A panels along their grid row, the ranks of grid row s
-// broadcast their B panels along their grid column, and every rank
-// accumulates the local product of the kept cells.
+// broadcast their B panels along their grid column, and every rank hands the
+// round's two panels to round, its local product; split says A's panels are
+// split by row parity.
 //
 // The broadcasts are nonblocking: round s+1's A/B panels are posted with
 // IBcast before round s multiplies, so on a rank that is not in blocking
@@ -429,18 +484,15 @@ type operands struct {
 // the wire as one DCSC frame (panel.go), and every rank, the root included,
 // multiplies read-only views of the frame it holds after one linear
 // validation pass; a frame failing it panics naming its root (and, for a B
-// frame from FromRows, the rank that built it). The local product of each
-// round is the Gustavson pass of local.go (gustavson.multiply), which hands
-// the semiring whole kept stretches of A's column runs to fold into the
-// generation-tagged accumulator over the block's row span; per-round
-// emissions are column-clustered, so the final cross-round merge is the
-// radix path of NewCOO with the semiring Add as the combiner (Add is
-// associative and commutative — the precondition SUMMA's
-// stage-order-independent accumulation already imposes).
-func summa[A, B, C any](op operands, sr Semiring[A, B, C], mask Mask, products *int64) *Dist[C] {
+// frame from FromRows, the rank that built it). The local product is the
+// Gustavson pass of local.go: gustavson.multiply, which hands the semiring
+// whole kept stretches of A's column runs to fold into the generation-tagged
+// accumulator over the block's row span and emits each output column, or
+// foldInto, which folds them straight into a pattern mask's values.
+func summa[A, B any](op operands, split bool, round func(a panel[A], kLo, kHi int, b panel[B])) {
 	g := op.g
-	out := newDistShell[C](g, op.nr, op.nc)
-	p := gustavson[A, B, C]{sr: sr, mask: mask, acc: newAcc[C](out.RowHi - out.RowLo), rowLo: out.RowLo}
+	rowLo, rowHi := g.MyRowRange(int(op.nr))
+	colLo, colHi := g.MyColRange(int(op.nc))
 	lane := g.Comm.Lane()
 	panelNnz := g.Comm.Metrics().Histogram("spmat.panel_nnz")
 
@@ -459,11 +511,11 @@ func summa[A, B, C any](op operands, sr Semiring[A, B, C], mask Mask, products *
 			reqA, reqB = post(s + 1)
 		}
 		kLo, kHi := grid.BlockRange(int(op.nk), g.Dim, s)
-		ap, err := decodePanel[A](aFrame, int32(kLo), int32(kHi), out.RowLo, out.RowHi, mask.checkerboard)
+		ap, err := decodePanel[A](aFrame, int32(kLo), int32(kHi), int32(rowLo), int32(rowHi), split)
 		if err != nil {
 			panic(fmt.Sprintf("spmat: A panel from rank %d: %v", g.Rank(g.Row, s), err))
 		}
-		bp, err := decodePanel[B](bFrame, out.ColLo, out.ColHi, int32(kLo), int32(kHi), false)
+		bp, err := decodePanel[B](bFrame, int32(colLo), int32(colHi), int32(kLo), int32(kHi), false)
 		if err != nil {
 			built := ""
 			if op.bTransposed {
@@ -474,20 +526,13 @@ func summa[A, B, C any](op operands, sr Semiring[A, B, C], mask Mask, products *
 		panelNnz.Observe(int64(len(ap.rows)))
 		panelNnz.Observe(int64(len(bp.rows)))
 		roundStart := lane.Start()
-		p.multiply(ap, kLo, kHi, bp)
+		round(ap, kLo, kHi, bp)
 		if lane != nil {
 			lane.Span(0, "spmat", "summa.round", roundStart,
 				obs.Arg{K: "s", V: int64(s)}, obs.Arg{K: "a_nnz", V: int64(len(ap.rows))},
 				obs.Arg{K: "b_nnz", V: int64(len(bp.rows))})
 		}
 	}
-	if products != nil {
-		*products += p.products
-		g.Comm.Metrics().Counter("spmat.spgemm_products").Add(p.products)
-		g.Comm.Metrics().Counter("spmat.fold_calls").Add(p.calls)
-	}
-	out.Local = NewCOO(op.nr, op.nc, p.ts, sr.Add)
-	return out
 }
 
 // DistVec is a dense vector block-distributed across all P ranks in

@@ -473,25 +473,83 @@ func parityTriples(rng *rand.Rand, nr, nc int32, density float64) []Triple[int64
 	})
 }
 
-// TestMaskedSpGEMMMatchesMapThenApply pins the fused kernel — mask applied
+// patternOf is the pattern mask of the cells of [0,nr)×[0,nc) that keep
+// keeps, canonical, each cell holding a seed of its own (1000·row + col + 1):
+// the value SpGEMMInto must fold into, and leave alone where no walk reaches.
+func patternOf(nr, nc int32, keep func(r, c int32) bool) []Triple[int64] {
+	var ts []Triple[int64]
+	for c := int32(0); c < nc; c++ {
+		for r := int32(0); r < nr; r++ {
+			if keep(r, c) {
+				ts = append(ts, Triple[int64]{Row: r, Col: c, Val: int64(1000*r + c + 1)})
+			}
+		}
+	}
+	return ts
+}
+
+// into runs SpGEMMInto of a ⊗ b under mask with out seeded from the mask
+// block's values, and returns the block with the values it folded, the form
+// seededRef gives the reference.
+func into(a, b *Dist[int64], sr Semiring[int64, int64, int64], mask *Dist[int64], products *int64) COO[int64] {
+	out := make([]int64, len(mask.Local.Ts))
+	for i, t := range mask.Local.Ts {
+		out[i] = t.Val
+	}
+	SpGEMMInto(a, b, sr, mask, out, products)
+	got := mask.Local.Clone()
+	if len(got.Ts) == 0 {
+		got.Ts = nil
+	}
+	for i := range got.Ts {
+		got.Ts[i].Val = out[i]
+	}
+	return got
+}
+
+// seededRef is what SpGEMMInto must leave in mask's cells, given want, the
+// reference product already restricted to them: each cell's seed plus its
+// product value, or its seed alone where want has no entry — no walk reached
+// it, or every product annihilated. Both semirings of the tests add.
+func seededRef(mask, want *Dist[int64]) COO[int64] {
+	vals := make(map[[2]int32]int64, len(want.Local.Ts))
+	for _, t := range want.Local.Ts {
+		vals[[2]int32{t.Row, t.Col}] = t.Val
+	}
+	ref := mask.Local.Clone()
+	if len(ref.Ts) == 0 {
+		ref.Ts = nil
+	}
+	for i, t := range ref.Ts {
+		ref.Ts[i].Val += vals[[2]int32{t.Row, t.Col}]
+	}
+	return ref
+}
+
+// TestMaskedSpGEMMMatchesMapThenApply pins the fused kernels — mask applied
 // before the product, kept stretches of A's runs folded in place by the
 // semiring's Fold — to the map oracle (one product per Fold) followed by
 // a post-hoc Apply(keep), block by block (so empty blocks must be the same
 // canonical nil on both sides), every mask shape, a plain and an annihilating
-// semiring, both schedules, P ∈ {1, 4, 9, 16}. Shapes are random small
-// rectangles, then outputs of at least 200×200 over a short inner dimension,
-// so A's column runs are long, a third of them even rows only and a third odd
-// rows only, and grid blocks lie wholly above or below the diagonal. The
-// product counter must equal the brute-force count of products on kept cells,
-// annihilated ones included. The checkerboard runs twice — through its parity
-// sub-runs (Checkerboard) and as a KeepFunc callback — against one reference.
-// Neither operand may change on any rank: the sender splits while it
+// semiring, both schedules, P ∈ {1, 4, 9, 16}. The zero mask and the
+// checkerboard go through SpGEMMCounted; every other mask is a pattern mask,
+// a matrix holding the kept cells, through SpGEMMInto, whose cells start at
+// their own seeds and must end at seed plus reference, or at the seed where
+// the reference has no entry. Shapes are random small rectangles, then
+// outputs of at least 200×200 over a short inner dimension, so A's column
+// runs are long, a third of them even rows only and a third odd rows only,
+// and grid blocks lie wholly above or below the diagonal. The product counter
+// must equal the brute-force count of products on kept cells, annihilated
+// ones included. The checkerboard runs twice — through its parity sub-runs
+// (Checkerboard) and as a pattern mask — against one reference. Neither
+// operand nor the mask may change on any rank: the sender splits while it
 // encodes its block into a panel frame, and every rank multiplies views of
 // that frame.
 func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 	type maskCase struct {
-		mask Mask
-		keep func(r, c int32) bool
+		mask    Mask
+		pattern bool // the kept cells are SpGEMMInto's pattern mask, not mask
+		keep    func(r, c int32) bool
 	}
 	semirings := []Semiring[int64, int64, int64]{plusTimes, valueSemiring(oddProduct, plus)}
 	rng := rand.New(rand.NewSource(17))
@@ -507,24 +565,24 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 		bT := globalTriples(rng, k, nc, bDensity)
 		salt := rng.Int31()
 		// Each mask with the predicate it must equal; the checkerboard appears
-		// as parity sub-runs and as a callback.
+		// as parity sub-runs and as a pattern.
 		all := func(_, _ int32) bool { return true }
 		checker := func(r, c int32) bool { return r != c && ((r+c)%2 == 0) == (r < c) }
-		fn := func(keep func(r, c int32) bool) maskCase { return maskCase{KeepFunc(keep), keep} }
+		pat := func(keep func(r, c int32) bool) maskCase { return maskCase{pattern: true, keep: keep} }
 		masks := map[string]maskCase{
-			"zero":          {Mask{}, all},
-			"all":           fn(all),
-			"none":          fn(func(_, _ int32) bool { return false }),
-			"diagonal":      fn(func(r, c int32) bool { return r == c }),
-			"checker-func":  fn(checker),
-			"checker-board": {Checkerboard(), checker},
-			"random":        fn(func(r, c int32) bool { return (r*31+c*17+salt)%3 != 0 }),
+			"zero":            {mask: Mask{}, keep: all},
+			"all":             pat(all),
+			"none":            pat(func(_, _ int32) bool { return false }),
+			"diagonal":        pat(func(r, c int32) bool { return r == c }),
+			"checker-pattern": pat(checker),
+			"checker-board":   {mask: Checkerboard(), keep: checker},
+			"random":          pat(func(r, c int32) bool { return (r*31+c*17+salt)%3 != 0 }),
 		}
 		sr := semirings[trial%2]
 		ref := multiplyMap(NewCOO(nr, k, append([]Triple[int64](nil), aT...), nil).ToCSC(),
 			NewCOO(k, nc, append([]Triple[int64](nil), bT...), nil).ToCSC(), sr)
 		for name, mc := range masks {
-			mask, keep := mc.mask, mc.keep
+			keep := mc.keep
 			var wantProducts int64
 			for _, at := range aT {
 				for _, bt := range bT {
@@ -532,6 +590,10 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 						wantProducts++
 					}
 				}
+			}
+			var patT []Triple[int64]
+			if mc.pattern {
+				patT = patternOf(nr, nc, keep)
 			}
 			for _, p := range gridSizes {
 				err := mpi.Run(p, func(c *mpi.Comm) {
@@ -542,15 +604,34 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 					aWas.Ts, bWas.Ts = slices.Clone(aWas.Ts), slices.Clone(bWas.Ts)
 					want := FromGlobalTriples(g, nr, nc, ref.Ts, nil)
 					want.Apply(func(r, c int32, v int64) (int64, bool) { return v, keep(r, c) })
+					wantLocal := want.Local
+					var mask *Dist[int64]
+					if mc.pattern {
+						mask = FromGlobalTriples(g, nr, nc, patT, nil)
+						wantLocal = seededRef(mask, want)
+					}
+					var maskWas COO[int64]
+					if mask != nil {
+						maskWas = mask.Local.Clone()
+					}
 					var prodSync, prodAsync int64
 					for i, prod := range []*int64{&prodSync, &prodAsync} {
-						var got *Dist[int64]
-						mpitest.InMode(c, i == 1, func() { got = SpGEMMCounted(a, b, sr, mask, prod) })
-						if !reflect.DeepEqual(got.Local, want.Local) {
-							panic(fmt.Sprintf("masked SpGEMM block differs from multiplyMap+Apply\n got %v\nwant %v", got.Local, want.Local))
+						var got COO[int64]
+						mpitest.InMode(c, i == 1, func() {
+							if mask != nil {
+								got = into(a, b, sr, mask, prod)
+							} else {
+								got = SpGEMMCounted(a, b, sr, mc.mask, prod).Local
+							}
+						})
+						if !reflect.DeepEqual(got, wantLocal) {
+							panic(fmt.Sprintf("masked SpGEMM block differs from multiplyMap+Apply\n got %v\nwant %v", got, wantLocal))
 						}
 						if !reflect.DeepEqual(a.Local, aWas) || !reflect.DeepEqual(b.Local, bWas) {
 							panic("SpGEMM changed an operand's local block")
+						}
+						if mask != nil && !slices.Equal(mask.Local.Ts, maskWas.Ts) {
+							panic("SpGEMMInto changed its mask's block")
 						}
 					}
 					sum := func(x, y int64) int64 { return x + y }
@@ -566,27 +647,130 @@ func TestMaskedSpGEMMMatchesMapThenApply(t *testing.T) {
 	}
 }
 
+// TestSpGEMMIntoEdgeMasks runs SpGEMMInto against the same map-then-apply
+// reference on the masks at the edges of its column walk, P ∈ {1, 4, 9, 16},
+// both schedules: an empty mask (nothing folded, no product, no Fold call),
+// a mask column whose B column is empty, and mask cells no walk reaches (A's
+// row 5 is empty), which must all keep their seeds exactly. The operand is
+// square and multiplied by itself under the mask of its own pattern plus
+// those cells, as transitive reduction multiplies S ⊗ S, so A and B share
+// one broadcast frame.
+func TestSpGEMMIntoEdgeMasks(t *testing.T) {
+	const n = int32(40)
+	rng := rand.New(rand.NewSource(43))
+	sT := slices.DeleteFunc(globalTriples(rng, n, n, 0.15), func(t Triple[int64]) bool { return t.Row == 5 || t.Col == 7 })
+	ref := multiplyMap(NewCOO(n, n, slices.Clone(sT), nil).ToCSC(), NewCOO(n, n, slices.Clone(sT), nil).ToCSC(), plusTimes)
+	unreached := func(r, c int32) bool { return r == 5 || c == 7 }
+	inS := make(map[[2]int32]bool, len(sT))
+	for _, t := range sT {
+		inS[[2]int32{t.Row, t.Col}] = true
+	}
+	masks := map[string]func(r, c int32) bool{
+		"empty":             func(_, _ int32) bool { return false },
+		"column-without-B":  func(_, c int32) bool { return c == 7 },
+		"unreached-cells":   func(r, c int32) bool { return r == 5 && c%3 == 0 },
+		"pattern-and-edges": func(r, c int32) bool { return inS[[2]int32{r, c}] || r == 5 && c%3 == 0 || c == 7 && r%2 == 0 },
+	}
+	for name, keep := range masks {
+		patT := patternOf(n, n, keep)
+		for _, p := range gridSizes {
+			w := mpi.NewWorld(p)
+			metrics := obs.NewMetricSet(p)
+			w.SetObs(nil, metrics)
+			err := w.Run(func(c *mpi.Comm) {
+				g := grid.New(c)
+				s := FromGlobalTriples(g, n, n, sT, nil)
+				mask := FromGlobalTriples(g, n, n, patT, nil)
+				want := FromGlobalTriples(g, n, n, ref.Ts, nil)
+				want.Apply(func(r, c int32, v int64) (int64, bool) { return v, keep(r, c) })
+				wantLocal := seededRef(mask, want)
+				for i := range 2 {
+					var products int64
+					var got COO[int64]
+					mpitest.InMode(c, i == 1, func() { got = into(s, s, plusTimes, mask, &products) })
+					if !reflect.DeepEqual(got, wantLocal) {
+						panic(fmt.Sprintf("SpGEMMInto block differs from multiplyMap+Apply\n got %v\nwant %v", got, wantLocal))
+					}
+					for k, t := range got.Ts {
+						if unreached(t.Row, t.Col) && t.Val != mask.Local.Ts[k].Val {
+							panic(fmt.Sprintf("cell (%d,%d) no walk reaches holds %d, not its seed %d", t.Row, t.Col, t.Val, mask.Local.Ts[k].Val))
+						}
+					}
+					if name == "empty" && products != 0 {
+						panic(fmt.Sprintf("an empty mask formed %d products", products))
+					}
+				}
+				if name == "empty" {
+					if calls := c.Metrics().Counter("spmat.fold_calls").Value(); calls != 0 {
+						panic(fmt.Sprintf("an empty mask made %d Fold calls", calls))
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("mask=%s P=%d: %v", name, p, err)
+			}
+		}
+	}
+}
+
+// TestSpGEMMIntoRefusesBadMask: a mask block that is not column-major, or an
+// output whose length is not the mask block's, panics on the rank that holds
+// it, naming that rank.
+func TestSpGEMMIntoRefusesBadMask(t *testing.T) {
+	const n = int32(16)
+	sT := globalTriples(rand.New(rand.NewSource(47)), n, n, 0.5)
+	cases := map[string]struct {
+		spoil func(mask *Dist[int64], out []int64) []int64
+		want  string
+	}{
+		"row order": {func(mask *Dist[int64], out []int64) []int64 {
+			ts := mask.Local.Ts
+			ts[0], ts[1] = ts[1], ts[0]
+			return out
+		}, "SpGEMMInto mask block of rank 2: "},
+		"short output": {func(_ *Dist[int64], out []int64) []int64 { return out[1:] },
+			"SpGEMMInto on rank 2: "},
+	}
+	for name, tc := range cases {
+		err := mpi.Run(4, func(c *mpi.Comm) {
+			g := grid.New(c)
+			s := FromGlobalTriples(g, n, n, sT, nil)
+			mask := s.Clone()
+			out := make([]int64, len(mask.Local.Ts))
+			if c.Rank() == 2 {
+				out = tc.spoil(mask, out)
+			}
+			SpGEMMInto(s, s, plusTimes, mask, out, nil)
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want a panic containing %q", name, err, tc.want)
+		}
+	}
+}
+
 // TestFoldCallCounts pins the run contract's call budget per rank: the zero
 // mask makes exactly one Fold call per B entry the rank multiplies, the
-// checkerboard at most two, and a KeepFunc mask — one call per maximal kept
-// stretch — at most one per kept product. The spmat.fold_calls and
-// spmat.spgemm_products counters must publish exactly the calls made and the
-// products counted.
+// checkerboard at most two, and a pattern mask through SpGEMMInto — one call
+// per maximal stretch of an A run over mask cells — at most one per kept
+// product. The spmat.fold_calls and spmat.spgemm_products counters must
+// publish exactly the calls made and the products counted.
 func TestFoldCallCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	nr, k, nc := int32(120), int32(12), int32(110)
 	aT := parityTriples(rng, nr, k, 0.3)
 	bT := globalTriples(rng, k, nc, 0.3)
+	patT := patternOf(nr, nc, func(r, c int32) bool { return (r*7+c)%5 < 3 })
 	masks := []struct {
-		name string
-		mask Mask
+		name    string
+		mask    Mask
+		pattern bool
 		// budget is the most Fold calls allowed for bEntries B entries and
 		// products kept products.
 		budget func(bEntries, products int64) int64
 	}{
-		{"zero", Mask{}, func(b, _ int64) int64 { return b }},
-		{"checkerboard", Checkerboard(), func(b, _ int64) int64 { return 2 * b }},
-		{"keep", KeepFunc(func(r, c int32) bool { return (r*7+c)%5 < 3 }), func(_, p int64) int64 { return p }},
+		{"zero", Mask{}, false, func(b, _ int64) int64 { return b }},
+		{"checkerboard", Checkerboard(), false, func(b, _ int64) int64 { return 2 * b }},
+		{"pattern", Mask{}, true, func(_, p int64) int64 { return p }},
 	}
 	for _, mc := range masks {
 		for _, p := range gridSizes {
@@ -603,7 +787,11 @@ func TestFoldCallCounts(t *testing.T) {
 					calls++
 					plusTimes.Fold(acc, rows, vals, rowLo, bv)
 				}
-				SpGEMMCounted(a, b, sr, mc.mask, &products)
+				if mc.pattern {
+					into(a, b, sr, FromGlobalTriples(g, nr, nc, patT, nil), &products)
+				} else {
+					SpGEMMCounted(a, b, sr, mc.mask, &products)
+				}
 				for _, bt := range bT {
 					if bt.Col >= b.ColLo && bt.Col < b.ColHi {
 						bEntries++

@@ -17,6 +17,7 @@ package spmat
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Triple is one nonzero. Distributed matrices store triples with global
@@ -196,10 +197,12 @@ func (a CSC[T]) ColDegree(j int32) int32 { return a.JC[j+1] - a.JC[j] }
 //     in place, c ← c ⊕ a⊗b. A fresh slot receives a⊗b and is then claimed
 //     (Acc.Claim) — unless the product annihilates (the implicit zero), which
 //     leaves it unclaimed; an annihilated product leaves a live slot as it
-//     is.
-//   - Add merges two accumulated values: the cross-round combiner of SUMMA's
-//     final NewCOO, so it must be associative and commutative and agree with
-//     Fold (folding a⊗b into c ≡ c = Add(c, a⊗b)).
+//     is. Under SpGEMMInto every slot Fold is handed is live, seeded with the
+//     caller's value.
+//   - Add merges two accumulated values: the cross-round combiner of
+//     SpGEMMCounted's final NewCOO, so it must be associative and commutative
+//     and agree with Fold (folding a⊗b into c ≡ c = Add(c, a⊗b)). SpGEMMInto
+//     folds every round into its caller's values and never calls it.
 type Semiring[A, B, C any] struct {
 	Fold func(acc *Acc[C], rows []int32, vals []A, rowLo int32, b B)
 	Add  func(C, C) C
@@ -232,6 +235,23 @@ func (s *Acc[C]) Slot(i int32) (*C, bool) {
 func (s *Acc[C]) Claim(i int32) {
 	s.gen[i] = s.cur
 	s.rows = append(s.rows, i)
+}
+
+// spmvAccs and intoAccs hold the accumulators of SpMV and SpGEMMInto
+// between calls, so a caller that multiplies once a round (FastSV, TR's
+// fixpoint) allocates one per rank, not one per round. A borrowed one of
+// another value type than the caller's is dropped, not reused.
+var spmvAccs, intoAccs sync.Pool
+
+// borrowAcc returns an accumulator over n rows from pool, or a new one. Its
+// slots are unspecified, and no tag is ahead of its generation, so reset
+// opens one with no live slot.
+func borrowAcc[C any](pool *sync.Pool, n int32) *Acc[C] {
+	if s, ok := pool.Get().(*Acc[C]); ok && int32(cap(s.vals)) >= n {
+		s.vals, s.gen = s.vals[:n], s.gen[:n]
+		return s
+	}
+	return newAcc[C](n)
 }
 
 // reset opens a fresh generation (O(1); a hard clear only on tag wraparound).
@@ -273,7 +293,7 @@ func runEnd[T any](ts []Triple[T], lo int) int {
 // kept cells (annihilated ones included) and Fold calls made.
 type gustavson[A, B, C any] struct {
 	sr              Semiring[A, B, C]
-	mask            Mask
+	split           bool // the checkerboard: A's runs are split by row parity
 	acc             *Acc[C]
 	rowLo           int32
 	ts              []Triple[C]
@@ -281,23 +301,10 @@ type gustavson[A, B, C any] struct {
 	aux             []int32 // column k of the round's A panel is run aux[k-kLo], -1 if empty
 }
 
-// multiply folds a ⊗ b into the output. a's columns lie in [kLo, kHi), and
-// so do b's rows; a is split exactly when the mask is the checkerboard. a's
-// runs are read where they lie in the panel, found through aux — CombBLAS's
-// auxiliary column index, filled from a's column ids alone — and b is walked
-// a column at a time, each output column accumulated in the Acc and emitted
-// with ascending rows. A B entry whose A column is empty still makes its Fold
-// calls, with empty runs, so the call count is a function of B alone.
-//
-// The mask picks the loop once. The zero mask folds each whole A run: one
-// Fold call per B entry. Under the checkerboard, for output column j the kept
-// rows are a prefix of the sub-run of j's parity (rows < j) and a suffix of
-// the other (rows > j); walks over the rows alone find both cuts, then two
-// Fold calls fold them. A KeepFunc is asked per product, and each maximal
-// stretch of kept rows is one Fold call. A cell gets at most one product per
-// B entry, so its products still arrive in B's row order and every semiring
-// sees the same fold sequence under every loop.
-func (p *gustavson[A, B, C]) multiply(a panel[A], kLo, kHi int, b panel[B]) {
+// index points aux at a's runs — CombBLAS's auxiliary column index, filled
+// from a's column ids alone — so that a's runs are read where they lie in the
+// panel: column k's is run aux[k-kLo], or -1 when it is empty.
+func (p *gustavson[A, B, C]) index(a panel[A], kLo, kHi int) []int32 {
 	aux := slices.Grow(p.aux[:0], kHi-kLo)[:kHi-kLo]
 	for i := range aux {
 		aux[i] = -1
@@ -306,7 +313,24 @@ func (p *gustavson[A, B, C]) multiply(a panel[A], kLo, kHi int, b panel[B]) {
 		aux[int(k)-kLo] = int32(r)
 	}
 	p.aux = aux
-	sr, acc, rowLo, keep := p.sr, p.acc, p.rowLo, p.mask.keep
+	return aux
+}
+
+// multiply folds a ⊗ b into the output. a's columns lie in [kLo, kHi), and
+// so do b's rows; a is split exactly when p is. b is walked a column at a
+// time, each output column accumulated in the Acc and emitted with ascending
+// rows. A B entry whose A column is empty still makes its Fold calls, with
+// empty runs, so the call count is a function of B alone.
+//
+// Unsplit, each whole A run is folded: one Fold call per B entry. Under the
+// checkerboard, for output column j the kept rows are a prefix of the
+// sub-run of j's parity (rows < j) and a suffix of the other (rows > j);
+// walks over the rows alone find both cuts, then two Fold calls fold them. A
+// cell gets at most one product per B entry, so its products arrive in B's
+// row order and every semiring sees the same fold sequence under every loop.
+func (p *gustavson[A, B, C]) multiply(a panel[A], kLo, kHi int, b panel[B]) {
+	aux := p.index(a, kLo, kHi)
+	sr, acc, rowLo := p.sr, p.acc, p.rowLo
 	var products, calls int64
 	for q, j := range b.cols {
 		acc.reset()
@@ -320,8 +344,7 @@ func (p *gustavson[A, B, C]) multiply(a panel[A], kLo, kHi int, b panel[B]) {
 					mid = a.mid[r]
 				}
 			}
-			switch {
-			case p.mask.checkerboard:
+			if p.split {
 				sameRows, sameVals := a.rows[lo:mid], a.vals[lo:mid]
 				otherRows, otherVals := a.rows[mid:hi], a.vals[mid:hi]
 				if j&1 == 1 {
@@ -340,29 +363,73 @@ func (p *gustavson[A, B, C]) multiply(a panel[A], kLo, kHi int, b panel[B]) {
 				sr.Fold(acc, otherRows[m:], otherVals[m:], rowLo, bv)
 				products += int64(n + len(otherRows) - m)
 				calls += 2
-			case keep != nil:
-				rows, vals := a.rows[lo:hi], a.vals[lo:hi]
-				for i := 0; i < len(rows); {
-					if !keep(rows[i], j) {
-						i++
-						continue
-					}
-					end := i + 1
-					for end < len(rows) && keep(rows[end], j) {
-						end++
-					}
-					sr.Fold(acc, rows[i:end], vals[i:end], rowLo, bv)
-					products += int64(end - i)
-					calls++
-					i = end + 1 // rows[end], if any, is not kept
-				}
-			default:
+			} else {
 				sr.Fold(acc, a.rows[lo:hi], a.vals[lo:hi], rowLo, bv)
 				products += int64(hi - lo)
 				calls++
 			}
 		}
 		p.ts = acc.emit(p.ts, j, rowLo)
+	}
+	p.products += products
+	p.calls += calls
+}
+
+// foldInto is multiply under a pattern mask, for SpGEMMInto: a ⊗ b is folded
+// into out, whose values lie beside mask, a column-major block of cells over
+// p's rows, and only into those cells. a is unsplit. For each output column j
+// the Acc slots of mask column j's rows are seeded from out and made live; a
+// stretch of an A run is folded iff its rows' slots are live, found by
+// reading their generation tags inline, one Fold call per maximal live
+// stretch; then the slots are written back. Nothing is emitted, and a column
+// of b with no mask cell is skipped whole.
+func foldInto[A, B, C, M any](p *gustavson[A, B, C], a panel[A], kLo, kHi int, b panel[B], mask []Triple[M], out []C) {
+	aux := p.index(a, kLo, kHi)
+	sr, acc, rowLo := p.sr, p.acc, p.rowLo
+	var products, calls int64
+	lo := 0 // mask column j's cells are mask[lo:hi]
+	for q, j := range b.cols {
+		for lo < len(mask) && mask[lo].Col < j {
+			lo++
+		}
+		hi := lo
+		for hi < len(mask) && mask[hi].Col == j {
+			hi++
+		}
+		if hi == lo {
+			continue
+		}
+		acc.reset()
+		live, cur := acc.gen, acc.cur
+		for e := lo; e < hi; e++ {
+			i := mask[e].Row - rowLo
+			acc.vals[i], live[i] = out[e], cur
+		}
+		for e := b.starts[q]; e < b.starts[q+1]; e++ {
+			r := aux[int(b.rows[e])-kLo]
+			if r < 0 {
+				continue
+			}
+			rows, vals := a.rows[a.starts[r]:a.starts[r+1]], a.vals[a.starts[r]:a.starts[r+1]]
+			for i := 0; i < len(rows); {
+				if live[rows[i]-rowLo] != cur {
+					i++
+					continue
+				}
+				end := i + 1
+				for end < len(rows) && live[rows[end]-rowLo] == cur {
+					end++
+				}
+				sr.Fold(acc, rows[i:end], vals[i:end], rowLo, b.vals[e])
+				products += int64(end - i)
+				calls++
+				i = end + 1 // rows[end], if any, is not live
+			}
+		}
+		for e := lo; e < hi; e++ {
+			out[e] = acc.vals[mask[e].Row-rowLo]
+		}
+		lo = hi
 	}
 	p.products += products
 	p.calls += calls

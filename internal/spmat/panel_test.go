@@ -35,23 +35,30 @@ func (e recordingEndpoint) Send(dst int, m transport.Message) error {
 
 // TestSpGEMMLeavesBroadcastFramesIntact: every rank multiplies views of the
 // panel frame it received — in process, the root's own frame, shared by
-// reference down the broadcast tree — so after SpGEMMCounted under every mask
-// and SpGEMMPanels over FromRows' frames (the Aᵀ frame crosses the transposed
-// swap before its receiver broadcasts it), in both request modes, every
-// frame's bytes must equal their value when it was sent, right after it was
-// built. Run it under -race too: a
-// write to a shared view races with the other ranks' reads.
+// reference down the broadcast tree — so after SpGEMMCounted under the zero
+// and checkerboard masks, SpGEMMInto under a pattern mask (of a rectangular
+// product, and of a square matrix times itself, whose one frame is broadcast
+// as both operands) and SpGEMMPanels over FromRows' frames (the Aᵀ frame
+// crosses the transposed swap before its receiver broadcasts it), in both
+// request modes, every frame's bytes must equal their value when it was sent,
+// right after it was built. Run it under -race too: a write to a shared view
+// races with the other ranks' reads.
 func TestSpGEMMLeavesBroadcastFramesIntact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	nr, k, nc := int32(90), int32(24), int32(80)
 	aT := parityTriples(rng, nr, k, 0.3)
 	bT := globalTriples(rng, k, nc, 0.3)
-	masks := map[string]Mask{
-		"zero":         {},
-		"checkerboard": Checkerboard(),
-		"keep":         KeepFunc(func(r, c int32) bool { return (r+2*c)%3 != 0 }),
+	sT := globalTriples(rng, nr, nr, 0.1)
+	patT := patternOf(nr, nc, func(r, c int32) bool { return (r+2*c)%3 != 0 })
+	masks := map[string]func(a, b, s *Dist[int64]){
+		"zero":         func(a, b, _ *Dist[int64]) { SpGEMMCounted(a, b, plusTimes, Mask{}, nil) },
+		"checkerboard": func(a, b, _ *Dist[int64]) { SpGEMMCounted(a, b, plusTimes, Checkerboard(), nil) },
+		"pattern": func(a, b, s *Dist[int64]) {
+			into(a, b, plusTimes, FromGlobalTriples(a.G, nr, nc, patT, nil), nil)
+			into(s, s, plusTimes, s, nil)
+		},
 	}
-	for name, mask := range masks {
+	for name, multiply := range masks {
 		for _, p := range []int{4, 16} {
 			var mu sync.Mutex
 			var sent [][2][]byte
@@ -64,11 +71,12 @@ func TestSpGEMMLeavesBroadcastFramesIntact(t *testing.T) {
 				g := grid.New(c)
 				a := FromGlobalTriples(g, nr, k, aT, nil)
 				b := FromGlobalTriples(g, k, nc, bT, nil)
+				s := FromGlobalTriples(g, nr, nr, sT, nil)
 				lo, hi := g.MyVecRange(int(nr))
 				panels := FromRows(g, nr, k, rowsOf(aT, lo, hi))
 				for _, async := range []bool{false, true} {
 					mpitest.InMode(c, async, func() {
-						SpGEMMCounted(a, b, plusTimes, mask, nil)
+						multiply(a, b, s)
 						SpGEMMPanels(panels, plusTimes, nil)
 					})
 				}

@@ -23,13 +23,17 @@ import "slices"
 // surviving product stay at identity. identity must be neutral for Fold's
 // addition and for combine, which must be that same addition (e.g. +∞ for
 // min, 0 for sum): the row reduction folds one identity-initialized partial
-// per grid-row rank.
+// per grid-row rank. The accumulator is borrowed from spmvAccs and returned
+// once the reduction is done, the rank's own block of it copied out as the
+// result, so a caller that multiplies once a round (FastSV) allocates it
+// once, not every round.
 func SpMV[T, V, W any](a *Dist[T], x *DistVec[V], sr Semiring[T, V, W], identity W, combine func(W, W) W) *DistVec[W] {
 	if int32(x.N) != a.NC {
 		panic("spmat: SpMV dimension mismatch")
 	}
 	_, colX := x.RowColGather()
-	partial := newAcc[W](a.RowHi - a.RowLo)
+	partial := borrowAcc[W](&spmvAccs, a.RowHi-a.RowLo)
+	defer spmvAccs.Put(partial)
 	for i := range partial.vals {
 		partial.vals[i], partial.gen[i] = identity, partial.cur
 	}
@@ -45,5 +49,7 @@ func SpMV[T, V, W any](a *Dist[T], x *DistVec[V], sr Semiring[T, V, W], identity
 		sr.Fold(partial, rows, vals, a.RowLo, colX[ts[lo].Col-a.ColLo])
 		lo = hi
 	}
-	return reduceRows(a, partial.vals, combine)
+	y := reduceRows(a, partial.vals, combine)
+	y.Local = slices.Clone(y.Local) // the reduction hands back the rank's own block of partial
+	return y
 }

@@ -10,6 +10,8 @@ import (
 	"repro/internal/mpi"
 )
 
+// TestSpMVMatchesDense also multiplies -x after x: the second call reuses the
+// first one's accumulator, and the first result must not change under it.
 func TestSpMVMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := int32(30)
@@ -31,9 +33,18 @@ func TestSpMVMatchesDense(t *testing.T) {
 				a := FromGlobalTriples(g, n, n, all, nil)
 				x := VecFromGlobal(g, xFull)
 				y := SpMV(a, x, plusTimes, 0, plus)
-				got := y.AllgatherFull()
+				for i := range x.Local {
+					x.Local[i] = -x.Local[i]
+				}
+				yNeg := SpMV(a, x, plusTimes, 0, plus)
+				got, gotNeg := y.AllgatherFull(), yNeg.AllgatherFull()
 				if !reflect.DeepEqual(got, want) {
 					panic(fmt.Sprintf("SpMV mismatch\n got %v\nwant %v", got, want))
+				}
+				for i, v := range gotNeg {
+					if v != -want[i] {
+						panic(fmt.Sprintf("SpMV of -x: y[%d] = %d, want %d", i, v, -want[i]))
+					}
 				}
 			})
 			if err != nil {

@@ -8,23 +8,22 @@
 // to a fixpoint exactly like diBELLA 2D.
 //
 // N and S are identically distributed and the comparison reads N only where
-// S has an edge, so N is never formed in full: S's own local block is the
+// S has an edge, so N is never formed as a matrix: S's own local block is the
 // output mask of the multiply ("Parallel String Graph Construction and
-// Transitive Reduction" defines the step as this masked product). A two-edge
+// Transitive Reduction" defines the step as this masked product), and
+// spmat.SpGEMMInto folds each walk straight into the cell of the edge it
+// tests, one cell per edge of S, beside it in S's canonical order. A two-edge
 // walk u→v→w with no edge (u,w) to test — most of S² — is never multiplied,
-// accumulated, emitted or merged, and the products counter counts only the
-// walks that were. What comes back holds at most one entry per edge, in the
-// same canonical order as S, so the comparison is a merge of two sorted
-// lists and the verdicts are marks on positions of S: no hash map is built
-// from either matrix.
+// and the products counter counts only the walks that were. Nothing is
+// emitted, sorted or merged: the comparison is one scan of S and its cells,
+// and the verdicts are marks on positions of S.
 //
 // The multiply reads only what the verdict reads. Its operand is a packed
 // view of S, one dense 4-byte word a value (direction and overhang; Pre and
-// Post stay in S's block), so its panels are views of their frames. Each
-// cell of N is one int32: the least overhang over the walks whose composed
-// direction is the direction of S's own edge at that cell, the one the
-// comparison looks up — the mask's column marks carry each row's direction,
-// and the semiring annihilates a walk of any other.
+// Post stay in S's block), so its panels are views of their frames. A cell
+// holds its edge's direction and the least overhang over the walks whose
+// composed direction is that one, the one the comparison looks up; the
+// semiring annihilates a walk of any other.
 package tr
 
 import (
@@ -81,6 +80,32 @@ type Stats struct {
 	Products     int64 // semiring products this rank computed (work units)
 }
 
+// cell is one edge's entry of N = S ⊗ S, the only kind the verdict reads:
+// the direction of S's own edge there, and the least overhang over the walks
+// that compose to it, inf while none has.
+type cell struct {
+	Suf int32
+	Dir uint8
+}
+
+// walks folds walks u→v→w of S's packed view into the cell of S's own edge
+// (u,w): a walk whose directions compose to that edge's direction lowers the
+// cell's overhang to its own, and any other — one whose directions do not
+// compose, or compose to another direction — is annihilated. SpGEMMInto
+// hands Fold only rows with an edge in the output column, whose slots are
+// live and hold that edge's cell, and never calls Add.
+var walks = spmat.Semiring[packed, packed, cell]{
+	Fold: func(acc *spmat.Acc[cell], rows []int32, vals []packed, rowLo int32, e2 packed) {
+		vals = vals[:len(rows)] // one bounds check for the loop
+		for i, r := range rows {
+			c, _ := acc.Slot(r - rowLo)
+			if d, ok := bidir.ComposeDirs(vals[i].dir(), e2.dir()); ok && d == c.Dir {
+				c.Suf = min(c.Suf, vals[i].suf()+e2.suf())
+			}
+		}
+	},
+}
+
 // Reduce removes transitive edges from s in place (collective). fuzz
 // tolerates alignment-coordinate noise like miniasm's fuzz parameter;
 // maxIter bounds the fixpoint loop (diBELLA iterates until no edge is
@@ -95,9 +120,9 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 	defer g.Comm.SetBlocking(g.Comm.SetBlocking(!async))
 	var st Stats
 	pat := newPattern(s)
-	sr := pat.semiring()
 	// S only shrinks, so buffers sized by its first block never grow.
 	buf := make([]spmat.Triple[packed], len(s.Local.Ts))
+	cells := make([]cell, len(s.Local.Ts))
 	marked := make([]int32, 0, len(s.Local.Ts))
 	dead := make([]bool, len(s.Local.Ts))
 	for iter := 0; iter < maxIter; iter++ {
@@ -105,16 +130,16 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 		ts := s.Local.Ts
 		pat.index(ts)
 		view := packView(s, buf)
-		n := spmat.SpGEMMCounted(view, view, sr, spmat.KeepFunc(pat.has), &st.Products)
-		// Merge-join N against S — both canonical, N's cells a subset of
-		// S's — collecting the positions of the local transitive edges.
+		cells = cells[:len(ts)]
+		for i, t := range ts {
+			cells[i] = cell{Suf: inf, Dir: t.Val.Dir}
+		}
+		spmat.SpGEMMInto(view, view, walks, view, cells, &st.Products)
+		// The verdict: cells[i] is edge ts[i]'s, so the local transitive edges
+		// are one scan.
 		marked = marked[:0]
-		i := 0
-		for _, nt := range n.Local.Ts {
-			for ts[i].Col != nt.Col || ts[i].Row != nt.Row {
-				i++
-			}
-			if m := nt.Val; m < inf && m <= ts[i].Val.Suf+fuzz {
+		for i, c := range cells {
+			if c.Suf < inf && c.Suf <= ts[i].Val.Suf+fuzz {
 				marked = append(marked, int32(i))
 			}
 		}
@@ -149,87 +174,30 @@ func Reduce(s *spmat.Dist[bidir.Edge], fuzz int32, maxIter int, async bool) Stat
 	return st
 }
 
-// pattern indexes the nonzero pattern of one rank's block of S by column:
-// the triples of column j sit at positions ptr[j-colLo] to ptr[j-colLo+1] of
-// the canonical list, rows ascending. One pattern serves every iteration of
-// a Reduce; index points it at the iteration's block.
+// pattern indexes the nonzero pattern of one rank's block of S by column, so
+// that a mirror's position is found by one binary search: the triples of column j sit at
+// positions ptr[j-colLo] to ptr[j-colLo+1] of the canonical list, rows
+// ascending. One pattern serves every iteration of a Reduce; index points it
+// at the iteration's block.
 type pattern struct {
-	ts           []spmat.Triple[bidir.Edge]
-	rowLo, colLo int32
-	ptr          []int32
-	// has marks the rows of one column at a time: mark[r-rowLo] == gen says
-	// (r, col) is an edge, whose direction is dir[r-rowLo].
-	mark []uint32
-	dir  []uint8
-	gen  uint32
-	col  int32
+	ts    []spmat.Triple[bidir.Edge]
+	colLo int32
+	ptr   []int32
 }
 
 func newPattern(s *spmat.Dist[bidir.Edge]) *pattern {
-	return &pattern{
-		rowLo: s.RowLo, colLo: s.ColLo,
-		ptr:  make([]int32, s.ColHi-s.ColLo+1),
-		mark: make([]uint32, s.RowHi-s.RowLo),
-		dir:  make([]uint8, s.RowHi-s.RowLo),
-	}
+	return &pattern{colLo: s.ColLo, ptr: make([]int32, s.ColHi-s.ColLo+1)}
 }
 
-// index points the pattern at ts, the block's canonical triples, and forgets
-// the marked column.
+// index points the pattern at ts, the block's canonical triples.
 func (p *pattern) index(ts []spmat.Triple[bidir.Edge]) {
-	p.ts, p.col = ts, -1
+	p.ts = ts
 	clear(p.ptr)
 	for _, t := range ts {
 		p.ptr[t.Col-p.colLo+1]++
 	}
 	for j := 1; j < len(p.ptr); j++ {
 		p.ptr[j] += p.ptr[j-1]
-	}
-}
-
-// has reports whether (row, col) is an edge of the block: the output mask of
-// the multiply. SpGEMM forms its output a column at a time, so the row marks
-// and directions are refreshed only when col changes — a generation bump and
-// one pass over that column's few edges — and every other call is a single
-// load.
-func (p *pattern) has(row, col int32) bool {
-	if col != p.col {
-		p.col = col
-		p.gen++ // 2^32 column changes per Reduce cannot occur
-		j := col - p.colLo
-		for _, t := range p.ts[p.ptr[j]:p.ptr[j+1]] {
-			p.mark[t.Row-p.rowLo] = p.gen
-			p.dir[t.Row-p.rowLo] = t.Val.Dir
-		}
-	}
-	return p.mark[row-p.rowLo] == p.gen
-}
-
-// semiring composes walks u→v→w of S's packed view into the least overhang
-// over those whose composed direction is the direction of S's own edge
-// (u,w) — the one entry of N the verdict reads. A walk whose directions do
-// not compose, or compose to another direction, is annihilated. Fold folds
-// only rows the mask kept, so has has just marked their column and dir holds
-// each row's edge direction (the output's rowLo is S's block's).
-func (p *pattern) semiring() spmat.Semiring[packed, packed, int32] {
-	return spmat.Semiring[packed, packed, int32]{
-		Fold: func(acc *spmat.Acc[int32], rows []int32, vals []packed, rowLo int32, e2 packed) {
-			vals = vals[:len(rows)] // one bounds check for the loop
-			for i, r := range rows {
-				d, ok := bidir.ComposeDirs(vals[i].dir(), e2.dir())
-				if !ok || d != p.dir[r-rowLo] {
-					continue
-				}
-				suf := vals[i].suf() + e2.suf()
-				if c, live := acc.Slot(r - rowLo); live {
-					*c = min(*c, suf)
-				} else {
-					*c = suf
-					acc.Claim(r - rowLo)
-				}
-			}
-		},
-		Add: func(a, b int32) int32 { return min(a, b) },
 	}
 }
 
