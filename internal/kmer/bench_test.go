@@ -54,7 +54,7 @@ func BenchmarkCountOccurrences(b *testing.B) {
 	g := readsim.Genome(readsim.GenomeConfig{Length: 50000, Seed: 2})
 	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 10, MeanLen: 3000, Seed: 3}))
 	s := extract(par.NewPool(1, func(int) *ExtractScratch { return new(ExtractScratch) }), reads, 31, 1)
-	parts := [][]byte{s.route(reads, 31, 1)[0].Elems()}
+	parts := [][]byte{s.route(reads, 0, 31, 1)[0].Elems()}
 	b.Run("bloom", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -63,10 +63,11 @@ func BenchmarkCountOccurrences(b *testing.B) {
 	})
 }
 
-// BenchmarkCountAndBuildDistributed runs the whole counting stage on
-// error-free depth-10 reads (P=1, 4, 16) and on the same genome at 3% error
-// (err=0.03/P=4), where most k-mers are singletons the Bloom filter keeps out
-// of the count table, so the table's sizing shows.
+// BenchmarkCountAndBuildDistributed runs the whole counting stage (Count,
+// which leaves A's columns on the owners; CountAndBuild's reply and emit are
+// ledger code) on error-free depth-10 reads (P=1, 4, 16) and on the same
+// genome at 3% error (err=0.03/P=4), where most k-mers are singletons the
+// Bloom filter keeps out of the count table, so the table's sizing shows.
 func BenchmarkCountAndBuildDistributed(b *testing.B) {
 	g := readsim.Genome(readsim.GenomeConfig{Length: 50000, Seed: 4})
 	clean := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 10, MeanLen: 3000, Seed: 5}))
@@ -84,7 +85,7 @@ func BenchmarkCountAndBuildDistributed(b *testing.B) {
 				store := fasta.FromGlobal(c, run.reads)
 				mpitest.InMode(c, false, func() {
 					for i := 0; i < b.N; i++ {
-						CountAndBuild(store, 31, 2, 100, 1)
+						Count(store, 31, 2, 100, 1)
 					}
 				})
 			})
@@ -95,15 +96,17 @@ func BenchmarkCountAndBuildDistributed(b *testing.B) {
 	}
 }
 
-// TestCountAndBuildAllocationBudget bounds what CountAndBuild allocates at
-// P = 4 in units of 12 bytes per occurrence — what an occurrence cost on the
-// wire when it travelled as an 8-byte k-mer word and came back as a 4-byte
-// column id. The stream (6 bytes per window: position and strand, owner),
-// the run parts (about 1.3 bytes per occurrence), the replies (4), the count
-// table and Bloom filter, and the emitted triples (12 per survivor) come to
-// 2.87 × in all. The budget, 3.1 ×, is 8% above that: a stream that kept its
-// k-mer words again (8 bytes more per window, 3.5 ×), or a reply part copied
-// into a frame at send or out of one at receive (4 more, 3.2 ×), fails it.
+// TestCountAndBuildAllocationBudget bounds what the counting stage (Count,
+// the production path; CountAndBuild adds the reply and emit of the ledger)
+// allocates at P = 4 in units of 12 bytes per occurrence — what an
+// occurrence cost on the wire when it travelled as an 8-byte k-mer word and
+// came back as a 4-byte column id. The stream (6 bytes per window: position
+// and strand, owner), the run parts (about 1.4 bytes per occurrence), the
+// numbered records (4), the count table (16 bytes a slot) and Bloom filter,
+// and the owners' columns (8 per survivor: read and Occur) come to 2.85 × in
+// all. The budget is 3.1 ×: a stream that kept its k-mer words again (8
+// bytes more per window, 3.5 ×), or the columns held as triples as well
+// (12 more per survivor, 3.8 ×), fails it.
 func TestCountAndBuildAllocationBudget(t *testing.T) {
 	const budget = 3.1
 	g := readsim.Genome(readsim.GenomeConfig{Length: 50000, Seed: 4})
@@ -120,7 +123,7 @@ func TestCountAndBuildAllocationBudget(t *testing.T) {
 			runtime.ReadMemStats(&before)
 		}
 		mpi.Barrier(c)
-		res := CountAndBuild(store, 31, 2, 100, 1)
+		res := Count(store, 31, 2, 100, 1)
 		mpi.Barrier(c)
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&after)
@@ -135,6 +138,6 @@ func TestCountAndBuildAllocationBudget(t *testing.T) {
 	}
 	t.Logf("allocated %d bytes for %d occurrences (%.2f × 12 bytes each; budget %.1f ×)", allocated, unit/12, float64(allocated)/float64(unit), budget)
 	if float64(allocated) > budget*float64(unit) {
-		t.Fatalf("CountAndBuild allocated %d bytes, budget %.0f", allocated, budget*float64(unit))
+		t.Fatalf("Count allocated %d bytes, budget %.0f", allocated, budget*float64(unit))
 	}
 }

@@ -2,10 +2,12 @@ package kmer
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/bits"
 )
 
-// This file is the allocation-lean counting substrate behind CountAndBuild:
+// This file is the allocation-lean counting substrate behind Count:
 // a cache-line-blocked Bloom filter that absorbs first occurrences (HipMer's
 // singleton shield — erroneous k-mers are mostly singletons and must never
 // enter the count table) and an open-addressing Kmer→int32 table that
@@ -19,11 +21,11 @@ import (
 //	         its filter bits. Singletons therefore stay out of the table —
 //	         except for the filter's false positives, which are admitted
 //	         with an eventual exact count of 1 and dropped by the [low,high]
-//	         selection (the scheme requires low ≥ 2; CountAndBuild bypasses
-//	         the filter entirely when low < 2).
+//	         selection (the scheme requires low ≥ 2; Count bypasses the
+//	         filter entirely when low < 2).
 //	tally:   every occurrence of an admitted k-mer increments its exact
-//	         count, and the occurrence's slot is recorded (−1 when its k-mer
-//	         was not admitted). Counts of admitted k-mers are exact, so
+//	         count, and the occurrence's slot and strand are recorded (−1
+//	         when its k-mer was not admitted). Counts of admitted k-mers are exact, so
 //	         reliable-k-mer selection is identical to the map-based
 //	         reference — the filter can only add count-1 entries that the
 //	         selection removes.
@@ -31,8 +33,8 @@ import (
 // The table starts at its floor and doubles as admissions fill it, in both
 // filter modes, so its size follows the k-mers it admits, not the
 // occurrences routed to it. Nothing is inserted after the tally, so the slots
-// it records stay valid through MarkReliable and the numbering of the reply
-// step, which reads each occurrence's column off its slot (number).
+// it records stay valid through MarkReliable and the numbering, which reads
+// each occurrence's column off its slot (number).
 //
 // The admitted set can differ with observation order (false positives depend
 // on which bits were set first), but only on singletons: a k-mer occurring ≥ 2 times is admitted in
@@ -48,25 +50,42 @@ const emptyKmer = ^Kmer(0)
 // CountTable is an open-addressing Kmer → int32 hash table (linear probing,
 // power-of-two capacity, keys mixed by hash). It is the allocation-lean
 // replacement for map[Kmer]int32 on the counting hot path, and once its
-// counts are marked (MarkReliable) its values are the column ids of the
-// reply step (number).
+// counts are marked (MarkReliable) its values are the column ids (number).
+// Each value lies beside its key in one entry, so a probe that finds its key
+// has the count on the same cache line.
 type CountTable struct {
-	kms  []Kmer
-	vals []int32
-	n    int
-	mask uint64
+	entries []entry
+	n       int
+	mask    uint64
+}
+
+// entry is one slot of a CountTable: a k-mer, or emptyKmer, and its value.
+type entry struct {
+	km  Kmer
+	val int32
 }
 
 // tableFloor is the slot count a table starts at; it doubles from there.
 const tableFloor = 1024
 
+// maxTableSlots bounds a table's slots: a slot index travels shifted two bits
+// up in the records tally writes (counter.tally), so it must fit 29 bits.
+const maxTableSlots = 1 << 29
+
 // NewCountTable allocates an empty table at the floor size.
 func NewCountTable() *CountTable {
-	t := &CountTable{kms: make([]Kmer, tableFloor), vals: make([]int32, tableFloor), mask: tableFloor - 1}
-	for i := range t.kms {
-		t.kms[i] = emptyKmer
-	}
+	t := &CountTable{}
+	t.alloc(tableFloor)
 	return t
+}
+
+// alloc gives t size vacant slots.
+func (t *CountTable) alloc(size int) {
+	t.entries = make([]entry, size)
+	t.mask = uint64(size - 1)
+	for i := range t.entries {
+		t.entries[i].km = emptyKmer
+	}
 }
 
 // Len returns the number of stored k-mers.
@@ -78,34 +97,30 @@ func (t *CountTable) slot(km Kmer) int { return t.slotAt(km, hash(km)) }
 // slotAt is slot for a k-mer whose hash the caller already took.
 func (t *CountTable) slotAt(km Kmer, h uint64) int {
 	i := h & t.mask
-	for t.kms[i] != emptyKmer && t.kms[i] != km {
+	for e := t.entries[i].km; e != emptyKmer && e != km; e = t.entries[i].km {
 		i = (i + 1) & t.mask
 	}
 	return int(i)
 }
 
 func (t *CountTable) grow() {
-	old := *t
-	size := len(old.kms) * 2
-	t.kms = make([]Kmer, size)
-	t.vals = make([]int32, size)
-	t.mask = uint64(size - 1)
-	for i := range t.kms {
-		t.kms[i] = emptyKmer
+	old := t.entries
+	if 2*len(old) > maxTableSlots {
+		panic(fmt.Sprintf("kmer: count table of %d k-mers outgrows %d slots", t.n, maxTableSlots))
 	}
-	for i, km := range old.kms {
-		if km != emptyKmer {
-			j := t.slot(km)
-			t.kms[j], t.vals[j] = km, old.vals[i]
+	t.alloc(2 * len(old))
+	for _, e := range old {
+		if e.km != emptyKmer {
+			t.entries[t.slot(e.km)] = e
 		}
 	}
 }
 
 // insert places km at a vacant slot with value v (caller guarantees absence).
 func (t *CountTable) insert(i int, km Kmer, v int32) {
-	t.kms[i], t.vals[i] = km, v
+	t.entries[i] = entry{km, v}
 	t.n++
-	if 2*t.n >= len(t.kms) {
+	if 2*t.n >= len(t.entries) {
 		t.grow()
 	}
 }
@@ -116,7 +131,7 @@ func (t *CountTable) Admit(km Kmer) { t.admitAt(km, hash(km)) }
 
 // admitAt is Admit for a k-mer whose hash the caller already took.
 func (t *CountTable) admitAt(km Kmer, h uint64) {
-	if i := t.slotAt(km, h); t.kms[i] == emptyKmer {
+	if i := t.slotAt(km, h); t.entries[i].km == emptyKmer {
 		t.insert(i, km, 0)
 	}
 }
@@ -124,8 +139,8 @@ func (t *CountTable) admitAt(km Kmer, h uint64) {
 // tally increments km's value when km is in the table (phase-2 tally) and
 // returns its slot, or -1 when km is absent.
 func (t *CountTable) tally(km Kmer) int32 {
-	if i := t.slot(km); t.kms[i] == km {
-		t.vals[i]++
+	if i := t.slot(km); t.entries[i].km == km {
+		t.entries[i].val++
 		return int32(i)
 	}
 	return -1
@@ -138,41 +153,47 @@ const (
 	unnumbered = int32(-2)
 )
 
-// MarkReliable turns a table of counts into the column values of the reply
-// step: every k-mer whose count lies in [low, high] becomes unnumbered, every
-// other one unreliable. It returns the number of reliable k-mers.
+// MarkReliable turns a table of counts into column values: every k-mer whose
+// count lies in [low, high] becomes unnumbered, every other one unreliable.
+// It returns the number of reliable k-mers.
 func (t *CountTable) MarkReliable(low, high int32) int {
 	n := 0
-	for i, km := range t.kms {
-		if km == emptyKmer {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.km == emptyKmer {
 			continue
 		}
-		if v := t.vals[i]; v >= low && v <= high {
-			t.vals[i] = unnumbered
+		if e.val >= low && e.val <= high {
+			e.val = unnumbered
 			n++
 		} else {
-			t.vals[i] = unreliable
+			e.val = unreliable
 		}
 	}
 	return n
 }
 
-// number turns slots, as tally recorded them, into column ids in place after
-// MarkReliable: -1 for an absent or unreliable k-mer, else the k-mer's id. A
-// reliable k-mer's first occurrence numbers it: it takes *next, which then
-// advances, so ids follow the order in which the slots are numbered.
-func (t *CountTable) number(slots []int32, next *int32) {
-	for i, s := range slots {
-		if s < 0 {
+// number turns occurrence records, as tally recorded them — slot<<2 | read
+// parity<<1 | strand, or -1 for a k-mer the table did not admit — into
+// col<<2 | read parity<<1 | strand in place after MarkReliable, or -1 for an
+// unreliable k-mer. A reliable k-mer's first occurrence numbers it: it takes
+// *next, which then advances, so ids follow the order in which the records
+// are numbered.
+func (t *CountTable) number(recs []int32, next *int32) {
+	for i, r := range recs {
+		if r < 0 {
 			continue
 		}
-		v := t.vals[s]
-		if v == unnumbered {
-			v = *next
-			t.vals[s] = v
+		e := &t.entries[r>>2]
+		if e.val == unnumbered {
+			e.val = *next
 			*next++
 		}
-		slots[i] = v
+		if e.val < 0 {
+			recs[i] = -1
+		} else {
+			recs[i] = e.val<<2 | r&3
+		}
 	}
 }
 
@@ -253,7 +274,7 @@ type counter struct {
 }
 
 // newCounter sizes the Bloom filter for about expectedOcc incoming
-// occurrences (the rank's own outgoing total is the proxy CountAndBuild uses:
+// occurrences (the rank's own outgoing total is the proxy Count uses:
 // the minimizer hash spreads occurrences about evenly, so in ≈ out). The
 // table starts at its floor and grows with what it admits: most k-mers at the
 // counting stage are sequencing-error singletons the filter keeps out.
@@ -268,41 +289,51 @@ func newCounter(k int, low int32, expectedOcc int) *counter {
 // observe runs phase 1 (admission) over one received run part; parts may be
 // observed in any order (see the file comment for why selection stays
 // order-invariant).
-func (c *counter) observe(part []byte) { c.walk(part, false, nil) }
+func (c *counter) observe(part []byte) { c.walk(part, 0, false, nil) }
 
-// tally runs phase 2 (exact counting) over one run part and records each
-// occurrence's slot in slots, when not nil (one entry per k-mer of the part,
-// in order; -1 for a k-mer the table did not admit). CountAndBuild tallies
-// the retained parts in rank order in both comm modes, into the reply
-// buffers that number then turns into column ids. It must follow every
-// observe: an admission after it could move the slots it recorded.
-func (c *counter) tally(part []byte, slots []int32) { c.walk(part, true, slots) }
+// tally runs phase 2 (exact counting) over one run part, from a sender whose
+// first read is lo, and records each occurrence in recs, when not nil (one
+// entry per k-mer of the part, in order): its slot<<2, with bit 1 the parity
+// of its read and bit 0 set when the canonical k-mer is the window's reverse
+// complement — the strand the scan gives it — or -1 for a k-mer the table
+// did not admit. Count tallies the parts in rank order in both comm modes,
+// into the records that number then turns into column ids. It must follow
+// every observe: an admission after it could move the slots it recorded.
+func (c *counter) tally(part []byte, lo int, recs []int32) { c.walk(part, lo, true, recs) }
 
 // walk expands every record of part, which checkRuns accepted, into its
 // canonical k-mers and admits (phase 1) or tallies (phase 2) each in turn:
 // the first k-mer of a run is read from its first bases at once, the rest by
 // rolling one base each, into no buffer.
-func (c *counter) walk(part []byte, tally bool, slots []int32) {
+func (c *counter) walk(part []byte, lo int, tally bool, recs []int32) {
 	k := c.k
 	mask := Kmer(1)<<(2*uint(k)) - 1
 	shift := 2 * uint(k-1)
 	j := 0
-	for off := 0; off < len(part); {
-		n := int(binary.LittleEndian.Uint16(part[off:]))
-		bases := part[off+runHeader : off+runBytes(n, k)]
-		off += runBytes(n, k)
+	cur := newRunCursor(part, lo)
+	for {
+		read, _, n, bases, ok := cur.next(k)
+		if !ok {
+			break
+		}
+		parity := int32(read&1) << 1
 		fwd := firstKmer(bases, k)
 		rc := RevComp(fwd, k)
 		for b := k; ; b++ {
 			km := min(fwd, rc)
-			if tally {
-				s := c.table.tally(km)
-				if slots != nil {
-					slots[j] = s
+			if !tally {
+				if h := hash(km); c.bloom == nil || c.bloom.testAndSet(h) {
+					c.table.admitAt(km, h)
 				}
+			} else if s := c.table.tally(km); recs != nil {
+				if s >= 0 {
+					s = s<<2 | parity
+					if rc < fwd {
+						s |= 1
+					}
+				}
+				recs[j] = s
 				j++
-			} else if h := hash(km); c.bloom == nil || c.bloom.testAndSet(h) {
-				c.table.admitAt(km, h)
 			}
 			if b == n+k-1 {
 				break
@@ -333,18 +364,18 @@ func firstKmer(bases []byte, k int) Kmer {
 // table when low ≥ 2, and every stored count is exact. It returns the same
 // reliable selection as the map-based reference for any low ≥ 1 (when
 // low < 2 the filter is bypassed so singletons are counted too). A malformed
-// part panics naming its index.
+// part panics naming its index; every part's reads are taken to start at 0.
 func CountOccurrences(parts [][]byte, k int, low int32) *CountTable {
 	var occ int
 	for src, p := range parts {
-		occ += runOccurrences(p, k, src)
+		occ += runOccurrences(p, k, src, 0, math.MaxInt)
 	}
 	c := newCounter(k, low, occ)
 	for _, p := range parts {
 		c.observe(p)
 	}
 	for _, p := range parts {
-		c.tally(p, nil)
+		c.tally(p, 0, nil)
 	}
 	return c.table
 }

@@ -90,7 +90,7 @@ func TestCounterTinyBloomCollisions(t *testing.T) {
 			c.observe(p)
 		}
 		for _, p := range runs {
-			c.tally(p, nil)
+			c.tally(p, 0, nil)
 		}
 		ref := countOccurrencesMap(parts)
 		want := SelectReliable(ref, 2, 1<<20)
@@ -126,7 +126,7 @@ func TestCountObserveOrderInvariance(t *testing.T) {
 			c.observe(runs[i])
 		}
 		for _, p := range runs { // tally always runs in rank order
-			c.tally(p, nil)
+			c.tally(p, 0, nil)
 		}
 		if got := reliableOf(c.table, 2, 1<<20); !reflect.DeepEqual(got, base) {
 			t.Fatalf("trial %d: selection depends on observe order", trial)
@@ -165,8 +165,8 @@ func TestCountTableBasics(t *testing.T) {
 		t.Fatalf("MarkReliable = %d, want %d", got, 2*n/5)
 	}
 	slots := make([]int32, n)
-	for j := range slots { // slot order, not key order, numbers
-		slots[j] = int32(tab.slot(Kmer((n - 1 - j) * (n - 1 - j))))
+	for j := range slots { // slot order, not key order, numbers; records are slot<<2 | parity<<1 | strand
+		slots[j] = int32(tab.slot(Kmer((n-1-j)*(n-1-j))))<<2 | int32(j&3)
 	}
 	next := int32(100)
 	for _, pass := range []string{"first", "repeat"} {
@@ -174,7 +174,10 @@ func TestCountTableBasics(t *testing.T) {
 		tab.number(cols, &next)
 		want := int32(100)
 		for i := n - 1; i >= 0; i-- {
-			got := cols[n-1-i]
+			got := cols[n-1-i] >> 2
+			if cols[n-1-i] >= 0 && cols[n-1-i]&3 != int32((n-1-i)&3) {
+				t.Fatalf("%s: numbering lost the parity or strand of %d", pass, i*i)
+			}
 			switch {
 			case i%5 != 2 && i%5 != 3:
 				if got != -1 {

@@ -15,14 +15,17 @@ func countOccurrencesMap(parts [][]uint64) map[Kmer]int32 {
 }
 
 // wordRuns encodes occurrence parts of canonical k-mer words as run parts,
-// each k-mer its own run of one: the parts the counter expands back to the
-// same k-mers in the same order.
+// each k-mer its own run of one, all of read 0 at consecutive positions: the
+// parts the counter expands back to the same k-mers in the same order.
 func wordRuns(parts [][]uint64, k int) [][]byte {
 	runs := make([][]byte, len(parts))
 	for r, part := range parts {
-		runs[r] = make([]byte, len(part)*runBytes(1, k))
 		for i, w := range part {
-			putRun(runs[r][i*runBytes(1, k):], Decode(Kmer(w), k), 1)
+			dread := uint64(0) // the same read as the record before
+			if i == 0 {
+				dread = 1 // read 0, one after the part's lo−1
+			}
+			runs[r] = appendRun(runs[r], dread, 0, Decode(Kmer(w), k), 1)
 		}
 	}
 	return runs
@@ -33,11 +36,11 @@ func wordRuns(parts [][]uint64, k int) [][]byte {
 // intact, in the shape of the map reference SelectReliable.
 func reliableOf(t *CountTable, low, high int32) []Kmer {
 	cp := *t
-	cp.vals = slices.Clone(t.vals)
+	cp.entries = slices.Clone(t.entries)
 	out := make([]Kmer, 0, cp.MarkReliable(low, high))
-	for i, km := range cp.kms {
-		if km != emptyKmer && cp.vals[i] == unnumbered {
-			out = append(out, km)
+	for _, e := range cp.entries {
+		if e.km != emptyKmer && e.val == unnumbered {
+			out = append(out, e.km)
 		}
 	}
 	slices.Sort(out)
@@ -47,8 +50,8 @@ func reliableOf(t *CountTable, low, high int32) []Kmer {
 // Get returns km's value and whether the table holds it — the tests' view of
 // a table's counts.
 func (t *CountTable) Get(km Kmer) (int32, bool) {
-	if i := t.slot(km); t.kms[i] == km {
-		return t.vals[i], true
+	if e := t.entries[t.slot(km)]; e.km == km {
+		return e.val, true
 	}
 	return 0, false
 }

@@ -51,25 +51,29 @@ func TestScanOwnersMatchOwner(t *testing.T) {
 
 // runsOf extracts reads into one stream and routes it to p owners, as one
 // rank holding every read would.
-func runsOf(reads [][]byte, k, p int) (*stream, []mpi.Buf[byte]) {
+func runsOf(reads [][]byte, k, p int) (*stream, []mpi.Buf[byte]) { return runsFrom(reads, 0, k, p) }
+
+// runsFrom is runsOf for reads whose global ids start at lo.
+func runsFrom(reads [][]byte, lo, k, p int) (*stream, []mpi.Buf[byte]) {
 	s := extract(par.NewPool(1, func(int) *ExtractScratch { return new(ExtractScratch) }), reads, k, p)
-	return s, s.route(reads, k, p)
+	return s, s.route(reads, lo, k, p)
 }
 
 // TestRunsExpandToTheStream: every owner's run part expands, record by
 // record, to the canonical k-mers of the stream's windows that owner holds,
-// in stream order, and holds one record per maximal run, a run of more than
-// maxRun windows cut into records of maxRun; expandRuns checks each part is
-// exactly as long as its records.
+// in stream order, each at its read and window, and holds one record per
+// maximal run, a run of more than maxRun windows cut into records of maxRun;
+// expandRuns checks each part is exactly as long as its records.
 func TestRunsExpandToTheStream(t *testing.T) {
 	g := readsim.Genome(readsim.GenomeConfig{Length: 6000, Seed: 103})
 	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 4, MeanLen: 500, ErrorRate: 0.02, Seed: 104}))
 	long := randSeq(rand.New(rand.NewSource(105)), maxRun+200) // one owner holds all of it at P = 1: cut at maxRun
 	reads = append(reads, []byte("ACGTNACGTACGTTTGACCANNNNACGT"), bytes.Repeat([]byte("A"), 300), nil, long)
+	const lo = 7 // the reads' first global id
 	for _, k := range []int{7, 17, 31} {
 		for _, p := range []int{1, 4, 16} {
-			s, parts := runsOf(reads, k, p)
-			want := make([][]Kmer, p)
+			s, parts := runsFrom(reads, lo, k, p)
+			want := make([][]runKmer, p)
 			// Windows that open a run: a read's first, one after a gap or a
 			// change of owner, and one after maxRun windows of a run.
 			starts, run := 0, 0
@@ -77,7 +81,7 @@ func TestRunsExpandToTheStream(t *testing.T) {
 				for j := s.start[i]; j < end; j++ {
 					pos := int(s.occ[j].Pos())
 					fwd := Encode(reads[i][pos:pos+k], k)
-					want[s.own[j]] = append(want[s.own[j]], min(fwd, RevComp(fwd, k)))
+					want[s.own[j]] = append(want[s.own[j]], runKmer{min(fwd, RevComp(fwd, k)), lo + i, s.occ[j]})
 					if j == s.start[i] || s.own[j] != s.own[j-1] || s.occ[j].Pos() != s.occ[j-1].Pos()+1 || run == maxRun {
 						starts, run = starts+1, 0
 					}
@@ -86,11 +90,11 @@ func TestRunsExpandToTheStream(t *testing.T) {
 			}
 			records := 0
 			for o, part := range parts {
-				got := expandRuns(t, part.Elems(), k)
+				got := expandRuns(t, part.Elems(), k, lo, lo+len(reads))
 				if fmt.Sprint(got) != fmt.Sprint(want[o]) {
 					t.Fatalf("k=%d P=%d: owner %d's part expands to %d k-mers, want the stream's %d", k, p, o, len(got), len(want[o]))
 				}
-				records += len(runSeqs(part.Elems(), k))
+				records += len(runRecords(part.Elems(), k))
 			}
 			if records != starts {
 				t.Fatalf("k=%d P=%d: %d records for %d maximal runs", k, p, records, starts)
@@ -99,20 +103,35 @@ func TestRunsExpandToTheStream(t *testing.T) {
 	}
 }
 
-// expandRuns decodes an accepted run part into its k-mers, base by base, the
-// slow way.
-func expandRuns(t *testing.T, part []byte, k int) []Kmer {
+// runKmer is one occurrence a run part stands for: its canonical k-mer, its
+// read and its window.
+type runKmer struct {
+	km   Kmer
+	read int
+	occ  Occur
+}
+
+// expandRuns decodes a run part, accepted from a sender of reads [lo, hi),
+// into its occurrences, base by base, the slow way.
+func expandRuns(t *testing.T, part []byte, k, lo, hi int) []runKmer {
 	t.Helper()
-	occ, err := checkRuns(part, k)
+	occ, err := checkRuns(part, k, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []Kmer
-	for _, seq := range runSeqs(part, k) {
-		for j := 0; j+k <= len(seq); j++ {
-			fwd := Encode(seq[j:j+k], k)
-			out = append(out, min(fwd, RevComp(fwd, k)))
+	var out []runKmer
+	read, end := lo-1, 0
+	for _, rec := range runRecords(part, k) {
+		if rec.dread > 0 {
+			read, end = read+int(rec.dread), 0
 		}
+		start := end + int(rec.gap)
+		for j := 0; j+k <= len(rec.seq); j++ {
+			fwd := Encode(rec.seq[j:j+k], k)
+			rc := RevComp(fwd, k)
+			out = append(out, runKmer{min(fwd, rc), read, MakeOccur(int32(start+j), rc < fwd)})
+		}
+		end = start + len(rec.seq) - k + 1
 	}
 	if len(out) != occ {
 		t.Fatalf("checkRuns counts %d k-mers, the records hold %d", occ, len(out))
@@ -120,35 +139,54 @@ func expandRuns(t *testing.T, part []byte, k int) []Kmer {
 	return out
 }
 
-// runSeqs returns the bases of each record of an accepted run part.
-func runSeqs(part []byte, k int) [][]byte {
-	var seqs [][]byte
+// runRecord is one record of a run part: its header deltas and the bases it
+// spans.
+type runRecord struct {
+	dread, gap uint64
+	seq        []byte
+}
+
+// runRecords returns the records of an accepted run part.
+func runRecords(part []byte, k int) []runRecord {
+	var recs []runRecord
 	for len(part) > 0 {
-		n := int(binary.LittleEndian.Uint16(part))
-		seq := make([]byte, n+k-1)
-		for b := range seq {
-			seq[b] = dna.Base(part[runHeader+b/4] >> (6 - 2*(b%4)))
+		var f [3]uint64
+		for i := range f {
+			v, n := binary.Uvarint(part)
+			f[i], part = v, part[n:]
 		}
-		seqs = append(seqs, seq)
-		part = part[runBytes(n, k):]
+		seq := make([]byte, int(f[2])+k-1)
+		for b := range seq {
+			seq[b] = dna.Base(part[b/4] >> (6 - 2*(b%4)))
+		}
+		recs = append(recs, runRecord{f[0], f[1], seq})
+		part = part[(len(seq)+3)/4:]
 	}
-	return seqs
+	return recs
 }
 
 // TestRunPartRefusals: a malformed part received from another rank panics
-// naming that rank — never an index out of range inside the counter.
+// naming that rank — never an index out of range inside the counter — and
+// so does a well-formed one naming a read outside the sender's range or a
+// window past Occur's last position.
 func TestRunPartRefusals(t *testing.T) {
-	const k = 5
-	good := make([]byte, runBytes(3, k))
-	putRun(good, []byte("ACGTACG"), 3)
+	const k, lo, hi = 5, 10, 20
+	good := appendRun(nil, 1, 4, []byte("ACGTACG"), 3) // read 10, windows 4..6
+	more := func(b ...byte) []byte { return append(bytes.Clone(good), b...) }
 	for name, c := range map[string]struct {
 		part []byte
 		want string
 	}{
-		"header cut short":   {append(bytes.Clone(good), 1), "want a 2-byte header"},
-		"zero-length run":    {append(bytes.Clone(good), 0, 0, 0xff), "zero-length run"},
-		"run past the end":   {append(bytes.Clone(good), 9, 0, 0xff), "the part ends at"},
-		"bits after the run": {append(bytes.Clone(good[:len(good)-1]), good[len(good)-1]|1), "bits set after"},
+		"header cut short":         {more(0, 1), "ends inside its header"},
+		"header not minimal":       {more(0x80, 0, 0, 1, 0xff), "not a minimal varint"},
+		"header overflows":         {more(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 1, 0), "overflows 64 bits"},
+		"zero-length run":          {more(0, 0, 0, 0xff), "a run of 0 k-mers"},
+		"run past the end":         {more(0, 0, 9, 0xff), "the part ends at"},
+		"bits after the run":       {append(bytes.Clone(good[:len(good)-1]), good[len(good)-1]|1), "bits set after"},
+		"read before the sender's": {appendRun(nil, 0, 0, []byte("ACGTACG"), 3), "outside the sender's reads [10,20)"},
+		"read past the sender's":   {more(10, 0, 1, 0x1b, 0), "outside the sender's reads [10,20)"},
+		"window past Occur's limit": {appendRun(nil, 1, maxPos-1, []byte("ACGTACG"), 3),
+			"passes Occur's last position"},
 	} {
 		func() {
 			defer func() {
@@ -157,11 +195,16 @@ func TestRunPartRefusals(t *testing.T) {
 					t.Errorf("%s: panic %q, want one naming rank 3 and %q", name, msg, c.want)
 				}
 			}()
-			runOccurrences(c.part, k, 3)
+			runOccurrences(c.part, k, 3, lo, hi)
 		}()
 	}
-	if n := runOccurrences(good, k, 3); n != 3 {
+	if n := runOccurrences(good, k, 3, lo, hi); n != 3 {
 		t.Fatalf("well-formed part counts %d k-mers, want 3", n)
+	}
+	// The last window Occur holds, and the last read of the range, pass.
+	edge := appendRun(nil, hi-lo, maxPos-2, []byte("ACGTACG"), 3)
+	if n := runOccurrences(edge, k, 3, lo, hi); n != 3 {
+		t.Fatalf("a run ending at Occur's last window counts %d k-mers, want 3", n)
 	}
 }
 
@@ -191,7 +234,7 @@ func TestOwnerLoad(t *testing.T) {
 		_, parts := runsOf(reads, k, c.p)
 		var total, most, size int
 		for _, part := range parts {
-			occ, err := checkRuns(part.Elems(), k)
+			occ, err := checkRuns(part.Elems(), k, 0, len(reads))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,41 +248,42 @@ func TestOwnerLoad(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRuns feeds arbitrary bytes to the owner's side of a run part:
-// checkRuns never panics, and a part it accepts is walked by the counter in
-// both phases without a fault, holds exactly the k-mers it counts, and
+// FuzzDecodeRuns feeds arbitrary bytes to the owner's side of a run part
+// from a sender of reads [3, 9): checkRuns never panics, and a part it
+// accepts is walked by the counter in both phases without a fault, holds
+// exactly the k-mers it counts, each recorded with its read's parity and its
+// strand, and
 // re-encodes record by record to the same bytes.
 func FuzzDecodeRuns(f *testing.F) {
+	const lo, hi = 3, 9
 	for _, k := range []int{5, 31} {
-		_, parts := runsOf([][]byte{[]byte("ACGTTGCAACGGTACCATGACNACGTTAGCATGCAGTCAGGCTAGCAATTGGCATGCAACGT")}, k, 4)
+		_, parts := runsFrom([][]byte{[]byte("ACGTTGCAACGGTACCATGACNACGTTAGCATGCAGTCAGGCTAGCAATTGGCATGCAACGT")}, lo, k, 4)
 		for _, part := range parts {
 			f.Add(part.Elems(), uint8(k))
 		}
 	}
-	f.Add([]byte{0, 0}, uint8(3))
-	f.Add([]byte{1, 0, 0xff}, uint8(4))
-	f.Add([]byte{2, 0, 0xe4, 0x01}, uint8(4))
+	f.Add([]byte{1, 0, 0}, uint8(3))
+	f.Add([]byte{1, 0, 1, 0xff}, uint8(4))
+	f.Add([]byte{1, 2, 2, 0xe4, 0x01, 5, 0, 1, 0xe4, 0x00}, uint8(4))
 	f.Fuzz(func(t *testing.T, part []byte, kk uint8) {
 		k := 1 + int(kk)%MaxK
-		occ, err := checkRuns(part, k)
+		occ, err := checkRuns(part, k, lo, hi)
 		if err != nil {
 			return
 		}
 		c := newCounter(k, 2, occ)
 		c.observe(part)
-		slots := make([]int32, occ)
-		c.tally(part, slots)
-		want := expandRuns(t, part, k)
-		for j, km := range want {
-			if slots[j] >= 0 && c.table.kms[slots[j]] != km {
-				t.Fatalf("occurrence %d tallied at a slot holding %d, want %d", j, c.table.kms[slots[j]], km)
+		recs := make([]int32, occ)
+		c.tally(part, lo, recs)
+		want := expandRuns(t, part, k, lo, hi)
+		for j, w := range want {
+			if r := recs[j]; r >= 0 && (c.table.entries[r>>2].km != w.km || r&1 == 1 != w.occ.RC() || int(r>>1&1) != w.read&1) {
+				t.Fatalf("occurrence %d of read %d tallied as %#x, at a slot holding %d; want %d on the %v strand", j, w.read, r, c.table.entries[r>>2].km, w.km, w.occ.RC())
 			}
 		}
 		var again []byte
-		for _, seq := range runSeqs(part, k) {
-			rec := make([]byte, runBytes(len(seq)-k+1, k))
-			putRun(rec, seq, len(seq)-k+1)
-			again = append(again, rec...)
+		for _, rec := range runRecords(part, k) {
+			again = appendRun(again, rec.dread, rec.gap, rec.seq, len(rec.seq)-k+1)
 		}
 		if !bytes.Equal(again, part) {
 			t.Fatalf("accepted part re-encodes to other bytes:\n%x\n%x", again, part)

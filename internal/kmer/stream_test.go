@@ -2,8 +2,11 @@ package kmer
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dna"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpi/mpitest"
 	"repro/internal/readsim"
+	"repro/internal/spmat"
 )
 
 // gatherCountAndBuild runs CountAndBuild on reads at p ranks, each rank in
@@ -118,22 +122,22 @@ func TestCountTableGrowsFromFloor(t *testing.T) {
 	runs := wordRuns(parts, k)
 	for _, low := range []int32{1, 2} {
 		c := newCounter(k, low, occ)
-		if len(c.table.kms) != tableFloor {
-			t.Fatalf("low=%d: table starts at %d slots, want the floor %d", low, len(c.table.kms), tableFloor)
+		if len(c.table.entries) != tableFloor {
+			t.Fatalf("low=%d: table starts at %d slots, want the floor %d", low, len(c.table.entries), tableFloor)
 		}
 		for _, part := range runs {
 			c.observe(part)
 		}
-		if len(c.table.kms) < tableFloor<<5 {
-			t.Fatalf("low=%d: table grew to %d slots, want at least five doublings", low, len(c.table.kms))
+		if len(c.table.entries) < tableFloor<<5 {
+			t.Fatalf("low=%d: table grew to %d slots, want at least five doublings", low, len(c.table.entries))
 		}
 		slots := make([][]int32, p)
 		for r, part := range parts {
 			slots[r] = make([]int32, len(part))
-			c.tally(runs[r], slots[r])
+			c.tally(runs[r], 0, slots[r])
 		}
 		tab := c.table
-		size, n, kms, vals := len(tab.kms), tab.n, &tab.kms[0], &tab.vals[0]
+		size, n, ents := len(tab.entries), tab.n, &tab.entries[0]
 		for km, want := range serial {
 			got, ok := tab.Get(km)
 			if (low < 2 || want >= 2) && !ok {
@@ -155,15 +159,16 @@ func TestCountTableGrowsFromFloor(t *testing.T) {
 		if int(next) != nRel {
 			t.Fatalf("low=%d: numbered %d columns, want %d", low, next, nRel)
 		}
-		if len(tab.kms) != size || tab.n != n || &tab.kms[0] != kms || &tab.vals[0] != vals {
-			t.Fatalf("low=%d: the table changed after the tally (%d slots, %d k-mers; was %d, %d)", low, len(tab.kms), tab.n, size, n)
+		if len(tab.entries) != size || tab.n != n || &tab.entries[0] != ents {
+			t.Fatalf("low=%d: the table changed after the tally (%d slots, %d k-mers; was %d, %d)", low, len(tab.entries), tab.n, size, n)
 		}
 		// The ids follow first appearance in part order, and every recorded
-		// slot still holds its k-mer.
+		// slot still holds its k-mer. Each word is canonical on its forward
+		// strand, of read 0, so a record is its column id shifted two up.
 		ids := map[Kmer]int32{}
 		for r, part := range parts {
 			for i, w := range part {
-				km, col := Kmer(w), slots[r][i]
+				km, col := Kmer(w), slots[r][i]>>2
 				if cnt := serial[km]; cnt < low || cnt > high {
 					if col != -1 {
 						t.Fatalf("low=%d: unreliable k-mer %d (count %d) got column %d", low, km, cnt, col)
@@ -178,7 +183,7 @@ func TestCountTableGrowsFromFloor(t *testing.T) {
 				if col != want {
 					t.Fatalf("low=%d: k-mer %d got column %d, want %d", low, km, col, want)
 				}
-				if s := tab.slot(km); tab.kms[s] != km || tab.vals[s] != col {
+				if e := tab.entries[tab.slot(km)]; e.km != km || e.val != col || slots[r][i]&3 != 0 {
 					t.Fatalf("low=%d: k-mer %d's slot no longer holds it", low, km)
 				}
 			}
@@ -241,4 +246,87 @@ func FuzzCountAndBuild(f *testing.F) {
 		lo, hi := int32(low%6), int32(high)
 		checkFirstAppearance(t, reads, kk, lo, hi, []int{1, 4}, []int{1, 3}, []bool{false})
 	})
+}
+
+// TestColumnsAreTheRowTriplesTransposed gates the owners' columns of A
+// against the reply path they replaced: at P ∈ {1, 4, 9, 16}, in blocking
+// and nonblocking mode, every rank's Cols are column-major inside its own
+// column range and laid out as spmat.ColumnsFromTriples lays them out, the
+// ranges tile [0, NumCols) in rank order, Count's columns are
+// CountAndBuild's, and the gathered columns are CountAndBuild's gathered
+// row triples transposed — the same (read, column, Occur) set, strand
+// included. At the even k the input holds a palindromic k-mer, whose strand
+// bit the scan leaves clear and the owner's roll must too.
+func TestColumnsAreTheRowTriplesTransposed(t *testing.T) {
+	const pal = "ACGTACGTACGT" // its own reverse complement at k = 12
+	g := readsim.Genome(readsim.GenomeConfig{Length: 3000, Seed: 111})
+	copy(g[900:], pal)
+	copy(g[2100:], pal)
+	reads := readsim.Seqs(readsim.Simulate(g, readsim.ReadConfig{Depth: 6, MeanLen: 400, ErrorRate: 0.01, Seed: 112}))
+	if pk := Encode([]byte(pal), 12); RevComp(pk, 12) != pk {
+		t.Fatal("the palindrome is not its own reverse complement")
+	}
+	for _, k := range []int{12, 17} {
+		for _, p := range []int{1, 4, 9, 16} {
+			for _, async := range []bool{false, true} {
+				var rows, cols []ATriple
+				err := mpi.Run(p, func(c *mpi.Comm) {
+					store := fasta.FromGlobal(c, reads)
+					var res, prod *Result
+					mpitest.InMode(c, async, func() {
+						res = CountAndBuild(store, k, 2, 1000, 2)
+						prod = Count(store, k, 2, 1000, 1)
+					})
+					mine := res.Cols.Triples()
+					if err := spmat.CheckColMajor(mine, 0, int32(store.N), res.Cols.Lo, res.Cols.Hi); err != nil {
+						panic(fmt.Sprintf("rank %d: columns: %v", c.Rank(), err))
+					}
+					if !reflect.DeepEqual(spmat.ColumnsFromTriples(res.Cols.Lo, res.Cols.Hi, mine), res.Cols) {
+						panic(fmt.Sprintf("rank %d: the columns are not their triples' split layout", c.Rank()))
+					}
+					if !reflect.DeepEqual(prod.Cols, res.Cols) {
+						panic(fmt.Sprintf("rank %d: Count's columns differ from CountAndBuild's", c.Rank()))
+					}
+					ranges := mpi.Allgather(c, [2]int32{res.Cols.Lo, res.Cols.Hi})
+					next := int32(0)
+					for _, rg := range ranges {
+						if rg[0] != next || rg[1] < rg[0] {
+							break
+						}
+						next = rg[1]
+					}
+					if int(next) != res.NumCols {
+						panic(fmt.Sprintf("column ranges %v do not tile [0,%d)", ranges, res.NumCols))
+					}
+					allRows, _ := mpi.AllgathervFlat(c, res.Triples)
+					allCols, _ := mpi.AllgathervFlat(c, mine)
+					if c.Rank() == 0 {
+						rows, cols = allRows, allCols
+					}
+				})
+				if err != nil {
+					t.Fatalf("k=%d P=%d async=%v: %v", k, p, async, err)
+				}
+				slices.SortFunc(rows, func(a, b ATriple) int { return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row)) })
+				if len(cols) < 1000 || !reflect.DeepEqual(cols, rows) {
+					t.Fatalf("k=%d P=%d async=%v: %d column entries are not the %d row triples transposed", k, p, async, len(cols), len(rows))
+				}
+				if k == 12 {
+					found := false
+					for _, tr := range cols {
+						pos := int(tr.Val.Pos())
+						if string(reads[tr.Row][pos:pos+k]) == pal {
+							if tr.Val.RC() {
+								t.Fatalf("P=%d: the palindrome's occurrence in read %d carries the reverse strand", p, tr.Row)
+							}
+							found = true
+						}
+					}
+					if !found {
+						t.Fatalf("P=%d: the palindromic k-mer is no column of A", p)
+					}
+				}
+			}
+		}
+	}
 }

@@ -11,8 +11,9 @@ import (
 	"repro/internal/readsim"
 )
 
-// BenchmarkDetectCandidates times the DetectOverlap stage alone — A, Aᵀ and
-// the masked C = A·Aᵀ — on the root suite's bench-scale C. elegans-like
+// BenchmarkDetectCandidates times the DetectOverlap stage alone — each
+// rank's masked product of its columns of A and the exchange that merges the
+// partials into C — on the root suite's bench-scale C. elegans-like
 // dataset at P=4, under both schedules, and reports the semiring products the
 // stage evaluates (summed over ranks; schedule-invariant) and its product
 // rate. K-mer counting runs once, outside the timer.
@@ -29,7 +30,7 @@ func BenchmarkDetectCandidates(b *testing.B) {
 				g := grid.New(c)
 				store := fasta.FromGlobal(c, reads)
 				res := &Result{NumReads: store.N}
-				kres := kmer.CountAndBuild(store, 31, 2, 160, 1)
+				kres := kmer.Count(store, 31, 2, 160, 1)
 				// Every rank has finished counting before the reset and
 				// starts the timed loop after it, so the timer and the
 				// -benchmem counters see all four ranks' loops and nothing

@@ -1,7 +1,8 @@
 // Package overlap implements the overlap-detection and alignment stages of
-// Algorithm 1 (lines 3–9): building the |reads| × |k-mers| matrix A,
-// computing the candidate matrix C = A·Aᵀ with a seed-collecting semiring
-// via distributed SUMMA SpGEMM, running x-drop alignment on every candidate
+// Algorithm 1 (lines 3–9): computing the candidate matrix C = A·Aᵀ of the
+// |reads| × |k-mers| matrix A with a seed-collecting semiring — each rank
+// multiplies the columns of A it counted, and the partials merge on C's 2D
+// blocks — running x-drop alignment on every candidate
 // pair, and pruning low-quality alignments and contained reads to obtain the
 // overlap matrix R.
 package overlap
@@ -24,8 +25,8 @@ import (
 // Seeds is the nonzero payload of the candidate matrix C: up to two shared
 // k-mer seeds per read pair (BELLA's policy). The two lexicographically
 // smallest distinct seeds are kept, which makes the semiring addition
-// associative and commutative — required for SUMMA's stage-order-independent
-// accumulation.
+// associative, commutative and idempotent — required for partials formed from
+// any split of A's columns to merge into the same C.
 type Seeds struct {
 	N int32
 	S [2]align.Seed
@@ -82,8 +83,8 @@ func (c seedAcc) seeds() Seeds {
 // Aᵀ(k,j) yields a shared-seed candidate for pair (i,j), folded in place into
 // the cell's two-key accumulator — a whole run of k's occurrences per call,
 // none annihilated. Keeping the two smallest distinct keys is associative,
-// commutative and idempotent, as SUMMA's stage-order-independent
-// accumulation requires.
+// commutative and idempotent, as merging partials formed from any split of
+// A's columns requires.
 var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, seedAcc]{
 	Fold: func(acc *spmat.Acc[seedAcc], rows []int32, vals []kmer.Occur, rowLo int32, b kmer.Occur) {
 		vals = vals[:len(rows)] // one bounds check for the loop
@@ -145,44 +146,54 @@ type Result struct {
 	KeptOverlaps   int64 // pairs surviving as dovetails
 }
 
-// DetectCandidates is the DetectOverlap stage: the SUMMA panels of A and Aᵀ
-// from one routing of the counting stage's row-grouped triples
-// (spmat.FromRows), then C = A·Aᵀ under the checkerboard mask, so the
-// diagonal and the mirrored direction of every pair are never multiplied or
-// accumulated (C is symmetric and each pair must be aligned exactly once).
-// The mirror entry is reconstructed after alignment. The returned candidate
-// matrix is not mutated by AlignCandidates, so one candidate set can feed
-// several alignment runs. It also returns the semiring products this rank
-// evaluated, the stage's work units.
+// DetectCandidates is the DetectOverlap stage: C = A·Aᵀ under the
+// checkerboard mask, so the diagonal and the mirrored direction of every pair
+// are never multiplied or accumulated (C is symmetric and each pair must be
+// aligned exactly once). The mirror entry is reconstructed after alignment.
+// Each rank multiplies the columns of A the counting stage left on it — the
+// k-mers it counted, with every read that holds them — into a partial of C
+// (spmat.ColumnProduct), and one exchange routes the partials to C's 2D
+// blocks, where the seed semiring's Add merges them (spmat.NewDist). Add
+// keeps the two smallest distinct seed keys, which is associative,
+// commutative and idempotent, and the mask is a function of the cell, so C
+// is the same, bit for bit, however A's columns are split over the ranks
+// (DESIGN.md §4). The returned candidate matrix is not mutated by
+// AlignCandidates, so one candidate set can feed several alignment runs. It
+// also returns the semiring products this rank evaluated, the stage's work
+// units. The two steps are the overlap.multiply and overlap.partial_exchange
+// spans of the rank's trace lane; overlap.a_nnz, overlap.partials and
+// overlap.partial_bytes count the rank's nonzeros of A, the partial cells it
+// sends and the bytes that carries.
 func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, res *Result) (c *spmat.Dist[Seeds], products int64) {
-	acc := spmat.SpGEMMPanels(buildA(g, store.N, kres), seedSemiring, &products)
+	n := int32(store.N)
+	lane, reg := g.Comm.Lane(), g.Comm.Metrics()
+	nnz := int64(kres.Cols.Nnz())
+	start := lane.Start()
+	partial := spmat.ColumnProduct(g.Comm, n, kres.Cols, seedSemiring, &products)
+	cells := int64(len(partial))
+	if lane != nil {
+		lane.Span(0, "overlap", "overlap.multiply", start,
+			obs.Arg{K: "a_nnz", V: nnz}, obs.Arg{K: "products", V: products}, obs.Arg{K: "partials", V: cells})
+	}
+	start, before := lane.Start(), g.Comm.BytesSent()
+	acc := spmat.NewDist(g, n, n, partial, seedSemiring.Add)
+	sent := g.Comm.BytesSent() - before
+	if reg != nil {
+		reg.Counter("overlap.a_nnz").Add(nnz)
+		reg.Counter("overlap.partials").Add(cells)
+		reg.Counter("overlap.partial_bytes").Add(sent)
+	}
+	if lane != nil {
+		lane.Span(0, "overlap", "overlap.partial_exchange", start,
+			obs.Arg{K: "partials", V: cells}, obs.Arg{K: "exchange_bytes", V: sent})
+	}
 	cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
 	for i, t := range acc.Local.Ts {
 		cs[i] = spmat.Triple[Seeds]{Row: t.Row, Col: t.Col, Val: t.Val.seeds()}
 	}
-	c = spmat.FromLocalTriples(g, acc.NR, acc.NC, cs)
+	c = spmat.FromLocalTriples(g, n, n, cs)
 	res.CandidatePairs = c.Nnz()
 	return c, products
-}
-
-// buildA distributes the |reads| × |k-mers| matrix as the SUMMA panels of A
-// and Aᵀ, and records the construction on the rank's trace lane and metrics
-// (overlap.build_a span; overlap.a_nnz, overlap.a_exchange_bytes counters) so
-// a trace separates it from the summa.round spans of the multiply.
-func buildA(g *grid.Grid, numReads int, kres *kmer.Result) *spmat.Panels[kmer.Occur] {
-	lane := g.Comm.Lane()
-	start, before := lane.Start(), g.Comm.BytesSent()
-	a := spmat.FromRows(g, int32(numReads), int32(kres.NumCols), kres.Triples)
-	nnz, sent := int64(a.Nnz), g.Comm.BytesSent()-before
-	if reg := g.Comm.Metrics(); reg != nil {
-		reg.Counter("overlap.a_nnz").Add(nnz)
-		reg.Counter("overlap.a_exchange_bytes").Add(sent)
-	}
-	if lane != nil {
-		lane.Span(0, "overlap", "overlap.build_a", start,
-			obs.Arg{K: "a_nnz", V: nnz}, obs.Arg{K: "exchange_bytes", V: sent})
-	}
-	return a
 }
 
 // The Alignment stage's two phases as trace sub-stages (nested under

@@ -79,7 +79,8 @@ func TestSeedsMergeKeepsTwoSmallestDistinct(t *testing.T) {
 }
 
 // TestDetectCandidatesMatchesValueSemantics pins the fused detection — masked
-// multiply, packed in-place accumulation — to the algorithm it replaced: the
+// multiply of the owners' columns, packed in-place accumulation, the merge of
+// their partials — to the algorithm it replaced: the
 // full symmetric C = A·Aᵀ accumulated with the value-semantics seed
 // arithmetic (refAddSeed), then the diagonal and one direction of every pair
 // pruned post hoc. Rows, columns and Seeds values must all match, for every
@@ -103,8 +104,9 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 					kres = countKmers(store, cfg)
 					cand, _ = DetectCandidates(g, store, kres, res)
 				})
-				// A from the counting stage's triples by the generic
-				// constructor, not the panels DetectCandidates builds.
+				// A from the reply path's row triples by the generic
+				// constructor, not the owners' columns DetectCandidates
+				// multiplies.
 				am := spmat.NewDist(g, int32(store.N), int32(kres.NumCols), slices.Clone(kres.Triples), nil)
 				gc, ga := cand.GatherTriples(0), am.GatherTriples(0)
 				if c.Rank() == 0 {
@@ -156,10 +158,11 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 
 // TestCandidatesIndependentOfColumnOrder: seeds, products and candidates
 // depend on reads and positions only, never on which column id a k-mer has,
-// so relabelling A's columns — a random permutation, and the sorted-k-mer
-// numbering the counting stage used to assign — must give a deep-equal
-// candidate matrix and the same product count as the counting stage's own
-// first-occurrence numbering, on every grid size.
+// so relabelling each rank's columns of A within its range — a random
+// permutation, and the sorted-k-mer numbering the counting stage used to
+// assign — must give a deep-equal candidate matrix and the same product
+// count as the counting stage's own first-occurrence numbering, on every
+// grid size.
 func TestCandidatesIndependentOfColumnOrder(t *testing.T) {
 	genome := readsim.Genome(readsim.GenomeConfig{Length: 12000, Seed: 43})
 	reads := readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 10, MeanLen: 1500, ErrorRate: 0.01, Seed: 44}))
@@ -170,33 +173,26 @@ func TestCandidatesIndependentOfColumnOrder(t *testing.T) {
 			g := grid.New(c)
 			store := fasta.FromGlobal(c, reads)
 			kres := countKmers(store, cfg)
-			// Every column's k-mer, gathered, ranks the columns by k-mer.
-			type colKmer struct {
-				Col int32
-				Km  kmer.Kmer
+			// The k-mer of each of the rank's columns ranks them by k-mer.
+			cols := kres.Cols.Triples()
+			lo, n := kres.Cols.Lo, int(kres.Cols.Hi-kres.Cols.Lo)
+			kmerOf := make([]kmer.Kmer, n)
+			for _, tr := range cols {
+				fwd := kmer.Encode(reads[tr.Row][tr.Val.Pos():int(tr.Val.Pos())+cfg.K], cfg.K)
+				kmerOf[tr.Col-lo] = min(fwd, kmer.RevComp(fwd, cfg.K))
 			}
-			var mine []colKmer
-			for _, tr := range kres.Triples {
-				fwd := kmer.Encode(store.Get(int(tr.Row))[tr.Val.Pos():int(tr.Val.Pos())+cfg.K], cfg.K)
-				mine = append(mine, colKmer{tr.Col, min(fwd, kmer.RevComp(fwd, cfg.K))})
-			}
-			all, _ := mpi.AllgathervFlat(c, mine)
-			kmerOf := make([]kmer.Kmer, kres.NumCols)
-			for _, ck := range all {
-				kmerOf[ck.Col] = ck.Km
-			}
-			bySorted := make([]int32, kres.NumCols)
+			bySorted := make([]int32, n)
 			for i := range bySorted {
 				bySorted[i] = int32(i)
 			}
 			slices.SortFunc(bySorted, func(x, y int32) int { return cmp.Compare(kmerOf[x], kmerOf[y]) })
-			sortedID := make([]int32, kres.NumCols)
+			sortedID := make([]int32, n)
 			for id, col := range bySorted {
-				sortedID[col] = int32(id)
+				sortedID[col] = lo + int32(id)
 			}
-			permuted := make([]int32, kres.NumCols)
-			for i, id := range rand.New(rand.NewSource(int64(p))).Perm(kres.NumCols) {
-				permuted[i] = int32(id)
+			permuted := make([]int32, n)
+			for i, id := range rand.New(rand.NewSource(int64(p*16 + c.Rank()))).Perm(n) {
+				permuted[i] = lo + int32(id)
 			}
 			if slices.IsSorted(sortedID) {
 				panic("sorted-k-mer numbering equals the first-occurrence one: nothing to compare")
@@ -204,11 +200,15 @@ func TestCandidatesIndependentOfColumnOrder(t *testing.T) {
 
 			detect := func(id []int32) ([]spmat.Triple[Seeds], int64) {
 				relabelled := *kres
-				relabelled.Triples = slices.Clone(kres.Triples)
 				if id != nil {
-					for i := range relabelled.Triples { // still row-grouped: FromRows sorts
-						relabelled.Triples[i].Col = id[relabelled.Triples[i].Col]
+					ts := slices.Clone(cols)
+					for i := range ts {
+						ts[i].Col = id[ts[i].Col-lo]
 					}
+					slices.SortFunc(ts, func(a, b kmer.ATriple) int {
+						return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row))
+					})
+					relabelled.Cols = spmat.ColumnsFromTriples(lo, kres.Cols.Hi, ts)
 				}
 				cand, products := DetectCandidates(g, store, &relabelled, &Result{NumReads: store.N})
 				return cand.GatherTriples(0), mpi.Allreduce(c, products, sum)

@@ -14,7 +14,9 @@ import (
 	"repro/internal/dna"
 	"repro/internal/fasta"
 	"repro/internal/grid"
+	"repro/internal/kmer"
 	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 	"repro/internal/obs"
 	"repro/internal/readsim"
 	"repro/internal/spmat"
@@ -476,4 +478,56 @@ func boundSkippedPairs(c *mpi.Comm, g *grid.Grid, store *fasta.DistStore, cands 
 		}
 	}
 	return skipped
+}
+
+// TestColumnProductMatchesSUMMA gates the owners' multiply against the SUMMA
+// path it replaced: on the seven differential inputs × P ∈ {1, 4, 9, 16}, in
+// blocking and nonblocking mode, every rank's block of C from
+// DetectCandidates — candidates and seeds — and the products summed over the
+// ranks equal those of spmat.SpGEMMPanels over spmat.FromRows of
+// CountAndBuild's row triples.
+func TestColumnProductMatchesSUMMA(t *testing.T) {
+	inputs := []diffInput{tilingInput(), duplicatesInput(), indelHeavyInput()}
+	for ei := range errorRates {
+		inputs = append(inputs, errorRateInput(ei))
+	}
+	sum := func(x, y int64) int64 { return x + y }
+	for _, in := range inputs {
+		for _, p := range []int{1, 4, 9, 16} {
+			for _, async := range []bool{false, true} {
+				var cands int64
+				err := mpi.Run(p, func(c *mpi.Comm) {
+					g := grid.New(c)
+					store := fasta.FromGlobal(c, in.seqs)
+					res := &Result{NumReads: store.N}
+					var got *spmat.Dist[Seeds]
+					var want []spmat.Triple[Seeds]
+					var gotProducts, wantProducts int64
+					mpitest.InMode(c, async, func() {
+						kres := kmer.CountAndBuild(store, in.cfg.K, 2, 80, 1)
+						got, gotProducts = DetectCandidates(g, store, kres, res)
+						a := spmat.FromRows(g, int32(store.N), int32(kres.NumCols), kres.Triples)
+						for _, tr := range spmat.SpGEMMPanels(a, seedSemiring, &wantProducts).Local.Ts {
+							want = append(want, spmat.Triple[Seeds]{Row: tr.Row, Col: tr.Col, Val: tr.Val.seeds()})
+						}
+					})
+					if !reflect.DeepEqual(got.Local.Ts, want) {
+						panic(fmt.Sprintf("rank %d: %d candidates differ from SUMMA's %d", c.Rank(), len(got.Local.Ts), len(want)))
+					}
+					if a, b := mpi.Allreduce(c, gotProducts, sum), mpi.Allreduce(c, wantProducts, sum); a != b {
+						panic(fmt.Sprintf("%d products, SUMMA formed %d", a, b))
+					}
+					if c.Rank() == 0 {
+						cands = res.CandidatePairs
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s P=%d async=%v: %v", in.name, p, async, err)
+				}
+				if cands < 50 {
+					t.Fatalf("%s P=%d: %d candidates: the input does not exercise the multiply", in.name, p, cands)
+				}
+			}
+		}
+	}
 }

@@ -67,12 +67,16 @@ import (
 // row-grouped — rows ascending, each read's columns distinct, in extraction
 // order — because DetectOverlap sorts A once itself, as spmat.FromRows
 // scatters it into its SUMMA panels: a v4 reader would refuse such a file as
-// out of order, so it carries a schema of its own. Older checkpoints and
-// cache entries are refused by name, never reinterpreted.
-const CheckpointSchema = "elba/checkpoint/v5"
+// out of order, so it carries a schema of its own. v6 stores the rank's
+// columns of A instead — the k-mers it counted, column-major, with every read
+// that holds them, and their column range — because DetectOverlap multiplies
+// them where they were counted (spmat.ColumnProduct): a v5 file's rows hold
+// another layout. Older checkpoints and cache entries are refused by name,
+// never reinterpreted.
+const CheckpointSchema = "elba/checkpoint/v6"
 
 // ckptSchema is the per-rank file's schema number (bumped with ckptRank).
-const ckptSchema uint32 = 5
+const ckptSchema uint32 = 6
 
 // CheckpointManifestName is the per-stage commit file written by rank 0.
 const CheckpointManifestName = "MANIFEST.json"
@@ -145,7 +149,9 @@ type ckptRank struct {
 	KmerK           int32
 	KmerNumCols     int32
 	KmerOccurrences int64
-	KmerTriples     []kmer.ATriple
+	KmerColLo       int32
+	KmerColHi       int32
+	KmerTriples     []kmer.ATriple // the rank's columns of A
 
 	HasCands    bool
 	CandNR      int32
@@ -195,7 +201,8 @@ func (a *Artifacts) rankCheckpoint(rank int) ckptRank {
 		ck.KmerK = int32(rs.Kmers.K)
 		ck.KmerNumCols = int32(rs.Kmers.NumCols)
 		ck.KmerOccurrences = rs.Kmers.Occurrences
-		ck.KmerTriples = rs.Kmers.Triples
+		ck.KmerColLo, ck.KmerColHi = rs.Kmers.Cols.Lo, rs.Kmers.Cols.Hi
+		ck.KmerTriples = rs.Kmers.Cols.Triples()
 	case StageDetectOverlap:
 		ck.HasCands = true
 		ck.CandNR, ck.CandNC = rs.Candidates.NR, rs.Candidates.NC
@@ -231,8 +238,8 @@ func installRank(rs *RankState, ck *ckptRank) {
 	}
 	if ck.HasKmers {
 		rs.Kmers = &kmer.Result{
-			K: int(ck.KmerK), NumCols: int(ck.KmerNumCols),
-			Triples: ck.KmerTriples, Occurrences: ck.KmerOccurrences,
+			K: int(ck.KmerK), NumCols: int(ck.KmerNumCols), Occurrences: ck.KmerOccurrences,
+			Cols: spmat.ColumnsFromTriples(ck.KmerColLo, ck.KmerColHi, ck.KmerTriples),
 		}
 	}
 	if ck.HasCands {
@@ -514,11 +521,11 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 //   - it carries exactly the payload rankCheckpoint writes for its stage: the
 //     overlap counters after FastaReader, plus that stage's own output;
 //   - a k-mer payload has the engine's K; a column count in [0, the read
-//     set's k-mer window count] — each reliable k-mer is a distinct window,
-//     and resuming sizes A's column index by this count; and triples that
-//     are this rank's reads (block rank of the read set) grouped by row, no
-//     column twice within a read, each column below the count and each
-//     occurrence a window inside its read;
+//     set's k-mer window count] — each reliable k-mer is a distinct window;
+//     a column range inside [0, that count]; and triples that are the
+//     range's columns of A, column-major — so no (read, column) pair twice —
+//     each read in the read set and each occurrence a window inside its
+//     read;
 //   - a matrix payload (candidates, R or the string graph) is reads × reads,
 //     and its triples lie in the rank's grid block in strict column-major
 //     order, the canonical form FromLocalTriples and every later stage take;
@@ -570,10 +577,9 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s counts %d k-mer columns, outside [0, %d] (the reads' k-mer windows)",
 				rank, path, ck.KmerNumCols, windows)
 		}
-		lo, hi := grid.BlockRange(len(reads), opt.P, rank)
-		if err := checkKmerTriples(ck.KmerTriples, int32(lo), int32(hi), ck.KmerNumCols); err != nil {
-			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer triples are not the rank's reads [%d,%d) grouped by row with distinct columns: %w",
-				rank, path, lo, hi, err)
+		if err := checkKmerTriples(ck.KmerTriples, int32(len(reads)), ck.KmerColLo, ck.KmerColHi, ck.KmerNumCols); err != nil {
+			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer triples are not the rank's columns [%d,%d) of A, column-major over %d reads: %w",
+				rank, path, ck.KmerColLo, ck.KmerColHi, len(reads), err)
 		}
 		for _, t := range ck.KmerTriples {
 			if pos := int(t.Val.Pos()); pos+opt.K > len(reads[t.Row]) {
@@ -660,24 +666,17 @@ func checkBlock[T any](nr, nc int32, ts []spmat.Triple[T], n, p, rank int) error
 	return spmat.CheckColMajor(ts, int32(rlo), int32(rhi), int32(clo), int32(chi))
 }
 
-// checkKmerTriples reports the first triple of ts outside rows [lo, hi) ×
-// columns [0, numCols), whose row goes backwards, or whose column its read
-// already holds — everything spmat.FromRows, or the decode of the panels it
-// builds, would otherwise panic on inside a collective. last stamps each column with 1 + the last row that held it,
-// so the pass is O(len(ts) + numCols), and numCols is bounded by the reads'
-// windows before this runs.
-func checkKmerTriples(ts []kmer.ATriple, lo, hi, numCols int32) error {
-	if err := spmat.CheckRowGrouped(ts, lo, hi, 0, numCols); err != nil {
-		return err
+// checkKmerTriples reports a column range [colLo, colHi) outside
+// [0, numCols], or the first triple of ts, a rank's columns of A, whose
+// column is outside the range, whose read is outside [0, n), or that does not
+// strictly follow its predecessor by (column, read) — which a repeated
+// (read, column) pair cannot — everything spmat.ColumnProduct would
+// otherwise panic on inside the stage.
+func checkKmerTriples(ts []kmer.ATriple, n, colLo, colHi, numCols int32) error {
+	if colLo < 0 || colLo > colHi || colHi > numCols {
+		return fmt.Errorf("column range [%d,%d) is outside [0,%d)", colLo, colHi, numCols)
 	}
-	last := make([]int32, numCols)
-	for i, t := range ts {
-		if last[t.Col] == t.Row+1 {
-			return fmt.Errorf("triple %d (%d,%d) repeats column %d of read %d", i, t.Row, t.Col, t.Col, t.Row)
-		}
-		last[t.Col] = t.Row + 1
-	}
-	return nil
+	return spmat.CheckColMajor(ts, 0, n, colLo, colHi)
 }
 
 // kmerWindows counts the read set's k-mer windows: an upper bound on its

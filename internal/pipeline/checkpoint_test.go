@@ -6,6 +6,7 @@ package pipeline
 // file, never producing output.
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -312,7 +313,7 @@ func TestFingerprintThroughGolden(t *testing.T) {
 // checkpoint file is stamped with: a codec change that moves it makes every
 // committed checkpoint unreadable, so it must come with a ckptSchema bump.
 func TestRankCheckpointFingerprintGolden(t *testing.T) {
-	if got, want := wire.Fingerprint[ckptRank](), uint32(0xc3ee2bc7); got != want {
+	if got, want := wire.Fingerprint[ckptRank](), uint32(0xab2e574f); got != want {
 		t.Errorf("ckptRank fingerprint 0x%08x, want 0x%08x", got, want)
 	}
 }
@@ -382,13 +383,13 @@ func TestCheckpointPrefixResume(t *testing.T) {
 }
 
 // TestResumeAcrossColumnRenumbering relabels the k-mer columns of a
-// post-CountKmer checkpoint by one random permutation on every rank — what a
-// build that numbers A's columns another way would have written — and
-// resumes it: the contigs, every row but DetectOverlap and that row's
-// products are those of a cold run. C = A·Aᵀ, its seeds and its product
-// count do not depend on column order, so a schema v5 checkpoint or cache
-// entry written under another numbering resumes to the same assembly; only
-// the bytes of A's panels move with the columns each block holds.
+// post-CountKmer checkpoint by a random permutation of each rank's own column
+// range — what a build that numbers its k-mers another way would have
+// written — re-sorts each block column-major, and resumes it: the contigs,
+// every row but DetectOverlap and that row's products are those of a cold
+// run. C = A·Aᵀ, its seeds and its product count do not depend on column
+// order, so a schema v6 checkpoint or cache entry written under another
+// numbering resumes to the same assembly.
 func TestResumeAcrossColumnRenumbering(t *testing.T) {
 	reads := testReads(5000, 673)
 	opt := DefaultOptions(4)
@@ -410,19 +411,23 @@ func TestResumeAcrossColumnRenumbering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numCols := arts.Ranks[0].Kmers.NumCols
 	arts.Close()
-	perm := rand.New(rand.NewSource(29)).Perm(numCols)
+	rng := rand.New(rand.NewSource(29))
 	stageDir := filepath.Join(dir, StageCountKmer)
 	moved := 0
 	for r := range opt.P {
 		rewriteRankFile(t, stageDir, r, func(ck *ckptRank) {
+			lo := ck.KmerColLo
+			perm := rng.Perm(int(ck.KmerColHi - lo))
 			for i, tr := range ck.KmerTriples {
-				ck.KmerTriples[i].Col = int32(perm[tr.Col])
-				if perm[tr.Col] != int(tr.Col) {
+				ck.KmerTriples[i].Col = lo + int32(perm[tr.Col-lo])
+				if ck.KmerTriples[i].Col != tr.Col {
 					moved++
 				}
 			}
+			slices.SortFunc(ck.KmerTriples, func(a, b kmer.ATriple) int {
+				return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row))
+			})
 		})
 	}
 	if moved == 0 {
@@ -521,13 +526,15 @@ func rewriteRankFile(t *testing.T, stageDir string, rank int, edit func(*ckptRan
 
 // TestCheckpointFailsClosedOnSchemaAndOrder: the packed Occur word is
 // load-bearing since schema v3, the rank files' timer rows (FastaReader's
-// included) are the run's traffic totals since v4, and KmerTriples are
-// row-grouped since v5, so (1) a directory committed under an older schema —
-// manifest or rank file — is refused with an error naming both schemas, and
-// (2) a post-CountKmer checkpoint whose triples' rows go backwards, that
-// repeats a column within a read, or that holds another rank's reads is
+// included) are the run's traffic totals since v4, KmerTriples were
+// row-grouped in v5 and are the rank's columns of A since v6, so (1) a
+// directory committed under an older schema — manifest or rank file — is
+// refused with an error naming both schemas, and (2) a post-CountKmer
+// checkpoint whose triples are not column-major (swapped, repeated, a
+// (read, column) pair twice), name a read outside the read set or a column
+// outside the rank's range, or whose range passes the column count, is
 // refused at load, naming rank and file, instead of panicking inside
-// DetectOverlap's collective construction of A — and so is (3) one whose column count is
+// DetectOverlap's multiply — and so is (3) one whose column count is
 // negative, exceeds the reads' k-mer windows or differs between ranks, whose
 // occurrence is no window of its read, whose k is not the engine's, or that
 // carries another stage's payload.
@@ -569,21 +576,25 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			}
 		}
 	}
-	for _, old := range []uint32{2, 3, 4} {
+	for _, old := range []uint32{2, 3, 4, 5} {
 		schema := fmt.Sprintf("elba/checkpoint/v%d", old)
 		t.Run(fmt.Sprintf("v%d manifest", old), func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.Schema = schema })
-			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v5"`)
+			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v6"`)
 			// Naming the stage directory itself takes the other manifest path.
-			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v5"`)
+			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v6"`)
 		})
 		t.Run(fmt.Sprintf("v%d rank file", old), func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteRankFile(t, stageDir, 1, func(ck *ckptRank) { ck.Schema = old })
-			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 5)", old))
+			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 6)", old))
 		})
 	}
+	// A rank's columns of A fail closed: each row would load silently (a
+	// swapped, repeated or out-of-order triple, which ColumnProduct's block
+	// check then panics on inside the stage) or index outside the read set
+	// or the rank's columns.
 	for name, edit := range map[string]func(ck *ckptRank){
 		"out of order": func(ck *ckptRank) {
 			ts := ck.KmerTriples
@@ -592,20 +603,31 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		"duplicate": func(ck *ckptRank) { ck.KmerTriples[1] = ck.KmerTriples[0] },
 		"column repeated apart within a read": func(ck *ckptRank) {
 			ts := ck.KmerTriples
-			i := slices.IndexFunc(ts[:len(ts)-2], func(tr kmer.ATriple) bool { return ts[len(ts)-1].Row == tr.Row })
-			ts[i+2].Col = ts[i].Col
-		},
-		"another rank's read": func(ck *ckptRank) {
-			ck.KmerTriples[len(ck.KmerTriples)-1].Row = int32(len(reads) - 1)
+			ts[len(ts)-1].Row, ts[len(ts)-1].Col = ts[len(ts)-3].Row, ts[len(ts)-3].Col
 		},
 		"column past the k-mer count": func(ck *ckptRank) {
 			ck.KmerTriples[len(ck.KmerTriples)-1].Col = ck.KmerNumCols
 		},
+		"CountKmer/swapped": func(ck *ckptRank) {
+			ts := ck.KmerTriples
+			ts[1], ts[2] = ts[2], ts[1]
+		},
+		"CountKmer/repeated cell": func(ck *ckptRank) {
+			ts := ck.KmerTriples
+			ts[len(ts)-1] = ts[len(ts)-2]
+		},
+		"CountKmer/read out of range": func(ck *ckptRank) {
+			ck.KmerTriples[len(ck.KmerTriples)-1].Row = int32(len(reads))
+		},
+		"CountKmer/out of block": func(ck *ckptRank) {
+			ck.KmerTriples[0].Col = ck.KmerColLo - 1 // rank 1's last column
+		},
+		"CountKmer/range past the k-mer count": func(ck *ckptRank) { ck.KmerColHi = ck.KmerNumCols + 1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteRankFile(t, stageDir, 2, edit)
-			refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "grouped by row with distinct columns")
+			refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "are not the rank's columns")
 		})
 	}
 	// The rest of the payload fails closed too: the column count, which sizes
@@ -909,13 +931,16 @@ func FuzzReadRankCheckpoint(f *testing.F) {
 		if int(ck.KmerK) != opt.K || ck.KmerNumCols < 0 || int64(ck.KmerNumCols) > windows {
 			t.Fatalf("accepted k = %d with %d columns (engine k = %d, %d windows)", ck.KmerK, ck.KmerNumCols, opt.K, windows)
 		}
+		if ck.KmerColLo < 0 || ck.KmerColLo > ck.KmerColHi || ck.KmerColHi > ck.KmerNumCols {
+			t.Fatalf("accepted column range [%d,%d) of %d columns", ck.KmerColLo, ck.KmerColHi, ck.KmerNumCols)
+		}
 		held := map[[2]int32]bool{}
 		for i, tr := range ck.KmerTriples {
-			if tr.Row < 0 || int(tr.Row) >= len(reads) || tr.Col < 0 || tr.Col >= ck.KmerNumCols {
-				t.Fatalf("accepted triple %d (%d,%d) outside %d reads x %d columns", i, tr.Row, tr.Col, len(reads), ck.KmerNumCols)
+			if tr.Row < 0 || int(tr.Row) >= len(reads) || tr.Col < ck.KmerColLo || tr.Col >= ck.KmerColHi {
+				t.Fatalf("accepted triple %d (%d,%d) outside %d reads x columns [%d,%d)", i, tr.Row, tr.Col, len(reads), ck.KmerColLo, ck.KmerColHi)
 			}
 			if i > 0 {
-				if p := ck.KmerTriples[i-1]; tr.Row < p.Row {
+				if p := ck.KmerTriples[i-1]; tr.Col < p.Col || tr.Col == p.Col && tr.Row < p.Row {
 					t.Fatalf("accepted triple %d (%d,%d) after (%d,%d)", i, tr.Row, tr.Col, p.Row, p.Col)
 				}
 			}

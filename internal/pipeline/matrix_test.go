@@ -400,8 +400,8 @@ func checkpointedRun(t *testing.T, reads [][]byte, opt Options, until string) *O
 // tracedRun assembles with a trace and a metric set attached and requires
 // them to have observed the run: on every rank a stage span for every row of
 // the run's summary (Algorithm 2's steps and the alignment phases included),
-// overlap.build_a inside DetectOverlap and before the first summa.round, the
-// expected metrics, an mpi.msg_bytes histogram equal to the traffic counters,
+// one overlap.multiply and then one overlap.partial_exchange inside
+// DetectOverlap, the expected metrics, an mpi.msg_bytes histogram equal to the traffic counters,
 // and a manifest that verifies clean and carries the run's checksum.
 func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 	t.Helper()
@@ -417,8 +417,8 @@ func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 	}
 	for r := 0; r < opt.P; r++ {
 		spans := map[string]int{}
-		var builds int
-		var detect, build, firstRound *obs.Event
+		var steps int
+		var detect, multiply, exchange *obs.Event
 		for _, e := range tr.Rank(r).Events() {
 			switch {
 			case e.Cat == "stage":
@@ -426,11 +426,12 @@ func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 				if e.Name == StageDetectOverlap {
 					detect = &e
 				}
-			case e.Name == "overlap.build_a":
-				build = &e
-				builds++
-			case e.Name == "summa.round" && firstRound == nil && build != nil:
-				firstRound = &e
+			case e.Name == "overlap.multiply":
+				multiply = &e
+				steps++
+			case e.Name == "overlap.partial_exchange":
+				exchange = &e
+				steps++
 			}
 		}
 		for _, row := range rows {
@@ -441,24 +442,26 @@ func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 		if len(spans) != len(rows) {
 			t.Fatalf("rank %d recorded stage spans %v, the summary has rows %v", r, spans, rows)
 		}
-		if builds != 1 || detect == nil || firstRound == nil {
-			t.Fatalf("rank %d: %d overlap.build_a spans (DetectOverlap span %v, later summa.round %v)", r, builds, detect != nil, firstRound != nil)
+		if steps != 2 || detect == nil || multiply == nil || exchange == nil {
+			t.Fatalf("rank %d: %d DetectOverlap step spans (DetectOverlap span %v, overlap.multiply %v, overlap.partial_exchange %v)",
+				r, steps, detect != nil, multiply != nil, exchange != nil)
 		}
-		if build.Ts < detect.Ts || build.Ts+build.Dur > detect.Ts+detect.Dur || build.Ts+build.Dur > firstRound.Ts {
-			t.Fatalf("rank %d: overlap.build_a [%d,+%d] not inside DetectOverlap [%d,+%d] before summa.round at %d",
-				r, build.Ts, build.Dur, detect.Ts, detect.Dur, firstRound.Ts)
+		if multiply.Ts < detect.Ts || multiply.Ts+multiply.Dur > exchange.Ts || exchange.Ts+exchange.Dur > detect.Ts+detect.Dur {
+			t.Fatalf("rank %d: overlap.multiply [%d,+%d] and overlap.partial_exchange [%d,+%d] not in turn inside DetectOverlap [%d,+%d]",
+				r, multiply.Ts, multiply.Dur, exchange.Ts, exchange.Dur, detect.Ts, detect.Dur)
 		}
 	}
 	byName := map[string]obs.Metric{}
 	for _, m := range obs.Merge(ms.Snapshots()...) {
 		byName[m.Name] = m
 	}
-	// Every nonzero of A is counted once; its exchange is part of — and at
-	// P=1 none of — DetectOverlap's traffic.
+	// Every nonzero of A is multiplied once, where it was counted; the
+	// partials' exchange is part of — and at P=1 none of — DetectOverlap's
+	// traffic, 24 bytes a partial cell that leaves its rank.
 	detectBytes := out.Stats.Timers.Get(StageDetectOverlap).SumBytes
-	if nnz, xb := byName["overlap.a_nnz"].Value, byName["overlap.a_exchange_bytes"].Value; nnz == 0 ||
-		xb > detectBytes || (xb == 0) != (opt.P == 1) {
-		t.Fatalf("overlap.a_nnz=%d overlap.a_exchange_bytes=%d (DetectOverlap sent %d bytes)", nnz, xb, detectBytes)
+	nnz, cells, xb := byName["overlap.a_nnz"].Value, byName["overlap.partials"].Value, byName["overlap.partial_bytes"].Value
+	if nnz == 0 || cells == 0 || xb > detectBytes || xb > 24*cells || (xb == 0) != (opt.P == 1) {
+		t.Fatalf("overlap.a_nnz=%d overlap.partials=%d overlap.partial_bytes=%d (DetectOverlap sent %d bytes)", nnz, cells, xb, detectBytes)
 	}
 	for _, name := range []string{"align.cells", "align.pairs", "kmer.occurrences", "kmer.reliable", "pipeline.reads_local"} {
 		if _, ok := byName[name]; !ok {

@@ -82,7 +82,7 @@ var stages = []stageDef{
 	{StageCountKmer, nil, func(o Options) string {
 		return fmt.Sprintf(" k=%d rlow=%d rhigh=%d", o.K, o.ReliableLow, o.ReliableHigh)
 	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
-		rs.Kmers = kmer.CountAndBuild(rs.Store, opt.K, opt.ReliableLow, opt.ReliableHigh, opt.EffectiveThreads())
+		rs.Kmers = kmer.Count(rs.Store, opt.K, opt.ReliableLow, opt.ReliableHigh, opt.EffectiveThreads())
 		rs.Overlap = &overlap.Result{NumReads: rs.Store.N, NumKmers: rs.Kmers.NumCols}
 		return rs.Kmers.Occurrences
 	}},

@@ -45,13 +45,14 @@ func NewDist[T any](g *grid.Grid, nr, nc int32, mine []Triple[T], combine func(T
 		return g.BlockOwnerRank(int(nr), int(nc), int(mine[k].Row), int(mine[k].Col))
 	})
 	parts := mpi.AlltoallvBufs(g.Comm, routed(owner, counts, func(k int) Triple[T] { return mine[k] }))
-	ts := slices.Concat(parts...)
-	for _, t := range ts {
-		if !a.owns(t.Row, t.Col) {
-			panic(fmt.Sprintf("spmat: routed triple (%d,%d) outside block", t.Row, t.Col))
+	for _, part := range parts {
+		for _, t := range part {
+			if !a.owns(t.Row, t.Col) {
+				panic(fmt.Sprintf("spmat: routed triple (%d,%d) outside block", t.Row, t.Col))
+			}
 		}
 	}
-	a.Local = NewCOO(nr, nc, ts, combine)
+	a.Local = newCOOParts(nr, nc, parts, combine)
 	return a
 }
 
@@ -92,7 +93,9 @@ type Panels[T any] struct {
 // large a block is (T must be fixed-width); the rank is blocking for the
 // call, so their bytes stay exposed. The routed parts are mpi.Bufs, so for a
 // dense T a triple is copied once at routing and its row and value once into
-// each panel, never by the wire.
+// each panel, never by the wire. It has no production caller: with
+// SpGEMMPanels it is the SUMMA path to C that ColumnProduct is tested
+// against.
 func FromRows[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) *Panels[T] {
 	defer g.Comm.SetBlocking(g.Comm.SetBlocking(true))
 	rlo, rhi := g.MyRowRange(int(nr))
@@ -116,7 +119,7 @@ func FromRows[T any](g *grid.Grid, nr, nc int32, mine []Triple[T]) *Panels[T] {
 	}
 	recv := mpi.IAlltoallv(g.RowComm, send).WaitValue()
 	a, p := scatterPanel(recv, int32(clo), int32(chi), true)
-	at := transposePanel(p, int32(rlo), int32(rhi))
+	at, _ := transposePanel(p, int32(rlo), int32(rhi))
 	return &Panels[T]{G: g, NR: nr, NC: nc, Nnz: len(p.rows), a: a, at: grid.TransposedFrame(g, at)}
 }
 
@@ -456,7 +459,8 @@ func blockFrame[T any](a *Dist[T], name string, split bool) []byte {
 
 // SpGEMMPanels is SpGEMMCounted of C = A ⊗ Aᵀ under the Checkerboard mask
 // for the panels FromRows built, which the SUMMA loop broadcasts as they
-// are. p is never touched.
+// are. p is never touched. Like FromRows it has no production caller: it is
+// the second path to C that ColumnProduct is tested against.
 func SpGEMMPanels[T, C any](p *Panels[T], sr Semiring[T, T, C], products *int64) *Dist[C] {
 	return product(operands{g: p.G, nr: p.NR, nk: p.NC, nc: p.NR, a: p.a, b: p.at, bTransposed: true}, sr, true, products)
 }

@@ -377,3 +377,78 @@ func TestCheckRowMajor(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnProductMatchesSpGEMMCounted: each rank multiplies one block of
+// A's columns with its own transpose (ColumnProduct), and NewDist merges the
+// partials on C's blocks with Add — deep-equal to SpGEMMCounted(A, Aᵀ,
+// Checkerboard()), with the same products summed over the ranks, on every
+// shape and grid size, including ranks with no column. Each block, laid out
+// by ColumnsFromTriples, gives its triples back; each rank makes two Fold
+// calls per nonzero of its block; and a block that is not a split panel of
+// its columns panics naming the rank.
+func TestColumnProductMatchesSpGEMMCounted(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	sum := func(x, y int64) int64 { return x + y }
+	for _, sh := range fromRowsShapes(rng) {
+		all := globalTriples(rng, sh.nr, sh.nc, sh.density)
+		sortTriples(all)
+		allT := make([]Triple[int64], len(all))
+		for i, t := range all {
+			allT[i] = Triple[int64]{Row: t.Col, Col: t.Row, Val: t.Val}
+		}
+		for _, p := range gridSizes {
+			err := mpi.Run(p, func(c *mpi.Comm) {
+				g := grid.New(c)
+				lo, hi := grid.BlockRange(int(sh.nc), p, c.Rank())
+				var mine []Triple[int64]
+				for _, t := range all {
+					if int(t.Col) >= lo && int(t.Col) < hi {
+						mine = append(mine, t)
+					}
+				}
+				var got, want, calls int64
+				sr := plusTimes
+				sr.Fold = func(acc *Acc[int64], rows []int32, vals []int64, rowLo int32, bv int64) {
+					calls++
+					plusTimes.Fold(acc, rows, vals, rowLo, bv)
+				}
+				block := ColumnsFromTriples(int32(lo), int32(hi), mine)
+				if !reflect.DeepEqual(block.Triples(), mine) && len(mine) > 0 {
+					panic(fmt.Sprintf("rank %d: the block's triples are not the ones it was laid out from", c.Rank()))
+				}
+				partial := ColumnProduct(c, sh.nr, block, sr, &got)
+				if calls != 2*int64(len(mine)) {
+					panic(fmt.Sprintf("rank %d: %d Fold calls for %d nonzeros", c.Rank(), calls, len(mine)))
+				}
+				if err := CheckColMajor(partial, 0, sh.nr, 0, sh.nr); err != nil {
+					panic(fmt.Sprintf("rank %d: partial: %v", c.Rank(), err))
+				}
+				cg := NewDist(g, sh.nr, sh.nr, partial, plusTimes.Add)
+				a := FromGlobalTriples(g, sh.nr, sh.nc, all, nil)
+				at := FromGlobalTriples(g, sh.nc, sh.nr, slices.Clone(allT), nil)
+				cw := SpGEMMCounted(a, at, plusTimes, Checkerboard(), &want)
+				if got, want := mpi.Allreduce(c, got, sum), mpi.Allreduce(c, want, sum); got != want {
+					panic(fmt.Sprintf("%d products from the columns, %d from SUMMA", got, want))
+				}
+				cg.G, cw.G = nil, nil
+				if !reflect.DeepEqual(cg, cw) {
+					panic(fmt.Sprintf("rank %d: C from the columns differs\n got %+v\nwant %+v", c.Rank(), cg, cw))
+				}
+			})
+			if err != nil {
+				t.Fatalf("%dx%d density %.2f P=%d: %v", sh.nr, sh.nc, sh.density, p, err)
+			}
+		}
+	}
+	for name, bad := range map[string]Columns[int64]{
+		"descending rows":             {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{2}, Rows: []int32{2, 0}, Vals: []int64{1, 1}},
+		"odd row in the even sub-run": {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{2}, Rows: []int32{0, 1}, Vals: []int64{1, 1}},
+		"row past the matrix":         {Lo: 0, Hi: 1, Starts: []int32{0, 1}, Mid: []int32{0}, Rows: []int32{3}, Vals: []int64{1}},
+		"run past the entries":        {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{1}, Rows: []int32{0}, Vals: []int64{1}},
+	} {
+		err := mpi.Run(1, func(c *mpi.Comm) { ColumnProduct(c, 3, bad, plusTimes, nil) })
+		if err == nil || !strings.Contains(err.Error(), "ColumnProduct block of rank 0") {
+			t.Fatalf("%s: the block was multiplied (error %v)", name, err)
+		}
+	}
+}

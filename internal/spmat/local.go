@@ -1,13 +1,15 @@
 // Package spmat is the sparse-matrix substrate standing in for CombBLAS:
 // local COO/CSC formats with a semiring abstraction, and distributed
 // 2D block matrices on the √P × √P grid with masked SUMMA SpGEMM, the
-// sort-free construction of A's and Aᵀ's SUMMA panels from row-grouped
-// triples, element-wise transforms and row/column masking, and
+// masked product of one rank's block of columns with its own transpose
+// (ColumnProduct), element-wise transforms and row/column masking, and
 // block-distributed vectors with the collectives Algorithm 2 is written in:
 // the row reduction as one reduce-scatter (row degrees, SpMV), the
-// owner-routed fold (ScatterFold), fetch and the Figure 2 exchange. Transpose and Add have no production
-// caller; they are the oracles the one-routing constructions are tested
-// against.
+// owner-routed fold (ScatterFold), fetch and the Figure 2 exchange.
+// Transpose and Add have no production caller; they are the oracles the
+// one-routing constructions are tested against. Nor have FromRows and
+// SpGEMMPanels, the SUMMA path to C = A·Aᵀ that ColumnProduct replaced: the
+// tests hold ColumnProduct's C to theirs.
 //
 // Indices are int32 (the simulated scale never approaches 2^31 rows); values
 // are generic so each pipeline stage can carry its own nonzero payload
@@ -41,12 +43,58 @@ type COO[T any] struct {
 // actually produces (see sortColumnMajor) instead of a global comparison
 // sort.
 func NewCOO[T any](nr, nc int32, ts []Triple[T], combine func(T, T) T) COO[T] {
+	checkBounds(nr, nc, ts)
+	sortColumnMajor(ts, nc)
+	return combined(nr, nc, ts, combine)
+}
+
+// checkBounds panics on the first triple of ts outside nr × nc.
+func checkBounds[T any](nr, nc int32, ts []Triple[T]) {
 	for _, t := range ts {
 		if t.Row < 0 || t.Row >= nr || t.Col < 0 || t.Col >= nc {
 			panic(fmt.Sprintf("spmat: triple (%d,%d) outside %dx%d", t.Row, t.Col, nr, nc))
 		}
 	}
-	sortColumnMajor(ts, nc)
+}
+
+// newCOOParts is NewCOO of the parts' triples in order, one part after the
+// other. When the column-bucketing path applies, its stable scatter reads
+// the parts where they lie, so their concatenation is never written.
+func newCOOParts[T any](nr, nc int32, parts [][]Triple[T], combine func(T, T) T) COO[T] {
+	n, nonEmpty := 0, 0
+	for _, part := range parts {
+		checkBounds(nr, nc, part)
+		n += len(part)
+		if len(part) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty <= 1 || int(nc) > 2*n+1024 {
+		return NewCOO(nr, nc, slices.Concat(parts...), combine)
+	}
+	starts := make([]int32, nc+1)
+	for _, part := range parts {
+		for _, t := range part {
+			starts[t.Col+1]++
+		}
+	}
+	for j := int32(0); j < nc; j++ {
+		starts[j+1] += starts[j]
+	}
+	ts := make([]Triple[T], n)
+	for _, part := range parts {
+		for _, t := range part {
+			ts[starts[t.Col]] = t
+			starts[t.Col]++
+		}
+	}
+	sortRowRuns(ts)
+	return combined(nr, nc, ts, combine)
+}
+
+// combined merges the equal cells of ts, sorted column-major, with combine
+// (nil panics on one) in place, and returns the canonical COO.
+func combined[T any](nr, nc int32, ts []Triple[T], combine func(T, T) T) COO[T] {
 	out := ts[:0]
 	for _, t := range ts {
 		if n := len(out); n > 0 && out[n-1].Row == t.Row && out[n-1].Col == t.Col {
@@ -290,15 +338,31 @@ func runEnd[T any](ts []Triple[T], lo int) int {
 // gustavson is the local product of one multiply — Gustavson's column
 // algorithm over an Acc spanning the output rows [rowLo, rowLo+len) — kept
 // across SUMMA rounds with its output and work counters: products formed on
-// kept cells (annihilated ones included) and Fold calls made.
+// kept cells (annihilated ones included) and Fold calls made. With a chunk
+// size, the output is written in chunks of that many cells or more: full
+// holds the filled ones, in order, and ts the last.
 type gustavson[A, B, C any] struct {
 	sr              Semiring[A, B, C]
 	split           bool // the checkerboard: A's runs are split by row parity
 	acc             *Acc[C]
 	rowLo           int32
 	ts              []Triple[C]
+	chunk           int
+	full            [][]Triple[C]
 	products, calls int64
 	aux             []int32 // column k of the round's A panel is run aux[k-kLo], -1 if empty
+}
+
+// emit appends output column j, the Acc's current generation, to the
+// output.
+func (p *gustavson[A, B, C]) emit(j int32) {
+	if p.chunk > 0 && len(p.ts)+len(p.acc.rows) > cap(p.ts) {
+		if len(p.ts) > 0 {
+			p.full = append(p.full, p.ts)
+		}
+		p.ts = make([]Triple[C], 0, max(p.chunk, len(p.acc.rows)))
+	}
+	p.ts = p.acc.emit(p.ts, j, p.rowLo)
 }
 
 // index points aux at a's runs — CombBLAS's auxiliary column index, filled
@@ -369,7 +433,7 @@ func (p *gustavson[A, B, C]) multiply(a panel[A], kLo, kHi int, b panel[B]) {
 				calls++
 			}
 		}
-		p.ts = acc.emit(p.ts, j, rowLo)
+		p.emit(j)
 	}
 	p.products += products
 	p.calls += calls

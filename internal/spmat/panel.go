@@ -110,8 +110,9 @@ func scatterPanel[T any](parts [][]Triple[T], colLo, colHi int32, split bool) ([
 // transposePanel writes the transpose of p, whose rows lie in
 // [rowLo, rowHi), as an unsplit panel frame: one counting scatter of p's
 // entries by row, walking p's columns in ascending order, so that every
-// column of the result (a row of p) lists p's columns ascending.
-func transposePanel[T any](p panel[T], rowLo, rowHi int32) []byte {
+// column of the result (a row of p) lists p's columns ascending. It returns
+// the frame and the transpose's arrays.
+func transposePanel[T any](p panel[T], rowLo, rowHi int32) ([]byte, panel[T]) {
 	counts := borrowCounts(int(rowHi - rowLo + 1))
 	defer keyCounts.Put(counts)
 	next := *counts // by row, shifted one up
@@ -127,7 +128,7 @@ func transposePanel[T any](p panel[T], rowLo, rowHi int32) []byte {
 		}
 	}
 	q.commit(frame)
-	return frame
+	return frame, q
 }
 
 // keyCounts holds the key-count arrays of the counting scatters between
