@@ -12,8 +12,8 @@ import (
 
 // ATriple is one nonzero of the |reads| × |k-mers| matrix A: read Row (a
 // global read id) contains reliable k-mer column Col at Val.Pos() on strand
-// Val.RC(). It is the matrix triple itself — 12 dense bytes — so the counting
-// stage's output feeds spmat.ColumnProduct, the wire codec and the checkpoint
+// Val.RC(). It is the matrix triple itself — 12 dense bytes — so the reply
+// path's row triples (CountAndBuild) feed spmat.FromRows and the wire codec
 // without a conversion.
 type ATriple = spmat.Triple[Occur]
 

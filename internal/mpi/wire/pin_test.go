@@ -23,7 +23,7 @@ func TestPipelineFingerprintsPinned(t *testing.T) {
 		{"kmer.ATriple", wire.Fingerprint[kmer.ATriple](), 0x08a0c502},
 		{"spmat.Triple[bidir.Edge]", wire.Fingerprint[spmat.Triple[bidir.Edge]](), 0x1e5ddfe2},
 		{"spmat.Triple[bidir.Aln]", wire.Fingerprint[spmat.Triple[bidir.Aln]](), 0x84dc91ac},
-		{"spmat.Triple[overlap.Seeds]", wire.Fingerprint[spmat.Triple[overlap.Seeds]](), 0xadf41499},
+		{"spmat.Triple[overlap.Seeds]", wire.Fingerprint[spmat.Triple[overlap.Seeds]](), 0x636c24db},
 		{"trace.Record", wire.Fingerprint[trace.Record](), 0xe18f786a},
 	} {
 		if c.got != c.want {

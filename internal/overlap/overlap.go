@@ -8,6 +8,8 @@
 package overlap
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 
 	"repro/internal/align"
@@ -22,25 +24,17 @@ import (
 	"repro/internal/trace"
 )
 
-// Seeds is the nonzero payload of the candidate matrix C: up to two shared
-// k-mer seeds per read pair (BELLA's policy). The two lexicographically
-// smallest distinct seeds are kept, which makes the semiring addition
-// associative, commutative and idempotent — required for partials formed from
-// any split of A's columns to merge into the same C.
-type Seeds struct {
-	N int32
-	S [2]align.Seed
-}
+// Seeds is the nonzero payload of the candidate matrix C, as the SpGEMM
+// accumulates it: the two smallest distinct shared k-mer seeds of a read pair
+// (BELLA's policy) as ascending packed keys (seedKey), an unused slot holding
+// noSeed. Keeping the two smallest makes the semiring addition associative,
+// commutative and idempotent — required for partials formed from any split of
+// A's columns to merge into the same C.
+type Seeds [2]uint64
 
-// seedAcc is what the SpGEMM accumulates per candidate cell: the two smallest
-// distinct shared seeds as packed keys, acc[0] < acc[1], unused slots holding
-// noSeed. Seeds — the exported layout the aligner, the checkpoint format and
-// the artifact cache read — is rebuilt from it once per surviving candidate.
-type seedAcc [2]uint64
-
-// noSeed marks an unused accumulator slot. It is above every real key (bit 32
-// of a key is always clear), so an empty slot loses every comparison without a
-// count field.
+// noSeed marks an unused slot. It is above every real key (bit 32 of a key is
+// always clear), so an empty slot loses every comparison without a count
+// field.
 const noSeed = ^uint64(0)
 
 // seedKey is the packed key of the seed two occurrences of one k-mer share —
@@ -59,7 +53,7 @@ func unpackSeed(k uint64) align.Seed {
 
 // add inserts key k, keeping the two smallest distinct keys. Adding noSeed or
 // a key already held is a no-op.
-func (c *seedAcc) add(k uint64) {
+func (c *Seeds) add(k uint64) {
 	if k < c[0] {
 		c[0], c[1] = k, c[0]
 	} else if k != c[0] && k < c[1] {
@@ -67,16 +61,40 @@ func (c *seedAcc) add(k uint64) {
 	}
 }
 
-// seeds rebuilds the exported layout.
-func (c seedAcc) seeds() Seeds {
-	var s Seeds
-	for _, k := range c {
-		if k != noSeed {
-			s.S[s.N] = unpackSeed(k)
-			s.N++
+// unpack writes the pair's one or two seeds into buf, on the caller's stack.
+func (c *Seeds) unpack(buf *[2]align.Seed) []align.Seed {
+	buf[0] = unpackSeed(c[0])
+	if c[1] == noSeed {
+		return buf[:1]
+	}
+	buf[1] = unpackSeed(c[1])
+	return buf[:2]
+}
+
+// Check reports what makes s no value the multiply gives a pair of reads of
+// lengths lu and lv: an empty first slot, a key with bit 32 set (an unused
+// second slot is noSeed exactly), keys that do not strictly ascend, or a seed
+// whose k-base window does not lie inside both reads — what alignment would
+// otherwise index past a read with.
+func (s Seeds) Check(lu, lv, k int32) error {
+	if s[0] == noSeed {
+		return errors.New("the first seed slot is empty")
+	}
+	for i, key := range s {
+		if i == 1 && key == noSeed {
+			break
+		}
+		if key&(1<<32) != 0 {
+			return fmt.Errorf("seed key %#x has bit 32 set", key)
+		}
+		if i == 1 && key <= s[0] {
+			return fmt.Errorf("seed keys %#x, %#x do not strictly ascend", s[0], key)
+		}
+		if sd := unpackSeed(key); int64(sd.PU)+int64(k) > int64(lu) || int64(sd.PV)+int64(k) > int64(lv) {
+			return fmt.Errorf("seed at %d, %d: its %d-base window ends past a read of %d or %d bases", sd.PU, sd.PV, k, lu, lv)
 		}
 	}
-	return s
+	return nil
 }
 
 // seedSemiring builds C = A·Aᵀ: multiplying occurrence A(i,k) with
@@ -85,20 +103,20 @@ func (c seedAcc) seeds() Seeds {
 // none annihilated. Keeping the two smallest distinct keys is associative,
 // commutative and idempotent, as merging partials formed from any split of
 // A's columns requires.
-var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, seedAcc]{
-	Fold: func(acc *spmat.Acc[seedAcc], rows []int32, vals []kmer.Occur, rowLo int32, b kmer.Occur) {
+var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, Seeds]{
+	Fold: func(acc *spmat.Acc[Seeds], rows []int32, vals []kmer.Occur, rowLo int32, b kmer.Occur) {
 		vals = vals[:len(rows)] // one bounds check for the loop
 		for i, r := range rows {
 			k := seedKey(vals[i], b)
 			if c, live := acc.Slot(r - rowLo); live {
 				c.add(k)
 			} else {
-				*c = seedAcc{k, noSeed}
+				*c = Seeds{k, noSeed}
 				acc.Claim(r - rowLo)
 			}
 		}
 	},
-	Add: func(a, b seedAcc) seedAcc {
+	Add: func(a, b Seeds) Seeds {
 		a.add(b[0])
 		a.add(b[1])
 		return a
@@ -176,7 +194,7 @@ func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, r
 			obs.Arg{K: "a_nnz", V: nnz}, obs.Arg{K: "products", V: products}, obs.Arg{K: "partials", V: cells})
 	}
 	start, before := lane.Start(), g.Comm.BytesSent()
-	acc := spmat.NewDist(g, n, n, partial, seedSemiring.Add)
+	c = spmat.NewDist(g, n, n, partial, seedSemiring.Add)
 	sent := g.Comm.BytesSent() - before
 	if reg != nil {
 		reg.Counter("overlap.a_nnz").Add(nnz)
@@ -187,11 +205,6 @@ func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, r
 		lane.Span(0, "overlap", "overlap.partial_exchange", start,
 			obs.Arg{K: "partials", V: cells}, obs.Arg{K: "exchange_bytes", V: sent})
 	}
-	cs := make([]spmat.Triple[Seeds], len(acc.Local.Ts))
-	for i, t := range acc.Local.Ts {
-		cs[i] = spmat.Triple[Seeds]{Row: t.Row, Col: t.Col, Val: t.Val.seeds()}
-	}
-	c = spmat.FromLocalTriples(g, n, n, cs)
 	res.CandidatePairs = c.Nnz()
 	return c, products
 }
@@ -245,7 +258,7 @@ func containmentPicks(c *spmat.Dist[Seeds], rowSeqs, colSeqs [][]byte, k int32) 
 	for i, t := range c.Local.Ts {
 		r, cc := int(t.Row-c.RowLo), int(t.Col-c.ColLo)
 		lu, lv := int32(len(rowSeqs[r])), int32(len(colSeqs[cc]))
-		d := t.Val.S[0].Diag(lv, k)
+		d := unpackSeed(t.Val[0]).Diag(lv, k)
 		if m := min(-d, d+lv-lu); m > margin[r] {
 			best[r], margin[r] = int32(i), m
 		}
@@ -301,12 +314,14 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 	// histogram's count/sum are schedule- and thread-invariant).
 	cells := reg.Histogram("align.cells")
 	chainedSeeds := reg.Counter("align.seeds_skipped_chained")
-	seedsOf := func(i int32) (u, v []byte, seeds []align.Seed) {
+	readsOf := func(i int32) (u, v []byte) {
 		t := &ts[i]
-		return rowSeqs[t.Row-c.RowLo], colSeqs[t.Col-c.ColLo], t.Val.S[:t.Val.N]
+		return rowSeqs[t.Row-c.RowLo], colSeqs[t.Col-c.ColLo]
 	}
 	alignOne := func(al align.Aligner, i int32) {
-		u, v, seeds := seedsOf(i)
+		var buf [2]align.Seed
+		u, v := readsOf(i)
+		seeds := ts[i].Val.unpack(&buf)
 		var w0 int64
 		if cells != nil {
 			w0 = al.Work()
@@ -345,8 +360,10 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 				// from serializing one worker.
 				al0 := pool.States()[0]
 				weights := make([]int64, len(idx))
+				var buf [2]align.Seed
 				for j, i := range idx {
-					u, v, seeds := seedsOf(i)
+					u, v := readsOf(i)
+					seeds := ts[i].Val.unpack(&buf)
 					weights[j] = int64(align.Extensions(al0, k, seeds)) * int64(len(u)+len(v))
 				}
 				par.ForEachBalanced(pool, weights, func(al align.Aligner, j int) { alignOne(al, idx[j]) })
@@ -387,8 +404,9 @@ func alignAndPrune(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds], p
 		if uKnown {
 			kind = bidir.ContainsV
 		}
-		u, v, seeds := seedsOf(i)
-		return cfg.Align.MayContain(kind, int32(len(u)), int32(len(v)), k, seeds, cfg.MinScoreFrac)
+		var buf [2]align.Seed
+		u, v := readsOf(i)
+		return cfg.Align.MayContain(kind, int32(len(u)), int32(len(v)), k, ts[i].Val.unpack(&buf), cfg.MinScoreFrac)
 	}
 	picks := containmentPicks(c, rowSeqs, colSeqs, k)
 	phase(SubStagePhase1, picks)

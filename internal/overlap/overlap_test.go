@@ -61,11 +61,11 @@ func TestSeedsMergeKeepsTwoSmallestDistinct(t *testing.T) {
 	s2 := align.Seed{PU: 3, PV: 7}
 	s3 := align.Seed{PU: 20, PV: 1}
 	a, _ := accumulate([]align.Seed{s1, s1}) // duplicate ignored
-	if got := a.seeds(); got.N != 1 || got.S[0] != s1 {
+	if got := viaUnpack(a); got.N != 1 || got.S[0] != s1 {
 		t.Fatalf("got %+v", got)
 	}
 	a, _ = accumulate([]align.Seed{s1, s1, s3, s2})
-	if got := a.seeds(); got.N != 2 || got.S[0] != s2 || got.S[1] != s1 {
+	if got := viaUnpack(a); got.N != 2 || got.S[0] != s2 || got.S[1] != s1 {
 		t.Fatalf("got %+v", got)
 	}
 	// Merge must be order-insensitive (semiring Add commutativity).
@@ -117,7 +117,7 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 				t.Fatalf("P=%d async=%v: %v", p, async, err)
 			}
 			// a is column-major: each run of equal Col is one k-mer's occurrences.
-			full := map[[2]int32]Seeds{}
+			full := map[[2]int32]refSeeds{}
 			for lo := 0; lo < len(a); {
 				hi := lo
 				for hi < len(a) && a[hi].Col == a[lo].Col {
@@ -131,13 +131,13 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 				}
 				lo = hi
 			}
-			var want []spmat.Triple[Seeds]
+			var want []spmat.Triple[refSeeds]
 			for key, v := range full {
 				r, cc := key[0], key[1]
 				if r == cc || ((r+cc)%2 == 0) != (r < cc) {
 					continue
 				}
-				want = append(want, spmat.Triple[Seeds]{Row: r, Col: cc, Val: v})
+				want = append(want, spmat.Triple[refSeeds]{Row: r, Col: cc, Val: v})
 			}
 			sort.Slice(want, func(i, j int) bool {
 				if want[i].Col != want[j].Col {
@@ -148,7 +148,12 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 			if len(want) < 100 {
 				t.Fatalf("reference found only %d candidates; test input too small", len(want))
 			}
-			if pairs != int64(len(want)) || !reflect.DeepEqual(got, want) {
+			// C's packed pairs, read as the aligner reads them.
+			gotSeeds := make([]spmat.Triple[refSeeds], len(got))
+			for i, tr := range got {
+				gotSeeds[i] = spmat.Triple[refSeeds]{Row: tr.Row, Col: tr.Col, Val: viaUnpack(tr.Val)}
+			}
+			if pairs != int64(len(want)) || !reflect.DeepEqual(gotSeeds, want) {
 				t.Fatalf("P=%d async=%v: %d candidates (CandidatePairs %d) differ from the %d of the value-semantics reference",
 					p, async, len(got), pairs, len(want))
 			}

@@ -38,7 +38,8 @@ func alignAndPruneRef(g *grid.Grid, store *fasta.DistStore, c *spmat.Dist[Seeds]
 	for _, t := range c.Local.Ts {
 		u, v := rowSeqs[t.Row-c.RowLo], colSeqs[t.Col-c.ColLo]
 		var a bidir.Aln
-		for i, s := range t.Val.S[:t.Val.N] {
+		var buf [2]align.Seed
+		for i, s := range t.Val.unpack(&buf) {
 			if x := al.SeedExtend(u, v, int32(cfg.K), s); i == 0 || x.Score > a.Score {
 				a = x
 			}
@@ -433,7 +434,8 @@ func boundSkippedPairs(c *mpi.Comm, g *grid.Grid, store *fasta.DistStore, cands 
 	// fails MinOverlap or the score gate.
 	alignGated := func(i int32) bidir.Kind {
 		tr := ts[i]
-		a := align.BestOf(al, rowSeqs[tr.Row-cands.RowLo], colSeqs[tr.Col-cands.ColLo], k, tr.Val.S[:tr.Val.N])
+		var buf [2]align.Seed
+		a := align.BestOf(al, rowSeqs[tr.Row-cands.RowLo], colSeqs[tr.Col-cands.ColLo], k, tr.Val.unpack(&buf))
 		a.U, a.V = tr.Row, tr.Col
 		alnLen := min(a.EU-a.BU, a.EV-a.BV)
 		if alnLen < cfg.MinOverlap || float64(a.Score) < cfg.MinScoreFrac*float64(alnLen) {
@@ -469,7 +471,8 @@ func boundSkippedPairs(c *mpi.Comm, g *grid.Grid, store *fasta.DistStore, cands 
 			kind = bidir.ContainsV
 		}
 		lu, lv := int32(len(rowSeqs[tr.Row-cands.RowLo])), int32(len(colSeqs[tr.Col-cands.ColLo]))
-		if cfg.Align.MayContain(kind, lu, lv, k, tr.Val.S[:tr.Val.N], cfg.MinScoreFrac) {
+		var buf [2]align.Seed
+		if cfg.Align.MayContain(kind, lu, lv, k, tr.Val.unpack(&buf), cfg.MinScoreFrac) {
 			continue
 		}
 		skipped++
@@ -507,9 +510,7 @@ func TestColumnProductMatchesSUMMA(t *testing.T) {
 						kres := kmer.CountAndBuild(store, in.cfg.K, 2, 80, 1)
 						got, gotProducts = DetectCandidates(g, store, kres, res)
 						a := spmat.FromRows(g, int32(store.N), int32(kres.NumCols), kres.Triples)
-						for _, tr := range spmat.SpGEMMPanels(a, seedSemiring, &wantProducts).Local.Ts {
-							want = append(want, spmat.Triple[Seeds]{Row: tr.Row, Col: tr.Col, Val: tr.Val.seeds()})
-						}
+						want = spmat.SpGEMMPanels(a, seedSemiring, &wantProducts).Local.Ts
 					})
 					if !reflect.DeepEqual(got.Local.Ts, want) {
 						panic(fmt.Sprintf("rank %d: %d candidates differ from SUMMA's %d", c.Rank(), len(got.Local.Ts), len(want)))

@@ -80,11 +80,38 @@ func (p *Pool[S]) span(w, lo, hi int, start int64) {
 		obs.Arg{K: "lo", V: int64(lo)}, obs.Arg{K: "n", V: int64(hi - lo)})
 }
 
+// panics holds the first value a pool's workers panicked with during one
+// run. Each worker recovers its own panic (a goroutine that dies unrecovered
+// takes the whole process down, past the rank's recover in package mpi) and
+// the run re-panics the first value on the calling goroutine once every
+// worker has returned, so a bad item fails its rank, not the process.
+type panics struct {
+	once  sync.Once
+	value any // never nil once set: recover turns panic(nil) into a *runtime.PanicNilError
+}
+
+// catch is deferred by each worker.
+func (p *panics) catch() {
+	if v := recover(); v != nil {
+		p.once.Do(func() { p.value = v })
+	}
+}
+
+// rethrow re-panics the first caught value, if any; call it after the
+// workers' WaitGroup.
+func (p *panics) rethrow() {
+	if p.value != nil {
+		panic(p.value)
+	}
+}
+
 // ForEach processes item indices [0, n) across the pool's workers and
 // returns when all are done. Items are handed out in contiguous chunks from
 // an atomic cursor (dynamic schedule, good when per-item cost is uniform or
 // unknown); fn receives the running worker's state and the item index.
-// Result ordering is the caller's: write out[i] inside fn.
+// Result ordering is the caller's: write out[i] inside fn. A panic in fn is
+// re-raised on the caller once every worker has stopped (the first value, if
+// several panic).
 //
 // With one worker (or n ≤ 1) fn runs inline on the calling goroutine — the
 // Threads=1 configuration is byte-for-byte the old serial loop, with no
@@ -107,10 +134,12 @@ func ForEach[S any](p *Pool[S], n int, fn func(s S, i int)) {
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
+	var pv panics
 	for w := 0; w < p.Workers(); w++ {
 		wg.Add(1)
 		go func(w int, s S) {
 			defer wg.Done()
+			defer pv.catch()
 			for {
 				lo := int(cursor.Add(int64(chunk))) - chunk
 				if lo >= n {
@@ -129,6 +158,7 @@ func ForEach[S any](p *Pool[S], n int, fn func(s S, i int)) {
 		}(w, p.states[w])
 	}
 	wg.Wait()
+	pv.rethrow()
 }
 
 // ForEachBalanced processes item indices [0, len(weights)) with a static
@@ -137,7 +167,8 @@ func ForEach[S any](p *Pool[S], n int, fn func(s S, i int)) {
 // its items in ascending index order. Use it when per-item cost is known and
 // skewed — e.g. alignment candidates weighted by sequence length — so the
 // longest items don't serialize behind a naive block split, and when
-// per-worker state must accumulate identically across runs.
+// per-worker state must accumulate identically across runs. A panic in fn
+// is re-raised on the caller as in ForEach.
 func ForEachBalanced[S any](p *Pool[S], weights []int64, fn func(s S, i int)) {
 	n := len(weights)
 	if n <= 0 {
@@ -157,6 +188,7 @@ func ForEachBalanced[S any](p *Pool[S], weights []int64, fn func(s S, i int)) {
 		items[w] = append(items[w], int32(i))
 	}
 	var wg sync.WaitGroup
+	var pv panics
 	for w := 0; w < p.Workers(); w++ {
 		if len(items[w]) == 0 {
 			continue
@@ -164,6 +196,7 @@ func ForEachBalanced[S any](p *Pool[S], weights []int64, fn func(s S, i int)) {
 		wg.Add(1)
 		go func(w int, s S, mine []int32) {
 			defer wg.Done()
+			defer pv.catch()
 			st := p.lane.Start()
 			for _, i := range mine {
 				fn(s, int(i))
@@ -172,4 +205,5 @@ func ForEachBalanced[S any](p *Pool[S], weights []int64, fn func(s S, i int)) {
 		}(w, p.states[w], items[w])
 	}
 	wg.Wait()
+	pv.rethrow()
 }

@@ -128,3 +128,37 @@ func TestNewPoolClampsWorkers(t *testing.T) {
 		t.Fatal("single-item run skipped")
 	}
 }
+
+// TestWorkerPanicReachesCaller: a panic in one item, on one of four workers,
+// is re-raised on the calling goroutine with its value once the run is over —
+// so the rank that called the pool fails, not the process — for both
+// schedules.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	type boom struct{ item int }
+	const n, bad = 64, 37
+	for name, run := range map[string]func(p *Pool[*state], fn func(*state, int)){
+		"ForEach": func(p *Pool[*state], fn func(*state, int)) { ForEach(p, n, fn) },
+		"ForEachBalanced": func(p *Pool[*state], fn func(*state, int)) {
+			weights := make([]int64, n)
+			for i := range weights {
+				weights[i] = int64(1 + i%5)
+			}
+			ForEachBalanced(p, weights, fn)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				run(NewPool(4, newStates()), func(_ *state, i int) {
+					if i == bad {
+						panic(boom{i})
+					}
+				})
+			}()
+			if got != (boom{bad}) {
+				t.Fatalf("caller recovered %v, want %v", got, boom{bad})
+			}
+		})
+	}
+}

@@ -33,8 +33,8 @@ type RankState struct {
 	Store  *fasta.DistStore // FastaReader: block-distributed read store
 	Timers *trace.Timers    // per-rank stage rows, timed by the engine (forked on resume)
 
-	Kmers       *kmer.Result               // CountKmer: reliable k-mer columns + A-matrix triples
-	Candidates  *spmat.Dist[overlap.Seeds] // DetectOverlap: C = A·Aᵀ, one direction per pair
+	Kmers       *kmer.Result               // CountKmer: the rank's columns of A (spmat.Columns)
+	Candidates  *spmat.Dist[overlap.Seeds] // DetectOverlap: C = A·Aᵀ, packed seed pairs, one direction per pair
 	Overlap     *overlap.Result            // CountKmer…Alignment: accumulating counters, A and R
 	StringGraph *spmat.Dist[bidir.Edge]    // TrReduction: reduced bidirected string graph
 	TRStats     tr.Stats                   // TrReduction: iteration/edge counters

@@ -71,12 +71,16 @@ import (
 // columns of A instead — the k-mers it counted, column-major, with every read
 // that holds them, and their column range — because DetectOverlap multiplies
 // them where they were counted (spmat.ColumnProduct): a v5 file's rows hold
-// another layout. Older checkpoints and cache entries are refused by name,
-// never reinterpreted.
-const CheckpointSchema = "elba/checkpoint/v6"
+// another layout. v7 keeps A and C in the one form each the stages use: the
+// post-CountKmer file holds the rank's spmat.Columns as they lie (run bounds,
+// mids, rows, occurrences), not their column-major triples, and C's values
+// are the multiply's packed seed pairs (overlap.Seeds, 16 bytes encoded), not
+// the unpacked seed structs (22) a v6 file holds. Older checkpoints and
+// cache entries are refused by name, never reinterpreted.
+const CheckpointSchema = "elba/checkpoint/v7"
 
 // ckptSchema is the per-rank file's schema number (bumped with ckptRank).
-const ckptSchema uint32 = 6
+const ckptSchema uint32 = 7
 
 // CheckpointManifestName is the per-stage commit file written by rank 0.
 const CheckpointManifestName = "MANIFEST.json"
@@ -149,9 +153,7 @@ type ckptRank struct {
 	KmerK           int32
 	KmerNumCols     int32
 	KmerOccurrences int64
-	KmerColLo       int32
-	KmerColHi       int32
-	KmerTriples     []kmer.ATriple // the rank's columns of A
+	KmerCols        spmat.Columns[kmer.Occur] // the rank's columns of A
 
 	HasCands    bool
 	CandNR      int32
@@ -201,8 +203,7 @@ func (a *Artifacts) rankCheckpoint(rank int) ckptRank {
 		ck.KmerK = int32(rs.Kmers.K)
 		ck.KmerNumCols = int32(rs.Kmers.NumCols)
 		ck.KmerOccurrences = rs.Kmers.Occurrences
-		ck.KmerColLo, ck.KmerColHi = rs.Kmers.Cols.Lo, rs.Kmers.Cols.Hi
-		ck.KmerTriples = rs.Kmers.Cols.Triples()
+		ck.KmerCols = rs.Kmers.Cols
 	case StageDetectOverlap:
 		ck.HasCands = true
 		ck.CandNR, ck.CandNC = rs.Candidates.NR, rs.Candidates.NC
@@ -239,7 +240,7 @@ func installRank(rs *RankState, ck *ckptRank) {
 	if ck.HasKmers {
 		rs.Kmers = &kmer.Result{
 			K: int(ck.KmerK), NumCols: int(ck.KmerNumCols), Occurrences: ck.KmerOccurrences,
-			Cols: spmat.ColumnsFromTriples(ck.KmerColLo, ck.KmerColHi, ck.KmerTriples),
+			Cols: ck.KmerCols,
 		}
 	}
 	if ck.HasCands {
@@ -522,13 +523,18 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 //     overlap counters after FastaReader, plus that stage's own output;
 //   - a k-mer payload has the engine's K; a column count in [0, the read
 //     set's k-mer window count] — each reliable k-mer is a distinct window;
-//     a column range inside [0, that count]; and triples that are the
-//     range's columns of A, column-major — so no (read, column) pair twice —
-//     each read in the read set and each occurrence a window inside its
-//     read;
+//     a column range inside [0, that count]; columns that are a split panel
+//     of that range over the read set (spmat.Columns.Check, the check
+//     ColumnProduct makes) — so no (read, column) pair twice; and each
+//     occurrence a window inside its read;
 //   - a matrix payload (candidates, R or the string graph) is reads × reads,
 //     and its triples lie in the rank's grid block in strict column-major
 //     order, the canonical form FromLocalTriples and every later stage take;
+//   - each cell of C is one the checkerboard keeps (spmat.CheckerboardKeeps:
+//     off the diagonal, on its pair's kept side), and each value one or two
+//     seeds the multiply can give its reads: a first key that is not empty,
+//     keys that strictly ascend with bit 32 clear, each seed's k-base window
+//     inside both reads (overlap.Seeds.Check, checkCands);
 //   - each value of R is a dovetail alignment of its cell's two reads, and
 //     each value of the string graph an edge those reads can give (checkAlns,
 //     checkEdges), so no value panics inside a later collective.
@@ -577,14 +583,19 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s counts %d k-mer columns, outside [0, %d] (the reads' k-mer windows)",
 				rank, path, ck.KmerNumCols, windows)
 		}
-		if err := checkKmerTriples(ck.KmerTriples, int32(len(reads)), ck.KmerColLo, ck.KmerColHi, ck.KmerNumCols); err != nil {
-			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer triples are not the rank's columns [%d,%d) of A, column-major over %d reads: %w",
-				rank, path, ck.KmerColLo, ck.KmerColHi, len(reads), err)
+		a := ck.KmerCols
+		err := a.Check(int32(len(reads))) // what ColumnProduct would panic on inside the stage
+		if a.Lo < 0 || a.Lo > a.Hi || a.Hi > ck.KmerNumCols {
+			err = fmt.Errorf("column range [%d,%d) is outside [0,%d)", a.Lo, a.Hi, ck.KmerNumCols)
 		}
-		for _, t := range ck.KmerTriples {
-			if pos := int(t.Val.Pos()); pos+opt.K > len(reads[t.Row]) {
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer columns are not the rank's columns [%d,%d) of A over %d reads: %w",
+				rank, path, a.Lo, a.Hi, len(reads), err)
+		}
+		for i, row := range a.Rows {
+			if pos := int(a.Vals[i].Pos()); pos+opt.K > len(reads[row]) {
 				return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: k-mer occurrence at %d is no window of read %d (length %d)",
-					rank, path, pos, t.Row, len(reads[t.Row]))
+					rank, path, pos, row, len(reads[row]))
 			}
 		}
 	}
@@ -600,6 +611,8 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: stage %q's matrix block is not the rank's canonical block: %w", rank, path, ck.Stage, err)
 	}
 	switch {
+	case ck.HasCands:
+		err = checkCands(ck.CandTriples, reads, opt.K)
 	case ck.HasR:
 		err = checkAlns(ck.RTriples, reads, opt.MaxOverhang)
 	case ck.HasSG:
@@ -609,6 +622,23 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: stage %q's matrix block holds a value its reads cannot have: %w", rank, path, ck.Stage, err)
 	}
 	return &ck, nil
+}
+
+// checkCands reports the first candidate of a restored block of C (whose
+// cells lie in the grid block already) that the multiply cannot have formed:
+// a cell the checkerboard masks, or seeds that are no one or two shared
+// k-mers of its reads (overlap.Seeds.Check) — which alignment would
+// otherwise slice a read with, past its end.
+func checkCands(ts []spmat.Triple[overlap.Seeds], reads [][]byte, k int) error {
+	for i, t := range ts {
+		if !spmat.CheckerboardKeeps(t.Row, t.Col) {
+			return fmt.Errorf("triple %d (%d,%d) is a cell the checkerboard masks (the diagonal, or the dropped direction of its pair)", i, t.Row, t.Col)
+		}
+		if err := t.Val.Check(int32(len(reads[t.Row])), int32(len(reads[t.Col])), int32(k)); err != nil {
+			return fmt.Errorf("triple %d (%d,%d): %w", i, t.Row, t.Col, err)
+		}
+	}
+	return nil
 }
 
 // checkAlns reports the first alignment of a restored block of R (whose
@@ -664,19 +694,6 @@ func checkBlock[T any](nr, nc int32, ts []spmat.Triple[T], n, p, rank int) error
 	rlo, rhi := grid.BlockRange(n, dim, rank/dim)
 	clo, chi := grid.BlockRange(n, dim, rank%dim)
 	return spmat.CheckColMajor(ts, int32(rlo), int32(rhi), int32(clo), int32(chi))
-}
-
-// checkKmerTriples reports a column range [colLo, colHi) outside
-// [0, numCols], or the first triple of ts, a rank's columns of A, whose
-// column is outside the range, whose read is outside [0, n), or that does not
-// strictly follow its predecessor by (column, read) — which a repeated
-// (read, column) pair cannot — everything spmat.ColumnProduct would
-// otherwise panic on inside the stage.
-func checkKmerTriples(ts []kmer.ATriple, n, colLo, colHi, numCols int32) error {
-	if colLo < 0 || colLo > colHi || colHi > numCols {
-		return fmt.Errorf("column range [%d,%d) is outside [0,%d)", colLo, colHi, numCols)
-	}
-	return spmat.CheckColMajor(ts, 0, n, colLo, colHi)
 }
 
 // kmerWindows counts the read set's k-mer windows: an upper bound on its

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/kmer"
 	"repro/internal/mpi/wire"
+	"repro/internal/overlap"
 	"repro/internal/readsim"
 	"repro/internal/spmat"
 )
@@ -313,7 +314,7 @@ func TestFingerprintThroughGolden(t *testing.T) {
 // checkpoint file is stamped with: a codec change that moves it makes every
 // committed checkpoint unreadable, so it must come with a ckptSchema bump.
 func TestRankCheckpointFingerprintGolden(t *testing.T) {
-	if got, want := wire.Fingerprint[ckptRank](), uint32(0xab2e574f); got != want {
+	if got, want := wire.Fingerprint[ckptRank](), uint32(0x927f2a2b); got != want {
 		t.Errorf("ckptRank fingerprint 0x%08x, want 0x%08x", got, want)
 	}
 }
@@ -385,11 +386,11 @@ func TestCheckpointPrefixResume(t *testing.T) {
 // TestResumeAcrossColumnRenumbering relabels the k-mer columns of a
 // post-CountKmer checkpoint by a random permutation of each rank's own column
 // range — what a build that numbers its k-mers another way would have
-// written — re-sorts each block column-major, and resumes it: the contigs,
-// every row but DetectOverlap and that row's products are those of a cold
-// run. C = A·Aᵀ, its seeds and its product count do not depend on column
-// order, so a schema v6 checkpoint or cache entry written under another
-// numbering resumes to the same assembly.
+// written — lays each block out again (through its triples, re-sorted
+// column-major), and resumes it: the contigs, every row but DetectOverlap and
+// that row's products are those of a cold run. C = A·Aᵀ, its seeds and its
+// product count do not depend on column order, so a schema v7 checkpoint or
+// cache entry written under another numbering resumes to the same assembly.
 func TestResumeAcrossColumnRenumbering(t *testing.T) {
 	reads := testReads(5000, 673)
 	opt := DefaultOptions(4)
@@ -417,17 +418,19 @@ func TestResumeAcrossColumnRenumbering(t *testing.T) {
 	moved := 0
 	for r := range opt.P {
 		rewriteRankFile(t, stageDir, r, func(ck *ckptRank) {
-			lo := ck.KmerColLo
-			perm := rng.Perm(int(ck.KmerColHi - lo))
-			for i, tr := range ck.KmerTriples {
-				ck.KmerTriples[i].Col = lo + int32(perm[tr.Col-lo])
-				if ck.KmerTriples[i].Col != tr.Col {
+			lo, hi := ck.KmerCols.Lo, ck.KmerCols.Hi
+			perm := rng.Perm(int(hi - lo))
+			ts := ck.KmerCols.Triples()
+			for i, tr := range ts {
+				ts[i].Col = lo + int32(perm[tr.Col-lo])
+				if ts[i].Col != tr.Col {
 					moved++
 				}
 			}
-			slices.SortFunc(ck.KmerTriples, func(a, b kmer.ATriple) int {
+			slices.SortFunc(ts, func(a, b kmer.ATriple) int {
 				return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row))
 			})
+			ck.KmerCols = spmat.ColumnsFromTriples(lo, hi, ts)
 		})
 	}
 	if moved == 0 {
@@ -526,18 +529,22 @@ func rewriteRankFile(t *testing.T, stageDir string, rank int, edit func(*ckptRan
 
 // TestCheckpointFailsClosedOnSchemaAndOrder: the packed Occur word is
 // load-bearing since schema v3, the rank files' timer rows (FastaReader's
-// included) are the run's traffic totals since v4, KmerTriples were
-// row-grouped in v5 and are the rank's columns of A since v6, so (1) a
-// directory committed under an older schema — manifest or rank file — is
-// refused with an error naming both schemas, and (2) a post-CountKmer
-// checkpoint whose triples are not column-major (swapped, repeated, a
-// (read, column) pair twice), name a read outside the read set or a column
-// outside the rank's range, or whose range passes the column count, is
-// refused at load, naming rank and file, instead of panicking inside
-// DetectOverlap's multiply — and so is (3) one whose column count is
-// negative, exceeds the reads' k-mer windows or differs between ranks, whose
-// occurrence is no window of its read, whose k is not the engine's, or that
-// carries another stage's payload.
+// included) are the run's traffic totals since v4, A's triples were
+// row-grouped in v5 and the rank's columns of A since v6, and since v7 A is
+// stored as the rank's spmat.Columns and C's values as packed seed pairs, so
+// (1) a directory committed under an older schema — manifest or rank file —
+// is refused with an error naming both schemas, and (2) a post-CountKmer
+// checkpoint whose columns are not a split panel (rows swapped, repeated or
+// in the wrong sub-run, a run bound past the entries), name a read outside
+// the read set, claim columns their run bounds do not hold, or whose range
+// passes the column count, is refused at load, naming rank and file, instead
+// of panicking inside DetectOverlap's multiply — and so is (3) one whose
+// column count is negative, exceeds the reads' k-mer windows or differs
+// between ranks, whose occurrence is no window of its read, whose k is not
+// the engine's, or that carries another stage's payload, and (4) a
+// post-DetectOverlap one holding a cell the checkerboard masks or seeds
+// that are no shared k-mers of the cell's reads, which alignment would
+// otherwise slice past a read's end with.
 func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 	reads := testReads(5000, 673)
 	opt := DefaultOptions(4)
@@ -576,57 +583,72 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			}
 		}
 	}
-	for _, old := range []uint32{2, 3, 4, 5} {
+	for _, old := range []uint32{2, 3, 4, 5, 6} {
 		schema := fmt.Sprintf("elba/checkpoint/v%d", old)
 		t.Run(fmt.Sprintf("v%d manifest", old), func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.Schema = schema })
-			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v6"`)
+			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v7"`)
 			// Naming the stage directory itself takes the other manifest path.
-			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v6"`)
+			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v7"`)
 		})
 		t.Run(fmt.Sprintf("v%d rank file", old), func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteRankFile(t, stageDir, 1, func(ck *ckptRank) { ck.Schema = old })
-			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 6)", old))
+			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 7)", old))
 		})
 	}
 	// A rank's columns of A fail closed: each row would load silently (a
-	// swapped, repeated or out-of-order triple, which ColumnProduct's block
-	// check then panics on inside the stage) or index outside the read set
-	// or the rank's columns.
-	for name, edit := range map[string]func(ck *ckptRank){
-		"out of order": func(ck *ckptRank) {
-			ts := ck.KmerTriples
-			ts[0], ts[len(ts)-1] = ts[len(ts)-1], ts[0]
+	// swapped, repeated or out-of-order row, which ColumnProduct's block
+	// check then panics on inside the stage), index outside the read set or
+	// the entries, or claim columns outside the rank's range.
+	for name, edit := range map[string]func(t *testing.T, a *spmat.Columns[kmer.Occur], numCols int32){
+		"out of order": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			lo, hi := subRun(t, *a, 3)
+			slices.Reverse(a.Rows[lo:hi])
 		},
-		"duplicate": func(ck *ckptRank) { ck.KmerTriples[1] = ck.KmerTriples[0] },
-		"column repeated apart within a read": func(ck *ckptRank) {
-			ts := ck.KmerTriples
-			ts[len(ts)-1].Row, ts[len(ts)-1].Col = ts[len(ts)-3].Row, ts[len(ts)-3].Col
+		"duplicate": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			lo, _ := subRun(t, *a, 2)
+			a.Rows[lo+1] = a.Rows[lo]
 		},
-		"column past the k-mer count": func(ck *ckptRank) {
-			ck.KmerTriples[len(ck.KmerTriples)-1].Col = ck.KmerNumCols
+		"column repeated apart within a read": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			lo, _ := subRun(t, *a, 3)
+			a.Rows[lo+2] = a.Rows[lo]
 		},
-		"CountKmer/swapped": func(ck *ckptRank) {
-			ts := ck.KmerTriples
-			ts[1], ts[2] = ts[2], ts[1]
+		"column past the k-mer count": func(t *testing.T, a *spmat.Columns[kmer.Occur], numCols int32) {
+			a.Lo, a.Hi = a.Lo+numCols+1-a.Hi, numCols+1 // the same columns, the last one numCols
 		},
-		"CountKmer/repeated cell": func(ck *ckptRank) {
-			ts := ck.KmerTriples
-			ts[len(ts)-1] = ts[len(ts)-2]
+		"CountKmer/swapped": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			lo, _ := subRun(t, *a, 2)
+			a.Rows[lo], a.Rows[lo+1] = a.Rows[lo+1], a.Rows[lo]
 		},
-		"CountKmer/read out of range": func(ck *ckptRank) {
-			ck.KmerTriples[len(ck.KmerTriples)-1].Row = int32(len(reads))
+		"CountKmer/repeated cell": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			_, hi := subRun(t, *a, 2)
+			a.Rows[hi-1] = a.Rows[hi-2]
 		},
-		"CountKmer/out of block": func(ck *ckptRank) {
-			ck.KmerTriples[0].Col = ck.KmerColLo - 1 // rank 1's last column
+		"CountKmer/read out of range": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			a.Rows[len(a.Rows)-1] = int32(len(reads))
 		},
-		"CountKmer/range past the k-mer count": func(ck *ckptRank) { ck.KmerColHi = ck.KmerNumCols + 1 },
+		"CountKmer/out of block": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			a.Lo-- // rank 1's last column, with no run of its own
+		},
+		"CountKmer/range past the k-mer count": func(t *testing.T, a *spmat.Columns[kmer.Occur], numCols int32) { a.Hi = numCols + 1 },
+		"CountKmer/odd row in the even sub-run": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			for c := range a.Mid {
+				if a.Mid[c] < a.Starts[c+1] {
+					a.Mid[c]++
+					return
+				}
+			}
+			t.Fatal("no column has an odd row")
+		},
+		"CountKmer/inner bound past the entries": func(t *testing.T, a *spmat.Columns[kmer.Occur], _ int32) {
+			a.Starts[1] = int32(len(a.Rows)) + 5
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir, stageDir := write(t)
-			rewriteRankFile(t, stageDir, 2, edit)
+			rewriteRankFile(t, stageDir, 2, func(ck *ckptRank) { edit(t, &ck.KmerCols, ck.KmerNumCols) })
 			refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "are not the rank's columns")
 		})
 	}
@@ -642,8 +664,8 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		"column count past the windows":      {func(ck *ckptRank) { ck.KmerNumCols = math.MaxInt32 }, "k-mer columns, outside [0,"},
 		"ranks disagree on the column count": {func(ck *ckptRank) { ck.KmerNumCols++ }, "another rank's file"},
 		"occurrence past its read": {func(ck *ckptRank) {
-			last := &ck.KmerTriples[len(ck.KmerTriples)-1]
-			last.Val = kmer.MakeOccur(int32(len(reads[last.Row])-opt.K+1), false)
+			a, last := &ck.KmerCols, len(ck.KmerCols.Rows)-1
+			a.Vals[last] = kmer.MakeOccur(int32(len(reads[a.Rows[last]])-opt.K+1), false)
 		}, "is no window of read"},
 		"another k":               {func(ck *ckptRank) { ck.KmerK++ }, "k = 22"},
 		"another stage's payload": {func(ck *ckptRank) { ck.HasCands = true }, `payload other than stage "CountKmer"'s`},
@@ -700,6 +722,46 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), "matrix block holds a value its reads cannot have", "triple 0 (")
 		})
 	}
+	// And so does a candidate the multiply cannot form: a cell the
+	// checkerboard masks (the diagonal, on rank 0's block; the dropped
+	// direction of a pair, on rank 1's) or seeds that are no shared k-mers
+	// of the cell's reads, which alignment would slice past a read's end
+	// with inside the stage. Rank 1 holds rows [0, n/2) × columns [n/2, n),
+	// where every kept cell has row and column of equal parity.
+	noSeed := ^uint64(0)
+	for _, bad := range []struct {
+		name, want string
+		rank       int
+		edit       func(t *testing.T, ts []spmat.Triple[overlap.Seeds])
+	}{
+		{"diagonal", "checkerboard masks", 0, func(t *testing.T, ts []spmat.Triple[overlap.Seeds]) {
+			ts[0].Row = ts[0].Col
+			sortCells(t, ts)
+		}},
+		{"dropped direction", "checkerboard masks", 1, func(t *testing.T, ts []spmat.Triple[overlap.Seeds]) {
+			ts[0].Row++
+			if ts[0].Row == int32(len(reads)/2) {
+				ts[0].Row -= 2
+			}
+			sortCells(t, ts)
+		}},
+		{"empty first slot", "first seed slot is empty", 1, func(t *testing.T, ts []spmat.Triple[overlap.Seeds]) { ts[0].Val[0] = noSeed }},
+		{"keys not ascending", "do not strictly ascend", 1, func(t *testing.T, ts []spmat.Triple[overlap.Seeds]) { ts[0].Val[1] = ts[0].Val[0] }},
+		{"bit 32 set", "has bit 32 set", 1, func(t *testing.T, ts []spmat.Triple[overlap.Seeds]) { ts[0].Val[0] |= 1 << 32 }},
+		{"seed past the row read", "window ends past a read", 1, func(t *testing.T, ts []spmat.Triple[overlap.Seeds]) {
+			ts[0].Val = overlap.Seeds{1 << 30 << 33, noSeed}
+		}},
+		{"seed past the column read", "window ends past a read", 1, func(t *testing.T, ts []spmat.Triple[overlap.Seeds]) {
+			pv := uint64(len(reads[ts[0].Col]) - opt.K + 1)
+			ts[0].Val = overlap.Seeds{pv << 1, noSeed}
+		}},
+	} {
+		t.Run(StageDetectOverlap+"/bad seeds/"+bad.name, func(t *testing.T) {
+			dir, stageDir := writeThrough(t, StageDetectOverlap)
+			rewriteRankFile(t, stageDir, bad.rank, func(ck *ckptRank) { bad.edit(t, ck.CandTriples) })
+			refused(t, dir, fmt.Sprintf("rank %d", bad.rank), filepath.Join(stageDir, rankFile(bad.rank)), "matrix block holds a value its reads cannot have", bad.want)
+		})
+	}
 	// An untouched rewrite loads: the helpers themselves do not break a file.
 	dir, stageDir := write(t)
 	rewriteRankFile(t, stageDir, 2, func(*ckptRank) {})
@@ -712,6 +774,34 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		t.Fatalf("re-encoded checkpoint refused: %v", err)
 	}
 	a.Close()
+}
+
+// subRun returns the bounds [lo, hi) of the first sub-run of a's columns
+// that holds at least m rows.
+func subRun(t testing.TB, a spmat.Columns[kmer.Occur], m int) (lo, hi int) {
+	t.Helper()
+	for c := range a.Mid {
+		for _, r := range [][2]int32{{a.Starts[c], a.Mid[c]}, {a.Mid[c], a.Starts[c+1]}} {
+			if int(r[1]-r[0]) >= m {
+				return int(r[0]), int(r[1])
+			}
+		}
+	}
+	t.Fatalf("no sub-run holds %d rows", m)
+	return 0, 0
+}
+
+// sortCells puts a block of triples, one of whose cells an edit moved, back
+// into strict column-major order, so only the moved cell's place in C — not
+// the block's order — can refuse it.
+func sortCells[T any](t testing.TB, ts []spmat.Triple[T]) {
+	t.Helper()
+	slices.SortFunc(ts, func(a, b spmat.Triple[T]) int {
+		return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row))
+	})
+	if err := spmat.CheckColMajor(ts, 0, 1<<31-1, 0, 1<<31-1); err != nil {
+		t.Fatalf("the moved cell collides with another: %v", err)
+	}
 }
 
 // breakBlock applies one named corruption to rank 1's restored matrix block
@@ -873,6 +963,63 @@ func fuzzCkptReads() [][]byte {
 	return readsim.Seqs(readsim.Simulate(genome, readsim.ReadConfig{Depth: 3, MeanLen: 120, Seed: 684}))
 }
 
+// commitFuzzCheckpoint checkpoints fuzzCkptReads at P = 1 after stage and
+// returns the options, the reads, the committed manifest and rank 0's file.
+// The file must load and hold a payload.
+func commitFuzzCheckpoint(f testing.TB, stage string) (Options, [][]byte, *CheckpointManifest, string) {
+	f.Helper()
+	reads := fuzzCkptReads()
+	opt := DefaultOptions(1)
+	opt.K = 21
+	ckOpt := opt
+	ckOpt.CheckpointDir = f.TempDir()
+	ckOpt.CheckpointEvery = stage
+	eng, err := Plan(ckOpt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	arts, err := eng.RunUntil(context.Background(), reads, stage)
+	if err != nil {
+		f.Fatal(err)
+	}
+	arts.Close()
+	stageDir, man, err := LatestCheckpoint(ckOpt.CheckpointDir)
+	if err != nil || man == nil {
+		f.Fatalf("no committed checkpoint (manifest %v, err %v)", man, err)
+	}
+	realFile := filepath.Join(stageDir, rankFile(0))
+	ck, err := readRankCheckpoint(realFile, man, 0, opt, reads)
+	if err != nil || ck.KmerCols.Nnz() == 0 && len(ck.CandTriples) < 2 {
+		f.Fatalf("the committed rank file is refused (%v) or holds too small a payload", err)
+	}
+	return opt, reads, man, realFile
+}
+
+// fuzzRankFile runs readRankCheckpoint on frame as rank 0's file of man's
+// checkpoint, with the manifest's hash recomputed for it, and returns what it
+// accepts (nil for a refusal) after checking the self-description and the
+// payload flags of stage's file.
+func fuzzRankFile(t *testing.T, path string, frame []byte, man *CheckpointManifest, opt Options, reads [][]byte) *ckptRank {
+	if err := os.WriteFile(path, frame, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	m := *man
+	sum := sha256.Sum256(frame)
+	m.RankHashes = []string{hex.EncodeToString(sum[:])}
+	ck, err := readRankCheckpoint(path, &m, 0, opt, reads)
+	if err != nil {
+		return nil
+	}
+	if ck.Schema != ckptSchema || ck.Rank != 0 || ck.P != 1 || ck.Stage != man.Stage || ck.Fingerprint != man.Fingerprint {
+		t.Fatalf("accepted a file describing schema %d, rank %d of %d, stage %q, fingerprint %.12s…", ck.Schema, ck.Rank, ck.P, ck.Stage, ck.Fingerprint)
+	}
+	kmers, cands := man.Stage == StageCountKmer, man.Stage == StageDetectOverlap
+	if !ck.HasOverlap || ck.HasKmers != kmers || ck.HasCands != cands || ck.HasR || ck.HasSG {
+		t.Fatalf("accepted a %s file with payload flags overlap=%t kmers=%t cands=%t r=%t sg=%t", man.Stage, ck.HasOverlap, ck.HasKmers, ck.HasCands, ck.HasR, ck.HasSG)
+	}
+	return ck
+}
+
 // FuzzReadRankCheckpoint feeds arbitrary bytes to readRankCheckpoint as rank
 // 0's file of a committed P = 1 post-CountKmer checkpoint, with the manifest's
 // hash recomputed for them, so the decoder and its validation — not the
@@ -881,29 +1028,7 @@ func fuzzCkptReads() [][]byte {
 // never panic, and a checkpoint it accepts must satisfy every invariant its
 // doc comment lists, checked here independently of it.
 func FuzzReadRankCheckpoint(f *testing.F) {
-	reads := fuzzCkptReads()
-	opt := DefaultOptions(1)
-	opt.K = 21
-	dir := f.TempDir()
-	ckOpt := opt
-	ckOpt.CheckpointDir = dir
-	eng, err := Plan(ckOpt)
-	if err != nil {
-		f.Fatal(err)
-	}
-	arts, err := eng.RunUntil(context.Background(), reads, StageCountKmer)
-	if err != nil {
-		f.Fatal(err)
-	}
-	arts.Close()
-	stageDir, man, err := LatestCheckpoint(dir)
-	if err != nil || man == nil {
-		f.Fatalf("no committed checkpoint (manifest %v, err %v)", man, err)
-	}
-	realFile := filepath.Join(stageDir, rankFile(0))
-	if ck, err := readRankCheckpoint(realFile, man, 0, opt, reads); err != nil || len(ck.KmerTriples) == 0 {
-		f.Fatalf("the committed rank file is refused (%v) or holds no k-mers", err)
-	}
+	opt, reads, man, _ := commitFuzzCheckpoint(f, StageCountKmer)
 	var windows int64
 	for _, r := range reads {
 		if len(r) >= opt.K {
@@ -912,45 +1037,95 @@ func FuzzReadRankCheckpoint(f *testing.F) {
 	}
 	path := filepath.Join(f.TempDir(), rankFile(0)) // a worker runs its inputs one at a time
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		if err := os.WriteFile(path, frame, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		m := *man
-		sum := sha256.Sum256(frame)
-		m.RankHashes = []string{hex.EncodeToString(sum[:])}
-		ck, err := readRankCheckpoint(path, &m, 0, opt, reads)
-		if err != nil {
+		ck := fuzzRankFile(t, path, frame, man, opt, reads)
+		if ck == nil {
 			return
-		}
-		if ck.Schema != ckptSchema || ck.Rank != 0 || ck.P != 1 || ck.Stage != StageCountKmer || ck.Fingerprint != man.Fingerprint {
-			t.Fatalf("accepted a file describing schema %d, rank %d of %d, stage %q, fingerprint %.12s…", ck.Schema, ck.Rank, ck.P, ck.Stage, ck.Fingerprint)
-		}
-		if !ck.HasOverlap || !ck.HasKmers || ck.HasCands || ck.HasR || ck.HasSG {
-			t.Fatalf("accepted a CountKmer file with payload flags overlap=%t kmers=%t cands=%t r=%t sg=%t", ck.HasOverlap, ck.HasKmers, ck.HasCands, ck.HasR, ck.HasSG)
 		}
 		if int(ck.KmerK) != opt.K || ck.KmerNumCols < 0 || int64(ck.KmerNumCols) > windows {
 			t.Fatalf("accepted k = %d with %d columns (engine k = %d, %d windows)", ck.KmerK, ck.KmerNumCols, opt.K, windows)
 		}
-		if ck.KmerColLo < 0 || ck.KmerColLo > ck.KmerColHi || ck.KmerColHi > ck.KmerNumCols {
-			t.Fatalf("accepted column range [%d,%d) of %d columns", ck.KmerColLo, ck.KmerColHi, ck.KmerNumCols)
+		a := ck.KmerCols
+		if a.Lo < 0 || a.Lo > a.Hi || a.Hi > ck.KmerNumCols {
+			t.Fatalf("accepted column range [%d,%d) of %d columns", a.Lo, a.Hi, ck.KmerNumCols)
+		}
+		n := int(a.Hi - a.Lo)
+		if len(a.Starts) != n+1 || len(a.Mid) != n || len(a.Vals) != len(a.Rows) || a.Starts[0] != 0 || int(a.Starts[n]) != len(a.Rows) {
+			t.Fatalf("accepted %d columns with %d run bounds, %d mids, %d rows and %d values", n, len(a.Starts), len(a.Mid), len(a.Rows), len(a.Vals))
 		}
 		held := map[[2]int32]bool{}
-		for i, tr := range ck.KmerTriples {
-			if tr.Row < 0 || int(tr.Row) >= len(reads) || tr.Col < ck.KmerColLo || tr.Col >= ck.KmerColHi {
-				t.Fatalf("accepted triple %d (%d,%d) outside %d reads x columns [%d,%d)", i, tr.Row, tr.Col, len(reads), ck.KmerColLo, ck.KmerColHi)
+		for c := range n {
+			lo, mid, hi := a.Starts[c], a.Mid[c], a.Starts[c+1]
+			if lo > mid || mid > hi || int(hi) > len(a.Rows) {
+				t.Fatalf("accepted column %d with run [%d,%d) split at %d over %d rows", c, lo, hi, mid, len(a.Rows))
 			}
-			if i > 0 {
-				if p := ck.KmerTriples[i-1]; tr.Col < p.Col || tr.Col == p.Col && tr.Row < p.Row {
-					t.Fatalf("accepted triple %d (%d,%d) after (%d,%d)", i, tr.Row, tr.Col, p.Row, p.Col)
+			col := a.Lo + int32(c)
+			for i := lo; i < hi; i++ {
+				row, parity := a.Rows[i], int32(0)
+				if i >= mid {
+					parity = 1
+				}
+				if row < 0 || int(row) >= len(reads) || row&1 != parity {
+					t.Fatalf("accepted row %d of column %d in its sub-run of parity %d, over %d reads", row, col, parity, len(reads))
+				}
+				if i != lo && i != mid && row <= a.Rows[i-1] {
+					t.Fatalf("accepted row %d after %d in column %d", row, a.Rows[i-1], col)
+				}
+				if cell := [2]int32{row, col}; held[cell] {
+					t.Fatalf("accepted read %d holding column %d twice", row, col)
+				} else {
+					held[cell] = true
+				}
+				if end := int(a.Vals[i].Pos()) + opt.K; end > len(reads[row]) {
+					t.Fatalf("accepted an occurrence ending at %d in read %d of length %d", end, row, len(reads[row]))
 				}
 			}
-			if cell := [2]int32{tr.Row, tr.Col}; held[cell] {
-				t.Fatalf("accepted triple %d (%d,%d): read %d already holds column %d", i, tr.Row, tr.Col, tr.Row, tr.Col)
-			} else {
-				held[cell] = true
+		}
+	})
+}
+
+// FuzzReadCandidateCheckpoint is FuzzReadRankCheckpoint for a committed P = 1
+// post-DetectOverlap rank file, whose payload is C's block: the call must
+// never panic, and a file it accepts must hold a reads × reads block,
+// strictly column-major, whose every cell the checkerboard keeps and whose
+// every value is one or two ascending packed seeds, bit 32 clear, each
+// window inside both reads — checked here from the key layout, independently
+// of overlap.Seeds.Check.
+func FuzzReadCandidateCheckpoint(f *testing.F) {
+	opt, reads, man, _ := commitFuzzCheckpoint(f, StageDetectOverlap)
+	n := int32(len(reads))
+	path := filepath.Join(f.TempDir(), rankFile(0))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		ck := fuzzRankFile(t, path, frame, man, opt, reads)
+		if ck == nil {
+			return
+		}
+		if ck.CandNR != n || ck.CandNC != n {
+			t.Fatalf("accepted a %d×%d block of C over %d reads", ck.CandNR, ck.CandNC, n)
+		}
+		for i, tr := range ck.CandTriples {
+			r, c := tr.Row, tr.Col
+			if r < 0 || r >= n || c < 0 || c >= n {
+				t.Fatalf("accepted triple %d (%d,%d) outside %d reads", i, r, c, n)
 			}
-			if end := int(tr.Val.Pos()) + opt.K; end > len(reads[tr.Row]) {
-				t.Fatalf("accepted an occurrence ending at %d in read %d of length %d", end, tr.Row, len(reads[tr.Row]))
+			if i > 0 {
+				if p := ck.CandTriples[i-1]; c < p.Col || c == p.Col && r <= p.Row {
+					t.Fatalf("accepted triple %d (%d,%d) after (%d,%d)", i, r, c, p.Row, p.Col)
+				}
+			}
+			if r == c || ((r+c)%2 == 0) != (r < c) {
+				t.Fatalf("accepted triple %d (%d,%d), a cell the checkerboard masks", i, r, c)
+			}
+			keys := tr.Val[:]
+			if keys[1] == ^uint64(0) {
+				keys = keys[:1]
+			} else if keys[1] <= keys[0] {
+				t.Fatalf("accepted triple %d (%d,%d) with keys %#x, %#x", i, r, c, keys[0], keys[1])
+			}
+			for _, key := range keys {
+				pu, pv := int(key>>33), int(key>>1&(1<<31-1))
+				if key&(1<<32) != 0 || pu+opt.K > len(reads[r]) || pv+opt.K > len(reads[c]) {
+					t.Fatalf("accepted triple %d (%d,%d) with key %#x: seed at %d, %d in reads of %d and %d bases", i, r, c, key, pu, pv, len(reads[r]), len(reads[c]))
+				}
 			}
 		}
 	})

@@ -21,7 +21,7 @@ import (
 // stages table's.
 const (
 	StageFastaReader   = "FastaReader"   // grid + distributed read store
-	StageCountKmer     = "CountKmer"     // reliable k-mer selection, A-matrix triples
+	StageCountKmer     = "CountKmer"     // reliable k-mer selection, each rank's columns of A
 	StageDetectOverlap = "DetectOverlap" // C = A·Aᵀ candidate pairs
 	StageAlignment     = "Alignment"     // per-pair extension, pruning, overlap matrix R
 	StageTrReduction   = "TrReduction"   // string graph + bidirected transitive reduction

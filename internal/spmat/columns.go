@@ -72,11 +72,13 @@ func (a Columns[T]) Triples() []Triple[T] {
 	return ts
 }
 
-// check reports the first thing about the block that is not a split panel
+// Check reports the first thing about the block that is not a split panel
 // of its columns over rows [0, nr): run bounds that do not open at 0, go
 // backwards or end off the entries, a mid outside its run, or a sub-run whose
-// rows do not strictly ascend inside [0, nr) with its parity.
-func (a Columns[T]) check(nr int32) error {
+// rows do not strictly ascend inside [0, nr) with its parity. ColumnProduct
+// runs it on every block it multiplies, and a checkpoint loader on every
+// block it restores; it never panics, whatever the block holds.
+func (a Columns[T]) Check(nr int32) error {
 	n := int(a.Hi - a.Lo)
 	if n < 0 || len(a.Starts) != n+1 || len(a.Mid) != n || len(a.Vals) != len(a.Rows) {
 		return fmt.Errorf("columns [%d,%d) with %d run bounds, %d mids, %d rows and %d values", a.Lo, a.Hi, len(a.Starts), len(a.Mid), len(a.Rows), len(a.Vals))
@@ -88,6 +90,9 @@ func (a Columns[T]) check(nr int32) error {
 		lo, mid, hi := a.Starts[c], a.Mid[c], a.Starts[c+1]
 		if lo > mid || mid > hi {
 			return fmt.Errorf("column %d splits at %d outside its run [%d,%d)", a.Lo+int32(c), mid, lo, hi)
+		}
+		if int(hi) > len(a.Rows) {
+			return fmt.Errorf("column %d's run [%d,%d) ends past the %d entries", a.Lo+int32(c), lo, hi, len(a.Rows))
 		}
 		if err := checkRun(a.Rows[lo:mid], a.Lo+int32(c), 0, 0, nr); err != nil {
 			return err
@@ -116,7 +121,7 @@ func (a Columns[T]) check(nr int32) error {
 // per entry of the block, are published as spmat.spgemm_products and
 // spmat.fold_calls. a is never touched.
 func ColumnProduct[T, C any](c *mpi.Comm, nr int32, a Columns[T], sr Semiring[T, T, C], products *int64) []Triple[C] {
-	if err := a.check(nr); err != nil {
+	if err := a.Check(nr); err != nil {
 		panic(fmt.Sprintf("spmat: ColumnProduct block of rank %d: %v", c.Rank(), err))
 	}
 	ap := panel[T]{cols: make([]int32, a.Hi-a.Lo), starts: a.Starts, mid: a.Mid, rows: a.Rows, vals: a.Vals}

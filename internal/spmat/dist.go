@@ -358,6 +358,13 @@ type Mask struct {
 // diagonal is dropped.
 func Checkerboard() Mask { return Mask{checkerboard: true} }
 
+// CheckerboardKeeps reports whether the Checkerboard mask keeps cell (row,
+// col): off the diagonal, with row < col when the two have equal parity and
+// row > col when they differ.
+func CheckerboardKeeps(row, col int32) bool {
+	return row != col && ((row^col)&1 == 0) == (row < col)
+}
+
 // SpGEMMCounted computes A ⊗ B with the SUMMA algorithm (collective; see
 // summa): each rank scatters its A block — under the Checkerboard mask split
 // by row parity — and its B block into the panel frames it broadcasts, after

@@ -838,3 +838,20 @@ func TestSpGEMMRefusesUnsortedPanelRows(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckerboardKeepsIsTheMask: the cell predicate is the rule the
+// Checkerboard mask documents, and keeps exactly one direction of every
+// off-diagonal pair.
+func TestCheckerboardKeepsIsTheMask(t *testing.T) {
+	for r := int32(0); r < 64; r++ {
+		for c := int32(0); c < 64; c++ {
+			want := r != c && ((r+c)%2 == 0) == (r < c)
+			if got := CheckerboardKeeps(r, c); got != want {
+				t.Fatalf("CheckerboardKeeps(%d, %d) = %v, want %v", r, c, got, want)
+			}
+			if r != c && CheckerboardKeeps(r, c) == CheckerboardKeeps(c, r) {
+				t.Fatalf("cells (%d,%d) and (%d,%d) are both kept or both masked", r, c, c, r)
+			}
+		}
+	}
+}

@@ -423,6 +423,11 @@ func TestColumnProductMatchesSpGEMMCounted(t *testing.T) {
 				if err := CheckColMajor(partial, 0, sh.nr, 0, sh.nr); err != nil {
 					panic(fmt.Sprintf("rank %d: partial: %v", c.Rank(), err))
 				}
+				for _, t := range partial {
+					if !CheckerboardKeeps(t.Row, t.Col) {
+						panic(fmt.Sprintf("rank %d: partial holds cell (%d,%d), which the checkerboard masks", c.Rank(), t.Row, t.Col))
+					}
+				}
 				cg := NewDist(g, sh.nr, sh.nr, partial, plusTimes.Add)
 				a := FromGlobalTriples(g, sh.nr, sh.nc, all, nil)
 				at := FromGlobalTriples(g, sh.nc, sh.nr, slices.Clone(allT), nil)
@@ -441,10 +446,11 @@ func TestColumnProductMatchesSpGEMMCounted(t *testing.T) {
 		}
 	}
 	for name, bad := range map[string]Columns[int64]{
-		"descending rows":             {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{2}, Rows: []int32{2, 0}, Vals: []int64{1, 1}},
-		"odd row in the even sub-run": {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{2}, Rows: []int32{0, 1}, Vals: []int64{1, 1}},
-		"row past the matrix":         {Lo: 0, Hi: 1, Starts: []int32{0, 1}, Mid: []int32{0}, Rows: []int32{3}, Vals: []int64{1}},
-		"run past the entries":        {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{1}, Rows: []int32{0}, Vals: []int64{1}},
+		"descending rows":              {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{2}, Rows: []int32{2, 0}, Vals: []int64{1, 1}},
+		"odd row in the even sub-run":  {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{2}, Rows: []int32{0, 1}, Vals: []int64{1, 1}},
+		"row past the matrix":          {Lo: 0, Hi: 1, Starts: []int32{0, 1}, Mid: []int32{0}, Rows: []int32{3}, Vals: []int64{1}},
+		"run past the entries":         {Lo: 0, Hi: 1, Starts: []int32{0, 2}, Mid: []int32{1}, Rows: []int32{0}, Vals: []int64{1}},
+		"inner bound past the entries": {Lo: 0, Hi: 2, Starts: []int32{0, 5, 1}, Mid: []int32{0, 1}, Rows: []int32{0}, Vals: []int64{1}},
 	} {
 		err := mpi.Run(1, func(c *mpi.Comm) { ColumnProduct(c, 3, bad, plusTimes, nil) })
 		if err == nil || !strings.Contains(err.Error(), "ColumnProduct block of rank 0") {
