@@ -68,8 +68,9 @@ func runManifestMode(curPath, basePath, pairPath string, restarts int, asserts s
 // and contig totals, the supervised restart count, cache_hit (1 when the
 // daemon's artifact cache satisfied the run's alignment), and the run's own
 // performed work from its metric snapshot — align_cells is 0 for a cache
-// hit, because the resumed run never aligned (absent metrics read as 0 for
-// exactly that reason).
+// hit, because a record's metrics cover only the stages its run executed
+// (obs.Manifest) and the resumed run never aligned (absent metrics read as 0
+// for exactly that reason).
 func manifestMetrics(m *obs.Manifest) map[string]float64 {
 	out := map[string]float64{
 		"comm_bytes": float64(m.Comm.Bytes),

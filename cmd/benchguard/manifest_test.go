@@ -8,7 +8,7 @@ import (
 )
 
 func sampleManifest() *obs.Manifest {
-	return &obs.Manifest{
+	m := &obs.Manifest{
 		Schema:  obs.ManifestSchema,
 		P:       4,
 		Threads: 2,
@@ -20,6 +20,13 @@ func sampleManifest() *obs.Manifest {
 		Comm:    obs.CommTotals{Bytes: 100, Msgs: 10},
 		Contigs: obs.ContigSummary{Count: 3, TotalBases: 3000, Checksum: "sha256:abc"},
 	}
+	// Every run records one metric snapshot per rank and their merge.
+	m.PerRank = make([][]obs.Metric, m.P)
+	for r := range m.PerRank {
+		m.PerRank[r] = []obs.Metric{{Name: "align.pairs", Kind: obs.KindCounter, Value: int64(r + 1)}}
+	}
+	m.Metrics = obs.Merge(m.PerRank...)
+	return m
 }
 
 func TestVerifyManifestInternalInvariants(t *testing.T) {

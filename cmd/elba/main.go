@@ -269,17 +269,14 @@ func main() {
 		restarts = n
 	}
 
-	// Observability handles are allocated before Plan so validation sees them;
-	// both are result-neutral (contigs and traffic counters are identical
-	// with tracing on or off). Every process keeps metrics: in a -join world
-	// each rank's snapshot reaches rank 0's manifest only if its own process
-	// collects one, and only rank 0 need be given -manifest.
+	// The trace is allocated before Plan so validation sees it; it is
+	// result-neutral (contigs and traffic counters are identical with
+	// tracing on or off).
 	var traceRec *elba.Trace
 	if *traceOut != "" {
 		traceRec = elba.NewTrace(opt.P)
 		opt.Trace = traceRec
 	}
-	opt.Metrics = elba.NewMetricSet(opt.P)
 
 	var observers []elba.Observer
 	if *progress {
@@ -413,7 +410,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote trace to %s\n", *traceOut)
 	}
 	if *manifestOut != "" {
-		man := result.Manifest(opt)
+		man := result.Manifest()
 		man.Restarts = restarts
 		if werr := man.WriteFile(*manifestOut); werr != nil {
 			log.Fatal(werr)

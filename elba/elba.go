@@ -71,16 +71,16 @@
 // per-stage restart point, and FailedRank recovers the attribution from the
 // returned error.
 //
-// Observability is opt-in and result-neutral: Options.Trace (NewTrace)
+// Observability is result-neutral: Options.Trace (NewTrace), opt-in,
 // records per-rank event spans (stage bodies, pool chunks, mpi
 // sends/receives/waits) for Perfetto (`elba -traceout run.json`, then load
-// run.json in ui.perfetto.dev); Options.Metrics (NewMetricSet) collects
-// typed counters/gauges/histograms per rank; an Observer passed to Plan
-// streams per-stage progress; and Output.Manifest builds the machine-readable
+// run.json in ui.perfetto.dev); every run collects typed
+// counters/gauges/histograms per rank; an Observer passed to Plan streams
+// per-stage progress; and Output.Manifest builds the machine-readable
 // RUN.json run record (options, per-stage comm breakdown with the
 // overlap/exposed split, contig checksum, every rank's metric snapshot and
-// their merge) that benchguard -manifest verifies. Contigs and byte/message counters are bit-identical with
-// observability on or off.
+// their merge) that benchguard -manifest verifies. Contigs and byte/message
+// counters are bit-identical with tracing on or off.
 package elba
 
 import (
@@ -206,19 +206,12 @@ func StageNames() []string { return pipeline.StageNames() }
 // write it with Trace.WriteFile after the run.
 type Trace = obs.Trace
 
-// MetricSet collects per-rank typed metrics (Options.Metrics); the run
-// manifest records each rank's snapshot and their merge.
-type MetricSet = obs.MetricSet
-
 // Manifest is the machine-readable run record (RUN.json), built by
-// Output.Manifest(opt); obs-level Verify checks its internal invariants.
+// Output.Manifest; obs-level Verify checks its internal invariants.
 type Manifest = obs.Manifest
 
 // NewTrace allocates one event lane per rank (pass at least the rank count).
 func NewTrace(ranks int) *Trace { return obs.NewTrace(ranks) }
-
-// NewMetricSet allocates one metric registry per rank.
-func NewMetricSet(ranks int) *MetricSet { return obs.NewMetricSet(ranks) }
 
 // QualityReport holds the Table 4 metrics (completeness, longest contig,
 // contig count, misassemblies) plus N50 and coverage uniformity.

@@ -1,8 +1,9 @@
 package mpi
 
 // Observability wiring. A world can carry an optional obs.Trace (per-rank
-// event lanes) and obs.MetricSet (per-rank registries); when absent, every
-// hook below compiles down to a nil check on the hot path. SetObs must be
+// event lanes) and obs.MetricSet (per-rank registries; the pipeline engine
+// binds one to every world it builds); when absent, every hook below
+// compiles down to a nil check on the hot path. SetObs must be
 // called before any rank goroutine starts (typically right after NewWorld) —
 // the handles are cached per world rank and read without synchronization.
 

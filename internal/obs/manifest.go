@@ -50,8 +50,18 @@ type ContigSummary struct {
 // Manifest is the machine-readable record of one assembly run (RUN.json).
 // Options carries the full option set the run used (serialized as-is);
 // PerRank holds each rank's metric snapshot, in rank order, and Metrics
-// their deterministic cross-rank merge — both present only when the run
-// collected metrics.
+// their deterministic cross-rank merge. Every run collects them.
+//
+// The two halves cover different spans of a resumed run. Stages and Comm
+// cover the whole run, stages restored from a checkpoint or snapshot
+// included: their rows travel with the artifacts. PerRank and Metrics cover
+// the stages this run executed on its world: after a checkpoint load,
+// FastaReader (which the load runs again to rebuild the grid and the read
+// store) and the stages after the checkpoint. A run resumed after
+// DetectOverlap records no kmer.* or overlap.* metric, its
+// spmat.spgemm_products omits DetectOverlap's products, and its
+// mpi.msg_bytes count and sum are the traffic of the executed stages' rows,
+// not Comm.
 type Manifest struct {
 	Schema  string        `json:"schema"`
 	Options any           `json:"options"`
@@ -61,8 +71,8 @@ type Manifest struct {
 	Stages  []StageStats  `json:"stages"`
 	Comm    CommTotals    `json:"comm"` // the sums of the top-level Stages rows
 	Contigs ContigSummary `json:"contigs"`
-	Metrics []Metric      `json:"metrics,omitempty"`
-	PerRank [][]Metric    `json:"per_rank,omitempty"`
+	Metrics []Metric      `json:"metrics"`
+	PerRank [][]Metric    `json:"per_rank"`
 	// Restarts counts how many times the supervised proc launcher relaunched
 	// the worker group before this run completed (0 for an undisturbed run).
 	// Like wall time it is never part of baseline comparison — a recovered
@@ -96,9 +106,8 @@ func ChecksumSeqs(seqs [][]byte) string {
 // counters, the per-stage comm_overlap + comm_exposed == comm_total
 // identities, the run totals equal to the sums of the top-level stage rows
 // (names without ':'; sub-stages nest inside them), a present checksum
-// whenever contigs exist, and — when per-rank snapshots are recorded — one
-// per rank whose merge is the recorded Metrics, so a record missing a rank's
-// metrics fails.
+// whenever contigs exist, and one per-rank snapshot per rank whose merge is
+// the recorded Metrics, so a record missing a rank's metrics fails.
 func (m *Manifest) Verify() []string {
 	var bad []string
 	if m.Schema != ManifestSchema {
@@ -140,13 +149,11 @@ func (m *Manifest) Verify() []string {
 	if m.Contigs.Count < 0 || m.Contigs.TotalBases < 0 {
 		bad = append(bad, "negative contig summary")
 	}
-	if m.PerRank != nil {
-		if len(m.PerRank) != m.P {
-			bad = append(bad, fmt.Sprintf("per_rank has %d snapshots, want p = %d", len(m.PerRank), m.P))
-		}
-		if !slices.EqualFunc(Merge(m.PerRank...), m.Metrics, sameMetric) {
-			bad = append(bad, "metrics are not the merge of the per_rank snapshots")
-		}
+	if len(m.PerRank) != m.P {
+		bad = append(bad, fmt.Sprintf("per_rank has %d snapshots, want p = %d", len(m.PerRank), m.P))
+	}
+	if !slices.EqualFunc(Merge(m.PerRank...), m.Metrics, sameMetric) {
+		bad = append(bad, "metrics are not the merge of the per_rank snapshots")
 	}
 	return bad
 }

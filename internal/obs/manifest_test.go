@@ -8,7 +8,7 @@ import (
 )
 
 func validManifest() *Manifest {
-	return &Manifest{
+	return withPerRank(&Manifest{
 		Schema:  ManifestSchema,
 		P:       4,
 		Threads: 2,
@@ -19,7 +19,7 @@ func validManifest() *Manifest {
 		},
 		Comm:    CommTotals{Bytes: 800, Msgs: 4},
 		Contigs: ContigSummary{Count: 2, TotalBases: 99, Checksum: ChecksumSeqs([][]byte{[]byte("ACGT")})},
-	}
+	})
 }
 
 func TestChecksumSeqs(t *testing.T) {
@@ -81,11 +81,14 @@ func TestManifestVerify(t *testing.T) {
 		t.Fatalf("missing checksum not caught: %v", bad)
 	}
 	// Per-rank snapshots: one per rank, merging to the recorded metrics. A
-	// record missing a rank is caught however its metrics were merged.
-	m = withPerRank(validManifest())
-	if bad := m.Verify(); len(bad) != 0 {
-		t.Fatalf("valid per-rank manifest rejected: %v", bad)
+	// record without them, or missing a rank, is caught however its metrics
+	// were merged.
+	m = validManifest()
+	m.PerRank, m.Metrics = nil, nil
+	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "per_rank has 0 snapshots") {
+		t.Fatalf("record without per-rank snapshots not caught: %v", bad)
 	}
+	m = validManifest()
 	m.PerRank = m.PerRank[:3]
 	if bad := m.Verify(); len(bad) != 2 || !strings.Contains(bad[0], "per_rank has 3 snapshots") {
 		t.Fatalf("missing rank not caught: %v", bad)
@@ -94,7 +97,7 @@ func TestManifestVerify(t *testing.T) {
 	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "per_rank has 3 snapshots") {
 		t.Fatalf("missing rank with matching merge not caught: %v", bad)
 	}
-	m = withPerRank(validManifest())
+	m = validManifest()
 	m.PerRank[2][0].Value++
 	if bad := m.Verify(); len(bad) != 1 || !strings.Contains(bad[0], "not the merge") {
 		t.Fatalf("merge mismatch not caught: %v", bad)
@@ -117,7 +120,7 @@ func withPerRank(m *Manifest) *Manifest {
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	m := withPerRank(validManifest())
+	m := validManifest()
 	m.PerRank[0] = append(m.PerRank[0], Metric{Name: "align.cells", Kind: KindHistogram, Count: 3, Sum: 42})
 	m.Metrics = Merge(m.PerRank...)
 	var buf bytes.Buffer

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -163,14 +165,23 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// Handles are cut from blocks of handleBlock, so registering a rank's
+	// metrics costs a few allocations rather than one each.
+	counterBlock []Counter
+	gaugeBlock   []Gauge
+	histBlock    []Histogram
 }
 
-// NewRegistry creates an empty registry.
+const handleBlock = 8
+
+// NewRegistry creates an empty registry, its maps sized for one rank of an
+// assembly run so registering its metrics never grows them.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
+		counters: make(map[string]*Counter, 32),
+		gauges:   make(map[string]*Gauge, 8),
+		hists:    make(map[string]*Histogram, 8),
 	}
 }
 
@@ -179,14 +190,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return handle(&r.mu, r.counters, &r.counterBlock, name)
 }
 
 // Gauge returns (creating if needed) the named gauge. Nil registry: nil.
@@ -194,14 +198,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return handle(&r.mu, r.gauges, &r.gaugeBlock, name)
 }
 
 // Histogram returns (creating if needed) the named histogram. Nil registry:
@@ -210,12 +207,21 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
+	return handle(&r.mu, r.hists, &r.histBlock, name)
+}
+
+// handle returns the handle byName holds under name, cutting a new one from
+// block (refilled handleBlock at a time) on first use.
+func handle[T any](mu *sync.Mutex, byName map[string]*T, block *[]T, name string) *T {
+	mu.Lock()
+	defer mu.Unlock()
+	h, ok := byName[name]
 	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+		if len(*block) == 0 {
+			*block = make([]T, handleBlock)
+		}
+		h, *block = &(*block)[0], (*block)[1:]
+		byName[name] = h
 	}
 	return h
 }
@@ -240,14 +246,19 @@ func (r *Registry) Snapshot() []Metric {
 		if m.Count > 0 {
 			m.Min = h.min.Load()
 		}
+		var buf [histBuckets]Bucket // one allocation for the buckets, below
+		b := buf[:0]
 		for i := 0; i < histBuckets; i++ {
 			if n := h.buckets[i].Load(); n > 0 {
-				m.Buckets = append(m.Buckets, Bucket{Hi: bucketHi(i), N: n})
+				b = append(b, Bucket{Hi: bucketHi(i), N: n})
 			}
+		}
+		if len(b) > 0 {
+			m.Buckets = slices.Clone(b)
 		}
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Metric) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -326,9 +337,10 @@ func mergeBuckets(a, b []Bucket) []Bucket {
 }
 
 // MetricSet is the per-rank registry collection an assembly run reports
-// into: one Registry per simulated rank, recorded per rank and merged
-// deterministically in the run manifest. In a multi-process run each process
-// populates only its own rank's registry; after every stage it absorbs the
+// into: one Registry per rank, recorded per rank and merged
+// deterministically in the run manifest. The pipeline engine creates one per
+// run and binds it to the run's world. In a multi-process run each process
+// populates only its own ranks' registries; after every stage it absorbs the
 // others' snapshots — all-gathered over the engine's control communicator —
 // with SetSnapshot, so Snapshots covers the whole world without a shared
 // filesystem.
@@ -353,30 +365,17 @@ func NewMetricSet(ranks int) *MetricSet {
 	return s
 }
 
-// Ranks returns the number of per-rank registries. Nil set: 0.
-func (s *MetricSet) Ranks() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.regs)
-}
+// Ranks returns the number of per-rank registries.
+func (s *MetricSet) Ranks() int { return len(s.regs) }
 
-// Rank returns rank i's registry. Nil set: nil (nil-safe handles follow).
-func (s *MetricSet) Rank(i int) *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.regs[i]
-}
+// Rank returns rank i's registry.
+func (s *MetricSet) Rank(i int) *Registry { return s.regs[i] }
 
 // SetSnapshot installs a fixed snapshot for rank i, overriding its live
 // registry in Snapshots. A distributed run calls it on every process with
 // the snapshots gathered from the others; installing nil reverts rank i to
-// its live registry. Nil set: no-op.
+// its live registry.
 func (s *MetricSet) SetSnapshot(i int, snap []Metric) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.imported == nil {
@@ -387,11 +386,8 @@ func (s *MetricSet) SetSnapshot(i int, snap []Metric) {
 
 // Snapshots returns every rank's effective snapshot, in rank order — the
 // imported one where installed, the live registry's otherwise: the one view
-// the run manifest records per rank and merges. Nil set: nil.
+// the run manifest records per rank and merges.
 func (s *MetricSet) Snapshots() [][]Metric {
-	if s == nil {
-		return nil
-	}
 	snaps := make([][]Metric, len(s.regs))
 	s.mu.Lock()
 	copy(snaps, s.imported)

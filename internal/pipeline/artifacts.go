@@ -68,6 +68,11 @@ type Artifacts struct {
 	// the pipeline reports. Shared by forks, like the world.
 	ctl []*mpi.Comm
 
+	// metrics is the run's metric set, one registry per rank, bound to the
+	// world with the trace. Shared by forks, like the world, so a fork's
+	// snapshot holds every stage executed on the world, its siblings' too.
+	metrics *obs.MetricSet
+
 	// sum is the cross-rank fold of every rank's Timers, replaced after each
 	// stage, never mutated; observers and Output read it.
 	// Chain-local like the Timers it folds, so a fork reports what a
@@ -85,9 +90,10 @@ type Artifacts struct {
 }
 
 // newArtifacts prepares the bag for a fresh run: a new world (built per
-// Options.Transport), one RankState per rank holding its persistent
-// communicator and, in a multi-process world, its ranks' agreement that
-// they run one job (agreeOnJob); a world that disagrees is closed.
+// Options.Transport) with the run's metric set bound to it, one RankState
+// per rank holding its persistent communicator and, in a multi-process
+// world, its ranks' agreement that they run one job (agreeOnJob); a world
+// that disagrees is closed.
 func newArtifacts(ctx context.Context, opt Options, reads [][]byte) (*Artifacts, error) {
 	w, err := opt.newWorld()
 	if err != nil {
@@ -95,15 +101,17 @@ func newArtifacts(ctx context.Context, opt Options, reads [][]byte) (*Artifacts,
 	}
 	// Observability attaches to the world before any rank starts; forks share
 	// the world and therefore the same trace lanes and metric registries.
-	w.SetObs(opt.Trace, opt.Metrics)
+	metrics := obs.NewMetricSet(opt.P)
+	w.SetObs(opt.Trace, metrics)
 	a := &Artifacts{
-		Opt:   opt,
-		World: w,
-		Reads: reads,
-		Ranks: make([]*RankState, opt.P),
-		ctl:   make([]*mpi.Comm, opt.P),
-		sum:   trace.Aggregate(nil),
-		exec:  &sync.Mutex{},
+		Opt:     opt,
+		World:   w,
+		Reads:   reads,
+		Ranks:   make([]*RankState, opt.P),
+		ctl:     make([]*mpi.Comm, opt.P),
+		metrics: metrics,
+		sum:     trace.Aggregate(nil),
+		exec:    &sync.Mutex{},
 	}
 	for r := range a.Ranks {
 		a.Ranks[r] = &RankState{Comm: w.Comm(r), Timers: trace.New()}
@@ -168,10 +176,10 @@ func (a *Artifacts) agreeOnJob(ctx context.Context) error {
 }
 
 // report is what one rank tells every other process after a stage: its
-// stage rows and, when its process keeps metrics, its metric snapshot. A
-// multi-process world all-gathers it once per stage on the uncounted control
-// plane; in-process every rank's Timers and registry are already in this
-// address space and nothing is gathered.
+// stage rows and its metric snapshot. A multi-process world all-gathers it
+// once per stage on the uncounted control plane; in-process every rank's
+// Timers and registry are already in this address space and nothing is
+// gathered.
 type report struct {
 	Rows    []trace.Record
 	Metrics []obs.Metric
@@ -179,16 +187,14 @@ type report struct {
 
 // share is a rank body's last step. In a multi-process world it all-gathers
 // the rank's report on the control plane (doubling as the cross-process
-// barrier) for fold. Every process joins, whether or not it keeps metrics:
-// in a -join job every process has its own command line, and a sequence
-// conditional on a local flag would deadlock the world.
+// barrier) for fold.
 func (a *Artifacts) share(rank int, shared *atomic.Pointer[[]report]) {
 	if !a.World.Distributed() {
 		return
 	}
 	all := mpi.Allgather(a.ctl[rank], report{
 		Rows:    a.Ranks[rank].Timers.Records(),
-		Metrics: a.Opt.Metrics.Rank(rank).Snapshot(),
+		Metrics: a.metrics.Rank(rank).Snapshot(),
 	})
 	shared.Store(&all)
 }
@@ -197,9 +203,8 @@ func (a *Artifacts) share(rank int, shared *atomic.Pointer[[]report]) {
 // rank's Timers is in this address space; a multi-process world passes the
 // reports its ranks all-gathered in share instead, since this process holds
 // only its own ranks' Timers and registries. Every other process's metric
-// snapshot replaces that rank's registry here (a process without metrics
-// sent none, which leaves the rank empty), so this process's metrics cover
-// the world after every stage, as its rows do.
+// snapshot replaces that rank's registry here, so this process's metrics
+// cover the world after every stage, as its rows do.
 func (a *Artifacts) fold(shared *[]report) {
 	ts := make([]*trace.Timers, 0, len(a.Ranks))
 	if shared != nil {
@@ -207,7 +212,7 @@ func (a *Artifacts) fold(shared *[]report) {
 		for r, rep := range *shared {
 			ts = append(ts, trace.FromRecords(rep.Rows))
 			if !slices.Contains(local, r) {
-				a.Opt.Metrics.SetSnapshot(r, rep.Metrics)
+				a.metrics.SetSnapshot(r, rep.Metrics)
 			}
 		}
 	} else {
@@ -221,7 +226,9 @@ func (a *Artifacts) fold(shared *[]report) {
 // Output returns the assembly result. It is available only once the final
 // stage (ExtractContig) has completed; partial artifacts return an error
 // naming the stage they stopped at. The run's traffic totals are the sums of
-// its top-level stage rows.
+// its top-level stage rows; the output also keeps every rank's metric
+// snapshot, taken now, and the options the last engine ran under, for its
+// Manifest.
 func (a *Artifacts) Output() (*Output, error) {
 	if a.Stage() != StageExtractContig {
 		return nil, fmt.Errorf("pipeline: artifacts stop after stage %q; resume through %q for contigs",
@@ -229,7 +236,7 @@ func (a *Artifacts) Output() (*Output, error) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := &Output{Contigs: a.contigs, Stats: a.stats}
+	out := &Output{Contigs: a.contigs, Stats: a.stats, opt: a.Opt, perRank: a.metrics.Snapshots()}
 	st := &out.Stats
 	st.Timers, st.WallTime = a.sum, a.wall
 	for _, phase := range AlignmentPhases {
@@ -254,18 +261,19 @@ func (a *Artifacts) storeOutput(contigs []core.Contig, stats Stats) {
 // fork snapshots the bag for an independent continuation: per-rank states
 // are copied, timers deep-copied, and the accumulating overlap result
 // copied by value, so stages run on the fork never touch the original.
-// World, reads and the execution lock are shared.
+// World, reads, metric set and the execution lock are shared.
 func (a *Artifacts) fork(opt Options) *Artifacts {
 	f := &Artifacts{
-		Opt:   opt,
-		World: a.World,
-		Reads: a.Reads,
-		Ranks: make([]*RankState, len(a.Ranks)),
-		done:  a.done,
-		ctl:   a.ctl,
-		sum:   a.sum,
-		wall:  a.wall,
-		exec:  a.exec,
+		Opt:     opt,
+		World:   a.World,
+		Reads:   a.Reads,
+		Ranks:   make([]*RankState, len(a.Ranks)),
+		done:    a.done,
+		ctl:     a.ctl,
+		metrics: a.metrics,
+		sum:     a.sum,
+		wall:    a.wall,
+		exec:    a.exec,
 	}
 	for i, rs := range a.Ranks {
 		cp := *rs

@@ -106,7 +106,7 @@ type CheckpointManifest struct {
 // resume point (the TR-parameter sweep); and the serve-layer artifact cache
 // keys entries by (reads checksum, prefix through the cached stage) so sweep
 // jobs reuse one alignment. Plumbing and observability knobs (Threads,
-// Async, Transport, Trace, Metrics, the checkpoint settings themselves) never
+// Async, Transport, Trace, the checkpoint settings themselves) never
 // enter any prefix: they are result-invariant by the pipeline's standing
 // equivalences. Unknown stage names panic — callers pass stage constants or
 // names validated against StageNames.
@@ -221,6 +221,17 @@ func (a *Artifacts) rankCheckpoint(rank int) ckptRank {
 		ck.TRProducts = rs.TRStats.Products
 	}
 	return ck
+}
+
+// replicatedNames names the values every rank's file carries a copy of,
+// which LoadCheckpoint requires the ranks to agree on: the k-mer column count
+// sizes A on every rank, and the overlap counters are what a resumed run
+// reports.
+var replicatedNames = [...]string{"k-mer columns", "k-mers", "candidate pairs", "kept overlaps", "contained reads"}
+
+// replicated returns the file's copies of the replicatedNames values.
+func (ck *ckptRank) replicated() [len(replicatedNames)]int64 {
+	return [...]int64{int64(ck.KmerNumCols), ck.OvNumKmers, ck.OvCandPairs, ck.OvKeptOverlaps, int64(len(ck.OvContained))}
 }
 
 // installRank writes a decoded checkpoint into rs. The caller has already
@@ -464,30 +475,34 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 			errs = append(errs, err)
 			mu.Unlock()
 		}
-		flag := []int64{0, 0, 0} // failed, k-mer column count, its negation
+		// flag is failed, then each replicated value and its negation.
+		flag := make([]int64, 1+2*len(replicatedNames))
 		if err != nil {
 			fail(err)
 			flag[0] = 1
-		} else if ck.HasKmers {
-			flag[1], flag[2] = int64(ck.KmerNumCols), -int64(ck.KmerNumCols)
+		} else {
+			for i, v := range ck.replicated() {
+				flag[1+2*i], flag[2+2*i] = v, -v
+			}
 		}
 		// Phase 1 barrier: every rank — including ones whose file is bad —
 		// joins this agreement, so a corrupt checkpoint can fail the load
-		// without wedging a collective. It also takes the k-mer column
-		// count's maximum and minimum, which must be equal: the count sizes
-		// A on every rank. Phase 2 communicates only when all ranks decoded
-		// cleanly and agree.
+		// without wedging a collective. It also takes each replicated value's
+		// maximum and minimum, which must be equal. Phase 2 communicates only
+		// when all ranks decoded cleanly and agree.
 		agreed := mpi.AllreduceSlice(a.ctl[rank], flag, func(x, y int64) int64 { return max(x, y) })
 		if agreed[0] > 0 {
 			peerFail.Store(true)
 			return
 		}
-		if hi, lo := agreed[1], -agreed[2]; hi != lo {
-			if flag[1] != hi {
-				fail(fmt.Errorf("pipeline: checkpoint rank %d: %s counts %d k-mer columns, another rank's file %d", rank, path, flag[1], hi))
+		for i, name := range replicatedNames {
+			if hi, lo, mine := agreed[1+2*i], -agreed[2+2*i], flag[1+2*i]; hi != lo {
+				if mine != hi {
+					fail(fmt.Errorf("pipeline: checkpoint rank %d: %s counts %d %s, another rank's file %d", rank, path, mine, name, hi))
+				}
+				peerFail.Store(true)
+				return
 			}
-			peerFail.Store(true)
-			return
 		}
 		rs := a.Ranks[rank]
 		stages[0].run(e.opt, a, rs) // FastaReader: the grid and the read store
@@ -537,10 +552,13 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 //     inside both reads (overlap.Seeds.Check, checkCands);
 //   - each value of R is a dovetail alignment of its cell's two reads, and
 //     each value of the string graph an edge those reads can give (checkAlns,
-//     checkEdges), so no value panics inside a later collective.
+//     checkEdges), so no value panics inside a later collective;
+//   - the run counters installRank copies into the Stats a resumed run
+//     reports are ones a run can have (checkCounters).
 //
-// That the ranks agree on the column count is LoadCheckpoint's check. Every
-// failure names the rank and the file.
+// That the ranks agree on the values they each carry a copy of (the column
+// count and the overlap counters) is LoadCheckpoint's check. Every failure
+// names the rank and the file.
 func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Options, reads [][]byte) (*ckptRank, error) {
 	frame, err := os.ReadFile(path)
 	if err != nil {
@@ -574,6 +592,9 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 		ck.HasCands != (ck.Stage == StageDetectOverlap) || ck.HasR != (ck.Stage == StageAlignment) ||
 		ck.HasSG != (ck.Stage == StageTrReduction) {
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s carries a payload other than stage %q's", rank, path, ck.Stage)
+	}
+	if err := checkCounters(&ck, len(reads)); err != nil {
+		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: %w", rank, path, err)
 	}
 	if ck.HasKmers {
 		if int(ck.KmerK) != opt.K {
@@ -622,6 +643,32 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: stage %q's matrix block holds a value its reads cannot have: %w", rank, path, ck.Stage, err)
 	}
 	return &ck, nil
+}
+
+// checkCounters reports a run counter of ck that no run over n reads can
+// have: a negative one, a read count other than n, contained reads that do
+// not strictly ascend inside [0, n), or more kept overlaps than candidate
+// pairs.
+func checkCounters(ck *ckptRank, n int) error {
+	if min(ck.OvNumReads, ck.OvNumKmers, ck.OvCandPairs, ck.OvKeptOverlaps, ck.KmerOccurrences,
+		ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts) < 0 {
+		return fmt.Errorf("a run counter is negative (reads %d, k-mers %d, candidate pairs %d, kept overlaps %d, k-mer occurrences %d, TR iterations %d, edges removed %d, TR products %d)",
+			ck.OvNumReads, ck.OvNumKmers, ck.OvCandPairs, ck.OvKeptOverlaps, ck.KmerOccurrences, ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts)
+	}
+	if ck.HasOverlap && ck.OvNumReads != int64(n) {
+		return fmt.Errorf("counts %d reads, the read set has %d", ck.OvNumReads, n)
+	}
+	if ck.OvKeptOverlaps > ck.OvCandPairs {
+		return fmt.Errorf("keeps %d overlaps of %d candidate pairs", ck.OvKeptOverlaps, ck.OvCandPairs)
+	}
+	prev := int32(-1)
+	for i, r := range ck.OvContained {
+		if r <= prev || int(r) >= n {
+			return fmt.Errorf("contained read %d (entry %d) does not strictly ascend inside [0,%d)", r, i, n)
+		}
+		prev = r
+	}
+	return nil
 }
 
 // checkCands reports the first candidate of a restored block of C (whose

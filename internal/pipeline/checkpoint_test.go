@@ -566,7 +566,7 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		return dir, filepath.Join(dir, stage)
 	}
 	write := func(t *testing.T) (dir, stageDir string) { return writeThrough(t, StageCountKmer) }
-	refused := func(t *testing.T, dir string, frags ...string) {
+	refused := func(t *testing.T, dir string, frags ...string) error {
 		t.Helper()
 		eng, err := Plan(opt)
 		if err != nil {
@@ -582,6 +582,7 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 				t.Errorf("refusal lacks %q: %v", frag, err)
 			}
 		}
+		return err
 	}
 	for _, old := range []uint32{2, 3, 4, 5, 6} {
 		schema := fmt.Sprintf("elba/checkpoint/v%d", old)
@@ -649,7 +650,11 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteRankFile(t, stageDir, 2, func(ck *ckptRank) { edit(t, &ck.KmerCols, ck.KmerNumCols) })
-			refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "are not the rank's columns")
+			err := refused(t, dir, "rank 2", filepath.Join(stageDir, rankFile(2)), "are not the rank's columns")
+			// A restored block of A is no SUMMA panel, and its refusal says so.
+			if strings.Contains(err.Error(), "SUMMA") {
+				t.Errorf("refusal names a SUMMA panel: %v", err)
+			}
 		})
 	}
 	// The rest of the payload fails closed too: the column count, which sizes
@@ -672,6 +677,44 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir, stageDir := write(t)
+			rewriteRankFile(t, stageDir, 2, c.edit)
+			refused(t, dir, stageDir, c.want)
+		})
+	}
+	// So do the run counters a resumed run reports (installRank copies them
+	// into its Stats): a read count other than the read set's, a negative
+	// counter, contained reads that do not strictly ascend inside the read
+	// set, more kept overlaps than candidate pairs, or a replicated counter
+	// the ranks disagree on would otherwise load silently.
+	for _, c := range []struct {
+		stage, name string
+		edit        func(ck *ckptRank)
+		want        string
+	}{
+		{StageCountKmer, "another read count", func(ck *ckptRank) { ck.OvNumReads++ }, "reads, the read set has"},
+		{StageCountKmer, "negative k-mer count", func(ck *ckptRank) { ck.OvNumKmers = -1 }, "a run counter is negative"},
+		{StageCountKmer, "negative occurrences", func(ck *ckptRank) { ck.KmerOccurrences = -1 }, "a run counter is negative"},
+		{StageCountKmer, "kept overlaps past the candidates", func(ck *ckptRank) { ck.OvKeptOverlaps = ck.OvCandPairs + 1 }, "keeps 1 overlaps of 0 candidate pairs"},
+		{StageCountKmer, "ranks disagree on the k-mer count", func(ck *ckptRank) { ck.OvNumKmers++ }, "k-mers, another rank's file"},
+		{StageAlignment, "negative candidate count", func(ck *ckptRank) { ck.OvCandPairs = -1 }, "a run counter is negative"},
+		{StageAlignment, "negative kept overlaps", func(ck *ckptRank) { ck.OvKeptOverlaps = -1 }, "a run counter is negative"},
+		{StageAlignment, "contained reads out of order", func(ck *ckptRank) {
+			c := ck.OvContained
+			c[0], c[1] = c[1], c[0]
+		}, "does not strictly ascend"},
+		{StageAlignment, "contained read repeated", func(ck *ckptRank) { ck.OvContained[1] = ck.OvContained[0] }, "does not strictly ascend"},
+		{StageAlignment, "contained read past the set", func(ck *ckptRank) {
+			ck.OvContained = append(ck.OvContained, int32(len(reads)))
+		}, fmt.Sprintf("inside [0,%d)", len(reads))},
+		{StageAlignment, "ranks disagree on the candidate count", func(ck *ckptRank) { ck.OvCandPairs++ }, "candidate pairs, another rank's file"},
+		{StageAlignment, "ranks disagree on the kept overlaps", func(ck *ckptRank) { ck.OvKeptOverlaps-- }, "kept overlaps, another rank's file"},
+		{StageAlignment, "ranks disagree on the contained reads", func(ck *ckptRank) { ck.OvContained = ck.OvContained[1:] }, "contained reads, another rank's file"},
+		{StageTrReduction, "negative TR iterations", func(ck *ckptRank) { ck.TRIterations = -1 }, "a run counter is negative"},
+		{StageTrReduction, "negative edges removed", func(ck *ckptRank) { ck.TREdgesRemoved = -1 }, "a run counter is negative"},
+		{StageTrReduction, "negative TR products", func(ck *ckptRank) { ck.TRProducts = -1 }, "a run counter is negative"},
+	} {
+		t.Run(c.stage+"/counters/"+c.name, func(t *testing.T) {
+			dir, stageDir := writeThrough(t, c.stage)
 			rewriteRankFile(t, stageDir, 2, c.edit)
 			refused(t, dir, stageDir, c.want)
 		})
@@ -1016,6 +1059,15 @@ func fuzzRankFile(t *testing.T, path string, frame []byte, man *CheckpointManife
 	kmers, cands := man.Stage == StageCountKmer, man.Stage == StageDetectOverlap
 	if !ck.HasOverlap || ck.HasKmers != kmers || ck.HasCands != cands || ck.HasR || ck.HasSG {
 		t.Fatalf("accepted a %s file with payload flags overlap=%t kmers=%t cands=%t r=%t sg=%t", man.Stage, ck.HasOverlap, ck.HasKmers, ck.HasCands, ck.HasR, ck.HasSG)
+	}
+	counters := []int64{ck.OvNumKmers, ck.OvCandPairs, ck.OvKeptOverlaps, ck.KmerOccurrences, ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts}
+	if ck.OvNumReads != int64(len(reads)) || slices.Min(counters) < 0 || ck.OvKeptOverlaps > ck.OvCandPairs {
+		t.Fatalf("accepted a file counting %d of %d reads, counters %v", ck.OvNumReads, len(reads), counters)
+	}
+	for i, r := range ck.OvContained {
+		if r < 0 || int(r) >= len(reads) || i > 0 && r <= ck.OvContained[i-1] {
+			t.Fatalf("accepted contained reads %v", ck.OvContained)
+		}
 	}
 	return ck
 }

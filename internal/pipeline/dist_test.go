@@ -192,11 +192,10 @@ func TestDistributedRankFailure(t *testing.T) {
 	waitGoroutines(t, goroutines)
 }
 
-// TestDistributedMetricsCoverEveryRank runs a 4-process distributed job with
-// a metric set on every process and requires each process's merged counters
-// to equal an in-process run's, both after Alignment and after the full run:
-// every rank's snapshot reaches every process with its stage rows, after
-// every stage.
+// TestDistributedMetricsCoverEveryRank runs a 4-process distributed job and
+// requires each process's merged counters to equal an in-process run's, both
+// after Alignment and after the full run: every rank's snapshot reaches every
+// process with its stage rows, after every stage.
 func TestDistributedMetricsCoverEveryRank(t *testing.T) {
 	reads := testReads(8000, 631)
 	const p = 4
@@ -205,9 +204,9 @@ func TestDistributedMetricsCoverEveryRank(t *testing.T) {
 	base.XDrop = 25
 
 	type view map[string][2]int64 // counter value, or histogram count and sum
-	counters := func(ms *obs.MetricSet) view {
+	counters := func(snaps [][]obs.Metric) view {
 		v := view{}
-		for _, m := range obs.Merge(ms.Snapshots()...) {
+		for _, m := range obs.Merge(snaps...) {
 			switch m.Name {
 			case "align.pairs", "align.pairs_aligned", "kmer.occurrences", "spmat.spgemm_products":
 				v[m.Name] = [2]int64{m.Value}
@@ -220,8 +219,6 @@ func TestDistributedMetricsCoverEveryRank(t *testing.T) {
 	// run takes a process (or the whole in-process world) through Alignment
 	// and then to the end, returning its merged counters after each.
 	run := func(opt Options) ([2]view, error) {
-		ms := obs.NewMetricSet(p)
-		opt.Metrics = ms
 		eng, err := Plan(opt)
 		if err != nil {
 			return [2]view{}, err
@@ -231,11 +228,16 @@ func TestDistributedMetricsCoverEveryRank(t *testing.T) {
 			return [2]view{}, err
 		}
 		defer arts.Close()
-		atAlignment := counters(ms)
-		if _, err := eng.ResumeFrom(context.Background(), arts, StageExtractContig); err != nil {
+		atAlignment := counters(arts.metrics.Snapshots())
+		fin, err := eng.ResumeFrom(context.Background(), arts, StageExtractContig)
+		if err != nil {
 			return [2]view{}, err
 		}
-		return [2]view{atAlignment, counters(ms)}, nil
+		out, err := fin.Output()
+		if err != nil {
+			return [2]view{}, err
+		}
+		return [2]view{atAlignment, counters(out.Manifest().PerRank)}, nil
 	}
 
 	want, err := run(base)
@@ -270,9 +272,9 @@ func TestDistributedMetricsCoverEveryRank(t *testing.T) {
 }
 
 // TestDistributedReportsUnderMessageLimit: with mpi.MaxMessageBytes at 1 KiB
-// a 4-process job whose processes keep metrics assembles the in-process
-// run's contigs. Each stage's report all-gather — stage rows and a metric
-// snapshot, far over 1 KiB — is chunked like every other collective part.
+// a 4-process job assembles the in-process run's contigs. Each stage's
+// report all-gather — stage rows and a metric snapshot, far over 1 KiB — is
+// chunked like every other collective part.
 func TestDistributedReportsUnderMessageLimit(t *testing.T) {
 	reads := testReads(8000, 631)
 	const p = 4
@@ -293,9 +295,7 @@ func TestDistributedReportsUnderMessageLimit(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			opt := joinOptions(base, rdv, "127.0.0.1", r, nil)
-			opt.Metrics = obs.NewMetricSet(p)
-			outs[r], errs[r] = Run(reads, opt)
+			outs[r], errs[r] = Run(reads, joinOptions(base, rdv, "127.0.0.1", r, nil))
 		}(r)
 	}
 	wg.Wait()

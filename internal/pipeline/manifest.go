@@ -7,20 +7,19 @@ import (
 )
 
 // Manifest builds the machine-readable run record (RUN.json) from a
-// completed run's output and the options it ran under: the full option set,
+// completed run's output: the full option set its last engine ran under,
 // per-stage wall/work/traffic rows with the overlap/exposed split (the
 // recorded rows, in RowNames order), the run-wide communication totals, a
-// contig checksum that identifies the assembly bit-exactly, and — when the
-// run collected metrics — each rank's snapshot, taken once, with their
-// deterministic cross-rank merge. The
-// result satisfies obs.(*Manifest).Verify; benchguard's -manifest mode gates
-// on it.
-func (o *Output) Manifest(opt Options) *obs.Manifest {
-	// Observability handles are run plumbing, not algorithmic parameters:
-	// scrub them so the recorded options are plain data and two runs that
-	// differ only in tracing produce comparable manifests.
-	scrubbed := opt
-	scrubbed.Trace, scrubbed.Metrics = nil, nil
+// contig checksum that identifies the assembly bit-exactly, and each rank's
+// metric snapshot with their deterministic cross-rank merge (obs.Manifest
+// says which stages each half covers). The result satisfies
+// obs.(*Manifest).Verify; benchguard's -manifest mode gates on it.
+func (o *Output) Manifest() *obs.Manifest {
+	// The trace is run plumbing, not an algorithmic parameter: scrub it so
+	// the recorded options are plain data and two runs that differ only in
+	// tracing produce comparable manifests.
+	scrubbed := o.opt
+	scrubbed.Trace = nil
 	m := &obs.Manifest{
 		Schema:  obs.ManifestSchema,
 		Options: scrubbed,
@@ -28,6 +27,8 @@ func (o *Output) Manifest(opt Options) *obs.Manifest {
 		Threads: o.Stats.Threads,
 		WallNS:  int64(o.Stats.WallTime),
 		Comm:    obs.CommTotals{Bytes: o.Stats.CommBytes, Msgs: o.Stats.CommMsgs},
+		PerRank: o.perRank,
+		Metrics: obs.Merge(o.perRank...),
 	}
 	if t := o.Stats.Timers; t != nil {
 		recorded := t.Names()
@@ -58,11 +59,6 @@ func (o *Output) Manifest(opt Options) *obs.Manifest {
 	m.Contigs = obs.ContigSummary{Count: len(o.Contigs), TotalBases: bases}
 	if len(seqs) > 0 {
 		m.Contigs.Checksum = obs.ChecksumSeqs(seqs)
-	}
-	if opt.Metrics != nil {
-		// A metric set may cover more ranks than the run has; only P report.
-		m.PerRank = opt.Metrics.Snapshots()[:m.P]
-		m.Metrics = obs.Merge(m.PerRank...)
 	}
 	return m
 }

@@ -278,7 +278,7 @@ func assertInvariants(t *testing.T, r row, out *Output) {
 		t.Fatalf("%v: recorded rows %v, RowNames lists %v of them", r, recorded, listed)
 	}
 	var manifest []string
-	for _, st := range out.Manifest(r.options()).Stages {
+	for _, st := range out.Manifest().Stages {
 		manifest = append(manifest, st.Name)
 	}
 	if !slices.Equal(manifest, listed) {
@@ -397,16 +397,17 @@ func checkpointedRun(t *testing.T, reads [][]byte, opt Options, until string) *O
 	return out
 }
 
-// tracedRun assembles with a trace and a metric set attached and requires
-// them to have observed the run: on every rank a stage span for every row of
-// the run's summary (Algorithm 2's steps and the alignment phases included),
-// one overlap.multiply and then one overlap.partial_exchange inside
-// DetectOverlap, the expected metrics, an mpi.msg_bytes histogram equal to the traffic counters,
-// and a manifest that verifies clean and carries the run's checksum.
+// tracedRun assembles with a trace attached and requires it, and the run's
+// metrics, to have observed the run: on every rank a stage span for every row
+// of the run's summary (Algorithm 2's steps and the alignment phases
+// included), one overlap.multiply and then one overlap.partial_exchange
+// inside DetectOverlap, the expected metrics, an mpi.msg_bytes histogram
+// equal to the traffic counters, and a manifest that verifies clean and
+// carries the run's checksum.
 func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 	t.Helper()
-	tr, ms := obs.NewTrace(opt.P), obs.NewMetricSet(opt.P)
-	opt.Trace, opt.Metrics = tr, ms
+	tr := obs.NewTrace(opt.P)
+	opt.Trace = tr
 	out, err := Run(reads, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -451,8 +452,9 @@ func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 				r, multiply.Ts, multiply.Dur, exchange.Ts, exchange.Dur, detect.Ts, detect.Dur)
 		}
 	}
+	man := out.Manifest()
 	byName := map[string]obs.Metric{}
-	for _, m := range obs.Merge(ms.Snapshots()...) {
+	for _, m := range man.Metrics {
 		byName[m.Name] = m
 	}
 	// Every nonzero of A is multiplied once, where it was counted; the
@@ -473,7 +475,6 @@ func tracedRun(t *testing.T, reads [][]byte, opt Options) *Output {
 		t.Fatalf("mpi.msg_bytes count/sum %d/%d (present %v), traffic counters %d/%d",
 			h.Count, h.Sum, ok, out.Stats.CommMsgs, out.Stats.CommBytes)
 	}
-	man := out.Manifest(opt)
 	if bad := man.Verify(); len(bad) > 0 {
 		t.Fatalf("manifest invariants violated: %v", bad)
 	}

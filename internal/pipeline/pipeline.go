@@ -101,14 +101,6 @@ type Options struct {
 	// reduce to a pointer check. Excluded from the run manifest's options
 	// (observability configuration is not an algorithmic parameter).
 	Trace *obs.Trace `json:"-"`
-	// Metrics, when non-nil, collects per-rank typed counters, gauges and
-	// histograms (mpi.*, kmer.*, spmat.*, align.*, pipeline.*) for the run
-	// manifest, which records each rank's snapshot and their merge. Same
-	// contract as Trace: ≥ P ranks, no effect on results, nil means
-	// zero-cost. In a multi-process run every process's snapshot reaches
-	// every other after each stage, on the control plane with the stage rows;
-	// a process without Metrics sends none, so its ranks' snapshots are empty.
-	Metrics *obs.MetricSet `json:"-"`
 	// Transport selects how the P ranks exchange messages: "" or "inproc"
 	// (goroutines over the in-process mailbox), "tcp" (a loopback socket
 	// mesh inside this process — the real wire path), or "proc" (one OS
@@ -220,6 +212,9 @@ type Stats struct {
 type Output struct {
 	Contigs []core.Contig // gathered and canonically sorted
 	Stats   Stats
+
+	opt     Options        // the options of the last engine to run stages
+	perRank [][]obs.Metric // every rank's metric snapshot, in rank order
 }
 
 // EffectiveThreads resolves the Threads option: an explicit value wins,

@@ -86,8 +86,5 @@ func (o Options) Validate() error {
 	if o.Trace != nil && o.Trace.Ranks() < o.P {
 		bad("Trace", "covers %d ranks: needs at least P = %d", o.Trace.Ranks(), o.P)
 	}
-	if o.Metrics != nil && o.Metrics.Ranks() < o.P {
-		bad("Metrics", "covers %d ranks: needs at least P = %d", o.Metrics.Ranks(), o.P)
-	}
 	return errors.Join(errs...)
 }

@@ -29,7 +29,6 @@ func cacheFixture(t *testing.T, genomeLen int, seed int64) (pipeline.Options, []
 func coldManifest(t *testing.T, opt pipeline.Options, reads [][]byte) *obs.Manifest {
 	t.Helper()
 	opt.Trace = obs.NewTrace(opt.P)
-	opt.Metrics = obs.NewMetricSet(opt.P)
 	eng, err := pipeline.Plan(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +37,7 @@ func coldManifest(t *testing.T, opt pipeline.Options, reads [][]byte) *obs.Manif
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
-	return out.Manifest(opt)
+	return out.Manifest()
 }
 
 // assemble runs one cache-mediated assembly with fresh per-run observability
@@ -47,12 +46,11 @@ func coldManifest(t *testing.T, opt pipeline.Options, reads [][]byte) *obs.Manif
 func assemble(t *testing.T, c *Cache, opt pipeline.Options, reads [][]byte) (*obs.Manifest, string) {
 	t.Helper()
 	opt.Trace = obs.NewTrace(opt.P)
-	opt.Metrics = obs.NewMetricSet(opt.P)
 	out, how, err := c.Assemble(context.Background(), opt, reads)
 	if err != nil {
 		t.Fatalf("cache assemble: %v", err)
 	}
-	return out.Manifest(opt), how
+	return out.Manifest(), how
 }
 
 // TestCacheHitMatchesCold is the artifact cache's correctness gate: a job

@@ -196,9 +196,9 @@ func (j *Job) requestCancel() bool {
 	return false
 }
 
-// run executes the job on the worker goroutine: per-job context, observer,
-// trace and metric set (isolation — nothing observable is shared between
-// jobs), then the cache-mediated assembly.
+// run executes the job on the worker goroutine: per-job context, observer
+// and trace (isolation — nothing observable is shared between jobs), then
+// the cache-mediated assembly.
 func (s *Server) run(j *Job) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
@@ -214,12 +214,11 @@ func (s *Server) run(j *Job) {
 	j.eventLocked("started", "", "", 0)
 	j.mu.Unlock()
 
-	// Per-job observability: a fresh trace and metric set per run, so
-	// concurrent jobs cannot bleed spans or counters into each other and
-	// each manifest records exactly its own run.
+	// Per-job observability: a fresh trace per run, so concurrent jobs
+	// cannot bleed spans into each other (the engine gives each run its own
+	// metric set, so each manifest records exactly its own run).
 	opt := j.opt
 	opt.Trace = obs.NewTrace(opt.P)
-	opt.Metrics = obs.NewMetricSet(opt.P)
 
 	observer := pipeline.Observer{
 		StageStart: func(stage string, _, _ int) {
@@ -250,7 +249,7 @@ func (s *Server) run(j *Job) {
 	j.stage = ""
 	switch {
 	case err == nil:
-		man := out.Manifest(opt)
+		man := out.Manifest()
 		man.Cache = how
 		j.output, j.manifest, j.trace = out, man, opt.Trace
 		j.state = JobDone

@@ -153,7 +153,6 @@ func standalone(t *testing.T, s *Server, spec JobSpec) *obs.Manifest {
 		t.Fatalf("jobInputs: %v", err)
 	}
 	opt.Trace = obs.NewTrace(opt.P)
-	opt.Metrics = obs.NewMetricSet(opt.P)
 	eng, err := pipeline.Plan(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +161,7 @@ func standalone(t *testing.T, s *Server, spec JobSpec) *obs.Manifest {
 	if err != nil {
 		t.Fatalf("standalone run: %v", err)
 	}
-	return out.Manifest(opt)
+	return out.Manifest()
 }
 
 // metricSum returns the named metric's Sum (histograms) or Value (counters)
@@ -357,7 +356,7 @@ func TestMixedCaseFastaAssemblesLikeUpperCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Manifest(opt).Contigs; got != want {
+	if got := out.Manifest().Contigs; got != want {
 		t.Errorf("through fasta.ReadSeqs: contigs %+v, upper-case twin %+v", got, want)
 	}
 

@@ -94,10 +94,10 @@ func (a Columns[T]) Check(nr int32) error {
 		if int(hi) > len(a.Rows) {
 			return fmt.Errorf("column %d's run [%d,%d) ends past the %d entries", a.Lo+int32(c), lo, hi, len(a.Rows))
 		}
-		if err := checkRun(a.Rows[lo:mid], a.Lo+int32(c), 0, 0, nr); err != nil {
+		if err := checkRun("column block", a.Rows[lo:mid], a.Lo+int32(c), 0, 0, nr); err != nil {
 			return err
 		}
-		if err := checkRun(a.Rows[mid:hi], a.Lo+int32(c), 1, 0, nr); err != nil {
+		if err := checkRun("column block", a.Rows[mid:hi], a.Lo+int32(c), 1, 0, nr); err != nil {
 			return err
 		}
 	}

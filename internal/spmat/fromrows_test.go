@@ -456,5 +456,9 @@ func TestColumnProductMatchesSpGEMMCounted(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "ColumnProduct block of rank 0") {
 			t.Fatalf("%s: the block was multiplied (error %v)", name, err)
 		}
+		// A block of columns is no SUMMA panel, and its refusal says so.
+		if strings.Contains(err.Error(), "SUMMA") {
+			t.Fatalf("%s: the refusal names a SUMMA panel: %v", name, err)
+		}
 	}
 }

@@ -9,7 +9,9 @@
 // Transpose and Add have no production caller; they are the oracles the
 // one-routing constructions are tested against. Nor have FromRows and
 // SpGEMMPanels, the SUMMA path to C = A·Aᵀ that ColumnProduct replaced: the
-// tests hold ColumnProduct's C to theirs.
+// tests hold ColumnProduct's C to theirs. FromRows is also the only caller of
+// grid.TransposedFrame, and through it of mpi.SwapFrame, so those two are
+// reachable only from tests as well.
 //
 // Indices are int32 (the simulated scale never approaches 2^31 rows); values
 // are generic so each pipeline stage can carry its own nonzero payload

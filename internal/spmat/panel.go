@@ -283,7 +283,7 @@ func (p panel[T]) check(colLo, colHi, rowLo, rowHi int32) error {
 	for r, c := range p.cols {
 		lo, hi := p.starts[r], p.starts[r+1]
 		if p.mid == nil {
-			if err := checkRun(p.rows[lo:hi], c, -1, rowLo, rowHi); err != nil {
+			if err := checkRun("SUMMA panel", p.rows[lo:hi], c, -1, rowLo, rowHi); err != nil {
 				return err
 			}
 			continue
@@ -292,29 +292,31 @@ func (p panel[T]) check(colLo, colHi, rowLo, rowHi int32) error {
 		if m < lo || m > hi {
 			return fmt.Errorf("SUMMA panel column %d splits at %d outside its run [%d,%d)", c, m, lo, hi)
 		}
-		if err := checkRun(p.rows[lo:m], c, 0, rowLo, rowHi); err != nil {
+		if err := checkRun("SUMMA panel", p.rows[lo:m], c, 0, rowLo, rowHi); err != nil {
 			return err
 		}
-		if err := checkRun(p.rows[m:hi], c, 1, rowLo, rowHi); err != nil {
+		if err := checkRun("SUMMA panel", p.rows[m:hi], c, 1, rowLo, rowHi); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkRun checks that rows, one (sub-)run of column c, strictly ascend
-// inside [rowLo, rowHi) and, unless parity is -1, all have that parity.
-func checkRun(rows []int32, c, parity, rowLo, rowHi int32) error {
+// checkRun checks that rows, one (sub-)run of column c of the named block,
+// strictly ascend inside [rowLo, rowHi) and, unless parity is -1, all have
+// that parity. Its refusals name the block, so each caller says which kind
+// it checks.
+func checkRun(block string, rows []int32, c, parity, rowLo, rowHi int32) error {
 	prev := rowLo - 1
 	for _, r := range rows {
 		if r < rowLo || r >= rowHi {
-			return fmt.Errorf("SUMMA panel row %d in column %d is outside [%d,%d)", r, c, rowLo, rowHi)
+			return fmt.Errorf("%s row %d in column %d is outside [%d,%d)", block, r, c, rowLo, rowHi)
 		}
 		if r <= prev {
-			return fmt.Errorf("SUMMA panel row %d after %d in column %d does not strictly ascend", r, prev, c)
+			return fmt.Errorf("%s row %d after %d in column %d does not strictly ascend", block, r, prev, c)
 		}
 		if parity >= 0 && r&1 != parity {
-			return fmt.Errorf("SUMMA panel row %d in column %d has the wrong parity for its sub-run", r, c)
+			return fmt.Errorf("%s row %d in column %d has the wrong parity for its sub-run", block, r, c)
 		}
 		prev = r
 	}
