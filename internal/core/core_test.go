@@ -202,9 +202,8 @@ func pipelineToContigs(t *testing.T, p int, seqs [][]byte, k int, xdrop int32) (
 		g := grid.New(c)
 		store := fasta.FromGlobal(c, seqs)
 		tm := trace.New()
-		ores := &overlap.Result{NumReads: store.N}
-		kres := kmer.CountAndBuild(store, k, 2, 100, cfg.Threads)
-		cands, _ := overlap.DetectCandidates(g, store, kres, ores)
+		cands, _ := overlap.DetectCandidates(g, store, kmer.Count(store, k, 2, 100, cfg.Threads))
+		ores := &overlap.Result{}
 		overlap.AlignCandidates(g, store, cands, cfg, tm, ores)
 		s := overlap.ToStringGraph(ores.R, cfg.MaxOverhang)
 		tr.Reduce(s, 150, 10, false)

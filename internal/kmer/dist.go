@@ -26,12 +26,7 @@ type Result struct {
 	// tile in rank order. Each column lists the reads of every rank that
 	// hold its k-mer, distinct, in the split layout spmat.ColumnProduct
 	// multiplies in place (spmat.Columns).
-	Cols spmat.Columns[Occur]
-	// Triples are the nonzeros of the reads this rank owns, row-grouped:
-	// rows ascending, each read's columns distinct and in the order its
-	// extraction found them — the order spmat.FromRows takes. Only
-	// CountAndBuild fills them.
-	Triples     []ATriple
+	Cols        spmat.Columns[Occur]
 	Occurrences int64 // k-mer occurrences this rank extracted (work units)
 }
 
@@ -92,10 +87,13 @@ func Count(store *fasta.DistStore, k int, low, high int32, threads int) *Result 
 // occurrence, so the reply is the request's occurrences in the sender's
 // stream order), and each rank walks its stream again, one cursor per owner
 // into its reply, to emit the surviving triples of its own reads in that
-// order (Result.Triples). It has no production caller: its triples are the
+// order. It returns Count's result and those triples: the nonzeros of the
+// reads this rank owns, row-grouped — rows ascending, each read's columns
+// distinct and in the order its extraction found them, the order
+// spmat.FromRows takes. It has no production caller: its triples are the
 // second path to A that tests hold Count's columns and the multiply built on
 // them against.
-func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) *Result {
+func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) (*Result, []ATriple) {
 	res, s, recs := count(store, k, low, high, threads)
 	// Reply with column ids, mirroring the request's occurrences —
 	// including parts whose entries are all -1 (no reliable k-mer matched).
@@ -117,8 +115,7 @@ func CountAndBuild(store *fasta.DistStore, k int, low, high int32, threads int) 
 		}
 	}
 	cols := mpi.IAlltoallv(store.Comm, reply).WaitValue()
-	res.Triples = s.emit(store.Lo, cols)
-	return res
+	return res, s.emit(store.Lo, cols)
 }
 
 // count is Count's shared core. Besides the result it returns the rank's

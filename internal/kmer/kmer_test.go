@@ -190,11 +190,11 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		var got []ATriple
 		err := mpi.Run(p, func(c *mpi.Comm) {
 			store := fasta.FromGlobal(c, reads)
-			res := CountAndBuild(store, k, low, high, 1)
+			res, triples := CountAndBuild(store, k, low, high, 1)
 			if res.NumCols != nRef {
 				panic("reliable column count differs from serial")
 			}
-			all, _ := mpi.AllgathervFlat(c, res.Triples)
+			all, _ := mpi.AllgathervFlat(c, triples)
 			if c.Rank() == 0 {
 				got = all
 			}
@@ -248,13 +248,13 @@ func TestDistributedColumnIdsConsistent(t *testing.T) {
 	k := 13
 	err := mpi.Run(4, func(c *mpi.Comm) {
 		store := fasta.FromGlobal(c, reads)
-		res := CountAndBuild(store, k, 2, 1000, 2)
+		_, triples := CountAndBuild(store, k, 2, 1000, 2)
 		type pair struct {
 			km  uint64
 			col int32
 		}
 		var local []pair
-		for _, tr := range res.Triples {
+		for _, tr := range triples {
 			local = append(local, pair{uint64(tripleKmer(store.Get(int(tr.Row)), tr, k)), tr.Col})
 		}
 		all, _ := mpi.AllgathervFlat(c, local)
@@ -307,16 +307,17 @@ func TestColumnIDsFollowFirstOccurrence(t *testing.T) {
 					err := mpi.Run(p, func(c *mpi.Comm) {
 						store := fasta.FromGlobal(c, reads)
 						var res *Result
-						mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, low, high, threads) })
+						var triples []ATriple
+						mpitest.InMode(c, async, func() { res, triples = CountAndBuild(store, k, low, high, threads) })
 						if res.NumCols != nReliable {
 							panic(fmt.Sprintf("%d columns, want %d", res.NumCols, nReliable))
 						}
-						for _, tr := range res.Triples {
+						for _, tr := range triples {
 							if km := tripleKmer(store.Get(int(tr.Row)), tr, k); tr.Col != want[km] {
 								panic(fmt.Sprintf("read %d k-mer %d has column %d, want %d", tr.Row, km, tr.Col, want[km]))
 							}
 						}
-						perRank[c.Rank()] = res.Triples
+						perRank[c.Rank()] = triples
 					})
 					if err != nil {
 						t.Fatalf("P=%d limit=%d threads=%d async=%v: %v", p, limit, threads, async, err)
@@ -341,15 +342,17 @@ func TestCountAndBuildAsyncMatchesSync(t *testing.T) {
 	k := 15
 	for _, p := range []int{1, 4, 9} {
 		results := make([]*Result, 2)
+		triples := make([][]ATriple, 2)
 		traffic := make([][2]int64, 2)
 		for mode, async := range []bool{false, true} {
 			w := mpi.NewWorld(p)
 			err := w.Run(func(c *mpi.Comm) {
 				store := fasta.FromGlobal(c, reads)
 				var res *Result
-				mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, 2, 1000, 2) })
+				var ts []ATriple
+				mpitest.InMode(c, async, func() { res, ts = CountAndBuild(store, k, 2, 1000, 2) })
 				if c.Rank() == 0 {
-					results[mode] = res
+					results[mode], triples[mode] = res, ts
 				}
 			})
 			if err != nil {
@@ -360,7 +363,7 @@ func TestCountAndBuildAsyncMatchesSync(t *testing.T) {
 		if results[0].NumCols != results[1].NumCols {
 			t.Fatalf("P=%d: column counts differ: %d vs %d", p, results[0].NumCols, results[1].NumCols)
 		}
-		if !reflect.DeepEqual(results[0].Triples, results[1].Triples) {
+		if !reflect.DeepEqual(triples[0], triples[1]) {
 			t.Fatalf("P=%d: triples differ between sync and async", p)
 		}
 		if traffic[0] != traffic[1] {

@@ -26,8 +26,9 @@ func gatherCountAndBuild(reads [][]byte, k int, low, high int32, p, threads int,
 	err := mpi.Run(p, func(c *mpi.Comm) {
 		store := fasta.FromGlobal(c, reads)
 		var res *Result
-		mpitest.InMode(c, async, func() { res = CountAndBuild(store, k, low, high, threads) })
-		all, _ := mpi.AllgathervFlat(c, res.Triples)
+		var mine []ATriple
+		mpitest.InMode(c, async, func() { res, mine = CountAndBuild(store, k, low, high, threads) })
+		all, _ := mpi.AllgathervFlat(c, mine)
 		if c.Rank() == 0 {
 			triples, numCols = all, res.NumCols
 		}
@@ -273,8 +274,9 @@ func TestColumnsAreTheRowTriplesTransposed(t *testing.T) {
 				err := mpi.Run(p, func(c *mpi.Comm) {
 					store := fasta.FromGlobal(c, reads)
 					var res, prod *Result
+					var rowTriples []ATriple
 					mpitest.InMode(c, async, func() {
-						res = CountAndBuild(store, k, 2, 1000, 2)
+						res, rowTriples = CountAndBuild(store, k, 2, 1000, 2)
 						prod = Count(store, k, 2, 1000, 1)
 					})
 					mine := res.Cols.Triples()
@@ -298,7 +300,7 @@ func TestColumnsAreTheRowTriplesTransposed(t *testing.T) {
 					if int(next) != res.NumCols {
 						panic(fmt.Sprintf("column ranges %v do not tile [0,%d)", ranges, res.NumCols))
 					}
-					allRows, _ := mpi.AllgathervFlat(c, res.Triples)
+					allRows, _ := mpi.AllgathervFlat(c, rowTriples)
 					allCols, _ := mpi.AllgathervFlat(c, mine)
 					if c.Rank() == 0 {
 						rows, cols = allRows, allCols

@@ -55,9 +55,11 @@ type ContigSummary struct {
 // The two halves cover different spans of a resumed run. Stages and Comm
 // cover the whole run, stages restored from a checkpoint or snapshot
 // included: their rows travel with the artifacts. PerRank and Metrics cover
-// the stages this run executed on its world: after a checkpoint load,
-// FastaReader (which the load runs again to rebuild the grid and the read
-// store) and the stages after the checkpoint. A run resumed after
+// the stages executed on this run's world. Every in-process fork of one
+// snapshot shares its world's metric set, so a forked chain's record also
+// holds the stages its sibling chains executed. After a checkpoint load
+// they cover FastaReader (which the load runs again to rebuild the grid and
+// the read store) and the stages after the checkpoint. A run resumed after
 // DetectOverlap records no kmer.* or overlap.* metric, its
 // spmat.spgemm_products omits DetectOverlap's products, and its
 // mpi.msg_bytes count and sum are the traffic of the executed stages' rows,

@@ -29,7 +29,6 @@ func BenchmarkDetectCandidates(b *testing.B) {
 			err := mpi.Run(4, func(c *mpi.Comm) {
 				g := grid.New(c)
 				store := fasta.FromGlobal(c, reads)
-				res := &Result{NumReads: store.N}
 				kres := kmer.Count(store, 31, 2, 160, 1)
 				// Every rank has finished counting before the reset and
 				// starts the timed loop after it, so the timer and the
@@ -43,7 +42,7 @@ func BenchmarkDetectCandidates(b *testing.B) {
 				var mine int64
 				mpitest.InMode(c, sched.async, func() {
 					for i := 0; i < b.N; i++ {
-						_, n := DetectCandidates(g, store, kres, res)
+						_, n := DetectCandidates(g, store, kres)
 						mine += n
 					}
 				})

@@ -152,10 +152,11 @@ func (c Config) aligner() align.Aligner {
 	return align.NewXDrop(c.Align)
 }
 
-// Result carries the stage outputs and counters.
+// Result is the overlap phase's output: the k-mer and candidate counts the
+// DetectOverlap stage records, and R, the contained reads and the kept count
+// AlignCandidates fills in.
 type Result struct {
-	NumReads  int
-	NumKmers  int
+	NumKmers  int                    // reliable k-mer columns of A
 	R         *spmat.Dist[bidir.Aln] // symmetric overlap matrix
 	Contained []int32                // reads removed as contained (global, replicated)
 	// Counters (global, replicated); each candidate pair is counted once
@@ -182,7 +183,7 @@ type Result struct {
 // spans of the rank's trace lane; overlap.a_nnz, overlap.partials and
 // overlap.partial_bytes count the rank's nonzeros of A, the partial cells it
 // sends and the bytes that carries.
-func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, res *Result) (c *spmat.Dist[Seeds], products int64) {
+func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result) (c *spmat.Dist[Seeds], products int64) {
 	n := int32(store.N)
 	lane, reg := g.Comm.Lane(), g.Comm.Metrics()
 	nnz := int64(kres.Cols.Nnz())
@@ -205,7 +206,6 @@ func DetectCandidates(g *grid.Grid, store *fasta.DistStore, kres *kmer.Result, r
 		lane.Span(0, "overlap", "overlap.partial_exchange", start,
 			obs.Arg{K: "partials", V: cells}, obs.Arg{K: "exchange_bytes", V: sent})
 	}
-	res.CandidatePairs = c.Nnz()
 	return c, products
 }
 

@@ -24,14 +24,14 @@ import (
 // countKmers is the CountKmer stage as the pipeline runs it, with the
 // suite's reliable band [2, 80].
 func countKmers(store *fasta.DistStore, cfg Config) *kmer.Result {
-	return kmer.CountAndBuild(store, cfg.K, 2, 80, cfg.Threads)
+	return kmer.Count(store, cfg.K, 2, 80, cfg.Threads)
 }
 
 // runStages chains the three stages the way the pipeline engine does, for
 // tests that only care about the final overlap matrix.
 func runStages(g *grid.Grid, store *fasta.DistStore, cfg Config) *Result {
-	res := &Result{NumReads: store.N}
-	cands, _ := DetectCandidates(g, store, countKmers(store, cfg), res)
+	cands, _ := DetectCandidates(g, store, countKmers(store, cfg))
+	res := &Result{CandidatePairs: cands.Nnz()}
 	AlignCandidates(g, store, cands, cfg, trace.New(), res)
 	return res
 }
@@ -97,20 +97,21 @@ func TestDetectCandidatesMatchesValueSemantics(t *testing.T) {
 			err := mpi.Run(p, func(c *mpi.Comm) {
 				g := grid.New(c)
 				store := fasta.FromGlobal(c, reads)
-				res := &Result{NumReads: store.N}
 				var kres *kmer.Result
+				var rowTriples []kmer.ATriple
 				var cand *spmat.Dist[Seeds]
 				mpitest.InMode(c, async, func() {
-					kres = countKmers(store, cfg)
-					cand, _ = DetectCandidates(g, store, kres, res)
+					kres, rowTriples = kmer.CountAndBuild(store, cfg.K, 2, 80, cfg.Threads)
+					cand, _ = DetectCandidates(g, store, kres)
 				})
+				n := cand.Nnz()
 				// A from the reply path's row triples by the generic
 				// constructor, not the owners' columns DetectCandidates
 				// multiplies.
-				am := spmat.NewDist(g, int32(store.N), int32(kres.NumCols), slices.Clone(kres.Triples), nil)
+				am := spmat.NewDist(g, int32(store.N), int32(kres.NumCols), rowTriples, nil)
 				gc, ga := cand.GatherTriples(0), am.GatherTriples(0)
 				if c.Rank() == 0 {
-					got, a, pairs = gc, ga, res.CandidatePairs
+					got, a, pairs = gc, ga, n
 				}
 			})
 			if err != nil {
@@ -215,7 +216,7 @@ func TestCandidatesIndependentOfColumnOrder(t *testing.T) {
 					})
 					relabelled.Cols = spmat.ColumnsFromTriples(lo, kres.Cols.Hi, ts)
 				}
-				cand, products := DetectCandidates(g, store, &relabelled, &Result{NumReads: store.N})
+				cand, products := DetectCandidates(g, store, &relabelled)
 				return cand.GatherTriples(0), mpi.Allreduce(c, products, sum)
 			}
 			want, wantProducts := detect(nil)

@@ -135,8 +135,8 @@ func diffAgainstRef(t *testing.T, label string, seqs [][]byte, p int, cfg Config
 	err := runWithMetrics(p, func(c *mpi.Comm) {
 		g := grid.New(c)
 		store := fasta.FromGlobal(c, seqs)
-		base := &Result{NumReads: store.N}
-		cands, _ := DetectCandidates(g, store, countKmers(store, cfg), base)
+		cands, _ := DetectCandidates(g, store, countKmers(store, cfg))
+		detected := cands.Nnz()
 		tot.candidates.Add(int64(len(cands.Local.Ts)))
 		rowSeqs, colSeqs := store.RowColSequences(g)
 		picks := containmentPicks(cands, rowSeqs, colSeqs, int32(cfg.K))
@@ -155,7 +155,7 @@ func diffAgainstRef(t *testing.T, label string, seqs [][]byte, p int, cfg Config
 			var work1 int64
 			for _, threads := range []int{1, 3} {
 				bcfg.Threads = threads
-				res := &Result{NumReads: store.N, CandidatePairs: base.CandidatePairs}
+				res := &Result{CandidatePairs: detected}
 				tm := trace.New()
 				where := fmt.Sprintf("%s P=%d %s threads=%d rank %d", label, p, backend, threads, c.Rank())
 				counts := alignCounted(c, g, store, cands, bcfg, tm, res, where)
@@ -165,9 +165,9 @@ func diffAgainstRef(t *testing.T, label string, seqs [][]byte, p int, cfg Config
 				if !reflect.DeepEqual(res.Contained, wantContained) {
 					panic(fmt.Sprintf("%s: Contained %v, reference %v", where, res.Contained, wantContained))
 				}
-				if res.KeptOverlaps != wantKept || res.CandidatePairs != base.CandidatePairs {
+				if res.KeptOverlaps != wantKept || res.CandidatePairs != detected {
 					panic(fmt.Sprintf("%s: KeptOverlaps %d (reference %d), CandidatePairs %d (detected %d)",
-						where, res.KeptOverlaps, wantKept, res.CandidatePairs, base.CandidatePairs))
+						where, res.KeptOverlaps, wantKept, res.CandidatePairs, detected))
 				}
 				p1, p2 := tm.Entry(SubStagePhase1).Work, tm.Entry(SubStagePhase2).Work
 				if p1 != int64(len(picks)) || p1+p2 > int64(len(cands.Local.Ts)) || p1+p2 != counts[1] {
@@ -398,12 +398,11 @@ func TestBoundSkippedPairsCannotProveContainment(t *testing.T) {
 			err := runWithMetrics(p, func(c *mpi.Comm) {
 				g := grid.New(c)
 				store := fasta.FromGlobal(c, in.seqs)
-				base := &Result{NumReads: store.N}
-				cands, _ := DetectCandidates(g, store, countKmers(store, in.cfg), base)
+				cands, _ := DetectCandidates(g, store, countKmers(store, in.cfg))
 				for backend, cfg := range backendConfigs(in.cfg) {
 					where := fmt.Sprintf("%s P=%d %s rank %d", in.name, p, backend, c.Rank())
 					skipped := boundSkippedPairs(c, g, store, cands, cfg, where)
-					res := &Result{NumReads: store.N}
+					res := &Result{}
 					if n := alignCounted(c, g, store, cands, cfg, trace.New(), res, where); n[3] != skipped {
 						panic(fmt.Sprintf("%s: the stage skipped %d pairs by the bound, the test derived %d", where, n[3], skipped))
 					}
@@ -502,14 +501,13 @@ func TestColumnProductMatchesSUMMA(t *testing.T) {
 				err := mpi.Run(p, func(c *mpi.Comm) {
 					g := grid.New(c)
 					store := fasta.FromGlobal(c, in.seqs)
-					res := &Result{NumReads: store.N}
 					var got *spmat.Dist[Seeds]
 					var want []spmat.Triple[Seeds]
 					var gotProducts, wantProducts int64
 					mpitest.InMode(c, async, func() {
-						kres := kmer.CountAndBuild(store, in.cfg.K, 2, 80, 1)
-						got, gotProducts = DetectCandidates(g, store, kres, res)
-						a := spmat.FromRows(g, int32(store.N), int32(kres.NumCols), kres.Triples)
+						kres, rowTriples := kmer.CountAndBuild(store, in.cfg.K, 2, 80, 1)
+						got, gotProducts = DetectCandidates(g, store, kres)
+						a := spmat.FromRows(g, int32(store.N), int32(kres.NumCols), rowTriples)
 						want = spmat.SpGEMMPanels(a, seedSemiring, &wantProducts).Local.Ts
 					})
 					if !reflect.DeepEqual(got.Local.Ts, want) {
@@ -518,8 +516,8 @@ func TestColumnProductMatchesSUMMA(t *testing.T) {
 					if a, b := mpi.Allreduce(c, gotProducts, sum), mpi.Allreduce(c, wantProducts, sum); a != b {
 						panic(fmt.Sprintf("%d products, SUMMA formed %d", a, b))
 					}
-					if c.Rank() == 0 {
-						cands = res.CandidatePairs
+					if n := got.Nnz(); c.Rank() == 0 {
+						cands = n
 					}
 				})
 				if err != nil {

@@ -35,17 +35,17 @@ type RankState struct {
 
 	Kmers       *kmer.Result               // CountKmer: the rank's columns of A (spmat.Columns)
 	Candidates  *spmat.Dist[overlap.Seeds] // DetectOverlap: C = A·Aᵀ, packed seed pairs, one direction per pair
-	Overlap     *overlap.Result            // CountKmer…Alignment: accumulating counters, A and R
+	Overlap     *overlap.Result            // DetectOverlap: k-mer and candidate counts; Alignment: a copy adding R, contained reads, kept count
 	StringGraph *spmat.Dist[bidir.Edge]    // TrReduction: reduced bidirected string graph
 	TRStats     tr.Stats                   // TrReduction: iteration/edge counters
-	Contig      *core.Result               // ExtractContig: this rank's contigs + global stats
+	Contig      *core.Result               // ExtractContig: global stats; at rank 0, every rank's contigs, gathered
 }
 
 // Artifacts is the typed bag a (partial) pipeline run produces: the
-// simulated world, the per-rank stage outputs, and — once the final stage
-// has run — the gathered contigs and statistics. An Artifacts value is a
-// resume point: Engine.ResumeFrom continues from the last completed stage,
-// under the same or downstream-modified options.
+// simulated world and the per-rank stage outputs, from which Output reads
+// the gathered contigs and statistics once the final stage has run. An
+// Artifacts value is a resume point: Engine.ResumeFrom continues from the
+// last completed stage, under the same or downstream-modified options.
 //
 // Snapshot semantics: ResumeFrom never modifies the artifacts it is given
 // (it forks them), so one post-Alignment snapshot can seed an entire
@@ -82,11 +82,6 @@ type Artifacts struct {
 
 	// exec serializes stage execution across all forks sharing the world.
 	exec *sync.Mutex
-
-	// Final-stage output, stored by rank 0 under mu.
-	mu      sync.Mutex
-	contigs []core.Contig
-	stats   Stats
 }
 
 // newArtifacts prepares the bag for a fresh run: a new world (built per
@@ -225,19 +220,38 @@ func (a *Artifacts) fold(shared *[]report) {
 
 // Output returns the assembly result. It is available only once the final
 // stage (ExtractContig) has completed; partial artifacts return an error
-// naming the stage they stopped at. The run's traffic totals are the sums of
-// its top-level stage rows; the output also keeps every rank's metric
-// snapshot, taken now, and the options the last engine ran under, for its
-// Manifest.
+// naming the stage they stopped at. Every Stats field is built here: the
+// counters from the options, the read set and rank 0's stage outputs (left
+// zero in a process that does not hold rank 0), the traffic totals as the
+// sums of the run's top-level stage rows. The output also keeps every rank's
+// metric snapshot, taken now, and the options the last engine ran under,
+// for its Manifest.
 func (a *Artifacts) Output() (*Output, error) {
 	if a.Stage() != StageExtractContig {
 		return nil, fmt.Errorf("pipeline: artifacts stop after stage %q; resume through %q for contigs",
 			a.Stage(), StageExtractContig)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := &Output{Contigs: a.contigs, Stats: a.stats, opt: a.Opt, perRank: a.metrics.Snapshots()}
+	out := &Output{opt: a.Opt, perRank: a.metrics.Snapshots()}
 	st := &out.Stats
+	if rs := a.Ranks[0]; rs.Contig != nil {
+		ov, cres := rs.Overlap, rs.Contig
+		out.Contigs = cres.Contigs
+		*st = Stats{
+			P:              a.Opt.P,
+			Threads:        a.Opt.EffectiveThreads(),
+			NumReads:       len(a.Reads),
+			NumKmers:       ov.NumKmers,
+			CandidatePairs: ov.CandidatePairs,
+			KeptOverlaps:   ov.KeptOverlaps,
+			ContainedReads: len(ov.Contained),
+			TR:             rs.TRStats,
+			NumContigs:     cres.NumContigs,
+			BranchVertices: cres.BranchVertices,
+			AssignedReads:  cres.AssignedReads,
+			MaxLoad:        cres.MaxLoad,
+			MinLoad:        cres.MinLoad,
+		}
+	}
 	st.Timers, st.WallTime = a.sum, a.wall
 	for _, phase := range AlignmentPhases {
 		st.AlignedPairs += a.sum.Get(phase).SumWork
@@ -250,17 +264,10 @@ func (a *Artifacts) Output() (*Output, error) {
 	return out, nil
 }
 
-// storeOutput records the final stage's rank-0 view.
-func (a *Artifacts) storeOutput(contigs []core.Contig, stats Stats) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.contigs = contigs
-	a.stats = stats
-}
-
 // fork snapshots the bag for an independent continuation: per-rank states
-// are copied, timers deep-copied, and the accumulating overlap result
-// copied by value, so stages run on the fork never touch the original.
+// are copied and their timers deep-copied, the one field every stage writes
+// into. Every other field is a stage's output, which later stages replace
+// and never mutate, so stages run on the fork never touch the original.
 // World, reads, metric set and the execution lock are shared.
 func (a *Artifacts) fork(opt Options) *Artifacts {
 	f := &Artifacts{
@@ -278,10 +285,6 @@ func (a *Artifacts) fork(opt Options) *Artifacts {
 	for i, rs := range a.Ranks {
 		cp := *rs
 		cp.Timers = rs.Timers.Clone()
-		if rs.Overlap != nil {
-			o := *rs.Overlap
-			cp.Overlap = &o
-		}
 		f.Ranks[i] = &cp
 	}
 	return f

@@ -53,34 +53,15 @@ import (
 // state rebuild (the grid exchange). A bad file surfaces as an error naming
 // the rank and the file on every process.
 
-// CheckpointSchema identifies the on-disk checkpoint layout version. v2
-// switched the embedded options fingerprint from the full option set to the
-// prefix through the checkpointed stage (FingerprintThrough), so a
-// post-Alignment checkpoint resumes under different TR parameters — the
-// sweep-reuse semantics the artifact cache is built on. v3 made two layouts of
-// the post-CountKmer state load-bearing: the k-mer occurrence is one packed
-// word (kmer.Occur: position<<1 | strand) and KmerTriples are strictly
-// row-major, the order DetectOverlap builds A from without sorting. v4 made
-// the rank files' timer rows the run's traffic totals (the manifest carries
-// none): every stage, FastaReader included, has a row, and a v3 file lacks
-// FastaReader's, so its totals would come out short. v5 stores KmerTriples
-// row-grouped — rows ascending, each read's columns distinct, in extraction
-// order — because DetectOverlap sorts A once itself, as spmat.FromRows
-// scatters it into its SUMMA panels: a v4 reader would refuse such a file as
-// out of order, so it carries a schema of its own. v6 stores the rank's
-// columns of A instead — the k-mers it counted, column-major, with every read
-// that holds them, and their column range — because DetectOverlap multiplies
-// them where they were counted (spmat.ColumnProduct): a v5 file's rows hold
-// another layout. v7 keeps A and C in the one form each the stages use: the
-// post-CountKmer file holds the rank's spmat.Columns as they lie (run bounds,
-// mids, rows, occurrences), not their column-major triples, and C's values
-// are the multiply's packed seed pairs (overlap.Seeds, 16 bytes encoded), not
-// the unpacked seed structs (22) a v6 file holds. Older checkpoints and
-// cache entries are refused by name, never reinterpreted.
-const CheckpointSchema = "elba/checkpoint/v7"
+// CheckpointSchema identifies the on-disk checkpoint layout version; DESIGN.md
+// §13 records what each version changed. v8 lets the stage name the payload
+// (no per-payload flags), drops the read count (the read set's size) and
+// keeps one k-mer column count, written from CountKmer on. Older checkpoints
+// and cache entries are refused by name, never reinterpreted.
+const CheckpointSchema = "elba/checkpoint/v8"
 
 // ckptSchema is the per-rank file's schema number (bumped with ckptRank).
-const ckptSchema uint32 = 7
+const ckptSchema uint32 = 8
 
 // CheckpointManifestName is the per-stage commit file written by rank 0.
 const CheckpointManifestName = "MANIFEST.json"
@@ -134,7 +115,7 @@ func (o Options) Fingerprint() string { return o.FingerprintThrough(StageExtract
 // Distributed matrices are flattened to dims + the rank's local triples (the
 // block geometry is a pure function of grid position and dims, rebuilt on
 // load); pointers never cross the codec. Only the fields downstream stages
-// still consume are populated — see rankCheckpoint.
+// still consume are populated — see rankCheckpoint; the rest stay zero.
 type ckptRank struct {
 	Schema      uint32
 	Rank, P     int32
@@ -142,32 +123,23 @@ type ckptRank struct {
 	Stage       string
 	Timers      []trace.Record
 
-	HasOverlap     bool
-	OvNumReads     int64
-	OvNumKmers     int64
-	OvCandPairs    int64
-	OvKeptOverlaps int64
+	KmerNumCols    int32 // from CountKmer on
+	OvCandPairs    int64 // from DetectOverlap on
+	OvKeptOverlaps int64 // from Alignment on
 	OvContained    []int32
 
-	HasKmers        bool
-	KmerK           int32
-	KmerNumCols     int32
+	KmerK           int32 // CountKmer
 	KmerOccurrences int64
 	KmerCols        spmat.Columns[kmer.Occur] // the rank's columns of A
 
-	HasCands    bool
-	CandNR      int32
-	CandNC      int32
-	CandTriples []spmat.Triple[overlap.Seeds]
+	CandNR, CandNC int32 // DetectOverlap
+	CandTriples    []spmat.Triple[overlap.Seeds]
 
-	HasR     bool
-	RNR, RNC int32
+	RNR, RNC int32 // Alignment
 	RTriples []spmat.Triple[bidir.Aln]
 
-	HasSG      bool
-	SGNR, SGNC int32
-	SGTriples  []spmat.Triple[bidir.Edge]
-
+	SGNR, SGNC     int32 // TrReduction
+	SGTriples      []spmat.Triple[bidir.Edge]
 	TRIterations   int64
 	TREdgesRemoved int64
 	TRProducts     int64
@@ -189,31 +161,23 @@ func (a *Artifacts) rankCheckpoint(rank int) ckptRank {
 		Fingerprint: a.Opt.FingerprintThrough(a.Stage()), Stage: a.Stage(),
 		Timers: rs.Timers.Records(),
 	}
-	if rs.Overlap != nil {
-		ck.HasOverlap = true
-		ck.OvNumReads = int64(rs.Overlap.NumReads)
-		ck.OvNumKmers = int64(rs.Overlap.NumKmers)
-		ck.OvCandPairs = rs.Overlap.CandidatePairs
-		ck.OvKeptOverlaps = rs.Overlap.KeptOverlaps
-		ck.OvContained = rs.Overlap.Contained
+	if ov := rs.Overlap; ov != nil {
+		ck.KmerNumCols = int32(ov.NumKmers)
+		ck.OvCandPairs, ck.OvKeptOverlaps, ck.OvContained = ov.CandidatePairs, ov.KeptOverlaps, ov.Contained
 	}
 	switch a.Stage() {
 	case StageCountKmer:
-		ck.HasKmers = true
 		ck.KmerK = int32(rs.Kmers.K)
 		ck.KmerNumCols = int32(rs.Kmers.NumCols)
 		ck.KmerOccurrences = rs.Kmers.Occurrences
 		ck.KmerCols = rs.Kmers.Cols
 	case StageDetectOverlap:
-		ck.HasCands = true
 		ck.CandNR, ck.CandNC = rs.Candidates.NR, rs.Candidates.NC
 		ck.CandTriples = rs.Candidates.Local.Ts
 	case StageAlignment:
-		ck.HasR = true
 		ck.RNR, ck.RNC = rs.Overlap.R.NR, rs.Overlap.R.NC
 		ck.RTriples = rs.Overlap.R.Local.Ts
 	case StageTrReduction:
-		ck.HasSG = true
 		ck.SGNR, ck.SGNC = rs.StringGraph.NR, rs.StringGraph.NC
 		ck.SGTriples = rs.StringGraph.Local.Ts
 		ck.TRIterations = int64(rs.TRStats.Iterations)
@@ -224,43 +188,76 @@ func (a *Artifacts) rankCheckpoint(rank int) ckptRank {
 }
 
 // replicatedNames names the values every rank's file carries a copy of,
-// which LoadCheckpoint requires the ranks to agree on: the k-mer column count
-// sizes A on every rank, and the overlap counters are what a resumed run
-// reports.
-var replicatedNames = [...]string{"k-mer columns", "k-mers", "candidate pairs", "kept overlaps", "contained reads"}
+// which LoadCheckpoint requires the ranks to agree on: the k-mer column
+// count bounds every rank's column range and is the run's k-mer count, and
+// the overlap counters are what a resumed run reports.
+var replicatedNames = [...]string{"k-mer columns", "candidate pairs", "kept overlaps", "contained reads"}
 
 // replicated returns the file's copies of the replicatedNames values.
 func (ck *ckptRank) replicated() [len(replicatedNames)]int64 {
-	return [...]int64{int64(ck.KmerNumCols), ck.OvNumKmers, ck.OvCandPairs, ck.OvKeptOverlaps, int64(len(ck.OvContained))}
+	return [...]int64{int64(ck.KmerNumCols), ck.OvCandPairs, ck.OvKeptOverlaps, int64(len(ck.OvContained))}
 }
 
-// installRank writes a decoded checkpoint into rs. The caller has already
+// strayPayload names the first part of ck that rankCheckpoint writes only
+// for other stages ("" if there is none): a counter before the stage that
+// first records it, or another stage's matrix or k-mer columns.
+func (ck *ckptRank) strayPayload() string {
+	from := func(stage string) bool { return reached(ck.Stage, stage) }
+	a := ck.KmerCols
+	for _, part := range []struct {
+		name string
+		ok   bool
+	}{
+		{"a k-mer column count", from(StageCountKmer) || ck.KmerNumCols == 0},
+		{"a candidate count", from(StageDetectOverlap) || ck.OvCandPairs == 0},
+		{"overlap counts", from(StageAlignment) || ck.OvKeptOverlaps == 0 && len(ck.OvContained) == 0},
+		{"k-mer columns", ck.Stage == StageCountKmer ||
+			ck.KmerK == 0 && ck.KmerOccurrences == 0 && a.Lo == 0 && a.Hi == 0 && len(a.Starts)+len(a.Mid)+len(a.Rows)+len(a.Vals) == 0},
+		{"C", ck.Stage == StageDetectOverlap || ck.CandNR == 0 && ck.CandNC == 0 && len(ck.CandTriples) == 0},
+		{"R", ck.Stage == StageAlignment || ck.RNR == 0 && ck.RNC == 0 && len(ck.RTriples) == 0},
+		{"the string graph", ck.Stage == StageTrReduction || ck.SGNR == 0 && ck.SGNC == 0 && len(ck.SGTriples) == 0 &&
+			ck.TRIterations == 0 && ck.TREdgesRemoved == 0 && ck.TRProducts == 0},
+	} {
+		if !part.ok {
+			return part.name
+		}
+	}
+	return ""
+}
+
+// reached reports whether stage is from or a stage after it in the stages
+// table; both are known stage names.
+func reached(stage, from string) bool {
+	i, _ := stageIndex(stage)
+	j, _ := stageIndex(from)
+	return i >= j
+}
+
+// installRank writes a decoded checkpoint into rs: its stage's output, and
+// from DetectOverlap on the overlap result's counters. The caller has already
 // rebuilt rs.Grid and rs.Store (the only artifact fields whose construction
 // communicates).
 func installRank(rs *RankState, ck *ckptRank) {
 	rs.Timers = trace.FromRecords(ck.Timers)
-	if ck.HasOverlap {
+	if reached(ck.Stage, StageDetectOverlap) {
 		rs.Overlap = &overlap.Result{
-			NumReads:       int(ck.OvNumReads),
-			NumKmers:       int(ck.OvNumKmers),
+			NumKmers:       int(ck.KmerNumCols),
 			CandidatePairs: ck.OvCandPairs,
 			KeptOverlaps:   ck.OvKeptOverlaps,
 			Contained:      ck.OvContained,
 		}
 	}
-	if ck.HasKmers {
+	switch ck.Stage {
+	case StageCountKmer:
 		rs.Kmers = &kmer.Result{
 			K: int(ck.KmerK), NumCols: int(ck.KmerNumCols), Occurrences: ck.KmerOccurrences,
 			Cols: ck.KmerCols,
 		}
-	}
-	if ck.HasCands {
+	case StageDetectOverlap:
 		rs.Candidates = spmat.FromLocalTriples(rs.Grid, ck.CandNR, ck.CandNC, ck.CandTriples)
-	}
-	if ck.HasR {
+	case StageAlignment:
 		rs.Overlap.R = spmat.FromLocalTriples(rs.Grid, ck.RNR, ck.RNC, ck.RTriples)
-	}
-	if ck.HasSG {
+	case StageTrReduction:
 		rs.StringGraph = spmat.FromLocalTriples(rs.Grid, ck.SGNR, ck.SGNC, ck.SGTriples)
 		rs.TRStats = tr.Stats{
 			Iterations:   int(ck.TRIterations),
@@ -534,11 +531,13 @@ func (e *Engine) LoadCheckpoint(ctx context.Context, reads [][]byte, dir string)
 // the resume relies on:
 //   - schema, rank, P, stage and options fingerprint are this build's, the
 //     engine's and the manifest's;
-//   - it carries exactly the payload rankCheckpoint writes for its stage: the
-//     overlap counters after FastaReader, plus that stage's own output;
-//   - a k-mer payload has the engine's K; a column count in [0, the read
-//     set's k-mer window count] — each reliable k-mer is a distinct window;
-//     a column range inside [0, that count]; columns that are a split panel
+//   - it carries no part that rankCheckpoint writes only for other stages
+//     (strayPayload): the counters of the stages through its own, plus that
+//     stage's own output;
+//   - its k-mer column count lies in [0, the read set's k-mer window count]
+//     — each reliable k-mer is a distinct window;
+//   - a k-mer payload has the engine's K; a column range inside [0, the
+//     column count]; columns that are a split panel
 //     of that range over the read set (spmat.Columns.Check, the check
 //     ColumnProduct makes) — so no (read, column) pair twice; and each
 //     occurrence a window inside its read;
@@ -588,21 +587,19 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s carries options fingerprint %.12s…, engine has %.12s… through %s",
 			rank, path, ck.Fingerprint, fp, man.Stage)
 	}
-	if ck.HasOverlap != (ck.Stage != StageFastaReader) || ck.HasKmers != (ck.Stage == StageCountKmer) ||
-		ck.HasCands != (ck.Stage == StageDetectOverlap) || ck.HasR != (ck.Stage == StageAlignment) ||
-		ck.HasSG != (ck.Stage == StageTrReduction) {
-		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s carries a payload other than stage %q's", rank, path, ck.Stage)
-	}
 	if err := checkCounters(&ck, len(reads)); err != nil {
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: %w", rank, path, err)
 	}
-	if ck.HasKmers {
+	if windows := kmerWindows(reads, opt.K); ck.KmerNumCols < 0 || int64(ck.KmerNumCols) > windows {
+		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s counts %d k-mer columns, outside [0, %d] (the reads' k-mer windows)",
+			rank, path, ck.KmerNumCols, windows)
+	}
+	if part := ck.strayPayload(); part != "" {
+		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s carries %s, a payload other than stage %q's", rank, path, part, ck.Stage)
+	}
+	if ck.Stage == StageCountKmer {
 		if int(ck.KmerK) != opt.K {
 			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s holds k-mers of k = %d, engine has k = %d", rank, path, ck.KmerK, opt.K)
-		}
-		if windows := kmerWindows(reads, opt.K); ck.KmerNumCols < 0 || int64(ck.KmerNumCols) > windows {
-			return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s counts %d k-mer columns, outside [0, %d] (the reads' k-mer windows)",
-				rank, path, ck.KmerNumCols, windows)
 		}
 		a := ck.KmerCols
 		err := a.Check(int32(len(reads))) // what ColumnProduct would panic on inside the stage
@@ -620,23 +617,23 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 			}
 		}
 	}
-	switch {
-	case ck.HasCands:
+	switch ck.Stage {
+	case StageDetectOverlap:
 		err = checkBlock(ck.CandNR, ck.CandNC, ck.CandTriples, len(reads), opt.P, rank)
-	case ck.HasR:
+	case StageAlignment:
 		err = checkBlock(ck.RNR, ck.RNC, ck.RTriples, len(reads), opt.P, rank)
-	case ck.HasSG:
+	case StageTrReduction:
 		err = checkBlock(ck.SGNR, ck.SGNC, ck.SGTriples, len(reads), opt.P, rank)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: checkpoint rank %d: %s: stage %q's matrix block is not the rank's canonical block: %w", rank, path, ck.Stage, err)
 	}
-	switch {
-	case ck.HasCands:
+	switch ck.Stage {
+	case StageDetectOverlap:
 		err = checkCands(ck.CandTriples, reads, opt.K)
-	case ck.HasR:
+	case StageAlignment:
 		err = checkAlns(ck.RTriples, reads, opt.MaxOverhang)
-	case ck.HasSG:
+	case StageTrReduction:
 		err = checkEdges(ck.SGTriples, reads)
 	}
 	if err != nil {
@@ -646,17 +643,13 @@ func readRankCheckpoint(path string, man *CheckpointManifest, rank int, opt Opti
 }
 
 // checkCounters reports a run counter of ck that no run over n reads can
-// have: a negative one, a read count other than n, contained reads that do
-// not strictly ascend inside [0, n), or more kept overlaps than candidate
-// pairs.
+// have: a negative one, contained reads that do not strictly ascend inside
+// [0, n), or more kept overlaps than candidate pairs. The k-mer column
+// count has a bound of its own (readRankCheckpoint).
 func checkCounters(ck *ckptRank, n int) error {
-	if min(ck.OvNumReads, ck.OvNumKmers, ck.OvCandPairs, ck.OvKeptOverlaps, ck.KmerOccurrences,
-		ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts) < 0 {
-		return fmt.Errorf("a run counter is negative (reads %d, k-mers %d, candidate pairs %d, kept overlaps %d, k-mer occurrences %d, TR iterations %d, edges removed %d, TR products %d)",
-			ck.OvNumReads, ck.OvNumKmers, ck.OvCandPairs, ck.OvKeptOverlaps, ck.KmerOccurrences, ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts)
-	}
-	if ck.HasOverlap && ck.OvNumReads != int64(n) {
-		return fmt.Errorf("counts %d reads, the read set has %d", ck.OvNumReads, n)
+	if min(ck.OvCandPairs, ck.OvKeptOverlaps, ck.KmerOccurrences, ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts) < 0 {
+		return fmt.Errorf("a run counter is negative (candidate pairs %d, kept overlaps %d, k-mer occurrences %d, TR iterations %d, edges removed %d, TR products %d)",
+			ck.OvCandPairs, ck.OvKeptOverlaps, ck.KmerOccurrences, ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts)
 	}
 	if ck.OvKeptOverlaps > ck.OvCandPairs {
 		return fmt.Errorf("keeps %d overlaps of %d candidate pairs", ck.OvKeptOverlaps, ck.OvCandPairs)

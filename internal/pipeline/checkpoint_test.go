@@ -314,7 +314,7 @@ func TestFingerprintThroughGolden(t *testing.T) {
 // checkpoint file is stamped with: a codec change that moves it makes every
 // committed checkpoint unreadable, so it must come with a ckptSchema bump.
 func TestRankCheckpointFingerprintGolden(t *testing.T) {
-	if got, want := wire.Fingerprint[ckptRank](), uint32(0x927f2a2b); got != want {
+	if got, want := wire.Fingerprint[ckptRank](), uint32(0x38fb490b); got != want {
 		t.Errorf("ckptRank fingerprint 0x%08x, want 0x%08x", got, want)
 	}
 }
@@ -531,7 +531,8 @@ func rewriteRankFile(t *testing.T, stageDir string, rank int, edit func(*ckptRan
 // load-bearing since schema v3, the rank files' timer rows (FastaReader's
 // included) are the run's traffic totals since v4, A's triples were
 // row-grouped in v5 and the rank's columns of A since v6, and since v7 A is
-// stored as the rank's spmat.Columns and C's values as packed seed pairs, so
+// stored as the rank's spmat.Columns and C's values as packed seed pairs,
+// and since v8 the stage names the payload and no read count is stored, so
 // (1) a directory committed under an older schema — manifest or rank file —
 // is refused with an error naming both schemas, and (2) a post-CountKmer
 // checkpoint whose columns are not a split panel (rows swapped, repeated or
@@ -584,19 +585,19 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		}
 		return err
 	}
-	for _, old := range []uint32{2, 3, 4, 5, 6} {
+	for _, old := range []uint32{2, 3, 4, 5, 6, 7} {
 		schema := fmt.Sprintf("elba/checkpoint/v%d", old)
 		t.Run(fmt.Sprintf("v%d manifest", old), func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteManifest(t, stageDir, func(m *CheckpointManifest) { m.Schema = schema })
-			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v7"`)
+			refused(t, dir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v8"`)
 			// Naming the stage directory itself takes the other manifest path.
-			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v7"`)
+			refused(t, stageDir, fmt.Sprintf("schema %q", schema), `"elba/checkpoint/v8"`)
 		})
 		t.Run(fmt.Sprintf("v%d rank file", old), func(t *testing.T) {
 			dir, stageDir := write(t)
 			rewriteRankFile(t, stageDir, 1, func(ck *ckptRank) { ck.Schema = old })
-			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 7)", old))
+			refused(t, dir, "rank 1", filepath.Join(stageDir, rankFile(1)), fmt.Sprintf("schema %d (this build reads 8)", old))
 		})
 	}
 	// A rank's columns of A fail closed: each row would load silently (a
@@ -657,10 +658,10 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			}
 		})
 	}
-	// The rest of the payload fails closed too: the column count, which sizes
-	// A on resume, is bounded by the reads' k-mer windows and must be the
-	// same on every rank; each occurrence is a window of its read; and a file
-	// carries its stage's payload only.
+	// The rest of the payload fails closed too: the column count, which
+	// bounds every rank's column range, is bounded by the reads' k-mer
+	// windows and must be the same on every rank; each occurrence is a window
+	// of its read; and a file carries its stage's payload only.
 	for name, c := range map[string]struct {
 		edit func(ck *ckptRank)
 		want string
@@ -673,7 +674,7 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 			a.Vals[last] = kmer.MakeOccur(int32(len(reads[a.Rows[last]])-opt.K+1), false)
 		}, "is no window of read"},
 		"another k":               {func(ck *ckptRank) { ck.KmerK++ }, "k = 22"},
-		"another stage's payload": {func(ck *ckptRank) { ck.HasCands = true }, `payload other than stage "CountKmer"'s`},
+		"another stage's payload": {func(ck *ckptRank) { ck.CandNR, ck.CandNC = int32(len(reads)), int32(len(reads)) }, `carries C, a payload other than stage "CountKmer"'s`},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir, stageDir := write(t)
@@ -682,20 +683,30 @@ func TestCheckpointFailsClosedOnSchemaAndOrder(t *testing.T) {
 		})
 	}
 	// So do the run counters a resumed run reports (installRank copies them
-	// into its Stats): a read count other than the read set's, a negative
-	// counter, contained reads that do not strictly ascend inside the read
-	// set, more kept overlaps than candidate pairs, or a replicated counter
-	// the ranks disagree on would otherwise load silently.
+	// into its Stats): a negative counter, a k-mer count outside [0, the
+	// reads' windows], contained reads that do not strictly ascend inside the
+	// read set, more kept overlaps than candidate pairs, a replicated counter
+	// the ranks disagree on, or a counter of a stage after the file's would
+	// otherwise load silently. The read count is the read set's size, which
+	// no file restates: a file naming a read past the set is refused. The
+	// k-mer count is the column count, at CountKmer and after it.
 	for _, c := range []struct {
 		stage, name string
 		edit        func(ck *ckptRank)
 		want        string
 	}{
-		{StageCountKmer, "another read count", func(ck *ckptRank) { ck.OvNumReads++ }, "reads, the read set has"},
-		{StageCountKmer, "negative k-mer count", func(ck *ckptRank) { ck.OvNumKmers = -1 }, "a run counter is negative"},
+		{StageCountKmer, "another read count", func(ck *ckptRank) { ck.KmerCols.Rows[0] = int32(len(reads)) + 1 },
+			fmt.Sprintf("of A over %d reads", len(reads))},
+		{StageCountKmer, "negative k-mer count", func(ck *ckptRank) { ck.KmerNumCols = -1 }, "-1 k-mer columns, outside [0,"},
 		{StageCountKmer, "negative occurrences", func(ck *ckptRank) { ck.KmerOccurrences = -1 }, "a run counter is negative"},
 		{StageCountKmer, "kept overlaps past the candidates", func(ck *ckptRank) { ck.OvKeptOverlaps = ck.OvCandPairs + 1 }, "keeps 1 overlaps of 0 candidate pairs"},
-		{StageCountKmer, "ranks disagree on the k-mer count", func(ck *ckptRank) { ck.OvNumKmers++ }, "k-mers, another rank's file"},
+		{StageCountKmer, "ranks disagree on the k-mer count", func(ck *ckptRank) { ck.KmerNumCols-- }, "k-mer columns, another rank's file"},
+		{StageCountKmer, "a candidate count", func(ck *ckptRank) { ck.OvCandPairs = 1 }, `carries a candidate count, a payload other than stage "CountKmer"'s`},
+		{StageFastaReader, "a k-mer count", func(ck *ckptRank) { ck.KmerNumCols = 1 }, `carries a k-mer column count, a payload other than stage "FastaReader"'s`},
+		{StageDetectOverlap, "contained reads", func(ck *ckptRank) { ck.OvContained = []int32{0} }, `carries overlap counts, a payload other than stage "DetectOverlap"'s`},
+		{StageAlignment, "negative k-mer count", func(ck *ckptRank) { ck.KmerNumCols = -1 }, "-1 k-mer columns, outside [0,"},
+		{StageAlignment, "ranks disagree on the k-mer count", func(ck *ckptRank) { ck.KmerNumCols++ }, "k-mer columns, another rank's file"},
+		{StageAlignment, "TR counters", func(ck *ckptRank) { ck.TRIterations = 1 }, `carries the string graph, a payload other than stage "Alignment"'s`},
 		{StageAlignment, "negative candidate count", func(ck *ckptRank) { ck.OvCandPairs = -1 }, "a run counter is negative"},
 		{StageAlignment, "negative kept overlaps", func(ck *ckptRank) { ck.OvKeptOverlaps = -1 }, "a run counter is negative"},
 		{StageAlignment, "contained reads out of order", func(ck *ckptRank) {
@@ -1040,8 +1051,8 @@ func commitFuzzCheckpoint(f testing.TB, stage string) (Options, [][]byte, *Check
 
 // fuzzRankFile runs readRankCheckpoint on frame as rank 0's file of man's
 // checkpoint, with the manifest's hash recomputed for it, and returns what it
-// accepts (nil for a refusal) after checking the self-description and the
-// payload flags of stage's file.
+// accepts (nil for a refusal) after checking the self-description, that no
+// part another stage writes is set, and the counters.
 func fuzzRankFile(t *testing.T, path string, frame []byte, man *CheckpointManifest, opt Options, reads [][]byte) *ckptRank {
 	if err := os.WriteFile(path, frame, 0o666); err != nil {
 		t.Fatal(err)
@@ -1056,18 +1067,21 @@ func fuzzRankFile(t *testing.T, path string, frame []byte, man *CheckpointManife
 	if ck.Schema != ckptSchema || ck.Rank != 0 || ck.P != 1 || ck.Stage != man.Stage || ck.Fingerprint != man.Fingerprint {
 		t.Fatalf("accepted a file describing schema %d, rank %d of %d, stage %q, fingerprint %.12s…", ck.Schema, ck.Rank, ck.P, ck.Stage, ck.Fingerprint)
 	}
-	kmers, cands := man.Stage == StageCountKmer, man.Stage == StageDetectOverlap
-	if !ck.HasOverlap || ck.HasKmers != kmers || ck.HasCands != cands || ck.HasR || ck.HasSG {
-		t.Fatalf("accepted a %s file with payload flags overlap=%t kmers=%t cands=%t r=%t sg=%t", man.Stage, ck.HasOverlap, ck.HasKmers, ck.HasCands, ck.HasR, ck.HasSG)
+	// The fuzzed stages, CountKmer and DetectOverlap, come before Alignment:
+	// a file they accept holds its own stage's payload and nothing of a
+	// later stage's.
+	other := []int64{ck.OvKeptOverlaps, int64(len(ck.OvContained)), int64(len(ck.RTriples)), int64(len(ck.SGTriples)),
+		ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts}
+	if man.Stage == StageCountKmer {
+		other = append(other, ck.OvCandPairs, int64(len(ck.CandTriples)))
+	} else {
+		other = append(other, int64(ck.KmerK), ck.KmerOccurrences, int64(len(ck.KmerCols.Rows)))
 	}
-	counters := []int64{ck.OvNumKmers, ck.OvCandPairs, ck.OvKeptOverlaps, ck.KmerOccurrences, ck.TRIterations, ck.TREdgesRemoved, ck.TRProducts}
-	if ck.OvNumReads != int64(len(reads)) || slices.Min(counters) < 0 || ck.OvKeptOverlaps > ck.OvCandPairs {
-		t.Fatalf("accepted a file counting %d of %d reads, counters %v", ck.OvNumReads, len(reads), counters)
+	if slices.ContainsFunc(other, func(v int64) bool { return v != 0 }) {
+		t.Fatalf("accepted a %s file carrying another stage's payload %v", man.Stage, other)
 	}
-	for i, r := range ck.OvContained {
-		if r < 0 || int(r) >= len(reads) || i > 0 && r <= ck.OvContained[i-1] {
-			t.Fatalf("accepted contained reads %v", ck.OvContained)
-		}
+	if ck.KmerNumCols < 0 || ck.OvCandPairs < 0 || ck.KmerOccurrences < 0 {
+		t.Fatalf("accepted %d k-mer columns, %d candidate pairs, %d occurrences", ck.KmerNumCols, ck.OvCandPairs, ck.KmerOccurrences)
 	}
 	return ck
 }

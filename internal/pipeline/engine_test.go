@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mpi/wire"
 	"repro/internal/readsim"
 	"repro/internal/trace"
 )
@@ -105,6 +107,64 @@ func TestResumeSweepReusesOverlapArtifacts(t *testing.T) {
 	// Snapshot unchanged: still resumable, still parked after Alignment.
 	if got := arts.Stage(); got != StageAlignment {
 		t.Fatalf("snapshot advanced to %q during the sweep", got)
+	}
+}
+
+// TestForksLeaveTheirSnapshotUnchanged holds the contract RankState states:
+// a stage replaces its own outputs and never writes into a field another
+// stage created. Two chains resumed from one post-CountKmer snapshot under
+// different TR parameters run DetectOverlap and Alignment on forks of it;
+// afterwards every per-rank field of the snapshot — the pointers themselves
+// and, through its rank checkpoint, what they point to — and its stage are
+// as they were, and each chain's Stats counters, traffic and contigs are a
+// monolithic run's at its options.
+func TestForksLeaveTheirSnapshotUnchanged(t *testing.T) {
+	reads := testReads(8000, 631)
+	base := DefaultOptions(4)
+	base.K = 21
+	base.XDrop = 25
+	eng, err := Plan(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := eng.RunUntil(context.Background(), reads, StageCountKmer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	fields := make([]RankState, len(snap.Ranks))
+	frames := make([][]byte, len(snap.Ranks))
+	for r, rs := range snap.Ranks {
+		fields[r], frames[r] = *rs, wire.MarshalOne(snap.rankCheckpoint(r))
+	}
+	for _, fuzz := range []int32{0, 500} {
+		opt := base
+		opt.TRFuzz = fuzz
+		swept, err := Plan(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := swept.ResumeFrom(context.Background(), snap, StageExtractContig)
+		if err != nil {
+			t.Fatalf("fuzz=%d: %v", fuzz, err)
+		}
+		got, err := chain.Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Run(reads, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRun(t, full, got, fmt.Sprintf("fuzz=%d chain vs full", fuzz))
+		if snap.Stage() != StageCountKmer {
+			t.Fatalf("fuzz=%d: the snapshot advanced to %q", fuzz, snap.Stage())
+		}
+		for r, rs := range snap.Ranks {
+			if *rs != fields[r] || !bytes.Equal(wire.MarshalOne(snap.rankCheckpoint(r)), frames[r]) {
+				t.Fatalf("fuzz=%d: a chain wrote into rank %d's snapshot", fuzz, r)
+			}
+		}
 	}
 }
 

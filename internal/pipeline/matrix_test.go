@@ -236,7 +236,7 @@ func assertRowsSumToTotals(t *testing.T, out *Output, label string) {
 // ref's contigs byte for byte, each run's totals must be the sums of its
 // top-level rows, and on every RowNames row not named in differ the runs must
 // agree on SumBytes, SumMsgs, MaxBytes, MaxMsgs and SumWork. With differ
-// empty the totals must match too.
+// empty the totals and every other Stats counter must match too.
 func assertSameRun(t *testing.T, ref, got *Output, label string, differ ...string) {
 	t.Helper()
 	if a, b := contigChecksum(ref), contigChecksum(got); a != b {
@@ -247,6 +247,9 @@ func assertSameRun(t *testing.T, ref, got *Output, label string, differ ...strin
 	if len(differ) == 0 && (ref.Stats.CommBytes != got.Stats.CommBytes || ref.Stats.CommMsgs != got.Stats.CommMsgs) {
 		t.Fatalf("%s: traffic %d B / %d msgs, reference %d B / %d msgs",
 			label, got.Stats.CommBytes, got.Stats.CommMsgs, ref.Stats.CommBytes, ref.Stats.CommMsgs)
+	}
+	if a, b := statsCounters(ref.Stats), statsCounters(got.Stats); len(differ) == 0 && a != b {
+		t.Fatalf("%s: Stats counters %+v, reference %+v", label, b, a)
 	}
 	counters := func(e trace.SummaryEntry) [5]int64 {
 		return [5]int64{e.SumBytes, e.SumMsgs, e.MaxBytes, e.MaxMsgs, e.SumWork}
@@ -259,6 +262,13 @@ func assertSameRun(t *testing.T, ref, got *Output, label string, differ ...strin
 			t.Fatalf("%s: row %s bytes/msgs/max bytes/max msgs/work %v, reference %v", label, name, b, a)
 		}
 	}
+}
+
+// statsCounters is s without its worker count and timings: what is left is
+// a function of the reads and the algorithmic options.
+func statsCounters(s Stats) Stats {
+	s.Threads, s.Timers, s.WallTime = 0, nil, 0
+	return s
 }
 
 // assertInvariants holds one run to what needs no second run: Stats.Threads
@@ -527,17 +537,22 @@ func twoHostRun(t *testing.T, reads [][]byte, opt Options, ref *Output) *Output 
 }
 
 // assertEveryProcess holds each process of a distributed run to ref: rank 0
-// alone carries the contigs, and every process reports the whole job — in
-// its Stats.Timers and, when lastEnd is given, in the summary its last
+// alone carries the contigs and the counters read off its stage outputs, and
+// every process reports the whole job — in its Stats.Timers and the totals
+// folded from them and, when lastEnd is given, in the summary its last
 // StageEnd saw.
 func assertEveryProcess(t *testing.T, ref *Output, outs []*Output, lastEnd []*trace.Summary, label string) {
 	t.Helper()
 	for r, out := range outs {
-		if r > 0 && len(out.Contigs) != 0 {
-			t.Fatalf("%s: rank %d holds %d contigs; gathering should leave them at rank 0 only", label, r, len(out.Contigs))
-		}
 		view := *out
-		view.Contigs = outs[0].Contigs
+		if st := out.Stats; r > 0 {
+			folded := Stats{AlignedPairs: st.AlignedPairs, Timers: st.Timers, CommBytes: st.CommBytes, CommMsgs: st.CommMsgs, WallTime: st.WallTime}
+			if len(out.Contigs) != 0 || st != folded {
+				t.Fatalf("%s: rank %d holds %d contigs and Stats %+v; only rank 0's process holds its outputs", label, r, len(out.Contigs), st)
+			}
+			view.Contigs, view.Stats = outs[0].Contigs, outs[0].Stats
+			view.Stats.AlignedPairs, view.Stats.Timers, view.Stats.CommBytes, view.Stats.CommMsgs = st.AlignedPairs, st.Timers, st.CommBytes, st.CommMsgs
+		}
 		assertSameRun(t, ref, &view, fmt.Sprintf("%s rank %d", label, r))
 		if lastEnd != nil {
 			view.Stats.Timers = lastEnd[r]

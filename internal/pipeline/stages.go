@@ -83,24 +83,29 @@ var stages = []stageDef{
 		return fmt.Sprintf(" k=%d rlow=%d rhigh=%d", o.K, o.ReliableLow, o.ReliableHigh)
 	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
 		rs.Kmers = kmer.Count(rs.Store, opt.K, opt.ReliableLow, opt.ReliableHigh, opt.EffectiveThreads())
-		rs.Overlap = &overlap.Result{NumReads: rs.Store.N, NumKmers: rs.Kmers.NumCols}
 		return rs.Kmers.Occurrences
 	}},
 	// DetectOverlap computes the candidate matrix C = A·Aᵀ: a pure SpGEMM
-	// over CountKmer's A matrix. Its work units are the semiring products.
+	// over CountKmer's A matrix. It creates the overlap result, with the
+	// k-mer and candidate counts. Its work units are the semiring products.
 	{StageDetectOverlap, nil, nil, func(opt Options, a *Artifacts, rs *RankState) int64 {
 		var products int64
-		rs.Candidates, products = overlap.DetectCandidates(rs.Grid, rs.Store, rs.Kmers, rs.Overlap)
+		rs.Candidates, products = overlap.DetectCandidates(rs.Grid, rs.Store, rs.Kmers)
+		rs.Overlap = &overlap.Result{NumKmers: rs.Kmers.NumCols, CandidatePairs: rs.Candidates.Nnz()}
 		return products
 	}},
 	// Alignment extends the candidate pairs through the configured backend —
 	// every pair whose result can change R (overlap.AlignCandidates) — and
-	// prunes to the symmetric overlap matrix R.
+	// prunes to the symmetric overlap matrix R. It replaces the overlap
+	// result with a copy that adds R, the contained reads and the kept count.
 	{StageAlignment, AlignmentPhases, func(o Options) string {
 		return fmt.Sprintf(" backend=%s xdrop=%d minov=%d minfrac=%g maxovh=%d",
 			cmp.Or(o.AlignBackend, BackendXDrop), o.XDrop, o.MinOverlap, o.MinScoreFrac, o.MaxOverhang)
 	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
-		return overlap.AlignCandidates(rs.Grid, rs.Store, rs.Candidates, overlapCfg(opt), rs.Timers, rs.Overlap)
+		ov := *rs.Overlap
+		work := overlap.AlignCandidates(rs.Grid, rs.Store, rs.Candidates, overlapCfg(opt), rs.Timers, &ov)
+		rs.Overlap = &ov
+		return work
 	}},
 	// TrReduction classifies R into the bidirected string graph and runs the
 	// transitive reduction. The string graph is derived fresh from R on every
@@ -116,34 +121,15 @@ var stages = []stageDef{
 		return rs.TRStats.Products
 	}},
 	// ExtractContig runs Algorithm 2 (contig generation), then gathers the
-	// contigs at rank 0 and stores the run's Output into the artifacts — the
-	// same op sequence, and therefore the same traffic, as the tail of a
-	// monolithic run. Algorithm 2's sub-stages nest inside the stage's row.
+	// contigs at rank 0 — the same op sequence, and therefore the same
+	// traffic, as the tail of a monolithic run; Artifacts.Output reads them
+	// there. Algorithm 2's sub-stages nest inside the stage's row.
 	{StageExtractContig, ContigStages, func(o Options) string {
 		return fmt.Sprintf(" packseq=%t", o.PackSeqComm)
 	}, func(opt Options, a *Artifacts, rs *RankState) int64 {
 		cres := core.ContigGeneration(rs.StringGraph, rs.Store, rs.Timers, opt.PackSeqComm, opt.Async)
+		cres.Contigs = core.GatherContigs(rs.Grid.Comm, cres.Contigs)
 		rs.Contig = cres
-
-		contigs := core.GatherContigs(rs.Grid.Comm, cres.Contigs)
-		if rs.Comm.Rank() == 0 {
-			ores := rs.Overlap
-			a.storeOutput(contigs, Stats{
-				P:              opt.P,
-				Threads:        opt.EffectiveThreads(),
-				NumReads:       ores.NumReads,
-				NumKmers:       ores.NumKmers,
-				CandidatePairs: ores.CandidatePairs,
-				KeptOverlaps:   ores.KeptOverlaps,
-				ContainedReads: len(ores.Contained),
-				TR:             rs.TRStats,
-				NumContigs:     cres.NumContigs,
-				BranchVertices: cres.BranchVertices,
-				AssignedReads:  cres.AssignedReads,
-				MaxLoad:        cres.MaxLoad,
-				MinLoad:        cres.MinLoad,
-			})
-		}
 		// ExtractContig's work units: edges routed plus bases assembled.
 		return rs.Timers.Entry(core.SubStageInducedSubgraph).Work + rs.Timers.Entry(core.SubStageLocalAssembly).Work
 	}},

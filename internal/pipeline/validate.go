@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -59,8 +60,8 @@ func (o Options) Validate() error {
 	if o.MinOverlap < 0 {
 		bad("MinOverlap", "= %d: threshold must be ≥ 0", o.MinOverlap)
 	}
-	if o.MinScoreFrac < 0 {
-		bad("MinScoreFrac", "= %g: threshold must be ≥ 0", o.MinScoreFrac)
+	if !(o.MinScoreFrac >= 0) || math.IsInf(o.MinScoreFrac, 1) { // NaN fails every comparison
+		bad("MinScoreFrac", "= %g: threshold must be a finite number ≥ 0", o.MinScoreFrac)
 	}
 	if o.MaxOverhang < 0 {
 		bad("MaxOverhang", "= %d: threshold must be ≥ 0", o.MaxOverhang)

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,9 +9,11 @@ import (
 )
 
 // TestValidateReportsAllViolationsWithFieldNames: a single Validate pass
-// must surface every bad field, each error naming its field.
+// must surface every bad field, each error naming its field. A NaN or
+// infinite score fraction is refused too: NaN passes a "< 0" test and keeps
+// every alignment, and the run record cannot encode either value.
 func TestValidateReportsAllViolationsWithFieldNames(t *testing.T) {
-	o := Options{
+	allBad := Options{
 		P:            3,         // not a perfect square
 		K:            99,        // > kmer.MaxK
 		AlignBackend: "quantum", // unknown
@@ -23,17 +26,31 @@ func TestValidateReportsAllViolationsWithFieldNames(t *testing.T) {
 		TRFuzz:       -150,
 		TRMaxIter:    -1,
 	}
-	err := o.Validate()
-	if err == nil {
-		t.Fatal("invalid options validated clean")
-	}
-	msg := err.Error()
-	for _, field := range []string{"Options.P", "Options.K", "Options.AlignBackend", "Options.Threads",
-		"Options.XDrop", "Options.ReliableLow", "Options.MinOverlap", "Options.MinScoreFrac",
-		"Options.MaxOverhang", "Options.TRFuzz", "Options.TRMaxIter"} {
-		if !strings.Contains(msg, field) {
-			t.Errorf("error does not name %s:\n%s", field, msg)
-		}
+	nan, inf := DefaultOptions(1), DefaultOptions(1)
+	nan.MinScoreFrac, inf.MinScoreFrac = math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name   string
+		o      Options
+		fields []string
+	}{
+		{"every field", allBad, []string{"Options.P", "Options.K", "Options.AlignBackend", "Options.Threads",
+			"Options.XDrop", "Options.ReliableLow", "Options.MinOverlap", "Options.MinScoreFrac",
+			"Options.MaxOverhang", "Options.TRFuzz", "Options.TRMaxIter"}},
+		{"NaN score fraction", nan, []string{"Options.MinScoreFrac = NaN"}},
+		{"infinite score fraction", inf, []string{"Options.MinScoreFrac = +Inf"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.o.Validate()
+			if err == nil {
+				t.Fatal("invalid options validated clean")
+			}
+			msg := err.Error()
+			for _, field := range c.fields {
+				if !strings.Contains(msg, field) {
+					t.Errorf("error does not name %s:\n%s", field, msg)
+				}
+			}
+		})
 	}
 }
 
